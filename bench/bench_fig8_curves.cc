@@ -32,8 +32,8 @@
 #include "bench_common.h"
 #include "common/coverage.h"
 #include "fleet/checkpoint.h"
-#include "fleet/coordinator.h"
 #include "fleet/curve.h"
+#include "net/fleet_server.h"
 #include "runtime/sharded_campaign.h"
 
 using namespace spatter;         // NOLINT
@@ -103,7 +103,7 @@ bool CheckResumeCurveFidelity() {
   std::printf("\nCheckpoint-resume curve fidelity (iteration budget, "
               "per-iteration COV)\n");
 
-  fleet::FleetConfig base;
+  net::FleetConfig base;
   base.base.dialect = engine::Dialect::kPostgis;
   base.base.seed = 3104;
   base.base.iterations = 16;
@@ -113,26 +113,30 @@ bool CheckResumeCurveFidelity() {
   base.jobs = 2;
   base.cov_interval_seconds = 0.0;  // exact coverage restoration
 
-  fleet::FleetCoordinator reference(base);
+  net::FleetServer reference(base);
+  if (!reference.Start().ok()) {
+    std::printf("FAIL: cannot start the fleet supervisor\n");
+    return false;
+  }
   const fuzz::CampaignResult ref = reference.Run();
   const size_t ref_sites = reference.fleet_covered_sites();
 
   const std::string dir = "fig8_resume_ckpt";
   fs::remove_all(dir);
-  fleet::FleetConfig killed = base;
+  net::FleetConfig killed = base;
   killed.checkpoint_dir = dir;
   killed.checkpoint_interval_seconds = 0.0;
   killed.die_after_frames = 30;  // < 1 + 16 * 2 minimum stream length
   const pid_t pid = ::fork();
   if (pid == 0) {
-    fleet::FleetCoordinator coordinator(killed);
-    coordinator.Run();
+    net::FleetServer supervisor(killed);
+    if (supervisor.Start().ok()) supervisor.Run();
     ::_exit(0);
   }
   int status = 0;
   ::waitpid(pid, &status, 0);
   if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-    std::printf("FAIL: seamed coordinator was not SIGKILLed mid-run\n");
+    std::printf("FAIL: seamed supervisor was not SIGKILLed mid-run\n");
     return false;
   }
 
@@ -142,9 +146,13 @@ bool CheckResumeCurveFidelity() {
     return false;
   }
   const std::vector<fleet::CurveSample> prefix = loaded.value().curve;
-  fleet::FleetConfig resumed_config = base;
+  net::FleetConfig resumed_config = base;
   resumed_config.resume = loaded.Take();
-  fleet::FleetCoordinator resumed(resumed_config);
+  net::FleetServer resumed(resumed_config);
+  if (!resumed.Start().ok()) {
+    std::printf("FAIL: cannot start the resumed fleet supervisor\n");
+    return false;
+  }
   const fuzz::CampaignResult result = resumed.Run();
   const std::vector<fleet::CurveSample> samples = resumed.curve().samples();
 

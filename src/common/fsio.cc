@@ -31,7 +31,7 @@ void ArmAtomicWriteKillForTest() {
 
 Status AtomicWriteFile(const std::string& path, const void* data,
                        size_t size) {
-  // PID-suffixed so concurrent writers (two fleet coordinators pointed at
+  // PID-suffixed so concurrent writers (two fleet supervisors pointed at
   // one dir by mistake) never clobber each other's temp file; the suffix
   // also keeps temp names from matching any reader's filename patterns
   // (cc-*.sptc, checkpoint.sptk, *.json).

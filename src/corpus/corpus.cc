@@ -224,7 +224,7 @@ Status Corpus::SaveTo(const std::string& dir) const {
     auto encoded = TestCaseCodec::Encode(slot.record);
     if (!encoded.ok()) return encoded.status();
     // Atomic write-rename: the fleet checkpoint path re-saves the corpus
-    // mid-campaign, so a coordinator killed here must leave every entry
+    // mid-campaign, so a supervisor killed here must leave every entry
     // file whole — a torn .sptc would be silently skipped on the next
     // load and then deleted as stale by the save after that.
     const Status written =

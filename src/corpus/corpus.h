@@ -42,7 +42,7 @@ struct CorpusOptions {
   /// Entry cap; favored entries (sole holders of a site) survive eviction.
   size_t max_entries = 256;
   /// Record genuine Admit()s (not Restores) in a drainable log. The fleet
-  /// worker enables this to stream fresh entries to the coordinator;
+  /// worker enables this to stream fresh entries to the supervisor;
   /// off by default so non-fleet runs never accumulate the log.
   bool log_admissions = false;
 };
@@ -83,7 +83,7 @@ class Corpus {
   /// Drains the admission log (see CorpusOptions::log_admissions): every
   /// record a genuine Admit() stored since the last drain, in admission
   /// order. Restored/merged entries are excluded on purpose — the fleet
-  /// worker must not echo entries the coordinator broadcast back to it.
+  /// worker must not echo entries the supervisor broadcast back to it.
   std::vector<TestCaseRecord> TakeNewlyAdmitted();
 
   /// Distinct site keys covered by everything ever admitted.

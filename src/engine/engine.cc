@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <ctime>
@@ -164,28 +163,12 @@ void CoverJoinBehaviour(const std::string& func, const Table& t1,
 
 namespace {
 
-// Process-wide tuning defaults, sampled by each Engine at construction.
 // 256 statements comfortably hold one iteration's working set (a database
 // load is ~a dozen CREATE/INSERT statements and every oracle reloads the
 // same base database several times per check).
-constexpr size_t kDefaultStatementCacheCapacity = 256;
-std::atomic<size_t> g_stmt_cache_capacity{kDefaultStatementCacheCapacity};
-std::atomic<bool> g_index_probes_enabled{true};
+constexpr size_t kStatementCacheCapacity = 256;
 
 }  // namespace
-
-void SetStatementCacheCapacity(size_t capacity) {
-  g_stmt_cache_capacity.store(capacity, std::memory_order_relaxed);
-}
-size_t StatementCacheCapacity() {
-  return g_stmt_cache_capacity.load(std::memory_order_relaxed);
-}
-void SetIndexProbesEnabled(bool enabled) {
-  g_index_probes_enabled.store(enabled, std::memory_order_relaxed);
-}
-bool IndexProbesEnabled() {
-  return g_index_probes_enabled.load(std::memory_order_relaxed);
-}
 
 int Table::ColumnIndex(const std::string& name) const {
   for (size_t i = 0; i < column_names.size(); ++i) {
@@ -275,8 +258,7 @@ std::string ExecResult::ToString() const {
 Engine::Engine(Dialect dialect, bool enable_faults)
     : dialect_(dialect),
       faults_(DefaultFaultStateFor(dialect, enable_faults)),
-      stmt_cache_(StatementCacheCapacity()),
-      index_probes_enabled_(IndexProbesEnabled()) {}
+      stmt_cache_(kStatementCacheCapacity) {}
 
 void Engine::Reset() {
   tables_.clear();
@@ -743,9 +725,9 @@ void Engine::CollectIndexCandidates(const Table& table,
   if (gcol < 0) return;
 
   if (!index_probes_enabled_) {
-    // Reference path (--no-index-probe): the linear admission scan the
-    // R-tree probe replaced. Kept as the byte-equivalence anchor for the
-    // CI index-on/off bug-set diff and the engine_test property pin.
+    // Reference path (set_index_probes_enabled(false)): the linear
+    // admission scan the R-tree probe replaced, kept as the
+    // byte-equivalence anchor of the engine_test property pin.
     for (size_t r = 0; r < table.rows.size(); ++r) {
       const Value& gv = table.rows[r][gcol];
       if (gv.kind() != Value::Kind::kGeometry || !gv.geometry()) continue;

@@ -21,16 +21,6 @@ namespace spatter::engine {
 
 using Row = std::vector<Value>;
 
-/// Process-wide engine tuning knobs, read once per Engine construction.
-/// Both are strictly passive — results and bug sets are byte-identical
-/// either way (CI-diffed) — so they need no place in the campaign
-/// identity or checkpoint format; they exist for the passivity gates and
-/// for benchmarking the win.
-void SetStatementCacheCapacity(size_t capacity);  ///< 0 disables the cache.
-size_t StatementCacheCapacity();
-void SetIndexProbesEnabled(bool enabled);  ///< false = linear reference scan.
-bool IndexProbesEnabled();
-
 /// One table: a column schema, rows, and an optional envelope R-tree over
 /// the geometry column.
 struct Table {
@@ -140,10 +130,10 @@ class Engine {
   /// cached CREATE/INSERT statements).
   void Reset();
 
-  /// Test/bench knobs; the process-wide defaults above seed them at
-  /// construction. Resizing the cache evicts LRU entries as needed;
-  /// disabling index probes routes both index paths through the linear
-  /// reference scan the R-tree replaced (byte-identical by contract).
+  /// Test reference knobs (engine_test): resizing the cache evicts LRU
+  /// entries as needed (0 disables it); disabling index probes routes both
+  /// index paths through the linear reference scan the R-tree replaced
+  /// (byte-identical by contract).
   void set_statement_cache_capacity(size_t capacity);
   size_t statement_cache_size() const { return stmt_cache_.size(); }
   void set_index_probes_enabled(bool enabled) {
@@ -204,7 +194,7 @@ class Engine {
   std::map<std::string, Table> tables_;
   std::map<std::string, Value> variables_;
   sql::StatementCache stmt_cache_;
-  bool index_probes_enabled_;
+  bool index_probes_enabled_ = true;
   std::vector<uint64_t> probe_scratch_;  // reused across index probes
 };
 

@@ -1,6 +1,6 @@
-// Campaign checkpoint/resume (format v1): the coordinator's periodically
+// Campaign checkpoint/resume (format v1): the supervisor's periodically
 // persisted snapshot of everything a long campaign cannot afford to lose
-// when the coordinator itself dies — per-slice completed-iteration
+// when the supervisor itself dies — per-slice completed-iteration
 // high-water marks in the global SplitSeed slice space, the consumed
 // duration budget, the merged unique-bug set with each fault's winning
 // reproducer and detecting oracle, the fleet-wide covered-site key set,
@@ -51,7 +51,7 @@ namespace spatter::fleet {
 inline constexpr char kCheckpointMagic[] = "spatter-checkpoint-v1";
 inline constexpr char kCheckpointFileName[] = "checkpoint.sptk";
 
-/// Everything a resumed coordinator reconstructs. The campaign-identity
+/// Everything a resumed supervisor reconstructs. The campaign-identity
 /// block is authoritative on resume: `--resume=DIR` adopts it wholesale
 /// (seed, budgets, dialects, oracles, corpus settings), so a checkpoint
 /// can never be resumed against a different universe by accident.
@@ -84,7 +84,7 @@ struct CheckpointState {
   std::vector<std::pair<faults::FaultId, fuzz::Discrepancy>> unique_bugs;
   /// Fleet-wide covered coverage-site keys (curve continuity: a resumed
   /// run's fresh worker processes re-hit sites from scratch, so the
-  /// coordinator must remember what the dead run already covered).
+  /// supervisor must remember what the dead run already covered).
   std::set<uint64_t> covered_sites;
   std::vector<CurveSample> curve;
 
@@ -97,7 +97,7 @@ struct CheckpointState {
 
   // --- telemetry ---
   /// Fleet-merged metrics at checkpoint time. On resume this becomes the
-  /// coordinator's baseline so counters and histograms continue from
+  /// supervisor's baseline so counters and histograms continue from
   /// where the dead run left off instead of restarting at zero. Optional
   /// in the file format: pre-telemetry checkpoints decode to empty.
   obs::MetricsSnapshot metrics;

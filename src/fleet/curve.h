@@ -4,7 +4,7 @@
 //
 // The recorder is the one curve implementation shared by every producer:
 // the in-process duration mode (`spatter --duration=S`, sampled from the
-// ShardedCampaign sampler), the fleet coordinator (sampled from worker COV
+// ShardedCampaign sampler), the fleet supervisor (sampled from worker COV
 // frames), and the bench_fig8_curves gate.
 #ifndef SPATTER_FLEET_CURVE_H_
 #define SPATTER_FLEET_CURVE_H_

@@ -33,7 +33,7 @@ obs::TraceSnapshot SynthesizeFlightTrace(const fuzz::CampaignConfig& config,
   } else {
     tracer.Disable();
   }
-  // Keep the target iteration's events only: a --trace-out coordinator's
+  // Keep the target iteration's events only: a --trace-out supervisor's
   // own recorded history (checkpoint writes, earlier syntheses) stays out
   // of this worker's dump.
   obs::TraceSnapshot out;

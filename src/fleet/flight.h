@@ -5,13 +5,12 @@
 //      worker that reported its ring and then died gets its real events.
 //   2. Synthesis: in pure-generate mode the in-flight iteration's input
 //      construction is a pure function of (seed, iteration), so the
-//      coordinator re-runs Campaign::GenerateDatabaseFor under tracing
+//      supervisor re-runs Campaign::GenerateDatabaseFor under tracing
 //      and dumps the re-recorded events. A SIGKILLed worker never sent
 //      its ring, but its narrative is recoverable anyway.
 //
-// Used by the pipe coordinator (src/fleet/coordinator.cc, next to the
-// inflight-*.sptc reproducers) and the socket fleet server
-// (src/net/fleet_server.cc, for peers that die mid-assignment).
+// Used by the fleet supervisor (src/net/fleet_server.cc) for workers that
+// die mid-assignment, next to their inflight-*.sptc reproducers.
 #ifndef SPATTER_FLEET_FLIGHT_H_
 #define SPATTER_FLEET_FLIGHT_H_
 
@@ -24,7 +23,7 @@
 namespace spatter::fleet {
 
 /// Dump file name: "flight-w<worker>-<dialect>-i<iteration>.trace.jsonl",
-/// parallel to the coordinator's inflight reproducer naming.
+/// parallel to the supervisor's inflight reproducer naming.
 std::string FlightFileName(size_t worker, const std::string& dialect_name,
                            uint64_t iteration);
 
@@ -33,7 +32,7 @@ std::string FlightFileName(size_t worker, const std::string& dialect_name,
 /// enabled (sampling forced to 1, the caller's recorder state restored
 /// after). Strictly passive for the campaign: the re-run uses its own
 /// fresh Rng seeded from (config.seed, iteration). Only events of the
-/// target iteration are kept, so a tracing coordinator's own events do
+/// target iteration are kept, so a tracing supervisor's own events do
 /// not leak into the dump.
 obs::TraceSnapshot SynthesizeFlightTrace(const fuzz::CampaignConfig& config,
                                          uint64_t iteration);

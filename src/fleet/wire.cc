@@ -14,7 +14,7 @@ constexpr const char kMagic[] = "SPTW1";
 
 const char* kTypeNames[] = {"HELLO", "INFLIGHT", "SLICEDONE",
                             "SLICEPROGRESS", "COV", "ENTRY",
-                            "BUG",   "DONE",     "STOP", "STATS",
+                            "BUG",   "DONE",     "STATS",
                             "NETHELLO", "ASSIGN", "BYE", "TUNE", "TRACE"};
 
 }  // namespace
@@ -210,10 +210,6 @@ std::string EncodeFrame(const Frame& frame) {
       put_u(frame.checks);
       put_f(frame.busy_seconds);
       put_f(frame.engine_seconds);
-      put_u(frame.statements);
-      put_u(frame.pairs);
-      put_u(frame.index_scans);
-      put_u(frame.prepared);
       break;
     case FrameType::kStats: {
       put_f(frame.elapsed);
@@ -238,7 +234,6 @@ std::string EncodeFrame(const Frame& frame) {
       line += ' ' + HexEncode(std::vector<uint8_t>(text.begin(), text.end()));
       break;
     }
-    case FrameType::kStop:
     case FrameType::kBye:
       break;
   }
@@ -362,17 +357,13 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       break;
     }
     case FrameType::kDone:
-      want = 9;
+      want = 5;
       if (args != want) return Malformed("DONE field count");
       if (!ParseFieldU64(arg(0), &frame.iterations) ||
           !ParseFieldU64(arg(1), &frame.queries) ||
           !ParseFieldU64(arg(2), &frame.checks) ||
           !ParseFieldF64(arg(3), &frame.busy_seconds) ||
-          !ParseFieldF64(arg(4), &frame.engine_seconds) ||
-          !ParseFieldU64(arg(5), &frame.statements) ||
-          !ParseFieldU64(arg(6), &frame.pairs) ||
-          !ParseFieldU64(arg(7), &frame.index_scans) ||
-          !ParseFieldU64(arg(8), &frame.prepared)) {
+          !ParseFieldF64(arg(4), &frame.engine_seconds)) {
         return Malformed("DONE fields");
       }
       break;
@@ -433,10 +424,6 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       frame.trace = snapshot.Take();
       break;
     }
-    case FrameType::kStop:
-      want = 0;
-      if (args != want) return Malformed("STOP field count");
-      break;
     case FrameType::kBye:
       want = 0;
       if (args != want) return Malformed("BYE field count");

@@ -1,26 +1,31 @@
-// Line-framed wire protocol between the fleet coordinator and its worker
-// processes (src/fleet/coordinator.h spawns `spatter --worker` children
-// and supervises them over pipes).
+// Line-framed wire protocol between the fleet supervisor
+// (net::FleetServer: `--fleet` forks its workers and serves them on
+// loopback, `--serve` waits for remote `--connect` workers) and the
+// worker processes, carried over one TCP connection per assignment.
 //
 // Every frame is one text line: the magic "SPTW1", a type token, then
 // space-separated fields in a fixed per-type order. Binary payloads
 // (corpus entries and bug reproducers) are TestCaseCodec records carried
 // as lowercase hex — the codec already guarantees byte-identical
 // round-trips, so the wire adds framing and nothing else. Text framing
-// keeps the stream debuggable (`spatter --worker ... | head`) and makes
-// corruption detection trivial: a frame either parses completely against
-// its type's field list or is rejected; a torn write (worker killed mid
-// line) fails the field-count check instead of desynchronizing the stream.
+// keeps the stream debuggable and makes corruption detection trivial: a
+// frame either parses completely against its type's field list or is
+// rejected; a torn write (worker killed mid line) fails the field-count
+// check instead of desynchronizing the stream.
 //
 // Frames, by direction:
-//   worker -> coordinator
+//   worker -> supervisor
+//     NETHELLO <proto> <pid>   (first frame after connect; the supervisor
+//              BYEs on protocol-version skew)
 //     HELLO    <worker> <pid> <slice_offset> <slice_count> <total_slices>
+//              (informational, once per assignment; slice_offset is
+//              the first assigned slice)
 //     INFLIGHT <dialect> <slice> <iteration>
 //     SLICEDONE <dialect> <slice>   (the slice's loop exited: its last
 //              announced iteration completed; nothing is in flight)
 //     SLICEPROGRESS <dialect> <slice> <completed>   (absolute completed-
 //              iteration count for the slice, including any resume
-//              offset — the coordinator's checkpoint high-water mark)
+//              offset — the supervisor's checkpoint high-water mark)
 //     COV      <elapsed> <iterations> <queries> <key,key,...|->
 //     ENTRY    <hex(TestCaseCodec record)>
 //     BUG      <query_index> <is_crash> <oracle> <elapsed>
@@ -29,32 +34,28 @@
 //              level for stream debuggability; the payload record carries
 //              it authoritatively alongside the differential secondary)
 //     DONE     <iterations> <queries> <checks> <busy_s> <engine_s>
-//              <statements> <pairs> <index_scans> <prepared>
+//              (engine counters travel in STATS, not here)
 //     STATS    <elapsed> <hex(spatter-metrics-text-v1 snapshot)>
 //              (cumulative MetricsSnapshot of the worker process since it
 //              started; the payload must decode as a valid snapshot
 //              document or the frame is rejected whole)
 //     TRACE    <elapsed> <hex(spatter-trace-v1 JSONL document)>
 //              (the worker's flight-recorder ring — its last K structured
-//              events — sent once before DONE so a coordinator can
+//              events — sent once before DONE so the supervisor can
 //              persist the real narrative of a worker that reported and
 //              then died; validated whole like STATS)
-//   coordinator -> worker
-//     ENTRY    <hex(record)>   (cross-process corpus rebroadcast)
-//     STOP                     (finish the current iteration and report)
-//   socket tier (src/net/), remote worker <-> fleet server
-//     NETHELLO <proto> <pid>   (remote worker's first frame after connect;
-//              the server BYEs on protocol-version skew)
+//   supervisor -> worker
 //     ASSIGN   <worker> <hex(checkpoint doc)>   (one work assignment: the
 //              payload is an EncodeCheckpoint document whose progress
 //              entries enumerate every (dialect, slice, completed) of the
 //              assignment and whose config line carries seed, oracle
 //              suite, corpus settings — everything a worker needs)
-//     BYE                      (no work now or ever; close the connection)
+//     ENTRY    <hex(record)>   (corpus seeding and rebroadcast)
 //     TUNE     <mutate_pct>    (fleet-level corpus scheduling: steer the
 //              worker's mutate budget; corpus mode only, advisory)
+//     BYE                      (no work now or ever; close the connection)
 //
-// Remote peers are untrusted: DecodeFrame rejects lines longer than
+// Peers are untrusted: DecodeFrame rejects lines longer than
 // kMaxFrameBytes, lines containing NUL bytes, and lines with more than
 // kMaxFrameFields space-separated fields, and counts every rejection in
 // the `wire.rejected` metric. Stream buffers (net::FrameChannel) enforce
@@ -83,27 +84,23 @@ enum class FrameType : uint8_t {
   kEntry,
   kBug,
   kDone,
-  kStop,
   kStats,
-  // Socket-tier frames (appended: the pipe tier never sees them, and the
-  // type list order is part of the wire contract).
   kNetHello,
   kAssign,
   kBye,
   kTune,
-  // Appended in protocol order (PR 8): the worker's final flight-recorder
-  // ring. Both tiers carry it.
   kTrace,
 };
 
-/// Version token a remote worker sends in NETHELLO; the server rejects
-/// (BYE) any peer whose version differs.
-inline constexpr uint64_t kNetProtocolVersion = 1;
+/// Version token a worker sends in NETHELLO; the supervisor rejects (BYE)
+/// any peer whose version differs. 2: DONE lost its engine counters and
+/// STOP was retired.
+inline constexpr uint64_t kNetProtocolVersion = 2;
 
 /// Hardening caps for frames from untrusted remote peers. The byte cap
 /// bounds ASSIGN/ENTRY hex payloads (a checkpoint document of a large
 /// campaign stays well under it); the field cap bounds splitter memory
-/// (the widest legitimate frame, DONE, has 11 fields).
+/// (the widest legitimate frame, BUG, has 8 fields).
 inline constexpr size_t kMaxFrameBytes = 8u << 20;
 inline constexpr size_t kMaxFrameFields = 16;
 
@@ -113,7 +110,7 @@ const char* FrameTypeName(FrameType t);
 /// reads and writes only the members its layout above names, and
 /// DecodeFrame validates exact field counts per type.
 struct Frame {
-  FrameType type = FrameType::kStop;
+  FrameType type = FrameType::kBye;
 
   // HELLO
   uint64_t worker = 0;
@@ -158,13 +155,9 @@ struct Frame {
   // ASSIGN reuses `worker` (assigned worker index) + `payload` (the
   // EncodeCheckpoint document bytes).
 
-  // DONE timing + engine counters
+  // DONE timing
   double busy_seconds = 0.0;
   double engine_seconds = 0.0;
-  uint64_t statements = 0;
-  uint64_t pairs = 0;
-  uint64_t index_scans = 0;
-  uint64_t prepared = 0;
 };
 
 /// Renders `frame` as one '\n'-terminated line.

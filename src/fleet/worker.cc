@@ -25,8 +25,8 @@ using fuzz::CampaignConfig;
 using fuzz::CampaignResult;
 
 /// Serializes whole-line writes so frames from concurrent slice threads
-/// never interleave. A failed write (coordinator gone) latches `failed`;
-/// slice loops poll it and wind down instead of fuzzing into a dead pipe.
+/// never interleave. A failed write (supervisor gone) latches `failed`;
+/// slice loops poll it and wind down instead of fuzzing into a dead socket.
 class FrameWriter {
  public:
   FrameWriter(int fd, uint64_t die_after_frames)
@@ -47,7 +47,7 @@ class FrameWriter {
       off += static_cast<size_t>(n);
     }
     // Test seam: a deterministic SIGKILL right after the Nth frame lands
-    // whole on the pipe (see WorkerOptions::die_after_frames).
+    // whole on the wire (see WorkerOptions::die_after_frames).
     if (die_after_frames_ > 0 && ++frames_written_ == die_after_frames_) {
       ::kill(::getpid(), SIGKILL);
     }
@@ -66,16 +66,16 @@ class FrameWriter {
   bool failed_ = false;
 };
 
-/// Entries broadcast by the coordinator, drained by slice threads before
+/// Entries streamed by the supervisor, drained by slice threads before
 /// each iteration (Restore semantics: signature dedup, never re-echoed).
 struct IncomingEntries {
   std::mutex mu;
   std::vector<corpus::TestCaseRecord> records;
 };
 
-/// Reads coordinator frames until STOP/EOF or `exit_flag`. poll() with a
+/// Reads supervisor frames until EOF or `exit_flag`. poll() with a
 /// timeout so the thread notices `exit_flag` and joins cleanly even when
-/// the coordinator holds the pipe open past our DONE.
+/// the supervisor holds the connection open past our DONE.
 void ReaderLoop(int in_fd, std::atomic<bool>* stop_flag,
                 std::atomic<bool>* exit_flag, IncomingEntries* incoming,
                 std::atomic<uint64_t>* tune_pct) {
@@ -87,7 +87,7 @@ void ReaderLoop(int in_fd, std::atomic<bool>* stop_flag,
     if (ready < 0 && errno != EINTR) break;
     if (ready <= 0) continue;
     const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
-    if (n == 0) {  // coordinator closed our stdin: finish up
+    if (n == 0) {  // supervisor closed the connection: finish up
       stop_flag->store(true, std::memory_order_relaxed);
       break;
     }
@@ -103,9 +103,7 @@ void ReaderLoop(int in_fd, std::atomic<bool>* stop_flag,
       buffer.erase(0, nl + 1);
       auto frame = DecodeFrame(line);
       if (!frame.ok()) continue;  // corrupt line: skip, stay in sync
-      if (frame.value().type == FrameType::kStop) {
-        stop_flag->store(true, std::memory_order_relaxed);
-      } else if (frame.value().type == FrameType::kEntry) {
+      if (frame.value().type == FrameType::kEntry) {
         auto decoded = corpus::TestCaseCodec::Decode(frame.value().payload);
         if (!decoded.ok()) continue;
         std::lock_guard<std::mutex> lock(incoming->mu);
@@ -122,19 +120,20 @@ void ReaderLoop(int in_fd, std::atomic<bool>* stop_flag,
 }  // namespace
 
 int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
-  // The coordinator may die while we write; surface that as a latched
+  // The supervisor may die while we write; surface that as a latched
   // write failure, not a SIGPIPE kill (which would be indistinguishable
   // from a genuine worker crash and trigger a pointless respawn).
   ::signal(SIGPIPE, SIG_IGN);
   // Fresh-process coverage semantics even when forked from a warm parent
-  // (the in-process test path): COV deltas must describe THIS worker.
-  // Same for metrics — STATS frames carry cumulative values "since this
-  // worker started", and the coordinator relies on that baseline.
+  // (local fleet children, in-process tests): COV deltas must describe
+  // THIS worker. Same for metrics — STATS frames carry cumulative values
+  // "since this worker started", and the supervisor relies on that
+  // baseline.
   CoverageRegistry::Instance().ResetHits();
   obs::MetricsRegistry::Instance().Reset();
   // The flight recorder is always armed in workers: the ring is bounded
   // (last K events per thread) and strictly passive, and a worker that
-  // dies owes the coordinator a narrative. trace_sample thins the
+  // dies owes the supervisor a narrative. trace_sample thins the
   // recorded iterations, never the protocol.
   obs::TraceRecorder::Instance().Reset();
   obs::TraceRecorder::Instance().Enable(options.trace_sample);
@@ -142,16 +141,7 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
   std::vector<engine::Dialect> dialects = options.dialects;
   if (dialects.empty()) dialects.push_back(options.base.dialect);
 
-  // The effective slice set: an explicit (possibly non-contiguous) list
-  // from the socket fleet server, or the classic contiguous window.
-  std::vector<size_t> slices;
-  if (!options.slices.empty()) {
-    slices.assign(options.slices.begin(), options.slices.end());
-  } else {
-    for (size_t s = 0; s < options.slice_count; ++s) {
-      slices.push_back(options.slice_offset + s);
-    }
-  }
+  const std::vector<uint64_t>& slices = options.slices;
 
   FrameWriter writer(out_fd, options.die_after_frames);
   std::atomic<bool> stop{false};
@@ -167,20 +157,14 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
   hello.type = FrameType::kHello;
   hello.worker = options.index;
   hello.pid = static_cast<uint64_t>(::getpid());
-  hello.slice_offset = slices.empty() ? options.slice_offset : slices.front();
+  hello.slice_offset = slices.empty() ? 0 : slices.front();
   hello.slice_count = slices.size();
   hello.total_slices = options.total_slices;
   writer.Write(hello);
 
-  // Seed corpus, loaded once and shared read-only across slice campaigns.
+  // Corpus seeds arrive as ENTRY frames (drained before each iteration).
   CampaignConfig base = options.base;
   base.corpus.log_admissions = base.corpus.enabled;
-  std::vector<corpus::TestCaseRecord> seed_corpus;
-  if (base.corpus.enabled && !options.corpus_dir.empty()) {
-    corpus::Corpus loader(base.corpus);
-    auto loaded = loader.LoadFrom(options.corpus_dir);
-    if (loaded.ok()) seed_corpus = loader.Entries();
-  }
 
   const double t0 = Campaign::NowSeconds();
   const double deadline = options.duration_seconds;
@@ -202,7 +186,6 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
     CampaignConfig cfg = base;
     cfg.dialect = dialect;
     Campaign campaign(cfg);
-    campaign.SeedCorpus(seed_corpus);
     const double task_t0 = Campaign::NowSeconds();
     const engine::EngineStats stats_t0 = campaign.engine().stats();
 
@@ -212,8 +195,8 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
     if (it != options.completed.end()) completed = it->second;
 
     // Absolute completed-iteration count for SLICEPROGRESS: it includes
-    // the resume offset, so the coordinator's checkpoint high-water mark
-    // is a plain copy of the latest value, valid across respawns and
+    // the resume offset, so the supervisor's checkpoint high-water mark
+    // is a plain copy of the latest value, valid across requeues and
     // resumes alike.
     uint64_t completed_abs = completed;
     size_t iteration = slice + completed * options.total_slices;
@@ -231,9 +214,9 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
       } else if (iteration >= cfg.iterations) {
         break;
       }
-      // Cross-process corpus sync: fold in what the coordinator
-      // rebroadcast since our last look. `incoming.records` is
-      // append-only, so a per-slice cursor reads each record once.
+      // Cross-process corpus sync: fold in what the supervisor streamed
+      // since our last look. `incoming.records` is append-only, so a
+      // per-slice cursor reads each record once.
       if (campaign.corpus() != nullptr) {
         std::vector<corpus::TestCaseRecord> records;
         {
@@ -315,10 +298,10 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
       }
 
       // SLICEPROGRESS is the LAST frame of the iteration, after its BUG,
-      // ENTRY, and COV frames: a coordinator checkpoint that includes
+      // ENTRY, and COV frames: a supervisor checkpoint that includes
       // this mark has necessarily merged everything the iteration
-      // produced (pipes preserve order), so skipping the iteration on
-      // resume loses neither bugs nor coverage. The converse tear —
+      // produced (the stream preserves order), so skipping the iteration
+      // on resume loses neither bugs nor coverage. The converse tear —
       // checkpoint sees the frames but not the mark — only re-runs the
       // iteration, and the re-reports dedup away.
       completed_abs++;
@@ -333,8 +316,8 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
     }
 
     // The loop only exits BETWEEN iterations (budget done, deadline hit,
-    // or STOP honoured), so the last INFLIGHT iteration completed:
-    // without this frame the coordinator would persist it as a phantom
+    // or supervisor gone), so the last INFLIGHT iteration completed:
+    // without this frame the supervisor would persist it as a phantom
     // in-flight crash case if the process dies later in another slice.
     Frame slice_done;
     slice_done.type = FrameType::kSliceDone;
@@ -347,7 +330,6 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
     std::lock_guard<std::mutex> lock(done_mu);
     totals.busy_seconds += timing.busy_seconds;
     totals.engine_seconds += timing.engine_seconds;
-    totals.engine_stats += timing.engine_stats;
   };
 
   {
@@ -366,7 +348,7 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
     pool.Wait();
   }
 
-  // Final COV so the coordinator's curve sees the tail, then DONE.
+  // Final COV so the supervisor's curve sees the tail, then DONE.
   {
     std::lock_guard<std::mutex> lock(cov_mu);
     Frame cov;
@@ -378,7 +360,7 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
     cov_snapshot = CoverageRegistry::Instance().SnapshotHits();
     writer.Write(cov);
   }
-  // Final STATS precedes DONE so the coordinator's merged fleet view is
+  // Final STATS precedes DONE so the supervisor's merged fleet view is
   // complete before it retires this incarnation's live snapshot.
   Frame final_stats;
   final_stats.type = FrameType::kStats;
@@ -387,8 +369,8 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
   writer.Write(final_stats);
 
   // The flight-recorder ring, after the last iteration and before DONE: a
-  // worker that gets this far hands the coordinator its real final
-  // narrative; one killed earlier leaves synthesis to the coordinator.
+  // worker that gets this far hands the supervisor its real final
+  // narrative; one killed earlier leaves synthesis to the supervisor.
   Frame trace;
   trace.type = FrameType::kTrace;
   trace.elapsed = Campaign::NowSeconds() - t0;
@@ -402,10 +384,6 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
   done.checks = totals.checks_run;
   done.busy_seconds = totals.busy_seconds;
   done.engine_seconds = totals.engine_seconds;
-  done.statements = totals.engine_stats.statements_executed;
-  done.pairs = totals.engine_stats.pairs_evaluated;
-  done.index_scans = totals.engine_stats.index_scans;
-  done.prepared = totals.engine_stats.prepared_evaluations;
   writer.Write(done);
 
   reader_exit.store(true, std::memory_order_relaxed);

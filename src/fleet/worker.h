@@ -1,21 +1,23 @@
-// Fleet worker: the body of `spatter --worker`, one process of a fleet
-// campaign (src/fleet/coordinator.h spawns and supervises these).
+// Fleet worker: the loop that runs one assignment of a fleet campaign
+// inside a worker process (net::RunFleetClient calls it once per ASSIGN,
+// with the connection's socket as both frame directions).
 //
-// A worker owns `slice_count` consecutive slices of the global SplitSeed
-// slice space: slice s (a global index in [0, total_slices)) runs
-// iterations s, s + total_slices, s + 2*total_slices, ... on its own
-// fuzz::Campaign — exactly the ShardedCampaign partition, with the stride
-// widened from one process's shard count to the fleet-wide slice count.
-// Because Campaign::RunIterationAt reseeds from (seed, iteration), any
+// An assignment is an explicit set of global SplitSeed slices: slice s (a
+// global index in [0, total_slices)) runs iterations s, s + total_slices,
+// s + 2*total_slices, ... on its own fuzz::Campaign — exactly the
+// ShardedCampaign partition, with the stride widened from one process's
+// shard count to the fleet-wide slice count. Because
+// Campaign::RunIterationAt reseeds from (seed, iteration), any
 // (processes × jobs) factorization of the same total slice count walks
 // the identical pure-generate test-case universe.
 //
 // Protocol duties (see wire.h): INFLIGHT before every iteration (the
-// coordinator's crash-recovery anchor), BUG per discrepancy as found (a
+// supervisor's crash-recovery anchor), BUG per discrepancy as found (a
 // killed worker loses at most its in-flight iteration), ENTRY per fresh
-// corpus admission (cross-process corpus sync; broadcast entries arriving
-// on stdin are Restored, never re-echoed), COV coverage-delta heartbeats,
-// and one DONE with final counters.
+// corpus admission (cross-process corpus sync; entries arriving from the
+// supervisor are Restored, never re-echoed), SLICEPROGRESS after every
+// completed iteration, COV/STATS heartbeats, and one DONE with final
+// counters.
 #ifndef SPATTER_FLEET_WORKER_H_
 #define SPATTER_FLEET_WORKER_H_
 
@@ -36,25 +38,17 @@ struct WorkerOptions {
   /// Dialects to fuzz; empty = just base.dialect. Every dialect gets the
   /// full slice set (mirrors ShardedCampaign fleet mode).
   std::vector<engine::Dialect> dialects;
-  size_t index = 0;          ///< worker index, for HELLO and logs
-  size_t slice_offset = 0;   ///< first owned global slice
-  size_t slice_count = 1;    ///< owned slices == worker thread count
+  size_t index = 0;          ///< assignment index, for HELLO and logs
   size_t total_slices = 1;   ///< global stride (processes × jobs)
-  /// Non-empty: the exact global slices to run, overriding the contiguous
-  /// [slice_offset, slice_offset + slice_count) window. The socket fleet
-  /// server uses this — slices requeued from a dead remote worker are
-  /// re-factored onto survivors as arbitrary, non-contiguous sets.
+  /// The global slices to run, one worker thread each. Contiguous on a
+  /// first assignment; arbitrary after the supervisor requeues a dead
+  /// worker's slices onto a survivor.
   std::vector<uint64_t> slices;
   /// 0 = batch mode (run the iteration budget); > 0 = duration mode (run
-  /// until this many seconds elapse; remaining time on respawn).
+  /// until this many seconds elapse — the campaign's remaining budget).
   double duration_seconds = 0.0;
-  /// Directory to seed the corpus from (corpus mode only). Workers never
-  /// save — the coordinator persists the merged corpus.
-  std::string corpus_dir;
   /// Resume state: completed iteration count per (dialect value, slice),
-  /// set by the coordinator when respawning a crashed worker's slices.
-  /// The count includes the crashed in-flight iteration, so a
-  /// deterministic crasher is skipped instead of re-killing every respawn.
+  /// from a checkpoint or from a dead worker's SLICEPROGRESS marks.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> completed;
   /// Seconds between COV heartbeats.
   double cov_interval_seconds = 0.2;
@@ -65,13 +59,12 @@ struct WorkerOptions {
   /// SIGKILLs itself immediately after writing this many frames — a real
   /// SIGKILL death at a reproducible point in the protocol stream, so
   /// crash-isolation tests need no timing-dependent external killer.
-  /// Fork-mode only (never forwarded through `spatter --worker` args).
   uint64_t die_after_frames = 0;
 };
 
-/// Runs the worker loop, speaking the wire protocol on `in_fd`/`out_fd`
-/// (stdin/stdout when exec'd as `spatter --worker`). Returns the process
-/// exit code: 0 on a clean run (DONE sent), 1 on a protocol/write failure.
+/// Runs one assignment, reading supervisor frames from `in_fd` and writing
+/// worker frames to `out_fd` (the same socket in practice). Returns 0 on a
+/// clean run (DONE sent), 1 on a write failure.
 int RunWorker(const WorkerOptions& options, int in_fd, int out_fd);
 
 }  // namespace spatter::fleet

@@ -155,7 +155,7 @@ class Campaign {
   /// without running any queries: fresh RNG seeded from
   /// Rng::SplitSeed(config.seed, iteration), same generator draw order as
   /// RunIterationAt (generate, then the index coin). The fleet
-  /// coordinator uses this to persist a reproducer for the iteration a
+  /// supervisor uses this to persist a reproducer for the iteration a
   /// worker died inside — the worker is gone, but in pure-generate mode
   /// its in-flight input is recoverable from (seed, iteration) alone.
   /// Corpus-mode mutants are NOT recoverable this way (they depend on the

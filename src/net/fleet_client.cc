@@ -132,10 +132,9 @@ int RunFleetClient(const FleetClientConfig& config) {
     std::fprintf(stderr,
                  "net: assignment %" PRIu64 ": %zu slice(s) of %zu\n",
                  assign.worker, options.slices.size(), options.total_slices);
-    // The socket is both frame directions; RunWorker's writer and reader
-    // share it the same way they share stdin/stdout in the pipe tier.
-    // Blocking from here on: RunWorker's writer treats EAGAIN as a dead
-    // peer (its reader polls before every read, so it never blocks).
+    // The socket is both frame directions for RunWorker's writer and
+    // reader. Blocking from here on: RunWorker's writer treats EAGAIN as a
+    // dead peer (its reader polls before every read, so it never blocks).
     SetBlocking(channel.fd(), true);
     fleet::RunWorker(options, channel.fd(), channel.fd());
     assignments_run++;

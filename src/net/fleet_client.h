@@ -1,21 +1,22 @@
-// Fleet client: the body of `spatter --connect=HOST:PORT` — one remote
-// machine's worker loop in a socket fleet campaign (net/fleet_server.h).
+// Fleet client: the body of every fleet worker process — a local child
+// forked by `spatter --fleet` or a remote `spatter --connect=HOST:PORT` —
+// looping over assignments from the one supervisor (net/fleet_server.h).
 //
 // Protocol: one assignment per TCP connection. The client connects (with
-// a retry budget, so workers may start before the server), sends NETHELLO
-// <proto> <pid>, and blocks until the server answers — ASSIGN (a
-// hex-encoded EncodeCheckpoint document carrying the campaign identity
-// and the assignment's (dialect, slice, completed) marks) or BYE (no work
-// now or ever). On ASSIGN it rebuilds the CampaignConfig from the
-// checkpoint's identity block, runs the stock fleet::RunWorker loop with
-// the socket fd as both frame directions, and reconnects for the next
-// assignment once DONE is on the wire. The server holding an idle
-// connection open IS the elastic-membership waiting room: the client just
-// sits in its read loop until work is requeued or the campaign ends.
+// a retry budget, so remote workers may start before the supervisor),
+// sends NETHELLO <proto> <pid>, and blocks until the supervisor answers —
+// ASSIGN (a hex-encoded EncodeCheckpoint document carrying the campaign
+// identity and the assignment's (dialect, slice, completed) marks) or BYE
+// (no work now or ever). On ASSIGN it rebuilds the CampaignConfig from
+// the checkpoint's identity block, runs the stock fleet::RunWorker loop
+// with the socket fd as both frame directions, and reconnects for the
+// next assignment once DONE is on the wire. The supervisor holding an
+// idle connection open IS the elastic-membership waiting room: the
+// client just sits in its read loop until work is requeued or the
+// campaign ends.
 //
 // Nothing host-specific crosses the wire: no file paths, no corpus
-// directories. Corpus state arrives as streamed ENTRY frames, exactly as
-// the pipe tier rebroadcasts them.
+// directories. Corpus state arrives as streamed ENTRY frames.
 #ifndef SPATTER_NET_FLEET_CLIENT_H_
 #define SPATTER_NET_FLEET_CLIENT_H_
 
@@ -33,8 +34,9 @@ struct FleetClientConfig {
   double cov_interval_seconds = 0.2;
   /// Test-only: the first assignment's worker SIGKILLs itself after
   /// writing this many frames (WorkerOptions::die_after_frames) — the
-  /// deterministic seam the elastic-membership tests kill a remote worker
-  /// with. Cleared after the first assignment.
+  /// deterministic seam the elastic-membership tests kill a worker with
+  /// (FleetConfig::worker0_die_after_frames for a local child). Cleared
+  /// after the first assignment.
   uint64_t die_after_frames = 0;
 };
 

@@ -1,12 +1,17 @@
 #include "net/fleet_server.h"
 
 #include <poll.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 
 #include "common/fsio.h"
 #include "corpus/codec.h"
@@ -15,7 +20,9 @@
 #include "fleet/flight.h"
 #include "fleet/wire.h"
 #include "fuzz/transfer.h"
+#include "net/fleet_client.h"
 #include "net/socket.h"
+#include "obs/trace.h"
 
 namespace spatter::net {
 
@@ -26,6 +33,27 @@ using fleet::Frame;
 using fleet::FrameType;
 using fuzz::Campaign;
 using fuzz::CampaignResult;
+
+/// Duration mode: seconds past the deadline before workers still holding
+/// an assignment are dropped (a wedged worker must not hang the campaign).
+constexpr double kStragglerGraceSeconds = 30.0;
+/// Consecutive deaths of one assignment before its in-flight iteration is
+/// assumed to be a deterministic killer and skipped.
+constexpr size_t kMaxDeathsPerAssignment = 3;
+/// TUNE re-evaluation period, and the admission recency window that
+/// counts the merged corpus as "hot".
+constexpr double kTuneIntervalSeconds = 2.0;
+constexpr double kTuneWindowSeconds = 5.0;
+/// Local mode: respawns allowed per child slot (caps pathological churn).
+constexpr size_t kMaxRespawnsPerChild = 8;
+
+std::string InflightFileName(size_t worker, engine::Dialect dialect,
+                             uint64_t iteration) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "inflight-w%zu-%s-i%" PRIu64 ".sptc",
+                worker, engine::DialectName(dialect), iteration);
+  return buf;
+}
 
 }  // namespace
 
@@ -47,30 +75,35 @@ struct FleetServer::Peer {
   bool closed = false;  ///< fully handled; reaped by the main loop
   size_t index = 0;     ///< worker index sent in ASSIGN
   std::unique_ptr<Assignment> assignment;
-  /// Merge-tracking state, mirroring FleetCoordinator::Worker.
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> started;
+  /// INFLIGHT frames of this assignment: the last announced iteration per
+  /// (dialect, slice), erased by SLICEDONE.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> last_inflight;
+  /// Latest absolute SLICEPROGRESS mark per (dialect, slice).
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> progress;
   uint64_t cov_iterations = 0;
   uint64_t cov_queries = 0;
   obs::MetricsSnapshot latest_stats;
   /// Final flight ring from a TRACE frame (clean shutdowns only; a
-  /// SIGKILLed peer's dump is synthesized from (seed, iteration)).
+  /// SIGKILLed worker's dump is synthesized from (seed, iteration)).
   obs::TraceSnapshot last_trace;
   /// Wall clock of the accept, for the /fleet per-worker rates.
   double connected_at = 0.0;
+  /// Wall clock of the last valid frame, for stale-worker detection; one
+  /// warning per staleness episode, re-armed by the next frame.
+  double last_frame_at = 0.0;
+  bool stale_warned = false;
 };
 
-FleetServer::FleetServer(const FleetServerConfig& config) : config_(config) {
+FleetServer::FleetServer(const FleetConfig& config) : config_(config) {
   dialects_ = config.dialects;
   if (dialects_.empty()) dialects_.push_back(config.base.dialect);
-  config_.total_slices = std::max<size_t>(1, config_.total_slices);
-  config_.slices_per_assign =
-      std::min(std::max<size_t>(1, config_.slices_per_assign),
-               config_.total_slices);
+  config_.processes = std::max<size_t>(1, config_.processes);
+  config_.jobs = std::max<size_t>(1, config_.jobs);
+  total_slices_ = config_.processes * config_.jobs;
 }
 
 FleetServer::~FleetServer() {
+  KillChildren();
   for (const auto& peer : peers_) {
     if (peer) peer->channel.Close();
   }
@@ -78,7 +111,8 @@ FleetServer::~FleetServer() {
 }
 
 Status FleetServer::Start() {
-  auto fd = Listen(config_.port);
+  auto fd = config_.serve ? Listen(config_.port)
+                          : Listen(0, /*loopback_only=*/true);
   if (!fd.ok()) return fd.status();
   listen_fd_ = fd.value();
   auto port = LocalPort(listen_fd_);
@@ -89,6 +123,16 @@ Status FleetServer::Start() {
     if (!status.ok()) return status;
   }
   return Status::OK();
+}
+
+size_t FleetServer::protocol_errors() const {
+  // Retired peers were folded in by HandleDisconnect; open ones still
+  // hold their rejected-line count in the channel.
+  size_t errors = protocol_errors_;
+  for (const auto& peer : peers_) {
+    if (peer && !peer->closed) errors += peer->channel.rejected();
+  }
+  return errors;
 }
 
 std::string FleetServer::HandleStatusRoute(const std::string& path) const {
@@ -105,23 +149,23 @@ std::string FleetServer::MetricsJson() const {
     info.label += engine::DialectCliToken(d);
   }
   info.seed = config_.base.seed;
-  info.fleet = peers_seen_;
-  info.jobs = config_.slices_per_assign;
+  info.fleet = config_.processes;
+  info.jobs = config_.jobs;
   info.elapsed_seconds = Campaign::NowSeconds() - t0_;
   return obs::MetricsToJson(FleetMetricsSnapshot(), info);
 }
 
 std::string FleetServer::FleetJson() const {
   const double now = Campaign::NowSeconds();
-  char buf[256];
+  char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "{\"schema\":\"spatter-fleet-v1\",\"elapsed_seconds\":%.3f,"
                 "\"peers_seen\":%zu,\"disconnects\":%zu,"
                 "\"reassigned_slices\":%zu,\"crash_skips\":%zu,"
-                "\"version_skews\":%zu,\"pending_assignments\":%zu,"
-                "\"workers\":[",
+                "\"respawns\":%zu,\"version_skews\":%zu,"
+                "\"pending_assignments\":%zu,\"workers\":[",
                 now - t0_, peers_seen_, disconnects_, reassigned_slices_,
-                crash_skips_, version_skews_, pending_.size());
+                crash_skips_, respawns_, version_skews_, pending_.size());
   std::string out = buf;
   bool first = true;
   for (const auto& peer : peers_) {
@@ -164,37 +208,19 @@ std::string FleetServer::BugsJson() const {
   return out;
 }
 
-void FleetServer::MaybeMetrics(bool force) {
-  if (config_.metrics_out.empty()) return;
-  const double now = Campaign::NowSeconds();
-  if (!force) {
-    if (config_.metrics_interval_seconds <= 0) return;
-    if (now - last_metrics_ < config_.metrics_interval_seconds) return;
-  }
-  last_metrics_ = now;
-  const Status written = AtomicWriteFile(config_.metrics_out, MetricsJson());
-  if (!written.ok()) {
-    std::fprintf(stderr, "net: metrics-out: %s\n",
-                 written.ToString().c_str());
-  }
-}
-
 uint64_t FleetServer::IterationTarget(uint64_t slice) const {
   // Batch mode: slice s runs iterations s, s+T, s+2T, ... below the
   // budget — (budget - 1 - s) / T + 1 of them when s is in range.
   const uint64_t budget = config_.base.iterations;
-  const uint64_t stride = config_.total_slices;
   if (slice >= budget) return 0;
-  return (budget - 1 - slice) / stride + 1;
+  return (budget - 1 - slice) / total_slices_ + 1;
 }
 
 void FleetServer::BuildInitialQueue() {
-  const size_t batch = config_.slices_per_assign;
-  for (size_t offset = 0; offset < config_.total_slices; offset += batch) {
+  for (size_t offset = 0; offset < total_slices_; offset += config_.jobs) {
     auto assignment = std::make_unique<Assignment>();
     bool work_remains = config_.duration_seconds > 0;
-    for (size_t s = offset;
-         s < std::min(offset + batch, config_.total_slices); ++s) {
+    for (size_t s = offset; s < offset + config_.jobs; ++s) {
       assignment->slices.push_back(s);
       for (const engine::Dialect dialect : dialects_) {
         const auto key = std::make_pair(static_cast<uint64_t>(dialect),
@@ -212,6 +238,24 @@ void FleetServer::BuildInitialQueue() {
   }
 }
 
+CheckpointState FleetServer::CampaignIdentity() const {
+  CheckpointState state;
+  state.seed = config_.base.seed;
+  state.iterations = config_.base.iterations;
+  state.queries_per_iteration = config_.base.queries_per_iteration;
+  state.num_geometries = config_.base.generator.num_geometries;
+  state.total_slices = total_slices_;
+  state.enable_faults = config_.base.enable_faults;
+  state.derivative_enabled = config_.base.generator.derivative_enabled;
+  state.dialects = dialects_;
+  state.oracles = config_.base.oracles;
+  state.corpus_enabled = config_.base.corpus.enabled;
+  state.mutate_pct = config_.base.corpus.mutate_pct;
+  state.duration_seconds = config_.duration_seconds;
+  state.elapsed_seconds = Campaign::NowSeconds() - t0_;
+  return state;
+}
+
 void FleetServer::TryAssign() {
   for (const auto& peer : peers_) {
     if (pending_.empty()) return;
@@ -222,20 +266,7 @@ void FleetServer::TryAssign() {
     std::unique_ptr<Assignment> assignment = std::move(pending_.front());
     pending_.pop_front();
 
-    CheckpointState state;
-    state.seed = config_.base.seed;
-    state.iterations = config_.base.iterations;
-    state.queries_per_iteration = config_.base.queries_per_iteration;
-    state.num_geometries = config_.base.generator.num_geometries;
-    state.total_slices = config_.total_slices;
-    state.enable_faults = config_.base.enable_faults;
-    state.derivative_enabled = config_.base.generator.derivative_enabled;
-    state.dialects = dialects_;
-    state.oracles = config_.base.oracles;
-    state.corpus_enabled = config_.base.corpus.enabled;
-    state.mutate_pct = config_.base.corpus.mutate_pct;
-    state.duration_seconds = config_.duration_seconds;
-    state.elapsed_seconds = Campaign::NowSeconds() - t0_;
+    CheckpointState state = CampaignIdentity();
     state.completed = assignment->completed;
     for (const auto& [key, count] : state.completed) {
       state.iterations_run += count;
@@ -253,9 +284,9 @@ void FleetServer::TryAssign() {
       continue;
     }
     peer->assignment = std::move(assignment);
-    // Remote workers have no corpus directory: everything the fleet has
-    // merged so far arrives as streamed ENTRY frames (signature dedup on
-    // the worker side absorbs overlap with earlier assignments).
+    // Workers have no corpus directory: everything the fleet has merged
+    // so far arrives as streamed ENTRY frames (signature dedup on the
+    // worker side absorbs overlap with earlier assignments).
     SeedPeerCorpus(peer.get());
     // Late joiners adopt the fleet's current steering.
     if (tune_last_sent_ != ~uint64_t{0}) {
@@ -293,18 +324,27 @@ void FleetServer::BroadcastEntry(const std::vector<uint8_t>& payload,
   }
 }
 
-void FleetServer::AddCurveSample() {
+uint64_t FleetServer::IterationsSoFar() const {
+  // The aggregator holds everything DONE'd or death-accounted; live
+  // assignments contribute their latest COV reading.
   uint64_t iterations = aggregator_.current().iterations_run;
   for (const auto& peer : peers_) {
     if (peer && !peer->closed && !peer->got_done) {
       iterations += peer->cov_iterations;
     }
   }
+  return iterations;
+}
+
+void FleetServer::AddCurveSample() {
   curve_.Add(Campaign::NowSeconds() - t0_, covered_keys_.size(),
-             aggregator_.current().unique_bugs.size(), iterations);
+             aggregator_.current().unique_bugs.size(), IterationsSoFar());
 }
 
 void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
+  frames_handled_++;
+  peer->last_frame_at = Campaign::NowSeconds();
+  peer->stale_warned = false;
   switch (frame.type) {
     case FrameType::kNetHello: {
       if (frame.proto != fleet::kNetProtocolVersion) {
@@ -313,7 +353,7 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
         // ASSIGN payloads.
         version_skews_++;
         std::fprintf(stderr,
-                     "net: rejecting peer with protocol %" PRIu64
+                     "fleet: rejecting peer with protocol %" PRIu64
                      " (want %" PRIu64 ")\n",
                      frame.proto, fleet::kNetProtocolVersion);
         Frame bye;
@@ -327,13 +367,12 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
     }
     case FrameType::kHello:
       break;  // informational (RunWorker's first frame)
-    case FrameType::kInflight: {
-      const auto key = std::make_pair(frame.dialect, frame.slice);
-      peer->started[key]++;
-      peer->last_inflight[key] = frame.iteration;
+    case FrameType::kInflight:
+      peer->last_inflight[{frame.dialect, frame.slice}] = frame.iteration;
       break;
-    }
     case FrameType::kSliceDone:
+      // The slice's last announced iteration completed: it must not be
+      // persisted as an in-flight reproducer if the worker dies later.
       peer->last_inflight.erase({frame.dialect, frame.slice});
       break;
     case FrameType::kSliceProgress: {
@@ -354,12 +393,15 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       break;
     }
     case FrameType::kEntry: {
-      if (!corpus_) break;
+      if (!corpus_) break;  // not in corpus mode: ignore strays
       auto record = corpus::TestCaseCodec::Decode(frame.payload);
       if (!record.ok()) {
         protocol_errors_++;
         break;
       }
+      // Restore (signature dedup only): the worker's Admit already judged
+      // coverage in its own context. A fresh signature is rebroadcast so
+      // every other worker can fold it into its shard corpora.
       if (corpus_->Restore(record.Take())) {
         last_admit_ = Campaign::NowSeconds();
         BroadcastEntry(frame.payload, peer);
@@ -382,11 +424,6 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       delta.checks_run = frame.checks;
       delta.busy_seconds = frame.busy_seconds;
       delta.engine_seconds = frame.engine_seconds;
-      delta.engine_stats.statements_executed = frame.statements;
-      delta.engine_stats.pairs_evaluated = frame.pairs;
-      delta.engine_stats.index_scans = frame.index_scans;
-      delta.engine_stats.prepared_evaluations = frame.prepared;
-      delta.engine_stats.exec_seconds = frame.engine_seconds;
       aggregator_.Merge(std::move(delta));
       peer->got_done = true;
       // One assignment per connection: DONE completes it; the client
@@ -395,17 +432,75 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       break;
     }
     case FrameType::kStats:
+      // Cumulative-since-start per incarnation: replace, don't merge.
       peer->latest_stats = frame.stats;
       break;
     case FrameType::kTrace:
       // The incarnation's final flight ring (sent right before DONE).
       peer->last_trace = frame.trace;
       break;
-    case FrameType::kStop:
     case FrameType::kAssign:
     case FrameType::kBye:
     case FrameType::kTune:
-      break;  // server-to-worker frames; a peer echoing them is harmless
+      break;  // supervisor-to-worker frames; a peer echoing them is harmless
+  }
+  if (config_.die_after_frames > 0 &&
+      frames_handled_ == config_.die_after_frames) {
+    // Crash-equivalence seam: die like an OOM-killed supervisor at a
+    // reproducible point in the merged stream (after this frame took
+    // effect but before any later checkpoint could persist it).
+    ::kill(::getpid(), SIGKILL);
+  }
+}
+
+void FleetServer::PersistInflight(const Peer& peer) {
+  if (config_.crash_dir.empty() || peer.last_inflight.empty()) return;
+  if (config_.base.corpus.enabled) {
+    // Mutants depend on the dead worker's corpus history; (seed,
+    // iteration) cannot reconstruct them. Honest failure beats a wrong
+    // reproducer.
+    std::fprintf(stderr,
+                 "fleet: worker %zu died in corpus mode; in-flight case "
+                 "not reconstructable\n",
+                 peer.index);
+    return;
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(config_.crash_dir, ec);
+  for (const auto& [key, iteration] : peer.last_inflight) {
+    const auto dialect = static_cast<engine::Dialect>(key.first);
+    fuzz::CampaignConfig cfg = config_.base;
+    cfg.dialect = dialect;
+    corpus::TestCaseRecord rec;
+    rec.kind = corpus::RecordKind::kReproducer;
+    rec.dialect = dialect;
+    rec.iteration = iteration;
+    rec.seed = Rng::SplitSeed(cfg.seed, iteration);
+    rec.sdb = Campaign::GenerateDatabaseFor(cfg, iteration);
+    rec.has_query = false;
+    // A reconstructed in-flight database is input, not an oracle finding.
+    rec.oracle = fuzz::OracleKind::kGeneration;
+    auto encoded = corpus::TestCaseCodec::Encode(rec);
+    if (encoded.ok()) {
+      const std::filesystem::path path =
+          std::filesystem::path(config_.crash_dir) /
+          InflightFileName(peer.index, dialect, iteration);
+      if (AtomicWriteFile(path.string(), encoded.value().data(),
+                          encoded.value().size())
+              .ok()) {
+        inflight_persisted_++;
+      }
+    }
+    // Flight-recorder dump next to the reproducer: the worker's real
+    // final ring when a TRACE frame made it out, otherwise a synthesized
+    // re-recording of the in-flight iteration's input construction.
+    std::string flight_path;
+    const Status flight = fleet::PersistFlightRecord(
+        config_.base, dialect, iteration, &peer.last_trace,
+        config_.crash_dir, peer.index, &flight_path);
+    std::fprintf(stderr, "fleet: flight record: %s\n",
+                 flight.ok() ? flight_path.c_str()
+                             : flight.ToString().c_str());
   }
 }
 
@@ -414,16 +509,17 @@ void FleetServer::HandleDisconnect(Peer* peer) {
   peer->closed = true;
   peer->channel.Close();
   disconnects_++;
+  protocol_errors_ += peer->channel.rejected();
   // The incarnation is over: retire its cumulative STATS reading.
   dead_metrics_.Merge(peer->latest_stats);
   peer->latest_stats = obs::MetricsSnapshot{};
   if (peer->got_done || !peer->assignment) return;
 
   // Died mid-assignment. Credit what the SLICEPROGRESS marks prove was
-  // completed (BUG frames were merged live, so no bug is lost), then
-  // requeue the unfinished slices at those marks: the in-flight iteration
-  // is RE-RUN by whoever picks the work up, and its re-reported bugs
-  // dedup in the aggregator.
+  // completed (BUG frames were merged live, so no bug is lost), persist
+  // the in-flight iterations, then requeue the unfinished slices at those
+  // marks: the in-flight iteration is RE-RUN by whoever picks the work
+  // up, and its re-reported bugs dedup in the aggregator.
   Assignment* assignment = peer->assignment.get();
   uint64_t completed_now = 0;
   for (const auto& [key, mark] : peer->progress) {
@@ -437,47 +533,25 @@ void FleetServer::HandleDisconnect(Peer* peer) {
   lost.queries_run = peer->cov_queries;
   lost.checks_run = peer->cov_queries;
   aggregator_.Merge(std::move(lost));
-  dead_iterations_ += completed_now;
-  dead_queries_ += peer->cov_queries;
-
-  // Flight-recorder dump per in-flight iteration: the peer's real final
-  // ring when a TRACE frame made it out before the death, otherwise a
-  // synthesized re-recording (pure-generate mode only — a remote mutant
-  // is not reconstructable from (seed, iteration)).
-  if (!config_.flight_dir.empty() && !config_.base.corpus.enabled) {
-    for (const auto& [key, iteration] : peer->last_inflight) {
-      const auto dialect = static_cast<engine::Dialect>(key.first);
-      std::string flight_path;
-      const Status flight = fleet::PersistFlightRecord(
-          config_.base, dialect, iteration, &peer->last_trace,
-          config_.flight_dir, peer->index, &flight_path);
-      if (flight.ok()) {
-        std::fprintf(stderr, "net: flight record: %s\n", flight_path.c_str());
-      } else {
-        std::fprintf(stderr, "net: flight record: %s\n",
-                     flight.ToString().c_str());
-      }
-    }
-  }
+  PersistInflight(*peer);
 
   for (auto& [key, mark] : assignment->completed) {
     const auto it = peer->progress.find(key);
     if (it != peer->progress.end()) mark = std::max(mark, it->second);
   }
   assignment->deaths++;
-  if (assignment->deaths >= config_.max_deaths_per_assignment) {
-    // Every survivor died at the same point: assume a deterministic
-    // killer and skip past the in-flight iteration, like the pipe
-    // coordinator's crash-skip — liveness over that one case.
+  if (assignment->deaths >= kMaxDeathsPerAssignment) {
+    // Every incarnation died at the same point: assume a deterministic
+    // killer and skip past the in-flight iteration — liveness over that
+    // one case (its reproducer is already on disk).
     for (const auto& [key, iteration] : peer->last_inflight) {
       auto it = assignment->completed.find(key);
       if (it == assignment->completed.end()) continue;
-      const uint64_t skip_to =
-          (iteration - key.second) / config_.total_slices + 1;
+      const uint64_t skip_to = (iteration - key.second) / total_slices_ + 1;
       it->second = std::max(it->second, skip_to);
       crash_skips_++;
       std::fprintf(stderr,
-                   "net: assignment died %zu times; skipping iteration "
+                   "fleet: assignment died %zu times; skipping iteration "
                    "%" PRIu64 " of slice %" PRIu64 "\n",
                    assignment->deaths, iteration, key.second);
     }
@@ -498,9 +572,9 @@ void FleetServer::HandleDisconnect(Peer* peer) {
   if (work_remains) {
     reassigned_slices_ += assignment->slices.size();
     std::fprintf(stderr,
-                 "net: peer died mid-assignment; requeueing %zu slice(s) at "
-                 "their progress marks\n",
-                 assignment->slices.size());
+                 "fleet: worker %zu died mid-assignment; requeueing %zu "
+                 "slice(s) at their progress marks\n",
+                 peer->index, assignment->slices.size());
     pending_.push_front(std::move(peer->assignment));
   } else {
     peer->assignment.reset();
@@ -508,9 +582,9 @@ void FleetServer::HandleDisconnect(Peer* peer) {
 }
 
 void FleetServer::MaybeTune() {
-  if (!corpus_ || config_.tune_interval_seconds <= 0) return;
+  if (!corpus_) return;
   const double now = Campaign::NowSeconds();
-  if (now - last_tune_ < config_.tune_interval_seconds) return;
+  if (now - last_tune_ < kTuneIntervalSeconds) return;
   last_tune_ = now;
   // Fleet-level corpus scheduling: while fresh signatures are arriving,
   // the energy roulette is holding rare sites worth exploiting — steer
@@ -518,8 +592,7 @@ void FleetServer::MaybeTune() {
   // toward pure generation. Advisory only: workers keep their RNG draw
   // discipline, so this never touches a determinism contract.
   const int base = config_.base.corpus.mutate_pct;
-  const bool hot =
-      last_admit_ >= 0 && now - last_admit_ <= config_.tune_window_seconds;
+  const bool hot = last_admit_ >= 0 && now - last_admit_ <= kTuneWindowSeconds;
   const uint64_t target = static_cast<uint64_t>(
       std::min(100, std::max(5, hot ? base + 25 : base - 25)));
   if (target == tune_last_sent_) return;
@@ -544,14 +617,19 @@ obs::MetricsSnapshot FleetServer::FleetMetricsSnapshot() const {
     if (peer->assignment) active++;
     snap.Merge(peer->latest_stats);
   }
-  snap.counters["net.disconnects"] += disconnects_;
-  snap.counters["net.reassigned_slices"] += reassigned_slices_;
-  snap.counters["net.crash_skips"] += crash_skips_;
-  snap.counters["net.version_skews"] += version_skews_;
-  snap.counters["fleet.protocol_errors"] += protocol_errors_;
+  // Supervisor-synthesized instruments. Counters ADD onto whatever a
+  // resumed baseline carried (they are this process's deltas); gauges are
+  // instantaneous readings and overwrite.
+  snap.counters["fleet.disconnects"] += disconnects_;
+  snap.counters["fleet.reassigned_slices"] += reassigned_slices_;
+  snap.counters["fleet.crash_skips"] += crash_skips_;
+  snap.counters["fleet.respawns"] += respawns_;
+  snap.counters["fleet.version_skews"] += version_skews_;
+  snap.counters["fleet.protocol_errors"] += protocol_errors();
+  snap.counters["fleet.stale_intervals"] += stale_intervals_;
   snap.counters["fleet.checkpoints_written"] += checkpoints_written_;
-  snap.gauges["net.peers"] = static_cast<int64_t>(peers_seen_);
-  snap.gauges["net.peers.active"] = static_cast<int64_t>(active);
+  snap.gauges["fleet.peers"] = static_cast<int64_t>(peers_seen_);
+  snap.gauges["fleet.workers_live"] = static_cast<int64_t>(active);
   snap.gauges["fleet.covered_sites"] =
       static_cast<int64_t>(covered_keys_.size());
   snap.gauges["fleet.unique_bugs"] =
@@ -559,22 +637,96 @@ obs::MetricsSnapshot FleetServer::FleetMetricsSnapshot() const {
   return snap;
 }
 
-fleet::CheckpointState FleetServer::GatherCheckpoint() const {
-  CheckpointState state;
-  state.seed = config_.base.seed;
-  state.iterations = config_.base.iterations;
-  state.queries_per_iteration = config_.base.queries_per_iteration;
-  state.num_geometries = config_.base.generator.num_geometries;
-  state.total_slices = config_.total_slices;
-  state.enable_faults = config_.base.enable_faults;
-  state.derivative_enabled = config_.base.generator.derivative_enabled;
-  state.dialects = dialects_;
-  state.oracles = config_.base.oracles;
-  state.corpus_enabled = config_.base.corpus.enabled;
-  state.mutate_pct = config_.base.corpus.mutate_pct;
-  state.duration_seconds = config_.duration_seconds;
+void FleetServer::MaybeStatus(bool force) {
+  const bool status_on = config_.status_interval_seconds > 0;
+  const bool metrics_on = !config_.metrics_out.empty();
+  if (!status_on && !metrics_on) return;
+  const double now = Campaign::NowSeconds();
+  const bool status_due =
+      status_on &&
+      (force || now - last_status_ >= config_.status_interval_seconds);
+  // --metrics-every puts the metrics rewrite on its own clock; without it
+  // the write rides the status tick (plus the final forced write).
+  const bool metrics_due =
+      metrics_on &&
+      (force || (config_.metrics_interval_seconds > 0
+                     ? now - last_metrics_ >= config_.metrics_interval_seconds
+                     : status_due));
+  if (metrics_due) {
+    last_metrics_ = now;
+    const Status written = AtomicWriteFile(config_.metrics_out, MetricsJson());
+    if (!written.ok()) {
+      std::fprintf(stderr, "fleet: metrics-out: %s\n",
+                   written.ToString().c_str());
+    }
+  }
+  if (!status_due) return;
+  last_status_ = now;
 
-  state.elapsed_seconds = Campaign::NowSeconds() - t0_;
+  // Stale-worker detection: a worker holding an assignment but silent for
+  // 3x the status interval is flagged — warned once per episode (its next
+  // frame re-arms the warning), counted once per stale tick.
+  size_t open = 0;
+  size_t active = 0;
+  size_t stale = 0;
+  for (const auto& peer : peers_) {
+    if (!peer || peer->closed) continue;
+    open++;
+    if (!peer->assignment) continue;
+    active++;
+    if (now - peer->last_frame_at <= 3 * config_.status_interval_seconds) {
+      continue;
+    }
+    stale++;
+    if (!peer->stale_warned) {
+      std::fprintf(stderr,
+                   "fleet: warning: worker %zu stale — no frame for %.1fs "
+                   "(> 3x the %.1fs status interval)\n",
+                   peer->index, now - peer->last_frame_at,
+                   config_.status_interval_seconds);
+      peer->stale_warned = true;
+    }
+  }
+  if (stale > 0) stale_intervals_++;
+
+  const obs::MetricsSnapshot snap = FleetMetricsSnapshot();
+  const uint64_t iterations = IterationsSoFar();
+  const double elapsed = now - t0_;
+  const uint64_t queries = snap.CounterOr("campaign.queries");
+  const obs::HistogramData* stmt = snap.FindHistogram("engine.statement");
+  const double engine_us_per_query =
+      (stmt != nullptr && queries > 0)
+          ? static_cast<double>(stmt->sum_ns) * 1e-3 /
+                static_cast<double>(queries)
+          : 0.0;
+  std::string oracle_p99;
+  for (const auto& [name, h] : snap.histograms) {
+    if (name.rfind("oracle.", 0) != 0) continue;
+    const size_t suffix = name.rfind(".check");
+    if (suffix == std::string::npos || suffix + 6 != name.size()) continue;
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s%s=%.0fus",
+                  oracle_p99.empty() ? "" : " ",
+                  name.substr(7, suffix - 7).c_str(),
+                  h.QuantileSeconds(0.99) * 1e6);
+    oracle_p99 += buf;
+  }
+  // Stderr, never stdout: stdout carries the bug-set report that CI
+  // diffs byte-for-byte with telemetry on and off.
+  std::fprintf(stderr,
+               "fleet: t=%.1fs iters=%" PRIu64
+               " (%.1f/s) engine=%.0fus/q oracle-p99[%s] bugs=%zu "
+               "corpus=%zu workers=%zu/%zu%s\n",
+               elapsed, iterations,
+               elapsed > 0 ? static_cast<double>(iterations) / elapsed : 0.0,
+               engine_us_per_query, oracle_p99.c_str(),
+               aggregator_.current().unique_bugs.size(),
+               corpus_ ? corpus_->size() : static_cast<size_t>(0), active,
+               open, stale > 0 ? " [stale]" : "");
+}
+
+CheckpointState FleetServer::GatherCheckpoint() const {
+  CheckpointState state = CampaignIdentity();
   state.completed = completed_;
   for (const auto& [key, count] : state.completed) {
     state.iterations_run += count;
@@ -583,6 +735,8 @@ fleet::CheckpointState FleetServer::GatherCheckpoint() const {
   state.queries_run = acc.queries_run;
   state.checks_run = acc.checks_run;
   for (const auto& peer : peers_) {
+    // Live assignments' counters exist only in their COV heartbeats
+    // (merged on DONE or death); fold the latest reading in.
     if (peer && !peer->closed && !peer->got_done) {
       state.queries_run += peer->cov_queries;
       state.checks_run += peer->cov_queries;
@@ -617,31 +771,106 @@ void FleetServer::MaybeCheckpoint(bool force) {
   }
   last_checkpoint_ = now;
   if (corpus_ && !config_.corpus_dir.empty()) {
+    // The checkpoint's corpus manifest must describe what is actually on
+    // disk, so the corpus is persisted first (entry writes are atomic
+    // too: a kill inside this save tears nothing).
     const Status saved = corpus_->SaveTo(config_.corpus_dir);
     if (!saved.ok()) {
-      std::fprintf(stderr, "net: checkpoint corpus save: %s\n",
+      std::fprintf(stderr, "fleet: checkpoint corpus save: %s\n",
                    saved.ToString().c_str());
     }
   }
   const Status written =
       fleet::WriteCheckpoint(config_.checkpoint_dir, GatherCheckpoint());
   if (!written.ok()) {
-    std::fprintf(stderr, "net: checkpoint: %s\n", written.ToString().c_str());
+    std::fprintf(stderr, "fleet: checkpoint: %s\n",
+                 written.ToString().c_str());
     return;
   }
   checkpoints_written_++;
+  obs::TraceRecorder::Instance().Emit("checkpoint.write",
+                                      checkpoints_written_);
+  if (config_.die_after_checkpoints > 0 &&
+      checkpoints_written_ == config_.die_after_checkpoints) {
+    ::kill(::getpid(), SIGKILL);  // crash-equivalence seam, see above
+  }
+}
+
+void FleetServer::SpawnChild(size_t index, uint64_t die_after_frames) {
+  // The child inherits stdio buffers and never flushes them (_exit).
+  std::fflush(nullptr);
+  const pid_t supervisor = ::getpid();
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    std::fprintf(stderr, "fleet: fork() failed: %s\n", std::strerror(errno));
+    return;
+  }
+  if (pid == 0) {
+    // Die with the supervisor; the getppid check closes the race where it
+    // died before the prctl took effect.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != supervisor) ::_exit(1);
+    // Drop every inherited descriptor above stdio: a copy of the listener,
+    // a sibling's connection, or a status-endpoint client would keep that
+    // socket open after the supervisor closes it.
+    ::close_range(3, ~0U, 0);
+    FleetClientConfig client;
+    client.port = port_;
+    client.cov_interval_seconds = config_.cov_interval_seconds;
+    client.die_after_frames = die_after_frames;
+    ::_exit(RunFleetClient(client));
+  }
+  children_[index] = pid;
+}
+
+void FleetServer::SuperviseChildren() {
+  for (pid_t& child : children_) {
+    int status = 0;
+    if (child <= 0 || ::waitpid(child, &status, WNOHANG) != child) continue;
+    // Every exit before the campaign ends is abnormal (a clean child
+    // exits only on BYE); its connection's EOF requeues the work.
+    if (WIFSIGNALED(status)) {
+      std::fprintf(stderr, "fleet: worker process %d killed by signal %d\n",
+                   static_cast<int>(child), WTERMSIG(status));
+    } else {
+      std::fprintf(stderr, "fleet: worker process %d exited with status %d\n",
+                   static_cast<int>(child), WEXITSTATUS(status));
+    }
+    child = -1;
+  }
+  if (pending_.empty()) return;
+  for (size_t i = 0; i < children_.size(); ++i) {
+    if (children_[i] > 0 ||
+        respawns_ >= kMaxRespawnsPerChild * children_.size()) {
+      continue;
+    }
+    respawns_++;
+    SpawnChild(i, /*die_after_frames=*/0);  // the seam fires once
+  }
+}
+
+void FleetServer::KillChildren() {
+  for (pid_t& child : children_) {
+    if (child <= 0) continue;
+    ::kill(child, SIGKILL);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+    child = -1;
+  }
 }
 
 CampaignResult FleetServer::Run() {
+  // A worker can die between our poll and our write to it; that must be
+  // an EPIPE we handle, not a process-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
-  const double wall0 = Campaign::NowSeconds();
-  t0_ = wall0;
-  last_checkpoint_ = t0_;
-  last_tune_ = t0_;
-  last_metrics_ = t0_;
+  t0_ = Campaign::NowSeconds();
+  last_checkpoint_ = last_status_ = last_metrics_ = last_tune_ = t0_;
 
   if (config_.resume) {
     const CheckpointState& resume = *config_.resume;
+    // Shift the campaign clock back by the consumed budget: the duration
+    // deadline, straggler drop, curve samples, and the next checkpoint's
+    // elapsed all continue from where the dead run stopped.
     t0_ -= resume.elapsed_seconds;
     CampaignResult restored;
     restored.iterations_run = resume.iterations_run;
@@ -660,36 +889,77 @@ CampaignResult FleetServer::Run() {
   }
   if (config_.base.corpus.enabled) {
     corpus_ = std::make_unique<corpus::Corpus>(config_.base.corpus);
+    // Workers never save; the supervisor owns persistence, so it must
+    // hold the seed entries too or SaveTo would delete their files.
     if (!config_.corpus_dir.empty()) {
       auto loaded = corpus_->LoadFrom(config_.corpus_dir);
       if (!loaded.ok()) {
-        std::fprintf(stderr, "net: corpus load: %s\n",
+        std::fprintf(stderr, "fleet: corpus load: %s\n",
                      loaded.status().ToString().c_str());
+      }
+    }
+    if (config_.resume && config_.resume->corpus_enabled) {
+      // Verify the reloaded directory against the checkpoint's manifest:
+      // a pruned or swapped corpus dir silently changes the resumed
+      // universe, which the operator should know about (it is legal —
+      // corpus-mode determinism is per-jobs-count anyway — just loud).
+      std::set<uint64_t> on_disk;
+      for (const corpus::TestCaseRecord& record : corpus_->Entries()) {
+        on_disk.insert(corpus::TestCaseCodec::SiteSignature(record.sites));
+      }
+      size_t missing = 0;
+      for (uint64_t sig : config_.resume->corpus_signatures) {
+        if (on_disk.find(sig) == on_disk.end()) missing++;
+      }
+      if (missing > 0 || on_disk.size() != config_.resume->corpus_entries) {
+        std::fprintf(stderr,
+                     "fleet: resume corpus mismatch: manifest lists %zu "
+                     "entries, dir has %zu (%zu manifest entries missing)\n",
+                     static_cast<size_t>(config_.resume->corpus_entries),
+                     on_disk.size(), missing);
       }
     }
   }
   BuildInitialQueue();
+  if (!config_.serve && !pending_.empty()) {
+    children_.assign(config_.processes, -1);
+    for (size_t i = 0; i < children_.size(); ++i) {
+      SpawnChild(i, i == 0 ? config_.worker0_die_after_frames : 0);
+    }
+  }
 
+  bool stragglers_dropped = false;
   while (true) {
     const double now = Campaign::NowSeconds();
-    if (config_.duration_seconds > 0 &&
-        now - t0_ >= config_.duration_seconds) {
-      // Duration budget consumed: unstarted work is simply not run.
-      pending_.clear();
+    const bool deadline_passed = config_.duration_seconds > 0 &&
+                                 now - t0_ >= config_.duration_seconds;
+    // Duration budget consumed: unstarted work is simply not run.
+    if (deadline_passed) pending_.clear();
+    if (deadline_passed && !stragglers_dropped &&
+        now - t0_ > config_.duration_seconds + kStragglerGraceSeconds) {
+      for (const auto& peer : peers_) {
+        if (!peer || peer->closed || !peer->assignment) continue;
+        std::fprintf(stderr, "fleet: dropping straggler worker %zu\n",
+                     peer->index);
+        HandleDisconnect(peer.get());
+      }
+      stragglers_dropped = true;
     }
     const bool any_active =
         std::any_of(peers_.begin(), peers_.end(), [](const auto& p) {
           return p && !p->closed && p->assignment;
         });
-    if (pending_.empty() && !any_active) {
-      if (config_.duration_seconds <= 0 ||
-          now - t0_ >= config_.duration_seconds) {
-        break;
-      }
+    if (pending_.empty() && !any_active &&
+        (config_.duration_seconds <= 0 || deadline_passed)) {
+      break;
     }
-    if (config_.max_wall_seconds > 0 &&
-        now - wall0 > config_.max_wall_seconds) {
-      std::fprintf(stderr, "net: wall-clock cap hit; finishing early\n");
+    if (!children_.empty() && !pending_.empty() &&
+        std::all_of(children_.begin(), children_.end(),
+                    [](pid_t c) { return c <= 0; }) &&
+        respawns_ >= kMaxRespawnsPerChild * children_.size()) {
+      std::fprintf(stderr,
+                   "fleet: every worker died and the respawn budget is "
+                   "spent; finishing early\n");
       break;
     }
 
@@ -711,6 +981,7 @@ CampaignResult FleetServer::Run() {
       while ((fd = AcceptOne(listen_fd_)) >= 0) {
         peers_.push_back(std::make_unique<Peer>(fd));
         peers_.back()->connected_at = Campaign::NowSeconds();
+        peers_.back()->last_frame_at = peers_.back()->connected_at;
         peers_seen_++;
       }
     }
@@ -734,8 +1005,9 @@ CampaignResult FleetServer::Run() {
                  peers_.end());
 
     TryAssign();
+    SuperviseChildren();
     MaybeCheckpoint(/*force=*/false);
-    MaybeMetrics(/*force=*/false);
+    MaybeStatus(/*force=*/false);
     MaybeTune();
     if (status_.started()) {
       status_.PollOnce(
@@ -744,12 +1016,19 @@ CampaignResult FleetServer::Run() {
   }
 
   AddCurveSample();
+  // Final checkpoint with every slice at its budget: resuming a finished
+  // campaign runs zero iterations and re-reports the same result
+  // (resume is idempotent). Must happen before Finish() empties the
+  // aggregator the gather reads from.
   MaybeCheckpoint(/*force=*/true);
-  MaybeMetrics(/*force=*/true);
+  MaybeStatus(/*force=*/true);
   status_.Close();
 
   // Campaign over: BYE every peer — including idle ones still waiting for
-  // an assignment — so clients exit cleanly instead of on ECONNRESET.
+  // an assignment — so remote clients exit cleanly instead of on
+  // ECONNRESET. Local children are killed outright: one between
+  // assignments would otherwise spend its reconnect budget knocking on a
+  // closed listener.
   Frame bye;
   bye.type = FrameType::kBye;
   for (const auto& peer : peers_) {
@@ -757,21 +1036,25 @@ CampaignResult FleetServer::Run() {
     peer->channel.WriteFrame(bye);
     peer->channel.Close();
   }
+  KillChildren();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
 
   CampaignResult result = aggregator_.Finish(Campaign::NowSeconds() - t0_);
+  // Transfer only when the fleet actually fuzzes several dialects — a
+  // single-dialect campaign would pay the replays and the corpus-cap
+  // pressure without ever scheduling the transferred copies.
   if (corpus_ && config_.cross_dialect_transfer && dialects_.size() > 1) {
     const fuzz::TransferStats transfer = fuzz::CrossDialectCorpusTransfer(
         corpus_.get(), config_.base.enable_faults);
     if (transfer.admitted > 0) {
       std::fprintf(stderr,
-                   "net: cross-dialect transfer admitted %zu of %zu "
+                   "fleet: cross-dialect transfer admitted %zu of %zu "
                    "replays\n",
                    transfer.admitted, transfer.replays);
     }
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
   }
   return result;
 }

@@ -1,45 +1,55 @@
-// FleetServer: the multi-machine tier of the runtime (threads -> shards
-// -> processes -> machines). `spatter --serve=PORT` listens for remote
-// workers (`spatter --connect=HOST:PORT`), hands each a batch of global
-// SplitSeed slices over TCP, and merges the same BUG / ENTRY / COV /
-// STATS / SLICEPROGRESS frame stream the pipe coordinator merges — into
-// the same Aggregator, the same fleet corpus, the same Figure-8 curve,
-// and an identical CheckpointState.
+// FleetServer: the one fleet supervisor — the process tier of the runtime
+// (threads -> shards -> processes -> machines). It hands batches of global
+// SplitSeed slices to worker processes over TCP and merges their BUG /
+// ENTRY / COV / STATS / SLICEPROGRESS frame streams into one Aggregator,
+// one fleet corpus, one Figure-8 curve, and one CheckpointState.
+//
+// Two ways to run it, one code path:
+//   - `spatter --fleet=P --jobs=J` binds 127.0.0.1:0 and forks P local
+//     children, each calling RunFleetClient against that port. Children
+//     are respawned while work remains, die with the supervisor
+//     (PR_SET_PDEATHSIG), and are killed and reaped when the campaign
+//     ends.
+//   - `spatter --serve=PORT` binds 0.0.0.0:PORT, spawns nothing, and
+//     waits for remote `spatter --connect=HOST:PORT` workers.
+// Either way the slice universe is P*J, handed out J slices per
+// assignment, so every factorization walks the same pure-generate
+// test-case universe as the in-process `--jobs=P*J` run.
 //
 // Membership is elastic: workers may join at any time (a connection that
 // finds the work queue empty is held open and assigned the moment work
-// appears), and a worker that dies mid-assignment has its unfinished
-// slices requeued at their SLICEPROGRESS high-water marks and re-factored
-// onto whichever peer asks next. Because marks count COMPLETED iterations,
-// the dead worker's in-flight iteration is re-run by the survivor — never
-// skipped — and its re-reported bugs dedup in the aggregator's
-// earliest-logical-position order. That is what makes the elastic pin
-// hold: a 2-worker socket campaign with one worker SIGKILLed mid-run
-// reports the identical `bug-set:` / `bug-set-by-oracle:` lines as an
-// uninterrupted in-process `--fleet` run over the same slice universe.
-// (After `max_deaths_per_assignment` consecutive deaths the server
-// assumes a deterministic killer and bumps past the in-flight iteration,
-// trading that one case for campaign liveness — the pipe coordinator's
-// crash-skip rule, applied lazily.)
+// appears), and a worker that dies mid-assignment — local or remote — has
+// its unfinished slices requeued at their SLICEPROGRESS high-water marks
+// and re-factored onto whichever peer asks next. Because marks count
+// COMPLETED iterations, the dead worker's in-flight iteration is re-run,
+// never skipped, and its re-reported bugs dedup in the aggregator's
+// earliest-logical-position order: a campaign with a worker SIGKILLed
+// mid-run reports the identical `bug-set:` / `bug-set-by-oracle:` lines
+// as an uninterrupted one. Every such death persists the in-flight
+// iteration (pure-generate mode) as an `inflight-*.sptc` reproducer plus
+// a `flight-*.trace.jsonl` dump in the crash dir. After
+// kMaxDeathsPerAssignment consecutive deaths the supervisor assumes a
+// deterministic killer and skips past the in-flight iteration, trading
+// that one case for campaign liveness.
 //
 // Handshake: the client's first frame is NETHELLO <proto> <pid>; the
-// server BYEs any peer with a different wire::kNetProtocolVersion. One
-// assignment per connection: ASSIGN carries a hex-encoded
+// supervisor BYEs any peer with a different fleet::kNetProtocolVersion.
+// One assignment per connection: ASSIGN carries a hex-encoded
 // EncodeCheckpoint document (campaign identity + the assignment's
 // (dialect, slice, completed) marks), the worker streams its frames, and
-// DONE ends the connection; the client reconnects for more work. What is
-// NOT sent over the wire: file paths, corpus directories, or anything
-// host-specific — remote workers are seeded purely by streamed ENTRY
+// DONE ends the connection; the client reconnects for more work. No file
+// path crosses the wire: workers are seeded purely by streamed ENTRY
 // frames.
 //
 // Fleet-level corpus scheduling: fresh corpus signatures are rebroadcast
-// to every other live peer as they arrive, and the server periodically
-// steers the fleet's mutate budget with advisory TUNE frames — raising it
-// while the merged corpus is hot (recent admissions mean the rare-site
-// energy roulette has fresh material) and lowering it toward pure
-// generation once admissions go stale.
+// to every other live peer as they arrive, and the supervisor
+// periodically steers the fleet's mutate budget with advisory TUNE
+// frames — raising it while the merged corpus is hot and lowering it
+// toward pure generation once admissions go stale.
 #ifndef SPATTER_NET_FLEET_SERVER_H_
 #define SPATTER_NET_FLEET_SERVER_H_
+
+#include <sys/types.h>
 
 #include <deque>
 #include <map>
@@ -61,58 +71,73 @@
 
 namespace spatter::net {
 
-struct FleetServerConfig {
+struct FleetConfig {
   /// Campaign template: `base.seed` the master seed, `base.iterations`
   /// the fleet-wide batch budget (total, per dialect).
   fuzz::CampaignConfig base;
   /// Dialects every assignment covers; empty = base.dialect only.
   std::vector<engine::Dialect> dialects;
-  /// The global slice universe (the in-process equivalent's P*J). Every
-  /// slice in [0, total_slices) is assigned exactly once — plus requeues.
-  size_t total_slices = 2;
-  /// Slices batched per ASSIGN (the in-process equivalent's J): each
-  /// assignment runs this many slices on that many worker threads.
-  size_t slices_per_assign = 1;
+  /// The slice universe is processes * jobs, handed out `jobs` slices per
+  /// assignment. Local mode also forks `processes` children.
+  size_t processes = 2;
+  size_t jobs = 1;
+  /// false: local fleet (127.0.0.1, `processes` forked children).
+  /// true: `--serve` (0.0.0.0:`port`, 0 = kernel-picked; no children).
+  bool serve = false;
+  uint16_t port = 0;
   /// > 0: duration-budget campaign; 0: batch mode.
   double duration_seconds = 0.0;
-  /// Merged-corpus persistence directory (server side only; never sent to
-  /// workers). Empty = corpus mode off unless base.corpus.enabled.
+  /// Merged-corpus persistence directory (never sent to workers). Empty =
+  /// corpus mode off unless base.corpus.enabled.
   std::string corpus_dir;
-  /// Checkpoint/resume, identical semantics to FleetConfig.
-  std::string checkpoint_dir;
-  double checkpoint_interval_seconds = 30.0;
-  std::optional<fleet::CheckpointState> resume;
-  /// Port to listen on; 0 = kernel-picked (port() after Start()).
-  uint16_t port = 0;
-  /// Deaths of one assignment before the server assumes a deterministic
-  /// killer and bumps past the in-flight iteration (crash-skip).
-  size_t max_deaths_per_assignment = 3;
+  /// Where a dead worker's in-flight reproducer and flight dump go
+  /// (pure-generate mode only); empty = skip persisting.
+  std::string crash_dir;
   /// Replay merged corpus entries across dialects after the run.
   bool cross_dialect_transfer = true;
-  /// Seconds between TUNE re-evaluations (corpus mode; 0 disables).
-  double tune_interval_seconds = 2.0;
-  /// Admission recency window that counts the corpus as "hot".
-  double tune_window_seconds = 5.0;
-  /// > 0: hard wall-clock cap on Run() — a safety valve for CI smokes
-  /// where no worker ever connects. 0 = wait indefinitely.
-  double max_wall_seconds = 0.0;
+  /// Seconds between COV/STATS heartbeats of local children.
+  double cov_interval_seconds = 0.2;
+  /// > 0: print a live fleet status line to stderr every S seconds
+  /// (iters/s, engine-us/query, per-oracle p99, bugs, corpus, worker
+  /// liveness) and flag workers silent for 3x the interval as stale.
+  /// Stderr, never stdout: the bug-set report must stay byte-identical
+  /// with telemetry on.
+  double status_interval_seconds = 0.0;
+  /// Non-empty: write the fleet MetricsSnapshot as spatter-metrics-v1
+  /// JSON here (atomic write-rename) every `metrics_interval_seconds` of
+  /// wall time — or on the status tick when that is 0 — plus once at
+  /// completion.
+  std::string metrics_out;
+  double metrics_interval_seconds = 0.0;
   /// Serve the read-only status endpoint (GET /metrics, /fleet, /bugs)
   /// on `status_port` (0 = kernel-picked; status_port() after Start()).
   bool serve_status = false;
   uint16_t status_port = 0;
-  /// Where flight-recorder dumps of dead peers' in-flight iterations are
-  /// persisted (pure-generate mode only); empty = skip.
-  std::string flight_dir;
-  /// Non-empty: write the fleet MetricsSnapshot as spatter-metrics-v1
-  /// JSON here every `metrics_interval_seconds` (> 0) of wall time, plus
-  /// once at completion (atomic write-rename).
-  std::string metrics_out;
-  double metrics_interval_seconds = 0.0;
+  /// Checkpoint/resume. With `checkpoint_dir` set the supervisor persists
+  /// a CheckpointState (fleet/checkpoint.h) every
+  /// `checkpoint_interval_seconds` of wall time plus once at completion,
+  /// via atomic write-rename. `resume` re-queues every slice at its
+  /// completed high-water mark, pre-populates the aggregator with the
+  /// restored unique-bug set, restores the covered-site set and curve
+  /// prefix, and continues the duration budget from its elapsed time.
+  /// processes*jobs must equal `resume->total_slices`.
+  std::string checkpoint_dir;
+  double checkpoint_interval_seconds = 30.0;
+  std::optional<fleet::CheckpointState> resume;
+
+  /// Test-only deterministic fault injection (0 = off): the supervisor
+  /// SIGKILLs ITSELF right after handling this many valid frames /
+  /// writing this many checkpoints — run it in a forked child — and the
+  /// first local child's first assignment SIGKILLs itself after writing
+  /// `worker0_die_after_frames` frames.
+  uint64_t die_after_frames = 0;
+  uint64_t die_after_checkpoints = 0;
+  uint64_t worker0_die_after_frames = 0;
 };
 
 class FleetServer {
  public:
-  explicit FleetServer(const FleetServerConfig& config);
+  explicit FleetServer(const FleetConfig& config);
   ~FleetServer();
 
   FleetServer(const FleetServer&) = delete;
@@ -122,21 +147,28 @@ class FleetServer {
   Status Start();
   uint16_t port() const { return port_; }
 
-  /// Supervises remote workers until every slice of the universe has run
-  /// its budget (batch) or the duration budget is consumed, then BYEs all
-  /// peers and returns the aggregated result (same shape as
-  /// FleetCoordinator::Run).
+  /// Supervises the workers until every slice of the universe has run its
+  /// budget (batch) or the duration budget is consumed, then BYEs all
+  /// peers, kills and reaps local children, and returns the aggregated
+  /// result (same shape as ShardedCampaign::Run). Local mode forks from
+  /// the calling thread, so no other thread should be running then (a
+  /// child inherits only the caller, and any lock another thread held).
   fuzz::CampaignResult Run();
 
   size_t peers_seen() const { return peers_seen_; }
   size_t disconnects() const { return disconnects_; }
   /// Slices requeued from dead workers onto survivors.
   size_t reassigned_slices() const { return reassigned_slices_; }
-  size_t protocol_errors() const { return protocol_errors_; }
+  /// Malformed frames skipped (torn or garbage lines, bad payloads).
+  size_t protocol_errors() const;
   size_t checkpoints_written() const { return checkpoints_written_; }
   size_t fleet_covered_sites() const { return covered_keys_.size(); }
   /// In-flight iterations bumped past after repeated deaths.
   size_t crash_skips() const { return crash_skips_; }
+  /// Local children forked to replace dead ones.
+  size_t respawns() const { return respawns_; }
+  /// In-flight reproducers persisted for dead workers.
+  size_t crash_reproducers_persisted() const { return inflight_persisted_; }
   /// Live port of the status endpoint (0 unless serve_status).
   uint16_t status_port() const { return status_.port(); }
   /// HTTP requests the status endpoint has answered.
@@ -148,7 +180,7 @@ class FleetServer {
   const fleet::CurveRecorder& curve() const { return curve_; }
 
   /// Fleet-wide telemetry: restored baseline + retired incarnations +
-  /// live peers' latest STATS + net.* instruments.
+  /// live peers' latest STATS + fleet.* instruments.
   obs::MetricsSnapshot FleetMetricsSnapshot() const;
 
  private:
@@ -158,24 +190,35 @@ class FleetServer {
   void BuildInitialQueue();
   void HandleFrame(Peer* peer, const fleet::Frame& frame);
   void HandleDisconnect(Peer* peer);
+  void PersistInflight(const Peer& peer);
   void TryAssign();
   void BroadcastEntry(const std::vector<uint8_t>& payload, const Peer* from);
   void SeedPeerCorpus(Peer* peer);
   void MaybeTune();
   void AddCurveSample();
+  /// Iterations run so far, live peers' COV readings included.
+  uint64_t IterationsSoFar() const;
+  fleet::CheckpointState CampaignIdentity() const;
   fleet::CheckpointState GatherCheckpoint() const;
   void MaybeCheckpoint(bool force);
-  /// Periodic --metrics-out rewrite on its own clock (--metrics-every).
-  void MaybeMetrics(bool force);
+  /// Status tick: stale-worker detection, the stderr status line, and the
+  /// --metrics-out rewrite (own clock with --metrics-every).
+  void MaybeStatus(bool force);
   uint64_t IterationTarget(uint64_t slice) const;
+  /// Local mode: forks child slot `index`, reaps dead ones, respawns
+  /// while work is pending, and kills + reaps them all at the end.
+  void SpawnChild(size_t index, uint64_t die_after_frames);
+  void SuperviseChildren();
+  void KillChildren();
   /// Status-endpoint route table: path -> JSON body ("" = 404).
   std::string HandleStatusRoute(const std::string& path) const;
   std::string MetricsJson() const;
   std::string FleetJson() const;
   std::string BugsJson() const;
 
-  FleetServerConfig config_;
+  FleetConfig config_;
   std::vector<engine::Dialect> dialects_;
+  size_t total_slices_ = 1;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   double t0_ = 0.0;
@@ -183,6 +226,8 @@ class FleetServer {
   std::deque<std::unique_ptr<Assignment>> pending_;
   std::vector<std::unique_ptr<Peer>> peers_;
   size_t next_worker_index_ = 0;
+  /// Local children by slot (-1 = dead or not yet forked).
+  std::vector<pid_t> children_;
 
   runtime::Aggregator aggregator_;
   std::unique_ptr<corpus::Corpus> corpus_;
@@ -201,13 +246,16 @@ class FleetServer {
   size_t checkpoints_written_ = 0;
   size_t version_skews_ = 0;
   size_t crash_skips_ = 0;
+  size_t respawns_ = 0;
+  size_t inflight_persisted_ = 0;
+  uint64_t frames_handled_ = 0;  ///< valid frames, for the fault seam
+  uint64_t stale_intervals_ = 0;
   double last_checkpoint_ = 0.0;
+  double last_status_ = 0.0;
   double last_metrics_ = 0.0;
   double last_tune_ = 0.0;
   double last_admit_ = -1.0;      ///< wall clock of the last fresh ENTRY
   uint64_t tune_last_sent_ = ~uint64_t{0};
-  uint64_t dead_iterations_ = 0;
-  uint64_t dead_queries_ = 0;
   obs::MetricsSnapshot base_metrics_;  ///< checkpoint-restored baseline
   obs::MetricsSnapshot dead_metrics_;  ///< retired incarnations
 };

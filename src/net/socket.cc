@@ -38,14 +38,14 @@ void ConfigureFd(int fd, bool nodelay) {
 
 }  // namespace
 
-Result<int> Listen(uint16_t port) {
+Result<int> Listen(uint16_t port, bool loopback_only) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket()");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   struct sockaddr_in addr = {};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_addr.s_addr = htonl(loopback_only ? INADDR_LOOPBACK : INADDR_ANY);
   addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
       0) {
@@ -229,6 +229,12 @@ bool FrameChannel::ReadFrames(int timeout_ms, std::vector<fleet::Frame>* frames)
       continue;
     }
     frames->push_back(frame.Take());
+  }
+  if (eof_ && !buffer_.empty()) {
+    // A final line without '\n' is a torn write from a dying peer.
+    SPATTER_METRIC_INC("wire.rejected");
+    rejected_++;
+    buffer_.clear();
   }
   return !eof_;
 }

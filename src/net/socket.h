@@ -1,4 +1,4 @@
-// Portable TCP plumbing for the socket fleet tier (src/net/): a listener,
+// Portable TCP plumbing for the fleet tier (src/net/): a listener,
 // a connector with a retry budget, and FrameChannel — the adapter between
 // the line-framed fleet/wire protocol and a byte stream that delivers
 // those lines in arbitrary splits (one byte at a time, mid-frame, many
@@ -24,9 +24,10 @@
 
 namespace spatter::net {
 
-/// Binds and listens on 0.0.0.0:`port` (0 = kernel-picked ephemeral
-/// port), SO_REUSEADDR, non-blocking, close-on-exec. Returns the fd.
-Result<int> Listen(uint16_t port);
+/// Binds and listens on 0.0.0.0:`port` — 127.0.0.1 with `loopback_only`
+/// (0 = kernel-picked ephemeral port), SO_REUSEADDR, non-blocking,
+/// close-on-exec. Returns the fd.
+Result<int> Listen(uint16_t port, bool loopback_only = false);
 
 /// The local port `listen_fd` is bound to (resolves port 0).
 Result<uint16_t> LocalPort(int listen_fd);
@@ -43,9 +44,9 @@ int AcceptOne(int listen_fd);
 Result<int> ConnectWithRetry(const std::string& host, uint16_t port,
                              double retry_seconds);
 
-/// Flips O_NONBLOCK. The fleet client handshakes through a non-blocking
-/// FrameChannel, then hands the fd to fleet::RunWorker — whose writer
-/// assumes blocking semantics (an EAGAIN would read as a dead peer).
+/// Flips O_NONBLOCK. The fleet client handshakes on a non-blocking fd,
+/// then hands it to fleet::RunWorker — whose writer assumes blocking
+/// semantics (an EAGAIN would read as a dead peer).
 void SetBlocking(int fd, bool blocking);
 
 /// Reads exactly one valid frame line from `fd`, one byte at a time — no
@@ -68,8 +69,9 @@ class FrameChannel {
   int fd() const { return fd_; }
   bool eof() const { return eof_; }
   bool write_failed() const { return write_failed_; }
-  /// Complete lines that failed to decode, plus buffer-overflow resync
-  /// episodes (each also counted in the `wire.rejected` metric).
+  /// Complete lines that failed to decode, buffer-overflow resync
+  /// episodes, and a torn final line at EOF (each also counted in the
+  /// `wire.rejected` metric).
   uint64_t rejected() const { return rejected_; }
 
   /// Encodes and writes `frame`, blocking briefly (poll for POLLOUT) if

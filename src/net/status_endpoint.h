@@ -1,5 +1,5 @@
-// Live introspection for the --serve coordinator: a minimal read-only
-// HTTP/1.0 responder multiplexed into the fleet server's poll loop
+// Live introspection for the fleet supervisor (`--fleet` or `--serve`): a
+// minimal read-only HTTP/1.0 responder multiplexed into its poll loop
 // (--status-port=P). Routes are provided by the owner as a callback —
 // the endpoint knows HTTP, not fleet state:
 //

@@ -3,7 +3,7 @@
 // chosen, engine phase spans, per-oracle verdicts, corpus admissions,
 // checkpoint writes), snapshotted into a versioned spatter-trace-v1 JSONL
 // document for --trace-out and for the crash flight recorder: each worker
-// keeps the last K events per thread, the coordinator persists the ring
+// keeps the last K events per thread, the supervisor persists the ring
 // (received over a TRACE wire frame, or re-synthesized by re-running
 // GenerateDatabaseFor under tracing) next to the crash reproducer.
 //
@@ -97,7 +97,7 @@ class TraceRecorder {
   void EndIteration();
 
   /// Records one event. Inside an iteration the sampling verdict from
-  /// BeginIteration applies; outside (coordinator checkpoint writes and
+  /// BeginIteration applies; outside (supervisor checkpoint writes and
   /// the like) every event records. name/detail are truncated to the
   /// slot capacity; detail may be null.
   void Emit(const char* name, uint64_t value = 0,

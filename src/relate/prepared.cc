@@ -5,29 +5,9 @@
 namespace spatter::relate {
 
 using geom::Geometry;
-using geom::GeomType;
 
 PreparedGeometry::PreparedGeometry(const Geometry& target)
-    : target_(target), target_env_(target.GetEnvelope()) {
-  // Index the target's segments; point-only targets leave the index empty.
-  std::vector<index::RTreeEntry> entries;
-  uint64_t next_id = 0;
-  geom::ForEachBasic(target, [&](const Geometry& basic) {
-    auto add_seq = [&](const std::vector<geom::Coord>& pts) {
-      for (size_t i = 0; i + 1 < pts.size(); ++i) {
-        geom::Envelope box(pts[i]);
-        box.ExpandToInclude(pts[i + 1]);
-        entries.push_back({box, next_id++});
-      }
-    };
-    if (basic.type() == GeomType::kLineString) {
-      add_seq(geom::AsLineString(basic).points());
-    } else if (basic.type() == GeomType::kPolygon) {
-      for (const auto& ring : geom::AsPolygon(basic).rings()) add_seq(ring);
-    }
-  });
-  segment_index_.BulkLoad(std::move(entries));
-}
+    : target_(target), target_env_(target.GetEnvelope()) {}
 
 bool PreparedGeometry::EnvelopeCandidate(const Geometry& candidate) const {
   const geom::Envelope env = candidate.GetEnvelope();

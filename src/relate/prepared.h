@@ -1,7 +1,7 @@
-// Prepared geometry: caches an R-tree over the target geometry's segments
-// plus precomputed component lists to accelerate repeated predicate
-// evaluation against many candidates (the optimization component in which
-// the paper found the Listing 7 bug).
+// Prepared geometry: caches the target geometry's envelope so repeated
+// predicate evaluation against many candidates can reject on envelopes
+// before the exact relate (the optimization component in which the paper
+// found the Listing 7 bug).
 //
 // Contract: every prepared predicate must return exactly what the plain
 // predicate returns ("every prepared variant should return the same as the
@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "faults/fault.h"
 #include "geom/geometry.h"
-#include "index/rtree.h"
 #include "relate/named_predicates.h"
 
 namespace spatter::relate {
@@ -48,7 +47,6 @@ class PreparedGeometry {
 
   const geom::Geometry& target_;
   geom::Envelope target_env_;
-  index::RTree segment_index_;
   mutable size_t exact_evals_ = 0;
   mutable geom::GeomPtr last_candidate_;
   mutable bool last_result_valid_ = false;

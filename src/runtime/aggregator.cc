@@ -21,7 +21,7 @@ namespace {
 // tie: in multi-dialect runs every dialect executes the same iteration
 // universe, so a shared-library fault can fire at the identical position
 // in two dialects — without this the winner would be merge-arrival
-// order, which in fleet mode is racy pipe order.
+// order, which in fleet mode is racy stream-arrival order.
 //
 // Multi-oracle campaigns can tie on ALL of these: two oracles judging the
 // same (iteration, query) on the same dialect can hit the same fault.

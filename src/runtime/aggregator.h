@@ -34,7 +34,7 @@ class Aggregator {
   void Merge(const fuzz::CampaignResult& shard);
   void Merge(fuzz::CampaignResult&& shard);
 
-  /// Folds a single discrepancy in (the fleet coordinator's BUG-frame
+  /// Folds a single discrepancy in (the fleet supervisor's BUG-frame
   /// path): appended to the report and offered to the FaultId dedup under
   /// the same earliest-logical-position rule as a whole-shard merge.
   void MergeDiscrepancy(fuzz::Discrepancy&& d);

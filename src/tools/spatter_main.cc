@@ -18,9 +18,10 @@
 // --dialect=all runs a fleet campaign over all four dialects at once,
 // deduplicating shared-library bugs across them.
 //
-// --fleet=P adds the process tier: P worker processes (self-exec in a
-// hidden --worker mode) x --jobs slices each, supervised over pipes; the
-// pure-generate unique-bug set is identical for any P x J factorization.
+// --fleet=P adds the process tier: P forked worker processes x --jobs
+// slices each, supervised over loopback TCP by the same supervisor that
+// --serve runs for remote workers; the pure-generate unique-bug set is
+// identical for any P x J factorization.
 // --duration=S runs a duration-budget campaign instead of an iteration
 // budget and, with --curve-out, writes the Figure-8-style site-coverage
 // curve as JSON.
@@ -32,12 +33,9 @@
 // entries are replayed across the other dialects and admitted where they
 // buy new coverage (--no-transfer disables). --corpus-minify=dir
 // re-reduces a stored corpus offline against its coverage signatures.
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,9 +50,7 @@
 #include "corpus/codec.h"
 #include "engine/engine.h"
 #include "fleet/checkpoint.h"
-#include "fleet/coordinator.h"
 #include "fleet/curve.h"
-#include "fleet/worker.h"
 #include "fuzz/campaign.h"
 #include "fuzz/minify.h"
 #include "fuzz/oracles.h"
@@ -93,8 +89,8 @@ struct Options {
   double duration = 0.0;    // seconds; 0 = iteration budget
   std::string curve_out;    // Figure-8 curve JSON path
 
-  // Socket fleet (multi-machine tier).
-  bool serve = false;            // --serve: coordinate remote workers
+  // Remote workers (the multi-machine tier).
+  bool serve = false;            // --serve: supervise remote workers
   uint16_t serve_port = 0;       // 0 = kernel-picked ephemeral port
   std::string connect_hostport;  // non-empty = remote worker mode
 
@@ -109,23 +105,13 @@ struct Options {
   double metrics_every = 0.0;    // seconds between metrics-out rewrites
   std::string trace_out;         // spatter-trace-v1 JSONL path; "" = off
   uint64_t trace_sample = 1;     // record every Nth iteration (1 = all)
-  bool status_port_set = false;  // --status-port given (requires --serve)
+  bool status_port_set = false;  // --status-port given
   uint16_t status_port = 0;      // status endpoint port (0 = kernel-picked)
 
   // Checkpoint / resume.
   std::string checkpoint_dir;   // non-empty = periodic checkpoints
   double checkpoint_every = 0;  // seconds; 0 = default interval
   std::string resume_dir;       // non-empty = resume from checkpoint
-
-  // Hidden --worker mode (spawned by the fleet coordinator).
-  bool worker = false;
-  size_t worker_index = 0;
-  size_t worker_slice_offset = 0;
-  size_t worker_slice_count = 1;
-  size_t worker_total_slices = 1;
-  double worker_duration = 0.0;
-  double worker_cov_interval = 0.2;
-  std::string worker_completed;  // "dialect:slice:count,..."
 };
 
 void Usage() {
@@ -151,17 +137,19 @@ void Usage() {
       "  --oracle-budget=NAME:1/N  run oracle NAME on every Nth query only\n"
       "                    (deterministic off the iteration index, so the\n"
       "                    factorization invariance holds; N=1 clears it)\n"
-      "  --fleet=P         spawn P worker processes x --jobs slices each;\n"
-      "                    pure-generate bug sets are identical for any\n"
-      "                    P x J factorization of the same P*J\n"
-      "  --serve=PORT      multi-machine tier: listen for remote workers\n"
-      "                    on PORT (0 = kernel-picked, printed at start)\n"
-      "                    and assign them the --fleet x --jobs slice\n"
-      "                    universe, --jobs slices per assignment; merges\n"
-      "                    the same streams as --fleet into the same\n"
-      "                    bug-set lines, checkpoints, and corpus\n"
+      "  --fleet=P         fork P worker processes x --jobs slices each,\n"
+      "                    supervised over loopback TCP; a dead worker's\n"
+      "                    slices are requeued and its in-flight case\n"
+      "                    persisted to the crash dir; pure-generate bug\n"
+      "                    sets are identical for any P x J factorization\n"
+      "                    of the same P*J\n"
+      "  --serve=PORT      the same supervisor for remote workers: listen\n"
+      "                    on PORT (0 = kernel-picked, printed at start),\n"
+      "                    fork nothing, and assign --connect workers the\n"
+      "                    --fleet x --jobs slice universe, --jobs slices\n"
+      "                    per assignment\n"
       "  --connect=HOST:PORT  be a remote worker: fetch assignments from a\n"
-      "                    --serve coordinator until it says goodbye; all\n"
+      "                    --serve supervisor until it says goodbye; all\n"
       "                    campaign settings come from the server\n"
       "  --duration=S      run for S seconds of wall time instead of an\n"
       "                    iteration budget (Figure 8 mode)\n"
@@ -189,11 +177,12 @@ void Usage() {
       "                    trace ring (accepts N or 1/N; default 1 = all;\n"
       "                    sampling is deterministic off the iteration\n"
       "                    index, never an RNG draw)\n"
-      "  --status-port=P   with --serve: read-only HTTP/1.0 status\n"
-      "                    endpoint on port P (0 = kernel-picked, printed\n"
+      "  --status-port=P   read-only HTTP/1.0 status endpoint of the fleet\n"
+      "                    supervisor on port P (0 = kernel-picked, printed\n"
       "                    at start): GET /metrics (spatter-metrics-v1),\n"
       "                    /fleet (membership + per-worker rates), /bugs\n"
-      "                    (deduped bug set with detecting oracles)\n"
+      "                    (deduped bug set with detecting oracles);\n"
+      "                    implies --fleet=1 if no fleet was requested\n"
       "  --checkpoint=DIR  periodically persist a resumable campaign\n"
       "                    checkpoint to DIR (atomic write-rename; implies\n"
       "                    --fleet=1 if no fleet was requested)\n"
@@ -208,12 +197,6 @@ void Usage() {
       "                    uninterrupted run\n"
       "  --no-derivative   random-shape strategy only (RSG ablation)\n"
       "  --fixed           run against the fixed engine (expect 0 bugs)\n"
-      "  --no-stmt-cache   disable the engine's LRU statement parse cache\n"
-      "                    (strictly passive: bug-set lines are\n"
-      "                    byte-identical either way, CI-diffed)\n"
-      "  --no-index-probe  route index scans through the linear reference\n"
-      "                    scan instead of the R-tree (byte-identical by\n"
-      "                    contract, CI-diffed; for the passivity gate)\n"
       "  --no-reduce       skip test-case reduction\n"
       "  --corpus=DIR      greybox mode: persist coverage-novel test cases\n"
       "                    and bug reproducers to DIR, reloading them on\n"
@@ -400,41 +383,10 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       opts->derivative = false;
     } else if (std::strcmp(argv[i], "--fixed") == 0) {
       opts->enable_faults = false;
-    } else if (std::strcmp(argv[i], "--no-stmt-cache") == 0) {
-      engine::SetStatementCacheCapacity(0);
-    } else if (std::strcmp(argv[i], "--no-index-probe") == 0) {
-      engine::SetIndexProbesEnabled(false);
     } else if (std::strcmp(argv[i], "--no-reduce") == 0) {
       opts->reduce = false;
     } else if (std::strcmp(argv[i], "--no-transfer") == 0) {
       opts->transfer = false;
-    } else if (std::strcmp(argv[i], "--worker") == 0) {
-      opts->worker = true;
-    } else if (ParseFlag(argv[i], "--worker-index", &value)) {
-      if (!ParseSize(value, "--worker-index", 1 << 20, &opts->worker_index)) {
-        return false;
-      }
-    } else if (ParseFlag(argv[i], "--worker-slice-offset", &value)) {
-      if (!ParseSize(value, "--worker-slice-offset", 1 << 20,
-                     &opts->worker_slice_offset)) {
-        return false;
-      }
-    } else if (ParseFlag(argv[i], "--worker-slice-count", &value)) {
-      if (!ParseSize(value, "--worker-slice-count", 1 << 20,
-                     &opts->worker_slice_count)) {
-        return false;
-      }
-    } else if (ParseFlag(argv[i], "--worker-total-slices", &value)) {
-      if (!ParseSize(value, "--worker-total-slices", 1 << 20,
-                     &opts->worker_total_slices)) {
-        return false;
-      }
-    } else if (ParseFlag(argv[i], "--worker-duration", &value)) {
-      opts->worker_duration = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(argv[i], "--worker-cov-interval", &value)) {
-      opts->worker_cov_interval = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(argv[i], "--worker-completed", &value)) {
-      opts->worker_completed = value;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       Usage();
       std::exit(0);
@@ -472,42 +424,9 @@ fuzz::CampaignConfig BaseConfig(const Options& opts) {
   return base;
 }
 
-// --- Hidden worker mode -----------------------------------------------------
-
-int RunWorkerMode(const Options& opts) {
-  fleet::WorkerOptions worker;
-  worker.base = BaseConfig(opts);
-  if (opts.all_dialects) {
-    worker.dialects = runtime::ShardedCampaign::AllDialects();
-  }
-  worker.index = opts.worker_index;
-  worker.slice_offset = opts.worker_slice_offset;
-  worker.slice_count = std::max<size_t>(1, opts.worker_slice_count);
-  worker.total_slices = std::max<size_t>(1, opts.worker_total_slices);
-  worker.duration_seconds = opts.worker_duration;
-  worker.corpus_dir = opts.corpus_dir;
-  worker.cov_interval_seconds = opts.worker_cov_interval;
-  worker.trace_sample = opts.trace_sample;
-  // Resume state: "dialect:slice:completed,..." from the coordinator.
-  const std::string& spec = opts.worker_completed;
-  size_t start = 0;
-  while (start < spec.size()) {
-    size_t end = spec.find(',', start);
-    if (end == std::string::npos) end = spec.size();
-    uint64_t dialect = 0, slice = 0, count = 0;
-    if (std::sscanf(spec.substr(start, end - start).c_str(),
-                    "%" SCNu64 ":%" SCNu64 ":%" SCNu64, &dialect, &slice,
-                    &count) == 3) {
-      worker.completed[{dialect, slice}] = count;
-    }
-    start = end + 1;
-  }
-  return fleet::RunWorker(worker, STDIN_FILENO, STDOUT_FILENO);
-}
-
 // --- Remote worker mode (--connect) ----------------------------------------
 
-/// Joins a `--serve` coordinator as a remote worker. Every campaign
+/// Joins a `--serve` supervisor as a remote worker. Every campaign
 /// setting comes from the server's ASSIGN payload, so the only local
 /// inputs are the address itself — any other flag would be ignored.
 int RunConnectMode(const Options& opts) {
@@ -653,17 +572,6 @@ void WriteReproducer(const std::string& dir, const faults::FaultInfo& info,
   }
 }
 
-/// Resolves the running binary for fleet self-exec.
-std::string SelfExePath(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;  // best effort: relative paths still exec from the cwd
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -672,8 +580,6 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  // Worker mode first: stdout is the wire protocol, so no banner.
-  if (opts.worker) return RunWorkerMode(opts);
   if (!opts.connect_hostport.empty()) return RunConnectMode(opts);
   if (!opts.replay_file.empty()) return RunReplay(opts);
   if (!opts.minify_dir.empty()) return RunMinify(opts);
@@ -743,26 +649,23 @@ int main(int argc, char** argv) {
     opts.checkpoint_dir = "spatter-checkpoint";
   }
   if (!opts.checkpoint_dir.empty() && opts.fleet == 0 && !opts.serve) {
-    // Checkpoint state lives in the fleet coordinator; a single-process
-    // fleet is the in-process campaign plus the supervision tier. (The
-    // socket server owns its own checkpoint state, so --serve is exempt.)
-    std::printf("checkpoint: enabling --fleet=1 (the coordinator owns "
+    // Checkpoint state lives in the fleet supervisor; a single-process
+    // fleet is the in-process campaign plus the supervision tier.
+    std::printf("checkpoint: enabling --fleet=1 (the supervisor owns "
                 "checkpoint state)\n");
     opts.fleet = 1;
   }
-  if (opts.status_interval > 0 && opts.fleet == 0 && !opts.serve) {
-    // The live status line is the coordinator's merged fleet view.
-    std::printf("status: enabling --fleet=1 (the coordinator owns the "
+  if ((opts.status_interval > 0 || opts.status_port_set) && opts.fleet == 0 &&
+      !opts.serve) {
+    // The live status line and endpoint serve the supervisor's merged
+    // fleet view.
+    std::printf("status: enabling --fleet=1 (the supervisor owns the "
                 "fleet telemetry view)\n");
     opts.fleet = 1;
   }
 
   if (!opts.curve_out.empty() && opts.duration <= 0) {
     std::fprintf(stderr, "--curve-out requires --duration\n");
-    return 2;
-  }
-  if (opts.status_port_set && !opts.serve) {
-    std::fprintf(stderr, "--status-port requires --serve\n");
     return 2;
   }
   if (opts.metrics_every > 0 && opts.metrics_out.empty()) {
@@ -824,55 +727,62 @@ int main(int argc, char** argv) {
   curve_info.jobs = opts.jobs;
   curve_info.duration_seconds = opts.duration;
 
-  std::unique_ptr<fleet::FleetCoordinator> coordinator;
   std::unique_ptr<net::FleetServer> server;
   std::unique_ptr<runtime::ShardedCampaign> campaign;
   fleet::CurveRecorder local_curve;
 
-  if (opts.serve) {
-    // Socket tier: coordinate remote --connect workers over TCP. The
-    // slice universe is --fleet x --jobs (the same product the pipe tier
-    // would use), handed out --jobs slices per assignment.
-    net::FleetServerConfig config;
+  if (opts.serve || fleet_processes > 0) {
+    // Process tier, one supervisor: --fleet forks P local workers on a
+    // loopback port, --serve waits for remote --connect workers. The slice
+    // universe is --fleet x --jobs, handed out --jobs slices per
+    // assignment.
+    net::FleetConfig config;
     config.base = BaseConfig(opts);
     if (opts.all_dialects) {
       config.dialects = runtime::ShardedCampaign::AllDialects();
     }
-    config.total_slices = std::max<size_t>(1, opts.fleet) * opts.jobs;
-    config.slices_per_assign = opts.jobs;
+    config.processes = std::max<size_t>(1, fleet_processes);
+    config.jobs = opts.jobs;
+    config.serve = opts.serve;
+    config.port = opts.serve_port;
     config.duration_seconds = opts.duration;
     config.corpus_dir = opts.corpus_dir;
+    // In-flight crash reproducers are only reconstructable in
+    // pure-generate mode, which is exactly when there is no corpus dir —
+    // so give them a home of their own (created only if a worker dies).
+    config.crash_dir =
+        opts.corpus_dir.empty() ? "spatter-crashes" : opts.corpus_dir;
+    config.cross_dialect_transfer = opts.transfer;
+    config.status_interval_seconds = opts.status_interval;
+    config.metrics_out = opts.metrics_out;
+    config.metrics_interval_seconds = opts.metrics_every;
+    config.serve_status = opts.status_port_set;
+    config.status_port = opts.status_port;
     config.checkpoint_dir = opts.checkpoint_dir;
     if (opts.checkpoint_every > 0) {
       config.checkpoint_interval_seconds = opts.checkpoint_every;
     }
     config.resume = resume_state;
-    config.port = opts.serve_port;
-    config.cross_dialect_transfer = opts.transfer;
-    config.serve_status = opts.status_port_set;
-    config.status_port = opts.status_port;
-    // Flight dumps live next to the in-flight reproducers' home.
-    config.flight_dir =
-        opts.corpus_dir.empty() ? "spatter-crashes" : opts.corpus_dir;
-    config.metrics_out = opts.metrics_out;
-    config.metrics_interval_seconds = opts.metrics_every;
     server = std::make_unique<net::FleetServer>(config);
     const Status st = server->Start();
     if (!st.ok()) {
-      std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
+      std::fprintf(stderr, "fleet: %s\n", st.ToString().c_str());
       return 2;
     }
-    std::printf("serve: listening on port %u (%zu slices, %zu per "
-                "assignment)\n",
-                server->port(), config.total_slices,
-                config.slices_per_assign);
+    if (opts.serve) {
+      std::printf("serve: listening on port %u (%zu slices, %zu per "
+                  "assignment)\n",
+                  server->port(), config.processes * config.jobs,
+                  config.jobs);
+    }
     if (server->status_port() != 0) {
       std::printf("status: listening on port %u\n", server->status_port());
     }
     std::fflush(stdout);  // scripts scrape the ports before workers join
     result = server->Run();
     merged_corpus = server->merged_corpus();
-    total_shards = config.total_slices * (opts.all_dialects ? 4 : 1);
+    total_shards =
+        config.processes * config.jobs * (opts.all_dialects ? 4 : 1);
     if (!opts.curve_out.empty()) {
       const Status curve_st =
           server->curve().WriteJson(opts.curve_out, curve_info);
@@ -881,80 +791,18 @@ int main(int argc, char** argv) {
       }
     }
     if (!opts.metrics_out.empty()) {
-      obs::MetricsJsonInfo info;
-      info.label = curve_info.label;
-      info.seed = opts.seed;
-      info.fleet = curve_info.fleet;
-      info.jobs = opts.jobs;
-      info.elapsed_seconds = result.total_seconds;
-      const Status metrics_st = AtomicWriteFile(
-          opts.metrics_out,
-          obs::MetricsToJson(server->FleetMetricsSnapshot(), info));
-      if (!metrics_st.ok()) {
-        std::fprintf(stderr, "metrics: %s\n",
-                     metrics_st.ToString().c_str());
-      } else {
-        std::printf("metrics: written to %s\n", opts.metrics_out.c_str());
-      }
+      std::printf("metrics: written to %s\n", opts.metrics_out.c_str());
     }
-    std::printf("serve: %zu peer(s) over the campaign, %zu "
-                "disconnect(s), %zu slice(s) reassigned\n",
-                server->peers_seen(), server->disconnects(),
-                server->reassigned_slices());
-    if (!opts.checkpoint_dir.empty()) {
-      std::printf("checkpoint: %zu written to %s\n",
-                  server->checkpoints_written(),
-                  opts.checkpoint_dir.c_str());
-    }
-  } else if (fleet_processes > 0) {
-    // Process tier: self-exec workers, supervise over pipes.
-    fleet::FleetConfig config;
-    config.base = BaseConfig(opts);
-    config.processes = fleet_processes;
-    config.jobs = opts.jobs;
-    if (opts.all_dialects) {
-      config.dialects = runtime::ShardedCampaign::AllDialects();
-    }
-    config.duration_seconds = opts.duration;
-    config.status_interval_seconds = opts.status_interval;
-    config.metrics_out = opts.metrics_out;
-    config.metrics_interval_seconds = opts.metrics_every;
-    config.trace_sample = opts.trace_sample;
-    config.corpus_dir = opts.corpus_dir;
-    config.checkpoint_dir = opts.checkpoint_dir;
-    if (opts.checkpoint_every > 0) {
-      config.checkpoint_interval_seconds = opts.checkpoint_every;
-    }
-    config.resume = resume_state;
-    // In-flight crash reproducers are only reconstructable in
-    // pure-generate mode, which is exactly when there is no corpus dir —
-    // so give them a home of their own (created only if a worker dies).
-    config.reproducer_dir =
-        opts.corpus_dir.empty() ? "spatter-crashes" : opts.corpus_dir;
-    config.exe_path = SelfExePath(argv[0]);
-    config.cross_dialect_transfer = opts.transfer;
-    coordinator = std::make_unique<fleet::FleetCoordinator>(config);
-    result = coordinator->Run();
-    merged_corpus = coordinator->merged_corpus();
-    total_shards = fleet_processes * opts.jobs *
-                   (opts.all_dialects ? 4 : 1);
-    if (!opts.curve_out.empty()) {
-      const Status st =
-          coordinator->curve().WriteJson(opts.curve_out, curve_info);
-      if (!st.ok()) {
-        std::fprintf(stderr, "curve: %s\n", st.ToString().c_str());
-      }
-    }
-    if (coordinator->respawns() > 0) {
-      std::printf("fleet: %zu worker respawn(s), %zu in-flight "
-                  "reproducer(s) persisted\n",
-                  coordinator->respawns(),
-                  coordinator->crash_reproducers_persisted());
+    if (opts.serve || server->reassigned_slices() > 0) {
+      std::printf("fleet: %zu peer(s) over the campaign, %zu slice(s) "
+                  "requeued, %zu respawn(s), %zu in-flight reproducer(s) "
+                  "persisted\n",
+                  server->peers_seen(), server->reassigned_slices(),
+                  server->respawns(), server->crash_reproducers_persisted());
     }
     if (!opts.checkpoint_dir.empty()) {
       std::printf("checkpoint: %zu written to %s\n",
-                  coordinator->checkpoints_written(),
-                  opts.checkpoint_dir.c_str());
+                  server->checkpoints_written(), opts.checkpoint_dir.c_str());
     }
   } else {
     runtime::ShardedCampaignConfig config;
@@ -977,8 +825,8 @@ int main(int argc, char** argv) {
       config.seed_corpus = loader.Entries();
     }
     campaign = std::make_unique<runtime::ShardedCampaign>(config);
-    // --metrics-every for the in-process path: the fleet and serve tiers
-    // rewrite from their supervision loops; here a flusher thread samples
+    // --metrics-every for the in-process path: the fleet supervisor
+    // rewrites from its loop; here a flusher thread samples
     // the process-global registry (reads only — strictly passive).
     std::atomic<bool> metrics_stop{false};
     std::thread metrics_flusher;
@@ -1033,9 +881,8 @@ int main(int argc, char** argv) {
   }
 
   // In-process campaigns dump the local registry once at the end; the
-  // fleet path already wrote the merged view from the coordinator, and
-  // the serve path from the socket server's fleet snapshot.
-  if (!opts.metrics_out.empty() && fleet_processes == 0 && !opts.serve) {
+  // fleet supervisor already wrote its merged view.
+  if (!opts.metrics_out.empty() && server == nullptr) {
     obs::MetricsJsonInfo info;
     info.label = curve_info.label;
     info.seed = opts.seed;
@@ -1056,7 +903,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Flight-recorder dump of this process's ring (the coordinator's own
+  // Flight-recorder dump of this process's ring (the supervisor's own
   // events in fleet mode; every iteration's sampled events in-process).
   if (!opts.trace_out.empty()) {
     const Status st = obs::WriteTraceFile(

@@ -1,7 +1,7 @@
 // Checkpoint/resume tests: the v1 codec (round-trip, corruption /
 // truncation / version-skew rejection), the atomic-persist contract for
 // every state file (checkpoint, corpus entries, curve JSON) under
-// mid-write kills, and the crash-equivalence pin — a coordinator
+// mid-write kills, and the crash-equivalence pin — a fleet supervisor
 // SIGKILLed at deterministic fault-injection points (die after N frames /
 // N checkpoints) and resumed must report the identical unique-bug set,
 // per-oracle attribution, and final coverage as an uninterrupted run,
@@ -23,10 +23,10 @@
 #include "corpus/codec.h"
 #include "corpus/corpus.h"
 #include "fleet/checkpoint.h"
-#include "fleet/coordinator.h"
 #include "fleet/curve.h"
 #include "fleet/wire.h"
 #include "fuzz/campaign.h"
+#include "net/fleet_server.h"
 #include "runtime/sharded_campaign.h"
 
 namespace spatter::fleet {
@@ -37,6 +37,8 @@ namespace fs = std::filesystem;
 using engine::Dialect;
 using fuzz::CampaignConfig;
 using fuzz::CampaignResult;
+using net::FleetConfig;
+using net::FleetServer;
 
 CampaignConfig SmallConfig(uint64_t seed, size_t iterations) {
   CampaignConfig config;
@@ -65,14 +67,20 @@ std::map<faults::FaultId, fuzz::OracleKind> BugOracleMap(
   return out;
 }
 
-/// Runs a FleetCoordinator in a forked child (the fault seams SIGKILL the
+/// Starts `server` and supervises its campaign to completion.
+CampaignResult RunFleet(FleetServer* server) {
+  EXPECT_TRUE(server->Start().ok());
+  return server->Run();
+}
+
+/// Runs a fleet supervisor in a forked child (the fault seams SIGKILL the
 /// whole process, which must not be the test runner) and returns the
 /// child's wait status.
-int RunCoordinatorInChild(const FleetConfig& config) {
+int RunFleetInChild(const FleetConfig& config) {
   const pid_t pid = ::fork();
   if (pid == 0) {
-    FleetCoordinator coordinator(config);
-    coordinator.Run();
+    FleetServer server(config);
+    RunFleet(&server);
     ::_exit(0);
   }
   int status = 0;
@@ -440,7 +448,6 @@ FleetConfig CheckpointedFleet(uint64_t seed, size_t iterations,
   config.base = SmallConfig(seed, iterations);
   config.processes = processes;
   config.jobs = jobs;
-  config.max_respawns = 2;
   config.checkpoint_interval_seconds = 0.0;  // every supervision pass
   return config;
 }
@@ -450,35 +457,35 @@ TEST(CrashEquivalence, FaultSeamsKillDeterministically) {
   FleetConfig config = CheckpointedFleet(/*seed=*/31, /*iterations=*/6, 1, 1);
   config.checkpoint_dir = dir;
   config.die_after_checkpoints = 1;
-  EXPECT_TRUE(KilledBySigkill(RunCoordinatorInChild(config)))
-      << "die_after_checkpoints must SIGKILL the coordinator";
+  EXPECT_TRUE(KilledBySigkill(RunFleetInChild(config)))
+      << "die_after_checkpoints must SIGKILL the supervisor";
   EXPECT_TRUE(LoadCheckpoint(dir).ok())
       << "the checkpoint that triggered the death is on disk and whole";
 
   config.die_after_checkpoints = 0;
   config.die_after_frames = 1;
-  EXPECT_TRUE(KilledBySigkill(RunCoordinatorInChild(config)))
-      << "die_after_frames must SIGKILL the coordinator";
+  EXPECT_TRUE(KilledBySigkill(RunFleetInChild(config)))
+      << "die_after_frames must SIGKILL the supervisor";
   fs::remove_all(dir);
 }
 
 TEST(CrashEquivalence, ResumeEqualsUninterruptedPureGenerate) {
   FleetConfig base = CheckpointedFleet(/*seed=*/321, /*iterations=*/14, 1, 2);
-  FleetCoordinator reference(base);
-  const CampaignResult ref = reference.Run();
+  FleetServer reference(base);
+  const CampaignResult ref = RunFleet(&reference);
   const auto want = BugOracleMap(ref);
   ASSERT_FALSE(want.empty());
 
   // Kill points: frame 4 (inside the first iterations) and frame 25
   // (mid-campaign: each of 14 iterations writes at least INFLIGHT +
-  // SLICEPROGRESS, so the stream has > 29 frames before DONE).
+  // SLICEPROGRESS, so the stream has > 30 frames before DONE).
   for (const uint64_t kill_at : {uint64_t{4}, uint64_t{25}}) {
     const std::string dir =
         TempDir(("equiv" + std::to_string(kill_at)).c_str());
     FleetConfig killed = base;
     killed.checkpoint_dir = dir;
     killed.die_after_frames = kill_at;
-    ASSERT_TRUE(KilledBySigkill(RunCoordinatorInChild(killed)))
+    ASSERT_TRUE(KilledBySigkill(RunFleetInChild(killed)))
         << "kill_at " << kill_at;
 
     auto loaded = LoadCheckpoint(dir);
@@ -486,8 +493,8 @@ TEST(CrashEquivalence, ResumeEqualsUninterruptedPureGenerate) {
     FleetConfig resumed_config = base;
     resumed_config.checkpoint_dir = dir;
     resumed_config.resume = loaded.Take();
-    FleetCoordinator resumed(resumed_config);
-    const CampaignResult result = resumed.Run();
+    FleetServer resumed(resumed_config);
+    const CampaignResult result = RunFleet(&resumed);
     EXPECT_EQ(BugOracleMap(result), want) << "kill_at " << kill_at;
     EXPECT_EQ(result.iterations_run, 14u) << "kill_at " << kill_at;
     fs::remove_all(dir);
@@ -497,22 +504,22 @@ TEST(CrashEquivalence, ResumeEqualsUninterruptedPureGenerate) {
 TEST(CrashEquivalence, ResumeEqualsUninterruptedMultiOracle) {
   FleetConfig base = CheckpointedFleet(/*seed=*/555, /*iterations=*/10, 1, 2);
   base.base.oracles = fuzz::ParseOracleSuite("aei,index,tlp").Take();
-  FleetCoordinator reference(base);
-  const auto want = BugOracleMap(reference.Run());
+  FleetServer reference(base);
+  const auto want = BugOracleMap(RunFleet(&reference));
   ASSERT_FALSE(want.empty());
 
   const std::string dir = TempDir("multioracle");
   FleetConfig killed = base;
   killed.checkpoint_dir = dir;
   killed.die_after_frames = 30;
-  ASSERT_TRUE(KilledBySigkill(RunCoordinatorInChild(killed)));
+  ASSERT_TRUE(KilledBySigkill(RunFleetInChild(killed)));
 
   auto loaded = LoadCheckpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   FleetConfig resumed_config = base;
   resumed_config.resume = loaded.Take();
-  FleetCoordinator resumed(resumed_config);
-  const CampaignResult result = resumed.Run();
+  FleetServer resumed(resumed_config);
+  const CampaignResult result = RunFleet(&resumed);
   // Equality of the map pins per-oracle ATTRIBUTION, not just the set:
   // the restored winner must beat any re-reported duplicate.
   EXPECT_EQ(BugOracleMap(result), want);
@@ -524,8 +531,8 @@ TEST(CrashEquivalence, FactorizationCrossedResume) {
   // keyed by GLOBAL slice, so any factorization of the same 4 slices
   // continues the identical universe.
   FleetConfig base = CheckpointedFleet(/*seed=*/321, /*iterations=*/12, 2, 2);
-  FleetCoordinator reference(base);
-  const auto want = BugOracleMap(reference.Run());
+  FleetServer reference(base);
+  const auto want = BugOracleMap(RunFleet(&reference));
   ASSERT_FALSE(want.empty());
 
   for (const auto& [p, j] :
@@ -534,7 +541,7 @@ TEST(CrashEquivalence, FactorizationCrossedResume) {
     FleetConfig killed = base;
     killed.checkpoint_dir = dir;
     killed.die_after_frames = 20;
-    ASSERT_TRUE(KilledBySigkill(RunCoordinatorInChild(killed)));
+    ASSERT_TRUE(KilledBySigkill(RunFleetInChild(killed)));
 
     auto loaded = LoadCheckpoint(dir);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -543,8 +550,8 @@ TEST(CrashEquivalence, FactorizationCrossedResume) {
     resumed_config.processes = p;
     resumed_config.jobs = j;
     resumed_config.resume = loaded.Take();
-    FleetCoordinator resumed(resumed_config);
-    const CampaignResult result = resumed.Run();
+    FleetServer resumed(resumed_config);
+    const CampaignResult result = RunFleet(&resumed);
     EXPECT_EQ(BugOracleMap(result), want) << "resume at " << p << "x" << j;
     EXPECT_EQ(result.iterations_run, 12u);
     fs::remove_all(dir);
@@ -558,8 +565,8 @@ TEST(CrashEquivalence, CurveContinuityAcrossResume) {
   // union an uninterrupted run reports.
   FleetConfig base = CheckpointedFleet(/*seed=*/99, /*iterations=*/12, 1, 2);
   base.cov_interval_seconds = 0.0;
-  FleetCoordinator reference(base);
-  const CampaignResult ref = reference.Run();
+  FleetServer reference(base);
+  const CampaignResult ref = RunFleet(&reference);
   const size_t ref_sites = reference.fleet_covered_sites();
   ASSERT_GT(ref_sites, 0u);
 
@@ -567,7 +574,7 @@ TEST(CrashEquivalence, CurveContinuityAcrossResume) {
   FleetConfig killed = base;
   killed.checkpoint_dir = dir;
   killed.die_after_frames = 40;
-  ASSERT_TRUE(KilledBySigkill(RunCoordinatorInChild(killed)));
+  ASSERT_TRUE(KilledBySigkill(RunFleetInChild(killed)));
 
   auto loaded = LoadCheckpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -575,8 +582,8 @@ TEST(CrashEquivalence, CurveContinuityAcrossResume) {
   FleetConfig resumed_config = base;
   resumed_config.checkpoint_dir = dir;
   resumed_config.resume = loaded.Take();
-  FleetCoordinator resumed(resumed_config);
-  const CampaignResult result = resumed.Run();
+  FleetServer resumed(resumed_config);
+  const CampaignResult result = RunFleet(&resumed);
 
   // The resumed curve is the restored prefix, bit-identical, plus samples
   // that continue forward in time with monotone coverage.
@@ -607,8 +614,8 @@ TEST(CrashEquivalence, ResumeOfFinishedCampaignIsIdempotent) {
   const std::string dir = TempDir("idempotent");
   FleetConfig config = CheckpointedFleet(/*seed=*/17, /*iterations=*/8, 1, 2);
   config.checkpoint_dir = dir;
-  FleetCoordinator first(config);
-  const CampaignResult ref = first.Run();
+  FleetServer first(config);
+  const CampaignResult ref = RunFleet(&first);
   ASSERT_GE(first.checkpoints_written(), 1u);
 
   auto loaded = LoadCheckpoint(dir);
@@ -617,8 +624,8 @@ TEST(CrashEquivalence, ResumeOfFinishedCampaignIsIdempotent) {
       << "the final checkpoint records the completed budget";
   FleetConfig resumed_config = config;
   resumed_config.resume = loaded.Take();
-  FleetCoordinator resumed(resumed_config);
-  const CampaignResult result = resumed.Run();
+  FleetServer resumed(resumed_config);
+  const CampaignResult result = RunFleet(&resumed);
   EXPECT_EQ(BugOracleMap(result), BugOracleMap(ref));
   EXPECT_EQ(result.iterations_run, 8u) << "no iteration is re-run";
   fs::remove_all(dir);

@@ -2,7 +2,8 @@
 // frame rejection, codec-through-a-pipe), the process-tier determinism
 // contract ((processes x jobs) factorization invariance in pure-generate
 // mode), crash isolation (a dead worker loses no reported bugs, its
-// in-flight case is persisted and its slice resumed), and the satellite
+// in-flight case is persisted and re-run; scripted raw-socket workers
+// drive the supervisor through deaths and garbage), and the satellite
 // subsystems (cross-dialect transfer, offline corpus minification).
 #include <gtest/gtest.h>
 
@@ -22,13 +23,14 @@
 
 #include "common/coverage.h"
 #include "corpus/codec.h"
-#include "fleet/coordinator.h"
 #include "fleet/curve.h"
 #include "fleet/wire.h"
-#include "fleet/worker.h"
 #include "fuzz/campaign.h"
 #include "fuzz/minify.h"
 #include "fuzz/transfer.h"
+#include "net/fleet_client.h"
+#include "net/fleet_server.h"
+#include "net/socket.h"
 #include "obs/trace.h"
 #include "runtime/sharded_campaign.h"
 
@@ -82,7 +84,7 @@ std::string TempDir(const char* tag) {
   return dir;
 }
 
-/// Writes one whole line to a raw fd (scripted worker bodies).
+/// Writes one whole line to a raw fd (scripted workers).
 void WriteLine(int fd, const std::string& line) {
   size_t off = 0;
   while (off < line.size()) {
@@ -158,16 +160,12 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
   done.checks = 1000;
   done.busy_seconds = 2.5;
   done.engine_seconds = 1.25;
-  done.statements = 7;
-  done.pairs = 8;
-  done.index_scans = 9;
-  done.prepared = 10;
 
-  Frame stop;
-  stop.type = FrameType::kStop;
+  Frame bye;
+  bye.type = FrameType::kBye;
 
   for (const Frame& frame : {hello, inflight, slice_done, slice_progress,
-                             cov, entry, bug, done, stop}) {
+                             cov, entry, bug, done, bye}) {
     const std::string line = EncodeFrame(frame);
     EXPECT_EQ(line.back(), '\n');
     EXPECT_EQ(line.find('\n'), line.size() - 1) << "one line per frame";
@@ -195,10 +193,6 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     EXPECT_EQ(out.detail, frame.detail);
     EXPECT_NEAR(out.busy_seconds, frame.busy_seconds, 1e-6);
     EXPECT_NEAR(out.engine_seconds, frame.engine_seconds, 1e-6);
-    EXPECT_EQ(out.statements, frame.statements);
-    EXPECT_EQ(out.pairs, frame.pairs);
-    EXPECT_EQ(out.index_scans, frame.index_scans);
-    EXPECT_EQ(out.prepared, frame.prepared);
   }
 }
 
@@ -226,8 +220,10 @@ TEST(Wire, RejectsCorruptFrames) {
       "SPTW1 BUG 1 2 0 0.5 aa bb",          // is_crash not 0/1
       "SPTW1 BUG 1 0 9 0.5 aa bb",          // oracle kind out of range
       "SPTW1 BUG 1 0 0 0.5 aa",             // missing payload
-      "SPTW1 DONE 1 2 3 4.0 5.0 6 7 8",     // missing counter
-      "SPTW1 STOP 1",                       // STOP takes no fields
+      "SPTW1 DONE 1 2 3 4.0",               // missing counter
+      "SPTW1 DONE 1 2 3 4.0 5.0 6 7 8 9",   // protocol-1 engine counters
+      "SPTW1 BYE 1",                        // BYE takes no fields
+      "SPTW1 STOP",                         // retired in protocol 2
       "SPTW1 HELLO 99999999999999999999999999 2 3 4 5",  // overflow
   };
   for (const char* line : corrupt) {
@@ -408,7 +404,7 @@ TEST(CurveRecorder, ThrottlesAndSerializes) {
 // --- In-flight reconstruction ----------------------------------------------
 
 TEST(GenerateDatabaseFor, MatchesCampaignIteration) {
-  // The coordinator reconstructs a dead worker's in-flight database from
+  // The supervisor reconstructs a dead worker's in-flight database from
   // (seed, iteration); that is only sound if the helper's draw order
   // matches RunIteration exactly. Pin them together via a discrepancy's
   // recorded database.
@@ -426,16 +422,13 @@ TEST(GenerateDatabaseFor, MatchesCampaignIteration) {
 
 // --- Fleet determinism ------------------------------------------------------
 
-FleetConfig FleetBatchConfig(size_t processes, size_t jobs) {
-  FleetConfig config;
-  config.base = SmallConfig(/*seed=*/321, /*iterations=*/12);
-  config.processes = processes;
-  config.jobs = jobs;
-  config.max_respawns = 2;
-  return config;
+/// Starts `server` and supervises its campaign to completion.
+CampaignResult RunFleet(net::FleetServer* server) {
+  EXPECT_TRUE(server->Start().ok());
+  return server->Run();
 }
 
-TEST(FleetCoordinator, FactorizationInvariantBugSets) {
+TEST(FleetSupervisor, FactorizationInvariantBugSets) {
   // --fleet=P --jobs=J must reproduce the same unique-bug FaultId set for
   // any P x J factorization of the same total slice count (pure-generate
   // mode), and match the in-process sharded runtime over the same
@@ -449,110 +442,118 @@ TEST(FleetCoordinator, FactorizationInvariantBugSets) {
 
   for (const auto& [p, j] :
        std::vector<std::pair<size_t, size_t>>{{1, 4}, {2, 2}, {4, 1}}) {
-    FleetCoordinator coordinator(FleetBatchConfig(p, j));
-    const CampaignResult result = coordinator.Run();
+    net::FleetConfig config;
+    config.base = sharded.base;
+    config.processes = p;
+    config.jobs = j;
+    net::FleetServer server(config);
+    const CampaignResult result = RunFleet(&server);
     EXPECT_EQ(BugKeys(result), expected) << "fleet=" << p << " jobs=" << j;
     EXPECT_EQ(result.iterations_run, 12u) << "fleet=" << p << " jobs=" << j;
-    EXPECT_EQ(coordinator.respawns(), 0u);
-    EXPECT_EQ(coordinator.protocol_errors(), 0u);
-    EXPECT_GT(coordinator.fleet_covered_sites(), 0u);
-    EXPECT_FALSE(coordinator.curve().samples().empty());
+    EXPECT_EQ(server.respawns(), 0u);
+    EXPECT_EQ(server.reassigned_slices(), 0u);
+    EXPECT_EQ(server.protocol_errors(), 0u);
+    EXPECT_GT(server.fleet_covered_sites(), 0u);
+    EXPECT_FALSE(server.curve().samples().empty());
   }
-}
-
-TEST(FleetCoordinator, SelfExecWorkerMatchesForkMode) {
-#ifndef SPATTER_BINARY_PATH
-  GTEST_SKIP() << "spatter binary path not configured";
-#else
-  if (!fs::exists(SPATTER_BINARY_PATH)) {
-    GTEST_SKIP() << "spatter binary not built";
-  }
-  FleetConfig fork_mode = FleetBatchConfig(2, 1);
-  FleetCoordinator fork_coordinator(fork_mode);
-  const std::set<faults::FaultId> expected =
-      BugKeys(fork_coordinator.Run());
-
-  FleetConfig exec_mode = FleetBatchConfig(2, 1);
-  exec_mode.exe_path = SPATTER_BINARY_PATH;
-  FleetCoordinator exec_coordinator(exec_mode);
-  const CampaignResult result = exec_coordinator.Run();
-  EXPECT_EQ(BugKeys(result), expected);
-  EXPECT_EQ(exec_coordinator.respawns(), 0u);
-  EXPECT_EQ(exec_coordinator.protocol_errors(), 0u);
-#endif
 }
 
 // --- Crash isolation --------------------------------------------------------
 
-TEST(FleetCoordinator, ScriptedCrashPersistsInflightAndResumes) {
-  const std::string repro_dir = TempDir("inflight");
-  FleetConfig config;
+/// A scripted raw-socket worker: connects to a `--serve` supervisor,
+/// handshakes, and returns the fd once ASSIGN arrived, so the test can
+/// write arbitrary frames and then drop the connection.
+int ScriptedWorker(uint16_t port) {
+  auto fd = net::ConnectWithRetry("127.0.0.1", port, 5.0);
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  if (!fd.ok()) return -1;
+  Frame hello;
+  hello.type = FrameType::kNetHello;
+  hello.proto = kNetProtocolVersion;
+  WriteLine(fd.value(), EncodeFrame(hello));
+  for (;;) {
+    auto frame = net::ReadOneFrame(fd.value());
+    EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+    if (!frame.ok() || frame.value().type == FrameType::kAssign) break;
+  }
+  return fd.value();
+}
+
+/// A real worker that drains whatever the supervisor (re)queues.
+void RealWorker(uint16_t port) {
+  net::FleetClientConfig client;
+  client.port = port;
+  client.connect_retry_seconds = 0.2;
+  EXPECT_EQ(net::RunFleetClient(client), 0);
+}
+
+Frame InflightFrame(uint64_t slice, uint64_t iteration) {
+  Frame inflight;
+  inflight.type = FrameType::kInflight;
+  inflight.dialect = static_cast<uint64_t>(Dialect::kPostgis);
+  inflight.slice = slice;
+  inflight.iteration = iteration;
+  return inflight;
+}
+
+std::vector<fs::path> FilesIn(const std::string& dir, const char* extension) {
+  std::vector<fs::path> files;
+  for (const auto& item : fs::directory_iterator(dir)) {
+    if (item.path().extension() == extension) files.push_back(item.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(FleetSupervisor, ScriptedCrashPersistsInflightAndRerunsIt) {
+  const std::string crash_dir = TempDir("inflight");
+  net::FleetConfig config;
   config.base = SmallConfig(/*seed=*/11, /*iterations=*/3);
   config.processes = 1;
   config.jobs = 1;
-  config.reproducer_dir = repro_dir;
-  config.max_respawns = 2;
+  config.serve = true;
+  config.crash_dir = crash_dir;
+  net::FleetServer server(config);
+  ASSERT_TRUE(server.Start().ok());
 
-  // First incarnation: report one bug, announce iteration 0 in flight,
-  // die without DONE. The respawn (recognizable by its non-empty resume
-  // state) must start at iteration 1 — the crasher is skipped, not
-  // re-run forever — and finish cleanly.
-  config.worker_body_for_test = [](const WorkerOptions& options, int in_fd,
-                                   int out_fd) {
-    (void)in_fd;
-    if (options.completed.empty()) {
-      Frame inflight;
-      inflight.type = FrameType::kInflight;
-      inflight.dialect = 0;
-      inflight.slice = 0;
-      inflight.iteration = 0;
-      WriteLine(out_fd, EncodeFrame(inflight));
-      fuzz::Discrepancy d;
-      d.iteration = 0;
-      d.query_index = 2;
-      d.dialect = Dialect::kPostgis;
-      d.query.table1 = "t0";
-      d.query.table2 = "t1";
-      d.query.predicate = "ST_Covers";
-      d.sdb1.tables.push_back({"t0", {"POINT(1 1)"}});
-      d.sdb1.tables.push_back({"t1", {"POINT(1 1)"}});
-      d.detail = "pre-crash bug";
-      d.fault_hits = {faults::FaultId::kPostgisCoversDisplacementPrecision};
-      auto bug = MakeBugFrame(d, options.base.seed);
-      if (bug.ok()) WriteLine(out_fd, EncodeFrame(bug.value()));
-      return 1;  // die abnormally, no DONE
-    }
-    // Respawned incarnation: resume state must skip the crashed
-    // iteration 0.
-    const auto it = options.completed.find({0, 0});
-    if (it == options.completed.end() || it->second != 1) return 3;
-    return RunWorker(options, in_fd, out_fd);
-  };
+  // The first worker reports one bug with iteration 0 in flight and drops
+  // without DONE; a real worker then runs the requeued assignment — from
+  // iteration 0 again, because no SLICEPROGRESS mark moved.
+  std::thread workers([port = server.port(), seed = config.base.seed] {
+    const int fd = ScriptedWorker(port);
+    if (fd < 0) return;
+    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0, /*iteration=*/0)));
+    fuzz::Discrepancy d;
+    d.iteration = 0;
+    d.query_index = 2;
+    d.dialect = Dialect::kPostgis;
+    d.query.table1 = "t0";
+    d.query.table2 = "t1";
+    d.query.predicate = "ST_Covers";
+    d.sdb1.tables.push_back({"t0", {"POINT(1 1)"}});
+    d.sdb1.tables.push_back({"t1", {"POINT(1 1)"}});
+    d.detail = "pre-crash bug";
+    d.fault_hits = {faults::FaultId::kPostgisCoversDisplacementPrecision};
+    auto bug = MakeBugFrame(d, seed);
+    if (bug.ok()) WriteLine(fd, EncodeFrame(bug.value()));
+    ::close(fd);
+    RealWorker(port);
+  });
+  const CampaignResult result = server.Run();
+  workers.join();
 
-  FleetCoordinator coordinator(config);
-  const CampaignResult result = coordinator.Run();
-
-  EXPECT_EQ(coordinator.respawns(), 1u);
-  // The pre-crash bug survived the worker's death.
+  // The pre-crash bug survived the worker's death, and the in-flight
+  // iteration was re-run rather than skipped.
   EXPECT_TRUE(result.unique_bugs.count(
       faults::FaultId::kPostgisCoversDisplacementPrecision));
-  // The respawned incarnation ran iterations 1 and 2 (0 was skipped).
-  EXPECT_EQ(result.iterations_run, 2u);
+  EXPECT_EQ(result.iterations_run, 3u);
+  EXPECT_EQ(server.reassigned_slices(), 1u);
+  EXPECT_EQ(server.crash_skips(), 0u);
 
   // The in-flight case was persisted and reconstructs iteration 0's
-  // database exactly. The flight recorder rides along: the same crash
-  // leaves a structured trace of the in-flight iteration next to the
-  // reproducer.
-  EXPECT_EQ(coordinator.crash_reproducers_persisted(), 1u);
-  std::vector<fs::path> repros;
-  std::vector<fs::path> flights;
-  for (const auto& item : fs::directory_iterator(repro_dir)) {
-    if (item.path().extension() == ".sptc") {
-      repros.push_back(item.path());
-    } else {
-      flights.push_back(item.path());
-    }
-  }
+  // database exactly; the flight recorder rides along next to it.
+  EXPECT_EQ(server.crash_reproducers_persisted(), 1u);
+  const std::vector<fs::path> repros = FilesIn(crash_dir, ".sptc");
   ASSERT_EQ(repros.size(), 1u);
   std::ifstream in(repros[0], std::ios::binary);
   std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
@@ -565,9 +566,10 @@ TEST(FleetCoordinator, ScriptedCrashPersistsInflightAndResumes) {
       decoded.value().sdb.ToSql(),
       Campaign::GenerateDatabaseFor(config.base, /*iteration=*/0).ToSql());
 
-  // The worker died by exit(1), never sending a TRACE frame, so the dump
-  // is synthesized — and must still be a valid spatter-trace-v1 document
-  // whose events all belong to the crashed iteration.
+  // The worker never sent a TRACE frame, so the dump is synthesized — and
+  // must still be a valid spatter-trace-v1 document whose events all
+  // belong to the crashed iteration.
+  const std::vector<fs::path> flights = FilesIn(crash_dir, ".jsonl");
   ASSERT_EQ(flights.size(), 1u);
   const std::string flight_name = flights[0].filename().string();
   EXPECT_NE(flight_name.find("flight-w0-"), std::string::npos) << flight_name;
@@ -582,64 +584,66 @@ TEST(FleetCoordinator, ScriptedCrashPersistsInflightAndResumes) {
   for (const obs::TraceEvent& ev : trace.value().events) {
     EXPECT_EQ(ev.iteration, 0u);
   }
-  fs::remove_all(repro_dir);
+  fs::remove_all(crash_dir);
 }
 
-TEST(FleetCoordinator, FinishedSlicesAreNotPersistedAsInflight) {
-  const std::string repro_dir = TempDir("slicedone");
-  FleetConfig config;
+TEST(FleetSupervisor, FinishedSlicesAreNotPersistedAsInflight) {
+  const std::string crash_dir = TempDir("slicedone");
+  net::FleetConfig config;
   config.base = SmallConfig(/*seed=*/19, /*iterations=*/4);
   config.processes = 1;
   config.jobs = 2;
-  config.reproducer_dir = repro_dir;
-  config.max_respawns = 0;  // die once, no resume needed for this check
+  config.serve = true;
+  config.crash_dir = crash_dir;
+  net::FleetServer server(config);
+  ASSERT_TRUE(server.Start().ok());
   // Slice 0 announces iteration 0 and finishes cleanly (SLICEDONE);
   // slice 1 announces iteration 1 and the worker dies inside it. Only
   // slice 1's case is genuinely in flight.
-  config.worker_body_for_test = [](const WorkerOptions&, int, int out_fd) {
-    Frame inflight0;
-    inflight0.type = FrameType::kInflight;
-    inflight0.slice = 0;
-    inflight0.iteration = 0;
-    WriteLine(out_fd, EncodeFrame(inflight0));
+  std::thread workers([port = server.port()] {
+    const int fd = ScriptedWorker(port);
+    if (fd < 0) return;
+    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0, /*iteration=*/0)));
     Frame done0;
     done0.type = FrameType::kSliceDone;
+    done0.dialect = static_cast<uint64_t>(Dialect::kPostgis);
     done0.slice = 0;
-    WriteLine(out_fd, EncodeFrame(done0));
-    Frame inflight1;
-    inflight1.type = FrameType::kInflight;
-    inflight1.slice = 1;
-    inflight1.iteration = 1;
-    WriteLine(out_fd, EncodeFrame(inflight1));
-    return 1;  // crash without DONE
-  };
-  FleetCoordinator coordinator(config);
-  coordinator.Run();
-  EXPECT_EQ(coordinator.crash_reproducers_persisted(), 1u);
-  std::vector<std::string> files;
-  for (const auto& item : fs::directory_iterator(repro_dir)) {
-    files.push_back(item.path().filename().string());
-  }
+    WriteLine(fd, EncodeFrame(done0));
+    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/1, /*iteration=*/1)));
+    ::close(fd);
+    RealWorker(port);
+  });
+  const CampaignResult result = server.Run();
+  workers.join();
+  EXPECT_EQ(result.iterations_run, 4u);
+  EXPECT_EQ(server.crash_reproducers_persisted(), 1u);
   // Exactly one reproducer plus its flight trace — nothing for the
   // cleanly finished slice 0.
+  std::vector<std::string> files;
+  for (const auto& item : fs::directory_iterator(crash_dir)) {
+    files.push_back(item.path().filename().string());
+  }
   ASSERT_EQ(files.size(), 2u);
   std::sort(files.begin(), files.end());  // "flight-..." < "inflight-..."
   EXPECT_NE(files[0].find("-i1.trace.jsonl"), std::string::npos)
       << "persisted " << files[0] << ", want slice 1's flight trace";
   EXPECT_NE(files[1].find("i1.sptc"), std::string::npos)
       << "persisted " << files[1] << ", want slice 1's iteration 1";
-  fs::remove_all(repro_dir);
+  fs::remove_all(crash_dir);
 }
 
-TEST(FleetCoordinator, SkipsGarbageFramesWithoutDesync) {
-  FleetConfig config;
+TEST(FleetSupervisor, SkipsGarbageFramesWithoutDesync) {
+  net::FleetConfig config;
   config.base = SmallConfig(/*seed=*/13, /*iterations=*/2);
   config.processes = 1;
   config.jobs = 1;
-  config.worker_body_for_test = [](const WorkerOptions& options, int in_fd,
-                                   int out_fd) {
-    (void)in_fd;
-    WriteLine(out_fd, "complete garbage, not a frame at all\n");
+  config.serve = true;
+  net::FleetServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread worker([port = server.port(), seed = config.base.seed] {
+    const int fd = ScriptedWorker(port);
+    if (fd < 0) return;
+    WriteLine(fd, "complete garbage, not a frame at all\n");
     fuzz::Discrepancy d;
     d.iteration = 1;
     d.dialect = Dialect::kMysql;
@@ -649,61 +653,64 @@ TEST(FleetCoordinator, SkipsGarbageFramesWithoutDesync) {
     d.sdb1.tables.push_back({"t0", {"POINT(0 0)"}});
     d.detail = "bug between garbage";
     d.fault_hits = {faults::FaultId::kMysqlTouchesEmptyCollection};
-    auto bug = MakeBugFrame(d, options.base.seed);
-    if (bug.ok()) WriteLine(out_fd, EncodeFrame(bug.value()));
-    WriteLine(out_fd, "SPTW1 HELLO half a frame\n");
+    auto bug = MakeBugFrame(d, seed);
+    if (bug.ok()) WriteLine(fd, EncodeFrame(bug.value()));
+    WriteLine(fd, "SPTW1 HELLO half a frame\n");
     Frame done;
     done.type = FrameType::kDone;
     done.iterations = 2;
-    WriteLine(out_fd, EncodeFrame(done));
-    return 0;
-  };
-
-  FleetCoordinator coordinator(config);
-  const CampaignResult result = coordinator.Run();
-  EXPECT_EQ(coordinator.protocol_errors(), 2u);
-  EXPECT_EQ(coordinator.respawns(), 0u) << "clean DONE: no respawn";
+    WriteLine(fd, EncodeFrame(done));
+    // Hold the connection until the supervisor says goodbye.
+    (void)net::ReadOneFrame(fd);
+    ::close(fd);
+  });
+  const CampaignResult result = server.Run();
+  worker.join();
+  EXPECT_EQ(server.protocol_errors(), 2u);
+  EXPECT_EQ(server.reassigned_slices(), 0u) << "clean DONE: nothing requeued";
   EXPECT_TRUE(result.unique_bugs.count(
       faults::FaultId::kMysqlTouchesEmptyCollection))
       << "valid frames around garbage still land";
   EXPECT_EQ(result.iterations_run, 2u);
 }
 
-TEST(FleetCoordinator, SigkilledWorkerLosesNoReportedBugs) {
-  // Baseline: the same fleet configuration, unharmed.
-  FleetConfig config;
-  config.base = SmallConfig(/*seed=*/77, /*iterations=*/24);
-  config.base.queries_per_iteration = 40;
-  config.processes = 2;
+TEST(FleetSupervisor, SigkilledLocalWorkerIsRespawnedAndLosesNothing) {
+  CampaignConfig base = SmallConfig(/*seed=*/77, /*iterations=*/24);
+  base.queries_per_iteration = 40;
+  runtime::ShardedCampaignConfig sharded;
+  sharded.base = base;
+  sharded.jobs = 2;
+  runtime::ShardedCampaign reference(sharded);
+  const CampaignResult expected = reference.Run();
+  ASSERT_FALSE(expected.unique_bugs.empty());
+
+  // Deterministic live SIGKILL via the worker fault seam: the only local
+  // child's first incarnation kills itself right after its 10th frame —
+  // always mid-assignment (its 24 iterations write at least INFLIGHT +
+  // SLICEPROGRESS each) and always a real SIGKILL mid-stream.
+  net::FleetConfig config;
+  config.base = base;
+  config.processes = 1;
   config.jobs = 2;
-  config.max_respawns = 4;
-  config.reproducer_dir = TempDir("sigkill");
+  config.crash_dir = TempDir("sigkill");
   config.cov_interval_seconds = 0.02;
-  FleetCoordinator baseline(config);
-  const std::set<faults::FaultId> full = BugKeys(baseline.Run());
-  ASSERT_FALSE(full.empty());
+  config.worker0_die_after_frames = 10;
+  net::FleetServer server(config);
+  const CampaignResult result = RunFleet(&server);
 
-  // Deterministic live SIGKILL via the worker fault seam: worker 0's
-  // first incarnation kills itself right after its 25th frame — always
-  // mid-campaign (its 12 owned iterations write at least INFLIGHT +
-  // SLICEPROGRESS each, plus HELLO, so the clean stream runs longer) and
-  // always a real SIGKILL mid-stream, with no killer-thread timing race.
-  config.worker0_die_after_frames = 25;
-  FleetCoordinator coordinator(config);
-  const CampaignResult result = coordinator.Run();
-
-  EXPECT_EQ(coordinator.respawns(), 1u)
-      << "the seamed worker dies exactly once and is respawned";
-  const std::set<faults::FaultId> got = BugKeys(result);
-  for (faults::FaultId id : got) {
-    EXPECT_TRUE(full.count(id))
-        << "killed run found a bug outside the universe";
-  }
-  // The slice was resumed, so at most the in-flight iterations (one per
-  // slice of the dead worker) are lost to the crash-skip rule.
-  EXPECT_GE(result.iterations_run,
-            24u - config.jobs * coordinator.respawns());
-  fs::remove_all(config.reproducer_dir);
+  EXPECT_EQ(server.respawns(), 1u)
+      << "the seamed child dies exactly once and is respawned";
+  EXPECT_EQ(server.reassigned_slices(), 2u);
+  EXPECT_EQ(server.protocol_errors(), 0u);
+  // The requeue re-ran the in-flight iterations, so nothing is lost: the
+  // bug set, its attribution, and the iteration count are the
+  // uninterrupted run's.
+  EXPECT_EQ(BugKeys(result), BugKeys(expected));
+  EXPECT_EQ(result.UniqueBugsByOracle(), expected.UniqueBugsByOracle());
+  EXPECT_EQ(result.iterations_run, 24u);
+  EXPECT_FALSE(FilesIn(config.crash_dir, ".sptc").empty());
+  EXPECT_FALSE(FilesIn(config.crash_dir, ".jsonl").empty());
+  fs::remove_all(config.crash_dir);
 }
 
 // --- Cross-dialect transfer -------------------------------------------------

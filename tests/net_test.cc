@@ -1,12 +1,12 @@
 // Socket fleet tests: the TCP transport (FrameChannel reassembly under
 // arbitrary byte splits, garbage/oversize resync, handshake reads that
 // never over-read), the NETHELLO version gate, the read-only status
-// endpoint, and the elastic-membership pin — a two-remote-worker socket
-// campaign with one worker SIGKILLed mid-assignment must report the
-// identical unique-bug set (and per-oracle attribution) as an
-// uninterrupted in-process fleet run over the same slice universe, and
-// must leave a flight-recorder dump of the dead worker's in-flight
-// iteration.
+// endpoint (served by `--serve` and local `--fleet` supervisors alike),
+// and the elastic-membership pin — a two-remote-worker socket campaign
+// with one worker SIGKILLed mid-assignment must report the identical
+// unique-bug set (and per-oracle attribution) as an uninterrupted
+// in-process run over the same slice universe, and must leave the dead
+// worker's in-flight reproducer and flight-recorder dump behind.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -23,13 +23,13 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/coordinator.h"
 #include "fleet/wire.h"
 #include "fuzz/campaign.h"
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
 #include "net/socket.h"
 #include "obs/trace.h"
+#include "runtime/sharded_campaign.h"
 
 namespace spatter::net {
 namespace {
@@ -130,15 +130,7 @@ std::vector<Frame> EveryFrameType() {
   done.checks = 1000;
   done.busy_seconds = 2.5;
   done.engine_seconds = 1.25;
-  done.statements = 7;
-  done.pairs = 8;
-  done.index_scans = 9;
-  done.prepared = 10;
   frames.push_back(done);
-
-  Frame stop;
-  stop.type = FrameType::kStop;
-  frames.push_back(stop);
 
   Frame nethello;
   nethello.type = FrameType::kNetHello;
@@ -276,11 +268,11 @@ TEST(FrameChannel, ReassemblesEveryFrameTypeUnderArbitrarySplits) {
 
 TEST(FrameChannel, ResyncsAfterGarbageLines) {
   LoopbackPair pair;
-  Frame stop;
-  stop.type = FrameType::kStop;
+  Frame bye;
+  bye.type = FrameType::kBye;
   const std::string stream = "complete garbage, not a frame\n" +
                              std::string("SPTW1 HELLO half a frame\n") +
-                             EncodeFrame(stop);
+                             EncodeFrame(bye);
   std::thread writer(
       [&pair, &stream] { WriteChunked(pair.client, stream, stream.size()); });
   FrameChannel channel(pair.server);
@@ -290,7 +282,7 @@ TEST(FrameChannel, ResyncsAfterGarbageLines) {
   }
   writer.join();
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].type, FrameType::kStop);
+  EXPECT_EQ(got[0].type, FrameType::kBye);
   EXPECT_EQ(channel.rejected(), 2u) << "both garbage lines counted";
 }
 
@@ -299,10 +291,10 @@ TEST(FrameChannel, DropsOversizedUnterminatedLinesAndRecovers) {
   // reassembly buffer past kMaxFrameBytes; the channel drops the bytes,
   // counts one rejection, and resyncs at the next newline.
   LoopbackPair pair;
-  Frame stop;
-  stop.type = FrameType::kStop;
+  Frame bye;
+  bye.type = FrameType::kBye;
   const std::string oversized(fleet::kMaxFrameBytes + 4096, 'x');
-  const std::string stream = oversized + "\n" + EncodeFrame(stop);
+  const std::string stream = oversized + "\n" + EncodeFrame(bye);
   std::thread writer([&pair, &stream] {
     WriteChunked(pair.client, stream, 65536);
   });
@@ -313,7 +305,7 @@ TEST(FrameChannel, DropsOversizedUnterminatedLinesAndRecovers) {
   }
   writer.join();
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].type, FrameType::kStop);
+  EXPECT_EQ(got[0].type, FrameType::kBye);
   EXPECT_GE(channel.rejected(), 1u);
 }
 
@@ -321,7 +313,8 @@ TEST(FrameChannel, EofAfterBufferedFramesStillDeliversThem) {
   LoopbackPair pair;
   Frame bye;
   bye.type = FrameType::kBye;
-  const std::string stream = EncodeFrame(bye);
+  // A peer that dies mid-line leaves a torn tail after its last frame.
+  const std::string stream = EncodeFrame(bye) + "SPTW1 COV 1.0";
   WriteChunked(pair.client, stream, stream.size());
   ::shutdown(pair.client, SHUT_WR);
   FrameChannel channel(pair.server);
@@ -332,6 +325,7 @@ TEST(FrameChannel, EofAfterBufferedFramesStillDeliversThem) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].type, FrameType::kBye);
   EXPECT_TRUE(channel.eof());
+  EXPECT_EQ(channel.rejected(), 1u) << "the torn tail counts as rejected";
 }
 
 // --- Handshake reads --------------------------------------------------------
@@ -421,11 +415,21 @@ std::string HttpGet(uint16_t port, const std::string& request) {
   return response;
 }
 
+/// Asserts one status-endpoint response: 200, JSON, and `schema_field`.
+void ExpectStatusJson(const std::string& response,
+                      const std::string& schema_field) {
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("Content-Type: application/json"),
+            std::string::npos);
+  EXPECT_NE(response.find(schema_field), std::string::npos) << response;
+}
+
 TEST(FleetServer, StatusEndpointAnswersMidCampaign) {
-  FleetServerConfig config;
+  FleetConfig config;
   config.base = SmallConfig(/*seed=*/555, /*iterations=*/4);
-  config.total_slices = 2;
-  config.slices_per_assign = 2;
+  config.processes = 1;
+  config.jobs = 2;
+  config.serve = true;
   config.serve_status = true;
   config.status_port = 0;  // kernel-picked
   FleetServer server(config);
@@ -437,24 +441,16 @@ TEST(FleetServer, StatusEndpointAnswersMidCampaign) {
 
   // No worker has connected yet, so the campaign is parked mid-flight in
   // the accept loop — exactly when an operator would poke the endpoint.
-  const std::string metrics =
-      HttpGet(server.status_port(), "GET /metrics HTTP/1.0\r\n\r\n");
-  EXPECT_NE(metrics.find("HTTP/1.0 200 OK"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("Content-Type: application/json"), std::string::npos);
-  EXPECT_NE(metrics.find("\"schema\": \"spatter-metrics-v1\""),
-            std::string::npos)
-      << metrics;
-
+  ExpectStatusJson(
+      HttpGet(server.status_port(), "GET /metrics HTTP/1.0\r\n\r\n"),
+      "\"schema\": \"spatter-metrics-v1\"");
   const std::string fleet =
       HttpGet(server.status_port(), "GET /fleet HTTP/1.0\r\n\r\n");
-  EXPECT_NE(fleet.find("HTTP/1.0 200 OK"), std::string::npos) << fleet;
-  EXPECT_NE(fleet.find("\"schema\":\"spatter-fleet-v1\""), std::string::npos);
+  ExpectStatusJson(fleet, "\"schema\":\"spatter-fleet-v1\"");
   EXPECT_NE(fleet.find("\"workers\":["), std::string::npos);
-
-  const std::string bugs =
-      HttpGet(server.status_port(), "GET /bugs HTTP/1.0\r\n\r\n");
-  EXPECT_NE(bugs.find("HTTP/1.0 200 OK"), std::string::npos) << bugs;
-  EXPECT_NE(bugs.find("\"schema\":\"spatter-bugs-v1\""), std::string::npos);
+  ExpectStatusJson(
+      HttpGet(server.status_port(), "GET /bugs HTTP/1.0\r\n\r\n"),
+      "\"schema\":\"spatter-bugs-v1\"");
 
   const std::string missing =
       HttpGet(server.status_port(), "GET /nope HTTP/1.0\r\n\r\n");
@@ -467,20 +463,72 @@ TEST(FleetServer, StatusEndpointAnswersMidCampaign) {
   // Now let a worker drain the campaign so Run() returns.
   FleetClientConfig client;
   client.port = server.port();
-  client.connect_retry_seconds = 2.0;
+  client.connect_retry_seconds = 0.2;
   std::thread worker([&client] { EXPECT_EQ(RunFleetClient(client), 0); });
   serve.join();
   worker.join();
   EXPECT_GE(server.status_requests_served(), 5u);
 }
 
+TEST(FleetServer, LocalFleetAnswersStatusEndpoint) {
+  // A plain local fleet — no --serve — carries the same endpoint. The
+  // scraper is a forked process, so Run() (which forks the local workers)
+  // stays on a single-threaded process.
+  FleetConfig config;
+  config.base = SmallConfig(/*seed=*/555, /*iterations=*/4);
+  config.processes = 2;
+  config.jobs = 1;
+  config.duration_seconds = 2.0;  // keeps the campaign up for the scraper
+  config.serve_status = true;
+  FleetServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_NE(server.status_port(), 0);
+
+  const std::string out =
+      ::testing::TempDir() + "/net_local_status_" + std::to_string(getpid());
+  const pid_t scraper = fork();
+  if (scraper == 0) {
+    ::close_range(3, ~0U, 0);  // hold no copy of the supervisor's sockets
+    std::ofstream file(out, std::ios::binary);
+    for (const char* path : {"/metrics", "/fleet", "/bugs"}) {
+      file << HttpGet(server.status_port(),
+                      std::string("GET ") + path + " HTTP/1.0\r\n\r\n")
+           << "\n=====\n";
+    }
+    file.close();
+    _exit(0);
+  }
+  ASSERT_GT(scraper, 0);
+  const CampaignResult result = server.Run();
+  int status = 0;
+  ASSERT_EQ(::waitpid(scraper, &status, 0), scraper);
+  EXPECT_GT(result.iterations_run, 0u);
+
+  std::ifstream in(out, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::vector<std::string> responses;
+  for (size_t start = 0, end;
+       (end = text.find("\n=====\n", start)) != std::string::npos;
+       start = end + 7) {
+    responses.push_back(text.substr(start, end - start));
+  }
+  ASSERT_EQ(responses.size(), 3u) << text;
+  ExpectStatusJson(responses[0], "\"schema\": \"spatter-metrics-v1\"");
+  ExpectStatusJson(responses[1], "\"schema\":\"spatter-fleet-v1\"");
+  ExpectStatusJson(responses[2], "\"schema\":\"spatter-bugs-v1\"");
+  EXPECT_GE(server.status_requests_served(), 3u);
+  std::filesystem::remove(out);
+}
+
 // --- Version gate -----------------------------------------------------------
 
 TEST(FleetServer, ByesVersionSkewedClientsAndFinishesWithGoodOnes) {
-  FleetServerConfig config;
+  FleetConfig config;
   config.base = SmallConfig(/*seed=*/321, /*iterations=*/4);
-  config.total_slices = 2;
-  config.slices_per_assign = 2;
+  config.processes = 1;
+  config.jobs = 2;
+  config.serve = true;
   FleetServer server(config);
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
@@ -508,7 +556,7 @@ TEST(FleetServer, ByesVersionSkewedClientsAndFinishesWithGoodOnes) {
   // server gone) — the first connect always lands, the listener is live.
   FleetClientConfig client;
   client.port = port;
-  client.connect_retry_seconds = 2.0;
+  client.connect_retry_seconds = 0.2;
   std::thread worker([&client] { EXPECT_EQ(RunFleetClient(client), 0); });
   serve.join();
   worker.join();
@@ -518,26 +566,27 @@ TEST(FleetServer, ByesVersionSkewedClientsAndFinishesWithGoodOnes) {
 // --- Elastic membership pin -------------------------------------------------
 
 TEST(FleetServer, SigkilledWorkerReassignedWithoutChangingTheBugSet) {
-  // Reference: an uninterrupted in-process fleet over the identical
-  // 4-slice universe (2 processes x 2 jobs).
+  // Reference: an uninterrupted in-process run over the identical
+  // 4-slice universe.
   CampaignConfig base = SmallConfig(/*seed=*/77, /*iterations=*/24);
   base.queries_per_iteration = 40;
-  fleet::FleetConfig ref;
+  runtime::ShardedCampaignConfig ref;
   ref.base = base;
-  ref.processes = 2;
-  ref.jobs = 2;
-  fleet::FleetCoordinator baseline(ref);
+  ref.jobs = 4;
+  runtime::ShardedCampaign baseline(ref);
   const CampaignResult expected = baseline.Run();
   ASSERT_FALSE(expected.unique_bugs.empty());
 
-  FleetServerConfig config;
+  FleetConfig config;
   config.base = base;
-  config.total_slices = 4;
-  config.slices_per_assign = 2;
+  config.processes = 2;
+  config.jobs = 2;
+  config.serve = true;
   // A SIGKILLed worker never sends its TRACE ring, so the server must
-  // synthesize the in-flight iteration's trace and persist it here.
-  config.flight_dir = ::testing::TempDir() + "/net_flight_dump";
-  std::filesystem::remove_all(config.flight_dir);
+  // synthesize the in-flight iteration's trace and persist it here, next
+  // to the reconstructed in-flight reproducer.
+  config.crash_dir = ::testing::TempDir() + "/net_flight_dump";
+  std::filesystem::remove_all(config.crash_dir);
   FleetServer server(config);
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
@@ -546,7 +595,7 @@ TEST(FleetServer, SigkilledWorkerReassignedWithoutChangingTheBugSet) {
   // no other thread exists at fork time.
   FleetClientConfig doomed;
   doomed.port = port;
-  doomed.connect_retry_seconds = 2.0;
+  doomed.connect_retry_seconds = 0.2;
   // The worker writes HELLO + at least two frames per iteration, and its
   // first assignment owns 12 iterations: frame 25 always lands
   // mid-assignment, before DONE.
@@ -556,7 +605,7 @@ TEST(FleetServer, SigkilledWorkerReassignedWithoutChangingTheBugSet) {
 
   FleetClientConfig healthy;
   healthy.port = port;
-  healthy.connect_retry_seconds = 2.0;
+  healthy.connect_retry_seconds = 0.2;
   const pid_t survivor_pid = SpawnClient(healthy);
   ASSERT_GE(survivor_pid, 0);
 
@@ -582,16 +631,22 @@ TEST(FleetServer, SigkilledWorkerReassignedWithoutChangingTheBugSet) {
   EXPECT_GE(server.reassigned_slices(), 1u);
   EXPECT_EQ(server.protocol_errors(), 0u);
 
-  // Crash forensics: the dead worker left a flight-recorder dump, and it
-  // decodes as a valid spatter-trace-v1 document with events tagged to
-  // the in-flight iteration.
+  // Crash forensics: the dead worker left an in-flight reproducer and a
+  // flight-recorder dump, which decodes as a valid spatter-trace-v1
+  // document with events tagged to the in-flight iteration.
   std::vector<std::string> dumps;
+  size_t reproducers = 0;
   for (const auto& entry :
-       std::filesystem::directory_iterator(config.flight_dir)) {
-    dumps.push_back(entry.path().string());
+       std::filesystem::directory_iterator(config.crash_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("inflight-w", 0) == 0) reproducers++;
+    if (name.rfind("flight-w", 0) == 0) {
+      dumps.push_back(entry.path().string());
+    }
   }
-  ASSERT_FALSE(dumps.empty()) << "no flight record in " << config.flight_dir;
-  EXPECT_NE(dumps[0].find("flight-w"), std::string::npos);
+  EXPECT_GE(reproducers, 1u) << "no reproducer in " << config.crash_dir;
+  EXPECT_EQ(reproducers, server.crash_reproducers_persisted());
+  ASSERT_FALSE(dumps.empty()) << "no flight record in " << config.crash_dir;
   EXPECT_NE(dumps[0].find(".trace.jsonl"), std::string::npos);
   std::ifstream in(dumps[0], std::ios::binary);
   ASSERT_TRUE(in.good());
