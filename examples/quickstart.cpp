@@ -57,8 +57,9 @@ int main() {
   query.table2 = "t2";
   query.predicate = "ST_Covers";
   const auto transform = algo::AffineTransform::Translation(3, 7);
-  const auto outcome =
-      fuzz::RunAeiCheck(&buggy, sdb1, query, transform, true);
+  fuzz::OracleCtx ctx;
+  ctx.transform = transform;
+  const auto outcome = fuzz::AeiOracle().Check(&buggy, sdb1, query, ctx);
   std::printf("query: %s\ntransform: %s\n", query.ToSql().c_str(),
               transform.ToString().c_str());
   std::printf("outcome: %s %s\n",

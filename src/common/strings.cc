@@ -49,4 +49,17 @@ std::string Join(const std::vector<std::string>& parts,
   return out;
 }
 
+bool ParseU64(const std::string& s, uint64_t* out) {
+  if (s.empty()) return false;
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace spatter

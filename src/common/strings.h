@@ -2,6 +2,7 @@
 #ifndef SPATTER_COMMON_STRINGS_H_
 #define SPATTER_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,12 @@ bool EqualsIgnoreCase(const std::string& s, const std::string& expect);
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
+
+/// Strict unsigned decimal: `s` must be one or more ASCII digits whose
+/// value fits in 64 bits. No sign, whitespace, or trailing characters, so
+/// "", "abc", "12x", "-1" and 2^64 are all rejected. On success stores the
+/// value in `*out`; on failure leaves it untouched.
+bool ParseU64(const std::string& s, uint64_t* out);
 
 }  // namespace spatter
 

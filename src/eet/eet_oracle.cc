@@ -4,7 +4,6 @@
 
 #include "common/coverage.h"
 #include "eet/transform.h"
-#include "fuzz/oracles.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
 
@@ -29,14 +28,12 @@ double BoundFor(const fuzz::DatabaseSpec& sdb, const fuzz::QuerySpec& query) {
 
 }  // namespace
 
-fuzz::OracleOutcome EetOracle::Check(engine::Engine* engine,
-                                     const fuzz::DatabaseSpec& sdb1,
-                                     const fuzz::QuerySpec& query,
-                                     const fuzz::OracleCtx& ctx) {
+fuzz::OracleOutcome EetOracle::Compare(engine::Engine* engine,
+                                       const fuzz::DatabaseSpec& sdb1,
+                                       const fuzz::QuerySpec& query,
+                                       const fuzz::OracleCtx& ctx) {
   SPATTER_COV("oracle", "eet_check");
   fuzz::OracleOutcome out;
-  engine->fault_state().ClearHits();
-
   if (!fuzz::LoadDatabase(engine, sdb1, nullptr).ok()) {
     out.applicable = false;
     return out;
@@ -47,19 +44,8 @@ fuzz::OracleOutcome EetOracle::Check(engine::Engine* engine,
     return out;
   }
   const sql::Statement& stmt = *parsed.value();
-
-  auto base = engine->Execute(stmt);
-  if (!base.ok()) {
-    if (base.status().code() == StatusCode::kCrash) {
-      out.crash = true;
-      out.detail = base.status().ToString();
-      out.fault_hits = engine->fault_state().TakeHits();
-    } else {
-      out.applicable = false;
-    }
-    return out;
-  }
-  const int64_t base_count = base.value().count;
+  const fuzz::CountRun base = fuzz::ReadCount(engine->Execute(stmt));
+  if (!fuzz::AllCounted({base}, &out)) return out;
 
   const double distance_bound = BoundFor(sdb1, query);
   for (int j = 0; j < kNumEetTransforms; ++j) {
@@ -78,29 +64,24 @@ fuzz::OracleOutcome EetOracle::Check(engine::Engine* engine,
     }
     sql::StatementPtr variant = ApplyTransform(id, stmt, distance_bound);
     if (!variant) continue;
-    auto r = engine->Execute(*variant);
-    if (!r.ok()) {
-      if (r.status().code() == StatusCode::kCrash) {
-        out.crash = true;
-        out.detail = std::string(TransformName(id)) + ": " +
-                     r.status().ToString();
-        out.fault_hits = engine->fault_state().TakeHits();
-        return out;
-      }
-      // A rewrite can surface a capability the dialect lacks only at
-      // evaluation time; skipping keeps the oracle free of false alarms.
-      continue;
+    const fuzz::CountRun r = fuzz::ReadCount(engine->Execute(*variant));
+    if (r.crash) {
+      out.crash = true;
+      out.detail = std::string(TransformName(id)) + ": " + r.error;
+      return out;
     }
-    if (r.value().count != base_count) {
+    // A rewrite can surface a capability the dialect lacks only at
+    // evaluation time; skipping keeps the oracle free of false alarms.
+    if (!r.ok) continue;
+    if (r.count != base.count) {
       out.mismatch = true;
       out.detail = std::string(TransformName(id)) + ": base {" +
-                   std::to_string(base_count) + "} vs variant {" +
-                   std::to_string(r.value().count) + "}";
+                   std::to_string(base.count) + "} vs variant {" +
+                   std::to_string(r.count) + "}";
       SPATTER_COV("oracle", "eet_mismatch");
       break;
     }
   }
-  out.fault_hits = engine->fault_state().TakeHits();
   return out;
 }
 

@@ -7,7 +7,7 @@
 
 #include <cstdint>
 
-#include "fuzz/oracle_suite.h"
+#include "fuzz/oracles.h"
 
 namespace spatter::eet {
 
@@ -29,10 +29,12 @@ class EetOracle : public fuzz::Oracle {
   /// The budget samples variants, not whole checks — the suite's generic
   /// every-Nth-query skip must not also apply.
   bool SamplesOwnBudget() const override { return true; }
-  fuzz::OracleOutcome Check(engine::Engine* engine,
-                            const fuzz::DatabaseSpec& sdb1,
-                            const fuzz::QuerySpec& query,
-                            const fuzz::OracleCtx& ctx) override;
+
+ protected:
+  fuzz::OracleOutcome Compare(engine::Engine* engine,
+                              const fuzz::DatabaseSpec& sdb1,
+                              const fuzz::QuerySpec& query,
+                              const fuzz::OracleCtx& ctx) override;
 
  private:
   uint64_t budget_;

@@ -144,13 +144,6 @@ class Engine {
   const std::map<std::string, Table>& tables() const { return tables_; }
   Table* FindTable(const std::string& name);
 
-  /// Evaluates a predicate-like expression over two bound geometries the
-  /// way the join executor does; exposed for the oracles.
-  Result<Value> EvalJoinCondition(const sql::Expr& cond,
-                                  const std::string& alias1, const Row& row1,
-                                  const Table& t1, const std::string& alias2,
-                                  const Row& row2, const Table& t2);
-
  private:
   struct Binding {
     const Table* table;
@@ -168,6 +161,11 @@ class Engine {
   Result<ExecResult> ExecSelectScalar(const sql::Statement& stmt);
 
   Result<Value> Eval(const sql::Expr& expr, const Bindings& bindings);
+  /// Evaluates the join condition over one pair of bound rows.
+  Result<Value> EvalJoinCondition(const sql::Expr& cond,
+                                  const std::string& alias1, const Row& row1,
+                                  const Table& t1, const std::string& alias2,
+                                  const Row& row2, const Table& t2);
   /// Coerces a value to geometry (parsing WKT strings), applying the
   /// dialect's validity policy.
   Result<Value> CoerceGeometry(Value v);

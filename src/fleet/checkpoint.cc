@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/fsio.h"
+#include "common/strings.h"
 #include "engine/dialect.h"
 #include "fleet/wire.h"
 
@@ -194,7 +195,7 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
   const std::vector<std::string> trailer = SplitFrameFields(last);
   uint64_t declared = 0;
   if (trailer.size() != 2 || trailer[0] != kEnd ||
-      !ParseFieldU64(trailer[1], &declared)) {
+      !ParseU64(trailer[1], &declared)) {
     return Malformed("missing end trailer (truncated checkpoint?)");
   }
   if (declared != lines.size() - 2) {
@@ -219,16 +220,16 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
       if (saw_config) return Malformed("duplicate config line");
       if (args != 12) return Malformed("config field count");
       uint64_t mutate = 0;
-      if (!ParseFieldU64(arg(0), &state.seed) ||
-          !ParseFieldU64(arg(1), &state.iterations) ||
-          !ParseFieldU64(arg(2), &state.queries_per_iteration) ||
-          !ParseFieldU64(arg(3), &state.num_geometries) ||
-          !ParseFieldU64(arg(4), &state.total_slices) ||
+      if (!ParseU64(arg(0), &state.seed) ||
+          !ParseU64(arg(1), &state.iterations) ||
+          !ParseU64(arg(2), &state.queries_per_iteration) ||
+          !ParseU64(arg(3), &state.num_geometries) ||
+          !ParseU64(arg(4), &state.total_slices) ||
           !ParseFieldBool01(arg(5), &state.enable_faults) ||
           !ParseFieldBool01(arg(6), &state.derivative_enabled) ||
           !ParseDialects(arg(7), &state.dialects) ||
           !ParseFieldBool01(arg(9), &state.corpus_enabled) ||
-          !ParseFieldU64(arg(10), &mutate) || mutate > 100 ||
+          !ParseU64(arg(10), &mutate) || mutate > 100 ||
           !ParseFieldF64(arg(11), &state.duration_seconds) ||
           state.duration_seconds < 0 || state.total_slices == 0) {
         return Malformed("config fields");
@@ -242,9 +243,9 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
       if (saw_counters) return Malformed("duplicate counters line");
       if (args != 6) return Malformed("counters field count");
       if (!ParseFieldF64(arg(0), &state.elapsed_seconds) ||
-          !ParseFieldU64(arg(1), &state.iterations_run) ||
-          !ParseFieldU64(arg(2), &state.queries_run) ||
-          !ParseFieldU64(arg(3), &state.checks_run) ||
+          !ParseU64(arg(1), &state.iterations_run) ||
+          !ParseU64(arg(2), &state.queries_run) ||
+          !ParseU64(arg(3), &state.checks_run) ||
           !ParseFieldF64(arg(4), &state.busy_seconds) ||
           !ParseFieldF64(arg(5), &state.engine_seconds) ||
           state.elapsed_seconds < 0) {
@@ -254,8 +255,8 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
     } else if (kw == kProgress) {
       if (args != 3) return Malformed("progress field count");
       uint64_t dialect = 0, slice = 0, count = 0;
-      if (!ParseFieldU64(arg(0), &dialect) || !ParseFieldU64(arg(1), &slice) ||
-          !ParseFieldU64(arg(2), &count) ||
+      if (!ParseU64(arg(0), &dialect) || !ParseU64(arg(1), &slice) ||
+          !ParseU64(arg(2), &count) ||
           dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
         return Malformed("progress fields");
       }
@@ -263,7 +264,7 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
     } else if (kw == kBug) {
       if (args < 2) return Malformed("bug field count");
       uint64_t raw_id = 0;
-      if (!ParseFieldU64(arg(0), &raw_id) ||
+      if (!ParseU64(arg(0), &raw_id) ||
           raw_id >= static_cast<uint64_t>(faults::FaultId::kNumFaults)) {
         return Malformed("bug fault id");
       }
@@ -286,15 +287,15 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
       if (args != 4) return Malformed("curve field count");
       CurveSample s;
       if (!ParseFieldF64(arg(0), &s.elapsed_seconds) ||
-          !ParseFieldU64(arg(1), &s.covered_sites) ||
-          !ParseFieldU64(arg(2), &s.unique_bugs) ||
-          !ParseFieldU64(arg(3), &s.iterations)) {
+          !ParseU64(arg(1), &s.covered_sites) ||
+          !ParseU64(arg(2), &s.unique_bugs) ||
+          !ParseU64(arg(3), &s.iterations)) {
         return Malformed("curve fields");
       }
       state.curve.push_back(s);
     } else if (kw == kCorpus) {
       if (args < 3) return Malformed("corpus field count");
-      if (!ParseFieldU64(arg(0), &state.corpus_entries) ||
+      if (!ParseU64(arg(0), &state.corpus_entries) ||
           !ParseSiteKeys(arg(1), &state.corpus_signatures)) {
         return Malformed("corpus manifest");
       }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/strings.h"
 #include "corpus/codec.h"
 
 namespace spatter::fleet {
@@ -32,18 +33,6 @@ std::vector<std::string> SplitFrameFields(const std::string& line) {
     start = space + 1;
   }
   return fields;
-}
-
-bool ParseFieldU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    if (value > (UINT64_MAX - (c - '0')) / 10) return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
 }
 
 bool ParseFieldF64(const std::string& s, double* out) {
@@ -275,19 +264,19 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kHello:
       want = 5;
       if (args != want) return Malformed("HELLO field count");
-      if (!ParseFieldU64(arg(0), &frame.worker) || !ParseFieldU64(arg(1), &frame.pid) ||
-          !ParseFieldU64(arg(2), &frame.slice_offset) ||
-          !ParseFieldU64(arg(3), &frame.slice_count) ||
-          !ParseFieldU64(arg(4), &frame.total_slices)) {
+      if (!ParseU64(arg(0), &frame.worker) || !ParseU64(arg(1), &frame.pid) ||
+          !ParseU64(arg(2), &frame.slice_offset) ||
+          !ParseU64(arg(3), &frame.slice_count) ||
+          !ParseU64(arg(4), &frame.total_slices)) {
         return Malformed("HELLO fields");
       }
       break;
     case FrameType::kInflight:
       want = 3;
       if (args != want) return Malformed("INFLIGHT field count");
-      if (!ParseFieldU64(arg(0), &frame.dialect) ||
-          !ParseFieldU64(arg(1), &frame.slice) ||
-          !ParseFieldU64(arg(2), &frame.iteration)) {
+      if (!ParseU64(arg(0), &frame.dialect) ||
+          !ParseU64(arg(1), &frame.slice) ||
+          !ParseU64(arg(2), &frame.iteration)) {
         return Malformed("INFLIGHT fields");
       }
       if (frame.dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
@@ -297,8 +286,8 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kSliceDone:
       want = 2;
       if (args != want) return Malformed("SLICEDONE field count");
-      if (!ParseFieldU64(arg(0), &frame.dialect) ||
-          !ParseFieldU64(arg(1), &frame.slice)) {
+      if (!ParseU64(arg(0), &frame.dialect) ||
+          !ParseU64(arg(1), &frame.slice)) {
         return Malformed("SLICEDONE fields");
       }
       if (frame.dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
@@ -308,9 +297,9 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kSliceProgress:
       want = 3;
       if (args != want) return Malformed("SLICEPROGRESS field count");
-      if (!ParseFieldU64(arg(0), &frame.dialect) ||
-          !ParseFieldU64(arg(1), &frame.slice) ||
-          !ParseFieldU64(arg(2), &frame.completed)) {
+      if (!ParseU64(arg(0), &frame.dialect) ||
+          !ParseU64(arg(1), &frame.slice) ||
+          !ParseU64(arg(2), &frame.completed)) {
         return Malformed("SLICEPROGRESS fields");
       }
       if (frame.dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
@@ -321,8 +310,8 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       want = 4;
       if (args != want) return Malformed("COV field count");
       if (!ParseFieldF64(arg(0), &frame.elapsed) ||
-          !ParseFieldU64(arg(1), &frame.iterations) ||
-          !ParseFieldU64(arg(2), &frame.queries) ||
+          !ParseU64(arg(1), &frame.iterations) ||
+          !ParseU64(arg(2), &frame.queries) ||
           !ParseSiteKeys(arg(3), &frame.site_keys)) {
         return Malformed("COV fields");
       }
@@ -338,9 +327,9 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kBug: {
       want = 6;
       if (args != want) return Malformed("BUG field count");
-      if (!ParseFieldU64(arg(0), &frame.query_index) ||
+      if (!ParseU64(arg(0), &frame.query_index) ||
           !ParseFieldBool01(arg(1), &frame.is_crash) ||
-          !ParseFieldU64(arg(2), &frame.oracle) ||
+          !ParseU64(arg(2), &frame.oracle) ||
           !ParseFieldF64(arg(3), &frame.elapsed)) {
         return Malformed("BUG fields");
       }
@@ -359,9 +348,9 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kDone:
       want = 5;
       if (args != want) return Malformed("DONE field count");
-      if (!ParseFieldU64(arg(0), &frame.iterations) ||
-          !ParseFieldU64(arg(1), &frame.queries) ||
-          !ParseFieldU64(arg(2), &frame.checks) ||
+      if (!ParseU64(arg(0), &frame.iterations) ||
+          !ParseU64(arg(1), &frame.queries) ||
+          !ParseU64(arg(2), &frame.checks) ||
           !ParseFieldF64(arg(3), &frame.busy_seconds) ||
           !ParseFieldF64(arg(4), &frame.engine_seconds)) {
         return Malformed("DONE fields");
@@ -385,15 +374,15 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kNetHello:
       want = 2;
       if (args != want) return Malformed("NETHELLO field count");
-      if (!ParseFieldU64(arg(0), &frame.proto) ||
-          !ParseFieldU64(arg(1), &frame.pid)) {
+      if (!ParseU64(arg(0), &frame.proto) ||
+          !ParseU64(arg(1), &frame.pid)) {
         return Malformed("NETHELLO fields");
       }
       break;
     case FrameType::kAssign: {
       want = 2;
       if (args != want) return Malformed("ASSIGN field count");
-      if (!ParseFieldU64(arg(0), &frame.worker)) {
+      if (!ParseU64(arg(0), &frame.worker)) {
         return Malformed("ASSIGN fields");
       }
       auto payload = HexDecode(arg(1));
@@ -404,7 +393,7 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kTune:
       want = 1;
       if (args != want) return Malformed("TUNE field count");
-      if (!ParseFieldU64(arg(0), &frame.mutate_pct) ||
+      if (!ParseU64(arg(0), &frame.mutate_pct) ||
           frame.mutate_pct > 100) {
         return Malformed("TUNE mutate_pct");
       }

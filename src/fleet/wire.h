@@ -182,13 +182,11 @@ std::string FormatSiteKeys(const std::vector<uint64_t>& keys);
 bool ParseSiteKeys(const std::string& s, std::vector<uint64_t>* out);
 
 /// Field-level pieces of the wire text grammar, shared with the
-/// checkpoint codec for the same no-drift reason. ParseFieldU64 rejects
-/// empty, non-digit, and overflowing tokens; ParseFieldF64 requires the
-/// whole token to parse; ParseFieldBool01 accepts exactly "0"/"1".
-/// SplitFrameFields splits on single spaces and PRESERVES empty tokens,
-/// so malformed framing fails field-count checks instead of silently
-/// collapsing.
-bool ParseFieldU64(const std::string& s, uint64_t* out);
+/// checkpoint codec for the same no-drift reason (integer fields use the
+/// strict common ParseU64). ParseFieldF64 requires the whole token to
+/// parse; ParseFieldBool01 accepts exactly "0"/"1". SplitFrameFields
+/// splits on single spaces and PRESERVES empty tokens, so malformed
+/// framing fails field-count checks instead of silently collapsing.
 bool ParseFieldF64(const std::string& s, double* out);
 bool ParseFieldBool01(const std::string& s, bool* out);
 std::vector<std::string> SplitFrameFields(const std::string& line);

@@ -131,12 +131,12 @@ int RunWorker(const WorkerOptions& options, int in_fd, int out_fd) {
   // baseline.
   CoverageRegistry::Instance().ResetHits();
   obs::MetricsRegistry::Instance().Reset();
-  // The flight recorder is always armed in workers: the ring is bounded
-  // (last K events per thread) and strictly passive, and a worker that
-  // dies owes the supervisor a narrative. trace_sample thins the
-  // recorded iterations, never the protocol.
+  // The flight recorder is always armed in workers, recording every
+  // iteration: the ring is bounded (last K events per thread) and
+  // strictly passive, and a worker that dies owes the supervisor a
+  // narrative.
   obs::TraceRecorder::Instance().Reset();
-  obs::TraceRecorder::Instance().Enable(options.trace_sample);
+  obs::TraceRecorder::Instance().Enable();
 
   std::vector<engine::Dialect> dialects = options.dialects;
   if (dialects.empty()) dialects.push_back(options.base.dialect);

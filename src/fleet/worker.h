@@ -52,9 +52,6 @@ struct WorkerOptions {
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> completed;
   /// Seconds between COV heartbeats.
   double cov_interval_seconds = 0.2;
-  /// Flight-recorder sampling: record every Nth iteration's events into
-  /// the trace ring (1 = all). The ring itself is always armed.
-  uint64_t trace_sample = 1;
   /// Test-only deterministic fault injection: when > 0, the worker
   /// SIGKILLs itself immediately after writing this many frames — a real
   /// SIGKILL death at a reproducible point in the protocol stream, so

@@ -60,41 +60,17 @@ OracleOutcome RunKnnCheck(engine::Engine* engine, const DatabaseSpec& sdb,
   }
   engine->fault_state().ClearHits();
 
-  // SDB1 ranking. Acceptance masks are intersected as in the AEI check so
-  // both rankings see the same row population.
+  // Acceptance masks are intersected as in the AEI check so both rankings
+  // see the same row population.
   const DatabaseSpec sdb2 = TransformDatabase(sdb, transform,
                                               /*canonicalize=*/true);
-  std::vector<std::vector<bool>> mask1;
-  std::vector<std::vector<bool>> mask2;
-  if (!LoadDatabase(engine, sdb, &mask1).ok() ||
-      !LoadDatabase(engine, sdb2, &mask2).ok()) {
-    out.applicable = false;
-    return out;
-  }
-  // Re-load SDB1 filtered by the intersection.
-  DatabaseSpec f1 = sdb;
-  DatabaseSpec f2 = sdb2;
-  for (size_t t = 0; t < f1.tables.size(); ++t) {
-    std::vector<std::string> keep1;
-    std::vector<std::string> keep2;
-    for (size_t r = 0; r < f1.tables[t].rows.size(); ++r) {
-      const bool ok = t < mask1.size() && r < mask1[t].size() &&
-                      mask1[t][r] && mask2[t][r];
-      if (ok) {
-        keep1.push_back(f1.tables[t].rows[r]);
-        keep2.push_back(f2.tables[t].rows[r]);
-      }
-    }
-    f1.tables[t].rows = std::move(keep1);
-    f2.tables[t].rows = std::move(keep2);
-  }
-
-  if (!LoadDatabase(engine, f1, nullptr).ok()) {
+  const Result<RowMask> keep = AcceptedByBoth(engine, sdb, sdb2);
+  if (!keep.ok() || !LoadDatabase(engine, sdb, nullptr, &keep.value()).ok()) {
     out.applicable = false;
     return out;
   }
   auto r1 = KnnRows(engine, table, query, k);
-  if (!LoadDatabase(engine, f2, nullptr).ok()) {
+  if (!LoadDatabase(engine, sdb2, nullptr, &keep.value()).ok()) {
     out.applicable = false;
     return out;
   }

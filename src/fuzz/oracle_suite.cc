@@ -2,95 +2,12 @@
 
 #include <algorithm>
 
+#include "common/strings.h"
 #include "eet/eet_oracle.h"
-#include "engine/functions.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace spatter::fuzz {
-
-bool Oracle::AppliesTo(const engine::Engine& engine,
-                       const QuerySpec& query) const {
-  (void)engine;
-  (void)query;
-  return true;
-}
-
-OracleKind Oracle::AttributedKind(const OracleCtx& ctx) const {
-  (void)ctx;
-  return Kind();
-}
-
-std::optional<engine::Dialect> Oracle::SecondaryDialect() const {
-  return std::nullopt;
-}
-
-// --- AEI family --------------------------------------------------------------
-
-OracleKind AeiOracle::AttributedKind(const OracleCtx& ctx) const {
-  return ctx.canonical_only ? OracleKind::kCanonicalOnly : OracleKind::kAei;
-}
-
-OracleOutcome AeiOracle::Check(engine::Engine* engine,
-                               const DatabaseSpec& sdb1,
-                               const QuerySpec& query, const OracleCtx& ctx) {
-  return RunAeiCheck(engine, sdb1, query, ctx.transform,
-                     /*canonicalize=*/true);
-}
-
-OracleOutcome CanonicalOnlyOracle::Check(engine::Engine* engine,
-                                         const DatabaseSpec& sdb1,
-                                         const QuerySpec& query,
-                                         const OracleCtx& ctx) {
-  (void)ctx;  // always the identity matrix, whatever the campaign drew
-  return RunAeiCheck(engine, sdb1, query, algo::AffineTransform::Identity(),
-                     /*canonicalize=*/true);
-}
-
-// --- Differential ------------------------------------------------------------
-
-DifferentialOracle::DifferentialOracle(engine::Dialect secondary,
-                                       bool enable_faults)
-    : secondary_(std::make_unique<engine::Engine>(secondary, enable_faults)) {}
-
-bool DifferentialOracle::AppliesTo(const engine::Engine& engine,
-                                   const QuerySpec& query) const {
-  if (query.predicate == "~=") {
-    return engine.traits().has_same_as_operator &&
-           secondary_->traits().has_same_as_operator;
-  }
-  return engine::ResolveFunction(query.predicate, engine.dialect()).ok() &&
-         engine::ResolveFunction(query.predicate, secondary_->dialect()).ok();
-}
-
-std::optional<engine::Dialect> DifferentialOracle::SecondaryDialect() const {
-  return secondary_->dialect();
-}
-
-OracleOutcome DifferentialOracle::Check(engine::Engine* engine,
-                                        const DatabaseSpec& sdb1,
-                                        const QuerySpec& query,
-                                        const OracleCtx& ctx) {
-  (void)ctx;
-  return RunDifferentialCheck(engine, secondary_.get(), sdb1, query);
-}
-
-// --- Index / TLP -------------------------------------------------------------
-
-OracleOutcome IndexOracle::Check(engine::Engine* engine,
-                                 const DatabaseSpec& sdb1,
-                                 const QuerySpec& query,
-                                 const OracleCtx& ctx) {
-  (void)ctx;
-  return RunIndexCheck(engine, sdb1, query);
-}
-
-OracleOutcome TlpOracle::Check(engine::Engine* engine,
-                               const DatabaseSpec& sdb1,
-                               const QuerySpec& query, const OracleCtx& ctx) {
-  (void)ctx;
-  return RunTlpCheck(engine, sdb1, query);
-}
 
 // --- Spec / factory ----------------------------------------------------------
 
@@ -121,33 +38,6 @@ const char* OracleCliToken(OracleKind kind) {
   return "aei";
 }
 
-bool OracleKindIsDeterministic(OracleKind kind) {
-  // Every built-in oracle is deterministic; a backend wrapping a live
-  // external SDBMS would be registered here as the exception.
-  (void)kind;
-  return true;
-}
-
-namespace {
-
-// Strict digits-only u64 (the fleet wire parser's rules, re-stated here
-// because fuzz sits below fleet in the layering).
-bool ParseBudgetU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    if (value > (UINT64_MAX - static_cast<uint64_t>(c - '0')) / 10) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
 Result<OracleSuiteSpec> ParseOracleSuite(const std::string& csv) {
   OracleSuiteSpec spec;
   spec.oracles.clear();
@@ -172,7 +62,7 @@ Result<OracleSuiteSpec> ParseOracleSuite(const std::string& csv) {
     if (slash != std::string::npos) {
       const std::string n = token.substr(slash + 1);
       token = token.substr(0, slash);
-      if (token == "all" || !ParseBudgetU64(n, &budget) || budget == 0) {
+      if (token == "all" || !ParseU64(n, &budget) || budget == 0) {
         return Status::InvalidArgument("bad oracle budget suffix '/" + n +
                                        "' (want /N with N >= 1)");
       }
@@ -218,35 +108,6 @@ Result<OracleSuiteSpec> ParseOracleSuite(const std::string& csv) {
     return Status::InvalidArgument("--oracles needs at least one oracle");
   }
   return spec;
-}
-
-Status ApplyOracleBudget(OracleSuiteSpec* spec, const std::string& value) {
-  const size_t colon = value.find(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument(
-        "--oracle-budget wants name:1/N (e.g. tlp:1/8)");
-  }
-  const std::string name = value.substr(0, colon);
-  std::string rate = value.substr(colon + 1);
-  // Accept both "1/N" (the documented rate form) and a bare "N".
-  if (rate.rfind("1/", 0) == 0) rate = rate.substr(2);
-  uint64_t every = 0;
-  if (!ParseBudgetU64(rate, &every) || every == 0) {
-    return Status::InvalidArgument("bad --oracle-budget rate '" + rate +
-                                   "' (want 1/N with N >= 1)");
-  }
-  for (OracleKind kind : spec->oracles) {
-    if (name == OracleCliToken(kind)) {
-      if (every >= 2) {
-        spec->budgets[kind] = every;
-      } else {
-        spec->budgets.erase(kind);
-      }
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("--oracle-budget names '" + name +
-                                 "', which is not in the oracle suite");
 }
 
 std::string FormatOracleSuite(const OracleSuiteSpec& spec) {

@@ -1,35 +1,14 @@
-// The pluggable oracle-suite API: every test oracle of the paper's Table 4
-// — AEI (the contribution), canonicalization-only, cross-dialect
-// differential, index on/off, and TLP — behind one `Oracle` interface, so
-// the campaign loop, the reducer, replay, and the fleet tier treat "which
-// oracle judged this query" as configuration instead of hard-wiring AEI.
-//
-// Contracts an implementation declares:
-//   - Kind()/Name(): stable identity; Name() doubles as the CLI token for
-//     `--oracles=aei,diff,index,tlp,eet`.
-//   - AppliesTo(): cheap static applicability (e.g. differential requires
-//     the predicate to exist in both dialects). Check() may still return
-//     an inapplicable outcome for input-dependent reasons.
-//   - IsDeterministic(): Check() is a pure function of (engine state, sdb,
-//     query, ctx). Every built-in oracle is deterministic — this is what
-//     makes reduction and replay trustworthy; a future backend wrapping a
-//     real external SDBMS would return false and opt out of both.
-//   - Check() must not draw from the campaign RNG: input construction owns
-//     the random stream, oracles only judge. This is the property that
-//     keeps multi-oracle campaigns bug-set-invariant across any
-//     processes x jobs factorization of the sharded runtime.
-//
-// Engine-time accounting: a Check() runs on the campaign's primary engine,
-// so its cost lands in the Figure-7 SDBMS split as before. The
-// DifferentialOracle's secondary engine is owned by the oracle and its
-// execution time is NOT folded into the primary's EngineStats — the
-// Figure-7 split stays a property of the system under test.
+// The pluggable oracle-suite API: which of the paper's Table 4 oracles
+// (fuzz/oracles.h) — plus canonicalization-only and EET — a campaign runs,
+// so the campaign loop, the reducer, replay, and the fleet tier treat
+// "which oracle judged this query" as configuration instead of hard-wiring
+// AEI. Covers the `--oracles=` spec and its budgets, the oracle factory,
+// and OracleSuite, which runs the configured oracles on one query.
 #ifndef SPATTER_FUZZ_ORACLE_SUITE_H_
 #define SPATTER_FUZZ_ORACLE_SUITE_H_
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,125 +16,6 @@
 #include "fuzz/oracles.h"
 
 namespace spatter::fuzz {
-
-/// Per-query context the campaign hands every oracle. Only the AEI family
-/// reads it today (the transform is drawn by input construction so the
-/// random stream is oracle-independent), but it is the extension point for
-/// future oracles that need campaign-side state.
-struct OracleCtx {
-  algo::AffineTransform transform = algo::AffineTransform::Identity();
-  /// The campaign's canonicalization-only coin for this query (paper §4.3:
-  /// canonicalization is AEI with the identity matrix). When set,
-  /// `transform` is the identity and AEI findings are attributed to
-  /// OracleKind::kCanonicalOnly.
-  bool canonical_only = false;
-  /// Global ordinal of this query: iteration * queries_per_iteration + q.
-  /// Oracle budgets sample off it — a pure function of the iteration
-  /// index, never the campaign RNG, so a budgeted suite keeps the
-  /// jobs/fleet factorization invariance.
-  uint64_t query_ordinal = 0;
-};
-
-class Oracle {
- public:
-  virtual ~Oracle() = default;
-
-  /// Stable CLI token ("aei", "canon", "diff", "index", "tlp").
-  virtual const char* Name() const = 0;
-  virtual OracleKind Kind() const = 0;
-
-  /// Static applicability: can this oracle pose `query` at all against
-  /// `engine`'s dialect? Default: yes.
-  virtual bool AppliesTo(const engine::Engine& engine,
-                         const QuerySpec& query) const;
-
-  /// Whether Check() is a pure function of its inputs. Reduction and
-  /// replay only trust deterministic oracles.
-  virtual bool IsDeterministic() const { return true; }
-
-  /// Whether the oracle applies its own /N budget inside Check() (the EET
-  /// oracle samples its per-query variant loop). When true, the suite's
-  /// generic every-Nth-query skip does not apply — the budget reaches the
-  /// oracle through MakeOracle instead.
-  virtual bool SamplesOwnBudget() const { return false; }
-
-  /// Oracle kind a discrepancy from this check is attributed to. The AEI
-  /// oracle splits itself into kAei / kCanonicalOnly on ctx.
-  virtual OracleKind AttributedKind(const OracleCtx& ctx) const;
-
-  /// Second system under test, when the oracle compares two (differential
-  /// only); lets reproducers and the reducer rebuild the exact check.
-  virtual std::optional<engine::Dialect> SecondaryDialect() const;
-
-  /// Judges one (database, query) pair on `engine`. Must not mutate any
-  /// state other than the engine(s) it loads, and must not consume
-  /// campaign randomness.
-  virtual OracleOutcome Check(engine::Engine* engine, const DatabaseSpec& sdb1,
-                              const QuerySpec& query,
-                              const OracleCtx& ctx) = 0;
-};
-
-/// AEI (paper Figure 5): SDB2 = transform(canonicalize(SDB1)), counts must
-/// match. Attributes to kCanonicalOnly when ctx says the transform is the
-/// campaign's identity-matrix special case.
-class AeiOracle : public Oracle {
- public:
-  const char* Name() const override { return "aei"; }
-  OracleKind Kind() const override { return OracleKind::kAei; }
-  OracleKind AttributedKind(const OracleCtx& ctx) const override;
-  OracleOutcome Check(engine::Engine* engine, const DatabaseSpec& sdb1,
-                      const QuerySpec& query, const OracleCtx& ctx) override;
-};
-
-/// Canonicalization as a standalone oracle: AEI pinned to the identity
-/// matrix on every query (no coin). Useful for isolating representation
-/// bugs from transform bugs.
-class CanonicalOnlyOracle : public Oracle {
- public:
-  const char* Name() const override { return "canon"; }
-  OracleKind Kind() const override { return OracleKind::kCanonicalOnly; }
-  OracleOutcome Check(engine::Engine* engine, const DatabaseSpec& sdb1,
-                      const QuerySpec& query, const OracleCtx& ctx) override;
-};
-
-/// Cross-dialect differential testing. Owns its secondary engine (the
-/// second SDBMS of the comparison), so a campaign shard can run it without
-/// any engine plumbing — and a future real-SDBMS backend would subclass
-/// this shape.
-class DifferentialOracle : public Oracle {
- public:
-  DifferentialOracle(engine::Dialect secondary, bool enable_faults);
-  const char* Name() const override { return "diff"; }
-  OracleKind Kind() const override { return OracleKind::kDifferential; }
-  bool AppliesTo(const engine::Engine& engine,
-                 const QuerySpec& query) const override;
-  std::optional<engine::Dialect> SecondaryDialect() const override;
-  OracleOutcome Check(engine::Engine* engine, const DatabaseSpec& sdb1,
-                      const QuerySpec& query, const OracleCtx& ctx) override;
-
-  engine::Engine& secondary_engine() { return *secondary_; }
-
- private:
-  std::unique_ptr<engine::Engine> secondary_;
-};
-
-/// Index on/off differential on one engine.
-class IndexOracle : public Oracle {
- public:
-  const char* Name() const override { return "index"; }
-  OracleKind Kind() const override { return OracleKind::kIndex; }
-  OracleOutcome Check(engine::Engine* engine, const DatabaseSpec& sdb1,
-                      const QuerySpec& query, const OracleCtx& ctx) override;
-};
-
-/// Ternary Logic Partitioning.
-class TlpOracle : public Oracle {
- public:
-  const char* Name() const override { return "tlp"; }
-  OracleKind Kind() const override { return OracleKind::kTlp; }
-  OracleOutcome Check(engine::Engine* engine, const DatabaseSpec& sdb1,
-                      const QuerySpec& query, const OracleCtx& ctx) override;
-};
 
 /// Which oracles a campaign runs, in order. The default — AEI alone — is
 /// the pre-suite campaign bit-for-bit: same RNG stream, same bug set.
@@ -167,10 +27,9 @@ struct OracleSuiteSpec {
   /// degenerates to an engine against itself.
   engine::Dialect diff_secondary = engine::Dialect::kMysql;
   /// Per-oracle check budgets: an entry (kind, N) with N >= 2 runs that
-  /// oracle only on queries whose global ordinal is a multiple of N
-  /// (`--oracle-budget=tlp:1/8`, or the "tlp/8" token form inside
-  /// `--oracles=`). Absent entry = every query. Only N >= 2 is stored so
-  /// Parse/Format round-trip canonically.
+  /// oracle only on queries whose global ordinal is a multiple of N (the
+  /// "tlp/8" token form inside `--oracles=`). Absent entry = every query.
+  /// Only N >= 2 is stored so Parse/Format round-trip canonically.
   std::map<OracleKind, uint64_t> budgets;
 };
 
@@ -187,21 +46,11 @@ engine::Dialect EffectiveDiffSecondary(const OracleSuiteSpec& spec,
 /// unknown tokens are errors.
 Result<OracleSuiteSpec> ParseOracleSuite(const std::string& csv);
 
-/// Applies one `--oracle-budget=name:1/N` value to an already-parsed
-/// suite: `name` must be the CLI token of an oracle in the suite, and the
-/// oracle then runs only on every Nth query (N == 1 clears the budget).
-Status ApplyOracleBudget(OracleSuiteSpec* spec, const std::string& value);
-
-/// Inverse of ParseOracleSuite (round-trips through the fleet's worker
-/// spawn args).
+/// Inverse of ParseOracleSuite (round-trips through checkpoints).
 std::string FormatOracleSuite(const OracleSuiteSpec& spec);
 
 /// The CLI token for one kind ("aei", "canon", ...).
 const char* OracleCliToken(OracleKind kind);
-
-/// Whether `kind`'s built-in oracle is deterministic (see
-/// Oracle::IsDeterministic) without constructing one.
-bool OracleKindIsDeterministic(OracleKind kind);
 
 /// Builds one oracle for a campaign on `primary`. The differential oracle
 /// gets EffectiveDiffSecondary(spec, primary) and `enable_faults` for its

@@ -1,130 +1,129 @@
 #include "fuzz/oracles.h"
 
 #include "common/coverage.h"
+#include "engine/functions.h"
 #include "fuzz/aei.h"
 #include "sql/parser.h"
 
 namespace spatter::fuzz {
 
+// --- Shared check pieces -----------------------------------------------------
+
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
-                    std::vector<std::vector<bool>>* accepted) {
+                    RowMask* accepted, const RowMask* keep) {
   engine->Reset();
   if (accepted) accepted->clear();
-  for (const auto& table : sdb.tables) {
-    SPATTER_RETURN_NOT_OK(
-        engine->Execute("CREATE TABLE " + table.name + " (g geometry);")
-            .status());
-    if (sdb.with_index) {
-      SPATTER_RETURN_NOT_OK(
-          engine
-              ->Execute("CREATE INDEX idx_" + table.name + " ON " +
-                        table.name + " USING GIST (g);")
-              .status());
+  for (size_t t = 0; t < sdb.tables.size(); ++t) {
+    const TableSql sql = RenderTable(sdb.tables[t], sdb.with_index);
+    for (const std::string& ddl : sql.ddl) {
+      SPATTER_RETURN_NOT_OK(engine->Execute(ddl).status());
     }
     std::vector<bool> mask;
-    for (const auto& wkt : table.rows) {
-      std::string quoted;
-      for (char c : wkt) {
-        quoted += c;
-        if (c == '\'') quoted += '\'';
+    for (size_t r = 0; r < sql.inserts.size(); ++r) {
+      if (keep && !(*keep)[t][r]) {
+        mask.push_back(false);
+        continue;
       }
-      auto r = engine->Execute("INSERT INTO " + table.name + " (g) VALUES ('" +
-                               quoted + "');");
-      if (!r.ok() && r.status().code() == StatusCode::kCrash) {
-        return r.status();
+      auto result = engine->Execute(sql.inserts[r]);
+      if (!result.ok() && result.status().code() == StatusCode::kCrash) {
+        return result.status();
       }
       // Validity rejections are expected for random-shape inputs; the
       // fuzzer ignores them (paper §4.1).
-      mask.push_back(r.ok());
+      mask.push_back(result.ok());
     }
     if (accepted) accepted->push_back(std::move(mask));
   }
   return Status::OK();
 }
 
-namespace {
-
-DatabaseSpec FilterRows(const DatabaseSpec& sdb,
-                        const std::vector<std::vector<bool>>& mask) {
-  DatabaseSpec out;
-  out.with_index = sdb.with_index;
-  for (size_t t = 0; t < sdb.tables.size(); ++t) {
-    TableSpec table{sdb.tables[t].name, {}};
-    for (size_t r = 0; r < sdb.tables[t].rows.size(); ++r) {
-      if (t < mask.size() && r < mask[t].size() && mask[t][r]) {
-        table.rows.push_back(sdb.tables[t].rows[r]);
-      }
-    }
-    out.tables.push_back(std::move(table));
-  }
-  return out;
-}
-
-std::vector<std::vector<bool>> IntersectMasks(
-    const std::vector<std::vector<bool>>& a,
-    const std::vector<std::vector<bool>>& b) {
-  std::vector<std::vector<bool>> out = a;
-  for (size_t t = 0; t < out.size() && t < b.size(); ++t) {
-    for (size_t r = 0; r < out[t].size() && r < b[t].size(); ++r) {
-      out[t][r] = out[t][r] && b[t][r];
+Result<RowMask> AcceptedByBoth(engine::Engine* engine, const DatabaseSpec& sdb1,
+                               const DatabaseSpec& sdb2) {
+  RowMask both;
+  RowMask mask2;
+  SPATTER_RETURN_NOT_OK(LoadDatabase(engine, sdb1, &both));
+  SPATTER_RETURN_NOT_OK(LoadDatabase(engine, sdb2, &mask2));
+  for (size_t t = 0; t < both.size(); ++t) {
+    for (size_t r = 0; r < both[t].size(); ++r) {
+      both[t][r] = both[t][r] && mask2[t][r];
     }
   }
-  return out;
+  return both;
 }
 
-// Runs a query against a loaded engine; normalizes the outcome.
-struct QueryRun {
-  bool ok = false;
-  bool crash = false;
-  int64_t count = 0;
-  std::string error;
-};
-
-QueryRun RunCountQuery(engine::Engine* engine, const std::string& sql) {
-  QueryRun run;
-  auto r = engine->Execute(sql);
-  if (!r.ok()) {
-    run.crash = r.status().code() == StatusCode::kCrash;
-    run.error = r.status().ToString();
+CountRun ReadCount(const Result<engine::ExecResult>& result) {
+  CountRun run;
+  if (!result.ok()) {
+    run.crash = result.status().code() == StatusCode::kCrash;
+    run.error = result.status().ToString();
     return run;
   }
   run.ok = true;
-  run.count = r.value().count;
+  run.count = result.value().count;
   return run;
 }
 
-}  // namespace
+bool AllCounted(std::initializer_list<CountRun> runs, OracleOutcome* out) {
+  for (const CountRun& run : runs) {
+    if (run.crash) {
+      out->crash = true;
+      out->detail = run.error;
+      return false;
+    }
+  }
+  for (const CountRun& run : runs) {
+    if (!run.ok) {
+      out->applicable = false;
+      return false;
+    }
+  }
+  return true;
+}
 
-OracleOutcome RunAeiCheck(engine::Engine* engine, const DatabaseSpec& sdb1,
-                          const QuerySpec& query,
-                          const algo::AffineTransform& transform,
-                          bool canonicalize) {
-  SPATTER_COV("oracle", canonicalize ? "aei_check" : "aei_check_plain");
-  OracleOutcome out;
+// --- The bracket -------------------------------------------------------------
+
+Oracle::Oracle(std::unique_ptr<engine::Engine> secondary)
+    : secondary_(std::move(secondary)) {}
+
+OracleKind Oracle::AttributedKind(const OracleCtx& ctx) const {
+  (void)ctx;
+  return Kind();
+}
+
+std::optional<engine::Dialect> Oracle::SecondaryDialect() const {
+  if (!secondary_) return std::nullopt;
+  return secondary_->dialect();
+}
+
+OracleOutcome Oracle::Check(engine::Engine* engine, const DatabaseSpec& sdb1,
+                            const QuerySpec& query, const OracleCtx& ctx) {
   engine->fault_state().ClearHits();
+  if (secondary_) secondary_->fault_state().ClearHits();
+  OracleOutcome out = Compare(engine, sdb1, query, ctx);
+  out.fault_hits = engine->fault_state().TakeHits();
+  if (secondary_) out.fault_hits.merge(secondary_->fault_state().TakeHits());
+  return out;
+}
 
-  const DatabaseSpec sdb2 = TransformDatabase(sdb1, transform, canonicalize);
+// --- AEI family --------------------------------------------------------------
 
-  // Acceptance masks from both sides, then the intersected reload.
-  std::vector<std::vector<bool>> mask1;
-  std::vector<std::vector<bool>> mask2;
-  Status st = LoadDatabase(engine, sdb1, &mask1);
-  if (!st.ok()) {
-    out.crash = st.code() == StatusCode::kCrash;
-    out.detail = st.ToString();
-    out.fault_hits = engine->fault_state().TakeHits();
+namespace {
+
+// The AEI check (paper Figure 5) under `transform`: SDB2 is the transform
+// of canonicalized SDB1, and both filtered databases must count the same.
+OracleOutcome CompareAffine(engine::Engine* engine, const DatabaseSpec& sdb1,
+                            const QuerySpec& query,
+                            const algo::AffineTransform& transform) {
+  SPATTER_COV("oracle", "aei_check");
+  OracleOutcome out;
+  const DatabaseSpec sdb2 =
+      TransformDatabase(sdb1, transform, /*canonicalize=*/true);
+  const Result<RowMask> keep = AcceptedByBoth(engine, sdb1, sdb2);
+  if (!keep.ok()) {
+    out.crash = keep.status().code() == StatusCode::kCrash;
+    out.detail = keep.status().ToString();
     return out;
   }
-  st = LoadDatabase(engine, sdb2, &mask2);
-  if (!st.ok()) {
-    out.crash = st.code() == StatusCode::kCrash;
-    out.detail = st.ToString();
-    out.fault_hits = engine->fault_state().TakeHits();
-    return out;
-  }
-  const auto mask = IntersectMasks(mask1, mask2);
-  const DatabaseSpec f1 = FilterRows(sdb1, mask);
-  const DatabaseSpec f2 = FilterRows(sdb2, mask);
 
   // Distance-based predicates and the bounding-box operator ~= are only
   // invariant under similarity transforms; the SDB2 query carries the
@@ -142,22 +141,11 @@ OracleOutcome RunAeiCheck(engine::Engine* engine, const DatabaseSpec& sdb1,
     query2.distance = query.distance * *scale;
   }
 
-  if (!LoadDatabase(engine, f1, nullptr).ok()) return out;
-  const QueryRun r1 = RunCountQuery(engine, query.ToSql());
-  if (!LoadDatabase(engine, f2, nullptr).ok()) return out;
-  const QueryRun r2 = RunCountQuery(engine, query2.ToSql());
-
-  out.fault_hits = engine->fault_state().TakeHits();
-  if (r1.crash || r2.crash) {
-    out.crash = true;
-    out.detail = r1.crash ? r1.error : r2.error;
-    return out;
-  }
-  if (!r1.ok || !r2.ok) {
-    // Unsupported predicate etc.: not judgeable.
-    out.applicable = false;
-    return out;
-  }
+  if (!LoadDatabase(engine, sdb1, nullptr, &keep.value()).ok()) return out;
+  const CountRun r1 = ReadCount(engine->Execute(query.ToSql()));
+  if (!LoadDatabase(engine, sdb2, nullptr, &keep.value()).ok()) return out;
+  const CountRun r2 = ReadCount(engine->Execute(query2.ToSql()));
+  if (!AllCounted({r1, r2}, &out)) return out;
   if (r1.count != r2.count) {
     out.mismatch = true;
     out.detail = "{" + std::to_string(r1.count) + "} vs {" +
@@ -167,166 +155,144 @@ OracleOutcome RunAeiCheck(engine::Engine* engine, const DatabaseSpec& sdb1,
   return out;
 }
 
-OracleOutcome RunDifferentialCheck(engine::Engine* primary,
-                                   engine::Engine* secondary,
-                                   const DatabaseSpec& sdb,
-                                   const QuerySpec& query) {
+}  // namespace
+
+OracleKind AeiOracle::AttributedKind(const OracleCtx& ctx) const {
+  return ctx.canonical_only ? OracleKind::kCanonicalOnly : OracleKind::kAei;
+}
+
+OracleOutcome AeiOracle::Compare(engine::Engine* engine,
+                                 const DatabaseSpec& sdb1,
+                                 const QuerySpec& query, const OracleCtx& ctx) {
+  return CompareAffine(engine, sdb1, query, ctx.transform);
+}
+
+OracleOutcome CanonicalOnlyOracle::Compare(engine::Engine* engine,
+                                           const DatabaseSpec& sdb1,
+                                           const QuerySpec& query,
+                                           const OracleCtx& ctx) {
+  (void)ctx;  // always the identity matrix, whatever the campaign drew
+  return CompareAffine(engine, sdb1, query, algo::AffineTransform::Identity());
+}
+
+// --- Differential ------------------------------------------------------------
+
+DifferentialOracle::DifferentialOracle(engine::Dialect secondary,
+                                       bool enable_faults)
+    : Oracle(std::make_unique<engine::Engine>(secondary, enable_faults)) {}
+
+OracleOutcome DifferentialOracle::Compare(engine::Engine* engine,
+                                          const DatabaseSpec& sdb1,
+                                          const QuerySpec& query,
+                                          const OracleCtx& ctx) {
+  (void)ctx;
   SPATTER_COV("oracle", "differential_check");
   OracleOutcome out;
   // Function availability: the predicate must exist in both dialects,
   // otherwise the expected result cannot be constructed (paper §1).
-  if (query.predicate != "~=") {
-    for (engine::Engine* e : {primary, secondary}) {
-      auto fn = engine::ResolveFunction(query.predicate, e->dialect());
-      if (!fn.ok()) {
-        out.applicable = false;
-        return out;
-      }
+  for (const engine::Engine* e : {engine, secondary_.get()}) {
+    const bool available =
+        query.predicate == "~="
+            ? e->traits().has_same_as_operator
+            : engine::ResolveFunction(query.predicate, e->dialect()).ok();
+    if (!available) {
+      out.applicable = false;
+      return out;
     }
-  } else if (!primary->traits().has_same_as_operator ||
-             !secondary->traits().has_same_as_operator) {
-    out.applicable = false;
-    return out;
   }
 
-  primary->fault_state().ClearHits();
-  secondary->fault_state().ClearHits();
   const std::string sql = query.ToSql();
-  QueryRun r1;
-  QueryRun r2;
-  if (LoadDatabase(primary, sdb, nullptr).ok()) {
-    r1 = RunCountQuery(primary, sql);
+  CountRun r1;
+  CountRun r2;
+  if (LoadDatabase(engine, sdb1, nullptr).ok()) {
+    r1 = ReadCount(engine->Execute(sql));
   }
-  if (LoadDatabase(secondary, sdb, nullptr).ok()) {
-    r2 = RunCountQuery(secondary, sql);
+  if (LoadDatabase(secondary_.get(), sdb1, nullptr).ok()) {
+    r2 = ReadCount(secondary_->Execute(sql));
   }
-  for (engine::Engine* e : {primary, secondary}) {
-    for (auto id : e->fault_state().TakeHits()) out.fault_hits.insert(id);
-  }
-  if (r1.crash || r2.crash) {
-    out.crash = true;
-    out.detail = r1.crash ? r1.error : r2.error;
-    return out;
-  }
-  if (!r1.ok || !r2.ok) {
-    out.applicable = false;
-    return out;
-  }
+  if (!AllCounted({r1, r2}, &out)) return out;
   if (r1.count != r2.count) {
     out.mismatch = true;
-    out.detail = std::string(engine::DialectName(primary->dialect())) + " {" +
+    out.detail = std::string(engine::DialectName(engine->dialect())) + " {" +
                  std::to_string(r1.count) + "} vs " +
-                 engine::DialectName(secondary->dialect()) + " {" +
+                 engine::DialectName(secondary_->dialect()) + " {" +
                  std::to_string(r2.count) + "}";
   }
   return out;
 }
 
-OracleOutcome RunIndexCheck(engine::Engine* engine, const DatabaseSpec& sdb,
-                            const QuerySpec& query) {
+// --- Index / TLP -------------------------------------------------------------
+
+OracleOutcome IndexOracle::Compare(engine::Engine* engine,
+                                   const DatabaseSpec& sdb1,
+                                   const QuerySpec& query,
+                                   const OracleCtx& ctx) {
+  (void)ctx;
   SPATTER_COV("oracle", "index_check");
   OracleOutcome out;
-  engine->fault_state().ClearHits();
   const std::string sql = query.ToSql();
-
-  DatabaseSpec without = sdb;
-  without.with_index = false;
-  DatabaseSpec with = sdb;
-  with.with_index = true;
-
-  QueryRun r1;
-  QueryRun r2;
-  if (LoadDatabase(engine, without, nullptr).ok()) {
-    r1 = RunCountQuery(engine, sql);
-  }
-  if (LoadDatabase(engine, with, nullptr).ok()) {
-    r2 = RunCountQuery(engine, sql);
-  }
-  out.fault_hits = engine->fault_state().TakeHits();
-  if (r1.crash || r2.crash) {
-    out.crash = true;
-    out.detail = r1.crash ? r1.error : r2.error;
-    return out;
-  }
-  if (!r1.ok || !r2.ok) {
-    out.applicable = false;
-    return out;
-  }
-  if (r1.count != r2.count) {
+  DatabaseSpec sdb = sdb1;
+  auto count_with_index = [&](bool with_index) {
+    sdb.with_index = with_index;
+    CountRun run;
+    if (LoadDatabase(engine, sdb, nullptr).ok()) {
+      run = ReadCount(engine->Execute(sql));
+    }
+    return run;
+  };
+  const CountRun seqscan = count_with_index(false);
+  const CountRun indexed = count_with_index(true);
+  if (!AllCounted({seqscan, indexed}, &out)) return out;
+  if (seqscan.count != indexed.count) {
     out.mismatch = true;
-    out.detail = "seqscan {" + std::to_string(r1.count) + "} vs index {" +
-                 std::to_string(r2.count) + "}";
+    out.detail = "seqscan {" + std::to_string(seqscan.count) +
+                 "} vs index {" + std::to_string(indexed.count) + "}";
   }
   return out;
 }
 
-OracleOutcome RunTlpCheck(engine::Engine* engine, const DatabaseSpec& sdb,
-                          const QuerySpec& query) {
+OracleOutcome TlpOracle::Compare(engine::Engine* engine,
+                                 const DatabaseSpec& sdb1,
+                                 const QuerySpec& query, const OracleCtx& ctx) {
+  (void)ctx;
   SPATTER_COV("oracle", "tlp_check");
   OracleOutcome out;
-  engine->fault_state().ClearHits();
-
-  std::vector<std::vector<bool>> mask;
-  if (!LoadDatabase(engine, sdb, &mask).ok()) {
+  RowMask accepted;
+  if (!LoadDatabase(engine, sdb1, &accepted).ok()) {
     out.applicable = false;
     return out;
   }
   // Cross-join cardinality over accepted rows.
   int64_t rows1 = 0;
   int64_t rows2 = 0;
-  for (const auto& table : sdb.tables) {
-    size_t accepted = 0;
-    const size_t t_idx = &table - sdb.tables.data();
-    for (bool ok : mask[t_idx]) {
-      if (ok) accepted++;
-    }
-    if (table.name == query.table1) rows1 = static_cast<int64_t>(accepted);
-    if (table.name == query.table2) rows2 = static_cast<int64_t>(accepted);
+  for (size_t t = 0; t < sdb1.tables.size(); ++t) {
+    int64_t rows = 0;
+    for (bool ok : accepted[t]) rows += ok;
+    if (sdb1.tables[t].name == query.table1) rows1 = rows;
+    if (sdb1.tables[t].name == query.table2) rows2 = rows;
   }
   const int64_t total = rows1 * rows2;
 
   // Partitioning queries: P, NOT P, P IS UNKNOWN.
-  const std::string base = query.ToSql();
-  auto parsed = sql::ParseStatement(base);
+  auto parsed = sql::ParseStatement(query.ToSql());
   if (!parsed.ok()) {
     out.applicable = false;
     return out;
   }
   const sql::Statement& stmt = *parsed.value();
-
-  auto run_with = [&](sql::ExprPtr cond) -> QueryRun {
+  auto run_with = [&](sql::ExprPtr cond) {
     sql::Statement q;
     q.kind = sql::Statement::Kind::kSelectCountJoin;
     q.table = stmt.table;
     q.table2 = stmt.table2;
     q.condition = std::move(cond);
-    QueryRun run;
-    auto r = engine->Execute(q);
-    if (!r.ok()) {
-      run.crash = r.status().code() == StatusCode::kCrash;
-      run.error = r.status().ToString();
-      return run;
-    }
-    run.ok = true;
-    run.count = r.value().count;
-    return run;
+    return ReadCount(engine->Execute(q));
   };
-
-  const QueryRun rp = run_with(stmt.condition->Clone());
-  const QueryRun rn = run_with(sql::Expr::MakeNot(stmt.condition->Clone()));
-  const QueryRun ru =
+  const CountRun rp = run_with(stmt.condition->Clone());
+  const CountRun rn = run_with(sql::Expr::MakeNot(stmt.condition->Clone()));
+  const CountRun ru =
       run_with(sql::Expr::MakeIsUnknown(stmt.condition->Clone()));
-
-  out.fault_hits = engine->fault_state().TakeHits();
-  if (rp.crash || rn.crash || ru.crash) {
-    out.crash = true;
-    out.detail = rp.crash ? rp.error : (rn.crash ? rn.error : ru.error);
-    return out;
-  }
-  if (!rp.ok || !rn.ok || !ru.ok) {
-    out.applicable = false;
-    return out;
-  }
+  if (!AllCounted({rp, rn, ru}, &out)) return out;
   const int64_t sum = rp.count + rn.count + ru.count;
   if (sum != total) {
     out.mismatch = true;

@@ -143,10 +143,7 @@ Discrepancy ReduceDiscrepancy(engine::Engine* engine, const Discrepancy& d,
   SPATTER_METRIC_INC("campaign.reductions");
   // Rebuild the DETECTING oracle (differential finds get their recorded
   // secondary dialect, matching the primary's faultiness): a candidate is
-  // only "smaller" if it still fails the check that found the bug. A
-  // non-deterministic oracle's check cannot anchor a reduction — return
-  // the original input rather than minimize against noise.
-  if (!OracleKindIsDeterministic(d.oracle)) return d;
+  // only "smaller" if it still fails the check that found the bug.
   const std::unique_ptr<Oracle> oracle = MakeDetectingOracle(
       d.oracle, engine->dialect(), d.diff_secondary,
       /*enable_faults=*/!engine->fault_state().Enabled().empty());

@@ -24,23 +24,33 @@ const char* OracleKindName(OracleKind k) {
   return "Unknown";
 }
 
+TableSql RenderTable(const TableSpec& table, bool with_index) {
+  TableSql sql;
+  sql.ddl.push_back("CREATE TABLE " + table.name + " (g geometry);");
+  if (with_index) {
+    sql.ddl.push_back("CREATE INDEX idx_" + table.name + " ON " + table.name +
+                      " USING GIST (g);");
+  }
+  const std::string prefix = "INSERT INTO " + table.name + " (g) VALUES ('";
+  sql.inserts.reserve(table.rows.size());
+  for (const auto& wkt : table.rows) {
+    std::string insert = prefix;
+    for (char c : wkt) {
+      insert += c;
+      if (c == '\'') insert += '\'';
+    }
+    insert += "');";
+    sql.inserts.push_back(std::move(insert));
+  }
+  return sql;
+}
+
 std::vector<std::string> DatabaseSpec::ToSql() const {
   std::vector<std::string> out;
   for (const auto& table : tables) {
-    out.push_back("CREATE TABLE " + table.name + " (g geometry);");
-    if (with_index) {
-      out.push_back("CREATE INDEX idx_" + table.name + " ON " + table.name +
-                    " USING GIST (g);");
-    }
-    for (const auto& wkt : table.rows) {
-      std::string quoted;
-      for (char c : wkt) {
-        if (c == '\'') quoted += "''";
-        else quoted += c;
-      }
-      out.push_back("INSERT INTO " + table.name + " (g) VALUES ('" + quoted +
-                    "');");
-    }
+    TableSql sql = RenderTable(table, with_index);
+    for (auto& stmt : sql.ddl) out.push_back(std::move(stmt));
+    for (auto& stmt : sql.inserts) out.push_back(std::move(stmt));
   }
   return out;
 }

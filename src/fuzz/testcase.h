@@ -42,6 +42,17 @@ struct TableSpec {
   std::vector<std::string> rows;  // WKT per row
 };
 
+/// The statements that build one table, in load order: `ddl` (CREATE
+/// TABLE, then CREATE INDEX when indexed) before `inserts`, one INSERT per
+/// row. DatabaseSpec::ToSql and LoadDatabase both print through
+/// RenderTable, so a printed reproducer is exactly what a check executed.
+struct TableSql {
+  std::vector<std::string> ddl;
+  std::vector<std::string> inserts;  ///< aligned with TableSpec::rows
+};
+
+TableSql RenderTable(const TableSpec& table, bool with_index);
+
 /// One generated spatial database (SDB1 or SDB2).
 struct DatabaseSpec {
   std::vector<TableSpec> tables;

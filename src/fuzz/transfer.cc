@@ -20,8 +20,9 @@ std::vector<uint64_t> ReplayCoverageSites(engine::Engine* engine,
   CoverageRegistry::BeginTrace();
   const Status load = LoadDatabase(engine, sdb, nullptr);
   if (load.ok() && entry.has_query) {
-    RunAeiCheck(engine, sdb, entry.query, entry.transform,
-                /*canonicalize=*/true);
+    OracleCtx ctx;
+    ctx.transform = entry.transform;
+    AeiOracle().Check(engine, sdb, entry.query, ctx);
   }
   std::vector<uint64_t> keys = CoverageRegistry::Instance().KeysOf(
       CoverageRegistry::TakeTrace(), Campaign::HarnessCoverageModules());

@@ -32,11 +32,6 @@ void StatementCache::EvictOne() {
   lru_.pop_back();
 }
 
-void StatementCache::Clear() {
-  lru_.clear();
-  by_sql_.clear();
-}
-
 size_t StatementCache::SetCapacity(size_t capacity) {
   capacity_ = capacity;
   size_t evicted = 0;

@@ -33,9 +33,6 @@ class StatementCache {
   bool Insert(const std::string& sql,
               std::shared_ptr<const Statement> stmt);
 
-  /// Drops every entry; capacity is preserved.
-  void Clear();
-
   /// Resizes the cache, evicting LRU entries if shrinking below the
   /// current size. Returns the number of entries evicted.
   size_t SetCapacity(size_t capacity);

@@ -47,6 +47,7 @@
 
 #include "common/coverage.h"
 #include "common/fsio.h"
+#include "common/strings.h"
 #include "corpus/codec.h"
 #include "engine/engine.h"
 #include "fleet/checkpoint.h"
@@ -94,10 +95,6 @@ struct Options {
   uint16_t serve_port = 0;       // 0 = kernel-picked ephemeral port
   std::string connect_hostport;  // non-empty = remote worker mode
 
-  // --oracle-budget values, applied after the parse loop so they compose
-  // with --oracles in either flag order.
-  std::vector<std::string> oracle_budgets;
-
   // Telemetry (strictly passive: never draws campaign RNG, status goes
   // to stderr so the bug-set stdout contract is untouched).
   double status_interval = 0.0;  // seconds; 0 = no live status line
@@ -134,9 +131,6 @@ void Usage() {
       "                    detecting oracle); a name/N suffix (tlp/8)\n"
       "                    budgets that oracle to every Nth query (for eet:\n"
       "                    every Nth variant of its per-query loop)\n"
-      "  --oracle-budget=NAME:1/N  run oracle NAME on every Nth query only\n"
-      "                    (deterministic off the iteration index, so the\n"
-      "                    factorization invariance holds; N=1 clears it)\n"
       "  --fleet=P         fork P worker processes x --jobs slices each,\n"
       "                    supervised over loopback TCP; a dead worker's\n"
       "                    slices are requeued and its in-flight case\n"
@@ -249,7 +243,10 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
         opts->dialect = dialect.value();
       }
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      opts->seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseU64(value, &opts->seed)) {
+        std::fprintf(stderr, "--seed must be an unsigned 64-bit integer\n");
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--iterations", &value)) {
       opts->iterations = std::strtoul(value.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--queries", &value)) {
@@ -267,8 +264,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
         return false;
       }
       opts->oracles = spec.Take();
-    } else if (ParseFlag(argv[i], "--oracle-budget", &value)) {
-      opts->oracle_budgets.push_back(value);
     } else if (ParseFlag(argv[i], "--serve", &value)) {
       size_t port = 0;
       if (!ParseSize(value, "--serve", 65535, &port)) return false;
@@ -392,15 +387,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-      return false;
-    }
-  }
-  // Budgets amend the suite, so they apply after the whole parse — a
-  // `--oracle-budget=tlp:1/8 --oracles=all` order must not be an error.
-  for (const std::string& budget : opts->oracle_budgets) {
-    const Status st = fuzz::ApplyOracleBudget(&opts->oracles, budget);
-    if (!st.ok()) {
-      std::fprintf(stderr, "--oracle-budget: %s\n", st.ToString().c_str());
       return false;
     }
   }
@@ -983,11 +969,7 @@ int main(int argc, char** argv) {
   std::vector<fuzz::Discrepancy> reduced(firsts.size());
   std::vector<size_t> to_reduce;
   for (size_t i = 0; i < firsts.size(); ++i) {
-    // Only deterministic detecting oracles can anchor a delta reduction
-    // (every built-in oracle is; the declaration exists for future
-    // external-SDBMS backends).
-    if (opts.reduce && !firsts[i].second->is_crash &&
-        fuzz::OracleKindIsDeterministic(firsts[i].second->oracle)) {
+    if (opts.reduce && !firsts[i].second->is_crash) {
       to_reduce.push_back(i);
     } else {
       reduced[i] = *firsts[i].second;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/coverage.h"
+#include "common/strings.h"
 #include "corpus/codec.h"
 #include "fleet/curve.h"
 #include "fleet/wire.h"
@@ -105,6 +106,23 @@ TEST(Wire, HexRoundTripAndRejection) {
   EXPECT_FALSE(HexDecode("abc").ok()) << "odd length";
   EXPECT_FALSE(HexDecode("zz").ok()) << "non-hex";
   EXPECT_FALSE(HexDecode("AB").ok()) << "uppercase is not emitted";
+}
+
+TEST(Wire, ParseU64AcceptsOnlyPlainDecimal) {
+  // The one integer parser of the wire and checkpoint codecs, the oracle
+  // budget suffix, and --seed.
+  uint64_t value = 7;
+  for (const char* bad : {"", "abc", "12x", "-1", "+1", " 1", "1 ",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseU64(bad, &value)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(value, 7u) << "a rejected token leaves the output untouched";
+  ASSERT_TRUE(ParseU64("0", &value));
+  EXPECT_EQ(value, 0u);
+  ASSERT_TRUE(ParseU64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  ASSERT_TRUE(ParseU64("0042", &value));
+  EXPECT_EQ(value, 42u);
 }
 
 TEST(Wire, EveryFrameTypeRoundTrips) {

@@ -17,6 +17,12 @@ namespace {
 
 using engine::Dialect;
 
+OracleCtx Under(const algo::AffineTransform& transform) {
+  OracleCtx ctx;
+  ctx.transform = transform;
+  return ctx;
+}
+
 TEST(Generator, DeterministicFromSeed) {
   for (bool derivative : {false, true}) {
     GeneratorConfig config;
@@ -115,7 +121,7 @@ TEST(Oracles, AeiCleanEngineNeverMismatches) {
       const QuerySpec query = gen.RandomQuery(sdb);
       const auto transform = RandomIntegerAffine(&rng);
       const OracleOutcome o =
-          RunAeiCheck(&clean, sdb, query, transform, true);
+          AeiOracle().Check(&clean, sdb, query, Under(transform));
       EXPECT_FALSE(o.mismatch)
           << query.ToSql() << " under " << transform.ToString() << ": "
           << o.detail;
@@ -137,7 +143,7 @@ TEST(Oracles, AeiDetectsListing1ScenarioViaTranslation) {
   q.table2 = "t2";
   q.predicate = "ST_Covers";
   const auto shift = algo::AffineTransform::Translation(3, 7);
-  const OracleOutcome o = RunAeiCheck(&faulty, sdb, q, shift, true);
+  const OracleOutcome o = AeiOracle().Check(&faulty, sdb, q, Under(shift));
   EXPECT_TRUE(o.mismatch) << o.detail;
   EXPECT_TRUE(o.fault_hits.count(
       faults::FaultId::kPostgisCoversDisplacementPrecision));
@@ -155,13 +161,13 @@ TEST(Oracles, DifferentialDetectsOwnEngineBugButMissesSharedOne) {
   q.table2 = "t2";
   q.predicate = "ST_Overlaps";
   engine::Engine pg(Dialect::kPostgis, true);
-  engine::Engine my(Dialect::kMysql, true);
-  engine::Engine duck(Dialect::kDuckdbSpatial, true);
+  DifferentialOracle vs_mysql(Dialect::kMysql, true);
+  DifferentialOracle vs_duckdb(Dialect::kDuckdbSpatial, true);
 
   // ST_Covers is unavailable in MySQL: differential is inapplicable.
   QuerySpec covers = q;
   covers.predicate = "ST_Covers";
-  const auto na = RunDifferentialCheck(&pg, &my, sdb, covers);
+  const auto na = vs_mysql.Check(&pg, sdb, covers, OracleCtx{});
   EXPECT_FALSE(na.applicable);
 
   // Listing 6's GEOS bug: PostGIS and DuckDB agree on the wrong answer.
@@ -173,11 +179,11 @@ TEST(Oracles, DifferentialDetectsOwnEngineBugButMissesSharedOne) {
   within.table1 = "t1";
   within.table2 = "t2";
   within.predicate = "ST_Within";
-  const auto shared = RunDifferentialCheck(&pg, &duck, gc_db, within);
+  const auto shared = vs_duckdb.Check(&pg, gc_db, within, OracleCtx{});
   EXPECT_TRUE(shared.applicable);
   EXPECT_FALSE(shared.mismatch)
       << "both GEOS-backed systems return the same wrong answer";
-  const auto visible = RunDifferentialCheck(&pg, &my, gc_db, within);
+  const auto visible = vs_mysql.Check(&pg, gc_db, within, OracleCtx{});
   EXPECT_TRUE(visible.applicable);
   EXPECT_TRUE(visible.mismatch);
 }
@@ -191,12 +197,12 @@ TEST(Oracles, IndexOracleDetectsGistEmptyBug) {
   q.table1 = "t1";
   q.table2 = "t2";
   q.predicate = "~=";
-  const auto o = RunIndexCheck(&faulty, sdb, q);
+  const auto o = IndexOracle().Check(&faulty, sdb, q, OracleCtx{});
   EXPECT_TRUE(o.mismatch) << o.detail;
   EXPECT_TRUE(o.fault_hits.count(faults::FaultId::kPostgisGistEmptySameAs));
 
   engine::Engine clean(Dialect::kPostgis, false);
-  const auto ok = RunIndexCheck(&clean, sdb, q);
+  const auto ok = IndexOracle().Check(&clean, sdb, q, OracleCtx{});
   EXPECT_FALSE(ok.mismatch);
 }
 
@@ -209,7 +215,7 @@ TEST(Oracles, TlpHoldsOnCleanEngine) {
   const DatabaseSpec sdb = gen.Generate(nullptr);
   for (int i = 0; i < 15; ++i) {
     const QuerySpec q = gen.RandomQuery(sdb);
-    const auto o = RunTlpCheck(&clean, sdb, q);
+    const auto o = TlpOracle().Check(&clean, sdb, q, OracleCtx{});
     if (!o.applicable) continue;
     EXPECT_FALSE(o.mismatch) << q.ToSql() << ": " << o.detail;
   }
@@ -297,7 +303,8 @@ TEST(Reducer, ShrinksListing7Database) {
       "t2",
       {"GEOMETRYCOLLECTION(MULTIPOINT((0 0),(3 1)))",
        "MULTIPOINT((3 1),(0 0))", "POINT(9 9)"}});
-  const auto check = RunAeiCheck(&faulty, d.sdb1, d.query, d.transform, true);
+  const auto check =
+      AeiOracle().Check(&faulty, d.sdb1, d.query, Under(d.transform));
   ASSERT_TRUE(check.mismatch) << check.detail;
 
   ReductionStats stats;
@@ -306,7 +313,7 @@ TEST(Reducer, ShrinksListing7Database) {
   EXPECT_GT(stats.checks, 0u);
   // The reduced case must still reproduce.
   const auto again =
-      RunAeiCheck(&faulty, reduced.sdb1, d.query, d.transform, true);
+      AeiOracle().Check(&faulty, reduced.sdb1, d.query, Under(d.transform));
   EXPECT_TRUE(again.mismatch);
   // The duplicate candidate pair is essential to the bug: at least two
   // rows must survive in t2.
@@ -340,6 +347,17 @@ TEST(Oracles, LoadDatabaseMasksInvalidRows) {
   engine::Engine my(Dialect::kMysql, false);
   ASSERT_TRUE(LoadDatabase(&my, sdb, &accepted).ok());
   EXPECT_EQ(accepted[0], (std::vector<bool>{true, true, true}));
+
+  // The filtered reload: only rows both sides accept are inserted, and
+  // the others count as not accepted.
+  DatabaseSpec other = sdb;
+  other.tables[0].rows[0] = "POLYGON((0 0,1 1,0 1,1 0,0 0))";
+  const Result<RowMask> keep = AcceptedByBoth(&pg, sdb, other);
+  ASSERT_TRUE(keep.ok());
+  EXPECT_EQ(keep.value()[0], (std::vector<bool>{false, false, true}));
+  ASSERT_TRUE(LoadDatabase(&pg, sdb, &accepted, &keep.value()).ok());
+  EXPECT_EQ(accepted[0], (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(pg.FindTable("t1")->rows.size(), 1u);
 }
 
 }  // namespace

@@ -100,8 +100,8 @@ TEST(Integration, FixedEnginesNeverDisagreeAcrossDialects) {
   // query applicable to two dialects must return identical counts. This
   // pins down that the dialect layer only varies surface, not semantics.
   engine::Engine pg(Dialect::kPostgis, false);
-  engine::Engine duck(Dialect::kDuckdbSpatial, false);
-  engine::Engine my(Dialect::kMysql, false);
+  DifferentialOracle vs_duckdb(Dialect::kDuckdbSpatial, false);
+  DifferentialOracle vs_mysql(Dialect::kMysql, false);
   Rng rng(5150);
   GeneratorConfig config;
   config.num_geometries = 8;
@@ -111,7 +111,7 @@ TEST(Integration, FixedEnginesNeverDisagreeAcrossDialects) {
     const DatabaseSpec sdb = gen.Generate(nullptr);
     for (int q = 0; q < 20; ++q) {
       const QuerySpec query = gen.RandomQuery(sdb);
-      const auto o1 = RunDifferentialCheck(&pg, &duck, sdb, query);
+      const auto o1 = vs_duckdb.Check(&pg, sdb, query, OracleCtx{});
       if (o1.applicable) {
         EXPECT_FALSE(o1.mismatch) << query.ToSql() << ": " << o1.detail;
         compared++;
@@ -119,7 +119,7 @@ TEST(Integration, FixedEnginesNeverDisagreeAcrossDialects) {
       // PostGIS vs MySQL: validity-policy differences may legitimately
       // change the loaded rows, so only queries over fully valid data
       // must agree; the check itself must simply not crash.
-      const auto o2 = RunDifferentialCheck(&pg, &my, sdb, query);
+      const auto o2 = vs_mysql.Check(&pg, sdb, query, OracleCtx{});
       EXPECT_FALSE(o2.crash);
     }
   }
@@ -135,8 +135,10 @@ TEST(Integration, ReducedCasesStayFailingAndSmall) {
     ReductionStats stats;
     const Discrepancy reduced = ReduceDiscrepancy(&replay, d, &stats);
     EXPECT_LE(reduced.sdb1.TotalRows(), d.sdb1.TotalRows());
-    const auto check = RunAeiCheck(&replay, reduced.sdb1, reduced.query,
-                                   reduced.transform, true);
+    OracleCtx ctx;
+    ctx.transform = reduced.transform;
+    const auto check =
+        AeiOracle().Check(&replay, reduced.sdb1, reduced.query, ctx);
     EXPECT_TRUE(check.mismatch || check.crash)
         << "reduction lost the failure";
     // Every reduced geometry is still parseable WKT and WKB-serializable.

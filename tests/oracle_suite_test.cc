@@ -1,13 +1,17 @@
 // Oracle-suite tests: the pluggable Oracle interface, campaign-level
 // index/TLP/differential runs, per-oracle bug attribution, the
 // bit-identical-default regression (the AEI-only suite must reproduce the
-// pre-redesign campaign exactly), oracle-aware reduction, and the
-// codec/wire plumbing that carries the detecting oracle to reproducers.
+// pre-redesign campaign exactly), oracle-aware reduction, the
+// codec/wire plumbing that carries the detecting oracle to reproducers,
+// and a golden pin of every oracle's per-check outcome.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "corpus/codec.h"
 #include "fleet/wire.h"
+#include "fuzz/aei.h"
 #include "fuzz/campaign.h"
+#include "fuzz/generator.h"
 #include "fuzz/oracle_suite.h"
 #include "fuzz/reducer.h"
 #include "runtime/sharded_campaign.h"
@@ -127,7 +131,6 @@ TEST(OracleSuite, DifferentialOracleOwnsItsSecondaryEngine) {
                  /*enable_faults=*/true, spec);
   ASSERT_TRUE(oracle->SecondaryDialect().has_value());
   EXPECT_EQ(*oracle->SecondaryDialect(), Dialect::kMysql);
-  EXPECT_TRUE(oracle->IsDeterministic());
 
   engine::Engine pg(Dialect::kPostgis, true);
   DatabaseSpec gc_db;
@@ -138,16 +141,14 @@ TEST(OracleSuite, DifferentialOracleOwnsItsSecondaryEngine) {
   within.table1 = "t1";
   within.table2 = "t2";
   within.predicate = "ST_Within";
-  ASSERT_TRUE(oracle->AppliesTo(pg, within));
   const OracleOutcome o = oracle->Check(&pg, gc_db, within, OracleCtx{});
   EXPECT_TRUE(o.applicable);
   EXPECT_TRUE(o.mismatch) << o.detail;
 
-  // ST_Covers is missing in MySQL: the static applicability declaration
-  // says so before any engine work happens.
+  // ST_Covers is missing in MySQL: the check is inapplicable.
   QuerySpec covers = within;
   covers.predicate = "ST_Covers";
-  EXPECT_FALSE(oracle->AppliesTo(pg, covers));
+  EXPECT_FALSE(oracle->Check(&pg, gc_db, covers, OracleCtx{}).applicable);
 }
 
 TEST(OracleSuite, IndexOracleCampaignFindsAndAttributesIndexBugs) {
@@ -257,7 +258,8 @@ TEST(OracleSuite, ReducerReChecksWithDetectingOracle) {
       "t1", {"POINT EMPTY", "POINT(5 5)", "LINESTRING(0 0,2 2)"}});
   d.sdb1.tables.push_back(TableSpec{
       "t2", {"POINT EMPTY", "POLYGON((0 0,4 0,4 4,0 4,0 0))"}});
-  const auto check = RunIndexCheck(&faulty, d.sdb1, d.query);
+  IndexOracle index;
+  const auto check = index.Check(&faulty, d.sdb1, d.query, OracleCtx{});
   ASSERT_TRUE(check.mismatch) << check.detail;
 
   ReductionStats stats;
@@ -265,7 +267,7 @@ TEST(OracleSuite, ReducerReChecksWithDetectingOracle) {
       &faulty, d, &stats, faults::FaultId::kPostgisGistEmptySameAs);
   EXPECT_LT(reduced.sdb1.TotalRows(), d.sdb1.TotalRows());
   EXPECT_GT(stats.checks, 0u);
-  const auto again = RunIndexCheck(&faulty, reduced.sdb1, d.query);
+  const auto again = index.Check(&faulty, reduced.sdb1, d.query, OracleCtx{});
   EXPECT_TRUE(again.mismatch) << "minimized repro must still fail the "
                                  "detecting oracle";
   EXPECT_TRUE(again.fault_hits.count(faults::FaultId::kPostgisGistEmptySameAs));
@@ -412,7 +414,6 @@ TEST(OracleSuite, EetFindSurvivesReductionAndReplaysWithEetOracle) {
   const auto oracle = MakeDetectingOracle(
       OracleKind::kEet, d.dialect, d.diff_secondary, /*enable_faults=*/false);
   EXPECT_STREQ(oracle->Name(), "eet");
-  EXPECT_TRUE(oracle->IsDeterministic());
   EXPECT_TRUE(oracle->SamplesOwnBudget());
   const OracleOutcome before =
       oracle->Check(&engine, d.sdb1, d.query, OracleCtx{});
@@ -483,6 +484,100 @@ TEST(OracleSuite, CanonicalOnlyOracleIgnoresDrawnTransform) {
   const OracleOutcome o = canon.Check(&clean, sdb, q, ctx);
   EXPECT_TRUE(o.applicable);
   EXPECT_FALSE(o.mismatch) << o.detail;
+}
+
+// FNV-1a, fed integers as little-endian bytes so the pinned value does
+// not depend on the host.
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ull;
+  void Byte(unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  void Int(uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      Byte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+  }
+  void Str(const std::string& s) {
+    Int(s.size(), 8);
+    for (char c : s) Byte(static_cast<unsigned char>(c));
+  }
+  void Outcome(const OracleOutcome& o) {
+    Byte(o.applicable);
+    Byte(o.mismatch);
+    Byte(o.crash);
+    Str(o.detail);
+    Int(o.fault_hits.size(), 8);
+    for (faults::FaultId id : o.fault_hits) Int(static_cast<uint32_t>(id), 4);
+  }
+};
+
+TEST(OracleGolden, PerCheckOutcomesArePinned) {
+  // Every oracle kind judges the same fixed-seed inputs on all four
+  // dialects, faults on and off. Databases, index coins, queries and
+  // transforms are drawn in the campaign's order (Campaign::RunIteration)
+  // on the engine that judges them. Each outcome's verdict, detail text
+  // and fault ids fold into one hash, so a refactor of the check path that
+  // changes any single verdict or detail fails here, even when the
+  // campaign's first-detection bug-set lines stay the same.
+  constexpr uint64_t kSeed = 9001;
+  constexpr size_t kIterations = 3;
+  constexpr size_t kQueries = 10;
+  const OracleKind kinds[] = {
+      OracleKind::kAei,   OracleKind::kCanonicalOnly, OracleKind::kDifferential,
+      OracleKind::kIndex, OracleKind::kTlp,           OracleKind::kEet};
+  const CampaignConfig campaign;  // the campaign's index and canon coins
+  Fnv1a hash;
+  size_t checks = 0, inapplicable = 0, mismatches = 0, crashes = 0;
+  for (const bool faulty : {true, false}) {
+    for (int d = 0; d < engine::kNumDialects; ++d) {
+      const auto dialect = static_cast<Dialect>(d);
+      engine::Engine engine(dialect, faulty);
+      std::vector<std::unique_ptr<Oracle>> oracles;
+      for (OracleKind kind : kinds) {
+        oracles.push_back(MakeOracle(kind, dialect, faulty, OracleSuiteSpec{}));
+      }
+      Rng rng(kSeed);
+      GeometryAwareGenerator generator(GeneratorConfig{}, &rng, &engine);
+      for (size_t i = 0; i < kIterations; ++i) {
+        rng.Seed(Rng::SplitSeed(kSeed, i));
+        engine.Reset();
+        DatabaseSpec sdb1 = generator.Generate(nullptr);
+        sdb1.with_index = rng.Percent(campaign.index_pct);
+        for (size_t q = 0; q < kQueries; ++q) {
+          const QuerySpec query = generator.RandomQuery(sdb1);
+          OracleCtx ctx;
+          ctx.canonical_only = rng.Percent(campaign.canonical_only_pct);
+          const bool metric_sensitive =
+              query.extra == engine::PredicateExtra::kDistance ||
+              query.predicate == "~=";
+          ctx.transform = ctx.canonical_only ? algo::AffineTransform::Identity()
+                          : metric_sensitive ? RandomIntegerSimilarity(&rng)
+                                             : RandomIntegerAffine(&rng);
+          ctx.query_ordinal = i * kQueries + q;
+          for (const auto& oracle : oracles) {
+            const OracleOutcome o = oracle->Check(&engine, sdb1, query, ctx);
+            hash.Outcome(o);
+            checks++;
+            if (!o.applicable) inapplicable++;
+            if (o.mismatch) mismatches++;
+            if (o.crash) crashes++;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checks, 2 * engine::kNumDialects * kIterations * kQueries *
+                        std::size(kinds));
+  // The inputs exercise every verdict, so the hash pins all of them.
+  EXPECT_GT(inapplicable, 0u);
+  EXPECT_GT(mismatches, 0u);
+  EXPECT_GT(crashes, 0u);
+  EXPECT_EQ(hash.h, 0x333901ac02f48e8dull)
+      << std::hex << "0x" << hash.h << std::dec << " over " << checks
+      << " checks: " << inapplicable << " inapplicable, " << mismatches
+      << " mismatches, " << crashes << " crashes";
 }
 
 }  // namespace
