@@ -1,13 +1,12 @@
 // Micro ablations of the topology core (google-benchmark): relate cost by
-// geometry complexity, prepared vs plain predicates, R-tree vs linear
-// filtering. These quantify the design choices DESIGN.md calls out.
+// geometry complexity, prepared vs plain predicates, canonicalization and
+// the AEI database transform.
 #include <benchmark/benchmark.h>
 
 #include "algo/canonicalize.h"
 #include "common/rng.h"
 #include "fuzz/aei.h"
 #include "geom/wkt_reader.h"
-#include "index/rtree.h"
 #include "relate/named_predicates.h"
 #include "relate/prepared.h"
 #include "relate/relate.h"
@@ -79,46 +78,6 @@ void BM_PreparedIntersectsManyCandidates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreparedIntersectsManyCandidates);
-
-void BM_RTreeQuery(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  index::RTree tree;
-  std::vector<index::RTreeEntry> entries;
-  for (uint64_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(rng.IntIn(-1000, 1000));
-    const double y = static_cast<double>(rng.IntIn(-1000, 1000));
-    entries.push_back({geom::Envelope(x, y, x + 10, y + 10), i});
-  }
-  tree.BulkLoad(entries);
-  for (auto _ : state) {
-    const double x = static_cast<double>(rng.IntIn(-1000, 1000));
-    const auto ids = tree.QueryIds(geom::Envelope(x, x, x + 50, x + 50));
-    benchmark::DoNotOptimize(ids);
-  }
-}
-BENCHMARK(BM_RTreeQuery)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_LinearFilter(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<index::RTreeEntry> entries;
-  for (uint64_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(rng.IntIn(-1000, 1000));
-    const double y = static_cast<double>(rng.IntIn(-1000, 1000));
-    entries.push_back({geom::Envelope(x, y, x + 10, y + 10), i});
-  }
-  for (auto _ : state) {
-    const double x = static_cast<double>(rng.IntIn(-1000, 1000));
-    const geom::Envelope q(x, x, x + 50, x + 50);
-    size_t hits = 0;
-    for (const auto& e : entries) {
-      if (e.box.Intersects(q)) hits++;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_LinearFilter)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_Canonicalize(benchmark::State& state) {
   const auto g = geom::ReadWkt(

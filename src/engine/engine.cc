@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
-#include <ctime>
 #include <optional>
 
 #include "common/coverage.h"
@@ -20,40 +18,6 @@ namespace spatter::engine {
 
 using faults::FaultId;
 using geom::Geometry;
-
-namespace {
-
-// Engine time is accounted on the per-thread CPU clock, not the wall
-// clock: a statement's cost must not include time the OS scheduled the
-// worker out, or the Figure-7 SDBMS share inflates whenever --jobs
-// oversubscribes the cores (each of N threads on one core would bill
-// near-N× its real compute). Falls back to the steady clock on platforms
-// without CLOCK_THREAD_CPUTIME_ID.
-double ThreadCpuSeconds() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-#endif
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* accum)
-      : accum_(accum), start_(ThreadCpuSeconds()) {}
-  ~ScopedTimer() { *accum_ += ThreadCpuSeconds() - start_; }
-
- private:
-  double* accum_;
-  double start_;
-};
-
-}  // namespace
 
 namespace {
 
@@ -177,63 +141,6 @@ int Table::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
-namespace {
-
-// Classifies one geometry row for index maintenance. Returns true when
-// the row belongs in the R-tree (writing its envelope), false when it
-// belongs on the unindexed side list: the tree cannot reach a null
-// envelope (Envelope::Intersects is false for any null box), and the
-// admission contract admits EMPTY rows for every probe ("evaluate
-// exactly"), so both classes ride the side list instead. `at_origin`
-// flags envelopes collapsed onto the origin — the rows the
-// kPostgisGistEmptySameAs fault must examine for every probe.
-bool IndexableEnvelope(const Geometry& g, geom::Envelope* env_out,
-                       bool* at_origin) {
-  const geom::Envelope env = g.GetEnvelope();
-  if (env.IsNull() || g.IsEmpty()) return false;
-  *env_out = env;
-  *at_origin = env == geom::Envelope(0, 0, 0, 0);
-  return true;
-}
-
-}  // namespace
-
-void Table::RebuildIndex() {
-  std::vector<index::RTreeEntry> entries;
-  unindexed_rows.clear();
-  origin_rows.clear();
-  if (geometry_column >= 0) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const Value& v = rows[r][geometry_column];
-      if (v.kind() != Value::Kind::kGeometry || !v.geometry()) continue;
-      geom::Envelope env;
-      bool at_origin = false;
-      if (!IndexableEnvelope(*v.geometry(), &env, &at_origin)) {
-        unindexed_rows.push_back(r);
-        continue;
-      }
-      if (at_origin) origin_rows.push_back(r);
-      entries.push_back({env, r});
-    }
-  }
-  rtree = index::RTree();
-  rtree.BulkLoad(std::move(entries));
-}
-
-void Table::IndexInsert(size_t row_id) {
-  if (geometry_column < 0) return;
-  const Value& v = rows[row_id][geometry_column];
-  if (v.kind() != Value::Kind::kGeometry || !v.geometry()) return;
-  geom::Envelope env;
-  bool at_origin = false;
-  if (!IndexableEnvelope(*v.geometry(), &env, &at_origin)) {
-    unindexed_rows.push_back(row_id);  // rows only append: stays sorted
-    return;
-  }
-  if (at_origin) origin_rows.push_back(row_id);
-  rtree.Insert(env, row_id);
-}
-
 std::string ExecResult::ToString() const {
   switch (kind) {
     case Kind::kNone:
@@ -340,37 +247,50 @@ const char* StatementKindName(sql::Statement::Kind kind) {
   return "unknown";
 }
 
-void RegisterStatementCoverage() {
-  static const bool registered = [] {
-    for (auto kind : {sql::Statement::Kind::kCreateTable,
-                      sql::Statement::Kind::kCreateIndex,
-                      sql::Statement::Kind::kDropTable,
-                      sql::Statement::Kind::kInsert,
-                      sql::Statement::Kind::kSet,
-                      sql::Statement::Kind::kSelectCountJoin,
-                      sql::Statement::Kind::kSelectCountWhere,
-                      sql::Statement::Kind::kSelectScalar}) {
-      CoverageRegistry::Instance().Register("engine_stmt",
-                                            StatementKindName(kind));
+constexpr size_t kStatementKinds =
+    static_cast<size_t>(sql::Statement::Kind::kSelectScalar) + 1;
+
+// The "engine_stmt" coverage site of `kind`. Every kind registers on the
+// first call, so the coverage denominator counts all statement kinds,
+// executed or not.
+size_t StatementCoverageSite(sql::Statement::Kind kind) {
+  static const std::array<size_t, kStatementKinds> sites = [] {
+    std::array<size_t, kStatementKinds> out{};
+    for (size_t k = 0; k < kStatementKinds; ++k) {
+      out[k] = CoverageRegistry::Instance().Register(
+          "engine_stmt",
+          StatementKindName(static_cast<sql::Statement::Kind>(k)));
     }
-    return true;
+    return out;
   }();
-  (void)registered;
+  return sites[static_cast<size_t>(kind)];
 }
 
 }  // namespace
 
 Result<ExecResult> Engine::Execute(const sql::Statement& stmt) {
-  ScopedTimer timer(&stats_.exec_seconds);
   static obs::LatencyHistogram* stmt_hist =
       obs::MetricsRegistry::Instance().GetHistogram("engine.statement");
-  obs::ScopedTimer stmt_timer(stmt_hist, obs::ScopedTimer::Clock::kThreadCpu);
+  // Engine time is read on the per-thread CPU clock, once on entry and
+  // once on exit, and feeds both the Figure-7 exec_seconds account and the
+  // engine.statement histogram. CPU time, not wall: a statement must not
+  // bill time the OS scheduled the worker out, or the SDBMS share inflates
+  // whenever --jobs oversubscribes the cores.
+  const double start =
+      obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu);
   obs::ScopedTraceSpan stmt_span("engine.statement",
                                  StatementKindName(stmt.kind));
   stats_.statements_executed++;
-  RegisterStatementCoverage();
-  CoverageRegistry::Instance().Hit(CoverageRegistry::Instance().Register(
-      "engine_stmt", StatementKindName(stmt.kind)));
+  CoverageRegistry::Instance().Hit(StatementCoverageSite(stmt.kind));
+  Result<ExecResult> result = Dispatch(stmt);
+  const double seconds =
+      obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu) - start;
+  stats_.exec_seconds += seconds;
+  stmt_hist->Record(seconds);
+  return result;
+}
+
+Result<ExecResult> Engine::Dispatch(const sql::Statement& stmt) {
   switch (stmt.kind) {
     case sql::Statement::Kind::kCreateTable:
       return ExecCreateTable(stmt);
@@ -423,7 +343,6 @@ Result<ExecResult> Engine::ExecCreateIndex(const sql::Statement& stmt) {
     return Status::InvalidArgument("index column is not the geometry column");
   }
   table->has_index = true;
-  table->RebuildIndex();
   SPATTER_COV("engine", "create_index");
   return ExecResult{};
 }
@@ -469,10 +388,6 @@ Result<ExecResult> Engine::ExecInsert(const sql::Statement& stmt) {
       row[col] = std::move(v);
     }
     table->rows.push_back(std::move(row));
-    // Incremental maintenance (Guttman insert) instead of a full STR
-    // rebuild per INSERT: CREATE INDEX after bulk generation still
-    // STR-packs via RebuildIndex.
-    if (table->has_index) table->IndexInsert(table->rows.size() - 1);
   }
   SPATTER_COV("engine", "insert");
   return ExecResult{};
@@ -553,8 +468,7 @@ Result<Value> Engine::Eval(const sql::Expr& expr, const Bindings& bindings) {
         args.push_back(std::move(v));
       }
       FunctionContext ctx{dialect_, &faults_};
-      CoverageRegistry::Instance().Hit(
-          CoverageRegistry::Instance().Register("engine_fn", fn->name));
+      CoverageRegistry::Instance().Hit(FunctionCoverageSite(*fn));
       return fn->impl(ctx, args);
     }
     case sql::Expr::Kind::kCastGeometry: {
@@ -723,85 +637,17 @@ void Engine::CollectIndexCandidates(const Table& table,
   candidates->clear();
   const int gcol = table.geometry_column;
   if (gcol < 0) return;
-
-  if (!index_probes_enabled_) {
-    // Reference path (set_index_probes_enabled(false)): the linear
-    // admission scan the R-tree probe replaced, kept as the
-    // byte-equivalence anchor of the engine_test property pin.
-    for (size_t r = 0; r < table.rows.size(); ++r) {
-      const Value& gv = table.rows[r][gcol];
-      if (gv.kind() != Value::Kind::kGeometry || !gv.geometry()) continue;
-      const Geometry& g = *gv.geometry();
-      if (IndexAdmitsRow(faults_, probe, g.GetEnvelope(), g.IsEmpty())) {
-        candidates->push_back(r);
-      }
-    }
-    return;
-  }
-
-  if (probe.IsNull()) {
-    // A null probe admits every row ("evaluate exactly"): enumerate the
-    // tree instead of probing it — a null envelope intersects nothing.
-    probe_scratch_.clear();
-    table.rtree.AllIds(&probe_scratch_);
-  } else {
-    geom::Envelope tree_probe = probe;
-    if (faults_.IsEnabled(FaultId::kMysqlWithinIndexGrid)) {
-      // The grid fault admits rows against a probe snapped DOWN onto a
-      // coarse grid, which both loses rows near upper cell edges and
-      // gains rows below the lower ones. Widen the tree probe to cover
-      // the snapped box too, so the post-filter below sees every row the
-      // faulty linear scan would have admitted or Fired on.
-      const double mag =
-          std::max({std::fabs(probe.min_x()), std::fabs(probe.max_x()),
-                    std::fabs(probe.min_y()), std::fabs(probe.max_y())});
-      if (mag >= 512.0) {
-        auto snap = [](double v) { return std::floor(v / 64.0) * 64.0; };
-        tree_probe.ExpandToInclude(
-            geom::Envelope(snap(probe.min_x()), snap(probe.min_y()),
-                           snap(probe.max_x()), snap(probe.max_y())));
-      }
-    }
-    table.rtree.QueryIds(tree_probe, &probe_scratch_);
-  }
-  candidates->reserve(probe_scratch_.size() + table.unindexed_rows.size());
-  for (uint64_t id : probe_scratch_) {
-    candidates->push_back(static_cast<size_t>(id));
-  }
-  // EMPTY / null-envelope rows are admitted for every probe.
-  candidates->insert(candidates->end(), table.unindexed_rows.begin(),
-                     table.unindexed_rows.end());
-  const bool gist_fault = faults_.IsEnabled(FaultId::kPostgisGistEmptySameAs);
-  const bool grid_fault = faults_.IsEnabled(FaultId::kMysqlWithinIndexGrid);
-  if (gist_fault) {
-    // The GiST fault examines (and Fires on) origin-collapsed rows for
-    // every probe regardless of envelope intersection — fault hits feed
-    // bug deduplication, so the firing set must match the linear scan.
-    candidates->insert(candidates->end(), table.origin_rows.begin(),
-                       table.origin_rows.end());
-  }
-  // Candidate order must match the linear scan: the shortcut fault
-  // truncates to the FIRST candidate and the join dedup fault keys off
-  // CONSECUTIVE matches. Origin rows can arrive twice (tree + side list).
-  std::sort(candidates->begin(), candidates->end());
-  candidates->erase(std::unique(candidates->begin(), candidates->end()),
-                    candidates->end());
-
-  // Fault post-filter: re-applies the exact linear-scan admission (and
-  // Fire) semantics over the candidate set so pinned bug sets stay
-  // byte-identical. With neither fault enabled it is the identity — tree
-  // hits already intersect the probe and side-list rows are admitted
-  // unconditionally — so skip the envelope recomputation.
-  if (!gist_fault && !grid_fault) return;
-  size_t kept = 0;
-  for (size_t r : *candidates) {
+  // Row order is part of the scan's behaviour: the shortcut fault keeps
+  // the FIRST candidate and the join dedup fault keys off CONSECUTIVE
+  // matches.
+  for (size_t r = 0; r < table.rows.size(); ++r) {
     const Value& gv = table.rows[r][gcol];
+    if (gv.kind() != Value::Kind::kGeometry || !gv.geometry()) continue;
     const Geometry& g = *gv.geometry();
     if (IndexAdmitsRow(faults_, probe, g.GetEnvelope(), g.IsEmpty())) {
-      (*candidates)[kept++] = r;
+      candidates->push_back(r);
     }
   }
-  candidates->resize(kept);
 }
 
 Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
@@ -876,7 +722,7 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
       prepared = std::make_unique<relate::PreparedGeometry>(*outer_geom);
     }
 
-    // Candidate rows of t2, via one R-tree probe per outer row. The
+    // Candidate rows of t2, via one index probe per outer row. The
     // engine.index_scan histogram samples once per probe (candidate
     // collection only — predicate evaluation lands in prepared/relate).
     if (index_path && outer_geom) {

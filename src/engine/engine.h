@@ -1,6 +1,6 @@
-// The embedded spatial SQL engine: tables of geometries, a GiST-like R-tree
-// index path, a prepared-geometry join path, per-dialect function surface,
-// and injected-fault hooks at the code sites where the paper's bugs lived.
+// The embedded spatial SQL engine: tables of geometries, an envelope index
+// scan, a prepared-geometry join path, per-dialect function surface, and
+// injected-fault hooks at the code sites where the paper's bugs lived.
 #ifndef SPATTER_ENGINE_ENGINE_H_
 #define SPATTER_ENGINE_ENGINE_H_
 
@@ -13,7 +13,7 @@
 #include "engine/dialect.h"
 #include "engine/value.h"
 #include "faults/fault.h"
-#include "index/rtree.h"
+#include "geom/envelope.h"
 #include "sql/ast.h"
 #include "sql/stmt_cache.h"
 
@@ -21,34 +21,17 @@ namespace spatter::engine {
 
 using Row = std::vector<Value>;
 
-/// One table: a column schema, rows, and an optional envelope R-tree over
-/// the geometry column.
+/// One table: a column schema and rows. `has_index` marks a GiST-style
+/// index on the geometry column, which routes scans through the envelope
+/// admission filter (Engine::CollectIndexCandidates).
 struct Table {
   std::vector<std::string> column_names;
   std::vector<std::string> column_types;
   std::vector<Row> rows;
   int geometry_column = -1;
   bool has_index = false;
-  index::RTree rtree;
-  /// Row ids whose geometry is EMPTY or has a null envelope. The R-tree
-  /// cannot reach them (a null envelope intersects nothing, and the scan
-  /// contract admits EMPTY rows for every probe — "evaluate exactly"),
-  /// so the index keeps them aside and every probe unions them back in.
-  std::vector<size_t> unindexed_rows;
-  /// Row ids whose envelope collapses onto the origin, kept sorted. The
-  /// kPostgisGistEmptySameAs fault must examine (and Fire on) these for
-  /// every probe regardless of envelope intersection, exactly as the
-  /// pre-R-tree linear scan did — fault hits feed bug deduplication, so
-  /// the firing set is part of the pinned behaviour.
-  std::vector<size_t> origin_rows;
 
   int ColumnIndex(const std::string& name) const;
-  /// Bulk (re)load: STR-packs the whole geometry column. Used by CREATE
-  /// INDEX after generation; INSERT maintains the tree incrementally.
-  void RebuildIndex();
-  /// Incremental maintenance: classifies and indexes the single row
-  /// `row_id` (Guttman insert — no O(n log n) rebuild per INSERT).
-  void IndexInsert(size_t row_id);
 };
 
 /// Result of executing one statement.
@@ -130,16 +113,10 @@ class Engine {
   /// cached CREATE/INSERT statements).
   void Reset();
 
-  /// Test reference knobs (engine_test): resizing the cache evicts LRU
-  /// entries as needed (0 disables it); disabling index probes routes both
-  /// index paths through the linear reference scan the R-tree replaced
-  /// (byte-identical by contract).
+  /// Test reference knob (engine_test): resizing the cache evicts LRU
+  /// entries as needed (0 disables it).
   void set_statement_cache_capacity(size_t capacity);
   size_t statement_cache_size() const { return stmt_cache_.size(); }
-  void set_index_probes_enabled(bool enabled) {
-    index_probes_enabled_ = enabled;
-  }
-  bool index_probes_enabled() const { return index_probes_enabled_; }
 
   const std::map<std::string, Table>& tables() const { return tables_; }
   Table* FindTable(const std::string& name);
@@ -151,6 +128,8 @@ class Engine {
   };
   using Bindings = std::map<std::string, Binding>;
 
+  /// Runs one parsed statement; Execute wraps it with the accounting.
+  Result<ExecResult> Dispatch(const sql::Statement& stmt);
   Result<ExecResult> ExecCreateTable(const sql::Statement& stmt);
   Result<ExecResult> ExecCreateIndex(const sql::Statement& stmt);
   Result<ExecResult> ExecDropTable(const sql::Statement& stmt);
@@ -179,10 +158,8 @@ class Engine {
                                const std::string& alias2,
                                std::string* func_name) const;
 
-  /// Fills `candidates` (sorted row ids of `table`) for one index probe,
-  /// byte-equivalent to the pre-R-tree linear admission scan — fault
-  /// firing included. Routes through RTree::QueryIds unless index probes
-  /// are disabled.
+  /// Fills `candidates` with the row ids of `table`, in row order, that
+  /// one index probe admits (IndexAdmitsRow, injected faults inline).
   void CollectIndexCandidates(const Table& table, const geom::Envelope& probe,
                               std::vector<size_t>* candidates);
 
@@ -192,8 +169,6 @@ class Engine {
   std::map<std::string, Table> tables_;
   std::map<std::string, Value> variables_;
   sql::StatementCache stmt_cache_;
-  bool index_probes_enabled_ = true;
-  std::vector<uint64_t> probe_scratch_;  // reused across index probes
 };
 
 }  // namespace spatter::engine

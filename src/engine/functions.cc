@@ -960,21 +960,37 @@ std::string NormalizeName(const std::string& name) {
   return lower;
 }
 
-}  // namespace
+// The name index, plus one "engine_fn" coverage site per function in
+// AllFunctions() order. Every site registers up front so the coverage
+// denominator counts the whole surface, exercised or not.
+struct FunctionIndex {
+  std::map<std::string, const FunctionDef*> by_name;
+  std::vector<size_t> coverage_sites;
+};
 
-const FunctionDef* FindFunction(const std::string& name) {
-  static const std::map<std::string, const FunctionDef*> kIndex = [] {
-    std::map<std::string, const FunctionDef*> idx;
+const FunctionIndex& GetFunctionIndex() {
+  static const FunctionIndex index = [] {
+    FunctionIndex idx;
     for (const auto& fn : AllFunctions()) {
-      idx[NormalizeName(fn.name)] = &fn;
-      // Register a per-function coverage point up front so the coverage
-      // denominator counts the whole surface, exercised or not.
-      CoverageRegistry::Instance().Register("engine_fn", fn.name);
+      idx.by_name[NormalizeName(fn.name)] = &fn;
+      idx.coverage_sites.push_back(
+          CoverageRegistry::Instance().Register("engine_fn", fn.name));
     }
     return idx;
   }();
-  const auto it = kIndex.find(NormalizeName(name));
-  return it == kIndex.end() ? nullptr : it->second;
+  return index;
+}
+
+}  // namespace
+
+const FunctionDef* FindFunction(const std::string& name) {
+  const auto& by_name = GetFunctionIndex().by_name;
+  const auto it = by_name.find(NormalizeName(name));
+  return it == by_name.end() ? nullptr : it->second;
+}
+
+size_t FunctionCoverageSite(const FunctionDef& fn) {
+  return GetFunctionIndex().coverage_sites[&fn - AllFunctions().data()];
 }
 
 Result<const FunctionDef*> ResolveFunction(const std::string& name,

@@ -46,6 +46,9 @@ const std::vector<FunctionDef>& AllFunctions();
 /// normalized to canonical names. Returns nullptr when unknown.
 const FunctionDef* FindFunction(const std::string& name);
 
+/// The "engine_fn" coverage site of `fn`, an entry of AllFunctions().
+size_t FunctionCoverageSite(const FunctionDef& fn);
+
 /// Lookup that also enforces dialect availability.
 Result<const FunctionDef*> ResolveFunction(const std::string& name,
                                            Dialect dialect);

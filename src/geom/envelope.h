@@ -26,9 +26,6 @@ class Envelope {
   double max_y() const { return max_y_; }
   double Width() const { return IsNull() ? 0.0 : max_x_ - min_x_; }
   double Height() const { return IsNull() ? 0.0 : max_y_ - min_y_; }
-  double Area() const { return Width() * Height(); }
-  /// Half-perimeter; the R-tree split heuristic uses it.
-  double Margin() const { return Width() + Height(); }
 
   void ExpandToInclude(const Coord& c) {
     min_x_ = std::min(min_x_, c.x);
@@ -65,13 +62,6 @@ class Envelope {
   bool Contains(const Coord& c) const {
     if (IsNull()) return false;
     return c.x >= min_x_ && c.x <= max_x_ && c.y >= min_y_ && c.y <= max_y_;
-  }
-
-  /// Area of the union box of this and `o` (R-tree enlargement metric).
-  double EnlargedArea(const Envelope& o) const {
-    Envelope u = *this;
-    u.ExpandToInclude(o);
-    return u.Area();
   }
 
   bool operator==(const Envelope& o) const {

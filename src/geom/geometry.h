@@ -161,7 +161,7 @@ class Polygon final : public Geometry {
     // All rings participate: the random-shape strategy produces invalid
     // polygons whose "holes" escape the shell, and the even-odd location
     // semantics still treat those rings as area. Envelope-based pruning
-    // (R-tree, prepared geometry) must stay conservative for them.
+    // (index scans, prepared geometry) must stay conservative for them.
     Envelope e;
     for (const auto& ring : rings_) {
       for (const auto& p : ring) e.ExpandToInclude(p);

@@ -27,17 +27,6 @@ std::vector<engine::Dialect> ShardedCampaign::AllDialects() {
           engine::Dialect::kMysql, engine::Dialect::kSqlserver};
 }
 
-void ShardedCampaign::ApplyRestoredState(Aggregator* aggregator) {
-  if (config_.restored_bugs.empty() &&
-      config_.restored_counters.iterations_run == 0) {
-    return;
-  }
-  aggregator->Merge(config_.restored_counters);
-  for (const auto& [id, d] : config_.restored_bugs) {
-    aggregator->RestoreUniqueBug(id, d);
-  }
-}
-
 void ShardedCampaign::FinishCorpus(Aggregator* aggregator) {
   merged_corpus_ = aggregator->TakeCorpus();
   if (merged_corpus_ && config_.cross_dialect_transfer &&
@@ -62,22 +51,14 @@ CampaignResult ShardedCampaign::Run() {
       for (size_t shard = 0; shard < shards; ++shard, ++slot) {
         CampaignResult* out = &shard_results[slot];
         std::unique_ptr<corpus::Corpus>* corpus_out = &shard_corpora[slot];
-        // Checkpoint-resume offset: skip the iterations the dead run
-        // already completed on this (dialect, shard) slice.
-        uint64_t completed = 0;
-        const auto it = config_.completed.find(
-            {static_cast<uint64_t>(dialect), static_cast<uint64_t>(shard)});
-        if (it != config_.completed.end()) completed = it->second;
-        pool.Submit([this, dialect, shard, shards, completed, t0, out,
-                     corpus_out] {
+        pool.Submit([this, dialect, shard, shards, t0, out, corpus_out] {
           CampaignConfig cfg = config_.base;
           cfg.dialect = dialect;
           Campaign campaign(cfg);
           campaign.SeedCorpus(config_.seed_corpus);
           const double shard_t0 = Campaign::NowSeconds();
           const engine::EngineStats stats_t0 = campaign.engine().stats();
-          for (size_t i = shard + completed * shards; i < cfg.iterations;
-               i += shards) {
+          for (size_t i = shard; i < cfg.iterations; i += shards) {
             // Anchor elapsed_seconds at the sharded run's start so the
             // aggregator's earliest-detection dedup compares like with
             // like across shards.
@@ -92,7 +73,6 @@ CampaignResult ShardedCampaign::Run() {
   }
 
   Aggregator aggregator;
-  ApplyRestoredState(&aggregator);
   for (CampaignResult& r : shard_results) aggregator.Merge(std::move(r));
   // Merge in slot order: (dialect, shard) position, not finish time, so
   // the merged corpus is reproducible for a fixed configuration.
@@ -111,7 +91,6 @@ CampaignResult ShardedCampaign::RunForDuration(double deadline_seconds,
 
   std::mutex aggregate_mu;
   Aggregator aggregator;
-  ApplyRestoredState(&aggregator);
   std::vector<std::unique_ptr<corpus::Corpus>> shard_corpora(
       dialects_.size() * shards);
   {

@@ -20,8 +20,7 @@
 #define SPATTER_RUNTIME_SHARDED_CAMPAIGN_H_
 
 #include <functional>
-#include <map>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "fuzz/campaign.h"
@@ -55,23 +54,6 @@ struct ShardedCampaignConfig {
   /// replays and corpus-cap pressure without ever being scheduled
   /// against their own engine.
   bool cross_dialect_transfer = true;
-
-  // --- Checkpoint resume (fleet/checkpoint.h state, in-process) --------
-
-  /// Completed-iteration offsets per (dialect value, global shard index):
-  /// shard s of S starts at iteration s + completed*S instead of s — the
-  /// in-process mirror of the fleet worker's resume state, so a
-  /// checkpoint written at any P x J factorization can resume on the
-  /// sharded runtime (set `shards` to the checkpoint's total_slices).
-  /// Batch mode only; duration-mode resume lives in the fleet tier.
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> completed;
-  /// Checkpoint-restored unique bugs, re-seated before any shard result
-  /// merges (Aggregator::RestoreUniqueBug: earliest logical position
-  /// wins, so bugs re-reported by re-run iterations dedup away).
-  std::vector<std::pair<faults::FaultId, fuzz::Discrepancy>> restored_bugs;
-  /// Checkpoint-restored counters (iterations/queries/checks/timing),
-  /// merged in so the resumed aggregate continues the dead run's totals.
-  fuzz::CampaignResult restored_counters;
 };
 
 class ShardedCampaign {
@@ -108,11 +90,6 @@ class ShardedCampaign {
   corpus::Corpus* merged_corpus() { return merged_corpus_.get(); }
 
  private:
-  /// Folds checkpoint-restored bugs and counters into `aggregator`
-  /// (no-op without resume state) — the shared prologue of Run and
-  /// RunForDuration.
-  void ApplyRestoredState(Aggregator* aggregator);
-
   /// Takes the merged corpus from `aggregator` and (corpus mode with
   /// transfer enabled) replays entries across dialects — the shared
   /// epilogue of Run and RunForDuration.

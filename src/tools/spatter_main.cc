@@ -216,17 +216,21 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
 
 bool ParseSize(const std::string& value, const char* flag, size_t max,
                size_t* out) {
-  // Reject rather than clamp garbage: strtoul would wrap "-1" to 2^64-1
-  // and the runtime would try to allocate that many shards.
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || value[0] == '-' || parsed > max) {
+  // Reject rather than clamp garbage: a "-1" wrapped to 2^64-1 would ask
+  // the runtime for that many shards or queries.
+  uint64_t parsed = 0;
+  if (!ParseU64(value, &parsed) || parsed > max) {
     std::fprintf(stderr, "%s must be an integer in [0, %zu]\n", flag, max);
     return false;
   }
-  *out = parsed;
+  *out = static_cast<size_t>(parsed);
   return true;
 }
+
+// Upper bounds of the count flags, far past any real campaign: a larger
+// value is a typo, not a budget.
+constexpr size_t kMaxBudget = size_t{1} << 32;
+constexpr size_t kMaxGeometries = size_t{1} << 20;
 
 bool ParseArgs(int argc, char** argv, Options* opts) {
   for (int i = 1; i < argc; ++i) {
@@ -248,11 +252,18 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
         return false;
       }
     } else if (ParseFlag(argv[i], "--iterations", &value)) {
-      opts->iterations = std::strtoul(value.c_str(), nullptr, 10);
+      if (!ParseSize(value, "--iterations", kMaxBudget, &opts->iterations)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--queries", &value)) {
-      opts->queries = std::strtoul(value.c_str(), nullptr, 10);
+      if (!ParseSize(value, "--queries", kMaxBudget, &opts->queries)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--geometries", &value)) {
-      opts->geometries = std::strtoul(value.c_str(), nullptr, 10);
+      if (!ParseSize(value, "--geometries", kMaxGeometries,
+                     &opts->geometries)) {
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--jobs", &value)) {
       if (!ParseSize(value, "--jobs", 1024, &opts->jobs)) return false;
       if (opts->jobs == 0) opts->jobs = 1;

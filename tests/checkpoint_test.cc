@@ -27,7 +27,6 @@
 #include "fleet/wire.h"
 #include "fuzz/campaign.h"
 #include "net/fleet_server.h"
-#include "runtime/sharded_campaign.h"
 
 namespace spatter::fleet {
 namespace {
@@ -629,44 +628,6 @@ TEST(CrashEquivalence, ResumeOfFinishedCampaignIsIdempotent) {
   EXPECT_EQ(BugOracleMap(result), BugOracleMap(ref));
   EXPECT_EQ(result.iterations_run, 8u) << "no iteration is re-run";
   fs::remove_all(dir);
-}
-
-// --- In-process resume (runtime tier) ---------------------------------------
-
-TEST(InProcessResume, ShardedCampaignContinuesFromOffsets) {
-  // The sharded runtime accepts the same per-(dialect, slice) completed
-  // marks as fleet workers: a prefix run's state plus offsets must
-  // reproduce the full run's bug set and budget exactly — this is what
-  // lets a fleet checkpoint resume on the in-process runtime.
-  runtime::ShardedCampaignConfig full;
-  full.base = SmallConfig(/*seed=*/444, /*iterations=*/12);
-  full.jobs = 4;
-  runtime::ShardedCampaign reference(full);
-  const CampaignResult ref = reference.Run();
-  ASSERT_FALSE(ref.unique_bugs.empty());
-
-  runtime::ShardedCampaignConfig prefix = full;
-  prefix.base.iterations = 6;
-  runtime::ShardedCampaign prefix_campaign(prefix);
-  const CampaignResult prefix_result = prefix_campaign.Run();
-
-  runtime::ShardedCampaignConfig tail = full;
-  const uint64_t dialect =
-      static_cast<uint64_t>(full.base.dialect);
-  for (uint64_t s = 0; s < 4; ++s) {
-    // Completed count on slice s after 6 iterations: |{i < 6 : i ≡ s}|.
-    tail.completed[{dialect, s}] = s < 6 ? (6 - s - 1) / 4 + 1 : 0;
-  }
-  for (const auto& [id, d] : prefix_result.unique_bugs) {
-    tail.restored_bugs.emplace_back(id, d);
-  }
-  tail.restored_counters.iterations_run = prefix_result.iterations_run;
-  tail.restored_counters.queries_run = prefix_result.queries_run;
-  tail.restored_counters.checks_run = prefix_result.checks_run;
-  runtime::ShardedCampaign tail_campaign(tail);
-  const CampaignResult result = tail_campaign.Run();
-  EXPECT_EQ(BugOracleMap(result), BugOracleMap(ref));
-  EXPECT_EQ(result.iterations_run, 12u);
 }
 
 }  // namespace

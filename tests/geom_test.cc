@@ -52,11 +52,6 @@ TEST(Envelope, TouchingBoxesIntersect) {
   EXPECT_TRUE(Envelope(0, 0, 1, 1).Intersects(Envelope(1, 1, 2, 2)));
 }
 
-TEST(Envelope, EnlargedArea) {
-  const Envelope a(0, 0, 1, 1);
-  EXPECT_DOUBLE_EQ(a.EnlargedArea(Envelope(2, 0, 3, 1)), 3.0);
-}
-
 TEST(Point, EmptyAndFilled) {
   Point empty;
   EXPECT_TRUE(empty.IsEmpty());
