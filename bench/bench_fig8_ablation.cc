@@ -6,6 +6,7 @@
 
 #include "bench_common.h"
 #include "common/coverage.h"
+#include "runtime/sharded_campaign.h"
 
 using namespace spatter;        // NOLINT
 using namespace spatter::bench;  // NOLINT
@@ -33,23 +34,25 @@ double GroupPercent(std::initializer_list<const char*> modules) {
 
 std::vector<Sample> RunTimed(bool derivative, double seconds) {
   CoverageRegistry::Instance().ResetHits();
-  fuzz::CampaignConfig config;
-  config.dialect = engine::Dialect::kPostgis;
-  config.seed = 8080;
-  config.queries_per_iteration = 50;
-  config.generator.num_geometries = 10;
-  config.generator.derivative_enabled = derivative;
-  fuzz::Campaign campaign(config);
+  runtime::ShardedCampaignConfig config;
+  config.base.dialect = engine::Dialect::kPostgis;
+  config.base.seed = 8080;
+  config.base.queries_per_iteration = 50;
+  config.base.generator.num_geometries = 10;
+  config.base.generator.derivative_enabled = derivative;
+  config.jobs = 1;  // one slice: the serial iteration order 0, 1, 2, ...
+  config.duration_seconds = seconds;
   std::vector<Sample> samples;
-  campaign.RunForDuration(
-      seconds, [&samples](double elapsed, const fuzz::CampaignResult& r) {
-        samples.push_back(Sample{
-            elapsed, r.unique_bugs.size(),
-            GroupPercent({"engine", "edit", "generator", "aei", "oracle",
-                          "campaign"}),
-            GroupPercent({"relate", "locate", "predicate", "prepared",
-                          "canon"})});
-      });
+  runtime::ShardedCampaign::Observer observer;
+  observer.sample = [&samples](double elapsed,
+                               const fuzz::CampaignResult& r) {
+    samples.push_back(Sample{
+        elapsed, r.unique_bugs.size(),
+        GroupPercent({"engine", "edit", "generator", "aei", "oracle",
+                      "campaign"}),
+        GroupPercent({"relate", "locate", "predicate", "prepared", "canon"})});
+  };
+  runtime::ShardedCampaign(config).Run(observer);
   return samples;
 }
 

@@ -70,17 +70,19 @@ CurveRun RunTimed(uint64_t seed, bool corpus_mode, double seconds) {
   config.base.corpus.enabled = corpus_mode;
   config.base.corpus.mutate_pct = 50;
   config.jobs = 2;
+  config.duration_seconds = seconds;
   config.cross_dialect_transfer = false;  // measure the loop, not the merge
   runtime::ShardedCampaign campaign(config);
 
   CurveRun run;
   auto& registry = CoverageRegistry::Instance();
-  const fuzz::CampaignResult result = campaign.RunForDuration(
-      seconds, [&run, &registry](double elapsed,
-                                 const fuzz::CampaignResult& r) {
-        run.curve->Add(elapsed, registry.CoveredSiteCount(),
-                       r.unique_bugs.size(), r.iterations_run);
-      });
+  runtime::ShardedCampaign::Observer observer;
+  observer.sample = [&run, &registry](double elapsed,
+                                      const fuzz::CampaignResult& r) {
+    run.curve->Add(elapsed, registry.CoveredSiteCount(),
+                   r.unique_bugs.size(), r.iterations_run);
+  };
+  const fuzz::CampaignResult result = campaign.Run(observer);
   run.engine_sites = EngineSitesCovered();
   run.iterations = result.iterations_run;
   run.unique_bugs = result.unique_bugs.size();
@@ -126,7 +128,7 @@ bool CheckResumeCurveFidelity() {
   net::FleetConfig killed = base;
   killed.checkpoint_dir = dir;
   killed.checkpoint_interval_seconds = 0.0;
-  killed.die_after_frames = 30;  // < 1 + 16 * 2 minimum stream length
+  killed.die_after_frames = 29;  // < NETHELLO + 16 * (INFLIGHT, SLICEPROGRESS)
   const pid_t pid = ::fork();
   if (pid == 0) {
     net::FleetServer supervisor(killed);

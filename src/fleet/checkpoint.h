@@ -78,7 +78,7 @@ struct CheckpointState {
   double busy_seconds = 0.0;
   double engine_seconds = 0.0;
   /// Completed-iteration high-water mark per (dialect value, global
-  /// slice) — the same keying WorkerOptions::completed uses.
+  /// slice) — the same keying ShardedCampaignConfig::completed uses.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> completed;
   /// The merged unique-bug set: each fault's winning reproducer.
   std::vector<std::pair<faults::FaultId, fuzz::Discrepancy>> unique_bugs;

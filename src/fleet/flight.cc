@@ -45,15 +45,11 @@ obs::TraceSnapshot SynthesizeFlightTrace(const fuzz::CampaignConfig& config,
 
 Status PersistFlightRecord(const fuzz::CampaignConfig& config,
                            engine::Dialect dialect, uint64_t iteration,
-                           const obs::TraceSnapshot* final_ring,
                            const std::string& dir, size_t worker,
                            std::string* path_out) {
   fuzz::CampaignConfig cfg = config;
   cfg.dialect = dialect;
-  const obs::TraceSnapshot dump =
-      (final_ring != nullptr && !final_ring->events.empty())
-          ? *final_ring
-          : SynthesizeFlightTrace(cfg, iteration);
+  const obs::TraceSnapshot dump = SynthesizeFlightTrace(cfg, iteration);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   const std::filesystem::path path =

@@ -1,13 +1,10 @@
 // Crash flight recorder: persists the "what happened last" narrative of a
-// dead worker next to its reproducer. Two sources, best first:
-//
-//   1. The worker's final ring, received over a TRACE wire frame — a
-//      worker that reported its ring and then died gets its real events.
-//   2. Synthesis: in pure-generate mode the in-flight iteration's input
-//      construction is a pure function of (seed, iteration), so the
-//      supervisor re-runs Campaign::GenerateDatabaseFor under tracing
-//      and dumps the re-recorded events. A SIGKILLed worker never sent
-//      its ring, but its narrative is recoverable anyway.
+// dead worker next to its reproducer. Workers keep no ring; the narrative
+// is synthesized instead: in pure-generate mode the in-flight iteration's
+// input construction is a pure function of (seed, iteration), so the
+// supervisor re-runs Campaign::GenerateDatabaseFor under tracing and dumps
+// the re-recorded events. A SIGKILLed worker sends nothing, but its
+// narrative is recoverable anyway.
 //
 // Used by the fleet supervisor (src/net/fleet_server.cc) for workers that
 // die mid-assignment, next to their inflight-*.sptc reproducers.
@@ -37,13 +34,11 @@ std::string FlightFileName(size_t worker, const std::string& dialect_name,
 obs::TraceSnapshot SynthesizeFlightTrace(const fuzz::CampaignConfig& config,
                                          uint64_t iteration);
 
-/// Persists a flight dump for worker `worker`'s in-flight iteration into
-/// `dir` (created if missing): `final_ring` verbatim when it holds
-/// events, otherwise a synthesized trace. Returns the written path via
+/// Persists the synthesized flight dump of worker `worker`'s in-flight
+/// iteration into `dir` (created if missing). Returns the written path via
 /// `path_out` (optional).
 Status PersistFlightRecord(const fuzz::CampaignConfig& config,
                            engine::Dialect dialect, uint64_t iteration,
-                           const obs::TraceSnapshot* final_ring,
                            const std::string& dir, size_t worker,
                            std::string* path_out = nullptr);
 

@@ -13,10 +13,10 @@ namespace {
 
 constexpr const char kMagic[] = "SPTW1";
 
-const char* kTypeNames[] = {"HELLO", "INFLIGHT", "SLICEDONE",
-                            "SLICEPROGRESS", "COV", "ENTRY",
-                            "BUG",   "DONE",     "STATS",
-                            "NETHELLO", "ASSIGN", "BYE", "TUNE", "TRACE"};
+const char* kTypeNames[] = {"INFLIGHT", "SLICEDONE", "SLICEPROGRESS",
+                            "COV",      "ENTRY",     "BUG",
+                            "DONE",     "STATS",     "NETHELLO",
+                            "ASSIGN",   "BYE",       "TUNE"};
 
 }  // namespace
 
@@ -154,13 +154,6 @@ std::string EncodeFrame(const Frame& frame) {
   };
   auto put_f = [&line](double v) { line += ' ' + FormatF64(v); };
   switch (frame.type) {
-    case FrameType::kHello:
-      put_u(frame.worker);
-      put_u(frame.pid);
-      put_u(frame.slice_offset);
-      put_u(frame.slice_count);
-      put_u(frame.total_slices);
-      break;
     case FrameType::kInflight:
       put_u(frame.dialect);
       put_u(frame.slice);
@@ -217,12 +210,6 @@ std::string EncodeFrame(const Frame& frame) {
     case FrameType::kTune:
       put_u(frame.mutate_pct);
       break;
-    case FrameType::kTrace: {
-      put_f(frame.elapsed);
-      const std::string text = frame.trace.EncodeJsonl();
-      line += ' ' + HexEncode(std::vector<uint8_t>(text.begin(), text.end()));
-      break;
-    }
     case FrameType::kBye:
       break;
   }
@@ -261,16 +248,6 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     return fields[2 + i];
   };
   switch (frame.type) {
-    case FrameType::kHello:
-      want = 5;
-      if (args != want) return Malformed("HELLO field count");
-      if (!ParseU64(arg(0), &frame.worker) || !ParseU64(arg(1), &frame.pid) ||
-          !ParseU64(arg(2), &frame.slice_offset) ||
-          !ParseU64(arg(3), &frame.slice_count) ||
-          !ParseU64(arg(4), &frame.total_slices)) {
-        return Malformed("HELLO fields");
-      }
-      break;
     case FrameType::kInflight:
       want = 3;
       if (args != want) return Malformed("INFLIGHT field count");
@@ -398,21 +375,6 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
         return Malformed("TUNE mutate_pct");
       }
       break;
-    case FrameType::kTrace: {
-      want = 2;
-      if (args != want) return Malformed("TRACE field count");
-      if (!ParseFieldF64(arg(0), &frame.elapsed)) {
-        return Malformed("TRACE fields");
-      }
-      auto payload = HexDecode(arg(1));
-      if (!payload.ok()) return payload.status();
-      const std::vector<uint8_t> bytes = payload.Take();
-      auto snapshot = obs::TraceSnapshot::DecodeJsonl(
-          std::string(bytes.begin(), bytes.end()));
-      if (!snapshot.ok()) return snapshot.status();
-      frame.trace = snapshot.Take();
-      break;
-    }
     case FrameType::kBye:
       want = 0;
       if (args != want) return Malformed("BYE field count");

@@ -17,10 +17,8 @@
 //   worker -> supervisor
 //     NETHELLO <proto> <pid>   (first frame after connect; the supervisor
 //              BYEs on protocol-version skew)
-//     HELLO    <worker> <pid> <slice_offset> <slice_count> <total_slices>
-//              (informational, once per assignment; slice_offset is
-//              the first assigned slice)
-//     INFLIGHT <dialect> <slice> <iteration>
+//     INFLIGHT <dialect> <slice> <iteration>   (before every iteration:
+//              the supervisor's crash-recovery anchor)
 //     SLICEDONE <dialect> <slice>   (the slice's loop exited: its last
 //              announced iteration completed; nothing is in flight)
 //     SLICEPROGRESS <dialect> <slice> <completed>   (absolute completed-
@@ -36,14 +34,9 @@
 //     DONE     <iterations> <queries> <checks> <busy_s> <engine_s>
 //              (engine counters travel in STATS, not here)
 //     STATS    <elapsed> <hex(spatter-metrics-text-v1 snapshot)>
-//              (cumulative MetricsSnapshot of the worker process since it
-//              started; the payload must decode as a valid snapshot
-//              document or the frame is rejected whole)
-//     TRACE    <elapsed> <hex(spatter-trace-v1 JSONL document)>
-//              (the worker's flight-recorder ring — its last K structured
-//              events — sent once before DONE so the supervisor can
-//              persist the real narrative of a worker that reported and
-//              then died; validated whole like STATS)
+//              (cumulative MetricsSnapshot of the worker process since its
+//              assignment started; the payload must decode as a valid
+//              snapshot document or the frame is rejected whole)
 //   supervisor -> worker
 //     ASSIGN   <worker> <hex(checkpoint doc)>   (one work assignment: the
 //              payload is an EncodeCheckpoint document whose progress
@@ -54,6 +47,11 @@
 //     TUNE     <mutate_pct>    (fleet-level corpus scheduling: steer the
 //              worker's mutate budget; corpus mode only, advisory)
 //     BYE                      (no work now or ever; close the connection)
+//
+// Within one iteration a worker writes INFLIGHT, then its BUG and ENTRY
+// frames, then COV and STATS when the heartbeat is due, and SLICEPROGRESS
+// last; SLICEDONE closes each slice, and a final COV, STATS and DONE close
+// the assignment.
 //
 // Peers are untrusted: DecodeFrame rejects lines longer than
 // kMaxFrameBytes, lines containing NUL bytes, and lines with more than
@@ -71,12 +69,10 @@
 #include "common/status.h"
 #include "fuzz/campaign.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace spatter::fleet {
 
 enum class FrameType : uint8_t {
-  kHello,
   kInflight,
   kSliceDone,
   kSliceProgress,
@@ -89,13 +85,12 @@ enum class FrameType : uint8_t {
   kAssign,
   kBye,
   kTune,
-  kTrace,
 };
 
 /// Version token a worker sends in NETHELLO; the supervisor rejects (BYE)
 /// any peer whose version differs. 2: DONE lost its engine counters and
-/// STOP was retired.
-inline constexpr uint64_t kNetProtocolVersion = 2;
+/// STOP was retired. 3: HELLO and TRACE were retired.
+inline constexpr uint64_t kNetProtocolVersion = 3;
 
 /// Hardening caps for frames from untrusted remote peers. The byte cap
 /// bounds ASSIGN/ENTRY hex payloads (a checkpoint document of a large
@@ -112,12 +107,9 @@ const char* FrameTypeName(FrameType t);
 struct Frame {
   FrameType type = FrameType::kBye;
 
-  // HELLO
+  // ASSIGN: the assigned worker index (plus `payload`, the
+  // EncodeCheckpoint document bytes).
   uint64_t worker = 0;
-  uint64_t pid = 0;
-  uint64_t slice_offset = 0;
-  uint64_t slice_count = 0;
-  uint64_t total_slices = 0;
 
   // INFLIGHT / SLICEDONE / SLICEPROGRESS
   uint64_t dialect = 0;
@@ -144,16 +136,11 @@ struct Frame {
   // STATS: decoded metrics snapshot (DecodeFrame fully validates it).
   obs::MetricsSnapshot stats;
 
-  // TRACE: decoded flight-recorder ring (DecodeFrame fully validates it);
-  // reuses `elapsed` for the send time.
-  obs::TraceSnapshot trace;
-
   // NETHELLO
   uint64_t proto = 0;
+  uint64_t pid = 0;
   // TUNE
   uint64_t mutate_pct = 0;
-  // ASSIGN reuses `worker` (assigned worker index) + `payload` (the
-  // EncodeCheckpoint document bytes).
 
   // DONE timing
   double busy_seconds = 0.0;

@@ -321,19 +321,4 @@ CampaignResult Campaign::Run() {
   return result;
 }
 
-CampaignResult Campaign::RunForDuration(
-    double deadline_seconds,
-    const std::function<void(double, const CampaignResult&)>& sampler) {
-  CampaignResult result;
-  const double t0 = NowSeconds();
-  const engine::EngineStats stats_t0 = engine_->stats();
-  size_t iteration = 0;
-  while (NowSeconds() - t0 < deadline_seconds) {
-    RunIterationAt(iteration++, &result, t0);
-    if (sampler) sampler(NowSeconds() - t0, result);
-  }
-  FinalizeResult(&result, t0, stats_t0);
-  return result;
-}
-
 }  // namespace spatter::fuzz

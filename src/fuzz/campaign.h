@@ -22,7 +22,6 @@
 #ifndef SPATTER_FUZZ_CAMPAIGN_H_
 #define SPATTER_FUZZ_CAMPAIGN_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -121,16 +120,9 @@ class Campaign {
  public:
   explicit Campaign(const CampaignConfig& config);
 
-  /// Runs the configured number of iterations.
+  /// Runs the configured number of iterations (the serial reference; the
+  /// wall-budget mode lives in runtime::ShardedCampaign).
   CampaignResult Run();
-
-  /// Runs until `deadline_seconds` of wall time elapse (Figure 8 mode);
-  /// `sampler` (optional) is invoked after every iteration with the
-  /// elapsed time, e.g. to record coverage curves.
-  CampaignResult RunForDuration(
-      double deadline_seconds,
-      const std::function<void(double elapsed, const CampaignResult&)>&
-          sampler = nullptr);
 
   // --- Single-shard iteration API (used by runtime::ShardedCampaign) ----
 

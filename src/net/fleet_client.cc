@@ -3,15 +3,25 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
+#include <csignal>
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/coverage.h"
+#include "corpus/codec.h"
 #include "fleet/checkpoint.h"
 #include "fleet/wire.h"
-#include "fleet/worker.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "runtime/sharded_campaign.h"
 
 namespace spatter::net {
 
@@ -20,54 +30,255 @@ namespace {
 using fleet::CheckpointState;
 using fleet::Frame;
 using fleet::FrameType;
+using fuzz::Campaign;
 
-/// The checkpoint identity block is authoritative: a remote worker
-/// adopts the server's campaign wholesale, exactly as `--resume` does.
-fuzz::CampaignConfig CampaignConfigFrom(const CheckpointState& state) {
-  fuzz::CampaignConfig config;
-  config.seed = state.seed;
-  config.iterations = state.iterations;
-  config.queries_per_iteration = state.queries_per_iteration;
-  config.generator.num_geometries = state.num_geometries;
-  config.enable_faults = state.enable_faults;
-  config.generator.derivative_enabled = state.derivative_enabled;
-  config.dialect = state.dialects.empty() ? config.dialect
-                                          : state.dialects.front();
-  config.oracles = state.oracles;
-  config.corpus.enabled = state.corpus_enabled;
-  config.corpus.mutate_pct = state.mutate_pct;
+/// The runtime config of one assignment. The checkpoint identity block is
+/// authoritative: a worker adopts the server's campaign wholesale, exactly
+/// as `--resume` does. The progress entries enumerate every (dialect,
+/// slice, completed) of the assignment — zero counts included — so they
+/// are both the owned slice set and the resume marks, and the stride is
+/// the fleet-wide slice count.
+runtime::ShardedCampaignConfig AssignmentConfig(const CheckpointState& state) {
+  runtime::ShardedCampaignConfig config;
+  fuzz::CampaignConfig& base = config.base;
+  base.seed = state.seed;
+  base.iterations = state.iterations;
+  base.queries_per_iteration = state.queries_per_iteration;
+  base.generator.num_geometries = state.num_geometries;
+  base.enable_faults = state.enable_faults;
+  base.generator.derivative_enabled = state.derivative_enabled;
+  base.dialect = state.dialects.empty() ? base.dialect : state.dialects.front();
+  base.oracles = state.oracles;
+  base.corpus.enabled = state.corpus_enabled;
+  base.corpus.mutate_pct = state.mutate_pct;
+  // Fresh admissions leave as ENTRY frames; seeds arrive as ENTRY frames.
+  base.corpus.log_admissions = base.corpus.enabled;
+  config.dialects = state.dialects;
+  config.shards = state.total_slices;
+  config.completed = state.completed;
+  std::set<uint64_t> slices;
+  for (const auto& [key, count] : state.completed) slices.insert(key.second);
+  config.slices.assign(slices.begin(), slices.end());
+  config.jobs = std::max<size_t>(1, config.slices.size());
+  if (state.duration_seconds > 0) {
+    config.duration_seconds =
+        std::max(0.1, state.duration_seconds - state.elapsed_seconds);
+  }
+  // Transfer needs the fleet-wide corpus: the supervisor's job.
+  config.cross_dialect_transfer = false;
   return config;
 }
 
-fleet::WorkerOptions WorkerOptionsFrom(const CheckpointState& state,
-                                       uint64_t worker_index,
-                                       const FleetClientConfig& config) {
-  fleet::WorkerOptions options;
-  options.base = CampaignConfigFrom(state);
-  options.dialects = state.dialects;
-  options.index = worker_index;
-  options.total_slices = state.total_slices;
-  // The assignment's progress entries enumerate every (dialect, slice,
-  // completed) of the work — zero counts included — so the slice set is
-  // exactly their slice values.
-  std::set<uint64_t> slices;
-  for (const auto& [key, count] : state.completed) {
-    slices.insert(key.second);
-    options.completed[key] = count;
+/// Runs one assignment on the in-process runtime, streaming it to the
+/// supervisor through `channel` (frame order in wire.h): ShardedCampaign's
+/// observer hooks carry the per-iteration duties. `backlog` holds
+/// the frames that arrived behind ASSIGN in the handshake's reads. Slice
+/// threads write concurrently under one mutex, so frames never
+/// interleave; a reader thread collects ENTRY and TUNE frames until the
+/// assignment ends or the supervisor goes away.
+void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
+                   const FleetClientConfig& config, FrameChannel* channel,
+                   const std::vector<Frame>& backlog) {
+  const uint64_t seed = campaign_config.base.seed;
+
+  // Set by the reader on EOF and by a failed write: slices wind down
+  // instead of fuzzing into a dead socket.
+  std::atomic<bool> stop{false};
+  std::mutex write_mu;
+  uint64_t frames_written = 0;
+  auto write = [&](const Frame& frame) {
+    std::lock_guard<std::mutex> lock(write_mu);
+    if (!channel->WriteFrame(frame)) {
+      stop.store(true, std::memory_order_relaxed);
+      return;
+    }
+    // Test seam: a deterministic SIGKILL right after the Nth frame lands
+    // whole on the wire (FleetClientConfig::die_after_frames).
+    if (config.die_after_frames > 0 &&
+        ++frames_written == config.die_after_frames) {
+      ::kill(::getpid(), SIGKILL);
+    }
+  };
+
+  // Supervisor input. Entries are append-only and drained before each
+  // iteration through a per-(dialect, slice) cursor (Restore semantics:
+  // signature dedup, never re-echoed); TUNE latches the latest advisory
+  // mutate budget (~0 = never tuned).
+  std::mutex entries_mu;
+  std::vector<corpus::TestCaseRecord> entries;
+  std::map<std::pair<engine::Dialect, uint64_t>, size_t> cursors;
+  std::atomic<uint64_t> tune_pct{~uint64_t{0}};
+  auto receive = [&](const std::vector<Frame>& frames) {
+    for (const Frame& frame : frames) {
+      if (frame.type == FrameType::kEntry) {
+        auto decoded = corpus::TestCaseCodec::Decode(frame.payload);
+        if (!decoded.ok()) continue;
+        std::lock_guard<std::mutex> lock(entries_mu);
+        entries.push_back(decoded.Take());
+      } else if (frame.type == FrameType::kTune) {
+        tune_pct.store(frame.mutate_pct, std::memory_order_relaxed);
+      }
+    }
+  };
+  receive(backlog);
+  std::atomic<bool> finished{false};
+  std::thread reader([&] {
+    std::vector<Frame> frames;
+    while (!finished.load(std::memory_order_relaxed)) {
+      frames.clear();
+      const bool open = channel->ReadFrames(200, &frames);
+      receive(frames);
+      if (!open) {  // supervisor closed the connection: finish up
+        stop.store(true, std::memory_order_relaxed);
+        break;
+      }
+    }
+  });
+
+  // COV/STATS heartbeat: one snapshot for the whole process (the coverage
+  // registry is process-global), sent by whichever slice crosses the
+  // interval first; STATS is cumulative since the assignment started.
+  const double t0 = Campaign::NowSeconds();
+  std::mutex cov_mu;
+  std::vector<uint64_t> cov_snapshot;  // empty = everything is new
+  double last_cov = t0;
+  std::atomic<uint64_t> iterations{0};
+  std::atomic<uint64_t> queries{0};
+  auto heartbeat = [&](double now) {  // cov_mu held
+    auto& registry = CoverageRegistry::Instance();
+    Frame cov;
+    cov.type = FrameType::kCov;
+    cov.elapsed = now - t0;
+    cov.iterations = iterations.load(std::memory_order_relaxed);
+    cov.queries = queries.load(std::memory_order_relaxed);
+    // Snapshot BEFORE diffing: a site another slice first-hits between
+    // the two calls then lands in this delta AND the next (a harmless
+    // double report into a set union); the other order would bake it into
+    // the snapshot unreported and lose it from the curve forever.
+    std::vector<uint64_t> next_snapshot = registry.SnapshotHits();
+    cov.site_keys = registry.KeysCoveredSince(cov_snapshot);
+    cov_snapshot = std::move(next_snapshot);
+    last_cov = now;
+    write(cov);
+    Frame stats;
+    stats.type = FrameType::kStats;
+    stats.elapsed = cov.elapsed;
+    stats.stats = obs::MetricsRegistry::Instance().Snapshot();
+    write(stats);
+  };
+
+  runtime::ShardedCampaign::Observer observer;
+  observer.before = [&](Campaign& campaign, uint64_t slice,
+                        size_t iteration) {
+    if (stop.load(std::memory_order_relaxed)) return false;
+    const uint64_t tuned = tune_pct.load(std::memory_order_relaxed);
+    if (tuned != ~uint64_t{0}) campaign.SetMutatePct(static_cast<int>(tuned));
+    const engine::Dialect dialect = campaign.config().dialect;
+    if (campaign.corpus() != nullptr) {
+      std::vector<corpus::TestCaseRecord> fresh;
+      {
+        std::lock_guard<std::mutex> lock(entries_mu);
+        size_t& cursor = cursors[{dialect, slice}];
+        fresh.assign(entries.begin() + static_cast<ptrdiff_t>(cursor),
+                     entries.end());
+        cursor = entries.size();
+      }
+      for (auto& record : fresh) campaign.corpus()->Restore(record);
+    }
+    Frame inflight;
+    inflight.type = FrameType::kInflight;
+    inflight.dialect = static_cast<uint64_t>(dialect);
+    inflight.slice = slice;
+    inflight.iteration = iteration;
+    write(inflight);
+    return true;
+  };
+  observer.after = [&](Campaign& campaign, uint64_t slice, uint64_t completed,
+                       fuzz::CampaignResult* delta) {
+    iterations.fetch_add(delta->iterations_run, std::memory_order_relaxed);
+    queries.fetch_add(delta->queries_run, std::memory_order_relaxed);
+    for (const fuzz::Discrepancy& d : delta->discrepancies) {
+      auto bug = fleet::MakeBugFrame(d, seed);
+      if (bug.ok()) write(bug.value());
+    }
+    // Streamed, not kept: a long duration assignment must not grow.
+    delta->discrepancies.clear();
+    delta->unique_bugs.clear();
+    if (campaign.corpus() != nullptr) {
+      for (const auto& record : campaign.corpus()->TakeNewlyAdmitted()) {
+        auto encoded = corpus::TestCaseCodec::Encode(record);
+        if (!encoded.ok()) continue;
+        Frame entry;
+        entry.type = FrameType::kEntry;
+        entry.payload = encoded.Take();
+        write(entry);
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(cov_mu);
+      const double now = Campaign::NowSeconds();
+      if (now - last_cov >= config.cov_interval_seconds) heartbeat(now);
+    }
+    // SLICEPROGRESS is the LAST frame of the iteration: a supervisor
+    // checkpoint that includes this mark has necessarily merged
+    // everything the iteration produced (the stream preserves order), so
+    // skipping the iteration on resume loses neither bugs nor coverage.
+    // The converse tear only re-runs the iteration, and the re-reports
+    // dedup away. The mark is absolute (resume offset included), so the
+    // supervisor's high-water mark is a plain copy of the latest value.
+    Frame progress;
+    progress.type = FrameType::kSliceProgress;
+    progress.dialect = static_cast<uint64_t>(campaign.config().dialect);
+    progress.slice = slice;
+    progress.completed = completed;
+    write(progress);
+  };
+  observer.slice_done = [&](engine::Dialect dialect, uint64_t slice) {
+    // The loop only exits BETWEEN iterations, so the last INFLIGHT
+    // iteration completed: without this frame the supervisor would
+    // persist it as a phantom in-flight crash case if the process dies
+    // later in another slice.
+    Frame slice_done;
+    slice_done.type = FrameType::kSliceDone;
+    slice_done.dialect = static_cast<uint64_t>(dialect);
+    slice_done.slice = slice;
+    write(slice_done);
+  };
+
+  const fuzz::CampaignResult result =
+      runtime::ShardedCampaign(campaign_config).Run(observer);
+
+  // A final COV and STATS so the supervisor's curve sees the tail and its
+  // merged fleet view is complete before DONE retires this incarnation.
+  {
+    std::lock_guard<std::mutex> lock(cov_mu);
+    heartbeat(Campaign::NowSeconds());
   }
-  options.slices.assign(slices.begin(), slices.end());
-  if (state.duration_seconds > 0) {
-    options.duration_seconds =
-        std::max(0.1, state.duration_seconds - state.elapsed_seconds);
-  }
-  options.cov_interval_seconds = config.cov_interval_seconds;
-  options.die_after_frames = config.die_after_frames;
-  return options;
+  Frame done;
+  done.type = FrameType::kDone;
+  done.iterations = result.iterations_run;
+  done.queries = result.queries_run;
+  done.checks = result.checks_run;
+  done.busy_seconds = result.busy_seconds;
+  done.engine_seconds = result.engine_seconds;
+  write(done);
+
+  finished.store(true, std::memory_order_relaxed);
+  reader.join();
 }
 
 }  // namespace
 
 int RunFleetClient(const FleetClientConfig& config) {
+  // The supervisor may die while we write; surface that as a latched
+  // write failure, not a SIGPIPE kill (which would be indistinguishable
+  // from a genuine worker crash and trigger a pointless respawn).
+  ::signal(SIGPIPE, SIG_IGN);
+  // Flight dumps are synthesized by the supervisor from (seed, iteration),
+  // so a worker keeps no ring; a child forked from a --trace-out
+  // supervisor drops the recorder it inherited.
+  obs::TraceRecorder::Instance().Disable();
+
   FleetClientConfig current = config;
   size_t assignments_run = 0;
   for (;;) {
@@ -80,7 +291,15 @@ int RunFleetClient(const FleetClientConfig& config) {
                    connected.status().ToString().c_str());
       return 1;
     }
-    FrameChannel channel(connected.value());
+    // Writes wait as long as the supervisor stays connected: a slow
+    // supervisor must not make a worker drop its assignment.
+    FrameChannel channel(connected.value(), /*write_timeout_ms=*/-1);
+    // Fresh-process coverage and metrics for every connection, even when
+    // forked from a warm parent: COV deltas and the cumulative STATS
+    // snapshots describe this assignment only, as the supervisor expects.
+    // Before the handshake, so its reads are counted too.
+    CoverageRegistry::Instance().ResetHits();
+    obs::MetricsRegistry::Instance().Reset();
 
     Frame hello;
     hello.type = FrameType::kNetHello;
@@ -93,30 +312,23 @@ int RunFleetClient(const FleetClientConfig& config) {
 
     // Wait for ASSIGN or BYE. The server may hold an idle connection
     // open indefinitely — that is the elastic-membership waiting room.
-    // Byte-at-a-time reads: the ENTRY/TUNE frames the server streams
-    // right after ASSIGN must stay in the kernel buffer for RunWorker's
-    // reader, not die in a handshake buffer.
-    bool got_assign = false;
-    Frame assign;
-    while (!got_assign) {
-      auto frame = ReadOneFrame(channel.fd());
-      if (!frame.ok()) {
-        // Server gone without BYE: clean exit if we did any work, else
-        // the campaign never started for us.
-        channel.Close();
-        return assignments_run > 0 ? 0 : 1;
-      }
-      if (frame.value().type == FrameType::kBye) {
-        channel.Close();
-        return 0;
-      }
-      if (frame.value().type == FrameType::kAssign) {
-        assign = frame.Take();
-        got_assign = true;
-      }
+    std::vector<Frame> frames;
+    auto reply = frames.end();
+    for (bool open = true; open && reply == frames.end();) {
+      open = channel.ReadFrames(200, &frames);
+      reply = std::find_if(frames.begin(), frames.end(), [](const Frame& f) {
+        return f.type == FrameType::kAssign || f.type == FrameType::kBye;
+      });
+    }
+    if (reply == frames.end() || reply->type == FrameType::kBye) {
+      // BYE, or the server gone without one: a clean exit if we did any
+      // work, else the campaign never started for us.
+      const bool bye = reply != frames.end();
+      channel.Close();
+      return bye || assignments_run > 0 ? 0 : 1;
     }
 
-    const std::string doc(assign.payload.begin(), assign.payload.end());
+    const std::string doc(reply->payload.begin(), reply->payload.end());
     auto state = fleet::DecodeCheckpoint(doc);
     if (!state.ok()) {
       std::fprintf(stderr, "net: bad ASSIGN payload: %s\n",
@@ -124,19 +336,15 @@ int RunFleetClient(const FleetClientConfig& config) {
       channel.Close();
       return 1;
     }
-    const fleet::WorkerOptions options =
-        WorkerOptionsFrom(state.value(), assign.worker, current);
+    const runtime::ShardedCampaignConfig campaign_config =
+        AssignmentConfig(state.value());
+    std::fprintf(stderr, "net: assignment %" PRIu64 ": %zu slice(s) of %zu\n",
+                 reply->worker, campaign_config.slices.size(),
+                 campaign_config.shards);
+    RunAssignment(campaign_config, current, &channel,
+                  std::vector<Frame>(reply + 1, frames.end()));
     // The fault seam fires once: later assignments must complete.
     current.die_after_frames = 0;
-
-    std::fprintf(stderr,
-                 "net: assignment %" PRIu64 ": %zu slice(s) of %zu\n",
-                 assign.worker, options.slices.size(), options.total_slices);
-    // The socket is both frame directions for RunWorker's writer and
-    // reader. Blocking from here on: RunWorker's writer treats EAGAIN as a
-    // dead peer (its reader polls before every read, so it never blocks).
-    SetBlocking(channel.fd(), true);
-    fleet::RunWorker(options, channel.fd(), channel.fd());
     assignments_run++;
     channel.Close();
   }

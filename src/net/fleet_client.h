@@ -2,18 +2,19 @@
 // forked by `spatter --fleet` or a remote `spatter --connect=HOST:PORT` —
 // looping over assignments from the one supervisor (net/fleet_server.h).
 //
-// Protocol: one assignment per TCP connection. The client connects (with
-// a retry budget, so remote workers may start before the supervisor),
-// sends NETHELLO <proto> <pid>, and blocks until the supervisor answers —
-// ASSIGN (a hex-encoded EncodeCheckpoint document carrying the campaign
-// identity and the assignment's (dialect, slice, completed) marks) or BYE
-// (no work now or ever). On ASSIGN it rebuilds the CampaignConfig from
-// the checkpoint's identity block, runs the stock fleet::RunWorker loop
-// with the socket fd as both frame directions, and reconnects for the
-// next assignment once DONE is on the wire. The supervisor holding an
-// idle connection open IS the elastic-membership waiting room: the
-// client just sits in its read loop until work is requeued or the
-// campaign ends.
+// Protocol: one assignment per TCP connection, carried by one
+// net::FrameChannel. The client connects (with a retry budget, so remote
+// workers may start before the supervisor), sends NETHELLO <proto> <pid>,
+// and waits until the supervisor answers — ASSIGN (a hex-encoded
+// EncodeCheckpoint document carrying the campaign identity and the
+// assignment's (dialect, slice, completed) marks) or BYE (no work now or
+// ever). On ASSIGN it runs runtime::ShardedCampaign over the assignment's
+// slices — the stride is the fleet-wide slice count, the marks are the
+// resume points — with an observer that streams the wire.h frames of
+// every iteration, and reconnects for the next assignment once DONE is on
+// the wire. The supervisor holding an idle connection open IS the
+// elastic-membership waiting room: the client just waits in its read
+// loop until work is requeued or the campaign ends.
 //
 // Nothing host-specific crosses the wire: no file paths, no corpus
 // directories. Corpus state arrives as streamed ENTRY frames.
@@ -30,11 +31,12 @@ struct FleetClientConfig {
   uint16_t port = 0;
   /// Retry budget for each (re)connect attempt.
   double connect_retry_seconds = 10.0;
-  /// Seconds between COV/STATS heartbeats (WorkerOptions passthrough).
+  /// Seconds between COV/STATS heartbeats.
   double cov_interval_seconds = 0.2;
-  /// Test-only: the first assignment's worker SIGKILLs itself after
-  /// writing this many frames (WorkerOptions::die_after_frames) — the
-  /// deterministic seam the elastic-membership tests kill a worker with
+  /// Test-only: the first assignment's worker SIGKILLs itself right after
+  /// writing this many frames after NETHELLO — a real SIGKILL death at a
+  /// reproducible point in the protocol stream, the seam the
+  /// elastic-membership tests kill a worker with
   /// (FleetConfig::worker0_die_after_frames for a local child). Cleared
   /// after the first assignment.
   uint64_t die_after_frames = 0;

@@ -83,9 +83,6 @@ struct FleetServer::Peer {
   uint64_t cov_iterations = 0;
   uint64_t cov_queries = 0;
   obs::MetricsSnapshot latest_stats;
-  /// Final flight ring from a TRACE frame (clean shutdowns only; a
-  /// SIGKILLed worker's dump is synthesized from (seed, iteration)).
-  obs::TraceSnapshot last_trace;
   /// Wall clock of the accept, for the /fleet per-worker rates.
   double connected_at = 0.0;
   /// Wall clock of the last valid frame, for stale-worker detection; one
@@ -365,8 +362,6 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       peer->helloed = true;
       break;
     }
-    case FrameType::kHello:
-      break;  // informational (RunWorker's first frame)
     case FrameType::kInflight:
       peer->last_inflight[{frame.dialect, frame.slice}] = frame.iteration;
       break;
@@ -435,10 +430,6 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       // Cumulative-since-start per incarnation: replace, don't merge.
       peer->latest_stats = frame.stats;
       break;
-    case FrameType::kTrace:
-      // The incarnation's final flight ring (sent right before DONE).
-      peer->last_trace = frame.trace;
-      break;
     case FrameType::kAssign:
     case FrameType::kBye:
     case FrameType::kTune:
@@ -491,13 +482,12 @@ void FleetServer::PersistInflight(const Peer& peer) {
         inflight_persisted_++;
       }
     }
-    // Flight-recorder dump next to the reproducer: the worker's real
-    // final ring when a TRACE frame made it out, otherwise a synthesized
+    // Flight-recorder dump next to the reproducer: a synthesized
     // re-recording of the in-flight iteration's input construction.
     std::string flight_path;
     const Status flight = fleet::PersistFlightRecord(
-        config_.base, dialect, iteration, &peer.last_trace,
-        config_.crash_dir, peer.index, &flight_path);
+        config_.base, dialect, iteration, config_.crash_dir, peer.index,
+        &flight_path);
     std::fprintf(stderr, "fleet: flight record: %s\n",
                  flight.ok() ? flight_path.c_str()
                              : flight.ToString().c_str());

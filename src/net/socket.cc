@@ -112,48 +112,6 @@ Result<int> ConnectWithRetry(const std::string& host, uint16_t port,
                           " failed: " + last_error);
 }
 
-void SetBlocking(int fd, bool blocking) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return;
-  ::fcntl(fd, F_SETFL,
-          blocking ? (flags & ~O_NONBLOCK) : (flags | O_NONBLOCK));
-}
-
-Result<fleet::Frame> ReadOneFrame(int fd) {
-  std::string line;
-  bool overflow = false;
-  char byte;
-  for (;;) {
-    struct pollfd pfd = {fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready < 0 && errno != EINTR) return Errno("poll()");
-    if (ready <= 0) continue;
-    const ssize_t n = ::read(fd, &byte, 1);
-    if (n == 0) return Status::NotFound("peer closed");
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Errno("read()");
-    }
-    if (byte != '\n') {
-      if (overflow) continue;  // resync: discard until the newline
-      line.push_back(byte);
-      if (line.size() > fleet::kMaxFrameBytes) {
-        SPATTER_METRIC_INC("wire.rejected");
-        line.clear();
-        overflow = true;
-      }
-      continue;
-    }
-    if (overflow) {
-      overflow = false;
-      continue;
-    }
-    auto frame = fleet::DecodeFrame(line);
-    if (frame.ok()) return frame;
-    line.clear();  // malformed: skip the line, stay in sync
-  }
-}
-
 bool FrameChannel::WriteFrame(const fleet::Frame& frame) {
   if (fd_ < 0 || write_failed_) return false;
   const std::string line = fleet::EncodeFrame(frame);
@@ -166,7 +124,9 @@ bool FrameChannel::WriteFrame(const fleet::Frame& frame) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       struct pollfd pfd = {fd_, POLLOUT, 0};
-      if (::poll(&pfd, 1, 5000) <= 0) {
+      const int ready = ::poll(&pfd, 1, write_timeout_ms_);
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready <= 0) {
         write_failed_ = true;  // wedged peer: stop feeding it
         return false;
       }

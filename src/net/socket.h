@@ -2,7 +2,10 @@
 // a connector with a retry budget, and FrameChannel — the adapter between
 // the line-framed fleet/wire protocol and a byte stream that delivers
 // those lines in arbitrary splits (one byte at a time, mid-frame, many
-// frames coalesced into one read).
+// frames coalesced into one read). FrameChannel is the only transport on
+// both ends: the supervisor multiplexes one per peer, and a worker runs
+// its whole connection — handshake, ASSIGN, the reader thread, every
+// write — through one.
 //
 // Everything here is poll()-based and non-blocking so a single-threaded
 // server can multiplex a listener plus many peers, and hardened for
@@ -44,27 +47,20 @@ int AcceptOne(int listen_fd);
 Result<int> ConnectWithRetry(const std::string& host, uint16_t port,
                              double retry_seconds);
 
-/// Flips O_NONBLOCK. The fleet client handshakes on a non-blocking fd,
-/// then hands it to fleet::RunWorker — whose writer assumes blocking
-/// semantics (an EAGAIN would read as a dead peer).
-void SetBlocking(int fd, bool blocking);
-
-/// Reads exactly one valid frame line from `fd`, one byte at a time — no
-/// over-read, so every byte after the frame's newline stays in the kernel
-/// buffer for whoever owns the fd next. The fleet client uses this for
-/// the handshake: the frames streamed right after ASSIGN (corpus seeds,
-/// TUNE) must reach RunWorker's reader, not die in a handshake buffer.
-/// Malformed lines are skipped (counted in wire.rejected via DecodeFrame;
-/// oversized ones dropped at fleet::kMaxFrameBytes). Blocks until a frame
-/// arrives or the peer closes (kNotFound on EOF).
-Result<fleet::Frame> ReadOneFrame(int fd);
-
 /// Line reassembly + frame codec over one non-blocking socket fd. The
 /// channel does not own the fd lifetime policy (callers close), but
-/// Close() is provided for symmetry and idempotence.
+/// Close() is provided for symmetry and idempotence. One thread may read
+/// while another writes (the two sides share no state); concurrent
+/// writers need a lock of their own.
 class FrameChannel {
  public:
-  explicit FrameChannel(int fd) : fd_(fd) {}
+  /// `write_timeout_ms` bounds how long a write waits for a full socket
+  /// buffer to drain before it latches write_failed(); -1 waits as long
+  /// as the peer stays connected. The supervisor keeps the default, so a
+  /// wedged worker cannot stall it; a worker waits, so a slow supervisor
+  /// cannot make it drop its assignment.
+  explicit FrameChannel(int fd, int write_timeout_ms = 5000)
+      : fd_(fd), write_timeout_ms_(write_timeout_ms) {}
 
   int fd() const { return fd_; }
   bool eof() const { return eof_; }
@@ -74,9 +70,9 @@ class FrameChannel {
   /// `wire.rejected` metric).
   uint64_t rejected() const { return rejected_; }
 
-  /// Encodes and writes `frame`, blocking briefly (poll for POLLOUT) if
-  /// the socket buffer is full. A peer that vanished latches
-  /// write_failed(); further writes are no-ops.
+  /// Encodes and writes `frame`, waiting (poll for POLLOUT, up to the
+  /// write timeout) while the socket buffer is full. A peer that vanished
+  /// latches write_failed(); further writes are no-ops.
   bool WriteFrame(const fleet::Frame& frame);
 
   /// Waits up to `timeout_ms` for readability (0 = just drain what is
@@ -90,6 +86,7 @@ class FrameChannel {
 
  private:
   int fd_;
+  int write_timeout_ms_;
   std::string buffer_;
   bool overflow_ = false;  ///< dropping until the next newline (resync)
   bool eof_ = false;

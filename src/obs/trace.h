@@ -2,10 +2,10 @@
 // buffer of structured campaign events (iteration start/end, mutation op
 // chosen, engine phase spans, per-oracle verdicts, corpus admissions,
 // checkpoint writes), snapshotted into a versioned spatter-trace-v1 JSONL
-// document for --trace-out and for the crash flight recorder: each worker
-// keeps the last K events per thread, the supervisor persists the ring
-// (received over a TRACE wire frame, or re-synthesized by re-running
-// GenerateDatabaseFor under tracing) next to the crash reproducer.
+// document for --trace-out and for the crash flight recorder: the
+// supervisor re-synthesizes a dead worker's in-flight iteration by
+// re-running GenerateDatabaseFor under tracing and persists the ring next
+// to the crash reproducer (fleet/flight.h); workers record nothing.
 //
 // Design constraints, in order:
 //   1. Strictly passive, like src/obs/metrics. Recording never draws

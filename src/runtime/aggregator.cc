@@ -97,13 +97,19 @@ void Aggregator::MergeCorpus(const corpus::Corpus& shard) {
 
 fuzz::CampaignResult Aggregator::Finish(double wall_seconds) {
   // Stable so a shard's in-order records keep their relative order on tie
-  // (generation crashes share query_index 0 with the first query).
+  // (generation crashes share query_index 0 with the first query). Dialect
+  // breaks the cross-shard tie: every dialect runs the same iterations, and
+  // their merges arrive in schedule order.
   std::stable_sort(acc_.discrepancies.begin(), acc_.discrepancies.end(),
                    [](const fuzz::Discrepancy& a, const fuzz::Discrepancy& b) {
                      if (a.iteration != b.iteration) {
                        return a.iteration < b.iteration;
                      }
-                     return a.query_index < b.query_index;
+                     if (a.query_index != b.query_index) {
+                       return a.query_index < b.query_index;
+                     }
+                     return static_cast<uint8_t>(a.dialect) <
+                            static_cast<uint8_t>(b.dialect);
                    });
   acc_.total_seconds = wall_seconds;
   fuzz::CampaignResult out = std::move(acc_);

@@ -3,8 +3,9 @@
 // Shards run isolated Campaign instances (own Engine, own FaultState, own
 // RNG stream) and report plain CampaignResults; the aggregator folds them
 // into one campaign-level result:
-//   - discrepancies concatenated, then ordered by (iteration, query_index)
-//     so the merged report reads like a serial run;
+//   - discrepancies concatenated, then ordered by (iteration, query_index,
+//     dialect) so the merged report reads like a serial run whatever the
+//     merge order;
 //   - unique_bugs deduplicated by FaultId, earliest detection winning.
 //     "Earliest" is by logical campaign position (iteration, then
 //     query_index), which is a total order across shards — so the winning
@@ -29,7 +30,7 @@ class Aggregator {
   /// Folds a shard result (or a per-iteration delta; zero-valued timing
   /// fields merge as no-ops) into the running aggregate. The rvalue
   /// overload moves discrepancy payloads instead of deep-copying them —
-  /// use it on the duration-mode hot path, where merges run under the
+  /// use it on the slice loop's hot path, where merges run under the
   /// shared aggregate lock.
   void Merge(const fuzz::CampaignResult& shard);
   void Merge(fuzz::CampaignResult&& shard);
@@ -55,7 +56,8 @@ class Aggregator {
   const fuzz::CampaignResult& current() const { return acc_; }
 
   /// Finalizes and returns the aggregate: discrepancies sorted into
-  /// (iteration, query_index) order, total_seconds set to `wall_seconds`.
+  /// (iteration, query_index, dialect) order, total_seconds set to
+  /// `wall_seconds`.
   /// The aggregator is left empty (the merged corpus, if any, stays until
   /// TakeCorpus).
   fuzz::CampaignResult Finish(double wall_seconds);

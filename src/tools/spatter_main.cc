@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -227,6 +228,27 @@ bool ParseSize(const std::string& value, const char* flag, size_t max,
   return true;
 }
 
+bool ParseSeconds(const std::string& value, const char* flag, double* out) {
+  // Plain decimal digits with an optional fraction: strtod alone would
+  // also take "nan", "inf", hex and exponents.
+  const auto digits = [](const std::string& s) {
+    return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) {
+      return c >= '0' && c <= '9';
+    });
+  };
+  const size_t dot = value.find('.');
+  const bool plain =
+      digits(value.substr(0, dot)) &&
+      (dot == std::string::npos || digits(value.substr(dot + 1)));
+  const double parsed = plain ? std::strtod(value.c_str(), nullptr) : 0.0;
+  if (!std::isfinite(parsed) || parsed <= 0) {
+    std::fprintf(stderr, "%s must be a positive number of seconds\n", flag);
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 // Upper bounds of the count flags, far past any real campaign: a larger
 // value is a typo, not a budget.
 constexpr size_t kMaxBudget = size_t{1} << 32;
@@ -289,19 +311,11 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     } else if (ParseFlag(argv[i], "--fleet", &value)) {
       if (!ParseSize(value, "--fleet", 256, &opts->fleet)) return false;
     } else if (ParseFlag(argv[i], "--duration", &value)) {
-      char* end = nullptr;
-      opts->duration = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || opts->duration <= 0) {
-        std::fprintf(stderr, "--duration must be a positive number\n");
-        return false;
-      }
+      if (!ParseSeconds(value, "--duration", &opts->duration)) return false;
     } else if (ParseFlag(argv[i], "--curve-out", &value)) {
       opts->curve_out = value;
     } else if (ParseFlag(argv[i], "--status-interval", &value)) {
-      char* end = nullptr;
-      opts->status_interval = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || opts->status_interval <= 0) {
-        std::fprintf(stderr, "--status-interval must be a positive number\n");
+      if (!ParseSeconds(value, "--status-interval", &opts->status_interval)) {
         return false;
       }
     } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
@@ -311,10 +325,7 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       }
       opts->metrics_out = value;
     } else if (ParseFlag(argv[i], "--metrics-every", &value)) {
-      char* end = nullptr;
-      opts->metrics_every = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || opts->metrics_every <= 0) {
-        std::fprintf(stderr, "--metrics-every must be a positive number\n");
+      if (!ParseSeconds(value, "--metrics-every", &opts->metrics_every)) {
         return false;
       }
     } else if (ParseFlag(argv[i], "--trace-out", &value)) {
@@ -346,11 +357,8 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       }
       opts->checkpoint_dir = value;
     } else if (ParseFlag(argv[i], "--checkpoint-every", &value)) {
-      char* end = nullptr;
-      opts->checkpoint_every = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || opts->checkpoint_every <= 0) {
-        std::fprintf(stderr,
-                     "--checkpoint-every must be a positive number\n");
+      if (!ParseSeconds(value, "--checkpoint-every",
+                        &opts->checkpoint_every)) {
         return false;
       }
     } else if (ParseFlag(argv[i], "--resume", &value)) {
@@ -372,12 +380,8 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       }
       opts->minify_dir = value;
     } else if (ParseFlag(argv[i], "--mutate-pct", &value)) {
-      char* end = nullptr;
-      const long pct = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || pct < 0 || pct > 100) {
-        std::fprintf(stderr, "--mutate-pct must be an integer in [0, 100]\n");
-        return false;
-      }
+      size_t pct = 0;
+      if (!ParseSize(value, "--mutate-pct", 100, &pct)) return false;
       opts->mutate_pct = static_cast<int>(pct);
     } else if (ParseFlag(argv[i], "--replay", &value)) {
       if (value.empty()) {
@@ -805,6 +809,7 @@ int main(int argc, char** argv) {
     runtime::ShardedCampaignConfig config;
     config.base = BaseConfig(opts);
     config.jobs = opts.jobs;
+    config.duration_seconds = opts.duration;
     config.cross_dialect_transfer = opts.transfer;
     if (opts.all_dialects) {
       config.dialects = runtime::ShardedCampaign::AllDialects();
@@ -850,18 +855,16 @@ int main(int argc, char** argv) {
         }
       });
     }
+    runtime::ShardedCampaign::Observer observer;
     if (opts.duration > 0) {
       auto& registry = CoverageRegistry::Instance();
-      result = campaign->RunForDuration(
-          opts.duration,
-          [&local_curve, &registry](double elapsed,
-                                    const fuzz::CampaignResult& r) {
-            local_curve.Add(elapsed, registry.CoveredSiteCount(),
-                            r.unique_bugs.size(), r.iterations_run);
-          });
-    } else {
-      result = campaign->Run();
+      observer.sample = [&local_curve, &registry](
+                            double elapsed, const fuzz::CampaignResult& r) {
+        local_curve.Add(elapsed, registry.CoveredSiteCount(),
+                        r.unique_bugs.size(), r.iterations_run);
+      };
     }
+    result = campaign->Run(observer);
     if (metrics_flusher.joinable()) {
       metrics_stop.store(true, std::memory_order_relaxed);
       metrics_flusher.join();

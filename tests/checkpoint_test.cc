@@ -475,10 +475,10 @@ TEST(CrashEquivalence, ResumeEqualsUninterruptedPureGenerate) {
   const auto want = BugOracleMap(ref);
   ASSERT_FALSE(want.empty());
 
-  // Kill points: frame 4 (inside the first iterations) and frame 25
-  // (mid-campaign: each of 14 iterations writes at least INFLIGHT +
-  // SLICEPROGRESS, so the stream has > 30 frames before DONE).
-  for (const uint64_t kill_at : {uint64_t{4}, uint64_t{25}}) {
+  // Kill points: frame 3 (inside the first iterations) and frame 24
+  // (mid-campaign: after NETHELLO, each of 14 iterations writes at least
+  // INFLIGHT + SLICEPROGRESS, so the stream has > 28 frames before DONE).
+  for (const uint64_t kill_at : {uint64_t{3}, uint64_t{24}}) {
     const std::string dir =
         TempDir(("equiv" + std::to_string(kill_at)).c_str());
     FleetConfig killed = base;
@@ -510,7 +510,7 @@ TEST(CrashEquivalence, ResumeEqualsUninterruptedMultiOracle) {
   const std::string dir = TempDir("multioracle");
   FleetConfig killed = base;
   killed.checkpoint_dir = dir;
-  killed.die_after_frames = 30;
+  killed.die_after_frames = 29;
   ASSERT_TRUE(KilledBySigkill(RunFleetInChild(killed)));
 
   auto loaded = LoadCheckpoint(dir);
@@ -539,7 +539,7 @@ TEST(CrashEquivalence, FactorizationCrossedResume) {
     const std::string dir = TempDir(("cross" + std::to_string(p)).c_str());
     FleetConfig killed = base;
     killed.checkpoint_dir = dir;
-    killed.die_after_frames = 20;
+    killed.die_after_frames = 18;
     ASSERT_TRUE(KilledBySigkill(RunFleetInChild(killed)));
 
     auto loaded = LoadCheckpoint(dir);
@@ -572,7 +572,7 @@ TEST(CrashEquivalence, CurveContinuityAcrossResume) {
   const std::string dir = TempDir("curve_resume");
   FleetConfig killed = base;
   killed.checkpoint_dir = dir;
-  killed.die_after_frames = 40;
+  killed.die_after_frames = 39;
   ASSERT_TRUE(KilledBySigkill(RunFleetInChild(killed)));
 
   auto loaded = LoadCheckpoint(dir);

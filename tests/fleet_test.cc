@@ -126,14 +126,6 @@ TEST(Wire, ParseU64AcceptsOnlyPlainDecimal) {
 }
 
 TEST(Wire, EveryFrameTypeRoundTrips) {
-  Frame hello;
-  hello.type = FrameType::kHello;
-  hello.worker = 3;
-  hello.pid = 4242;
-  hello.slice_offset = 6;
-  hello.slice_count = 2;
-  hello.total_slices = 8;
-
   Frame inflight;
   inflight.type = FrameType::kInflight;
   inflight.dialect = 2;
@@ -182,8 +174,8 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
   Frame bye;
   bye.type = FrameType::kBye;
 
-  for (const Frame& frame : {hello, inflight, slice_done, slice_progress,
-                             cov, entry, bug, done, bye}) {
+  for (const Frame& frame : {inflight, slice_done, slice_progress, cov, entry,
+                             bug, done, bye}) {
     const std::string line = EncodeFrame(frame);
     EXPECT_EQ(line.back(), '\n');
     EXPECT_EQ(line.find('\n'), line.size() - 1) << "one line per frame";
@@ -191,10 +183,6 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     ASSERT_TRUE(decoded.ok()) << line;
     const Frame& out = decoded.value();
     EXPECT_EQ(out.type, frame.type);
-    EXPECT_EQ(out.worker, frame.worker);
-    EXPECT_EQ(out.slice_offset, frame.slice_offset);
-    EXPECT_EQ(out.slice_count, frame.slice_count);
-    EXPECT_EQ(out.total_slices, frame.total_slices);
     EXPECT_EQ(out.dialect, frame.dialect);
     EXPECT_EQ(out.slice, frame.slice);
     EXPECT_EQ(out.iteration, frame.iteration);
@@ -219,12 +207,12 @@ TEST(Wire, RejectsCorruptFrames) {
   const char* corrupt[] = {
       "",                                   // empty line
       "SPTW1",                              // magic only
-      "BADMAGIC HELLO 1 2 3 4 5",           // wrong magic
+      "BADMAGIC INFLIGHT 0 1 2",            // wrong magic
       "SPTW1 NOSUCH 1 2",                   // unknown type
-      "SPTW1 HELLO 1 2 3 4",                // missing field
-      "SPTW1 HELLO 1 2 3 4 5 6",            // extra field
-      "SPTW1 HELLO 1 2 x 4 5",              // non-numeric
-      "SPTW1 HELLO 1 2  4 5",               // torn double space
+      "SPTW1 INFLIGHT 0 1",                 // missing field
+      "SPTW1 INFLIGHT 0 1 2 3",             // extra field
+      "SPTW1 INFLIGHT 0 x 2",               // non-numeric
+      "SPTW1 INFLIGHT 0  2",                // torn double space
       "SPTW1 INFLIGHT 9 0 0",               // dialect out of range
       "SPTW1 SLICEDONE 0",                  // missing slice
       "SPTW1 SLICEDONE 9 0",                // dialect out of range
@@ -242,7 +230,9 @@ TEST(Wire, RejectsCorruptFrames) {
       "SPTW1 DONE 1 2 3 4.0 5.0 6 7 8 9",   // protocol-1 engine counters
       "SPTW1 BYE 1",                        // BYE takes no fields
       "SPTW1 STOP",                         // retired in protocol 2
-      "SPTW1 HELLO 99999999999999999999999999 2 3 4 5",  // overflow
+      "SPTW1 HELLO 3 4242 6 2 8",           // retired in protocol 3
+      "SPTW1 TRACE 3.500000 7b7d",          // retired in protocol 3
+      "SPTW1 INFLIGHT 0 1 99999999999999999999999999",  // overflow
   };
   for (const char* line : corrupt) {
     EXPECT_FALSE(DecodeFrame(line).ok()) << "should reject: " << line;
@@ -489,10 +479,14 @@ int ScriptedWorker(uint16_t port) {
   hello.type = FrameType::kNetHello;
   hello.proto = kNetProtocolVersion;
   WriteLine(fd.value(), EncodeFrame(hello));
-  for (;;) {
-    auto frame = net::ReadOneFrame(fd.value());
-    EXPECT_TRUE(frame.ok()) << frame.status().ToString();
-    if (!frame.ok() || frame.value().type == FrameType::kAssign) break;
+  net::FrameChannel channel(fd.value());
+  std::vector<Frame> frames;
+  while (std::none_of(frames.begin(), frames.end(), [](const Frame& f) {
+    return f.type == FrameType::kAssign;
+  })) {
+    const bool open = channel.ReadFrames(1000, &frames);
+    EXPECT_TRUE(open) << "connection closed before ASSIGN";
+    if (!open) break;
   }
   return fd.value();
 }
@@ -584,9 +578,9 @@ TEST(FleetSupervisor, ScriptedCrashPersistsInflightAndRerunsIt) {
       decoded.value().sdb.ToSql(),
       Campaign::GenerateDatabaseFor(config.base, /*iteration=*/0).ToSql());
 
-  // The worker never sent a TRACE frame, so the dump is synthesized — and
-  // must still be a valid spatter-trace-v1 document whose events all
-  // belong to the crashed iteration.
+  // The dump is synthesized from (seed, iteration) and must be a valid
+  // spatter-trace-v1 document whose events all belong to the crashed
+  // iteration.
   const std::vector<fs::path> flights = FilesIn(crash_dir, ".jsonl");
   ASSERT_EQ(flights.size(), 1u);
   const std::string flight_name = flights[0].filename().string();
@@ -679,7 +673,10 @@ TEST(FleetSupervisor, SkipsGarbageFramesWithoutDesync) {
     done.iterations = 2;
     WriteLine(fd, EncodeFrame(done));
     // Hold the connection until the supervisor says goodbye.
-    (void)net::ReadOneFrame(fd);
+    net::FrameChannel channel(fd);
+    std::vector<Frame> bye;
+    while (bye.empty() && channel.ReadFrames(1000, &bye)) {
+    }
     ::close(fd);
   });
   const CampaignResult result = server.Run();
@@ -703,7 +700,7 @@ TEST(FleetSupervisor, SigkilledLocalWorkerIsRespawnedAndLosesNothing) {
   ASSERT_FALSE(expected.unique_bugs.empty());
 
   // Deterministic live SIGKILL via the worker fault seam: the only local
-  // child's first incarnation kills itself right after its 10th frame —
+  // child's first incarnation kills itself right after its 9th frame —
   // always mid-assignment (its 24 iterations write at least INFLIGHT +
   // SLICEPROGRESS each) and always a real SIGKILL mid-stream.
   net::FleetConfig config;
@@ -712,7 +709,7 @@ TEST(FleetSupervisor, SigkilledLocalWorkerIsRespawnedAndLosesNothing) {
   config.jobs = 2;
   config.crash_dir = TempDir("sigkill");
   config.cov_interval_seconds = 0.02;
-  config.worker0_die_after_frames = 10;
+  config.worker0_die_after_frames = 9;
   net::FleetServer server(config);
   const CampaignResult result = RunFleet(&server);
 

@@ -1,8 +1,10 @@
 // Socket fleet tests: the TCP transport (FrameChannel reassembly under
-// arbitrary byte splits, garbage/oversize resync, handshake reads that
-// never over-read), the NETHELLO version gate, the read-only status
-// endpoint (served by `--serve` and local `--fleet` supervisors alike),
-// and the elastic-membership pin — a two-remote-worker socket campaign
+// arbitrary byte splits, garbage/oversize resync), the worker's side of
+// the stream (every frame a real fleet client sends for a scripted
+// assignment, and a hostile supervisor that cannot grow its line buffer),
+// the NETHELLO version gate, the read-only status endpoint (served by
+// `--serve` and local `--fleet` supervisors alike), and the
+// elastic-membership pin — a two-remote-worker socket campaign
 // with one worker SIGKILLed mid-assignment must report the identical
 // unique-bug set (and per-oracle attribution) as an uninterrupted
 // in-process run over the same slice universe, and must leave the dead
@@ -18,11 +20,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fleet/checkpoint.h"
 #include "fleet/wire.h"
 #include "fuzz/campaign.h"
 #include "net/fleet_client.h"
@@ -63,15 +67,6 @@ CampaignConfig SmallConfig(uint64_t seed, size_t iterations) {
 /// field that failed to survive the byte stream.
 std::vector<Frame> EveryFrameType() {
   std::vector<Frame> frames;
-
-  Frame hello;
-  hello.type = FrameType::kHello;
-  hello.worker = 3;
-  hello.pid = 4242;
-  hello.slice_offset = 6;
-  hello.slice_count = 2;
-  hello.total_slices = 8;
-  frames.push_back(hello);
 
   Frame inflight;
   inflight.type = FrameType::kInflight;
@@ -153,20 +148,6 @@ std::vector<Frame> EveryFrameType() {
   tune.type = FrameType::kTune;
   tune.mutate_pct = 85;
   frames.push_back(tune);
-
-  Frame trace;
-  trace.type = FrameType::kTrace;
-  trace.elapsed = 3.5;
-  trace.trace.dropped = 2;
-  obs::TraceEvent ev;
-  ev.t_us = 42;
-  ev.thread = 1;
-  ev.iteration = 7;
-  ev.value = 11;
-  ev.name = "iter.begin";
-  ev.detail = "with \"quotes\" and\ttabs";
-  trace.trace.events.push_back(ev);
-  frames.push_back(trace);
 
   return frames;
 }
@@ -328,65 +309,193 @@ TEST(FrameChannel, EofAfterBufferedFramesStillDeliversThem) {
   EXPECT_EQ(channel.rejected(), 1u) << "the torn tail counts as rejected";
 }
 
-// --- Handshake reads --------------------------------------------------------
+// --- The worker's side of the stream ---------------------------------------
 
-TEST(ReadOneFrame, NeverReadsPastTheFrame) {
-  // The fleet client handshake hands the fd to RunWorker right after
-  // ASSIGN; every byte after ASSIGN's newline (corpus seeds, TUNE) must
-  // still be in the kernel buffer — byte-identically.
-  LoopbackPair pair;
-  Frame assign;
-  assign.type = FrameType::kAssign;
-  assign.worker = 2;
-  const std::string doc = "pretend checkpoint";
-  assign.payload.assign(doc.begin(), doc.end());
-  Frame tune;
-  tune.type = FrameType::kTune;
-  tune.mutate_pct = 60;
-  const std::string first = EncodeFrame(assign);
-  const std::string rest = EncodeFrame(tune) + EncodeFrame(tune);
-  WriteChunked(pair.client, first + rest, first.size() + rest.size());
+/// The ASSIGN document of a one-dialect assignment of `config`'s campaign
+/// that owns `slice` of `total_slices`, resumed at `completed` iterations.
+fleet::CheckpointState AssignmentFor(const CampaignConfig& config,
+                                     uint64_t total_slices, uint64_t slice,
+                                     uint64_t completed) {
+  fleet::CheckpointState state;
+  state.seed = config.seed;
+  state.iterations = config.iterations;
+  state.queries_per_iteration = config.queries_per_iteration;
+  state.num_geometries = config.generator.num_geometries;
+  state.total_slices = total_slices;
+  state.enable_faults = config.enable_faults;
+  state.derivative_enabled = config.generator.derivative_enabled;
+  state.dialects = {config.dialect};
+  state.oracles = config.oracles;
+  state.completed[{static_cast<uint64_t>(config.dialect), slice}] = completed;
+  return state;
+}
 
-  auto got = ReadOneFrame(pair.server);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got.value().type, FrameType::kAssign);
-  EXPECT_EQ(EncodeFrame(got.value()), first);
+/// A scripted supervisor for one real fleet client, forked like a remote
+/// worker: it answers the client's NETHELLO with an ASSIGN carrying
+/// `state`, writes the raw bytes `after_assign` behind it, and returns
+/// every frame the worker writes up to and including DONE. The listener
+/// then closes, so the client's reconnect ends it with exit status 0.
+std::vector<Frame> RunScriptedAssignment(const fleet::CheckpointState& state,
+                                         const std::string& after_assign) {
+  std::vector<Frame> got;
+  auto listen = Listen(0, /*loopback_only=*/true);
+  EXPECT_TRUE(listen.ok()) << listen.status().ToString();
+  if (!listen.ok()) return got;
+  FleetClientConfig client;
+  client.port = LocalPort(listen.value()).value();
+  client.connect_retry_seconds = 0.2;
+  client.cov_interval_seconds = 0.0;  // COV and STATS after every iteration
+  const pid_t pid = SpawnClient(client);
 
-  // Drain what is left in the kernel buffer: exactly `rest`.
-  std::string leftover;
-  char buf[4096];
-  for (int i = 0; i < 100 && leftover.size() < rest.size(); ++i) {
-    struct pollfd pfd = {pair.server, POLLIN, 0};
-    ::poll(&pfd, 1, 100);
-    const ssize_t n = ::read(pair.server, buf, sizeof(buf));
-    if (n > 0) leftover.append(buf, static_cast<size_t>(n));
+  int fd = -1;
+  for (int i = 0; i < 1000 && fd < 0; ++i) {
+    struct pollfd pfd = {listen.value(), POLLIN, 0};
+    ::poll(&pfd, 1, 10);
+    fd = AcceptOne(listen.value());
   }
-  EXPECT_EQ(leftover, rest);
+  EXPECT_GE(fd, 0) << "the client never connected";
+  if (fd >= 0) {
+    FrameChannel channel(fd);
+    std::vector<Frame> hello;
+    while (hello.empty() && channel.ReadFrames(1000, &hello)) {
+    }
+    EXPECT_EQ(hello.size(), 1u);
+    EXPECT_TRUE(!hello.empty() && hello[0].type == FrameType::kNetHello);
+    Frame assign;
+    assign.type = FrameType::kAssign;
+    const std::string doc = fleet::EncodeCheckpoint(state);
+    assign.payload.assign(doc.begin(), doc.end());
+    WriteChunked(fd, EncodeFrame(assign) + after_assign, 65536);
+    const double deadline = fuzz::Campaign::NowSeconds() + 120.0;
+    while ((got.empty() || got.back().type != FrameType::kDone) &&
+           fuzz::Campaign::NowSeconds() < deadline &&
+           channel.ReadFrames(1000, &got)) {
+    }
+    channel.Close();
+  }
+  ::close(listen.value());
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return got;
 }
 
-TEST(ReadOneFrame, SkipsMalformedLinesAndReportsEof) {
-  LoopbackPair pair;
-  Frame bye;
-  bye.type = FrameType::kBye;
-  const std::string stream =
-      "garbage first\n" + EncodeFrame(bye);
-  WriteChunked(pair.client, stream, stream.size());
-  auto got = ReadOneFrame(pair.server);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().type, FrameType::kBye);
-
-  ::shutdown(pair.client, SHUT_WR);
-  auto eof = ReadOneFrame(pair.server);
-  EXPECT_FALSE(eof.ok());
+/// One letter per frame, for matching the stream's shape.
+char FrameLetter(FrameType type) {
+  switch (type) {
+    case FrameType::kInflight: return 'I';
+    case FrameType::kBug: return 'B';
+    case FrameType::kEntry: return 'E';
+    case FrameType::kCov: return 'C';
+    case FrameType::kStats: return 'S';
+    case FrameType::kSliceProgress: return 'P';
+    case FrameType::kSliceDone: return 'D';
+    case FrameType::kDone: return 'X';
+    default: return '?';
+  }
 }
 
-TEST(FrameCodec, RejectsTraceFramesWithInvalidEmbeddedDocuments) {
-  // The payload hex-decodes but is not a spatter-trace-v1 document; the
-  // frame must be rejected whole, like a corrupt STATS frame.
-  const std::string bogus = "626f6775730a";  // hex("bogus\n")
-  EXPECT_FALSE(DecodeFrame("SPTW1 TRACE 1.0 " + bogus).ok());
-  // Truncated hex (odd digit count) is rejected at the hex layer.
-  EXPECT_FALSE(DecodeFrame("SPTW1 TRACE 1.0 626").ok());
+/// Pins what a worker sends for a one-slice assignment: the frame order,
+/// the iterations it announces and completes, BUG payloads equal to a
+/// Campaign running the same iterations, and DONE's counters.
+void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
+                        uint64_t slice, uint64_t completed,
+                        const std::vector<uint64_t>& iterations) {
+  SCOPED_TRACE("slice " + std::to_string(slice) + " of " +
+               std::to_string(total_slices));
+  const std::vector<Frame> frames = RunScriptedAssignment(
+      AssignmentFor(config, total_slices, slice, completed), "");
+
+  std::string shape;
+  for (const Frame& f : frames) shape += FrameLetter(f.type);
+  EXPECT_TRUE(std::regex_match(shape, std::regex("(I[BE]*(CS)?P)+DCSX")))
+      << shape;
+
+  const uint64_t dialect = static_cast<uint64_t>(config.dialect);
+  std::vector<uint64_t> announced;
+  std::vector<uint64_t> marks;
+  std::vector<std::string> bugs;
+  for (Frame f : frames) {
+    if (f.type == FrameType::kInflight) {
+      EXPECT_EQ(f.dialect, dialect);
+      EXPECT_EQ(f.slice, slice);
+      announced.push_back(f.iteration);
+    } else if (f.type == FrameType::kSliceProgress) {
+      EXPECT_EQ(f.dialect, dialect);
+      EXPECT_EQ(f.slice, slice);
+      marks.push_back(f.completed);
+    } else if (f.type == FrameType::kSliceDone) {
+      EXPECT_EQ(f.dialect, dialect);
+      EXPECT_EQ(f.slice, slice);
+    } else if (f.type == FrameType::kBug) {
+      f.elapsed = 0.0;  // wall clock; everything else is deterministic
+      bugs.push_back(EncodeFrame(f));
+    }
+  }
+  EXPECT_EQ(announced, iterations);
+  std::vector<uint64_t> want_marks;
+  for (size_t i = 1; i <= iterations.size(); ++i) {
+    want_marks.push_back(completed + i);
+  }
+  EXPECT_EQ(marks, want_marks);
+
+  // The reference: one Campaign running the same iterations in order.
+  fuzz::Campaign reference(config);
+  CampaignResult want;
+  for (uint64_t i : iterations) {
+    reference.RunIterationAt(i, &want, fuzz::Campaign::NowSeconds());
+  }
+  std::vector<std::string> want_bugs;
+  for (const fuzz::Discrepancy& d : want.discrepancies) {
+    auto bug = fleet::MakeBugFrame(d, config.seed);
+    ASSERT_TRUE(bug.ok());
+    bug.value().elapsed = 0.0;
+    want_bugs.push_back(EncodeFrame(bug.value()));
+  }
+  EXPECT_FALSE(want_bugs.empty()) << "the pinned iterations find something";
+  EXPECT_EQ(bugs, want_bugs);
+
+  ASSERT_FALSE(frames.empty());
+  const Frame& done = frames.back();
+  EXPECT_EQ(done.iterations, iterations.size());
+  EXPECT_EQ(done.queries, want.queries_run);
+  EXPECT_EQ(done.checks, want.checks_run);
+}
+
+TEST(FleetClient, WorkerStreamIsPinnedFrameByFrame) {
+  // (a) one dialect, slice 0 of 1, four iterations.
+  ExpectWorkerStream(SmallConfig(/*seed=*/77, /*iterations=*/4),
+                     /*total_slices=*/1, /*slice=*/0, /*completed=*/0,
+                     {0, 1, 2, 3});
+  // (b) slice 1 of 3 resumed at one completed iteration: iteration 1 is
+  // done, so the worker announces 4, 7 and 10 and reports marks 2, 3, 4.
+  ExpectWorkerStream(SmallConfig(/*seed=*/77, /*iterations=*/12),
+                     /*total_slices=*/3, /*slice=*/1, /*completed=*/1,
+                     {4, 7, 10});
+}
+
+TEST(FleetClient, HostileSupervisorCannotGrowTheLineBuffer) {
+  // An endless unterminated line behind ASSIGN: the worker's reader must
+  // drop it at kMaxFrameBytes and count it, and still finish its
+  // assignment. The one-second wall budget leaves the reader time to
+  // drain the junk before the final STATS snapshot.
+  fleet::CheckpointState state =
+      AssignmentFor(SmallConfig(/*seed=*/91, /*iterations=*/1),
+                    /*total_slices=*/1, /*slice=*/0, /*completed=*/0);
+  state.duration_seconds = 1.0;
+  const std::vector<Frame> frames = RunScriptedAssignment(
+      state, std::string(fleet::kMaxFrameBytes + (1u << 20), 'x'));
+  ASSERT_FALSE(frames.empty());
+  EXPECT_EQ(frames.back().type, FrameType::kDone);
+  const Frame* last_stats = nullptr;
+  for (const Frame& f : frames) {
+    if (f.type == FrameType::kStats) last_stats = &f;
+  }
+  ASSERT_NE(last_stats, nullptr);
+  const auto rejected = last_stats->stats.counters.find("wire.rejected");
+  ASSERT_NE(rejected, last_stats->stats.counters.end())
+      << "the unterminated line was buffered, never rejected";
+  EXPECT_GE(rejected->second, 1u);
 }
 
 // --- Status endpoint --------------------------------------------------------
@@ -545,9 +654,11 @@ TEST(FleetServer, ByesVersionSkewedClientsAndFinishesWithGoodOnes) {
     hello.proto = fleet::kNetProtocolVersion + 1;
     hello.pid = 1;
     ASSERT_TRUE(channel.WriteFrame(hello));
-    auto reply = ReadOneFrame(channel.fd());
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply.value().type, FrameType::kBye);
+    std::vector<Frame> reply;
+    while (reply.empty() && channel.ReadFrames(1000, &reply)) {
+    }
+    ASSERT_EQ(reply.size(), 1u);
+    EXPECT_EQ(reply[0].type, FrameType::kBye);
     channel.Close();
   }
 
@@ -582,9 +693,8 @@ TEST(FleetServer, SigkilledWorkerReassignedWithoutChangingTheBugSet) {
   config.processes = 2;
   config.jobs = 2;
   config.serve = true;
-  // A SIGKILLed worker never sends its TRACE ring, so the server must
-  // synthesize the in-flight iteration's trace and persist it here, next
-  // to the reconstructed in-flight reproducer.
+  // The server synthesizes the dead worker's in-flight iteration trace
+  // and persists it here, next to the reconstructed in-flight reproducer.
   config.crash_dir = ::testing::TempDir() + "/net_flight_dump";
   std::filesystem::remove_all(config.crash_dir);
   FleetServer server(config);
@@ -596,10 +706,10 @@ TEST(FleetServer, SigkilledWorkerReassignedWithoutChangingTheBugSet) {
   FleetClientConfig doomed;
   doomed.port = port;
   doomed.connect_retry_seconds = 0.2;
-  // The worker writes HELLO + at least two frames per iteration, and its
-  // first assignment owns 12 iterations: frame 25 always lands
-  // mid-assignment, before DONE.
-  doomed.die_after_frames = 25;
+  // The worker writes at least two frames per iteration, and its first
+  // assignment owns 12 iterations: frame 24 always lands mid-assignment,
+  // before DONE.
+  doomed.die_after_frames = 24;
   const pid_t killed_pid = SpawnClient(doomed);
   ASSERT_GE(killed_pid, 0);
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -258,19 +260,96 @@ TEST(ShardedCampaign, FleetModeMatchesPerDialectRuns) {
   EXPECT_GT(components.size(), 1u);
 }
 
-TEST(ShardedCampaign, RunForDurationSamplesMonotonically) {
+TEST(ShardedCampaign, DiscrepancyOrderIsScheduleIndependent) {
+  // Per-iteration merges arrive in schedule order; the finished report is
+  // ordered by (iteration, query, dialect) whatever the thread count.
+  ShardedCampaignConfig serial;
+  serial.base = SmallConfig(Dialect::kPostgis, 99);
+  serial.base.iterations = 4;
+  serial.jobs = 1;
+  serial.dialects = ShardedCampaign::AllDialects();
+  ShardedCampaignConfig parallel = serial;
+  parallel.jobs = 4;
+  const CampaignResult a = ShardedCampaign(serial).Run();
+  const CampaignResult b = ShardedCampaign(parallel).Run();
+  ASSERT_FALSE(a.discrepancies.empty());
+  ASSERT_EQ(a.discrepancies.size(), b.discrepancies.size());
+  for (size_t i = 0; i < a.discrepancies.size(); ++i) {
+    EXPECT_EQ(a.discrepancies[i].iteration, b.discrepancies[i].iteration);
+    EXPECT_EQ(a.discrepancies[i].dialect, b.discrepancies[i].dialect);
+    EXPECT_EQ(a.discrepancies[i].Signature(), b.discrepancies[i].Signature());
+  }
+}
+
+TEST(ShardedCampaign, OwnedSlicesResumeAtTheirMarks) {
+  // A fleet worker's run: stride 3, owning slices 1 and 2, with slice 1
+  // resumed after one completed iteration. Slice 1 runs 4, 7, 10 and
+  // slice 2 runs 2, 5, 8, 11 — each the serial campaign's iteration.
+  ShardedCampaignConfig config;
+  config.base = SmallConfig(Dialect::kPostgis, 2024);
+  config.base.iterations = 12;
+  config.jobs = 2;
+  config.shards = 3;
+  config.slices = {1, 2};
+  config.completed[{static_cast<uint64_t>(Dialect::kPostgis), 1}] = 1;
+
+  std::mutex mu;
+  std::map<uint64_t, std::vector<size_t>> announced;
+  std::map<uint64_t, std::vector<uint64_t>> marks;
+  std::set<uint64_t> finished;
+  ShardedCampaign::Observer observer;
+  observer.before = [&](Campaign&, uint64_t slice, size_t iteration) {
+    std::lock_guard<std::mutex> lock(mu);
+    announced[slice].push_back(iteration);
+    return true;
+  };
+  observer.after = [&](Campaign&, uint64_t slice, uint64_t completed,
+                       CampaignResult*) {
+    std::lock_guard<std::mutex> lock(mu);
+    marks[slice].push_back(completed);
+  };
+  observer.slice_done = [&](Dialect, uint64_t slice) {
+    std::lock_guard<std::mutex> lock(mu);
+    finished.insert(slice);
+  };
+  const CampaignResult result = ShardedCampaign(config).Run(observer);
+
+  EXPECT_EQ(announced[1], (std::vector<size_t>{4, 7, 10}));
+  EXPECT_EQ(announced[2], (std::vector<size_t>{2, 5, 8, 11}));
+  EXPECT_EQ(marks[1], (std::vector<uint64_t>{2, 3, 4}));
+  EXPECT_EQ(marks[2], (std::vector<uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(finished, (std::set<uint64_t>{1, 2}));
+  EXPECT_EQ(result.iterations_run, 7u);
+
+  Campaign serial(config.base);
+  CampaignResult expected;
+  for (const size_t i : {2, 4, 5, 7, 8, 10, 11}) {
+    serial.RunIterationAt(i, &expected, Campaign::NowSeconds());
+  }
+  ASSERT_EQ(result.discrepancies.size(), expected.discrepancies.size());
+  for (size_t i = 0; i < expected.discrepancies.size(); ++i) {
+    EXPECT_EQ(result.discrepancies[i].iteration,
+              expected.discrepancies[i].iteration);
+    EXPECT_EQ(result.discrepancies[i].Signature(),
+              expected.discrepancies[i].Signature());
+  }
+}
+
+TEST(ShardedCampaign, WallBudgetSamplesMonotonically) {
   ShardedCampaignConfig config;
   config.base = SmallConfig(Dialect::kPostgis, 7);
   config.base.iterations = 1;  // ignored by duration mode
   config.jobs = 2;
+  config.duration_seconds = 0.25;
 
   std::vector<double> elapsed;
   std::vector<size_t> iterations_seen;
-  const CampaignResult result = ShardedCampaign(config).RunForDuration(
-      0.25, [&](double t, const CampaignResult& live) {
-        elapsed.push_back(t);
-        iterations_seen.push_back(live.iterations_run);
-      });
+  ShardedCampaign::Observer observer;
+  observer.sample = [&](double t, const CampaignResult& live) {
+    elapsed.push_back(t);
+    iterations_seen.push_back(live.iterations_run);
+  };
+  const CampaignResult result = ShardedCampaign(config).Run(observer);
 
   ASSERT_FALSE(elapsed.empty());
   for (size_t i = 1; i < elapsed.size(); ++i) {
@@ -283,7 +362,7 @@ TEST(ShardedCampaign, RunForDurationSamplesMonotonically) {
   EXPECT_GT(result.busy_seconds, 0.0);
 }
 
-TEST(ShardedCampaign, RunForDurationCoversEveryShardDespiteFewJobs) {
+TEST(ShardedCampaign, WallBudgetCoversEveryShardDespiteFewJobs) {
   // Regression: with more (dialect, shard) tasks than worker threads, a
   // fixed-size pool would run the first wave to the deadline and start
   // the rest too late to do anything; duration mode must give every
@@ -295,9 +374,9 @@ TEST(ShardedCampaign, RunForDurationCoversEveryShardDespiteFewJobs) {
   config.jobs = 1;  // 4 dialects x 2 shards = 8 tasks on 1 configured job
   config.shards = 2;
   config.dialects = ShardedCampaign::AllDialects();
+  config.duration_seconds = 0.4;
 
-  const CampaignResult result =
-      ShardedCampaign(config).RunForDuration(0.4);
+  const CampaignResult result = ShardedCampaign(config).Run();
   // Every one of the 8 shard tasks must have completed at least one
   // iteration inside the window.
   EXPECT_GE(result.iterations_run, 8u);
