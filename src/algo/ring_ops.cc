@@ -9,7 +9,6 @@ namespace spatter::algo {
 
 using geom::Coord;
 using geom::Geometry;
-using geom::OnSegment;
 using geom::Polygon;
 
 double SignedRingArea(const std::vector<Coord>& ring) {
@@ -38,25 +37,14 @@ RingLocation LocateInRing(const Coord& p, const std::vector<Coord>& ring,
   if (ring.size() < 2) return RingLocation::kExterior;
   bool inside = false;
   for (size_t i = 0; i + 1 < ring.size(); ++i) {
-    const Coord& a = ring[i];
-    const Coord& b = ring[i + 1];
-    if (OnSegment(p, a, b, eps)) return RingLocation::kBoundary;
-    // Ray cast toward +x; half-open rule on y avoids double counting at
-    // vertices.
-    if ((a.y > p.y) != (b.y > p.y)) {
-      const double x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
-      if (x_cross > p.x) inside = !inside;
+    if (RingEdgeStep(p, ring[i], ring[i + 1], eps, &inside)) {
+      return RingLocation::kBoundary;
     }
   }
   // Closing edge when the sequence is not explicitly closed.
-  if (ring.front() != ring.back()) {
-    const Coord& a = ring.back();
-    const Coord& b = ring.front();
-    if (OnSegment(p, a, b, eps)) return RingLocation::kBoundary;
-    if ((a.y > p.y) != (b.y > p.y)) {
-      const double x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
-      if (x_cross > p.x) inside = !inside;
-    }
+  if (ring.front() != ring.back() &&
+      RingEdgeStep(p, ring.back(), ring.front(), eps, &inside)) {
+    return RingLocation::kBoundary;
   }
   return inside ? RingLocation::kInterior : RingLocation::kExterior;
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "geom/geometry.h"
+#include "geom/predicates.h"
 
 namespace spatter::algo {
 
@@ -21,6 +22,21 @@ bool IsCcw(const std::vector<geom::Coord>& ring);
 
 /// Reverses ring orientation in place.
 void ReverseRing(std::vector<geom::Coord>* ring);
+
+/// One edge [a, b] of the even-odd ray cast toward +x. Returns true when
+/// `p` lies on the edge (within `eps`, as OnSegment); otherwise flips
+/// `*inside` when the ray crosses the edge. The half-open rule on y makes a
+/// ray through a vertex count once. LocateInRing and the relate kernel's
+/// prepared locator share this step.
+inline bool RingEdgeStep(const geom::Coord& p, const geom::Coord& a,
+                         const geom::Coord& b, double eps, bool* inside) {
+  if (geom::OnSegment(p, a, b, eps)) return true;
+  if ((a.y > p.y) != (b.y > p.y)) {
+    const double x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
+    if (x_cross > p.x) *inside = !*inside;
+  }
+  return false;
+}
 
 /// Locates `p` relative to a single closed ring using the even-odd rule.
 /// `eps` loosens the boundary test for derived (non-integer) points.

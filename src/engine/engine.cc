@@ -662,8 +662,8 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
       obs::MetricsRegistry::Instance().GetHistogram("engine.index_scan");
   static obs::LatencyHistogram* prepared_hist =
       obs::MetricsRegistry::Instance().GetHistogram("engine.prepared");
-  static obs::LatencyHistogram* relate_hist =
-      obs::MetricsRegistry::Instance().GetHistogram("engine.relate");
+  static obs::LatencyHistogram* join_eval_hist =
+      obs::MetricsRegistry::Instance().GetHistogram("engine.join_eval");
 
   std::string func_name;
   bool simple, prepared_path, index_path;
@@ -744,9 +744,10 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
       for (size_t r = 0; r < candidates.size(); ++r) candidates[r] = r;
     }
 
-    // One evaluation-batch observation per outer row: prepared-path rows
-    // land in engine.prepared, everything else in engine.relate.
-    obs::ScopedTimer eval_timer(prepared ? prepared_hist : relate_hist,
+    // One observation per outer row, timing its whole batch of candidate
+    // pairs (not one relate call): prepared-path rows land in
+    // engine.prepared, everything else in engine.join_eval.
+    obs::ScopedTimer eval_timer(prepared ? prepared_hist : join_eval_hist,
                                 obs::ScopedTimer::Clock::kThreadCpu);
     bool prev_matched = false;
     for (size_t r : candidates) {

@@ -5,31 +5,6 @@
 
 namespace spatter::geom {
 
-double CrossProduct(const Coord& a, const Coord& b, const Coord& c) {
-  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-}
-
-int Orientation(const Coord& a, const Coord& b, const Coord& c, double eps) {
-  const double cross = CrossProduct(a, b, c);
-  // Scale the tolerance by the magnitude of the operands so the predicate
-  // behaves uniformly for large coordinates produced by affine transforms.
-  const double scale =
-      std::max({std::fabs(b.x - a.x), std::fabs(b.y - a.y),
-                std::fabs(c.x - a.x), std::fabs(c.y - a.y), 1.0});
-  const double tol = eps * scale;
-  if (cross > tol) return 1;
-  if (cross < -tol) return -1;
-  return 0;
-}
-
-bool OnSegment(const Coord& p, const Coord& a, const Coord& b, double eps) {
-  if (Orientation(a, b, p, eps) != 0) return false;
-  const double tol = eps * std::max({std::fabs(a.x), std::fabs(a.y),
-                                     std::fabs(b.x), std::fabs(b.y), 1.0});
-  return p.x >= std::min(a.x, b.x) - tol && p.x <= std::max(a.x, b.x) + tol &&
-         p.y >= std::min(a.y, b.y) - tol && p.y <= std::max(a.y, b.y) + tol;
-}
-
 namespace {
 
 // Projects collinear point p onto the dominant axis of segment [a,b] and

@@ -11,19 +11,6 @@ using geom::GeomType;
 
 namespace {
 
-bool HasEmptyElement(const Geometry& g) {
-  if (!g.IsCollection()) return false;
-  bool found = false;
-  const auto& coll = geom::AsCollection(g);
-  for (size_t i = 0; i < coll.NumElements(); ++i) {
-    if (coll.ElementAt(i).IsEmpty() ||
-        HasEmptyElement(coll.ElementAt(i))) {
-      found = true;
-    }
-  }
-  return found;
-}
-
 bool HasClosedLineElement(const Geometry& g, geom::Coord* start_out) {
   bool found = false;
   geom::ForEachBasic(g, [&](const Geometry& basic) {

@@ -1,8 +1,8 @@
 #include "relate/point_locator.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "algo/ring_ops.h"
 #include "common/coverage.h"
 #include "geom/predicates.h"
 
@@ -18,7 +18,9 @@ bool CoordsEqual(const Coord& a, const Coord& b, double eps) {
   return std::fabs(a.x - b.x) <= eps && std::fabs(a.y - b.y) <= eps;
 }
 
-struct Scan {
+}  // namespace
+
+struct PreparedOperand::Scan {
   bool areal_interior = false;
   bool areal_boundary = false;
   bool point_interior = false;
@@ -27,50 +29,8 @@ struct Scan {
   bool has_empty_line_element = false;
 };
 
-void ScanBasic(const Coord& p, const Geometry& basic, double eps, Scan* scan) {
-  switch (basic.type()) {
-    case GeomType::kPoint: {
-      if (!basic.IsEmpty() &&
-          CoordsEqual(*geom::AsPoint(basic).coord(), p, eps)) {
-        scan->point_interior = true;
-      }
-      break;
-    }
-    case GeomType::kLineString: {
-      const auto& line = geom::AsLineString(basic);
-      if (line.IsEmpty()) {
-        scan->has_empty_line_element = true;
-        break;
-      }
-      if (!line.IsClosed() && line.NumPoints() >= 2) {
-        if (CoordsEqual(line.points().front(), p, eps)) {
-          scan->endpoint_count++;
-        }
-        if (CoordsEqual(line.points().back(), p, eps)) {
-          scan->endpoint_count++;
-        }
-      }
-      for (size_t i = 0; i + 1 < line.NumPoints(); ++i) {
-        if (geom::OnSegment(p, line.PointAt(i), line.PointAt(i + 1), eps)) {
-          scan->on_line = true;
-          break;
-        }
-      }
-      break;
-    }
-    case GeomType::kPolygon: {
-      const auto loc =
-          algo::LocateInPolygon(p, geom::AsPolygon(basic), eps);
-      if (loc == algo::RingLocation::kInterior) scan->areal_interior = true;
-      if (loc == algo::RingLocation::kBoundary) scan->areal_boundary = true;
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-Location Resolve(const Scan& scan, const faults::FaultState* faults) {
+Location PreparedOperand::Resolve(const Scan& scan,
+                                  const faults::FaultState* faults) {
   if (scan.areal_interior) {
     SPATTER_COV("locate", "areal_interior");
     return Location::kInterior;
@@ -102,54 +62,230 @@ Location Resolve(const Scan& scan, const faults::FaultState* faults) {
   return Location::kExterior;
 }
 
-}  // namespace
+void PreparedOperand::Prepare(const Geometry& g, double eps, int src) {
+  eps_ = eps;
+  src_ = src;
+  elements_.clear();
+  segments_.clear();
+  rings_.clear();
+  element_ends_.clear();
+  noder_segments_.clear();
+  points_.clear();
+  polygons_.clear();
+  collection_ = g.type() == GeomType::kGeometryCollection;
+  if (collection_) {
+    const auto& coll = geom::AsCollection(g);
+    for (size_t i = 0; i < coll.NumElements(); ++i) {
+      Add(coll.ElementAt(i));
+      element_ends_.push_back(static_cast<uint32_t>(elements_.size()));
+    }
+  } else {
+    Add(g);
+  }
+}
 
-Location LocatePoint(const Coord& p, const Geometry& g, double eps,
-                     const faults::FaultState* faults) {
-  if (g.type() == GeomType::kGeometryCollection && faults &&
+// Visits the basic elements in ForEachBasic order.
+void PreparedOperand::Add(const Geometry& g) {
+  if (g.IsCollection()) {
+    const auto& coll = geom::AsCollection(g);
+    for (size_t i = 0; i < coll.NumElements(); ++i) Add(coll.ElementAt(i));
+    return;
+  }
+  switch (g.type()) {
+    case GeomType::kPoint:
+      if (!g.IsEmpty()) {
+        const Coord& c = *geom::AsPoint(g).coord();
+        Element e(Element::Kind::kPoint);
+        e.p = c;
+        elements_.push_back(e);
+        points_.push_back(c);
+      }
+      break;
+    case GeomType::kLineString:
+      AddLine(geom::AsLineString(g));
+      break;
+    case GeomType::kPolygon:
+      AddPolygon(geom::AsPolygon(g));
+      break;
+    default:
+      break;
+  }
+}
+
+void PreparedOperand::AddLine(const geom::LineString& line) {
+  const auto& pts = line.points();
+  if (pts.empty()) {
+    elements_.push_back(Element(Element::Kind::kEmptyLine));
+    return;
+  }
+  Element e(Element::Kind::kLine);
+  e.open = !line.IsClosed() && pts.size() >= 2;
+  e.p = pts.front();
+  e.q = pts.back();
+  e.begin = static_cast<uint32_t>(segments_.size());
+  bool emitted = false;
+  for (size_t i = 0; i + 1 < pts.size(); ++i) {
+    AddSegment(pts[i], pts[i + 1]);
+    if (pts[i] != pts[i + 1]) {
+      noder_segments_.push_back({pts[i], pts[i + 1], src_});
+      emitted = true;
+    }
+  }
+  e.end = static_cast<uint32_t>(segments_.size());
+  if (!emitted) {
+    // Fully degenerate line: its point set is a single point, which must
+    // still produce a classification node.
+    noder_segments_.push_back({pts[0], pts[0], src_});
+  }
+  if (e.open || e.begin != e.end) elements_.push_back(e);
+}
+
+void PreparedOperand::AddPolygon(const geom::Polygon& poly) {
+  // The noder takes every ring; location ignores an empty polygon.
+  const bool located = !poly.IsEmpty();
+  Element e(Element::Kind::kPolygon);
+  e.begin = static_cast<uint32_t>(rings_.size());
+  for (const auto& ring : poly.rings()) {
+    const auto first = static_cast<uint32_t>(segments_.size());
+    bool emitted = false;
+    for (size_t i = 0; i + 1 < ring.size(); ++i) {
+      if (located) AddSegment(ring[i], ring[i + 1]);
+      if (ring[i] != ring[i + 1]) {
+        noder_segments_.push_back({ring[i], ring[i + 1], src_});
+        emitted = true;
+      }
+    }
+    if (ring.size() >= 2 && ring.front() != ring.back()) {
+      if (located) AddSegment(ring.back(), ring.front());
+      noder_segments_.push_back({ring.back(), ring.front(), src_});
+      emitted = true;
+    }
+    if (!emitted && !ring.empty()) {
+      noder_segments_.push_back({ring[0], ring[0], src_});
+    }
+    if (located) {
+      rings_.push_back({first, static_cast<uint32_t>(segments_.size())});
+    }
+  }
+  if (located) {
+    e.end = static_cast<uint32_t>(rings_.size());
+    elements_.push_back(e);
+    polygons_.push_back(&poly);
+  }
+}
+
+void PreparedOperand::AddSegment(const Coord& a, const Coord& b) {
+  const double tol = geom::OnSegmentTolerance(a, b, eps_);
+  segments_.push_back(
+      {a, b, std::min(a.y, b.y) - tol, std::max(a.y, b.y) + tol});
+}
+
+bool PreparedOperand::OnAnySegment(const Coord& p, Range segs) const {
+  for (uint32_t i = segs.begin; i < segs.end; ++i) {
+    const Segment& s = segments_[i];
+    if (p.y < s.y_lo || p.y > s.y_hi) continue;
+    if (geom::OnSegment(p, s.a, s.b, eps_)) return true;
+  }
+  return false;
+}
+
+// algo::LocateInPolygon over the prepared rings: boundary if on any ring,
+// interior if inside an odd number of rings (even-odd).
+algo::RingLocation PreparedOperand::LocateInPolygon(const Coord& p,
+                                                    const Element& poly) const {
+  bool parity = false;
+  for (uint32_t r = poly.begin; r < poly.end; ++r) {
+    bool inside = false;
+    for (uint32_t i = rings_[r].begin; i < rings_[r].end; ++i) {
+      const Segment& s = segments_[i];
+      if (p.y < s.y_lo || p.y > s.y_hi) continue;
+      if (algo::RingEdgeStep(p, s.a, s.b, eps_, &inside)) {
+        return algo::RingLocation::kBoundary;
+      }
+    }
+    parity ^= inside;
+  }
+  return parity ? algo::RingLocation::kInterior : algo::RingLocation::kExterior;
+}
+
+void PreparedOperand::ScanElements(const Coord& p, size_t first, size_t last,
+                                   Scan* scan) const {
+  for (size_t i = first; i < last; ++i) {
+    const Element& e = elements_[i];
+    switch (e.kind) {
+      case Element::Kind::kPoint:
+        if (CoordsEqual(e.p, p, eps_)) scan->point_interior = true;
+        break;
+      case Element::Kind::kEmptyLine:
+        scan->has_empty_line_element = true;
+        break;
+      case Element::Kind::kLine:
+        if (e.open) {
+          if (CoordsEqual(e.p, p, eps_)) scan->endpoint_count++;
+          if (CoordsEqual(e.q, p, eps_)) scan->endpoint_count++;
+        }
+        if (!scan->on_line && OnAnySegment(p, {e.begin, e.end})) {
+          scan->on_line = true;
+        }
+        break;
+      case Element::Kind::kPolygon: {
+        const auto loc = LocateInPolygon(p, e);
+        if (loc == algo::RingLocation::kInterior) scan->areal_interior = true;
+        if (loc == algo::RingLocation::kBoundary) scan->areal_boundary = true;
+        break;
+      }
+    }
+  }
+}
+
+Location PreparedOperand::Locate(const Coord& p,
+                                 const faults::FaultState* faults) const {
+  if (collection_ && faults &&
       faults->IsEnabled(faults::FaultId::kGeosGcBoundaryLastOneWins)) {
     // Injected bug (paper Listing 6): resolve each element independently
     // and let the last non-exterior element win, instead of combining with
     // interior priority.
-    const auto& coll = geom::AsCollection(g);
     Location result = Location::kExterior;
-    for (size_t i = 0; i < coll.NumElements(); ++i) {
-      const Location loc = LocatePoint(p, coll.ElementAt(i), eps, nullptr);
+    size_t first = 0;
+    for (const uint32_t last : element_ends_) {
+      Scan scan;
+      ScanElements(p, first, last, &scan);
+      const Location loc = Resolve(scan, nullptr);
       if (loc != Location::kExterior) {
         faults->Fire(faults::FaultId::kGeosGcBoundaryLastOneWins);
         result = loc;
       }
+      first = last;
     }
     return result;
   }
 
   Scan scan;
-  geom::ForEachBasic(g, [&](const Geometry& basic) {
-    ScanBasic(p, basic, eps, &scan);
-  });
+  ScanElements(p, 0, elements_.size(), &scan);
   return Resolve(scan, faults);
 }
 
-Location LocateAreal(const Coord& p, const Geometry& g, double eps) {
+Location PreparedOperand::LocateAreal(const Coord& p) const {
   bool boundary = false;
   bool interior = false;
-  geom::ForEachBasic(g, [&](const Geometry& basic) {
-    if (basic.type() != GeomType::kPolygon || basic.IsEmpty()) return;
-    const auto loc = algo::LocateInPolygon(p, geom::AsPolygon(basic), eps);
+  for (const Element& e : elements_) {
+    if (e.kind != Element::Kind::kPolygon) continue;
+    const auto loc = LocateInPolygon(p, e);
     if (loc == algo::RingLocation::kInterior) interior = true;
     if (loc == algo::RingLocation::kBoundary) boundary = true;
-  });
+  }
   if (interior) return Location::kInterior;
   if (boundary) return Location::kBoundary;
   return Location::kExterior;
 }
 
-bool HasArealComponent(const Geometry& g) {
-  bool has = false;
-  geom::ForEachBasic(g, [&has](const Geometry& basic) {
-    if (basic.type() == GeomType::kPolygon && !basic.IsEmpty()) has = true;
-  });
-  return has;
+Location LocatePoint(const Coord& p, const Geometry& g, double eps,
+                     const faults::FaultState* faults) {
+  return PreparedOperand(g, eps).Locate(p, faults);
+}
+
+Location LocateAreal(const Coord& p, const Geometry& g, double eps) {
+  return PreparedOperand(g, eps).LocateAreal(p);
 }
 
 }  // namespace spatter::relate

@@ -3,14 +3,120 @@
 // mod-2 rule for line endpoints (DESIGN.md §4). This is the semantic core
 // the DE-9IM computer classifies pieces with — and the code site of the
 // "last-one-wins" GEOS bug (paper Listing 6), injectable via FaultState.
+//
+// There is one locator, PreparedOperand. It flattens a geometry once into
+// its basic elements and stores each line's and ring's segments with the
+// y-range OnSegment accepts, widened by OnSegment's own tolerance. A query
+// point outside that range can neither lie on the segment nor cross it
+// with the +x ray, so the locator drops such a segment with two compares
+// and every answer equals a walk over the whole geometry tree. Relate
+// prepares each operand once per call and locates every node, midpoint
+// and interior-point witness against it. LocatePoint and LocateAreal are
+// thin wrappers that prepare their geometry and call the same locator;
+// each prepares its own operand, so they share no buffers with Relate's.
 #ifndef SPATTER_RELATE_POINT_LOCATOR_H_
 #define SPATTER_RELATE_POINT_LOCATOR_H_
 
+#include <cstdint>
+#include <vector>
+
+#include "algo/noding.h"
+#include "algo/ring_ops.h"
 #include "faults/fault.h"
 #include "geom/geometry.h"
 #include "relate/im_matrix.h"
 
 namespace spatter::relate {
+
+/// A geometry prepared for repeated point location at one tolerance, plus
+/// the per-operand input of Relate's noder, all from one flatten.
+class PreparedOperand {
+ public:
+  PreparedOperand() = default;
+  PreparedOperand(const geom::Geometry& g, double eps, int src = 0) {
+    Prepare(g, eps, src);
+  }
+
+  /// Flattens `g` for tolerance `eps` (>= 0, as every caller passes),
+  /// reusing the buffers' capacity. `src` tags the noder segments (relate
+  /// uses 0 for A and 1 for B). `g` must outlive the prepared state.
+  void Prepare(const geom::Geometry& g, double eps, int src = 0);
+
+  /// LocatePoint(p, g, eps, faults) for the prepared g.
+  Location Locate(const geom::Coord& p,
+                  const faults::FaultState* faults) const;
+
+  /// LocateAreal(p, g, eps) for the prepared g.
+  Location LocateAreal(const geom::Coord& p) const;
+
+  /// The segments Relate's noder takes from g's lines and rings, in
+  /// ForEachBasic order: zero-length segments are dropped, and a line or
+  /// ring with no other segment contributes its first point as one
+  /// degenerate segment.
+  const std::vector<algo::TaggedSegment>& noder_segments() const {
+    return noder_segments_;
+  }
+  /// The non-empty point elements, in ForEachBasic order.
+  const std::vector<geom::Coord>& point_coords() const { return points_; }
+  /// The non-empty polygon elements, in ForEachBasic order.
+  const std::vector<const geom::Polygon*>& polygons() const {
+    return polygons_;
+  }
+  /// True when g has at least one non-empty polygon component.
+  bool areal() const { return !polygons_.empty(); }
+
+ private:
+  // One line or ring segment with the y-range in which OnSegment or the
+  // ray-crossing test can hold for a query point.
+  struct Segment {
+    geom::Coord a;
+    geom::Coord b;
+    double y_lo;  // min(a.y, b.y) - OnSegmentTolerance(a, b, eps)
+    double y_hi;  // max(a.y, b.y) + OnSegmentTolerance(a, b, eps)
+  };
+  // One basic element that can affect a location. Empty points and
+  // polygons, and lines of one point, never do and are not stored.
+  struct Element {
+    enum class Kind : uint8_t { kPoint, kLine, kEmptyLine, kPolygon };
+    explicit Element(Kind k) : kind(k) {}
+    Kind kind;
+    bool open = false;   // kLine: not closed, so its endpoints count (mod 2)
+    uint32_t begin = 0;  // kLine: into segments_; kPolygon: into rings_
+    uint32_t end = 0;
+    geom::Coord p;  // kPoint: the point; open kLine: the first point
+    geom::Coord q;  // open kLine: the last point
+  };
+  struct Range {
+    uint32_t begin;
+    uint32_t end;
+  };
+  // What one point's walk over a range of elements found.
+  struct Scan;
+
+  static Location Resolve(const Scan& scan, const faults::FaultState* faults);
+  void Add(const geom::Geometry& g);
+  void AddLine(const geom::LineString& line);
+  void AddPolygon(const geom::Polygon& poly);
+  void AddSegment(const geom::Coord& a, const geom::Coord& b);
+  void ScanElements(const geom::Coord& p, size_t first, size_t last,
+                    Scan* scan) const;
+  bool OnAnySegment(const geom::Coord& p, Range segs) const;
+  algo::RingLocation LocateInPolygon(const geom::Coord& p,
+                                     const Element& poly) const;
+
+  double eps_ = 0.0;
+  int src_ = 0;
+  std::vector<Element> elements_;
+  std::vector<Segment> segments_;
+  std::vector<Range> rings_;  // segment ranges, one per polygon ring
+  // For a GEOMETRYCOLLECTION, the end of each top-level element's range in
+  // elements_: the kGeosGcBoundaryLastOneWins path resolves them apart.
+  bool collection_ = false;
+  std::vector<uint32_t> element_ends_;
+  std::vector<algo::TaggedSegment> noder_segments_;
+  std::vector<geom::Coord> points_;
+  std::vector<const geom::Polygon*> polygons_;
+};
 
 /// Locates `p` relative to `g` (Interior / Boundary / Exterior).
 ///
@@ -25,18 +131,17 @@ namespace spatter::relate {
 /// With kGeosGcBoundaryLastOneWins enabled, GEOMETRYCOLLECTIONs are instead
 /// resolved by taking the location within the *last* element that does not
 /// report Exterior — the buggy strategy GEOS developers described.
+///
+/// Equals PreparedOperand(g, eps).Locate(p, faults).
 Location LocatePoint(const geom::Coord& p, const geom::Geometry& g,
                      double eps = 0.0,
                      const faults::FaultState* faults = nullptr);
 
 /// Location relative to only the areal (polygon) components of `g`, with
 /// union / interior-priority combination. Used by the relate computer's
-/// dimension-2 rules.
+/// dimension-2 rules. Equals PreparedOperand(g, eps).LocateAreal(p).
 Location LocateAreal(const geom::Coord& p, const geom::Geometry& g,
                      double eps = 0.0);
-
-/// True if `g` has at least one non-empty polygon component.
-bool HasArealComponent(const geom::Geometry& g);
 
 }  // namespace spatter::relate
 

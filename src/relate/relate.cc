@@ -18,83 +18,9 @@ using geom::GeomType;
 
 namespace {
 
-void CollectSegments(const Geometry& g, int src,
-                     std::vector<algo::TaggedSegment>* segs) {
-  geom::ForEachBasic(g, [&](const Geometry& basic) {
-    if (basic.type() == GeomType::kLineString) {
-      const auto& pts = geom::AsLineString(basic).points();
-      bool emitted = false;
-      for (size_t i = 0; i + 1 < pts.size(); ++i) {
-        if (pts[i] != pts[i + 1]) {
-          segs->push_back({pts[i], pts[i + 1], src});
-          emitted = true;
-        }
-      }
-      if (!emitted && !pts.empty()) {
-        // Fully degenerate line: its point set is a single point, which
-        // must still produce a classification node.
-        segs->push_back({pts[0], pts[0], src});
-      }
-    } else if (basic.type() == GeomType::kPolygon) {
-      for (const auto& ring : geom::AsPolygon(basic).rings()) {
-        bool emitted = false;
-        for (size_t i = 0; i + 1 < ring.size(); ++i) {
-          if (ring[i] != ring[i + 1]) {
-            segs->push_back({ring[i], ring[i + 1], src});
-            emitted = true;
-          }
-        }
-        if (ring.size() >= 2 && ring.front() != ring.back()) {
-          segs->push_back({ring.back(), ring.front(), src});
-          emitted = true;
-        }
-        if (!emitted && !ring.empty()) {
-          segs->push_back({ring[0], ring[0], src});
-        }
-      }
-    }
-  });
-}
-
-void CollectPointCoords(const Geometry& g, std::vector<Coord>* pts) {
-  geom::ForEachBasic(g, [&](const Geometry& basic) {
-    if (basic.type() == GeomType::kPoint && !basic.IsEmpty()) {
-      pts->push_back(*geom::AsPoint(basic).coord());
-    }
-  });
-}
-
-std::vector<const geom::Polygon*> CollectPolygons(const Geometry& g) {
-  std::vector<const geom::Polygon*> polys;
-  geom::ForEachBasic(g, [&](const Geometry& basic) {
-    if (basic.type() == GeomType::kPolygon && !basic.IsEmpty()) {
-      polys.push_back(&geom::AsPolygon(basic));
-    }
-  });
-  return polys;
-}
-
 // Dimension of the boundary of g (for the empty-vs-nonempty entries).
 int BoundaryDim(const Geometry& g) {
   return algo::Boundary(g)->Dimension();
-}
-
-// Dimension of the actual point set: a fully degenerate (zero-length) line
-// is a 0-dimensional set even though its declared type is 1-dimensional.
-// Used for the empty-versus-nonempty matrix entries so they agree with
-// the canonical representation of the same point set.
-// True when some element of g (at any nesting depth) is EMPTY. Empty line
-// elements perturb the point locator's mod-2 boundary accumulator under
-// kGeosBoundaryEmptyElementDrop, so such inputs must take the full path.
-bool HasEmptyElementRec(const Geometry& g) {
-  if (!g.IsCollection()) return false;
-  const auto& coll = geom::AsCollection(g);
-  for (size_t i = 0; i < coll.NumElements(); ++i) {
-    if (coll.ElementAt(i).IsEmpty() || HasEmptyElementRec(coll.ElementAt(i))) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // Envelope pre-filter eligibility: the closed-form disjoint matrix is exact
@@ -105,7 +31,7 @@ bool HasEmptyElementRec(const Geometry& g) {
 bool EnvelopeFastPathSafe(const Geometry& g, const faults::FaultState* faults) {
   if (!faults) return true;
   if (g.type() == GeomType::kGeometryCollection) return false;
-  return !HasEmptyElementRec(g);
+  return !HasEmptyElement(g);
 }
 
 // Strict separation with an eps margin: point location and noding both snap
@@ -118,6 +44,10 @@ bool EnvelopesSeparated(const geom::Envelope& ea, const geom::Envelope& eb,
          ea.min_y() > eb.max_y() + margin || eb.min_y() > ea.max_y() + margin;
 }
 
+// Dimension of the actual point set: a fully degenerate (zero-length) line
+// is a 0-dimensional set even though its declared type is 1-dimensional.
+// Used for the empty-versus-nonempty matrix entries so they agree with
+// the canonical representation of the same point set.
 int PointSetDimension(const Geometry& g) {
   int dim = -1;
   geom::ForEachBasic(g, [&dim](const Geometry& basic) {
@@ -146,6 +76,17 @@ int PointSetDimension(const Geometry& g) {
 }
 
 }  // namespace
+
+bool HasEmptyElement(const Geometry& g) {
+  if (!g.IsCollection()) return false;
+  const auto& coll = geom::AsCollection(g);
+  for (size_t i = 0; i < coll.NumElements(); ++i) {
+    if (coll.ElementAt(i).IsEmpty() || HasEmptyElement(coll.ElementAt(i))) {
+      return true;
+    }
+  }
+  return false;
+}
 
 int NestingDepth(const Geometry& g) {
   if (!g.IsCollection()) return 0;
@@ -216,52 +157,59 @@ Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
     return im;
   }
 
+  // Each operand is flattened once: its locator segments, its noder input
+  // and its polygons. The buffers are per-thread scratch reused across
+  // calls; nothing below calls Relate again.
+  thread_local PreparedOperand prepared_a;
+  thread_local PreparedOperand prepared_b;
+  thread_local std::vector<algo::TaggedSegment> segs;
+  prepared_a.Prepare(a, opts.eps, 0);
+  prepared_b.Prepare(b, opts.eps, 1);
+
   // 1. Node the combined linework. Isolated point elements join as
   // degenerate segments so edges split at them too — otherwise an edge
   // midpoint could coincide with a point element and misattribute the
   // whole edge to that 0-dimensional intersection.
-  std::vector<algo::TaggedSegment> segs;
-  CollectSegments(a, 0, &segs);
-  CollectSegments(b, 1, &segs);
-  {
-    std::vector<Coord> pt_elems;
-    CollectPointCoords(a, &pt_elems);
-    CollectPointCoords(b, &pt_elems);
-    for (const Coord& p : pt_elems) segs.push_back({p, p, 2});
+  segs.clear();
+  for (const auto* op : {&prepared_a, &prepared_b}) {
+    segs.insert(segs.end(), op->noder_segments().begin(),
+                op->noder_segments().end());
+  }
+  for (const auto* op : {&prepared_a, &prepared_b}) {
+    for (const Coord& p : op->point_coords()) segs.push_back({p, p, 2});
   }
   SPATTER_METRIC_INC("relate.full");
   const algo::NodingResult noded = algo::NodeSegments(segs, opts.eps);
 
   // 2. Classification points: all nodes plus isolated point elements.
-  std::vector<Coord> nodes = noded.nodes;
-  CollectPointCoords(a, &nodes);
-  CollectPointCoords(b, &nodes);
-
-  for (const Coord& node : nodes) {
-    const Location la = LocatePoint(node, a, opts.eps, faults);
-    const Location lb = LocatePoint(node, b, opts.eps, faults);
+  const auto classify_node = [&](const Coord& node) {
+    const Location la = prepared_a.Locate(node, faults);
+    const Location lb = prepared_b.Locate(node, faults);
     im.SetAtLeast(la, lb, 0);
-  }
+  };
+  for (const Coord& node : noded.nodes) classify_node(node);
+  for (const Coord& p : prepared_a.point_coords()) classify_node(p);
+  for (const Coord& p : prepared_b.point_coords()) classify_node(p);
 
   // 3. Split-edge midpoints contribute dimension 1. Because edges are
   // noded against both geometries, an open edge lies in a single location
   // class of each geometry, and its midpoint witnesses that class.
-  const bool a_areal = HasArealComponent(a);
-  const bool b_areal = HasArealComponent(b);
+  const bool a_areal = prepared_a.areal();
+  const bool b_areal = prepared_b.areal();
   bool areal_ii2 = false;
   bool areal_ie2 = false;
   bool areal_ei2 = false;
   for (const auto& edge : noded.edges) {
     const Coord mid = geom::Midpoint(edge.a, edge.b);
-    const Location la = LocatePoint(mid, a, opts.eps, faults);
-    const Location lb = LocatePoint(mid, b, opts.eps, faults);
+    const Location la = prepared_a.Locate(mid, faults);
+    const Location lb = prepared_b.Locate(mid, faults);
     im.SetAtLeast(la, lb, 1);
     if (a_areal && b_areal) {
       // Dimension-2 witnesses from areal piece classification: an edge on
       // one geometry's areal boundary with its midpoint in the other's
       // areal interior has 2-dimensional interior overlap on one side.
-      const Location aa = LocateAreal(mid, a, opts.eps);
-      const Location ab = LocateAreal(mid, b, opts.eps);
+      const Location aa = prepared_a.LocateAreal(mid);
+      const Location ab = prepared_b.LocateAreal(mid);
       // An edge on one geometry's areal boundary separates that geometry's
       // interior from its exterior locally; the other geometry's interior
       // covers both sides when the midpoint is areal-interior to it.
@@ -301,16 +249,16 @@ Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
     SPATTER_COV("relate", "areal_vs_areal");
     // Interior-point witnesses handle containment/equality, where no edge
     // piece lies strictly inside the other geometry.
-    for (const auto* poly : CollectPolygons(a)) {
+    for (const auto* poly : prepared_a.polygons()) {
       if (auto ip = algo::InteriorPointOfPolygon(*poly)) {
-        const Location lb = LocateAreal(*ip, b, opts.eps);
+        const Location lb = prepared_b.LocateAreal(*ip);
         if (lb == Location::kInterior) areal_ii2 = true;
         if (lb == Location::kExterior) areal_ie2 = true;
       }
     }
-    for (const auto* poly : CollectPolygons(b)) {
+    for (const auto* poly : prepared_b.polygons()) {
       if (auto ip = algo::InteriorPointOfPolygon(*poly)) {
-        const Location la = LocateAreal(*ip, a, opts.eps);
+        const Location la = prepared_a.LocateAreal(*ip);
         if (la == Location::kInterior) areal_ii2 = true;
         if (la == Location::kExterior) areal_ei2 = true;
       }

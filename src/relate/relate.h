@@ -30,6 +30,11 @@ Result<IntersectionMatrix> Relate(const geom::Geometry& a,
                                   const geom::Geometry& b,
                                   const RelateOptions& opts = {});
 
+/// True when some element of g, at any nesting depth, is EMPTY. Such
+/// inputs skip the envelope pre-filter under faults, and Intersects keys
+/// the kGeosGcEmptyElementIntersects fault on them.
+bool HasEmptyElement(const geom::Geometry& g);
+
 /// Maximum collection nesting depth (a basic geometry has depth 0).
 int NestingDepth(const geom::Geometry& g);
 

@@ -1,8 +1,16 @@
-// Noder tests: crossings, T-junctions, collinear overlaps, node merging.
+// Noder tests: crossings, T-junctions, collinear overlaps, node merging,
+// and bit-for-bit agreement with the all-pairs reference noder.
 #include "algo/noding.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "common/rng.h"
+#include "geom/envelope.h"
 #include "geom/predicates.h"
 
 namespace spatter::algo {
@@ -100,6 +108,283 @@ TEST(Noding, MidpointsOfSplitEdgesAvoidOtherGeometry) {
 TEST(Noding, ZeroLengthInputIgnored) {
   const auto r = Node({{{1, 1}, {1, 1}, 0}, {{0, 0}, {2, 0}, 1}});
   EXPECT_EQ(r.edges.size(), 1u);
+}
+
+// --- Reference noder ---------------------------------------------------------
+// The straightforward noder NodeSegments replaced: one cut list per
+// segment, and a merger that rescans every node for each lookup.
+// NodeSegments must reproduce its output bit for bit.
+
+class ReferenceMerger {
+ public:
+  explicit ReferenceMerger(double eps) : eps_(eps) {}
+
+  Coord Canonical(const Coord& c) {
+    for (const auto& n : nodes_) {
+      if (std::fabs(n.x - c.x) <= eps_ && std::fabs(n.y - c.y) <= eps_) {
+        return n;
+      }
+    }
+    nodes_.push_back(c);
+    return c;
+  }
+
+  const std::vector<Coord>& nodes() const { return nodes_; }
+
+ private:
+  double eps_;
+  std::vector<Coord> nodes_;
+};
+
+double ReferenceParamOf(const Coord& p, const Coord& a, const Coord& b) {
+  const double dx = b.x - a.x;
+  const double dy = b.y - a.y;
+  if (std::fabs(dx) >= std::fabs(dy)) {
+    return dx == 0.0 ? 0.0 : (p.x - a.x) / dx;
+  }
+  return dy == 0.0 ? 0.0 : (p.y - a.y) / dy;
+}
+
+NodingResult ReferenceNodeSegments(const std::vector<TaggedSegment>& segments,
+                                   double eps) {
+  const size_t n = segments.size();
+  std::vector<std::vector<Coord>> cuts(n);
+  std::vector<geom::Envelope> boxes;
+  for (const auto& s : segments) {
+    geom::Envelope e(s.a);
+    e.ExpandToInclude(s.b);
+    e.ExpandBy(eps);
+    boxes.push_back(e);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (!boxes[i].Intersects(boxes[j])) continue;
+      const auto isect = geom::IntersectSegments(
+          segments[i].a, segments[i].b, segments[j].a, segments[j].b, eps);
+      switch (isect.kind) {
+        case geom::SegSegIntersection::Kind::kNone:
+          break;
+        case geom::SegSegIntersection::Kind::kPoint:
+          cuts[i].push_back(isect.p0);
+          cuts[j].push_back(isect.p0);
+          break;
+        case geom::SegSegIntersection::Kind::kOverlap:
+          cuts[i].push_back(isect.p0);
+          cuts[i].push_back(isect.p1);
+          cuts[j].push_back(isect.p0);
+          cuts[j].push_back(isect.p1);
+          break;
+      }
+    }
+  }
+  ReferenceMerger merger(eps);
+  NodingResult out;
+  for (size_t i = 0; i < n; ++i) {
+    const Coord a = merger.Canonical(segments[i].a);
+    const Coord b = merger.Canonical(segments[i].b);
+    struct Cut {
+      double t;
+      Coord p;
+    };
+    std::vector<Cut> ordered;
+    ordered.push_back({0.0, a});
+    ordered.push_back({1.0, b});
+    for (const auto& c : cuts[i]) {
+      const Coord canon = merger.Canonical(c);
+      ordered.push_back(
+          {ReferenceParamOf(canon, segments[i].a, segments[i].b), canon});
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const Cut& x, const Cut& y) { return x.t < y.t; });
+    for (size_t k = 0; k + 1 < ordered.size(); ++k) {
+      const Coord& p = ordered[k].p;
+      const Coord& q = ordered[k + 1].p;
+      if (p == q) continue;
+      out.edges.push_back(NodedEdge{p, q, segments[i].src, i});
+    }
+  }
+  out.nodes = merger.nodes();
+  return out;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+bool SameBits(const Coord& a, const Coord& b) {
+  return Bits(a.x) == Bits(b.x) && Bits(a.y) == Bits(b.y);
+}
+
+std::string Show(const Coord& c) {
+  return "(" + std::to_string(c.x) + " " + std::to_string(c.y) + ")";
+}
+
+// Asserts that NodeSegments and the reference agree element by element,
+// coordinates compared by their bits.
+void ExpectMatchesReference(const std::vector<TaggedSegment>& segs,
+                            double eps, const std::string& label) {
+  const NodingResult want = ReferenceNodeSegments(segs, eps);
+  const NodingResult got = NodeSegments(segs, eps);
+  ASSERT_EQ(got.nodes.size(), want.nodes.size()) << label;
+  for (size_t i = 0; i < want.nodes.size(); ++i) {
+    ASSERT_TRUE(SameBits(got.nodes[i], want.nodes[i]))
+        << label << " node " << i << ": " << Show(got.nodes[i]) << " vs "
+        << Show(want.nodes[i]);
+  }
+  ASSERT_EQ(got.edges.size(), want.edges.size()) << label;
+  for (size_t i = 0; i < want.edges.size(); ++i) {
+    const NodedEdge& g = got.edges[i];
+    const NodedEdge& w = want.edges[i];
+    ASSERT_TRUE(SameBits(g.a, w.a) && SameBits(g.b, w.b) && g.src == w.src &&
+                g.input_index == w.input_index)
+        << label << " edge " << i << ": " << Show(g.a) << "-" << Show(g.b)
+        << " src " << g.src << " from " << g.input_index << " vs "
+        << Show(w.a) << "-" << Show(w.b) << " src " << w.src << " from "
+        << w.input_index;
+  }
+}
+
+// A seeded soup of `n` segments on a small grid, so vertices are shared,
+// segments overlap collinearly and cross many others. Some segments are
+// zero-length. Some coordinates are -0.0 or 0.0, NaN (when `with_nan`),
+// half-integers, or a grid value nudged by a multiple of 0.6 eps, so
+// chains of points within eps of each other form.
+std::vector<TaggedSegment> RandomSoup(Rng* rng, size_t n, bool with_nan) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto coord = [&]() -> double {
+    const int roll = rng->IntIn(0, 99);
+    const double v = static_cast<double>(rng->IntIn(-4, 4));
+    if (roll < 6) return -0.0;
+    if (roll < 12) return 0.0;
+    if (roll < 24) return v + rng->IntIn(-2, 2) * 0.6 * geom::kDerivedEps;
+    if (roll < 30) return v + 0.5;
+    if (with_nan && roll < 32) return kNaN;
+    return v;
+  };
+  std::vector<TaggedSegment> segs;
+  for (size_t i = 0; i < n; ++i) {
+    TaggedSegment s;
+    s.src = rng->IntIn(0, 2);
+    const int shape = rng->IntIn(0, 9);
+    if (shape == 0 && !segs.empty()) {
+      // Shares a vertex with an earlier segment.
+      s.a = segs[rng->IntIn(0, static_cast<int>(segs.size()) - 1)].b;
+      s.b = {coord(), coord()};
+    } else if (shape == 1 && !segs.empty()) {
+      // Lies on an earlier segment's line (collinear overlap or extension).
+      const TaggedSegment& o =
+          segs[rng->IntIn(0, static_cast<int>(segs.size()) - 1)];
+      const double t0 = rng->IntIn(-2, 4) * 0.5;
+      const double t1 = rng->IntIn(-2, 4) * 0.5;
+      s.a = {o.a.x + (o.b.x - o.a.x) * t0, o.a.y + (o.b.y - o.a.y) * t0};
+      s.b = {o.a.x + (o.b.x - o.a.x) * t1, o.a.y + (o.b.y - o.a.y) * t1};
+    } else if (shape == 2) {
+      // Zero-length.
+      s.a = {coord(), coord()};
+      s.b = s.a;
+    } else {
+      s.a = {coord(), coord()};
+      s.b = {coord(), coord()};
+    }
+    segs.push_back(s);
+  }
+  return segs;
+}
+
+TEST(NodingReference, RandomSoupsMatchBitForBit) {
+  Rng rng(20261017);
+  size_t max_edges = 0;
+  for (int round = 0; round < 1500; ++round) {
+    const size_t n = static_cast<size_t>(rng.IntIn(2, 64));
+    const auto segs = RandomSoup(&rng, n, /*with_nan=*/round % 4 == 3);
+    const double eps = round % 5 == 4 ? 0.0 : geom::kDerivedEps;
+    ExpectMatchesReference(segs, eps, "round " + std::to_string(round));
+    if (HasFatalFailure()) return;
+    max_edges = std::max(max_edges, NodeSegments(segs, eps).edges.size());
+  }
+  EXPECT_GT(max_edges, 200u) << "the soups should be dense enough to split";
+}
+
+TEST(NodingReference, LongSegmentCutManyTimesSortsLikeReference) {
+  // One segment crossed by 40 others: its cut list is far past the
+  // 16-element insertion-sort threshold of std::sort.
+  std::vector<TaggedSegment> segs = {{{-1, 0}, {41, 0}, 0}};
+  for (int i = 39; i >= 0; --i) {
+    segs.push_back({{i + 0.25, -1}, {i + 0.25, 1}, 1});
+  }
+  ExpectMatchesReference(segs, geom::kDerivedEps, "comb");
+  EXPECT_EQ(NodeSegments(segs, geom::kDerivedEps).edges.size(), 41u + 80u);
+}
+
+TEST(NodingReference, FirstRegisteredNodeWinsInsideEpsChain) {
+  // Three vertices 0.6 eps apart: the outer two are more than eps apart,
+  // so both register; the middle one lies within eps of both and maps to
+  // the one registered first, not the one registered last.
+  const double e = geom::kDerivedEps;
+  const std::vector<TaggedSegment> segs = {{{0, 0}, {0, 5}, 0},
+                                           {{1.2 * e, 0}, {5, 0}, 1},
+                                           {{0.6 * e, 0}, {3, -5}, 1}};
+  ExpectMatchesReference(segs, e, "eps chain");
+  const NodingResult r = NodeSegments(segs, e);
+  for (const auto& edge : r.edges) {
+    if (edge.input_index == 2) {
+      EXPECT_TRUE(SameBits(edge.a, {0, 0}) || SameBits(edge.b, {0, 0}))
+          << Show(edge.a) << "-" << Show(edge.b);
+    }
+  }
+  size_t near_origin = 0;
+  for (const auto& n : r.nodes) {
+    if (std::fabs(n.x) < 1e-6 && n.y == 0.0) ++near_origin;
+  }
+  EXPECT_EQ(near_origin, 2u);
+}
+
+TEST(NodingReference, SignedZerosShareANode) {
+  const std::vector<TaggedSegment> segs = {{{-0.0, 0}, {0, 5}, 0},
+                                           {{0.0, 0}, {5, 0}, 1},
+                                           {{0.0, -0.0}, {-5, 0}, 1}};
+  ExpectMatchesReference(segs, geom::kDerivedEps, "signed zeros");
+  const NodingResult r = NodeSegments(segs, geom::kDerivedEps);
+  size_t at_origin = 0;
+  for (const auto& n : r.nodes) {
+    if (n.x == 0.0 && n.y == 0.0) {
+      ++at_origin;
+      EXPECT_TRUE(std::signbit(n.x)) << "the first registered bits win";
+    }
+  }
+  EXPECT_EQ(at_origin, 1u);
+}
+
+TEST(NodingReference, EachNanCutAddsItsOwnNode) {
+  // A vertical segment at x = NaN: every orientation test against it is
+  // 0, so the collinear branch cuts it and the crossing segment at a
+  // point with x = NaN. NaN never matches a node, not even itself.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<TaggedSegment> segs = {{{nan, 0}, {nan, 4}, 0},
+                                           {{0, 1}, {5, 1}, 1}};
+  ExpectMatchesReference(segs, geom::kDerivedEps, "nan");
+  const NodingResult r = NodeSegments(segs, geom::kDerivedEps);
+  size_t nan_cuts = 0;
+  for (const auto& n : r.nodes) {
+    if (std::isnan(n.x) && n.y == 1.0) ++nan_cuts;
+  }
+  EXPECT_EQ(nan_cuts, 2u) << "one node per Canonical call on the NaN cut";
+}
+
+TEST(NodingReference, InfiniteVertexRegistersOnEveryLookup) {
+  // inf - inf is NaN, so an infinite vertex matches no node, not even its
+  // own: each lookup registers it again, and the memo must not keep it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<TaggedSegment> segs = {{{inf, 0}, {0, 0}, 0},
+                                           {{inf, 0}, {0, 1}, 1}};
+  ExpectMatchesReference(segs, geom::kDerivedEps, "inf");
+  size_t infinite = 0;
+  for (const auto& n : NodeSegments(segs, geom::kDerivedEps).nodes) {
+    if (std::isinf(n.x)) ++infinite;
+  }
+  EXPECT_GE(infinite, 2u);
 }
 
 }  // namespace

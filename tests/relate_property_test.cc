@@ -5,15 +5,22 @@
 //  - canonicalization preserves topological relationships (§4.3),
 //  - predicate algebra (within/contains converses, intersects = !disjoint,
 //    equals = within && contains, covers implied by contains),
-//  - prepared predicates agree with plain predicates.
+//  - prepared predicates agree with plain predicates,
+//  - the prepared point locator answers exactly as a walk over the
+//    geometry tree, fault hits included.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <map>
 
 #include "algo/canonicalize.h"
 #include "common/rng.h"
 #include "fuzz/aei.h"
 #include "fuzz/generator.h"
+#include "geom/predicates.h"
 #include "geom/wkt_reader.h"
 #include "relate/named_predicates.h"
+#include "relate/point_locator.h"
 #include "relate/prepared.h"
 #include "relate/relate.h"
 
@@ -164,6 +171,292 @@ TEST(AffineInvariance, NamedTransformsOnFixedScenarios) {
     }
   }
 }
+
+// --- Reference point locator ----------------------------------------------
+// The tree-walking locator the prepared one replaced: every call walks the
+// geometry with ForEachBasic and tests every segment of every element.
+// PreparedOperand, and the LocatePoint / LocateAreal wrappers over it,
+// must return the same Location and fire the same faults for every call.
+namespace reference {
+
+using geom::Coord;
+using geom::Geometry;
+using geom::GeomType;
+
+bool CoordsEqual(const Coord& a, const Coord& b, double eps) {
+  return std::fabs(a.x - b.x) <= eps && std::fabs(a.y - b.y) <= eps;
+}
+
+algo::RingLocation LocateInRing(const Coord& p, const std::vector<Coord>& ring,
+                                double eps) {
+  if (ring.size() < 2) return algo::RingLocation::kExterior;
+  bool inside = false;
+  for (size_t i = 0; i + 1 < ring.size(); ++i) {
+    const Coord& a = ring[i];
+    const Coord& b = ring[i + 1];
+    if (geom::OnSegment(p, a, b, eps)) return algo::RingLocation::kBoundary;
+    if ((a.y > p.y) != (b.y > p.y)) {
+      const double x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
+      if (x_cross > p.x) inside = !inside;
+    }
+  }
+  if (ring.front() != ring.back()) {
+    const Coord& a = ring.back();
+    const Coord& b = ring.front();
+    if (geom::OnSegment(p, a, b, eps)) return algo::RingLocation::kBoundary;
+    if ((a.y > p.y) != (b.y > p.y)) {
+      const double x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
+      if (x_cross > p.x) inside = !inside;
+    }
+  }
+  return inside ? algo::RingLocation::kInterior
+                : algo::RingLocation::kExterior;
+}
+
+algo::RingLocation LocateInPolygon(const Coord& p, const geom::Polygon& poly,
+                                   double eps) {
+  if (poly.IsEmpty()) return algo::RingLocation::kExterior;
+  int parity = 0;
+  for (const auto& ring : poly.rings()) {
+    const algo::RingLocation loc = LocateInRing(p, ring, eps);
+    if (loc == algo::RingLocation::kBoundary) {
+      return algo::RingLocation::kBoundary;
+    }
+    if (loc == algo::RingLocation::kInterior) parity ^= 1;
+  }
+  return parity ? algo::RingLocation::kInterior
+                : algo::RingLocation::kExterior;
+}
+
+struct Scan {
+  bool areal_interior = false;
+  bool areal_boundary = false;
+  bool point_interior = false;
+  int endpoint_count = 0;
+  bool on_line = false;
+  bool has_empty_line_element = false;
+};
+
+void ScanBasic(const Coord& p, const Geometry& basic, double eps, Scan* scan) {
+  switch (basic.type()) {
+    case GeomType::kPoint:
+      if (!basic.IsEmpty() &&
+          CoordsEqual(*geom::AsPoint(basic).coord(), p, eps)) {
+        scan->point_interior = true;
+      }
+      break;
+    case GeomType::kLineString: {
+      const auto& line = geom::AsLineString(basic);
+      if (line.IsEmpty()) {
+        scan->has_empty_line_element = true;
+        break;
+      }
+      if (!line.IsClosed() && line.NumPoints() >= 2) {
+        if (CoordsEqual(line.points().front(), p, eps)) scan->endpoint_count++;
+        if (CoordsEqual(line.points().back(), p, eps)) scan->endpoint_count++;
+      }
+      for (size_t i = 0; i + 1 < line.NumPoints(); ++i) {
+        if (geom::OnSegment(p, line.PointAt(i), line.PointAt(i + 1), eps)) {
+          scan->on_line = true;
+          break;
+        }
+      }
+      break;
+    }
+    case GeomType::kPolygon: {
+      const auto loc = LocateInPolygon(p, geom::AsPolygon(basic), eps);
+      if (loc == algo::RingLocation::kInterior) scan->areal_interior = true;
+      if (loc == algo::RingLocation::kBoundary) scan->areal_boundary = true;
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+Location Resolve(const Scan& scan, const faults::FaultState* faults) {
+  if (scan.areal_interior) return Location::kInterior;
+  if (scan.areal_boundary) return Location::kBoundary;
+  if (scan.point_interior) return Location::kInterior;
+  bool parity_applies = true;
+  if (scan.has_empty_line_element && faults &&
+      faults->Fire(faults::FaultId::kGeosBoundaryEmptyElementDrop)) {
+    parity_applies = false;
+  }
+  if (parity_applies && scan.endpoint_count % 2 == 1) {
+    return Location::kBoundary;
+  }
+  if (scan.on_line || scan.endpoint_count > 0) return Location::kInterior;
+  return Location::kExterior;
+}
+
+Location LocatePoint(const Coord& p, const Geometry& g, double eps,
+                     const faults::FaultState* faults) {
+  if (g.type() == GeomType::kGeometryCollection && faults &&
+      faults->IsEnabled(faults::FaultId::kGeosGcBoundaryLastOneWins)) {
+    const auto& coll = geom::AsCollection(g);
+    Location result = Location::kExterior;
+    for (size_t i = 0; i < coll.NumElements(); ++i) {
+      const Location loc = LocatePoint(p, coll.ElementAt(i), eps, nullptr);
+      if (loc != Location::kExterior) {
+        faults->Fire(faults::FaultId::kGeosGcBoundaryLastOneWins);
+        result = loc;
+      }
+    }
+    return result;
+  }
+  Scan scan;
+  geom::ForEachBasic(g, [&](const Geometry& basic) {
+    ScanBasic(p, basic, eps, &scan);
+  });
+  return Resolve(scan, faults);
+}
+
+Location LocateAreal(const Coord& p, const Geometry& g, double eps) {
+  bool boundary = false;
+  bool interior = false;
+  geom::ForEachBasic(g, [&](const Geometry& basic) {
+    if (basic.type() != GeomType::kPolygon || basic.IsEmpty()) return;
+    const auto loc = LocateInPolygon(p, geom::AsPolygon(basic), eps);
+    if (loc == algo::RingLocation::kInterior) interior = true;
+    if (loc == algo::RingLocation::kBoundary) boundary = true;
+  });
+  if (interior) return Location::kInterior;
+  if (boundary) return Location::kBoundary;
+  return Location::kExterior;
+}
+
+}  // namespace reference
+
+// Probe points for `g`: every vertex, every segment midpoint (closing
+// ring edges included), each vertex nudged up and down by multiples of
+// the tolerance OnSegment uses there (the edges of the prepared y-ranges),
+// and seeded random points over the coordinate range.
+std::vector<geom::Coord> ProbePoints(const geom::Geometry& g, double eps,
+                                     spatter::Rng* rng) {
+  std::vector<geom::Coord> out;
+  const auto add_chain = [&](const std::vector<geom::Coord>& pts,
+                             bool close) {
+    for (size_t i = 0; i < pts.size(); ++i) {
+      const geom::Coord& v = pts[i];
+      out.push_back(v);
+      const double tol = geom::OnSegmentTolerance(v, v, eps);
+      for (const double k : {-1.5, -1.0, -0.5, 0.5, 1.0, 1.5}) {
+        out.push_back({v.x, v.y + k * tol});
+        out.push_back({v.x + k * tol, v.y});
+      }
+      if (i + 1 < pts.size()) {
+        out.push_back(geom::Midpoint(v, pts[i + 1]));
+      }
+    }
+    if (close && pts.size() >= 2) {
+      out.push_back(geom::Midpoint(pts.back(), pts.front()));
+    }
+  };
+  geom::ForEachBasic(g, [&](const geom::Geometry& basic) {
+    if (basic.type() == geom::GeomType::kPoint && !basic.IsEmpty()) {
+      add_chain({*geom::AsPoint(basic).coord()}, false);
+    } else if (basic.type() == geom::GeomType::kLineString) {
+      add_chain(geom::AsLineString(basic).points(), false);
+    } else if (basic.type() == geom::GeomType::kPolygon) {
+      for (const auto& ring : geom::AsPolygon(basic).rings()) {
+        add_chain(ring, true);
+      }
+    }
+  });
+  for (int i = 0; i < 24; ++i) {
+    out.push_back({rng->IntIn(-120, 120) / 10.0, rng->IntIn(-120, 120) / 10.0});
+  }
+  return out;
+}
+
+// The generator's shapes with fractional coordinates, plus fixed inputs
+// covering EMPTY elements, mixed and nested collections, unclosed and
+// degenerate rings, and closed lines.
+std::vector<geom::GeomPtr> LocatorInputs(uint64_t seed) {
+  spatter::Rng rng(seed);
+  engine::Engine clean(engine::Dialect::kPostgis, /*enable_faults=*/false);
+  fuzz::GeneratorConfig config;
+  config.fractional_pct = 50;
+  config.coord_range = 8;
+  config.empty_pct = 20;
+  config.nested_pct = 30;
+  fuzz::GeometryAwareGenerator gen(config, &rng, &clean);
+  std::vector<geom::GeomPtr> out;
+  for (int i = 0; i < 40; ++i) out.push_back(gen.RandomShape());
+  for (const char* wkt : {
+           "GEOMETRYCOLLECTION(POINT EMPTY,LINESTRING EMPTY,"
+           "POLYGON((0 0,4 0,4 4,0 4,0 0)),LINESTRING(1 1,6 1))",
+           "GEOMETRYCOLLECTION(LINESTRING(0 0,2 0),LINESTRING EMPTY,"
+           "POINT(2 0),GEOMETRYCOLLECTION(LINESTRING(2 0,2 2),POINT EMPTY))",
+           "GEOMETRYCOLLECTION(POLYGON((0 0,3 0,3 3,0 3,0 0)),"
+           "POLYGON((1 1,5 1,5 5,1 5,1 1)),LINESTRING(0 0,5 5),POINT(3 3))",
+           "GEOMETRYCOLLECTION(GEOMETRYCOLLECTION EMPTY,POINT(1 1))",
+           "MULTILINESTRING((0 0,1 1),EMPTY,(1 1,2 0),(3 3,3 3))",
+           "MULTIPOLYGON(((0 0,4 0,4 4,0 4,0 0),(1 1,2 1,2 2,1 2,1 1)),"
+           "EMPTY,((5 5,6 5,6 6,5 5)))",
+           "POLYGON((0 0,4 0,2 3))",
+           "POLYGON((0 0,0 0,0 0,0 0))",
+           "LINESTRING(0 0,0 3,3 3,0 0)",
+           "LINESTRING(1.5 1.5,1.5 1.5)",
+           "MULTIPOINT((0 0),EMPTY,(0.5 0.5))",
+       }) {
+    out.push_back(geom::ReadWkt(wkt).Take());
+  }
+  return out;
+}
+
+class PreparedLocatorExactness : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PreparedLocatorExactness, SameLocationAndFaultHitsAsTreeWalk) {
+  spatter::Rng rng(GetParam() * 104729 + 11);
+  faults::FaultState on_ref;
+  faults::FaultState on_new;
+  for (auto* f : {&on_ref, &on_new}) {
+    f->Enable(faults::FaultId::kGeosGcBoundaryLastOneWins);
+    f->Enable(faults::FaultId::kGeosBoundaryEmptyElementDrop);
+  }
+  // One operand re-prepared per geometry, as Relate reuses its scratch.
+  PreparedOperand reused;
+  size_t calls = 0;
+  std::map<faults::FaultId, size_t> fired;
+  for (const auto& g : LocatorInputs(GetParam())) {
+    for (const double eps : {geom::kDerivedEps, 0.0}) {
+      reused.Prepare(*g, eps);
+      for (const geom::Coord& p : ProbePoints(*g, eps, &rng)) {
+        // Built only when an assertion fails.
+        const auto at = [&] {
+          return g->ToWkt() + " at (" + std::to_string(p.x) + " " +
+                 std::to_string(p.y) + ") eps=" + std::to_string(eps);
+        };
+        const Location want = reference::LocatePoint(p, *g, eps, nullptr);
+        ASSERT_EQ(LocatePoint(p, *g, eps, nullptr), want) << at();
+        ASSERT_EQ(reused.Locate(p, nullptr), want) << at();
+
+        on_ref.ClearHits();
+        on_new.ClearHits();
+        const Location want_f = reference::LocatePoint(p, *g, eps, &on_ref);
+        ASSERT_EQ(reused.Locate(p, &on_new), want_f) << "faults on: " << at();
+        ASSERT_EQ(on_new.Hits(), on_ref.Hits()) << "faults on: " << at();
+        on_new.ClearHits();
+        ASSERT_EQ(LocatePoint(p, *g, eps, &on_new), want_f) << at();
+        ASSERT_EQ(on_new.Hits(), on_ref.Hits()) << at();
+        for (const faults::FaultId id : on_ref.Hits()) ++fired[id];
+
+        const Location want_a = reference::LocateAreal(p, *g, eps);
+        ASSERT_EQ(LocateAreal(p, *g, eps), want_a) << "areal: " << at();
+        ASSERT_EQ(reused.LocateAreal(p), want_a) << "areal: " << at();
+        ++calls;
+      }
+    }
+  }
+  EXPECT_GT(calls, 5000u);
+  EXPECT_GT(fired[faults::FaultId::kGeosGcBoundaryLastOneWins], 0u);
+  EXPECT_GT(fired[faults::FaultId::kGeosBoundaryEmptyElementDrop], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PreparedLocatorExactness,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace spatter::relate

@@ -289,12 +289,12 @@ TEST(PointLocator, ArealPriority) {
 TEST(PointLocator, ArealHelpers) {
   const auto gc = Read(
       "GEOMETRYCOLLECTION(POLYGON((0 0,4 0,4 4,0 4,0 0)),POINT(9 9))");
-  EXPECT_TRUE(HasArealComponent(*gc));
+  EXPECT_TRUE(PreparedOperand(*gc, 0.0).areal());
   EXPECT_EQ(LocateAreal({2, 2}, *gc), Location::kInterior);
   EXPECT_EQ(LocateAreal({0, 2}, *gc), Location::kBoundary);
   EXPECT_EQ(LocateAreal({9, 9}, *gc), Location::kExterior)
       << "point elements do not contribute to areal location";
-  EXPECT_FALSE(HasArealComponent(*Read("LINESTRING(0 0,1 1)")));
+  EXPECT_FALSE(PreparedOperand(*Read("LINESTRING(0 0,1 1)"), 0.0).areal());
 }
 
 // --- Prepared geometry ------------------------------------------------------
