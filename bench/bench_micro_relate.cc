@@ -1,12 +1,13 @@
-// Micro ablations of the topology core (google-benchmark): relate cost by
-// geometry complexity, prepared vs plain predicates, canonicalization and
-// the AEI database transform.
+// Micro ablations of the topology core (google-benchmark): relate kernel
+// cost by geometry complexity, the memo's replay cost, prepared vs plain
+// predicates, canonicalization and the AEI database transform.
 #include <benchmark/benchmark.h>
 
 #include "algo/canonicalize.h"
 #include "common/rng.h"
 #include "fuzz/aei.h"
 #include "geom/wkt_reader.h"
+#include "obs/metrics.h"
 #include "relate/named_predicates.h"
 #include "relate/prepared.h"
 #include "relate/relate.h"
@@ -28,24 +29,54 @@ geom::GeomPtr MakeRingPolygon(int n, double radius, double cx, double cy) {
   return geom::MakePolygon({std::move(ring)});
 }
 
+// The kernel: RelateUnmemoized runs the full path on every call, where
+// Relate would replay this one pair from its memo.
 void BM_RelatePolygonPair(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto a = MakeRingPolygon(n, 100, 0, 0);
   const auto b = MakeRingPolygon(n, 100, 60, 0);
   for (auto _ : state) {
-    auto im = relate::Relate(*a, *b, {});
+    auto im = relate::RelateUnmemoized(*a, *b, {});
     benchmark::DoNotOptimize(im);
   }
   state.SetLabel("vertices=" + std::to_string(n));
   // The two discs overlap: a relate that misses the 2-dimensional
   // interior intersection did not do the work this case times.
-  const auto im = relate::Relate(*a, *b, {});
+  const auto im = relate::RelateUnmemoized(*a, *b, {});
   if (!im.ok() || !im.value().Matches("2********")) {
     state.SkipWithError("relate missed the overlap");
   }
 }
 BENCHMARK(BM_RelatePolygonPair)->Arg(8)->Arg(32)->Arg(128);
 
+// A memo hit on the same pair: building and hashing the key, comparing it
+// and replaying the recorded coverage.
+void BM_RelateMemoHit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto a = MakeRingPolygon(n, 100, 0, 0);
+  const auto b = MakeRingPolygon(n, 100, 60, 0);
+  for (int i = 0; i < 2; ++i) (void)relate::Relate(*a, *b, {});  // admit
+  obs::Counter* hits =
+      obs::MetricsRegistry::Instance().GetCounter("relate.memo.hit");
+  const uint64_t hits_before = hits->Value();
+  for (auto _ : state) {
+    auto im = relate::Relate(*a, *b, {});
+    benchmark::DoNotOptimize(im);
+  }
+  state.SetLabel("vertices=" + std::to_string(n));
+  if (hits->Value() - hits_before !=
+      static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("a call missed the memo");
+  }
+  const auto im = relate::Relate(*a, *b, {});
+  if (!im.ok() || !im.value().Matches("2********")) {
+    state.SkipWithError("relate missed the overlap");
+  }
+}
+BENCHMARK(BM_RelateMemoHit)->Arg(8)->Arg(32)->Arg(128);
+
+// Each candidate point meets the same target on every pass, so after the
+// first pass the full-path relates are memo hits.
 void BM_PlainIntersectsManyCandidates(benchmark::State& state) {
   const auto target = MakeRingPolygon(32, 100, 0, 0);
   std::vector<geom::GeomPtr> candidates;
@@ -65,6 +96,7 @@ void BM_PlainIntersectsManyCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_PlainIntersectsManyCandidates);
 
+// As above, through the prepared wrapper: it runs against a warm memo too.
 void BM_PreparedIntersectsManyCandidates(benchmark::State& state) {
   const auto target = MakeRingPolygon(32, 100, 0, 0);
   std::vector<geom::GeomPtr> candidates;

@@ -63,6 +63,9 @@ std::vector<uint32_t> CoverageRegistry::NewSitesSince(
 }
 
 namespace {
+/// The calling thread's active trace and capture; null when off.
+thread_local std::vector<uint32_t>* trace_sink = nullptr;
+thread_local std::vector<CoverageRegistry::SiteHits>* capture_sink = nullptr;
 thread_local std::vector<uint32_t> trace_storage;
 /// Epoch mark per site: trace_seen[i] == trace_epoch iff site i is
 /// already in trace_storage for the current trace. Bumping the epoch on
@@ -78,19 +81,42 @@ void CoverageRegistry::BeginTrace() {
     std::fill(trace_seen.begin(), trace_seen.end(), 0);
     trace_epoch = 1;
   }
-  trace_sink_ = &trace_storage;
-}
-
-void CoverageRegistry::TraceHit(uint32_t index) {
-  if (index >= trace_seen.size() || trace_seen[index] == trace_epoch) return;
-  trace_seen[index] = trace_epoch;
-  trace_sink_->push_back(index);
+  trace_sink = &trace_storage;
+  tapped_ = true;
 }
 
 std::vector<uint32_t> CoverageRegistry::TakeTrace() {
-  trace_sink_ = nullptr;
+  trace_sink = nullptr;
+  tapped_ = capture_sink != nullptr;
   std::sort(trace_storage.begin(), trace_storage.end());
   return std::move(trace_storage);
+}
+
+void CoverageRegistry::BeginCapture(std::vector<SiteHits>* out) {
+  out->clear();
+  capture_sink = out;
+  tapped_ = true;
+}
+
+void CoverageRegistry::EndCapture() {
+  capture_sink = nullptr;
+  tapped_ = trace_sink != nullptr;
+}
+
+void CoverageRegistry::Tap(uint32_t index, uint64_t n) {
+  if (trace_sink != nullptr && trace_seen[index] != trace_epoch) {
+    trace_seen[index] = trace_epoch;
+    trace_sink->push_back(index);
+  }
+  if (capture_sink != nullptr) {
+    for (SiteHits& s : *capture_sink) {
+      if (s.site == index) {
+        s.count += n;
+        return;
+      }
+    }
+    capture_sink->push_back({index, n});
+  }
 }
 
 std::vector<uint64_t> CoverageRegistry::KeysCoveredSince(

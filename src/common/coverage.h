@@ -13,6 +13,15 @@
 // is a single relaxed atomic increment on a fixed-capacity counter array
 // (stable addresses, no lock); registration and all read/reset/snapshot
 // operations serialize on an internal mutex.
+//
+// Per-thread taps: a trace (BeginTrace/TakeTrace) collects the sites the
+// calling thread hit, and a capture (BeginCapture/EndCapture) collects them
+// with their counts. Hit() tests one thread-local flag for both, so with
+// neither active it costs what it did with the trace alone. The relate
+// memo (relate.h) captures each kernel run it records and replays a memo
+// hit as Hit(site, count) per captured site: the global counters, any
+// active trace and every later snapshot diff see exactly what the kernel
+// run would have produced.
 #ifndef SPATTER_COMMON_COVERAGE_H_
 #define SPATTER_COMMON_COVERAGE_H_
 
@@ -39,15 +48,17 @@ class CoverageRegistry {
   /// Registers a point (idempotent) and returns its index.
   size_t Register(const std::string& module, const std::string& point);
 
-  /// Marks a point hit. Lock-free; safe from any thread. When the calling
-  /// thread has an active trace (BeginTrace), the index is also appended to
-  /// that thread's trace — hits from other threads never leak in, which is
-  /// what keeps per-shard corpus admission deterministic under concurrency.
-  void Hit(size_t index) {
-    if (hits_[index].fetch_add(1, std::memory_order_relaxed) == 0) {
+  /// Marks a point hit `n` (>= 1) times. Lock-free; safe from any thread.
+  /// When the calling thread has an active trace (BeginTrace), the index is
+  /// also added to that thread's trace — hits from other threads never leak
+  /// in, which is what keeps per-shard corpus admission deterministic under
+  /// concurrency — and an active capture (BeginCapture) adds `n` to the
+  /// site's count.
+  void Hit(size_t index, uint64_t n = 1) {
+    if (hits_[index].fetch_add(n, std::memory_order_relaxed) == 0) {
       covered_count_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (trace_sink_ != nullptr) TraceHit(static_cast<uint32_t>(index));
+    if (tapped_) Tap(static_cast<uint32_t>(index), n);
   }
 
   /// Sites hit at least once since the last reset — one relaxed atomic
@@ -76,15 +87,27 @@ class CoverageRegistry {
   // that exact and deterministic per shard regardless of what other shards
   // hit concurrently (a global snapshot diff would be contaminated).
 
-  /// Starts (or restarts) the calling thread's trace.
+  /// Starts (or restarts) the calling thread's trace. The trace holds each
+  /// site once (an epoch mark per site keeps it O(unique sites), not
+  /// O(hits) — one iteration produces ~10^5 hits over a few hundred sites).
   static void BeginTrace();
   /// Ends the trace and returns the sorted, deduplicated site indices the
   /// calling thread hit since BeginTrace().
   static std::vector<uint32_t> TakeTrace();
-  /// Records `index` in the active trace, once per site per trace (an
-  /// epoch mark per site keeps the trace O(unique sites), not O(hits) —
-  /// one iteration produces ~10^5 hits over a few hundred sites).
-  static void TraceHit(uint32_t index);
+
+  // --- Per-thread capture ---------------------------------------------------
+  // Short brackets over a few sites (the relate memo records one kernel
+  // run): a capture keeps every site hit with its count, in first-hit
+  // order. It runs alongside an active trace; captures do not nest.
+
+  struct SiteHits {
+    uint32_t site;
+    uint64_t count;
+  };
+  /// Clears `*out` and starts recording the calling thread's hits into it.
+  static void BeginCapture(std::vector<SiteHits>* out);
+  /// Stops the capture; `*out` keeps what it recorded.
+  static void EndCapture();
 
   /// Stable 64-bit keys (FNV-1a of "module/point") for site indices. Raw
   /// indices are registration order, which varies across processes; keys
@@ -137,8 +160,11 @@ class CoverageRegistry {
   std::atomic<uint64_t> hits_[kMaxPoints] = {};
   /// Sites with a non-zero hit count (maintained by Hit/Reset/Restore).
   std::atomic<size_t> covered_count_{0};
-  /// Calling thread's active trace; null when tracing is off.
-  static inline thread_local std::vector<uint32_t>* trace_sink_ = nullptr;
+
+  /// Feeds the calling thread's active trace and capture.
+  static void Tap(uint32_t index, uint64_t n);
+  /// True while the calling thread has a trace or a capture active.
+  static inline thread_local bool tapped_ = false;
 };
 
 namespace internal {

@@ -46,20 +46,6 @@ double MaxAbsCoord(const Geometry& g) {
                    std::fabs(e.min_y()), std::fabs(e.max_y())});
 }
 
-// A collection holding at least one EMPTY element (itself possibly
-// non-empty): the input class several real EMPTY-processor bugs keyed on.
-bool ContainsEmptyElement(const Geometry& g) {
-  if (!g.IsCollection()) return false;
-  const auto& coll = geom::AsCollection(g);
-  for (size_t i = 0; i < coll.NumElements(); ++i) {
-    if (coll.ElementAt(i).IsEmpty() ||
-        ContainsEmptyElement(coll.ElementAt(i))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool HasConsecutiveDuplicate(const Geometry& g) {
   bool dup = false;
   geom::ForEachBasic(g, [&dup](const Geometry& basic) {
@@ -333,7 +319,8 @@ Result<Value> FnTouches(const FunctionContext& ctx,
                            relate::Touches(*ga, *gb, RelateCtx(ctx)));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kMysqlTouchesEmptyCollection) &&
-      (ContainsEmptyElement(*ga) || ContainsEmptyElement(*gb)) && !correct) {
+      (relate::HasEmptyElement(*ga) || relate::HasEmptyElement(*gb)) &&
+      !correct) {
     // Injected bug: a collection holding an EMPTY element takes the empty
     // processor path, which misreports a touch.
     ctx.faults->Fire(FaultId::kMysqlTouchesEmptyCollection);

@@ -93,6 +93,8 @@ enum class FaultId : uint32_t {
 
   kNumFaults,
 };
+static_assert(static_cast<uint32_t>(FaultId::kNumFaults) <= 64,
+              "FaultState keeps the enabled set in a 64-bit mask");
 
 /// Static metadata for one fault.
 struct FaultInfo {
@@ -121,12 +123,13 @@ class FaultState {
  public:
   FaultState() = default;
 
-  void Enable(FaultId id) { enabled_.insert(id); }
-  void Disable(FaultId id) { enabled_.erase(id); }
+  void Enable(FaultId id) { enabled_ |= Bit(id); }
+  void Disable(FaultId id) { enabled_ &= ~Bit(id); }
   void EnableAll(const std::vector<FaultId>& ids) {
-    for (FaultId id : ids) enabled_.insert(id);
+    for (FaultId id : ids) Enable(id);
   }
-  bool IsEnabled(FaultId id) const { return enabled_.count(id) > 0; }
+  /// One bit test: per-row and per-pair hook sites call this.
+  bool IsEnabled(FaultId id) const { return (enabled_ & Bit(id)) != 0; }
 
   /// Hook helper: returns true (and records the hit) when the fault is
   /// enabled. Hook sites wrap buggy behaviour in
@@ -144,11 +147,22 @@ class FaultState {
     hits_.clear();
     return out;
   }
+  /// Adds back hits set aside with TakeHits, keeping the ones recorded
+  /// since: the relate memo brackets a kernel run with the two calls to
+  /// learn which ids that run alone fired.
+  void RestoreHits(std::set<FaultId> hits) const { hits_.merge(hits); }
 
-  const std::set<FaultId>& Enabled() const { return enabled_; }
+  /// The enabled set, bit i for FaultId i. The relate memo keys on it, so
+  /// two states with the same set share memo entries.
+  uint64_t EnabledMask() const { return enabled_; }
+
+  /// The bit of `id` in EnabledMask.
+  static uint64_t Bit(FaultId id) {
+    return uint64_t{1} << static_cast<uint32_t>(id);
+  }
 
  private:
-  std::set<FaultId> enabled_;
+  uint64_t enabled_ = 0;
   mutable std::set<FaultId> hits_;  // recorder is observability, not state.
 };
 

@@ -146,7 +146,7 @@ Discrepancy ReduceDiscrepancy(engine::Engine* engine, const Discrepancy& d,
   // only "smaller" if it still fails the check that found the bug.
   const std::unique_ptr<Oracle> oracle = MakeDetectingOracle(
       d.oracle, engine->dialect(), d.diff_secondary,
-      /*enable_faults=*/!engine->fault_state().Enabled().empty());
+      /*enable_faults=*/engine->fault_state().EnabledMask() != 0);
   OracleCtx ctx;
   ctx.transform = d.transform;
   ctx.canonical_only = d.oracle == OracleKind::kCanonicalOnly;

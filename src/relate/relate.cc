@@ -1,5 +1,8 @@
 #include "relate/relate.h"
 
+#include <algorithm>
+#include <cstring>
+#include <set>
 #include <vector>
 
 #include "algo/boundary.h"
@@ -109,8 +112,17 @@ int EffectiveDimension(const Geometry& g, const faults::FaultState* faults) {
   return g.Dimension();
 }
 
-Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
-                                  const RelateOptions& opts) {
+namespace {
+
+using FullPath = IntersectionMatrix (*)(const Geometry&, const Geometry&,
+                                        const RelateOptions&);
+
+// The crash check, the empty-operand exits and the envelope pre-filter run
+// on every call: each is cheap and fires its own fault or coverage site.
+// Any other pair goes to `full`.
+Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
+                                     const Geometry& b,
+                                     const RelateOptions& opts) {
   const auto* faults = opts.faults;
   if (faults && (NestingDepth(a) >= 3 || NestingDepth(b) >= 3) &&
       faults->Fire(faults::FaultId::kGeosCrashRelateNestedGc)) {
@@ -143,8 +155,8 @@ Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
   // Envelope pre-filter (join-executor hot path): separated envelopes admit
   // a closed-form DE-9IM matrix — every intersection entry is F and the
   // exterior column depends only on each geometry's own point set, exactly
-  // as the empty-operand branches above compute it. Skipping the noding +
-  // point-location work below is the dominant saving for the join
+  // as the empty-operand branches above compute it. Skipping the full
+  // path's noding and point location is the dominant saving for the join
   // executor's all-pairs predicate evaluation over spread-out tables.
   if (EnvelopesSeparated(a.GetEnvelope(), b.GetEnvelope(), opts.eps) &&
       EnvelopeFastPathSafe(a, faults) && EnvelopeFastPathSafe(b, faults)) {
@@ -156,6 +168,18 @@ Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
     im.Set(Location::kExterior, Location::kBoundary, BoundaryDim(b));
     return im;
   }
+
+  return full(a, b, opts);
+}
+
+// The full path: node both operands' linework, then classify every node,
+// edge midpoint and interior-point witness. It reads a and b, opts.eps and
+// the enabled fault set, and nothing else; it never calls Relate.
+IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
+                              const RelateOptions& opts) {
+  const auto* faults = opts.faults;
+  IntersectionMatrix im;
+  im.Set(Location::kExterior, Location::kExterior, 2);
 
   // Each operand is flattened once: its locator segments, its noder input
   // and its polygons. The buffers are per-thread scratch reused across
@@ -275,6 +299,208 @@ Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
   }
 
   return im;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// Appends g's structure and coordinates to a memo key: per node one word
+// holding the type tag and the point, ring or element count, then each
+// ring's point count and every coordinate's raw bits. The encoding is
+// prefix-free, so two operands concatenate unambiguously.
+void AppendKey(const Geometry& g, std::vector<uint64_t>* key) {
+  const auto head = [&](size_t n) {
+    key->push_back(static_cast<uint64_t>(g.type()) | uint64_t{n} << 8);
+  };
+  const auto coord = [&](const Coord& c) {
+    key->push_back(Bits(c.x));
+    key->push_back(Bits(c.y));
+  };
+  switch (g.type()) {
+    case GeomType::kPoint: {
+      const auto& c = geom::AsPoint(g).coord();
+      head(c ? 1 : 0);
+      if (c) coord(*c);
+      break;
+    }
+    case GeomType::kLineString:
+      head(geom::AsLineString(g).NumPoints());
+      for (const Coord& c : geom::AsLineString(g).points()) coord(c);
+      break;
+    case GeomType::kPolygon:
+      head(geom::AsPolygon(g).NumRings());
+      for (const auto& ring : geom::AsPolygon(g).rings()) {
+        key->push_back(ring.size());
+        for (const Coord& c : ring) coord(c);
+      }
+      break;
+    default: {
+      const auto& coll = geom::AsCollection(g);
+      head(coll.NumElements());
+      for (size_t i = 0; i < coll.NumElements(); ++i) {
+        AppendKey(coll.ElementAt(i), key);
+      }
+      break;
+    }
+  }
+}
+
+uint64_t HashKey(const std::vector<uint64_t>& key) {
+  uint64_t h = key.size();
+  for (const uint64_t w : key) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  h ^= h >> 32;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 31);
+}
+
+// Per-thread memo in front of FullRelate (relate.h states the key, replay
+// and budget invariants). It allocates on its first admission.
+class RelateMemo {
+ public:
+  IntersectionMatrix Relate(const Geometry& a, const Geometry& b,
+                            const RelateOptions& opts);
+
+ private:
+  static constexpr size_t kKeyWords = 256 * 1024 / sizeof(uint64_t);
+  static constexpr size_t kSeenSlots = 4096;
+  static constexpr size_t kSlots = 4096;  // lookup table, power of two
+  static constexpr size_t kMaxEntries = kSlots / 2;
+
+  struct Entry {
+    uint64_t hash;
+    uint32_t key_begin;  // into words_
+    uint32_t key_size;
+    uint32_t sites_begin;  // into sites_
+    uint32_t sites_size;
+    uint64_t fired;  // FaultState::Bit of every id the kernel run fired
+    IntersectionMatrix im;
+  };
+
+  const Entry* Find(uint64_t hash) const;
+  void Admit(uint64_t hash, uint64_t fired, const IntersectionMatrix& im);
+
+  std::vector<uint64_t> key_;   // the current call's key
+  std::vector<uint64_t> seen_;  // admission filter: last hash per slot
+  std::vector<uint64_t> words_;  // admitted keys, back to back
+  std::vector<CoverageRegistry::SiteHits> sites_;  // recorded coverage
+  std::vector<CoverageRegistry::SiteHits> capture_;  // one kernel run's
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> slots_;  // entry index + 1; 0 = free
+};
+
+IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
+                                      const RelateOptions& opts) {
+  const faults::FaultState* faults = opts.faults;
+  key_.clear();
+  key_.push_back(Bits(opts.eps));
+  key_.push_back(faults != nullptr);
+  key_.push_back(faults ? faults->EnabledMask() : 0);
+  AppendKey(a, &key_);
+  AppendKey(b, &key_);
+  const uint64_t hash = HashKey(key_);
+
+  if (const Entry* e = Find(hash)) {
+    SPATTER_METRIC_INC("relate.memo.hit");
+    for (uint64_t fired = e->fired; fired != 0; fired &= fired - 1) {
+      faults->Fire(static_cast<faults::FaultId>(__builtin_ctzll(fired)));
+    }
+    auto& registry = CoverageRegistry::Instance();
+    for (uint32_t i = 0; i < e->sites_size; ++i) {
+      const CoverageRegistry::SiteHits& s = sites_[e->sites_begin + i];
+      registry.Hit(s.site, s.count);
+    }
+    return e->im;
+  }
+
+  // Admit on the second sighting only: most keys are the affine image an
+  // AEI query draws once, and they would evict the reusable SDB1 pairs.
+  if (seen_.empty()) seen_.assign(kSeenSlots, 0);
+  uint64_t& seen = seen_[hash % kSeenSlots];
+  if (seen != hash || key_.size() > kKeyWords) {
+    seen = hash;
+    return FullRelate(a, b, opts);
+  }
+
+  // Record what this run alone fires and hits: the caller's earlier hits
+  // are set aside and merged back afterwards.
+  std::set<faults::FaultId> earlier;
+  if (faults) earlier = faults->TakeHits();
+  CoverageRegistry::BeginCapture(&capture_);
+  const IntersectionMatrix im = FullRelate(a, b, opts);
+  CoverageRegistry::EndCapture();
+  uint64_t fired = 0;
+  if (faults) {
+    for (const faults::FaultId id : faults->Hits()) {
+      fired |= faults::FaultState::Bit(id);
+    }
+    faults->RestoreHits(std::move(earlier));
+  }
+  Admit(hash, fired, im);
+  return im;
+}
+
+const RelateMemo::Entry* RelateMemo::Find(uint64_t hash) const {
+  if (slots_.empty()) return nullptr;
+  for (size_t i = hash >> 32;; ++i) {
+    const uint32_t slot = slots_[i % kSlots];
+    if (slot == 0) return nullptr;
+    const Entry& e = entries_[slot - 1];
+    if (e.hash == hash && e.key_size == key_.size() &&
+        std::equal(key_.begin(), key_.end(), words_.begin() + e.key_begin)) {
+      return &e;
+    }
+  }
+}
+
+void RelateMemo::Admit(uint64_t hash, uint64_t fired,
+                       const IntersectionMatrix& im) {
+  if (slots_.empty()) {
+    slots_.assign(kSlots, 0);
+    words_.reserve(kKeyWords);
+  }
+  if (words_.size() + key_.size() > kKeyWords ||
+      entries_.size() == kMaxEntries) {
+    SPATTER_METRIC_INC("relate.memo.flush");
+    words_.clear();
+    sites_.clear();
+    entries_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+  SPATTER_METRIC_INC("relate.memo.admit");
+  entries_.push_back({hash, static_cast<uint32_t>(words_.size()),
+                      static_cast<uint32_t>(key_.size()),
+                      static_cast<uint32_t>(sites_.size()),
+                      static_cast<uint32_t>(capture_.size()), fired, im});
+  words_.insert(words_.end(), key_.begin(), key_.end());
+  sites_.insert(sites_.end(), capture_.begin(), capture_.end());
+  size_t i = hash >> 32;
+  while (slots_[i % kSlots] != 0) ++i;
+  slots_[i % kSlots] = static_cast<uint32_t>(entries_.size());
+}
+
+IntersectionMatrix MemoizedFullRelate(const Geometry& a, const Geometry& b,
+                                      const RelateOptions& opts) {
+  thread_local RelateMemo memo;
+  return memo.Relate(a, b, opts);
+}
+
+}  // namespace
+
+Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
+                                  const RelateOptions& opts) {
+  return RelateVia(MemoizedFullRelate, a, b, opts);
+}
+
+Result<IntersectionMatrix> RelateUnmemoized(const Geometry& a,
+                                            const Geometry& b,
+                                            const RelateOptions& opts) {
+  return RelateVia(FullRelate, a, b, opts);
 }
 
 }  // namespace spatter::relate

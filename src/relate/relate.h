@@ -7,6 +7,32 @@
 // against both geometries with the point locator; dimension-2 entries are
 // derived from areal piece classifications plus per-polygon interior-point
 // witnesses.
+//
+// Relate runs in two stages. The crash check, the empty-operand exits and
+// the envelope pre-filter run on every call. Any other pair goes to the
+// full path (the kernel), through a per-thread memo:
+//  - Key: everything the kernel reads. That is both operands' structure
+//    (the type tag at every level, point, ring and element counts), their
+//    coordinates as raw bits (so 0.0 and -0.0, or two NaN payloads, are
+//    different keys), the bits of opts.eps, and the enabled fault set
+//    (FaultState::EnabledMask, not the state's address; faults == nullptr
+//    has its own key). A hit needs the whole key to be equal; the hash
+//    only picks the slot.
+//  - Replay: an admitted miss records the fault ids the kernel run fired
+//    (the caller's earlier hits set aside) and every coverage site it hit
+//    with its count (CoverageRegistry capture). A hit re-fires those ids
+//    and re-adds those counts, so fault hits, coverage traces and counters
+//    end exactly as a kernel run leaves them. Only the metrics differ:
+//    `relate.full` counts kernel runs, `relate.memo.hit` the replays. The
+//    kernel never calls Relate, so a recording never nests.
+//  - Budget: a key is admitted on its second sighting (a 4,096-slot table
+//    of key hashes decides, and never answers a lookup), and one thread's
+//    memo holds at most 256 KiB of key words in at most 2,048 entries; it
+//    is flushed when the next admission would exceed either
+//    (`relate.memo.admit`, `relate.memo.flush`). It is allocated on a
+//    thread's first full-path call.
+// RelateUnmemoized is the same two stages with the kernel run every time:
+// the reference tests and benches hold Relate to.
 #ifndef SPATTER_RELATE_RELATE_H_
 #define SPATTER_RELATE_RELATE_H_
 
@@ -30,9 +56,17 @@ Result<IntersectionMatrix> Relate(const geom::Geometry& a,
                                   const geom::Geometry& b,
                                   const RelateOptions& opts = {});
 
+/// Relate without the memo: the kernel runs on every full-path call.
+/// Relate returns what this returns, fires the same fault ids and hits the
+/// same coverage sites the same number of times.
+Result<IntersectionMatrix> RelateUnmemoized(const geom::Geometry& a,
+                                            const geom::Geometry& b,
+                                            const RelateOptions& opts = {});
+
 /// True when some element of g, at any nesting depth, is EMPTY. Such
-/// inputs skip the envelope pre-filter under faults, and Intersects keys
-/// the kGeosGcEmptyElementIntersects fault on them.
+/// inputs skip the envelope pre-filter under faults, Intersects keys the
+/// kGeosGcEmptyElementIntersects fault on them, and the engine's touches
+/// keys kMysqlTouchesEmptyCollection on them.
 bool HasEmptyElement(const geom::Geometry& g);
 
 /// Maximum collection nesting depth (a basic geometry has depth 0).

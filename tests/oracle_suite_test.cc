@@ -3,9 +3,13 @@
 // bit-identical-default regression (the AEI-only suite must reproduce the
 // pre-redesign campaign exactly), oracle-aware reduction, the
 // codec/wire plumbing that carries the detecting oracle to reproducers,
-// and a golden pin of every oracle's per-check outcome.
+// and golden pins of every oracle's per-check outcome and of the coverage
+// an all-oracle campaign hits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/coverage.h"
 #include "common/rng.h"
 #include "corpus/codec.h"
 #include "fleet/wire.h"
@@ -578,6 +582,62 @@ TEST(OracleGolden, PerCheckOutcomesArePinned) {
       << std::hex << "0x" << hash.h << std::dec << " over " << checks
       << " checks: " << inapplicable << " inapplicable, " << mismatches
       << " mismatches, " << crashes << " crashes";
+}
+
+TEST(OracleGolden, CoverageHitsArePinned) {
+  // Corpus admission, the Figure-8 curves and Table 5 all read coverage.
+  // An all-oracle pure-generate campaign runs on every dialect, faults on
+  // and off; each iteration's trace and the hit-count delta of every site
+  // fold into one hash. Sites are folded by their stable key in key order,
+  // so the value does not depend on registration order, and a change that
+  // alters which sites an iteration hits, or how often, fails here.
+  auto& registry = CoverageRegistry::Instance();
+  auto suite = ParseOracleSuite("all");
+  ASSERT_TRUE(suite.ok());
+  Fnv1a hash;
+  size_t iterations = 0, hits = 0;
+  for (const bool faulty : {true, false}) {
+    for (int d = 0; d < engine::kNumDialects; ++d) {
+      CampaignConfig config;
+      config.dialect = static_cast<Dialect>(d);
+      config.seed = 9001;
+      config.iterations = 3;
+      config.queries_per_iteration = 10;
+      config.enable_faults = faulty;
+      config.oracles = suite.value();
+      Campaign campaign(config);
+      CampaignResult result;
+      for (size_t i = 0; i < config.iterations; ++i) {
+        const std::vector<uint64_t> before = registry.SnapshotHits();
+        CoverageRegistry::BeginTrace();
+        campaign.RunIterationAt(i, &result, 0.0);
+        const std::vector<uint32_t> trace = CoverageRegistry::TakeTrace();
+        const std::vector<uint64_t> after = registry.SnapshotHits();
+        std::vector<uint64_t> keys = registry.KeysOf(trace);
+        std::sort(keys.begin(), keys.end());
+        hash.Int(keys.size(), 8);
+        for (const uint64_t key : keys) hash.Int(key, 8);
+        std::vector<std::pair<uint64_t, uint64_t>> deltas;
+        for (uint32_t site = 0; site < after.size(); ++site) {
+          const uint64_t was = site < before.size() ? before[site] : 0;
+          if (after[site] == was) continue;
+          deltas.emplace_back(registry.KeysOf({site}).at(0),
+                              after[site] - was);
+          hits += after[site] - was;
+        }
+        std::sort(deltas.begin(), deltas.end());
+        hash.Int(deltas.size(), 8);
+        for (const auto& [key, n] : deltas) {
+          hash.Int(key, 8);
+          hash.Int(n, 8);
+        }
+        iterations++;
+      }
+    }
+  }
+  EXPECT_EQ(iterations, 2 * engine::kNumDialects * 3);
+  EXPECT_EQ(hash.h, 0x2343a635f60a11acull)
+      << std::hex << "0x" << hash.h << std::dec << " over " << hits << " hits";
 }
 
 }  // namespace

@@ -7,18 +7,24 @@
 //    equals = within && contains, covers implied by contains),
 //  - prepared predicates agree with plain predicates,
 //  - the prepared point locator answers exactly as a walk over the
-//    geometry tree, fault hits included.
+//    geometry tree, fault hits included,
+//  - the relate memo is invisible: every call returns, fires and covers
+//    exactly what the unmemoized kernel does.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <set>
 
 #include "algo/canonicalize.h"
+#include "common/coverage.h"
 #include "common/rng.h"
 #include "fuzz/aei.h"
 #include "fuzz/generator.h"
 #include "geom/predicates.h"
 #include "geom/wkt_reader.h"
+#include "obs/metrics.h"
 #include "relate/named_predicates.h"
 #include "relate/point_locator.h"
 #include "relate/prepared.h"
@@ -457,6 +463,262 @@ TEST_P(PreparedLocatorExactness, SameLocationAndFaultHitsAsTreeWalk) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PreparedLocatorExactness,
                          ::testing::Range<uint64_t>(1, 9));
+
+// --- The relate memo ---------------------------------------------------------
+
+using geom::Geometry;
+using RelateFn = Result<IntersectionMatrix> (*)(const Geometry&,
+                                                const Geometry&,
+                                                const RelateOptions&);
+
+// What one relate call returned and left behind.
+struct RelateRun {
+  std::string result;  // the matrix code, or the failed status
+  std::set<faults::FaultId> fired;
+  std::vector<std::pair<uint32_t, uint64_t>> coverage;  // site, hit delta
+  uint64_t full = 0;   // kernel runs (relate.full delta)
+  uint64_t hits = 0;   // memo replays (relate.memo.hit delta)
+
+  bool operator==(const RelateRun& o) const {
+    return result == o.result && fired == o.fired && coverage == o.coverage;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const RelateRun& r) {
+  os << r.result << " fired {";
+  for (const faults::FaultId id : r.fired) {
+    os << " " << faults::GetFaultInfo(id).name;
+  }
+  os << " } coverage {";
+  for (const auto& [site, n] : r.coverage) os << " " << site << "x" << n;
+  return os << " } full=" << r.full << " hits=" << r.hits;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name)->Value();
+}
+
+// Calls `fn` with `faults` (hits cleared first) and records the outcome.
+RelateRun RunRelate(RelateFn fn, const Geometry& a, const Geometry& b,
+                    const faults::FaultState* faults) {
+  RelateOptions opts;
+  opts.faults = faults;
+  if (faults) faults->ClearHits();
+  auto& registry = CoverageRegistry::Instance();
+  const uint64_t full = CounterValue("relate.full");
+  const uint64_t hits = CounterValue("relate.memo.hit");
+  const std::vector<uint64_t> before = registry.SnapshotHits();
+  const auto r = fn(a, b, opts);
+  const std::vector<uint64_t> after = registry.SnapshotHits();
+  RelateRun run;
+  run.result = r.ok() ? r.value().Code() : r.status().ToString();
+  if (faults) run.fired = faults->Hits();
+  for (uint32_t site = 0; site < after.size(); ++site) {
+    const uint64_t was = site < before.size() ? before[site] : 0;
+    if (after[site] != was) run.coverage.emplace_back(site, after[site] - was);
+  }
+  run.full = CounterValue("relate.full") - full;
+  run.hits = CounterValue("relate.memo.hit") - hits;
+  return run;
+}
+
+RelateRun RunWith(RelateFn fn, const Geometry& a, const Geometry& b,
+                  const std::vector<faults::FaultId>& enabled) {
+  faults::FaultState state;
+  state.EnableAll(enabled);
+  return RunRelate(fn, a, b, &state);
+}
+
+class RelateMemoExactness : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RelateMemoExactness, EverySightingEqualsTheKernel) {
+  // Each pair is related three times, each time on a fresh FaultState with
+  // the same enabled set: the first sighting, the admission and the hit.
+  // Each equals the unmemoized kernel in matrix or status, fired ids and
+  // per-site coverage counts, and the third replays without a kernel run.
+  using faults::FaultId;
+  const std::vector<std::vector<FaultId>> settings = {
+      {},
+      {FaultId::kGeosGcBoundaryLastOneWins,
+       FaultId::kGeosBoundaryEmptyElementDrop},
+      {FaultId::kGeosCrashRelateNestedGc}};
+  // The locator inputs, plus a collection nested three deep for the crash.
+  auto inputs = LocatorInputs(GetParam());
+  inputs.push_back(geom::ReadWkt("GEOMETRYCOLLECTION(GEOMETRYCOLLECTION("
+                                 "MULTIPOINT((1 1),(2 2))),POINT(0 0))")
+                       .Take());
+  size_t full_pairs = 0, replayed_faults = 0;
+  std::map<FaultId, size_t> fired;
+  for (const auto& enabled : settings) {
+    for (const auto& a : inputs) {
+      for (const auto& b : inputs) {
+        const auto at = [&] { return a->ToWkt() + " / " + b->ToWkt(); };
+        const RelateRun want = RunWith(RelateUnmemoized, *a, *b, enabled);
+        for (int call = 0; call < 3; ++call) {
+          const RelateRun got = RunWith(Relate, *a, *b, enabled);
+          ASSERT_EQ(got, want) << "call " << call << ": " << at();
+          if (want.full == 1 && call == 2) {
+            ASSERT_EQ(got.full, 0u) << at();
+            ASSERT_EQ(got.hits, 1u) << at();
+            if (!got.fired.empty()) ++replayed_faults;
+          }
+        }
+        if (want.full == 1) ++full_pairs;
+        for (const FaultId id : want.fired) ++fired[id];
+      }
+    }
+  }
+  EXPECT_GT(full_pairs, 2000u);
+  EXPECT_GT(replayed_faults, 0u);
+  EXPECT_GT(fired[FaultId::kGeosGcBoundaryLastOneWins], 0u);
+  EXPECT_GT(fired[FaultId::kGeosBoundaryEmptyElementDrop], 0u);
+  EXPECT_GT(fired[FaultId::kGeosCrashRelateNestedGc], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RelateMemoExactness,
+                         ::testing::Range<uint64_t>(1, 3));
+
+geom::GeomPtr Wkt(const char* wkt) { return geom::ReadWkt(wkt).Take(); }
+
+// Relates (a, b) three times, so the memo holds the pair.
+void Warm(const Geometry& a, const Geometry& b,
+          const faults::FaultState* faults) {
+  for (int i = 0; i < 3; ++i) RunRelate(Relate, a, b, faults);
+}
+
+// (a, b) on `faults` must miss the memo, run the kernel once, and equal
+// the unmemoized kernel on a state with the same enabled set.
+void ExpectMiss(const Geometry& a, const Geometry& b,
+                const faults::FaultState* faults) {
+  faults::FaultState ref;
+  if (faults) ref = *faults;  // the enabled set; RunRelate clears the hits
+  const RelateRun want =
+      RunRelate(RelateUnmemoized, a, b, faults ? &ref : nullptr);
+  const RelateRun got = RunRelate(Relate, a, b, faults);
+  EXPECT_EQ(got.full, 1u) << a.ToWkt() << " / " << b.ToWkt();
+  EXPECT_EQ(got.hits, 0u) << a.ToWkt() << " / " << b.ToWkt();
+  EXPECT_EQ(got, want) << a.ToWkt() << " / " << b.ToWkt();
+}
+
+// Admits pairs with long keys (a line of 1,000 repeated vertices: cheap to
+// relate, 2,000 key words) until the budget is spent and the memo flushes,
+// so no pair an earlier test related is still memoized.
+void FlushMemo() {
+  const uint64_t flushes = CounterValue("relate.memo.flush");
+  for (int i = 0; i < 100 && CounterValue("relate.memo.flush") == flushes;
+       ++i) {
+    std::vector<geom::Coord> pts(1000, geom::Coord{100.0 + i, 0});
+    pts.push_back({100.0 + i, 10});
+    const auto long_line = geom::MakeLineString(std::move(pts));
+    const auto bar = geom::MakeLineString({{99.0 + i, 5}, {101.0 + i, 5}});
+    RunRelate(Relate, *long_line, *bar, nullptr);
+    RunRelate(Relate, *long_line, *bar, nullptr);
+  }
+  ASSERT_GT(CounterValue("relate.memo.flush"), flushes);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(RelateMemo, KeysTellApartWhatTheKernelCouldTellApart) {
+  using faults::FaultId;
+  FlushMemo();
+  const auto square = Wkt("POLYGON((0 0,4 0,4 4,0 4,0 0))");
+
+  // 0.0 against -0.0.
+  const auto line = geom::MakeLineString({{0.0, 1}, {3, 3}});
+  const auto signed_line = geom::MakeLineString({{-0.0, 1}, {3, 3}});
+  ASSERT_NE(Bits(0.0), Bits(-0.0));
+  Warm(*square, *line, nullptr);
+  ExpectMiss(*square, *signed_line, nullptr);
+
+  // Two NaN payloads.
+  const double nan1 = std::nan("1");
+  const double nan2 = std::nan("2");
+  ASSERT_NE(Bits(nan1), Bits(nan2));
+  const auto nan_line1 = geom::MakeLineString({{1, 1}, {nan1, 2}, {3, 3}});
+  const auto nan_line2 = geom::MakeLineString({{1, 1}, {nan2, 2}, {3, 3}});
+  Warm(*square, *nan_line1, nullptr);
+  ExpectMiss(*square, *nan_line2, nullptr);
+
+  // MULTIPOINT against a GEOMETRYCOLLECTION of the same points, faults off
+  // and with the collection-only locator fault on.
+  const auto multi = Wkt("MULTIPOINT((1 1),(4 2))");
+  const auto coll = Wkt("GEOMETRYCOLLECTION(POINT(1 1),POINT(4 2))");
+  faults::FaultState last_one_wins;
+  last_one_wins.Enable(FaultId::kGeosGcBoundaryLastOneWins);
+  for (const faults::FaultState* f : {static_cast<faults::FaultState*>(nullptr),
+                                      &last_one_wins}) {
+    Warm(*multi, *square, f);
+    ExpectMiss(*coll, *square, f);
+  }
+
+  // A changed enabled set on the same FaultState, and back.
+  const auto gc = Wkt(
+      "GEOMETRYCOLLECTION(POLYGON((0 0,3 0,3 3,0 3,0 0)),"
+      "LINESTRING(0 0,5 5),LINESTRING EMPTY)");
+  faults::FaultState toggled;
+  toggled.Enable(FaultId::kGeosGcBoundaryLastOneWins);
+  Warm(*gc, *square, &toggled);
+  toggled.Enable(FaultId::kGeosBoundaryEmptyElementDrop);
+  ExpectMiss(*gc, *square, &toggled);
+  toggled.Disable(FaultId::kGeosBoundaryEmptyElementDrop);
+  EXPECT_EQ(RunRelate(Relate, *gc, *square, &toggled).hits, 1u);
+
+  // faults == nullptr against an empty enabled set, both ways round.
+  const auto cross = Wkt("LINESTRING(-1 2,5 2)");
+  const faults::FaultState none;
+  Warm(*square, *cross, nullptr);
+  ExpectMiss(*square, *cross, &none);
+  Warm(*cross, *square, &none);
+  ExpectMiss(*cross, *square, nullptr);
+}
+
+TEST(RelateMemo, EarlierHitsAreKeptButNotRecorded) {
+  // The caller's hits from before the call survive it, and the memo does
+  // not record them: a later replay fires only what the kernel fired.
+  using faults::FaultId;
+  const auto gc = Wkt(
+      "GEOMETRYCOLLECTION(POLYGON((0 0,3 0,3 3,0 3,0 0)),POINT(5 5))");
+  const auto line = Wkt("LINESTRING(1 1,6 6)");
+  const std::vector<FaultId> enabled = {FaultId::kGeosGcBoundaryLastOneWins,
+                                        FaultId::kGeosPreparedStaleCache};
+  FlushMemo();
+  const RelateRun want = RunWith(RelateUnmemoized, *gc, *line, enabled);
+  ASSERT_EQ(want.fired,
+            std::set<FaultId>{FaultId::kGeosGcBoundaryLastOneWins});
+  for (int call = 0; call < 2; ++call) {
+    faults::FaultState state;
+    state.EnableAll(enabled);
+    state.Fire(FaultId::kGeosPreparedStaleCache);
+    RelateOptions opts;
+    opts.faults = &state;
+    ASSERT_TRUE(Relate(*gc, *line, opts).ok());
+    EXPECT_EQ(state.Hits(), (std::set<FaultId>{
+                                FaultId::kGeosGcBoundaryLastOneWins,
+                                FaultId::kGeosPreparedStaleCache}));
+  }
+  const RelateRun got = RunWith(Relate, *gc, *line, enabled);
+  EXPECT_EQ(got.hits, 1u);
+  EXPECT_EQ(got, want);
+}
+
+TEST(RelateMemo, FlushedPairRecomputesAndStillEqualsTheKernel) {
+  const auto a = Wkt("POLYGON((0 0,4 0,4 4,0 4,0 0))");
+  const auto b = Wkt("POLYGON((2 2,6 2,6 6,2 6,2 2))");
+  Warm(*a, *b, nullptr);
+  ASSERT_EQ(RunRelate(Relate, *a, *b, nullptr).hits, 1u);
+  FlushMemo();
+  if (HasFatalFailure()) return;
+
+  const RelateRun got = RunRelate(Relate, *a, *b, nullptr);
+  EXPECT_EQ(got.full, 1u);
+  EXPECT_EQ(got.hits, 0u);
+  EXPECT_EQ(got, RunRelate(RelateUnmemoized, *a, *b, nullptr));
+}
 
 }  // namespace
 }  // namespace spatter::relate
