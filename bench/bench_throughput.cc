@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Instance().Snapshot();
   {
-    // Statement-cache effectiveness over the whole workload: the AEI hot
-    // path re-executes identical CREATE/INSERT text on every reload, so
-    // a healthy hit rate is most of the parse traffic.
+    // Statement-cache effectiveness over the whole workload, and the load
+    // snapshots next to it: a reload restores a snapshot and runs no
+    // statement, so only snapshot builds and queries reach the cache.
     const uint64_t hits = snapshot.CounterOr("engine.stmt_cache.hit");
     const uint64_t misses = snapshot.CounterOr("engine.stmt_cache.miss");
     const uint64_t evictions = snapshot.CounterOr("engine.stmt_cache.evict");
@@ -98,6 +98,13 @@ int main(int argc, char** argv) {
                                   static_cast<double>(lookups)
                             : 0.0,
                 static_cast<unsigned long long>(evictions));
+    const obs::HistogramData* restores =
+        snapshot.FindHistogram("engine.restore");
+    std::printf("load-snapshots: %llu restores, %llu builds\n",
+                static_cast<unsigned long long>(restores ? restores->count
+                                                         : 0),
+                static_cast<unsigned long long>(
+                    snapshot.CounterOr("engine.snapshot.build")));
   }
   if (!WriteMetricsJson("BENCH_throughput.json", "throughput", kSeed,
                         snapshot, elapsed_total, derived)) {

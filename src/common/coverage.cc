@@ -63,9 +63,11 @@ std::vector<uint32_t> CoverageRegistry::NewSitesSince(
 }
 
 namespace {
-/// The calling thread's active trace and capture; null when off.
+/// The calling thread's active trace (null when off) and its active
+/// captures, innermost last.
 thread_local std::vector<uint32_t>* trace_sink = nullptr;
-thread_local std::vector<CoverageRegistry::SiteHits>* capture_sink = nullptr;
+thread_local std::vector<std::vector<CoverageRegistry::SiteHits>*>
+    capture_sinks;
 thread_local std::vector<uint32_t> trace_storage;
 /// Epoch mark per site: trace_seen[i] == trace_epoch iff site i is
 /// already in trace_storage for the current trace. Bumping the epoch on
@@ -87,20 +89,20 @@ void CoverageRegistry::BeginTrace() {
 
 std::vector<uint32_t> CoverageRegistry::TakeTrace() {
   trace_sink = nullptr;
-  tapped_ = capture_sink != nullptr;
+  tapped_ = !capture_sinks.empty();
   std::sort(trace_storage.begin(), trace_storage.end());
   return std::move(trace_storage);
 }
 
 void CoverageRegistry::BeginCapture(std::vector<SiteHits>* out) {
   out->clear();
-  capture_sink = out;
+  capture_sinks.push_back(out);
   tapped_ = true;
 }
 
 void CoverageRegistry::EndCapture() {
-  capture_sink = nullptr;
-  tapped_ = trace_sink != nullptr;
+  capture_sinks.pop_back();
+  tapped_ = trace_sink != nullptr || !capture_sinks.empty();
 }
 
 void CoverageRegistry::Tap(uint32_t index, uint64_t n) {
@@ -108,14 +110,15 @@ void CoverageRegistry::Tap(uint32_t index, uint64_t n) {
     trace_seen[index] = trace_epoch;
     trace_sink->push_back(index);
   }
-  if (capture_sink != nullptr) {
-    for (SiteHits& s : *capture_sink) {
-      if (s.site == index) {
-        s.count += n;
-        return;
-      }
+  for (std::vector<SiteHits>* sink : capture_sinks) {
+    auto it = std::find_if(sink->begin(), sink->end(), [index](const auto& s) {
+      return s.site == index;
+    });
+    if (it != sink->end()) {
+      it->count += n;
+    } else {
+      sink->push_back({index, n});
     }
-    capture_sink->push_back({index, n});
   }
 }
 

@@ -17,11 +17,12 @@
 // Per-thread taps: a trace (BeginTrace/TakeTrace) collects the sites the
 // calling thread hit, and a capture (BeginCapture/EndCapture) collects them
 // with their counts. Hit() tests one thread-local flag for both, so with
-// neither active it costs what it did with the trace alone. The relate
-// memo (relate.h) captures each kernel run it records and replays a memo
-// hit as Hit(site, count) per captured site: the global counters, any
-// active trace and every later snapshot diff see exactly what the kernel
-// run would have produced.
+// neither active it costs what it did with the trace alone. Two recorders
+// capture and replay: the relate memo (relate.h) captures each kernel run
+// it records, and fuzz::LoadDatabase each statement of a load it
+// snapshots. A replay is Hit(site, count) per captured site, so the global
+// counters, any active trace and capture, and every later snapshot diff
+// see exactly what re-running the recorded work would have produced.
 #ifndef SPATTER_COMMON_COVERAGE_H_
 #define SPATTER_COMMON_COVERAGE_H_
 
@@ -52,7 +53,7 @@ class CoverageRegistry {
   /// When the calling thread has an active trace (BeginTrace), the index is
   /// also added to that thread's trace — hits from other threads never leak
   /// in, which is what keeps per-shard corpus admission deterministic under
-  /// concurrency — and an active capture (BeginCapture) adds `n` to the
+  /// concurrency — and every active capture (BeginCapture) adds `n` to the
   /// site's count.
   void Hit(size_t index, uint64_t n = 1) {
     if (hits_[index].fetch_add(n, std::memory_order_relaxed) == 0) {
@@ -96,17 +97,21 @@ class CoverageRegistry {
   static std::vector<uint32_t> TakeTrace();
 
   // --- Per-thread capture ---------------------------------------------------
-  // Short brackets over a few sites (the relate memo records one kernel
-  // run): a capture keeps every site hit with its count, in first-hit
-  // order. It runs alongside an active trace; captures do not nest.
+  // Short brackets over a few sites (one relate kernel run, one load
+  // statement): a capture keeps every site hit with its count, in first-hit
+  // order. It runs alongside an active trace. Captures nest: a hit reaches
+  // every active capture, so a load statement's capture also sees the
+  // kernel runs the relate memo captures inside it.
 
   struct SiteHits {
     uint32_t site;
     uint64_t count;
   };
-  /// Clears `*out` and starts recording the calling thread's hits into it.
+  /// Clears `*out` and starts recording the calling thread's hits into it,
+  /// inside any capture already active.
   static void BeginCapture(std::vector<SiteHits>* out);
-  /// Stops the capture; `*out` keeps what it recorded.
+  /// Stops the innermost active capture; its vector keeps what it
+  /// recorded.
   static void EndCapture();
 
   /// Stable 64-bit keys (FNV-1a of "module/point") for site indices. Raw

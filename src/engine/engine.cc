@@ -127,9 +127,10 @@ void CoverJoinBehaviour(const std::string& func, const Table& t1,
 
 namespace {
 
-// 256 statements comfortably hold one iteration's working set (a database
-// load is ~a dozen CREATE/INSERT statements and every oracle reloads the
-// same base database several times per check).
+// 256 statements comfortably hold one iteration's working set: the count
+// queries and their rewrites, and the ~dozen CREATE/INSERT statements of
+// each database fuzz::LoadDatabase builds a snapshot of. Reloads restore
+// the snapshot and look nothing up.
 constexpr size_t kStatementCacheCapacity = 256;
 
 }  // namespace
@@ -170,6 +171,22 @@ Engine::Engine(Dialect dialect, bool enable_faults)
 void Engine::Reset() {
   tables_.clear();
   variables_.clear();
+}
+
+void Engine::Restore(
+    const std::function<void(std::map<std::string, Table>*)>& install) {
+  static obs::LatencyHistogram* restore_hist =
+      obs::MetricsRegistry::Instance().GetHistogram("engine.restore");
+  // Accounted like a statement (Execute), on the thread CPU clock.
+  const double start =
+      obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu);
+  obs::ScopedTraceSpan restore_span("engine.restore");
+  Reset();
+  install(&tables_);
+  const double seconds =
+      obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu) - start;
+  stats_.exec_seconds += seconds;
+  restore_hist->Record(seconds);
 }
 
 void Engine::set_statement_cache_capacity(size_t capacity) {
@@ -405,13 +422,6 @@ Result<Value> Engine::CoerceGeometry(Value v) {
   FunctionContext ctx{dialect_, &faults_};
   SPATTER_ASSIGN_OR_RETURN(auto g, ToGeometry(ctx, v));
   return Value::Geometry(std::move(g));
-}
-
-Status Engine::CheckOperandValidity(const Geometry& g) {
-  FunctionContext ctx{dialect_, &faults_};
-  auto r = ToGeometry(ctx, Value::Geometry(
-                               std::shared_ptr<const Geometry>(g.Clone())));
-  return r.ok() ? Status::OK() : r.status();
 }
 
 Result<Value> Engine::Eval(const sql::Expr& expr, const Bindings& bindings) {

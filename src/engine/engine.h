@@ -4,6 +4,7 @@
 #ifndef SPATTER_ENGINE_ENGINE_H_
 #define SPATTER_ENGINE_ENGINE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -107,11 +108,34 @@ class Engine {
   /// the first error.
   Result<ExecResult> ExecuteScript(const std::string& script);
 
-  /// Drops all tables and session variables (fault configuration and
-  /// statistics are preserved, and so is the statement cache — parsing
-  /// is a pure function of the text, so reloading a database re-hits the
-  /// cached CREATE/INSERT statements).
+  /// Drops all tables and session variables. Fault configuration and
+  /// statistics are preserved, and so are the statement cache (parsing is
+  /// a pure function of the text) and the snapshot store, from which
+  /// fuzz::LoadDatabase restores a database it has loaded before instead
+  /// of re-running its CREATE/INSERT statements.
   void Reset();
+
+  /// Replaces the database without running a statement: Reset, then
+  /// `install` fills the empty table map with copied rows. This is how a
+  /// recorded load is restored (fuzz::LoadDatabase): statements_executed
+  /// does not move, but the call's thread CPU time counts toward
+  /// exec_seconds and is one sample of the engine.restore histogram and
+  /// one engine.restore trace span.
+  void Restore(
+      const std::function<void(std::map<std::string, Table>*)>& install);
+
+  /// State a caller keeps per engine: it lives as long as the engine and
+  /// survives Reset. fuzz::LoadDatabase keeps its database snapshots here,
+  /// behind this base so the engine needs no fuzz types; the engine never
+  /// reads it.
+  class SnapshotStore {
+   public:
+    SnapshotStore() = default;
+    SnapshotStore(const SnapshotStore&) = delete;
+    SnapshotStore& operator=(const SnapshotStore&) = delete;
+    virtual ~SnapshotStore() = default;
+  };
+  std::unique_ptr<SnapshotStore>& snapshot_store() { return snapshot_store_; }
 
   /// Test reference knob (engine_test): resizing the cache evicts LRU
   /// entries as needed (0 disables it).
@@ -148,8 +172,6 @@ class Engine {
   /// Coerces a value to geometry (parsing WKT strings), applying the
   /// dialect's validity policy.
   Result<Value> CoerceGeometry(Value v);
-  /// Strict-dialect semantic validity, incl. the GC cross-element check.
-  Status CheckOperandValidity(const geom::Geometry& g);
 
   /// True when the join condition is a plain predicate over the two
   /// geometry columns so the index / prepared paths apply.
@@ -169,6 +191,7 @@ class Engine {
   std::map<std::string, Table> tables_;
   std::map<std::string, Value> variables_;
   sql::StatementCache stmt_cache_;
+  std::unique_ptr<SnapshotStore> snapshot_store_;
 };
 
 }  // namespace spatter::engine

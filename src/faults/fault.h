@@ -143,13 +143,14 @@ class FaultState {
   void ClearHits() const { hits_.clear(); }
   const std::set<FaultId>& Hits() const { return hits_; }
   std::set<FaultId> TakeHits() const {
-    std::set<FaultId> out = hits_;
-    hits_.clear();
+    std::set<FaultId> out;
+    out.swap(hits_);
     return out;
   }
   /// Adds back hits set aside with TakeHits, keeping the ones recorded
-  /// since: the relate memo brackets a kernel run with the two calls to
-  /// learn which ids that run alone fired.
+  /// since: the relate memo brackets a kernel run, and a load snapshot
+  /// each load statement, with the two calls to learn which ids that run
+  /// alone fired.
   void RestoreHits(std::set<FaultId> hits) const { hits_.merge(hits); }
 
   /// The enabled set, bit i for FaultId i. The relate memo keys on it, so

@@ -1,22 +1,208 @@
 #include "fuzz/oracles.h"
 
+#include <algorithm>
+
 #include "common/coverage.h"
 #include "engine/functions.h"
 #include "fuzz/aei.h"
+#include "obs/metrics.h"
 #include "sql/parser.h"
 
 namespace spatter::fuzz {
 
-// --- Shared check pieces -----------------------------------------------------
+// --- Database loads ----------------------------------------------------------
 
-Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
-                    RowMask* accepted, const RowMask* keep) {
+namespace {
+
+// What one load statement did besides changing the tables: the coverage
+// sites it hit, with their counts, and the fault ids it fired.
+struct StatementEffects {
+  std::vector<CoverageRegistry::SiteHits> sites;
+  uint64_t fired = 0;  // FaultState::Bit of each id
+};
+
+// Runs one load statement. With `effects`, also records what it did, the
+// way the relate memo records a kernel run: the caller's earlier fault
+// hits are set aside and merged back afterwards.
+Result<engine::ExecResult> RunLoadStatement(engine::Engine* engine,
+                                            const std::string& sql,
+                                            StatementEffects* effects) {
+  if (effects == nullptr) return engine->Execute(sql);
+  const faults::FaultState& faults = engine->fault_state();
+  std::set<faults::FaultId> earlier = faults.TakeHits();
+  CoverageRegistry::BeginCapture(&effects->sites);
+  Result<engine::ExecResult> result = engine->Execute(sql);
+  CoverageRegistry::EndCapture();
+  for (const faults::FaultId id : faults.Hits()) {
+    effects->fired |= faults::FaultState::Bit(id);
+  }
+  faults.RestoreHits(std::move(earlier));
+  return result;
+}
+
+// Leaves coverage and fault hits as re-running the recorded statement would.
+void Replay(const StatementEffects& effects,
+            const faults::FaultState& faults) {
+  for (uint64_t fired = effects.fired; fired != 0; fired &= fired - 1) {
+    faults.Fire(static_cast<faults::FaultId>(__builtin_ctzll(fired)));
+  }
+  auto& registry = CoverageRegistry::Instance();
+  for (const CoverageRegistry::SiteHits& s : effects.sites) {
+    registry.Hit(s.site, s.count);
+  }
+}
+
+// One loaded database: the key is everything a load reads besides the
+// engine's dialect, and the value is the tables the load left plus what
+// each of its statements did.
+class LoadSnapshot {
+ public:
+  LoadSnapshot(const DatabaseSpec& sdb, uint64_t fault_mask)
+      : tables_(sdb.tables), with_index_(sdb.with_index),
+        fault_mask_(fault_mask), loaded_(sdb.tables.size()) {}
+
+  // The whole key compared, not a hash of it.
+  bool Matches(const DatabaseSpec& sdb, uint64_t fault_mask) const {
+    if (sdb.with_index != with_index_ || fault_mask != fault_mask_ ||
+        sdb.tables.size() != tables_.size()) {
+      return false;
+    }
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      if (sdb.tables[t].name != tables_[t].name ||
+          sdb.tables[t].rows != tables_[t].rows) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Where the statement path records table t's DDL and row statements.
+  StatementEffects* AddDdl(size_t t) { return &loaded_[t].ddl.emplace_back(); }
+  StatementEffects* AddRow(size_t t) {
+    return &loaded_[t].rows.emplace_back().effects;
+  }
+  void SetAccepted(size_t t, bool accepted) {
+    loaded_[t].rows.back().accepted = accepted;
+  }
+
+  // Takes the rows of a recorded load that succeeded. False when the
+  // engine does not hold exactly the spec's tables, each with its
+  // accepted rows in order (a table name that is no plain identifier):
+  // such a load cannot be restored row by row.
+  bool TakeRows(const engine::Engine& engine) {
+    if (engine.tables().size() != tables_.size()) return false;
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      const auto it = engine.tables().find(tables_[t].name);
+      if (it == engine.tables().end()) return false;
+      const engine::Table& table = it->second;
+      Table& loaded = loaded_[t];
+      size_t next = 0;
+      for (RowRecord& row : loaded.rows) {
+        if (!row.accepted) continue;
+        if (next == table.rows.size()) return false;
+        row.row = table.rows[next++];
+      }
+      if (next != table.rows.size()) return false;
+      loaded.schema = table;
+      loaded.schema.rows.clear();
+    }
+    return true;
+  }
+
+  // What the statement path would do for a load of the key's database:
+  // install the tables with the rows `keep` marks (nullptr: all) and
+  // replay the effects of exactly the statements it would run.
+  void Restore(engine::Engine* engine, RowMask* accepted,
+               const RowMask* keep) const {
+    const faults::FaultState& faults = engine->fault_state();
+    if (accepted) accepted->assign(tables_.size(), {});
+    engine->Restore([&](std::map<std::string, engine::Table>* tables) {
+      for (size_t t = 0; t < tables_.size(); ++t) {
+        const Table& loaded = loaded_[t];
+        for (const StatementEffects& ddl : loaded.ddl) Replay(ddl, faults);
+        engine::Table& table = (*tables)[tables_[t].name];
+        table = loaded.schema;
+        table.rows.reserve(loaded.rows.size());
+        for (size_t r = 0; r < loaded.rows.size(); ++r) {
+          const RowRecord& row = loaded.rows[r];
+          const bool kept = keep == nullptr || (*keep)[t][r];
+          if (kept) {
+            Replay(row.effects, faults);
+            if (row.accepted) table.rows.push_back(row.row);
+          }
+          if (accepted) (*accepted)[t].push_back(kept && row.accepted);
+        }
+      }
+    });
+  }
+
+ private:
+  struct RowRecord {
+    bool accepted = false;
+    engine::Row row;  // the inserted row, when accepted
+    StatementEffects effects;
+  };
+  struct Table {
+    engine::Table schema;  // as the DDL left it, without rows
+    std::vector<StatementEffects> ddl;
+    std::vector<RowRecord> rows;  // aligned with TableSpec::rows
+  };
+
+  std::vector<TableSpec> tables_;
+  bool with_index_;
+  uint64_t fault_mask_;
+  std::vector<Table> loaded_;  // aligned with tables_
+};
+
+// An engine's most recently used snapshots. Four hold an iteration's
+// working set: SDB1, its twin under the other with_index (the index
+// oracle), the current query's SDB2, and the canonical SDB1 that
+// canonical-only queries load.
+class LoadCache : public engine::Engine::SnapshotStore {
+ public:
+  static LoadCache& Of(engine::Engine* engine) {
+    std::unique_ptr<engine::Engine::SnapshotStore>& store =
+        engine->snapshot_store();
+    if (!store) store = std::make_unique<LoadCache>();
+    return static_cast<LoadCache&>(*store);
+  }
+
+  // The snapshot of (sdb, fault_mask), now the most recently used; null
+  // when there is none.
+  const LoadSnapshot* Find(const DatabaseSpec& sdb, uint64_t fault_mask) {
+    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+      if ((*it)->Matches(sdb, fault_mask)) {
+        std::rotate(it.base() - 1, it.base(), entries_.end());
+        return entries_.back().get();
+      }
+    }
+    return nullptr;
+  }
+
+  void Insert(std::unique_ptr<LoadSnapshot> snapshot) {
+    if (entries_.size() == kEntries) entries_.erase(entries_.begin());
+    entries_.push_back(std::move(snapshot));
+  }
+
+ private:
+  static constexpr size_t kEntries = 4;
+  std::vector<std::unique_ptr<LoadSnapshot>> entries_;  // LRU first
+};
+
+// The statement path: Reset, then the CREATE/INSERT statements of `sdb`,
+// rows not marked in `keep` skipped. With `record`, it also records each
+// statement's effects and each row's acceptance.
+Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
+                   RowMask* accepted, const RowMask* keep,
+                   LoadSnapshot* record) {
   engine->Reset();
   if (accepted) accepted->clear();
   for (size_t t = 0; t < sdb.tables.size(); ++t) {
     const TableSql sql = RenderTable(sdb.tables[t], sdb.with_index);
     for (const std::string& ddl : sql.ddl) {
-      SPATTER_RETURN_NOT_OK(engine->Execute(ddl).status());
+      SPATTER_RETURN_NOT_OK(
+          RunLoadStatement(engine, ddl, record ? record->AddDdl(t) : nullptr)
+              .status());
     }
     std::vector<bool> mask;
     for (size_t r = 0; r < sql.inserts.size(); ++r) {
@@ -24,18 +210,45 @@ Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
         mask.push_back(false);
         continue;
       }
-      auto result = engine->Execute(sql.inserts[r]);
+      auto result = RunLoadStatement(engine, sql.inserts[r],
+                                     record ? record->AddRow(t) : nullptr);
       if (!result.ok() && result.status().code() == StatusCode::kCrash) {
         return result.status();
       }
       // Validity rejections are expected for random-shape inputs; the
       // fuzzer ignores them (paper §4.1).
       mask.push_back(result.ok());
+      if (record) record->SetAccepted(t, result.ok());
     }
     if (accepted) accepted->push_back(std::move(mask));
   }
   return Status::OK();
 }
+
+}  // namespace
+
+Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
+                    RowMask* accepted, const RowMask* keep) {
+  LoadCache& cache = LoadCache::Of(engine);
+  const uint64_t fault_mask = engine->fault_state().EnabledMask();
+  if (const LoadSnapshot* snapshot = cache.Find(sdb, fault_mask)) {
+    snapshot->Restore(engine, accepted, keep);
+    return Status::OK();
+  }
+  // A filtered load follows an unfiltered one of the same database
+  // (AcceptedByBoth), so it misses only when that one was not kept.
+  if (keep) return ExecuteLoad(engine, sdb, accepted, keep, nullptr);
+  auto snapshot = std::make_unique<LoadSnapshot>(sdb, fault_mask);
+  const Status status =
+      ExecuteLoad(engine, sdb, accepted, nullptr, snapshot.get());
+  if (status.ok() && snapshot->TakeRows(*engine)) {
+    SPATTER_METRIC_INC("engine.snapshot.build");
+    cache.Insert(std::move(snapshot));
+  }
+  return status;
+}
+
+// --- Shared check pieces -----------------------------------------------------
 
 Result<RowMask> AcceptedByBoth(engine::Engine* engine, const DatabaseSpec& sdb1,
                                const DatabaseSpec& sdb2) {

@@ -8,7 +8,8 @@
 // runs the oracle's own load-run-compare (the protected Compare), and
 // takes the hits that fired into the outcome. Compare implementations
 // build on the shared pieces below: LoadDatabase (with an optional
-// keep-mask for filtered reloads), ReadCount, which normalizes one
+// keep-mask for filtered reloads, and per-engine snapshots that make a
+// repeated load a restore), ReadCount, which normalizes one
 // statement's result, and AllCounted, which turns failed runs into a
 // crash or an inapplicable outcome.
 //
@@ -58,14 +59,25 @@ using RowMask = std::vector<std::vector<bool>>;
 /// validity policy are skipped; `accepted` (if non-null) receives a
 /// per-table bitmap of surviving rows. With a `keep` mask, only the rows
 /// it marks are inserted (the others count as not accepted): the filtered
-/// reload runs exactly the statements of loading the filtered database.
+/// reload has exactly the effects of loading the filtered database.
+///
+/// Each engine keeps snapshots of its four most recently loaded
+/// databases, keyed by everything a load reads: table names, WKT rows,
+/// `with_index` and the enabled fault mask, compared in full. A hit
+/// restores the tables (Engine::Restore) and replays the coverage counts
+/// and fault ids each recorded statement produced, only the kept rows'
+/// under a `keep` mask, so it leaves what running the CREATE/INSERT
+/// statements would, without running one. An unfiltered miss runs the
+/// statements and records a snapshot; a filtered miss only runs them. A
+/// failed load is never kept.
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep = nullptr);
 
 /// Loads `sdb1`, then its row-aligned transform `sdb2`, and returns the
 /// rows both accept: the keep-mask for filtered reloads, so the two sides
 /// of a comparison see the same row population. Fails with the first
-/// load's error.
+/// load's error. Both loads are unfiltered, so the filtered reloads that
+/// follow restore their snapshots.
 Result<RowMask> AcceptedByBoth(engine::Engine* engine, const DatabaseSpec& sdb1,
                                const DatabaseSpec& sdb2);
 

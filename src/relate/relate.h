@@ -24,7 +24,9 @@
 //    and re-adds those counts, so fault hits, coverage traces and counters
 //    end exactly as a kernel run leaves them. Only the metrics differ:
 //    `relate.full` counts kernel runs, `relate.memo.hit` the replays. The
-//    kernel never calls Relate, so a recording never nests.
+//    kernel never calls Relate, so the memo's recordings never nest in
+//    each other; one can run inside a load statement's recording
+//    (fuzz::LoadDatabase), whose capture sees the kernel run's hits too.
 //  - Budget: a key is admitted on its second sighting (a 4,096-slot table
 //    of key hashes decides, and never answers a lookup), and one thread's
 //    memo holds at most 256 KiB of key words in at most 2,048 entries; it

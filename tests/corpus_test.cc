@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/coverage.h"
@@ -387,6 +388,53 @@ TEST(CoverageTrace, CapturesOnlyTracedThreadSortedUnique) {
   ASSERT_EQ(fresh_keys.size(), 1u);
   // Module filtering drops the harness module entirely.
   EXPECT_TRUE(registry.KeysOf(fresh, {"corpus_test"}).empty());
+}
+
+// Captures nest: a hit reaches every active capture, Hit(site, n) replays
+// included, while an inner capture sees only what happened inside it.
+TEST(CoverageTrace, CapturesNestAndSeeReplays) {
+  auto& registry = CoverageRegistry::Instance();
+  const uint32_t a =
+      static_cast<uint32_t>(registry.Register("corpus_test", "nest_a"));
+  const uint32_t b =
+      static_cast<uint32_t>(registry.Register("corpus_test", "nest_b"));
+  const uint32_t c =
+      static_cast<uint32_t>(registry.Register("corpus_test", "nest_c"));
+  using Counts = std::vector<std::pair<uint32_t, uint64_t>>;
+  auto counts = [](const std::vector<CoverageRegistry::SiteHits>& hits) {
+    Counts out;
+    for (const auto& s : hits) out.emplace_back(s.site, s.count);
+    return out;
+  };
+
+  std::vector<CoverageRegistry::SiteHits> outer;
+  std::vector<CoverageRegistry::SiteHits> inner;
+  CoverageRegistry::BeginTrace();
+  CoverageRegistry::BeginCapture(&outer);
+  registry.Hit(a);
+  CoverageRegistry::BeginCapture(&inner);
+  registry.Hit(b);
+  registry.Hit(a, 2);  // a replay inside the inner capture
+  CoverageRegistry::EndCapture();
+  registry.Hit(c, 5);  // a replay after it ended
+  registry.Hit(b);
+  CoverageRegistry::EndCapture();
+  registry.Hit(a);  // no capture active
+  const std::vector<uint32_t> trace = CoverageRegistry::TakeTrace();
+
+  // Each capture keeps its sites in first-hit order.
+  EXPECT_EQ(counts(inner), (Counts{{b, 1}, {a, 2}}));
+  EXPECT_EQ(counts(outer), (Counts{{a, 3}, {b, 2}, {c, 5}}));
+  std::vector<uint32_t> abc = {a, b, c};
+  std::sort(abc.begin(), abc.end());
+  EXPECT_EQ(trace, abc);
+
+  // A capture begun after both ended starts empty and sees only its hits.
+  CoverageRegistry::BeginCapture(&inner);
+  registry.Hit(c);
+  CoverageRegistry::EndCapture();
+  EXPECT_EQ(counts(inner), (Counts{{c, 1}}));
+  EXPECT_EQ(counts(outer), (Counts{{a, 3}, {b, 2}, {c, 5}}));
 }
 
 // --- Campaign integration --------------------------------------------------

@@ -4,6 +4,13 @@
 // own semantics), while a campaign against a FAULTY engine finds bugs.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <ostream>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/coverage.h"
 #include "fuzz/aei.h"
 #include "sql/parser.h"
 #include "fuzz/campaign.h"
@@ -358,6 +365,298 @@ TEST(Oracles, LoadDatabaseMasksInvalidRows) {
   ASSERT_TRUE(LoadDatabase(&pg, sdb, &accepted, &keep.value()).ok());
   EXPECT_EQ(accepted[0], (std::vector<bool>{false, false, true}));
   EXPECT_EQ(pg.FindTable("t1")->rows.size(), 1u);
+}
+
+// --- Load snapshots ---------------------------------------------------------
+//
+// LoadDatabase restores a database it has loaded before from the engine's
+// snapshots. The statement path is the reference: a cached load must leave
+// what running the CREATE/INSERT statements leaves.
+
+// The statement path of a load: Reset, then every CREATE/INSERT statement
+// of the rows `keep` marks. Cached loads are held to it.
+Status ReferenceLoad(engine::Engine* engine, const DatabaseSpec& sdb,
+                     RowMask* accepted, const RowMask* keep) {
+  engine->Reset();
+  accepted->clear();
+  for (size_t t = 0; t < sdb.tables.size(); ++t) {
+    const TableSql sql = RenderTable(sdb.tables[t], sdb.with_index);
+    for (const std::string& ddl : sql.ddl) {
+      SPATTER_RETURN_NOT_OK(engine->Execute(ddl).status());
+    }
+    std::vector<bool> mask;
+    for (size_t r = 0; r < sql.inserts.size(); ++r) {
+      if (keep && !(*keep)[t][r]) {
+        mask.push_back(false);
+        continue;
+      }
+      auto result = engine->Execute(sql.inserts[r]);
+      if (!result.ok() && result.status().code() == StatusCode::kCrash) {
+        return result.status();
+      }
+      mask.push_back(result.ok());
+    }
+    accepted->push_back(std::move(mask));
+  }
+  return Status::OK();
+}
+
+// Everything a load leaves that a later statement or the campaign reads.
+struct LoadOutcome {
+  std::string status;
+  RowMask accepted;
+  std::map<std::string, std::string> tables;  // name -> index, rows' WKT
+  std::map<size_t, uint64_t> coverage;        // site -> hits added
+  std::set<faults::FaultId> fault_hits;
+  uint64_t statements = 0;
+
+  bool operator==(const LoadOutcome& o) const {
+    return status == o.status && accepted == o.accepted &&
+           tables == o.tables && coverage == o.coverage &&
+           fault_hits == o.fault_hits;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const LoadOutcome& o) {
+  os << o.status << ", " << o.coverage.size() << " sites, "
+     << o.fault_hits.size() << " fault ids";
+  for (const auto& [name, desc] : o.tables) {
+    os << "\n  " << name << ": " << desc;
+  }
+  return os;
+}
+
+template <typename Load>
+LoadOutcome Observe(engine::Engine* engine, Load load) {
+  auto& registry = CoverageRegistry::Instance();
+  engine->fault_state().ClearHits();
+  const uint64_t statements = engine->stats().statements_executed;
+  const std::vector<uint64_t> before = registry.SnapshotHits();
+  LoadOutcome out;
+  out.status = load(&out.accepted).ToString();
+  const std::vector<uint64_t> after = registry.SnapshotHits();
+  for (size_t i = 0; i < after.size(); ++i) {
+    const uint64_t was = i < before.size() ? before[i] : 0;
+    if (after[i] != was) out.coverage[i] = after[i] - was;
+  }
+  out.fault_hits = engine->fault_state().TakeHits();
+  out.statements = engine->stats().statements_executed - statements;
+  for (const auto& [name, table] : engine->tables()) {
+    std::string& desc = out.tables[name];
+    desc = std::string(table.has_index ? "indexed" : "plain") + " g" +
+           std::to_string(table.geometry_column);
+    for (const engine::Row& row : table.rows) {
+      for (const engine::Value& v : row) desc += " | " + v.ToDisplayString();
+    }
+  }
+  return out;
+}
+
+LoadOutcome Reference(engine::Engine* engine, const DatabaseSpec& sdb,
+                      const RowMask* keep = nullptr) {
+  return Observe(engine, [&](RowMask* accepted) {
+    return ReferenceLoad(engine, sdb, accepted, keep);
+  });
+}
+
+LoadOutcome Cached(engine::Engine* engine, const DatabaseSpec& sdb,
+                   const RowMask* keep = nullptr) {
+  return Observe(engine, [&](RowMask* accepted) {
+    return LoadDatabase(engine, sdb, accepted, keep);
+  });
+}
+
+// Rows the strict dialects reject (a bowtie, a collection whose polygons
+// overlap, which the validity check finds with relate), WKT that does not
+// parse, EMPTY and a quote. The collection repeats, so the relate memo
+// records and then replays it inside an INSERT.
+DatabaseSpec RejectingDb() {
+  const std::string overlap =
+      "GEOMETRYCOLLECTION(POLYGON((0 0,2 0,2 2,0 2,0 0)),"
+      "POLYGON((1 1,3 1,3 3,1 3,1 1)))";
+  DatabaseSpec sdb;
+  sdb.tables.push_back(TableSpec{
+      "t1",
+      {"POINT(1 1)", "POLYGON((0 0,1 1,0 1,1 0,0 0))", overlap, "POINT(1",
+       "LINESTRING(0 0,1 1)", overlap}});
+  sdb.tables.push_back(TableSpec{
+      "t2", {overlap, "POINT EMPTY", "POINT('1 1)", "POLYGON EMPTY",
+             "MULTIPOINT((0 0),(1 1))"}});
+  return sdb;
+}
+
+std::vector<DatabaseSpec> SnapshotSpecs() {
+  std::vector<DatabaseSpec> specs = {RejectingDb()};
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    GeneratorConfig config;
+    config.num_geometries = 14;
+    config.num_tables = 3;
+    engine::Engine e(Dialect::kPostgis, false);
+    Rng rng(seed);
+    GeometryAwareGenerator gen(config, &rng, &e);
+    specs.push_back(gen.Generate(nullptr));
+  }
+  return specs;
+}
+
+RowMask RandomKeep(const DatabaseSpec& sdb, Rng* rng) {
+  RowMask keep;
+  for (const TableSpec& table : sdb.tables) {
+    std::vector<bool> mask;
+    for (size_t r = 0; r < table.rows.size(); ++r) {
+      mask.push_back(rng->Percent(60));
+    }
+    keep.push_back(std::move(mask));
+  }
+  return keep;
+}
+
+TEST(LoadSnapshotExactness, CachedLoadsEqualTheStatementPath) {
+  const std::vector<DatabaseSpec> specs = SnapshotSpecs();
+  Rng rng(2024);
+  size_t restores = 0;
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    for (bool faults : {false, true}) {
+      const auto dialect = static_cast<Dialect>(d);
+      engine::Engine reference(dialect, faults);
+      engine::Engine cached(dialect, faults);
+      for (DatabaseSpec sdb : specs) {
+        for (bool with_index : {false, true}) {
+          sdb.with_index = with_index;
+          SCOPED_TRACE(std::string(engine::DialectName(dialect)) +
+                       (faults ? " faulty" : " fixed") +
+                       (with_index ? " indexed" : " plain"));
+          // A filtered load without a snapshot runs the statements and
+          // keeps none.
+          const RowMask cold_keep = RandomKeep(sdb, &rng);
+          const LoadOutcome cold = Cached(&cached, sdb, &cold_keep);
+          EXPECT_EQ(cold, Reference(&reference, sdb, &cold_keep));
+          EXPECT_GT(cold.statements, 0u);
+
+          // The first unfiltered load builds the snapshot, the second
+          // restores it, and so do the filtered ones.
+          const LoadOutcome expected = Reference(&reference, sdb);
+          const LoadOutcome built = Cached(&cached, sdb);
+          EXPECT_EQ(built, expected);
+          EXPECT_EQ(built.statements, expected.statements);
+          const LoadOutcome restored = Cached(&cached, sdb);
+          EXPECT_EQ(restored, expected);
+          EXPECT_EQ(restored.statements, 0u);
+          restores++;
+          for (int k = 0; k < 3; ++k) {
+            const RowMask keep = RandomKeep(sdb, &rng);
+            const LoadOutcome filtered = Cached(&cached, sdb, &keep);
+            EXPECT_EQ(filtered, Reference(&reference, sdb, &keep));
+            EXPECT_EQ(filtered.statements, 0u);
+          }
+        }
+      }
+      // Rejected rows: the strict dialects refuse the bowtie and the
+      // overlapping collection, so the masks above covered rejections.
+      if (engine::GetDialectTraits(dialect).strict_validity) {
+        RowMask accepted;
+        ASSERT_TRUE(LoadDatabase(&cached, RejectingDb(), &accepted).ok());
+        EXPECT_FALSE(accepted[0][1]);
+        EXPECT_FALSE(accepted[0][2]);
+      }
+    }
+  }
+  EXPECT_GT(restores, 0u);
+}
+
+// The relate memo records a kernel run on a pair's second sighting. When
+// that happens inside a snapshot build (the validity check of a repeated
+// collection), the INSERT's capture must see the run's hits too: captures
+// nest. The collection is unique to this test, so the memo starts cold.
+TEST(LoadSnapshotExactness, KernelRunsRecordedInsideABuildAreReplayed) {
+  const std::string overlap =
+      "GEOMETRYCOLLECTION(POLYGON((40.5 0,42.5 0,42.5 2,40.5 2,40.5 0)),"
+      "POLYGON((41.5 1,43.5 1,43.5 3,41.5 3,41.5 1)))";
+  DatabaseSpec sdb;
+  sdb.tables.push_back(TableSpec{"t1", {overlap, "POINT(1 1)", overlap}});
+  engine::Engine cached(Dialect::kPostgis, true);
+  engine::Engine reference(Dialect::kPostgis, true);
+  const LoadOutcome built = Cached(&cached, sdb);
+  const LoadOutcome restored = Cached(&cached, sdb);
+  const LoadOutcome expected = Reference(&reference, sdb);
+  EXPECT_EQ(built, expected);
+  EXPECT_EQ(restored, expected);
+  EXPECT_EQ(restored.statements, 0u);
+}
+
+TEST(LoadSnapshotExactness, KeysTellApartIndexFaultsAndNames) {
+  engine::Engine reference(Dialect::kPostgis, true);
+  engine::Engine cached(Dialect::kPostgis, true);
+  const DatabaseSpec sdb = RejectingDb();
+  ASSERT_EQ(Cached(&cached, sdb), Reference(&reference, sdb));
+
+  // The same rows under another with_index: a new build, with the index.
+  DatabaseSpec indexed = sdb;
+  indexed.with_index = true;
+  const LoadOutcome with_index = Cached(&cached, indexed);
+  EXPECT_GT(with_index.statements, 0u);
+  EXPECT_EQ(with_index, Reference(&reference, indexed));
+  EXPECT_TRUE(cached.FindTable("t1")->has_index);
+
+  // The same rows under another fault mask.
+  for (engine::Engine* e : {&reference, &cached}) {
+    e->fault_state().Disable(faults::FaultId::kGeosGcBoundaryLastOneWins);
+  }
+  const LoadOutcome other_faults = Cached(&cached, sdb);
+  EXPECT_GT(other_faults.statements, 0u);
+  EXPECT_EQ(other_faults, Reference(&reference, sdb));
+
+  // The same rows under another table name.
+  DatabaseSpec renamed = sdb;
+  renamed.tables[0].name = "t9";
+  const LoadOutcome other_name = Cached(&cached, renamed);
+  EXPECT_GT(other_name.statements, 0u);
+  EXPECT_EQ(other_name, Reference(&reference, renamed));
+  EXPECT_NE(cached.FindTable("t9"), nullptr);
+  EXPECT_EQ(cached.FindTable("t1"), nullptr);
+
+  // All four are still cached: two under each fault mask.
+  auto expect_restored = [&](const DatabaseSpec& spec) {
+    const LoadOutcome again = Cached(&cached, spec);
+    EXPECT_EQ(again.statements, 0u);
+    EXPECT_EQ(again, Reference(&reference, spec));
+  };
+  expect_restored(sdb);
+  expect_restored(renamed);
+  for (engine::Engine* e : {&reference, &cached}) {
+    e->fault_state().Enable(faults::FaultId::kGeosGcBoundaryLastOneWins);
+  }
+  expect_restored(sdb);
+  expect_restored(indexed);
+}
+
+TEST(LoadSnapshotExactness, FailedLoadsRunAgainAndFailAlike) {
+  engine::Engine reference(Dialect::kMysql, true);
+  engine::Engine cached(Dialect::kMysql, true);
+  DatabaseSpec sdb = RejectingDb();
+  sdb.tables[1].name = "t1";  // the second CREATE TABLE fails
+  const LoadOutcome expected = Reference(&reference, sdb);
+  ASSERT_NE(expected.status, Status::OK().ToString());
+  for (int i = 0; i < 2; ++i) {
+    const LoadOutcome failed = Cached(&cached, sdb);
+    EXPECT_EQ(failed, expected);
+    EXPECT_EQ(failed.statements, expected.statements);
+  }
+}
+
+TEST(LoadSnapshotExactness, StatementsAfterARestoreLeaveTheSnapshot) {
+  engine::Engine reference(Dialect::kPostgis, true);
+  engine::Engine cached(Dialect::kPostgis, true);
+  const DatabaseSpec sdb = RejectingDb();
+  const LoadOutcome expected = Reference(&reference, sdb);
+  ASSERT_EQ(Cached(&cached, sdb), expected);
+  ASSERT_EQ(Cached(&cached, sdb).statements, 0u);
+  ASSERT_TRUE(
+      cached.Execute("INSERT INTO t1 (g) VALUES ('POINT(5 5)');").ok());
+  ASSERT_TRUE(cached.Execute("DROP TABLE t2;").ok());
+  const LoadOutcome restored = Cached(&cached, sdb);
+  EXPECT_EQ(restored.statements, 0u);
+  EXPECT_EQ(restored, expected);
 }
 
 }  // namespace
