@@ -36,13 +36,13 @@ void BM_RelatePolygonPair(benchmark::State& state) {
   const auto a = MakeRingPolygon(n, 100, 0, 0);
   const auto b = MakeRingPolygon(n, 100, 60, 0);
   for (auto _ : state) {
-    auto im = relate::RelateUnmemoized(*a, *b, {});
+    auto im = relate::RelateUnmemoized(*a, *b);
     benchmark::DoNotOptimize(im);
   }
   state.SetLabel("vertices=" + std::to_string(n));
   // The two discs overlap: a relate that misses the 2-dimensional
   // interior intersection did not do the work this case times.
-  const auto im = relate::RelateUnmemoized(*a, *b, {});
+  const auto im = relate::RelateUnmemoized(*a, *b);
   if (!im.ok() || !im.value().Matches("2********")) {
     state.SkipWithError("relate missed the overlap");
   }
@@ -55,12 +55,12 @@ void BM_RelateMemoHit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto a = MakeRingPolygon(n, 100, 0, 0);
   const auto b = MakeRingPolygon(n, 100, 60, 0);
-  for (int i = 0; i < 2; ++i) (void)relate::Relate(*a, *b, {});  // admit
+  for (int i = 0; i < 2; ++i) (void)relate::Relate(*a, *b);  // admit
   obs::Counter* hits =
       obs::MetricsRegistry::Instance().GetCounter("relate.memo.hit");
   const uint64_t hits_before = hits->Value();
   for (auto _ : state) {
-    auto im = relate::Relate(*a, *b, {});
+    auto im = relate::Relate(*a, *b);
     benchmark::DoNotOptimize(im);
   }
   state.SetLabel("vertices=" + std::to_string(n));
@@ -68,7 +68,7 @@ void BM_RelateMemoHit(benchmark::State& state) {
       static_cast<uint64_t>(state.iterations())) {
     state.SkipWithError("a call missed the memo");
   }
-  const auto im = relate::Relate(*a, *b, {});
+  const auto im = relate::Relate(*a, *b);
   if (!im.ok() || !im.value().Matches("2********")) {
     state.SkipWithError("relate missed the overlap");
   }
@@ -89,7 +89,7 @@ void BM_PlainIntersectsManyCandidates(benchmark::State& state) {
   for (auto _ : state) {
     int hits = 0;
     for (const auto& c : candidates) {
-      hits += relate::Intersects(*target, *c, {}).value() ? 1 : 0;
+      hits += relate::Intersects(*target, *c).value() ? 1 : 0;
     }
     benchmark::DoNotOptimize(hits);
   }

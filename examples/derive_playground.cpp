@@ -30,7 +30,7 @@ size_t DistinctRelations(const fuzz::DatabaseSpec& sdb) {
   std::set<std::string> codes;
   for (const auto& a : geoms) {
     for (const auto& b : geoms) {
-      auto im = relate::Relate(*a, *b, {});
+      auto im = relate::Relate(*a, *b);
       if (im.ok()) codes.insert(im.value().Code());
     }
   }

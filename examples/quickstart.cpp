@@ -13,6 +13,7 @@
 #include "fuzz/oracles.h"
 #include "geom/wkt_reader.h"
 #include "relate/named_predicates.h"
+#include "relate/relate.h"
 
 using namespace spatter;  // NOLINT
 
@@ -21,7 +22,7 @@ int main() {
   std::printf("== geometry & topology ==\n");
   auto line = geom::ReadWkt("LINESTRING(0 1,2 0)").Take();
   auto point = geom::ReadWkt("POINT(0.2 0.9)").Take();
-  auto im = relate::RelateMatrix(*line, *point).Take();
+  auto im = relate::Relate(*line, *point).Take();
   std::printf("DE-9IM(%s, %s) = %s\n", line->ToWkt().c_str(),
               point->ToWkt().c_str(), im.Code().c_str());
   std::printf("covers: %s  (paper Listing 1 expects true)\n",

@@ -17,12 +17,13 @@
 // Per-thread taps: a trace (BeginTrace/TakeTrace) collects the sites the
 // calling thread hit, and a capture (BeginCapture/EndCapture) collects them
 // with their counts. Hit() tests one thread-local flag for both, so with
-// neither active it costs what it did with the trace alone. Two recorders
-// capture and replay: the relate memo (relate.h) captures each kernel run
-// it records, and fuzz::LoadDatabase each statement of a load it
-// snapshots. A replay is Hit(site, count) per captured site, so the global
-// counters, any active trace and capture, and every later snapshot diff
-// see exactly what re-running the recorded work would have produced.
+// neither active it costs what it did with the trace alone. One recorder,
+// faults::Effects, captures and replays: the relate memo (relate.h) records
+// each kernel run it admits with it, and fuzz::LoadDatabase each statement
+// of a load it snapshots. A replay is Hit(site, count) per captured site,
+// so the global counters, any active trace and capture, and every later
+// snapshot diff see exactly what re-running the recorded work would have
+// produced.
 #ifndef SPATTER_COMMON_COVERAGE_H_
 #define SPATTER_COMMON_COVERAGE_H_
 

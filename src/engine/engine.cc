@@ -133,6 +133,15 @@ namespace {
 // the snapshot and look nothing up.
 constexpr size_t kStatementCacheCapacity = 256;
 
+// The one rule for an error inside a statement's per-row, per-pair or
+// per-operand evaluation: a crash, or a missing function or operator,
+// fails the whole statement; any other error reads as UNKNOWN.
+bool EndsStatement(const Status& status) {
+  const StatusCode code = status.code();
+  return code == StatusCode::kCrash || code == StatusCode::kUnsupported ||
+         code == StatusCode::kNotFound;
+}
+
 }  // namespace
 
 int Table::ColumnIndex(const std::string& name) const {
@@ -521,12 +530,7 @@ Result<Value> Engine::Eval(const sql::Expr& expr, const Bindings& bindings) {
           [&](const sql::Expr& e) -> Result<std::optional<bool>> {
         auto v = Eval(e, bindings);
         if (!v.ok()) {
-          const StatusCode code = v.status().code();
-          if (code == StatusCode::kCrash ||
-              code == StatusCode::kUnsupported ||
-              code == StatusCode::kNotFound) {
-            return v.status();
-          }
+          if (EndsStatement(v.status())) return v.status();
           return std::optional<bool>();
         }
         if (v.value().is_null()) return std::optional<bool>();
@@ -710,11 +714,7 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
       filter_bindings[stmt.table] = Binding{t1, &row1};
       auto fv = Eval(*stmt.filter1, filter_bindings);
       if (!fv.ok()) {
-        const StatusCode code = fv.status().code();
-        if (code == StatusCode::kCrash || code == StatusCode::kUnsupported ||
-            code == StatusCode::kNotFound) {
-          return fv.status();
-        }
+        if (EndsStatement(fv.status())) return fv.status();
         continue;
       }
       if (fv.value().kind() != Value::Kind::kBool ||
@@ -768,16 +768,14 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
           row2[t2->geometry_column].kind() == Value::Kind::kGeometry) {
         SPATTER_COV("engine", "join_prepared_path");
         stats_.prepared_evaluations++;
-        relate::PredicateContext pctx;
-        pctx.faults = &faults_;
         const Geometry& inner = *row2[t2->geometry_column].geometry();
         Result<bool> pr = Status::Internal("unset");
         if (func_name == "ST_Intersects") {
-          pr = prepared->Intersects(inner, pctx);
+          pr = prepared->Intersects(inner, &faults_);
         } else if (func_name == "ST_Contains") {
-          pr = prepared->Contains(inner, pctx);
+          pr = prepared->Contains(inner, &faults_);
         } else {
-          pr = prepared->Covers(inner, pctx);
+          pr = prepared->Covers(inner, &faults_);
         }
         if (!pr.ok()) return pr.status();
         v = Value::Bool(pr.value());
@@ -786,13 +784,8 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
                               stmt.table2, row2, *t2);
       }
       if (!v.ok()) {
-        const StatusCode code = v.status().code();
-        // Missing functions/operators fail the whole statement; per-pair
-        // semantic errors read as UNKNOWN and are not counted.
-        if (code == StatusCode::kCrash || code == StatusCode::kUnsupported ||
-            code == StatusCode::kNotFound) {
-          return v.status();
-        }
+        // A per-pair semantic error reads as UNKNOWN and is not counted.
+        if (EndsStatement(v.status())) return v.status();
         prev_matched = false;
         continue;
       }
@@ -873,11 +866,7 @@ Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
     bindings[stmt.table] = Binding{t, &row};
     auto v = Eval(*cond, bindings);
     if (!v.ok()) {
-      const StatusCode code = v.status().code();
-      if (code == StatusCode::kCrash || code == StatusCode::kUnsupported ||
-          code == StatusCode::kNotFound) {
-        return v.status();
-      }
+      if (EndsStatement(v.status())) return v.status();
       continue;
     }
     if (v.value().kind() == Value::Kind::kBool && v.value().bool_value()) {

@@ -33,12 +33,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // Helpers.
 
-relate::PredicateContext RelateCtx(const FunctionContext& ctx) {
-  relate::PredicateContext out;
-  out.faults = ctx.faults;
-  return out;
-}
-
 double MaxAbsCoord(const Geometry& g) {
   const geom::Envelope e = g.GetEnvelope();
   if (e.IsNull()) return 0.0;
@@ -151,7 +145,7 @@ Status CrossElementValidity(const Geometry& g) {
       // Reject collections whose higher-dimensional elements' interiors
       // intersect (the "self-intersection" error PostGIS and DuckDB raise
       // for the paper's Listing 4 input).
-      auto im = relate::Relate(a, b, {});
+      auto im = relate::Relate(a, b);
       if (!im.ok()) continue;
       const int ii = im.value().At(relate::Location::kInterior,
                                    relate::Location::kInterior);
@@ -211,7 +205,7 @@ Result<Value> FnIntersects(const FunctionContext& ctx,
                            const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::Intersects(*ga, *gb, RelateCtx(ctx)));
+                           relate::Intersects(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kDuckdbIntersectsEnvelopeOnly) &&
       (ga->type() == GeomType::kGeometryCollection ||
@@ -229,7 +223,7 @@ Result<Value> FnDisjoint(const FunctionContext& ctx,
                          const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::Disjoint(*ga, *gb, RelateCtx(ctx)));
+                           relate::Disjoint(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kSqlserverDisjointAsymmetric) &&
       ga->type() == GeomType::kPoint && !ga->IsEmpty() &&
@@ -249,14 +243,14 @@ Result<Value> FnDisjoint(const FunctionContext& ctx,
 Result<Value> FnContains(const FunctionContext& ctx,
                          const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
-  SPATTER_ASSIGN_OR_RETURN(bool r, relate::Contains(*ga, *gb, RelateCtx(ctx)));
+  SPATTER_ASSIGN_OR_RETURN(bool r, relate::Contains(*ga, *gb, ctx.faults));
   return Value::Bool(r);
 }
 
 Result<Value> FnWithin(const FunctionContext& ctx,
                        const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
-  SPATTER_ASSIGN_OR_RETURN(bool r, relate::Within(*ga, *gb, RelateCtx(ctx)));
+  SPATTER_ASSIGN_OR_RETURN(bool r, relate::Within(*ga, *gb, ctx.faults));
   return Value::Bool(r);
 }
 
@@ -264,7 +258,7 @@ Result<Value> FnCrosses(const FunctionContext& ctx,
                         const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::Crosses(*ga, *gb, RelateCtx(ctx)));
+                           relate::Crosses(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kMysqlCrossesGcLargeCoords) &&
       (ga->type() == GeomType::kGeometryCollection ||
@@ -273,7 +267,7 @@ Result<Value> FnCrosses(const FunctionContext& ctx,
     // Injected bug (paper Listing 3): beyond the internal coordinate grid
     // the "intersection must differ from both inputs" exception is lost;
     // any interior intersection of differing dimensions reads as a cross.
-    auto im = relate::RelateMatrix(*ga, *gb, RelateCtx(ctx));
+    auto im = relate::Relate(*ga, *gb, ctx.faults);
     SPATTER_RETURN_NOT_OK(im.status());
     const bool buggy =
         im.value().At(relate::Location::kInterior,
@@ -291,7 +285,7 @@ Result<Value> FnOverlaps(const FunctionContext& ctx,
                          const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::Overlaps(*ga, *gb, RelateCtx(ctx)));
+                           relate::Overlaps(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kMysqlOverlapsSwappedAxes) &&
       ga->Dimension() == gb->Dimension() && ga->Dimension() >= 0) {
@@ -300,7 +294,7 @@ Result<Value> FnOverlaps(const FunctionContext& ctx,
       // Injected bug (paper Listing 4): the portrait-orientation code path
       // checks only one side's exterior intersection, so an intersection
       // equal to one input still reads as an overlap.
-      auto im = relate::RelateMatrix(*ga, *gb, RelateCtx(ctx));
+      auto im = relate::Relate(*ga, *gb, ctx.faults);
       SPATTER_RETURN_NOT_OK(im.status());
       const bool buggy = im.value().Matches("T*T******");
       if (buggy != correct) {
@@ -316,7 +310,7 @@ Result<Value> FnTouches(const FunctionContext& ctx,
                         const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::Touches(*ga, *gb, RelateCtx(ctx)));
+                           relate::Touches(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kMysqlTouchesEmptyCollection) &&
       (relate::HasEmptyElement(*ga) || relate::HasEmptyElement(*gb)) &&
@@ -333,7 +327,7 @@ Result<Value> FnEquals(const FunctionContext& ctx,
                        const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::TopoEquals(*ga, *gb, RelateCtx(ctx)));
+                           relate::TopoEquals(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kPostgisEqualsCollapsedLine) &&
       (HasConsecutiveDuplicate(*ga) || HasConsecutiveDuplicate(*gb))) {
@@ -352,7 +346,7 @@ Result<Value> FnCovers(const FunctionContext& ctx,
                        const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::Covers(*ga, *gb, RelateCtx(ctx)));
+                           relate::Covers(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kPostgisCoversDisplacementPrecision) &&
       ga->Dimension() == 1 && gb->type() == GeomType::kPoint &&
@@ -371,7 +365,7 @@ Result<Value> FnCoveredBy(const FunctionContext& ctx,
                           const std::vector<Value>& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
-                           relate::CoveredBy(*ga, *gb, RelateCtx(ctx)));
+                           relate::CoveredBy(*ga, *gb, ctx.faults));
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kPostgisCoveredByNegativeQuadrant)) {
     const geom::Envelope ea = ga->GetEnvelope();
@@ -381,7 +375,7 @@ Result<Value> FnCoveredBy(const FunctionContext& ctx,
       // Injected bug: the all-negative-quadrant path swaps the argument
       // order (evaluates covers instead of coveredBy).
       SPATTER_ASSIGN_OR_RETURN(bool buggy,
-                               relate::Covers(*ga, *gb, RelateCtx(ctx)));
+                               relate::Covers(*ga, *gb, ctx.faults));
       if (buggy != correct) {
         ctx.faults->Fire(FaultId::kPostgisCoveredByNegativeQuadrant);
         return Value::Bool(buggy);
@@ -462,7 +456,7 @@ Result<Value> FnDFullyWithin(const FunctionContext& ctx,
     });
     if (cw_shell) {
       SPATTER_ASSIGN_OR_RETURN(bool within,
-                               relate::Within(*ga, *gb, RelateCtx(ctx)));
+                               relate::Within(*ga, *gb, ctx.faults));
       const bool buggy = within && correct;
       if (buggy != correct) {
         ctx.faults->Fire(FaultId::kPostgisDFullyWithinDefinition);
@@ -478,7 +472,7 @@ Result<Value> FnRelatePattern(const FunctionContext& ctx,
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(std::string pattern,
                            StringArg(args[2], "DE-9IM pattern"));
-  auto im = relate::RelateMatrix(*ga, *gb, RelateCtx(ctx));
+  auto im = relate::Relate(*ga, *gb, ctx.faults);
   SPATTER_RETURN_NOT_OK(im.status());
   relate::IntersectionMatrix matrix = im.value();
   if (ctx.faults &&

@@ -19,10 +19,14 @@
 #ifndef SPATTER_FAULTS_FAULT_H_
 #define SPATTER_FAULTS_FAULT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/coverage.h"
 
 namespace spatter::faults {
 
@@ -148,9 +152,8 @@ class FaultState {
     return out;
   }
   /// Adds back hits set aside with TakeHits, keeping the ones recorded
-  /// since: the relate memo brackets a kernel run, and a load snapshot
-  /// each load statement, with the two calls to learn which ids that run
-  /// alone fired.
+  /// since: Effects::Record brackets a unit of work with the two calls to
+  /// learn which ids that work alone fired.
   void RestoreHits(std::set<FaultId> hits) const { hits_.merge(hits); }
 
   /// The enabled set, bit i for FaultId i. The relate memo keys on it, so
@@ -165,6 +168,47 @@ class FaultState {
  private:
   uint64_t enabled_ = 0;
   mutable std::set<FaultId> hits_;  // recorder is observability, not state.
+};
+
+/// What one unit of work did besides its result: the fault ids it fired
+/// and every coverage site it hit, with its count. The relate memo records
+/// each kernel run it admits, and a load snapshot each load statement
+/// (fuzz::LoadDatabase); a replay then leaves fault hits, coverage
+/// counters and any active trace or capture exactly as re-running the
+/// work would.
+struct Effects {
+  uint64_t fired = 0;  // FaultState::Bit of each id
+  std::vector<CoverageRegistry::SiteHits> sites;
+
+  /// Runs `work()` and records, in place of what *this held, what it alone
+  /// fired and hit: the caller's earlier fault hits are set aside and
+  /// merged back afterwards, and the capture nests inside any active one.
+  /// `faults` may be null (no faults). Returns what `work` returns.
+  template <typename Work>
+  auto Record(const FaultState* faults, Work&& work) {
+    std::set<FaultId> earlier;
+    if (faults) earlier = faults->TakeHits();
+    CoverageRegistry::BeginCapture(&sites);
+    auto result = work();
+    CoverageRegistry::EndCapture();
+    fired = 0;
+    if (faults) {
+      for (const FaultId id : faults->Hits()) fired |= FaultState::Bit(id);
+      faults->RestoreHits(std::move(earlier));
+    }
+    return result;
+  }
+
+  /// Re-fires the recorded ids on `faults` and re-adds each site's count.
+  void Replay(const FaultState* faults) const {
+    Replay(faults, fired, sites.data(), sites.size());
+  }
+  /// The same for a recording whose sites are stored elsewhere (the relate
+  /// memo keeps every entry's sites in one flat array). `faults` may be
+  /// null only when `fired` is 0.
+  static void Replay(const FaultState* faults, uint64_t fired,
+                     const CoverageRegistry::SiteHits* sites,
+                     size_t num_sites);
 };
 
 }  // namespace spatter::faults

@@ -1,6 +1,7 @@
 #include "fleet/wire.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -36,10 +37,28 @@ std::vector<std::string> SplitFrameFields(const std::string& line) {
 }
 
 bool ParseFieldF64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+  // strtod alone would also take "nan", "inf", hex, a leading '+' and
+  // leading whitespace; screen the token against the printed grammar
+  // first, and refuse what overflows to infinity.
+  size_t i = 0;
+  const auto digits = [&] {
+    const size_t start = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > start;
+  };
+  if (i < s.size() && s[i] == '-') ++i;
+  if (!digits()) return false;
+  if (i < s.size() && s[i] == '.' && (++i, !digits())) return false;
+  if (i < s.size() && s[i] == 'e') {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  if (i != s.size()) return false;
+  const double value = std::strtod(s.c_str(), nullptr);
+  if (!std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 bool ParseFieldBool01(const std::string& s, bool* out) {

@@ -170,8 +170,11 @@ bool ParseSiteKeys(const std::string& s, std::vector<uint64_t>* out);
 
 /// Field-level pieces of the wire text grammar, shared with the
 /// checkpoint codec for the same no-drift reason (integer fields use the
-/// strict common ParseU64). ParseFieldF64 requires the whole token to
-/// parse; ParseFieldBool01 accepts exactly "0"/"1". SplitFrameFields
+/// strict common ParseU64). ParseFieldF64 accepts exactly what the
+/// encoders print for finite values (`%.6f` here, `%.17g` in checkpoints):
+/// an optional '-', digits, an optional fraction and an optional
+/// exponent, whose value is finite; "nan", "inf", hex and '+' are refused.
+/// ParseFieldBool01 accepts exactly "0"/"1". SplitFrameFields
 /// splits on single spaces and PRESERVES empty tokens, so malformed
 /// framing fails field-count checks instead of silently collapsing.
 bool ParseFieldF64(const std::string& s, double* out);

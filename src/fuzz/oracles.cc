@@ -14,42 +14,15 @@ namespace spatter::fuzz {
 
 namespace {
 
-// What one load statement did besides changing the tables: the coverage
-// sites it hit, with their counts, and the fault ids it fired.
-struct StatementEffects {
-  std::vector<CoverageRegistry::SiteHits> sites;
-  uint64_t fired = 0;  // FaultState::Bit of each id
-};
-
-// Runs one load statement. With `effects`, also records what it did, the
-// way the relate memo records a kernel run: the caller's earlier fault
-// hits are set aside and merged back afterwards.
+// Runs one load statement. With `effects`, also records what it did
+// besides changing the tables (faults::Effects), as the relate memo records
+// a kernel run.
 Result<engine::ExecResult> RunLoadStatement(engine::Engine* engine,
                                             const std::string& sql,
-                                            StatementEffects* effects) {
+                                            faults::Effects* effects) {
   if (effects == nullptr) return engine->Execute(sql);
-  const faults::FaultState& faults = engine->fault_state();
-  std::set<faults::FaultId> earlier = faults.TakeHits();
-  CoverageRegistry::BeginCapture(&effects->sites);
-  Result<engine::ExecResult> result = engine->Execute(sql);
-  CoverageRegistry::EndCapture();
-  for (const faults::FaultId id : faults.Hits()) {
-    effects->fired |= faults::FaultState::Bit(id);
-  }
-  faults.RestoreHits(std::move(earlier));
-  return result;
-}
-
-// Leaves coverage and fault hits as re-running the recorded statement would.
-void Replay(const StatementEffects& effects,
-            const faults::FaultState& faults) {
-  for (uint64_t fired = effects.fired; fired != 0; fired &= fired - 1) {
-    faults.Fire(static_cast<faults::FaultId>(__builtin_ctzll(fired)));
-  }
-  auto& registry = CoverageRegistry::Instance();
-  for (const CoverageRegistry::SiteHits& s : effects.sites) {
-    registry.Hit(s.site, s.count);
-  }
+  return effects->Record(&engine->fault_state(),
+                         [&] { return engine->Execute(sql); });
 }
 
 // One loaded database: the key is everything a load reads besides the
@@ -77,8 +50,8 @@ class LoadSnapshot {
   }
 
   // Where the statement path records table t's DDL and row statements.
-  StatementEffects* AddDdl(size_t t) { return &loaded_[t].ddl.emplace_back(); }
-  StatementEffects* AddRow(size_t t) {
+  faults::Effects* AddDdl(size_t t) { return &loaded_[t].ddl.emplace_back(); }
+  faults::Effects* AddRow(size_t t) {
     return &loaded_[t].rows.emplace_back().effects;
   }
   void SetAccepted(size_t t, bool accepted) {
@@ -119,7 +92,7 @@ class LoadSnapshot {
     engine->Restore([&](std::map<std::string, engine::Table>* tables) {
       for (size_t t = 0; t < tables_.size(); ++t) {
         const Table& loaded = loaded_[t];
-        for (const StatementEffects& ddl : loaded.ddl) Replay(ddl, faults);
+        for (const faults::Effects& ddl : loaded.ddl) ddl.Replay(&faults);
         engine::Table& table = (*tables)[tables_[t].name];
         table = loaded.schema;
         table.rows.reserve(loaded.rows.size());
@@ -127,7 +100,7 @@ class LoadSnapshot {
           const RowRecord& row = loaded.rows[r];
           const bool kept = keep == nullptr || (*keep)[t][r];
           if (kept) {
-            Replay(row.effects, faults);
+            row.effects.Replay(&faults);
             if (row.accepted) table.rows.push_back(row.row);
           }
           if (accepted) (*accepted)[t].push_back(kept && row.accepted);
@@ -140,11 +113,11 @@ class LoadSnapshot {
   struct RowRecord {
     bool accepted = false;
     engine::Row row;  // the inserted row, when accepted
-    StatementEffects effects;
+    faults::Effects effects;
   };
   struct Table {
     engine::Table schema;  // as the DDL left it, without rows
-    std::vector<StatementEffects> ddl;
+    std::vector<faults::Effects> ddl;
     std::vector<RowRecord> rows;  // aligned with TableSpec::rows
   };
 

@@ -12,41 +12,22 @@
 #include <sstream>
 #include <thread>
 
+#include "common/strings.h"
+
 namespace spatter::obs {
 
 namespace {
 
-Result<uint64_t> ParseU64(const std::string& s) {
-  if (s.empty() || s.size() > 20) {
-    return Status::InvalidArgument("bad u64: '" + s + "'");
-  }
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad u64: '" + s + "'");
-    }
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) {
-      return Status::InvalidArgument("u64 overflow: '" + s + "'");
-    }
-    v = v * 10 + digit;
-  }
-  return v;
-}
-
+// Strict signed decimal on the shared strict unsigned parser: an optional
+// '-', then ParseU64's digits, in int64_t range.
 Result<int64_t> ParseI64(const std::string& s) {
-  bool neg = !s.empty() && s[0] == '-';
-  Result<uint64_t> mag = ParseU64(neg ? s.substr(1) : s);
-  if (!mag.ok()) {
+  const bool neg = !s.empty() && s[0] == '-';
+  const uint64_t limit = neg ? uint64_t{1} << 63 : (uint64_t{1} << 63) - 1;
+  uint64_t mag = 0;
+  if (!ParseU64(neg ? s.substr(1) : s, &mag) || mag > limit) {
     return Status::InvalidArgument("bad i64: '" + s + "'");
   }
-  uint64_t limit =
-      neg ? uint64_t{1} << 63 : (uint64_t{1} << 63) - 1;
-  if (mag.value() > limit) {
-    return Status::InvalidArgument("i64 overflow: '" + s + "'");
-  }
-  return neg ? -static_cast<int64_t>(mag.value())
-             : static_cast<int64_t>(mag.value());
+  return static_cast<int64_t>(neg ? 0 - mag : mag);
 }
 
 std::vector<std::string> SplitWs(const std::string& line) {
@@ -238,8 +219,8 @@ Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
     if (f.size() != 2 || f[0] != "end") {
       return Malformed("missing end trailer");
     }
-    Result<uint64_t> n = ParseU64(f[1]);
-    if (!n.ok() || n.value() != lines.size() - 2) {
+    uint64_t n = 0;
+    if (!ParseU64(f[1], &n) || n != lines.size() - 2) {
       return Malformed("end trailer count mismatch");
     }
   }
@@ -253,11 +234,11 @@ Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
       if (f.size() != 3) {
         return Malformed("counter line arity");
       }
-      Result<uint64_t> v = ParseU64(f[2]);
-      if (!v.ok()) {
-        return v.status();
+      uint64_t v = 0;
+      if (!ParseU64(f[2], &v)) {
+        return Malformed("counter value in '" + f[1] + "'");
       }
-      if (!snap.counters.emplace(f[1], v.value()).second) {
+      if (!snap.counters.emplace(f[1], v).second) {
         return Malformed("duplicate counter '" + f[1] + "'");
       }
     } else if (f[0] == "g") {
@@ -276,13 +257,9 @@ Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
         return Malformed("histogram line arity");
       }
       HistogramData h;
-      Result<uint64_t> count = ParseU64(f[2]);
-      Result<uint64_t> sum = ParseU64(f[3]);
-      if (!count.ok() || !sum.ok()) {
+      if (!ParseU64(f[2], &h.count) || !ParseU64(f[3], &h.sum_ns)) {
         return Malformed("histogram numbers in '" + f[1] + "'");
       }
-      h.count = count.value();
-      h.sum_ns = sum.value();
       h.buckets.assign(LatencyHistogram::kNumBuckets, 0);
       uint64_t bucket_total = 0;
       if (f[4] != "-") {
@@ -300,20 +277,20 @@ Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
           if (colon == std::string::npos) {
             return Malformed("histogram cell '" + cell + "'");
           }
-          Result<uint64_t> idx = ParseU64(cell.substr(0, colon));
-          Result<uint64_t> val = ParseU64(cell.substr(colon + 1));
-          if (!idx.ok() || !val.ok() ||
-              idx.value() >= LatencyHistogram::kNumBuckets ||
-              val.value() == 0) {
+          uint64_t idx = 0;
+          uint64_t val = 0;
+          if (!ParseU64(cell.substr(0, colon), &idx) ||
+              !ParseU64(cell.substr(colon + 1), &val) ||
+              idx >= LatencyHistogram::kNumBuckets || val == 0) {
             return Malformed("histogram cell '" + cell + "'");
           }
-          if (!first && idx.value() <= prev_idx) {
+          if (!first && idx <= prev_idx) {
             return Malformed("histogram buckets out of order");
           }
           first = false;
-          prev_idx = idx.value();
-          h.buckets[idx.value()] = val.value();
-          bucket_total += val.value();
+          prev_idx = idx;
+          h.buckets[idx] = val;
+          bucket_total += val;
         }
       }
       if (bucket_total != h.count) {

@@ -89,48 +89,34 @@ geom::GeomPtr StripHoles(const Geometry& g) {
 
 }  // namespace
 
-Result<IntersectionMatrix> RelateMatrix(const Geometry& a, const Geometry& b,
-                                        const PredicateContext& ctx) {
-  RelateOptions opts;
-  opts.faults = ctx.faults;
-  return Relate(a, b, opts);
-}
-
-Result<bool> RelatePattern(const Geometry& a, const Geometry& b,
-                           const std::string& pattern,
-                           const PredicateContext& ctx) {
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
-  return im.Matches(pattern);
-}
-
 Result<bool> Intersects(const Geometry& a, const Geometry& b,
-                        const PredicateContext& ctx) {
+                        const faults::FaultState* faults) {
   SPATTER_COV("predicate", "intersects");
-  if (ctx.faults && (HasEmptyElement(a) || HasEmptyElement(b)) &&
-      ctx.faults->Fire(faults::FaultId::kGeosGcEmptyElementIntersects)) {
+  if (faults && (HasEmptyElement(a) || HasEmptyElement(b)) &&
+      faults->Fire(faults::FaultId::kGeosGcEmptyElementIntersects)) {
     // Injected bug: collections with EMPTY elements fall back to an
     // envelope intersection test.
     return a.GetEnvelope().Intersects(b.GetEnvelope());
   }
-  SPATTER_ASSIGN_OR_RETURN(bool disjoint, Disjoint(a, b, ctx));
+  SPATTER_ASSIGN_OR_RETURN(bool disjoint, Disjoint(a, b, faults));
   return !disjoint;
 }
 
 Result<bool> Disjoint(const Geometry& a, const Geometry& b,
-                      const PredicateContext& ctx) {
+                      const faults::FaultState* faults) {
   SPATTER_COV("predicate", "disjoint");
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
+  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
   return im.Matches("FF*FF****");
 }
 
 Result<bool> Within(const Geometry& a, const Geometry& b,
-                    const PredicateContext& ctx) {
+                    const faults::FaultState* faults) {
   SPATTER_COV("predicate", "within");
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
+  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
   const bool correct = im.Matches("T*F**F***");
-  if (correct && ctx.faults && HasPointElementInMixed(b) &&
+  if (correct && faults && HasPointElementInMixed(b) &&
       im.At(Location::kInterior, Location::kInterior) == 0 &&
-      ctx.faults->Fire(faults::FaultId::kGeosWithinGcPointInterior)) {
+      faults->Fire(faults::FaultId::kGeosWithinGcPointInterior)) {
     // Injected bug (companion of Listing 6): the interior contribution of a
     // 0-dimensional element inside a MIXED collection is not recognized.
     return false;
@@ -139,31 +125,31 @@ Result<bool> Within(const Geometry& a, const Geometry& b,
 }
 
 Result<bool> Contains(const Geometry& a, const Geometry& b,
-                      const PredicateContext& ctx) {
+                      const faults::FaultState* faults) {
   SPATTER_COV("predicate", "contains");
-  return Within(b, a, ctx);
+  return Within(b, a, faults);
 }
 
 Result<bool> Covers(const Geometry& a, const Geometry& b,
-                    const PredicateContext& ctx) {
+                    const faults::FaultState* faults) {
   SPATTER_COV("predicate", "covers");
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
+  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
   return im.Matches("T*****FF*") || im.Matches("*T****FF*") ||
          im.Matches("***T**FF*") || im.Matches("****T*FF*");
 }
 
 Result<bool> CoveredBy(const Geometry& a, const Geometry& b,
-                       const PredicateContext& ctx) {
+                       const faults::FaultState* faults) {
   SPATTER_COV("predicate", "covered_by");
-  return Covers(b, a, ctx);
+  return Covers(b, a, faults);
 }
 
 Result<bool> Crosses(const Geometry& a, const Geometry& b,
-                     const PredicateContext& ctx) {
+                     const faults::FaultState* faults) {
   SPATTER_COV("predicate", "crosses");
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
-  const int da = EffectiveDimension(a, ctx.faults);
-  const int db = EffectiveDimension(b, ctx.faults);
+  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
+  const int da = EffectiveDimension(a, faults);
+  const int db = EffectiveDimension(b, faults);
   bool result;
   if (da < db) {
     result = im.Matches("T*T******");
@@ -174,9 +160,9 @@ Result<bool> Crosses(const Geometry& a, const Geometry& b,
   } else {
     result = false;
   }
-  if (!result && da == 1 && db == 1 && ctx.faults && SharesEndpoint(a, b) &&
+  if (!result && da == 1 && db == 1 && faults && SharesEndpoint(a, b) &&
       im.At(Location::kBoundary, Location::kBoundary) == 0 &&
-      ctx.faults->Fire(faults::FaultId::kGeosCrossesSharedEndpoint)) {
+      faults->Fire(faults::FaultId::kGeosCrossesSharedEndpoint)) {
     // Injected bug: a shared boundary endpoint is misread as an interior
     // crossing point.
     return true;
@@ -185,37 +171,36 @@ Result<bool> Crosses(const Geometry& a, const Geometry& b,
 }
 
 Result<bool> Overlaps(const Geometry& a, const Geometry& b,
-                      const PredicateContext& ctx) {
+                      const faults::FaultState* faults) {
   SPATTER_COV("predicate", "overlaps");
-  if (ctx.faults && IsAreal(a) && IsAreal(b) &&
+  if (faults && IsAreal(a) && IsAreal(b) &&
       (AnyPolygonHasHoles(a) || AnyPolygonHasHoles(b)) &&
-      ctx.faults->Fire(faults::FaultId::kGeosOverlapsIgnoresHoles)) {
+      faults->Fire(faults::FaultId::kGeosOverlapsIgnoresHoles)) {
     // Injected bug: the polygon/polygon fast path evaluates shells only.
     const geom::GeomPtr sa = StripHoles(a);
     const geom::GeomPtr sb = StripHoles(b);
-    PredicateContext clean;  // avoid recursive re-triggering
-    return Overlaps(*sa, *sb, clean);
+    return Overlaps(*sa, *sb);  // no faults: avoid recursive re-triggering
   }
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
-  const int da = EffectiveDimension(a, ctx.faults);
-  const int db = EffectiveDimension(b, ctx.faults);
+  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
+  const int da = EffectiveDimension(a, faults);
+  const int db = EffectiveDimension(b, faults);
   if (da != db || da < 0) return false;
   if (da == 1) return im.Matches("1*T***T**");
   return im.Matches("T*T***T**");
 }
 
 Result<bool> Touches(const Geometry& a, const Geometry& b,
-                     const PredicateContext& ctx) {
+                     const faults::FaultState* faults) {
   SPATTER_COV("predicate", "touches");
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
+  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
   const bool correct = im.Matches("FT*******") || im.Matches("F**T*****") ||
                        im.Matches("F***T****");
-  if (!correct && ctx.faults) {
+  if (!correct && faults) {
     geom::Coord ring_start;
     if ((HasClosedLineElement(a, &ring_start) ||
          HasClosedLineElement(b, &ring_start)) &&
         im.At(Location::kInterior, Location::kInterior) == 0 &&
-        ctx.faults->Fire(faults::FaultId::kGeosTouchesClosedLineBoundary)) {
+        faults->Fire(faults::FaultId::kGeosTouchesClosedLineBoundary)) {
       // Injected bug: the start vertex of a closed line is treated as a
       // boundary point, turning an interior/interior point intersection
       // into an apparent boundary touch.
@@ -226,9 +211,9 @@ Result<bool> Touches(const Geometry& a, const Geometry& b,
 }
 
 Result<bool> TopoEquals(const Geometry& a, const Geometry& b,
-                        const PredicateContext& ctx) {
+                        const faults::FaultState* faults) {
   SPATTER_COV("predicate", "equals");
-  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, RelateMatrix(a, b, ctx));
+  SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
   return im.Matches("T*F**FFF*");
 }
 

@@ -4,50 +4,36 @@
 #ifndef SPATTER_RELATE_NAMED_PREDICATES_H_
 #define SPATTER_RELATE_NAMED_PREDICATES_H_
 
-#include <string>
-
 #include "common/status.h"
 #include "faults/fault.h"
 #include "geom/geometry.h"
-#include "relate/im_matrix.h"
 
 namespace spatter::relate {
 
-struct PredicateContext {
-  const faults::FaultState* faults = nullptr;
-};
-
-/// DE-9IM matrix of (a, b) honouring injected faults.
-Result<IntersectionMatrix> RelateMatrix(const geom::Geometry& a,
-                                        const geom::Geometry& b,
-                                        const PredicateContext& ctx = {});
-
-/// ST_Relate(a, b, pattern).
-Result<bool> RelatePattern(const geom::Geometry& a, const geom::Geometry& b,
-                           const std::string& pattern,
-                           const PredicateContext& ctx = {});
+// Every predicate evaluates under the enabled set of `faults` (null: no
+// faults), the one argument relate::Relate takes too.
 
 Result<bool> Intersects(const geom::Geometry& a, const geom::Geometry& b,
-                        const PredicateContext& ctx = {});
+                        const faults::FaultState* faults = nullptr);
 Result<bool> Disjoint(const geom::Geometry& a, const geom::Geometry& b,
-                      const PredicateContext& ctx = {});
+                      const faults::FaultState* faults = nullptr);
 Result<bool> Within(const geom::Geometry& a, const geom::Geometry& b,
-                    const PredicateContext& ctx = {});
+                    const faults::FaultState* faults = nullptr);
 Result<bool> Contains(const geom::Geometry& a, const geom::Geometry& b,
-                      const PredicateContext& ctx = {});
+                      const faults::FaultState* faults = nullptr);
 Result<bool> Covers(const geom::Geometry& a, const geom::Geometry& b,
-                    const PredicateContext& ctx = {});
+                    const faults::FaultState* faults = nullptr);
 Result<bool> CoveredBy(const geom::Geometry& a, const geom::Geometry& b,
-                       const PredicateContext& ctx = {});
+                       const faults::FaultState* faults = nullptr);
 Result<bool> Crosses(const geom::Geometry& a, const geom::Geometry& b,
-                     const PredicateContext& ctx = {});
+                     const faults::FaultState* faults = nullptr);
 Result<bool> Overlaps(const geom::Geometry& a, const geom::Geometry& b,
-                      const PredicateContext& ctx = {});
+                      const faults::FaultState* faults = nullptr);
 Result<bool> Touches(const geom::Geometry& a, const geom::Geometry& b,
-                     const PredicateContext& ctx = {});
+                     const faults::FaultState* faults = nullptr);
 /// Topological equality (ST_Equals), not structural equality.
 Result<bool> TopoEquals(const geom::Geometry& a, const geom::Geometry& b,
-                        const PredicateContext& ctx = {});
+                        const faults::FaultState* faults = nullptr);
 
 }  // namespace spatter::relate
 

@@ -16,9 +16,8 @@ bool PreparedGeometry::EnvelopeCandidate(const Geometry& candidate) const {
 }
 
 bool PreparedGeometry::StaleCacheHit(const Geometry& candidate,
-                                     const PredicateContext& ctx) const {
-  if (!ctx.faults ||
-      !ctx.faults->IsEnabled(faults::FaultId::kGeosPreparedStaleCache)) {
+                                     const faults::FaultState* faults) const {
+  if (!faults || !faults->IsEnabled(faults::FaultId::kGeosPreparedStaleCache)) {
     return false;
   }
   // Injected bug (paper Listing 7): the result cache is invalidated by the
@@ -28,43 +27,43 @@ bool PreparedGeometry::StaleCacheHit(const Geometry& candidate,
                    last_candidate_->EqualsExact(candidate);
   last_candidate_ = candidate.Clone();
   last_result_valid_ = true;
-  if (hit) ctx.faults->Fire(faults::FaultId::kGeosPreparedStaleCache);
+  if (hit) faults->Fire(faults::FaultId::kGeosPreparedStaleCache);
   return hit;
 }
 
-Result<bool> PreparedGeometry::Intersects(const Geometry& candidate,
-                                          const PredicateContext& ctx) const {
+Result<bool> PreparedGeometry::Intersects(
+    const Geometry& candidate, const faults::FaultState* faults) const {
   SPATTER_COV("prepared", "intersects");
   if (!candidate.IsEmpty() && !target_.IsEmpty() &&
       !EnvelopeCandidate(candidate)) {
     return false;  // disjoint envelopes cannot intersect.
   }
   exact_evals_++;
-  return relate::Intersects(target_, candidate, ctx);
+  return relate::Intersects(target_, candidate, faults);
 }
 
-Result<bool> PreparedGeometry::Contains(const Geometry& candidate,
-                                        const PredicateContext& ctx) const {
+Result<bool> PreparedGeometry::Contains(
+    const Geometry& candidate, const faults::FaultState* faults) const {
   SPATTER_COV("prepared", "contains");
-  if (StaleCacheHit(candidate, ctx)) return false;
+  if (StaleCacheHit(candidate, faults)) return false;
   if (!candidate.IsEmpty() && !target_.IsEmpty() &&
       !target_env_.Contains(candidate.GetEnvelope())) {
     return false;  // containment requires envelope containment.
   }
   exact_evals_++;
-  return relate::Contains(target_, candidate, ctx);
+  return relate::Contains(target_, candidate, faults);
 }
 
 Result<bool> PreparedGeometry::Covers(const Geometry& candidate,
-                                      const PredicateContext& ctx) const {
+                                      const faults::FaultState* faults) const {
   SPATTER_COV("prepared", "covers");
-  if (StaleCacheHit(candidate, ctx)) return false;
+  if (StaleCacheHit(candidate, faults)) return false;
   if (!candidate.IsEmpty() && !target_.IsEmpty() &&
       !target_env_.Contains(candidate.GetEnvelope())) {
     return false;
   }
   exact_evals_++;
-  return relate::Covers(target_, candidate, ctx);
+  return relate::Covers(target_, candidate, faults);
 }
 
 }  // namespace spatter::relate

@@ -27,13 +27,14 @@ class PreparedGeometry {
 
   const geom::Geometry& target() const { return target_; }
 
-  /// Fast envelope-based rejection; exact fallback through RelateMatrix.
+  /// Fast envelope-based rejection; exact fallback through the named
+  /// predicate under `faults` (null: no faults).
   Result<bool> Intersects(const geom::Geometry& candidate,
-                          const PredicateContext& ctx = {}) const;
+                          const faults::FaultState* faults = nullptr) const;
   Result<bool> Contains(const geom::Geometry& candidate,
-                        const PredicateContext& ctx = {}) const;
+                        const faults::FaultState* faults = nullptr) const;
   Result<bool> Covers(const geom::Geometry& candidate,
-                      const PredicateContext& ctx = {}) const;
+                      const faults::FaultState* faults = nullptr) const;
 
   /// Number of exact (non-shortcut) evaluations, for benches.
   size_t exact_evaluations() const { return exact_evals_; }
@@ -43,7 +44,7 @@ class PreparedGeometry {
   bool EnvelopeCandidate(const geom::Geometry& candidate) const;
   /// Stale-cache fault emulation: remembers the previous candidate.
   bool StaleCacheHit(const geom::Geometry& candidate,
-                     const PredicateContext& ctx) const;
+                     const faults::FaultState* faults) const;
 
   const geom::Geometry& target_;
   geom::Envelope target_env_;

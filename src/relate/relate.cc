@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <vector>
 
 #include "algo/boundary.h"
@@ -21,6 +20,9 @@ using geom::GeomType;
 
 namespace {
 
+// Predicate tolerance for derived points (noded vertices, midpoints).
+constexpr double kEps = geom::kDerivedEps;
+
 // Dimension of the boundary of g (for the empty-vs-nonempty entries).
 int BoundaryDim(const Geometry& g) {
   return algo::Boundary(g)->Dimension();
@@ -38,11 +40,10 @@ bool EnvelopeFastPathSafe(const Geometry& g, const faults::FaultState* faults) {
 }
 
 // Strict separation with an eps margin: point location and noding both snap
-// within opts.eps, so envelopes must be farther apart than any tolerance
-// effect before the pre-filter may conclude "no interaction".
-bool EnvelopesSeparated(const geom::Envelope& ea, const geom::Envelope& eb,
-                        double eps) {
-  const double margin = eps * 16.0;
+// within kEps, so envelopes must be farther apart than any tolerance effect
+// before the pre-filter may conclude "no interaction".
+bool EnvelopesSeparated(const geom::Envelope& ea, const geom::Envelope& eb) {
+  const double margin = kEps * 16.0;
   return ea.min_x() > eb.max_x() + margin || eb.min_x() > ea.max_x() + margin ||
          ea.min_y() > eb.max_y() + margin || eb.min_y() > ea.max_y() + margin;
 }
@@ -115,15 +116,14 @@ int EffectiveDimension(const Geometry& g, const faults::FaultState* faults) {
 namespace {
 
 using FullPath = IntersectionMatrix (*)(const Geometry&, const Geometry&,
-                                        const RelateOptions&);
+                                        const faults::FaultState*);
 
 // The crash check, the empty-operand exits and the envelope pre-filter run
 // on every call: each is cheap and fires its own fault or coverage site.
 // Any other pair goes to `full`.
 Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
                                      const Geometry& b,
-                                     const RelateOptions& opts) {
-  const auto* faults = opts.faults;
+                                     const faults::FaultState* faults) {
   if (faults && (NestingDepth(a) >= 3 || NestingDepth(b) >= 3) &&
       faults->Fire(faults::FaultId::kGeosCrashRelateNestedGc)) {
     return Status::Crash(
@@ -158,7 +158,7 @@ Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
   // as the empty-operand branches above compute it. Skipping the full
   // path's noding and point location is the dominant saving for the join
   // executor's all-pairs predicate evaluation over spread-out tables.
-  if (EnvelopesSeparated(a.GetEnvelope(), b.GetEnvelope(), opts.eps) &&
+  if (EnvelopesSeparated(a.GetEnvelope(), b.GetEnvelope()) &&
       EnvelopeFastPathSafe(a, faults) && EnvelopeFastPathSafe(b, faults)) {
     SPATTER_COV("relate", "envelope_disjoint");
     SPATTER_METRIC_INC("relate.envelope_prefilter");
@@ -169,15 +169,14 @@ Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
     return im;
   }
 
-  return full(a, b, opts);
+  return full(a, b, faults);
 }
 
 // The full path: node both operands' linework, then classify every node,
-// edge midpoint and interior-point witness. It reads a and b, opts.eps and
-// the enabled fault set, and nothing else; it never calls Relate.
+// edge midpoint and interior-point witness. It reads a and b and the
+// enabled fault set, and nothing else; it never calls Relate.
 IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
-                              const RelateOptions& opts) {
-  const auto* faults = opts.faults;
+                              const faults::FaultState* faults) {
   IntersectionMatrix im;
   im.Set(Location::kExterior, Location::kExterior, 2);
 
@@ -187,8 +186,8 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
   thread_local PreparedOperand prepared_a;
   thread_local PreparedOperand prepared_b;
   thread_local std::vector<algo::TaggedSegment> segs;
-  prepared_a.Prepare(a, opts.eps, 0);
-  prepared_b.Prepare(b, opts.eps, 1);
+  prepared_a.Prepare(a, kEps, 0);
+  prepared_b.Prepare(b, kEps, 1);
 
   // 1. Node the combined linework. Isolated point elements join as
   // degenerate segments so edges split at them too — otherwise an edge
@@ -203,7 +202,7 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
     for (const Coord& p : op->point_coords()) segs.push_back({p, p, 2});
   }
   SPATTER_METRIC_INC("relate.full");
-  const algo::NodingResult noded = algo::NodeSegments(segs, opts.eps);
+  const algo::NodingResult noded = algo::NodeSegments(segs, kEps);
 
   // 2. Classification points: all nodes plus isolated point elements.
   const auto classify_node = [&](const Coord& node) {
@@ -364,7 +363,7 @@ uint64_t HashKey(const std::vector<uint64_t>& key) {
 class RelateMemo {
  public:
   IntersectionMatrix Relate(const Geometry& a, const Geometry& b,
-                            const RelateOptions& opts);
+                            const faults::FaultState* faults);
 
  private:
   static constexpr size_t kKeyWords = 256 * 1024 / sizeof(uint64_t);
@@ -383,22 +382,20 @@ class RelateMemo {
   };
 
   const Entry* Find(uint64_t hash) const;
-  void Admit(uint64_t hash, uint64_t fired, const IntersectionMatrix& im);
+  void Admit(uint64_t hash, const IntersectionMatrix& im);
 
   std::vector<uint64_t> key_;   // the current call's key
   std::vector<uint64_t> seen_;  // admission filter: last hash per slot
   std::vector<uint64_t> words_;  // admitted keys, back to back
   std::vector<CoverageRegistry::SiteHits> sites_;  // recorded coverage
-  std::vector<CoverageRegistry::SiteHits> capture_;  // one kernel run's
+  faults::Effects recording_;  // one kernel run's
   std::vector<Entry> entries_;
   std::vector<uint32_t> slots_;  // entry index + 1; 0 = free
 };
 
 IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
-                                      const RelateOptions& opts) {
-  const faults::FaultState* faults = opts.faults;
+                                      const faults::FaultState* faults) {
   key_.clear();
-  key_.push_back(Bits(opts.eps));
   key_.push_back(faults != nullptr);
   key_.push_back(faults ? faults->EnabledMask() : 0);
   AppendKey(a, &key_);
@@ -407,14 +404,8 @@ IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
 
   if (const Entry* e = Find(hash)) {
     SPATTER_METRIC_INC("relate.memo.hit");
-    for (uint64_t fired = e->fired; fired != 0; fired &= fired - 1) {
-      faults->Fire(static_cast<faults::FaultId>(__builtin_ctzll(fired)));
-    }
-    auto& registry = CoverageRegistry::Instance();
-    for (uint32_t i = 0; i < e->sites_size; ++i) {
-      const CoverageRegistry::SiteHits& s = sites_[e->sites_begin + i];
-      registry.Hit(s.site, s.count);
-    }
+    faults::Effects::Replay(faults, e->fired, sites_.data() + e->sites_begin,
+                            e->sites_size);
     return e->im;
   }
 
@@ -424,24 +415,12 @@ IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
   uint64_t& seen = seen_[hash % kSeenSlots];
   if (seen != hash || key_.size() > kKeyWords) {
     seen = hash;
-    return FullRelate(a, b, opts);
+    return FullRelate(a, b, faults);
   }
 
-  // Record what this run alone fires and hits: the caller's earlier hits
-  // are set aside and merged back afterwards.
-  std::set<faults::FaultId> earlier;
-  if (faults) earlier = faults->TakeHits();
-  CoverageRegistry::BeginCapture(&capture_);
-  const IntersectionMatrix im = FullRelate(a, b, opts);
-  CoverageRegistry::EndCapture();
-  uint64_t fired = 0;
-  if (faults) {
-    for (const faults::FaultId id : faults->Hits()) {
-      fired |= faults::FaultState::Bit(id);
-    }
-    faults->RestoreHits(std::move(earlier));
-  }
-  Admit(hash, fired, im);
+  const IntersectionMatrix im =
+      recording_.Record(faults, [&] { return FullRelate(a, b, faults); });
+  Admit(hash, im);
   return im;
 }
 
@@ -458,8 +437,7 @@ const RelateMemo::Entry* RelateMemo::Find(uint64_t hash) const {
   }
 }
 
-void RelateMemo::Admit(uint64_t hash, uint64_t fired,
-                       const IntersectionMatrix& im) {
+void RelateMemo::Admit(uint64_t hash, const IntersectionMatrix& im) {
   if (slots_.empty()) {
     slots_.assign(kSlots, 0);
     words_.reserve(kKeyWords);
@@ -476,31 +454,33 @@ void RelateMemo::Admit(uint64_t hash, uint64_t fired,
   entries_.push_back({hash, static_cast<uint32_t>(words_.size()),
                       static_cast<uint32_t>(key_.size()),
                       static_cast<uint32_t>(sites_.size()),
-                      static_cast<uint32_t>(capture_.size()), fired, im});
+                      static_cast<uint32_t>(recording_.sites.size()),
+                      recording_.fired, im});
   words_.insert(words_.end(), key_.begin(), key_.end());
-  sites_.insert(sites_.end(), capture_.begin(), capture_.end());
+  sites_.insert(sites_.end(), recording_.sites.begin(),
+                recording_.sites.end());
   size_t i = hash >> 32;
   while (slots_[i % kSlots] != 0) ++i;
   slots_[i % kSlots] = static_cast<uint32_t>(entries_.size());
 }
 
 IntersectionMatrix MemoizedFullRelate(const Geometry& a, const Geometry& b,
-                                      const RelateOptions& opts) {
+                                      const faults::FaultState* faults) {
   thread_local RelateMemo memo;
-  return memo.Relate(a, b, opts);
+  return memo.Relate(a, b, faults);
 }
 
 }  // namespace
 
 Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
-                                  const RelateOptions& opts) {
-  return RelateVia(MemoizedFullRelate, a, b, opts);
+                                  const faults::FaultState* faults) {
+  return RelateVia(MemoizedFullRelate, a, b, faults);
 }
 
 Result<IntersectionMatrix> RelateUnmemoized(const Geometry& a,
                                             const Geometry& b,
-                                            const RelateOptions& opts) {
-  return RelateVia(FullRelate, a, b, opts);
+                                            const faults::FaultState* faults) {
+  return RelateVia(FullRelate, a, b, faults);
 }
 
 }  // namespace spatter::relate

@@ -14,15 +14,15 @@
 //  - Key: everything the kernel reads. That is both operands' structure
 //    (the type tag at every level, point, ring and element counts), their
 //    coordinates as raw bits (so 0.0 and -0.0, or two NaN payloads, are
-//    different keys), the bits of opts.eps, and the enabled fault set
-//    (FaultState::EnabledMask, not the state's address; faults == nullptr
-//    has its own key). A hit needs the whole key to be equal; the hash
-//    only picks the slot.
-//  - Replay: an admitted miss records the fault ids the kernel run fired
-//    (the caller's earlier hits set aside) and every coverage site it hit
-//    with its count (CoverageRegistry capture). A hit re-fires those ids
-//    and re-adds those counts, so fault hits, coverage traces and counters
-//    end exactly as a kernel run leaves them. Only the metrics differ:
+//    different keys), and the enabled fault set (FaultState::EnabledMask,
+//    not the state's address; faults == nullptr has its own key). The
+//    kernel's tolerance is a constant, so it is no part of the key. A hit
+//    needs the whole key to be equal; the hash only picks the slot.
+//  - Replay: an admitted miss records the kernel run with faults::Effects:
+//    the fault ids it fired (the caller's earlier hits set aside) and
+//    every coverage site it hit with its count. A hit replays them, so
+//    fault hits, coverage traces and counters end exactly as a kernel run
+//    leaves them. Only the metrics differ:
 //    `relate.full` counts kernel runs, `relate.memo.hit` the replays. The
 //    kernel never calls Relate, so the memo's recordings never nest in
 //    each other; one can run inside a load statement's recording
@@ -41,29 +41,23 @@
 #include "common/status.h"
 #include "faults/fault.h"
 #include "geom/geometry.h"
-#include "geom/predicates.h"
 #include "relate/im_matrix.h"
 
 namespace spatter::relate {
 
-struct RelateOptions {
-  const faults::FaultState* faults = nullptr;
-  /// Predicate tolerance for derived points (noded vertices, midpoints).
-  double eps = geom::kDerivedEps;
-};
-
-/// Computes the DE-9IM matrix of (a, b). Fails with StatusCode::kCrash when
-/// the kGeosCrashRelateNestedGc fault fires (collections nested >= 3 deep).
+/// Computes the DE-9IM matrix of (a, b) under the enabled set of `faults`
+/// (null: no faults). Fails with StatusCode::kCrash when the
+/// kGeosCrashRelateNestedGc fault fires (collections nested >= 3 deep).
 Result<IntersectionMatrix> Relate(const geom::Geometry& a,
                                   const geom::Geometry& b,
-                                  const RelateOptions& opts = {});
+                                  const faults::FaultState* faults = nullptr);
 
 /// Relate without the memo: the kernel runs on every full-path call.
 /// Relate returns what this returns, fires the same fault ids and hits the
 /// same coverage sites the same number of times.
-Result<IntersectionMatrix> RelateUnmemoized(const geom::Geometry& a,
-                                            const geom::Geometry& b,
-                                            const RelateOptions& opts = {});
+Result<IntersectionMatrix> RelateUnmemoized(
+    const geom::Geometry& a, const geom::Geometry& b,
+    const faults::FaultState* faults = nullptr);
 
 /// True when some element of g, at any nesting depth, is EMPTY. Such
 /// inputs skip the envelope pre-filter under faults, Intersects keys the

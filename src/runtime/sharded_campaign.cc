@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "fuzz/transfer.h"
+#include "runtime/parallel_for.h"
 
 namespace spatter::runtime {
 
@@ -38,72 +39,57 @@ CampaignResult ShardedCampaign::Run(const Observer& observer) {
 
   std::mutex merge_mu;
   Aggregator aggregator;
-  // One corpus slot per (dialect, slice); written only by the slice task.
-  std::vector<std::unique_ptr<corpus::Corpus>> slice_corpora(
-      dialects_.size() * slices.size());
-  {
-    // Batch tasks queue onto `jobs` threads. A duration task loops until
-    // the shared deadline, so a pool smaller than the task count would
-    // never start the excess slices (the first wave holds its threads to
-    // the deadline, and late starters would find it passed); duration
-    // mode sizes the pool to the task count and lets the OS time-slice.
-    ThreadPool pool(deadline > 0
-                        ? std::max(config_.jobs, slice_corpora.size())
-                        : config_.jobs);
-    size_t slot = 0;
-    for (const engine::Dialect dialect : dialects_) {
-      for (const uint64_t slice : slices) {
-        std::unique_ptr<corpus::Corpus>* corpus_out = &slice_corpora[slot++];
-        pool.Submit([&, dialect, slice, corpus_out] {
-          CampaignConfig cfg = config_.base;
-          cfg.dialect = dialect;
-          Campaign campaign(cfg);
-          campaign.SeedCorpus(config_.seed_corpus);
-          const double slice_t0 = Campaign::NowSeconds();
-          const engine::EngineStats stats_t0 = campaign.engine().stats();
-          const auto mark = config_.completed.find(
-              {static_cast<uint64_t>(dialect), slice});
-          uint64_t completed =
-              mark == config_.completed.end() ? 0 : mark->second;
-          for (size_t i = slice + completed * stride;; i += stride) {
-            if (deadline > 0 ? Campaign::NowSeconds() - t0 >= deadline
-                             : i >= cfg.iterations) {
-              break;
-            }
-            if (observer.before && !observer.before(campaign, slice, i)) {
-              break;
-            }
-            // Anchor elapsed_seconds at the run's start so the
-            // aggregator's earliest-detection dedup compares like with
-            // like across slices.
-            CampaignResult delta;
-            campaign.RunIterationAt(i, &delta, t0);
-            ++completed;
-            if (observer.after) {
-              observer.after(campaign, slice, completed, &delta);
-            }
-            // Move-merge keeps the critical section to pointer steals; the
-            // sampler runs under the same lock so it always sees a stable
-            // aggregate.
-            std::lock_guard<std::mutex> lock(merge_mu);
-            aggregator.Merge(std::move(delta));
-            if (observer.sample) {
-              observer.sample(Campaign::NowSeconds() - t0,
-                              aggregator.current());
-            }
-          }
-          if (observer.slice_done) observer.slice_done(dialect, slice);
-          // Timing-only record: counters were merged per iteration above.
-          CampaignResult timing;
-          campaign.FinalizeResult(&timing, slice_t0, stats_t0);
-          *corpus_out = campaign.TakeCorpus();
-          std::lock_guard<std::mutex> lock(merge_mu);
-          aggregator.Merge(std::move(timing));
-        });
+  // Task slots are dialect-major, slice-minor: slot k runs
+  // (dialects_[k / slices.size()], slices[k % slices.size()]).
+  const size_t tasks = dialects_.size() * slices.size();
+  // One corpus slot per task; written only by that task.
+  std::vector<std::unique_ptr<corpus::Corpus>> slice_corpora(tasks);
+  // A batch task ends at the iteration budget, so `jobs` threads share the
+  // tasks. A duration task loops until the shared deadline, so a thread
+  // that finished one would start the next after the deadline, to no
+  // effect: duration mode gives every task its own thread and lets the OS
+  // time-slice.
+  ParallelFor(deadline > 0 ? tasks : config_.jobs, tasks, [&](size_t slot) {
+    const engine::Dialect dialect = dialects_[slot / slices.size()];
+    const uint64_t slice = slices[slot % slices.size()];
+    CampaignConfig cfg = config_.base;
+    cfg.dialect = dialect;
+    Campaign campaign(cfg);
+    campaign.SeedCorpus(config_.seed_corpus);
+    const double slice_t0 = Campaign::NowSeconds();
+    const engine::EngineStats stats_t0 = campaign.engine().stats();
+    const auto mark =
+        config_.completed.find({static_cast<uint64_t>(dialect), slice});
+    uint64_t completed = mark == config_.completed.end() ? 0 : mark->second;
+    for (size_t i = slice + completed * stride;; i += stride) {
+      if (deadline > 0 ? Campaign::NowSeconds() - t0 >= deadline
+                       : i >= cfg.iterations) {
+        break;
+      }
+      if (observer.before && !observer.before(campaign, slice, i)) break;
+      // Anchor elapsed_seconds at the run's start so the aggregator's
+      // earliest-detection dedup compares like with like across slices.
+      CampaignResult delta;
+      campaign.RunIterationAt(i, &delta, t0);
+      ++completed;
+      if (observer.after) observer.after(campaign, slice, completed, &delta);
+      // Move-merge keeps the critical section to pointer steals; the
+      // sampler runs under the same lock so it always sees a stable
+      // aggregate.
+      std::lock_guard<std::mutex> lock(merge_mu);
+      aggregator.Merge(std::move(delta));
+      if (observer.sample) {
+        observer.sample(Campaign::NowSeconds() - t0, aggregator.current());
       }
     }
-    pool.Wait();
-  }
+    if (observer.slice_done) observer.slice_done(dialect, slice);
+    // Timing-only record: counters were merged per iteration above.
+    CampaignResult timing;
+    campaign.FinalizeResult(&timing, slice_t0, stats_t0);
+    slice_corpora[slot] = campaign.TakeCorpus();
+    std::lock_guard<std::mutex> lock(merge_mu);
+    aggregator.Merge(std::move(timing));
+  });
 
   // Merge in slot order: (dialect, slice) position, not finish time, so
   // the merged corpus is reproducible for a fixed configuration.

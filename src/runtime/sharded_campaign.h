@@ -33,7 +33,6 @@
 
 #include "fuzz/campaign.h"
 #include "runtime/aggregator.h"
-#include "runtime/thread_pool.h"
 
 namespace spatter::runtime {
 
@@ -42,7 +41,7 @@ struct ShardedCampaignConfig {
   /// `base.iterations` is the TOTAL iteration budget per dialect, split
   /// across slices. `base.dialect` is used when `dialects` is empty.
   fuzz::CampaignConfig base;
-  /// Worker threads in the pool.
+  /// Worker threads (batch mode; duration mode runs one per task).
   size_t jobs = 1;
   /// The stride: slices per dialect; 0 = one per job. With the corpus
   /// disabled the unique-bug set is invariant to this value — it only
@@ -104,9 +103,9 @@ class ShardedCampaign {
 
   explicit ShardedCampaign(const ShardedCampaignConfig& config);
 
-  /// Runs every owned (dialect, slice) pair on the pool — to the iteration
-  /// budget, or until the wall budget elapses — and returns the aggregated
-  /// result.
+  /// Runs every owned (dialect, slice) pair as one ParallelFor task — to
+  /// the iteration budget, or until the wall budget elapses — and returns
+  /// the aggregated result.
   fuzz::CampaignResult Run(const Observer& observer = Observer());
 
   /// Effective slice count (the stride) per dialect.

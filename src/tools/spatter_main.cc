@@ -61,8 +61,8 @@
 #include "net/fleet_server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/parallel_for.h"
 #include "runtime/sharded_campaign.h"
-#include "runtime/thread_pool.h"
 
 using namespace spatter;  // NOLINT
 
@@ -973,8 +973,8 @@ int main(int argc, char** argv) {
 
   // Reduction is embarrassingly parallel — each bug gets its own fresh
   // engine of the dialect that found it (in fleet/sharded mode the
-  // original shard engine is gone) — so batch it onto the same pool the
-  // campaign used instead of reducing serially while printing.
+  // original shard engine is gone) — so it runs on `jobs` threads, as the
+  // campaign did, instead of serially while printing.
   std::vector<std::pair<faults::FaultId, const fuzz::Discrepancy*>> firsts;
   firsts.reserve(result.unique_bugs.size());
   for (const auto& [id, first] : result.unique_bugs) {
@@ -989,22 +989,16 @@ int main(int argc, char** argv) {
       reduced[i] = *firsts[i].second;
     }
   }
-  if (!to_reduce.empty()) {
-    runtime::ThreadPool pool(opts.jobs);
-    for (size_t i : to_reduce) {
-      pool.Submit([&opts, &firsts, &reduced, i] {
-        const auto& [fault_id, first] = firsts[i];
-        engine::Engine reduce_engine(first->dialect, opts.enable_faults);
-        fuzz::ReductionStats stats;
-        // Pin the reduction to this bug's fault so the minimized
-        // reproducer still demonstrates THIS bug, not whichever other
-        // fault happens to survive minimization.
-        reduced[i] = fuzz::ReduceDiscrepancy(&reduce_engine, *first, &stats,
-                                             fault_id);
-      });
-    }
-    pool.Wait();
-  }
+  runtime::ParallelFor(opts.jobs, to_reduce.size(), [&](size_t k) {
+    const auto& [fault_id, first] = firsts[to_reduce[k]];
+    engine::Engine reduce_engine(first->dialect, opts.enable_faults);
+    fuzz::ReductionStats stats;
+    // Pin the reduction to this bug's fault so the minimized reproducer
+    // still demonstrates THIS bug, not whichever other fault happens to
+    // survive minimization.
+    reduced[to_reduce[k]] =
+        fuzz::ReduceDiscrepancy(&reduce_engine, *first, &stats, fault_id);
+  });
 
   int bug_no = 0;
   size_t repro_idx = 0;

@@ -310,6 +310,75 @@ TEST(CheckpointCodec, CorruptDocumentsRejected) {
       << "wrong end count";
 }
 
+TEST(CheckpointCodec, FloatFieldsAcceptOnlyFiniteDecimals) {
+  // Every float field of the wire and checkpoint grammars, as a template
+  // whose '@' is the field under test. Each must take a plain decimal and
+  // refuse what strtod alone would also take: a peer or a file that says
+  // "inf" must not set an endless duration budget.
+  const std::string snapshot = obs::MetricsSnapshot().EncodeText();
+  const std::string stats_hex =
+      HexEncode(std::vector<uint8_t>(snapshot.begin(), snapshot.end()));
+  auto bug = MakeBugFrame(SampleBug(), 7);
+  ASSERT_TRUE(bug.ok()) << bug.status().ToString();
+  std::string bug_line = EncodeFrame(bug.value());
+  bug_line.pop_back();  // the '\n'
+  std::vector<std::string> bug_fields = SplitFrameFields(bug_line);
+  ASSERT_EQ(bug_fields.size(), 8u);
+  bug_fields[5] = "@";  // SPTW1 BUG <query> <crash> <oracle> <elapsed> ...
+  bug_line.clear();
+  for (const std::string& f : bug_fields) {
+    bug_line += (bug_line.empty() ? "" : " ") + f;
+  }
+  const std::vector<std::string> wire = {
+      "SPTW1 COV @ 1 1 -",         "SPTW1 DONE 1 1 1 @ 0.5",
+      "SPTW1 DONE 1 1 1 0.5 @",    "SPTW1 STATS @ " + stats_hex,
+      bug_line,
+  };
+  const std::vector<std::vector<std::string>> checkpoint = {
+      {"config 42 10 25 8 4 1 1 postgis aei 0 50 @", kValidCountersLine},
+      {kValidConfigLine, "counters @ 0 0 0 0 0"},
+      {kValidConfigLine, "counters 0 0 0 0 @ 0"},
+      {kValidConfigLine, "counters 0 0 0 0 0 @"},
+      {kValidConfigLine, kValidCountersLine, "curve @ 2 3 4"},
+  };
+  const auto fill = [](std::string text, const std::string& value) {
+    return text.replace(text.find('@'), 1, value);
+  };
+  const auto decodes = [&](const std::string& value) {
+    std::vector<bool> out;
+    for (const std::string& frame : wire) {
+      out.push_back(DecodeFrame(fill(frame, value)).ok());
+    }
+    for (std::vector<std::string> body : checkpoint) {
+      for (std::string& line : body) {
+        if (line.find('@') != std::string::npos) line = fill(line, value);
+      }
+      out.push_back(DecodeCheckpoint(Doc(body)).ok());
+    }
+    return out;
+  };
+  const std::vector<bool> all(wire.size() + checkpoint.size(), true);
+  const std::vector<bool> none(all.size(), false);
+  for (const char* good : {"0", "1.5", "12.500000", "2.5e-07", "1e+300",
+                           "9.9999999999999995e-08"}) {
+    EXPECT_EQ(decodes(good), all) << good;
+  }
+  for (const char* bad : {"nan", "inf", "-nan", "-inf", "NAN", "infinity",
+                          "0x10", "0x1p4", "+1", " 1", "1.", ".5", "1e",
+                          "1e+", "1E5", "1e999", "1.5x", ""}) {
+    EXPECT_EQ(decodes(bad), none) << "'" << bad << "'";
+  }
+
+  // What the checkpoint encoder prints for a small elapsed time carries an
+  // exponent, and it still round-trips exactly.
+  CheckpointState state = SampleState();
+  state.curve = {{1e-07, 1, 0, 1}};
+  auto decoded = DecodeCheckpoint(EncodeCheckpoint(state));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded.value().curve.size(), 1u);
+  EXPECT_EQ(decoded.value().curve[0].elapsed_seconds, 1e-07);
+}
+
 TEST(CheckpointCodec, EveryTruncationRejected) {
   // A truncated checkpoint (full disk, interrupted copy) must be refused
   // at EVERY byte length, never resumed from partially. The one benign

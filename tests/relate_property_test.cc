@@ -60,11 +60,11 @@ TEST_P(AffineInvariance, RelateMatrixPreservedUnderIntegerAffine) {
 
   for (size_t i = 0; i < geoms.size(); ++i) {
     for (size_t j = 0; j < geoms.size(); ++j) {
-      const auto before = Relate(*geoms[i], *geoms[j], {});
+      const auto before = Relate(*geoms[i], *geoms[j]);
       ASSERT_TRUE(before.ok());
       const geom::GeomPtr ti = transform.Apply(*geoms[i]);
       const geom::GeomPtr tj = transform.Apply(*geoms[j]);
-      const auto after = Relate(*ti, *tj, {});
+      const auto after = Relate(*ti, *tj);
       ASSERT_TRUE(after.ok());
       EXPECT_EQ(before.value().Code(), after.value().Code())
           << geoms[i]->ToWkt() << " vs " << geoms[j]->ToWkt() << " under "
@@ -78,11 +78,11 @@ TEST_P(AffineInvariance, CanonicalizationPreservesRelations) {
   auto geoms = RandomGeometries(seed + 1000, 8);
   for (size_t i = 0; i < geoms.size(); ++i) {
     for (size_t j = 0; j < geoms.size(); ++j) {
-      const auto before = Relate(*geoms[i], *geoms[j], {});
+      const auto before = Relate(*geoms[i], *geoms[j]);
       ASSERT_TRUE(before.ok());
       const geom::GeomPtr ci = algo::Canonicalize(*geoms[i]);
       const geom::GeomPtr cj = algo::Canonicalize(*geoms[j]);
-      const auto after = Relate(*ci, *cj, {});
+      const auto after = Relate(*ci, *cj);
       ASSERT_TRUE(after.ok());
       EXPECT_EQ(before.value().Code(), after.value().Code())
           << geoms[i]->ToWkt() << " canonicalized to " << ci->ToWkt();
@@ -97,23 +97,23 @@ TEST_P(AffineInvariance, PredicateAlgebra) {
     for (size_t j = 0; j < geoms.size(); ++j) {
       const auto& a = *geoms[i];
       const auto& b = *geoms[j];
-      EXPECT_EQ(Within(a, b, {}).value(), Contains(b, a, {}).value());
-      EXPECT_EQ(Covers(a, b, {}).value(), CoveredBy(b, a, {}).value());
-      EXPECT_NE(Intersects(a, b, {}).value(), Disjoint(a, b, {}).value());
-      EXPECT_EQ(Intersects(a, b, {}).value(), Intersects(b, a, {}).value());
-      EXPECT_EQ(TopoEquals(a, b, {}).value(),
-                Within(a, b, {}).value() && Contains(a, b, {}).value());
-      if (Contains(a, b, {}).value()) {
-        EXPECT_TRUE(Covers(a, b, {}).value())
+      EXPECT_EQ(Within(a, b).value(), Contains(b, a).value());
+      EXPECT_EQ(Covers(a, b).value(), CoveredBy(b, a).value());
+      EXPECT_NE(Intersects(a, b).value(), Disjoint(a, b).value());
+      EXPECT_EQ(Intersects(a, b).value(), Intersects(b, a).value());
+      EXPECT_EQ(TopoEquals(a, b).value(),
+                Within(a, b).value() && Contains(a, b).value());
+      if (Contains(a, b).value()) {
+        EXPECT_TRUE(Covers(a, b).value())
             << "contains must imply covers: " << a.ToWkt() << " / "
             << b.ToWkt();
       }
-      if (Overlaps(a, b, {}).value()) {
-        EXPECT_TRUE(Intersects(a, b, {}).value());
-        EXPECT_FALSE(TopoEquals(a, b, {}).value());
+      if (Overlaps(a, b).value()) {
+        EXPECT_TRUE(Intersects(a, b).value());
+        EXPECT_FALSE(TopoEquals(a, b).value());
       }
-      if (Touches(a, b, {}).value()) {
-        EXPECT_TRUE(Intersects(a, b, {}).value());
+      if (Touches(a, b).value()) {
+        EXPECT_TRUE(Intersects(a, b).value());
       }
     }
   }
@@ -127,9 +127,9 @@ TEST_P(AffineInvariance, PreparedAgreesWithPlainOnRandomInputs) {
     for (size_t j = 0; j < geoms.size(); ++j) {
       const auto& c = *geoms[j];
       EXPECT_EQ(prep.Intersects(c).value(),
-                Intersects(*geoms[i], c, {}).value());
-      EXPECT_EQ(prep.Contains(c).value(), Contains(*geoms[i], c, {}).value());
-      EXPECT_EQ(prep.Covers(c).value(), Covers(*geoms[i], c, {}).value());
+                Intersects(*geoms[i], c).value());
+      EXPECT_EQ(prep.Contains(c).value(), Contains(*geoms[i], c).value());
+      EXPECT_EQ(prep.Covers(c).value(), Covers(*geoms[i], c).value());
     }
   }
 }
@@ -138,7 +138,7 @@ TEST_P(AffineInvariance, SelfRelateIsEqualsShaped) {
   auto geoms = RandomGeometries(GetParam() + 4000, 10);
   for (const auto& g : geoms) {
     if (g->IsEmpty()) continue;
-    const auto im = Relate(*g, *g, {}).Take();
+    const auto im = Relate(*g, *g).Take();
     EXPECT_TRUE(im.Matches("T*F**FFF*")) << g->ToWkt() << " -> " << im.Code();
   }
 }
@@ -168,9 +168,9 @@ TEST(AffineInvariance, NamedTransformsOnFixedScenarios) {
       for (const char* wb : wkts) {
         const auto a = geom::ReadWkt(wa).Take();
         const auto b = geom::ReadWkt(wb).Take();
-        const auto before = Relate(*a, *b, {}).Take();
+        const auto before = Relate(*a, *b).Take();
         const auto after =
-            Relate(*t.Apply(*a), *t.Apply(*b), {}).Take();
+            Relate(*t.Apply(*a), *t.Apply(*b)).Take();
         EXPECT_EQ(before.Code(), after.Code())
             << wa << " vs " << wb << " under " << t.ToString();
       }
@@ -469,7 +469,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PreparedLocatorExactness,
 using geom::Geometry;
 using RelateFn = Result<IntersectionMatrix> (*)(const Geometry&,
                                                 const Geometry&,
-                                                const RelateOptions&);
+                                                const faults::FaultState*);
 
 // What one relate call returned and left behind.
 struct RelateRun {
@@ -501,14 +501,12 @@ uint64_t CounterValue(const char* name) {
 // Calls `fn` with `faults` (hits cleared first) and records the outcome.
 RelateRun RunRelate(RelateFn fn, const Geometry& a, const Geometry& b,
                     const faults::FaultState* faults) {
-  RelateOptions opts;
-  opts.faults = faults;
   if (faults) faults->ClearHits();
   auto& registry = CoverageRegistry::Instance();
   const uint64_t full = CounterValue("relate.full");
   const uint64_t hits = CounterValue("relate.memo.hit");
   const std::vector<uint64_t> before = registry.SnapshotHits();
-  const auto r = fn(a, b, opts);
+  const auto r = fn(a, b, faults);
   const std::vector<uint64_t> after = registry.SnapshotHits();
   RelateRun run;
   run.result = r.ok() ? r.value().Code() : r.status().ToString();
@@ -694,9 +692,7 @@ TEST(RelateMemo, EarlierHitsAreKeptButNotRecorded) {
     faults::FaultState state;
     state.EnableAll(enabled);
     state.Fire(FaultId::kGeosPreparedStaleCache);
-    RelateOptions opts;
-    opts.faults = &state;
-    ASSERT_TRUE(Relate(*gc, *line, opts).ok());
+    ASSERT_TRUE(Relate(*gc, *line, &state).ok());
     EXPECT_EQ(state.Hits(), (std::set<FaultId>{
                                 FaultId::kGeosGcBoundaryLastOneWins,
                                 FaultId::kGeosPreparedStaleCache}));

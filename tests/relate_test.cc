@@ -23,7 +23,7 @@ geom::GeomPtr Read(const std::string& wkt) {
 std::string Code(const std::string& a, const std::string& b) {
   const auto ga = Read(a);
   const auto gb = Read(b);
-  auto im = Relate(*ga, *gb, {});
+  auto im = Relate(*ga, *gb);
   EXPECT_TRUE(im.ok()) << a << " vs " << b;
   return im.ok() ? im.value().Code() : "ERROR";
 }
@@ -152,8 +152,8 @@ TEST(Relate, MatrixIsTransposeOfSwappedArguments) {
     for (const char* b : geoms) {
       const auto ga = Read(a);
       const auto gb = Read(b);
-      const auto ab = Relate(*ga, *gb, {}).Take();
-      const auto ba = Relate(*gb, *ga, {}).Take();
+      const auto ab = Relate(*ga, *gb).Take();
+      const auto ba = Relate(*gb, *ga).Take();
       EXPECT_EQ(ab.Transposed(), ba) << a << " vs " << b;
     }
   }
@@ -162,11 +162,11 @@ TEST(Relate, MatrixIsTransposeOfSwappedArguments) {
 // --- Named predicates ------------------------------------------------------
 
 bool Pred(Result<bool> (*fn)(const geom::Geometry&, const geom::Geometry&,
-                             const PredicateContext&),
+                             const faults::FaultState*),
           const std::string& a, const std::string& b) {
   const auto ga = Read(a);
   const auto gb = Read(b);
-  auto r = fn(*ga, *gb, {});
+  auto r = fn(*ga, *gb, nullptr);
   EXPECT_TRUE(r.ok());
   return r.ok() && r.value();
 }
@@ -252,9 +252,10 @@ TEST(NamedPredicates, CoversFamilyOnLines) {
 TEST(NamedPredicates, RelatePattern) {
   const auto a = Read("POINT(5 5)");
   const auto b = Read(kSquare);
-  EXPECT_TRUE(RelatePattern(*a, *b, "0FFFFF212", {}).value());
-  EXPECT_TRUE(RelatePattern(*a, *b, "T*F**F***", {}).value());
-  EXPECT_FALSE(RelatePattern(*a, *b, "FF*FF****", {}).value());
+  const IntersectionMatrix im = Relate(*a, *b).Take();
+  EXPECT_TRUE(im.Matches("0FFFFF212"));
+  EXPECT_TRUE(im.Matches("T*F**F***"));
+  EXPECT_FALSE(im.Matches("FF*FF****"));
 }
 
 // --- Point locator ---------------------------------------------------------

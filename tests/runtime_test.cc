@@ -1,22 +1,25 @@
-// Parallel campaign runtime tests: the work-stealing pool, cross-shard
+// Parallel campaign runtime tests: the task runner, cross-shard
 // aggregation, and — most important — the determinism contract: the
 // campaign universe is a pure function of (seed, iteration), so a sharded
 // run reproduces a serial run's findings at ANY shard count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/coverage.h"
 #include "common/rng.h"
 #include "fuzz/campaign.h"
 #include "runtime/aggregator.h"
+#include "runtime/parallel_for.h"
 #include "runtime/sharded_campaign.h"
-#include "runtime/thread_pool.h"
 
 namespace spatter::runtime {
 namespace {
@@ -73,45 +76,56 @@ TEST(RngBelow, UnbiasedRangeAndDeterminism) {
   EXPECT_NEAR(static_cast<double>(low) / kDraws, 1.0 / 3, 0.02);
 }
 
-TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIsReusableAndStealsAcrossQueues) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  // Uneven tasks: round-robin puts the slow ones on one queue; stealing
-  // lets the other workers drain them.
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 30; ++i) {
-      pool.Submit([&count, i] {
-        if (i % 3 == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        count.fetch_add(1);
-      });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (round + 1) * 30);
-  }
-}
-
-TEST(ThreadPool, SubmitFromWorkerThread) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &count] {
-      pool.Submit([&count] { count.fetch_add(1); });
+TEST(ParallelFor, RunsEveryIndexOnceOffTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [threads, tasks] :
+       std::vector<std::pair<size_t, size_t>>{{1, 0}, {1, 5}, {3, 2},
+                                              {4, 200}}) {
+    std::vector<std::atomic<int>> runs(tasks);
+    std::atomic<int> inline_runs{0};
+    ParallelFor(threads, tasks, [&](size_t i) {
+      runs[i].fetch_add(1);
+      if (std::this_thread::get_id() == caller) inline_runs.fetch_add(1);
     });
+    for (size_t i = 0; i < tasks; ++i) {
+      EXPECT_EQ(runs[i].load(), 1)
+          << "index " << i << " of (" << threads << ", " << tasks << ")";
+    }
+    EXPECT_EQ(inline_runs.load(), 0);
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ParallelFor, AsManyThreadsAsTasksRunsThemAllAtOnce) {
+  // Duration mode relies on this: every task waits here until all four
+  // have started, which a runner with fewer threads never lets happen.
+  // The deadline turns such a runner into a failure instead of a hang.
+  constexpr size_t kTasks = 4;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<size_t> started{0};
+  std::atomic<size_t> saw_all{0};
+  ParallelFor(kTasks, kTasks, [&](size_t) {
+    started.fetch_add(1);
+    while (started.load() < kTasks &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == kTasks) saw_all.fetch_add(1);
+  });
+  EXPECT_EQ(saw_all.load(), kTasks);
+}
+
+TEST(ParallelFor, RethrowsATaskExceptionAfterJoining) {
+  std::atomic<int> running{0};
+  EXPECT_THROW(ParallelFor(3, 50,
+                           [&](size_t i) {
+                             running.fetch_add(1);
+                             std::this_thread::yield();
+                             running.fetch_sub(1);
+                             if (i == 7) throw std::runtime_error("task 7");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(running.load(), 0) << "returned before every thread finished";
 }
 
 TEST(Aggregator, DeduplicatesByFaultIdEarliestWins) {
