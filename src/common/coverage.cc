@@ -41,13 +41,15 @@ size_t CoverageRegistry::Register(const std::string& module,
   return idx;
 }
 
-void CoverageRegistry::ResetHits() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < points_.size(); ++i) {
-    hits_[i].store(0, std::memory_order_relaxed);
+uint64_t CoverageRegistry::Hits(size_t index) const {
+  uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.hits[index].load(std::memory_order_relaxed);
   }
-  covered_count_.store(0, std::memory_order_relaxed);
+  return total;
 }
+
+void CoverageRegistry::ResetHits() { RestoreHits({}); }
 
 std::vector<uint32_t> CoverageRegistry::NewSitesSince(
     const std::vector<uint64_t>& snapshot) const {
@@ -55,7 +57,7 @@ std::vector<uint32_t> CoverageRegistry::NewSitesSince(
   std::vector<uint32_t> out;
   for (size_t i = 0; i < points_.size(); ++i) {
     const uint64_t before = i < snapshot.size() ? snapshot[i] : 0;
-    if (hits_[i].load(std::memory_order_relaxed) > before) {
+    if (Hits(i) > before) {
       out.push_back(static_cast<uint32_t>(i));
     }
   }
@@ -128,7 +130,7 @@ std::vector<uint64_t> CoverageRegistry::KeysCoveredSince(
   std::vector<uint64_t> keys;
   for (size_t i = 0; i < points_.size(); ++i) {
     const uint64_t before = i < snapshot.size() ? snapshot[i] : 0;
-    if (hits_[i].load(std::memory_order_relaxed) > before) {
+    if (Hits(i) > before) {
       keys.push_back(points_[i].key);
     }
   }
@@ -163,7 +165,7 @@ size_t CoverageRegistry::HitPoints(const std::string& module) const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
   for (size_t i = 0; i < points_.size(); ++i) {
-    if (hits_[i].load(std::memory_order_relaxed) == 0) continue;
+    if (!covered_[i].load(std::memory_order_relaxed)) continue;
     if (module.empty() || points_[i].module == module) n++;
   }
   return n;
@@ -179,7 +181,7 @@ double CoverageRegistry::Percent(const std::string& module) const {
   for (size_t i = 0; i < points_.size(); ++i) {
     if (!module.empty() && points_[i].module != module) continue;
     total++;
-    if (hits_[i].load(std::memory_order_relaxed) > 0) hit++;
+    if (covered_[i].load(std::memory_order_relaxed)) hit++;
   }
   if (total == 0) return 0.0;
   return 100.0 * static_cast<double>(hit) / static_cast<double>(total);
@@ -193,7 +195,7 @@ std::vector<CoverageRegistry::ModuleSummary> CoverageRegistry::Summaries()
     auto& s = by_module[points_[i].module];
     s.module = points_[i].module;
     s.total++;
-    if (hits_[i].load(std::memory_order_relaxed) > 0) s.hit++;
+    if (covered_[i].load(std::memory_order_relaxed)) s.hit++;
   }
   std::vector<ModuleSummary> out;
   out.reserve(by_module.size());
@@ -204,23 +206,21 @@ std::vector<CoverageRegistry::ModuleSummary> CoverageRegistry::Summaries()
 std::vector<uint64_t> CoverageRegistry::SnapshotHits() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> out(points_.size());
-  for (size_t i = 0; i < points_.size(); ++i) {
-    out[i] = hits_[i].load(std::memory_order_relaxed);
-  }
+  for (size_t i = 0; i < points_.size(); ++i) out[i] = Hits(i);
   return out;
 }
 
 void CoverageRegistry::RestoreHits(const std::vector<uint64_t>& hits) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < points_.size() && i < hits.size(); ++i) {
-    hits_[i].store(hits[i], std::memory_order_relaxed);
-  }
-  for (size_t i = hits.size(); i < points_.size(); ++i) {
-    hits_[i].store(0, std::memory_order_relaxed);
-  }
+  // Shard 0 takes each restored count; the other shards start from zero.
   size_t covered = 0;
   for (size_t i = 0; i < points_.size(); ++i) {
-    if (hits_[i].load(std::memory_order_relaxed) > 0) covered++;
+    const uint64_t n = i < hits.size() ? hits[i] : 0;
+    for (size_t s = 0; s < kShards; ++s) {
+      shards_[s].hits[i].store(s == 0 ? n : 0, std::memory_order_relaxed);
+    }
+    covered_[i].store(n > 0, std::memory_order_relaxed);
+    if (n > 0) covered++;
   }
   covered_count_.store(covered, std::memory_order_relaxed);
 }

@@ -9,10 +9,14 @@
 // need (they compare generators and test corpora, not absolute gcov values).
 //
 // Thread safety: the sharded campaign runtime hits coverage points from
-// every worker thread at once, so the registry is fully thread-safe. Hit()
-// is a single relaxed atomic increment on a fixed-capacity counter array
-// (stable addresses, no lock); registration and all read/reset/snapshot
-// operations serialize on an internal mutex.
+// every worker thread at once, so the registry is fully thread-safe. The
+// hit counters are split into kShards cache-line-aligned shards of
+// fixed capacity (stable addresses, no lock); Hit() is a relaxed atomic
+// increment on the calling thread's shard (common/thread_slot.h), so
+// threads do not write each other's cache lines, and readers sum the
+// shards. A per-site covered flag, set by the site's first hit in any
+// shard, keeps CoveredSiteCount exact. Registration and all
+// read/reset/snapshot operations serialize on an internal mutex.
 //
 // Per-thread taps: a trace (BeginTrace/TakeTrace) collects the sites the
 // calling thread hit, and a capture (BeginCapture/EndCapture) collects them
@@ -35,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_slot.h"
+
 namespace spatter {
 
 /// Global registry of coverage points.
@@ -42,8 +48,11 @@ class CoverageRegistry {
  public:
   /// Upper bound on distinct coverage sites. Sites are static code
   /// locations, so the count is small and fixed at compile time; the
-  /// bound keeps Hit() lock-free (the counter array never reallocates).
+  /// bound keeps Hit() lock-free (the counter arrays never reallocate).
   static constexpr size_t kMaxPoints = 8192;
+  /// Hit-counter shards; threads with consecutive ThreadSlot()s write
+  /// different ones.
+  static constexpr size_t kShards = 8;
 
   static CoverageRegistry& Instance();
 
@@ -57,9 +66,9 @@ class CoverageRegistry {
   /// concurrency — and every active capture (BeginCapture) adds `n` to the
   /// site's count.
   void Hit(size_t index, uint64_t n = 1) {
-    if (hits_[index].fetch_add(n, std::memory_order_relaxed) == 0) {
-      covered_count_.fetch_add(1, std::memory_order_relaxed);
-    }
+    shards_[ThreadSlot() % kShards].hits[index].fetch_add(
+        n, std::memory_order_relaxed);
+    if (!covered_[index].load(std::memory_order_relaxed)) MarkCovered(index);
     if (tapped_) Tap(static_cast<uint32_t>(index), n);
   }
 
@@ -163,9 +172,23 @@ class CoverageRegistry {
   std::vector<Point> points_;
   std::map<std::string, size_t> index_;  // "module/point" -> index
   /// Fixed-capacity so concurrent Hit() never races a reallocation.
-  std::atomic<uint64_t> hits_[kMaxPoints] = {};
-  /// Sites with a non-zero hit count (maintained by Hit/Reset/Restore).
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> hits[kMaxPoints] = {};
+  };
+  Shard shards_[kShards];
+  /// Set by a site's first hit in any shard (and by Restore).
+  std::atomic<bool> covered_[kMaxPoints] = {};
+  /// Sites whose covered flag is set (maintained by Hit/Reset/Restore).
   std::atomic<size_t> covered_count_{0};
+
+  /// A site's hit count: the sum over the shards.
+  uint64_t Hits(size_t index) const;
+  /// Sets the site's covered flag; the first caller counts it covered.
+  void MarkCovered(size_t index) {
+    if (!covered_[index].exchange(true, std::memory_order_relaxed)) {
+      covered_count_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 
   /// Feeds the calling thread's active trace and capture.
   static void Tap(uint32_t index, uint64_t n);

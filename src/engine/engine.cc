@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "common/coverage.h"
 #include "common/strings.h"
+#include "engine/compiled_expr.h"
 #include "engine/functions.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "geom/wkt_reader.h"
 #include "relate/prepared.h"
 #include "sql/parser.h"
 
@@ -77,7 +78,8 @@ void ClassifyGeometry(const Geometry& g, int depth, ContentFeatures* f) {
   });
 }
 
-void CoverJoinBehaviour(const std::string& func, const Table& t1,
+// `fn` is the join's predicate, null for `~=`.
+void CoverJoinBehaviour(const FunctionDef* fn, const Table& t1,
                         const Table& t2) {
   ContentFeatures f;
   for (const Table* t : {&t1, &t2}) {
@@ -90,15 +92,20 @@ void CoverJoinBehaviour(const std::string& func, const Table& t1,
     }
   }
   // Registration takes the global registry mutex and builds strings, so
-  // the 12 site indices per predicate are resolved once per thread and
-  // reused; steady-state cost is a map lookup plus relaxed increments.
+  // the 12 site indices per predicate are resolved once per thread, in a
+  // table indexed by the predicate's place in AllFunctions() (`~=` takes
+  // the slot past the end); steady-state cost is relaxed increments.
   static constexpr int kFeatureSites = 12;
-  static thread_local std::map<std::string, std::array<size_t, kFeatureSites>>
-      site_cache;
-  auto it = site_cache.find(func);
-  if (it == site_cache.end()) {
+  using Sites = std::array<size_t, kFeatureSites>;
+  static thread_local std::vector<std::optional<Sites>> site_cache(
+      AllFunctions().size() + 1);
+  std::optional<Sites>& cached =
+      site_cache[fn != nullptr ? fn - AllFunctions().data()
+                               : AllFunctions().size()];
+  if (!cached) {
+    const std::string func = fn != nullptr ? fn->name : "~=";
     auto& registry = CoverageRegistry::Instance();
-    std::array<size_t, kFeatureSites> sites;
+    Sites sites;
     for (int t = 0; t < 7; ++t) {
       sites[t] = registry.Register(
           "behaviour",
@@ -109,9 +116,9 @@ void CoverJoinBehaviour(const std::string& func, const Table& t1,
     sites[9] = registry.Register("behaviour", func + "/fractional");
     sites[10] = registry.Register("behaviour", func + "/large");
     sites[11] = registry.Register("behaviour", func + "/negative");
-    it = site_cache.emplace(func, sites).first;
+    cached = sites;
   }
-  const std::array<size_t, kFeatureSites>& sites = it->second;
+  const Sites& sites = *cached;
   auto& registry = CoverageRegistry::Instance();
   for (int t = 0; t < 7; ++t) {
     if (f.types[t]) registry.Hit(sites[t]);
@@ -133,13 +140,14 @@ namespace {
 // the snapshot and look nothing up.
 constexpr size_t kStatementCacheCapacity = 256;
 
-// The one rule for an error inside a statement's per-row, per-pair or
-// per-operand evaluation: a crash, or a missing function or operator,
-// fails the whole statement; any other error reads as UNKNOWN.
-bool EndsStatement(const Status& status) {
-  const StatusCode code = status.code();
-  return code == StatusCode::kCrash || code == StatusCode::kUnsupported ||
-         code == StatusCode::kNotFound;
+// Compiles and evaluates an expression that reads no row: an INSERT value,
+// a SET value, a scalar SELECT item, an index probe's literal.
+Result<Value> EvalWithoutRows(const sql::Expr& expr, const FunctionContext& ctx,
+                              const std::map<std::string, Value>& variables) {
+  CompiledExpr compiled =
+      CompiledExpr::Compile(expr, Scope(), ctx.dialect, variables);
+  SPATTER_ASSIGN_OR_RETURN(const Value* v, compiled.Eval(ctx, RowBinding{}));
+  return *v;
 }
 
 }  // namespace
@@ -399,17 +407,18 @@ Result<ExecResult> Engine::ExecInsert(const sql::Statement& stmt) {
       target_cols.push_back(idx);
     }
   }
-  const Bindings no_bindings;
+  const FunctionContext ctx{dialect_, &faults_};
   for (const auto& row_exprs : stmt.rows) {
     if (row_exprs.size() != target_cols.size()) {
       return Status::InvalidArgument("INSERT arity mismatch");
     }
     Row row(table->column_names.size(), Value::Null());
     for (size_t i = 0; i < row_exprs.size(); ++i) {
-      SPATTER_ASSIGN_OR_RETURN(Value v, Eval(*row_exprs[i], no_bindings));
+      SPATTER_ASSIGN_OR_RETURN(Value v,
+                               EvalWithoutRows(*row_exprs[i], ctx, variables_));
       const int col = target_cols[i];
       if (EqualsIgnoreCase(table->column_types[col], "geometry")) {
-        SPATTER_ASSIGN_OR_RETURN(v, CoerceGeometry(std::move(v)));
+        SPATTER_ASSIGN_OR_RETURN(v, CoerceGeometry(ctx, v));
       }
       row[col] = std::move(v);
     }
@@ -420,187 +429,12 @@ Result<ExecResult> Engine::ExecInsert(const sql::Statement& stmt) {
 }
 
 Result<ExecResult> Engine::ExecSet(const sql::Statement& stmt) {
-  const Bindings no_bindings;
-  SPATTER_ASSIGN_OR_RETURN(Value v, Eval(*stmt.set_value, no_bindings));
+  const FunctionContext ctx{dialect_, &faults_};
+  SPATTER_ASSIGN_OR_RETURN(Value v,
+                           EvalWithoutRows(*stmt.set_value, ctx, variables_));
   variables_[stmt.set_name] = std::move(v);
   SPATTER_COV("engine", "set_variable");
   return ExecResult{};
-}
-
-Result<Value> Engine::CoerceGeometry(Value v) {
-  FunctionContext ctx{dialect_, &faults_};
-  SPATTER_ASSIGN_OR_RETURN(auto g, ToGeometry(ctx, v));
-  return Value::Geometry(std::move(g));
-}
-
-Result<Value> Engine::Eval(const sql::Expr& expr, const Bindings& bindings) {
-  switch (expr.kind) {
-    case sql::Expr::Kind::kStringLiteral:
-      return Value::String(expr.text);
-    case sql::Expr::Kind::kNumberLiteral: {
-      if (expr.number == static_cast<int64_t>(expr.number)) {
-        return Value::Int(static_cast<int64_t>(expr.number));
-      }
-      return Value::Double(expr.number);
-    }
-    case sql::Expr::Kind::kBoolLiteral:
-      return Value::Bool(expr.bool_value);
-    case sql::Expr::Kind::kVarRef: {
-      auto it = variables_.find("@" + expr.name);
-      if (it == variables_.end()) {
-        return Status::NotFound("unknown variable '@" + expr.name + "'");
-      }
-      return it->second;
-    }
-    case sql::Expr::Kind::kColumnRef: {
-      if (!expr.table.empty()) {
-        auto it = bindings.find(expr.table);
-        if (it == bindings.end()) {
-          return Status::NotFound("unknown table alias '" + expr.table + "'");
-        }
-        const int col = it->second.table->ColumnIndex(expr.name);
-        if (col < 0) {
-          return Status::NotFound("unknown column '" + expr.name + "'");
-        }
-        return (*it->second.row)[col];
-      }
-      // Unqualified: resolve against the unique binding.
-      if (bindings.size() == 1) {
-        const auto& binding = bindings.begin()->second;
-        const int col = binding.table->ColumnIndex(expr.name);
-        if (col >= 0) return (*binding.row)[col];
-      }
-      return Status::NotFound("cannot resolve column '" + expr.name + "'");
-    }
-    case sql::Expr::Kind::kFuncCall: {
-      SPATTER_ASSIGN_OR_RETURN(const FunctionDef* fn,
-                               ResolveFunction(expr.name, dialect_));
-      const int argc = static_cast<int>(expr.args.size());
-      if (argc < fn->min_args || argc > fn->max_args) {
-        return Status::InvalidArgument("wrong argument count for " +
-                                       std::string(fn->name));
-      }
-      std::vector<Value> args;
-      args.reserve(expr.args.size());
-      for (const auto& a : expr.args) {
-        SPATTER_ASSIGN_OR_RETURN(Value v, Eval(*a, bindings));
-        args.push_back(std::move(v));
-      }
-      FunctionContext ctx{dialect_, &faults_};
-      CoverageRegistry::Instance().Hit(FunctionCoverageSite(*fn));
-      return fn->impl(ctx, args);
-    }
-    case sql::Expr::Kind::kCastGeometry: {
-      SPATTER_ASSIGN_OR_RETURN(Value inner, Eval(*expr.args[0], bindings));
-      return CoerceGeometry(std::move(inner));
-    }
-    case sql::Expr::Kind::kSameAs: {
-      SPATTER_ASSIGN_OR_RETURN(Value lhs, Eval(*expr.args[0], bindings));
-      SPATTER_ASSIGN_OR_RETURN(Value rhs, Eval(*expr.args[1], bindings));
-      FunctionContext ctx{dialect_, &faults_};
-      return EvalSameAs(ctx, lhs, rhs);
-    }
-    case sql::Expr::Kind::kNot: {
-      SPATTER_ASSIGN_OR_RETURN(Value inner, Eval(*expr.args[0], bindings));
-      if (inner.is_null()) return Value::Null();
-      if (inner.kind() != Value::Kind::kBool) {
-        return Status::InvalidArgument("NOT expects a boolean");
-      }
-      return Value::Bool(!inner.bool_value());
-    }
-    case sql::Expr::Kind::kIsUnknown: {
-      // Three-valued logic: predicate errors other than crashes surface as
-      // UNKNOWN, which is what TLP's third partition counts.
-      auto inner = Eval(*expr.args[0], bindings);
-      if (!inner.ok()) {
-        if (inner.status().code() == StatusCode::kCrash) {
-          return inner.status();
-        }
-        return Value::Bool(true);
-      }
-      return Value::Bool(inner.value().is_null());
-    }
-    case sql::Expr::Kind::kAnd:
-    case sql::Expr::Kind::kOr: {
-      // Kleene three-valued AND/OR. Both operands are evaluated (no
-      // short-circuit) so missing functions/operators still fail the whole
-      // statement; a per-operand semantic error reads as UNKNOWN, matching
-      // the join loop's per-pair convention.
-      auto operand =
-          [&](const sql::Expr& e) -> Result<std::optional<bool>> {
-        auto v = Eval(e, bindings);
-        if (!v.ok()) {
-          if (EndsStatement(v.status())) return v.status();
-          return std::optional<bool>();
-        }
-        if (v.value().is_null()) return std::optional<bool>();
-        if (v.value().kind() != Value::Kind::kBool) {
-          return Status::InvalidArgument("AND/OR expects booleans");
-        }
-        return std::optional<bool>(v.value().bool_value());
-      };
-      SPATTER_ASSIGN_OR_RETURN(std::optional<bool> a, operand(*expr.args[0]));
-      SPATTER_ASSIGN_OR_RETURN(std::optional<bool> b, operand(*expr.args[1]));
-      std::optional<bool> out;
-      if (expr.kind == sql::Expr::Kind::kAnd) {
-        if ((a && !*a) || (b && !*b)) out = false;
-        else if (a && b) out = true;
-      } else {
-        if ((a && *a) || (b && *b)) out = true;
-        else if (a && b) out = false;
-      }
-      if (out && faults_.IsEnabled(FaultId::kInjectedConjunctionSignFlip)) {
-        // Injected bug (EET recall gate): the AND/OR evaluator flips every
-        // two-valued result. Only EET-rewritten predicates contain AND/OR,
-        // so only the EET oracle can observe the flip.
-        faults_.Fire(FaultId::kInjectedConjunctionSignFlip);
-        out = !*out;
-      }
-      if (!out) return Value::Null();
-      return Value::Bool(*out);
-    }
-  }
-  return Status::Internal("unhandled expression kind");
-}
-
-bool Engine::IsSimpleColumnPredicate(const sql::Expr& cond,
-                                     const std::string& alias1,
-                                     const std::string& alias2,
-                                     std::string* func_name) const {
-  if (cond.kind == sql::Expr::Kind::kSameAs) {
-    if (cond.args[0]->kind == sql::Expr::Kind::kColumnRef &&
-        cond.args[1]->kind == sql::Expr::Kind::kColumnRef &&
-        cond.args[0]->table == alias1 && cond.args[1]->table == alias2) {
-      *func_name = "~=";
-      return true;
-    }
-    return false;
-  }
-  if (cond.kind != sql::Expr::Kind::kFuncCall || cond.args.size() < 2) {
-    return false;
-  }
-  if (cond.args[0]->kind != sql::Expr::Kind::kColumnRef ||
-      cond.args[1]->kind != sql::Expr::Kind::kColumnRef) {
-    return false;
-  }
-  if (cond.args[0]->table != alias1 || cond.args[1]->table != alias2) {
-    return false;
-  }
-  const FunctionDef* fn = FindFunction(cond.name);
-  if (fn == nullptr || !fn->is_predicate) return false;
-  *func_name = fn->name;
-  return true;
-}
-
-Result<Value> Engine::EvalJoinCondition(const sql::Expr& cond,
-                                        const std::string& alias1,
-                                        const Row& row1, const Table& t1,
-                                        const std::string& alias2,
-                                        const Row& row2, const Table& t2) {
-  Bindings bindings;
-  bindings[alias1] = Binding{&t1, &row1};
-  if (alias2 != alias1) bindings[alias2] = Binding{&t2, &row2};
-  return Eval(cond, bindings);
 }
 
 namespace {
@@ -664,6 +498,39 @@ void Engine::CollectIndexCandidates(const Table& table,
   }
 }
 
+namespace {
+
+using PreparedPredicate = Result<bool> (relate::PreparedGeometry::*)(
+    const Geometry&, const faults::FaultState*) const;
+
+// The PreparedGeometry member that evaluates `fn`, or null when PostGIS
+// prepares no form of it.
+PreparedPredicate PreparedPredicateOf(const FunctionDef& fn) {
+  if (std::strcmp(fn.name, "ST_Intersects") == 0) {
+    return &relate::PreparedGeometry::Intersects;
+  }
+  if (std::strcmp(fn.name, "ST_Contains") == 0) {
+    return &relate::PreparedGeometry::Contains;
+  }
+  if (std::strcmp(fn.name, "ST_Covers") == 0) {
+    return &relate::PreparedGeometry::Covers;
+  }
+  return nullptr;
+}
+
+// True when the join predicate `fn` (null for `~=`) admits an envelope
+// pre-filter.
+bool AdmitsIndexScan(const FunctionDef* fn) {
+  if (fn == nullptr) return true;
+  for (const char* name : {"ST_Intersects", "ST_Within", "ST_Contains",
+                           "ST_Covers", "ST_CoveredBy", "ST_Equals"}) {
+    if (std::strcmp(fn->name, name) == 0) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
   Table* t1 = FindTable(stmt.table);
   Table* t2 = FindTable(stmt.table2);
@@ -679,63 +546,74 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
   static obs::LatencyHistogram* join_eval_hist =
       obs::MetricsRegistry::Instance().GetHistogram("engine.join_eval");
 
-  std::string func_name;
-  bool simple, prepared_path, index_path;
+  // Planned once per statement: the compiled condition and outer filter,
+  // and the paths the pairs take.
+  std::optional<CompiledExpr> cond;
+  std::optional<CompiledExpr> filter;
+  PreparedPredicate prepared_fn = nullptr;
+  bool index_path = false;
   {
     obs::ScopedTimer plan_timer(plan_hist, obs::ScopedTimer::Clock::kThreadCpu);
-    simple = IsSimpleColumnPredicate(*stmt.condition, stmt.table, stmt.table2,
-                                     &func_name);
-    if (simple) CoverJoinBehaviour(func_name, *t1, *t2);
-
-    // Prepared-geometry path: PostGIS prepares the outer geometry when the
-    // same predicate is evaluated against many inner candidates.
-    prepared_path =
-        simple && traits().uses_prepared && t2->rows.size() >= 2 &&
-        (func_name == "ST_Intersects" || func_name == "ST_Contains" ||
-         func_name == "ST_Covers");
-    // Index path: inner table has a GiST index and the predicate admits an
-    // envelope pre-filter.
-    index_path =
-        simple && t2->has_index &&
-        (func_name == "~=" || func_name == "ST_Intersects" ||
-         func_name == "ST_Within" || func_name == "ST_Contains" ||
-         func_name == "ST_Covers" || func_name == "ST_CoveredBy" ||
-         func_name == "ST_Equals");
+    Scope scope;
+    scope.Bind(stmt.table, *t1);
+    // A self-join binds only the outer row.
+    if (stmt.table2 != stmt.table) scope.Bind(stmt.table2, *t2);
+    cond.emplace(
+        CompiledExpr::Compile(*stmt.condition, scope, dialect_, variables_));
+    if (stmt.filter1) {
+      filter.emplace(CompiledExpr::Compile(
+          *stmt.filter1, Scope().Bind(stmt.table, *t1), dialect_, variables_));
+    }
+    const FunctionDef* fn = nullptr;
+    if (cond->IsColumnPredicate(stmt.table, stmt.table2, &fn)) {
+      CoverJoinBehaviour(fn, *t1, *t2);
+      // Prepared-geometry path: PostGIS prepares the outer geometry when
+      // the same predicate is evaluated against many inner candidates.
+      if (fn != nullptr && traits().uses_prepared && t2->rows.size() >= 2) {
+        prepared_fn = PreparedPredicateOf(*fn);
+      }
+      // Index path: inner table has a GiST index and the predicate admits
+      // an envelope pre-filter.
+      index_path = t2->has_index && AdmitsIndexScan(fn);
+    }
   }
 
+  const FunctionContext ctx{dialect_, &faults_};
+  const int gcol1 = t1->geometry_column;
+  const int gcol2 = t2->geometry_column;
   int64_t count = 0;
   std::vector<size_t> candidates;  // reused across outer rows
+  RowBinding rows{};
   for (const Row& row1 : t1->rows) {
+    rows[0] = &row1;
     // Derived-table filter on the outer side (the EET push-through-subquery
     // form): rows whose filter does not evaluate TRUE never reach the pair
     // loop; filter errors follow the per-pair convention below.
-    if (stmt.filter1) {
-      Bindings filter_bindings;
-      filter_bindings[stmt.table] = Binding{t1, &row1};
-      auto fv = Eval(*stmt.filter1, filter_bindings);
+    if (filter) {
+      auto fv = filter->Eval(ctx, RowBinding{&row1, nullptr});
       if (!fv.ok()) {
         if (EndsStatement(fv.status())) return fv.status();
         continue;
       }
-      if (fv.value().kind() != Value::Kind::kBool ||
-          !fv.value().bool_value()) {
+      if (fv.value()->kind() != Value::Kind::kBool ||
+          !fv.value()->bool_value()) {
         continue;
       }
     }
-    std::unique_ptr<relate::PreparedGeometry> prepared;
-    std::shared_ptr<const Geometry> outer_geom;
-    if ((prepared_path || index_path) && t1->geometry_column >= 0) {
-      const Value& gv = row1[t1->geometry_column];
-      if (gv.kind() == Value::Kind::kGeometry) outer_geom = gv.geometry();
+    std::optional<relate::PreparedGeometry> prepared;
+    const Geometry* outer_geom = nullptr;
+    if ((prepared_fn != nullptr || index_path) && gcol1 >= 0) {
+      const Value& gv = row1[gcol1];
+      if (gv.kind() == Value::Kind::kGeometry) outer_geom = gv.geometry().get();
     }
-    if (prepared_path && outer_geom) {
-      prepared = std::make_unique<relate::PreparedGeometry>(*outer_geom);
+    if (prepared_fn != nullptr && outer_geom != nullptr) {
+      prepared.emplace(*outer_geom);
     }
 
     // Candidate rows of t2, via one index probe per outer row. The
     // engine.index_scan histogram samples once per probe (candidate
     // collection only — predicate evaluation lands in prepared/relate).
-    if (index_path && outer_geom) {
+    if (index_path && outer_geom != nullptr) {
       obs::ScopedTimer scan_timer(index_scan_hist,
                                   obs::ScopedTimer::Clock::kThreadCpu);
       SPATTER_COV("engine", "join_index_scan");
@@ -763,33 +641,28 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
     for (size_t r : candidates) {
       const Row& row2 = t2->rows[r];
       stats_.pairs_evaluated++;
-      Result<Value> v = Status::Internal("unset");
-      if (prepared && t2->geometry_column >= 0 &&
-          row2[t2->geometry_column].kind() == Value::Kind::kGeometry) {
+      bool matched;
+      if (prepared && gcol2 >= 0 &&
+          row2[gcol2].kind() == Value::Kind::kGeometry) {
         SPATTER_COV("engine", "join_prepared_path");
         stats_.prepared_evaluations++;
-        const Geometry& inner = *row2[t2->geometry_column].geometry();
-        Result<bool> pr = Status::Internal("unset");
-        if (func_name == "ST_Intersects") {
-          pr = prepared->Intersects(inner, &faults_);
-        } else if (func_name == "ST_Contains") {
-          pr = prepared->Contains(inner, &faults_);
-        } else {
-          pr = prepared->Covers(inner, &faults_);
-        }
+        Result<bool> pr =
+            ((*prepared).*prepared_fn)(*row2[gcol2].geometry(), &faults_);
         if (!pr.ok()) return pr.status();
-        v = Value::Bool(pr.value());
+        matched = pr.value();
       } else {
-        v = EvalJoinCondition(*stmt.condition, stmt.table, row1, *t1,
-                              stmt.table2, row2, *t2);
+        rows[1] = &row2;
+        Result<const Value*> v = cond->Eval(ctx, rows);
+        if (!v.ok()) {
+          // A per-pair semantic error reads as UNKNOWN and is not counted.
+          if (EndsStatement(v.status())) return v.status();
+          prev_matched = false;
+          continue;
+        }
+        matched = v.value()->kind() == Value::Kind::kBool &&
+                  v.value()->bool_value();
       }
-      if (!v.ok()) {
-        // A per-pair semantic error reads as UNKNOWN and is not counted.
-        if (EndsStatement(v.status())) return v.status();
-        prev_matched = false;
-        continue;
-      }
-      if (v.value().kind() == Value::Kind::kBool && v.value().bool_value()) {
+      if (matched) {
         if (prev_matched &&
             faults_.IsEnabled(FaultId::kInjectedJoinDedupDrop)) {
           // Injected bug (recall gate): a bogus dedup pass drops the
@@ -817,6 +690,7 @@ Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
   if (t == nullptr) {
     return Status::NotFound("unknown table '" + stmt.table + "'");
   }
+  const FunctionContext ctx{dialect_, &faults_};
   int64_t count = 0;
   // Index path for `g ~= <literal>` scans (the paper Listing 8 shape).
   const sql::Expr* cond = stmt.condition.get();
@@ -825,10 +699,9 @@ Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
   if (cond != nullptr && cond->kind == sql::Expr::Kind::kSameAs &&
       t->has_index &&
       cond->args[0]->kind == sql::Expr::Kind::kColumnRef) {
-    const Bindings no_bindings;
-    auto rhs = Eval(*cond->args[1], no_bindings);
-    if (rhs.ok()) {
-      auto g = CoerceGeometry(rhs.Take());
+    auto v = EvalWithoutRows(*cond->args[1], ctx, variables_);
+    if (v.ok()) {
+      auto g = CoerceGeometry(ctx, v.value());
       if (g.ok() && g.value().kind() == Value::Kind::kGeometry) {
         probe = g.value().geometry()->GetEnvelope();
         index_scan = true;
@@ -851,9 +724,14 @@ Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
     admitted.assign(t->rows.size(), 0);
     for (size_t r : candidates) admitted[r] = 1;
   }
+  std::optional<CompiledExpr> where;
+  if (cond != nullptr) {
+    where.emplace(CompiledExpr::Compile(*cond, Scope().Bind(stmt.table, *t),
+                                        dialect_, variables_));
+  }
   for (size_t r = 0; r < t->rows.size(); ++r) {
     const Row& row = t->rows[r];
-    if (cond == nullptr) {
+    if (!where) {
       count++;
       continue;
     }
@@ -862,14 +740,12 @@ Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
         !admitted[r]) {
       continue;
     }
-    Bindings bindings;
-    bindings[stmt.table] = Binding{t, &row};
-    auto v = Eval(*cond, bindings);
+    auto v = where->Eval(ctx, RowBinding{&row, nullptr});
     if (!v.ok()) {
       if (EndsStatement(v.status())) return v.status();
       continue;
     }
-    if (v.value().kind() == Value::Kind::kBool && v.value().bool_value()) {
+    if (v.value()->kind() == Value::Kind::kBool && v.value()->bool_value()) {
       count++;
     }
   }
@@ -881,10 +757,10 @@ Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
 }
 
 Result<ExecResult> Engine::ExecSelectScalar(const sql::Statement& stmt) {
-  const Bindings no_bindings;
+  const FunctionContext ctx{dialect_, &faults_};
   Row row;
   for (const auto& e : stmt.select_list) {
-    SPATTER_ASSIGN_OR_RETURN(Value v, Eval(*e, no_bindings));
+    SPATTER_ASSIGN_OR_RETURN(Value v, EvalWithoutRows(*e, ctx, variables_));
     row.push_back(std::move(v));
   }
   ExecResult out;

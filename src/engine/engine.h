@@ -146,13 +146,9 @@ class Engine {
   Table* FindTable(const std::string& name);
 
  private:
-  struct Binding {
-    const Table* table;
-    const Row* row;
-  };
-  using Bindings = std::map<std::string, Binding>;
-
-  /// Runs one parsed statement; Execute wraps it with the accounting.
+  /// Runs one parsed statement; Execute wraps it with the accounting. Each
+  /// Exec* compiles the statement's expressions once (compiled_expr.h) and
+  /// evaluates them per row or row pair.
   Result<ExecResult> Dispatch(const sql::Statement& stmt);
   Result<ExecResult> ExecCreateTable(const sql::Statement& stmt);
   Result<ExecResult> ExecCreateIndex(const sql::Statement& stmt);
@@ -162,23 +158,6 @@ class Engine {
   Result<ExecResult> ExecSelectCountJoin(const sql::Statement& stmt);
   Result<ExecResult> ExecSelectCountWhere(const sql::Statement& stmt);
   Result<ExecResult> ExecSelectScalar(const sql::Statement& stmt);
-
-  Result<Value> Eval(const sql::Expr& expr, const Bindings& bindings);
-  /// Evaluates the join condition over one pair of bound rows.
-  Result<Value> EvalJoinCondition(const sql::Expr& cond,
-                                  const std::string& alias1, const Row& row1,
-                                  const Table& t1, const std::string& alias2,
-                                  const Row& row2, const Table& t2);
-  /// Coerces a value to geometry (parsing WKT strings), applying the
-  /// dialect's validity policy.
-  Result<Value> CoerceGeometry(Value v);
-
-  /// True when the join condition is a plain predicate over the two
-  /// geometry columns so the index / prepared paths apply.
-  bool IsSimpleColumnPredicate(const sql::Expr& cond,
-                               const std::string& alias1,
-                               const std::string& alias2,
-                               std::string* func_name) const;
 
   /// Fills `candidates` with the row ids of `table`, in row order, that
   /// one index probe admits (IndexAdmitsRow, injected faults inline).

@@ -158,51 +158,77 @@ Status CrossElementValidity(const Geometry& g) {
   return Status::OK();
 }
 
-}  // namespace
+// A geometry argument after coercion: borrowed from its Value, or parsed
+// from WKT and owned here.
+struct GeometryArg {
+  GeometryRef parsed;
+  const Geometry* geometry = nullptr;
+};
 
-Result<GeometryRef> ToGeometry(const FunctionContext& ctx, const Value& v) {
-  GeometryRef g;
+Status CoerceArg(const FunctionContext& ctx, const Value& v,
+                 GeometryArg* out) {
   if (v.kind() == Value::Kind::kGeometry) {
-    g = v.geometry();
+    out->geometry = v.geometry().get();
   } else if (v.kind() == Value::Kind::kString) {
     SPATTER_ASSIGN_OR_RETURN(GeomPtr parsed, geom::ReadWkt(v.string_value()));
-    g = GeometryRef(parsed.release());
+    out->parsed = GeometryRef(parsed.release());
+    out->geometry = out->parsed.get();
   } else if (v.is_null()) {
     return Status::InvalidArgument("geometry argument is NULL");
   } else {
     return Status::InvalidArgument("cannot coerce value to geometry");
   }
   if (GetDialectTraits(ctx.dialect).strict_validity) {
-    SPATTER_RETURN_NOT_OK(algo::CheckValid(*g));
-    SPATTER_RETURN_NOT_OK(CrossElementValidity(*g));
+    if (!v.valid_checked()) {
+      SPATTER_RETURN_NOT_OK(algo::CheckValid(*out->geometry));
+    }
+    SPATTER_RETURN_NOT_OK(CrossElementValidity(*out->geometry));
   }
-  return g;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<GeometryRef> ToGeometry(const FunctionContext& ctx, const Value& v) {
+  GeometryArg arg;
+  SPATTER_RETURN_NOT_OK(CoerceArg(ctx, v, &arg));
+  return arg.parsed ? std::move(arg.parsed) : v.geometry();
+}
+
+Result<Value> CoerceGeometry(const FunctionContext& ctx, const Value& v) {
+  SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, v));
+  Value out = Value::Geometry(std::move(g));
+  if (GetDialectTraits(ctx.dialect).strict_validity) {
+    out.mark_valid_checked();
+  }
+  return out;
 }
 
 namespace {
 
 // Shorthand for predicate implementations: coerce both geometry args and
-// apply the SQL Server nesting guard.
+// apply the SQL Server nesting guard. The geometries are borrowed from the
+// argument values, so a predicate call copies no shared_ptr.
 struct GeomPair {
-  GeometryRef a;
-  GeometryRef b;
+  GeometryArg a;
+  GeometryArg b;
 };
 
-Result<GeomPair> PredicateArgs(const FunctionContext& ctx,
-                               const std::vector<Value>& args) {
-  SPATTER_ASSIGN_OR_RETURN(GeometryRef ga, ToGeometry(ctx, args[0]));
-  SPATTER_ASSIGN_OR_RETURN(GeometryRef gb, ToGeometry(ctx, args[1]));
-  SPATTER_RETURN_NOT_OK(SqlserverNestingGuard(ctx, *ga, *gb));
-  return GeomPair{std::move(ga), std::move(gb)};
+Status PredicateArgs(const FunctionContext& ctx, const ArgList& args,
+                     GeomPair* out) {
+  SPATTER_RETURN_NOT_OK(CoerceArg(ctx, args[0], &out->a));
+  SPATTER_RETURN_NOT_OK(CoerceArg(ctx, args[1], &out->b));
+  return SqlserverNestingGuard(ctx, *out->a.geometry, *out->b.geometry);
 }
 
-#define SPATTER_PREDICATE_PROLOGUE()                                 \
-  SPATTER_ASSIGN_OR_RETURN(GeomPair gp_, PredicateArgs(ctx, args));  \
-  const GeometryRef& ga = gp_.a;                                     \
-  const GeometryRef& gb = gp_.b
+#define SPATTER_PREDICATE_PROLOGUE()                        \
+  GeomPair gp_;                                             \
+  SPATTER_RETURN_NOT_OK(PredicateArgs(ctx, args, &gp_));    \
+  const Geometry* const ga = gp_.a.geometry;                \
+  const Geometry* const gb = gp_.b.geometry
 
 Result<Value> FnIntersects(const FunctionContext& ctx,
-                           const std::vector<Value>& args) {
+                           const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::Intersects(*ga, *gb, ctx.faults));
@@ -220,7 +246,7 @@ Result<Value> FnIntersects(const FunctionContext& ctx,
 }
 
 Result<Value> FnDisjoint(const FunctionContext& ctx,
-                         const std::vector<Value>& args) {
+                         const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::Disjoint(*ga, *gb, ctx.faults));
@@ -241,21 +267,21 @@ Result<Value> FnDisjoint(const FunctionContext& ctx,
 }
 
 Result<Value> FnContains(const FunctionContext& ctx,
-                         const std::vector<Value>& args) {
+                         const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool r, relate::Contains(*ga, *gb, ctx.faults));
   return Value::Bool(r);
 }
 
 Result<Value> FnWithin(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool r, relate::Within(*ga, *gb, ctx.faults));
   return Value::Bool(r);
 }
 
 Result<Value> FnCrosses(const FunctionContext& ctx,
-                        const std::vector<Value>& args) {
+                        const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::Crosses(*ga, *gb, ctx.faults));
@@ -282,7 +308,7 @@ Result<Value> FnCrosses(const FunctionContext& ctx,
 }
 
 Result<Value> FnOverlaps(const FunctionContext& ctx,
-                         const std::vector<Value>& args) {
+                         const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::Overlaps(*ga, *gb, ctx.faults));
@@ -307,7 +333,7 @@ Result<Value> FnOverlaps(const FunctionContext& ctx,
 }
 
 Result<Value> FnTouches(const FunctionContext& ctx,
-                        const std::vector<Value>& args) {
+                        const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::Touches(*ga, *gb, ctx.faults));
@@ -324,7 +350,7 @@ Result<Value> FnTouches(const FunctionContext& ctx,
 }
 
 Result<Value> FnEquals(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::TopoEquals(*ga, *gb, ctx.faults));
@@ -343,7 +369,7 @@ Result<Value> FnEquals(const FunctionContext& ctx,
 }
 
 Result<Value> FnCovers(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::Covers(*ga, *gb, ctx.faults));
@@ -362,7 +388,7 @@ Result<Value> FnCovers(const FunctionContext& ctx,
 }
 
 Result<Value> FnCoveredBy(const FunctionContext& ctx,
-                          const std::vector<Value>& args) {
+                          const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(bool correct,
                            relate::CoveredBy(*ga, *gb, ctx.faults));
@@ -386,7 +412,7 @@ Result<Value> FnCoveredBy(const FunctionContext& ctx,
 }
 
 Result<Value> FnDWithin(const FunctionContext& ctx,
-                        const std::vector<Value>& args) {
+                        const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(double d, NumberArg(args[2], "distance"));
   const auto dist = algo::MinDistance(*ga, *gb);
@@ -396,7 +422,7 @@ Result<Value> FnDWithin(const FunctionContext& ctx,
       ctx.faults->IsEnabled(FaultId::kPostgisDistanceEmptyRecursion)) {
     // The same broken distance recursion sits underneath ST_DWithin.
     bool has_empty_element = false;
-    for (const Geometry* g : {ga.get(), gb.get()}) {
+    for (const Geometry* g : {ga, gb}) {
       if (!g->IsCollection()) continue;
       const auto& coll = geom::AsCollection(*g);
       for (size_t i = 0; i < coll.NumElements(); ++i) {
@@ -434,7 +460,7 @@ Result<Value> FnDWithin(const FunctionContext& ctx,
 }
 
 Result<Value> FnDFullyWithin(const FunctionContext& ctx,
-                             const std::vector<Value>& args) {
+                             const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(double d, NumberArg(args[2], "distance"));
   const auto maxdist = algo::MaxDistance(*ga, *gb);
@@ -468,7 +494,7 @@ Result<Value> FnDFullyWithin(const FunctionContext& ctx,
 }
 
 Result<Value> FnRelatePattern(const FunctionContext& ctx,
-                              const std::vector<Value>& args) {
+                              const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   SPATTER_ASSIGN_OR_RETURN(std::string pattern,
                            StringArg(args[2], "DE-9IM pattern"));
@@ -480,7 +506,7 @@ Result<Value> FnRelatePattern(const FunctionContext& ctx,
     // Injected bug (unconfirmed report): at junctions where three or more
     // line endpoints meet, the boundary/boundary cell flips.
     std::map<std::pair<double, double>, int> endpoint_count;
-    for (const Geometry* g : {ga.get(), gb.get()}) {
+    for (const Geometry* g : {ga, gb}) {
       geom::ForEachBasic(*g, [&](const Geometry& basic) {
         if (basic.type() != GeomType::kLineString || basic.IsEmpty()) return;
         const auto& line = geom::AsLineString(basic);
@@ -513,13 +539,13 @@ Result<Value> FnRelatePattern(const FunctionContext& ctx,
 // Scalar and constructive functions.
 
 Result<Value> FnDistance(const FunctionContext& ctx,
-                         const std::vector<Value>& args) {
+                         const ArgList& args) {
   SPATTER_PREDICATE_PROLOGUE();
   const auto correct = algo::MinDistance(*ga, *gb);
   if (ctx.faults &&
       ctx.faults->IsEnabled(FaultId::kPostgisDistanceEmptyRecursion)) {
     bool has_empty_element = false;
-    for (const Geometry* g : {ga.get(), gb.get()}) {
+    for (const Geometry* g : {ga, gb}) {
       if (!g->IsCollection()) continue;
       const auto& coll = geom::AsCollection(*g);
       for (size_t i = 0; i < coll.NumElements(); ++i) {
@@ -540,37 +566,37 @@ Result<Value> FnDistance(const FunctionContext& ctx,
 }
 
 Result<Value> FnGeomFromText(const FunctionContext& ctx,
-                             const std::vector<Value>& args) {
+                             const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   return Value::Geometry(std::move(g));
 }
 
 Result<Value> FnAsText(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   return Value::String(g->ToWkt());
 }
 
 Result<Value> FnArea(const FunctionContext& ctx,
-                     const std::vector<Value>& args) {
+                     const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   return Value::Double(algo::GeometryArea(*g));
 }
 
 Result<Value> FnLength(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   return Value::Double(algo::GeometryLength(*g));
 }
 
 Result<Value> FnDimension(const FunctionContext& ctx,
-                          const std::vector<Value>& args) {
+                          const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   return Value::Int(relate::EffectiveDimension(*g, ctx.faults));
 }
 
 Result<Value> FnNumGeometries(const FunctionContext& ctx,
-                              const std::vector<Value>& args) {
+                              const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   if (!g->IsCollection()) return Value::Int(g->IsEmpty() ? 0 : 1);
   return Value::Int(
@@ -578,13 +604,13 @@ Result<Value> FnNumGeometries(const FunctionContext& ctx,
 }
 
 Result<Value> FnIsEmpty(const FunctionContext& ctx,
-                        const std::vector<Value>& args) {
+                        const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   return Value::Bool(g->IsEmpty());
 }
 
 Result<Value> FnIsValid(const FunctionContext& ctx,
-                        const std::vector<Value>& args) {
+                        const ArgList& args) {
   // Validity inspection bypasses the strict coercion policy on purpose.
   FunctionContext lenient = ctx;
   lenient.dialect = Dialect::kMysql;
@@ -597,7 +623,7 @@ Result<Value> GeometryValue(GeomPtr g) {
 }
 
 Result<Value> FnBoundary(const FunctionContext& ctx,
-                         const std::vector<Value>& args) {
+                         const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   if (ctx.faults && g->IsCollection()) {
     bool has_empty_line = false;
@@ -616,7 +642,7 @@ Result<Value> FnBoundary(const FunctionContext& ctx,
 }
 
 Result<Value> FnConvexHull(const FunctionContext& ctx,
-                           const std::vector<Value>& args) {
+                           const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   if (ctx.faults) {
     // Count collinear coordinates for the injected crash.
@@ -645,7 +671,7 @@ Result<Value> FnConvexHull(const FunctionContext& ctx,
 }
 
 Result<Value> FnPolygonize(const FunctionContext& ctx,
-                           const std::vector<Value>& args) {
+                           const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   if (ctx.faults && g->IsEmpty() &&
       ctx.faults->Fire(FaultId::kDuckdbCrashPolygonizeEmpty)) {
@@ -677,7 +703,7 @@ Result<Value> FnPolygonize(const FunctionContext& ctx,
 }
 
 Result<Value> FnDumpRings(const FunctionContext& ctx,
-                          const std::vector<Value>& args) {
+                          const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   if (ctx.faults && g->type() == GeomType::kPolygon && g->IsEmpty() &&
       ctx.faults->Fire(FaultId::kPostgisCrashDumpRingsEmpty)) {
@@ -690,7 +716,7 @@ Result<Value> FnDumpRings(const FunctionContext& ctx,
 }
 
 Result<Value> FnForcePolygonCW(const FunctionContext& ctx,
-                               const std::vector<Value>& args) {
+                               const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   if (ctx.faults && g->type() == GeomType::kGeometryCollection &&
       ctx.faults->Fire(FaultId::kDuckdbCrashForceCwCollection)) {
@@ -703,7 +729,7 @@ Result<Value> FnForcePolygonCW(const FunctionContext& ctx,
 }
 
 Result<Value> FnGeometryN(const FunctionContext& ctx,
-                          const std::vector<Value>& args) {
+                          const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   SPATTER_ASSIGN_OR_RETURN(double n_raw, NumberArg(args[1], "index"));
   const auto n = static_cast<int64_t>(n_raw);
@@ -718,7 +744,7 @@ Result<Value> FnGeometryN(const FunctionContext& ctx,
 }
 
 Result<Value> FnCollectionExtract(const FunctionContext& ctx,
-                                  const std::vector<Value>& args) {
+                                  const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   SPATTER_ASSIGN_OR_RETURN(double type_raw, NumberArg(args[1], "type"));
   if (ctx.faults && g->IsCollection() && g->IsEmpty() &&
@@ -746,7 +772,7 @@ Result<Value> FnCollectionExtract(const FunctionContext& ctx,
 }
 
 Result<Value> FnPointN(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   SPATTER_ASSIGN_OR_RETURN(double n, NumberArg(args[1], "index"));
   auto r = algo::PointN(*g, static_cast<size_t>(n));
@@ -755,7 +781,7 @@ Result<Value> FnPointN(const FunctionContext& ctx,
 }
 
 Result<Value> FnSetPoint(const FunctionContext& ctx,
-                         const std::vector<Value>& args) {
+                         const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   SPATTER_ASSIGN_OR_RETURN(double idx, NumberArg(args[1], "index"));
   SPATTER_ASSIGN_OR_RETURN(GeometryRef p, ToGeometry(ctx, args[2]));
@@ -769,7 +795,7 @@ Result<Value> FnSetPoint(const FunctionContext& ctx,
 }
 
 Result<Value> FnReverse(const FunctionContext& ctx,
-                        const std::vector<Value>& args) {
+                        const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   auto r = algo::Reverse(*g);
   if (!r.ok()) return r.status();
@@ -777,7 +803,7 @@ Result<Value> FnReverse(const FunctionContext& ctx,
 }
 
 Result<Value> FnEnvelope(const FunctionContext& ctx,
-                         const std::vector<Value>& args) {
+                         const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   if (ctx.faults && g->type() == GeomType::kPoint && g->IsEmpty() &&
       ctx.faults->Fire(FaultId::kDuckdbCrashEnvelopePointEmpty)) {
@@ -789,7 +815,7 @@ Result<Value> FnEnvelope(const FunctionContext& ctx,
 }
 
 Result<Value> FnCollect(const FunctionContext& ctx,
-                        const std::vector<Value>& args) {
+                        const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef a, ToGeometry(ctx, args[0]));
   SPATTER_ASSIGN_OR_RETURN(GeometryRef b, ToGeometry(ctx, args[1]));
   auto r = algo::Collect(*a, *b);
@@ -798,7 +824,7 @@ Result<Value> FnCollect(const FunctionContext& ctx,
 }
 
 Result<Value> FnSwapXY(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   GeomPtr out = g->Clone();
   out->MutateCoords(
@@ -807,7 +833,7 @@ Result<Value> FnSwapXY(const FunctionContext& ctx,
 }
 
 Result<Value> FnAffine(const FunctionContext& ctx,
-                       const std::vector<Value>& args) {
+                       const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   double m[6];
   for (int i = 0; i < 6; ++i) {
@@ -819,7 +845,7 @@ Result<Value> FnAffine(const FunctionContext& ctx,
 }
 
 Result<Value> FnCanonicalize(const FunctionContext& ctx,
-                             const std::vector<Value>& args) {
+                             const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
   return GeometryValue(algo::Canonicalize(*g));
 }

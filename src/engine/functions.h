@@ -29,6 +29,21 @@ enum class PredicateExtra {
   kPattern,   ///< pred(g1, g2, 'T*F**F***')
 };
 
+/// The arguments of one call: pointers to values the caller owns (table
+/// rows, a compiled statement's literals and results), so passing an
+/// argument copies no Value.
+class ArgList {
+ public:
+  ArgList(const Value* const* values, size_t size)
+      : values_(values), size_(size) {}
+  const Value& operator[](size_t i) const { return *values_[i]; }
+  size_t size() const { return size_; }
+
+ private:
+  const Value* const* values_;
+  size_t size_;
+};
+
 struct FunctionDef {
   const char* name;       ///< canonical name, e.g. "ST_Covers"
   uint8_t dialects;       ///< availability bitmask (DialectBit)
@@ -36,7 +51,7 @@ struct FunctionDef {
   int max_args;
   bool is_predicate;      ///< boolean topological relationship function
   PredicateExtra extra;   ///< template shape when is_predicate
-  Result<Value> (*impl)(const FunctionContext&, const std::vector<Value>&);
+  Result<Value> (*impl)(const FunctionContext&, const ArgList&);
 };
 
 /// Full registry in stable order.
@@ -60,9 +75,15 @@ std::vector<const FunctionDef*> PredicatesFor(Dialect dialect);
 
 /// Coerces a Value to geometry, parsing WKT strings and applying the
 /// dialect's validity policy (strict dialects reject invalid polygons and
-/// GEOMETRYCOLLECTIONs whose areal elements' interiors intersect).
+/// GEOMETRYCOLLECTIONs whose areal elements' interiors intersect). The
+/// algo::CheckValid part is skipped for a value marked valid_checked; the
+/// collection check, which hits relate coverage, always runs.
 Result<std::shared_ptr<const geom::Geometry>> ToGeometry(
     const FunctionContext& ctx, const Value& v);
+
+/// ToGeometry as a geometry Value, marked valid_checked under a strict
+/// dialect (INSERT into a geometry column, `::geometry`).
+Result<Value> CoerceGeometry(const FunctionContext& ctx, const Value& v);
 
 /// The `~=` operator (PostGIS "same as": equal bounding boxes), including
 /// its injected index-related behaviours live in the executor; this is the

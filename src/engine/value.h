@@ -62,6 +62,12 @@ class Value {
   const std::shared_ptr<const geom::Geometry>& geometry() const {
     return geometry_;
   }
+  /// True when the geometry is known to pass algo::CheckValid. A strict
+  /// dialect's CoerceGeometry marks what it returns, and copies keep the
+  /// mark, so a stored row is checked at INSERT and not again at every
+  /// predicate call (functions.h ToGeometry).
+  bool valid_checked() const { return valid_checked_; }
+  void mark_valid_checked() { valid_checked_ = true; }
 
   /// Display form used by ExecResult ("{0}", "{t}", WKT, "NULL").
   std::string ToDisplayString() const;
@@ -69,6 +75,7 @@ class Value {
  private:
   Kind kind_;
   bool bool_ = false;
+  bool valid_checked_ = false;
   int64_t int_ = 0;
   double double_ = 0.0;
   std::string string_;

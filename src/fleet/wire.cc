@@ -70,9 +70,16 @@ bool ParseFieldBool01(const std::string& s, bool* out) {
 namespace {
 
 std::string FormatF64(double v) {
+  // %.6f prints every integer digit, over 300 of them near DBL_MAX: size
+  // the output from snprintf's count rather than truncating it.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
+  const int n = std::snprintf(buf, sizeof(buf), "%.6f", v);
+  if (n < 0) return "0.000000";
+  if (static_cast<size_t>(n) < sizeof(buf)) return std::string(buf, n);
+  std::string out(static_cast<size_t>(n) + 1, '\0');
+  std::snprintf(out.data(), out.size(), "%.6f", v);
+  out.resize(static_cast<size_t>(n));
+  return out;
 }
 
 Status Malformed(const char* what) {

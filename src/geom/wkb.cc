@@ -127,6 +127,7 @@ class Reader {
         if (std::isnan(x) && std::isnan(y)) {
           return MakeEmpty(GeomType::kPoint);
         }
+        SPATTER_RETURN_NOT_OK(CheckFinite(x, y));
         return MakePoint(x, y);
       }
       case kWkbLineString: {
@@ -199,9 +200,20 @@ class Reader {
     for (uint32_t i = 0; i < n; ++i) {
       SPATTER_ASSIGN_OR_RETURN(double x, F64());
       SPATTER_ASSIGN_OR_RETURN(double y, F64());
+      SPATTER_RETURN_NOT_OK(CheckFinite(x, y));
       pts.push_back({x, y});
     }
     return pts;
+  }
+
+  // Coordinates must be finite: NaN and +-inf have no WKT form, so a
+  // geometry holding one could not be encoded back (TestCaseCodec). The
+  // one exception, POINT EMPTY's NaN pair, is handled by the caller.
+  static Status CheckFinite(double x, double y) {
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      return Status::InvalidArgument("non-finite WKB coordinate");
+    }
+    return Status::OK();
   }
 
   Result<uint8_t> U8() {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -191,6 +192,11 @@ class WktParser {
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
       return Status::InvalidArgument("malformed number '" + token + "'");
+    }
+    // strtod overflows to +-inf (1e309): a coordinate must be finite, as
+    // the writer cannot print anything else back.
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("number out of range '" + token + "'");
     }
     return v;
   }

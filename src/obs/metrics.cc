@@ -8,9 +8,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <sstream>
-#include <thread>
 
 #include "common/strings.h"
 
@@ -55,12 +53,6 @@ void AppendF(std::string* out, const char* fmt, ...) {
 
 }  // namespace
 
-size_t Counter::ShardIndex() {
-  static thread_local const size_t idx =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
-  return idx;
-}
-
 void LatencyHistogram::Record(double seconds) {
   if (!(seconds > 0.0)) {
     RecordNanos(0);
@@ -71,9 +63,10 @@ void LatencyHistogram::Record(double seconds) {
 }
 
 void LatencyHistogram::RecordNanos(uint64_t ns) {
-  buckets_[BucketOf(ns)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+  Shard& s = shards_[ThreadSlot() % kShards];
+  s.buckets[BucketOf(ns)].fetch_add(1, std::memory_order_relaxed);
+  s.count.fetch_add(1, std::memory_order_relaxed);
+  s.sum_ns.fetch_add(ns, std::memory_order_relaxed);
 }
 
 size_t LatencyHistogram::BucketOf(uint64_t ns) {

@@ -8,12 +8,14 @@
 //      lock on the hot path, and nothing in the fuzzing loop branches on a
 //      metric value — enabling telemetry must leave the bug-set lines
 //      byte-identical (pinned by test and CI).
-//   2. Thread-sharded hot path. Counters split their value across
-//      cache-line-padded shards indexed by a thread-id hash, so shards of
-//      a --jobs=N campaign do not bounce one cache line; histograms bump a
-//      relaxed atomic bucket. Registration (first use of a name) takes a
-//      mutex once; call sites cache the returned stable pointer in a
-//      function-local static, mirroring the SPATTER_COV idiom.
+//   2. Thread-sharded hot path. Counters and histograms split their
+//      values across cache-line-aligned shards, one per thread slot
+//      (common/thread_slot.h: slots are handed out in order, so the
+//      threads of a --jobs=N campaign write different shards and do not
+//      bounce one cache line); readers sum the shards. Registration
+//      (first use of a name) takes a mutex once; call sites cache the
+//      returned stable pointer in a function-local static, mirroring the
+//      SPATTER_COV idiom.
 //   3. Mergeable snapshots. A MetricsSnapshot is a pure value: counters
 //      and gauges sum, histograms sum bucket-wise — merge is associative
 //      and commutative, so worker STATS frames, dead-incarnation
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_slot.h"
 
 namespace spatter::obs {
 
@@ -44,7 +47,7 @@ class Counter {
   static constexpr size_t kShards = 8;
 
   void Add(uint64_t n = 1) {
-    shards_[ShardIndex()].v.fetch_add(n, std::memory_order_relaxed);
+    shards_[ThreadSlot() % kShards].v.fetch_add(n, std::memory_order_relaxed);
   }
   uint64_t Value() const {
     uint64_t total = 0;
@@ -63,7 +66,6 @@ class Counter {
   struct alignas(64) Shard {
     std::atomic<uint64_t> v{0};
   };
-  static size_t ShardIndex();
   Shard shards_[kShards];
 };
 
@@ -81,10 +83,12 @@ class Gauge {
 /// in [2^i, 2^(i+1)) nanoseconds (bucket 0 also takes 0 ns; the last
 /// bucket is open-ended at ~2^47 ns ≈ 39 hours), so merge is an
 /// element-wise sum and quantile extraction needs no rebinning. Record()
-/// is two relaxed atomic adds — no lock, no allocation.
+/// is three relaxed atomic adds on the calling thread's shard — no lock,
+/// no allocation; the readers sum the shards.
 class LatencyHistogram {
  public:
   static constexpr size_t kNumBuckets = 48;
+  static constexpr size_t kShards = 8;
 
   void Record(double seconds);
   void RecordNanos(uint64_t ns);
@@ -96,23 +100,39 @@ class LatencyHistogram {
     return i == 0 ? 0 : (uint64_t{1} << i);
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
+  uint64_t count() const { return Sum(&Shard::count); }
+  uint64_t sum_ns() const { return Sum(&Shard::sum_ns); }
   uint64_t bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
+    uint64_t total = 0;
+    for (const Shard& s : shards_) {
+      total += s.buckets[i].load(std::memory_order_relaxed);
+    }
+    return total;
   }
   void Reset() {
-    for (auto& b : buckets_) {
-      b.store(0, std::memory_order_relaxed);
+    for (Shard& s : shards_) {
+      for (auto& b : s.buckets) {
+        b.store(0, std::memory_order_relaxed);
+      }
+      s.count.store(0, std::memory_order_relaxed);
+      s.sum_ns.store(0, std::memory_order_relaxed);
     }
-    count_.store(0, std::memory_order_relaxed);
-    sum_ns_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_ns_{0};
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> buckets[kNumBuckets] = {};
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> sum_ns{0};
+  };
+  uint64_t Sum(std::atomic<uint64_t> Shard::*field) const {
+    uint64_t total = 0;
+    for (const Shard& s : shards_) {
+      total += (s.*field).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+  Shard shards_[kShards];
 };
 
 /// Value-type copy of one histogram, as carried by a MetricsSnapshot.

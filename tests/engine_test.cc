@@ -572,6 +572,163 @@ TEST(EngineStmtCache, LruEvictionBoundsTheCache) {
   EXPECT_EQ(e->statement_cache_size(), 0u);
 }
 
+// --- Compiled evaluator rules ---------------------------------------------
+//
+// Each statement's expressions are compiled once and then evaluated per
+// row pair; these pin the rules the compile step must keep.
+
+StatusCode CodeOf(Engine* e, const std::string& sql) {
+  return e->Execute(sql).status().code();
+}
+
+TEST(EngineCompiled, UnresolvedNamesFailOnlyWhenEvaluated) {
+  // MySQL: no prepared path, and no ST_Covers.
+  auto e = Clean(Dialect::kMysql);
+  ASSERT_TRUE(e->ExecuteScript(
+                   "CREATE TABLE a (g geometry);"
+                   "CREATE TABLE b (g geometry);"
+                   "CREATE TABLE z (g geometry);"
+                   "INSERT INTO a (g) VALUES ('POINT(1 1)'),('POINT(2 2)');"
+                   "INSERT INTO b (g) VALUES ('POINT(1 1)');")
+                  .ok());
+  const struct {
+    const char* on;  // `%` stands for the outer table
+    StatusCode code;
+  } cases[] = {
+      {"ST_NoSuchFn(%.g, b.g)", StatusCode::kNotFound},
+      {"ST_Covers(%.g, b.g)", StatusCode::kUnsupported},
+      {"ST_Intersects(%.nope, b.g)", StatusCode::kNotFound},
+      {"ST_Intersects(nope.g, b.g)", StatusCode::kNotFound},
+      {"ST_Intersects(%.g, @missing)", StatusCode::kNotFound},
+      {"NOT ST_Intersects(%.g, g)", StatusCode::kNotFound},
+  };
+  auto join = [](const std::string& outer, std::string on) {
+    for (size_t at = on.find('%'); at != std::string::npos;
+         at = on.find('%')) {
+      on.replace(at, 1, outer);
+    }
+    return "SELECT COUNT(*) FROM " + outer + " JOIN b ON " + on + ";";
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Count(e.get(), join("z", c.on)), 0) << join("z", c.on);
+    EXPECT_EQ(CodeOf(e.get(), join("a", c.on)), c.code) << join("a", c.on);
+  }
+  // A derived-table filter and a WHERE fail the same way, only on rows.
+  EXPECT_EQ(Count(e.get(), "SELECT COUNT(*) FROM z WHERE ST_NoSuchFn(g);"), 0);
+  EXPECT_EQ(CodeOf(e.get(), "SELECT COUNT(*) FROM a WHERE ST_NoSuchFn(g);"),
+            StatusCode::kNotFound);
+}
+
+TEST(EngineCompiled, SelfJoinBindsOnlyTheOuterRow) {
+  for (Dialect d : {Dialect::kMysql, Dialect::kDuckdbSpatial}) {
+    auto e = Clean(d);
+    ASSERT_TRUE(e->ExecuteScript(
+                     "CREATE TABLE t (g geometry);"
+                     "CREATE TABLE u (g geometry);"
+                     "INSERT INTO t (g) VALUES ('POINT(0 0)'),('POINT(1 1)'),"
+                     "('POINT(2 2)');"
+                     "INSERT INTO u (g) VALUES ('POINT(0 0)'),('POINT(1 1)'),"
+                     "('POINT(2 2)');")
+                    .ok());
+    // Both arguments read the outer row, so every one of the 3 x 3 pairs
+    // is equal to itself; a two-table join matches the diagonal only.
+    EXPECT_EQ(Count(e.get(),
+                    "SELECT COUNT(*) FROM t JOIN t ON ST_Equals(t.g, t.g);"),
+              9);
+    EXPECT_EQ(Count(e.get(),
+                    "SELECT COUNT(*) FROM t JOIN t ON ST_Disjoint(t.g, t.g);"),
+              0);
+    EXPECT_EQ(Count(e.get(),
+                    "SELECT COUNT(*) FROM t JOIN u ON ST_Equals(t.g, u.g);"),
+              3);
+    // An unqualified column resolves only against exactly one binding.
+    EXPECT_EQ(
+        Count(e.get(), "SELECT COUNT(*) FROM t JOIN t ON ST_Equals(g, g);"),
+        9);
+    EXPECT_EQ(
+        CodeOf(e.get(), "SELECT COUNT(*) FROM t JOIN u ON ST_Equals(g, g);"),
+        StatusCode::kNotFound);
+  }
+}
+
+TEST(EngineCompiled, PerPairInvalidArgumentReadsAsUnknown) {
+  auto e = Clean(Dialect::kPostgis);
+  ASSERT_TRUE(e->ExecuteScript(
+                   "CREATE TABLE a (g geometry);"
+                   "CREATE TABLE b (g geometry);"
+                   "INSERT INTO a (g) VALUES ('POINT(0 0)'),('POINT(5 5)');"
+                   "INSERT INTO b (g) VALUES ('POINT(0 0)');")
+                  .ok());
+  // A text distance is a kInvalidArgument on every pair.
+  const std::string bad = "ST_DWithin(a.g, b.g, 'x')";
+  auto count = [&](const std::string& on) {
+    return Count(e.get(), "SELECT COUNT(*) FROM a JOIN b ON " + on + ";");
+  };
+  EXPECT_EQ(count(bad), 0);
+  EXPECT_EQ(count("NOT " + bad), 0);
+  EXPECT_EQ(count(bad + " IS UNKNOWN"), 2);
+  // Kleene: UNKNOWN AND FALSE is FALSE, UNKNOWN OR TRUE is TRUE, and the
+  // other combinations stay UNKNOWN.
+  EXPECT_EQ(count("NOT (" + bad + " AND ST_Disjoint(a.g, a.g))"), 2);
+  EXPECT_EQ(count("(" + bad + " OR ST_Intersects(a.g, b.g))"), 1);
+  EXPECT_EQ(count("(" + bad + " AND ST_Intersects(a.g, b.g)) IS UNKNOWN"), 1);
+  EXPECT_EQ(count("(ST_Intersects(a.g, b.g) OR " + bad + ") IS UNKNOWN"), 1);
+
+  // A crash fails the statement under every operator.
+  auto crashy = Clean(Dialect::kSqlserver);
+  crashy->fault_state().Enable(FaultId::kSqlserverCrashNestedCollection);
+  ASSERT_TRUE(
+      crashy
+          ->ExecuteScript(
+              "CREATE TABLE a (g geometry);"
+              "CREATE TABLE b (g geometry);"
+              "INSERT INTO a (g) VALUES ('POINT(0 0)'),"
+              "('GEOMETRYCOLLECTION(GEOMETRYCOLLECTION(POINT(1 1)))');"
+              "INSERT INTO b (g) VALUES ('POINT(0 0)');")
+          .ok());
+  const std::string crash = "ST_Intersects(a.g, b.g)";
+  for (const std::string& on :
+       {crash, "NOT " + crash, crash + " IS UNKNOWN",
+        "(" + crash + " AND ST_Disjoint(a.g, a.g))",
+        "(ST_Disjoint(a.g, a.g) OR " + crash + ")"}) {
+    EXPECT_EQ(
+        CodeOf(crashy.get(), "SELECT COUNT(*) FROM a JOIN b ON " + on + ";"),
+        StatusCode::kCrash)
+        << on;
+  }
+}
+
+TEST(EngineCompiled, StrictDialectChecksInvalidLiteralOnEveryPair) {
+  // Stored rows pass the validity check once, at INSERT; a literal
+  // argument is checked at every call, so an invalid one reads as
+  // UNKNOWN for every pair.
+  for (Dialect d : {Dialect::kPostgis, Dialect::kDuckdbSpatial}) {
+    auto e = Clean(d);
+    ASSERT_TRUE(e->ExecuteScript(
+                     "CREATE TABLE a (g geometry);"
+                     "CREATE TABLE b (g geometry);"
+                     "INSERT INTO a (g) VALUES ('POINT(0 0)'),('POINT(5 5)'),"
+                     "('POLYGON((0 0,4 0,4 4,0 4,0 0))');"
+                     "INSERT INTO b (g) VALUES ('POINT(1 1)'),('POINT(9 9)');")
+                    .ok());
+    const std::string bowtie = "'POLYGON((0 0,1 1,0 1,1 0,0 0))'";
+    for (const std::string& arg : {bowtie, bowtie + "::geometry"}) {
+      const std::string pred = "ST_Intersects(a.g, " + arg + ")";
+      auto count = [&](const std::string& on) {
+        return Count(e.get(), "SELECT COUNT(*) FROM a JOIN b ON " + on + ";");
+      };
+      EXPECT_EQ(count(pred), 0) << pred;
+      EXPECT_EQ(count("NOT " + pred), 0) << pred;
+      EXPECT_EQ(count(pred + " IS UNKNOWN"), 6) << pred;
+      EXPECT_EQ(count("(" + pred + " OR ST_Intersects(a.g, b.g))"), 1) << pred;
+    }
+    EXPECT_EQ(
+        Count(e.get(),
+              "SELECT COUNT(*) FROM a JOIN b ON ST_Intersects(a.g, b.g);"),
+        1);
+  }
+}
+
 TEST(Engine, SwapXYAndAffineFunctions) {
   auto e = Clean();
   EXPECT_EQ(Scalar(e.get(),

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -199,6 +200,30 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     EXPECT_EQ(out.detail, frame.detail);
     EXPECT_NEAR(out.busy_seconds, frame.busy_seconds, 1e-6);
     EXPECT_NEAR(out.engine_seconds, frame.engine_seconds, 1e-6);
+  }
+}
+
+TEST(Wire, LargeFloatsRoundTripExactly) {
+  // %.6f of a float past ~1e24 runs beyond any fixed buffer; the encoder
+  // must print every digit, not a truncated prefix (4.4e49 once decoded as
+  // 4.4e30).
+  for (double v : {4.4e49, DBL_MAX, -DBL_MAX, 1e24, 12345.5}) {
+    Frame done;
+    done.type = FrameType::kDone;
+    done.busy_seconds = v;
+    done.engine_seconds = v;
+    Frame cov;
+    cov.type = FrameType::kCov;
+    cov.elapsed = v;
+    for (const Frame& frame : {done, cov}) {
+      const std::string line = EncodeFrame(frame);
+      auto decoded = DecodeFrame(line);
+      ASSERT_TRUE(decoded.ok()) << line;
+      EXPECT_EQ(decoded.value().busy_seconds, frame.busy_seconds) << line;
+      EXPECT_EQ(decoded.value().engine_seconds, frame.engine_seconds) << line;
+      EXPECT_EQ(decoded.value().elapsed, frame.elapsed) << line;
+      EXPECT_EQ(EncodeFrame(decoded.value()), line);
+    }
   }
 }
 

@@ -1,18 +1,23 @@
 // Tests for the telemetry core: concurrent counter/histogram correctness,
-// quantile extraction, snapshot merge associativity, the strict
+// exact per-thread shards (coverage, counters, histograms), quantile
+// extraction, snapshot merge associativity, the strict
 // spatter-metrics-text-v1 codec, and the flight-recorder trace ring with
 // its spatter-trace-v1 JSONL codec.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/coverage.h"
+#include "common/thread_slot.h"
 #include "obs/trace.h"
 
 namespace spatter::obs {
@@ -286,6 +291,117 @@ TEST(RegistryTest, MacroCachesAndCounts) {
   SPATTER_METRIC_ADD("obs_test.macro", 7);
   EXPECT_EQ(
       MetricsRegistry::Instance().GetCounter("obs_test.macro")->Value(), 10u);
+}
+
+// --- Per-thread shards --------------------------------------------------
+//
+// Coverage hit counters, metrics counters and histograms each write the
+// calling thread's shard and sum the shards on read; these pin that the
+// sums are exact.
+
+TEST(ShardTest, CoverageCountersAndHistogramsAreExactUnderThreads) {
+  CoverageRegistry& cov = CoverageRegistry::Instance();
+  std::vector<uint32_t> hit_sites;
+  std::vector<uint32_t> idle_sites;
+  for (int i = 0; i < 16; ++i) {
+    const size_t site =
+        cov.Register("obs_test_shards", "site" + std::to_string(i));
+    (i < 12 ? hit_sites : idle_sites).push_back(static_cast<uint32_t>(site));
+  }
+  const std::vector<uint64_t> before = cov.SnapshotHits();
+  const size_t covered_before = cov.CoveredSiteCount();
+  LatencyHistogram h;
+  Counter c;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kRounds = 20000;
+  std::vector<size_t> shards(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const uint64_t n = static_cast<uint64_t>(t) + 1;
+      for (uint64_t i = 0; i < kRounds; ++i) {
+        for (uint32_t site : hit_sites) cov.Hit(site, n);
+        h.RecordNanos(1000 * n);
+        c.Add(n);
+      }
+      shards[t] = ThreadSlot() % Counter::kShards;
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  // Threads started one after another take consecutive slots, so they
+  // write different shards.
+  EXPECT_EQ(std::set<size_t>(shards.begin(), shards.end()).size(),
+            static_cast<size_t>(kThreads));
+
+  const std::vector<uint64_t> after = cov.SnapshotHits();
+  for (uint32_t site : hit_sites) {
+    EXPECT_EQ(after[site] - before[site], kRounds * (1 + 2 + 3 + 4)) << site;
+  }
+  for (uint32_t site : idle_sites) {
+    EXPECT_EQ(after[site], before[site]) << site;
+  }
+  EXPECT_EQ(cov.CoveredSiteCount(), covered_before + hit_sites.size());
+  EXPECT_EQ(cov.NewSitesSince(before), hit_sites);
+  EXPECT_EQ(cov.KeysCoveredSince(before), cov.KeysOf(hit_sites));
+
+  EXPECT_EQ(h.count(), kThreads * kRounds);
+  EXPECT_EQ(h.sum_ns(), kRounds * 1000 * (1 + 2 + 3 + 4));
+  EXPECT_EQ(h.bucket(LatencyHistogram::BucketOf(1000)), kRounds);
+  EXPECT_EQ(h.bucket(LatencyHistogram::BucketOf(2000)), kRounds);
+  // 3000 and 4000 ns share the [2048, 4096) bucket.
+  EXPECT_EQ(h.bucket(LatencyHistogram::BucketOf(3000)), 2 * kRounds);
+  uint64_t bucket_total = 0;
+  for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
+    bucket_total += h.bucket(i);
+  }
+  EXPECT_EQ(bucket_total, kThreads * kRounds);
+  EXPECT_EQ(c.Value(), kRounds * (1 + 2 + 3 + 4));
+}
+
+TEST(ShardTest, CoverageSnapshotResetRestoreRoundTrips) {
+  CoverageRegistry& cov = CoverageRegistry::Instance();
+  cov.ResetHits();
+  std::vector<size_t> sites;
+  for (int i = 0; i < 6; ++i) {
+    sites.push_back(
+        cov.Register("obs_test_restore", "site" + std::to_string(i)));
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&cov, &sites, t] {
+      for (int i = 0; i <= t; ++i) cov.Hit(sites[static_cast<size_t>(i)], 5);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  const std::vector<uint64_t> snap = cov.SnapshotHits();
+  const size_t covered = cov.CoveredSiteCount();
+  EXPECT_EQ(covered, static_cast<size_t>(std::count_if(
+                         snap.begin(), snap.end(),
+                         [](uint64_t n) { return n > 0; })));
+  EXPECT_EQ(snap[sites[0]], 15u);
+  EXPECT_EQ(snap[sites[2]], 5u);
+  EXPECT_EQ(snap[sites[3]], 0u);
+
+  cov.ResetHits();
+  EXPECT_EQ(cov.CoveredSiteCount(), 0u);
+  EXPECT_EQ(cov.HitPoints(), 0u);
+  const std::vector<uint64_t> zero = cov.SnapshotHits();
+  EXPECT_TRUE(std::all_of(zero.begin(), zero.end(),
+                          [](uint64_t n) { return n == 0; }));
+
+  cov.RestoreHits(snap);
+  EXPECT_EQ(cov.SnapshotHits(), snap);
+  EXPECT_EQ(cov.CoveredSiteCount(), covered);
+  EXPECT_EQ(cov.HitPoints(), covered);
+  // Hits after a restore add to the restored counts, from any thread.
+  std::thread([&cov, &sites] { cov.Hit(sites[3]); }).join();
+  EXPECT_EQ(cov.SnapshotHits()[sites[3]], 1u);
+  EXPECT_EQ(cov.SnapshotHits()[sites[0]], 15u);
+  EXPECT_EQ(cov.CoveredSiteCount(), covered + 1);
 }
 
 TEST(ScopedTimerTest, RecordsPositiveDuration) {

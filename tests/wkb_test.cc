@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "fuzz/generator.h"
@@ -73,6 +77,61 @@ TEST(Wkb, RejectsMalformedInput) {
   // Trailing garbage after a valid point.
   EXPECT_FALSE(
       ReadWkbHex("0101000000000000000000F03F0000000000000040FF").ok());
+}
+
+// Little-endian WKB of a point (type 1) or a linestring (type 2) with the
+// given coordinates, written byte by byte so any double can be placed.
+std::vector<uint8_t> LittleEndianWkb(uint32_t type,
+                                     const std::vector<double>& xy) {
+  std::vector<uint8_t> out = {0x01};
+  auto u32 = [&out](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  u32(type);
+  if (type == 2) u32(static_cast<uint32_t>(xy.size() / 2));
+  for (double d : xy) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, 8);
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+    }
+  }
+  return out;
+}
+
+TEST(Wkb, RejectsNonFiniteCoordinates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf}) {
+    EXPECT_FALSE(ReadWkb(LittleEndianWkb(2, {0, 0, bad, 1})).ok()) << bad;
+    EXPECT_FALSE(ReadWkb(LittleEndianWkb(2, {0, 0, 1, bad})).ok()) << bad;
+    EXPECT_FALSE(ReadWkb(LittleEndianWkb(1, {bad, 1})).ok()) << bad;
+    EXPECT_FALSE(ReadWkb(LittleEndianWkb(1, {1, bad})).ok()) << bad;
+  }
+  EXPECT_FALSE(ReadWkb(LittleEndianWkb(1, {inf, inf})).ok());
+  // POINT EMPTY's form, NaN for both x and y, stays accepted.
+  auto empty = ReadWkb(LittleEndianWkb(1, {nan, nan}));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty.value()->ToWkt(), "POINT EMPTY");
+}
+
+TEST(Wkb, AcceptedInputsReachAFixedPoint) {
+  // decode -> encode -> decode gives back the first encoding.
+  for (const auto& bytes :
+       {LittleEndianWkb(1, {1.7976931348623157e308, -4.9e-324}),
+        LittleEndianWkb(2, {0, -0.0, 1e300, 2}),
+        LittleEndianWkb(1, {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::quiet_NaN()})}) {
+    auto first = ReadWkb(bytes);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const std::vector<uint8_t> encoded = WriteWkb(*first.value());
+    auto second = ReadWkb(encoded);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(WriteWkb(*second.value()), encoded);
+    EXPECT_TRUE(first.value()->EqualsExact(*second.value()));
+  }
 }
 
 TEST(Wkb, MultiElementTypeEnforced) {

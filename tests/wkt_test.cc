@@ -78,6 +78,35 @@ TEST(WktReader, RejectsMalformedInput) {
   EXPECT_FALSE(ReadWkt("POINT(a b)").ok());
 }
 
+TEST(WktReader, RejectsNonFiniteCoordinates) {
+  // strtod overflows these to +-inf; the writer would print `inf`, which
+  // the reader rejects, so they must be rejected on the way in.
+  for (const char* wkt :
+       {"POINT(1e309 2)", "POINT(-101e308 2)", "POINT(2 1e400)",
+        "LINESTRING(0 0,1e309 1)", "POLYGON((0 0,1 0,1 -1e309,0 0))"}) {
+    auto r = ReadWkt(wkt);
+    EXPECT_FALSE(r.ok()) << wkt << " -> " << r.value()->ToWkt();
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << wkt;
+    }
+  }
+}
+
+TEST(WktReader, AcceptedInputsReachAFixedPoint) {
+  // decode -> encode -> decode gives back the first encoding, including
+  // at the edges of the double range.
+  for (const char* wkt :
+       {"POINT(1.7976931348623157e308 -1.7976931348623157e308)",
+        "POINT(4.9e-324 -1e-400)", "POINT(-0 0.1)", "LINESTRING(1e300 2,3 4)",
+        "GEOMETRYCOLLECTION(POINT EMPTY,MULTIPOINT((1e-5 2e22)))"}) {
+    GeomPtr first = MustRead(wkt);
+    const std::string encoded = first->ToWkt();
+    GeomPtr second = MustRead(encoded);
+    EXPECT_EQ(second->ToWkt(), encoded) << wkt;
+    EXPECT_TRUE(first->EqualsExact(*second)) << wkt;
+  }
+}
+
 TEST(WktReader, ErrorsCarryInvalidArgumentCode) {
   auto r = ReadWkt("NOTATYPE(1 2)");
   ASSERT_FALSE(r.ok());
