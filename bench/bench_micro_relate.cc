@@ -1,11 +1,20 @@
 // Micro ablations of the topology core (google-benchmark): relate kernel
 // cost by geometry complexity, the memo's replay cost, prepared vs plain
-// predicates, canonicalization and the AEI database transform.
+// predicates, canonicalization, the AEI database transform and the SDB2
+// load it feeds.
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "algo/canonicalize.h"
 #include "common/rng.h"
+#include "engine/engine.h"
 #include "fuzz/aei.h"
+#include "fuzz/generator.h"
+#include "fuzz/oracles.h"
+#include "geom/wkb.h"
 #include "geom/wkt_reader.h"
 #include "obs/metrics.h"
 #include "relate/named_predicates.h"
@@ -145,6 +154,103 @@ void BM_AffineTransformDatabase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AffineTransformDatabase);
+
+// A generated SDB1 of `rows` rows and 64 affine transforms to load its
+// image under: each timed iteration takes the next, so no load restores a
+// snapshot.
+struct AffineLoadInput {
+  fuzz::DatabaseSpec sdb1;
+  std::vector<algo::AffineTransform> transforms;
+};
+
+AffineLoadInput MakeAffineLoadInput(int rows) {
+  AffineLoadInput input;
+  engine::Engine e(engine::Dialect::kPostgis, true);
+  fuzz::GeneratorConfig config;
+  config.num_geometries = static_cast<size_t>(rows);
+  Rng rng(7);
+  fuzz::GeometryAwareGenerator gen(config, &rng, &e);
+  input.sdb1 = gen.Generate(nullptr);
+  for (int i = 0; i < 64; ++i) {
+    input.transforms.push_back(fuzz::RandomIntegerAffine(&rng));
+  }
+  return input;
+}
+
+size_t CountAccepted(const fuzz::RowMask& mask) {
+  size_t n = 0;
+  for (const auto& table : mask) {
+    for (bool accepted : table) n += accepted;
+  }
+  return n;
+}
+
+// The engine's tables, each geometry as WKB (coordinates by bits).
+std::map<std::string, std::string> TablesWkb(const engine::Engine& e) {
+  std::map<std::string, std::string> out;
+  for (const auto& [name, table] : e.tables()) {
+    for (const engine::Row& row : table.rows) {
+      const engine::Value& v = row[table.geometry_column];
+      out[name] += (v.geometry() ? geom::WriteWkbHex(*v.geometry()) : "null") +
+                   " ";
+    }
+  }
+  return out;
+}
+
+// SDB2 as the AEI check loads it: typed rows from the canonical forms
+// derived once for SDB1 (fuzz::AffinePair).
+void BM_AffinePairLoad(benchmark::State& state) {
+  const AffineLoadInput input = MakeAffineLoadInput(state.range(0));
+  engine::Engine engine(engine::Dialect::kPostgis, true);
+  {
+    fuzz::AffinePair pair(&engine, input.sdb1, input.transforms[0]);
+    fuzz::RowMask typed_mask;
+    fuzz::RowMask text_mask;
+    engine::Engine text(engine::Dialect::kPostgis, true);
+    const bool loaded =
+        pair.LoadImage(&typed_mask).ok() &&
+        fuzz::LoadDatabase(&text,
+                           fuzz::TransformDatabase(input.sdb1,
+                                                   input.transforms[0], true),
+                           &text_mask)
+            .ok();
+    if (!loaded || typed_mask != text_mask ||
+        TablesWkb(engine) != TablesWkb(text)) {
+      state.SkipWithError("typed tables differ from the WKT path's");
+      return;
+    }
+  }
+  size_t next = 0;
+  size_t accepted = 0;
+  for (auto _ : state) {
+    fuzz::AffinePair pair(&engine, input.sdb1,
+                          input.transforms[next++ % input.transforms.size()]);
+    fuzz::RowMask mask;
+    if (pair.LoadImage(&mask).ok()) accepted += CountAccepted(mask);
+  }
+  if (accepted == 0) state.SkipWithError("no row accepted");
+}
+BENCHMARK(BM_AffinePairLoad)->Arg(10)->Arg(40);
+
+// The same SDB2 through text: TransformDatabase prints it, LoadDatabase
+// parses the INSERTs and the WKT again.
+void BM_AffinePairLoadViaWkt(benchmark::State& state) {
+  const AffineLoadInput input = MakeAffineLoadInput(state.range(0));
+  engine::Engine engine(engine::Dialect::kPostgis, true);
+  size_t next = 0;
+  size_t accepted = 0;
+  for (auto _ : state) {
+    const fuzz::DatabaseSpec sdb2 = fuzz::TransformDatabase(
+        input.sdb1, input.transforms[next++ % input.transforms.size()], true);
+    fuzz::RowMask mask;
+    if (fuzz::LoadDatabase(&engine, sdb2, &mask).ok()) {
+      accepted += CountAccepted(mask);
+    }
+  }
+  if (accepted == 0) state.SkipWithError("no row accepted");
+}
+BENCHMARK(BM_AffinePairLoadViaWkt)->Arg(10)->Arg(40);
 
 }  // namespace
 

@@ -9,25 +9,6 @@
 
 namespace spatter::eet {
 
-namespace {
-
-// Data-aware ST_DWithin bound for the distance-contradiction variant,
-// computed from the raw WKT rows of the two joined tables. Any value is
-// sound (the guard only appears inside `C AND NOT C`); this one makes the
-// guard TRUE on every comparable pair so both truth values get exercised.
-double BoundFor(const fuzz::DatabaseSpec& sdb, const fuzz::QuerySpec& query) {
-  const std::vector<std::string>* rows1 = nullptr;
-  const std::vector<std::string>* rows2 = nullptr;
-  for (const auto& table : sdb.tables) {
-    if (table.name == query.table1) rows1 = &table.rows;
-    if (table.name == query.table2) rows2 = &table.rows;
-  }
-  static const std::vector<std::string> kEmpty;
-  return DistanceBoundFor(rows1 ? *rows1 : kEmpty, rows2 ? *rows2 : kEmpty);
-}
-
-}  // namespace
-
 fuzz::OracleOutcome EetOracle::Compare(engine::Engine* engine,
                                        const fuzz::DatabaseSpec& sdb1,
                                        const fuzz::QuerySpec& query,
@@ -47,7 +28,6 @@ fuzz::OracleOutcome EetOracle::Compare(engine::Engine* engine,
   const fuzz::CountRun base = fuzz::ReadCount(engine->Execute(stmt));
   if (!fuzz::AllCounted({base}, &out)) return out;
 
-  const double distance_bound = BoundFor(sdb1, query);
   for (int j = 0; j < kNumEetTransforms; ++j) {
     const auto id = static_cast<TransformId>(j);
     if (!TransformAppliesTo(id, engine->dialect())) continue;
@@ -62,6 +42,14 @@ fuzz::OracleOutcome EetOracle::Compare(engine::Engine* engine,
           ->Add();
       continue;
     }
+    // Data-aware ST_DWithin bound, for the one variant that reads it: any
+    // value is sound (the guard only appears inside `C AND NOT C`); this
+    // one makes the guard TRUE on every comparable pair, so both truth
+    // values get exercised.
+    const double distance_bound =
+        id == TransformId::kDistanceContradiction
+            ? fuzz::DistanceBound(engine, sdb1, query.table1, query.table2)
+            : 0.0;
     sql::StatementPtr variant = ApplyTransform(id, stmt, distance_bound);
     if (!variant) continue;
     const fuzz::CountRun r = fuzz::ReadCount(engine->Execute(*variant));

@@ -149,17 +149,27 @@ sql::StatementPtr ApplyTransform(TransformId id, const sql::Statement& base,
 
 double DistanceBoundFor(const std::vector<std::string>& rows1,
                         const std::vector<std::string>& rows2) {
+  std::vector<geom::GeomPtr> parsed;
+  auto parse = [&parsed](const std::vector<std::string>& rows) {
+    std::vector<const geom::Geometry*> out;
+    for (const auto& wkt : rows) {
+      auto g = geom::ReadWkt(wkt);
+      if (!g.ok()) continue;
+      parsed.push_back(g.Take());
+      out.push_back(parsed.back().get());
+    }
+    return out;
+  };
+  const std::vector<const geom::Geometry*> parsed1 = parse(rows1);
+  return DistanceBoundForParsed(parsed1, parse(rows2));
+}
+
+double DistanceBoundForParsed(const std::vector<const geom::Geometry*>& rows1,
+                              const std::vector<const geom::Geometry*>& rows2) {
   double max_min = 0.0;
-  std::vector<geom::GeomPtr> parsed2;
-  for (const auto& wkt : rows2) {
-    auto g = geom::ReadWkt(wkt);
-    if (g.ok()) parsed2.push_back(g.Take());
-  }
-  for (const auto& wkt : rows1) {
-    auto g1 = geom::ReadWkt(wkt);
-    if (!g1.ok()) continue;
-    for (const auto& g2 : parsed2) {
-      const std::optional<double> d = algo::MinDistance(*g1.value(), *g2);
+  for (const geom::Geometry* g1 : rows1) {
+    for (const geom::Geometry* g2 : rows2) {
+      const std::optional<double> d = algo::MinDistance(*g1, *g2);
       if (d && *d > max_min) max_min = *d;
     }
   }

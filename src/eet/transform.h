@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "engine/dialect.h"
+#include "geom/geometry.h"
 #include "sql/ast.h"
 
 namespace spatter::eet {
@@ -63,6 +64,9 @@ sql::StatementPtr ApplyTransform(TransformId id, const sql::Statement& base,
 /// pure function of the test case (deterministic across factorizations).
 double DistanceBoundFor(const std::vector<std::string>& rows1,
                         const std::vector<std::string>& rows2);
+/// The same bound over rows already parsed (the rows that parse, in order).
+double DistanceBoundForParsed(const std::vector<const geom::Geometry*>& rows1,
+                              const std::vector<const geom::Geometry*>& rows2);
 
 }  // namespace spatter::eet
 

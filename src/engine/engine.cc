@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -206,6 +207,22 @@ void Engine::Restore(
   restore_hist->Record(seconds);
 }
 
+void Engine::TypedLoad(const std::function<void()>& load) {
+  static obs::LatencyHistogram* load_hist =
+      obs::MetricsRegistry::Instance().GetHistogram("engine.typed_load");
+  const double start =
+      obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu);
+  obs::ScopedTraceSpan load_span("engine.typed_load");
+  const double exec_before = stats_.exec_seconds;
+  load();
+  const double seconds =
+      obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu) - start;
+  // The statements inside `load` added their own time; the load's replaces
+  // it, so each second counts once.
+  stats_.exec_seconds = exec_before + seconds;
+  load_hist->Record(seconds);
+}
+
 void Engine::set_statement_cache_capacity(size_t capacity) {
   stmt_cache_.SetCapacity(capacity);
 }
@@ -300,16 +317,32 @@ size_t StatementCoverageSite(sql::Statement::Kind kind) {
   return sites[static_cast<size_t>(kind)];
 }
 
+// The engine.statement.<kind> histogram of `kind`, registered on the first
+// statement of that kind, so a metrics dump lists only kinds that ran.
+obs::LatencyHistogram* StatementKindHistogram(sql::Statement::Kind kind) {
+  static std::array<std::atomic<obs::LatencyHistogram*>, kStatementKinds>
+      hists{};
+  std::atomic<obs::LatencyHistogram*>& slot =
+      hists[static_cast<size_t>(kind)];
+  obs::LatencyHistogram* hist = slot.load(std::memory_order_acquire);
+  if (hist == nullptr) {
+    hist = obs::MetricsRegistry::Instance().GetHistogram(
+        std::string("engine.statement.") + StatementKindName(kind));
+    slot.store(hist, std::memory_order_release);
+  }
+  return hist;
+}
+
 }  // namespace
 
 Result<ExecResult> Engine::Execute(const sql::Statement& stmt) {
   static obs::LatencyHistogram* stmt_hist =
       obs::MetricsRegistry::Instance().GetHistogram("engine.statement");
   // Engine time is read on the per-thread CPU clock, once on entry and
-  // once on exit, and feeds both the Figure-7 exec_seconds account and the
-  // engine.statement histogram. CPU time, not wall: a statement must not
-  // bill time the OS scheduled the worker out, or the SDBMS share inflates
-  // whenever --jobs oversubscribes the cores.
+  // once on exit, and feeds the Figure-7 exec_seconds account and the
+  // engine.statement and engine.statement.<kind> histograms. CPU time, not
+  // wall: a statement must not bill time the OS scheduled the worker out,
+  // or the SDBMS share inflates whenever --jobs oversubscribes the cores.
   const double start =
       obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu);
   obs::ScopedTraceSpan stmt_span("engine.statement",
@@ -321,6 +354,7 @@ Result<ExecResult> Engine::Execute(const sql::Statement& stmt) {
       obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu) - start;
   stats_.exec_seconds += seconds;
   stmt_hist->Record(seconds);
+  StatementKindHistogram(stmt.kind)->Record(seconds);
   return result;
 }
 
@@ -388,42 +422,75 @@ Result<ExecResult> Engine::ExecDropTable(const sql::Statement& stmt) {
   return ExecResult{};
 }
 
-Result<ExecResult> Engine::ExecInsert(const sql::Statement& stmt) {
-  Table* table = FindTable(stmt.table);
-  if (table == nullptr) {
-    return Status::NotFound("unknown table '" + stmt.table + "'");
+Result<Table*> Engine::InsertTarget(const std::string& table,
+                                    const std::vector<std::string>& names,
+                                    std::vector<int>* cols) {
+  Table* target = FindTable(table);
+  if (target == nullptr) {
+    return Status::NotFound("unknown table '" + table + "'");
   }
-  std::vector<int> target_cols;
-  if (stmt.insert_cols.empty()) {
-    for (size_t i = 0; i < table->column_names.size(); ++i) {
-      target_cols.push_back(static_cast<int>(i));
+  cols->clear();
+  if (names.empty()) {
+    for (size_t i = 0; i < target->column_names.size(); ++i) {
+      cols->push_back(static_cast<int>(i));
     }
   } else {
-    for (const auto& name : stmt.insert_cols) {
-      const int idx = table->ColumnIndex(name);
+    for (const auto& name : names) {
+      const int idx = target->ColumnIndex(name);
       if (idx < 0) {
         return Status::NotFound("unknown column '" + name + "'");
       }
-      target_cols.push_back(idx);
+      cols->push_back(idx);
     }
   }
+  return target;
+}
+
+Status Engine::StoreRow(Table* table, const std::vector<int>& cols,
+                        const std::function<Result<Value>(size_t)>& value) {
+  const FunctionContext ctx{dialect_, &faults_};
+  Row row(table->column_names.size(), Value::Null());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    SPATTER_ASSIGN_OR_RETURN(Value v, value(i));
+    const int col = cols[i];
+    if (EqualsIgnoreCase(table->column_types[col], "geometry")) {
+      SPATTER_ASSIGN_OR_RETURN(v, CoerceGeometry(ctx, v));
+    }
+    row[col] = std::move(v);
+  }
+  table->rows.push_back(std::move(row));
+  return Status::OK();
+}
+
+Result<ExecResult> Engine::ExecInsert(const sql::Statement& stmt) {
+  std::vector<int> cols;
+  SPATTER_ASSIGN_OR_RETURN(Table * table,
+                           InsertTarget(stmt.table, stmt.insert_cols, &cols));
   const FunctionContext ctx{dialect_, &faults_};
   for (const auto& row_exprs : stmt.rows) {
-    if (row_exprs.size() != target_cols.size()) {
+    if (row_exprs.size() != cols.size()) {
       return Status::InvalidArgument("INSERT arity mismatch");
     }
-    Row row(table->column_names.size(), Value::Null());
-    for (size_t i = 0; i < row_exprs.size(); ++i) {
-      SPATTER_ASSIGN_OR_RETURN(Value v,
-                               EvalWithoutRows(*row_exprs[i], ctx, variables_));
-      const int col = target_cols[i];
-      if (EqualsIgnoreCase(table->column_types[col], "geometry")) {
-        SPATTER_ASSIGN_OR_RETURN(v, CoerceGeometry(ctx, v));
-      }
-      row[col] = std::move(v);
-    }
-    table->rows.push_back(std::move(row));
+    SPATTER_RETURN_NOT_OK(StoreRow(table, cols, [&](size_t i) {
+      return EvalWithoutRows(*row_exprs[i], ctx, variables_);
+    }));
   }
+  SPATTER_COV("engine", "insert");
+  return ExecResult{};
+}
+
+Result<ExecResult> Engine::InsertGeometry(
+    const std::string& table, const std::string& column,
+    std::shared_ptr<const geom::Geometry> g) {
+  // What Execute does around a statement, less the clock (TypedLoad's).
+  stats_.statements_executed++;
+  CoverageRegistry::Instance().Hit(
+      StatementCoverageSite(sql::Statement::Kind::kInsert));
+  std::vector<int> cols;
+  SPATTER_ASSIGN_OR_RETURN(Table * target,
+                           InsertTarget(table, {column}, &cols));
+  SPATTER_RETURN_NOT_OK(StoreRow(
+      target, cols, [&](size_t) -> Result<Value> { return Value::Geometry(g); }));
   SPATTER_COV("engine", "insert");
   return ExecResult{};
 }
@@ -539,12 +606,6 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
   }
   static obs::LatencyHistogram* plan_hist =
       obs::MetricsRegistry::Instance().GetHistogram("engine.plan");
-  static obs::LatencyHistogram* index_scan_hist =
-      obs::MetricsRegistry::Instance().GetHistogram("engine.index_scan");
-  static obs::LatencyHistogram* prepared_hist =
-      obs::MetricsRegistry::Instance().GetHistogram("engine.prepared");
-  static obs::LatencyHistogram* join_eval_hist =
-      obs::MetricsRegistry::Instance().GetHistogram("engine.join_eval");
 
   // Planned once per statement: the compiled condition and outer filter,
   // and the paths the pairs take.
@@ -610,12 +671,8 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
       prepared.emplace(*outer_geom);
     }
 
-    // Candidate rows of t2, via one index probe per outer row. The
-    // engine.index_scan histogram samples once per probe (candidate
-    // collection only — predicate evaluation lands in prepared/relate).
+    // Candidate rows of t2, via one index probe per outer row.
     if (index_path && outer_geom != nullptr) {
-      obs::ScopedTimer scan_timer(index_scan_hist,
-                                  obs::ScopedTimer::Clock::kThreadCpu);
       SPATTER_COV("engine", "join_index_scan");
       stats_.index_scans++;
       const geom::Envelope probe = outer_geom->GetEnvelope();
@@ -632,11 +689,6 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
       for (size_t r = 0; r < candidates.size(); ++r) candidates[r] = r;
     }
 
-    // One observation per outer row, timing its whole batch of candidate
-    // pairs (not one relate call): prepared-path rows land in
-    // engine.prepared, everything else in engine.join_eval.
-    obs::ScopedTimer eval_timer(prepared ? prepared_hist : join_eval_hist,
-                                obs::ScopedTimer::Clock::kThreadCpu);
     bool prev_matched = false;
     for (size_t r : candidates) {
       const Row& row2 = t2->rows[r];
@@ -708,15 +760,10 @@ Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
       }
     }
   }
-  // The probe itself: one engine.index_scan sample and one index_scans
-  // bump per probe (candidate collection only — predicate evaluation is
-  // accounted separately), the same unit as the join path.
+  // The probe itself: one index_scans bump per probe, the same unit as the
+  // join path.
   std::vector<char> admitted;
   if (index_scan) {
-    static obs::LatencyHistogram* where_scan_hist =
-        obs::MetricsRegistry::Instance().GetHistogram("engine.index_scan");
-    obs::ScopedTimer scan_timer(where_scan_hist,
-                                obs::ScopedTimer::Clock::kThreadCpu);
     SPATTER_COV("engine", "where_index_scan");
     stats_.index_scans++;
     std::vector<size_t> candidates;

@@ -124,6 +124,25 @@ class Engine {
   void Restore(
       const std::function<void(std::map<std::string, Table>*)>& install);
 
+  /// Inserts `g` as one typed row, as the statement
+  /// `INSERT INTO <table> (<column>) VALUES ('<WKT>')` would, where `g` is
+  /// exactly what ReadWkt returns for that WKT. It shares ExecInsert's row
+  /// code, so it hits the same engine_stmt/insert and engine/insert
+  /// coverage sites, counts in statements_executed, runs the same
+  /// CoerceGeometry validity check and returns the same ok, error or crash.
+  /// It reads no clock: call it inside TypedLoad, which accounts its time.
+  Result<ExecResult> InsertGeometry(const std::string& table,
+                                    const std::string& column,
+                                    std::shared_ptr<const geom::Geometry> g);
+
+  /// Runs `load`, a database load that mixes InsertGeometry rows with
+  /// statements, as one unit of engine time: one pair of thread-CPU reads
+  /// around it (each read is a system call, so not a pair per row) feeds
+  /// exec_seconds, the engine.typed_load histogram and one engine.typed_load
+  /// trace span. The statements it runs take their own reads as usual;
+  /// their time is counted once, in the load's.
+  void TypedLoad(const std::function<void()>& load);
+
   /// State a caller keeps per engine: it lives as long as the engine and
   /// survives Reset. fuzz::LoadDatabase keeps its database snapshots here,
   /// behind this base so the engine needs no fuzz types; the engine never
@@ -154,6 +173,16 @@ class Engine {
   Result<ExecResult> ExecCreateIndex(const sql::Statement& stmt);
   Result<ExecResult> ExecDropTable(const sql::Statement& stmt);
   Result<ExecResult> ExecInsert(const sql::Statement& stmt);
+  /// The row code ExecInsert and InsertGeometry share. InsertTarget
+  /// resolves the table and the target columns (`names` empty: every
+  /// column, in order); StoreRow appends one row whose value i, from
+  /// `value(i)`, goes to column cols[i], coerced under the dialect's
+  /// validity policy when that column holds geometry.
+  Result<Table*> InsertTarget(const std::string& table,
+                              const std::vector<std::string>& names,
+                              std::vector<int>* cols);
+  Status StoreRow(Table* table, const std::vector<int>& cols,
+                  const std::function<Result<Value>(size_t)>& value);
   Result<ExecResult> ExecSet(const sql::Statement& stmt);
   Result<ExecResult> ExecSelectCountJoin(const sql::Statement& stmt);
   Result<ExecResult> ExecSelectCountWhere(const sql::Statement& stmt);

@@ -39,6 +39,9 @@ std::optional<double> SimilarityScale(const algo::AffineTransform& t);
 /// Transforms a database spec into its affine equivalent: optionally
 /// canonicalizes each geometry (paper §4.3), then applies `transform` to
 /// every coordinate. WKT that fails to parse is copied through unchanged.
+/// This is SDB2's printer, for reports, reproducers and layer replays; the
+/// AEI check itself builds SDB2 from typed rows (fuzz::AffinePair), and
+/// this text form is the reference its tests hold that load to.
 DatabaseSpec TransformDatabase(const DatabaseSpec& sdb,
                                const algo::AffineTransform& transform,
                                bool canonicalize);

@@ -62,15 +62,14 @@ OracleOutcome RunKnnCheck(engine::Engine* engine, const DatabaseSpec& sdb,
 
   // Acceptance masks are intersected as in the AEI check so both rankings
   // see the same row population.
-  const DatabaseSpec sdb2 = TransformDatabase(sdb, transform,
-                                              /*canonicalize=*/true);
-  const Result<RowMask> keep = AcceptedByBoth(engine, sdb, sdb2);
+  AffinePair pair(engine, sdb, transform);
+  const Result<RowMask> keep = pair.LoadBoth();
   if (!keep.ok() || !LoadDatabase(engine, sdb, nullptr, &keep.value()).ok()) {
     out.applicable = false;
     return out;
   }
   auto r1 = KnnRows(engine, table, query, k);
-  if (!LoadDatabase(engine, sdb2, nullptr, &keep.value()).ok()) {
+  if (!pair.LoadImage(nullptr, &keep.value()).ok()) {
     out.applicable = false;
     return out;
   }

@@ -1,10 +1,18 @@
 #include "fuzz/oracles.h"
 
 #include <algorithm>
+#include <cctype>
+#include <functional>
+#include <map>
+#include <utility>
 
+#include "algo/canonicalize.h"
 #include "common/coverage.h"
+#include "eet/transform.h"
 #include "engine/functions.h"
 #include "fuzz/aei.h"
+#include "geom/wkt_reader.h"
+#include "geom/wkt_writer.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
 
@@ -14,39 +22,36 @@ namespace spatter::fuzz {
 
 namespace {
 
-// Runs one load statement. With `effects`, also records what it did
-// besides changing the tables (faults::Effects), as the relate memo records
-// a kernel run.
-Result<engine::ExecResult> RunLoadStatement(engine::Engine* engine,
-                                            const std::string& sql,
-                                            faults::Effects* effects) {
-  if (effects == nullptr) return engine->Execute(sql);
-  return effects->Record(&engine->fault_state(),
-                         [&] { return engine->Execute(sql); });
+// Runs one unit of a load: a statement, or a typed row. With `effects`,
+// also records what it did besides changing the tables
+// (faults::Effects), as the relate memo records a kernel run.
+template <typename Work>
+Result<engine::ExecResult> RunRecorded(engine::Engine* engine,
+                                       faults::Effects* effects, Work work) {
+  if (effects == nullptr) return work();
+  return effects->Record(&engine->fault_state(), work);
 }
 
-// One loaded database: the key is everything a load reads besides the
-// engine's dialect, and the value is the tables the load left plus what
-// each of its statements did.
+// Same table names, each with the same WKT rows.
+bool SameTables(const std::vector<TableSpec>& a,
+                const std::vector<TableSpec>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t t = 0; t < a.size(); ++t) {
+    if (a[t].name != b[t].name || a[t].rows != b[t].rows) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+// One loaded database: the tables a load left plus what each of its
+// statements did.
 class LoadSnapshot {
  public:
-  LoadSnapshot(const DatabaseSpec& sdb, uint64_t fault_mask)
-      : tables_(sdb.tables), with_index_(sdb.with_index),
-        fault_mask_(fault_mask), loaded_(sdb.tables.size()) {}
-
-  // The whole key compared, not a hash of it.
-  bool Matches(const DatabaseSpec& sdb, uint64_t fault_mask) const {
-    if (sdb.with_index != with_index_ || fault_mask != fault_mask_ ||
-        sdb.tables.size() != tables_.size()) {
-      return false;
+  explicit LoadSnapshot(const DatabaseSpec& sdb) : loaded_(sdb.tables.size()) {
+    for (size_t t = 0; t < sdb.tables.size(); ++t) {
+      loaded_[t].name = sdb.tables[t].name;
     }
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      if (sdb.tables[t].name != tables_[t].name ||
-          sdb.tables[t].rows != tables_[t].rows) {
-        return false;
-      }
-    }
-    return true;
   }
 
   // Where the statement path records table t's DDL and row statements.
@@ -63,12 +68,11 @@ class LoadSnapshot {
   // accepted rows in order (a table name that is no plain identifier):
   // such a load cannot be restored row by row.
   bool TakeRows(const engine::Engine& engine) {
-    if (engine.tables().size() != tables_.size()) return false;
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      const auto it = engine.tables().find(tables_[t].name);
+    if (engine.tables().size() != loaded_.size()) return false;
+    for (Table& loaded : loaded_) {
+      const auto it = engine.tables().find(loaded.name);
       if (it == engine.tables().end()) return false;
       const engine::Table& table = it->second;
-      Table& loaded = loaded_[t];
       size_t next = 0;
       for (RowRecord& row : loaded.rows) {
         if (!row.accepted) continue;
@@ -82,18 +86,18 @@ class LoadSnapshot {
     return true;
   }
 
-  // What the statement path would do for a load of the key's database:
+  // What the statement path would do for a load of the recorded database:
   // install the tables with the rows `keep` marks (nullptr: all) and
   // replay the effects of exactly the statements it would run.
   void Restore(engine::Engine* engine, RowMask* accepted,
                const RowMask* keep) const {
     const faults::FaultState& faults = engine->fault_state();
-    if (accepted) accepted->assign(tables_.size(), {});
+    if (accepted) accepted->assign(loaded_.size(), {});
     engine->Restore([&](std::map<std::string, engine::Table>* tables) {
-      for (size_t t = 0; t < tables_.size(); ++t) {
+      for (size_t t = 0; t < loaded_.size(); ++t) {
         const Table& loaded = loaded_[t];
         for (const faults::Effects& ddl : loaded.ddl) ddl.Replay(&faults);
-        engine::Table& table = (*tables)[tables_[t].name];
+        engine::Table& table = (*tables)[loaded.name];
         table = loaded.schema;
         table.rows.reserve(loaded.rows.size());
         for (size_t r = 0; r < loaded.rows.size(); ++r) {
@@ -116,21 +120,103 @@ class LoadSnapshot {
     faults::Effects effects;
   };
   struct Table {
+    std::string name;
     engine::Table schema;  // as the DDL left it, without rows
     std::vector<faults::Effects> ddl;
     std::vector<RowRecord> rows;  // aligned with TableSpec::rows
   };
 
-  std::vector<TableSpec> tables_;
-  bool with_index_;
-  uint64_t fault_mask_;
-  std::vector<Table> loaded_;  // aligned with tables_
+  std::vector<Table> loaded_;  // aligned with DatabaseSpec::tables
 };
 
-// An engine's most recently used snapshots. Four hold an iteration's
-// working set: SDB1, its twin under the other with_index (the index
-// oracle), the current query's SDB2, and the canonical SDB1 that
-// canonical-only queries load.
+namespace {
+
+// What every check on one SDB1 shares, derived once per engine (see
+// AffinePair): each row parsed, its canonical form with what building it
+// did, and EET's distance bound per ordered table pair.
+class DerivedSdb1 {
+ public:
+  explicit DerivedSdb1(const DatabaseSpec& sdb1)
+      : tables_(sdb1.tables), rows_(sdb1.tables.size()) {
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      for (const std::string& wkt : tables_[t].rows) {
+        Result<geom::GeomPtr> parsed = geom::ReadWkt(wkt);
+        rows_[t].emplace_back().parsed =
+            parsed.ok() ? parsed.Take() : geom::GeomPtr();
+      }
+    }
+  }
+
+  // The key: SDB1's table names and WKT rows, compared in full.
+  bool Matches(const DatabaseSpec& sdb1) const {
+    return SameTables(tables_, sdb1.tables);
+  }
+
+  // Canonicalizes every row that parses, as TransformDatabase does. The
+  // first call builds the forms and records what building each did; later
+  // calls replay that record, so each call leaves the coverage counts
+  // TransformDatabase's pass would.
+  void Canonicalize(const faults::FaultState* faults) {
+    for (auto& table : rows_) {
+      for (Row& row : table) {
+        if (!row.parsed) continue;
+        if (canonicalized_) {
+          row.canonicalize.Replay(faults);
+          continue;
+        }
+        row.canonical = row.canonicalize.Record(faults, [&] {
+          SPATTER_COV("aei", "canonicalize_pass");
+          return algo::Canonicalize(*row.parsed);
+        });
+      }
+    }
+    canonicalized_ = true;
+  }
+
+  // Row r of table t canonicalized; null when its WKT does not parse.
+  const geom::Geometry* Canonical(size_t t, size_t r) const {
+    return rows_[t][r].canonical.get();
+  }
+
+  double DistanceBound(const std::string& table1, const std::string& table2) {
+    const auto key = std::make_pair(table1, table2);
+    const auto it = bounds_.find(key);
+    if (it != bounds_.end()) return it->second;
+    const double bound =
+        eet::DistanceBoundForParsed(ParsedRows(table1), ParsedRows(table2));
+    bounds_.emplace(key, bound);
+    return bound;
+  }
+
+ private:
+  struct Row {
+    geom::GeomPtr parsed;     // null when the WKT does not parse
+    geom::GeomPtr canonical;  // built by the first Canonicalize
+    faults::Effects canonicalize;
+  };
+
+  // The parsed rows of the last table named `name`; none when there is no
+  // such table.
+  std::vector<const geom::Geometry*> ParsedRows(const std::string& name) const {
+    std::vector<const geom::Geometry*> out;
+    for (size_t t = tables_.size(); t-- > 0;) {
+      if (tables_[t].name != name) continue;
+      for (const Row& row : rows_[t]) {
+        if (row.parsed) out.push_back(row.parsed.get());
+      }
+      break;
+    }
+    return out;
+  }
+
+  std::vector<TableSpec> tables_;
+  std::vector<std::vector<Row>> rows_;  // aligned with tables_
+  bool canonicalized_ = false;
+  std::map<std::pair<std::string, std::string>, double> bounds_;
+};
+
+// An engine's load state: its most recently used snapshots, and the
+// derived state of the last SDB1 an affine check or EET read.
 class LoadCache : public engine::Engine::SnapshotStore {
  public:
   static LoadCache& Of(engine::Engine* engine) {
@@ -146,45 +232,77 @@ class LoadCache : public engine::Engine::SnapshotStore {
     for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
       if ((*it)->Matches(sdb, fault_mask)) {
         std::rotate(it.base() - 1, it.base(), entries_.end());
-        return entries_.back().get();
+        return &entries_.back()->snapshot;
       }
     }
     return nullptr;
   }
 
-  void Insert(std::unique_ptr<LoadSnapshot> snapshot) {
+  void Insert(const DatabaseSpec& sdb, uint64_t fault_mask,
+              LoadSnapshot snapshot) {
     if (entries_.size() == kEntries) entries_.erase(entries_.begin());
-    entries_.push_back(std::move(snapshot));
+    entries_.push_back(std::unique_ptr<Entry>(
+        new Entry{sdb, fault_mask, std::move(snapshot)}));
+  }
+
+  // The derived state of `sdb1`, replacing the previous SDB1's.
+  DerivedSdb1& Derived(const DatabaseSpec& sdb1) {
+    if (!derived_ || !derived_->Matches(sdb1)) {
+      derived_ = std::make_unique<DerivedSdb1>(sdb1);
+    }
+    return *derived_;
   }
 
  private:
+  struct Entry {
+    DatabaseSpec sdb;
+    uint64_t fault_mask;
+    LoadSnapshot snapshot;
+
+    // The whole key compared, not a hash of it.
+    bool Matches(const DatabaseSpec& other, uint64_t mask) const {
+      return other.with_index == sdb.with_index && mask == fault_mask &&
+             SameTables(sdb.tables, other.tables);
+    }
+  };
+
+  // An iteration's working set is two entries: SDB1 and its twin under
+  // the other with_index (the index oracle). SDB2 never enters; AffinePair
+  // keeps its own snapshot. Four leave room for a second such pair, say
+  // the same databases under another fault mask, at the cost of the rows
+  // each entry holds.
   static constexpr size_t kEntries = 4;
-  std::vector<std::unique_ptr<LoadSnapshot>> entries_;  // LRU first
+  std::vector<std::unique_ptr<Entry>> entries_;  // LRU first
+  std::unique_ptr<DerivedSdb1> derived_;
 };
 
-// The statement path: Reset, then the CREATE/INSERT statements of `sdb`,
-// rows not marked in `keep` skipped. With `record`, it also records each
-// statement's effects and each row's acceptance.
+// Inserts row r of table t.
+using InsertRow = std::function<Result<engine::ExecResult>(size_t, size_t)>;
+
+// The statement path: Reset, then per table its DDL and one insert per
+// row (`insert`), rows not marked in `keep` skipped. With `record`, it also
+// records each statement's effects and each row's acceptance.
 Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
-                   RowMask* accepted, const RowMask* keep,
-                   LoadSnapshot* record) {
+                   const InsertRow& insert, RowMask* accepted,
+                   const RowMask* keep, LoadSnapshot* record) {
   engine->Reset();
   if (accepted) accepted->clear();
   for (size_t t = 0; t < sdb.tables.size(); ++t) {
-    const TableSql sql = RenderTable(sdb.tables[t], sdb.with_index);
-    for (const std::string& ddl : sql.ddl) {
+    for (const std::string& ddl :
+         RenderDdl(sdb.tables[t].name, sdb.with_index)) {
       SPATTER_RETURN_NOT_OK(
-          RunLoadStatement(engine, ddl, record ? record->AddDdl(t) : nullptr)
+          RunRecorded(engine, record ? record->AddDdl(t) : nullptr,
+                      [&] { return engine->Execute(ddl); })
               .status());
     }
     std::vector<bool> mask;
-    for (size_t r = 0; r < sql.inserts.size(); ++r) {
+    for (size_t r = 0; r < sdb.tables[t].rows.size(); ++r) {
       if (keep && !(*keep)[t][r]) {
         mask.push_back(false);
         continue;
       }
-      auto result = RunLoadStatement(engine, sql.inserts[r],
-                                     record ? record->AddRow(t) : nullptr);
+      auto result = RunRecorded(engine, record ? record->AddRow(t) : nullptr,
+                                [&] { return insert(t, r); });
       if (!result.ok() && result.status().code() == StatusCode::kCrash) {
         return result.status();
       }
@@ -198,6 +316,18 @@ Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
   return Status::OK();
 }
 
+// True for a name the SQL lexer reads back as one identifier, verbatim.
+bool PlainIdentifier(const std::string& name) {
+  if (name.empty() ||
+      !(std::isalpha(static_cast<unsigned char>(name[0])) || name[0] == '_')) {
+    return false;
+  }
+  for (char c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
@@ -208,27 +338,58 @@ Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
     snapshot->Restore(engine, accepted, keep);
     return Status::OK();
   }
-  // A filtered load follows an unfiltered one of the same database
-  // (AcceptedByBoth), so it misses only when that one was not kept.
-  if (keep) return ExecuteLoad(engine, sdb, accepted, keep, nullptr);
-  auto snapshot = std::make_unique<LoadSnapshot>(sdb, fault_mask);
+  const InsertRow insert = [&](size_t t, size_t r) {
+    const TableSpec& table = sdb.tables[t];
+    return engine->Execute(RenderInsert(table.name, table.rows[r]));
+  };
+  // A filtered load follows an unfiltered one of the same database, so it
+  // misses only when that one was not kept.
+  if (keep) return ExecuteLoad(engine, sdb, insert, accepted, keep, nullptr);
+  LoadSnapshot snapshot(sdb);
   const Status status =
-      ExecuteLoad(engine, sdb, accepted, nullptr, snapshot.get());
-  if (status.ok() && snapshot->TakeRows(*engine)) {
+      ExecuteLoad(engine, sdb, insert, accepted, nullptr, &snapshot);
+  if (status.ok() && snapshot.TakeRows(*engine)) {
     SPATTER_METRIC_INC("engine.snapshot.build");
-    cache.Insert(std::move(snapshot));
+    cache.Insert(sdb, fault_mask, std::move(snapshot));
   }
   return status;
 }
 
-// --- Shared check pieces -----------------------------------------------------
+// --- The affine pair ---------------------------------------------------------
 
-Result<RowMask> AcceptedByBoth(engine::Engine* engine, const DatabaseSpec& sdb1,
-                               const DatabaseSpec& sdb2) {
+AffinePair::AffinePair(engine::Engine* engine, const DatabaseSpec& sdb1,
+                       const algo::AffineTransform& transform)
+    : engine_(engine), sdb1_(sdb1), image_(sdb1.tables.size()) {
+  DerivedSdb1& derived = LoadCache::Of(engine).Derived(sdb1);
+  derived.Canonicalize(&engine->fault_state());
+  for (size_t t = 0; t < sdb1.tables.size(); ++t) {
+    const TableSpec& table = sdb1.tables[t];
+    const bool typed_table = PlainIdentifier(table.name);
+    for (size_t r = 0; r < table.rows.size(); ++r) {
+      ImageRow& row = image_[t].emplace_back();
+      const geom::Geometry* canonical = derived.Canonical(t, r);
+      if (canonical == nullptr) {
+        row.insert = RenderInsert(table.name, table.rows[r]);
+        continue;
+      }
+      geom::GeomPtr g = canonical->Clone();
+      transform.ApplyInPlace(g.get());
+      if (typed_table && geom::NormalizeForWkt(g.get())) {
+        row.typed = std::move(g);
+      } else {
+        row.insert = RenderInsert(table.name, g->ToWkt());
+      }
+    }
+  }
+}
+
+AffinePair::~AffinePair() = default;
+
+Result<RowMask> AffinePair::LoadBoth() {
   RowMask both;
   RowMask mask2;
-  SPATTER_RETURN_NOT_OK(LoadDatabase(engine, sdb1, &both));
-  SPATTER_RETURN_NOT_OK(LoadDatabase(engine, sdb2, &mask2));
+  SPATTER_RETURN_NOT_OK(LoadDatabase(engine_, sdb1_, &both));
+  SPATTER_RETURN_NOT_OK(LoadImage(&mask2));
   for (size_t t = 0; t < both.size(); ++t) {
     for (size_t r = 0; r < both[t].size(); ++r) {
       both[t][r] = both[t][r] && mask2[t][r];
@@ -236,6 +397,35 @@ Result<RowMask> AcceptedByBoth(engine::Engine* engine, const DatabaseSpec& sdb1,
   }
   return both;
 }
+
+Status AffinePair::LoadImage(RowMask* accepted, const RowMask* keep) {
+  if (snapshot_) {
+    snapshot_->Restore(engine_, accepted, keep);
+    return Status::OK();
+  }
+  const InsertRow insert = [&](size_t t, size_t r) {
+    const ImageRow& row = image_[t][r];
+    if (!row.typed) return engine_->Execute(row.insert);
+    return engine_->InsertGeometry(sdb1_.tables[t].name, "g", row.typed);
+  };
+  auto record = keep ? nullptr : std::make_unique<LoadSnapshot>(sdb1_);
+  Status status;
+  engine_->TypedLoad([&] {
+    status = ExecuteLoad(engine_, sdb1_, insert, accepted, keep, record.get());
+  });
+  if (status.ok() && record && record->TakeRows(*engine_)) {
+    SPATTER_METRIC_INC("engine.snapshot.build");
+    snapshot_ = std::move(record);
+  }
+  return status;
+}
+
+double DistanceBound(engine::Engine* engine, const DatabaseSpec& sdb1,
+                     const std::string& table1, const std::string& table2) {
+  return LoadCache::Of(engine).Derived(sdb1).DistanceBound(table1, table2);
+}
+
+// --- Shared check pieces -----------------------------------------------------
 
 CountRun ReadCount(const Result<engine::ExecResult>& result) {
   CountRun run;
@@ -302,9 +492,8 @@ OracleOutcome CompareAffine(engine::Engine* engine, const DatabaseSpec& sdb1,
                             const algo::AffineTransform& transform) {
   SPATTER_COV("oracle", "aei_check");
   OracleOutcome out;
-  const DatabaseSpec sdb2 =
-      TransformDatabase(sdb1, transform, /*canonicalize=*/true);
-  const Result<RowMask> keep = AcceptedByBoth(engine, sdb1, sdb2);
+  AffinePair pair(engine, sdb1, transform);
+  const Result<RowMask> keep = pair.LoadBoth();
   if (!keep.ok()) {
     out.crash = keep.status().code() == StatusCode::kCrash;
     out.detail = keep.status().ToString();
@@ -329,7 +518,7 @@ OracleOutcome CompareAffine(engine::Engine* engine, const DatabaseSpec& sdb1,
 
   if (!LoadDatabase(engine, sdb1, nullptr, &keep.value()).ok()) return out;
   const CountRun r1 = ReadCount(engine->Execute(query.ToSql()));
-  if (!LoadDatabase(engine, sdb2, nullptr, &keep.value()).ok()) return out;
+  if (!pair.LoadImage(nullptr, &keep.value()).ok()) return out;
   const CountRun r2 = ReadCount(engine->Execute(query2.ToSql()));
   if (!AllCounted({r1, r2}, &out)) return out;
   if (r1.count != r2.count) {

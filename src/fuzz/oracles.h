@@ -9,9 +9,10 @@
 // takes the hits that fired into the outcome. Compare implementations
 // build on the shared pieces below: LoadDatabase (with an optional
 // keep-mask for filtered reloads, and per-engine snapshots that make a
-// repeated load a restore), ReadCount, which normalizes one
-// statement's result, and AllCounted, which turns failed runs into a
-// crash or an inapplicable outcome.
+// repeated load a restore), AffinePair, which loads an affine check's two
+// databases, ReadCount, which normalizes one statement's result, and
+// AllCounted, which turns failed runs into a crash or an inapplicable
+// outcome.
 //
 // Contracts of a Check:
 //   - It is a pure function of (engine state, sdb, query, ctx), which is
@@ -61,25 +62,79 @@ using RowMask = std::vector<std::vector<bool>>;
 /// it marks are inserted (the others count as not accepted): the filtered
 /// reload has exactly the effects of loading the filtered database.
 ///
-/// Each engine keeps snapshots of its four most recently loaded
-/// databases, keyed by everything a load reads: table names, WKT rows,
-/// `with_index` and the enabled fault mask, compared in full. A hit
-/// restores the tables (Engine::Restore) and replays the coverage counts
-/// and fault ids each recorded statement produced, only the kept rows'
-/// under a `keep` mask, so it leaves what running the CREATE/INSERT
-/// statements would, without running one. An unfiltered miss runs the
-/// statements and records a snapshot; a filtered miss only runs them. A
-/// failed load is never kept.
+/// Each engine keeps snapshots of the databases it loaded most recently
+/// (an iteration's SDB1 and its twin under the other `with_index`), keyed
+/// by everything a load reads: table names, WKT rows, `with_index` and the
+/// enabled fault mask, compared in full. A hit restores the tables
+/// (Engine::Restore) and replays the coverage counts and fault ids each
+/// recorded statement produced, only the kept rows' under a `keep` mask,
+/// so it leaves what running the CREATE/INSERT statements would, without
+/// running one. An unfiltered miss runs the statements and records a
+/// snapshot; a filtered miss only runs them. A failed load is never kept.
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep = nullptr);
 
-/// Loads `sdb1`, then its row-aligned transform `sdb2`, and returns the
-/// rows both accept: the keep-mask for filtered reloads, so the two sides
-/// of a comparison see the same row population. Fails with the first
-/// load's error. Both loads are unfiltered, so the filtered reloads that
-/// follow restore their snapshots.
-Result<RowMask> AcceptedByBoth(engine::Engine* engine, const DatabaseSpec& sdb1,
-                               const DatabaseSpec& sdb2);
+class LoadSnapshot;
+
+/// The two databases of an affine check (paper Figure 5) on one engine:
+/// SDB1, and SDB2, the image of canonicalized SDB1 under `transform`. AEI,
+/// canonicalization-only and KNN all load them through this.
+///
+/// SDB2 is the database TransformDatabase(sdb1, transform, true) prints,
+/// built without text. Everything that depends only on SDB1 is derived
+/// once per (engine, SDB1) and kept beside the load snapshots, surviving
+/// Engine::Reset until another SDB1 replaces it: each row parsed, and its
+/// canonical form, built by the first affine check with what building it
+/// did (the aei/canonicalize_pass and canon/* hits) recorded, and that
+/// record replayed (faults::Effects) by every later check. Each SDB2 row is
+/// a transformed clone of its canonical form, inserted as a typed row
+/// (Engine::InsertGeometry). Three kinds of row take the statement path
+/// with the printed WKT instead: a row whose WKT round trip would change it
+/// (geom::NormalizeForWkt), a row of SDB1 that does not parse (copied
+/// through raw), and every row of a table whose name is no plain
+/// identifier. Either way a load of SDB2 leaves what LoadDatabase of the
+/// printed SDB2 would: the same tables, acceptance masks, coverage counts
+/// and fault ids.
+class AffinePair {
+ public:
+  AffinePair(engine::Engine* engine, const DatabaseSpec& sdb1,
+             const algo::AffineTransform& transform);
+  ~AffinePair();
+  AffinePair(const AffinePair&) = delete;
+  AffinePair& operator=(const AffinePair&) = delete;
+
+  /// Loads SDB1, then SDB2, unfiltered, and returns the rows both accept:
+  /// the keep-mask for the filtered reloads, so the two sides of a
+  /// comparison see the same row population. Fails with the first load's
+  /// error.
+  Result<RowMask> LoadBoth();
+
+  /// Loads SDB2 as LoadDatabase(engine, <printed SDB2>, accepted, keep)
+  /// would. The first unfiltered load records a snapshot, which every
+  /// later load of this pair restores; SDB2 never enters the engine's
+  /// snapshot LRU.
+  Status LoadImage(RowMask* accepted, const RowMask* keep = nullptr);
+
+ private:
+  /// One SDB2 row: typed, or the statement that loads it.
+  struct ImageRow {
+    std::shared_ptr<const geom::Geometry> typed;
+    std::string insert;  ///< when `typed` is null
+  };
+
+  engine::Engine* engine_;
+  const DatabaseSpec& sdb1_;
+  std::vector<std::vector<ImageRow>> image_;  ///< aligned with sdb1_'s rows
+  std::unique_ptr<LoadSnapshot> snapshot_;
+};
+
+/// EET's distance bound for the ordered table pair (table1, table2) of
+/// `sdb1`: eet::DistanceBoundFor over the rows of the last table of each
+/// name, unparsable rows skipped and a missing table read as no rows.
+/// Computed on first use from the engine's derived state for SDB1 (see
+/// AffinePair) and kept there per pair.
+double DistanceBound(engine::Engine* engine, const DatabaseSpec& sdb1,
+                     const std::string& table1, const std::string& table2);
 
 /// One statement's result, normalized: a count, a crash, or another error.
 struct CountRun {

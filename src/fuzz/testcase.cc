@@ -24,23 +24,31 @@ const char* OracleKindName(OracleKind k) {
   return "Unknown";
 }
 
+std::vector<std::string> RenderDdl(const std::string& table, bool with_index) {
+  std::vector<std::string> ddl = {"CREATE TABLE " + table + " (g geometry);"};
+  if (with_index) {
+    ddl.push_back("CREATE INDEX idx_" + table + " ON " + table +
+                  " USING GIST (g);");
+  }
+  return ddl;
+}
+
+std::string RenderInsert(const std::string& table, const std::string& wkt) {
+  std::string insert = "INSERT INTO " + table + " (g) VALUES ('";
+  for (char c : wkt) {
+    insert += c;
+    if (c == '\'') insert += '\'';
+  }
+  insert += "');";
+  return insert;
+}
+
 TableSql RenderTable(const TableSpec& table, bool with_index) {
   TableSql sql;
-  sql.ddl.push_back("CREATE TABLE " + table.name + " (g geometry);");
-  if (with_index) {
-    sql.ddl.push_back("CREATE INDEX idx_" + table.name + " ON " + table.name +
-                      " USING GIST (g);");
-  }
-  const std::string prefix = "INSERT INTO " + table.name + " (g) VALUES ('";
+  sql.ddl = RenderDdl(table.name, with_index);
   sql.inserts.reserve(table.rows.size());
   for (const auto& wkt : table.rows) {
-    std::string insert = prefix;
-    for (char c : wkt) {
-      insert += c;
-      if (c == '\'') insert += '\'';
-    }
-    insert += "');";
-    sql.inserts.push_back(std::move(insert));
+    sql.inserts.push_back(RenderInsert(table.name, wkt));
   }
   return sql;
 }

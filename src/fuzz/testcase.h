@@ -52,6 +52,10 @@ struct TableSql {
 };
 
 TableSql RenderTable(const TableSpec& table, bool with_index);
+/// The two halves of RenderTable: a table's DDL, and the INSERT of one row
+/// (quotes in `wkt` doubled).
+std::vector<std::string> RenderDdl(const std::string& table, bool with_index);
+std::string RenderInsert(const std::string& table, const std::string& wkt);
 
 /// One generated spatial database (SDB1 or SDB2).
 struct DatabaseSpec {

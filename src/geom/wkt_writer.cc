@@ -1,5 +1,7 @@
 #include "geom/wkt_writer.h"
 
+#include <cmath>
+
 #include "common/strings.h"
 
 namespace spatter::geom {
@@ -109,6 +111,60 @@ std::string WriteWkt(const Geometry& g) {
   // "POINT (1 2)" -> "POINT(1 2)": PostGIS style omits the space before '('.
   if (mark < out.size() && out[mark] == '(') out.erase(mark - 1, 1);
   return out;
+}
+
+namespace {
+
+// -0 -> +0; false for a coordinate WriteWkt cannot print back.
+bool NormalizeCoord(Coord* c) {
+  if (!std::isfinite(c->x) || !std::isfinite(c->y)) return false;
+  if (c->x == 0.0) c->x = 0.0;
+  if (c->y == 0.0) c->y = 0.0;
+  return true;
+}
+
+bool NormalizeCoords(std::vector<Coord>* pts) {
+  for (Coord& c : *pts) {
+    if (!NormalizeCoord(&c)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool NormalizeForWkt(Geometry* g) {
+  switch (g->type()) {
+    case GeomType::kPoint: {
+      auto* point = static_cast<Point*>(g);
+      if (point->IsEmpty()) return true;
+      Coord c = *point->coord();
+      if (!NormalizeCoord(&c)) return false;
+      point->set_coord(c);
+      return true;
+    }
+    case GeomType::kLineString:
+      return NormalizeCoords(&static_cast<LineString*>(g)->mutable_points());
+    case GeomType::kPolygon: {
+      // An empty ring, shell or hole, is what the round trip loses.
+      for (Polygon::Ring& ring : static_cast<Polygon*>(g)->mutable_rings()) {
+        if (ring.empty() || !NormalizeCoords(&ring)) return false;
+      }
+      return true;
+    }
+    case GeomType::kMultiPoint:
+    case GeomType::kMultiLineString:
+    case GeomType::kMultiPolygon:
+    case GeomType::kGeometryCollection: {
+      const std::optional<GeomType> element = MultiElementType(g->type());
+      for (GeomPtr& e : static_cast<GeometryCollection*>(g)
+                            ->mutable_elements()) {
+        if (element && e->type() != *element) return false;
+        if (!NormalizeForWkt(e.get())) return false;
+      }
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace spatter::geom

@@ -282,9 +282,12 @@ int RunFleetClient(const FleetClientConfig& config) {
   FleetClientConfig current = config;
   size_t assignments_run = 0;
   for (;;) {
+    // After an assignment, a refusal means the supervisor is gone, so the
+    // worker ends at once instead of polling out its retry budget.
     auto connected =
         ConnectWithRetry(current.host, current.port,
-                         current.connect_retry_seconds);
+                         current.connect_retry_seconds,
+                         /*refusal_ends=*/assignments_run > 0);
     if (!connected.ok()) {
       if (assignments_run > 0) return 0;  // server finished and went away
       std::fprintf(stderr, "net: %s\n",

@@ -16,6 +16,11 @@
 // elastic-membership waiting room: the client just waits in its read
 // loop until work is requeued or the campaign ends.
 //
+// Reconnect rule: the first connect spends the whole retry budget, so a
+// worker may start before its supervisor. After an assignment, a refused
+// connection (nothing listens: the supervisor has exited) ends the worker
+// at once with status 0; any other connect error keeps the budget.
+//
 // Nothing host-specific crosses the wire: no file paths, no corpus
 // directories. Corpus state arrives as streamed ENTRY frames.
 #ifndef SPATTER_NET_FLEET_CLIENT_H_
@@ -29,7 +34,8 @@ namespace spatter::net {
 struct FleetClientConfig {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Retry budget for each (re)connect attempt.
+  /// Retry budget for each (re)connect attempt (a refusal after an
+  /// assignment ends it early; see the reconnect rule above).
   double connect_retry_seconds = 10.0;
   /// Seconds between COV/STATS heartbeats.
   double cov_interval_seconds = 0.2;

@@ -78,10 +78,12 @@ int AcceptOne(int listen_fd) {
 }
 
 Result<int> ConnectWithRetry(const std::string& host, uint16_t port,
-                             double retry_seconds) {
+                             double retry_seconds, bool refusal_ends) {
   const double deadline = fuzz::Campaign::NowSeconds() + retry_seconds;
   std::string last_error = "no attempt made";
+  bool refused = false;  // the last attempt's failure
   do {
+    refused = false;
     struct addrinfo hints = {};
     hints.ai_family = AF_INET;
     hints.ai_socktype = SOCK_STREAM;
@@ -99,17 +101,21 @@ Result<int> ConnectWithRetry(const std::string& host, uint16_t port,
         ConfigureFd(fd, /*nodelay=*/true);
         return fd;
       } else {
+        refused = errno == ECONNREFUSED;
         last_error = std::string("connect(): ") + std::strerror(errno);
         ::close(fd);
       }
       ::freeaddrinfo(res);
     }
+    if (refused && refusal_ends) break;
     // Brief backoff; the common case is a client racing a server that is
     // a few milliseconds from listen().
     ::poll(nullptr, 0, 50);
   } while (fuzz::Campaign::NowSeconds() < deadline);
-  return Status::Internal("connect to " + host + ":" + std::to_string(port) +
-                          " failed: " + last_error);
+  const std::string message = "connect to " + host + ":" +
+                              std::to_string(port) + " failed: " + last_error;
+  if (refused) return Status::NotFound(message);
+  return Status::Internal(message);
 }
 
 bool FrameChannel::WriteFrame(const fleet::Frame& frame) {
@@ -161,15 +167,22 @@ bool FrameChannel::ReadFrames(int timeout_ms, std::vector<fleet::Frame>* frames)
           start = static_cast<size_t>(nl - chunk) + 1;
           overflow_ = false;
         }
-        buffer_.append(chunk + start, static_cast<size_t>(n) - start);
-        if (buffer_.size() > fleet::kMaxFrameBytes &&
-            buffer_.find('\n') == std::string::npos) {
+        const size_t appended = static_cast<size_t>(n) - start;
+        const size_t old_size = buffer_.size();
+        buffer_.append(chunk + start, appended);
+        for (size_t i = appended; i-- > 0;) {
+          if (chunk[start + i] == '\n') {
+            tail_start_ = old_size + i + 1;
+            break;
+          }
+        }
+        if (buffer_.size() - tail_start_ > fleet::kMaxFrameBytes) {
           // An unterminated line already past the frame cap can never
           // decode: drop it now instead of buffering a hostile peer's
-          // endless stream.
+          // endless stream, and keep the complete lines ahead of it.
           SPATTER_METRIC_INC("wire.rejected");
           rejected_++;
-          buffer_.clear();
+          buffer_.resize(tail_start_);
           overflow_ = true;
         }
         continue;
@@ -190,6 +203,7 @@ bool FrameChannel::ReadFrames(int timeout_ms, std::vector<fleet::Frame>* frames)
     }
     frames->push_back(frame.Take());
   }
+  tail_start_ = 0;  // every complete line is consumed
   if (eof_ && !buffer_.empty()) {
     // A final line without '\n' is a torn write from a dying peer.
     SPATTER_METRIC_INC("wire.rejected");

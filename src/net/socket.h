@@ -43,9 +43,12 @@ int AcceptOne(int listen_fd);
 /// Connects to host:port, retrying with backoff for up to
 /// `retry_seconds` (a fleet client typically starts before — or outlives
 /// a restart of — its server). Blocking connect, then the fd is switched
-/// to non-blocking, close-on-exec, TCP_NODELAY.
+/// to non-blocking, close-on-exec, TCP_NODELAY. A refused connection
+/// (ECONNREFUSED: nothing listens on the port) is reported as NotFound,
+/// every other failure as Internal; with `refusal_ends`, the first refusal
+/// ends the retries.
 Result<int> ConnectWithRetry(const std::string& host, uint16_t port,
-                             double retry_seconds);
+                             double retry_seconds, bool refusal_ends = false);
 
 /// Line reassembly + frame codec over one non-blocking socket fd. The
 /// channel does not own the fd lifetime policy (callers close), but
@@ -88,6 +91,9 @@ class FrameChannel {
   int fd_;
   int write_timeout_ms_;
   std::string buffer_;
+  /// Where the unterminated line at the end of buffer_ starts: the frame
+  /// cap applies to it even while complete lines wait ahead of it.
+  size_t tail_start_ = 0;
   bool overflow_ = false;  ///< dropping until the next newline (resync)
   bool eof_ = false;
   bool write_failed_ = false;

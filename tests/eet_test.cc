@@ -10,6 +10,7 @@
 #include "engine/engine.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle_suite.h"
+#include "fuzz/oracles.h"
 #include "sql/parser.h"
 
 namespace spatter::eet {
@@ -137,6 +138,54 @@ TEST(EetTransform, DistanceBoundCoversEveryPair) {
   EXPECT_DOUBLE_EQ(d, 6.0);
   // Nothing parseable: the fallback bound is still a sound guard input.
   EXPECT_DOUBLE_EQ(DistanceBoundFor({}, {}), 1.0);
+}
+
+// The oracle reads the bound from the engine's derived state for SDB1,
+// computed once per ordered table pair. It must equal DistanceBoundFor over
+// the last table of each name, unparsable rows skipped and a missing table
+// read as no rows.
+TEST(EetTransform, CachedDistanceBoundEqualsTheWktBound) {
+  std::vector<DatabaseSpec> specs;
+  for (uint64_t seed : {3u, 4u, 5u}) {
+    engine::Engine e(Dialect::kPostgis, false);
+    fuzz::GeneratorConfig config;
+    config.num_geometries = 12;
+    config.num_tables = 3;
+    Rng rng(seed);
+    fuzz::GeometryAwareGenerator gen(config, &rng, &e);
+    specs.push_back(gen.Generate(nullptr));
+  }
+  DatabaseSpec odd;
+  odd.tables.push_back(TableSpec{"t1", {"POINT(0 0)", "POINT(1"}});
+  odd.tables.push_back(TableSpec{"t2", {"LINESTRING(5 0,5 9)", "BOX(1 2)"}});
+  odd.tables.push_back(TableSpec{"t1", {"POINT(-40 3)", "POINT(2 2)"}});
+  specs.push_back(odd);
+
+  auto last_rows = [](const DatabaseSpec& sdb, const std::string& name) {
+    std::vector<std::string> rows;
+    for (const TableSpec& t : sdb.tables) {
+      if (t.name == name) rows = t.rows;
+    }
+    return rows;
+  };
+  for (Dialect dialect : kAllDialects) {
+    engine::Engine engine(dialect, true);
+    for (const DatabaseSpec& sdb : specs) {
+      std::vector<std::string> names = {"missing"};
+      for (const TableSpec& t : sdb.tables) names.push_back(t.name);
+      // Twice over every ordered pair, self-joins included: the second
+      // round reads what the first cached.
+      for (int round = 0; round < 2; ++round) {
+        for (const std::string& a : names) {
+          for (const std::string& b : names) {
+            EXPECT_EQ(fuzz::DistanceBound(&engine, sdb, a, b),
+                      DistanceBoundFor(last_rows(sdb, a), last_rows(sdb, b)))
+                << a << " x " << b << " round " << round;
+          }
+        }
+      }
+    }
+  }
 }
 
 // The property the whole oracle rests on: every variant returns the base

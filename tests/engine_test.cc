@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/coverage.h"
 #include "common/rng.h"
 #include "engine/functions.h"
+#include "geom/wkb.h"
+#include "geom/wkt_reader.h"
 
 namespace spatter::engine {
 namespace {
@@ -737,6 +741,110 @@ TEST(Engine, SwapXYAndAffineFunctions) {
   EXPECT_EQ(Scalar(e.get(), "SELECT ST_AsText(ST_Affine('POINT(1 1)', "
                             "2, 0, 0, 2, 5, -5));"),
             "{POINT(7 -3)}");
+}
+
+
+// --- Typed inserts ------------------------------------------------------------
+//
+// InsertGeometry is the statement `INSERT INTO t (g) VALUES ('<WKT>')` for a
+// geometry that is exactly what ReadWkt returns for that WKT. The statement
+// is the reference: the same result, stored row, coverage counts, fault ids
+// and statement count, on every dialect, faults on and off.
+
+struct InsertOutcome {
+  std::string status;
+  std::map<size_t, uint64_t> coverage;
+  std::set<faults::FaultId> fault_hits;
+  uint64_t statements = 0;
+  std::string rows;  // the table's geometries as WKB hex
+
+  bool operator==(const InsertOutcome& o) const {
+    return status == o.status && coverage == o.coverage &&
+           fault_hits == o.fault_hits && statements == o.statements &&
+           rows == o.rows;
+  }
+};
+
+template <typename Insert>
+InsertOutcome ObserveInsert(Engine* engine, Insert insert) {
+  auto& registry = CoverageRegistry::Instance();
+  engine->fault_state().ClearHits();
+  const uint64_t statements = engine->stats().statements_executed;
+  const std::vector<uint64_t> before = registry.SnapshotHits();
+  InsertOutcome out;
+  out.status = insert().status().ToString();
+  const std::vector<uint64_t> after = registry.SnapshotHits();
+  for (size_t i = 0; i < after.size(); ++i) {
+    const uint64_t was = i < before.size() ? before[i] : 0;
+    if (after[i] != was) out.coverage[i] = after[i] - was;
+  }
+  out.fault_hits = engine->fault_state().TakeHits();
+  out.statements = engine->stats().statements_executed - statements;
+  if (const Table* t = engine->FindTable("t")) {
+    for (const Row& row : t->rows) {
+      const Value& v = row[t->geometry_column];
+      out.rows += (v.geometry() ? geom::WriteWkbHex(*v.geometry()) : "null") +
+                  (v.valid_checked() ? "+ " : " ");
+    }
+  }
+  return out;
+}
+
+TEST(EngineTypedInsert, EqualsTheInsertStatement) {
+  // Valid and invalid rows, EMPTY, and collections the strict dialects'
+  // validity check relates element by element (twice, so the relate memo
+  // replays the second time).
+  const std::string overlap =
+      "GEOMETRYCOLLECTION(POLYGON((0 0,2 0,2 2,0 2,0 0)),"
+      "POLYGON((1 1,3 1,3 3,1 3,1 1)))";
+  const std::vector<std::string> rows = {
+      "POINT(1 2)", "POINT EMPTY", "POLYGON((0 0,1 1,0 1,1 0,0 0))", overlap,
+      "LINESTRING(0 0,0 0)", "MULTIPOINT((0 0),EMPTY)",
+      "GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,1 1))", overlap,
+      "MULTIPOLYGON(((0 0,4 0,4 4,0 4,0 0)),((1 1,2 1,2 2,1 2,1 1)))"};
+  for (int d = 0; d < kNumDialects; ++d) {
+    for (bool faults : {false, true}) {
+      const auto dialect = static_cast<Dialect>(d);
+      SCOPED_TRACE(std::string(DialectName(dialect)) +
+                   (faults ? " faulty" : " fixed"));
+      Engine typed(dialect, faults);
+      Engine statement(dialect, faults);
+      for (Engine* e : {&typed, &statement}) {
+        ASSERT_TRUE(e->Execute("CREATE TABLE t (g geometry);").ok());
+      }
+      for (const std::string& wkt : rows) {
+        SCOPED_TRACE(wkt);
+        auto parsed = geom::ReadWkt(wkt);
+        ASSERT_TRUE(parsed.ok());
+        std::shared_ptr<const geom::Geometry> g(parsed.Take());
+        const InsertOutcome got = ObserveInsert(&typed, [&] {
+          Result<ExecResult> r = Status::OK();
+          typed.TypedLoad([&] { r = typed.InsertGeometry("t", "g", g); });
+          return r;
+        });
+        const InsertOutcome want = ObserveInsert(&statement, [&] {
+          return statement.Execute("INSERT INTO t (g) VALUES ('" + wkt + "');");
+        });
+        EXPECT_EQ(got, want) << got.status << " vs " << want.status;
+      }
+      // Errors come from the same row code, so they read alike.
+      auto point = std::make_shared<geom::Point>(1, 2);
+      EXPECT_EQ(ObserveInsert(&typed,
+                              [&] {
+                                return typed.InsertGeometry("nope", "g", point);
+                              }),
+                ObserveInsert(&statement, [&] {
+                  return statement.Execute(
+                      "INSERT INTO nope (g) VALUES ('POINT(1 2)');");
+                }));
+      EXPECT_EQ(
+          ObserveInsert(&typed,
+                        [&] { return typed.InsertGeometry("t", "h", point); }),
+          ObserveInsert(&statement, [&] {
+            return statement.Execute("INSERT INTO t (h) VALUES ('POINT(1 2)');");
+          }));
+    }
+  }
 }
 
 }  // namespace

@@ -5,19 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/coverage.h"
+#include "corpus/mutator.h"
 #include "fuzz/aei.h"
 #include "sql/parser.h"
 #include "fuzz/campaign.h"
 #include "fuzz/generator.h"
+#include "fuzz/oracle_suite.h"
 #include "fuzz/oracles.h"
 #include "fuzz/reducer.h"
+#include "geom/wkb.h"
 #include "geom/wkt_reader.h"
+#include "obs/metrics.h"
 
 namespace spatter::fuzz {
 namespace {
@@ -359,10 +364,15 @@ TEST(Oracles, LoadDatabaseMasksInvalidRows) {
   // the others count as not accepted.
   DatabaseSpec other = sdb;
   other.tables[0].rows[0] = "POLYGON((0 0,1 1,0 1,1 0,0 0))";
-  const Result<RowMask> keep = AcceptedByBoth(&pg, sdb, other);
-  ASSERT_TRUE(keep.ok());
-  EXPECT_EQ(keep.value()[0], (std::vector<bool>{false, false, true}));
-  ASSERT_TRUE(LoadDatabase(&pg, sdb, &accepted, &keep.value()).ok());
+  RowMask keep;
+  RowMask other_accepted;
+  ASSERT_TRUE(LoadDatabase(&pg, sdb, &keep).ok());
+  ASSERT_TRUE(LoadDatabase(&pg, other, &other_accepted).ok());
+  for (size_t r = 0; r < keep[0].size(); ++r) {
+    keep[0][r] = keep[0][r] && other_accepted[0][r];
+  }
+  EXPECT_EQ(keep[0], (std::vector<bool>{false, false, true}));
+  ASSERT_TRUE(LoadDatabase(&pg, sdb, &accepted, &keep).ok());
   EXPECT_EQ(accepted[0], (std::vector<bool>{false, false, true}));
   EXPECT_EQ(pg.FindTable("t1")->rows.size(), 1u);
 }
@@ -657,6 +667,325 @@ TEST(LoadSnapshotExactness, StatementsAfterARestoreLeaveTheSnapshot) {
   const LoadOutcome restored = Cached(&cached, sdb);
   EXPECT_EQ(restored.statements, 0u);
   EXPECT_EQ(restored, expected);
+}
+
+
+// --- Typed affine loads -----------------------------------------------------
+//
+// AffinePair builds SDB2 from typed rows. The reference is the text path:
+// TransformDatabase prints SDB2 and LoadDatabase loads it on a fresh
+// engine. A typed load must leave the same tables row for row, with
+// coordinates compared by bits, and the same masks, coverage counts, fault
+// ids and statement count.
+
+// The engine's tables with each geometry as WKB hex, so -0 and +0 differ.
+std::map<std::string, std::string> TableBits(const engine::Engine& engine) {
+  std::map<std::string, std::string> out;
+  for (const auto& [name, table] : engine.tables()) {
+    std::string& desc = out[name];
+    desc = std::string(table.has_index ? "indexed" : "plain") + " g" +
+           std::to_string(table.geometry_column);
+    for (const engine::Row& row : table.rows) {
+      for (const engine::Value& v : row) {
+        desc += " | ";
+        if (v.kind() != engine::Value::Kind::kGeometry || !v.geometry()) {
+          desc += v.ToDisplayString();
+          continue;
+        }
+        desc += geom::WriteWkbHex(*v.geometry());
+        if (v.valid_checked()) desc += " checked";
+      }
+    }
+  }
+  return out;
+}
+
+// LoadOutcome plus the tables by bits. Statement counts are compared
+// where both sides run statements, not against a restore.
+struct TypedOutcome {
+  LoadOutcome load;
+  std::map<std::string, std::string> bits;
+
+  bool operator==(const TypedOutcome& o) const {
+    return load == o.load && bits == o.bits;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const TypedOutcome& o) {
+  os << o.load << "\n  " << o.load.statements << " statements";
+  for (const auto& [name, desc] : o.bits) os << "\n  " << name << ": " << desc;
+  return os;
+}
+
+template <typename Load>
+TypedOutcome ObserveBits(engine::Engine* engine, Load load) {
+  TypedOutcome out;
+  out.load = Observe(engine, load);
+  out.bits = TableBits(*engine);
+  return out;
+}
+
+// SDB2 through the text path, on a fresh engine. With `print`,
+// TransformDatabase runs inside the observed load, as a typed load's
+// canonicalization does when the pair is built inside it.
+TypedOutcome TextImage(Dialect dialect, bool faults, const DatabaseSpec& sdb1,
+                       const algo::AffineTransform& transform,
+                       const RowMask* keep, bool print) {
+  engine::Engine fresh(dialect, faults);
+  DatabaseSpec sdb2;
+  if (!print) sdb2 = TransformDatabase(sdb1, transform, true);
+  return ObserveBits(&fresh, [&](RowMask* accepted) {
+    if (print) sdb2 = TransformDatabase(sdb1, transform, true);
+    return LoadDatabase(&fresh, sdb2, accepted, keep);
+  });
+}
+
+// One row per rule that keeps the typed path to ReadWkt(ToWkt(g)) and that
+// a WKT row can reach: -0 after the transform (kNegativeZero keeps the
+// signs), coordinates that overflow to inf under a scale, WKT that does not
+// parse (copied through raw) and a quote inside it. The structural rules
+// (an empty shell with holes, an empty hole, a wrongly typed MULTI*
+// element) never come out of ReadWkt and Canonicalize; WktNormalize.*
+// (wkt_test) pins them at NormalizeForWkt and EngineTypedInsert.*
+// (engine_test) at the engine. A table whose name is no plain identifier
+// ("t3 " creates "t3") loads through the statement path.
+DatabaseSpec RoundTripDb() {
+  DatabaseSpec sdb;
+  sdb.tables.push_back(TableSpec{
+      "t1",
+      {"POINT(-0 -0)", "LINESTRING(-0 -1,2 -0)", "POINT(1e308 -1e308)",
+       "POLYGON((0 0,1e308 0,1e308 1e308,0 0))", "POINT(1"}});
+  sdb.tables.push_back(TableSpec{
+      "t2",
+      {"POINT('1 1)", "MULTIPOINT((-0 -0),(1 1))",
+       "GEOMETRYCOLLECTION(POINT(-0 -0),LINESTRING(0 0,1 1))",
+       "POINT(1.5 -0)"}});
+  sdb.tables.push_back(TableSpec{"t3 ", {"POINT(-0 2)", "POINT(3 4)"}});
+  return sdb;
+}
+
+// -0 in, -0 out: a11 * -0 + a12 * -0 + -0 is -0.
+const algo::AffineTransform kNegativeZero(1, 0, 0, 1, -0.0, -0.0);
+
+std::vector<DatabaseSpec> AffineSpecs() {
+  std::vector<DatabaseSpec> specs = SnapshotSpecs();
+  specs.push_back(RoundTripDb());
+  corpus::MutationEngine mutator;
+  Rng rng(77);
+  for (size_t i = 1; i < 4; ++i) {
+    specs.push_back(mutator.MutateDatabase(specs[i], &rng));
+  }
+  return specs;
+}
+
+TEST(LoadSnapshotExactness, TypedAffineLoadEqualsTheStatementPath) {
+  const std::vector<DatabaseSpec> specs = AffineSpecs();
+  obs::LatencyHistogram* typed_loads =
+      obs::MetricsRegistry::Instance().GetHistogram("engine.typed_load");
+  const uint64_t typed_before = typed_loads->count();
+  Rng rng(4242);
+  size_t checks = 0;
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    for (bool faults : {false, true}) {
+      const auto dialect = static_cast<Dialect>(d);
+      engine::Engine typed(dialect, faults);
+      for (DatabaseSpec sdb : specs) {
+        for (bool with_index : {false, true}) {
+          sdb.with_index = with_index;
+          const std::vector<algo::AffineTransform> transforms = {
+              algo::AffineTransform::Identity(), kNegativeZero,
+              algo::AffineTransform(3, 1, -2, 4, 5, -6),
+              algo::AffineTransform(0, -2, 2, 0, 7, 3),
+              RandomIntegerAffine(&rng), RandomIntegerSimilarity(&rng)};
+          for (const algo::AffineTransform& t : transforms) {
+            SCOPED_TRACE(std::string(engine::DialectName(dialect)) +
+                         (faults ? " faulty " : " fixed ") +
+                         (with_index ? "indexed " : "plain ") + t.ToString() +
+                         " " + sdb.tables[0].rows[0]);
+            // The pair's construction canonicalizes (or replays it), so it
+            // is inside the observed load, as TransformDatabase is.
+            std::optional<AffinePair> pair;
+            const TypedOutcome built =
+                ObserveBits(&typed, [&](RowMask* accepted) {
+                  pair.emplace(&typed, sdb, t);
+                  return pair->LoadImage(accepted);
+                });
+            const TypedOutcome expected =
+                TextImage(dialect, faults, sdb, t, nullptr, true);
+            ASSERT_EQ(built, expected);
+            ASSERT_EQ(built.load.statements, expected.load.statements);
+            checks++;
+            for (int k = 0; k < 2; ++k) {
+              const RowMask keep = RandomKeep(sdb, &rng);
+              const TypedOutcome restored = ObserveBits(
+                  &typed, [&](RowMask* a) { return pair->LoadImage(a, &keep); });
+              EXPECT_EQ(restored,
+                        TextImage(dialect, faults, sdb, t, &keep, false));
+            }
+            // A filtered load before any unfiltered one runs the rows.
+            const RowMask keep = RandomKeep(sdb, &rng);
+            std::optional<AffinePair> cold;
+            const TypedOutcome filtered =
+                ObserveBits(&typed, [&](RowMask* accepted) {
+                  cold.emplace(&typed, sdb, t);
+                  return cold->LoadImage(accepted, &keep);
+                });
+            const TypedOutcome cold_expected =
+                TextImage(dialect, faults, sdb, t, &keep, true);
+            EXPECT_EQ(filtered, cold_expected);
+            EXPECT_EQ(filtered.load.statements,
+                      cold_expected.load.statements);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 0u);
+  EXPECT_GT(typed_loads->count(), typed_before);
+}
+
+// The AEI check as it ran on the text path: TransformDatabase, and both
+// databases through LoadDatabase. The typed check is held to it.
+OracleOutcome TextAffineCheck(engine::Engine* engine, const DatabaseSpec& sdb1,
+                              const QuerySpec& query,
+                              const algo::AffineTransform& transform) {
+  engine->fault_state().ClearHits();
+  OracleOutcome out;
+  SPATTER_COV("oracle", "aei_check");
+  const DatabaseSpec sdb2 = TransformDatabase(sdb1, transform, true);
+  RowMask keep;
+  RowMask mask2;
+  Status loaded = LoadDatabase(engine, sdb1, &keep);
+  if (loaded.ok()) loaded = LoadDatabase(engine, sdb2, &mask2);
+  if (!loaded.ok()) {
+    out.crash = loaded.code() == StatusCode::kCrash;
+    out.detail = loaded.ToString();
+    out.fault_hits = engine->fault_state().TakeHits();
+    return out;
+  }
+  for (size_t t = 0; t < keep.size(); ++t) {
+    for (size_t r = 0; r < keep[t].size(); ++r) {
+      keep[t][r] = keep[t][r] && mask2[t][r];
+    }
+  }
+  QuerySpec query2 = query;
+  if ((query.extra == engine::PredicateExtra::kDistance ||
+       query.predicate == "~=") &&
+      !transform.IsIdentity()) {
+    const auto scale = SimilarityScale(transform);
+    if (!scale) {
+      out.applicable = false;
+      out.fault_hits = engine->fault_state().TakeHits();
+      return out;
+    }
+    query2.distance = query.distance * *scale;
+  }
+  CountRun r1;
+  CountRun r2;
+  if (LoadDatabase(engine, sdb1, nullptr, &keep).ok()) {
+    r1 = ReadCount(engine->Execute(query.ToSql()));
+    if (LoadDatabase(engine, sdb2, nullptr, &keep).ok()) {
+      r2 = ReadCount(engine->Execute(query2.ToSql()));
+      if (AllCounted({r1, r2}, &out) && r1.count != r2.count) {
+        out.mismatch = true;
+        out.detail = "{" + std::to_string(r1.count) + "} vs {" +
+                     std::to_string(r2.count) + "}";
+        SPATTER_COV("oracle", "aei_mismatch");
+      }
+    }
+  }
+  out.fault_hits = engine->fault_state().TakeHits();
+  return out;
+}
+
+// Coverage counts added by `run`, by site.
+template <typename Run>
+std::map<size_t, uint64_t> CoverageOf(Run run) {
+  auto& registry = CoverageRegistry::Instance();
+  const std::vector<uint64_t> before = registry.SnapshotHits();
+  run();
+  const std::vector<uint64_t> after = registry.SnapshotHits();
+  std::map<size_t, uint64_t> out;
+  for (size_t i = 0; i < after.size(); ++i) {
+    const uint64_t was = i < before.size() ? before[i] : 0;
+    if (after[i] != was) out[i] = after[i] - was;
+  }
+  return out;
+}
+
+// The first AEI check on an SDB1 canonicalizes it and records what that
+// did; every later one replays the record. Each check's coverage must
+// equal the text path's, which canonicalizes every time, including after
+// EET built the derived state first and after another SDB1 replaced it.
+TEST(LoadSnapshotExactness, CanonicalizationReplaysEachCheck) {
+  const std::vector<DatabaseSpec> specs = AffineSpecs();
+  Rng rng(99);
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    const auto dialect = static_cast<Dialect>(d);
+    engine::Engine typed(dialect, true);
+    engine::Engine text(dialect, true);
+    GeneratorConfig config;
+    GeometryAwareGenerator gen(config, &rng, &typed);
+    for (const DatabaseSpec& sdb : {specs[1], specs[2], specs[1], specs[4]}) {
+      // EET reads the derived state (parsed rows only) before any AEI.
+      DistanceBound(&typed, sdb, sdb.tables[0].name, sdb.tables[0].name);
+      for (int q = 0; q < 6; ++q) {
+        const QuerySpec query = gen.RandomQuery(sdb);
+        OracleCtx ctx;
+        ctx.transform = q % 3 == 0 ? algo::AffineTransform::Identity()
+                        : q % 3 == 1 ? RandomIntegerAffine(&rng)
+                                     : RandomIntegerSimilarity(&rng);
+        SCOPED_TRACE(std::string(engine::DialectName(dialect)) + " " +
+                     query.ToSql() + " under " + ctx.transform.ToString());
+        OracleOutcome got;
+        OracleOutcome want;
+        const auto got_cov = CoverageOf(
+            [&] { got = AeiOracle().Check(&typed, sdb, query, ctx); });
+        const auto want_cov = CoverageOf([&] {
+          want = TextAffineCheck(&text, sdb, query, ctx.transform);
+        });
+        EXPECT_EQ(got_cov, want_cov);
+        EXPECT_EQ(got.applicable, want.applicable);
+        EXPECT_EQ(got.mismatch, want.mismatch);
+        EXPECT_EQ(got.crash, want.crash);
+        EXPECT_EQ(got.detail, want.detail);
+        EXPECT_EQ(got.fault_hits, want.fault_hits);
+      }
+    }
+  }
+}
+
+// Canonicalization belongs to the AEI family: a suite without aei or canon
+// hits no canon/* site, and one with aei does.
+TEST(LoadSnapshotExactness, OnlyTheAffineOraclesCanonicalize) {
+  auto& registry = CoverageRegistry::Instance();
+  for (const char* oracles : {"diff,index,tlp,eet", "aei"}) {
+    auto suite = ParseOracleSuite(oracles);
+    ASSERT_TRUE(suite.ok());
+    size_t canon_sites = 0;
+    for (int d = 0; d < engine::kNumDialects; ++d) {
+      CampaignConfig config;
+      config.dialect = static_cast<Dialect>(d);
+      config.seed = 31;
+      config.iterations = 2;
+      config.queries_per_iteration = 10;
+      config.oracles = suite.value();
+      Campaign campaign(config);
+      CampaignResult result;
+      for (size_t i = 0; i < config.iterations; ++i) {
+        CoverageRegistry::BeginTrace();
+        campaign.RunIterationAt(i, &result, 0.0);
+        const std::vector<uint32_t> trace = CoverageRegistry::TakeTrace();
+        canon_sites += registry.KeysOf(trace).size() -
+                       registry.KeysOf(trace, {"canon"}).size();
+      }
+    }
+    if (std::string(oracles) == "aei") {
+      EXPECT_GT(canon_sites, 0u);
+    } else {
+      EXPECT_EQ(canon_sites, 0u) << oracles;
+    }
+  }
 }
 
 }  // namespace

@@ -330,28 +330,25 @@ fleet::CheckpointState AssignmentFor(const CampaignConfig& config,
   return state;
 }
 
-/// A scripted supervisor for one real fleet client, forked like a remote
-/// worker: it answers the client's NETHELLO with an ASSIGN carrying
-/// `state`, writes the raw bytes `after_assign` behind it, and returns
-/// every frame the worker writes up to and including DONE. The listener
-/// then closes, so the client's reconnect ends it with exit status 0.
-std::vector<Frame> RunScriptedAssignment(const fleet::CheckpointState& state,
-                                         const std::string& after_assign) {
-  std::vector<Frame> got;
-  auto listen = Listen(0, /*loopback_only=*/true);
-  EXPECT_TRUE(listen.ok()) << listen.status().ToString();
-  if (!listen.ok()) return got;
-  FleetClientConfig client;
-  client.port = LocalPort(listen.value()).value();
-  client.connect_retry_seconds = 0.2;
-  client.cov_interval_seconds = 0.0;  // COV and STATS after every iteration
-  const pid_t pid = SpawnClient(client);
+/// How RunScriptedAssignment runs its client.
+struct Script {
+  double connect_retry_seconds = 0.2;
+  /// The client starts this long before the supervisor listens.
+  double late_supervisor_seconds = 0.0;
+  /// Out: from the listener's close to the client's exit.
+  double exit_seconds = 0.0;
+};
 
+/// The supervisor's side of RunScriptedAssignment, on its listener.
+std::vector<Frame> RunScript(const fleet::CheckpointState& state,
+                             const std::string& after_assign, int listen_fd,
+                             pid_t pid, Script* script) {
+  std::vector<Frame> got;
   int fd = -1;
   for (int i = 0; i < 1000 && fd < 0; ++i) {
-    struct pollfd pfd = {listen.value(), POLLIN, 0};
+    struct pollfd pfd = {listen_fd, POLLIN, 0};
     ::poll(&pfd, 1, 10);
-    fd = AcceptOne(listen.value());
+    fd = AcceptOne(listen_fd);
   }
   EXPECT_GE(fd, 0) << "the client never connected";
   if (fd >= 0) {
@@ -373,11 +370,49 @@ std::vector<Frame> RunScriptedAssignment(const fleet::CheckpointState& state,
     }
     channel.Close();
   }
-  ::close(listen.value());
+  ::close(listen_fd);
+  const double closed = fuzz::Campaign::NowSeconds();
   int status = 0;
   EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  script->exit_seconds = fuzz::Campaign::NowSeconds() - closed;
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   return got;
+}
+
+/// A scripted supervisor for one real fleet client, forked like a remote
+/// worker: it answers the client's NETHELLO with an ASSIGN carrying
+/// `state`, writes the raw bytes `after_assign` behind it, and returns
+/// every frame the worker writes up to and including DONE. The listener
+/// then closes, so the client's reconnect ends it with exit status 0.
+std::vector<Frame> RunScriptedAssignment(const fleet::CheckpointState& state,
+                                         const std::string& after_assign,
+                                         Script* script = nullptr) {
+  Script defaults;
+  if (script == nullptr) script = &defaults;
+  std::vector<Frame> got;
+  auto listen = Listen(0, /*loopback_only=*/true);
+  EXPECT_TRUE(listen.ok()) << listen.status().ToString();
+  if (!listen.ok()) return got;
+  FleetClientConfig client;
+  client.port = LocalPort(listen.value()).value();
+  client.connect_retry_seconds = script->connect_retry_seconds;
+  client.cov_interval_seconds = 0.0;  // COV and STATS after every iteration
+  if (script->late_supervisor_seconds == 0) {
+    return RunScript(state, after_assign, listen.value(), SpawnClient(client),
+                     script);
+  }
+  // Nothing listens on the port until the supervisor comes up.
+  ::close(listen.value());
+  const pid_t pid = SpawnClient(client);
+  ::poll(nullptr, 0, static_cast<int>(script->late_supervisor_seconds * 1000));
+  listen = Listen(client.port, /*loopback_only=*/true);
+  EXPECT_TRUE(listen.ok()) << listen.status().ToString();
+  if (!listen.ok()) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    return got;
+  }
+  return RunScript(state, after_assign, listen.value(), pid, script);
 }
 
 /// One letter per frame, for matching the stream's shape.
@@ -496,6 +531,35 @@ TEST(FleetClient, HostileSupervisorCannotGrowTheLineBuffer) {
   ASSERT_NE(rejected, last_stats->stats.counters.end())
       << "the unterminated line was buffered, never rejected";
   EXPECT_GE(rejected->second, 1u);
+}
+
+// Once its supervisor has exited, a worker's reconnect is refused and the
+// worker ends at once, not after its retry budget.
+TEST(FleetClient, ExitsAtOnceWhenItsSupervisorIsGone) {
+  Script script;
+  script.connect_retry_seconds = 10.0;
+  const std::vector<Frame> frames = RunScriptedAssignment(
+      AssignmentFor(SmallConfig(/*seed=*/5, /*iterations=*/1),
+                    /*total_slices=*/1, /*slice=*/0, /*completed=*/0),
+      "", &script);
+  ASSERT_FALSE(frames.empty());
+  EXPECT_EQ(frames.back().type, FrameType::kDone);
+  EXPECT_LT(script.exit_seconds, 2.0);
+}
+
+// The first connect keeps its budget: a worker started before its
+// supervisor still gets its assignment.
+TEST(FleetClient, WaitsForASupervisorThatStartsLate) {
+  Script script;
+  script.connect_retry_seconds = 10.0;
+  script.late_supervisor_seconds = 0.3;
+  const std::vector<Frame> frames = RunScriptedAssignment(
+      AssignmentFor(SmallConfig(/*seed=*/5, /*iterations=*/1),
+                    /*total_slices=*/1, /*slice=*/0, /*completed=*/0),
+      "", &script);
+  ASSERT_FALSE(frames.empty());
+  EXPECT_EQ(frames.back().type, FrameType::kDone);
+  EXPECT_LT(script.exit_seconds, 2.0);
 }
 
 // --- Status endpoint --------------------------------------------------------
