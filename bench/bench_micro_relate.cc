@@ -1,7 +1,7 @@
 // Micro ablations of the topology core (google-benchmark): relate kernel
-// cost by geometry complexity, the memo's replay cost, prepared vs plain
-// predicates, canonicalization, the AEI database transform and the SDB2
-// load it feeds.
+// cost by geometry complexity, the relate front's exits, the memo's replay
+// cost, prepared vs plain predicates, canonicalization, the AEI database
+// transform and the SDB2 load it feeds.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -57,6 +57,47 @@ void BM_RelatePolygonPair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RelatePolygonPair)->Arg(8)->Arg(32)->Arg(128);
+
+// The relate front's exits, which answer without the kernel: a polygon, a
+// MULTILINESTRING and a GEOMETRYCOLLECTION related to an EMPTY operand
+// (`empty`) or to a point far from their envelopes (`separated`, the
+// envelope pre-filter). Each exit fills the exterior row from its
+// operand's point-set and boundary dimensions.
+void BM_RelateFront(benchmark::State& state, bool separated) {
+  std::vector<geom::GeomPtr> shapes;
+  shapes.push_back(MakeRingPolygon(32, 100, 0, 0));
+  shapes.push_back(geom::ReadWkt("MULTILINESTRING((0 0,10 10,20 0),"
+                                 "(5 5,15 5),(20 0,30 10),(30 30,40 40))")
+                       .Take());
+  shapes.push_back(
+      geom::ReadWkt("GEOMETRYCOLLECTION(POINT(1 1),LINESTRING(0 0,5 5,10 0),"
+                    "POLYGON((0 0,4 0,4 4,0 4,0 0)),MULTIPOINT((7 7),(8 8)))")
+          .Take());
+  const geom::GeomPtr other =
+      geom::ReadWkt(separated ? "POINT(1000 1000)" : "POLYGON EMPTY").Take();
+  for (auto _ : state) {
+    for (const auto& g : shapes) {
+      auto im = relate::Relate(*g, *other);
+      benchmark::DoNotOptimize(im);
+    }
+  }
+  // The exit's matrix: nothing of g meets the other operand, and the
+  // exterior column holds g's dimensions (and the far point's interior).
+  obs::Counter* prefiltered =
+      obs::MetricsRegistry::Instance().GetCounter("relate.envelope_prefilter");
+  for (const auto& g : shapes) {
+    const uint64_t before = prefiltered->Value();
+    const auto im = relate::Relate(*g, *other);
+    const bool took_prefilter = prefiltered->Value() == before + 1;
+    if (!im.ok() ||
+        !im.value().Matches(separated ? "FFTFFTTF2" : "FFTFFTFF2") ||
+        took_prefilter != separated) {
+      state.SkipWithError("the pair did not take the front's exit");
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_RelateFront, empty, false);
+BENCHMARK_CAPTURE(BM_RelateFront, separated, true);
 
 // A memo hit on the same pair: building and hashing the key, comparing it
 // and replaying the recorded coverage.

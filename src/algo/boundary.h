@@ -21,6 +21,13 @@ namespace spatter::algo {
 ///                              "last-one-wins"; see paper Listing 6)
 geom::GeomPtr Boundary(const geom::Geometry& g);
 
+/// Boundary(g)->Dimension() without building the boundary: 1 when some
+/// polygon has a non-empty ring, else 0 when some endpoint of the open
+/// lines occurs an odd number of times (grouped under Coord::operator<, as
+/// Boundary groups them), else -1. Both apply one per-element rule. A warm
+/// call allocates nothing unless an endpoint is NaN.
+int BoundaryDimension(const geom::Geometry& g);
+
 }  // namespace spatter::algo
 
 #endif  // SPATTER_ALGO_BOUNDARY_H_

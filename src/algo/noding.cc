@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "geom/envelope.h"
 #include "geom/predicates.h"
@@ -13,94 +12,29 @@ using geom::Coord;
 
 namespace {
 
-// One memo entry of NodeMerger: a looked-up coordinate (with -0.0 stored
-// as 0.0) and the node it resolved to. A slot is live only when its stamp
-// equals the merger's, so a new merger starts empty without a clear.
-struct MemoSlot {
-  double x = 0.0;
-  double y = 0.0;
-  uint32_t node = 0;
-  uint32_t stamp = 0;
-};
-
 // Merges nearby coordinates onto canonical node positions: a coordinate
 // maps to the first registered node within eps on both axes, or becomes a
-// new node. Nodes are only appended, so the first match for a given
-// coordinate never changes once it exists; the memo returns it without
-// rescanning the nodes.
+// new node. NaN and infinite coordinates match nothing, themselves
+// included, so each lookup of one registers a fresh node.
 class NodeMerger {
  public:
-  NodeMerger(double eps, size_t max_lookups, std::vector<Coord>* nodes,
-             std::vector<MemoSlot>* memo, uint32_t* stamp)
-      : eps_(eps), nodes_(nodes), memo_(memo) {
-    size_t capacity = 16;
-    while (capacity < 2 * max_lookups) capacity *= 2;
-    if (memo_->size() < capacity) {
-      memo_->assign(capacity, MemoSlot{});
-      *stamp = 0;
-    }
-    if (++*stamp == 0) {  // wrapped: stale stamps could look live again.
-      std::fill(memo_->begin(), memo_->end(), MemoSlot{});
-      *stamp = 1;
-    }
-    stamp_ = *stamp;
-    mask_ = memo_->size() - 1;
-  }
+  NodeMerger(double eps, std::vector<Coord>* nodes)
+      : eps_(eps), nodes_(nodes) {}
 
   /// Returns the canonical coordinate for `c`, registering it if new.
   Coord Canonical(const Coord& c) {
-    // NaN never equals itself, so it skips the memo and, as in the scan,
-    // registers a fresh node on every call.
-    MemoSlot* slot = nullptr;
-    if (c.x == c.x && c.y == c.y) {
-      const double kx = c.x + 0.0;  // -0.0 and 0.0 match the same nodes.
-      const double ky = c.y + 0.0;
-      for (size_t i = Hash(kx, ky) & mask_;; i = (i + 1) & mask_) {
-        MemoSlot& s = (*memo_)[i];
-        if (s.stamp != stamp_) {
-          slot = &s;
-          slot->x = kx;
-          slot->y = ky;
-          break;
-        }
-        if (s.x == kx && s.y == ky) return (*nodes_)[s.node];
+    for (const Coord& n : *nodes_) {
+      if (std::fabs(n.x - c.x) <= eps_ && std::fabs(n.y - c.y) <= eps_) {
+        return n;
       }
     }
-    const size_t count = nodes_->size();
-    size_t hit = 0;
-    while (hit < count && !Near((*nodes_)[hit], c)) ++hit;
-    if (hit == count) {
-      nodes_->push_back(c);
-      // An infinite coordinate does not match itself (inf - inf is NaN):
-      // like NaN, it must register again next time.
-      if (!Near(c, c)) return c;
-    }
-    if (slot != nullptr) {
-      slot->node = static_cast<uint32_t>(hit);
-      slot->stamp = stamp_;
-    }
-    return (*nodes_)[hit];
+    nodes_->push_back(c);
+    return c;
   }
 
  private:
-  bool Near(const Coord& n, const Coord& c) const {
-    return std::fabs(n.x - c.x) <= eps_ && std::fabs(n.y - c.y) <= eps_;
-  }
-
-  static size_t Hash(double x, double y) {
-    uint64_t bx;
-    uint64_t by;
-    std::memcpy(&bx, &x, sizeof bx);
-    std::memcpy(&by, &y, sizeof by);
-    uint64_t h = (bx ^ (by * 0x9e3779b97f4a7c15ULL)) * 0xbf58476d1ce4e5b9ULL;
-    return static_cast<size_t>(h ^ (h >> 31));
-  }
-
   double eps_;
   std::vector<Coord>* nodes_;
-  std::vector<MemoSlot>* memo_;
-  uint32_t stamp_ = 0;
-  size_t mask_ = 0;
 };
 
 // Scalar position of collinear point p along segment [a, b].
@@ -126,21 +60,26 @@ struct Cut {
 };
 
 // Per-thread buffers reused across calls (NodeSegments never re-enters
-// itself), so a call allocates only its result.
+// itself), so a call allocates at most its result.
 struct Scratch {
   std::vector<geom::Envelope> boxes;
   std::vector<FoundCut> found;
   std::vector<uint32_t> start;
   std::vector<Coord> by_segment;
   std::vector<Cut> ordered;
-  std::vector<MemoSlot> memo;
-  uint32_t memo_stamp = 0;
 };
 
 }  // namespace
 
 NodingResult NodeSegments(const std::vector<TaggedSegment>& segments,
                           double eps) {
+  NodingResult out;
+  NodeSegments(segments, eps, &out);
+  return out;
+}
+
+void NodeSegments(const std::vector<TaggedSegment>& segments, double eps,
+                  NodingResult* result) {
   thread_local Scratch scratch;
   const size_t n = segments.size();
 
@@ -190,10 +129,11 @@ NodingResult NodeSegments(const std::vector<TaggedSegment>& segments,
   by_segment.resize(found.size());
   for (const auto& c : found) by_segment[start[c.seg + 1]++] = c.p;
 
-  NodingResult out;
+  NodingResult& out = *result;
+  out.edges.clear();
+  out.nodes.clear();
   out.edges.reserve(n + found.size());
-  NodeMerger merger(eps, 2 * n + found.size(), &out.nodes, &scratch.memo,
-                    &scratch.memo_stamp);
+  NodeMerger merger(eps, &out.nodes);
   auto& ordered = scratch.ordered;
   for (size_t i = 0; i < n; ++i) {
     const Coord a = merger.Canonical(segments[i].a);
@@ -215,7 +155,6 @@ NodingResult NodeSegments(const std::vector<TaggedSegment>& segments,
       out.edges.push_back(NodedEdge{p, q, segments[i].src, i});
     }
   }
-  return out;
 }
 
 }  // namespace spatter::algo

@@ -12,12 +12,18 @@
 //  - cuts go into one flat list in discovery order and are then
 //    counting-sorted by segment, which keeps each segment's cut order;
 //  - boxes, cuts and the per-segment split list live in per-thread
-//    scratch, so a call allocates only its result;
-//  - the node merger memoizes lookups on exact coordinates. Nodes are only
-//    appended, so the first node matching a coordinate never changes once
-//    it exists. The memo treats -0.0 as 0.0; NaN never hits it, and a
-//    coordinate that does not match itself (NaN, infinity) registers a
-//    fresh node on every lookup, as a linear scan would.
+//    scratch, and the overload that writes into a caller's result reuses
+//    its capacity, so a warm caller allocates nothing (relate keeps one
+//    result per thread; the polygonizer takes the returning form);
+//  - the node merger scans the nodes for the first within eps, with no
+//    memo in front. Replayed on the 85,276 noding inputs of an `aei` run
+//    at N=40 (all dialects, seed 4242; 7.9 segments, 36 lookups and 11.2
+//    nodes per call on average) in a Release build on a shared 4-core
+//    x86-64 host, a hash memo on exact coordinates made every size
+//    slower: 1.7 instead of 1.3 us a call under 32 lookups, 20 instead of
+//    17 us at 128 to 191. BM_RelatePolygonPair/8, /32 and /128 ran in 8.8,
+//    50 and 584 us with the scan alone and in 10.0, 56 and 740 us with the
+//    memo above 64 lookups (medians of 5).
 // The output is bit-identical to the straightforward all-pairs noder with
 // a linear merger; noding_test keeps that reference and compares against
 // it on seeded segment soups.
@@ -62,6 +68,11 @@ struct NodingResult {
 /// order along its segment.
 NodingResult NodeSegments(const std::vector<TaggedSegment>& segments,
                           double eps);
+
+/// The same, written into `*result` (its previous contents replaced),
+/// reusing the capacity of its vectors.
+void NodeSegments(const std::vector<TaggedSegment>& segments, double eps,
+                  NodingResult* result);
 
 }  // namespace spatter::algo
 

@@ -97,8 +97,12 @@ double GeometryLength(const Geometry& g) {
 
 std::optional<Coord> InteriorPointOfPolygon(const Polygon& poly) {
   if (poly.IsEmpty()) return std::nullopt;
+  // Per-thread scratch reused across calls (the function never re-enters
+  // itself), so a warm call allocates nothing.
+  thread_local std::vector<double> ys;
+  thread_local std::vector<double> xs;
   // Collect distinct vertex y values.
-  std::vector<double> ys;
+  ys.clear();
   for (const auto& ring : poly.rings()) {
     for (const auto& c : ring) ys.push_back(c.y);
   }
@@ -111,7 +115,7 @@ std::optional<Coord> InteriorPointOfPolygon(const Polygon& poly) {
   for (size_t yi = 0; yi + 1 < ys.size(); ++yi) {
     const double y = (ys[yi] + ys[yi + 1]) / 2.0;
     // Gather x crossings of the scanline with every ring edge.
-    std::vector<double> xs;
+    xs.clear();
     for (const auto& ring : poly.rings()) {
       const size_t n = ring.size();
       for (size_t i = 0; i + 1 < n; ++i) {

@@ -53,10 +53,13 @@ bool HasConsecutiveDuplicate(const Geometry& g) {
 }
 
 // SQL Server nesting-crash guard, applied to every predicate evaluation.
+// The depth walk runs only when the fault is enabled: Fire on a disabled
+// id records nothing.
 Status SqlserverNestingGuard(const FunctionContext& ctx, const Geometry& a,
                              const Geometry& b) {
-  if (ctx.faults && (relate::NestingDepth(a) >= 2 ||
-                     relate::NestingDepth(b) >= 2) &&
+  if (ctx.faults &&
+      ctx.faults->IsEnabled(FaultId::kSqlserverCrashNestedCollection) &&
+      (relate::NestingDepth(a) >= 2 || relate::NestingDepth(b) >= 2) &&
       ctx.faults->Fire(FaultId::kSqlserverCrashNestedCollection)) {
     return Status::Crash(
         "simulated SQL Server crash: nested collection input");

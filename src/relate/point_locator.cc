@@ -1,7 +1,9 @@
 #include "relate/point_locator.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include "common/coverage.h"
 #include "geom/predicates.h"
@@ -16,6 +18,13 @@ namespace {
 
 bool CoordsEqual(const Coord& a, const Coord& b, double eps) {
   return std::fabs(a.x - b.x) <= eps && std::fabs(a.y - b.y) <= eps;
+}
+
+// LocateAreal's answer from a scan's polygon flags.
+Location ArealLocation(bool interior, bool boundary) {
+  if (interior) return Location::kInterior;
+  if (boundary) return Location::kBoundary;
+  return Location::kExterior;
 }
 
 }  // namespace
@@ -163,9 +172,7 @@ void PreparedOperand::AddPolygon(const geom::Polygon& poly) {
     if (!emitted && !ring.empty()) {
       noder_segments_.push_back({ring[0], ring[0], src_});
     }
-    if (located) {
-      rings_.push_back({first, static_cast<uint32_t>(segments_.size())});
-    }
+    if (located) AddRing(first);
   }
   if (located) {
     e.end = static_cast<uint32_t>(rings_.size());
@@ -178,6 +185,44 @@ void PreparedOperand::AddSegment(const Coord& a, const Coord& b) {
   const double tol = geom::OnSegmentTolerance(a, b, eps_);
   segments_.push_back(
       {a, b, std::min(a.y, b.y) - tol, std::max(a.y, b.y) + tol});
+}
+
+// The ring of segments_[first, end): its box is the union of each
+// segment's box widened by OnSegment's tolerance in y (y_lo, y_hi) and by
+// that tolerance plus the rounding slack of RingEdgeStep's crossing in x.
+// A point outside it lies on no segment (OnSegment's box test fails). Its
+// +x ray crosses no edge when the point is right of, above or below the
+// box; left of the box the ray crosses every edge that straddles p.y, an
+// even number on a closed ring, so the parity does not change either. The
+// computed crossing a.x + t * (b.x - a.x), t in [0, 1], lies within
+// 8 * DBL_EPSILON * max(|a.x|, |b.x|) (plus an underflow term) of the
+// edge's x-range while no difference overflows; a ring with a coordinate
+// that is NaN, infinite or beyond kBoxLimit gets no box.
+void PreparedOperand::AddRing(uint32_t first) {
+  constexpr double kBoxLimit = 1e300;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Ring ring{{first, static_cast<uint32_t>(segments_.size())},
+            kInf, -kInf, kInf, -kInf};
+  bool bounded = true;
+  for (uint32_t i = ring.segs.begin; i < ring.segs.end; ++i) {
+    const Segment& s = segments_[i];
+    for (const double v : {s.a.x, s.a.y, s.b.x, s.b.y}) {
+      bounded = bounded && std::fabs(v) <= kBoxLimit;
+    }
+    const double slack =
+        geom::OnSegmentTolerance(s.a, s.b, eps_) +
+        8 * DBL_EPSILON * std::max(std::fabs(s.a.x), std::fabs(s.b.x)) +
+        DBL_MIN;
+    ring.x_lo = std::min(ring.x_lo, std::min(s.a.x, s.b.x) - slack);
+    ring.x_hi = std::max(ring.x_hi, std::max(s.a.x, s.b.x) + slack);
+    ring.y_lo = std::min(ring.y_lo, s.y_lo);
+    ring.y_hi = std::max(ring.y_hi, s.y_hi);
+  }
+  if (!bounded) {
+    ring.x_lo = ring.y_lo = -kInf;
+    ring.x_hi = ring.y_hi = kInf;
+  }
+  rings_.push_back(ring);
 }
 
 bool PreparedOperand::OnAnySegment(const Coord& p, Range segs) const {
@@ -195,8 +240,13 @@ algo::RingLocation PreparedOperand::LocateInPolygon(const Coord& p,
                                                     const Element& poly) const {
   bool parity = false;
   for (uint32_t r = poly.begin; r < poly.end; ++r) {
+    const Ring& ring = rings_[r];
+    if (p.x < ring.x_lo || p.x > ring.x_hi || p.y < ring.y_lo ||
+        p.y > ring.y_hi) {
+      continue;  // the ring adds nothing (AddRing)
+    }
     bool inside = false;
-    for (uint32_t i = rings_[r].begin; i < rings_[r].end; ++i) {
+    for (uint32_t i = ring.segs.begin; i < ring.segs.end; ++i) {
       const Segment& s = segments_[i];
       if (p.y < s.y_lo || p.y > s.y_hi) continue;
       if (algo::RingEdgeStep(p, s.a, s.b, eps_, &inside)) {
@@ -239,17 +289,23 @@ void PreparedOperand::ScanElements(const Coord& p, size_t first, size_t last,
 }
 
 Location PreparedOperand::Locate(const Coord& p,
-                                 const faults::FaultState* faults) const {
+                                 const faults::FaultState* faults,
+                                 Location* areal) const {
   if (collection_ && faults &&
       faults->IsEnabled(faults::FaultId::kGeosGcBoundaryLastOneWins)) {
     // Injected bug (paper Listing 6): resolve each element independently
     // and let the last non-exterior element win, instead of combining with
-    // interior priority.
+    // interior priority. The ranges partition the elements, so the areal
+    // flags OR'ed over them are the whole scan's.
     Location result = Location::kExterior;
+    bool areal_interior = false;
+    bool areal_boundary = false;
     size_t first = 0;
     for (const uint32_t last : element_ends_) {
       Scan scan;
       ScanElements(p, first, last, &scan);
+      areal_interior = areal_interior || scan.areal_interior;
+      areal_boundary = areal_boundary || scan.areal_boundary;
       const Location loc = Resolve(scan, nullptr);
       if (loc != Location::kExterior) {
         faults->Fire(faults::FaultId::kGeosGcBoundaryLastOneWins);
@@ -257,11 +313,13 @@ Location PreparedOperand::Locate(const Coord& p,
       }
       first = last;
     }
+    if (areal) *areal = ArealLocation(areal_interior, areal_boundary);
     return result;
   }
 
   Scan scan;
   ScanElements(p, 0, elements_.size(), &scan);
+  if (areal) *areal = ArealLocation(scan.areal_interior, scan.areal_boundary);
   return Resolve(scan, faults);
 }
 
@@ -274,9 +332,7 @@ Location PreparedOperand::LocateAreal(const Coord& p) const {
     if (loc == algo::RingLocation::kInterior) interior = true;
     if (loc == algo::RingLocation::kBoundary) boundary = true;
   }
-  if (interior) return Location::kInterior;
-  if (boundary) return Location::kBoundary;
-  return Location::kExterior;
+  return ArealLocation(interior, boundary);
 }
 
 Location LocatePoint(const Coord& p, const Geometry& g, double eps,

@@ -1,6 +1,7 @@
 #include "relate/relate.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -23,11 +24,6 @@ namespace {
 // Predicate tolerance for derived points (noded vertices, midpoints).
 constexpr double kEps = geom::kDerivedEps;
 
-// Dimension of the boundary of g (for the empty-vs-nonempty entries).
-int BoundaryDim(const Geometry& g) {
-  return algo::Boundary(g)->Dimension();
-}
-
 // Envelope pre-filter eligibility: the closed-form disjoint matrix is exact
 // only when no enabled fault could alter a geometry's *self*-classification.
 // Top-level GEOMETRYCOLLECTIONs (kGeosGcBoundaryLastOneWins) and EMPTY
@@ -39,11 +35,19 @@ bool EnvelopeFastPathSafe(const Geometry& g, const faults::FaultState* faults) {
   return !HasEmptyElement(g);
 }
 
-// Strict separation with an eps margin: point location and noding both snap
-// within kEps, so envelopes must be farther apart than any tolerance effect
-// before the pre-filter may conclude "no interaction".
+// Strict separation with a margin that scales as the kernel's tolerance
+// does: OnSegment accepts a point kEps * max(1, |coordinate|) beyond a
+// segment's end, so envelopes must be farther apart than 16 times that at
+// the largest |coordinate| of either envelope before the pre-filter may
+// conclude "no interaction". (fmax skips a NaN bound.)
 bool EnvelopesSeparated(const geom::Envelope& ea, const geom::Envelope& eb) {
-  const double margin = kEps * 16.0;
+  double scale = 1.0;
+  for (const geom::Envelope* e : {&ea, &eb}) {
+    for (const double v : {e->min_x(), e->max_x(), e->min_y(), e->max_y()}) {
+      scale = std::fmax(scale, std::fabs(v));
+    }
+  }
+  const double margin = kEps * 16.0 * scale;
   return ea.min_x() > eb.max_x() + margin || eb.min_x() > ea.max_x() + margin ||
          ea.min_y() > eb.max_y() + margin || eb.min_y() > ea.max_y() + margin;
 }
@@ -53,30 +57,28 @@ bool EnvelopesSeparated(const geom::Envelope& ea, const geom::Envelope& eb) {
 // Used for the empty-versus-nonempty matrix entries so they agree with
 // the canonical representation of the same point set.
 int PointSetDimension(const Geometry& g) {
-  int dim = -1;
-  geom::ForEachBasic(g, [&dim](const Geometry& basic) {
-    switch (basic.type()) {
-      case GeomType::kPoint:
-        if (!basic.IsEmpty()) dim = std::max(dim, 0);
-        break;
-      case GeomType::kLineString: {
-        const auto& pts = geom::AsLineString(basic).points();
-        if (pts.empty()) break;
-        bool has_length = false;
-        for (size_t i = 0; i + 1 < pts.size(); ++i) {
-          if (pts[i] != pts[i + 1]) has_length = true;
-        }
-        dim = std::max(dim, has_length ? 1 : 0);
-        break;
+  switch (g.type()) {
+    case GeomType::kPoint:
+      return g.IsEmpty() ? -1 : 0;
+    case GeomType::kLineString: {
+      const auto& pts = geom::AsLineString(g).points();
+      if (pts.empty()) return -1;
+      for (size_t i = 0; i + 1 < pts.size(); ++i) {
+        if (pts[i] != pts[i + 1]) return 1;
       }
-      case GeomType::kPolygon:
-        if (!basic.IsEmpty()) dim = std::max(dim, 2);
-        break;
-      default:
-        break;
+      return 0;
     }
-  });
-  return dim;
+    case GeomType::kPolygon:
+      return g.IsEmpty() ? -1 : 2;
+    default: {
+      const auto& coll = geom::AsCollection(g);
+      int dim = -1;
+      for (size_t i = 0; i < coll.NumElements(); ++i) {
+        dim = std::max(dim, PointSetDimension(coll.ElementAt(i)));
+      }
+      return dim;
+    }
+  }
 }
 
 }  // namespace
@@ -124,7 +126,10 @@ using FullPath = IntersectionMatrix (*)(const Geometry&, const Geometry&,
 Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
                                      const Geometry& b,
                                      const faults::FaultState* faults) {
-  if (faults && (NestingDepth(a) >= 3 || NestingDepth(b) >= 3) &&
+  // IsEnabled first: Fire on a disabled id records nothing, so the depth
+  // walk is only needed when the fault can fire.
+  if (faults && faults->IsEnabled(faults::FaultId::kGeosCrashRelateNestedGc) &&
+      (NestingDepth(a) >= 3 || NestingDepth(b) >= 3) &&
       faults->Fire(faults::FaultId::kGeosCrashRelateNestedGc)) {
     return Status::Crash(
         "simulated GEOS crash: relate on deeply nested collections");
@@ -142,13 +147,13 @@ Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
   if (a_empty) {
     SPATTER_COV("relate", "a_empty");
     im.Set(Location::kExterior, Location::kInterior, PointSetDimension(b));
-    im.Set(Location::kExterior, Location::kBoundary, BoundaryDim(b));
+    im.Set(Location::kExterior, Location::kBoundary, algo::BoundaryDimension(b));
     return im;
   }
   if (b_empty) {
     SPATTER_COV("relate", "b_empty");
     im.Set(Location::kInterior, Location::kExterior, PointSetDimension(a));
-    im.Set(Location::kBoundary, Location::kExterior, BoundaryDim(a));
+    im.Set(Location::kBoundary, Location::kExterior, algo::BoundaryDimension(a));
     return im;
   }
 
@@ -163,9 +168,9 @@ Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
     SPATTER_COV("relate", "envelope_disjoint");
     SPATTER_METRIC_INC("relate.envelope_prefilter");
     im.Set(Location::kInterior, Location::kExterior, PointSetDimension(a));
-    im.Set(Location::kBoundary, Location::kExterior, BoundaryDim(a));
+    im.Set(Location::kBoundary, Location::kExterior, algo::BoundaryDimension(a));
     im.Set(Location::kExterior, Location::kInterior, PointSetDimension(b));
-    im.Set(Location::kExterior, Location::kBoundary, BoundaryDim(b));
+    im.Set(Location::kExterior, Location::kBoundary, algo::BoundaryDimension(b));
     return im;
   }
 
@@ -181,11 +186,13 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
   im.Set(Location::kExterior, Location::kExterior, 2);
 
   // Each operand is flattened once: its locator segments, its noder input
-  // and its polygons. The buffers are per-thread scratch reused across
-  // calls; nothing below calls Relate again.
+  // and its polygons. The buffers, the noder's result included, are
+  // per-thread scratch reused across calls; nothing below calls Relate
+  // again.
   thread_local PreparedOperand prepared_a;
   thread_local PreparedOperand prepared_b;
   thread_local std::vector<algo::TaggedSegment> segs;
+  thread_local algo::NodingResult noded;
   prepared_a.Prepare(a, kEps, 0);
   prepared_b.Prepare(b, kEps, 1);
 
@@ -202,7 +209,7 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
     for (const Coord& p : op->point_coords()) segs.push_back({p, p, 2});
   }
   SPATTER_METRIC_INC("relate.full");
-  const algo::NodingResult noded = algo::NodeSegments(segs, kEps);
+  algo::NodeSegments(segs, kEps, &noded);
 
   // 2. Classification points: all nodes plus isolated point elements.
   const auto classify_node = [&](const Coord& node) {
@@ -219,23 +226,26 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
   // class of each geometry, and its midpoint witnesses that class.
   const bool a_areal = prepared_a.areal();
   const bool b_areal = prepared_b.areal();
+  const bool both_areal = a_areal && b_areal;
   bool areal_ii2 = false;
   bool areal_ie2 = false;
   bool areal_ei2 = false;
   for (const auto& edge : noded.edges) {
     const Coord mid = geom::Midpoint(edge.a, edge.b);
-    const Location la = prepared_a.Locate(mid, faults);
-    const Location lb = prepared_b.Locate(mid, faults);
+    // When both are areal, the same polygon scan also gives the midpoint's
+    // areal location (LocateAreal).
+    Location aa = Location::kExterior;
+    Location ab = Location::kExterior;
+    const Location la =
+        prepared_a.Locate(mid, faults, both_areal ? &aa : nullptr);
+    const Location lb =
+        prepared_b.Locate(mid, faults, both_areal ? &ab : nullptr);
     im.SetAtLeast(la, lb, 1);
-    if (a_areal && b_areal) {
-      // Dimension-2 witnesses from areal piece classification: an edge on
-      // one geometry's areal boundary with its midpoint in the other's
-      // areal interior has 2-dimensional interior overlap on one side.
-      const Location aa = prepared_a.LocateAreal(mid);
-      const Location ab = prepared_b.LocateAreal(mid);
-      // An edge on one geometry's areal boundary separates that geometry's
-      // interior from its exterior locally; the other geometry's interior
-      // covers both sides when the midpoint is areal-interior to it.
+    if (both_areal) {
+      // Dimension-2 witnesses from areal piece classification. An edge on
+      // one geometry's areal boundary separates that geometry's interior
+      // from its exterior locally; the other geometry's interior covers
+      // both sides when the midpoint is areal-interior to it.
       if (aa == Location::kBoundary && ab == Location::kInterior) {
         areal_ii2 = true;  // inner side of dA inside I(B)
         areal_ei2 = true;  // outer side of dA inside I(B)
@@ -268,7 +278,7 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
   if (b_areal && !a_areal) {
     im.SetAtLeast(Location::kExterior, Location::kInterior, 2);
   }
-  if (a_areal && b_areal) {
+  if (both_areal) {
     SPATTER_COV("relate", "areal_vs_areal");
     // Interior-point witnesses handle containment/equality, where no edge
     // piece lies strictly inside the other geometry.

@@ -8,9 +8,20 @@
 // derived from areal piece classifications plus per-polygon interior-point
 // witnesses.
 //
-// Relate runs in two stages. The crash check, the empty-operand exits and
-// the envelope pre-filter run on every call. Any other pair goes to the
-// full path (the kernel), through a per-thread memo:
+// Relate runs in two stages. The front runs on every call: the crash check
+// (its depth walk only when kGeosCrashRelateNestedGc is enabled), the
+// empty-operand exits and the envelope pre-filter. An exit fills the
+// exterior row or column from each operand's point-set dimension and its
+// boundary's dimension, both by walking the operand (the latter is
+// algo::BoundaryDimension, which builds no boundary geometry). The
+// pre-filter needs envelopes apart by
+// more than 16 * kDerivedEps * max(1, the largest |coordinate| of either):
+// the kernel's tolerance scales with the coordinates (OnSegment accepts a
+// point kDerivedEps * |coordinate| past a segment's end), so a fixed margin
+// would call touching pairs at large magnitudes disjoint. Under faults the
+// pre-filter also skips top-level collections and operands with an EMPTY
+// element, whose self-classification a fault can change. Any other pair
+// goes to the full path (the kernel), through a per-thread memo:
 //  - Key: everything the kernel reads. That is both operands' structure
 //    (the type tag at every level, point, ring and element counts), their
 //    coordinates as raw bits (so 0.0 and -0.0, or two NaN payloads, are
@@ -35,6 +46,9 @@
 //    thread's first full-path call.
 // RelateUnmemoized is the same two stages with the kernel run every time:
 // the reference tests and benches hold Relate to.
+// Once its per-thread buffers are warm (operands, noder input and result,
+// interior-point scanlines, the memo's key), a call that fires no fault
+// allocates nothing, whichever stage answers it (relate_alloc_test).
 #ifndef SPATTER_RELATE_RELATE_H_
 #define SPATTER_RELATE_RELATE_H_
 

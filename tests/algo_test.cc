@@ -2,6 +2,9 @@
 // polygonize, validity, and the derivative-strategy edit functions.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "algo/boundary.h"
 #include "algo/convex_hull.h"
 #include "algo/distance.h"
@@ -140,6 +143,54 @@ TEST(Boundary, MixedCollection) {
   // Endpoints of the line plus the polygon ring.
   EXPECT_EQ(b->type(), geom::GeomType::kGeometryCollection);
   EXPECT_EQ(geom::AsCollection(*b).NumElements(), 3u);
+}
+
+TEST(Boundary, DimensionMatchesTheBuiltBoundary) {
+  std::vector<std::pair<geom::GeomPtr, int>> cases;
+  for (const auto& [wkt, dim] : std::vector<std::pair<const char*, int>>{
+           {"POINT(1 1)", -1},
+           {"MULTIPOINT((1 1),(2 2))", -1},
+           {"LINESTRING(0 0,1 1,2 0)", 0},
+           {"LINESTRING(0 0,1 1,2 0,0 0)", -1},
+           {"LINESTRING(1 1,1 1)", -1},
+           {"MULTILINESTRING((0 0,1 0),(1 0,2 0))", 0},
+           {"MULTILINESTRING((0 0,1 0),(1 0,1 1),(1 1,0 0))", -1},
+           {"POLYGON((0 0,1 0,1 1,0 0))", 1},
+           {"POLYGON((0 0,0 0,0 0,0 0))", 1},
+           {"MULTIPOLYGON(((0 0,1 0,1 1,0 0)),EMPTY)", 1},
+           {"POLYGON EMPTY", -1},
+           {"GEOMETRYCOLLECTION(POLYGON EMPTY,LINESTRING(0 0,1 1),"
+            "LINESTRING(1 1,0 0))",
+            -1},
+           {"GEOMETRYCOLLECTION(GEOMETRYCOLLECTION(LINESTRING(0 0,1 1)),"
+            "LINESTRING(1 1,2 2),POINT(5 5))",
+            0},
+           {"GEOMETRYCOLLECTION EMPTY", -1},
+       }) {
+    cases.emplace_back(Read(wkt), dim);
+  }
+  const auto lines = [](std::vector<std::vector<Coord>> parts) {
+    std::vector<geom::GeomPtr> elems;
+    for (auto& p : parts) elems.push_back(geom::MakeLineString(std::move(p)));
+    return geom::MakeCollection(geom::GeomType::kMultiLineString,
+                                std::move(elems));
+  };
+  // -0 and 0 are one endpoint; an empty shell adds no ring, a hole does.
+  cases.emplace_back(lines({{{-0.0, 0}, {1, 0}}, {{0.0, 0}, {2, 0}}}), 0);
+  cases.emplace_back(lines({{{-0.0, 0}, {1, 0}}, {{1, 0}, {0.0, -0.0}}}), -1);
+  cases.emplace_back(geom::MakePolygon({{}}), -1);
+  cases.emplace_back(
+      geom::MakePolygon({{}, {{0, 0}, {1, 0}, {1, 1}, {0, 0}}}), 1);
+  for (const auto& [g, dim] : cases) {
+    EXPECT_EQ(BoundaryDimension(*g), dim) << g->ToWkt();
+    EXPECT_EQ(Boundary(*g)->Dimension(), dim) << g->ToWkt();
+  }
+  // A NaN endpoint is grouped as Boundary's std::map groups it.
+  const double nan = std::nan("");
+  for (const auto& g : {lines({{{nan, 0}, {1, 0}}, {{1, 0}, {nan, 0}}}),
+                        lines({{{0, nan}, {1, 0}}, {{2, 0}, {1, 0}}})}) {
+    EXPECT_EQ(BoundaryDimension(*g), Boundary(*g)->Dimension()) << g->ToWkt();
+  }
 }
 
 // --- Polygonize ----------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "geom/envelope.h"
@@ -221,12 +222,10 @@ std::string Show(const Coord& c) {
   return "(" + std::to_string(c.x) + " " + std::to_string(c.y) + ")";
 }
 
-// Asserts that NodeSegments and the reference agree element by element,
-// coordinates compared by their bits.
-void ExpectMatchesReference(const std::vector<TaggedSegment>& segs,
-                            double eps, const std::string& label) {
-  const NodingResult want = ReferenceNodeSegments(segs, eps);
-  const NodingResult got = NodeSegments(segs, eps);
+// Asserts that `got` and `want` agree element by element, coordinates
+// compared by their bits.
+void ExpectSameResult(const NodingResult& got, const NodingResult& want,
+                      const std::string& label) {
   ASSERT_EQ(got.nodes.size(), want.nodes.size()) << label;
   for (size_t i = 0; i < want.nodes.size(); ++i) {
     ASSERT_TRUE(SameBits(got.nodes[i], want.nodes[i]))
@@ -244,6 +243,13 @@ void ExpectMatchesReference(const std::vector<TaggedSegment>& segs,
         << Show(w.a) << "-" << Show(w.b) << " src " << w.src << " from "
         << w.input_index;
   }
+}
+
+// Asserts that NodeSegments and the reference agree on `segs`.
+void ExpectMatchesReference(const std::vector<TaggedSegment>& segs,
+                            double eps, const std::string& label) {
+  ExpectSameResult(NodeSegments(segs, eps), ReferenceNodeSegments(segs, eps),
+                   label);
 }
 
 // A seeded soup of `n` segments on a small grid, so vertices are shared,
@@ -375,7 +381,7 @@ TEST(NodingReference, EachNanCutAddsItsOwnNode) {
 
 TEST(NodingReference, InfiniteVertexRegistersOnEveryLookup) {
   // inf - inf is NaN, so an infinite vertex matches no node, not even its
-  // own: each lookup registers it again, and the memo must not keep it.
+  // own: each lookup registers it again.
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<TaggedSegment> segs = {{{inf, 0}, {0, 0}, 0},
                                            {{inf, 0}, {0, 1}, 1}};
@@ -385,6 +391,26 @@ TEST(NodingReference, InfiniteVertexRegistersOnEveryLookup) {
     if (std::isinf(n.x)) ++infinite;
   }
   EXPECT_GE(infinite, 2u);
+}
+
+TEST(NodingReference, ReusedResultHoldsOnlyTheLatestCall) {
+  // One result written back to back by soups that alternate between large
+  // and small inputs, so it both grows and shrinks.
+  Rng rng(20261019);
+  NodingResult reused;
+  for (int round = 0; round < 400; ++round) {
+    const size_t n =
+        static_cast<size_t>(round % 2 == 0 ? rng.IntIn(40, 64)
+                                           : rng.IntIn(1, 12));
+    const auto segs = RandomSoup(&rng, n, /*with_nan=*/round % 8 == 7);
+    NodeSegments(segs, geom::kDerivedEps, &reused);
+    ExpectSameResult(reused, ReferenceNodeSegments(segs, geom::kDerivedEps),
+                     "round " + std::to_string(round));
+    if (HasFatalFailure()) return;
+  }
+  NodeSegments({}, geom::kDerivedEps, &reused);
+  EXPECT_TRUE(reused.edges.empty());
+  EXPECT_TRUE(reused.nodes.empty());
 }
 
 }  // namespace

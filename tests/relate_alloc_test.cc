@@ -1,0 +1,202 @@
+// A relate call allocates nothing once its per-thread buffers are warm.
+//
+// Every AEI query relates a fresh affine image of SDB1, so most kernel
+// runs are first sightings the memo cannot answer; a heap allocation in
+// them is paid on every pair of the SDB2 join. This binary replaces the
+// global operator new to count allocations (it is a binary of its own so
+// the replacement touches no other suite) and holds Relate to zero on the
+// empty-operand exits, the envelope pre-filter and the kernel, with faults
+// null and with enabled faults that do not fire.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "algo/affine.h"
+#include "common/rng.h"
+#include "engine/engine.h"
+#include "fuzz/generator.h"
+#include "geom/wkb.h"
+#include "geom/wkt_reader.h"
+#include "obs/metrics.h"
+#include "relate/named_predicates.h"
+#include "relate/relate.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<size_t> g_allocations{0};
+
+void* Allocate(std::size_t n, std::size_t align) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (n == 0) n = 1;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+// Every form is replaced, so no allocation pairs one of these with a
+// sanitizer's or the library's own operator.
+void* operator new(std::size_t n) {
+  return Allocate(n, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t n) {
+  return Allocate(n, alignof(std::max_align_t));
+}
+void* operator new(std::size_t n, std::align_val_t align) {
+  return Allocate(n, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t n, std::align_val_t align) {
+  return Allocate(n, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return Allocate(n, alignof(std::max_align_t));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return Allocate(n, alignof(std::max_align_t));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace spatter::relate {
+namespace {
+
+using geom::Geometry;
+using geom::GeomPtr;
+
+// Generated rows of all four dialects, parsed. Collections nested three
+// deep are left out: kGeosCrashRelateNestedGc would fire on them.
+std::vector<GeomPtr> GeneratedGeometries() {
+  std::vector<GeomPtr> out;
+  std::set<std::string> seen;  // each key once: a repeat would be admitted
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    engine::Engine e(static_cast<engine::Dialect>(d), false);
+    fuzz::GeneratorConfig config;
+    config.num_geometries = 20;
+    Rng rng(300 + static_cast<uint64_t>(d));
+    fuzz::GeometryAwareGenerator gen(config, &rng, &e);
+    for (const fuzz::TableSpec& table : gen.Generate(nullptr).tables) {
+      for (const std::string& wkt : table.rows) {
+        Result<GeomPtr> g = geom::ReadWkt(wkt);
+        if (g.ok() && NestingDepth(*g.value()) < 3 &&
+            seen.insert(geom::WriteWkbHex(*g.value())).second) {
+          out.push_back(g.Take());
+        }
+      }
+    }
+  }
+  for (const char* wkt : {"POINT EMPTY", "GEOMETRYCOLLECTION EMPTY",
+                          "POINT(1000 1000)"}) {
+    GeomPtr g = geom::ReadWkt(wkt).Take();
+    if (seen.insert(geom::WriteWkbHex(*g)).second) out.push_back(std::move(g));
+  }
+  return out;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name)->Value();
+}
+
+TEST(RelateAllocations, NoneAfterWarmUp) {
+  const std::vector<GeomPtr> base = GeneratedGeometries();
+  ASSERT_GT(base.size(), 40u);
+  // The timed calls relate a translated copy of every pair: keys the memo
+  // has never seen, so each call that passes the front runs the kernel
+  // and none is admitted.
+  const auto shift = algo::AffineTransform::Translation(1000, -1000);
+  std::vector<GeomPtr> fresh;
+  for (const GeomPtr& g : base) fresh.push_back(shift.Apply(*g));
+
+  faults::FaultState quiet;  // enabled, but nothing in Relate fires them
+  quiet.Enable(faults::FaultId::kGeosCrashRelateNestedGc);
+  quiet.Enable(faults::FaultId::kGeosMixedDimensionFirstElement);
+  const faults::FaultState* settings[] = {nullptr, &quiet};
+
+  // Warm-up: the kernel on the timed inputs (RelateUnmemoized keeps them
+  // unseen by the memo), and every named predicate on the base pairs,
+  // which grows the memo's own buffers to the same key sizes.
+  for (const faults::FaultState* f : settings) {
+    for (const GeomPtr& a : fresh) {
+      for (const GeomPtr& b : fresh) {
+        ASSERT_TRUE(RelateUnmemoized(*a, *b, f).ok());
+      }
+    }
+    for (const GeomPtr& a : base) {
+      for (const GeomPtr& b : base) {
+        ASSERT_TRUE(Intersects(*a, *b, f).ok());
+        ASSERT_TRUE(Disjoint(*a, *b, f).ok());
+        ASSERT_TRUE(Within(*a, *b, f).ok());
+        ASSERT_TRUE(Covers(*a, *b, f).ok());
+        ASSERT_TRUE(Touches(*a, *b, f).ok());
+        ASSERT_TRUE(TopoEquals(*a, *b, f).ok());
+      }
+    }
+  }
+
+  for (const faults::FaultState* f : settings) {
+    const std::string label = f ? "enabled faults" : "faults null";
+    const uint64_t full = CounterValue("relate.full");
+    const uint64_t prefiltered = CounterValue("relate.envelope_prefilter");
+    const uint64_t admitted = CounterValue("relate.memo.admit");
+    const uint64_t hits = CounterValue("relate.memo.hit");
+    size_t calls = 0;
+    size_t allocations = 0;
+    std::string first;  // the first pair that allocated
+    for (const GeomPtr& a : fresh) {
+      for (const GeomPtr& b : fresh) {
+        g_allocations.store(0);
+        g_counting.store(true);
+        const Result<IntersectionMatrix> im = Relate(*a, *b, f);
+        g_counting.store(false);
+        ASSERT_TRUE(im.ok()) << a->ToWkt() << " / " << b->ToWkt();
+        const size_t n = g_allocations.load();
+        if (n > 0 && first.empty()) first = a->ToWkt() + " / " + b->ToWkt();
+        allocations += n;
+        ++calls;
+      }
+    }
+    EXPECT_EQ(allocations, 0u)
+        << label << ", over " << calls << " calls; first: " << first;
+    EXPECT_EQ(CounterValue("relate.memo.admit"), admitted) << label;
+    EXPECT_EQ(CounterValue("relate.memo.hit"), hits) << label;
+    EXPECT_GT(CounterValue("relate.full") - full, calls / 10) << label;
+    if (f == nullptr) {
+      EXPECT_GT(CounterValue("relate.envelope_prefilter") - prefiltered,
+                calls / 10);
+    }
+    if (f != nullptr) {
+      EXPECT_TRUE(f->Hits().empty()) << "a fault fired";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace spatter::relate

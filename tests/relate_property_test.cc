@@ -9,7 +9,10 @@
 //  - the prepared point locator answers exactly as a walk over the
 //    geometry tree, fault hits included,
 //  - the relate memo is invisible: every call returns, fires and covers
-//    exactly what the unmemoized kernel does.
+//    exactly what the unmemoized kernel does,
+//  - the relate front's closed forms (an EMPTY operand, separated
+//    envelopes) follow the boundary and point-set definitions, and the
+//    envelope pre-filter agrees with the kernel near its tolerance.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,9 +20,11 @@
 #include <map>
 #include <set>
 
+#include "algo/boundary.h"
 #include "algo/canonicalize.h"
 #include "common/coverage.h"
 #include "common/rng.h"
+#include "corpus/mutator.h"
 #include "fuzz/aei.h"
 #include "fuzz/generator.h"
 #include "geom/predicates.h"
@@ -334,10 +339,46 @@ Location LocateAreal(const Coord& p, const Geometry& g, double eps) {
 
 }  // namespace reference
 
+// Probes at each side of each polygon ring's box, the union of its
+// segments' boxes widened by OnSegment's tolerance: on the side, one ulp
+// off it either way and 1% of the ring's largest tolerance off it either
+// way, at every vertex's other coordinate. The locator skips a ring for a
+// point outside a box of at least this size.
+void AddRingBoxProbes(const std::vector<geom::Coord>& ring, double eps,
+                      std::vector<geom::Coord>* out) {
+  if (ring.size() < 2) return;
+  double x_lo = INFINITY, x_hi = -INFINITY, y_lo = INFINITY, y_hi = -INFINITY;
+  double tol_max = 0.0;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const geom::Coord& a = ring[i];
+    const geom::Coord& b = ring[(i + 1) % ring.size()];
+    const double tol = geom::OnSegmentTolerance(a, b, eps);
+    tol_max = std::max(tol_max, tol);
+    x_lo = std::min(x_lo, std::min(a.x, b.x) - tol);
+    x_hi = std::max(x_hi, std::max(a.x, b.x) + tol);
+    y_lo = std::min(y_lo, std::min(a.y, b.y) - tol);
+    y_hi = std::max(y_hi, std::max(a.y, b.y) + tol);
+  }
+  const auto near = [&](double side) {
+    return std::vector<double>{
+        side, std::nextafter(side, -INFINITY), std::nextafter(side, INFINITY),
+        side - 0.01 * tol_max, side + 0.01 * tol_max};
+  };
+  for (const geom::Coord& v : ring) {
+    for (const double side : {x_lo, x_hi}) {
+      for (const double x : near(side)) out->push_back({x, v.y});
+    }
+    for (const double side : {y_lo, y_hi}) {
+      for (const double y : near(side)) out->push_back({v.x, y});
+    }
+  }
+}
+
 // Probe points for `g`: every vertex, every segment midpoint (closing
 // ring edges included), each vertex nudged up and down by multiples of
 // the tolerance OnSegment uses there (the edges of the prepared y-ranges),
-// and seeded random points over the coordinate range.
+// points at each ring's box (AddRingBoxProbes), and seeded random points
+// over the coordinate range and over g's envelope.
 std::vector<geom::Coord> ProbePoints(const geom::Geometry& g, double eps,
                                      spatter::Rng* rng) {
   std::vector<geom::Coord> out;
@@ -367,11 +408,21 @@ std::vector<geom::Coord> ProbePoints(const geom::Geometry& g, double eps,
     } else if (basic.type() == geom::GeomType::kPolygon) {
       for (const auto& ring : geom::AsPolygon(basic).rings()) {
         add_chain(ring, true);
+        AddRingBoxProbes(ring, eps, &out);
       }
     }
   });
   for (int i = 0; i < 24; ++i) {
     out.push_back({rng->IntIn(-120, 120) / 10.0, rng->IntIn(-120, 120) / 10.0});
+  }
+  const geom::Envelope env = g.GetEnvelope();
+  if (!env.IsNull()) {
+    const double w = env.max_x() - env.min_x();
+    const double h = env.max_y() - env.min_y();
+    for (int i = 0; i < 24; ++i) {
+      out.push_back({env.min_x() + w * rng->IntIn(-25, 125) / 100.0,
+                     env.min_y() + h * rng->IntIn(-25, 125) / 100.0});
+    }
   }
   return out;
 }
@@ -412,6 +463,29 @@ std::vector<geom::GeomPtr> LocatorInputs(uint64_t seed) {
   return out;
 }
 
+// LocatorInputs, and each of them scaled and translated to coordinates
+// of magnitude 1e3 and 1e6, where OnSegment's tolerance is 1e3 and 1e6
+// times kDerivedEps; then polygons with a NaN, an infinite and a
+// near-overflow vertex, whose rings the locator must never skip by box.
+std::vector<geom::GeomPtr> LocatorInputsAtMagnitudes(uint64_t seed) {
+  std::vector<geom::GeomPtr> out = LocatorInputs(seed);
+  const size_t base = out.size();
+  for (const algo::AffineTransform& t :
+       {algo::AffineTransform(125, 0, 0, 125, 1000, -1000),
+        algo::AffineTransform(1.25e5, 0, 0, -1.25e5, -1e6, 1e6)}) {
+    for (size_t i = 0; i < base; ++i) out.push_back(t.Apply(*out[i]));
+  }
+  const double nan = std::nan("");
+  const double inf = INFINITY;
+  out.push_back(geom::MakePolygon({{{0, 0}, {4, 0}, {4, 4}, {nan, nan}, {0, 0}},
+                                   {{1, 1}, {2, 1}, {2, 2}, {1, 1}}}));
+  out.push_back(geom::MakePolygon({{{0, 0}, {4, 0}, {inf, 2}, {0, 4}, {0, 0}}}));
+  out.push_back(geom::MakePolygon(
+      {{{-1e308, 0}, {1e308, 0}, {0, 1e308}, {-1e308, 0}},
+       {{-1, 1}, {1, 1}, {0, 2}, {-1, 1}}}));
+  return out;
+}
+
 class PreparedLocatorExactness : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PreparedLocatorExactness, SameLocationAndFaultHitsAsTreeWalk) {
@@ -426,7 +500,7 @@ TEST_P(PreparedLocatorExactness, SameLocationAndFaultHitsAsTreeWalk) {
   PreparedOperand reused;
   size_t calls = 0;
   std::map<faults::FaultId, size_t> fired;
-  for (const auto& g : LocatorInputs(GetParam())) {
+  for (const auto& g : LocatorInputsAtMagnitudes(GetParam())) {
     for (const double eps : {geom::kDerivedEps, 0.0}) {
       reused.Prepare(*g, eps);
       for (const geom::Coord& p : ProbePoints(*g, eps, &rng)) {
@@ -436,8 +510,12 @@ TEST_P(PreparedLocatorExactness, SameLocationAndFaultHitsAsTreeWalk) {
                  std::to_string(p.y) + ") eps=" + std::to_string(eps);
         };
         const Location want = reference::LocatePoint(p, *g, eps, nullptr);
+        const Location want_a = reference::LocateAreal(p, *g, eps);
         ASSERT_EQ(LocatePoint(p, *g, eps, nullptr), want) << at();
         ASSERT_EQ(reused.Locate(p, nullptr), want) << at();
+        Location areal = Location::kBoundary;
+        ASSERT_EQ(reused.Locate(p, nullptr, &areal), want) << at();
+        ASSERT_EQ(areal, want_a) << "areal output: " << at();
 
         on_ref.ClearHits();
         on_new.ClearHits();
@@ -445,11 +523,16 @@ TEST_P(PreparedLocatorExactness, SameLocationAndFaultHitsAsTreeWalk) {
         ASSERT_EQ(reused.Locate(p, &on_new), want_f) << "faults on: " << at();
         ASSERT_EQ(on_new.Hits(), on_ref.Hits()) << "faults on: " << at();
         on_new.ClearHits();
+        areal = Location::kBoundary;
+        ASSERT_EQ(reused.Locate(p, &on_new, &areal), want_f)
+            << "faults on: " << at();
+        ASSERT_EQ(areal, want_a) << "areal output, faults on: " << at();
+        ASSERT_EQ(on_new.Hits(), on_ref.Hits()) << "faults on: " << at();
+        on_new.ClearHits();
         ASSERT_EQ(LocatePoint(p, *g, eps, &on_new), want_f) << at();
         ASSERT_EQ(on_new.Hits(), on_ref.Hits()) << at();
         for (const faults::FaultId id : on_ref.Hits()) ++fired[id];
 
-        const Location want_a = reference::LocateAreal(p, *g, eps);
         ASSERT_EQ(LocateAreal(p, *g, eps), want_a) << "areal: " << at();
         ASSERT_EQ(reused.LocateAreal(p), want_a) << "areal: " << at();
         ++calls;
@@ -714,6 +797,212 @@ TEST(RelateMemo, FlushedPairRecomputesAndStillEqualsTheKernel) {
   EXPECT_EQ(got.full, 1u);
   EXPECT_EQ(got.hits, 0u);
   EXPECT_EQ(got, RunRelate(RelateUnmemoized, *a, *b, nullptr));
+}
+
+// --- The relate front ---------------------------------------------------------
+
+// The point-set dimension by its ForEachBasic definition: the largest
+// dimension of a non-empty basic element, where a line without length is
+// a point.
+int ReferencePointSetDimension(const Geometry& g) {
+  int dim = -1;
+  geom::ForEachBasic(g, [&dim](const Geometry& basic) {
+    if (basic.IsEmpty()) return;
+    if (basic.type() == geom::GeomType::kPoint) dim = std::max(dim, 0);
+    if (basic.type() == geom::GeomType::kPolygon) dim = std::max(dim, 2);
+    if (basic.type() == geom::GeomType::kLineString) {
+      const auto& pts = geom::AsLineString(basic).points();
+      bool has_length = false;
+      for (size_t i = 0; i + 1 < pts.size(); ++i) {
+        if (pts[i] != pts[i + 1]) has_length = true;
+      }
+      dim = std::max(dim, has_length ? 1 : 0);
+    }
+  });
+  return dim;
+}
+
+geom::GeomPtr Collection(std::vector<geom::GeomPtr> elems) {
+  return geom::MakeCollection(geom::GeomType::kGeometryCollection,
+                              std::move(elems));
+}
+
+// Generated and mutated rows of all four dialects, plus shapes at the
+// edges of the boundary rule: open lines sharing an endpoint an odd and an
+// even number of times (signed zeros too, which Coord::operator< counts as
+// one point), closed and zero-length lines, empty rings, POLYGON EMPTY
+// inside collections, and nested collections.
+std::vector<geom::GeomPtr> FrontInputs() {
+  std::vector<geom::GeomPtr> out;
+  const corpus::MutationEngine mutator;
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    engine::Engine e(static_cast<engine::Dialect>(d), false);
+    fuzz::GeneratorConfig config;
+    config.num_geometries = 24;
+    Rng rng(500 + static_cast<uint64_t>(d));
+    fuzz::GeometryAwareGenerator gen(config, &rng, &e);
+    fuzz::DatabaseSpec sdb = gen.Generate(nullptr);
+    for (int round = 0; round < 6; ++round) {
+      for (const fuzz::TableSpec& table : sdb.tables) {
+        for (const std::string& wkt : table.rows) {
+          if (auto g = geom::ReadWkt(wkt); g.ok()) out.push_back(g.Take());
+        }
+      }
+      sdb = mutator.MutateDatabase(sdb, &rng);
+    }
+  }
+  for (const char* wkt : {
+           "MULTILINESTRING((0 0,1 0),(1 0,2 0))",
+           "MULTILINESTRING((0 0,1 0),(1 0,1 1),(1 1,0 0))",
+           "MULTILINESTRING((0 0,1 0),(0 0,0 1),(0 0,-1 0),(1 0,0 1),"
+           "(-1 0,0 1))",
+           "LINESTRING(0 0,1 0,1 1,0 0)",
+           "LINESTRING(1 1,1 1)",
+           "MULTILINESTRING((1 1,1 1),(2 2,3 3))",
+           "GEOMETRYCOLLECTION(POLYGON EMPTY,LINESTRING(0 0,1 1))",
+           "GEOMETRYCOLLECTION(POLYGON EMPTY,LINESTRING(0 0,1 1),"
+           "LINESTRING(1 1,0 0))",
+           "GEOMETRYCOLLECTION(GEOMETRYCOLLECTION(LINESTRING(0 0,1 1),"
+           "GEOMETRYCOLLECTION(LINESTRING(1 1,2 2))),POINT(5 5))",
+           "GEOMETRYCOLLECTION(GEOMETRYCOLLECTION(LINESTRING(0 0,1 1)),"
+           "LINESTRING(1 1,0 0))",
+           "GEOMETRYCOLLECTION(GEOMETRYCOLLECTION EMPTY,POINT(1 1))",
+           "MULTIPOLYGON(((0 0,1 0,1 1,0 0)),EMPTY)",
+           "MULTIPOINT((0 0),EMPTY)",
+           "POLYGON((0 0,0 0,0 0,0 0))",
+           "GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,2 0),"
+           "POLYGON((5 5,6 5,6 6,5 5)))",
+       }) {
+    out.push_back(geom::ReadWkt(wkt).Take());
+  }
+  using geom::MakeLineString;
+  // (-0 0) and (0 0) are one endpoint, met twice: only (1 0) and (2 0)
+  // are odd; then with (1 0) twice as well, none is.
+  {
+    std::vector<geom::GeomPtr> lines;
+    lines.push_back(MakeLineString({{-0.0, 0}, {1, 0}}));
+    lines.push_back(MakeLineString({{0.0, 0}, {2, 0}}));
+    out.push_back(geom::MakeCollection(geom::GeomType::kMultiLineString,
+                                       std::move(lines)));
+  }
+  {
+    std::vector<geom::GeomPtr> lines;
+    lines.push_back(MakeLineString({{-0.0, 0}, {1, 0}}));
+    lines.push_back(MakeLineString({{1, 0}, {0.0, -0.0}}));
+    out.push_back(geom::MakeCollection(geom::GeomType::kMultiLineString,
+                                       std::move(lines)));
+  }
+  // A line of one point, and polygons whose rings are empty: an empty ring
+  // adds no boundary, a non-empty hole behind an empty shell does.
+  {
+    std::vector<geom::GeomPtr> elems;
+    elems.push_back(MakeLineString({{1, 1}}));
+    elems.push_back(geom::MakePoint(3, 3));
+    out.push_back(Collection(std::move(elems)));
+  }
+  {
+    std::vector<geom::GeomPtr> elems;
+    elems.push_back(geom::MakePolygon({{}}));
+    elems.push_back(MakeLineString({{0, 0}, {1, 1}}));
+    out.push_back(Collection(std::move(elems)));
+  }
+  {
+    std::vector<geom::GeomPtr> elems;
+    elems.push_back(geom::MakePolygon({{}, {{0, 0}, {1, 0}, {1, 1}, {0, 0}}}));
+    elems.push_back(geom::MakePoint(3, 3));
+    out.push_back(Collection(std::move(elems)));
+  }
+  return out;
+}
+
+TEST(RelateFront, ClosedFormsFollowTheBoundaryAndPointSetDefinitions) {
+  // Relate(EMPTY, g)'s exterior row, Relate(g, EMPTY)'s exterior column
+  // and a pre-filtered pair's matrix hold g's point-set dimension and
+  // algo::Boundary(g)'s dimension.
+  const geom::GeomPtr empties[] = {Wkt("POINT EMPTY"),
+                                   Wkt("GEOMETRYCOLLECTION EMPTY")};
+  const geom::GeomPtr far = Wkt("POINT(1e6 1e6)");
+  std::map<int, size_t> boundary_dims;
+  size_t checked = 0;
+  for (const auto& g : FrontInputs()) {
+    if (g->IsEmpty()) continue;
+    const int interior = ReferencePointSetDimension(*g);
+    const int boundary = algo::Boundary(*g)->Dimension();
+    ++boundary_dims[boundary];
+    for (const auto& e : empties) {
+      const IntersectionMatrix row = Relate(*e, *g).Take();
+      EXPECT_EQ(row.At(Location::kExterior, Location::kInterior), interior)
+          << g->ToWkt();
+      EXPECT_EQ(row.At(Location::kExterior, Location::kBoundary), boundary)
+          << g->ToWkt();
+      const IntersectionMatrix col = Relate(*g, *e).Take();
+      EXPECT_EQ(col.At(Location::kInterior, Location::kExterior), interior)
+          << g->ToWkt();
+      EXPECT_EQ(col.At(Location::kBoundary, Location::kExterior), boundary)
+          << g->ToWkt();
+    }
+    const uint64_t prefiltered = CounterValue("relate.envelope_prefilter");
+    const IntersectionMatrix im = Relate(*g, *far).Take();
+    ASSERT_EQ(CounterValue("relate.envelope_prefilter"), prefiltered + 1)
+        << g->ToWkt();
+    IntersectionMatrix want;
+    want.Set(Location::kInterior, Location::kExterior, interior);
+    want.Set(Location::kBoundary, Location::kExterior, boundary);
+    want.Set(Location::kExterior, Location::kInterior, 0);
+    want.Set(Location::kExterior, Location::kExterior, 2);
+    EXPECT_EQ(im.Code(), want.Code()) << g->ToWkt();
+    ++checked;
+  }
+  EXPECT_GT(checked, 300u);
+  EXPECT_GT(boundary_dims[-1], 10u);
+  EXPECT_GT(boundary_dims[0], 10u);
+  EXPECT_GT(boundary_dims[1], 10u);
+}
+
+TEST(RelateFront, PrefilterAgreesWithTheKernelNearTheTolerance) {
+  // OnSegment accepts a point kDerivedEps * |coordinate| beyond a segment's
+  // end, so a fixed pre-filter margin called such touching pairs disjoint
+  // at large magnitudes. A one-element collection under a FaultState skips
+  // the pre-filter, so it is the kernel's answer for the same point set.
+  const faults::FaultState no_faults;
+  EXPECT_EQ(Relate(*Wkt("POINT(1000 0)"), *Wkt("LINESTRING(0 0,999.9999999 0)"))
+                .Take()
+                .Code(),
+            "0FFFFF102");
+  size_t prefiltered_pairs = 0;
+  for (const double m : {1.0, 1e3, 1e6}) {
+    const double tol = geom::kDerivedEps * m;
+    // Gaps just inside and just outside the kernel's tolerance, and one
+    // wide enough for the pre-filter.
+    for (const double k : {0.5, 0.9, 1.1, 2.0, 40.0}) {
+      const double x = m + k * tol;
+      std::vector<std::pair<geom::GeomPtr, geom::GeomPtr>> pairs;
+      // A point past a line's end.
+      pairs.emplace_back(geom::MakePoint(x, 0),
+                         geom::MakeLineString({{0, 0}, {m, 0}}));
+      // Two collinear lines end to end.
+      pairs.emplace_back(geom::MakeLineString({{x, 0}, {2 * m, 0}}),
+                         geom::MakeLineString({{0, 0}, {m, 0}}));
+      // A point beside a polygon edge.
+      pairs.emplace_back(
+          geom::MakePoint(x, m / 2),
+          geom::MakePolygon({{{0, 0}, {m, 0}, {m, m}, {0, m}, {0, 0}}}));
+      for (const auto& [a, b] : pairs) {
+        std::vector<geom::GeomPtr> elems;
+        elems.push_back(a->Clone());
+        const geom::GeomPtr gc = Collection(std::move(elems));
+        const std::string at = a->ToWkt() + " / " + b->ToWkt();
+        const uint64_t before = CounterValue("relate.envelope_prefilter");
+        const std::string got = Relate(*a, *b, nullptr).Take().Code();
+        const std::string got_t = Relate(*b, *a, nullptr).Take().Code();
+        prefiltered_pairs +=
+            CounterValue("relate.envelope_prefilter") > before ? 1 : 0;
+        EXPECT_EQ(got, Relate(*gc, *b, &no_faults).Take().Code()) << at;
+        EXPECT_EQ(got_t, Relate(*b, *gc, &no_faults).Take().Code()) << at;
+      }
+    }
+  }
+  EXPECT_GE(prefiltered_pairs, 3u) << "the widest gaps take the pre-filter";
 }
 
 }  // namespace
