@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "algo/edit_functions.h"
 #include "fuzz/generator.h"
 #include "geom/wkt_reader.h"
 #include "relate/relate.h"
@@ -72,12 +71,6 @@ int main(int argc, char** argv) {
     std::printf("  %-28s %zu distinct DE-9IM codes over 5 databases\n",
                 derivative ? "geometry-aware (GAG)" : "random-shape (RSG)",
                 total);
-  }
-
-  std::printf("\n== the editing-function surface (paper Table 1) ==\n");
-  for (const auto& fn : algo::EditFunctions()) {
-    std::printf("  %-18s %-18s arity %d\n", fn.name.c_str(),
-                algo::EditCategoryName(fn.category), fn.arity);
   }
   return 0;
 }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "algo/boundary.h"
-#include "algo/convex_hull.h"
-#include "algo/polygonize.h"
 #include "algo/ring_ops.h"
 #include "common/coverage.h"
 
@@ -14,20 +11,6 @@ using geom::Coord;
 using geom::Geometry;
 using geom::GeomPtr;
 using geom::GeomType;
-
-const char* EditCategoryName(EditCategory c) {
-  switch (c) {
-    case EditCategory::kLineBased:
-      return "Line-Based";
-    case EditCategory::kPolygonBased:
-      return "Polygon-Based";
-    case EditCategory::kMultiDimensional:
-      return "Multi-Dimensional";
-    case EditCategory::kGeneric:
-      return "Generic";
-  }
-  return "Unknown";
-}
 
 Result<GeomPtr> SetPoint(const Geometry& g, size_t index, Coord p) {
   if (g.type() != GeomType::kLineString) {
@@ -223,99 +206,6 @@ Result<GeomPtr> Collect(const Geometry& a, const Geometry& b) {
   }
   return geom::MakeCollection(GeomType::kGeometryCollection,
                               std::move(elems));
-}
-
-const std::vector<EditFunction>& EditFunctions() {
-  static const std::vector<EditFunction> kFunctions = [] {
-    std::vector<EditFunction> fns;
-    fns.push_back({"SetPoint", EditCategory::kLineBased, 1,
-                   [](const std::vector<const Geometry*>& in, Rng* rng) {
-                     const auto& g = *in[0];
-                     if (g.type() != GeomType::kLineString || g.IsEmpty()) {
-                       return Result<GeomPtr>(Status::InvalidArgument(
-                           "SetPoint needs a non-empty LINESTRING"));
-                     }
-                     const size_t n = geom::AsLineString(g).NumPoints();
-                     const size_t idx = rng->Below(n);
-                     const Coord p{static_cast<double>(rng->IntIn(-10, 10)),
-                                   static_cast<double>(rng->IntIn(-10, 10))};
-                     return SetPoint(g, idx, p);
-                   }});
-    fns.push_back({"Polygonize", EditCategory::kLineBased, 1,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     SPATTER_COV("edit", "polygonize");
-                     return Result<GeomPtr>(Polygonize(*in[0]));
-                   }});
-    fns.push_back({"DumpRings", EditCategory::kPolygonBased, 1,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     return DumpRings(*in[0]);
-                   }});
-    fns.push_back({"ForcePolygonCW", EditCategory::kPolygonBased, 1,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     return ForcePolygonCW(*in[0]);
-                   }});
-    fns.push_back({"GeometryN", EditCategory::kMultiDimensional, 1,
-                   [](const std::vector<const Geometry*>& in, Rng* rng) {
-                     const auto& g = *in[0];
-                     if (!g.IsCollection() ||
-                         geom::AsCollection(g).NumElements() == 0) {
-                       return Result<GeomPtr>(Status::InvalidArgument(
-                           "GeometryN needs a non-empty collection"));
-                     }
-                     const size_t n =
-                         1 + rng->Below(geom::AsCollection(g).NumElements());
-                     return GeometryN(g, n);
-                   }});
-    fns.push_back(
-        {"CollectionExtract", EditCategory::kMultiDimensional, 1,
-         [](const std::vector<const Geometry*>& in, Rng* rng) {
-           static const GeomType kBasic[] = {
-               GeomType::kPoint, GeomType::kLineString, GeomType::kPolygon};
-           return CollectionExtract(*in[0], kBasic[rng->Below(3)]);
-         }});
-    fns.push_back({"Boundary", EditCategory::kGeneric, 1,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     SPATTER_COV("edit", "boundary");
-                     return Result<GeomPtr>(Boundary(*in[0]));
-                   }});
-    fns.push_back({"ConvexHull", EditCategory::kGeneric, 1,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     SPATTER_COV("edit", "convex_hull");
-                     return Result<GeomPtr>(ConvexHull(*in[0]));
-                   }});
-    fns.push_back({"PointN", EditCategory::kLineBased, 1,
-                   [](const std::vector<const Geometry*>& in, Rng* rng) {
-                     const auto& g = *in[0];
-                     if (g.type() != GeomType::kLineString || g.IsEmpty()) {
-                       return Result<GeomPtr>(Status::InvalidArgument(
-                           "PointN needs a non-empty LINESTRING"));
-                     }
-                     const size_t n =
-                         1 + rng->Below(geom::AsLineString(g).NumPoints());
-                     return PointN(g, n);
-                   }});
-    fns.push_back({"Reverse", EditCategory::kGeneric, 1,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     return Reverse(*in[0]);
-                   }});
-    fns.push_back({"Envelope", EditCategory::kGeneric, 1,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     return EnvelopeOf(*in[0]);
-                   }});
-    fns.push_back({"Collect", EditCategory::kGeneric, 2,
-                   [](const std::vector<const Geometry*>& in, Rng*) {
-                     return Collect(*in[0], *in[1]);
-                   }});
-    return fns;
-  }();
-  return kFunctions;
-}
-
-const EditFunction* FindEditFunction(const std::string& name) {
-  for (const auto& fn : EditFunctions()) {
-    if (fn.name == name) return &fn;
-  }
-  return nullptr;
 }
 
 }  // namespace spatter::algo

@@ -5,44 +5,10 @@
 #ifndef SPATTER_ALGO_EDIT_FUNCTIONS_H_
 #define SPATTER_ALGO_EDIT_FUNCTIONS_H_
 
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "common/rng.h"
 #include "common/status.h"
 #include "geom/geometry.h"
 
 namespace spatter::algo {
-
-/// Category from Table 1, by input-geometry dimensionality.
-enum class EditCategory {
-  kLineBased,
-  kPolygonBased,
-  kMultiDimensional,
-  kGeneric,
-};
-
-const char* EditCategoryName(EditCategory c);
-
-/// A derivative-strategy editing function. `inputs.size() == arity`; the
-/// Rng supplies any extra scalar parameters (indices, replacement points).
-struct EditFunction {
-  std::string name;
-  EditCategory category;
-  int arity;
-  std::function<Result<geom::GeomPtr>(
-      const std::vector<const geom::Geometry*>& inputs, Rng* rng)>
-      apply;
-};
-
-/// The full registry (stable order; the generator indexes into it).
-const std::vector<EditFunction>& EditFunctions();
-
-/// Looks up a function by name; nullptr when unknown.
-const EditFunction* FindEditFunction(const std::string& name);
-
-// --- Individual operations (exposed for direct use and tests) ------------
 
 /// Replaces point `index` of a LINESTRING with `p` (0-based).
 Result<geom::GeomPtr> SetPoint(const geom::Geometry& g, size_t index,

@@ -28,10 +28,6 @@ bool IsCcw(const std::vector<Coord>& ring) {
   return SignedRingArea(ring) > 0.0;
 }
 
-void ReverseRing(std::vector<Coord>* ring) {
-  std::reverse(ring->begin(), ring->end());
-}
-
 RingLocation LocateInRing(const Coord& p, const std::vector<Coord>& ring,
                           double eps) {
   if (ring.size() < 2) return RingLocation::kExterior;
@@ -147,59 +143,6 @@ std::optional<Coord> InteriorPointOfPolygon(const Polygon& poly) {
     }
   }
   return std::nullopt;
-}
-
-std::optional<Coord> Centroid(const Geometry& g) {
-  if (g.IsEmpty()) return std::nullopt;
-  const int dim = g.Dimension();
-  double wsum = 0.0;
-  double cx = 0.0;
-  double cy = 0.0;
-  geom::ForEachBasic(g, [&](const Geometry& basic) {
-    if (basic.IsEmpty()) return;
-    if (dim == 2 && basic.type() == geom::GeomType::kPolygon) {
-      const auto& poly = geom::AsPolygon(basic);
-      for (size_t r = 0; r < poly.NumRings(); ++r) {
-        const auto& ring = poly.rings()[r];
-        double a_sum = 0.0;
-        double x_sum = 0.0;
-        double y_sum = 0.0;
-        for (size_t i = 0; i + 1 < ring.size(); ++i) {
-          const double cross =
-              ring[i].x * ring[i + 1].y - ring[i + 1].x * ring[i].y;
-          a_sum += cross;
-          x_sum += (ring[i].x + ring[i + 1].x) * cross;
-          y_sum += (ring[i].y + ring[i + 1].y) * cross;
-        }
-        double sign = (r == 0) ? 1.0 : -1.0;
-        // Normalize ring orientation so holes subtract.
-        if (a_sum < 0) {
-          a_sum = -a_sum;
-          x_sum = -x_sum;
-          y_sum = -y_sum;
-        }
-        wsum += sign * a_sum / 2.0;
-        cx += sign * x_sum / 6.0;
-        cy += sign * y_sum / 6.0;
-      }
-    } else if (dim == 1 && basic.type() == geom::GeomType::kLineString) {
-      const auto& pts = geom::AsLineString(basic).points();
-      for (size_t i = 0; i + 1 < pts.size(); ++i) {
-        const double len = geom::DistanceBetween(pts[i], pts[i + 1]);
-        const Coord mid = geom::Midpoint(pts[i], pts[i + 1]);
-        wsum += len;
-        cx += mid.x * len;
-        cy += mid.y * len;
-      }
-    } else if (dim == 0 && basic.type() == geom::GeomType::kPoint) {
-      const auto& c = *geom::AsPoint(basic).coord();
-      wsum += 1.0;
-      cx += c.x;
-      cy += c.y;
-    }
-  });
-  if (wsum == 0.0) return std::nullopt;
-  return Coord{cx / wsum, cy / wsum};
 }
 
 }  // namespace spatter::algo

@@ -20,9 +20,6 @@ double SignedRingArea(const std::vector<geom::Coord>& ring);
 /// True when the ring winds counter-clockwise (positive signed area).
 bool IsCcw(const std::vector<geom::Coord>& ring);
 
-/// Reverses ring orientation in place.
-void ReverseRing(std::vector<geom::Coord>* ring);
-
 /// One edge [a, b] of the even-odd ray cast toward +x. Returns true when
 /// `p` lies on the edge (within `eps`, as OnSegment); otherwise flips
 /// `*inside` when the ray crosses the edge. The half-open rule on y makes a
@@ -62,11 +59,6 @@ double GeometryLength(const geom::Geometry& g);
 /// (scanline through the interior with verification). Returns nullopt for
 /// empty or degenerate (zero-area) polygons.
 std::optional<geom::Coord> InteriorPointOfPolygon(const geom::Polygon& poly);
-
-/// Centroid of the highest-dimension components (area-weighted for
-/// polygons, length-weighted for lines, mean for points). Returns nullopt
-/// when the geometry is empty.
-std::optional<geom::Coord> Centroid(const geom::Geometry& g);
 
 }  // namespace spatter::algo
 

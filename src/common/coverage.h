@@ -24,10 +24,10 @@
 // neither active it costs what it did with the trace alone. One recorder,
 // faults::Effects, captures and replays: the relate memo (relate.h) records
 // each kernel run it admits with it, and fuzz::LoadDatabase each statement
-// of a load it snapshots. A replay is Hit(site, count) per captured site,
-// so the global counters, any active trace and capture, and every later
-// snapshot diff see exactly what re-running the recorded work would have
-// produced.
+// and row of a load it snapshots. A replay is Hit(site, count) per captured
+// site, so the global counters, any active trace and capture, and every
+// later snapshot diff see exactly what re-running the recorded work would
+// have produced.
 #ifndef SPATTER_COMMON_COVERAGE_H_
 #define SPATTER_COMMON_COVERAGE_H_
 

@@ -6,7 +6,6 @@
 #define SPATTER_COMMON_RNG_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace spatter {
 
@@ -69,12 +68,6 @@ class Rng {
   /// Uniform double in [0,1).
   double Double01() {
     return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
-  /// Uniform element of a non-empty vector.
-  template <typename T>
-  const T& Choice(const std::vector<T>& items) {
-    return items[Below(items.size())];
   }
 
   /// Deterministically derives the seed of stream `index` from a master

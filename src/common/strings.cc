@@ -49,6 +49,18 @@ std::string Join(const std::vector<std::string>& parts,
   return out;
 }
 
+bool IsPlainIdentifier(const std::string& s) {
+  // The SQL lexer's identifier rule (sql/parser.cc).
+  if (s.empty() ||
+      !(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_')) {
+    return false;
+  }
+  for (char c : s) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return false;
+  }
+  return true;
+}
+
 bool ParseU64(const std::string& s, uint64_t* out) {
   if (s.empty()) return false;
   uint64_t value = 0;

@@ -21,6 +21,11 @@ bool EqualsIgnoreCase(const std::string& s, const std::string& expect);
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 
+/// True for a name the SQL lexer reads back as one identifier, verbatim: a
+/// letter or '_', then letters, digits and '_'. A table name must be one,
+/// or a statement naming it names another table ("t3 " reads as "t3").
+bool IsPlainIdentifier(const std::string& s);
+
 /// Strict unsigned decimal: `s` must be one or more ASCII digits whose
 /// value fits in 64 bits. No sign, whitespace, or trailing characters, so
 /// "", "abc", "12x", "-1" and 2^64 are all rejected. On success stores the

@@ -1,7 +1,10 @@
 #include "corpus/codec.h"
 
+#include <cmath>
 #include <cstring>
 
+#include "common/strings.h"
+#include "engine/functions.h"
 #include "geom/wkb.h"
 #include "geom/wkt_reader.h"
 #include "geom/wkt_writer.h"
@@ -109,6 +112,41 @@ Status Truncated() {
   return Status::InvalidArgument("test-case record truncated or malformed");
 }
 
+Status NotPlain(const std::string& name) {
+  return Status::InvalidArgument("record has table name '" + name +
+                                 "', not a plain identifier");
+}
+
+// QuerySpec::ToSql pastes the predicate, the pattern and the distance into
+// SQL as they are, so a replay runs the statement a campaign ran only when
+// each is one the generator draws: a registered predicate by its canonical
+// name or `~=`, nine characters of the DE-9IM alphabet under kPattern (none
+// otherwise), and a finite distance (`nan` would print as a column name).
+Status CheckQuery(const fuzz::QuerySpec& query) {
+  if (!IsPlainIdentifier(query.table1)) return NotPlain(query.table1);
+  if (!IsPlainIdentifier(query.table2)) return NotPlain(query.table2);
+  if (query.predicate != "~=") {
+    const engine::FunctionDef* fn = engine::FindFunction(query.predicate);
+    if (fn == nullptr || !fn->is_predicate || query.predicate != fn->name) {
+      return Status::InvalidArgument("record has unknown predicate '" +
+                                     query.predicate + "'");
+    }
+  }
+  const bool pattern_ok =
+      query.extra == engine::PredicateExtra::kPattern
+          ? query.pattern.size() == 9 &&
+                query.pattern.find_first_not_of("TF012*") == std::string::npos
+          : query.pattern.empty();
+  if (!pattern_ok) {
+    return Status::InvalidArgument("record has malformed pattern '" +
+                                   query.pattern + "'");
+  }
+  if (!std::isfinite(query.distance)) {
+    return Status::InvalidArgument("record has non-finite distance");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::vector<uint8_t>> TestCaseCodec::Encode(
@@ -201,6 +239,7 @@ Result<TestCaseRecord> TestCaseCodec::Decode(
     fuzz::TableSpec table;
     uint32_t nrows;
     if (!r.String(&table.name) || !r.U32(&nrows)) return Truncated();
+    if (!IsPlainIdentifier(table.name)) return NotPlain(table.name);
     for (uint32_t row = 0; row < nrows; ++row) {
       std::vector<uint8_t> wkb;
       if (!r.Blob(&wkb)) return Truncated();
@@ -224,6 +263,7 @@ Result<TestCaseRecord> TestCaseCodec::Decode(
       return Status::InvalidArgument("record has invalid predicate extra");
     }
     rec.query.extra = static_cast<engine::PredicateExtra>(extra);
+    SPATTER_RETURN_NOT_OK(CheckQuery(rec.query));
   }
 
   double m[6];

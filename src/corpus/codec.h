@@ -61,7 +61,12 @@ class TestCaseCodec {
   static Result<std::vector<uint8_t>> Encode(const TestCaseRecord& record);
 
   /// Parses a buffer produced by Encode. Rejects truncated or malformed
-  /// input with kInvalidArgument (never reads out of bounds).
+  /// input with kInvalidArgument (never reads out of bounds), and a record
+  /// whose replay would run SQL no campaign ran: a table name, in the
+  /// database or the query, that is not a plain identifier
+  /// (IsPlainIdentifier), an unknown predicate, a pattern other than nine
+  /// DE-9IM characters under a pattern predicate (or any pattern
+  /// otherwise), or a non-finite distance.
   static Result<TestCaseRecord> Decode(const std::vector<uint8_t>& data);
 
   /// Stable content signature of a record's coverage site set, used for

@@ -136,9 +136,10 @@ void CoverJoinBehaviour(const FunctionDef* fn, const Table& t1,
 namespace {
 
 // 256 statements comfortably hold one iteration's working set: the count
-// queries and their rewrites, and the ~dozen CREATE/INSERT statements of
-// each database fuzz::LoadDatabase builds a snapshot of. Reloads restore
-// the snapshot and look nothing up.
+// queries and their rewrites, the generator's derive statements, and the
+// DDL of each database fuzz::LoadDatabase builds a snapshot of (its rows
+// go in as values, Engine::InsertValue). Reloads restore the snapshot and
+// look nothing up.
 constexpr size_t kStatementCacheCapacity = 256;
 
 // Compiles and evaluates an expression that reads no row: an INSERT value,
@@ -479,9 +480,9 @@ Result<ExecResult> Engine::ExecInsert(const sql::Statement& stmt) {
   return ExecResult{};
 }
 
-Result<ExecResult> Engine::InsertGeometry(
-    const std::string& table, const std::string& column,
-    std::shared_ptr<const geom::Geometry> g) {
+Result<ExecResult> Engine::InsertValue(const std::string& table,
+                                       const std::string& column,
+                                       Value value) {
   // What Execute does around a statement, less the clock (TypedLoad's).
   stats_.statements_executed++;
   CoverageRegistry::Instance().Hit(
@@ -490,7 +491,7 @@ Result<ExecResult> Engine::InsertGeometry(
   SPATTER_ASSIGN_OR_RETURN(Table * target,
                            InsertTarget(table, {column}, &cols));
   SPATTER_RETURN_NOT_OK(StoreRow(
-      target, cols, [&](size_t) -> Result<Value> { return Value::Geometry(g); }));
+      target, cols, [&](size_t) -> Result<Value> { return std::move(value); }));
   SPATTER_COV("engine", "insert");
   return ExecResult{};
 }

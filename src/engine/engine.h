@@ -112,7 +112,7 @@ class Engine {
   /// statistics are preserved, and so are the statement cache (parsing is
   /// a pure function of the text) and the snapshot store, from which
   /// fuzz::LoadDatabase restores a database it has loaded before instead
-  /// of re-running its CREATE/INSERT statements.
+  /// of re-running its DDL and row inserts.
   void Reset();
 
   /// Replaces the database without running a statement: Reset, then
@@ -124,27 +124,30 @@ class Engine {
   void Restore(
       const std::function<void(std::map<std::string, Table>*)>& install);
 
-  /// Inserts `g` as one typed row, as the statement
-  /// `INSERT INTO <table> (<column>) VALUES ('<WKT>')` would, where `g` is
-  /// exactly what ReadWkt returns for that WKT. It shares ExecInsert's row
-  /// code, so it hits the same engine_stmt/insert and engine/insert
-  /// coverage sites, counts in statements_executed, runs the same
-  /// CoerceGeometry validity check and returns the same ok, error or crash.
-  /// It reads no clock: call it inside TypedLoad, which accounts its time.
-  Result<ExecResult> InsertGeometry(const std::string& table,
-                                    const std::string& column,
-                                    std::shared_ptr<const geom::Geometry> g);
+  /// Inserts `value` into `column` of `table` as one row, as the statement
+  /// `INSERT INTO <table> (<column>) VALUES (<literal>)` would. A string is
+  /// the literal '<string>', coerced as the statement coerces it; a
+  /// geometry stands for the literal of its WKT, where it must be exactly
+  /// what ReadWkt returns for that WKT (geom::NormalizeForWkt). It shares
+  /// ExecInsert's row code, so it hits the same engine_stmt/insert and
+  /// engine/insert coverage sites, counts in statements_executed, runs the
+  /// same CoerceGeometry validity check and returns the same ok, error or
+  /// crash. It reads no clock: call it inside TypedLoad, which accounts its
+  /// time.
+  Result<ExecResult> InsertValue(const std::string& table,
+                                 const std::string& column, Value value);
 
-  /// Runs `load`, a database load that mixes InsertGeometry rows with
-  /// statements, as one unit of engine time: one pair of thread-CPU reads
-  /// around it (each read is a system call, so not a pair per row) feeds
+  /// Runs `load`, a database load of DDL statements and InsertValue rows,
+  /// as one unit of engine time: one pair of thread-CPU reads around it
+  /// (each read is a system call, so not a pair per row) feeds
   /// exec_seconds, the engine.typed_load histogram and one engine.typed_load
   /// trace span. The statements it runs take their own reads as usual;
   /// their time is counted once, in the load's.
   void TypedLoad(const std::function<void()>& load);
 
   /// State a caller keeps per engine: it lives as long as the engine and
-  /// survives Reset. fuzz::LoadDatabase keeps its database snapshots here,
+  /// survives Reset. fuzz::LoadDatabase keeps what it knows of the
+  /// databases it loaded here (parsed rows, snapshots, derived forms),
   /// behind this base so the engine needs no fuzz types; the engine never
   /// reads it.
   class SnapshotStore {
@@ -173,7 +176,7 @@ class Engine {
   Result<ExecResult> ExecCreateIndex(const sql::Statement& stmt);
   Result<ExecResult> ExecDropTable(const sql::Statement& stmt);
   Result<ExecResult> ExecInsert(const sql::Statement& stmt);
-  /// The row code ExecInsert and InsertGeometry share. InsertTarget
+  /// The row code ExecInsert and InsertValue share. InsertTarget
   /// resolves the table and the target columns (`names` empty: every
   /// column, in order); StoreRow appends one row whose value i, from
   /// `value(i)`, goes to column cols[i], coerced under the dialect's

@@ -628,7 +628,11 @@ Result<Value> GeometryValue(GeomPtr g) {
 Result<Value> FnBoundary(const FunctionContext& ctx,
                          const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
-  if (ctx.faults && g->IsCollection()) {
+  // Each fault's bit first (as SqlserverNestingGuard): its precondition's
+  // walk is only needed when the fault can fire.
+  if (ctx.faults &&
+      ctx.faults->IsEnabled(FaultId::kPostgisCrashBoundaryEmptyElement) &&
+      g->IsCollection()) {
     bool has_empty_line = false;
     geom::ForEachBasic(*g, [&](const Geometry& basic) {
       if (basic.type() == GeomType::kLineString && basic.IsEmpty()) {
@@ -647,7 +651,8 @@ Result<Value> FnBoundary(const FunctionContext& ctx,
 Result<Value> FnConvexHull(const FunctionContext& ctx,
                            const ArgList& args) {
   SPATTER_ASSIGN_OR_RETURN(GeometryRef g, ToGeometry(ctx, args[0]));
-  if (ctx.faults) {
+  if (ctx.faults &&
+      ctx.faults->IsEnabled(FaultId::kGeosCrashConvexHullCollinear)) {
     // Count collinear coordinates for the injected crash.
     std::vector<geom::Coord> pts;
     geom::ForEachBasic(*g, [&pts](const Geometry& basic) {
@@ -682,7 +687,9 @@ Result<Value> FnPolygonize(const FunctionContext& ctx,
         "simulated DuckDB crash: polygonize of empty geometry");
   }
   GeomPtr result = algo::Polygonize(*g);
-  if (ctx.faults && !result->IsEmpty()) {
+  if (ctx.faults &&
+      ctx.faults->IsEnabled(FaultId::kGeosCrashPolygonizeDangling) &&
+      !result->IsEmpty()) {
     // Dangling-edge detection for the injected crash: an endpoint used by
     // exactly one segment.
     std::map<std::pair<double, double>, int> degree;

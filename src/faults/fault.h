@@ -172,8 +172,8 @@ class FaultState {
 
 /// What one unit of work did besides its result: the fault ids it fired
 /// and every coverage site it hit, with its count. The relate memo records
-/// each kernel run it admits, and a load snapshot each load statement
-/// (fuzz::LoadDatabase); a replay then leaves fault hits, coverage
+/// each kernel run it admits, and a load snapshot each statement and row
+/// of a load (fuzz::LoadDatabase); a replay then leaves fault hits, coverage
 /// counters and any active trace or capture exactly as re-running the
 /// work would.
 struct Effects {

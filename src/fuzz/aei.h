@@ -39,9 +39,10 @@ std::optional<double> SimilarityScale(const algo::AffineTransform& t);
 /// Transforms a database spec into its affine equivalent: optionally
 /// canonicalizes each geometry (paper §4.3), then applies `transform` to
 /// every coordinate. WKT that fails to parse is copied through unchanged.
-/// This is SDB2's printer, for reports, reproducers and layer replays; the
-/// AEI check itself builds SDB2 from typed rows (fuzz::AffinePair), and
-/// this text form is the reference its tests hold that load to.
+/// This is SDB2's printer: the reference the tests hold the AEI check's
+/// typed SDB2 load (fuzz::AffinePair) to, and the step perfbench's layer
+/// replay times. Reports and reproducers record SDB1 and the matrix, not
+/// this text.
 DatabaseSpec TransformDatabase(const DatabaseSpec& sdb,
                                const algo::AffineTransform& transform,
                                bool canonicalize);

@@ -1,7 +1,6 @@
 #include "fuzz/oracles.h"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <map>
 #include <utility>
@@ -20,32 +19,8 @@ namespace spatter::fuzz {
 
 // --- Database loads ----------------------------------------------------------
 
-namespace {
-
-// Runs one unit of a load: a statement, or a typed row. With `effects`,
-// also records what it did besides changing the tables
-// (faults::Effects), as the relate memo records a kernel run.
-template <typename Work>
-Result<engine::ExecResult> RunRecorded(engine::Engine* engine,
-                                       faults::Effects* effects, Work work) {
-  if (effects == nullptr) return work();
-  return effects->Record(&engine->fault_state(), work);
-}
-
-// Same table names, each with the same WKT rows.
-bool SameTables(const std::vector<TableSpec>& a,
-                const std::vector<TableSpec>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t t = 0; t < a.size(); ++t) {
-    if (a[t].name != b[t].name || a[t].rows != b[t].rows) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 // One loaded database: the tables a load left plus what each of its
-// statements did.
+// statements and rows did.
 class LoadSnapshot {
  public:
   explicit LoadSnapshot(const DatabaseSpec& sdb) : loaded_(sdb.tables.size()) {
@@ -54,7 +29,7 @@ class LoadSnapshot {
     }
   }
 
-  // Where the statement path records table t's DDL and row statements.
+  // Where a load records table t's DDL statements and rows.
   faults::Effects* AddDdl(size_t t) { return &loaded_[t].ddl.emplace_back(); }
   faults::Effects* AddRow(size_t t) {
     return &loaded_[t].rows.emplace_back().effects;
@@ -65,8 +40,8 @@ class LoadSnapshot {
 
   // Takes the rows of a recorded load that succeeded. False when the
   // engine does not hold exactly the spec's tables, each with its
-  // accepted rows in order (a table name that is no plain identifier):
-  // such a load cannot be restored row by row.
+  // accepted rows in order (a table name that is no plain identifier, which
+  // the DDL creates under another name): such a load is not kept.
   bool TakeRows(const engine::Engine& engine) {
     if (engine.tables().size() != loaded_.size()) return false;
     for (Table& loaded : loaded_) {
@@ -86,9 +61,9 @@ class LoadSnapshot {
     return true;
   }
 
-  // What the statement path would do for a load of the recorded database:
-  // install the tables with the rows `keep` marks (nullptr: all) and
-  // replay the effects of exactly the statements it would run.
+  // What a load of the recorded database would do: install the tables with
+  // the rows `keep` marks (nullptr: all) and replay the effects of exactly
+  // the statements and rows it would run.
   void Restore(engine::Engine* engine, RowMask* accepted,
                const RowMask* keep) const {
     const faults::FaultState& faults = engine->fault_state();
@@ -131,25 +106,54 @@ class LoadSnapshot {
 
 namespace {
 
-// What every check on one SDB1 shares, derived once per engine (see
-// AffinePair): each row parsed, its canonical form with what building it
-// did, and EET's distance bound per ordered table pair.
-class DerivedSdb1 {
+// Everything an engine keeps about one SDB1, keyed by its table names and
+// WKT rows: each row parsed once, the load snapshots per (with_index,
+// enabled fault mask), and, for the affine checks and EET, each row's
+// canonical form with what building it did and EET's distance bound per
+// ordered table pair. Any database LoadDatabase is handed is an SDB1 here:
+// a campaign's, a reducer candidate, a printed SDB2 in a test.
+class Sdb1State {
  public:
-  explicit DerivedSdb1(const DatabaseSpec& sdb1)
+  explicit Sdb1State(const DatabaseSpec& sdb1)
       : tables_(sdb1.tables), rows_(sdb1.tables.size()) {
     for (size_t t = 0; t < tables_.size(); ++t) {
       for (const std::string& wkt : tables_[t].rows) {
         Result<geom::GeomPtr> parsed = geom::ReadWkt(wkt);
         rows_[t].emplace_back().parsed =
-            parsed.ok() ? parsed.Take() : geom::GeomPtr();
+            parsed.ok() ? std::shared_ptr<const geom::Geometry>(parsed.Take())
+                        : nullptr;
       }
     }
   }
 
   // The key: SDB1's table names and WKT rows, compared in full.
   bool Matches(const DatabaseSpec& sdb1) const {
-    return SameTables(tables_, sdb1.tables);
+    if (sdb1.tables.size() != tables_.size()) return false;
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      if (sdb1.tables[t].name != tables_[t].name ||
+          sdb1.tables[t].rows != tables_[t].rows) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // What row r of table t loads as: its parsed geometry, or its WKT when
+  // that does not parse (the insert then fails as the statement's would).
+  engine::Value RowValue(size_t t, size_t r) const {
+    const std::shared_ptr<const geom::Geometry>& parsed = rows_[t][r].parsed;
+    return parsed ? engine::Value::Geometry(parsed)
+                  : engine::Value::String(tables_[t].rows[r]);
+  }
+
+  const LoadSnapshot* Snapshot(bool with_index, uint64_t fault_mask) const {
+    const auto it = snapshots_.find({with_index, fault_mask});
+    return it == snapshots_.end() ? nullptr : &it->second;
+  }
+  void AddSnapshot(bool with_index, uint64_t fault_mask,
+                   LoadSnapshot snapshot) {
+    snapshots_.emplace(std::make_pair(with_index, fault_mask),
+                       std::move(snapshot));
   }
 
   // Canonicalizes every row that parses, as TransformDatabase does. The
@@ -190,7 +194,7 @@ class DerivedSdb1 {
 
  private:
   struct Row {
-    geom::GeomPtr parsed;     // null when the WKT does not parse
+    std::shared_ptr<const geom::Geometry> parsed;  // null: WKT unparsable
     geom::GeomPtr canonical;  // built by the first Canonicalize
     faults::Effects canonicalize;
   };
@@ -211,12 +215,12 @@ class DerivedSdb1 {
 
   std::vector<TableSpec> tables_;
   std::vector<std::vector<Row>> rows_;  // aligned with tables_
+  std::map<std::pair<bool, uint64_t>, LoadSnapshot> snapshots_;
   bool canonicalized_ = false;
   std::map<std::pair<std::string, std::string>, double> bounds_;
 };
 
-// An engine's load state: its most recently used snapshots, and the
-// derived state of the last SDB1 an affine check or EET read.
+// An engine's load state: the states of the SDB1s it loaded most recently.
 class LoadCache : public engine::Engine::SnapshotStore {
  public:
   static LoadCache& Of(engine::Engine* engine) {
@@ -226,70 +230,52 @@ class LoadCache : public engine::Engine::SnapshotStore {
     return static_cast<LoadCache&>(*store);
   }
 
-  // The snapshot of (sdb, fault_mask), now the most recently used; null
-  // when there is none.
-  const LoadSnapshot* Find(const DatabaseSpec& sdb, uint64_t fault_mask) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-      if ((*it)->Matches(sdb, fault_mask)) {
-        std::rotate(it.base() - 1, it.base(), entries_.end());
-        return &entries_.back()->snapshot;
+  // The state of `sdb1`, now the most recently used; a new one, its rows
+  // parsed, when the engine keeps none.
+  Sdb1State& StateOf(const DatabaseSpec& sdb1) {
+    for (auto it = states_.rbegin(); it != states_.rend(); ++it) {
+      if ((*it)->Matches(sdb1)) {
+        std::rotate(it.base() - 1, it.base(), states_.end());
+        return *states_.back();
       }
     }
-    return nullptr;
-  }
-
-  void Insert(const DatabaseSpec& sdb, uint64_t fault_mask,
-              LoadSnapshot snapshot) {
-    if (entries_.size() == kEntries) entries_.erase(entries_.begin());
-    entries_.push_back(std::unique_ptr<Entry>(
-        new Entry{sdb, fault_mask, std::move(snapshot)}));
-  }
-
-  // The derived state of `sdb1`, replacing the previous SDB1's.
-  DerivedSdb1& Derived(const DatabaseSpec& sdb1) {
-    if (!derived_ || !derived_->Matches(sdb1)) {
-      derived_ = std::make_unique<DerivedSdb1>(sdb1);
-    }
-    return *derived_;
+    if (states_.size() == kStates) states_.erase(states_.begin());
+    states_.push_back(std::make_unique<Sdb1State>(sdb1));
+    return *states_.back();
   }
 
  private:
-  struct Entry {
-    DatabaseSpec sdb;
-    uint64_t fault_mask;
-    LoadSnapshot snapshot;
-
-    // The whole key compared, not a hash of it.
-    bool Matches(const DatabaseSpec& other, uint64_t mask) const {
-      return other.with_index == sdb.with_index && mask == fault_mask &&
-             SameTables(sdb.tables, other.tables);
-    }
-  };
-
-  // An iteration's working set is two entries: SDB1 and its twin under
-  // the other with_index (the index oracle). SDB2 never enters; AffinePair
-  // keeps its own snapshot. Four leave room for a second such pair, say
-  // the same databases under another fault mask, at the cost of the rows
-  // each entry holds.
-  static constexpr size_t kEntries = 4;
-  std::vector<std::unique_ptr<Entry>> entries_;  // LRU first
-  std::unique_ptr<DerivedSdb1> derived_;
+  // A campaign engine works on one SDB1 per iteration; the second state
+  // keeps a caller that alternates two databases from rebuilding both.
+  static constexpr size_t kStates = 2;
+  std::vector<std::unique_ptr<Sdb1State>> states_;  // LRU first
 };
 
-// Inserts row r of table t.
-using InsertRow = std::function<Result<engine::ExecResult>(size_t, size_t)>;
+// What row r of table t loads as.
+using RowValue = std::function<engine::Value(size_t, size_t)>;
 
-// The statement path: Reset, then per table its DDL and one insert per
-// row (`insert`), rows not marked in `keep` skipped. With `record`, it also
-// records each statement's effects and each row's acceptance.
-Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
-                   const InsertRow& insert, RowMask* accepted,
-                   const RowMask* keep, LoadSnapshot* record) {
+// Runs one unit of a load: a DDL statement or a row. With `effects`, also
+// records what it did besides changing the tables (faults::Effects), as
+// the relate memo records a kernel run.
+template <typename Work>
+Result<engine::ExecResult> RunRecorded(engine::Engine* engine,
+                                       faults::Effects* effects, Work work) {
+  if (effects == nullptr) return work();
+  return effects->Record(&engine->fault_state(), work);
+}
+
+// A load's work: Reset, then per table its DDL statements and one
+// Engine::InsertValue per row (`value`), rows not marked in `keep`
+// skipped. With `record`, it also records each statement's and row's
+// effects and each row's acceptance.
+Status LoadTables(engine::Engine* engine, const DatabaseSpec& sdb,
+                  const RowValue& value, RowMask* accepted,
+                  const RowMask* keep, LoadSnapshot* record) {
   engine->Reset();
   if (accepted) accepted->clear();
   for (size_t t = 0; t < sdb.tables.size(); ++t) {
-    for (const std::string& ddl :
-         RenderDdl(sdb.tables[t].name, sdb.with_index)) {
+    const std::string& name = sdb.tables[t].name;
+    for (const std::string& ddl : RenderDdl(name, sdb.with_index)) {
       SPATTER_RETURN_NOT_OK(
           RunRecorded(engine, record ? record->AddDdl(t) : nullptr,
                       [&] { return engine->Execute(ddl); })
@@ -301,8 +287,9 @@ Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
         mask.push_back(false);
         continue;
       }
-      auto result = RunRecorded(engine, record ? record->AddRow(t) : nullptr,
-                                [&] { return insert(t, r); });
+      auto result = RunRecorded(
+          engine, record ? record->AddRow(t) : nullptr,
+          [&] { return engine->InsertValue(name, "g", value(t, r)); });
       if (!result.ok() && result.status().code() == StatusCode::kCrash) {
         return result.status();
       }
@@ -316,41 +303,40 @@ Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
   return Status::OK();
 }
 
-// True for a name the SQL lexer reads back as one identifier, verbatim.
-bool PlainIdentifier(const std::string& name) {
-  if (name.empty() ||
-      !(std::isalpha(static_cast<unsigned char>(name[0])) || name[0] == '_')) {
-    return false;
-  }
-  for (char c : name) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return false;
-  }
-  return true;
+// LoadTables as one unit of engine time (Engine::TypedLoad).
+Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
+                   const RowValue& value, RowMask* accepted,
+                   const RowMask* keep, LoadSnapshot* record) {
+  Status status;
+  engine->TypedLoad([&] {
+    status = LoadTables(engine, sdb, value, accepted, keep, record);
+  });
+  return status;
 }
 
 }  // namespace
 
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep) {
-  LoadCache& cache = LoadCache::Of(engine);
+  Sdb1State& state = LoadCache::Of(engine).StateOf(sdb);
   const uint64_t fault_mask = engine->fault_state().EnabledMask();
-  if (const LoadSnapshot* snapshot = cache.Find(sdb, fault_mask)) {
+  if (const LoadSnapshot* snapshot = state.Snapshot(sdb.with_index,
+                                                    fault_mask)) {
     snapshot->Restore(engine, accepted, keep);
     return Status::OK();
   }
-  const InsertRow insert = [&](size_t t, size_t r) {
-    const TableSpec& table = sdb.tables[t];
-    return engine->Execute(RenderInsert(table.name, table.rows[r]));
+  const RowValue value = [&](size_t t, size_t r) {
+    return state.RowValue(t, r);
   };
   // A filtered load follows an unfiltered one of the same database, so it
   // misses only when that one was not kept.
-  if (keep) return ExecuteLoad(engine, sdb, insert, accepted, keep, nullptr);
+  if (keep) return ExecuteLoad(engine, sdb, value, accepted, keep, nullptr);
   LoadSnapshot snapshot(sdb);
   const Status status =
-      ExecuteLoad(engine, sdb, insert, accepted, nullptr, &snapshot);
+      ExecuteLoad(engine, sdb, value, accepted, nullptr, &snapshot);
   if (status.ok() && snapshot.TakeRows(*engine)) {
     SPATTER_METRIC_INC("engine.snapshot.build");
-    cache.Insert(sdb, fault_mask, std::move(snapshot));
+    state.AddSnapshot(sdb.with_index, fault_mask, std::move(snapshot));
   }
   return status;
 }
@@ -360,25 +346,21 @@ Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
 AffinePair::AffinePair(engine::Engine* engine, const DatabaseSpec& sdb1,
                        const algo::AffineTransform& transform)
     : engine_(engine), sdb1_(sdb1), image_(sdb1.tables.size()) {
-  DerivedSdb1& derived = LoadCache::Of(engine).Derived(sdb1);
-  derived.Canonicalize(&engine->fault_state());
+  Sdb1State& state = LoadCache::Of(engine).StateOf(sdb1);
+  state.Canonicalize(&engine->fault_state());
   for (size_t t = 0; t < sdb1.tables.size(); ++t) {
-    const TableSpec& table = sdb1.tables[t];
-    const bool typed_table = PlainIdentifier(table.name);
-    for (size_t r = 0; r < table.rows.size(); ++r) {
-      ImageRow& row = image_[t].emplace_back();
-      const geom::Geometry* canonical = derived.Canonical(t, r);
+    for (size_t r = 0; r < sdb1.tables[t].rows.size(); ++r) {
+      const geom::Geometry* canonical = state.Canonical(t, r);
       if (canonical == nullptr) {
-        row.insert = RenderInsert(table.name, table.rows[r]);
+        image_[t].push_back(engine::Value::String(sdb1.tables[t].rows[r]));
         continue;
       }
       geom::GeomPtr g = canonical->Clone();
       transform.ApplyInPlace(g.get());
-      if (typed_table && geom::NormalizeForWkt(g.get())) {
-        row.typed = std::move(g);
-      } else {
-        row.insert = RenderInsert(table.name, g->ToWkt());
-      }
+      image_[t].push_back(
+          geom::NormalizeForWkt(g.get())
+              ? engine::Value::Geometry(std::move(g))
+              : engine::Value::String(g->ToWkt()));
     }
   }
 }
@@ -403,16 +385,10 @@ Status AffinePair::LoadImage(RowMask* accepted, const RowMask* keep) {
     snapshot_->Restore(engine_, accepted, keep);
     return Status::OK();
   }
-  const InsertRow insert = [&](size_t t, size_t r) {
-    const ImageRow& row = image_[t][r];
-    if (!row.typed) return engine_->Execute(row.insert);
-    return engine_->InsertGeometry(sdb1_.tables[t].name, "g", row.typed);
-  };
+  const RowValue value = [&](size_t t, size_t r) { return image_[t][r]; };
   auto record = keep ? nullptr : std::make_unique<LoadSnapshot>(sdb1_);
-  Status status;
-  engine_->TypedLoad([&] {
-    status = ExecuteLoad(engine_, sdb1_, insert, accepted, keep, record.get());
-  });
+  const Status status =
+      ExecuteLoad(engine_, sdb1_, value, accepted, keep, record.get());
   if (status.ok() && record && record->TakeRows(*engine_)) {
     SPATTER_METRIC_INC("engine.snapshot.build");
     snapshot_ = std::move(record);
@@ -422,7 +398,7 @@ Status AffinePair::LoadImage(RowMask* accepted, const RowMask* keep) {
 
 double DistanceBound(engine::Engine* engine, const DatabaseSpec& sdb1,
                      const std::string& table1, const std::string& table2) {
-  return LoadCache::Of(engine).Derived(sdb1).DistanceBound(table1, table2);
+  return LoadCache::Of(engine).StateOf(sdb1).DistanceBound(table1, table2);
 }
 
 // --- Shared check pieces -----------------------------------------------------

@@ -62,15 +62,23 @@ using RowMask = std::vector<std::vector<bool>>;
 /// it marks are inserted (the others count as not accepted): the filtered
 /// reload has exactly the effects of loading the filtered database.
 ///
-/// Each engine keeps snapshots of the databases it loaded most recently
-/// (an iteration's SDB1 and its twin under the other `with_index`), keyed
-/// by everything a load reads: table names, WKT rows, `with_index` and the
-/// enabled fault mask, compared in full. A hit restores the tables
-/// (Engine::Restore) and replays the coverage counts and fault ids each
-/// recorded statement produced, only the kept rows' under a `keep` mask,
-/// so it leaves what running the CREATE/INSERT statements would, without
-/// running one. An unfiltered miss runs the statements and records a
-/// snapshot; a filtered miss only runs them. A failed load is never kept.
+/// A load leaves what running DatabaseSpec::ToSql's statements would. Only
+/// the DDL runs as SQL: each row goes in as a value (Engine::InsertValue),
+/// the geometry its WKT parses to, parsed once per (engine, database), or
+/// the WKT string when it does not parse. The whole load is one
+/// Engine::TypedLoad. Table names must be plain identifiers
+/// (IsPlainIdentifier), as the generator's are and TestCaseCodec::Decode
+/// requires: another name is read back otherwise by the DDL's lexer.
+///
+/// Each engine keeps a state for the two databases it loaded most
+/// recently, keyed by their table names and WKT rows, compared in full.
+/// It holds the parsed rows, the derived state of AffinePair and
+/// DistanceBound, and a snapshot per (`with_index`, enabled fault mask). A
+/// snapshot hit restores the tables (Engine::Restore) and replays the
+/// coverage counts and fault ids each recorded statement and row produced,
+/// only the kept rows' under a `keep` mask, so it leaves what the load
+/// would, without running it. An unfiltered miss runs the load and records
+/// a snapshot; a filtered miss only runs it. A failed load is never kept.
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep = nullptr);
 
@@ -81,20 +89,17 @@ class LoadSnapshot;
 /// canonicalization-only and KNN all load them through this.
 ///
 /// SDB2 is the database TransformDatabase(sdb1, transform, true) prints,
-/// built without text. Everything that depends only on SDB1 is derived
-/// once per (engine, SDB1) and kept beside the load snapshots, surviving
-/// Engine::Reset until another SDB1 replaces it: each row parsed, and its
-/// canonical form, built by the first affine check with what building it
-/// did (the aei/canonicalize_pass and canon/* hits) recorded, and that
-/// record replayed (faults::Effects) by every later check. Each SDB2 row is
-/// a transformed clone of its canonical form, inserted as a typed row
-/// (Engine::InsertGeometry). Three kinds of row take the statement path
-/// with the printed WKT instead: a row whose WKT round trip would change it
-/// (geom::NormalizeForWkt), a row of SDB1 that does not parse (copied
-/// through raw), and every row of a table whose name is no plain
-/// identifier. Either way a load of SDB2 leaves what LoadDatabase of the
-/// printed SDB2 would: the same tables, acceptance masks, coverage counts
-/// and fault ids.
+/// built without text. Everything that depends only on SDB1 lives in the
+/// engine's state for SDB1 (see LoadDatabase), surviving Engine::Reset: each
+/// row parsed, and its canonical form, built by the first affine check with
+/// what building it did (the aei/canonicalize_pass and canon/* hits)
+/// recorded, and that record replayed (faults::Effects) by every later
+/// check. SDB2 keeps one Engine::InsertValue value per row: the transformed
+/// clone of the canonical form; or its printed WKT, where the WKT round
+/// trip would change it (geom::NormalizeForWkt refuses it); or SDB1's raw
+/// row, where that does not parse. Either way a load of SDB2 leaves what
+/// LoadDatabase of the printed SDB2 would: the same tables, acceptance
+/// masks, coverage counts and fault ids.
 class AffinePair {
  public:
   AffinePair(engine::Engine* engine, const DatabaseSpec& sdb1,
@@ -112,27 +117,22 @@ class AffinePair {
   /// Loads SDB2 as LoadDatabase(engine, <printed SDB2>, accepted, keep)
   /// would. The first unfiltered load records a snapshot, which every
   /// later load of this pair restores; SDB2 never enters the engine's
-  /// snapshot LRU.
+  /// per-database states.
   Status LoadImage(RowMask* accepted, const RowMask* keep = nullptr);
 
  private:
-  /// One SDB2 row: typed, or the statement that loads it.
-  struct ImageRow {
-    std::shared_ptr<const geom::Geometry> typed;
-    std::string insert;  ///< when `typed` is null
-  };
-
   engine::Engine* engine_;
   const DatabaseSpec& sdb1_;
-  std::vector<std::vector<ImageRow>> image_;  ///< aligned with sdb1_'s rows
+  /// SDB2's rows as Engine::InsertValue takes them, aligned with sdb1_'s.
+  std::vector<std::vector<engine::Value>> image_;
   std::unique_ptr<LoadSnapshot> snapshot_;
 };
 
 /// EET's distance bound for the ordered table pair (table1, table2) of
 /// `sdb1`: eet::DistanceBoundFor over the rows of the last table of each
 /// name, unparsable rows skipped and a missing table read as no rows.
-/// Computed on first use from the engine's derived state for SDB1 (see
-/// AffinePair) and kept there per pair.
+/// Computed on first use from the engine's state for SDB1 (see
+/// LoadDatabase) and kept there per pair.
 double DistanceBound(engine::Engine* engine, const DatabaseSpec& sdb1,
                      const std::string& table1, const std::string& table2);
 

@@ -33,22 +33,17 @@ std::vector<std::string> RenderDdl(const std::string& table, bool with_index) {
   return ddl;
 }
 
-std::string RenderInsert(const std::string& table, const std::string& wkt) {
-  std::string insert = "INSERT INTO " + table + " (g) VALUES ('";
-  for (char c : wkt) {
-    insert += c;
-    if (c == '\'') insert += '\'';
-  }
-  insert += "');";
-  return insert;
-}
-
 TableSql RenderTable(const TableSpec& table, bool with_index) {
   TableSql sql;
   sql.ddl = RenderDdl(table.name, with_index);
   sql.inserts.reserve(table.rows.size());
   for (const auto& wkt : table.rows) {
-    sql.inserts.push_back(RenderInsert(table.name, wkt));
+    std::string insert = "INSERT INTO " + table.name + " (g) VALUES ('";
+    for (char c : wkt) {
+      insert += c;
+      if (c == '\'') insert += '\'';
+    }
+    sql.inserts.push_back(insert + "');");
   }
   return sql;
 }

@@ -44,18 +44,18 @@ struct TableSpec {
 
 /// The statements that build one table, in load order: `ddl` (CREATE
 /// TABLE, then CREATE INDEX when indexed) before `inserts`, one INSERT per
-/// row. DatabaseSpec::ToSql and LoadDatabase both print through
-/// RenderTable, so a printed reproducer is exactly what a check executed.
+/// row, quotes in its WKT doubled. DatabaseSpec::ToSql prints through
+/// RenderTable; LoadDatabase runs the same DDL and inserts each row as the
+/// value its INSERT's literal coerces to, so a printed reproducer replays
+/// what a check loaded.
 struct TableSql {
   std::vector<std::string> ddl;
   std::vector<std::string> inserts;  ///< aligned with TableSpec::rows
 };
 
 TableSql RenderTable(const TableSpec& table, bool with_index);
-/// The two halves of RenderTable: a table's DDL, and the INSERT of one row
-/// (quotes in `wkt` doubled).
+/// RenderTable's `ddl` for a table named `table`.
 std::vector<std::string> RenderDdl(const std::string& table, bool with_index);
-std::string RenderInsert(const std::string& table, const std::string& wkt);
 
 /// One generated spatial database (SDB1 or SDB2).
 struct DatabaseSpec {

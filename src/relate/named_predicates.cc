@@ -92,7 +92,11 @@ geom::GeomPtr StripHoles(const Geometry& g) {
 Result<bool> Intersects(const Geometry& a, const Geometry& b,
                         const faults::FaultState* faults) {
   SPATTER_COV("predicate", "intersects");
-  if (faults && (HasEmptyElement(a) || HasEmptyElement(b)) &&
+  // Each fault's bit first: Fire on a disabled id records nothing, so its
+  // precondition's walk is only needed when the fault can fire.
+  if (faults &&
+      faults->IsEnabled(faults::FaultId::kGeosGcEmptyElementIntersects) &&
+      (HasEmptyElement(a) || HasEmptyElement(b)) &&
       faults->Fire(faults::FaultId::kGeosGcEmptyElementIntersects)) {
     // Injected bug: collections with EMPTY elements fall back to an
     // envelope intersection test.
@@ -114,7 +118,9 @@ Result<bool> Within(const Geometry& a, const Geometry& b,
   SPATTER_COV("predicate", "within");
   SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
   const bool correct = im.Matches("T*F**F***");
-  if (correct && faults && HasPointElementInMixed(b) &&
+  if (correct && faults &&
+      faults->IsEnabled(faults::FaultId::kGeosWithinGcPointInterior) &&
+      HasPointElementInMixed(b) &&
       im.At(Location::kInterior, Location::kInterior) == 0 &&
       faults->Fire(faults::FaultId::kGeosWithinGcPointInterior)) {
     // Injected bug (companion of Listing 6): the interior contribution of a
@@ -160,7 +166,9 @@ Result<bool> Crosses(const Geometry& a, const Geometry& b,
   } else {
     result = false;
   }
-  if (!result && da == 1 && db == 1 && faults && SharesEndpoint(a, b) &&
+  if (!result && da == 1 && db == 1 && faults &&
+      faults->IsEnabled(faults::FaultId::kGeosCrossesSharedEndpoint) &&
+      SharesEndpoint(a, b) &&
       im.At(Location::kBoundary, Location::kBoundary) == 0 &&
       faults->Fire(faults::FaultId::kGeosCrossesSharedEndpoint)) {
     // Injected bug: a shared boundary endpoint is misread as an interior
@@ -173,7 +181,8 @@ Result<bool> Crosses(const Geometry& a, const Geometry& b,
 Result<bool> Overlaps(const Geometry& a, const Geometry& b,
                       const faults::FaultState* faults) {
   SPATTER_COV("predicate", "overlaps");
-  if (faults && IsAreal(a) && IsAreal(b) &&
+  if (faults && faults->IsEnabled(faults::FaultId::kGeosOverlapsIgnoresHoles) &&
+      IsAreal(a) && IsAreal(b) &&
       (AnyPolygonHasHoles(a) || AnyPolygonHasHoles(b)) &&
       faults->Fire(faults::FaultId::kGeosOverlapsIgnoresHoles)) {
     // Injected bug: the polygon/polygon fast path evaluates shells only.
@@ -195,7 +204,8 @@ Result<bool> Touches(const Geometry& a, const Geometry& b,
   SPATTER_ASSIGN_OR_RETURN(IntersectionMatrix im, Relate(a, b, faults));
   const bool correct = im.Matches("FT*******") || im.Matches("F**T*****") ||
                        im.Matches("F***T****");
-  if (!correct && faults) {
+  if (!correct && faults &&
+      faults->IsEnabled(faults::FaultId::kGeosTouchesClosedLineBoundary)) {
     geom::Coord ring_start;
     if ((HasClosedLineElement(a, &ring_start) ||
          HasClosedLineElement(b, &ring_start)) &&

@@ -1,6 +1,7 @@
 #include "sql/parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -69,9 +70,15 @@ class Lexer {
                  (num.back() == 'e' || num.back() == 'E')))) {
           num += text_[pos_++];
         }
-        Token tok{TokKind::kNumber, num, std::strtod(num.c_str(), nullptr),
-                  start};
-        out.push_back(std::move(tok));
+        const double value = std::strtod(num.c_str(), nullptr);
+        // strtod overflows to +-inf (1e309), which PrintStatement would
+        // write as `inf`, a column name; a literal must be finite.
+        if (!std::isfinite(value)) {
+          return Status::InvalidArgument("number out of range '" + num +
+                                         "' at offset " +
+                                         std::to_string(start));
+        }
+        out.push_back({TokKind::kNumber, num, value, start});
       } else if (c == '\'') {
         pos_++;
         std::string payload;
@@ -505,6 +512,27 @@ std::string QuoteString(const std::string& s) {
   return out;
 }
 
+// PrintExpr of `e`, parenthesized unless it reads back as one operand of
+// the postfix cast: a literal (a negative number is a unary minus), a name,
+// a call, a cast, or AND / OR, which print their own parentheses.
+std::string PrintOperand(const Expr& e) {
+  const bool operand =
+      e.kind == Expr::Kind::kNumberLiteral
+          ? e.number >= 0
+          : e.kind != Expr::Kind::kNot && e.kind != Expr::Kind::kSameAs &&
+                e.kind != Expr::Kind::kIsUnknown;
+  return operand ? PrintExpr(e) : "(" + PrintExpr(e) + ")";
+}
+
+// True when `text` starts with the keyword COUNT.
+bool StartsWithCount(const std::string& text) {
+  if (text.size() < 5 || !EqualsIgnoreCase(text.substr(0, 5), "COUNT")) {
+    return false;
+  }
+  return text.size() == 5 ||
+         !(std::isalnum(static_cast<unsigned char>(text[5])) || text[5] == '_');
+}
+
 }  // namespace
 
 std::string PrintExpr(const Expr& e) {
@@ -528,9 +556,16 @@ std::string PrintExpr(const Expr& e) {
       return out + ")";
     }
     case Expr::Kind::kCastGeometry:
-      return PrintExpr(*e.args[0]) + "::geometry";
-    case Expr::Kind::kSameAs:
-      return PrintExpr(*e.args[0]) + " ~= " + PrintExpr(*e.args[1]);
+      return PrintOperand(*e.args[0]) + "::geometry";
+    case Expr::Kind::kSameAs: {
+      // `~=` and IS UNKNOWN bind left to right: a right operand of either
+      // kind keeps its parentheses.
+      const Expr& rhs = *e.args[1];
+      const bool nested = rhs.kind == Expr::Kind::kSameAs ||
+                          rhs.kind == Expr::Kind::kIsUnknown;
+      return PrintExpr(*e.args[0]) + " ~= " +
+             (nested ? "(" + PrintExpr(rhs) + ")" : PrintExpr(rhs));
+    }
     case Expr::Kind::kNot:
       return "NOT (" + PrintExpr(*e.args[0]) + ")";
     case Expr::Kind::kIsUnknown:
@@ -598,6 +633,10 @@ std::string PrintStatement(const Statement& s) {
     case Statement::Kind::kSelectScalar: {
       std::vector<std::string> parts;
       for (const auto& e : s.select_list) parts.push_back(PrintExpr(*e));
+      // A list led by the name COUNT would read back as COUNT(*).
+      if (!parts.empty() && StartsWithCount(parts[0])) {
+        parts[0] = "(" + parts[0] + ")";
+      }
       return "SELECT " + Join(parts, ", ") + ";";
     }
   }

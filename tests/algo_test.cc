@@ -338,46 +338,5 @@ TEST(EditFunctions, PointNReverseEnvelopeCollect) {
       geom::GeomType::kGeometryCollection);
 }
 
-TEST(EditFunctions, RegistryCoversTable1Categories) {
-  const auto& fns = EditFunctions();
-  EXPECT_GE(fns.size(), 10u);
-  bool has_line = false;
-  bool has_poly = false;
-  bool has_multi = false;
-  bool has_generic = false;
-  for (const auto& fn : fns) {
-    switch (fn.category) {
-      case EditCategory::kLineBased:
-        has_line = true;
-        break;
-      case EditCategory::kPolygonBased:
-        has_poly = true;
-        break;
-      case EditCategory::kMultiDimensional:
-        has_multi = true;
-        break;
-      case EditCategory::kGeneric:
-        has_generic = true;
-        break;
-    }
-  }
-  EXPECT_TRUE(has_line && has_poly && has_multi && has_generic);
-  EXPECT_NE(FindEditFunction("Boundary"), nullptr);
-  EXPECT_NE(FindEditFunction("SetPoint"), nullptr);
-  EXPECT_EQ(FindEditFunction("NoSuchFunction"), nullptr);
-}
-
-TEST(EditFunctions, ApplyThroughRegistryFallsBackGracefully) {
-  spatter::Rng rng(11);
-  const auto g = Read("POLYGON((0 0,4 0,4 4,0 4,0 0))");
-  const auto* dump = FindEditFunction("DumpRings");
-  ASSERT_NE(dump, nullptr);
-  auto r = dump->apply({g.get()}, &rng);
-  EXPECT_TRUE(r.ok());
-  // Wrong input type reports an error the generator maps to EMPTY.
-  const auto p = Read("POINT(1 1)");
-  EXPECT_FALSE(dump->apply({p.get()}, &rng).ok());
-}
-
 }  // namespace
 }  // namespace spatter::algo

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -155,6 +156,92 @@ TEST(Codec, RejectsTruncatedAndMalformedInput) {
   std::vector<uint8_t> trailing = encoded.value();
   trailing.push_back(0);
   EXPECT_FALSE(TestCaseCodec::Decode(trailing).ok());
+}
+
+// A reproducer Decode accepts: two plain tables, a pattern query.
+TestCaseRecord ReproducerRecord() {
+  TestCaseRecord rec;
+  rec.kind = RecordKind::kReproducer;
+  rec.sdb.tables.push_back(TableSpec{"t1", {"POINT(1 2)"}});
+  rec.sdb.tables.push_back(TableSpec{"t2", {"POINT(3 4)"}});
+  rec.has_query = true;
+  rec.query.table1 = "t1";
+  rec.query.table2 = "t2";
+  rec.query.predicate = "ST_Relate";
+  rec.query.extra = engine::PredicateExtra::kPattern;
+  rec.query.pattern = "T*F**F012";
+  return rec;
+}
+
+// Encode writes any record; Decode must refuse one whose replay would run
+// SQL no campaign ran.
+void ExpectDecodeRejects(const TestCaseRecord& rec, const std::string& why) {
+  auto encoded = TestCaseCodec::Encode(rec);
+  ASSERT_TRUE(encoded.ok()) << why;
+  auto decoded = TestCaseCodec::Decode(encoded.value());
+  EXPECT_FALSE(decoded.ok()) << why;
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << why;
+  }
+}
+
+// The DDL's lexer reads "t3 " back as t3, so a load of such a table would
+// insert into a table that does not exist under its name.
+TEST(Codec, RejectsTableNamesThatAreNotPlainIdentifiers) {
+  // The baseline decodes; each record below differs from it in one field.
+  auto baseline = TestCaseCodec::Encode(ReproducerRecord());
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_TRUE(TestCaseCodec::Decode(baseline.value()).ok());
+  for (const std::string& name :
+       {std::string("t3 "), std::string(""), std::string("3t"),
+        std::string("t-1"), std::string("t1;DROP"), std::string("t\"1")}) {
+    TestCaseRecord in_db = ReproducerRecord();
+    in_db.sdb.tables[1].name = name;
+    ExpectDecodeRejects(in_db, "database table '" + name + "'");
+    TestCaseRecord in_query = ReproducerRecord();
+    in_query.query.table2 = name;
+    ExpectDecodeRejects(in_query, "query table '" + name + "'");
+  }
+  TestCaseRecord corpus_entry = ReproducerRecord();
+  corpus_entry.has_query = false;
+  corpus_entry.sdb.tables[0].name = "t3 ";
+  ExpectDecodeRejects(corpus_entry, "corpus entry table 't3 '");
+}
+
+TEST(Codec, RejectsQueryFieldsThatRewriteTheReplayedSql) {
+  for (const std::string& predicate :
+       {std::string("ST_NoSuch"), std::string("ST_Boundary"),
+        std::string("st_intersects"),
+        std::string("ST_Intersects(t1.g, t2.g) OR ST_Intersects"),
+        std::string("")}) {
+    TestCaseRecord rec = ReproducerRecord();
+    rec.query.predicate = predicate;
+    rec.query.extra = engine::PredicateExtra::kNone;
+    rec.query.pattern.clear();
+    ExpectDecodeRejects(rec, "predicate '" + predicate + "'");
+  }
+  for (const std::string& pattern :
+       {std::string("T*F**F01"), std::string("T*F**F0123"),
+        std::string("T*F**F01'"), std::string("t*f**f012"),
+        std::string("")}) {
+    TestCaseRecord rec = ReproducerRecord();
+    rec.query.pattern = pattern;
+    ExpectDecodeRejects(rec, "pattern '" + pattern + "'");
+  }
+  TestCaseRecord stray_pattern = ReproducerRecord();
+  stray_pattern.query.predicate = "ST_Intersects";
+  stray_pattern.query.extra = engine::PredicateExtra::kNone;
+  ExpectDecodeRejects(stray_pattern, "pattern on a plain predicate");
+  for (double distance : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    TestCaseRecord rec = ReproducerRecord();
+    rec.query.predicate = "ST_DWithin";
+    rec.query.extra = engine::PredicateExtra::kDistance;
+    rec.query.pattern.clear();
+    rec.query.distance = distance;
+    ExpectDecodeRejects(rec, "distance " + std::to_string(distance));
+  }
 }
 
 // --- Corpus ----------------------------------------------------------------

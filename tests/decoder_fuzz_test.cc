@@ -1,11 +1,13 @@
 // Deterministic mutational fuzzing of the decoders of bytes from disk or a
 // peer: the geometry decoders ReadWkt and ReadWkb, the corpus record codec
-// (TestCaseCodec::Decode) and the fleet wire (fleet::DecodeFrame). Fixed
-// seeds, fixed input counts, AFL-style operators (bit flips, byte sets,
-// truncation, range deletion, chunk duplication, splices and dictionary
-// tokens; https://lcamtuf.coredump.cx/afl/technical_details.txt). Every
-// accepted input must reach a decode -> encode -> decode fixed point, and
-// every accepted WKT must carry only finite coordinates. Under the
+// (TestCaseCodec::Decode), the fleet wire (fleet::DecodeFrame), the SQL
+// parser (sql::ParseStatement) and the checkpoint codec
+// (fleet::DecodeCheckpoint). Fixed seeds, fixed input counts, AFL-style
+// operators (bit flips, byte sets, truncation, range deletion, chunk
+// duplication, splices and dictionary tokens;
+// https://lcamtuf.coredump.cx/afl/technical_details.txt). Every accepted
+// input must reach a decode -> encode -> decode fixed point, and every
+// accepted WKT and SQL statement must carry only finite numbers. Under the
 // ASan+UBSan build the same run also checks that no input trips a
 // sanitizer.
 #include <gtest/gtest.h>
@@ -18,14 +20,19 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "corpus/codec.h"
+#include "eet/transform.h"
 #include "engine/engine.h"
+#include "fleet/checkpoint.h"
 #include "fleet/wire.h"
 #include "fuzz/aei.h"
+#include "fuzz/campaign.h"
 #include "fuzz/generator.h"
 #include "geom/wkb.h"
 #include "geom/wkt_reader.h"
 #include "geom/wkt_writer.h"
+#include "sql/parser.h"
 
 namespace spatter::geom {
 namespace {
@@ -334,6 +341,14 @@ TEST(DecoderFuzz, CodecAcceptsOnlyFixedPoints) {
       seeds, tokens, /*seed=*/0x5eed3, /*count=*/60000, [](const Bytes& in) {
         Result<corpus::TestCaseRecord> r1 = corpus::TestCaseCodec::Decode(in);
         if (!r1.ok()) return false;
+        // A replayed load and query name exactly these tables.
+        for (const fuzz::TableSpec& table : r1.value().sdb.tables) {
+          EXPECT_TRUE(IsPlainIdentifier(table.name)) << table.name;
+        }
+        if (r1.value().has_query) {
+          EXPECT_TRUE(IsPlainIdentifier(r1.value().query.table1));
+          EXPECT_TRUE(IsPlainIdentifier(r1.value().query.table2));
+        }
         Result<Bytes> e1 = corpus::TestCaseCodec::Encode(r1.value());
         EXPECT_TRUE(e1.ok()) << e1.status().ToString();
         if (!e1.ok()) return true;
@@ -369,6 +384,244 @@ TEST(DecoderFuzz, WireAcceptsOnlyFixedPoints) {
         EXPECT_TRUE(f2.ok()) << line << " printed as " << l1;
         if (!f2.ok()) return true;
         EXPECT_EQ(fleet::EncodeFrame(f2.value()), l1) << line;
+        return true;
+      });
+  EXPECT_GT(accepted, 1000u);
+}
+
+// --- SQL -----------------------------------------------------------------
+
+// Statements the program prints: generated databases' DDL and INSERTs,
+// count queries of every predicate shape, their TLP partitions and EET
+// variants (PrintStatement), and derive statements in the generator's form.
+std::vector<std::string> PrintedSql() {
+  std::vector<std::string> out = {
+      "SELECT ST_AsText(ST_GeometryN(ST_GeomFromText("
+      "'MULTIPOINT((0 0),(1 1))'), 0));",
+      "SELECT ST_AsText(ST_SetPoint(ST_GeomFromText('LINESTRING(0 0,1 1)'), "
+      "1, 'POINT(-3 2.5)'));",
+      "SELECT ST_AsText(ST_Collect(ST_GeomFromText('POINT(1 2)'), "
+      "ST_GeomFromText('POLYGON((0 0,1 0,1 1,0 0))')));",
+  };
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    engine::Engine e(static_cast<engine::Dialect>(d), false);
+    fuzz::GeneratorConfig config;
+    config.num_geometries = 6;
+    Rng rng(300 + static_cast<uint64_t>(d));
+    fuzz::GeometryAwareGenerator gen(config, &rng, &e);
+    fuzz::DatabaseSpec sdb = gen.Generate(nullptr);
+    sdb.with_index = d % 2 == 1;
+    for (std::string& stmt : sdb.ToSql()) out.push_back(std::move(stmt));
+    for (int q = 0; q < 8; ++q) {
+      const std::string query = gen.RandomQuery(sdb).ToSql();
+      out.push_back(query);
+      Result<sql::StatementPtr> base = sql::ParseStatement(query);
+      EXPECT_TRUE(base.ok()) << query;
+      if (!base.ok()) continue;
+      for (bool negate : {true, false}) {
+        sql::Statement tlp;
+        tlp.kind = sql::Statement::Kind::kSelectCountJoin;
+        tlp.table = base.value()->table;
+        tlp.table2 = base.value()->table2;
+        sql::ExprPtr cond = base.value()->condition->Clone();
+        tlp.condition = negate ? sql::Expr::MakeNot(std::move(cond))
+                               : sql::Expr::MakeIsUnknown(std::move(cond));
+        out.push_back(sql::PrintStatement(tlp));
+      }
+      for (int j = 0; j < eet::kNumEetTransforms; ++j) {
+        sql::StatementPtr variant = eet::ApplyTransform(
+            static_cast<eet::TransformId>(j), *base.value(), 12.5);
+        if (variant) out.push_back(sql::PrintStatement(*variant));
+      }
+    }
+  }
+  return out;
+}
+
+// Two parsed expressions alike, literal numbers compared by value: -0 and
+// 0 print alike.
+bool SameExpr(const sql::Expr* a, const sql::Expr* b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  if (a->kind != b->kind || a->text != b->text || a->number != b->number ||
+      a->bool_value != b->bool_value || a->table != b->table ||
+      a->name != b->name || a->args.size() != b->args.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a->args.size(); ++i) {
+    if (!SameExpr(a->args[i].get(), b->args[i].get())) return false;
+  }
+  return true;
+}
+
+bool SameExprs(const std::vector<sql::ExprPtr>& a,
+               const std::vector<sql::ExprPtr>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameExpr(a[i].get(), b[i].get())) return false;
+  }
+  return true;
+}
+
+bool SameStatement(const sql::Statement& a, const sql::Statement& b) {
+  if (a.kind != b.kind || a.table != b.table || a.table2 != b.table2 ||
+      a.index_name != b.index_name || a.columns.size() != b.columns.size() ||
+      a.insert_cols != b.insert_cols || a.rows.size() != b.rows.size() ||
+      a.set_name != b.set_name ||
+      !SameExpr(a.set_value.get(), b.set_value.get()) ||
+      !SameExpr(a.condition.get(), b.condition.get()) ||
+      !SameExpr(a.filter1.get(), b.filter1.get()) ||
+      !SameExprs(a.select_list, b.select_list)) {
+    return false;
+  }
+  for (size_t i = 0; i < a.columns.size(); ++i) {
+    if (a.columns[i].name != b.columns[i].name ||
+        a.columns[i].type != b.columns[i].type) {
+      return false;
+    }
+  }
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    if (!SameExprs(a.rows[r], b.rows[r])) return false;
+  }
+  return true;
+}
+
+bool FiniteNumbers(const sql::Expr* e) {
+  if (e == nullptr) return true;
+  if (e->kind == sql::Expr::Kind::kNumberLiteral && !std::isfinite(e->number)) {
+    return false;
+  }
+  for (const sql::ExprPtr& arg : e->args) {
+    if (!FiniteNumbers(arg.get())) return false;
+  }
+  return true;
+}
+
+bool FiniteNumbers(const sql::Statement& s) {
+  std::vector<const sql::Expr*> exprs = {s.set_value.get(), s.condition.get(),
+                                         s.filter1.get()};
+  for (const sql::ExprPtr& e : s.select_list) exprs.push_back(e.get());
+  for (const auto& row : s.rows) {
+    for (const sql::ExprPtr& e : row) exprs.push_back(e.get());
+  }
+  for (const sql::Expr* e : exprs) {
+    if (!FiniteNumbers(e)) return false;
+  }
+  return true;
+}
+
+TEST(DecoderFuzz, SqlAcceptsOnlyPrintFixedPoints) {
+  std::vector<Bytes> seeds;
+  for (const std::string& sql : PrintedSql()) seeds.push_back(ToBytes(sql));
+  std::vector<Bytes> tokens;
+  for (const char* token :
+       {"1e309", "-1e309", "1e308", "-", "-0", ".5e-3", "0x10", "nan", "inf",
+        "'", "''", "(", ")", ",", ";", "::geometry", " ~= ", "NOT ", " AND ",
+        " OR ", " IS UNKNOWN", " IS NOT NULL", "@g1", "TRUE", "--"}) {
+    tokens.push_back(ToBytes(token));
+  }
+
+  const size_t accepted = FuzzInputs(
+      seeds, tokens, /*seed=*/0x5eed5, /*count=*/150000, [](const Bytes& in) {
+        const std::string text(in.begin(), in.end());
+        Result<sql::StatementPtr> s1 = sql::ParseStatement(text);
+        if (!s1.ok()) return false;
+        EXPECT_TRUE(FiniteNumbers(*s1.value())) << text;
+        const std::string p1 = sql::PrintStatement(*s1.value());
+        Result<sql::StatementPtr> s2 = sql::ParseStatement(p1);
+        EXPECT_TRUE(s2.ok()) << text << " printed as " << p1;
+        if (!s2.ok()) return true;
+        EXPECT_TRUE(SameStatement(*s1.value(), *s2.value()))
+            << text << " printed as " << p1;
+        EXPECT_EQ(sql::PrintStatement(*s2.value()), p1) << text;
+        return true;
+      });
+  EXPECT_GT(accepted, 1000u);
+}
+
+// --- Checkpoints ---------------------------------------------------------
+
+// Checkpoints of a resumed run: the identity block, completed marks,
+// unique bugs a small all-oracle campaign found (their BUG frames carry
+// encoded reproducers), covered sites, a coverage curve, a corpus manifest
+// and the metrics baseline.
+std::vector<Bytes> Checkpoints() {
+  fuzz::CampaignConfig config;
+  config.dialect = engine::Dialect::kDuckdbSpatial;
+  config.seed = 4242;
+  config.iterations = 4;
+  config.queries_per_iteration = 12;
+  config.generator.num_geometries = 6;
+  config.oracles = fuzz::ParseOracleSuite("all").Take();
+  const fuzz::CampaignResult result = fuzz::Campaign(config).Run();
+  EXPECT_FALSE(result.unique_bugs.empty());
+
+  fleet::CheckpointState state;
+  state.seed = config.seed;
+  state.iterations = 40;
+  state.queries_per_iteration = config.queries_per_iteration;
+  state.num_geometries = config.generator.num_geometries;
+  state.total_slices = 4;
+  state.dialects = {engine::Dialect::kDuckdbSpatial, engine::Dialect::kPostgis};
+  state.oracles = config.oracles;
+  state.duration_seconds = 30.5;
+  state.elapsed_seconds = 12.25;
+  state.iterations_run = 4;
+  state.queries_run = 48;
+  state.checks_run = 240;
+  state.busy_seconds = 3.0625;
+  state.engine_seconds = 1.5e-3;
+  const auto duckdb = static_cast<uint64_t>(engine::Dialect::kDuckdbSpatial);
+  for (uint64_t slice = 0; slice < 4; ++slice) {
+    state.completed[{duckdb, slice}] = slice;
+  }
+  // Three bugs keep each document, and so each mutant, small.
+  for (const auto& [id, bug] : result.unique_bugs) {
+    if (state.unique_bugs.size() == 3) break;
+    state.unique_bugs.emplace_back(id, bug);
+  }
+  state.covered_sites = {1, 0x9e3779b97f4a7c15ULL, ~uint64_t{0}};
+  state.curve = {{0.5, 120, 1, 2}, {6.25, 180, 3, 4}};
+  state.metrics.counters["campaign.iterations"] = 4;
+  state.metrics.gauges["corpus.size"] = 2;
+  obs::HistogramData hist;
+  hist.count = 2;
+  hist.sum_ns = 3000;
+  hist.buckets.assign(obs::LatencyHistogram::kNumBuckets, 0);
+  hist.buckets[10] = 2;
+  state.metrics.histograms["engine.statement"] = hist;
+
+  std::vector<Bytes> out = {ToBytes(fleet::EncodeCheckpoint(state))};
+  state.corpus_enabled = true;
+  state.mutate_pct = 35;
+  state.corpus_dir = "corpus dir";
+  state.corpus_entries = 2;
+  state.corpus_signatures = {0xaULL, 0xbULL};
+  out.push_back(ToBytes(fleet::EncodeCheckpoint(state)));
+  return out;
+}
+
+TEST(DecoderFuzz, CheckpointAcceptsOnlyFixedPoints) {
+  const std::vector<Bytes> seeds = Checkpoints();
+  std::vector<Bytes> tokens = {ToBytes("\n")};
+  for (const char* token :
+       {"progress 0 1 2", "sites ", "curve ", "corpus ", "end ", " ", "-",
+        "0", "1e5", "-0", "nan", "inf", "1e309", "0x10", "ff",
+        "18446744073709551616"}) {
+    tokens.push_back(ToBytes(token));
+  }
+
+  const size_t accepted = FuzzInputs(
+      seeds, tokens, /*seed=*/0x5eed6, /*count=*/30000, [](const Bytes& in) {
+        const std::string text(in.begin(), in.end());
+        Result<fleet::CheckpointState> s1 = fleet::DecodeCheckpoint(text);
+        if (!s1.ok()) return false;
+        const std::string t1 = fleet::EncodeCheckpoint(s1.value());
+        Result<fleet::CheckpointState> s2 = fleet::DecodeCheckpoint(t1);
+        EXPECT_TRUE(s2.ok()) << s2.status().ToString();
+        if (!s2.ok()) return true;
+        // Encoding drops nothing it decoded.
+        EXPECT_EQ(s2.value().unique_bugs.size(), s1.value().unique_bugs.size());
+        EXPECT_EQ(fleet::EncodeCheckpoint(s2.value()), t1);
         return true;
       });
   EXPECT_GT(accepted, 1000u);

@@ -746,10 +746,11 @@ TEST(Engine, SwapXYAndAffineFunctions) {
 
 // --- Typed inserts ------------------------------------------------------------
 //
-// InsertGeometry is the statement `INSERT INTO t (g) VALUES ('<WKT>')` for a
-// geometry that is exactly what ReadWkt returns for that WKT. The statement
-// is the reference: the same result, stored row, coverage counts, fault ids
-// and statement count, on every dialect, faults on and off.
+// InsertValue is the statement `INSERT INTO t (g) VALUES ('<WKT>')` for the
+// string '<WKT>', and for a geometry that is exactly what ReadWkt returns
+// for that WKT. The statement is the reference: the same result, stored
+// row, coverage counts, fault ids and statement count, on every dialect,
+// faults on and off.
 
 struct InsertOutcome {
   std::string status;
@@ -790,10 +791,22 @@ InsertOutcome ObserveInsert(Engine* engine, Insert insert) {
   return out;
 }
 
+// The INSERT of `wkt` as a string literal, its quotes doubled.
+std::string InsertStatement(const std::string& table, const std::string& col,
+                            const std::string& wkt) {
+  std::string sql = "INSERT INTO " + table + " (" + col + ") VALUES ('";
+  for (char c : wkt) {
+    sql += c;
+    if (c == '\'') sql += '\'';
+  }
+  return sql + "');";
+}
+
 TEST(EngineTypedInsert, EqualsTheInsertStatement) {
   // Valid and invalid rows, EMPTY, and collections the strict dialects'
   // validity check relates element by element (twice, so the relate memo
-  // replays the second time).
+  // replays the second time); then WKT that does not parse, one with a
+  // quote inside, which only the string form can carry.
   const std::string overlap =
       "GEOMETRYCOLLECTION(POLYGON((0 0,2 0,2 2,0 2,0 0)),"
       "POLYGON((1 1,3 1,3 3,1 3,1 1)))";
@@ -801,7 +814,8 @@ TEST(EngineTypedInsert, EqualsTheInsertStatement) {
       "POINT(1 2)", "POINT EMPTY", "POLYGON((0 0,1 1,0 1,1 0,0 0))", overlap,
       "LINESTRING(0 0,0 0)", "MULTIPOINT((0 0),EMPTY)",
       "GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,1 1))", overlap,
-      "MULTIPOLYGON(((0 0,4 0,4 4,0 4,0 0)),((1 1,2 1,2 2,1 2,1 1)))"};
+      "MULTIPOLYGON(((0 0,4 0,4 4,0 4,0 0)),((1 1,2 1,2 2,1 2,1 1)))",
+      "POINT(1", "POINT('1 1)", "POINT(1 2) '"};
   for (int d = 0; d < kNumDialects; ++d) {
     for (bool faults : {false, true}) {
       const auto dialect = static_cast<Dialect>(d);
@@ -812,36 +826,50 @@ TEST(EngineTypedInsert, EqualsTheInsertStatement) {
       for (Engine* e : {&typed, &statement}) {
         ASSERT_TRUE(e->Execute("CREATE TABLE t (g geometry);").ok());
       }
-      for (const std::string& wkt : rows) {
-        SCOPED_TRACE(wkt);
-        auto parsed = geom::ReadWkt(wkt);
-        ASSERT_TRUE(parsed.ok());
-        std::shared_ptr<const geom::Geometry> g(parsed.Take());
-        const InsertOutcome got = ObserveInsert(&typed, [&] {
+      auto insert_value = [&](Value value) {
+        return ObserveInsert(&typed, [&] {
           Result<ExecResult> r = Status::OK();
-          typed.TypedLoad([&] { r = typed.InsertGeometry("t", "g", g); });
+          typed.TypedLoad(
+              [&] { r = typed.InsertValue("t", "g", std::move(value)); });
           return r;
         });
+      };
+      for (const std::string& wkt : rows) {
+        SCOPED_TRACE(wkt);
         const InsertOutcome want = ObserveInsert(&statement, [&] {
-          return statement.Execute("INSERT INTO t (g) VALUES ('" + wkt + "');");
+          return statement.Execute(InsertStatement("t", "g", wkt));
         });
+        const InsertOutcome got = insert_value(Value::String(wkt));
         EXPECT_EQ(got, want) << got.status << " vs " << want.status;
+        auto parsed = geom::ReadWkt(wkt);
+        if (!parsed.ok()) continue;
+        // The geometry form; the statement runs again, so that both tables
+        // grow alike.
+        const InsertOutcome want_again = ObserveInsert(&statement, [&] {
+          return statement.Execute(InsertStatement("t", "g", wkt));
+        });
+        const InsertOutcome got_typed = insert_value(
+            Value::Geometry(std::shared_ptr<const geom::Geometry>(
+                parsed.Take())));
+        EXPECT_EQ(got_typed, want_again)
+            << got_typed.status << " vs " << want_again.status;
       }
       // Errors come from the same row code, so they read alike.
-      auto point = std::make_shared<geom::Point>(1, 2);
+      const Value point =
+          Value::Geometry(std::make_shared<geom::Point>(1, 2));
       EXPECT_EQ(ObserveInsert(&typed,
                               [&] {
-                                return typed.InsertGeometry("nope", "g", point);
+                                return typed.InsertValue("nope", "g", point);
                               }),
                 ObserveInsert(&statement, [&] {
                   return statement.Execute(
-                      "INSERT INTO nope (g) VALUES ('POINT(1 2)');");
+                      InsertStatement("nope", "g", "POINT(1 2)"));
                 }));
       EXPECT_EQ(
           ObserveInsert(&typed,
-                        [&] { return typed.InsertGeometry("t", "h", point); }),
+                        [&] { return typed.InsertValue("t", "h", point); }),
           ObserveInsert(&statement, [&] {
-            return statement.Execute("INSERT INTO t (h) VALUES ('POINT(1 2)');");
+            return statement.Execute(InsertStatement("t", "h", "POINT(1 2)"));
           }));
     }
   }

@@ -747,8 +747,7 @@ TypedOutcome TextImage(Dialect dialect, bool faults, const DatabaseSpec& sdb1,
 // (an empty shell with holes, an empty hole, a wrongly typed MULTI*
 // element) never come out of ReadWkt and Canonicalize; WktNormalize.*
 // (wkt_test) pins them at NormalizeForWkt and EngineTypedInsert.*
-// (engine_test) at the engine. A table whose name is no plain identifier
-// ("t3 " creates "t3") loads through the statement path.
+// (engine_test) at the engine.
 DatabaseSpec RoundTripDb() {
   DatabaseSpec sdb;
   sdb.tables.push_back(TableSpec{
@@ -760,7 +759,6 @@ DatabaseSpec RoundTripDb() {
       {"POINT('1 1)", "MULTIPOINT((-0 -0),(1 1))",
        "GEOMETRYCOLLECTION(POINT(-0 -0),LINESTRING(0 0,1 1))",
        "POINT(1.5 -0)"}});
-  sdb.tables.push_back(TableSpec{"t3 ", {"POINT(-0 2)", "POINT(3 4)"}});
   return sdb;
 }
 

@@ -131,43 +131,5 @@ TEST(InteriorPoint, EmptyAndDegenerate) {
       InteriorPointOfPolygon(AsPolygon(*Read("POLYGON EMPTY"))).has_value());
 }
 
-TEST(Centroid, PolygonCentroid) {
-  const auto poly = Read("POLYGON((0 0,10 0,10 10,0 10,0 0))");
-  const auto c = Centroid(*poly);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_NEAR(c->x, 5.0, 1e-9);
-  EXPECT_NEAR(c->y, 5.0, 1e-9);
-}
-
-TEST(Centroid, LineCentroid) {
-  const auto line = Read("LINESTRING(0 0,10 0)");
-  const auto c = Centroid(*line);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_NEAR(c->x, 5.0, 1e-9);
-  EXPECT_NEAR(c->y, 0.0, 1e-9);
-}
-
-TEST(Centroid, PointsMean) {
-  const auto mp = Read("MULTIPOINT((0 0),(4 0),(2 6))");
-  const auto c = Centroid(*mp);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_NEAR(c->x, 2.0, 1e-9);
-  EXPECT_NEAR(c->y, 2.0, 1e-9);
-}
-
-TEST(Centroid, EmptyGeometry) {
-  EXPECT_FALSE(Centroid(*Read("POINT EMPTY")).has_value());
-}
-
-TEST(Centroid, HighestDimensionWins) {
-  // Mixed collection: centroid weighs only the areal part.
-  const auto gc = Read(
-      "GEOMETRYCOLLECTION(POLYGON((0 0,2 0,2 2,0 2,0 0)),POINT(100 100))");
-  const auto c = Centroid(*gc);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_NEAR(c->x, 1.0, 1e-9);
-  EXPECT_NEAR(c->y, 1.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace spatter::algo

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+
 namespace spatter::sql {
 namespace {
 
@@ -165,6 +167,58 @@ TEST(Printer, RoundTripsThroughParser) {
     auto second = ParseStatement(printed);
     ASSERT_TRUE(second.ok()) << printed;
     EXPECT_EQ(PrintStatement(*second.value()), printed) << text;
+  }
+}
+
+// strtod reads 1e309 as inf, which would print as `inf`, a column name.
+TEST(Parser, RejectsOutOfRangeNumbers) {
+  for (const char* text :
+       {"SELECT COUNT(*) FROM t1 JOIN t2 ON ST_DWithin(t1.g, t2.g, 1e309);",
+        "SELECT -1e309;", "SET @d = 2e400;"}) {
+    EXPECT_FALSE(ParseStatement(text).ok()) << text;
+  }
+  auto finite = Parse("SELECT 1e308, -1.5e-300;");
+  ASSERT_NE(finite, nullptr);
+  EXPECT_EQ(PrintStatement(*finite), "SELECT 1e+308, -1.5e-300;");
+}
+
+// The tree, every node and field, as text.
+std::string Dump(const Expr& e) {
+  std::string out = "(" + std::to_string(static_cast<int>(e.kind)) + " '" +
+                    e.text + "' " + FormatCoord(e.number) + " " +
+                    (e.bool_value ? "t" : "f") + " " + e.table + "." + e.name;
+  for (const ExprPtr& arg : e.args) out += " " + Dump(*arg);
+  return out + ")";
+}
+
+// Operands whose own operators bind looser than the one around them: the
+// printer must keep their parentheses, or the text reads back as another
+// tree (or not at all).
+TEST(Printer, KeepsTheTreeOfNestedOperators) {
+  const char* statements[] = {
+      "SELECT (NOT a)::geometry;",
+      "SELECT (-3)::geometry;",
+      "SELECT (a ~= b)::geometry;",
+      "SELECT ((a) IS UNKNOWN)::geometry;",
+      "SELECT a ~= (b ~= c);",
+      "SELECT a ~= ((b) IS UNKNOWN);",
+      "SELECT (COUNT);",
+      "SELECT (count(1)), COUNT;",
+      "SELECT (COUNT ~= a);",
+      "SELECT COUNTS, a ~= NOT b, -3 ~= a, 3::geometry, (a AND b)::geometry;",
+  };
+  for (const char* text : statements) {
+    auto first = Parse(text);
+    ASSERT_NE(first, nullptr) << text;
+    const std::string printed = PrintStatement(*first);
+    auto second = ParseStatement(printed);
+    ASSERT_TRUE(second.ok()) << text << " printed as " << printed;
+    ASSERT_EQ(first->select_list.size(), second.value()->select_list.size());
+    for (size_t i = 0; i < first->select_list.size(); ++i) {
+      EXPECT_EQ(Dump(*second.value()->select_list[i]),
+                Dump(*first->select_list[i]))
+          << text << " printed as " << printed;
+    }
   }
 }
 
