@@ -1,13 +1,14 @@
 // Micro ablations of the topology core (google-benchmark): relate kernel
 // cost by geometry complexity, the relate front's exits, the memo's replay
-// cost, prepared vs plain predicates, canonicalization, the AEI database
-// transform and the SDB2 load it feeds.
+// and admission costs, prepared vs plain predicates, canonicalization, the
+// AEI database transform and the SDB2 load it feeds.
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "algo/affine.h"
 #include "algo/canonicalize.h"
 #include "common/rng.h"
 #include "engine/engine.h"
@@ -124,6 +125,41 @@ void BM_RelateMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RelateMemoHit)->Arg(8)->Arg(32)->Arg(128);
+
+// A pair's first sighting and its admission: the kernel runs once, and the
+// second call admits the pair from the first call's staged record. Each
+// iteration relates a pair the memo has not seen, the overlapping discs
+// translated by a running index.
+void BM_RelateMemoAdmission(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto a = MakeRingPolygon(n, 100, 0, 0);
+  const auto b = MakeRingPolygon(n, 100, 60, 0);
+  static uint64_t next = 0;  // across runs, so no pair is ever seen twice
+  obs::Counter* full =
+      obs::MetricsRegistry::Instance().GetCounter("relate.full");
+  const uint64_t full_before = full->Value();
+  bool overlap = true;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const auto shift =
+        algo::AffineTransform::Translation(0.25 * static_cast<double>(++next),
+                                           0);
+    const geom::GeomPtr ta = shift.Apply(*a);
+    const geom::GeomPtr tb = shift.Apply(*b);
+    state.ResumeTiming();
+    for (int call = 0; call < 2; ++call) {
+      auto im = relate::Relate(*ta, *tb);
+      overlap = overlap && im.ok() && im.value().Matches("2********");
+      benchmark::DoNotOptimize(im);
+    }
+  }
+  state.SetLabel("vertices=" + std::to_string(n));
+  if (full->Value() - full_before > static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("an admission ran the kernel");
+  }
+  if (!overlap) state.SkipWithError("relate missed the overlap");
+}
+BENCHMARK(BM_RelateMemoAdmission)->Arg(8)->Arg(32)->Arg(128);
 
 // Each candidate point meets the same target on every pass, so after the
 // first pass the full-path relates are memo hits.

@@ -22,12 +22,14 @@
 // calling thread hit, and a capture (BeginCapture/EndCapture) collects them
 // with their counts. Hit() tests one thread-local flag for both, so with
 // neither active it costs what it did with the trace alone. One recorder,
-// faults::Effects, captures and replays: the relate memo (relate.h) records
-// each kernel run it admits with it, and fuzz::LoadDatabase each statement
-// and row of a load it snapshots. A replay is Hit(site, count) per captured
-// site, so the global counters, any active trace and capture, and every
-// later snapshot diff see exactly what re-running the recorded work would
-// have produced.
+// faults::Effects, captures and replays: fuzz::LoadDatabase records each
+// statement and row of a load it snapshots, and the derived state each
+// SDB1's canonicalization. A replay is Hit(site, count) per captured site,
+// so the global counters, any active trace and capture, and every later
+// snapshot diff see exactly what re-running the recorded work would have
+// produced. The relate kernel needs no capture: it counts its own sites in
+// a fixed tally (relate::Tally) and applies it with Hit(site, count) once
+// per run, which the relate memo keeps per entry and replays the same way.
 #ifndef SPATTER_COMMON_COVERAGE_H_
 #define SPATTER_COMMON_COVERAGE_H_
 
@@ -107,11 +109,11 @@ class CoverageRegistry {
   static std::vector<uint32_t> TakeTrace();
 
   // --- Per-thread capture ---------------------------------------------------
-  // Short brackets over a few sites (one relate kernel run, one load
-  // statement): a capture keeps every site hit with its count, in first-hit
-  // order. It runs alongside an active trace. Captures nest: a hit reaches
-  // every active capture, so a load statement's capture also sees the
-  // kernel runs the relate memo captures inside it.
+  // Short brackets over a few sites (one load statement or row, one
+  // canonicalization): a capture keeps every site hit with its count, in
+  // first-hit order. It runs alongside an active trace. Captures nest: a
+  // hit reaches every active capture, so a load statement's capture also
+  // sees the kernel runs inside it, whose tallies apply as hits.
 
   struct SiteHits {
     uint32_t site;
@@ -205,13 +207,19 @@ struct CovSite {
 };
 }  // namespace internal
 
-/// Drops a named coverage point at the current code site.
-/// Usage: SPATTER_COV("relate", "line_line_proper_crossing");
-#define SPATTER_COV(module, point)                                      \
+/// Drops a named coverage point at the current code site, hit `n` times.
+/// The site registers on its first hit, so an unreached site counts in no
+/// module's total.
+/// Usage: SPATTER_COV_N("locate", "exterior", tally_count);
+#define SPATTER_COV_N(module, point, n)                                 \
   do {                                                                  \
     static ::spatter::internal::CovSite _cov_site(module, point);       \
-    ::spatter::CoverageRegistry::Instance().Hit(_cov_site.index);       \
+    ::spatter::CoverageRegistry::Instance().Hit(_cov_site.index, n);    \
   } while (0)
+
+/// The same, hit once.
+/// Usage: SPATTER_COV("relate", "line_line_proper_crossing");
+#define SPATTER_COV(module, point) SPATTER_COV_N(module, point, 1)
 
 }  // namespace spatter
 

@@ -231,15 +231,11 @@ std::vector<FaultId> FaultsForComponent(Component engine_component,
   return out;
 }
 
-void Effects::Replay(const FaultState* faults, uint64_t fired,
-                     const CoverageRegistry::SiteHits* sites,
-                     size_t num_sites) {
-  for (; fired != 0; fired &= fired - 1) {
-    faults->Fire(static_cast<FaultId>(__builtin_ctzll(fired)));
-  }
+void Effects::Replay(const FaultState* faults) const {
+  if (fired != 0) faults->FireBits(fired);
   auto& registry = CoverageRegistry::Instance();
-  for (size_t i = 0; i < num_sites; ++i) {
-    registry.Hit(sites[i].site, sites[i].count);
+  for (const CoverageRegistry::SiteHits& s : sites) {
+    registry.Hit(s.site, s.count);
   }
 }
 

@@ -156,6 +156,14 @@ class FaultState {
   /// learn which ids that work alone fired.
   void RestoreHits(std::set<FaultId> hits) const { hits_.merge(hits); }
 
+  /// Fire for every id whose Bit is set in `bits`: a replayed recording
+  /// (Effects) or a relate kernel run's tally re-fires what it fired.
+  void FireBits(uint64_t bits) const {
+    for (; bits != 0; bits &= bits - 1) {
+      Fire(static_cast<FaultId>(__builtin_ctzll(bits)));
+    }
+  }
+
   /// The enabled set, bit i for FaultId i. The relate memo keys on it, so
   /// two states with the same set share memo entries.
   uint64_t EnabledMask() const { return enabled_; }
@@ -171,11 +179,13 @@ class FaultState {
 };
 
 /// What one unit of work did besides its result: the fault ids it fired
-/// and every coverage site it hit, with its count. The relate memo records
-/// each kernel run it admits, and a load snapshot each statement and row
-/// of a load (fuzz::LoadDatabase); a replay then leaves fault hits, coverage
-/// counters and any active trace or capture exactly as re-running the
-/// work would.
+/// and every coverage site it hit, with its count. A load snapshot records
+/// each statement and row of a load (fuzz::LoadDatabase), and the derived
+/// state each SDB1 row's canonicalization; a replay then leaves fault hits,
+/// coverage counters and any active trace or capture exactly as re-running
+/// the work would. The relate memo does not record with it: the kernel
+/// counts its few sites and faults in a fixed tally of its own
+/// (relate::Tally), which costs no capture.
 struct Effects {
   uint64_t fired = 0;  // FaultState::Bit of each id
   std::vector<CoverageRegistry::SiteHits> sites;
@@ -200,15 +210,8 @@ struct Effects {
   }
 
   /// Re-fires the recorded ids on `faults` and re-adds each site's count.
-  void Replay(const FaultState* faults) const {
-    Replay(faults, fired, sites.data(), sites.size());
-  }
-  /// The same for a recording whose sites are stored elsewhere (the relate
-  /// memo keeps every entry's sites in one flat array). `faults` may be
-  /// null only when `fired` is 0.
-  static void Replay(const FaultState* faults, uint64_t fired,
-                     const CoverageRegistry::SiteHits* sites,
-                     size_t num_sites);
+  /// `faults` may be null only when nothing fired.
+  void Replay(const FaultState* faults) const;
 };
 
 }  // namespace spatter::faults

@@ -38,36 +38,68 @@ struct PreparedOperand::Scan {
   bool has_empty_line_element = false;
 };
 
+void Tally::Apply(const faults::FaultState* faults) const {
+  if (fired != 0) faults->FireBits(fired);
+  // One statement per site, so each registers at its first hit, as the
+  // SPATTER_COV each count stands for would.
+  if (const uint32_t n = hits[kLocateArealInterior]) {
+    SPATTER_COV_N("locate", "areal_interior", n);
+  }
+  if (const uint32_t n = hits[kLocateArealBoundary]) {
+    SPATTER_COV_N("locate", "areal_boundary", n);
+  }
+  if (const uint32_t n = hits[kLocatePointElementInterior]) {
+    SPATTER_COV_N("locate", "point_element_interior", n);
+  }
+  if (const uint32_t n = hits[kLocateMod2Boundary]) {
+    SPATTER_COV_N("locate", "mod2_boundary", n);
+  }
+  if (const uint32_t n = hits[kLocateLineInterior]) {
+    SPATTER_COV_N("locate", "line_interior", n);
+  }
+  if (const uint32_t n = hits[kLocateExterior]) {
+    SPATTER_COV_N("locate", "exterior", n);
+  }
+  if (const uint32_t n = hits[kRelateArealVsNonareal]) {
+    SPATTER_COV_N("relate", "areal_vs_nonareal", n);
+  }
+  if (const uint32_t n = hits[kRelateArealVsAreal]) {
+    SPATTER_COV_N("relate", "areal_vs_areal", n);
+  }
+}
+
 Location PreparedOperand::Resolve(const Scan& scan,
-                                  const faults::FaultState* faults) {
+                                  const faults::FaultState* faults,
+                                  Tally* tally) {
   if (scan.areal_interior) {
-    SPATTER_COV("locate", "areal_interior");
+    tally->Hit(Tally::kLocateArealInterior);
     return Location::kInterior;
   }
   if (scan.areal_boundary) {
-    SPATTER_COV("locate", "areal_boundary");
+    tally->Hit(Tally::kLocateArealBoundary);
     return Location::kBoundary;
   }
   if (scan.point_interior) {
-    SPATTER_COV("locate", "point_element_interior");
+    tally->Hit(Tally::kLocatePointElementInterior);
     return Location::kInterior;
   }
   bool parity_applies = true;
   if (scan.has_empty_line_element && faults &&
-      faults->Fire(faults::FaultId::kGeosBoundaryEmptyElementDrop)) {
+      faults->IsEnabled(faults::FaultId::kGeosBoundaryEmptyElementDrop)) {
     // Injected bug: an EMPTY line element resets the mod-2 accumulator, so
     // every endpoint is treated as interior.
+    tally->Fire(faults::FaultId::kGeosBoundaryEmptyElementDrop);
     parity_applies = false;
   }
   if (parity_applies && scan.endpoint_count % 2 == 1) {
-    SPATTER_COV("locate", "mod2_boundary");
+    tally->Hit(Tally::kLocateMod2Boundary);
     return Location::kBoundary;
   }
   if (scan.on_line || scan.endpoint_count > 0) {
-    SPATTER_COV("locate", "line_interior");
+    tally->Hit(Tally::kLocateLineInterior);
     return Location::kInterior;
   }
-  SPATTER_COV("locate", "exterior");
+  tally->Hit(Tally::kLocateExterior);
   return Location::kExterior;
 }
 
@@ -290,7 +322,7 @@ void PreparedOperand::ScanElements(const Coord& p, size_t first, size_t last,
 
 Location PreparedOperand::Locate(const Coord& p,
                                  const faults::FaultState* faults,
-                                 Location* areal) const {
+                                 Tally* tally, Location* areal) const {
   if (collection_ && faults &&
       faults->IsEnabled(faults::FaultId::kGeosGcBoundaryLastOneWins)) {
     // Injected bug (paper Listing 6): resolve each element independently
@@ -306,9 +338,9 @@ Location PreparedOperand::Locate(const Coord& p,
       ScanElements(p, first, last, &scan);
       areal_interior = areal_interior || scan.areal_interior;
       areal_boundary = areal_boundary || scan.areal_boundary;
-      const Location loc = Resolve(scan, nullptr);
+      const Location loc = Resolve(scan, nullptr, tally);
       if (loc != Location::kExterior) {
-        faults->Fire(faults::FaultId::kGeosGcBoundaryLastOneWins);
+        tally->Fire(faults::FaultId::kGeosGcBoundaryLastOneWins);
         result = loc;
       }
       first = last;
@@ -320,7 +352,7 @@ Location PreparedOperand::Locate(const Coord& p,
   Scan scan;
   ScanElements(p, 0, elements_.size(), &scan);
   if (areal) *areal = ArealLocation(scan.areal_interior, scan.areal_boundary);
-  return Resolve(scan, faults);
+  return Resolve(scan, faults, tally);
 }
 
 Location PreparedOperand::LocateAreal(const Coord& p) const {
@@ -337,7 +369,10 @@ Location PreparedOperand::LocateAreal(const Coord& p) const {
 
 Location LocatePoint(const Coord& p, const Geometry& g, double eps,
                      const faults::FaultState* faults) {
-  return PreparedOperand(g, eps).Locate(p, faults);
+  Tally tally;
+  const Location loc = PreparedOperand(g, eps).Locate(p, faults, &tally);
+  tally.Apply(faults);
+  return loc;
 }
 
 Location LocateAreal(const Coord& p, const Geometry& g, double eps) {

@@ -27,6 +27,14 @@
 // LocateAreal are thin wrappers that prepare their geometry and call the
 // same locator; each prepares its own operand, so they share no buffers
 // with Relate's.
+//
+// Locate makes no coverage registry hit and fires no fault itself: it adds
+// the site it resolves at and the fault it fires to a Tally the caller
+// supplies, and the caller applies the tally once per unit of work
+// (Relate once per kernel run, LocatePoint once per call). A kernel run
+// locates dozens of points, so this replaces dozens of atomic registry
+// hits with one per reached site, and the relate memo keeps the tally as
+// the entry's whole record of effects.
 #ifndef SPATTER_RELATE_POINT_LOCATOR_H_
 #define SPATTER_RELATE_POINT_LOCATOR_H_
 
@@ -40,6 +48,34 @@
 #include "relate/im_matrix.h"
 
 namespace spatter::relate {
+
+/// What one relate kernel run (or one located point) did besides its
+/// answer: how often it reached each of the kernel's coverage sites, and
+/// which of the two faults point location fires it fired. Apply hands it
+/// to the coverage registry and the fault state.
+struct Tally {
+  enum Site : uint8_t {
+    kLocateArealInterior,
+    kLocateArealBoundary,
+    kLocatePointElementInterior,
+    kLocateMod2Boundary,
+    kLocateLineInterior,
+    kLocateExterior,
+    kRelateArealVsNonareal,
+    kRelateArealVsAreal,
+    kNumSites,
+  };
+  uint32_t hits[kNumSites] = {};
+  uint64_t fired = 0;  // FaultState::Bit of each fired id
+
+  void Hit(Site site) { ++hits[site]; }
+  void Fire(faults::FaultId id) { fired |= faults::FaultState::Bit(id); }
+  /// CoverageRegistry::Hit(site, n) for each site reached n > 0 times and
+  /// FaultState::Fire for each fired id: what hitting each site and firing
+  /// each fault where it was reached would have left. `faults` may be null
+  /// only when nothing fired.
+  void Apply(const faults::FaultState* faults) const;
+};
 
 /// A geometry prepared for repeated point location at one tolerance, plus
 /// the per-operand input of Relate's noder, all from one flatten.
@@ -55,11 +91,14 @@ class PreparedOperand {
   /// uses 0 for A and 1 for B). `g` must outlive the prepared state.
   void Prepare(const geom::Geometry& g, double eps, int src = 0);
 
-  /// LocatePoint(p, g, eps, faults) for the prepared g. When `areal` is
-  /// not null it also receives LocateAreal(p), read off the same polygon
-  /// scan, so the caller need not scan the polygons twice.
+  /// LocatePoint(p, g, eps, faults) for the prepared g, with the coverage
+  /// site it resolves at and the fault it fires added to `*tally` (not
+  /// null) instead of hit and fired: apply the tally to leave what
+  /// LocatePoint leaves. When `areal` is not null it also receives
+  /// LocateAreal(p), read off the same polygon scan, so the caller need
+  /// not scan the polygons twice.
   Location Locate(const geom::Coord& p, const faults::FaultState* faults,
-                  Location* areal = nullptr) const;
+                  Tally* tally, Location* areal = nullptr) const;
 
   /// LocateAreal(p, g, eps) for the prepared g.
   Location LocateAreal(const geom::Coord& p) const;
@@ -117,7 +156,8 @@ class PreparedOperand {
   // What one point's walk over a range of elements found.
   struct Scan;
 
-  static Location Resolve(const Scan& scan, const faults::FaultState* faults);
+  static Location Resolve(const Scan& scan, const faults::FaultState* faults,
+                          Tally* tally);
   void Add(const geom::Geometry& g);
   void AddLine(const geom::LineString& line);
   void AddPolygon(const geom::Polygon& poly);
@@ -157,7 +197,8 @@ class PreparedOperand {
 /// resolved by taking the location within the *last* element that does not
 /// report Exterior — the buggy strategy GEOS developers described.
 ///
-/// Equals PreparedOperand(g, eps).Locate(p, faults).
+/// Equals PreparedOperand(g, eps).Locate(p, faults, &tally) with the tally
+/// applied.
 Location LocatePoint(const geom::Coord& p, const geom::Geometry& g,
                      double eps = 0.0,
                      const faults::FaultState* faults = nullptr);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "algo/boundary.h"
@@ -179,9 +181,11 @@ Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
 
 // The full path: node both operands' linework, then classify every node,
 // edge midpoint and interior-point witness. It reads a and b and the
-// enabled fault set, and nothing else; it never calls Relate.
+// enabled fault set, and nothing else; it never calls Relate. It hits no
+// coverage site and fires no fault itself: it adds them to `*tally`, for
+// the caller to apply.
 IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
-                              const faults::FaultState* faults) {
+                              const faults::FaultState* faults, Tally* tally) {
   IntersectionMatrix im;
   im.Set(Location::kExterior, Location::kExterior, 2);
 
@@ -213,8 +217,8 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
 
   // 2. Classification points: all nodes plus isolated point elements.
   const auto classify_node = [&](const Coord& node) {
-    const Location la = prepared_a.Locate(node, faults);
-    const Location lb = prepared_b.Locate(node, faults);
+    const Location la = prepared_a.Locate(node, faults, tally);
+    const Location lb = prepared_b.Locate(node, faults, tally);
     im.SetAtLeast(la, lb, 0);
   };
   for (const Coord& node : noded.nodes) classify_node(node);
@@ -237,9 +241,9 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
     Location aa = Location::kExterior;
     Location ab = Location::kExterior;
     const Location la =
-        prepared_a.Locate(mid, faults, both_areal ? &aa : nullptr);
+        prepared_a.Locate(mid, faults, tally, both_areal ? &aa : nullptr);
     const Location lb =
-        prepared_b.Locate(mid, faults, both_areal ? &ab : nullptr);
+        prepared_b.Locate(mid, faults, tally, both_areal ? &ab : nullptr);
     im.SetAtLeast(la, lb, 1);
     if (both_areal) {
       // Dimension-2 witnesses from areal piece classification. An edge on
@@ -270,7 +274,7 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
 
   // 4. Areal dimension-2 entries.
   if (a_areal && !b_areal) {
-    SPATTER_COV("relate", "areal_vs_nonareal");
+    tally->Hit(Tally::kRelateArealVsNonareal);
     // A's interior minus a measure-zero set still has dimension 2 in B's
     // exterior.
     im.SetAtLeast(Location::kInterior, Location::kExterior, 2);
@@ -279,7 +283,7 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
     im.SetAtLeast(Location::kExterior, Location::kInterior, 2);
   }
   if (both_areal) {
-    SPATTER_COV("relate", "areal_vs_areal");
+    tally->Hit(Tally::kRelateArealVsAreal);
     // Interior-point witnesses handle containment/equality, where no edge
     // piece lies strictly inside the other geometry.
     for (const auto* poly : prepared_a.polygons()) {
@@ -368,8 +372,18 @@ uint64_t HashKey(const std::vector<uint64_t>& key) {
   return h ^ (h >> 31);
 }
 
-// Per-thread memo in front of FullRelate (relate.h states the key, replay
-// and budget invariants). It allocates on its first admission.
+// FullRelate with its tally applied: the kernel run RelateUnmemoized makes.
+IntersectionMatrix KernelRelate(const Geometry& a, const Geometry& b,
+                                const faults::FaultState* faults) {
+  Tally tally;
+  const IntersectionMatrix im = FullRelate(a, b, faults, &tally);
+  tally.Apply(faults);
+  return im;
+}
+
+// Per-thread memo in front of FullRelate (relate.h states the key, replay,
+// staging and budget invariants). It allocates everything it uses on the
+// thread's first full-path call.
 class RelateMemo {
  public:
   IntersectionMatrix Relate(const Geometry& a, const Geometry& b,
@@ -380,31 +394,54 @@ class RelateMemo {
   static constexpr size_t kSeenSlots = 4096;
   static constexpr size_t kSlots = 4096;  // lookup table, power of two
   static constexpr size_t kMaxEntries = kSlots / 2;
+  static constexpr size_t kRingWords = 32 * 1024;
+
+  // What a kernel run leaves besides its metrics.
+  struct Outcome {
+    IntersectionMatrix im;
+    Tally tally;
+  };
+  // A staged record is a header word (the key's size), the outcome and the
+  // key, back to back in the ring.
+  static_assert(std::is_trivially_copyable_v<Outcome>);
+  static constexpr size_t kOutcomeWords =
+      (sizeof(Outcome) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
 
   struct Entry {
     uint64_t hash;
     uint32_t key_begin;  // into words_
     uint32_t key_size;
-    uint32_t sites_begin;  // into sites_
-    uint32_t sites_size;
-    uint64_t fired;  // FaultState::Bit of every id the kernel run fired
-    IntersectionMatrix im;
+    Outcome outcome;
+  };
+  // One slot of the admission filter: the hash last sighted there and, if
+  // that sighting was staged, its record's ring position + 1 (0: none).
+  struct Seen {
+    uint64_t hash = 0;
+    uint64_t staged = 0;
   };
 
+  void Allocate();
   const Entry* Find(uint64_t hash) const;
-  void Admit(uint64_t hash, const IntersectionMatrix& im);
+  uint64_t Stage(const Outcome& outcome);
+  bool FindStaged(uint64_t staged, Outcome* outcome) const;
+  void Admit(uint64_t hash, const Outcome& outcome);
 
-  std::vector<uint64_t> key_;   // the current call's key
-  std::vector<uint64_t> seen_;  // admission filter: last hash per slot
+  std::vector<uint64_t> key_;  // the current call's key
+  std::vector<Seen> seen_;     // admission filter, one slot per hash
+  // First sightings' records; ring_end_ counts the words ever staged (a
+  // record's position is its first word's count), ring_floor_ the words
+  // staged before the last flush, which the flush forgot.
+  std::unique_ptr<uint64_t[]> ring_;
+  uint64_t ring_end_ = 0;
+  uint64_t ring_floor_ = 0;
   std::vector<uint64_t> words_;  // admitted keys, back to back
-  std::vector<CoverageRegistry::SiteHits> sites_;  // recorded coverage
-  faults::Effects recording_;  // one kernel run's
   std::vector<Entry> entries_;
   std::vector<uint32_t> slots_;  // entry index + 1; 0 = free
 };
 
 IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
                                       const faults::FaultState* faults) {
+  if (seen_.empty()) Allocate();
   key_.clear();
   key_.push_back(faults != nullptr);
   key_.push_back(faults ? faults->EnabledMask() : 0);
@@ -414,28 +451,41 @@ IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
 
   if (const Entry* e = Find(hash)) {
     SPATTER_METRIC_INC("relate.memo.hit");
-    faults::Effects::Replay(faults, e->fired, sites_.data() + e->sites_begin,
-                            e->sites_size);
-    return e->im;
+    e->outcome.tally.Apply(faults);
+    return e->outcome.im;
   }
 
   // Admit on the second sighting only: most keys are the affine image an
   // AEI query draws once, and they would evict the reusable SDB1 pairs.
-  if (seen_.empty()) seen_.assign(kSeenSlots, 0);
-  uint64_t& seen = seen_[hash % kSeenSlots];
-  if (seen != hash || key_.size() > kKeyWords) {
-    seen = hash;
-    return FullRelate(a, b, faults);
+  // The first sighting is staged, so the second need not run the kernel
+  // again while its record is still in the ring.
+  Seen& seen = seen_[hash % kSeenSlots];
+  Outcome outcome;
+  if (seen.hash != hash || key_.size() > kKeyWords) {
+    outcome.im = FullRelate(a, b, faults, &outcome.tally);
+    seen.hash = hash;
+    seen.staged = key_.size() <= kKeyWords ? Stage(outcome) : 0;
+  } else {
+    if (FindStaged(seen.staged, &outcome)) {
+      SPATTER_METRIC_INC("relate.memo.staged");
+    } else {
+      outcome.im = FullRelate(a, b, faults, &outcome.tally);
+    }
+    Admit(hash, outcome);
   }
+  outcome.tally.Apply(faults);
+  return outcome.im;
+}
 
-  const IntersectionMatrix im =
-      recording_.Record(faults, [&] { return FullRelate(a, b, faults); });
-  Admit(hash, im);
-  return im;
+void RelateMemo::Allocate() {
+  seen_.resize(kSeenSlots);
+  ring_.reset(new uint64_t[kRingWords]);  // written before it is read
+  words_.reserve(kKeyWords);
+  entries_.reserve(kMaxEntries);
+  slots_.assign(kSlots, 0);
 }
 
 const RelateMemo::Entry* RelateMemo::Find(uint64_t hash) const {
-  if (slots_.empty()) return nullptr;
   for (size_t i = hash >> 32;; ++i) {
     const uint32_t slot = slots_[i % kSlots];
     if (slot == 0) return nullptr;
@@ -447,28 +497,51 @@ const RelateMemo::Entry* RelateMemo::Find(uint64_t hash) const {
   }
 }
 
-void RelateMemo::Admit(uint64_t hash, const IntersectionMatrix& im) {
-  if (slots_.empty()) {
-    slots_.assign(kSlots, 0);
-    words_.reserve(kKeyWords);
+// Writes the current key's record after the last one, at the ring's start
+// when it would not fit before the end, and returns Seen::staged for it (0
+// for a record larger than the ring).
+uint64_t RelateMemo::Stage(const Outcome& outcome) {
+  const size_t size = 1 + kOutcomeWords + key_.size();
+  if (size > kRingWords) return 0;
+  const size_t tail = kRingWords - ring_end_ % kRingWords;
+  if (size > tail) ring_end_ += tail;
+  uint64_t* record = &ring_[ring_end_ % kRingWords];
+  record[0] = key_.size();
+  std::memcpy(record + 1, &outcome, sizeof outcome);
+  std::copy(key_.begin(), key_.end(), record + 1 + kOutcomeWords);
+  ring_end_ += size;
+  return ring_end_ - size + 1;
+}
+
+// Reads the record Seen::staged names into *outcome when the ring still
+// holds it (no flush since, fewer than kRingWords words staged after its
+// first) and its key is the current key, word for word.
+bool RelateMemo::FindStaged(uint64_t staged, Outcome* outcome) const {
+  if (staged == 0) return false;
+  const uint64_t at = staged - 1;
+  if (at < ring_floor_ || ring_end_ - at > kRingWords) return false;
+  const uint64_t* record = &ring_[at % kRingWords];
+  if (record[0] != key_.size() ||
+      !std::equal(key_.begin(), key_.end(), record + 1 + kOutcomeWords)) {
+    return false;
   }
+  std::memcpy(static_cast<void*>(outcome), record + 1, sizeof *outcome);
+  return true;
+}
+
+void RelateMemo::Admit(uint64_t hash, const Outcome& outcome) {
   if (words_.size() + key_.size() > kKeyWords ||
       entries_.size() == kMaxEntries) {
     SPATTER_METRIC_INC("relate.memo.flush");
     words_.clear();
-    sites_.clear();
     entries_.clear();
     std::fill(slots_.begin(), slots_.end(), 0);
+    ring_floor_ = ring_end_;
   }
   SPATTER_METRIC_INC("relate.memo.admit");
   entries_.push_back({hash, static_cast<uint32_t>(words_.size()),
-                      static_cast<uint32_t>(key_.size()),
-                      static_cast<uint32_t>(sites_.size()),
-                      static_cast<uint32_t>(recording_.sites.size()),
-                      recording_.fired, im});
+                      static_cast<uint32_t>(key_.size()), outcome});
   words_.insert(words_.end(), key_.begin(), key_.end());
-  sites_.insert(sites_.end(), recording_.sites.begin(),
-                recording_.sites.end());
   size_t i = hash >> 32;
   while (slots_[i % kSlots] != 0) ++i;
   slots_[i % kSlots] = static_cast<uint32_t>(entries_.size());
@@ -490,7 +563,7 @@ Result<IntersectionMatrix> Relate(const Geometry& a, const Geometry& b,
 Result<IntersectionMatrix> RelateUnmemoized(const Geometry& a,
                                             const Geometry& b,
                                             const faults::FaultState* faults) {
-  return RelateVia(FullRelate, a, b, faults);
+  return RelateVia(KernelRelate, a, b, faults);
 }
 
 }  // namespace spatter::relate

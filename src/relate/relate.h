@@ -29,26 +29,38 @@
 //    not the state's address; faults == nullptr has its own key). The
 //    kernel's tolerance is a constant, so it is no part of the key. A hit
 //    needs the whole key to be equal; the hash only picks the slot.
-//  - Replay: an admitted miss records the kernel run with faults::Effects:
-//    the fault ids it fired (the caller's earlier hits set aside) and
-//    every coverage site it hit with its count. A hit replays them, so
-//    fault hits, coverage traces and counters end exactly as a kernel run
-//    leaves them. Only the metrics differ:
+//  - Replay: the kernel counts what it does besides its matrix in a
+//    relate::Tally (point_locator.h): how often it reached each of its
+//    eight coverage sites and which of its two faults it fired. A kernel
+//    run applies its tally once (CoverageRegistry::Hit(site, n) per
+//    reached site, FaultState::Fire per fired id), and an entry keeps the
+//    tally of the run it was admitted with, which a hit applies the same
+//    way; so fault hits, coverage traces, captures and counters end
+//    exactly as a kernel run leaves them. Only the metrics differ:
 //    `relate.full` counts kernel runs, `relate.memo.hit` the replays. The
-//    kernel never calls Relate, so the memo's recordings never nest in
-//    each other; one can run inside a load statement's recording
-//    (fuzz::LoadDatabase), whose capture sees the kernel run's hits too.
+//    kernel never calls Relate, and a load statement's capture
+//    (fuzz::LoadDatabase) sees an applied tally as the kernel's hits.
 //  - Budget: a key is admitted on its second sighting (a 4,096-slot table
 //    of key hashes decides, and never answers a lookup), and one thread's
 //    memo holds at most 256 KiB of key words in at most 2,048 entries; it
 //    is flushed when the next admission would exceed either
-//    (`relate.memo.admit`, `relate.memo.flush`). It is allocated on a
-//    thread's first full-path call.
+//    (`relate.memo.admit`, `relate.memo.flush`).
+//  - Staging: each first sighting's key, matrix and tally are written to a
+//    per-thread ring of 32K words (256 KiB), the oldest overwritten first,
+//    and the filter slot keeps the record's ring position beside the hash.
+//    A second sighting whose staged key is still in the ring and equal
+//    word for word is admitted from it with no kernel run
+//    (`relate.memo.staged`); one whose record was overwritten runs the
+//    kernel. A flush forgets the ring too. Staging changes no admission,
+//    hit or flush, only how many kernel runs admissions take.
+//  - The memo, its filter and its ring are allocated on a thread's first
+//    full-path call, all at their final sizes.
 // RelateUnmemoized is the same two stages with the kernel run every time:
 // the reference tests and benches hold Relate to.
 // Once its per-thread buffers are warm (operands, noder input and result,
 // interior-point scanlines, the memo's key), a call that fires no fault
-// allocates nothing, whichever stage answers it (relate_alloc_test).
+// allocates nothing, whichever stage answers it, a staged admission
+// included (relate_alloc_test).
 #ifndef SPATTER_RELATE_RELATE_H_
 #define SPATTER_RELATE_RELATE_H_
 

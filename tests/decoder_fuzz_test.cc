@@ -1,8 +1,10 @@
 // Deterministic mutational fuzzing of the decoders of bytes from disk or a
 // peer: the geometry decoders ReadWkt and ReadWkb, the corpus record codec
 // (TestCaseCodec::Decode), the fleet wire (fleet::DecodeFrame), the SQL
-// parser (sql::ParseStatement) and the checkpoint codec
-// (fleet::DecodeCheckpoint). Fixed seeds, fixed input counts, AFL-style
+// parser (sql::ParseStatement), the checkpoint codec
+// (fleet::DecodeCheckpoint), the metrics text codec
+// (MetricsSnapshot::DecodeText) and the trace codec
+// (TraceSnapshot::DecodeJsonl). Fixed seeds, fixed input counts, AFL-style
 // operators (bit flips, byte sets, truncation, range deletion, chunk
 // duplication, splices and dictionary tokens;
 // https://lcamtuf.coredump.cx/afl/technical_details.txt). Every accepted
@@ -15,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -32,6 +35,8 @@
 #include "geom/wkb.h"
 #include "geom/wkt_reader.h"
 #include "geom/wkt_writer.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sql/parser.h"
 
 namespace spatter::geom {
@@ -622,6 +627,133 @@ TEST(DecoderFuzz, CheckpointAcceptsOnlyFixedPoints) {
         // Encoding drops nothing it decoded.
         EXPECT_EQ(s2.value().unique_bugs.size(), s1.value().unique_bugs.size());
         EXPECT_EQ(fleet::EncodeCheckpoint(s2.value()), t1);
+        return true;
+      });
+  EXPECT_GT(accepted, 1000u);
+}
+
+// --- Metrics text and trace JSONL ----------------------------------------
+
+// Metrics documents: a short all-oracle campaign's registry snapshot, its
+// histograms' timings replaced by fixed values so the seeds are the same
+// on every run, and one document of edge values (the largest counter, the
+// smallest gauge, a histogram with no bucket).
+std::vector<Bytes> MetricsDocuments() {
+  obs::MetricsRegistry::Instance().Reset();
+  fuzz::CampaignConfig config;
+  config.dialect = engine::Dialect::kPostgis;
+  config.seed = 977;
+  config.iterations = 2;
+  config.queries_per_iteration = 8;
+  config.generator.num_geometries = 6;
+  config.oracles = fuzz::ParseOracleSuite("all").Take();
+  fuzz::Campaign(config).Run();
+  obs::MetricsSnapshot campaign = obs::MetricsRegistry::Instance().Snapshot();
+  EXPECT_FALSE(campaign.histograms.empty());
+  for (auto& [name, h] : campaign.histograms) {
+    h.sum_ns = 1000 * h.count;
+    h.buckets.assign(obs::LatencyHistogram::kNumBuckets, 0);
+    h.buckets[name.size() % obs::LatencyHistogram::kNumBuckets] = h.count;
+  }
+  obs::MetricsSnapshot edges;
+  edges.counters["c.max"] = ~uint64_t{0};
+  edges.counters["c.zero"] = 0;
+  edges.gauges["g.min"] = std::numeric_limits<int64_t>::min();
+  edges.gauges["g.max"] = std::numeric_limits<int64_t>::max();
+  edges.histograms["h.empty"].buckets.assign(
+      obs::LatencyHistogram::kNumBuckets, 0);
+  obs::HistogramData& spread = edges.histograms["h.spread"];
+  spread.buckets.assign(obs::LatencyHistogram::kNumBuckets, 0);
+  spread.buckets.front() = 1;
+  spread.buckets.back() = 2;
+  spread.count = 3;
+  spread.sum_ns = ~uint64_t{0};
+  return {ToBytes(campaign.EncodeText()), ToBytes(edges.EncodeText())};
+}
+
+TEST(DecoderFuzz, MetricsTextAcceptsOnlyFixedPoints) {
+  const std::vector<Bytes> seeds = MetricsDocuments();
+  std::vector<Bytes> tokens;
+  for (const char* token :
+       {"c ", "g ", "h ", "end ", "\n", " ", "\t", "-", ",", ":", "0", "-0",
+        "1e5", "nan", "inf", "0x10", "18446744073709551615",
+        "18446744073709551616", "-9223372036854775808",
+        "9223372036854775808", obs::kMetricsTextMagic}) {
+    tokens.push_back(ToBytes(token));
+  }
+
+  const size_t accepted = FuzzInputs(
+      seeds, tokens, /*seed=*/0x5eed7, /*count=*/100000, [](const Bytes& in) {
+        const std::string text(in.begin(), in.end());
+        Result<obs::MetricsSnapshot> m1 = obs::MetricsSnapshot::DecodeText(text);
+        if (!m1.ok()) return false;
+        const std::string t1 = m1.value().EncodeText();
+        Result<obs::MetricsSnapshot> m2 = obs::MetricsSnapshot::DecodeText(t1);
+        EXPECT_TRUE(m2.ok()) << text << " printed as " << t1;
+        if (!m2.ok()) return true;
+        EXPECT_EQ(m2.value().EncodeText(), t1) << text;
+        return true;
+      });
+  EXPECT_GT(accepted, 1000u);
+}
+
+// A trace ring's events, names and details carrying every byte the codec
+// escapes (quote, backslash, control characters) and some it does not
+// (DEL, UTF-8), with their times and thread fixed so the seeds are the
+// same on every run; then the ring cut to its last three events.
+std::vector<Bytes> TraceDocuments() {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Instance();
+  recorder.Reset();
+  recorder.Enable();
+  const std::string details[] = {
+      "aei:mismatch",    "quote \" inside",  "back\\slash",
+      "tab\there\nnewline", "\x01\x1f\x7f",
+      "caf\xc3\xa9",     "",
+  };
+  uint64_t value = 0;
+  for (const std::string& detail : details) {
+    recorder.Emit("oracle.verdict", value++, detail.c_str());
+    recorder.Emit("engine.\"span\"", value++ * 1000, nullptr);
+  }
+  recorder.Emit("corpus.admit", ~uint64_t{0}, "max value");
+  obs::TraceSnapshot trace = recorder.Snapshot();
+  recorder.Disable();
+  recorder.Reset();
+  EXPECT_EQ(trace.events.size(), 2 * std::size(details) + 1);
+  for (size_t i = 0; i < trace.events.size(); ++i) {
+    trace.events[i].t_us = 17 * i;
+    trace.events[i].thread = static_cast<uint32_t>(i % 3);
+    trace.events[i].iteration = i / 4;
+  }
+  std::vector<Bytes> out = {ToBytes(trace.EncodeJsonl())};
+  trace.events.erase(trace.events.begin(), trace.events.end() - 3);
+  trace.dropped = 1000;
+  out.push_back(ToBytes(trace.EncodeJsonl()));
+  return out;
+}
+
+TEST(DecoderFuzz, TraceJsonlAcceptsOnlyFixedPoints) {
+  const std::vector<Bytes> seeds = TraceDocuments();
+  std::vector<Bytes> tokens;
+  for (const char* token :
+       {"\\u0000", "\\u001f", "\\u0020", "\\u00e9", "\\\"", "\\\\",
+        "\\n", "\"", "{", "}", ",", ":", "\n", "-1", "0", "0x10", "1e5",
+        "4294967296", "18446744073709551616", ",\"value\":",
+        "{\"t_us\":", obs::kTraceJsonSchema}) {
+    tokens.push_back(ToBytes(token));
+  }
+
+  const size_t accepted = FuzzInputs(
+      seeds, tokens, /*seed=*/0x5eed8, /*count=*/100000, [](const Bytes& in) {
+        const std::string text(in.begin(), in.end());
+        Result<obs::TraceSnapshot> s1 = obs::TraceSnapshot::DecodeJsonl(text);
+        if (!s1.ok()) return false;
+        const std::string t1 = s1.value().EncodeJsonl();
+        Result<obs::TraceSnapshot> s2 = obs::TraceSnapshot::DecodeJsonl(t1);
+        EXPECT_TRUE(s2.ok()) << text << " printed as " << t1;
+        if (!s2.ok()) return true;
+        EXPECT_EQ(s2.value().events.size(), s1.value().events.size());
+        EXPECT_EQ(s2.value().EncodeJsonl(), t1) << text;
         return true;
       });
   EXPECT_GT(accepted, 1000u);

@@ -5,8 +5,9 @@
 // them is paid on every pair of the SDB2 join. This binary replaces the
 // global operator new to count allocations (it is a binary of its own so
 // the replacement touches no other suite) and holds Relate to zero on the
-// empty-operand exits, the envelope pre-filter and the kernel, with faults
-// null and with enabled faults that do not fire.
+// empty-operand exits, the envelope pre-filter, the kernel and the memo's
+// admissions, staged or not, with faults null and with enabled faults that
+// do not fire.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -128,12 +129,17 @@ uint64_t CounterValue(const char* name) {
 TEST(RelateAllocations, NoneAfterWarmUp) {
   const std::vector<GeomPtr> base = GeneratedGeometries();
   ASSERT_GT(base.size(), 40u);
-  // The timed calls relate a translated copy of every pair: keys the memo
-  // has never seen, so each call that passes the front runs the kernel
-  // and none is admitted.
-  const auto shift = algo::AffineTransform::Translation(1000, -1000);
-  std::vector<GeomPtr> fresh;
-  for (const GeomPtr& g : base) fresh.push_back(shift.Apply(*g));
+  // The timed calls relate translated copies of every pair: keys the memo
+  // has never seen. In the first pass each call that passes the front
+  // runs the kernel and none is admitted. The second pass relates a second
+  // copy's pairs twice in a row: the second call admits its pair from the
+  // first's staged record.
+  std::vector<GeomPtr> fresh[2];
+  for (int copy = 0; copy < 2; ++copy) {
+    const auto shift =
+        algo::AffineTransform::Translation(1000 - 3000 * copy, -1000);
+    for (const GeomPtr& g : base) fresh[copy].push_back(shift.Apply(*g));
+  }
 
   faults::FaultState quiet;  // enabled, but nothing in Relate fires them
   quiet.Enable(faults::FaultId::kGeosCrashRelateNestedGc);
@@ -144,9 +150,11 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
   // unseen by the memo), and every named predicate on the base pairs,
   // which grows the memo's own buffers to the same key sizes.
   for (const faults::FaultState* f : settings) {
-    for (const GeomPtr& a : fresh) {
-      for (const GeomPtr& b : fresh) {
-        ASSERT_TRUE(RelateUnmemoized(*a, *b, f).ok());
+    for (const auto& copy : fresh) {
+      for (const GeomPtr& a : copy) {
+        for (const GeomPtr& b : copy) {
+          ASSERT_TRUE(RelateUnmemoized(*a, *b, f).ok());
+        }
       }
     }
     for (const GeomPtr& a : base) {
@@ -161,28 +169,42 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
     }
   }
 
-  for (const faults::FaultState* f : settings) {
-    const std::string label = f ? "enabled faults" : "faults null";
-    const uint64_t full = CounterValue("relate.full");
-    const uint64_t prefiltered = CounterValue("relate.envelope_prefilter");
-    const uint64_t admitted = CounterValue("relate.memo.admit");
-    const uint64_t hits = CounterValue("relate.memo.hit");
+  // Relates every pair of `copy` `times` times in a row on `f`, counting
+  // allocations; returns the calls made.
+  size_t allocations = 0;
+  std::string first;  // the first pair that allocated
+  const auto timed_pass = [&](const std::vector<GeomPtr>& copy, int times,
+                              const faults::FaultState* f) {
     size_t calls = 0;
-    size_t allocations = 0;
-    std::string first;  // the first pair that allocated
-    for (const GeomPtr& a : fresh) {
-      for (const GeomPtr& b : fresh) {
-        g_allocations.store(0);
-        g_counting.store(true);
-        const Result<IntersectionMatrix> im = Relate(*a, *b, f);
-        g_counting.store(false);
-        ASSERT_TRUE(im.ok()) << a->ToWkt() << " / " << b->ToWkt();
-        const size_t n = g_allocations.load();
-        if (n > 0 && first.empty()) first = a->ToWkt() + " / " + b->ToWkt();
-        allocations += n;
-        ++calls;
+    allocations = 0;
+    first.clear();
+    for (const GeomPtr& a : copy) {
+      for (const GeomPtr& b : copy) {
+        for (int i = 0; i < times; ++i) {
+          g_allocations.store(0);
+          g_counting.store(true);
+          const Result<IntersectionMatrix> im = Relate(*a, *b, f);
+          g_counting.store(false);
+          EXPECT_TRUE(im.ok()) << a->ToWkt() << " / " << b->ToWkt();
+          const size_t n = g_allocations.load();
+          if (n > 0 && first.empty()) {
+            first = a->ToWkt() + " / " + b->ToWkt();
+          }
+          allocations += n;
+          ++calls;
+        }
       }
     }
+    return calls;
+  };
+
+  for (const faults::FaultState* f : settings) {
+    const std::string label = f ? "enabled faults" : "faults null";
+    uint64_t full = CounterValue("relate.full");
+    const uint64_t prefiltered = CounterValue("relate.envelope_prefilter");
+    uint64_t admitted = CounterValue("relate.memo.admit");
+    const uint64_t hits = CounterValue("relate.memo.hit");
+    size_t calls = timed_pass(fresh[0], 1, f);
     EXPECT_EQ(allocations, 0u)
         << label << ", over " << calls << " calls; first: " << first;
     EXPECT_EQ(CounterValue("relate.memo.admit"), admitted) << label;
@@ -192,6 +214,21 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
       EXPECT_GT(CounterValue("relate.envelope_prefilter") - prefiltered,
                 calls / 10);
     }
+
+    // Each kernel pair of the second copy: one kernel run, then a staged
+    // admission.
+    full = CounterValue("relate.full");
+    admitted = CounterValue("relate.memo.admit");
+    const uint64_t staged = CounterValue("relate.memo.staged");
+    calls = timed_pass(fresh[1], 2, f);
+    EXPECT_EQ(allocations, 0u) << label << ", second pass over " << calls
+                               << " calls; first: " << first;
+    const uint64_t kernel_runs = CounterValue("relate.full") - full;
+    EXPECT_GT(kernel_runs, calls / 20) << label;
+    EXPECT_EQ(CounterValue("relate.memo.admit") - admitted, kernel_runs)
+        << label;
+    EXPECT_EQ(CounterValue("relate.memo.staged") - staged, kernel_runs)
+        << label;
     if (f != nullptr) {
       EXPECT_TRUE(f->Hits().empty()) << "a fault fired";
     }

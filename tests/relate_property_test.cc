@@ -9,12 +9,14 @@
 //  - the prepared point locator answers exactly as a walk over the
 //    geometry tree, fault hits included,
 //  - the relate memo is invisible: every call returns, fires and covers
-//    exactly what the unmemoized kernel does,
+//    exactly what the unmemoized kernel does, and the kernel's own
+//    effects over fixed inputs are pinned,
 //  - the relate front's closed forms (an EMPTY operand, separated
 //    envelopes) follow the boundary and point-set definitions, and the
 //    envelope pre-filter agrees with the kernel near its tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -512,21 +514,30 @@ TEST_P(PreparedLocatorExactness, SameLocationAndFaultHitsAsTreeWalk) {
         const Location want = reference::LocatePoint(p, *g, eps, nullptr);
         const Location want_a = reference::LocateAreal(p, *g, eps);
         ASSERT_EQ(LocatePoint(p, *g, eps, nullptr), want) << at();
-        ASSERT_EQ(reused.Locate(p, nullptr), want) << at();
+        Tally tally;
+        ASSERT_EQ(reused.Locate(p, nullptr, &tally), want) << at();
+        ASSERT_EQ(tally.fired, 0u) << at();
         Location areal = Location::kBoundary;
-        ASSERT_EQ(reused.Locate(p, nullptr, &areal), want) << at();
+        ASSERT_EQ(reused.Locate(p, nullptr, &tally, &areal), want) << at();
         ASSERT_EQ(areal, want_a) << "areal output: " << at();
 
+        // A direct Locate fires nothing until its tally is applied.
         on_ref.ClearHits();
         on_new.ClearHits();
         const Location want_f = reference::LocatePoint(p, *g, eps, &on_ref);
-        ASSERT_EQ(reused.Locate(p, &on_new), want_f) << "faults on: " << at();
+        tally = Tally();
+        ASSERT_EQ(reused.Locate(p, &on_new, &tally), want_f)
+            << "faults on: " << at();
+        ASSERT_TRUE(on_new.Hits().empty()) << "faults on: " << at();
+        tally.Apply(&on_new);
         ASSERT_EQ(on_new.Hits(), on_ref.Hits()) << "faults on: " << at();
         on_new.ClearHits();
+        tally = Tally();
         areal = Location::kBoundary;
-        ASSERT_EQ(reused.Locate(p, &on_new, &areal), want_f)
+        ASSERT_EQ(reused.Locate(p, &on_new, &tally, &areal), want_f)
             << "faults on: " << at();
         ASSERT_EQ(areal, want_a) << "areal output, faults on: " << at();
+        tally.Apply(&on_new);
         ASSERT_EQ(on_new.Hits(), on_ref.Hits()) << "faults on: " << at();
         on_new.ClearHits();
         ASSERT_EQ(LocatePoint(p, *g, eps, &on_new), want_f) << at();
@@ -559,8 +570,10 @@ struct RelateRun {
   std::string result;  // the matrix code, or the failed status
   std::set<faults::FaultId> fired;
   std::vector<std::pair<uint32_t, uint64_t>> coverage;  // site, hit delta
-  uint64_t full = 0;   // kernel runs (relate.full delta)
-  uint64_t hits = 0;   // memo replays (relate.memo.hit delta)
+  uint64_t full = 0;    // kernel runs (relate.full delta)
+  uint64_t hits = 0;    // memo replays (relate.memo.hit delta)
+  uint64_t admits = 0;  // admissions (relate.memo.admit delta)
+  uint64_t staged = 0;  // of them, from a staged sighting
 
   bool operator==(const RelateRun& o) const {
     return result == o.result && fired == o.fired && coverage == o.coverage;
@@ -574,7 +587,8 @@ std::ostream& operator<<(std::ostream& os, const RelateRun& r) {
   }
   os << " } coverage {";
   for (const auto& [site, n] : r.coverage) os << " " << site << "x" << n;
-  return os << " } full=" << r.full << " hits=" << r.hits;
+  return os << " } full=" << r.full << " hits=" << r.hits
+            << " admits=" << r.admits << " staged=" << r.staged;
 }
 
 uint64_t CounterValue(const char* name) {
@@ -588,6 +602,8 @@ RelateRun RunRelate(RelateFn fn, const Geometry& a, const Geometry& b,
   auto& registry = CoverageRegistry::Instance();
   const uint64_t full = CounterValue("relate.full");
   const uint64_t hits = CounterValue("relate.memo.hit");
+  const uint64_t admits = CounterValue("relate.memo.admit");
+  const uint64_t staged = CounterValue("relate.memo.staged");
   const std::vector<uint64_t> before = registry.SnapshotHits();
   const auto r = fn(a, b, faults);
   const std::vector<uint64_t> after = registry.SnapshotHits();
@@ -600,6 +616,8 @@ RelateRun RunRelate(RelateFn fn, const Geometry& a, const Geometry& b,
   }
   run.full = CounterValue("relate.full") - full;
   run.hits = CounterValue("relate.memo.hit") - hits;
+  run.admits = CounterValue("relate.memo.admit") - admits;
+  run.staged = CounterValue("relate.memo.staged") - staged;
   return run;
 }
 
@@ -616,7 +634,11 @@ TEST_P(RelateMemoExactness, EverySightingEqualsTheKernel) {
   // Each pair is related three times, each time on a fresh FaultState with
   // the same enabled set: the first sighting, the admission and the hit.
   // Each equals the unmemoized kernel in matrix or status, fired ids and
-  // per-site coverage counts, and the third replays without a kernel run.
+  // per-site coverage counts. The admission is served from the staged
+  // first sighting and the third call from the memo, neither with a
+  // kernel run. A pair an earlier call already related (an input repeated,
+  // or the fixed inputs under another seed) is not sighted first here; it
+  // is held to the kernel and to the hit on its third call only.
   using faults::FaultId;
   const std::vector<std::vector<FaultId>> settings = {
       {},
@@ -628,28 +650,37 @@ TEST_P(RelateMemoExactness, EverySightingEqualsTheKernel) {
   inputs.push_back(geom::ReadWkt("GEOMETRYCOLLECTION(GEOMETRYCOLLECTION("
                                  "MULTIPOINT((1 1),(2 2))),POINT(0 0))")
                        .Take());
-  size_t full_pairs = 0, replayed_faults = 0;
+  size_t full_pairs = 0, staged_pairs = 0, replayed_faults = 0;
   std::map<FaultId, size_t> fired;
   for (const auto& enabled : settings) {
     for (const auto& a : inputs) {
       for (const auto& b : inputs) {
         const auto at = [&] { return a->ToWkt() + " / " + b->ToWkt(); };
         const RelateRun want = RunWith(RelateUnmemoized, *a, *b, enabled);
+        RelateRun got[3];
         for (int call = 0; call < 3; ++call) {
-          const RelateRun got = RunWith(Relate, *a, *b, enabled);
-          ASSERT_EQ(got, want) << "call " << call << ": " << at();
-          if (want.full == 1 && call == 2) {
-            ASSERT_EQ(got.full, 0u) << at();
-            ASSERT_EQ(got.hits, 1u) << at();
-            if (!got.fired.empty()) ++replayed_faults;
-          }
+          got[call] = RunWith(Relate, *a, *b, enabled);
+          ASSERT_EQ(got[call], want) << "call " << call << ": " << at();
         }
-        if (want.full == 1) ++full_pairs;
+        if (want.full == 1) {
+          ++full_pairs;
+          if (got[0].full == 1 && got[0].admits == 0) {  // a first sighting
+            ++staged_pairs;
+            ASSERT_EQ(got[1].full, 0u) << "admission: " << at();
+            ASSERT_EQ(got[1].hits, 0u) << "admission: " << at();
+            ASSERT_EQ(got[1].admits, 1u) << "admission: " << at();
+            ASSERT_EQ(got[1].staged, 1u) << "admission: " << at();
+          }
+          ASSERT_EQ(got[2].full, 0u) << at();
+          ASSERT_EQ(got[2].hits, 1u) << at();
+          if (!got[2].fired.empty()) ++replayed_faults;
+        }
         for (const FaultId id : want.fired) ++fired[id];
       }
     }
   }
   EXPECT_GT(full_pairs, 2000u);
+  EXPECT_GT(staged_pairs, 2000u);
   EXPECT_GT(replayed_faults, 0u);
   EXPECT_GT(fired[FaultId::kGeosGcBoundaryLastOneWins], 0u);
   EXPECT_GT(fired[FaultId::kGeosBoundaryEmptyElementDrop], 0u);
@@ -797,6 +828,140 @@ TEST(RelateMemo, FlushedPairRecomputesAndStillEqualsTheKernel) {
   EXPECT_EQ(got.full, 1u);
   EXPECT_EQ(got.hits, 0u);
   EXPECT_EQ(got, RunRelate(RelateUnmemoized, *a, *b, nullptr));
+}
+
+TEST(RelateMemo, OverwrittenStageRunsTheKernelOnAdmission) {
+  // A first sighting's staged record is overwritten once more than the
+  // ring's 32K words (relate.h) of other first sightings are staged after
+  // it. Its second sighting is still admitted, but runs the kernel.
+  const auto a = Wkt("POLYGON((30.5 30,34 30,34 34,30.5 34,30.5 30))");
+  const auto b = Wkt("LINESTRING(29.5 32,35 33.25)");
+  const RelateRun want = RunRelate(RelateUnmemoized, *a, *b, nullptr);
+  ASSERT_EQ(want.full, 1u);
+  const RelateRun first = RunRelate(Relate, *a, *b, nullptr);
+  ASSERT_EQ(first.full, 1u);
+  ASSERT_EQ(first.admits, 0u);
+  ASSERT_EQ(first, want);
+
+  // 40 keys of about 2,000 words each (a line of 1,000 repeated vertices
+  // against a bar), each sighted once: 80K words staged.
+  for (int i = 0; i < 40; ++i) {
+    std::vector<geom::Coord> pts(1000, geom::Coord{200.0 + i, 50});
+    pts.push_back({200.0 + i, 60});
+    const auto long_line = geom::MakeLineString(std::move(pts));
+    const auto bar = geom::MakeLineString({{199.0 + i, 55}, {201.0 + i, 55}});
+    const RelateRun pushed = RunRelate(Relate, *long_line, *bar, nullptr);
+    ASSERT_EQ(pushed.full, 1u) << i;
+    ASSERT_EQ(pushed.admits, 0u) << i;
+  }
+
+  const RelateRun second = RunRelate(Relate, *a, *b, nullptr);
+  EXPECT_EQ(second.full, 1u);
+  EXPECT_EQ(second.admits, 1u);
+  EXPECT_EQ(second.staged, 0u);
+  EXPECT_EQ(second, want);
+  const RelateRun third = RunRelate(Relate, *a, *b, nullptr);
+  EXPECT_EQ(third.full, 0u);
+  EXPECT_EQ(third.hits, 1u);
+  EXPECT_EQ(third, want);
+}
+
+TEST(RelateMemo, FlushForgetsTheStagedSightings) {
+  // A pair staged just before a flush is admitted after it with a kernel
+  // run, although its record is still in the ring.
+  FlushMemo();  // the memo now holds the one entry the flush admitted
+  if (HasFatalFailure()) return;
+  // 2,047 more admissions of small keys (a point on a short line) fill
+  // the memo's 2,048 entries, far inside its key-word budget.
+  for (int i = 0; i < 2047; ++i) {
+    const auto line = geom::MakeLineString({{i + 0.0, -40}, {i + 1.0, -40}});
+    const auto point = geom::MakePoint(i + 0.5, -40);
+    RunRelate(Relate, *line, *point, nullptr);
+    ASSERT_EQ(RunRelate(Relate, *line, *point, nullptr).admits, 1u) << i;
+  }
+  const auto a = Wkt("POLYGON((40 40,44 40,44 44,40 44,40 40))");
+  const auto b = Wkt("LINESTRING(39 41.5,45 42)");
+  ASSERT_EQ(RunRelate(Relate, *a, *b, nullptr).admits, 0u);  // staged
+  // One more admission flushes.
+  const auto line = Wkt("LINESTRING(-50 -50,-49 -49)");
+  const auto point = Wkt("POINT(-49.5 -49.5)");
+  const uint64_t flushes = CounterValue("relate.memo.flush");
+  RunRelate(Relate, *line, *point, nullptr);
+  ASSERT_EQ(RunRelate(Relate, *line, *point, nullptr).admits, 1u);
+  ASSERT_EQ(CounterValue("relate.memo.flush"), flushes + 1);
+
+  const RelateRun second = RunRelate(Relate, *a, *b, nullptr);
+  EXPECT_EQ(second.full, 1u);
+  EXPECT_EQ(second.admits, 1u);
+  EXPECT_EQ(second.staged, 0u);
+  EXPECT_EQ(second, RunRelate(RelateUnmemoized, *a, *b, nullptr));
+}
+
+// --- The kernel's effects ----------------------------------------------------
+
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ull;
+  void Int(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<unsigned char>(v >> (8 * i));
+      h *= 1099511628211ull;
+    }
+  }
+  void Str(const std::string& s) {
+    Int(s.size());
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+TEST(RelateTally, KernelEffectsArePinned) {
+  // Every LocatorInputs pair through the kernel, faults null and with the
+  // two faults point location fires on: each call's matrix code, fired
+  // ids and per-site coverage deltas fold into one hash, sites by their
+  // stable key in key order. The value was computed with every site hit
+  // and every fault fired where the kernel reached it, so it holds the
+  // kernel's tally to that per-hit counting.
+  using faults::FaultId;
+  auto& registry = CoverageRegistry::Instance();
+  faults::FaultState locator_faults;
+  locator_faults.Enable(FaultId::kGeosGcBoundaryLastOneWins);
+  locator_faults.Enable(FaultId::kGeosBoundaryEmptyElementDrop);
+  const auto inputs = LocatorInputs(1);
+  Fnv1a hash;
+  uint64_t kernel_runs = 0;
+  std::map<FaultId, size_t> fired;
+  for (const faults::FaultState* f : {static_cast<faults::FaultState*>(nullptr),
+                                      &locator_faults}) {
+    for (const auto& a : inputs) {
+      for (const auto& b : inputs) {
+        const RelateRun run = RunRelate(RelateUnmemoized, *a, *b, f);
+        hash.Str(run.result);
+        hash.Int(run.fired.size());
+        for (const FaultId id : run.fired) {
+          hash.Int(static_cast<uint64_t>(id));
+          ++fired[id];
+        }
+        std::vector<std::pair<uint64_t, uint64_t>> deltas;
+        for (const auto& [site, n] : run.coverage) {
+          deltas.emplace_back(registry.KeysOf({site}).at(0), n);
+        }
+        std::sort(deltas.begin(), deltas.end());
+        hash.Int(deltas.size());
+        for (const auto& [key, n] : deltas) {
+          hash.Int(key);
+          hash.Int(n);
+        }
+        kernel_runs += run.full;
+      }
+    }
+  }
+  EXPECT_GT(kernel_runs, 1500u);
+  EXPECT_GT(fired[FaultId::kGeosGcBoundaryLastOneWins], 0u);
+  EXPECT_GT(fired[FaultId::kGeosBoundaryEmptyElementDrop], 0u);
+  EXPECT_EQ(hash.h, 0x2b87f925b12ae6a7ull) << std::hex << "0x" << hash.h << std::dec
+                            << " over " << kernel_runs << " kernel runs";
 }
 
 // --- The relate front ---------------------------------------------------------
