@@ -1,7 +1,7 @@
 // Micro ablations of the topology core (google-benchmark): relate kernel
 // cost by geometry complexity, the relate front's exits, the memo's replay
-// and admission costs, prepared vs plain predicates, canonicalization, the
-// AEI database transform and the SDB2 load it feeds.
+// cost, prepared vs plain predicates, canonicalization, the AEI database
+// transform and the SDB2 load it feeds.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -101,12 +101,12 @@ BENCHMARK_CAPTURE(BM_RelateFront, empty, false);
 BENCHMARK_CAPTURE(BM_RelateFront, separated, true);
 
 // A memo hit on the same pair: building and hashing the key, comparing it
-// and replaying the recorded coverage.
+// and applying the logged tally.
 void BM_RelateMemoHit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto a = MakeRingPolygon(n, 100, 0, 0);
   const auto b = MakeRingPolygon(n, 100, 60, 0);
-  for (int i = 0; i < 2; ++i) (void)relate::Relate(*a, *b);  // admit
+  (void)relate::Relate(*a, *b);  // the kernel logs the pair
   obs::Counter* hits =
       obs::MetricsRegistry::Instance().GetCounter("relate.memo.hit");
   const uint64_t hits_before = hits->Value();
@@ -125,41 +125,6 @@ void BM_RelateMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RelateMemoHit)->Arg(8)->Arg(32)->Arg(128);
-
-// A pair's first sighting and its admission: the kernel runs once, and the
-// second call admits the pair from the first call's staged record. Each
-// iteration relates a pair the memo has not seen, the overlapping discs
-// translated by a running index.
-void BM_RelateMemoAdmission(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto a = MakeRingPolygon(n, 100, 0, 0);
-  const auto b = MakeRingPolygon(n, 100, 60, 0);
-  static uint64_t next = 0;  // across runs, so no pair is ever seen twice
-  obs::Counter* full =
-      obs::MetricsRegistry::Instance().GetCounter("relate.full");
-  const uint64_t full_before = full->Value();
-  bool overlap = true;
-  for (auto _ : state) {
-    state.PauseTiming();
-    const auto shift =
-        algo::AffineTransform::Translation(0.25 * static_cast<double>(++next),
-                                           0);
-    const geom::GeomPtr ta = shift.Apply(*a);
-    const geom::GeomPtr tb = shift.Apply(*b);
-    state.ResumeTiming();
-    for (int call = 0; call < 2; ++call) {
-      auto im = relate::Relate(*ta, *tb);
-      overlap = overlap && im.ok() && im.value().Matches("2********");
-      benchmark::DoNotOptimize(im);
-    }
-  }
-  state.SetLabel("vertices=" + std::to_string(n));
-  if (full->Value() - full_before > static_cast<uint64_t>(state.iterations())) {
-    state.SkipWithError("an admission ran the kernel");
-  }
-  if (!overlap) state.SkipWithError("relate missed the overlap");
-}
-BENCHMARK(BM_RelateMemoAdmission)->Arg(8)->Arg(32)->Arg(128);
 
 // Each candidate point meets the same target on every pass, so after the
 // first pass the full-path relates are memo hits.

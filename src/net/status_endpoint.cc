@@ -16,8 +16,8 @@ namespace {
 /// A scraper that sends more header than this is not curl; drop it.
 constexpr size_t kMaxRequestBytes = 4096;
 
-/// Parses "GET /path HTTP/1.x" out of the request head. Returns false on
-/// anything that is not a well-formed GET request line.
+}  // namespace
+
 bool ParseRequestPath(const std::string& head, std::string* path) {
   if (head.compare(0, 4, "GET ") != 0) return false;
   const size_t path_end = head.find(' ', 4);
@@ -25,8 +25,6 @@ bool ParseRequestPath(const std::string& head, std::string* path) {
   *path = head.substr(4, path_end - 4);
   return head.compare(path_end, 6, " HTTP/") == 0;
 }
-
-}  // namespace
 
 StatusEndpoint::~StatusEndpoint() { Close(); }
 

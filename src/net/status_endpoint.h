@@ -24,6 +24,10 @@
 
 namespace spatter::net {
 
+/// Parses "GET /path HTTP/1.x" out of a request head into `path`. Returns
+/// false on anything that is not a well-formed GET request line.
+bool ParseRequestPath(const std::string& head, std::string* path);
+
 class StatusEndpoint {
  public:
   /// Maps a request path ("/metrics") to a JSON body; empty string = 404.

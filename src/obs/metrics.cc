@@ -8,7 +8,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "common/strings.h"
 
@@ -28,14 +27,20 @@ Result<int64_t> ParseI64(const std::string& s) {
   return static_cast<int64_t>(neg ? 0 - mag : mag);
 }
 
-std::vector<std::string> SplitWs(const std::string& line) {
+// Splits `s` at every `sep`, keeping empty fields: the encoder ends each
+// line with one newline, separates fields with one space and bucket cells
+// with one comma, so an empty field or cell is a spelling it never prints.
+std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) {
-    out.push_back(tok);
+  size_t start = 0;
+  for (;;) {
+    const size_t end = s.find(sep, start);
+    out.push_back(s.substr(start, end - start));
+    if (end == std::string::npos) {
+      return out;
+    }
+    start = end + 1;
   }
-  return out;
 }
 
 Status Malformed(const std::string& what) {
@@ -185,21 +190,11 @@ std::string MetricsSnapshot::EncodeText() const {
 }
 
 Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
-  std::vector<std::string> lines;
-  {
-    size_t start = 0;
-    while (start <= text.size()) {
-      size_t nl = text.find('\n', start);
-      if (nl == std::string::npos) {
-        if (start < text.size()) {
-          return Malformed("missing trailing newline");
-        }
-        break;
-      }
-      lines.push_back(text.substr(start, nl - start));
-      start = nl + 1;
-    }
+  std::vector<std::string> lines = Split(text, '\n');
+  if (!lines.back().empty()) {
+    return Malformed("missing trailing newline");
   }
+  lines.pop_back();
   if (lines.size() < 2) {
     return Malformed("truncated document");
   }
@@ -208,7 +203,7 @@ Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
   }
   // Validate the `end <n>` trailer before trusting the body.
   {
-    std::vector<std::string> f = SplitWs(lines.back());
+    std::vector<std::string> f = Split(lines.back(), ' ');
     if (f.size() != 2 || f[0] != "end") {
       return Malformed("missing end trailer");
     }
@@ -219,9 +214,9 @@ Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
   }
   MetricsSnapshot snap;
   for (size_t li = 1; li + 1 < lines.size(); ++li) {
-    std::vector<std::string> f = SplitWs(lines[li]);
-    if (f.empty()) {
-      return Malformed("empty body line");
+    std::vector<std::string> f = Split(lines[li], ' ');
+    if (std::find(f.begin(), f.end(), "") != f.end()) {
+      return Malformed("empty field in line " + std::to_string(li));
     }
     if (f[0] == "c") {
       if (f.size() != 3) {
@@ -258,14 +253,7 @@ Result<MetricsSnapshot> MetricsSnapshot::DecodeText(const std::string& text) {
       if (f[4] != "-") {
         size_t prev_idx = 0;
         bool first = true;
-        size_t start = 0;
-        const std::string& cells = f[4];
-        while (start < cells.size()) {
-          size_t comma = cells.find(',', start);
-          std::string cell = cells.substr(
-              start, comma == std::string::npos ? std::string::npos
-                                                : comma - start);
-          start = comma == std::string::npos ? cells.size() : comma + 1;
+        for (const std::string& cell : Split(f[4], ',')) {
           size_t colon = cell.find(':');
           if (colon == std::string::npos) {
             return Malformed("histogram cell '" + cell + "'");

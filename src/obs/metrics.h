@@ -182,7 +182,8 @@ struct MetricsSnapshot {
   /// checkpoints embed (hex-wrapped); DecodeText rejects version skew,
   /// truncation (the `end <n>` trailer must count the body), unknown line
   /// kinds, malformed numbers, duplicate names, out-of-range bucket
-  /// indices, and count/bucket-sum mismatches.
+  /// indices, count/bucket-sum mismatches, and any field separator but
+  /// one space (one comma between bucket cells).
   std::string EncodeText() const;
   static Result<MetricsSnapshot> DecodeText(const std::string& text);
 };

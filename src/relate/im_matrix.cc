@@ -47,7 +47,7 @@ Result<IntersectionMatrix> IntersectionMatrix::FromCode(
         return Status::InvalidArgument(
             std::string("invalid DE-9IM code character '") + c + "'");
     }
-    im.dims_[i / 3][i % 3] = dim;
+    im.dims_[i / 3][i % 3] = static_cast<int8_t>(dim);
   }
   return im;
 }

@@ -2,6 +2,7 @@
 #ifndef SPATTER_RELATE_IM_MATRIX_H_
 #define SPATTER_RELATE_IM_MATRIX_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/status.h"
@@ -14,7 +15,8 @@ enum class Location { kInterior = 0, kBoundary = 1, kExterior = 2 };
 const char* LocationName(Location loc);
 
 /// The 3x3 dimension matrix. Entries hold the dimension of the pairwise
-/// intersection: -1 encodes F (empty), otherwise 0, 1, or 2.
+/// intersection: -1 encodes F (empty), otherwise 0, 1, or 2. A cell is one
+/// byte, so the relate memo's records stay small.
 class IntersectionMatrix {
  public:
   static constexpr int kFalse = -1;
@@ -29,12 +31,12 @@ class IntersectionMatrix {
     return dims_[static_cast<int>(a)][static_cast<int>(b)];
   }
   void Set(Location a, Location b, int dim) {
-    dims_[static_cast<int>(a)][static_cast<int>(b)] = dim;
+    dims_[static_cast<int>(a)][static_cast<int>(b)] = static_cast<int8_t>(dim);
   }
   /// Raises the entry to `dim` if larger (dimension lattice F<0<1<2).
   void SetAtLeast(Location a, Location b, int dim) {
-    int& cell = dims_[static_cast<int>(a)][static_cast<int>(b)];
-    if (dim > cell) cell = dim;
+    int8_t& cell = dims_[static_cast<int>(a)][static_cast<int>(b)];
+    if (dim > cell) cell = static_cast<int8_t>(dim);
   }
 
   /// 9-character DE-9IM code ("FF21F1102").
@@ -51,7 +53,7 @@ class IntersectionMatrix {
   bool operator==(const IntersectionMatrix& o) const;
 
  private:
-  int dims_[3][3];
+  int8_t dims_[3][3];
 };
 
 }  // namespace spatter::relate

@@ -34,7 +34,7 @@
 // (Relate once per kernel run, LocatePoint once per call). A kernel run
 // locates dozens of points, so this replaces dozens of atomic registry
 // hits with one per reached site, and the relate memo keeps the tally as
-// the entry's whole record of effects.
+// a record's whole account of effects.
 #ifndef SPATTER_RELATE_POINT_LOCATOR_H_
 #define SPATTER_RELATE_POINT_LOCATOR_H_
 

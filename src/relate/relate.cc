@@ -381,170 +381,98 @@ IntersectionMatrix KernelRelate(const Geometry& a, const Geometry& b,
   return im;
 }
 
-// Per-thread memo in front of FullRelate (relate.h states the key, replay,
-// staging and budget invariants). It allocates everything it uses on the
-// thread's first full-path call.
+// Per-thread memo in front of FullRelate (relate.h states the key, replay
+// and log invariants). It allocates everything it uses on the thread's
+// first full-path call.
 class RelateMemo {
  public:
   IntersectionMatrix Relate(const Geometry& a, const Geometry& b,
                             const faults::FaultState* faults);
 
  private:
-  static constexpr size_t kKeyWords = 256 * 1024 / sizeof(uint64_t);
-  static constexpr size_t kSeenSlots = 4096;
-  static constexpr size_t kSlots = 4096;  // lookup table, power of two
-  static constexpr size_t kMaxEntries = kSlots / 2;
-  static constexpr size_t kRingWords = 32 * 1024;
+  static constexpr size_t kLogWords = 64 * 1024;
+  static constexpr size_t kIndexSlots = 16384;
 
   // What a kernel run leaves besides its metrics.
   struct Outcome {
     IntersectionMatrix im;
     Tally tally;
   };
-  // A staged record is a header word (the key's size), the outcome and the
-  // key, back to back in the ring.
+  // A record is a header word (the key's size), the outcome and the key,
+  // back to back in the log.
   static_assert(std::is_trivially_copyable_v<Outcome>);
   static constexpr size_t kOutcomeWords =
       (sizeof(Outcome) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
+  static_assert(kOutcomeWords == 7,
+                "a record's header and outcome take 8 words; a layout change "
+                "changes how many records the log holds");
 
-  struct Entry {
-    uint64_t hash;
-    uint32_t key_begin;  // into words_
-    uint32_t key_size;
-    Outcome outcome;
-  };
-  // One slot of the admission filter: the hash last sighted there and, if
-  // that sighting was staged, its record's ring position + 1 (0: none).
-  struct Seen {
-    uint64_t hash = 0;
-    uint64_t staged = 0;
-  };
-
-  void Allocate();
-  const Entry* Find(uint64_t hash) const;
-  uint64_t Stage(const Outcome& outcome);
-  bool FindStaged(uint64_t staged, Outcome* outcome) const;
-  void Admit(uint64_t hash, const Outcome& outcome);
+  const uint64_t* Find(uint64_t slot) const;
+  uint64_t Append(const Outcome& outcome);
 
   std::vector<uint64_t> key_;  // the current call's key
-  std::vector<Seen> seen_;     // admission filter, one slot per hash
-  // First sightings' records; ring_end_ counts the words ever staged (a
-  // record's position is its first word's count), ring_floor_ the words
-  // staged before the last flush, which the flush forgot.
-  std::unique_ptr<uint64_t[]> ring_;
-  uint64_t ring_end_ = 0;
-  uint64_t ring_floor_ = 0;
-  std::vector<uint64_t> words_;  // admitted keys, back to back
-  std::vector<Entry> entries_;
-  std::vector<uint32_t> slots_;  // entry index + 1; 0 = free
+  // Every kernel run's record; log_end_ counts the words ever appended (a
+  // record's position is its first word's count).
+  std::unique_ptr<uint64_t[]> log_;
+  uint64_t log_end_ = 0;
+  std::vector<uint64_t> index_;  // by key hash: record position + 1; 0 = none
 };
 
 IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
                                       const faults::FaultState* faults) {
-  if (seen_.empty()) Allocate();
+  if (!log_) {
+    log_.reset(new uint64_t[kLogWords]);  // written before it is read
+    index_.assign(kIndexSlots, 0);
+  }
   key_.clear();
   key_.push_back(faults != nullptr);
   key_.push_back(faults ? faults->EnabledMask() : 0);
   AppendKey(a, &key_);
   AppendKey(b, &key_);
-  const uint64_t hash = HashKey(key_);
+  uint64_t& slot = index_[HashKey(key_) % kIndexSlots];
 
-  if (const Entry* e = Find(hash)) {
-    SPATTER_METRIC_INC("relate.memo.hit");
-    e->outcome.tally.Apply(faults);
-    return e->outcome.im;
-  }
-
-  // Admit on the second sighting only: most keys are the affine image an
-  // AEI query draws once, and they would evict the reusable SDB1 pairs.
-  // The first sighting is staged, so the second need not run the kernel
-  // again while its record is still in the ring.
-  Seen& seen = seen_[hash % kSeenSlots];
   Outcome outcome;
-  if (seen.hash != hash || key_.size() > kKeyWords) {
-    outcome.im = FullRelate(a, b, faults, &outcome.tally);
-    seen.hash = hash;
-    seen.staged = key_.size() <= kKeyWords ? Stage(outcome) : 0;
+  if (const uint64_t* record = Find(slot)) {
+    SPATTER_METRIC_INC("relate.memo.hit");
+    std::memcpy(static_cast<void*>(&outcome), record + 1, sizeof outcome);
+    // A hit in the log's older half moves to its head: a pair that recurs
+    // outlives the affine images each AEI query relates once.
+    if (log_end_ - (slot - 1) > kLogWords / 2) slot = Append(outcome);
   } else {
-    if (FindStaged(seen.staged, &outcome)) {
-      SPATTER_METRIC_INC("relate.memo.staged");
-    } else {
-      outcome.im = FullRelate(a, b, faults, &outcome.tally);
-    }
-    Admit(hash, outcome);
+    outcome.im = FullRelate(a, b, faults, &outcome.tally);
+    slot = Append(outcome);
   }
   outcome.tally.Apply(faults);
   return outcome.im;
 }
 
-void RelateMemo::Allocate() {
-  seen_.resize(kSeenSlots);
-  ring_.reset(new uint64_t[kRingWords]);  // written before it is read
-  words_.reserve(kKeyWords);
-  entries_.reserve(kMaxEntries);
-  slots_.assign(kSlots, 0);
-}
-
-const RelateMemo::Entry* RelateMemo::Find(uint64_t hash) const {
-  for (size_t i = hash >> 32;; ++i) {
-    const uint32_t slot = slots_[i % kSlots];
-    if (slot == 0) return nullptr;
-    const Entry& e = entries_[slot - 1];
-    if (e.hash == hash && e.key_size == key_.size() &&
-        std::equal(key_.begin(), key_.end(), words_.begin() + e.key_begin)) {
-      return &e;
-    }
+// The record `slot` names when the log still holds it (at most kLogWords
+// words appended from its first word on) and its key is the current key,
+// word for word; null otherwise.
+const uint64_t* RelateMemo::Find(uint64_t slot) const {
+  if (slot == 0 || log_end_ - (slot - 1) > kLogWords) return nullptr;
+  const uint64_t* record = &log_[(slot - 1) % kLogWords];
+  if (record[0] != key_.size() ||
+      !std::equal(key_.begin(), key_.end(), record + 1 + kOutcomeWords)) {
+    return nullptr;
   }
+  return record;
 }
 
-// Writes the current key's record after the last one, at the ring's start
-// when it would not fit before the end, and returns Seen::staged for it (0
-// for a record larger than the ring).
-uint64_t RelateMemo::Stage(const Outcome& outcome) {
+// Writes the current key's record after the last one, at the log's start
+// when it would not fit before the end, and returns its position + 1 (0 for
+// a record larger than the log, which is not kept).
+uint64_t RelateMemo::Append(const Outcome& outcome) {
   const size_t size = 1 + kOutcomeWords + key_.size();
-  if (size > kRingWords) return 0;
-  const size_t tail = kRingWords - ring_end_ % kRingWords;
-  if (size > tail) ring_end_ += tail;
-  uint64_t* record = &ring_[ring_end_ % kRingWords];
+  if (size > kLogWords) return 0;
+  const size_t tail = kLogWords - log_end_ % kLogWords;
+  if (size > tail) log_end_ += tail;
+  uint64_t* record = &log_[log_end_ % kLogWords];
   record[0] = key_.size();
   std::memcpy(record + 1, &outcome, sizeof outcome);
   std::copy(key_.begin(), key_.end(), record + 1 + kOutcomeWords);
-  ring_end_ += size;
-  return ring_end_ - size + 1;
-}
-
-// Reads the record Seen::staged names into *outcome when the ring still
-// holds it (no flush since, fewer than kRingWords words staged after its
-// first) and its key is the current key, word for word.
-bool RelateMemo::FindStaged(uint64_t staged, Outcome* outcome) const {
-  if (staged == 0) return false;
-  const uint64_t at = staged - 1;
-  if (at < ring_floor_ || ring_end_ - at > kRingWords) return false;
-  const uint64_t* record = &ring_[at % kRingWords];
-  if (record[0] != key_.size() ||
-      !std::equal(key_.begin(), key_.end(), record + 1 + kOutcomeWords)) {
-    return false;
-  }
-  std::memcpy(static_cast<void*>(outcome), record + 1, sizeof *outcome);
-  return true;
-}
-
-void RelateMemo::Admit(uint64_t hash, const Outcome& outcome) {
-  if (words_.size() + key_.size() > kKeyWords ||
-      entries_.size() == kMaxEntries) {
-    SPATTER_METRIC_INC("relate.memo.flush");
-    words_.clear();
-    entries_.clear();
-    std::fill(slots_.begin(), slots_.end(), 0);
-    ring_floor_ = ring_end_;
-  }
-  SPATTER_METRIC_INC("relate.memo.admit");
-  entries_.push_back({hash, static_cast<uint32_t>(words_.size()),
-                      static_cast<uint32_t>(key_.size()), outcome});
-  words_.insert(words_.end(), key_.begin(), key_.end());
-  size_t i = hash >> 32;
-  while (slots_[i % kSlots] != 0) ++i;
-  slots_[i % kSlots] = static_cast<uint32_t>(entries_.size());
+  log_end_ += size;
+  return log_end_ - size + 1;
 }
 
 IntersectionMatrix MemoizedFullRelate(const Geometry& a, const Geometry& b,

@@ -33,34 +33,33 @@
 //    relate::Tally (point_locator.h): how often it reached each of its
 //    eight coverage sites and which of its two faults it fired. A kernel
 //    run applies its tally once (CoverageRegistry::Hit(site, n) per
-//    reached site, FaultState::Fire per fired id), and an entry keeps the
-//    tally of the run it was admitted with, which a hit applies the same
-//    way; so fault hits, coverage traces, captures and counters end
-//    exactly as a kernel run leaves them. Only the metrics differ:
+//    reached site, FaultState::Fire per fired id), and a record keeps the
+//    tally of its run, which a hit applies the same way; so fault hits,
+//    coverage traces, captures and counters end exactly as a kernel run
+//    leaves them, whatever the log keeps. Only the metrics differ:
 //    `relate.full` counts kernel runs, `relate.memo.hit` the replays. The
 //    kernel never calls Relate, and a load statement's capture
 //    (fuzz::LoadDatabase) sees an applied tally as the kernel's hits.
-//  - Budget: a key is admitted on its second sighting (a 4,096-slot table
-//    of key hashes decides, and never answers a lookup), and one thread's
-//    memo holds at most 256 KiB of key words in at most 2,048 entries; it
-//    is flushed when the next admission would exceed either
-//    (`relate.memo.admit`, `relate.memo.flush`).
-//  - Staging: each first sighting's key, matrix and tally are written to a
-//    per-thread ring of 32K words (256 KiB), the oldest overwritten first,
-//    and the filter slot keeps the record's ring position beside the hash.
-//    A second sighting whose staged key is still in the ring and equal
-//    word for word is admitted from it with no kernel run
-//    (`relate.memo.staged`); one whose record was overwritten runs the
-//    kernel. A flush forgets the ring too. Staging changes no admission,
-//    hit or flush, only how many kernel runs admissions take.
-//  - The memo, its filter and its ring are allocated on a thread's first
-//    full-path call, all at their final sizes.
+//  - Log: every kernel run appends one record (a header word with the
+//    key's size, the matrix and tally, then the key) to a per-thread ring
+//    of 64K words (512 KiB), the oldest overwritten first; a record larger
+//    than the ring is not kept. An index of 16,384 slots, chosen by the
+//    key's hash, holds the position of the last record logged at each. A
+//    call hits when its slot names a record still in the ring (at most 64K
+//    words appended from its first word on) whose key equals the call's
+//    word for word; any other call runs the kernel and repoints the slot.
+//    A hit on a record older than half the ring re-appends it at the head,
+//    so a pair that recurs (SDB1's, across an iteration's queries) outlives
+//    the pairs related once (each AEI query's affine image). Two keys that
+//    share a slot evict each other's index entry, which costs a kernel
+//    run, never a wrong answer. The log and index are allocated on a
+//    thread's first full-path call, at their final sizes.
 // RelateUnmemoized is the same two stages with the kernel run every time:
 // the reference tests and benches hold Relate to.
 // Once its per-thread buffers are warm (operands, noder input and result,
 // interior-point scanlines, the memo's key), a call that fires no fault
-// allocates nothing, whichever stage answers it, a staged admission
-// included (relate_alloc_test).
+// allocates nothing, whichever stage answers it, a memo hit that moves its
+// record included (relate_alloc_test).
 #ifndef SPATTER_RELATE_RELATE_H_
 #define SPATTER_RELATE_RELATE_H_
 

@@ -3,8 +3,9 @@
 // (TestCaseCodec::Decode), the fleet wire (fleet::DecodeFrame), the SQL
 // parser (sql::ParseStatement), the checkpoint codec
 // (fleet::DecodeCheckpoint), the metrics text codec
-// (MetricsSnapshot::DecodeText) and the trace codec
-// (TraceSnapshot::DecodeJsonl). Fixed seeds, fixed input counts, AFL-style
+// (MetricsSnapshot::DecodeText), the trace codec
+// (TraceSnapshot::DecodeJsonl) and the status endpoint's request line
+// (net::ParseRequestPath). Fixed seeds, fixed input counts, AFL-style
 // operators (bit flips, byte sets, truncation, range deletion, chunk
 // duplication, splices and dictionary tokens;
 // https://lcamtuf.coredump.cx/afl/technical_details.txt). Every accepted
@@ -35,6 +36,7 @@
 #include "geom/wkb.h"
 #include "geom/wkt_reader.h"
 #include "geom/wkt_writer.h"
+#include "net/status_endpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
@@ -754,6 +756,34 @@ TEST(DecoderFuzz, TraceJsonlAcceptsOnlyFixedPoints) {
         if (!s2.ok()) return true;
         EXPECT_EQ(s2.value().events.size(), s1.value().events.size());
         EXPECT_EQ(s2.value().EncodeJsonl(), t1) << text;
+        return true;
+      });
+  EXPECT_GT(accepted, 1000u);
+}
+
+// The request heads a scraper sends for the status endpoint's three
+// routes; an accepted path, rendered back into a request head, parses to
+// itself.
+TEST(DecoderFuzz, StatusRequestPathAcceptsOnlyFixedPoints) {
+  std::vector<Bytes> seeds;
+  for (const char* path : {"/metrics", "/fleet", "/bugs"}) {
+    seeds.push_back(ToBytes(std::string("GET ") + path + " HTTP/1.0\r\n\r\n"));
+  }
+  std::vector<Bytes> tokens;
+  for (const char* token : {"GET ", "POST ", " ", "/", "?", "%20", " HTTP/",
+                            "HTTP/1.1", "\r\n", "\n", "\r\n\r\n"}) {
+    tokens.push_back(ToBytes(token));
+  }
+
+  const size_t accepted = FuzzInputs(
+      seeds, tokens, /*seed=*/0x5eed9, /*count=*/100000, [](const Bytes& in) {
+        const std::string head(in.begin(), in.end());
+        std::string p1;
+        if (!net::ParseRequestPath(head, &p1)) return false;
+        const std::string h1 = "GET " + p1 + " HTTP/1.0\r\n\r\n";
+        std::string p2;
+        EXPECT_TRUE(net::ParseRequestPath(h1, &p2)) << head;
+        EXPECT_EQ(p2, p1) << head;
         return true;
       });
   EXPECT_GT(accepted, 1000u);

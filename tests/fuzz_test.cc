@@ -574,10 +574,11 @@ TEST(LoadSnapshotExactness, CachedLoadsEqualTheStatementPath) {
   EXPECT_GT(restores, 0u);
 }
 
-// The relate memo records a kernel run on a pair's second sighting. When
-// that happens inside a snapshot build (the validity check of a repeated
-// collection), the INSERT's capture must see the run's hits too: captures
-// nest. The collection is unique to this test, so the memo starts cold.
+// The relate memo logs a pair's kernel run and replays it when the pair
+// comes again. When both happen inside a snapshot build (the validity
+// check of a repeated collection), each INSERT's capture must see the
+// kernel's hits, run or replayed: captures nest. The collection is unique
+// to this test, so the memo starts cold.
 TEST(LoadSnapshotExactness, KernelRunsRecordedInsideABuildAreReplayed) {
   const std::string overlap =
       "GEOMETRYCOLLECTION(POLYGON((40.5 0,42.5 0,42.5 2,40.5 2,40.5 0)),"

@@ -259,6 +259,16 @@ TEST(SnapshotTest, DecodeRejectsCorruption) {
   EXPECT_FALSE(MetricsSnapshot::DecodeText(std::string(kMetricsTextMagic) +
                                            "\nc a 1\nend 2\n")
                    .ok());
+  // Spellings the encoder never prints: a trailing comma in a bucket list,
+  // leading, trailing or repeated spaces, tabs, an indented trailer.
+  for (const char* body : {"\nh x 2 30 10:2,\nend 1\n",
+                           "\n  c  y   5  \nend 1\n", "\nc\ty\t5\nend 1\n",
+                           "\nc a 1\n  end 1\n"}) {
+    EXPECT_FALSE(
+        MetricsSnapshot::DecodeText(std::string(kMetricsTextMagic) + body)
+            .ok())
+        << body;
+  }
 }
 
 TEST(RegistryTest, RegisterSnapshotReset) {

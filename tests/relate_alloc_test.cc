@@ -6,8 +6,8 @@
 // global operator new to count allocations (it is a binary of its own so
 // the replacement touches no other suite) and holds Relate to zero on the
 // empty-operand exits, the envelope pre-filter, the kernel and the memo's
-// admissions, staged or not, with faults null and with enabled faults that
-// do not fire.
+// hits, a hit that moves its record to the log's head included, with
+// faults null and with enabled faults that do not fire.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -97,7 +97,7 @@ using geom::GeomPtr;
 // deep are left out: kGeosCrashRelateNestedGc would fire on them.
 std::vector<GeomPtr> GeneratedGeometries() {
   std::vector<GeomPtr> out;
-  std::set<std::string> seen;  // each key once: a repeat would be admitted
+  std::set<std::string> seen;  // each key once: a repeat would be a hit
   for (int d = 0; d < engine::kNumDialects; ++d) {
     engine::Engine e(static_cast<engine::Dialect>(d), false);
     fuzz::GeneratorConfig config;
@@ -131,9 +131,9 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
   ASSERT_GT(base.size(), 40u);
   // The timed calls relate translated copies of every pair: keys the memo
   // has never seen. In the first pass each call that passes the front
-  // runs the kernel and none is admitted. The second pass relates a second
-  // copy's pairs twice in a row: the second call admits its pair from the
-  // first's staged record.
+  // runs the kernel and none is a hit. The second pass relates a second
+  // copy's pairs twice in a row: the second call is a hit on the record the
+  // first logged.
   std::vector<GeomPtr> fresh[2];
   for (int copy = 0; copy < 2; ++copy) {
     const auto shift =
@@ -169,6 +169,27 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
     }
   }
 
+  // Relates `n` pairs no call has related on `f`, untimed, each a kernel
+  // run whose record takes about 2,000 words of the memo's log: a line of
+  // 1,000 repeated vertices against a bar.
+  int next_key = 0;
+  const auto one_off_keys = [&](int n, const faults::FaultState* f) {
+    for (int i = 0; i < n; ++i, ++next_key) {
+      const double x = -5000.0 - next_key;
+      std::vector<geom::Coord> pts(1000, geom::Coord{x, 0});
+      pts.push_back({x, 10});
+      const GeomPtr line = geom::MakeLineString(std::move(pts));
+      const GeomPtr bar = geom::MakeLineString({{x - 1, 5}, {x + 1, 5}});
+      ASSERT_TRUE(Relate(*line, *bar, f).ok());
+    }
+  };
+  const GeomPtr square =
+      geom::ReadWkt("POLYGON((7000 7000,7004 7000,7004 7004,7000 7004,"
+                    "7000 7000))")
+          .Take();
+  const GeomPtr cross = geom::ReadWkt("LINESTRING(6999 7001.5,7005 7002.5)")
+                            .Take();
+
   // Relates every pair of `copy` `times` times in a row on `f`, counting
   // allocations; returns the calls made.
   size_t allocations = 0;
@@ -202,12 +223,10 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
     const std::string label = f ? "enabled faults" : "faults null";
     uint64_t full = CounterValue("relate.full");
     const uint64_t prefiltered = CounterValue("relate.envelope_prefilter");
-    uint64_t admitted = CounterValue("relate.memo.admit");
-    const uint64_t hits = CounterValue("relate.memo.hit");
+    uint64_t hits = CounterValue("relate.memo.hit");
     size_t calls = timed_pass(fresh[0], 1, f);
     EXPECT_EQ(allocations, 0u)
         << label << ", over " << calls << " calls; first: " << first;
-    EXPECT_EQ(CounterValue("relate.memo.admit"), admitted) << label;
     EXPECT_EQ(CounterValue("relate.memo.hit"), hits) << label;
     EXPECT_GT(CounterValue("relate.full") - full, calls / 10) << label;
     if (f == nullptr) {
@@ -215,20 +234,35 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
                 calls / 10);
     }
 
-    // Each kernel pair of the second copy: one kernel run, then a staged
-    // admission.
+    // Each kernel pair of the second copy: one kernel run, then a hit.
     full = CounterValue("relate.full");
-    admitted = CounterValue("relate.memo.admit");
-    const uint64_t staged = CounterValue("relate.memo.staged");
+    hits = CounterValue("relate.memo.hit");
     calls = timed_pass(fresh[1], 2, f);
     EXPECT_EQ(allocations, 0u) << label << ", second pass over " << calls
                                << " calls; first: " << first;
     const uint64_t kernel_runs = CounterValue("relate.full") - full;
     EXPECT_GT(kernel_runs, calls / 20) << label;
-    EXPECT_EQ(CounterValue("relate.memo.admit") - admitted, kernel_runs)
-        << label;
-    EXPECT_EQ(CounterValue("relate.memo.staged") - staged, kernel_runs)
-        << label;
+    EXPECT_EQ(CounterValue("relate.memo.hit") - hits, kernel_runs) << label;
+
+    // A pair hit after 40K words of one-off keys finds its record older
+    // than half the memo's 64K-word log and moves it to the head. Hit
+    // again after 40K words more, it is still logged only because it moved.
+    ASSERT_TRUE(Relate(*square, *cross, f).ok());  // the kernel logs it
+    for (int round = 0; round < 2; ++round) {
+      one_off_keys(20, f);  // 40K words
+      if (HasFatalFailure()) return;
+      full = CounterValue("relate.full");
+      hits = CounterValue("relate.memo.hit");
+      g_allocations.store(0);
+      g_counting.store(true);
+      const Result<IntersectionMatrix> im = Relate(*square, *cross, f);
+      g_counting.store(false);
+      EXPECT_TRUE(im.ok());
+      EXPECT_EQ(g_allocations.load(), 0u) << label << ", round " << round;
+      EXPECT_EQ(CounterValue("relate.full"), full) << label << ", " << round;
+      EXPECT_EQ(CounterValue("relate.memo.hit") - hits, 1u)
+          << label << ", round " << round;
+    }
     if (f != nullptr) {
       EXPECT_TRUE(f->Hits().empty()) << "a fault fired";
     }

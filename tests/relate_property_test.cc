@@ -570,10 +570,8 @@ struct RelateRun {
   std::string result;  // the matrix code, or the failed status
   std::set<faults::FaultId> fired;
   std::vector<std::pair<uint32_t, uint64_t>> coverage;  // site, hit delta
-  uint64_t full = 0;    // kernel runs (relate.full delta)
-  uint64_t hits = 0;    // memo replays (relate.memo.hit delta)
-  uint64_t admits = 0;  // admissions (relate.memo.admit delta)
-  uint64_t staged = 0;  // of them, from a staged sighting
+  uint64_t full = 0;  // kernel runs (relate.full delta)
+  uint64_t hits = 0;  // memo replays (relate.memo.hit delta)
 
   bool operator==(const RelateRun& o) const {
     return result == o.result && fired == o.fired && coverage == o.coverage;
@@ -587,8 +585,7 @@ std::ostream& operator<<(std::ostream& os, const RelateRun& r) {
   }
   os << " } coverage {";
   for (const auto& [site, n] : r.coverage) os << " " << site << "x" << n;
-  return os << " } full=" << r.full << " hits=" << r.hits
-            << " admits=" << r.admits << " staged=" << r.staged;
+  return os << " } full=" << r.full << " hits=" << r.hits;
 }
 
 uint64_t CounterValue(const char* name) {
@@ -602,8 +599,6 @@ RelateRun RunRelate(RelateFn fn, const Geometry& a, const Geometry& b,
   auto& registry = CoverageRegistry::Instance();
   const uint64_t full = CounterValue("relate.full");
   const uint64_t hits = CounterValue("relate.memo.hit");
-  const uint64_t admits = CounterValue("relate.memo.admit");
-  const uint64_t staged = CounterValue("relate.memo.staged");
   const std::vector<uint64_t> before = registry.SnapshotHits();
   const auto r = fn(a, b, faults);
   const std::vector<uint64_t> after = registry.SnapshotHits();
@@ -616,8 +611,6 @@ RelateRun RunRelate(RelateFn fn, const Geometry& a, const Geometry& b,
   }
   run.full = CounterValue("relate.full") - full;
   run.hits = CounterValue("relate.memo.hit") - hits;
-  run.admits = CounterValue("relate.memo.admit") - admits;
-  run.staged = CounterValue("relate.memo.staged") - staged;
   return run;
 }
 
@@ -632,13 +625,12 @@ class RelateMemoExactness : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RelateMemoExactness, EverySightingEqualsTheKernel) {
   // Each pair is related three times, each time on a fresh FaultState with
-  // the same enabled set: the first sighting, the admission and the hit.
-  // Each equals the unmemoized kernel in matrix or status, fired ids and
-  // per-site coverage counts. The admission is served from the staged
-  // first sighting and the third call from the memo, neither with a
+  // the same enabled set. Each call equals the unmemoized kernel in matrix
+  // or status, fired ids and per-site coverage counts. The first call runs
+  // the kernel and logs its record; the second and third are hits, with no
   // kernel run. A pair an earlier call already related (an input repeated,
-  // or the fixed inputs under another seed) is not sighted first here; it
-  // is held to the kernel and to the hit on its third call only.
+  // or the fixed inputs under another seed) may still be in the log, so
+  // its first call may be a hit too.
   using faults::FaultId;
   const std::vector<std::vector<FaultId>> settings = {
       {},
@@ -650,7 +642,7 @@ TEST_P(RelateMemoExactness, EverySightingEqualsTheKernel) {
   inputs.push_back(geom::ReadWkt("GEOMETRYCOLLECTION(GEOMETRYCOLLECTION("
                                  "MULTIPOINT((1 1),(2 2))),POINT(0 0))")
                        .Take());
-  size_t full_pairs = 0, staged_pairs = 0, replayed_faults = 0;
+  size_t full_pairs = 0, first_runs = 0, replayed_faults = 0;
   std::map<FaultId, size_t> fired;
   for (const auto& enabled : settings) {
     for (const auto& a : inputs) {
@@ -664,15 +656,12 @@ TEST_P(RelateMemoExactness, EverySightingEqualsTheKernel) {
         }
         if (want.full == 1) {
           ++full_pairs;
-          if (got[0].full == 1 && got[0].admits == 0) {  // a first sighting
-            ++staged_pairs;
-            ASSERT_EQ(got[1].full, 0u) << "admission: " << at();
-            ASSERT_EQ(got[1].hits, 0u) << "admission: " << at();
-            ASSERT_EQ(got[1].admits, 1u) << "admission: " << at();
-            ASSERT_EQ(got[1].staged, 1u) << "admission: " << at();
+          ASSERT_EQ(got[0].full + got[0].hits, 1u) << "call 0: " << at();
+          first_runs += got[0].full;
+          for (int call = 1; call < 3; ++call) {
+            ASSERT_EQ(got[call].full, 0u) << "call " << call << ": " << at();
+            ASSERT_EQ(got[call].hits, 1u) << "call " << call << ": " << at();
           }
-          ASSERT_EQ(got[2].full, 0u) << at();
-          ASSERT_EQ(got[2].hits, 1u) << at();
           if (!got[2].fired.empty()) ++replayed_faults;
         }
         for (const FaultId id : want.fired) ++fired[id];
@@ -680,7 +669,7 @@ TEST_P(RelateMemoExactness, EverySightingEqualsTheKernel) {
     }
   }
   EXPECT_GT(full_pairs, 2000u);
-  EXPECT_GT(staged_pairs, 2000u);
+  EXPECT_GT(first_runs, 2000u);
   EXPECT_GT(replayed_faults, 0u);
   EXPECT_GT(fired[FaultId::kGeosGcBoundaryLastOneWins], 0u);
   EXPECT_GT(fired[FaultId::kGeosBoundaryEmptyElementDrop], 0u);
@@ -712,22 +701,31 @@ void ExpectMiss(const Geometry& a, const Geometry& b,
   EXPECT_EQ(got, want) << a.ToWkt() << " / " << b.ToWkt();
 }
 
-// Admits pairs with long keys (a line of 1,000 repeated vertices: cheap to
-// relate, 2,000 key words) until the budget is spent and the memo flushes,
-// so no pair an earlier test related is still memoized.
-void FlushMemo() {
-  const uint64_t flushes = CounterValue("relate.memo.flush");
-  for (int i = 0; i < 100 && CounterValue("relate.memo.flush") == flushes;
-       ++i) {
-    std::vector<geom::Coord> pts(1000, geom::Coord{100.0 + i, 0});
-    pts.push_back({100.0 + i, 10});
-    const auto long_line = geom::MakeLineString(std::move(pts));
-    const auto bar = geom::MakeLineString({{99.0 + i, 5}, {101.0 + i, 5}});
-    RunRelate(Relate, *long_line, *bar, nullptr);
-    RunRelate(Relate, *long_line, *bar, nullptr);
-  }
-  ASSERT_GT(CounterValue("relate.memo.flush"), flushes);
+// Relates a pair no call has related before: a line of `points` vertices,
+// all but the last repeated (cheap to relate), against a bar. The kernel
+// run's record takes 2 * points + 16 words of the log (relate.h): a header
+// word, 7 words of outcome and the key, which is 2 fault words, the line's
+// head, 2 words a point and the bar's 5 words.
+void RelateOneOffKey(size_t points) {
+  static int next = 0;
+  const double x = 100.0 + next++;
+  std::vector<geom::Coord> pts(points - 1, geom::Coord{x, 0});
+  pts.push_back({x, 10});
+  const auto line = geom::MakeLineString(std::move(pts));
+  const auto bar = geom::MakeLineString({{x - 1, 5}, {x + 1, 5}});
+  ASSERT_EQ(RunRelate(Relate, *line, *bar, nullptr).full, 1u) << x;
 }
+
+// Relates `n` one-off keys of 2,018 words each.
+void RelateOneOffKeys(int n) {
+  for (int i = 0; i < n && !::testing::Test::HasFatalFailure(); ++i) {
+    RelateOneOffKey(1001);
+  }
+}
+
+// Relates 80K words of one-off keys, more than the memo's 64K-word log
+// (relate.h), so no pair an earlier call related is still logged.
+void FlushMemo() { RelateOneOffKeys(40); }
 
 uint64_t Bits(double v) {
   uint64_t bits = 0;
@@ -830,35 +828,24 @@ TEST(RelateMemo, FlushedPairRecomputesAndStillEqualsTheKernel) {
   EXPECT_EQ(got, RunRelate(RelateUnmemoized, *a, *b, nullptr));
 }
 
-TEST(RelateMemo, OverwrittenStageRunsTheKernelOnAdmission) {
-  // A first sighting's staged record is overwritten once more than the
-  // ring's 32K words (relate.h) of other first sightings are staged after
-  // it. Its second sighting is still admitted, but runs the kernel.
+TEST(RelateMemo, OverwrittenRecordRunsTheKernel) {
+  // A pair's record is overwritten once more than the log's 64K words
+  // (relate.h) of other records are appended after it: the pair related
+  // again runs the kernel once, and is a hit after that.
   const auto a = Wkt("POLYGON((30.5 30,34 30,34 34,30.5 34,30.5 30))");
   const auto b = Wkt("LINESTRING(29.5 32,35 33.25)");
   const RelateRun want = RunRelate(RelateUnmemoized, *a, *b, nullptr);
   ASSERT_EQ(want.full, 1u);
   const RelateRun first = RunRelate(Relate, *a, *b, nullptr);
   ASSERT_EQ(first.full, 1u);
-  ASSERT_EQ(first.admits, 0u);
   ASSERT_EQ(first, want);
 
-  // 40 keys of about 2,000 words each (a line of 1,000 repeated vertices
-  // against a bar), each sighted once: 80K words staged.
-  for (int i = 0; i < 40; ++i) {
-    std::vector<geom::Coord> pts(1000, geom::Coord{200.0 + i, 50});
-    pts.push_back({200.0 + i, 60});
-    const auto long_line = geom::MakeLineString(std::move(pts));
-    const auto bar = geom::MakeLineString({{199.0 + i, 55}, {201.0 + i, 55}});
-    const RelateRun pushed = RunRelate(Relate, *long_line, *bar, nullptr);
-    ASSERT_EQ(pushed.full, 1u) << i;
-    ASSERT_EQ(pushed.admits, 0u) << i;
-  }
+  RelateOneOffKeys(40);  // 80K words
+  if (HasFatalFailure()) return;
 
   const RelateRun second = RunRelate(Relate, *a, *b, nullptr);
   EXPECT_EQ(second.full, 1u);
-  EXPECT_EQ(second.admits, 1u);
-  EXPECT_EQ(second.staged, 0u);
+  EXPECT_EQ(second.hits, 0u);
   EXPECT_EQ(second, want);
   const RelateRun third = RunRelate(Relate, *a, *b, nullptr);
   EXPECT_EQ(third.full, 0u);
@@ -866,35 +853,49 @@ TEST(RelateMemo, OverwrittenStageRunsTheKernelOnAdmission) {
   EXPECT_EQ(third, want);
 }
 
-TEST(RelateMemo, FlushForgetsTheStagedSightings) {
-  // A pair staged just before a flush is admitted after it with a kernel
-  // run, although its record is still in the ring.
-  FlushMemo();  // the memo now holds the one entry the flush admitted
-  if (HasFatalFailure()) return;
-  // 2,047 more admissions of small keys (a point on a short line) fill
-  // the memo's 2,048 entries, far inside its key-word budget.
-  for (int i = 0; i < 2047; ++i) {
-    const auto line = geom::MakeLineString({{i + 0.0, -40}, {i + 1.0, -40}});
-    const auto point = geom::MakePoint(i + 0.5, -40);
-    RunRelate(Relate, *line, *point, nullptr);
-    ASSERT_EQ(RunRelate(Relate, *line, *point, nullptr).admits, 1u) << i;
+TEST(RelateMemo, PromotedRecordOutlivesOneOffKeys) {
+  // A pair hit once per 40K words of one-off keys: each hit finds its
+  // record older than half the log and moves it to the head, so the pair
+  // stays a hit over three laps of the log, although every hit but the
+  // first comes more than 64K words after the pair's first kernel run.
+  const auto a = Wkt("POLYGON((50 50,54 50,54 54,50 54,50 50))");
+  const auto b = Wkt("LINESTRING(49 51.5,55 52.5)");
+  const RelateRun want = RunRelate(RelateUnmemoized, *a, *b, nullptr);
+  ASSERT_EQ(want.full, 1u);
+  ASSERT_EQ(RunRelate(Relate, *a, *b, nullptr).full, 1u);
+  for (int lap = 0; lap < 5; ++lap) {  // 200K words: three laps
+    RelateOneOffKeys(20);              // 40K words
+    if (HasFatalFailure()) return;
+    const RelateRun got = RunRelate(Relate, *a, *b, nullptr);
+    EXPECT_EQ(got.full, 0u) << lap;
+    EXPECT_EQ(got.hits, 1u) << lap;
+    EXPECT_EQ(got, want) << lap;
   }
-  const auto a = Wkt("POLYGON((40 40,44 40,44 44,40 44,40 40))");
-  const auto b = Wkt("LINESTRING(39 41.5,45 42)");
-  ASSERT_EQ(RunRelate(Relate, *a, *b, nullptr).admits, 0u);  // staged
-  // One more admission flushes.
-  const auto line = Wkt("LINESTRING(-50 -50,-49 -49)");
-  const auto point = Wkt("POINT(-49.5 -49.5)");
-  const uint64_t flushes = CounterValue("relate.memo.flush");
-  RunRelate(Relate, *line, *point, nullptr);
-  ASSERT_EQ(RunRelate(Relate, *line, *point, nullptr).admits, 1u);
-  ASSERT_EQ(CounterValue("relate.memo.flush"), flushes + 1);
+}
 
-  const RelateRun second = RunRelate(Relate, *a, *b, nullptr);
-  EXPECT_EQ(second.full, 1u);
-  EXPECT_EQ(second.admits, 1u);
-  EXPECT_EQ(second.staged, 0u);
-  EXPECT_EQ(second, RunRelate(RelateUnmemoized, *a, *b, nullptr));
+TEST(RelateMemo, RecordOlderThanTheLogRunsTheKernel) {
+  // A filler record takes all of the 64K-word log but 64 words, so one
+  // that starts at the log's start leaves the writer 64 words before its
+  // end. The second of two fillers in a row always starts there: the first
+  // leaves the writer at most 64 words before the end, where the second
+  // does not fit. A pair logged in those 64 words is skipped by the next
+  // two fillers, so its record is intact two laps later, but older than
+  // the log: the pair runs the kernel.
+  const auto filler = [] { RelateOneOffKey((64 * 1024 - 64 - 16) / 2); };
+  filler();
+  filler();
+  const auto a = Wkt("POLYGON((60 60,64 60,64 64,60 64,60 60))");
+  const auto b = Wkt("LINESTRING(59 61.5,65 62.5)");
+  const RelateRun want = RunRelate(RelateUnmemoized, *a, *b, nullptr);
+  ASSERT_EQ(RunRelate(Relate, *a, *b, nullptr).full, 1u);  // 27 words
+  filler();
+  filler();
+  if (HasFatalFailure()) return;
+
+  const RelateRun got = RunRelate(Relate, *a, *b, nullptr);
+  EXPECT_EQ(got.full, 1u);
+  EXPECT_EQ(got.hits, 0u);
+  EXPECT_EQ(got, want);
 }
 
 // --- The kernel's effects ----------------------------------------------------
