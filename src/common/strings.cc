@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 
 namespace spatter {
@@ -47,6 +48,48 @@ std::string Join(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
+}
+
+std::vector<std::string> Split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  for (;;) {
+    const size_t end = s.find(sep, start);
+    out.push_back(s.substr(start, end - start));
+    if (end == std::string::npos) return out;
+    start = end + 1;
+  }
+}
+
+void AppendF(std::string* out, const char* fmt, ...) {
+  va_list ap;
+  va_list again;
+  va_start(ap, fmt);
+  va_copy(again, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  va_end(ap);
+  if (n > 0) {
+    const size_t at = out->size();
+    out->resize(at + static_cast<size_t>(n) + 1);
+    std::vsnprintf(&(*out)[at], static_cast<size_t>(n) + 1, fmt, again);
+    out->resize(at + static_cast<size_t>(n));
+  }
+  va_end(again);
+}
+
+void AppendJsonString(std::string* out, const std::string& s) {
+  out->push_back('"');
+  for (unsigned char c : s) {
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(static_cast<char>(c));
+    } else if (c < 0x20) {
+      AppendF(out, "\\u%04x", c);
+    } else {
+      out->push_back(static_cast<char>(c));
+    }
+  }
+  out->push_back('"');
 }
 
 bool IsPlainIdentifier(const std::string& s) {

@@ -19,7 +19,7 @@ namespace {
 //
 // Version 2 appends two u8 fields after the v1 payload — the detecting
 // oracle kind and the differential secondary dialect — so v1 records
-// remain decodable (the fields default to what canonical_only implies).
+// remain decodable (their oracle is what v1's canonicalization byte says).
 constexpr char kMagic[4] = {'S', 'P', 'T', 'C'};
 constexpr uint16_t kVersion = 2;
 
@@ -271,8 +271,10 @@ Result<TestCaseRecord> TestCaseCodec::Decode(
     if (!r.F64(&v)) return Truncated();
   }
   rec.transform = algo::AffineTransform(m[0], m[1], m[2], m[3], m[4], m[5]);
+  // v1's oracle identity; a v2 record's own kind overrides it below.
   if (!r.U8(&canonical_only)) return Truncated();
-  rec.canonical_only = canonical_only != 0;
+  rec.oracle = canonical_only != 0 ? fuzz::OracleKind::kCanonicalOnly
+                                   : fuzz::OracleKind::kAei;
 
   uint32_t nsites;
   if (!r.U32(&nsites)) return Truncated();
@@ -301,11 +303,6 @@ Result<TestCaseRecord> TestCaseCodec::Decode(
     }
     rec.oracle = static_cast<fuzz::OracleKind>(oracle);
     rec.diff_secondary = static_cast<engine::Dialect>(secondary);
-    rec.canonical_only = rec.oracle == fuzz::OracleKind::kCanonicalOnly;
-  } else {
-    // v1: the canonicalization flag is all the oracle identity there was.
-    rec.oracle = rec.canonical_only ? fuzz::OracleKind::kCanonicalOnly
-                                    : fuzz::OracleKind::kAei;
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after test-case record");

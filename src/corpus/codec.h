@@ -39,11 +39,10 @@ struct TestCaseRecord {
   bool has_query = false;
   fuzz::QuerySpec query;
   algo::AffineTransform transform;  ///< identity unless a reproducer
-  /// Legacy v1 flag, kept in sync with `oracle == kCanonicalOnly` so old
-  /// readers of re-encoded records stay correct.
-  bool canonical_only = false;
   /// The oracle that detected a reproducer's discrepancy; `--replay`
-  /// re-runs THIS check. v1 records decode to kAei/kCanonicalOnly.
+  /// re-runs THIS check. Encode also writes v1's canonicalization byte,
+  /// derived from it; a v1 record decodes that byte to kAei or
+  /// kCanonicalOnly.
   fuzz::OracleKind oracle = fuzz::OracleKind::kAei;
   /// Differential reproducers: the secondary dialect of the pair.
   engine::Dialect diff_secondary = engine::Dialect::kMysql;

@@ -192,7 +192,7 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
   // Truncation check before touching any body line: the trailer must be
   // present and must count the body exactly.
   const std::string& last = lines.back();
-  const std::vector<std::string> trailer = SplitFrameFields(last);
+  const std::vector<std::string> trailer = Split(last, ' ');
   uint64_t declared = 0;
   if (trailer.size() != 2 || trailer[0] != kEnd ||
       !ParseU64(trailer[1], &declared)) {
@@ -208,7 +208,7 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
   bool saw_metrics = false;
   for (size_t i = 1; i + 1 < lines.size(); ++i) {
     const std::string& line = lines[i];
-    const std::vector<std::string> fields = SplitFrameFields(line);
+    const std::vector<std::string> fields = Split(line, ' ');
     if (fields.empty() || fields[0].empty()) return Malformed("empty line");
     const std::string& kw = fields[0];
     const size_t args = fields.size() - 1;

@@ -21,21 +21,6 @@ const char* kTypeNames[] = {"INFLIGHT", "SLICEDONE", "SLICEPROGRESS",
 
 }  // namespace
 
-std::vector<std::string> SplitFrameFields(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (start <= line.size()) {
-    const size_t space = line.find(' ', start);
-    if (space == std::string::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, space - start));
-    start = space + 1;
-  }
-  return fields;
-}
-
 bool ParseFieldF64(const std::string& s, double* out) {
   // strtod alone would also take "nan", "inf", hex, a leading '+' and
   // leading whitespace; screen the token against the printed grammar
@@ -70,15 +55,9 @@ bool ParseFieldBool01(const std::string& s, bool* out) {
 namespace {
 
 std::string FormatF64(double v) {
-  // %.6f prints every integer digit, over 300 of them near DBL_MAX: size
-  // the output from snprintf's count rather than truncating it.
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), "%.6f", v);
-  if (n < 0) return "0.000000";
-  if (static_cast<size_t>(n) < sizeof(buf)) return std::string(buf, n);
-  std::string out(static_cast<size_t>(n) + 1, '\0');
-  std::snprintf(out.data(), out.size(), "%.6f", v);
-  out.resize(static_cast<size_t>(n));
+  // %.6f prints every integer digit, over 300 of them near DBL_MAX.
+  std::string out;
+  AppendF(&out, "%.6f", v);
   return out;
 }
 
@@ -104,11 +83,7 @@ std::string FormatSiteKeys(const std::vector<uint64_t>& keys) {
 bool ParseSiteKeys(const std::string& s, std::vector<uint64_t>* out) {
   out->clear();
   if (s == "-") return true;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t comma = s.find(',', start);
-    const std::string tok = s.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
+  for (const std::string& tok : Split(s, ',')) {
     if (tok.size() != 16) return false;
     uint64_t key = 0;
     for (char c : tok) {
@@ -123,8 +98,6 @@ bool ParseSiteKeys(const std::string& s, std::vector<uint64_t>* out) {
       key = (key << 4) | static_cast<uint64_t>(digit);
     }
     out->push_back(key);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
   }
   return true;
 }
@@ -253,7 +226,7 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
   std::string body = line;
   if (!body.empty() && body.back() == '\n') body.pop_back();
   if (!body.empty() && body.back() == '\r') body.pop_back();
-  const std::vector<std::string> fields = SplitFrameFields(body);
+  const std::vector<std::string> fields = Split(body, ' ');
   if (fields.size() > kMaxFrameFields) return Malformed("too many fields");
   if (fields.size() < 2 || fields[0] != kMagic) return Malformed("bad magic");
 
@@ -421,22 +394,8 @@ Result<Frame> DecodeFrame(const std::string& line) {
 }
 
 Result<Frame> MakeBugFrame(const fuzz::Discrepancy& d, uint64_t master_seed) {
-  corpus::TestCaseRecord rec;
-  rec.kind = corpus::RecordKind::kReproducer;
-  rec.dialect = d.dialect;
-  rec.iteration = d.iteration;
-  rec.seed = Rng::SplitSeed(master_seed, d.iteration);
-  rec.sdb = d.sdb1;
-  rec.has_query = !d.query.predicate.empty();
-  rec.query = d.query;
-  rec.transform = d.transform;
-  rec.oracle = d.oracle;
-  rec.diff_secondary = d.diff_secondary;
-  rec.canonical_only = d.oracle == fuzz::OracleKind::kCanonicalOnly;
-  for (faults::FaultId id : d.fault_hits) {
-    rec.fault_ids.push_back(static_cast<uint32_t>(id));
-  }
-  auto encoded = corpus::TestCaseCodec::Encode(rec);
+  auto encoded =
+      corpus::TestCaseCodec::Encode(fuzz::ReproducerOf(d, master_seed));
   if (!encoded.ok()) return encoded.status();
 
   Frame frame;
@@ -453,24 +412,12 @@ Result<Frame> MakeBugFrame(const fuzz::Discrepancy& d, uint64_t master_seed) {
 Result<fuzz::Discrepancy> BugFrameToDiscrepancy(const Frame& frame) {
   auto decoded = corpus::TestCaseCodec::Decode(frame.payload);
   if (!decoded.ok()) return decoded.status();
-  const corpus::TestCaseRecord rec = decoded.Take();
-
-  fuzz::Discrepancy d;
-  d.iteration = rec.iteration;
-  d.query_index = frame.query_index;
-  d.is_crash = frame.is_crash;
   // The payload record is authoritative for the oracle identity (the
   // frame-level field exists for stream debuggability).
-  d.oracle = rec.oracle;
-  d.diff_secondary = rec.diff_secondary;
-  d.dialect = rec.dialect;
-  if (rec.has_query) d.query = rec.query;
-  d.sdb1 = rec.sdb;
-  d.transform = rec.transform;
+  fuzz::Discrepancy d = fuzz::FindingOf(decoded.value());
+  d.query_index = frame.query_index;
+  d.is_crash = frame.is_crash;
   d.detail = frame.detail;
-  for (uint32_t raw : rec.fault_ids) {
-    d.fault_hits.insert(static_cast<faults::FaultId>(raw));
-  }
   d.elapsed_seconds = frame.elapsed;
   return d;
 }

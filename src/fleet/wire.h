@@ -170,24 +170,23 @@ bool ParseSiteKeys(const std::string& s, std::vector<uint64_t>* out);
 
 /// Field-level pieces of the wire text grammar, shared with the
 /// checkpoint codec for the same no-drift reason (integer fields use the
-/// strict common ParseU64). ParseFieldF64 accepts exactly what the
-/// encoders print for finite values (`%.6f` here, `%.17g` in checkpoints):
-/// an optional '-', digits, an optional fraction and an optional
-/// exponent, whose value is finite; "nan", "inf", hex and '+' are refused.
-/// ParseFieldBool01 accepts exactly "0"/"1". SplitFrameFields
-/// splits on single spaces and PRESERVES empty tokens, so malformed
-/// framing fails field-count checks instead of silently collapsing.
+/// strict common ParseU64; both codecs split a line into fields with the
+/// common Split at single spaces, so malformed framing fails field-count
+/// checks instead of silently collapsing). ParseFieldF64 accepts exactly
+/// what the encoders print for finite values (`%.6f` here, `%.17g` in
+/// checkpoints): an optional '-', digits, an optional fraction and an
+/// optional exponent, whose value is finite; "nan", "inf", hex and '+' are
+/// refused. ParseFieldBool01 accepts exactly "0"/"1".
 bool ParseFieldF64(const std::string& s, double* out);
 bool ParseFieldBool01(const std::string& s, bool* out);
-std::vector<std::string> SplitFrameFields(const std::string& line);
 
-/// Builds a BUG frame from a recorded discrepancy: frame-level position
-/// and detail plus a TestCaseCodec reproducer payload (database, query,
+/// Builds a BUG frame from a finding: frame-level position and detail
+/// plus the encoded fuzz::ReproducerOf record (database, query,
 /// transform, fault ids). Fails only if the record does not encode.
 Result<Frame> MakeBugFrame(const fuzz::Discrepancy& d, uint64_t master_seed);
 
-/// Rebuilds the discrepancy a BUG frame carries (inverse of MakeBugFrame
-/// up to fields the reproducer format does not store).
+/// Rebuilds the finding a BUG frame carries: fuzz::FindingOf its record,
+/// plus the frame's position and detail.
 Result<fuzz::Discrepancy> BugFrameToDiscrepancy(const Frame& frame);
 
 }  // namespace spatter::fleet

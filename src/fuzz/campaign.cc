@@ -19,11 +19,63 @@ std::string Discrepancy::Signature() const {
   return sig;
 }
 
+bool DetectedEarlier(const Discrepancy& a, const Discrepancy& b) {
+  if (a.iteration != b.iteration) return a.iteration < b.iteration;
+  if (a.is_crash != b.is_crash) return a.is_crash;
+  if (a.query_index != b.query_index) return a.query_index < b.query_index;
+  return static_cast<uint8_t>(a.dialect) < static_cast<uint8_t>(b.dialect);
+}
+
+corpus::TestCaseRecord ReproducerOf(const Discrepancy& d,
+                                    uint64_t master_seed) {
+  corpus::TestCaseRecord rec;
+  rec.kind = corpus::RecordKind::kReproducer;
+  rec.dialect = d.dialect;
+  rec.seed = Rng::SplitSeed(master_seed, d.iteration);
+  rec.iteration = d.iteration;
+  rec.sdb = d.sdb1;
+  rec.has_query = !d.query.predicate.empty();
+  rec.query = d.query;
+  rec.transform = d.transform;
+  rec.oracle = d.oracle;
+  rec.diff_secondary = d.diff_secondary;
+  for (faults::FaultId id : d.fault_hits) {
+    rec.fault_ids.push_back(static_cast<uint32_t>(id));
+  }
+  return rec;
+}
+
+Discrepancy FindingOf(const corpus::TestCaseRecord& rec) {
+  Discrepancy d;
+  d.iteration = rec.iteration;
+  d.oracle = rec.oracle;
+  d.dialect = rec.dialect;
+  d.diff_secondary = rec.diff_secondary;
+  if (rec.has_query) d.query = rec.query;
+  d.sdb1 = rec.sdb;
+  d.transform = rec.transform;
+  for (uint32_t raw : rec.fault_ids) {
+    d.fault_hits.insert(static_cast<faults::FaultId>(raw));
+  }
+  return d;
+}
+
 std::map<OracleKind, std::set<faults::FaultId>>
 CampaignResult::UniqueBugsByOracle() const {
   std::map<OracleKind, std::set<faults::FaultId>> by_oracle;
   for (const auto& [id, d] : unique_bugs) by_oracle[d.oracle].insert(id);
   return by_oracle;
+}
+
+void CampaignResult::Offer(faults::FaultId id, const Discrepancy& d) {
+  if (!offered_.emplace(id, d.dialect, d.iteration).second) return;
+  const auto [it, fresh] = unique_bugs.try_emplace(id, d);
+  if (!fresh && DetectedEarlier(d, it->second)) it->second = d;
+}
+
+void CampaignResult::Record(Discrepancy d) {
+  for (faults::FaultId id : d.fault_hits) Offer(id, d);
+  discrepancies.push_back(std::move(d));
 }
 
 Campaign::Campaign(const CampaignConfig& config)
@@ -183,12 +235,7 @@ void Campaign::RunIteration(size_t iteration, CampaignResult* result,
                                         crash.function.c_str());
     d.fault_hits = crash.fault_hits;
     d.elapsed_seconds = NowSeconds() - started_at;
-    for (auto id : d.fault_hits) {
-      if (result->unique_bugs.find(id) == result->unique_bugs.end()) {
-        result->unique_bugs.emplace(id, d);
-      }
-    }
-    result->discrepancies.push_back(std::move(d));
+    result->Record(std::move(d));
   }
 
   // Step 2+3: affine equivalent input construction and result validation.
@@ -262,20 +309,12 @@ void Campaign::RunIteration(size_t iteration, CampaignResult* result,
       d.detail = outcome.detail;
       d.fault_hits = outcome.fault_hits;
       d.elapsed_seconds = NowSeconds() - started_at;
-      // First detection per fault within this shard; on a same-position
-      // tie across oracles the earlier suite member wins, matching the
-      // fleet path's first-arrival rule (aggregator.cc).
-      for (auto id : d.fault_hits) {
-        if (result->unique_bugs.find(id) == result->unique_bugs.end()) {
-          result->unique_bugs.emplace(id, d);
-        }
-      }
       SPATTER_COV("campaign", d.is_crash ? "crash_found" : "logic_found");
       SPATTER_METRIC_INC("campaign.discrepancies");
       obs::TraceRecorder::Instance().Emit(
           d.is_crash ? "campaign.crash_found" : "campaign.logic_found", q,
           OracleKindName(d.oracle));
-      result->discrepancies.push_back(std::move(d));
+      result->Record(std::move(d));
     }
   }
   if (corpus_) {

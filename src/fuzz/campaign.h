@@ -26,6 +26,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algo/affine.h"
@@ -88,14 +89,39 @@ struct Discrepancy {
   std::set<faults::FaultId> fault_hits;
   double elapsed_seconds = 0.0;  ///< campaign time at detection
 
-  /// Black-box deduplication signature (predicate + result shape), the
-  /// fallback when ground-truth fault hits are unavailable.
+  /// Black-box signature (oracle, predicate, crash or logic, detail): a
+  /// key the tests compare findings by across runs.
   std::string Signature() const;
 };
 
+/// Whether finding `a` was detected before `b` in campaign order: by
+/// iteration, then a crash before a logic finding, then by query index,
+/// then by dialect. The order is by logical position, never wall clock:
+/// an iteration runs on one shard, so it is the same for every shard count
+/// and schedule. Dialect breaks the last tie because every dialect runs
+/// the same iterations, so a shared-library fault can fire at one position
+/// in two dialects; without it the merge's arrival order would pick. It
+/// cannot order two findings of one (dialect, iteration) that share a
+/// query and crash flag (two oracles judging one query); an iteration's
+/// report order decides those (CampaignResult::Offer).
+bool DetectedEarlier(const Discrepancy& a, const Discrepancy& b);
+
+/// The reproducer record of finding `d` in a campaign seeded `master_seed`
+/// (its fault ids are every fault `d` fired): the one place a finding
+/// becomes a record, for BUG frames, checkpoints, reproducer files and
+/// in-flight records.
+corpus::TestCaseRecord ReproducerOf(const Discrepancy& d,
+                                    uint64_t master_seed);
+
+/// The finding a reproducer record holds: ReproducerOf's inverse up to
+/// what a record does not store (query index, crash flag, detail, time).
+Discrepancy FindingOf(const corpus::TestCaseRecord& rec);
+
 struct CampaignResult {
   std::vector<Discrepancy> discrepancies;
-  /// Ground-truth unique bugs: first detection per fired fault.
+  /// Ground-truth unique bugs: the finding that stands for each fired
+  /// fault. Offer decides it finding by finding, and Aggregator::Merge
+  /// between whole results by DetectedEarlier alone.
   std::map<faults::FaultId, Discrepancy> unique_bugs;
   size_t iterations_run = 0;
   size_t queries_run = 0;
@@ -114,6 +140,25 @@ struct CampaignResult {
   /// won the earliest-detection race for each fault (Table 4's comparison,
   /// live). Keys appear only for oracles that detected something.
   std::map<OracleKind, std::set<faults::FaultId>> UniqueBugsByOracle() const;
+
+  /// Offers `d` as the finding that stands for fault `id`. Only the first
+  /// report of the fault from d's (dialect, iteration) competes: one shard
+  /// runs that iteration and reports its findings in the order it found
+  /// them, so its first report stands for it, as in a whole-result merge
+  /// of the iteration. A later report from that iteration is ignored even
+  /// when the first one lost (DetectedEarlier ranks a later crash before
+  /// an earlier logic finding). A first report replaces the incumbent when
+  /// DetectedEarlier(d, incumbent), so the winners are the same for any
+  /// interleaving of iterations that keeps each one's report order.
+  void Offer(faults::FaultId id, const Discrepancy& d);
+  /// Appends finding `d` to the report after offering it for every fault
+  /// it fired: a campaign's iterations and the fleet's BUG frames record
+  /// through here.
+  void Record(Discrepancy d);
+
+ private:
+  /// (fault, dialect, iteration) of every report Offer has seen.
+  std::set<std::tuple<faults::FaultId, engine::Dialect, size_t>> offered_;
 };
 
 class Campaign {

@@ -1,6 +1,5 @@
 #include "fuzz/oracles.h"
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <utility>
@@ -220,7 +219,8 @@ class Sdb1State {
   std::map<std::pair<std::string, std::string>, double> bounds_;
 };
 
-// An engine's load state: the states of the SDB1s it loaded most recently.
+// An engine's load state: the state of the SDB1 it loaded last. A
+// campaign engine works on one SDB1 per iteration.
 class LoadCache : public engine::Engine::SnapshotStore {
  public:
   static LoadCache& Of(engine::Engine* engine) {
@@ -230,25 +230,17 @@ class LoadCache : public engine::Engine::SnapshotStore {
     return static_cast<LoadCache&>(*store);
   }
 
-  // The state of `sdb1`, now the most recently used; a new one, its rows
-  // parsed, when the engine keeps none.
+  // The state of `sdb1`; a new one, its rows parsed, in place of the last
+  // SDB1's when `sdb1` is another.
   Sdb1State& StateOf(const DatabaseSpec& sdb1) {
-    for (auto it = states_.rbegin(); it != states_.rend(); ++it) {
-      if ((*it)->Matches(sdb1)) {
-        std::rotate(it.base() - 1, it.base(), states_.end());
-        return *states_.back();
-      }
+    if (!state_ || !state_->Matches(sdb1)) {
+      state_ = std::make_unique<Sdb1State>(sdb1);
     }
-    if (states_.size() == kStates) states_.erase(states_.begin());
-    states_.push_back(std::make_unique<Sdb1State>(sdb1));
-    return *states_.back();
+    return *state_;
   }
 
  private:
-  // A campaign engine works on one SDB1 per iteration; the second state
-  // keeps a caller that alternates two databases from rebuilding both.
-  static constexpr size_t kStates = 2;
-  std::vector<std::unique_ptr<Sdb1State>> states_;  // LRU first
+  std::unique_ptr<Sdb1State> state_;
 };
 
 // What row r of table t loads as.

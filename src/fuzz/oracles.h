@@ -70,8 +70,8 @@ using RowMask = std::vector<std::vector<bool>>;
 /// (IsPlainIdentifier), as the generator's are and TestCaseCodec::Decode
 /// requires: another name is read back otherwise by the DDL's lexer.
 ///
-/// Each engine keeps a state for the two databases it loaded most
-/// recently, keyed by their table names and WKT rows, compared in full.
+/// Each engine keeps a state for the database it loaded last, keyed by
+/// its table names and WKT rows, compared in full.
 /// It holds the parsed rows, the derived state of AffinePair and
 /// DistanceBound, and a snapshot per (`with_index`, enabled fault mask). A
 /// snapshot hit restores the tables (Engine::Restore) and replays the

@@ -462,16 +462,15 @@ void FleetServer::PersistInflight(const Peer& peer) {
     const auto dialect = static_cast<engine::Dialect>(key.first);
     fuzz::CampaignConfig cfg = config_.base;
     cfg.dialect = dialect;
-    corpus::TestCaseRecord rec;
-    rec.kind = corpus::RecordKind::kReproducer;
-    rec.dialect = dialect;
-    rec.iteration = iteration;
-    rec.seed = Rng::SplitSeed(cfg.seed, iteration);
-    rec.sdb = Campaign::GenerateDatabaseFor(cfg, iteration);
-    rec.has_query = false;
-    // A reconstructed in-flight database is input, not an oracle finding.
-    rec.oracle = fuzz::OracleKind::kGeneration;
-    auto encoded = corpus::TestCaseCodec::Encode(rec);
+    // A reconstructed in-flight database is input, not an oracle finding:
+    // a generation finding with no query.
+    fuzz::Discrepancy d;
+    d.iteration = iteration;
+    d.oracle = fuzz::OracleKind::kGeneration;
+    d.dialect = dialect;
+    d.sdb1 = Campaign::GenerateDatabaseFor(cfg, iteration);
+    auto encoded =
+        corpus::TestCaseCodec::Encode(fuzz::ReproducerOf(d, cfg.seed));
     if (encoded.ok()) {
       const std::filesystem::path path =
           std::filesystem::path(config_.crash_dir) /

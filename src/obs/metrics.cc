@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 
@@ -27,33 +26,8 @@ Result<int64_t> ParseI64(const std::string& s) {
   return static_cast<int64_t>(neg ? 0 - mag : mag);
 }
 
-// Splits `s` at every `sep`, keeping empty fields: the encoder ends each
-// line with one newline, separates fields with one space and bucket cells
-// with one comma, so an empty field or cell is a spelling it never prints.
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (;;) {
-    const size_t end = s.find(sep, start);
-    out.push_back(s.substr(start, end - start));
-    if (end == std::string::npos) {
-      return out;
-    }
-    start = end + 1;
-  }
-}
-
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("malformed metrics snapshot: " + what);
-}
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out->append(buf);
 }
 
 }  // namespace
@@ -293,7 +267,9 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot,
   out.reserve(4096);
   out += "{\n";
   AppendF(&out, "  \"schema\": \"%s\",\n", kMetricsJsonSchema);
-  out += "  \"label\": \"" + info.label + "\",\n";
+  out += "  \"label\": ";
+  AppendJsonString(&out, info.label);
+  out += ",\n";
   AppendF(&out, "  \"seed\": %llu,\n",
           static_cast<unsigned long long>(info.seed));
   AppendF(&out, "  \"fleet\": %llu,\n",
@@ -302,29 +278,35 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot,
           static_cast<unsigned long long>(info.jobs));
   AppendF(&out, "  \"elapsed_seconds\": %.6f,\n", info.elapsed_seconds);
 
-  out += "  \"counters\": {";
+  // Opens the next member of an object: names come from peers' STATS
+  // frames and checkpoints too, so they are escaped, never printed raw.
   bool first = true;
-  for (const auto& [name, v] : snapshot.counters) {
-    AppendF(&out, "%s\n    \"%s\": %llu", first ? "" : ",", name.c_str(),
-            static_cast<unsigned long long>(v));
+  const auto member = [&out, &first](const std::string& name) {
+    out += first ? "\n    " : ",\n    ";
     first = false;
+    AppendJsonString(&out, name);
+    out += ": ";
+  };
+  out += "  \"counters\": {";
+  for (const auto& [name, v] : snapshot.counters) {
+    member(name);
+    AppendF(&out, "%llu", static_cast<unsigned long long>(v));
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"gauges\": {";
   first = true;
   for (const auto& [name, v] : snapshot.gauges) {
-    AppendF(&out, "%s\n    \"%s\": %lld", first ? "" : ",", name.c_str(),
-            static_cast<long long>(v));
-    first = false;
+    member(name);
+    AppendF(&out, "%lld", static_cast<long long>(v));
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : snapshot.histograms) {
-    AppendF(&out, "%s\n    \"%s\": {\n", first ? "" : ",", name.c_str());
-    first = false;
+    member(name);
+    out += "{\n";
     AppendF(&out, "      \"count\": %llu,\n",
             static_cast<unsigned long long>(h.count));
     AppendF(&out, "      \"sum_ns\": %llu,\n",
@@ -350,8 +332,8 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot,
   out += "  \"derived\": {";
   first = true;
   for (const auto& [name, v] : info.derived) {
-    AppendF(&out, "%s\n    \"%s\": %.6f", first ? "" : ",", name.c_str(), v);
-    first = false;
+    member(name);
+    AppendF(&out, "%.6f", v);
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 
 #include "common/fsio.h"
+#include "common/strings.h"
 
 namespace spatter::obs {
 
@@ -21,39 +21,6 @@ struct IterState {
 };
 
 thread_local IterState tls_iter;
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n));
-}
-
-/// JSON string escape for the name/detail fields. Slot text is plain
-/// ASCII in practice; anything below 0x20 plus quote and backslash is
-/// escaped so the line stays one valid JSON object.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      default:
-        if (c < 0x20) {
-          AppendF(out, "\\u%04x", c);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 Status Malformed(const std::string& why) {
   return Status::InvalidArgument("trace document: " + why);

@@ -10,37 +10,6 @@ void Aggregator::Merge(const fuzz::CampaignResult& shard) {
   Merge(std::move(copy));
 }
 
-namespace {
-
-// "Earliest detection" by logical campaign position, not wall clock: a
-// global iteration runs on exactly one shard, so this order is total
-// across shards and the dedup winner is identical for every shard count
-// and thread schedule (a wall-clock comparison would let the OS scheduler
-// pick the reproducer). Generation crashes precede queries within an
-// iteration, mirroring serial insertion order. Dialect breaks the last
-// tie: in multi-dialect runs every dialect executes the same iteration
-// universe, so a shared-library fault can fire at the identical position
-// in two dialects — without this the winner would be merge-arrival
-// order, which in fleet mode is racy stream-arrival order.
-//
-// Multi-oracle campaigns can tie on ALL of these: two oracles judging the
-// same (iteration, query) on the same dialect can hit the same fault.
-// That tie is deliberately NOT broken here — a full tie keeps the
-// incumbent, and in every merge path (in-shard first-wins, whole-shard
-// merge, fleet per-BUG stream) the incumbent is the earlier SUITE-ORDER
-// oracle, because one (dialect, iteration) pair runs on exactly one shard
-// and its findings arrive in suite order. Breaking the tie on OracleKind
-// instead would disagree with the in-shard rule whenever the configured
-// suite order differs from the enum order.
-bool DetectedEarlier(const fuzz::Discrepancy& a, const fuzz::Discrepancy& b) {
-  if (a.iteration != b.iteration) return a.iteration < b.iteration;
-  if (a.is_crash != b.is_crash) return a.is_crash;
-  if (a.query_index != b.query_index) return a.query_index < b.query_index;
-  return static_cast<uint8_t>(a.dialect) < static_cast<uint8_t>(b.dialect);
-}
-
-}  // namespace
-
 void Aggregator::Merge(fuzz::CampaignResult&& shard) {
   acc_.discrepancies.insert(
       acc_.discrepancies.end(),
@@ -50,7 +19,7 @@ void Aggregator::Merge(fuzz::CampaignResult&& shard) {
     auto it = acc_.unique_bugs.find(id);
     if (it == acc_.unique_bugs.end()) {
       acc_.unique_bugs.emplace(id, std::move(candidate));
-    } else if (DetectedEarlier(candidate, it->second)) {
+    } else if (fuzz::DetectedEarlier(candidate, it->second)) {
       it->second = std::move(candidate);
     }
   }
@@ -63,24 +32,12 @@ void Aggregator::Merge(fuzz::CampaignResult&& shard) {
 }
 
 void Aggregator::MergeDiscrepancy(fuzz::Discrepancy&& d) {
-  for (faults::FaultId id : d.fault_hits) {
-    auto it = acc_.unique_bugs.find(id);
-    if (it == acc_.unique_bugs.end()) {
-      acc_.unique_bugs.emplace(id, d);
-    } else if (DetectedEarlier(d, it->second)) {
-      it->second = d;
-    }
-  }
-  acc_.discrepancies.push_back(std::move(d));
+  acc_.Record(std::move(d));
 }
 
-void Aggregator::RestoreUniqueBug(faults::FaultId id, fuzz::Discrepancy d) {
-  auto it = acc_.unique_bugs.find(id);
-  if (it == acc_.unique_bugs.end()) {
-    acc_.unique_bugs.emplace(id, std::move(d));
-  } else if (DetectedEarlier(d, it->second)) {
-    it->second = std::move(d);
-  }
+void Aggregator::RestoreUniqueBug(faults::FaultId id,
+                                  const fuzz::Discrepancy& d) {
+  acc_.Offer(id, d);
 }
 
 void Aggregator::MergeCorpus(const corpus::Corpus& shard) {

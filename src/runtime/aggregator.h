@@ -6,11 +6,14 @@
 //   - discrepancies concatenated, then ordered by (iteration, query_index,
 //     dialect) so the merged report reads like a serial run whatever the
 //     merge order;
-//   - unique_bugs deduplicated by FaultId, earliest detection winning.
-//     "Earliest" is by logical campaign position (iteration, then
-//     query_index), which is a total order across shards — so the winning
-//     reproducer per bug is the serial run's winner, independent of shard
-//     count and thread scheduling;
+//   - unique_bugs deduplicated by FaultId. A whole result (a shard's, or
+//     one iteration's delta) merges by fuzz::DetectedEarlier alone: its
+//     own unique bugs already hold each iteration's first report, and the
+//     order is total across (dialect, iteration) pairs, so the winner per
+//     bug is the serial run's, whatever the shard count and schedule. A
+//     single finding (the fleet's BUG frames) records through
+//     CampaignResult::Record, whose Offer keeps an iteration's first report
+//     of a fault as a whole-result merge does;
 //   - iteration/query/check counters and EngineStats summed;
 //   - the Figure-7 time split preserved: busy_seconds accumulates per-shard
 //     wall time and engine_seconds per-shard SDBMS time, while
@@ -35,21 +38,20 @@ class Aggregator {
   void Merge(const fuzz::CampaignResult& shard);
   void Merge(fuzz::CampaignResult&& shard);
 
-  /// Folds a single discrepancy in (the fleet supervisor's BUG-frame
-  /// path): appended to the report and offered to the FaultId dedup under
-  /// the same earliest-logical-position rule as a whole-shard merge.
+  /// Folds a single finding in (the fleet supervisor's BUG-frame path):
+  /// CampaignResult::Record, so it is appended to the report and offered
+  /// for every fault it fired.
   void MergeDiscrepancy(fuzz::Discrepancy&& d);
 
   /// Re-seats a checkpoint-restored unique bug under its recorded FaultId
-  /// only (earliest-logical-position still wins against anything merged
-  /// later, so an iteration re-run after resume that re-reports the same
-  /// fault dedups against the restored winner). Unlike MergeDiscrepancy
-  /// this does NOT fan out across d.fault_hits — each checkpointed fault
-  /// carries its own winning reproducer, and re-keying it under a
-  /// co-fired fault could flip that fault's original suite-order winner —
-  /// and does not append to the discrepancy log (the checkpoint persists
-  /// winners, not the full log).
-  void RestoreUniqueBug(faults::FaultId id, fuzz::Discrepancy d);
+  /// only: CampaignResult::Offer, so an iteration re-run after resume that
+  /// re-reports the fault dedups against the restored winner. Unlike
+  /// MergeDiscrepancy this does NOT fan out across d.fault_hits — each
+  /// checkpointed fault carries its own winning reproducer, and re-keying
+  /// it under a co-fired fault could flip that fault's winner — and does
+  /// not append to the discrepancy log (the checkpoint persists winners,
+  /// not the full log).
+  void RestoreUniqueBug(faults::FaultId id, const fuzz::Discrepancy& d);
 
   /// Running aggregate, for live sampling mid-campaign. Discrepancies are
   /// in merge order, not yet sorted.

@@ -545,19 +545,9 @@ int RunMinify(const Options& opts) {
 void WriteReproducer(const std::string& dir, const faults::FaultInfo& info,
                      const fuzz::Discrepancy& d, uint64_t master_seed) {
   if (d.query.predicate.empty()) return;  // generation crash: no query
-  corpus::TestCaseRecord rec;
-  rec.kind = corpus::RecordKind::kReproducer;
-  rec.dialect = d.dialect;
-  rec.iteration = d.iteration;
-  rec.seed = Rng::SplitSeed(master_seed, d.iteration);
-  rec.sdb = d.sdb1;
-  rec.has_query = true;
-  rec.query = d.query;
-  rec.transform = d.transform;
-  rec.oracle = d.oracle;
-  rec.diff_secondary = d.diff_secondary;
-  rec.canonical_only = d.oracle == fuzz::OracleKind::kCanonicalOnly;
-  rec.fault_ids.push_back(static_cast<uint32_t>(info.id));
+  corpus::TestCaseRecord rec = fuzz::ReproducerOf(d, master_seed);
+  // Pinned to its bug: --replay passes when this fault fires again.
+  rec.fault_ids = {static_cast<uint32_t>(info.id)};
   auto encoded = corpus::TestCaseCodec::Encode(rec);
   if (!encoded.ok()) {
     std::fprintf(stderr, "cannot encode reproducer for %s: %s\n", info.name,

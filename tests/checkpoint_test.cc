@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/fsio.h"
+#include "common/strings.h"
 #include "corpus/codec.h"
 #include "corpus/corpus.h"
 #include "fleet/checkpoint.h"
@@ -322,7 +323,7 @@ TEST(CheckpointCodec, FloatFieldsAcceptOnlyFiniteDecimals) {
   ASSERT_TRUE(bug.ok()) << bug.status().ToString();
   std::string bug_line = EncodeFrame(bug.value());
   bug_line.pop_back();  // the '\n'
-  std::vector<std::string> bug_fields = SplitFrameFields(bug_line);
+  std::vector<std::string> bug_fields = Split(bug_line, ' ');
   ASSERT_EQ(bug_fields.size(), 8u);
   bug_fields[5] = "@";  // SPTW1 BUG <query> <crash> <oracle> <elapsed> ...
   bug_line.clear();

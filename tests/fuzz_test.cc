@@ -617,7 +617,22 @@ TEST(LoadSnapshotExactness, KeysTellApartIndexFaultsAndNames) {
   EXPECT_GT(other_faults.statements, 0u);
   EXPECT_EQ(other_faults, Reference(&reference, sdb));
 
-  // The same rows under another table name.
+  // All three loads of the same rows are cached: the index twin and one
+  // snapshot under each fault mask.
+  auto expect_restored = [&](const DatabaseSpec& spec) {
+    const LoadOutcome again = Cached(&cached, spec);
+    EXPECT_EQ(again.statements, 0u);
+    EXPECT_EQ(again, Reference(&reference, spec));
+  };
+  expect_restored(sdb);
+  for (engine::Engine* e : {&reference, &cached}) {
+    e->fault_state().Enable(faults::FaultId::kGeosGcBoundaryLastOneWins);
+  }
+  expect_restored(sdb);
+  expect_restored(indexed);
+
+  // The same rows under another table name: another SDB1, which replaces
+  // the first one's state.
   DatabaseSpec renamed = sdb;
   renamed.tables[0].name = "t9";
   const LoadOutcome other_name = Cached(&cached, renamed);
@@ -625,20 +640,10 @@ TEST(LoadSnapshotExactness, KeysTellApartIndexFaultsAndNames) {
   EXPECT_EQ(other_name, Reference(&reference, renamed));
   EXPECT_NE(cached.FindTable("t9"), nullptr);
   EXPECT_EQ(cached.FindTable("t1"), nullptr);
-
-  // All four are still cached: two under each fault mask.
-  auto expect_restored = [&](const DatabaseSpec& spec) {
-    const LoadOutcome again = Cached(&cached, spec);
-    EXPECT_EQ(again.statements, 0u);
-    EXPECT_EQ(again, Reference(&reference, spec));
-  };
-  expect_restored(sdb);
   expect_restored(renamed);
-  for (engine::Engine* e : {&reference, &cached}) {
-    e->fault_state().Enable(faults::FaultId::kGeosGcBoundaryLastOneWins);
-  }
-  expect_restored(sdb);
-  expect_restored(indexed);
+  const LoadOutcome first_again = Cached(&cached, sdb);
+  EXPECT_GT(first_again.statements, 0u);
+  EXPECT_EQ(first_again, Reference(&reference, sdb));
 }
 
 TEST(LoadSnapshotExactness, FailedLoadsRunAgainAndFailAlike) {

@@ -459,6 +459,31 @@ TEST(JsonTest, EmitsSchemaAndSections) {
   EXPECT_EQ(json, MetricsToJson(s, info));
 }
 
+TEST(JsonTest, EscapesNamesAndPrintsThemWhole) {
+  // The supervisor renders peers' STATS snapshots and checkpoint baselines,
+  // whose names are any token without a space: a quote, a backslash, a
+  // control byte, a name longer than any fixed buffer.
+  const std::string long_name(300, 'n');
+  const std::string text = std::string(kMetricsTextMagic) +
+                           "\nc a\"b 1\nc c\\d 2\nc " + long_name +
+                           " 4\ng e\x01" "f -3\nh h\"1 0 0 -\nend 5\n";
+  Result<MetricsSnapshot> snap = MetricsSnapshot::DecodeText(text);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  MetricsJsonInfo info;
+  info.label = "post\"gis";
+  info.derived["x\\y"] = 0.5;
+
+  const std::string json = MetricsToJson(snap.value(), info);
+  for (const std::string& member :
+       {std::string("\"label\": \"post\\\"gis\","),
+        std::string("\"a\\\"b\": 1"), std::string("\"c\\\\d\": 2"),
+        "\"" + long_name + "\": 4", std::string("\"e\\u0001f\": -3"),
+        std::string("\"h\\\"1\": {"), std::string("\"x\\\\y\": 0.500000")}) {
+    EXPECT_NE(json.find(member), std::string::npos) << member;
+  }
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+}
+
 // --- Flight-recorder trace ring + spatter-trace-v1 codec -------------------
 
 TraceSnapshot TwoEventSnapshot() {

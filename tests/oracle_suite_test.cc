@@ -298,7 +298,6 @@ TEST(OracleSuite, CodecRoundTripsDetectingOracle) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().oracle, OracleKind::kDifferential);
   EXPECT_EQ(decoded.value().diff_secondary, Dialect::kDuckdbSpatial);
-  EXPECT_FALSE(decoded.value().canonical_only);
 
   // Byte-identical re-encode (the codec's core contract, now with the
   // oracle fields in the payload).
@@ -308,25 +307,31 @@ TEST(OracleSuite, CodecRoundTripsDetectingOracle) {
 }
 
 TEST(OracleSuite, CodecDecodesLegacyV1RecordsAsAeiFamily) {
-  corpus::TestCaseRecord rec;
-  rec.kind = corpus::RecordKind::kReproducer;
-  rec.dialect = Dialect::kPostgis;
-  rec.sdb.tables.push_back(TableSpec{"t1", {"POINT(0 0)"}});
-  rec.oracle = OracleKind::kCanonicalOnly;
-  auto encoded = corpus::TestCaseCodec::Encode(rec);
-  ASSERT_TRUE(encoded.ok());
+  // v1 records carry the oracle identity in the canonicalization byte
+  // alone, which Encode still derives from the oracle.
+  for (const OracleKind oracle :
+       {OracleKind::kCanonicalOnly, OracleKind::kAei, OracleKind::kTlp}) {
+    corpus::TestCaseRecord rec;
+    rec.kind = corpus::RecordKind::kReproducer;
+    rec.dialect = Dialect::kPostgis;
+    rec.sdb.tables.push_back(TableSpec{"t1", {"POINT(0 0)"}});
+    rec.oracle = oracle;
+    auto encoded = corpus::TestCaseCodec::Encode(rec);
+    ASSERT_TRUE(encoded.ok());
 
-  // Rewrite as a v1 record: patch the version word and strip the two
-  // appended oracle bytes (v2 = v1 payload + oracle + diff_secondary).
-  std::vector<uint8_t> v1 = encoded.value();
-  ASSERT_EQ(v1[4], 2u);  // version lives after the 4-byte magic
-  v1[4] = 1;
-  v1.resize(v1.size() - 2);
-  auto decoded = corpus::TestCaseCodec::Decode(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().oracle, OracleKind::kCanonicalOnly)
-      << "v1 records carry oracle identity in the canonical_only flag";
-  EXPECT_TRUE(decoded.value().canonical_only);
+    // Rewrite as a v1 record: patch the version word and strip the two
+    // appended oracle bytes (v2 = v1 payload + oracle + diff_secondary).
+    std::vector<uint8_t> v1 = encoded.value();
+    ASSERT_EQ(v1[4], 2u);  // version lives after the 4-byte magic
+    v1[4] = 1;
+    v1.resize(v1.size() - 2);
+    auto decoded = corpus::TestCaseCodec::Decode(v1);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().oracle, oracle == OracleKind::kCanonicalOnly
+                                          ? OracleKind::kCanonicalOnly
+                                          : OracleKind::kAei)
+        << OracleKindName(oracle);
+  }
 }
 
 TEST(OracleSuite, BugFrameCarriesDetectingOracle) {
