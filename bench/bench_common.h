@@ -4,7 +4,6 @@
 #define SPATTER_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -65,23 +64,6 @@ inline bool WriteMetricsJson(const std::string& path,
     return false;
   }
   std::printf("bench: wrote %s\n", path.c_str());
-  return true;
-}
-
-/// Extracts the number following `"key":` from a JSON text. Not a JSON
-/// parser — just enough to read back values from documents our own
-/// writer produced (regression gates diffing against a committed
-/// baseline). Returns false when the key is absent.
-inline bool FindJsonNumber(const std::string& json, const std::string& key,
-                           double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return false;
-  const char* start = json.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
   return true;
 }
 

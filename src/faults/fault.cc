@@ -231,6 +231,14 @@ std::vector<FaultId> FaultsForComponent(Component engine_component,
   return out;
 }
 
+std::set<FaultId> FaultState::Hits() const {
+  std::set<FaultId> out;
+  for (uint64_t bits = hits_; bits != 0; bits &= bits - 1) {
+    out.insert(out.end(), static_cast<FaultId>(__builtin_ctzll(bits)));
+  }
+  return out;
+}
+
 void Effects::Replay(const FaultState* faults) const {
   if (fired != 0) faults->FireBits(fired);
   auto& registry = CoverageRegistry::Instance();

@@ -98,7 +98,7 @@ enum class FaultId : uint32_t {
   kNumFaults,
 };
 static_assert(static_cast<uint32_t>(FaultId::kNumFaults) <= 64,
-              "FaultState keeps the enabled set in a 64-bit mask");
+              "FaultState keeps the enabled and fired sets in 64-bit masks");
 
 /// Static metadata for one fault.
 struct FaultInfo {
@@ -140,29 +140,23 @@ class FaultState {
   /// `if (state && state->Fire(FaultId::kX)) { ...bug... }`.
   bool Fire(FaultId id) const {
     if (!IsEnabled(id)) return false;
-    hits_.insert(id);
+    hits_ |= Bit(id);
     return true;
   }
 
-  void ClearHits() const { hits_.clear(); }
-  const std::set<FaultId>& Hits() const { return hits_; }
+  void ClearHits() const { hits_ = 0; }
+  /// The ids fired since the last clear, as the set outcomes and findings
+  /// keep.
+  std::set<FaultId> Hits() const;
   std::set<FaultId> TakeHits() const {
-    std::set<FaultId> out;
-    out.swap(hits_);
+    std::set<FaultId> out = Hits();
+    hits_ = 0;
     return out;
   }
-  /// Adds back hits set aside with TakeHits, keeping the ones recorded
-  /// since: Effects::Record brackets a unit of work with the two calls to
-  /// learn which ids that work alone fired.
-  void RestoreHits(std::set<FaultId> hits) const { hits_.merge(hits); }
 
   /// Fire for every id whose Bit is set in `bits`: a replayed recording
   /// (Effects) or a relate kernel run's tally re-fires what it fired.
-  void FireBits(uint64_t bits) const {
-    for (; bits != 0; bits &= bits - 1) {
-      Fire(static_cast<FaultId>(__builtin_ctzll(bits)));
-    }
-  }
+  void FireBits(uint64_t bits) const { hits_ |= bits & enabled_; }
 
   /// The enabled set, bit i for FaultId i. The relate memo keys on it, so
   /// two states with the same set share memo entries.
@@ -174,8 +168,10 @@ class FaultState {
   }
 
  private:
+  friend struct Effects;
+
   uint64_t enabled_ = 0;
-  mutable std::set<FaultId> hits_;  // recorder is observability, not state.
+  mutable uint64_t hits_ = 0;  // recorder is observability, not state.
 };
 
 /// What one unit of work did besides its result: the fault ids it fired
@@ -192,19 +188,19 @@ struct Effects {
 
   /// Runs `work()` and records, in place of what *this held, what it alone
   /// fired and hit: the caller's earlier fault hits are set aside and
-  /// merged back afterwards, and the capture nests inside any active one.
+  /// ORed back afterwards, and the capture nests inside any active one.
   /// `faults` may be null (no faults). Returns what `work` returns.
   template <typename Work>
   auto Record(const FaultState* faults, Work&& work) {
-    std::set<FaultId> earlier;
-    if (faults) earlier = faults->TakeHits();
+    uint64_t earlier = 0;
+    if (faults) std::swap(earlier, faults->hits_);
     CoverageRegistry::BeginCapture(&sites);
     auto result = work();
     CoverageRegistry::EndCapture();
     fired = 0;
     if (faults) {
-      for (const FaultId id : faults->Hits()) fired |= FaultState::Bit(id);
-      faults->RestoreHits(std::move(earlier));
+      fired = faults->hits_;
+      faults->hits_ |= earlier;
     }
     return result;
   }

@@ -68,13 +68,32 @@ CampaignResult::UniqueBugsByOracle() const {
 }
 
 void CampaignResult::Offer(faults::FaultId id, const Discrepancy& d) {
-  if (!offered_.emplace(id, d.dialect, d.iteration).second) return;
+  uint8_t& reported = reported_[static_cast<size_t>(id)];
+  const uint8_t bit = uint8_t{1} << static_cast<uint8_t>(d.dialect);
   const auto [it, fresh] = unique_bugs.try_emplace(id, d);
-  if (!fresh && DetectedEarlier(d, it->second)) it->second = d;
+  if (fresh) {
+    reported = bit;
+    return;
+  }
+  Discrepancy& incumbent = it->second;
+  if (d.iteration > incumbent.iteration) return;
+  if (d.iteration < incumbent.iteration) {
+    reported = bit;
+    incumbent = d;
+    return;
+  }
+  if ((reported & bit) != 0) return;
+  reported |= bit;
+  if (DetectedEarlier(d, incumbent)) incumbent = d;
+}
+
+void CampaignResult::Count(const Discrepancy& d) {
+  for (faults::FaultId id : d.fault_hits) Offer(id, d);
+  findings++;
 }
 
 void CampaignResult::Record(Discrepancy d) {
-  for (faults::FaultId id : d.fault_hits) Offer(id, d);
+  Count(d);
   discrepancies.push_back(std::move(d));
 }
 

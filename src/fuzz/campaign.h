@@ -22,11 +22,12 @@
 #ifndef SPATTER_FUZZ_CAMPAIGN_H_
 #define SPATTER_FUZZ_CAMPAIGN_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "algo/affine.h"
@@ -118,7 +119,12 @@ corpus::TestCaseRecord ReproducerOf(const Discrepancy& d,
 Discrepancy FindingOf(const corpus::TestCaseRecord& rec);
 
 struct CampaignResult {
+  /// The findings in full. A long run's observer may take them out of
+  /// each iteration's delta (the CLI and fleet workers do), so only
+  /// `findings` counts them for the whole run.
   std::vector<Discrepancy> discrepancies;
+  /// Findings recorded, kept in `discrepancies` or not.
+  size_t findings = 0;
   /// Ground-truth unique bugs: the finding that stands for each fired
   /// fault. Offer decides it finding by finding, and Aggregator::Merge
   /// between whole results by DetectedEarlier alone.
@@ -151,14 +157,22 @@ struct CampaignResult {
   /// DetectedEarlier(d, incumbent), so the winners are the same for any
   /// interleaving of iterations that keeps each one's report order.
   void Offer(faults::FaultId id, const Discrepancy& d);
-  /// Appends finding `d` to the report after offering it for every fault
-  /// it fired: a campaign's iterations and the fleet's BUG frames record
-  /// through here.
+  /// Counts finding `d` and offers it for every fault it fired, without
+  /// keeping it: the fleet supervisor's BUG frames take this path.
+  void Count(const Discrepancy& d);
+  /// Counts `d`, then appends it to the report: a campaign's iterations
+  /// record through here.
   void Record(Discrepancy d);
 
  private:
-  /// (fault, dialect, iteration) of every report Offer has seen.
-  std::set<std::tuple<faults::FaultId, engine::Dialect, size_t>> offered_;
+  /// Per fault, a bit per dialect that reported it at the incumbent's
+  /// iteration. That is all Offer must remember: a report from a later
+  /// iteration can never win, since DetectedEarlier compares iterations
+  /// first and an incumbent's iteration only falls, and a report from an
+  /// earlier one is necessarily its (dialect, iteration)'s first, since
+  /// that pair's first report would have pulled the incumbent down to it.
+  std::array<uint8_t, static_cast<size_t>(faults::FaultId::kNumFaults)>
+      reported_{};
 };
 
 class Campaign {

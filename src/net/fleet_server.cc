@@ -17,7 +17,6 @@
 #include "corpus/codec.h"
 #include "engine/dialect.h"
 #include "faults/fault.h"
-#include "fleet/flight.h"
 #include "fleet/wire.h"
 #include "fuzz/transfer.h"
 #include "net/fleet_client.h"
@@ -47,12 +46,44 @@ constexpr double kTuneWindowSeconds = 5.0;
 /// Local mode: respawns allowed per child slot (caps pathological churn).
 constexpr size_t kMaxRespawnsPerChild = 8;
 
-std::string InflightFileName(size_t worker, engine::Dialect dialect,
-                             uint64_t iteration) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "inflight-w%zu-%s-i%" PRIu64 ".sptc",
-                worker, engine::DialectName(dialect), iteration);
+/// "<kind>-w<worker>-<dialect>-i<iteration><ext>": a dead worker's
+/// in-flight reproducer ("inflight", ".sptc") or the flight-recorder dump
+/// next to it ("flight", ".trace.jsonl").
+std::string CrashFileName(const char* kind, size_t worker,
+                          engine::Dialect dialect, uint64_t iteration,
+                          const char* ext) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s-w%zu-%s-i%" PRIu64 "%s", kind, worker,
+                engine::DialectName(dialect), iteration, ext);
   return buf;
+}
+
+/// Rebuilds pure-generate iteration `iteration`'s database with tracing
+/// on (sampling 1, the recorder's state restored after) and puts that
+/// iteration's events alone in `events`, so a tracing supervisor's own
+/// history stays out. A SIGKILLed worker sends nothing, but its input and
+/// the narrative of building it are a pure function of (seed, iteration).
+fuzz::DatabaseSpec RebuildTraced(const fuzz::CampaignConfig& config,
+                                 uint64_t iteration,
+                                 obs::TraceSnapshot* events) {
+  obs::TraceRecorder& tracer = obs::TraceRecorder::Instance();
+  const bool was_enabled = tracer.enabled();
+  const uint64_t was_sample = tracer.sample_every();
+  tracer.Enable(1);
+  tracer.BeginIteration(iteration);
+  fuzz::DatabaseSpec sdb = Campaign::GenerateDatabaseFor(
+      config, static_cast<size_t>(iteration));
+  tracer.EndIteration();
+  obs::TraceSnapshot all = tracer.Snapshot();
+  if (was_enabled) {
+    tracer.Enable(was_sample);
+  } else {
+    tracer.Disable();
+  }
+  for (auto& ev : all.events) {
+    if (ev.iteration == iteration) events->events.push_back(std::move(ev));
+  }
+  return sdb;
 }
 
 }  // namespace
@@ -409,7 +440,7 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
         protocol_errors_++;
         break;
       }
-      aggregator_.MergeDiscrepancy(d.Take());
+      aggregator_.MergeDiscrepancy(d.value());
       break;
     }
     case FrameType::kDone: {
@@ -458,38 +489,40 @@ void FleetServer::PersistInflight(const Peer& peer) {
   }
   std::error_code ec;
   std::filesystem::create_directories(config_.crash_dir, ec);
+  const std::filesystem::path dir(config_.crash_dir);
   for (const auto& [key, iteration] : peer.last_inflight) {
     const auto dialect = static_cast<engine::Dialect>(key.first);
     fuzz::CampaignConfig cfg = config_.base;
     cfg.dialect = dialect;
     // A reconstructed in-flight database is input, not an oracle finding:
-    // a generation finding with no query.
+    // a generation finding with no query. Its one rebuild also records
+    // the flight-recorder dump that goes next to the reproducer.
     fuzz::Discrepancy d;
     d.iteration = iteration;
     d.oracle = fuzz::OracleKind::kGeneration;
     d.dialect = dialect;
-    d.sdb1 = Campaign::GenerateDatabaseFor(cfg, iteration);
+    obs::TraceSnapshot flight;
+    d.sdb1 = RebuildTraced(cfg, iteration, &flight);
     auto encoded =
         corpus::TestCaseCodec::Encode(fuzz::ReproducerOf(d, cfg.seed));
     if (encoded.ok()) {
       const std::filesystem::path path =
-          std::filesystem::path(config_.crash_dir) /
-          InflightFileName(peer.index, dialect, iteration);
+          dir / CrashFileName("inflight", peer.index, dialect, iteration,
+                              ".sptc");
       if (AtomicWriteFile(path.string(), encoded.value().data(),
                           encoded.value().size())
               .ok()) {
         inflight_persisted_++;
       }
     }
-    // Flight-recorder dump next to the reproducer: a synthesized
-    // re-recording of the in-flight iteration's input construction.
-    std::string flight_path;
-    const Status flight = fleet::PersistFlightRecord(
-        config_.base, dialect, iteration, config_.crash_dir, peer.index,
-        &flight_path);
+    const std::string flight_path =
+        (dir / CrashFileName("flight", peer.index, dialect, iteration,
+                             ".trace.jsonl"))
+            .string();
+    const Status written = obs::WriteTraceFile(flight_path, flight);
     std::fprintf(stderr, "fleet: flight record: %s\n",
-                 flight.ok() ? flight_path.c_str()
-                             : flight.ToString().c_str());
+                 written.ok() ? flight_path.c_str()
+                              : written.ToString().c_str());
   }
 }
 

@@ -3,9 +3,9 @@
 // chosen, engine phase spans, per-oracle verdicts, corpus admissions,
 // checkpoint writes), snapshotted into a versioned spatter-trace-v1 JSONL
 // document for --trace-out and for the crash flight recorder: the
-// supervisor re-synthesizes a dead worker's in-flight iteration by
-// re-running GenerateDatabaseFor under tracing and persists the ring next
-// to the crash reproducer (fleet/flight.h); workers record nothing.
+// supervisor rebuilds a dead worker's in-flight iteration by re-running
+// GenerateDatabaseFor under tracing and persists that iteration's events
+// next to the crash reproducer; workers record nothing.
 //
 // Design constraints, in order:
 //   1. Strictly passive, like src/obs/metrics. Recording never draws

@@ -23,6 +23,7 @@ void Aggregator::Merge(fuzz::CampaignResult&& shard) {
       it->second = std::move(candidate);
     }
   }
+  acc_.findings += shard.findings;
   acc_.iterations_run += shard.iterations_run;
   acc_.queries_run += shard.queries_run;
   acc_.checks_run += shard.checks_run;
@@ -31,8 +32,8 @@ void Aggregator::Merge(fuzz::CampaignResult&& shard) {
   acc_.engine_stats += shard.engine_stats;
 }
 
-void Aggregator::MergeDiscrepancy(fuzz::Discrepancy&& d) {
-  acc_.Record(std::move(d));
+void Aggregator::MergeDiscrepancy(const fuzz::Discrepancy& d) {
+  acc_.Count(d);
 }
 
 void Aggregator::RestoreUniqueBug(faults::FaultId id,

@@ -3,16 +3,16 @@
 // Shards run isolated Campaign instances (own Engine, own FaultState, own
 // RNG stream) and report plain CampaignResults; the aggregator folds them
 // into one campaign-level result:
-//   - discrepancies concatenated, then ordered by (iteration, query_index,
-//     dialect) so the merged report reads like a serial run whatever the
-//     merge order;
+//   - findings counted, and the discrepancies a result still holds
+//     concatenated, then ordered by (iteration, query_index, dialect) so
+//     the merged report reads like a serial run whatever the merge order;
 //   - unique_bugs deduplicated by FaultId. A whole result (a shard's, or
 //     one iteration's delta) merges by fuzz::DetectedEarlier alone: its
 //     own unique bugs already hold each iteration's first report, and the
 //     order is total across (dialect, iteration) pairs, so the winner per
 //     bug is the serial run's, whatever the shard count and schedule. A
-//     single finding (the fleet's BUG frames) records through
-//     CampaignResult::Record, whose Offer keeps an iteration's first report
+//     single finding (the fleet's BUG frames) is counted through
+//     CampaignResult::Count, whose Offer keeps an iteration's first report
 //     of a fault as a whole-result merge does;
 //   - iteration/query/check counters and EngineStats summed;
 //   - the Figure-7 time split preserved: busy_seconds accumulates per-shard
@@ -39,9 +39,10 @@ class Aggregator {
   void Merge(fuzz::CampaignResult&& shard);
 
   /// Folds a single finding in (the fleet supervisor's BUG-frame path):
-  /// CampaignResult::Record, so it is appended to the report and offered
-  /// for every fault it fired.
-  void MergeDiscrepancy(fuzz::Discrepancy&& d);
+  /// CampaignResult::Count, so it is counted and offered for every fault
+  /// it fired, but not kept: the log of a long run would grow without
+  /// bound, and only its count is read.
+  void MergeDiscrepancy(const fuzz::Discrepancy& d);
 
   /// Re-seats a checkpoint-restored unique bug under its recorded FaultId
   /// only: CampaignResult::Offer, so an iteration re-run after resume that
@@ -49,8 +50,7 @@ class Aggregator {
   /// MergeDiscrepancy this does NOT fan out across d.fault_hits — each
   /// checkpointed fault carries its own winning reproducer, and re-keying
   /// it under a co-fired fault could flip that fault's winner — and does
-  /// not append to the discrepancy log (the checkpoint persists winners,
-  /// not the full log).
+  /// not count a finding (the checkpoint persists winners, not the count).
   void RestoreUniqueBug(faults::FaultId id, const fuzz::Discrepancy& d);
 
   /// Running aggregate, for live sampling mid-campaign. Discrepancies are

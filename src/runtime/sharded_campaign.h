@@ -89,7 +89,8 @@ class ShardedCampaign {
     /// After it ran, before `delta` (its findings and counters) merges
     /// into the run's result. `completed` counts the slice's completed
     /// iterations, resume mark included. An observer that streams the
-    /// findings elsewhere may take them out of `delta`.
+    /// findings elsewhere, or needs only their count (`delta->findings`
+    /// keeps it), may take them out of `delta`.
     std::function<void(fuzz::Campaign& campaign, uint64_t slice,
                        uint64_t completed, fuzz::CampaignResult* delta)>
         after;

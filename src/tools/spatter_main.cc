@@ -846,6 +846,12 @@ int main(int argc, char** argv) {
       });
     }
     runtime::ShardedCampaign::Observer observer;
+    // The summary reads only the count of findings, so each iteration's
+    // are dropped before they merge: a long run must not grow.
+    observer.after = [](fuzz::Campaign&, uint64_t, uint64_t,
+                        fuzz::CampaignResult* delta) {
+      delta->discrepancies.clear();
+    };
     if (opts.duration > 0) {
       auto& registry = CoverageRegistry::Instance();
       observer.sample = [&local_curve, &registry](
@@ -921,7 +927,7 @@ int main(int argc, char** argv) {
   std::printf("\n%zu discrepancies -> %zu unique bugs in %.2fs wall "
               "(%.2fs across %zu shard(s); %.2fs inside the engine, %.0f%% "
               "of shard time)\n",
-              result.discrepancies.size(), result.unique_bugs.size(),
+              result.findings, result.unique_bugs.size(),
               result.total_seconds, result.busy_seconds, total_shards,
               result.engine_seconds,
               result.busy_seconds > 0

@@ -1,14 +1,20 @@
 // End-to-end integration tests across module boundaries: recorded
 // discrepancies must replay from their printed SQL; campaigns must behave
 // deterministically per seed; every dialect's campaign must run without
-// internal errors; reduced reproducers must stay minimal and valid.
+// internal errors; reduced reproducers must stay minimal and valid; the
+// work of perfbench's round-0 campaigns is pinned exactly.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "fuzz/aei.h"
 #include "fuzz/campaign.h"
 #include "fuzz/reducer.h"
 #include "geom/wkb.h"
 #include "geom/wkt_reader.h"
+#include "obs/metrics.h"
+#include "runtime/sharded_campaign.h"
 #include "sql/parser.h"
 
 namespace spatter::fuzz {
@@ -169,6 +175,101 @@ TEST(Integration, StatsAccounting) {
   EXPECT_LT(result.engine_seconds, result.total_seconds);
   EXPECT_GT(campaign.engine().stats().statements_executed, 0u);
   EXPECT_GT(campaign.engine().stats().pairs_evaluated, 0u);
+}
+
+/// The work of one round-0 campaign of a perfbench workload at its pinned
+/// seed: the result's counts, and what the run added to the registry's
+/// counters and histogram sample counts.
+std::map<std::string, uint64_t> RoundZeroWork(const char* oracles,
+                                              size_t geometries,
+                                              size_t iterations) {
+  // perfbench/workloads.cc's configuration, restated: seed 4242, all four
+  // dialects, faults on, pure-generate, 50 queries per iteration. One job
+  // (perfbench's suite-j3 runs three): ParallelFor starts fresh threads,
+  // so the per-thread relate memo starts empty and relate.full is a
+  // function of the inputs, while at three jobs which tasks share a
+  // thread's memo depends on scheduling.
+  runtime::ShardedCampaignConfig config;
+  config.base.seed = 4242;
+  config.base.iterations = iterations;
+  config.base.queries_per_iteration = 50;
+  config.base.generator.num_geometries = geometries;
+  config.base.enable_faults = true;
+  config.base.oracles = ParseOracleSuite(oracles).value();
+  config.jobs = 1;
+  config.dialects = runtime::ShardedCampaign::AllDialects();
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  const CampaignResult r = runtime::ShardedCampaign(config).Run();
+  const obs::MetricsSnapshot after = registry.Snapshot();
+  const auto counter = [&](const char* name) {
+    return after.CounterOr(name) - before.CounterOr(name);
+  };
+  const auto samples = [&](const char* name) {
+    const obs::HistogramData* a = after.FindHistogram(name);
+    const obs::HistogramData* b = before.FindHistogram(name);
+    return (a ? a->count : 0) - (b ? b->count : 0);
+  };
+  return {
+      {"queries_run", r.queries_run},
+      {"checks_run", r.checks_run},
+      {"discrepancies", r.discrepancies.size()},
+      {"unique_bugs", r.unique_bugs.size()},
+      {"statements", r.engine_stats.statements_executed},
+      {"pairs", r.engine_stats.pairs_evaluated},
+      {"index_scans", r.engine_stats.index_scans},
+      {"prepared", r.engine_stats.prepared_evaluations},
+      {"relate.envelope_prefilter", counter("relate.envelope_prefilter")},
+      {"relate.memo.hit", counter("relate.memo.hit")},
+      {"relate.full", counter("relate.full")},
+      {"engine.snapshot.build", counter("engine.snapshot.build")},
+      {"engine.restore", samples("engine.restore")},
+      {"engine.typed_load", samples("engine.typed_load")},
+  };
+}
+
+TEST(BenchmarkWork, RoundZeroIsPinned) {
+  // Every number here is a pure function of the inputs, so it is pinned
+  // exactly, as OracleGolden.CoverageHitsArePinned pins coverage: a
+  // change that alters the work (a relate call more or fewer, a statement
+  // per load, a snapshot missed) fails here, however fast it runs. A
+  // change that means to alter it re-pins these values and says why. On a
+  // failure gtest prints the measured map to paste in.
+  const std::map<std::string, uint64_t> aei_n40 = {
+      {"queries_run", 200},
+      {"checks_run", 200},
+      {"discrepancies", 22},
+      {"unique_bugs", 10},
+      {"statements", 9137},
+      {"pairs", 146955},
+      {"index_scans", 690},
+      {"prepared", 3604},
+      {"relate.envelope_prefilter", 25424},
+      {"relate.memo.hit", 21589},
+      {"relate.full", 15516},
+      {"engine.snapshot.build", 204},
+      {"engine.restore", 596},
+      {"engine.typed_load", 204},
+  };
+  const std::map<std::string, uint64_t> suite_j3 = {
+      {"queries_run", 600},
+      {"checks_run", 3000},
+      {"discrepancies", 150},
+      {"unique_bugs", 13},
+      {"statements", 15825},
+      {"pairs", 179529},
+      {"index_scans", 3128},
+      {"prepared", 4963},
+      {"relate.envelope_prefilter", 9047},
+      {"relate.memo.hit", 92071},
+      {"relate.full", 3619},
+      {"engine.snapshot.build", 636},
+      {"engine.restore", 5156},
+      {"engine.typed_load", 636},
+  };
+  EXPECT_EQ(RoundZeroWork("aei", 40, 1), aei_n40) << "aei-n40";
+  EXPECT_EQ(RoundZeroWork("all", 10, 3), suite_j3) << "suite-j3";
 }
 
 }  // namespace

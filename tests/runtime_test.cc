@@ -335,6 +335,131 @@ TEST(ShardedCampaign, StreamedFindingsAttributeBugsAsMergedResults) {
   }
 }
 
+/// The rule Offer replaced, kept as its reference: remember every (fault,
+/// dialect, iteration) offered, and let only the first report of each
+/// compete by DetectedEarlier.
+class ReportSetRule {
+ public:
+  void Offer(faults::FaultId id, const Discrepancy& d) {
+    if (!offered_.emplace(id, d.dialect, d.iteration).second) return;
+    const auto [it, fresh] = winners_.try_emplace(id, &d);
+    if (!fresh && fuzz::DetectedEarlier(d, *it->second)) it->second = &d;
+  }
+  const std::map<faults::FaultId, const Discrepancy*>& winners() const {
+    return winners_;
+  }
+
+ private:
+  std::set<std::tuple<faults::FaultId, Dialect, size_t>> offered_;
+  std::map<faults::FaultId, const Discrepancy*> winners_;
+};
+
+TEST(CampaignResult, OfferPicksTheReportSetRulesWinners) {
+  // Offer remembers, per fault, only the dialects that reported it at the
+  // incumbent's iteration. Fed the findings of recorded all-oracle
+  // campaigns as per-(dialect, iteration) streams, interleaved at random
+  // with each stream's order kept (as BUG frames arrive from several
+  // workers), it must pick the same winner as the rule that remembers
+  // every report. Each finding's wall time is its index, which the rule
+  // ignores and the comparison identifies the winner by.
+  size_t shared_iterations = 0;  // a fault two dialects report at once
+  size_t repeats = 0;            // a fault one stream reports twice
+  for (const uint64_t seed : {4242, 7, 977, 1, 99}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ShardedCampaignConfig config;
+    config.base.seed = seed;
+    config.base.iterations = 4;
+    config.base.queries_per_iteration = 30;
+    config.base.generator.num_geometries = 10;
+    config.base.oracles = fuzz::ParseOracleSuite("all").value();
+    config.jobs = 2;
+    config.dialects = ShardedCampaign::AllDialects();
+    std::mutex mu;
+    std::vector<std::vector<Discrepancy>> streams;
+    ShardedCampaign::Observer observer;
+    observer.after = [&](Campaign&, uint64_t, uint64_t,
+                         CampaignResult* delta) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!delta->discrepancies.empty()) {
+        streams.push_back(delta->discrepancies);
+      }
+    };
+    const CampaignResult recorded = ShardedCampaign(config).Run(observer);
+    EXPECT_EQ(recorded.findings, recorded.discrepancies.size());
+    ASSERT_GT(streams.size(), 1u);
+
+    size_t tag = 0;
+    std::map<std::pair<faults::FaultId, size_t>, std::set<Dialect>> dialects;
+    for (auto& stream : streams) {
+      std::set<faults::FaultId> seen;
+      for (Discrepancy& d : stream) {
+        d.elapsed_seconds = static_cast<double>(tag++);
+        for (const faults::FaultId id : d.fault_hits) {
+          if (!seen.insert(id).second) repeats++;
+          dialects[{id, d.iteration}].insert(d.dialect);
+        }
+      }
+    }
+    for (const auto& [key, reporters] : dialects) {
+      if (reporters.size() > 1) shared_iterations++;
+    }
+
+    Rng rng(seed);
+    for (int round = 0; round < 200; ++round) {
+      CampaignResult offered;
+      ReportSetRule reference;
+      std::vector<size_t> next(streams.size(), 0);
+      std::vector<size_t> open(streams.size());
+      for (size_t s = 0; s < open.size(); ++s) open[s] = s;
+      while (!open.empty()) {
+        const size_t pick = rng.Below(open.size());
+        const size_t s = open[pick];
+        const Discrepancy& d = streams[s][next[s]++];
+        for (const faults::FaultId id : d.fault_hits) {
+          offered.Offer(id, d);
+          reference.Offer(id, d);
+        }
+        if (next[s] == streams[s].size()) {
+          open[pick] = open.back();
+          open.pop_back();
+        }
+      }
+      ASSERT_EQ(offered.unique_bugs.size(), reference.winners().size());
+      for (const auto& [id, want] : reference.winners()) {
+        ASSERT_EQ(offered.unique_bugs.at(id).elapsed_seconds,
+                  want->elapsed_seconds)
+            << "round " << round << ": " << faults::GetFaultInfo(id).name;
+      }
+    }
+  }
+  // The inputs reach both cases the dialect masks decide.
+  EXPECT_GT(shared_iterations, 0u);
+  EXPECT_GT(repeats, 0u);
+}
+
+TEST(Aggregator, MergeDiscrepancyCountsAFindingWithoutKeepingIt) {
+  // The supervisor's BUG frames: each finding competes for its faults and
+  // is counted, and the log stays empty, so a long run does not grow.
+  Discrepancy d;
+  d.iteration = 3;
+  d.fault_hits = {faults::FaultId::kGeosOverlapsIgnoresHoles,
+                  faults::FaultId::kMysqlOverlapsSwappedAxes};
+  Aggregator agg;
+  agg.MergeDiscrepancy(d);
+  agg.MergeDiscrepancy(d);
+  EXPECT_EQ(agg.current().findings, 2u);
+  EXPECT_TRUE(agg.current().discrepancies.empty());
+  EXPECT_EQ(BugKeys(agg.current()), d.fault_hits);
+
+  // A whole result adds its count and keeps the findings it holds.
+  CampaignResult shard;
+  shard.Record(d);
+  agg.Merge(std::move(shard));
+  const CampaignResult merged = agg.Finish(0);
+  EXPECT_EQ(merged.findings, 3u);
+  EXPECT_EQ(merged.discrepancies.size(), 1u);
+}
+
 TEST(ShardedCampaign, DiscrepancyOrderIsScheduleIndependent) {
   // Per-iteration merges arrive in schedule order; the finished report is
   // ordered by (iteration, query, dialect) whatever the thread count.
