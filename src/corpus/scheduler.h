@@ -50,13 +50,6 @@ class Scheduler {
   /// (uniform when all energies are zero). Requires a non-empty corpus.
   size_t PickEntry(const Corpus& corpus, Rng* rng) const;
 
-  /// Live steering of the mutate-vs-generate coin (fleet TUNE frames).
-  /// Advisory: it changes the probability of future draws only — each
-  /// ShouldMutate still consumes exactly one RNG draw — so it never
-  /// participates in any determinism contract.
-  void set_mutate_pct(int pct) { options_.mutate_pct = pct; }
-  int mutate_pct() const { return options_.mutate_pct; }
-
  private:
   CorpusOptions options_;
 };

@@ -37,9 +37,7 @@ fuzz::OracleOutcome EetOracle::Compare(engine::Engine* engine,
     // reduction (budget 0) re-runs every variant.
     if (budget_ >= 2 &&
         (ctx.query_ordinal + static_cast<uint64_t>(j)) % budget_ != 0) {
-      obs::MetricsRegistry::Instance()
-          .GetCounter("oracle.eet.variant_budget_skipped")
-          ->Add();
+      SPATTER_METRIC_INC("oracle.eet.variant_budget_skipped");
       continue;
     }
     // Data-aware ST_DWithin bound, for the one variant that reads it: any

@@ -77,7 +77,7 @@ std::string CheckpointPath(const std::string& dir) {
 
 std::string EncodeCheckpoint(const CheckpointState& state) {
   std::vector<engine::Dialect> dialects = state.dialects;
-  if (dialects.empty()) dialects.push_back(engine::Dialect::kPostgis);
+  if (dialects.empty()) dialects.push_back(state.base.dialect);
 
   std::string body;
   size_t lines = 0;
@@ -88,17 +88,17 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
   };
   char buf[256];
 
+  const fuzz::CampaignConfig& base = state.base;
   std::snprintf(buf, sizeof(buf),
-                "%s %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                " %d %d ",
-                kConfig, state.seed, state.iterations,
-                state.queries_per_iteration, state.num_geometries,
-                state.total_slices, state.enable_faults ? 1 : 0,
-                state.derivative_enabled ? 1 : 0);
+                "%s %" PRIu64 " %zu %zu %zu %" PRIu64 " %d %d ", kConfig,
+                base.seed, base.iterations, base.queries_per_iteration,
+                base.generator.num_geometries, state.total_slices,
+                base.enable_faults ? 1 : 0,
+                base.generator.derivative_enabled ? 1 : 0);
   put(std::string(buf) + FormatDialects(dialects) + ' ' +
-      fuzz::FormatOracleSuite(state.oracles) + ' ' +
-      (state.corpus_enabled ? "1" : "0") + ' ' +
-      std::to_string(state.mutate_pct) + ' ' +
+      fuzz::FormatOracleSuite(base.oracles) + ' ' +
+      (base.corpus.enabled ? "1" : "0") + ' ' +
+      std::to_string(base.corpus.mutate_pct) + ' ' +
       FormatF64(state.duration_seconds));
 
   std::snprintf(buf, sizeof(buf), "%s %s %" PRIu64 " %" PRIu64 " %" PRIu64,
@@ -114,7 +114,7 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
   }
 
   for (const auto& [id, d] : state.unique_bugs) {
-    auto frame = MakeBugFrame(d, state.seed);
+    auto frame = MakeBugFrame(d, base.seed);
     if (!frame.ok()) {
       // Dropped, not fatal — but loudly: a missing bug line is a
       // bug-set divergence on resume, which must be diagnosable.
@@ -150,7 +150,7 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
     put(buf);
   }
 
-  if (state.corpus_enabled && !state.corpus_dir.empty()) {
+  if (base.corpus.enabled && !state.corpus_dir.empty()) {
     // dir goes last: it may contain spaces, so the parser takes the
     // remainder of the line.
     std::snprintf(buf, sizeof(buf), "%s %" PRIu64 " ", kCorpus,
@@ -219,16 +219,15 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
     if (kw == kConfig) {
       if (saw_config) return Malformed("duplicate config line");
       if (args != 12) return Malformed("config field count");
-      uint64_t mutate = 0;
-      if (!ParseU64(arg(0), &state.seed) ||
-          !ParseU64(arg(1), &state.iterations) ||
-          !ParseU64(arg(2), &state.queries_per_iteration) ||
-          !ParseU64(arg(3), &state.num_geometries) ||
+      fuzz::CampaignConfig& base = state.base;
+      uint64_t iterations = 0, queries = 0, geometries = 0, mutate = 0;
+      if (!ParseU64(arg(0), &base.seed) || !ParseU64(arg(1), &iterations) ||
+          !ParseU64(arg(2), &queries) || !ParseU64(arg(3), &geometries) ||
           !ParseU64(arg(4), &state.total_slices) ||
-          !ParseFieldBool01(arg(5), &state.enable_faults) ||
-          !ParseFieldBool01(arg(6), &state.derivative_enabled) ||
+          !ParseFieldBool01(arg(5), &base.enable_faults) ||
+          !ParseFieldBool01(arg(6), &base.generator.derivative_enabled) ||
           !ParseDialects(arg(7), &state.dialects) ||
-          !ParseFieldBool01(arg(9), &state.corpus_enabled) ||
+          !ParseFieldBool01(arg(9), &base.corpus.enabled) ||
           !ParseU64(arg(10), &mutate) || mutate > 100 ||
           !ParseFieldF64(arg(11), &state.duration_seconds) ||
           state.duration_seconds < 0 || state.total_slices == 0) {
@@ -236,8 +235,12 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
       }
       auto oracles = fuzz::ParseOracleSuite(arg(8));
       if (!oracles.ok()) return Malformed("config oracle suite");
-      state.oracles = oracles.Take();
-      state.mutate_pct = static_cast<int>(mutate);
+      base.oracles = oracles.Take();
+      base.iterations = static_cast<size_t>(iterations);
+      base.queries_per_iteration = static_cast<size_t>(queries);
+      base.generator.num_geometries = static_cast<size_t>(geometries);
+      base.corpus.mutate_pct = static_cast<int>(mutate);
+      base.dialect = state.dialects.front();
       saw_config = true;
     } else if (kw == kCounters) {
       if (saw_counters) return Malformed("duplicate counters line");

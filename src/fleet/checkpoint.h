@@ -43,7 +43,6 @@
 #include "common/status.h"
 #include "fleet/curve.h"
 #include "fuzz/campaign.h"
-#include "fuzz/oracle_suite.h"
 #include "obs/metrics.h"
 
 namespace spatter::fleet {
@@ -51,28 +50,26 @@ namespace spatter::fleet {
 inline constexpr char kCheckpointMagic[] = "spatter-checkpoint-v1";
 inline constexpr char kCheckpointFileName[] = "checkpoint.sptk";
 
-/// Everything a resumed supervisor reconstructs. The campaign-identity
-/// block is authoritative on resume: `--resume=DIR` adopts it wholesale
-/// (seed, budgets, dialects, oracles, corpus settings), so a checkpoint
-/// can never be resumed against a different universe by accident.
+/// Everything a resumed supervisor reconstructs. The campaign identity
+/// is authoritative on resume: `--resume=DIR` adopts it wholesale, so a
+/// checkpoint can never be resumed against a different universe by
+/// accident.
 struct CheckpointState {
   // --- campaign identity ---
-  uint64_t seed = 42;
-  uint64_t iterations = 100;          ///< batch budget (total, per dialect)
-  uint64_t queries_per_iteration = 100;
-  uint64_t num_geometries = 10;
-  uint64_t total_slices = 1;          ///< P*J; resume must preserve it
-  bool enable_faults = true;
-  bool derivative_enabled = true;
+  /// The campaign config. The codec persists its seed, iteration budget
+  /// (total, per dialect), queries per iteration, geometries, faults,
+  /// derivative strategy, oracle suite, corpus on and mutate percent;
+  /// every other field decodes as CampaignConfig's default, which is the
+  /// value every product path uses. `base.dialect` decodes as the first
+  /// of `dialects`.
+  fuzz::CampaignConfig base;
   std::vector<engine::Dialect> dialects;  ///< never empty once encoded
-  fuzz::OracleSuiteSpec oracles;
-  bool corpus_enabled = false;
-  int mutate_pct = 50;
+  uint64_t total_slices = 1;          ///< P*J; resume must preserve it
   double duration_seconds = 0.0;      ///< configured budget; 0 = batch
 
   // --- progress ---
   double elapsed_seconds = 0.0;       ///< consumed wall budget
-  uint64_t iterations_run = 0;        ///< == sum of completed marks
+  uint64_t iterations_run = 0;        ///< iterations credited so far
   uint64_t queries_run = 0;
   uint64_t checks_run = 0;
   double busy_seconds = 0.0;
@@ -89,7 +86,7 @@ struct CheckpointState {
   std::vector<CurveSample> curve;
 
   // --- corpus manifest ---
-  std::string corpus_dir;             ///< empty unless corpus_enabled
+  std::string corpus_dir;             ///< empty unless base.corpus.enabled
   uint64_t corpus_entries = 0;        ///< entries persisted at checkpoint
   /// Site signatures of the persisted entries; resume warns when the
   /// reloaded directory does not match (someone pruned it between runs).

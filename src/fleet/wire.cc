@@ -17,7 +17,7 @@ constexpr const char kMagic[] = "SPTW1";
 const char* kTypeNames[] = {"INFLIGHT", "SLICEDONE", "SLICEPROGRESS",
                             "COV",      "ENTRY",     "BUG",
                             "DONE",     "STATS",     "NETHELLO",
-                            "ASSIGN",   "BYE",       "TUNE"};
+                            "ASSIGN",   "BYE"};
 
 }  // namespace
 
@@ -166,11 +166,12 @@ std::string EncodeFrame(const Frame& frame) {
       put_u(frame.dialect);
       put_u(frame.slice);
       put_u(frame.completed);
+      put_u(frame.queries);
+      put_u(frame.checks);
+      put_u(frame.findings);
       break;
     case FrameType::kCov:
       put_f(frame.elapsed);
-      put_u(frame.iterations);
-      put_u(frame.queries);
       line += ' ' + FormatSiteKeys(frame.site_keys);
       break;
     case FrameType::kEntry:
@@ -186,9 +187,6 @@ std::string EncodeFrame(const Frame& frame) {
       line += ' ' + HexEncode(frame.payload);
       break;
     case FrameType::kDone:
-      put_u(frame.iterations);
-      put_u(frame.queries);
-      put_u(frame.checks);
       put_f(frame.busy_seconds);
       put_f(frame.engine_seconds);
       break;
@@ -205,9 +203,6 @@ std::string EncodeFrame(const Frame& frame) {
     case FrameType::kAssign:
       put_u(frame.worker);
       line += ' ' + HexEncode(frame.payload);
-      break;
-    case FrameType::kTune:
-      put_u(frame.mutate_pct);
       break;
     case FrameType::kBye:
       break;
@@ -271,11 +266,14 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       }
       break;
     case FrameType::kSliceProgress:
-      want = 3;
+      want = 6;
       if (args != want) return Malformed("SLICEPROGRESS field count");
       if (!ParseU64(arg(0), &frame.dialect) ||
           !ParseU64(arg(1), &frame.slice) ||
-          !ParseU64(arg(2), &frame.completed)) {
+          !ParseU64(arg(2), &frame.completed) ||
+          !ParseU64(arg(3), &frame.queries) ||
+          !ParseU64(arg(4), &frame.checks) ||
+          !ParseU64(arg(5), &frame.findings)) {
         return Malformed("SLICEPROGRESS fields");
       }
       if (frame.dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
@@ -283,12 +281,10 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       }
       break;
     case FrameType::kCov:
-      want = 4;
+      want = 2;
       if (args != want) return Malformed("COV field count");
       if (!ParseFieldF64(arg(0), &frame.elapsed) ||
-          !ParseU64(arg(1), &frame.iterations) ||
-          !ParseU64(arg(2), &frame.queries) ||
-          !ParseSiteKeys(arg(3), &frame.site_keys)) {
+          !ParseSiteKeys(arg(1), &frame.site_keys)) {
         return Malformed("COV fields");
       }
       break;
@@ -322,13 +318,10 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       break;
     }
     case FrameType::kDone:
-      want = 5;
+      want = 2;
       if (args != want) return Malformed("DONE field count");
-      if (!ParseU64(arg(0), &frame.iterations) ||
-          !ParseU64(arg(1), &frame.queries) ||
-          !ParseU64(arg(2), &frame.checks) ||
-          !ParseFieldF64(arg(3), &frame.busy_seconds) ||
-          !ParseFieldF64(arg(4), &frame.engine_seconds)) {
+      if (!ParseFieldF64(arg(0), &frame.busy_seconds) ||
+          !ParseFieldF64(arg(1), &frame.engine_seconds)) {
         return Malformed("DONE fields");
       }
       break;
@@ -366,14 +359,6 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       frame.payload = payload.Take();
       break;
     }
-    case FrameType::kTune:
-      want = 1;
-      if (args != want) return Malformed("TUNE field count");
-      if (!ParseU64(arg(0), &frame.mutate_pct) ||
-          frame.mutate_pct > 100) {
-        return Malformed("TUNE mutate_pct");
-      }
-      break;
     case FrameType::kBye:
       want = 0;
       if (args != want) return Malformed("BYE field count");

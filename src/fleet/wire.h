@@ -21,18 +21,24 @@
 //              the supervisor's crash-recovery anchor)
 //     SLICEDONE <dialect> <slice>   (the slice's loop exited: its last
 //              announced iteration completed; nothing is in flight)
-//     SLICEPROGRESS <dialect> <slice> <completed>   (absolute completed-
-//              iteration count for the slice, including any resume
-//              offset — the supervisor's checkpoint high-water mark)
-//     COV      <elapsed> <iterations> <queries> <key,key,...|->
+//     SLICEPROGRESS <dialect> <slice> <completed> <queries> <checks>
+//              <findings>   (the iteration's last frame and its commit
+//              point: <completed> is the slice's absolute completed-
+//              iteration count, resume offset included, the supervisor's
+//              checkpoint high-water mark; the counts are this iteration's
+//              own, and the supervisor credits the iteration with them
+//              when the frame arrives, so an iteration is credited once)
+//     COV      <elapsed> <key,key,...|->
 //     ENTRY    <hex(TestCaseCodec record)>
 //     BUG      <query_index> <is_crash> <oracle> <elapsed>
 //              <hex(detail)> <hex(TestCaseCodec record)>
 //              (<oracle> is the detecting OracleKind value, kept at frame
 //              level for stream debuggability; the payload record carries
-//              it authoritatively alongside the differential secondary)
-//     DONE     <iterations> <queries> <checks> <busy_s> <engine_s>
-//              (engine counters travel in STATS, not here)
+//              it authoritatively alongside the differential secondary.
+//              The supervisor offers the finding for every fault it fired
+//              on arrival; SLICEPROGRESS counts it)
+//     DONE     <busy_s> <engine_s>   (timing only: work is credited by
+//              SLICEPROGRESS, engine counters travel in STATS)
 //     STATS    <elapsed> <hex(spatter-metrics-text-v1 snapshot)>
 //              (cumulative MetricsSnapshot of the worker process since its
 //              assignment started; the payload must decode as a valid
@@ -41,11 +47,9 @@
 //     ASSIGN   <worker> <hex(checkpoint doc)>   (one work assignment: the
 //              payload is an EncodeCheckpoint document whose progress
 //              entries enumerate every (dialect, slice, completed) of the
-//              assignment and whose config line carries seed, oracle
-//              suite, corpus settings — everything a worker needs)
+//              assignment and whose config line carries the campaign
+//              config — everything a worker needs)
 //     ENTRY    <hex(record)>   (corpus seeding and rebroadcast)
-//     TUNE     <mutate_pct>    (fleet-level corpus scheduling: steer the
-//              worker's mutate budget; corpus mode only, advisory)
 //     BYE                      (no work now or ever; close the connection)
 //
 // Within one iteration a worker writes INFLIGHT, then its BUG and ENTRY
@@ -84,18 +88,20 @@ enum class FrameType : uint8_t {
   kNetHello,
   kAssign,
   kBye,
-  kTune,
 };
 
 /// Version token a worker sends in NETHELLO; the supervisor rejects (BYE)
 /// any peer whose version differs. 2: DONE lost its engine counters and
-/// STOP was retired. 3: HELLO and TRACE were retired.
-inline constexpr uint64_t kNetProtocolVersion = 3;
+/// STOP was retired. 3: HELLO and TRACE were retired. 4: SLICEPROGRESS
+/// carries its iteration's queries, checks and findings and is the one
+/// place work is credited, so COV and DONE lost their counters (a worker
+/// killed between them skewed the totals); TUNE was retired.
+inline constexpr uint64_t kNetProtocolVersion = 4;
 
 /// Hardening caps for frames from untrusted remote peers. The byte cap
 /// bounds ASSIGN/ENTRY hex payloads (a checkpoint document of a large
 /// campaign stays well under it); the field cap bounds splitter memory
-/// (the widest legitimate frame, BUG, has 8 fields).
+/// (the widest legitimate frames, BUG and SLICEPROGRESS, have 8 fields).
 inline constexpr size_t kMaxFrameBytes = 8u << 20;
 inline constexpr size_t kMaxFrameFields = 16;
 
@@ -115,14 +121,16 @@ struct Frame {
   uint64_t dialect = 0;
   uint64_t slice = 0;
   uint64_t iteration = 0;  // INFLIGHT only
-  uint64_t completed = 0;  // SLICEPROGRESS only: absolute completed count
-
-  // COV / DONE counters
-  double elapsed = 0.0;  // also BUG
-  uint64_t iterations = 0;
+  // SLICEPROGRESS only: the absolute completed count, then the
+  // iteration's own counts.
+  uint64_t completed = 0;
   uint64_t queries = 0;
   uint64_t checks = 0;
-  std::vector<uint64_t> site_keys;  // COV: stable keys newly covered
+  uint64_t findings = 0;
+
+  // COV
+  double elapsed = 0.0;  // also BUG and STATS
+  std::vector<uint64_t> site_keys;  // stable keys newly covered
 
   // ENTRY / BUG payload: a TestCaseCodec record.
   std::vector<uint8_t> payload;
@@ -139,8 +147,6 @@ struct Frame {
   // NETHELLO
   uint64_t proto = 0;
   uint64_t pid = 0;
-  // TUNE
-  uint64_t mutate_pct = 0;
 
   // DONE timing
   double busy_seconds = 0.0;

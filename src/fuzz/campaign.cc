@@ -87,13 +87,9 @@ void CampaignResult::Offer(faults::FaultId id, const Discrepancy& d) {
   if (DetectedEarlier(d, incumbent)) incumbent = d;
 }
 
-void CampaignResult::Count(const Discrepancy& d) {
+void CampaignResult::Record(Discrepancy d) {
   for (faults::FaultId id : d.fault_hits) Offer(id, d);
   findings++;
-}
-
-void CampaignResult::Record(Discrepancy d) {
-  Count(d);
   discrepancies.push_back(std::move(d));
 }
 
@@ -120,10 +116,6 @@ void Campaign::SeedCorpus(const std::vector<corpus::TestCaseRecord>& records) {
   // previous run; re-litigating the new-coverage rule in load order would
   // drop some of them.
   for (const auto& record : records) corpus_->Restore(record);
-}
-
-void Campaign::SetMutatePct(int pct) {
-  if (scheduler_) scheduler_->set_mutate_pct(pct);
 }
 
 const std::set<std::string>& Campaign::HarnessCoverageModules() {

@@ -157,11 +157,8 @@ struct CampaignResult {
   /// DetectedEarlier(d, incumbent), so the winners are the same for any
   /// interleaving of iterations that keeps each one's report order.
   void Offer(faults::FaultId id, const Discrepancy& d);
-  /// Counts finding `d` and offers it for every fault it fired, without
-  /// keeping it: the fleet supervisor's BUG frames take this path.
-  void Count(const Discrepancy& d);
-  /// Counts `d`, then appends it to the report: a campaign's iterations
-  /// record through here.
+  /// Offers `d` for every fault it fired, counts it, then appends it to
+  /// the report: a campaign's iterations record through here.
   void Record(Discrepancy d);
 
  private:
@@ -232,11 +229,6 @@ class Campaign {
   /// is off). Records are restored — signature dedup only, never the
   /// new-coverage rule, which would drop entries earned in earlier runs.
   void SeedCorpus(const std::vector<corpus::TestCaseRecord>& records);
-  /// Live mutate-vs-generate steering (fleet TUNE frames). No-op outside
-  /// corpus mode. Advisory: each scheduler coin still consumes exactly
-  /// one RNG draw, so this shifts probabilities without touching any
-  /// determinism contract.
-  void SetMutatePct(int pct);
 
  private:
   void RunIteration(size_t iteration, CampaignResult* result,

@@ -174,49 +174,69 @@ OracleSuite::OracleSuite(const OracleSuiteSpec& spec, engine::Dialect primary,
   for (OracleKind kind : spec_.oracles) {
     oracles_.push_back(MakeOracle(kind, primary, enable_faults, spec_));
   }
+  instruments_.resize(oracles_.size());
 }
+
+namespace {
+
+/// Verdict counter suffixes, indexed as OracleSuite::Instruments::verdicts.
+constexpr const char* kVerdicts[] = {".ok", ".mismatch", ".crash",
+                                     ".inapplicable"};
+
+/// "oracle.<token><suffix>": per-oracle telemetry is keyed by the stable
+/// CLI token ("oracle.aei.*", "oracle.tlp.*", ...).
+std::string InstrumentName(const Oracle& oracle, const char* suffix) {
+  return std::string("oracle.") + oracle.Name() + suffix;
+}
+
+}  // namespace
 
 std::vector<OracleFinding> OracleSuite::CheckAll(engine::Engine* engine,
                                                  const DatabaseSpec& sdb1,
                                                  const QuerySpec& query,
-                                                 const OracleCtx& ctx) const {
+                                                 const OracleCtx& ctx) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
   std::vector<OracleFinding> findings;
   findings.reserve(oracles_.size());
-  for (const auto& oracle : oracles_) {
+  for (size_t i = 0; i < oracles_.size(); ++i) {
+    const Oracle& oracle = *oracles_[i];
+    Instruments& instruments = instruments_[i];
     OracleFinding finding;
-    finding.oracle = oracle.get();
+    finding.oracle = &oracle;
     // Budgeted oracles sample every Nth query by global ordinal — a pure
     // function of the iteration index, so every shard of any P x J
     // factorization makes the same run/skip decision for the same query.
-    const auto budget = spec_.budgets.find(oracle->Kind());
-    if (!oracle->SamplesOwnBudget() && budget != spec_.budgets.end() &&
+    const auto budget = spec_.budgets.find(oracle.Kind());
+    if (!oracle.SamplesOwnBudget() && budget != spec_.budgets.end() &&
         budget->second >= 2 && ctx.query_ordinal % budget->second != 0) {
-      obs::MetricsRegistry::Instance()
-          .GetCounter(std::string("oracle.") + oracle->Name() +
-                      ".budget_skipped")
-          ->Add();
+      if (instruments.budget_skipped == nullptr) {
+        instruments.budget_skipped =
+            registry.GetCounter(InstrumentName(oracle, ".budget_skipped"));
+      }
+      instruments.budget_skipped->Add();
       continue;
     }
-    // Per-oracle telemetry keyed by the stable CLI token ("oracle.aei.*",
-    // "oracle.tlp.*", ...). The registry lookup is a mutex-guarded map
-    // hit, acceptable at once-per-oracle-check granularity (the lock-free
-    // cached-pointer idiom needs a compile-time name, and the name here
-    // depends on the oracle).
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
-    const std::string prefix = std::string("oracle.") + oracle->Name();
+    if (instruments.check == nullptr) {
+      instruments.check =
+          registry.GetHistogram(InstrumentName(oracle, ".check"));
+    }
     {
-      obs::ScopedTimer check_timer(reg.GetHistogram(prefix + ".check"),
+      obs::ScopedTimer check_timer(instruments.check,
                                    obs::ScopedTimer::Clock::kThreadCpu);
-      finding.outcome = oracle->Check(engine, sdb1, query, ctx);
+      finding.outcome = oracles_[i]->Check(engine, sdb1, query, ctx);
     }
     const OracleOutcome& o = finding.outcome;
-    const char* bucket = !o.applicable ? ".inapplicable"
-                         : o.crash     ? ".crash"
-                         : o.mismatch  ? ".mismatch"
-                                       : ".ok";
-    reg.GetCounter(prefix + bucket)->Add();
-    obs::TraceRecorder::Instance().Emit("oracle.verdict", ctx.query_ordinal,
-                                        (prefix + bucket).c_str());
+    const size_t verdict = !o.applicable ? 3 : o.crash ? 2 : o.mismatch ? 1 : 0;
+    obs::Counter*& counter = instruments.verdicts[verdict];
+    if (counter == nullptr) {
+      counter = registry.GetCounter(InstrumentName(oracle, kVerdicts[verdict]));
+    }
+    counter->Add();
+    obs::TraceRecorder& tracer = obs::TraceRecorder::Instance();
+    if (tracer.enabled()) {
+      tracer.Emit("oracle.verdict", ctx.query_ordinal,
+                  InstrumentName(oracle, kVerdicts[verdict]).c_str());
+    }
     findings.push_back(std::move(finding));
   }
   return findings;

@@ -7,6 +7,7 @@
 #ifndef SPATTER_FUZZ_ORACLE_SUITE_H_
 #define SPATTER_FUZZ_ORACLE_SUITE_H_
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,6 +15,11 @@
 
 #include "engine/engine.h"
 #include "fuzz/oracles.h"
+
+namespace spatter::obs {
+class Counter;
+class LatencyHistogram;
+}  // namespace spatter::obs
 
 namespace spatter::fuzz {
 
@@ -90,14 +96,28 @@ class OracleSuite {
   /// Runs every configured oracle on (sdb1, query) in spec order and
   /// returns one finding per Check() invocation (including inapplicable
   /// outcomes, so callers can count checks the way the legacy loop did).
+  /// Each check lands in its oracle's `oracle.<token>.check` histogram and
+  /// one `.ok` / `.mismatch` / `.crash` / `.inapplicable` counter; a
+  /// budget-skipped query in `.budget_skipped`.
   std::vector<OracleFinding> CheckAll(engine::Engine* engine,
                                       const DatabaseSpec& sdb1,
                                       const QuerySpec& query,
-                                      const OracleCtx& ctx) const;
+                                      const OracleCtx& ctx);
 
  private:
+  /// One oracle's instruments, each fetched from the registry on its
+  /// first use (so the registry holds just the names a run touched) and
+  /// cached here, so a check takes no registry lock.
+  struct Instruments {
+    obs::LatencyHistogram* check = nullptr;
+    /// ok, mismatch, crash, inapplicable.
+    std::array<obs::Counter*, 4> verdicts{};
+    obs::Counter* budget_skipped = nullptr;
+  };
+
   OracleSuiteSpec spec_;
   std::vector<std::unique_ptr<Oracle>> oracles_;
+  std::vector<Instruments> instruments_;  ///< parallel to oracles_
 };
 
 }  // namespace spatter::fuzz

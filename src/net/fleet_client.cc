@@ -40,19 +40,9 @@ using fuzz::Campaign;
 /// the fleet-wide slice count.
 runtime::ShardedCampaignConfig AssignmentConfig(const CheckpointState& state) {
   runtime::ShardedCampaignConfig config;
-  fuzz::CampaignConfig& base = config.base;
-  base.seed = state.seed;
-  base.iterations = state.iterations;
-  base.queries_per_iteration = state.queries_per_iteration;
-  base.generator.num_geometries = state.num_geometries;
-  base.enable_faults = state.enable_faults;
-  base.generator.derivative_enabled = state.derivative_enabled;
-  base.dialect = state.dialects.empty() ? base.dialect : state.dialects.front();
-  base.oracles = state.oracles;
-  base.corpus.enabled = state.corpus_enabled;
-  base.corpus.mutate_pct = state.mutate_pct;
+  config.base = state.base;
   // Fresh admissions leave as ENTRY frames; seeds arrive as ENTRY frames.
-  base.corpus.log_admissions = base.corpus.enabled;
+  config.base.corpus.log_admissions = config.base.corpus.enabled;
   config.dialects = state.dialects;
   config.shards = state.total_slices;
   config.completed = state.completed;
@@ -74,8 +64,8 @@ runtime::ShardedCampaignConfig AssignmentConfig(const CheckpointState& state) {
 /// observer hooks carry the per-iteration duties. `backlog` holds
 /// the frames that arrived behind ASSIGN in the handshake's reads. Slice
 /// threads write concurrently under one mutex, so frames never
-/// interleave; a reader thread collects ENTRY and TUNE frames until the
-/// assignment ends or the supervisor goes away.
+/// interleave; a reader thread collects ENTRY frames until the assignment
+/// ends or the supervisor goes away.
 void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
                    const FleetClientConfig& config, FrameChannel* channel,
                    const std::vector<Frame>& backlog) {
@@ -102,22 +92,17 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
 
   // Supervisor input. Entries are append-only and drained before each
   // iteration through a per-(dialect, slice) cursor (Restore semantics:
-  // signature dedup, never re-echoed); TUNE latches the latest advisory
-  // mutate budget (~0 = never tuned).
+  // signature dedup, never re-echoed).
   std::mutex entries_mu;
   std::vector<corpus::TestCaseRecord> entries;
   std::map<std::pair<engine::Dialect, uint64_t>, size_t> cursors;
-  std::atomic<uint64_t> tune_pct{~uint64_t{0}};
   auto receive = [&](const std::vector<Frame>& frames) {
     for (const Frame& frame : frames) {
-      if (frame.type == FrameType::kEntry) {
-        auto decoded = corpus::TestCaseCodec::Decode(frame.payload);
-        if (!decoded.ok()) continue;
-        std::lock_guard<std::mutex> lock(entries_mu);
-        entries.push_back(decoded.Take());
-      } else if (frame.type == FrameType::kTune) {
-        tune_pct.store(frame.mutate_pct, std::memory_order_relaxed);
-      }
+      if (frame.type != FrameType::kEntry) continue;
+      auto decoded = corpus::TestCaseCodec::Decode(frame.payload);
+      if (!decoded.ok()) continue;
+      std::lock_guard<std::mutex> lock(entries_mu);
+      entries.push_back(decoded.Take());
     }
   };
   receive(backlog);
@@ -142,15 +127,11 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
   std::mutex cov_mu;
   std::vector<uint64_t> cov_snapshot;  // empty = everything is new
   double last_cov = t0;
-  std::atomic<uint64_t> iterations{0};
-  std::atomic<uint64_t> queries{0};
   auto heartbeat = [&](double now) {  // cov_mu held
     auto& registry = CoverageRegistry::Instance();
     Frame cov;
     cov.type = FrameType::kCov;
     cov.elapsed = now - t0;
-    cov.iterations = iterations.load(std::memory_order_relaxed);
-    cov.queries = queries.load(std::memory_order_relaxed);
     // Snapshot BEFORE diffing: a site another slice first-hits between
     // the two calls then lands in this delta AND the next (a harmless
     // double report into a set union); the other order would bake it into
@@ -171,8 +152,6 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
   observer.before = [&](Campaign& campaign, uint64_t slice,
                         size_t iteration) {
     if (stop.load(std::memory_order_relaxed)) return false;
-    const uint64_t tuned = tune_pct.load(std::memory_order_relaxed);
-    if (tuned != ~uint64_t{0}) campaign.SetMutatePct(static_cast<int>(tuned));
     const engine::Dialect dialect = campaign.config().dialect;
     if (campaign.corpus() != nullptr) {
       std::vector<corpus::TestCaseRecord> fresh;
@@ -195,8 +174,6 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
   };
   observer.after = [&](Campaign& campaign, uint64_t slice, uint64_t completed,
                        fuzz::CampaignResult* delta) {
-    iterations.fetch_add(delta->iterations_run, std::memory_order_relaxed);
-    queries.fetch_add(delta->queries_run, std::memory_order_relaxed);
     for (const fuzz::Discrepancy& d : delta->discrepancies) {
       auto bug = fleet::MakeBugFrame(d, seed);
       if (bug.ok()) write(bug.value());
@@ -219,18 +196,23 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
       const double now = Campaign::NowSeconds();
       if (now - last_cov >= config.cov_interval_seconds) heartbeat(now);
     }
-    // SLICEPROGRESS is the LAST frame of the iteration: a supervisor
-    // checkpoint that includes this mark has necessarily merged
-    // everything the iteration produced (the stream preserves order), so
-    // skipping the iteration on resume loses neither bugs nor coverage.
-    // The converse tear only re-runs the iteration, and the re-reports
-    // dedup away. The mark is absolute (resume offset included), so the
-    // supervisor's high-water mark is a plain copy of the latest value.
+    // SLICEPROGRESS is the LAST frame of the iteration and its commit
+    // point: the supervisor credits the iteration with the counts it
+    // carries, and a checkpoint that includes this mark has necessarily
+    // merged everything the iteration produced (the stream preserves
+    // order), so skipping the iteration on resume loses neither bugs nor
+    // coverage. The converse tear only re-runs the iteration, which is
+    // then credited once, and the re-reports dedup away. The mark is
+    // absolute (resume offset included), so the supervisor's high-water
+    // mark is a plain copy of the latest value.
     Frame progress;
     progress.type = FrameType::kSliceProgress;
     progress.dialect = static_cast<uint64_t>(campaign.config().dialect);
     progress.slice = slice;
     progress.completed = completed;
+    progress.queries = delta->queries_run;
+    progress.checks = delta->checks_run;
+    progress.findings = delta->findings;
     write(progress);
   };
   observer.slice_done = [&](engine::Dialect dialect, uint64_t slice) {
@@ -256,9 +238,6 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
   }
   Frame done;
   done.type = FrameType::kDone;
-  done.iterations = result.iterations_run;
-  done.queries = result.queries_run;
-  done.checks = result.checks_run;
   done.busy_seconds = result.busy_seconds;
   done.engine_seconds = result.engine_seconds;
   write(done);

@@ -39,10 +39,6 @@ constexpr double kStragglerGraceSeconds = 30.0;
 /// Consecutive deaths of one assignment before its in-flight iteration is
 /// assumed to be a deterministic killer and skipped.
 constexpr size_t kMaxDeathsPerAssignment = 3;
-/// TUNE re-evaluation period, and the admission recency window that
-/// counts the merged corpus as "hot".
-constexpr double kTuneIntervalSeconds = 2.0;
-constexpr double kTuneWindowSeconds = 5.0;
 /// Local mode: respawns allowed per child slot (caps pathological churn).
 constexpr size_t kMaxRespawnsPerChild = 8;
 
@@ -111,8 +107,9 @@ struct FleetServer::Peer {
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> last_inflight;
   /// Latest absolute SLICEPROGRESS mark per (dialect, slice).
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> progress;
-  uint64_t cov_iterations = 0;
-  uint64_t cov_queries = 0;
+  /// What this peer's SLICEPROGRESS frames credited, for /fleet.
+  uint64_t credited_iterations = 0;
+  uint64_t credited_queries = 0;
   obs::MetricsSnapshot latest_stats;
   /// Wall clock of the accept, for the /fleet per-worker rates.
   double connected_at = 0.0;
@@ -203,9 +200,9 @@ std::string FleetServer::FleetJson() const {
                   "%s{\"index\":%zu,\"active\":%s,\"iterations\":%" PRIu64
                   ",\"queries\":%" PRIu64 ",\"iters_per_sec\":%.2f}",
                   first ? "" : ",", peer->index,
-                  peer->assignment ? "true" : "false", peer->cov_iterations,
-                  peer->cov_queries,
-                  up > 0 ? static_cast<double>(peer->cov_iterations) / up
+                  peer->assignment ? "true" : "false",
+                  peer->credited_iterations, peer->credited_queries,
+                  up > 0 ? static_cast<double>(peer->credited_iterations) / up
                          : 0.0);
     out += buf;
     first = false;
@@ -268,17 +265,9 @@ void FleetServer::BuildInitialQueue() {
 
 CheckpointState FleetServer::CampaignIdentity() const {
   CheckpointState state;
-  state.seed = config_.base.seed;
-  state.iterations = config_.base.iterations;
-  state.queries_per_iteration = config_.base.queries_per_iteration;
-  state.num_geometries = config_.base.generator.num_geometries;
-  state.total_slices = total_slices_;
-  state.enable_faults = config_.base.enable_faults;
-  state.derivative_enabled = config_.base.generator.derivative_enabled;
+  state.base = config_.base;
   state.dialects = dialects_;
-  state.oracles = config_.base.oracles;
-  state.corpus_enabled = config_.base.corpus.enabled;
-  state.mutate_pct = config_.base.corpus.mutate_pct;
+  state.total_slices = total_slices_;
   state.duration_seconds = config_.duration_seconds;
   state.elapsed_seconds = Campaign::NowSeconds() - t0_;
   return state;
@@ -296,9 +285,6 @@ void FleetServer::TryAssign() {
 
     CheckpointState state = CampaignIdentity();
     state.completed = assignment->completed;
-    for (const auto& [key, count] : state.completed) {
-      state.iterations_run += count;
-    }
 
     const std::string doc = fleet::EncodeCheckpoint(state);
     Frame assign;
@@ -316,13 +302,6 @@ void FleetServer::TryAssign() {
     // so far arrives as streamed ENTRY frames (signature dedup on the
     // worker side absorbs overlap with earlier assignments).
     SeedPeerCorpus(peer.get());
-    // Late joiners adopt the fleet's current steering.
-    if (tune_last_sent_ != ~uint64_t{0}) {
-      Frame tune;
-      tune.type = FrameType::kTune;
-      tune.mutate_pct = tune_last_sent_;
-      peer->channel.WriteFrame(tune);
-    }
   }
 }
 
@@ -352,21 +331,10 @@ void FleetServer::BroadcastEntry(const std::vector<uint8_t>& payload,
   }
 }
 
-uint64_t FleetServer::IterationsSoFar() const {
-  // The aggregator holds everything DONE'd or death-accounted; live
-  // assignments contribute their latest COV reading.
-  uint64_t iterations = aggregator_.current().iterations_run;
-  for (const auto& peer : peers_) {
-    if (peer && !peer->closed && !peer->got_done) {
-      iterations += peer->cov_iterations;
-    }
-  }
-  return iterations;
-}
-
 void FleetServer::AddCurveSample() {
+  const CampaignResult& credited = aggregator_.current();
   curve_.Add(Campaign::NowSeconds() - t0_, covered_keys_.size(),
-             aggregator_.current().unique_bugs.size(), IterationsSoFar());
+             credited.unique_bugs.size(), credited.iterations_run);
 }
 
 void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
@@ -402,19 +370,26 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       peer->last_inflight.erase({frame.dialect, frame.slice});
       break;
     case FrameType::kSliceProgress: {
+      // The iteration's last frame, so its commit point: its work is
+      // credited here and nowhere else. Server-wide marks advance with
+      // it, so a checkpoint gathered at ANY instant reflects everything
+      // already merged.
       const auto key = std::make_pair(frame.dialect, frame.slice);
       peer->progress[key] = frame.completed;
-      // Server-wide marks advance as the frames arrive, so a checkpoint
-      // gathered at ANY instant reflects everything already merged
-      // (SLICEPROGRESS is the last frame of its iteration).
       uint64_t& mark = completed_[key];
       mark = std::max(mark, frame.completed);
+      CampaignResult iteration;
+      iteration.iterations_run = 1;
+      iteration.queries_run = frame.queries;
+      iteration.checks_run = frame.checks;
+      iteration.findings = frame.findings;
+      aggregator_.Merge(std::move(iteration));
+      peer->credited_iterations++;
+      peer->credited_queries += frame.queries;
       break;
     }
     case FrameType::kCov: {
       for (uint64_t key : frame.site_keys) covered_keys_.insert(key);
-      peer->cov_iterations = frame.iterations;
-      peer->cov_queries = frame.queries;
       AddCurveSample();
       break;
     }
@@ -429,12 +404,13 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       // coverage in its own context. A fresh signature is rebroadcast so
       // every other worker can fold it into its shard corpora.
       if (corpus_->Restore(record.Take())) {
-        last_admit_ = Campaign::NowSeconds();
         BroadcastEntry(frame.payload, peer);
       }
       break;
     }
     case FrameType::kBug: {
+      // Offered now, so a finding of an iteration that never completes
+      // keeps its bugs; its iteration's SLICEPROGRESS counts it.
       auto d = fleet::BugFrameToDiscrepancy(frame);
       if (!d.ok()) {
         protocol_errors_++;
@@ -444,13 +420,10 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       break;
     }
     case FrameType::kDone: {
-      CampaignResult delta;
-      delta.iterations_run = frame.iterations;
-      delta.queries_run = frame.queries;
-      delta.checks_run = frame.checks;
-      delta.busy_seconds = frame.busy_seconds;
-      delta.engine_seconds = frame.engine_seconds;
-      aggregator_.Merge(std::move(delta));
+      CampaignResult timing;
+      timing.busy_seconds = frame.busy_seconds;
+      timing.engine_seconds = frame.engine_seconds;
+      aggregator_.Merge(std::move(timing));
       peer->got_done = true;
       // One assignment per connection: DONE completes it; the client
       // closes and reconnects for more work.
@@ -463,7 +436,6 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       break;
     case FrameType::kAssign:
     case FrameType::kBye:
-    case FrameType::kTune:
       break;  // supervisor-to-worker frames; a peer echoing them is harmless
   }
   if (config_.die_after_frames > 0 &&
@@ -537,24 +509,13 @@ void FleetServer::HandleDisconnect(Peer* peer) {
   peer->latest_stats = obs::MetricsSnapshot{};
   if (peer->got_done || !peer->assignment) return;
 
-  // Died mid-assignment. Credit what the SLICEPROGRESS marks prove was
-  // completed (BUG frames were merged live, so no bug is lost), persist
-  // the in-flight iterations, then requeue the unfinished slices at those
-  // marks: the in-flight iteration is RE-RUN by whoever picks the work
-  // up, and its re-reported bugs dedup in the aggregator.
+  // Died mid-assignment. Its SLICEPROGRESS frames already credited every
+  // iteration it completed, and its BUG frames were offered live, so no
+  // bug is lost. Persist the in-flight iterations, then requeue the
+  // unfinished slices at the marks: an iteration never credited is RE-RUN
+  // by whoever picks the work up and credited once, and its re-reported
+  // bugs dedup in the aggregator.
   Assignment* assignment = peer->assignment.get();
-  uint64_t completed_now = 0;
-  for (const auto& [key, mark] : peer->progress) {
-    const auto it = assignment->completed.find(key);
-    const uint64_t at_assign =
-        it == assignment->completed.end() ? 0 : it->second;
-    if (mark > at_assign) completed_now += mark - at_assign;
-  }
-  CampaignResult lost;
-  lost.iterations_run = completed_now;
-  lost.queries_run = peer->cov_queries;
-  lost.checks_run = peer->cov_queries;
-  aggregator_.Merge(std::move(lost));
   PersistInflight(*peer);
 
   for (auto& [key, mark] : assignment->completed) {
@@ -600,33 +561,6 @@ void FleetServer::HandleDisconnect(Peer* peer) {
     pending_.push_front(std::move(peer->assignment));
   } else {
     peer->assignment.reset();
-  }
-}
-
-void FleetServer::MaybeTune() {
-  if (!corpus_) return;
-  const double now = Campaign::NowSeconds();
-  if (now - last_tune_ < kTuneIntervalSeconds) return;
-  last_tune_ = now;
-  // Fleet-level corpus scheduling: while fresh signatures are arriving,
-  // the energy roulette is holding rare sites worth exploiting — steer
-  // the fleet's mutate budget up; once admissions go stale, steer back
-  // toward pure generation. Advisory only: workers keep their RNG draw
-  // discipline, so this never touches a determinism contract.
-  const int base = config_.base.corpus.mutate_pct;
-  const bool hot = last_admit_ >= 0 && now - last_admit_ <= kTuneWindowSeconds;
-  const uint64_t target = static_cast<uint64_t>(
-      std::min(100, std::max(5, hot ? base + 25 : base - 25)));
-  if (target == tune_last_sent_) return;
-  tune_last_sent_ = target;
-  Frame tune;
-  tune.type = FrameType::kTune;
-  tune.mutate_pct = target;
-  for (const auto& peer : peers_) {
-    if (!peer || peer->closed || !peer->helloed || !peer->assignment) {
-      continue;
-    }
-    peer->channel.WriteFrame(tune);
   }
 }
 
@@ -712,7 +646,7 @@ void FleetServer::MaybeStatus(bool force) {
   if (stale > 0) stale_intervals_++;
 
   const obs::MetricsSnapshot snap = FleetMetricsSnapshot();
-  const uint64_t iterations = IterationsSoFar();
+  const uint64_t iterations = aggregator_.current().iterations_run;
   const double elapsed = now - t0_;
   const uint64_t queries = snap.CounterOr("campaign.queries");
   const obs::HistogramData* stmt = snap.FindHistogram("engine.statement");
@@ -750,20 +684,10 @@ void FleetServer::MaybeStatus(bool force) {
 CheckpointState FleetServer::GatherCheckpoint() const {
   CheckpointState state = CampaignIdentity();
   state.completed = completed_;
-  for (const auto& [key, count] : state.completed) {
-    state.iterations_run += count;
-  }
   const CampaignResult& acc = aggregator_.current();
+  state.iterations_run = acc.iterations_run;
   state.queries_run = acc.queries_run;
   state.checks_run = acc.checks_run;
-  for (const auto& peer : peers_) {
-    // Live assignments' counters exist only in their COV heartbeats
-    // (merged on DONE or death); fold the latest reading in.
-    if (peer && !peer->closed && !peer->got_done) {
-      state.queries_run += peer->cov_queries;
-      state.checks_run += peer->cov_queries;
-    }
-  }
   state.busy_seconds = acc.busy_seconds;
   state.engine_seconds = acc.engine_seconds;
   for (const auto& [id, d] : acc.unique_bugs) {
@@ -886,7 +810,7 @@ CampaignResult FleetServer::Run() {
   // an EPIPE we handle, not a process-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
   t0_ = Campaign::NowSeconds();
-  last_checkpoint_ = last_status_ = last_metrics_ = last_tune_ = t0_;
+  last_checkpoint_ = last_status_ = last_metrics_ = t0_;
 
   if (config_.resume) {
     const CheckpointState& resume = *config_.resume;
@@ -920,7 +844,7 @@ CampaignResult FleetServer::Run() {
                      loaded.status().ToString().c_str());
       }
     }
-    if (config_.resume && config_.resume->corpus_enabled) {
+    if (config_.resume && config_.resume->base.corpus.enabled) {
       // Verify the reloaded directory against the checkpoint's manifest:
       // a pruned or swapped corpus dir silently changes the resumed
       // universe, which the operator should know about (it is legal —
@@ -1030,7 +954,6 @@ CampaignResult FleetServer::Run() {
     SuperviseChildren();
     MaybeCheckpoint(/*force=*/false);
     MaybeStatus(/*force=*/false);
-    MaybeTune();
     if (status_.started()) {
       status_.PollOnce(
           [this](const std::string& path) { return HandleStatusRoute(path); });

@@ -39,13 +39,16 @@
 // (dialect, slice, completed) marks), the worker streams its frames, and
 // DONE ends the connection; the client reconnects for more work. No file
 // path crosses the wire: workers are seeded purely by streamed ENTRY
-// frames.
+// frames, and fresh corpus signatures are rebroadcast to every other live
+// peer as they arrive.
 //
-// Fleet-level corpus scheduling: fresh corpus signatures are rebroadcast
-// to every other live peer as they arrive, and the supervisor
-// periodically steers the fleet's mutate budget with advisory TUNE
-// frames — raising it while the merged corpus is hot and lowering it
-// toward pure generation once admissions go stale.
+// Work is credited in one place: each iteration's SLICEPROGRESS, its
+// last frame, carries its queries, checks and findings, and the
+// supervisor merges one iteration with them when the frame arrives.
+// Neither a heartbeat, nor DONE, nor a worker's death credits anything,
+// so a dead worker's uncredited iteration is credited once, when it is
+// re-run; the status line, the curve, /fleet and checkpoints all read
+// what has been credited.
 #ifndef SPATTER_NET_FLEET_SERVER_H_
 #define SPATTER_NET_FLEET_SERVER_H_
 
@@ -194,10 +197,7 @@ class FleetServer {
   void TryAssign();
   void BroadcastEntry(const std::vector<uint8_t>& payload, const Peer* from);
   void SeedPeerCorpus(Peer* peer);
-  void MaybeTune();
   void AddCurveSample();
-  /// Iterations run so far, live peers' COV readings included.
-  uint64_t IterationsSoFar() const;
   fleet::CheckpointState CampaignIdentity() const;
   fleet::CheckpointState GatherCheckpoint() const;
   void MaybeCheckpoint(bool force);
@@ -253,9 +253,6 @@ class FleetServer {
   double last_checkpoint_ = 0.0;
   double last_status_ = 0.0;
   double last_metrics_ = 0.0;
-  double last_tune_ = 0.0;
-  double last_admit_ = -1.0;      ///< wall clock of the last fresh ENTRY
-  uint64_t tune_last_sent_ = ~uint64_t{0};
   obs::MetricsSnapshot base_metrics_;  ///< checkpoint-restored baseline
   obs::MetricsSnapshot dead_metrics_;  ///< retired incarnations
 };

@@ -33,7 +33,7 @@ void Aggregator::Merge(fuzz::CampaignResult&& shard) {
 }
 
 void Aggregator::MergeDiscrepancy(const fuzz::Discrepancy& d) {
-  acc_.Count(d);
+  for (faults::FaultId id : d.fault_hits) acc_.Offer(id, d);
 }
 
 void Aggregator::RestoreUniqueBug(faults::FaultId id,

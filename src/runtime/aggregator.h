@@ -11,9 +11,9 @@
 //     own unique bugs already hold each iteration's first report, and the
 //     order is total across (dialect, iteration) pairs, so the winner per
 //     bug is the serial run's, whatever the shard count and schedule. A
-//     single finding (the fleet's BUG frames) is counted through
-//     CampaignResult::Count, whose Offer keeps an iteration's first report
-//     of a fault as a whole-result merge does;
+//     single finding (the fleet's BUG frames) is offered through
+//     CampaignResult::Offer, which keeps an iteration's first report of a
+//     fault as a whole-result merge does;
 //   - iteration/query/check counters and EngineStats summed;
 //   - the Figure-7 time split preserved: busy_seconds accumulates per-shard
 //     wall time and engine_seconds per-shard SDBMS time, while
@@ -38,10 +38,11 @@ class Aggregator {
   void Merge(const fuzz::CampaignResult& shard);
   void Merge(fuzz::CampaignResult&& shard);
 
-  /// Folds a single finding in (the fleet supervisor's BUG-frame path):
-  /// CampaignResult::Count, so it is counted and offered for every fault
-  /// it fired, but not kept: the log of a long run would grow without
-  /// bound, and only its count is read.
+  /// Offers a single finding for every fault it fired (the fleet
+  /// supervisor's BUG-frame path) through CampaignResult::Offer. It is
+  /// neither counted, since its iteration's counts merge whole when that
+  /// iteration completes, nor kept: the log of a long run would grow
+  /// without bound.
   void MergeDiscrepancy(const fuzz::Discrepancy& d);
 
   /// Re-seats a checkpoint-restored unique bug under its recorded FaultId
@@ -49,8 +50,7 @@ class Aggregator {
   /// re-reports the fault dedups against the restored winner. Unlike
   /// MergeDiscrepancy this does NOT fan out across d.fault_hits — each
   /// checkpointed fault carries its own winning reproducer, and re-keying
-  /// it under a co-fired fault could flip that fault's winner — and does
-  /// not count a finding (the checkpoint persists winners, not the count).
+  /// it under a co-fired fault could flip that fault's winner.
   void RestoreUniqueBug(faults::FaultId id, const fuzz::Discrepancy& d);
 
   /// Running aggregate, for live sampling mid-campaign. Discrepancies are

@@ -17,8 +17,9 @@ Result<StatementPtr> ParseStatement(const std::string& text);
 /// skipped, "--" comments run to end of line.
 Result<std::vector<StatementPtr>> ParseScript(const std::string& text);
 
-/// Renders a statement back to SQL (the reducer and bug reports use this;
-/// the output parses back to an equivalent statement).
+/// Renders a statement back to SQL; the output parses back to an
+/// equivalent statement. Only tests read it (decoder_fuzz_test's
+/// parse -> print -> parse fixed point, eet_test's variant checks).
 std::string PrintStatement(const Statement& stmt);
 
 /// Renders an expression back to SQL.

@@ -69,19 +69,15 @@ using namespace spatter;  // NOLINT
 namespace {
 
 struct Options {
-  engine::Dialect dialect = engine::Dialect::kPostgis;
+  Options() { base.iterations = 100; }  // the CLI's budget, not the config's
+
+  /// The campaign the flags describe; `--resume` replaces it with the
+  /// checkpoint's. Oracles default to AEI alone.
+  fuzz::CampaignConfig base;
   bool all_dialects = false;
-  uint64_t seed = 42;
-  size_t iterations = 100;
-  size_t queries = 100;
-  size_t geometries = 10;
   size_t jobs = 1;
-  bool derivative = true;
-  bool enable_faults = true;
   bool reduce = true;
-  fuzz::OracleSuiteSpec oracles;  // default: AEI alone
   std::string corpus_dir;   // empty = corpus mode off
-  int mutate_pct = 50;
   bool transfer = true;     // cross-dialect corpus transfer on merge
   std::string replay_file;  // non-empty = replay mode, no campaign
   std::string minify_dir;   // non-empty = offline corpus minification
@@ -266,24 +262,26 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
           std::fprintf(stderr, "unknown dialect '%s'\n", value.c_str());
           return false;
         }
-        opts->dialect = dialect.value();
+        opts->base.dialect = dialect.value();
       }
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      if (!ParseU64(value, &opts->seed)) {
+      if (!ParseU64(value, &opts->base.seed)) {
         std::fprintf(stderr, "--seed must be an unsigned 64-bit integer\n");
         return false;
       }
     } else if (ParseFlag(argv[i], "--iterations", &value)) {
-      if (!ParseSize(value, "--iterations", kMaxBudget, &opts->iterations)) {
+      if (!ParseSize(value, "--iterations", kMaxBudget,
+                     &opts->base.iterations)) {
         return false;
       }
     } else if (ParseFlag(argv[i], "--queries", &value)) {
-      if (!ParseSize(value, "--queries", kMaxBudget, &opts->queries)) {
+      if (!ParseSize(value, "--queries", kMaxBudget,
+                     &opts->base.queries_per_iteration)) {
         return false;
       }
     } else if (ParseFlag(argv[i], "--geometries", &value)) {
       if (!ParseSize(value, "--geometries", kMaxGeometries,
-                     &opts->geometries)) {
+                     &opts->base.generator.num_geometries)) {
         return false;
       }
     } else if (ParseFlag(argv[i], "--jobs", &value)) {
@@ -296,7 +294,7 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
                      spec.status().ToString().c_str());
         return false;
       }
-      opts->oracles = spec.Take();
+      opts->base.oracles = spec.Take();
     } else if (ParseFlag(argv[i], "--serve", &value)) {
       size_t port = 0;
       if (!ParseSize(value, "--serve", 65535, &port)) return false;
@@ -373,6 +371,7 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
         return false;
       }
       opts->corpus_dir = value;
+      opts->base.corpus.enabled = true;
     } else if (ParseFlag(argv[i], "--corpus-minify", &value)) {
       if (value.empty()) {
         std::fprintf(stderr, "--corpus-minify needs a directory\n");
@@ -382,7 +381,7 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     } else if (ParseFlag(argv[i], "--mutate-pct", &value)) {
       size_t pct = 0;
       if (!ParseSize(value, "--mutate-pct", 100, &pct)) return false;
-      opts->mutate_pct = static_cast<int>(pct);
+      opts->base.corpus.mutate_pct = static_cast<int>(pct);
     } else if (ParseFlag(argv[i], "--replay", &value)) {
       if (value.empty()) {
         std::fprintf(stderr, "--replay needs a file\n");
@@ -390,9 +389,9 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       }
       opts->replay_file = value;
     } else if (std::strcmp(argv[i], "--no-derivative") == 0) {
-      opts->derivative = false;
+      opts->base.generator.derivative_enabled = false;
     } else if (std::strcmp(argv[i], "--fixed") == 0) {
-      opts->enable_faults = false;
+      opts->base.enable_faults = false;
     } else if (std::strcmp(argv[i], "--no-reduce") == 0) {
       opts->reduce = false;
     } else if (std::strcmp(argv[i], "--no-transfer") == 0) {
@@ -406,23 +405,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     }
   }
   return true;
-}
-
-fuzz::CampaignConfig BaseConfig(const Options& opts) {
-  fuzz::CampaignConfig base;
-  base.dialect = opts.dialect;
-  base.seed = opts.seed;
-  base.iterations = opts.iterations;
-  base.queries_per_iteration = opts.queries;
-  base.generator.num_geometries = opts.geometries;
-  base.generator.derivative_enabled = opts.derivative;
-  base.enable_faults = opts.enable_faults;
-  base.oracles = opts.oracles;
-  if (!opts.corpus_dir.empty()) {
-    base.corpus.enabled = true;
-    base.corpus.mutate_pct = opts.mutate_pct;
-  }
-  return base;
 }
 
 // --- Remote worker mode (--connect) ----------------------------------------
@@ -479,7 +461,7 @@ int RunReplay(const Options& opts) {
               static_cast<unsigned long long>(rec.seed));
   for (const auto& stmt : rec.sdb.ToSql()) std::printf("  %s\n", stmt.c_str());
 
-  engine::Engine engine(rec.dialect, opts.enable_faults);
+  engine::Engine engine(rec.dialect, opts.base.enable_faults);
   if (!rec.has_query) {
     const Status st = fuzz::LoadDatabase(&engine, rec.sdb, nullptr);
     std::printf("replay: loaded database (%s); no recorded query\n",
@@ -495,7 +477,7 @@ int RunReplay(const Options& opts) {
               rec.query.ToSql().c_str(), oracle_desc.c_str(),
               rec.transform.ToString().c_str());
   const std::unique_ptr<fuzz::Oracle> oracle = fuzz::MakeDetectingOracle(
-      rec.oracle, rec.dialect, rec.diff_secondary, opts.enable_faults);
+      rec.oracle, rec.dialect, rec.diff_secondary, opts.base.enable_faults);
   fuzz::OracleCtx ctx;
   ctx.transform = rec.transform;
   ctx.canonical_only = rec.oracle == fuzz::OracleKind::kCanonicalOnly;
@@ -522,11 +504,10 @@ int RunReplay(const Options& opts) {
 // --- Corpus minification mode -----------------------------------------------
 
 int RunMinify(const Options& opts) {
-  corpus::CorpusOptions options;
+  corpus::CorpusOptions options = opts.base.corpus;
   options.enabled = true;
-  options.mutate_pct = opts.mutate_pct;
   auto stats =
-      fuzz::MinifyCorpusDir(opts.minify_dir, options, opts.enable_faults);
+      fuzz::MinifyCorpusDir(opts.minify_dir, options, opts.base.enable_faults);
   if (!stats.ok()) {
     std::fprintf(stderr, "corpus-minify: %s\n",
                  stats.status().ToString().c_str());
@@ -576,7 +557,7 @@ int main(int argc, char** argv) {
   if (!opts.minify_dir.empty()) return RunMinify(opts);
 
   // Resume: the checkpoint is authoritative for the campaign identity
-  // (seed, budgets, dialects, oracles, corpus settings) — only the P x J
+  // (its campaign config, dialects and budgets) — only the P x J
   // factorization may be re-chosen, and only with the product preserved,
   // so a resumed pure-generate campaign walks the identical SplitSeed
   // slice space and reports the identical bug-set lines.
@@ -590,30 +571,21 @@ int main(int argc, char** argv) {
     }
     resume_state = loaded.Take();
     const fleet::CheckpointState& ck = *resume_state;
-    opts.seed = ck.seed;
-    opts.iterations = ck.iterations;
-    opts.queries = ck.queries_per_iteration;
-    opts.geometries = ck.num_geometries;
-    opts.enable_faults = ck.enable_faults;
-    opts.derivative = ck.derivative_enabled;
-    opts.oracles = ck.oracles;
-    opts.duration = ck.duration_seconds;
-    // Multi-dialect checkpoints can only have come from --dialect=all.
-    opts.all_dialects = ck.dialects.size() > 1;
-    if (!ck.dialects.empty()) opts.dialect = ck.dialects[0];
-    if (ck.corpus_enabled && !ck.corpus_dir.empty()) {
-      opts.corpus_dir = ck.corpus_dir;
-      opts.mutate_pct = ck.mutate_pct;
-    } else if (!opts.corpus_dir.empty()) {
-      // Every other identity field is overwritten from the checkpoint; a
-      // surviving user --corpus would silently turn the resumed run into
-      // a different (mutation-driven) universe.
+    if (!ck.base.corpus.enabled && !opts.corpus_dir.empty()) {
+      // The checkpoint's campaign replaces the flags' wholesale; a user
+      // --corpus would silently turn the resumed run into a different
+      // (mutation-driven) universe.
       std::fprintf(stderr,
                    "resume: the checkpoint is pure-generate; --corpus "
                    "would change the resumed campaign's universe (drop "
                    "it, or start a fresh campaign)\n");
       return 2;
     }
+    opts.base = ck.base;
+    opts.corpus_dir = ck.corpus_dir;
+    opts.duration = ck.duration_seconds;
+    // Multi-dialect checkpoints can only have come from --dialect=all.
+    opts.all_dialects = ck.dialects.size() > 1;
     if (opts.fleet == 0) opts.fleet = 1;
     if (ck.total_slices % opts.fleet != 0) {
       std::fprintf(stderr,
@@ -675,27 +647,30 @@ int main(int argc, char** argv) {
   std::printf("spatter: %s engine (%s), seed %llu, %s, N=%zu, "
               "generator=%s, jobs=%zu%s\n",
               opts.all_dialects ? "fleet (all dialects)"
-                                : engine::DialectName(opts.dialect),
-              opts.enable_faults ? "faulty" : "fixed",
-              static_cast<unsigned long long>(opts.seed),
+                                : engine::DialectName(opts.base.dialect),
+              opts.base.enable_faults ? "faulty" : "fixed",
+              static_cast<unsigned long long>(opts.base.seed),
               opts.duration > 0
                   ? (std::to_string(opts.duration) + "s duration budget")
                         .c_str()
-                  : (std::to_string(opts.iterations) + " x " +
-                     std::to_string(opts.queries) + " checks")
+                  : (std::to_string(opts.base.iterations) + " x " +
+                     std::to_string(opts.base.queries_per_iteration) +
+                     " checks")
                         .c_str(),
-              opts.geometries,
-              opts.derivative ? "geometry-aware" : "random-shape", opts.jobs,
+              opts.base.generator.num_geometries,
+              opts.base.generator.derivative_enabled ? "geometry-aware"
+                                                     : "random-shape",
+              opts.jobs,
               fleet_processes > 0 ? (", fleet=" +
                                      std::to_string(fleet_processes))
                                         .c_str()
                                   : "");
   if (!opts.corpus_dir.empty()) {
     std::printf("corpus: %s (mutate %d%%)\n", opts.corpus_dir.c_str(),
-                opts.mutate_pct);
+                opts.base.corpus.mutate_pct);
   }
   std::printf("oracles: %s\n",
-              fuzz::FormatOracleSuite(opts.oracles).c_str());
+              fuzz::FormatOracleSuite(opts.base.oracles).c_str());
   if (resume_state) {
     std::printf("resume: %s (%llu iterations done, %.1fs elapsed, %zu "
                 "unique bugs restored, fleet=%zu x jobs=%zu over %llu "
@@ -711,9 +686,10 @@ int main(int argc, char** argv) {
   corpus::Corpus* merged_corpus = nullptr;
   size_t total_shards = 0;
   fleet::CurveInfo curve_info;
-  curve_info.label = opts.all_dialects ? "all"
-                                       : engine::DialectName(opts.dialect);
-  curve_info.seed = opts.seed;
+  curve_info.label = opts.all_dialects
+                         ? "all"
+                         : engine::DialectName(opts.base.dialect);
+  curve_info.seed = opts.base.seed;
   curve_info.fleet = std::max<size_t>(1, fleet_processes);
   curve_info.jobs = opts.jobs;
   curve_info.duration_seconds = opts.duration;
@@ -728,7 +704,7 @@ int main(int argc, char** argv) {
     // universe is --fleet x --jobs, handed out --jobs slices per
     // assignment.
     net::FleetConfig config;
-    config.base = BaseConfig(opts);
+    config.base = opts.base;
     if (opts.all_dialects) {
       config.dialects = runtime::ShardedCampaign::AllDialects();
     }
@@ -797,7 +773,7 @@ int main(int argc, char** argv) {
     }
   } else {
     runtime::ShardedCampaignConfig config;
-    config.base = BaseConfig(opts);
+    config.base = opts.base;
     config.jobs = opts.jobs;
     config.duration_seconds = opts.duration;
     config.cross_dialect_transfer = opts.transfer;
@@ -834,7 +810,7 @@ int main(int argc, char** argv) {
           last = now;
           obs::MetricsJsonInfo info;
           info.label = curve_info.label;
-          info.seed = opts.seed;
+          info.seed = opts.base.seed;
           info.fleet = 1;
           info.jobs = opts.jobs;
           info.elapsed_seconds = now - flush_t0;
@@ -881,7 +857,7 @@ int main(int argc, char** argv) {
   if (!opts.metrics_out.empty() && server == nullptr) {
     obs::MetricsJsonInfo info;
     info.label = curve_info.label;
-    info.seed = opts.seed;
+    info.seed = opts.base.seed;
     info.fleet = 1;
     info.jobs = opts.jobs;
     info.elapsed_seconds = result.total_seconds;
@@ -987,7 +963,7 @@ int main(int argc, char** argv) {
   }
   runtime::ParallelFor(opts.jobs, to_reduce.size(), [&](size_t k) {
     const auto& [fault_id, first] = firsts[to_reduce[k]];
-    engine::Engine reduce_engine(first->dialect, opts.enable_faults);
+    engine::Engine reduce_engine(first->dialect, opts.base.enable_faults);
     fuzz::ReductionStats stats;
     // Pin the reduction to this bug's fault so the minimized reproducer
     // still demonstrates THIS bug, not whichever other fault happens to
@@ -1019,8 +995,8 @@ int main(int argc, char** argv) {
       std::printf("  -- crash: %s\n", repro.detail.c_str());
     }
     if (!opts.corpus_dir.empty()) {
-      WriteReproducer(opts.corpus_dir, info, repro, opts.seed);
+      WriteReproducer(opts.corpus_dir, info, repro, opts.base.seed);
     }
   }
-  return result.unique_bugs.empty() && opts.enable_faults ? 1 : 0;
+  return result.unique_bugs.empty() && opts.base.enable_faults ? 1 : 0;
 }

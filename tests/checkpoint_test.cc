@@ -112,17 +112,17 @@ fuzz::Discrepancy SampleBug() {
 
 CheckpointState SampleState() {
   CheckpointState state;
-  state.seed = 7;
-  state.iterations = 20;
-  state.queries_per_iteration = 30;
-  state.num_geometries = 9;
-  state.total_slices = 8;
-  state.enable_faults = true;
-  state.derivative_enabled = false;
+  state.base.seed = 7;
+  state.base.iterations = 20;
+  state.base.queries_per_iteration = 30;
+  state.base.generator.num_geometries = 9;
+  state.base.enable_faults = true;
+  state.base.generator.derivative_enabled = false;
+  state.base.oracles = fuzz::ParseOracleSuite("aei,diff:duckdb,tlp").Take();
+  state.base.corpus.enabled = true;
+  state.base.corpus.mutate_pct = 70;
   state.dialects = {Dialect::kPostgis, Dialect::kMysql};
-  state.oracles = fuzz::ParseOracleSuite("aei,diff:duckdb,tlp").Take();
-  state.corpus_enabled = true;
-  state.mutate_pct = 70;
+  state.total_slices = 8;
   state.duration_seconds = 12.5;
   state.elapsed_seconds = 3.25;
   state.iterations_run = 10;
@@ -169,18 +169,22 @@ TEST(CheckpointCodec, RoundTripsEveryField) {
   auto decoded = DecodeCheckpoint(EncodeCheckpoint(state));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const CheckpointState& out = decoded.value();
-  EXPECT_EQ(out.seed, state.seed);
-  EXPECT_EQ(out.iterations, state.iterations);
-  EXPECT_EQ(out.queries_per_iteration, state.queries_per_iteration);
-  EXPECT_EQ(out.num_geometries, state.num_geometries);
-  EXPECT_EQ(out.total_slices, state.total_slices);
-  EXPECT_EQ(out.enable_faults, state.enable_faults);
-  EXPECT_EQ(out.derivative_enabled, state.derivative_enabled);
+  EXPECT_EQ(out.base.seed, state.base.seed);
+  EXPECT_EQ(out.base.iterations, state.base.iterations);
+  EXPECT_EQ(out.base.queries_per_iteration,
+            state.base.queries_per_iteration);
+  EXPECT_EQ(out.base.generator.num_geometries,
+            state.base.generator.num_geometries);
+  EXPECT_EQ(out.base.enable_faults, state.base.enable_faults);
+  EXPECT_EQ(out.base.generator.derivative_enabled,
+            state.base.generator.derivative_enabled);
+  EXPECT_EQ(fuzz::FormatOracleSuite(out.base.oracles),
+            fuzz::FormatOracleSuite(state.base.oracles));
+  EXPECT_EQ(out.base.corpus.enabled, state.base.corpus.enabled);
+  EXPECT_EQ(out.base.corpus.mutate_pct, state.base.corpus.mutate_pct);
+  EXPECT_EQ(out.base.dialect, state.dialects.front());
   EXPECT_EQ(out.dialects, state.dialects);
-  EXPECT_EQ(fuzz::FormatOracleSuite(out.oracles),
-            fuzz::FormatOracleSuite(state.oracles));
-  EXPECT_EQ(out.corpus_enabled, state.corpus_enabled);
-  EXPECT_EQ(out.mutate_pct, state.mutate_pct);
+  EXPECT_EQ(out.total_slices, state.total_slices);
   EXPECT_EQ(out.duration_seconds, state.duration_seconds);
   EXPECT_EQ(out.elapsed_seconds, state.elapsed_seconds);
   EXPECT_EQ(out.iterations_run, state.iterations_run);
@@ -217,6 +221,40 @@ TEST(CheckpointCodec, RoundTripsEveryField) {
   EXPECT_EQ(out.metrics.EncodeText(), state.metrics.EncodeText());
   // Encode -> decode -> encode is a fixed point (stable on-disk form).
   EXPECT_EQ(EncodeCheckpoint(out), EncodeCheckpoint(state));
+}
+
+TEST(CheckpointCodec, DocumentIsPinned) {
+  // Every field the codec writes holds a value other than its default, so
+  // a change to the state or the codec that moves any of them on disk
+  // fails here, byte for byte.
+  CheckpointState state = SampleState();
+  state.base.iterations = 33;
+  state.base.enable_faults = false;
+  state.base.oracles =
+      fuzz::ParseOracleSuite("aei,diff:duckdb,tlp/3").Take();
+  EXPECT_EQ(
+      EncodeCheckpoint(state),
+      "spatter-checkpoint-v1\n"
+      "config 7 33 30 9 8 0 0 postgis,mysql aei,diff:duckdb,tlp/3 1 70 12.5\n"
+      "counters 3.25 10 300 300 1.5 0.75\n"
+      "progress 0 0 3\n"
+      "progress 2 5 1\n"
+      "bug 30 SPTW1 BUG 4 0 3 1.500000 636f756e7420312076732030 "
+      "53505443020001024eb3454adf5403eb0b0000000000000000020000000200000074"
+      "3001000000150000000101000000000000000000144000000000000018400200000074"
+      "310100000015000000010100000000000000000018400000000000001440010200000074"
+      "300200000074310b00000053545f4f7665726c6170730000000000000000000000000000"
+      "0000000000f03f00000000000000000000000000000000000000000000f03f00000000"
+      "0000000000000000000000000000000000010000001e0000000302\n"
+      "sites 0000000000000001,0000000000000002,00000000deadbeef\n"
+      "curve 0.5 10 0 2\n"
+      "curve 1.25 14 1 5\n"
+      "corpus 2 000000000000000a,000000000000000b corpus dir/with spaces\n"
+      "metrics 737061747465722d6d6574726963732d746578742d76310a632063616d7061"
+      "69676e2e697465726174696f6e732031300a6720636f727075732e73697a6520340a68"
+      "20656e67696e652e73746174656d656e742033203435303020393a330a656e6420330a"
+      "\n"
+      "end 10\n");
 }
 
 TEST(CheckpointCodec, MetricsLineIsOptionalAndValidated) {
@@ -331,9 +369,8 @@ TEST(CheckpointCodec, FloatFieldsAcceptOnlyFiniteDecimals) {
     bug_line += (bug_line.empty() ? "" : " ") + f;
   }
   const std::vector<std::string> wire = {
-      "SPTW1 COV @ 1 1 -",         "SPTW1 DONE 1 1 1 @ 0.5",
-      "SPTW1 DONE 1 1 1 0.5 @",    "SPTW1 STATS @ " + stats_hex,
-      bug_line,
+      "SPTW1 COV @ -",   "SPTW1 DONE @ 0.5", "SPTW1 DONE 0.5 @",
+      "SPTW1 STATS @ " + stats_hex, bug_line,
   };
   const std::vector<std::vector<std::string>> checkpoint = {
       {"config 42 10 25 8 4 1 1 postgis aei 0 50 @", kValidCountersLine},

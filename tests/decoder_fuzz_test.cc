@@ -280,7 +280,7 @@ std::vector<Bytes> GeneratedRecords() {
 std::vector<Bytes> WireFrames(const Bytes& record) {
   using fleet::Frame;
   using fleet::FrameType;
-  std::vector<Frame> frames(12);
+  std::vector<Frame> frames(11);
   frames[0].type = FrameType::kInflight;
   frames[0].dialect = 2;
   frames[0].slice = 5;
@@ -292,10 +292,11 @@ std::vector<Bytes> WireFrames(const Bytes& record) {
   frames[2].dialect = 3;
   frames[2].slice = 3;
   frames[2].completed = 98;
+  frames[2].queries = 40;
+  frames[2].checks = 80;
+  frames[2].findings = 3;
   frames[3].type = FrameType::kCov;
   frames[3].elapsed = 1.25;
-  frames[3].iterations = 42;
-  frames[3].queries = 4200;
   frames[3].site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
   frames[4].type = FrameType::kEntry;
   frames[4].payload = record;
@@ -307,9 +308,6 @@ std::vector<Bytes> WireFrames(const Bytes& record) {
   frames[5].detail = "count 3 vs 4, with spaces\tand tabs";
   frames[5].payload = record;
   frames[6].type = FrameType::kDone;
-  frames[6].iterations = 10;
-  frames[6].queries = 1000;
-  frames[6].checks = 1000;
   frames[6].busy_seconds = 2.5;
   frames[6].engine_seconds = 1e24;
   frames[7].type = FrameType::kStats;
@@ -328,9 +326,7 @@ std::vector<Bytes> WireFrames(const Bytes& record) {
   frames[9].type = FrameType::kAssign;
   frames[9].worker = 1;
   frames[9].payload = ToBytes("spatter-checkpoint-v1\nend 0\n");
-  frames[10].type = FrameType::kTune;
-  frames[10].mutate_pct = 35;
-  frames[11].type = FrameType::kBye;
+  frames[10].type = FrameType::kBye;
   std::vector<Bytes> out;
   for (const Frame& frame : frames) {
     out.push_back(ToBytes(fleet::EncodeFrame(frame)));
@@ -563,13 +559,10 @@ std::vector<Bytes> Checkpoints() {
   EXPECT_FALSE(result.unique_bugs.empty());
 
   fleet::CheckpointState state;
-  state.seed = config.seed;
-  state.iterations = 40;
-  state.queries_per_iteration = config.queries_per_iteration;
-  state.num_geometries = config.generator.num_geometries;
+  state.base = config;
+  state.base.iterations = 40;
   state.total_slices = 4;
   state.dialects = {engine::Dialect::kDuckdbSpatial, engine::Dialect::kPostgis};
-  state.oracles = config.oracles;
   state.duration_seconds = 30.5;
   state.elapsed_seconds = 12.25;
   state.iterations_run = 4;
@@ -598,8 +591,8 @@ std::vector<Bytes> Checkpoints() {
   state.metrics.histograms["engine.statement"] = hist;
 
   std::vector<Bytes> out = {ToBytes(fleet::EncodeCheckpoint(state))};
-  state.corpus_enabled = true;
-  state.mutate_pct = 35;
+  state.base.corpus.enabled = true;
+  state.base.corpus.mutate_pct = 35;
   state.corpus_dir = "corpus dir";
   state.corpus_entries = 2;
   state.corpus_signatures = {0xaULL, 0xbULL};

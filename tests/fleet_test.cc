@@ -143,12 +143,13 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
   slice_progress.dialect = 2;
   slice_progress.slice = 3;
   slice_progress.completed = 987654;
+  slice_progress.queries = 40;
+  slice_progress.checks = 80;
+  slice_progress.findings = 3;
 
   Frame cov;
   cov.type = FrameType::kCov;
   cov.elapsed = 1.25;
-  cov.iterations = 42;
-  cov.queries = 4200;
   cov.site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
 
   Frame entry;
@@ -166,9 +167,6 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
 
   Frame done;
   done.type = FrameType::kDone;
-  done.iterations = 10;
-  done.queries = 1000;
-  done.checks = 1000;
   done.busy_seconds = 2.5;
   done.engine_seconds = 1.25;
 
@@ -188,10 +186,10 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     EXPECT_EQ(out.slice, frame.slice);
     EXPECT_EQ(out.iteration, frame.iteration);
     EXPECT_EQ(out.completed, frame.completed);
-    EXPECT_NEAR(out.elapsed, frame.elapsed, 1e-6);
-    EXPECT_EQ(out.iterations, frame.iterations);
     EXPECT_EQ(out.queries, frame.queries);
     EXPECT_EQ(out.checks, frame.checks);
+    EXPECT_EQ(out.findings, frame.findings);
+    EXPECT_NEAR(out.elapsed, frame.elapsed, 1e-6);
     EXPECT_EQ(out.site_keys, frame.site_keys);
     EXPECT_EQ(out.payload, frame.payload);
     EXPECT_EQ(out.query_index, frame.query_index);
@@ -241,22 +239,26 @@ TEST(Wire, RejectsCorruptFrames) {
       "SPTW1 INFLIGHT 9 0 0",               // dialect out of range
       "SPTW1 SLICEDONE 0",                  // missing slice
       "SPTW1 SLICEDONE 9 0",                // dialect out of range
-      "SPTW1 SLICEPROGRESS 0 1",            // missing completed count
-      "SPTW1 SLICEPROGRESS 9 0 1",          // dialect out of range
-      "SPTW1 SLICEPROGRESS 0 1 x",          // non-numeric count
-      "SPTW1 COV 1.0 2 3 xyz",              // malformed key list
-      "SPTW1 COV 1.0 2 3 12345",            // key not 16 hex digits
+      "SPTW1 SLICEPROGRESS 0 1 2 3 4",      // missing findings count
+      "SPTW1 SLICEPROGRESS 9 0 1 2 3 4",    // dialect out of range
+      "SPTW1 SLICEPROGRESS 0 1 2 3 x 4",    // non-numeric count
+      "SPTW1 SLICEPROGRESS 0 1 2",          // protocol-3 layout
+      "SPTW1 COV 1.0 xyz",                  // malformed key list
+      "SPTW1 COV 1.0 12345",                // key not 16 hex digits
+      "SPTW1 COV 1.0 2 3 -",                // protocol-3 counters
       "SPTW1 ENTRY 0g",                     // bad hex payload
       "SPTW1 ENTRY abc",                    // odd hex payload
       "SPTW1 BUG 1 2 0 0.5 aa bb",          // is_crash not 0/1
       "SPTW1 BUG 1 0 9 0.5 aa bb",          // oracle kind out of range
       "SPTW1 BUG 1 0 0 0.5 aa",             // missing payload
-      "SPTW1 DONE 1 2 3 4.0",               // missing counter
+      "SPTW1 DONE 4.0",                     // missing engine seconds
+      "SPTW1 DONE 1 2 3 4.0 5.0",           // protocol-3 counters
       "SPTW1 DONE 1 2 3 4.0 5.0 6 7 8 9",   // protocol-1 engine counters
       "SPTW1 BYE 1",                        // BYE takes no fields
       "SPTW1 STOP",                         // retired in protocol 2
       "SPTW1 HELLO 3 4242 6 2 8",           // retired in protocol 3
       "SPTW1 TRACE 3.500000 7b7d",          // retired in protocol 3
+      "SPTW1 TUNE 35",                      // retired in protocol 4
       "SPTW1 INFLIGHT 0 1 99999999999999999999999999",  // overflow
   };
   for (const char* line : corrupt) {
@@ -270,8 +272,6 @@ TEST(Wire, TruncatedFramePrefixesRejected) {
   Frame cov;
   cov.type = FrameType::kCov;
   cov.elapsed = 3.25;
-  cov.iterations = 17;
-  cov.queries = 1700;
   cov.site_keys = {0xabcdef0123456789ULL};
   std::string line = EncodeFrame(cov);
   line.pop_back();  // drop '\n'
@@ -624,6 +624,58 @@ TEST(FleetSupervisor, ScriptedCrashPersistsInflightAndRerunsIt) {
   fs::remove_all(crash_dir);
 }
 
+TEST(FleetSupervisor, DeterministicKillerKeepsItsBugButIsNotCredited) {
+  // Three incarnations in a row die inside iteration 0, so the supervisor
+  // skips it. The bug their BUG frames offered stays; the iteration never
+  // completed, so it is never credited, and the totals are those of
+  // iterations 1 and 2 alone.
+  net::FleetConfig config;
+  config.base = SmallConfig(/*seed=*/13, /*iterations=*/3);
+  config.processes = 1;
+  config.jobs = 1;
+  config.serve = true;
+  net::FleetServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+  fuzz::Discrepancy killer;
+  killer.iteration = 0;
+  killer.dialect = Dialect::kPostgis;
+  killer.query.table1 = "t0";
+  killer.query.table2 = "t1";
+  killer.query.predicate = "ST_Covers";
+  killer.sdb1.tables.push_back({"t0", {"POINT(1 1)"}});
+  killer.sdb1.tables.push_back({"t1", {"POINT(1 1)"}});
+  killer.detail = "found before every death";
+  killer.fault_hits = {faults::FaultId::kPostgisCoversDisplacementPrecision};
+  std::thread workers([&, port = server.port()] {
+    for (int death = 0; death < 3; ++death) {
+      const int fd = ScriptedWorker(port);
+      if (fd < 0) return;
+      WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0, /*iteration=*/0)));
+      auto bug = MakeBugFrame(killer, config.base.seed);
+      if (bug.ok()) WriteLine(fd, EncodeFrame(bug.value()));
+      ::close(fd);
+    }
+    RealWorker(port);
+  });
+  const CampaignResult result = server.Run();
+  workers.join();
+
+  EXPECT_EQ(server.crash_skips(), 1u);
+  ASSERT_TRUE(result.unique_bugs.count(*killer.fault_hits.begin()));
+  EXPECT_EQ(result.unique_bugs.at(*killer.fault_hits.begin()).detail,
+            killer.detail);
+  Campaign reference(config.base);
+  CampaignResult want;
+  for (size_t i : {1, 2}) {
+    reference.RunIterationAt(i, &want, Campaign::NowSeconds());
+  }
+  EXPECT_GT(want.findings, 0u) << "iterations 1 and 2 find something";
+  EXPECT_EQ(result.iterations_run, 2u);
+  EXPECT_EQ(result.queries_run, want.queries_run);
+  EXPECT_EQ(result.checks_run, want.checks_run);
+  EXPECT_EQ(result.findings, want.findings);
+}
+
 TEST(FleetSupervisor, FinishedSlicesAreNotPersistedAsInflight) {
   const std::string crash_dir = TempDir("slicedone");
   net::FleetConfig config;
@@ -693,9 +745,16 @@ TEST(FleetSupervisor, SkipsGarbageFramesWithoutDesync) {
     auto bug = MakeBugFrame(d, seed);
     if (bug.ok()) WriteLine(fd, EncodeFrame(bug.value()));
     WriteLine(fd, "SPTW1 HELLO half a frame\n");
+    // Both iterations complete; SLICEPROGRESS credits them, DONE nothing.
+    for (uint64_t completed = 1; completed <= 2; ++completed) {
+      Frame progress;
+      progress.type = FrameType::kSliceProgress;
+      progress.dialect = static_cast<uint64_t>(Dialect::kPostgis);
+      progress.completed = completed;
+      WriteLine(fd, EncodeFrame(progress));
+    }
     Frame done;
     done.type = FrameType::kDone;
-    done.iterations = 2;
     WriteLine(fd, EncodeFrame(done));
     // Hold the connection until the supervisor says goodbye.
     net::FrameChannel channel(fd);
@@ -751,6 +810,40 @@ TEST(FleetSupervisor, SigkilledLocalWorkerIsRespawnedAndLosesNothing) {
   EXPECT_FALSE(FilesIn(config.crash_dir, ".sptc").empty());
   EXPECT_FALSE(FilesIn(config.crash_dir, ".jsonl").empty());
   fs::remove_all(config.crash_dir);
+}
+
+TEST(FleetSupervisor, SigkilledWorkerIsCreditedOnce) {
+  // A worker's iteration is credited when its SLICEPROGRESS arrives and
+  // nowhere else, so wherever in its stream a worker is SIGKILLed, the
+  // fleet's totals are the uninterrupted in-process run's: an iteration
+  // it never credited is re-run and credited once.
+  CampaignConfig base = SmallConfig(/*seed=*/77, /*iterations=*/24);
+  base.queries_per_iteration = 40;
+  base.oracles = fuzz::ParseOracleSuite("aei,tlp").Take();
+  runtime::ShardedCampaignConfig sharded;
+  sharded.base = base;
+  sharded.jobs = 2;
+  const CampaignResult expected = runtime::ShardedCampaign(sharded).Run();
+  ASSERT_FALSE(expected.unique_bugs.empty());
+
+  for (const uint64_t kill : {6, 9, 12, 15, 21}) {
+    SCOPED_TRACE("worker killed after frame " + std::to_string(kill));
+    net::FleetConfig config;
+    config.base = base;
+    config.processes = 1;
+    config.jobs = 2;
+    config.cov_interval_seconds = 0;  // COV and STATS in every iteration
+    config.worker0_die_after_frames = kill;
+    net::FleetServer server(config);
+    const CampaignResult result = RunFleet(&server);
+    EXPECT_EQ(server.respawns(), 1u);
+    EXPECT_EQ(result.iterations_run, expected.iterations_run);
+    EXPECT_EQ(result.queries_run, expected.queries_run);
+    EXPECT_EQ(result.checks_run, expected.checks_run);
+    EXPECT_EQ(result.findings, expected.findings);
+    EXPECT_EQ(BugKeys(result), BugKeys(expected));
+    EXPECT_EQ(result.UniqueBugsByOracle(), expected.UniqueBugsByOracle());
+  }
 }
 
 // --- Cross-dialect transfer -------------------------------------------------

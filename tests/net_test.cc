@@ -86,13 +86,14 @@ std::vector<Frame> EveryFrameType() {
   slice_progress.dialect = 2;
   slice_progress.slice = 3;
   slice_progress.completed = 987654;
+  slice_progress.queries = 40;
+  slice_progress.checks = 80;
+  slice_progress.findings = 3;
   frames.push_back(slice_progress);
 
   Frame cov;
   cov.type = FrameType::kCov;
   cov.elapsed = 1.25;
-  cov.iterations = 42;
-  cov.queries = 4200;
   cov.site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
   frames.push_back(cov);
 
@@ -120,9 +121,6 @@ std::vector<Frame> EveryFrameType() {
 
   Frame done;
   done.type = FrameType::kDone;
-  done.iterations = 10;
-  done.queries = 1000;
-  done.checks = 1000;
   done.busy_seconds = 2.5;
   done.engine_seconds = 1.25;
   frames.push_back(done);
@@ -143,11 +141,6 @@ std::vector<Frame> EveryFrameType() {
   Frame bye;
   bye.type = FrameType::kBye;
   frames.push_back(bye);
-
-  Frame tune;
-  tune.type = FrameType::kTune;
-  tune.mutate_pct = 85;
-  frames.push_back(tune);
 
   return frames;
 }
@@ -317,15 +310,9 @@ fleet::CheckpointState AssignmentFor(const CampaignConfig& config,
                                      uint64_t total_slices, uint64_t slice,
                                      uint64_t completed) {
   fleet::CheckpointState state;
-  state.seed = config.seed;
-  state.iterations = config.iterations;
-  state.queries_per_iteration = config.queries_per_iteration;
-  state.num_geometries = config.generator.num_geometries;
-  state.total_slices = total_slices;
-  state.enable_faults = config.enable_faults;
-  state.derivative_enabled = config.generator.derivative_enabled;
+  state.base = config;
   state.dialects = {config.dialect};
-  state.oracles = config.oracles;
+  state.total_slices = total_slices;
   state.completed[{static_cast<uint64_t>(config.dialect), slice}] = completed;
   return state;
 }
@@ -432,7 +419,8 @@ char FrameLetter(FrameType type) {
 
 /// Pins what a worker sends for a one-slice assignment: the frame order,
 /// the iterations it announces and completes, BUG payloads equal to a
-/// Campaign running the same iterations, and DONE's counters.
+/// Campaign running the same iterations, and the counts each SLICEPROGRESS
+/// credits, which are its own iteration's.
 void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
                         uint64_t slice, uint64_t completed,
                         const std::vector<uint64_t>& iterations) {
@@ -448,7 +436,8 @@ void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
 
   const uint64_t dialect = static_cast<uint64_t>(config.dialect);
   std::vector<uint64_t> announced;
-  std::vector<uint64_t> marks;
+  // {mark, queries, checks, findings} per SLICEPROGRESS.
+  std::vector<std::vector<uint64_t>> progress;
   std::vector<std::string> bugs;
   for (Frame f : frames) {
     if (f.type == FrameType::kInflight) {
@@ -458,7 +447,7 @@ void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
     } else if (f.type == FrameType::kSliceProgress) {
       EXPECT_EQ(f.dialect, dialect);
       EXPECT_EQ(f.slice, slice);
-      marks.push_back(f.completed);
+      progress.push_back({f.completed, f.queries, f.checks, f.findings});
     } else if (f.type == FrameType::kSliceDone) {
       EXPECT_EQ(f.dialect, dialect);
       EXPECT_EQ(f.slice, slice);
@@ -468,33 +457,26 @@ void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
     }
   }
   EXPECT_EQ(announced, iterations);
-  std::vector<uint64_t> want_marks;
-  for (size_t i = 1; i <= iterations.size(); ++i) {
-    want_marks.push_back(completed + i);
-  }
-  EXPECT_EQ(marks, want_marks);
 
   // The reference: one Campaign running the same iterations in order.
   fuzz::Campaign reference(config);
-  CampaignResult want;
-  for (uint64_t i : iterations) {
-    reference.RunIterationAt(i, &want, fuzz::Campaign::NowSeconds());
-  }
+  std::vector<std::vector<uint64_t>> want_progress;
   std::vector<std::string> want_bugs;
-  for (const fuzz::Discrepancy& d : want.discrepancies) {
-    auto bug = fleet::MakeBugFrame(d, config.seed);
-    ASSERT_TRUE(bug.ok());
-    bug.value().elapsed = 0.0;
-    want_bugs.push_back(EncodeFrame(bug.value()));
+  for (uint64_t i : iterations) {
+    CampaignResult one;
+    reference.RunIterationAt(i, &one, fuzz::Campaign::NowSeconds());
+    want_progress.push_back({completed + want_progress.size() + 1,
+                             one.queries_run, one.checks_run, one.findings});
+    for (const fuzz::Discrepancy& d : one.discrepancies) {
+      auto bug = fleet::MakeBugFrame(d, config.seed);
+      ASSERT_TRUE(bug.ok());
+      bug.value().elapsed = 0.0;
+      want_bugs.push_back(EncodeFrame(bug.value()));
+    }
   }
   EXPECT_FALSE(want_bugs.empty()) << "the pinned iterations find something";
   EXPECT_EQ(bugs, want_bugs);
-
-  ASSERT_FALSE(frames.empty());
-  const Frame& done = frames.back();
-  EXPECT_EQ(done.iterations, iterations.size());
-  EXPECT_EQ(done.queries, want.queries_run);
-  EXPECT_EQ(done.checks, want.checks_run);
+  EXPECT_EQ(progress, want_progress);
 }
 
 TEST(FleetClient, WorkerStreamIsPinnedFrameByFrame) {

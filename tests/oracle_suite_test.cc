@@ -18,6 +18,7 @@
 #include "fuzz/generator.h"
 #include "fuzz/oracle_suite.h"
 #include "fuzz/reducer.h"
+#include "obs/metrics.h"
 #include "runtime/sharded_campaign.h"
 
 namespace spatter::fuzz {
@@ -215,6 +216,50 @@ TEST(OracleSuite, MultiOracleCampaignAttributesPerOracle) {
   size_t attributed = 0;
   for (const auto& [kind, ids] : by_oracle) attributed += ids.size();
   EXPECT_EQ(attributed, result.unique_bugs.size());
+}
+
+TEST(OracleSuite, InstrumentsCountEveryCheck) {
+  // Each check lands in its oracle's `.check` histogram and one verdict
+  // counter; a query a budget skips lands in `.budget_skipped` instead.
+  CampaignConfig config = BaseCampaign(11);
+  config.iterations = 4;
+  config.queries_per_iteration = 20;
+  config.oracles = ParseOracleSuite("aei,diff,index,tlp/2,eet").Take();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  const CampaignResult result = Campaign(config).Run();
+  const obs::MetricsSnapshot after = registry.Snapshot();
+  const auto delta = [&](const std::string& name) {
+    return after.CounterOr(name) - before.CounterOr(name);
+  };
+  const auto checks = [&](const std::string& name) {
+    const obs::HistogramData* now = after.FindHistogram(name);
+    const obs::HistogramData* then = before.FindHistogram(name);
+    return (now ? now->count : 0) - (then ? then->count : 0);
+  };
+
+  uint64_t verdicts_total = 0;
+  for (const char* token : {"aei", "diff", "index", "tlp", "eet"}) {
+    SCOPED_TRACE(token);
+    const std::string prefix = std::string("oracle.") + token;
+    uint64_t verdicts = 0;
+    for (const char* verdict :
+         {".ok", ".mismatch", ".crash", ".inapplicable"}) {
+      verdicts += delta(prefix + verdict);
+    }
+    EXPECT_EQ(checks(prefix + ".check"), verdicts);
+    // Only TLP is budgeted: every other oracle judges every query.
+    const uint64_t skipped = delta(prefix + ".budget_skipped");
+    EXPECT_EQ(verdicts + skipped, result.queries_run);
+    if (std::string(token) == "tlp") {
+      EXPECT_EQ(skipped, result.queries_run / 2) << "odd ordinals skip";
+    } else {
+      EXPECT_EQ(skipped, 0u);
+    }
+    verdicts_total += verdicts;
+  }
+  EXPECT_GT(result.queries_run, 0u);
+  EXPECT_EQ(verdicts_total, result.checks_run);
 }
 
 TEST(OracleSuite, MultiOracleBugSetInvariantAcrossJobs) {

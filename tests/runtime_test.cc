@@ -437,9 +437,10 @@ TEST(CampaignResult, OfferPicksTheReportSetRulesWinners) {
   EXPECT_GT(repeats, 0u);
 }
 
-TEST(Aggregator, MergeDiscrepancyCountsAFindingWithoutKeepingIt) {
-  // The supervisor's BUG frames: each finding competes for its faults and
-  // is counted, and the log stays empty, so a long run does not grow.
+TEST(Aggregator, MergeDiscrepancyOffersWithoutCountingOrKeeping) {
+  // The supervisor's BUG frames: each finding competes for its faults, is
+  // not counted (its iteration's SLICEPROGRESS counts it), and the log
+  // stays empty, so a long run does not grow.
   Discrepancy d;
   d.iteration = 3;
   d.fault_hits = {faults::FaultId::kGeosOverlapsIgnoresHoles,
@@ -447,7 +448,7 @@ TEST(Aggregator, MergeDiscrepancyCountsAFindingWithoutKeepingIt) {
   Aggregator agg;
   agg.MergeDiscrepancy(d);
   agg.MergeDiscrepancy(d);
-  EXPECT_EQ(agg.current().findings, 2u);
+  EXPECT_EQ(agg.current().findings, 0u);
   EXPECT_TRUE(agg.current().discrepancies.empty());
   EXPECT_EQ(BugKeys(agg.current()), d.fault_hits);
 
@@ -456,7 +457,7 @@ TEST(Aggregator, MergeDiscrepancyCountsAFindingWithoutKeepingIt) {
   shard.Record(d);
   agg.Merge(std::move(shard));
   const CampaignResult merged = agg.Finish(0);
-  EXPECT_EQ(merged.findings, 3u);
+  EXPECT_EQ(merged.findings, 1u);
   EXPECT_EQ(merged.discrepancies.size(), 1u);
 }
 
