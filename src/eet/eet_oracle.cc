@@ -5,7 +5,6 @@
 #include "common/coverage.h"
 #include "eet/transform.h"
 #include "obs/metrics.h"
-#include "sql/parser.h"
 
 namespace spatter::eet {
 
@@ -19,13 +18,8 @@ fuzz::OracleOutcome EetOracle::Compare(engine::Engine* engine,
     out.applicable = false;
     return out;
   }
-  auto parsed = sql::ParseStatement(query.ToSql());
-  if (!parsed.ok()) {
-    out.applicable = false;
-    return out;
-  }
-  const sql::Statement& stmt = *parsed.value();
-  const fuzz::CountRun base = fuzz::ReadCount(engine->Execute(stmt));
+  const sql::StatementPtr stmt = query.ToStatement();
+  const fuzz::CountRun base = fuzz::ReadCount(engine->Execute(*stmt));
   if (!fuzz::AllCounted({base}, &out)) return out;
 
   for (int j = 0; j < kNumEetTransforms; ++j) {
@@ -48,7 +42,7 @@ fuzz::OracleOutcome EetOracle::Compare(engine::Engine* engine,
         id == TransformId::kDistanceContradiction
             ? fuzz::DistanceBound(engine, sdb1, query.table1, query.table2)
             : 0.0;
-    sql::StatementPtr variant = ApplyTransform(id, stmt, distance_bound);
+    sql::StatementPtr variant = ApplyTransform(id, *stmt, distance_bound);
     if (!variant) continue;
     const fuzz::CountRun r = fuzz::ReadCount(engine->Execute(*variant));
     if (r.crash) {

@@ -17,7 +17,7 @@ namespace spatter::fleet {
 
 namespace {
 
-// Line keywords of the v1 body. `config` and `counters` appear exactly
+// Line keywords of the v2 body. `config` and `counters` appear exactly
 // once; the repeatable lines may appear any number of times (including
 // zero) in any order after `config`.
 constexpr const char kConfig[] = "config";
@@ -101,9 +101,11 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
       std::to_string(base.corpus.mutate_pct) + ' ' +
       FormatF64(state.duration_seconds));
 
-  std::snprintf(buf, sizeof(buf), "%s %s %" PRIu64 " %" PRIu64 " %" PRIu64,
+  std::snprintf(buf, sizeof(buf),
+                "%s %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64,
                 kCounters, FormatF64(state.elapsed_seconds).c_str(),
-                state.iterations_run, state.queries_run, state.checks_run);
+                state.iterations_run, state.queries_run, state.checks_run,
+                state.findings);
   put(std::string(buf) + ' ' + FormatF64(state.busy_seconds) + ' ' +
       FormatF64(state.engine_seconds));
 
@@ -114,7 +116,7 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
   }
 
   for (const auto& [id, d] : state.unique_bugs) {
-    auto frame = MakeBugFrame(d, base.seed);
+    auto frame = MakeBugFrame(id, d, base.seed);
     if (!frame.ok()) {
       // Dropped, not fatal — but loudly: a missing bug line is a
       // bug-set divergence on resume, which must be diagnosable.
@@ -127,9 +129,7 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
     }
     std::string line = EncodeFrame(frame.value());
     line.pop_back();  // EncodeFrame terminates with '\n'; put() re-adds it
-    std::snprintf(buf, sizeof(buf), "%s %" PRIu64 " ", kBug,
-                  static_cast<uint64_t>(id));
-    put(std::string(buf) + line);
+    put(std::string(kBug) + ' ' + line);
   }
 
   std::vector<uint64_t> chunk;
@@ -244,13 +244,14 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
       saw_config = true;
     } else if (kw == kCounters) {
       if (saw_counters) return Malformed("duplicate counters line");
-      if (args != 6) return Malformed("counters field count");
+      if (args != 7) return Malformed("counters field count");
       if (!ParseFieldF64(arg(0), &state.elapsed_seconds) ||
           !ParseU64(arg(1), &state.iterations_run) ||
           !ParseU64(arg(2), &state.queries_run) ||
           !ParseU64(arg(3), &state.checks_run) ||
-          !ParseFieldF64(arg(4), &state.busy_seconds) ||
-          !ParseFieldF64(arg(5), &state.engine_seconds) ||
+          !ParseU64(arg(4), &state.findings) ||
+          !ParseFieldF64(arg(5), &state.busy_seconds) ||
+          !ParseFieldF64(arg(6), &state.engine_seconds) ||
           state.elapsed_seconds < 0) {
         return Malformed("counters fields");
       }
@@ -265,22 +266,16 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
       }
       state.completed[{dialect, slice}] = count;
     } else if (kw == kBug) {
-      if (args < 2) return Malformed("bug field count");
-      uint64_t raw_id = 0;
-      if (!ParseU64(arg(0), &raw_id) ||
-          raw_id >= static_cast<uint64_t>(faults::FaultId::kNumFaults)) {
-        return Malformed("bug fault id");
-      }
-      // The remainder of the line is a wire BUG frame (spaces included).
-      const size_t frame_at = line.find(' ', line.find(' ') + 1);
-      auto frame = DecodeFrame(line.substr(frame_at + 1));
+      if (args < 1) return Malformed("bug field count");
+      // The rest of the line is a wire BUG frame (spaces included).
+      auto frame = DecodeFrame(line.substr(std::strlen(kBug) + 1));
       if (!frame.ok() || frame.value().type != FrameType::kBug) {
         return Malformed("bug frame");
       }
       auto d = BugFrameToDiscrepancy(frame.value());
       if (!d.ok()) return Malformed("bug payload");
-      state.unique_bugs.emplace_back(static_cast<faults::FaultId>(raw_id),
-                                     d.Take());
+      state.unique_bugs.emplace_back(
+          static_cast<faults::FaultId>(frame.value().fault), d.Take());
     } else if (kw == kSites) {
       if (args != 1) return Malformed("sites field count");
       std::vector<uint64_t> keys;

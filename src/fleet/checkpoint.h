@@ -1,23 +1,26 @@
-// Campaign checkpoint/resume (format v1): the supervisor's periodically
+// Campaign checkpoint/resume (format v2): the supervisor's periodically
 // persisted snapshot of everything a long campaign cannot afford to lose
 // when the supervisor itself dies — per-slice completed-iteration
 // high-water marks in the global SplitSeed slice space, the consumed
-// duration budget, the merged unique-bug set with each fault's winning
+// duration budget, the credited counts (iterations, queries, checks,
+// findings), the merged unique-bug set with each fault's standing
 // reproducer and detecting oracle, the fleet-wide covered-site key set,
 // the Figure-8 curve samples, and a manifest of the corpus directory the
 // campaign persists alongside.
 //
 // The resume contract this makes provable: a pure-generate campaign
 // SIGKILLed at ANY point and resumed with `spatter --resume=DIR` reports
-// the identical `bug-set:` / `bug-set-by-oracle:` lines as the same
-// campaign run uninterrupted, for ANY processes x jobs factorization of
-// the checkpointed slice count. The pieces that buy it:
+// the identical `bug-set:` / `bug-set-by-oracle:` lines and summary counts
+// as the same campaign run uninterrupted, for ANY processes x jobs
+// factorization of the checkpointed slice count. The pieces that buy it:
 //   - high-water marks are COMPLETED iteration counts (SLICEPROGRESS
-//     frames), so the in-flight iteration at checkpoint time is re-run on
-//     resume, never skipped;
-//   - iterations re-run after resume re-report their bugs, which dedup
-//     against the restored FaultId set at the same logical position
-//     (runtime::Aggregator earliest-wins, a total order);
+//     frames), and the counts are what those frames credited, so the
+//     in-flight iteration at checkpoint time is re-run on resume and
+//     credited once, never skipped;
+//   - each restored unique bug and each re-run iteration's unique bugs
+//     merge by the one rule of runtime::Aggregator::MergeUniqueBug
+//     (fuzz::DetectedEarlier, a total order), so a re-reported bug
+//     dedups against the restored winner at the same logical position;
 //   - marks are keyed by GLOBAL slice, so resume may re-factor P x J
 //     freely as long as P*J equals the checkpointed total.
 //
@@ -26,10 +29,12 @@
 // or the new one, never a torn mix. Line 1 is the version magic (any
 // other version is rejected — skew is an error, not a guess); the last
 // line is `end <n>` where n counts the body lines, so a truncated file
-// (manual copy, full disk) is rejected rather than resumed from. Bug
-// lines embed wire.h BUG frames and site sets reuse the COV key-list
-// encoding — the checkpoint re-uses the fleet codecs instead of inventing
-// parallel ones.
+// (manual copy, full disk) is rejected rather than resumed from. A `bug`
+// line is `bug ` and the wire.h BUG frame of the unique bug (the frame
+// names its fault), and site sets reuse the COV key-list encoding — the
+// checkpoint re-uses the fleet codecs instead of inventing parallel ones.
+// v2 added the findings count to the `counters` line and took the fault
+// id out of `bug` lines into their frames (protocol 5).
 #ifndef SPATTER_FLEET_CHECKPOINT_H_
 #define SPATTER_FLEET_CHECKPOINT_H_
 
@@ -47,7 +52,7 @@
 
 namespace spatter::fleet {
 
-inline constexpr char kCheckpointMagic[] = "spatter-checkpoint-v1";
+inline constexpr char kCheckpointMagic[] = "spatter-checkpoint-v2";
 inline constexpr char kCheckpointFileName[] = "checkpoint.sptk";
 
 /// Everything a resumed supervisor reconstructs. The campaign identity
@@ -72,12 +77,13 @@ struct CheckpointState {
   uint64_t iterations_run = 0;        ///< iterations credited so far
   uint64_t queries_run = 0;
   uint64_t checks_run = 0;
+  uint64_t findings = 0;              ///< findings credited so far
   double busy_seconds = 0.0;
   double engine_seconds = 0.0;
   /// Completed-iteration high-water mark per (dialect value, global
   /// slice) — the same keying ShardedCampaignConfig::completed uses.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> completed;
-  /// The merged unique-bug set: each fault's winning reproducer.
+  /// The merged unique-bug set: each fault's standing finding.
   std::vector<std::pair<faults::FaultId, fuzz::Discrepancy>> unique_bugs;
   /// Fleet-wide covered coverage-site keys (curve continuity: a resumed
   /// run's fresh worker processes re-hit sites from scratch, so the
@@ -103,7 +109,7 @@ struct CheckpointState {
 /// `dir`/checkpoint.sptk.
 std::string CheckpointPath(const std::string& dir);
 
-/// The v1 text document for `state`.
+/// The v2 text document for `state`.
 std::string EncodeCheckpoint(const CheckpointState& state);
 
 /// Inverse of EncodeCheckpoint. Rejects version skew, truncation (missing

@@ -14,10 +14,9 @@ namespace {
 
 constexpr const char kMagic[] = "SPTW1";
 
-const char* kTypeNames[] = {"INFLIGHT", "SLICEDONE", "SLICEPROGRESS",
-                            "COV",      "ENTRY",     "BUG",
-                            "DONE",     "STATS",     "NETHELLO",
-                            "ASSIGN",   "BYE"};
+const char* kTypeNames[] = {"INFLIGHT", "SLICEPROGRESS", "COV",
+                            "ENTRY",    "BUG",           "DONE",
+                            "NETHELLO", "ASSIGN",        "BYE"};
 
 }  // namespace
 
@@ -156,11 +155,6 @@ std::string EncodeFrame(const Frame& frame) {
     case FrameType::kInflight:
       put_u(frame.dialect);
       put_u(frame.slice);
-      put_u(frame.iteration);
-      break;
-    case FrameType::kSliceDone:
-      put_u(frame.dialect);
-      put_u(frame.slice);
       break;
     case FrameType::kSliceProgress:
       put_u(frame.dialect);
@@ -170,17 +164,20 @@ std::string EncodeFrame(const Frame& frame) {
       put_u(frame.checks);
       put_u(frame.findings);
       break;
-    case FrameType::kCov:
+    case FrameType::kCov: {
       put_f(frame.elapsed);
       line += ' ' + FormatSiteKeys(frame.site_keys);
+      const std::string text = frame.metrics.EncodeText();
+      line += ' ' + HexEncode(std::vector<uint8_t>(text.begin(), text.end()));
       break;
+    }
     case FrameType::kEntry:
       line += ' ' + HexEncode(frame.payload);
       break;
     case FrameType::kBug:
+      put_u(frame.fault);
       put_u(frame.query_index);
       put_u(frame.is_crash ? 1 : 0);
-      put_u(frame.oracle);
       put_f(frame.elapsed);
       line += ' ' + HexEncode(std::vector<uint8_t>(frame.detail.begin(),
                                                    frame.detail.end()));
@@ -190,12 +187,6 @@ std::string EncodeFrame(const Frame& frame) {
       put_f(frame.busy_seconds);
       put_f(frame.engine_seconds);
       break;
-    case FrameType::kStats: {
-      put_f(frame.elapsed);
-      const std::string text = frame.stats.EncodeText();
-      line += ' ' + HexEncode(std::vector<uint8_t>(text.begin(), text.end()));
-      break;
-    }
     case FrameType::kNetHello:
       put_u(frame.proto);
       put_u(frame.pid);
@@ -243,26 +234,14 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
   };
   switch (frame.type) {
     case FrameType::kInflight:
-      want = 3;
+      want = 2;
       if (args != want) return Malformed("INFLIGHT field count");
       if (!ParseU64(arg(0), &frame.dialect) ||
-          !ParseU64(arg(1), &frame.slice) ||
-          !ParseU64(arg(2), &frame.iteration)) {
+          !ParseU64(arg(1), &frame.slice)) {
         return Malformed("INFLIGHT fields");
       }
       if (frame.dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
         return Malformed("INFLIGHT dialect out of range");
-      }
-      break;
-    case FrameType::kSliceDone:
-      want = 2;
-      if (args != want) return Malformed("SLICEDONE field count");
-      if (!ParseU64(arg(0), &frame.dialect) ||
-          !ParseU64(arg(1), &frame.slice)) {
-        return Malformed("SLICEDONE fields");
-      }
-      if (frame.dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
-        return Malformed("SLICEDONE dialect out of range");
       }
       break;
     case FrameType::kSliceProgress:
@@ -280,14 +259,22 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
         return Malformed("SLICEPROGRESS dialect out of range");
       }
       break;
-    case FrameType::kCov:
-      want = 2;
+    case FrameType::kCov: {
+      want = 3;
       if (args != want) return Malformed("COV field count");
       if (!ParseFieldF64(arg(0), &frame.elapsed) ||
           !ParseSiteKeys(arg(1), &frame.site_keys)) {
         return Malformed("COV fields");
       }
+      auto payload = HexDecode(arg(2));
+      if (!payload.ok()) return payload.status();
+      const std::vector<uint8_t> bytes = payload.Take();
+      auto snapshot = obs::MetricsSnapshot::DecodeText(
+          std::string(bytes.begin(), bytes.end()));
+      if (!snapshot.ok()) return snapshot.status();
+      frame.metrics = snapshot.Take();
       break;
+    }
     case FrameType::kEntry: {
       want = 1;
       if (args != want) return Malformed("ENTRY field count");
@@ -299,14 +286,14 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
     case FrameType::kBug: {
       want = 6;
       if (args != want) return Malformed("BUG field count");
-      if (!ParseU64(arg(0), &frame.query_index) ||
-          !ParseFieldBool01(arg(1), &frame.is_crash) ||
-          !ParseU64(arg(2), &frame.oracle) ||
+      if (!ParseU64(arg(0), &frame.fault) ||
+          !ParseU64(arg(1), &frame.query_index) ||
+          !ParseFieldBool01(arg(2), &frame.is_crash) ||
           !ParseFieldF64(arg(3), &frame.elapsed)) {
         return Malformed("BUG fields");
       }
-      if (frame.oracle >= fuzz::kNumOracleKinds) {
-        return Malformed("BUG oracle out of range");
+      if (frame.fault >= static_cast<uint64_t>(faults::FaultId::kNumFaults)) {
+        return Malformed("BUG fault out of range");
       }
       auto detail = HexDecode(arg(4));
       if (!detail.ok()) return detail.status();
@@ -325,21 +312,6 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
         return Malformed("DONE fields");
       }
       break;
-    case FrameType::kStats: {
-      want = 2;
-      if (args != want) return Malformed("STATS field count");
-      if (!ParseFieldF64(arg(0), &frame.elapsed)) {
-        return Malformed("STATS fields");
-      }
-      auto payload = HexDecode(arg(1));
-      if (!payload.ok()) return payload.status();
-      const std::vector<uint8_t> bytes = payload.Take();
-      auto snapshot = obs::MetricsSnapshot::DecodeText(
-          std::string(bytes.begin(), bytes.end()));
-      if (!snapshot.ok()) return snapshot.status();
-      frame.stats = snapshot.Take();
-      break;
-    }
     case FrameType::kNetHello:
       want = 2;
       if (args != want) return Malformed("NETHELLO field count");
@@ -378,16 +350,17 @@ Result<Frame> DecodeFrame(const std::string& line) {
   return result;
 }
 
-Result<Frame> MakeBugFrame(const fuzz::Discrepancy& d, uint64_t master_seed) {
+Result<Frame> MakeBugFrame(faults::FaultId id, const fuzz::Discrepancy& d,
+                           uint64_t master_seed) {
   auto encoded =
       corpus::TestCaseCodec::Encode(fuzz::ReproducerOf(d, master_seed));
   if (!encoded.ok()) return encoded.status();
 
   Frame frame;
   frame.type = FrameType::kBug;
+  frame.fault = static_cast<uint64_t>(id);
   frame.query_index = d.query_index;
   frame.is_crash = d.is_crash;
-  frame.oracle = static_cast<uint64_t>(d.oracle);
   frame.elapsed = d.elapsed_seconds;
   frame.detail = d.detail;
   frame.payload = encoded.Take();
@@ -397,9 +370,11 @@ Result<Frame> MakeBugFrame(const fuzz::Discrepancy& d, uint64_t master_seed) {
 Result<fuzz::Discrepancy> BugFrameToDiscrepancy(const Frame& frame) {
   auto decoded = corpus::TestCaseCodec::Decode(frame.payload);
   if (!decoded.ok()) return decoded.status();
-  // The payload record is authoritative for the oracle identity (the
-  // frame-level field exists for stream debuggability).
   fuzz::Discrepancy d = fuzz::FindingOf(decoded.value());
+  if (d.fault_hits.count(static_cast<faults::FaultId>(frame.fault)) == 0) {
+    return Status::InvalidArgument(
+        "wire: BUG fault is not among its record's fault ids");
+  }
   d.query_index = frame.query_index;
   d.is_crash = frame.is_crash;
   d.detail = frame.detail;

@@ -17,32 +17,35 @@
 //   worker -> supervisor
 //     NETHELLO <proto> <pid>   (first frame after connect; the supervisor
 //              BYEs on protocol-version skew)
-//     INFLIGHT <dialect> <slice> <iteration>   (before every iteration:
-//              the supervisor's crash-recovery anchor)
-//     SLICEDONE <dialect> <slice>   (the slice's loop exited: its last
-//              announced iteration completed; nothing is in flight)
+//     INFLIGHT <dialect> <slice>   (before every iteration: the slice's
+//              next iteration, slice + mark * slices at the supervisor's
+//              mark for it, is in flight; the supervisor's crash-recovery
+//              anchor)
 //     SLICEPROGRESS <dialect> <slice> <completed> <queries> <checks>
 //              <findings>   (the iteration's last frame and its commit
 //              point: <completed> is the slice's absolute completed-
-//              iteration count, resume offset included, the supervisor's
-//              checkpoint high-water mark; the counts are this iteration's
+//              iteration count, resume offset included, so the
+//              supervisor's mark plus one; the counts are this iteration's
 //              own, and the supervisor credits the iteration with them
-//              when the frame arrives, so an iteration is credited once)
-//     COV      <elapsed> <key,key,...|->
+//              when the frame arrives, so an iteration is credited once.
+//              Nothing of the slice is in flight after it)
+//     COV      <elapsed> <key,key,...|-> <hex(spatter-metrics-text-v1
+//              snapshot)>   (the coverage-site keys first hit since the
+//              last COV, and the worker process's cumulative
+//              MetricsSnapshot since its assignment started; the payload
+//              must decode as a valid snapshot document or the frame is
+//              rejected whole)
 //     ENTRY    <hex(TestCaseCodec record)>
-//     BUG      <query_index> <is_crash> <oracle> <elapsed>
-//              <hex(detail)> <hex(TestCaseCodec record)>
-//              (<oracle> is the detecting OracleKind value, kept at frame
-//              level for stream debuggability; the payload record carries
-//              it authoritatively alongside the differential secondary.
-//              The supervisor offers the finding for every fault it fired
-//              on arrival; SLICEPROGRESS counts it)
+//     BUG      <fault> <query_index> <is_crash> <elapsed> <hex(detail)>
+//              <hex(TestCaseCodec record)>
+//              (one of the iteration's unique bugs: its first report of
+//              faults::FaultId <fault>, which must be among the record's
+//              fault ids. The supervisor merges it by
+//              fuzz::DetectedEarlier on arrival, as the in-process runtime
+//              merges an iteration's result; SLICEPROGRESS counts the
+//              iteration's findings)
 //     DONE     <busy_s> <engine_s>   (timing only: work is credited by
-//              SLICEPROGRESS, engine counters travel in STATS)
-//     STATS    <elapsed> <hex(spatter-metrics-text-v1 snapshot)>
-//              (cumulative MetricsSnapshot of the worker process since its
-//              assignment started; the payload must decode as a valid
-//              snapshot document or the frame is rejected whole)
+//              SLICEPROGRESS, engine counters travel in COV's snapshot)
 //   supervisor -> worker
 //     ASSIGN   <worker> <hex(checkpoint doc)>   (one work assignment: the
 //              payload is an EncodeCheckpoint document whose progress
@@ -53,9 +56,8 @@
 //     BYE                      (no work now or ever; close the connection)
 //
 // Within one iteration a worker writes INFLIGHT, then its BUG and ENTRY
-// frames, then COV and STATS when the heartbeat is due, and SLICEPROGRESS
-// last; SLICEDONE closes each slice, and a final COV, STATS and DONE close
-// the assignment.
+// frames, then COV when the heartbeat is due, and SLICEPROGRESS last; a
+// final COV and DONE close the assignment.
 //
 // Peers are untrusted: DecodeFrame rejects lines longer than
 // kMaxFrameBytes, lines containing NUL bytes, and lines with more than
@@ -78,13 +80,11 @@ namespace spatter::fleet {
 
 enum class FrameType : uint8_t {
   kInflight,
-  kSliceDone,
   kSliceProgress,
   kCov,
   kEntry,
   kBug,
   kDone,
-  kStats,
   kNetHello,
   kAssign,
   kBye,
@@ -95,13 +95,19 @@ enum class FrameType : uint8_t {
 /// STOP was retired. 3: HELLO and TRACE were retired. 4: SLICEPROGRESS
 /// carries its iteration's queries, checks and findings and is the one
 /// place work is credited, so COV and DONE lost their counters (a worker
-/// killed between them skewed the totals); TUNE was retired.
-inline constexpr uint64_t kNetProtocolVersion = 4;
+/// killed between them skewed the totals); TUNE was retired. 5: a worker
+/// sends its iteration's unique bugs, not every finding, and BUG names the
+/// fault it stands for instead of the oracle; INFLIGHT lost its iteration
+/// (the supervisor's mark gives it); SLICEPROGRESS ends a slice's
+/// in-flight state, so SLICEDONE was retired; COV carries the metrics
+/// snapshot, so STATS was retired.
+inline constexpr uint64_t kNetProtocolVersion = 5;
 
 /// Hardening caps for frames from untrusted remote peers. The byte cap
-/// bounds ASSIGN/ENTRY hex payloads (a checkpoint document of a large
+/// bounds ASSIGN/ENTRY/BUG hex payloads (a checkpoint document of a large
 /// campaign stays well under it); the field cap bounds splitter memory
-/// (the widest legitimate frames, BUG and SLICEPROGRESS, have 8 fields).
+/// (the widest legitimate frames, BUG and SLICEPROGRESS, have 8 fields
+/// with the magic and the type).
 inline constexpr size_t kMaxFrameBytes = 8u << 20;
 inline constexpr size_t kMaxFrameFields = 16;
 
@@ -117,10 +123,9 @@ struct Frame {
   // EncodeCheckpoint document bytes).
   uint64_t worker = 0;
 
-  // INFLIGHT / SLICEDONE / SLICEPROGRESS
+  // INFLIGHT / SLICEPROGRESS
   uint64_t dialect = 0;
   uint64_t slice = 0;
-  uint64_t iteration = 0;  // INFLIGHT only
   // SLICEPROGRESS only: the absolute completed count, then the
   // iteration's own counts.
   uint64_t completed = 0;
@@ -129,20 +134,18 @@ struct Frame {
   uint64_t findings = 0;
 
   // COV
-  double elapsed = 0.0;  // also BUG and STATS
+  double elapsed = 0.0;  // also BUG
   std::vector<uint64_t> site_keys;  // stable keys newly covered
+  obs::MetricsSnapshot metrics;     // DecodeFrame fully validates it
 
   // ENTRY / BUG payload: a TestCaseCodec record.
   std::vector<uint8_t> payload;
 
   // BUG
+  uint64_t fault = 0;  ///< the faults::FaultId it stands for, range-validated
   uint64_t query_index = 0;
   bool is_crash = false;
-  uint64_t oracle = 0;  ///< detecting fuzz::OracleKind, range-validated
   std::string detail;
-
-  // STATS: decoded metrics snapshot (DecodeFrame fully validates it).
-  obs::MetricsSnapshot stats;
 
   // NETHELLO
   uint64_t proto = 0;
@@ -186,13 +189,17 @@ bool ParseSiteKeys(const std::string& s, std::vector<uint64_t>* out);
 bool ParseFieldF64(const std::string& s, double* out);
 bool ParseFieldBool01(const std::string& s, bool* out);
 
-/// Builds a BUG frame from a finding: frame-level position and detail
-/// plus the encoded fuzz::ReproducerOf record (database, query,
-/// transform, fault ids). Fails only if the record does not encode.
-Result<Frame> MakeBugFrame(const fuzz::Discrepancy& d, uint64_t master_seed);
+/// Builds the BUG frame of unique bug `id`, standing finding `d`: the
+/// fault, frame-level position and detail plus the encoded
+/// fuzz::ReproducerOf record (database, query, oracle, transform, fault
+/// ids). Fails only if the record does not encode.
+Result<Frame> MakeBugFrame(faults::FaultId id, const fuzz::Discrepancy& d,
+                           uint64_t master_seed);
 
 /// Rebuilds the finding a BUG frame carries: fuzz::FindingOf its record,
-/// plus the frame's position and detail.
+/// plus the frame's position and detail. Rejects a record that does not
+/// decode or whose fault ids lack the frame's fault: a finding can only
+/// stand for a fault it fired.
 Result<fuzz::Discrepancy> BugFrameToDiscrepancy(const Frame& frame);
 
 }  // namespace spatter::fleet

@@ -22,7 +22,6 @@
 #ifndef SPATTER_FUZZ_CAMPAIGN_H_
 #define SPATTER_FUZZ_CAMPAIGN_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -103,8 +102,9 @@ struct Discrepancy {
 /// the same iterations, so a shared-library fault can fire at one position
 /// in two dialects; without it the merge's arrival order would pick. It
 /// cannot order two findings of one (dialect, iteration) that share a
-/// query and crash flag (two oracles judging one query); an iteration's
-/// report order decides those (CampaignResult::Offer).
+/// query and crash flag (two oracles judging one query), and need not:
+/// within one iteration the first report stands (CampaignResult::Record),
+/// so only one finding per fault and (dialect, iteration) is ever ranked.
 bool DetectedEarlier(const Discrepancy& a, const Discrepancy& b);
 
 /// The reproducer record of finding `d` in a campaign seeded `master_seed`
@@ -126,8 +126,9 @@ struct CampaignResult {
   /// Findings recorded, kept in `discrepancies` or not.
   size_t findings = 0;
   /// Ground-truth unique bugs: the finding that stands for each fired
-  /// fault. Offer decides it finding by finding, and Aggregator::Merge
-  /// between whole results by DetectedEarlier alone.
+  /// fault. Within one result it is the first recorded report (Record);
+  /// between results Aggregator::MergeUniqueBug keeps the one
+  /// DetectedEarlier ranks first.
   std::map<faults::FaultId, Discrepancy> unique_bugs;
   size_t iterations_run = 0;
   size_t queries_run = 0;
@@ -147,29 +148,12 @@ struct CampaignResult {
   /// live). Keys appear only for oracles that detected something.
   std::map<OracleKind, std::set<faults::FaultId>> UniqueBugsByOracle() const;
 
-  /// Offers `d` as the finding that stands for fault `id`. Only the first
-  /// report of the fault from d's (dialect, iteration) competes: one shard
-  /// runs that iteration and reports its findings in the order it found
-  /// them, so its first report stands for it, as in a whole-result merge
-  /// of the iteration. A later report from that iteration is ignored even
-  /// when the first one lost (DetectedEarlier ranks a later crash before
-  /// an earlier logic finding). A first report replaces the incumbent when
-  /// DetectedEarlier(d, incumbent), so the winners are the same for any
-  /// interleaving of iterations that keeps each one's report order.
-  void Offer(faults::FaultId id, const Discrepancy& d);
-  /// Offers `d` for every fault it fired, counts it, then appends it to
-  /// the report: a campaign's iterations record through here.
+  /// Counts `d` and appends it to the report; for every fault it fired
+  /// that no earlier record fired, `d` stands. A campaign's iterations
+  /// record through here, each into its own result in the sharded runtime,
+  /// so an iteration's unique bugs are its first report of each fault:
+  /// the rule every tier then merges by DetectedEarlier.
   void Record(Discrepancy d);
-
- private:
-  /// Per fault, a bit per dialect that reported it at the incumbent's
-  /// iteration. That is all Offer must remember: a report from a later
-  /// iteration can never win, since DetectedEarlier compares iterations
-  /// first and an incumbent's iteration only falls, and a report from an
-  /// earlier one is necessarily its (dialect, iteration)'s first, since
-  /// that pair's first report would have pulled the incumbent down to it.
-  std::array<uint8_t, static_cast<size_t>(faults::FaultId::kNumFaults)>
-      reported_{};
 };
 
 class Campaign {

@@ -12,7 +12,6 @@
 #include "geom/wkt_reader.h"
 #include "geom/wkt_writer.h"
 #include "obs/metrics.h"
-#include "sql/parser.h"
 
 namespace spatter::fuzz {
 
@@ -485,9 +484,9 @@ OracleOutcome CompareAffine(engine::Engine* engine, const DatabaseSpec& sdb1,
   }
 
   if (!LoadDatabase(engine, sdb1, nullptr, &keep.value()).ok()) return out;
-  const CountRun r1 = ReadCount(engine->Execute(query.ToSql()));
+  const CountRun r1 = ReadCount(engine->Execute(*query.ToStatement()));
   if (!pair.LoadImage(nullptr, &keep.value()).ok()) return out;
-  const CountRun r2 = ReadCount(engine->Execute(query2.ToSql()));
+  const CountRun r2 = ReadCount(engine->Execute(*query2.ToStatement()));
   if (!AllCounted({r1, r2}, &out)) return out;
   if (r1.count != r2.count) {
     out.mismatch = true;
@@ -544,14 +543,14 @@ OracleOutcome DifferentialOracle::Compare(engine::Engine* engine,
     }
   }
 
-  const std::string sql = query.ToSql();
+  const sql::StatementPtr stmt = query.ToStatement();
   CountRun r1;
   CountRun r2;
   if (LoadDatabase(engine, sdb1, nullptr).ok()) {
-    r1 = ReadCount(engine->Execute(sql));
+    r1 = ReadCount(engine->Execute(*stmt));
   }
   if (LoadDatabase(secondary_.get(), sdb1, nullptr).ok()) {
-    r2 = ReadCount(secondary_->Execute(sql));
+    r2 = ReadCount(secondary_->Execute(*stmt));
   }
   if (!AllCounted({r1, r2}, &out)) return out;
   if (r1.count != r2.count) {
@@ -573,13 +572,13 @@ OracleOutcome IndexOracle::Compare(engine::Engine* engine,
   (void)ctx;
   SPATTER_COV("oracle", "index_check");
   OracleOutcome out;
-  const std::string sql = query.ToSql();
+  const sql::StatementPtr stmt = query.ToStatement();
   DatabaseSpec sdb = sdb1;
   auto count_with_index = [&](bool with_index) {
     sdb.with_index = with_index;
     CountRun run;
     if (LoadDatabase(engine, sdb, nullptr).ok()) {
-      run = ReadCount(engine->Execute(sql));
+      run = ReadCount(engine->Execute(*stmt));
     }
     return run;
   };
@@ -617,24 +616,15 @@ OracleOutcome TlpOracle::Compare(engine::Engine* engine,
   const int64_t total = rows1 * rows2;
 
   // Partitioning queries: P, NOT P, P IS UNKNOWN.
-  auto parsed = sql::ParseStatement(query.ToSql());
-  if (!parsed.ok()) {
-    out.applicable = false;
-    return out;
-  }
-  const sql::Statement& stmt = *parsed.value();
+  const sql::StatementPtr stmt = query.ToStatement();
+  const sql::ExprPtr p = std::move(stmt->condition);
   auto run_with = [&](sql::ExprPtr cond) {
-    sql::Statement q;
-    q.kind = sql::Statement::Kind::kSelectCountJoin;
-    q.table = stmt.table;
-    q.table2 = stmt.table2;
-    q.condition = std::move(cond);
-    return ReadCount(engine->Execute(q));
+    stmt->condition = std::move(cond);
+    return ReadCount(engine->Execute(*stmt));
   };
-  const CountRun rp = run_with(stmt.condition->Clone());
-  const CountRun rn = run_with(sql::Expr::MakeNot(stmt.condition->Clone()));
-  const CountRun ru =
-      run_with(sql::Expr::MakeIsUnknown(stmt.condition->Clone()));
+  const CountRun rp = run_with(p->Clone());
+  const CountRun rn = run_with(sql::Expr::MakeNot(p->Clone()));
+  const CountRun ru = run_with(sql::Expr::MakeIsUnknown(p->Clone()));
   if (!AllCounted({rp, rn, ru}, &out)) return out;
   const int64_t sum = rp.count + rn.count + ru.count;
   if (sum != total) {

@@ -1,6 +1,6 @@
 #include "fuzz/testcase.h"
 
-#include "common/strings.h"
+#include "sql/parser.h"
 
 namespace spatter::fuzz {
 
@@ -64,21 +64,30 @@ size_t DatabaseSpec::TotalRows() const {
   return n;
 }
 
-std::string QuerySpec::ToSql() const {
-  std::string cond;
+sql::StatementPtr QuerySpec::ToStatement() const {
+  std::vector<sql::ExprPtr> operands;
+  operands.push_back(sql::Expr::Column(table1, "g"));
+  operands.push_back(sql::Expr::Column(table2, "g"));
+  auto stmt = std::make_unique<sql::Statement>();
+  stmt->kind = sql::Statement::Kind::kSelectCountJoin;
+  stmt->table = table1;
+  stmt->table2 = table2;
   if (predicate == "~=") {
-    cond = table1 + ".g ~= " + table2 + ".g";
-  } else {
-    cond = predicate + "(" + table1 + ".g, " + table2 + ".g";
-    if (extra == engine::PredicateExtra::kDistance) {
-      cond += ", " + FormatCoord(distance);
-    } else if (extra == engine::PredicateExtra::kPattern) {
-      cond += ", '" + pattern + "'";
-    }
-    cond += ")";
+    stmt->condition = sql::Expr::MakeSameAs(std::move(operands[0]),
+                                            std::move(operands[1]));
+    return stmt;
   }
-  return "SELECT COUNT(*) FROM " + table1 + " JOIN " + table2 + " ON " +
-         cond + ";";
+  if (extra == engine::PredicateExtra::kDistance) {
+    operands.push_back(sql::Expr::Number(distance));
+  } else if (extra == engine::PredicateExtra::kPattern) {
+    operands.push_back(sql::Expr::String(pattern));
+  }
+  stmt->condition = sql::Expr::Func(predicate, std::move(operands));
+  return stmt;
+}
+
+std::string QuerySpec::ToSql() const {
+  return sql::PrintStatement(*ToStatement());
 }
 
 }  // namespace spatter::fuzz

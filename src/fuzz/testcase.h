@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/functions.h"
+#include "sql/ast.h"
 
 namespace spatter::fuzz {
 
@@ -77,6 +78,10 @@ struct QuerySpec {
   double distance = 0.0;                 // kDistance predicates
   std::string pattern;                   // kPattern predicates
 
+  /// The query as a statement: every oracle executes this tree, so no
+  /// query is printed and parsed back on the check path.
+  sql::StatementPtr ToStatement() const;
+  /// sql::PrintStatement of ToStatement(), for reproducers and reports.
   std::string ToSql() const;
 };
 

@@ -120,9 +120,10 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
     }
   });
 
-  // COV/STATS heartbeat: one snapshot for the whole process (the coverage
-  // registry is process-global), sent by whichever slice crosses the
-  // interval first; STATS is cumulative since the assignment started.
+  // COV heartbeat: one snapshot for the whole process (the coverage and
+  // metrics registries are process-global), sent by whichever slice
+  // crosses the interval first; its metrics are cumulative since the
+  // assignment started.
   const double t0 = Campaign::NowSeconds();
   std::mutex cov_mu;
   std::vector<uint64_t> cov_snapshot;  // empty = everything is new
@@ -139,18 +140,13 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
     std::vector<uint64_t> next_snapshot = registry.SnapshotHits();
     cov.site_keys = registry.KeysCoveredSince(cov_snapshot);
     cov_snapshot = std::move(next_snapshot);
+    cov.metrics = obs::MetricsRegistry::Instance().Snapshot();
     last_cov = now;
     write(cov);
-    Frame stats;
-    stats.type = FrameType::kStats;
-    stats.elapsed = cov.elapsed;
-    stats.stats = obs::MetricsRegistry::Instance().Snapshot();
-    write(stats);
   };
 
   runtime::ShardedCampaign::Observer observer;
-  observer.before = [&](Campaign& campaign, uint64_t slice,
-                        size_t iteration) {
+  observer.before = [&](Campaign& campaign, uint64_t slice, size_t) {
     if (stop.load(std::memory_order_relaxed)) return false;
     const engine::Dialect dialect = campaign.config().dialect;
     if (campaign.corpus() != nullptr) {
@@ -168,14 +164,15 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
     inflight.type = FrameType::kInflight;
     inflight.dialect = static_cast<uint64_t>(dialect);
     inflight.slice = slice;
-    inflight.iteration = iteration;
     write(inflight);
     return true;
   };
   observer.after = [&](Campaign& campaign, uint64_t slice, uint64_t completed,
                        fuzz::CampaignResult* delta) {
-    for (const fuzz::Discrepancy& d : delta->discrepancies) {
-      auto bug = fleet::MakeBugFrame(d, seed);
+    // The iteration's unique bugs, its first report of each fault: the
+    // supervisor merges them as the in-process runtime merges `delta`.
+    for (const auto& [id, d] : delta->unique_bugs) {
+      auto bug = fleet::MakeBugFrame(id, d, seed);
       if (bug.ok()) write(bug.value());
     }
     // Streamed, not kept: a long duration assignment must not grow.
@@ -198,13 +195,13 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
     }
     // SLICEPROGRESS is the LAST frame of the iteration and its commit
     // point: the supervisor credits the iteration with the counts it
-    // carries, and a checkpoint that includes this mark has necessarily
-    // merged everything the iteration produced (the stream preserves
-    // order), so skipping the iteration on resume loses neither bugs nor
-    // coverage. The converse tear only re-runs the iteration, which is
-    // then credited once, and the re-reports dedup away. The mark is
-    // absolute (resume offset included), so the supervisor's high-water
-    // mark is a plain copy of the latest value.
+    // carries and takes the slice out of flight, and a checkpoint that
+    // includes this mark has necessarily merged everything the iteration
+    // produced (the stream preserves order), so skipping the iteration on
+    // resume loses neither bugs nor coverage. The converse tear only
+    // re-runs the iteration, which is then credited once, and the
+    // re-reports dedup away. The mark is absolute (resume offset
+    // included): the supervisor accepts it only as its own mark plus one.
     Frame progress;
     progress.type = FrameType::kSliceProgress;
     progress.dialect = static_cast<uint64_t>(campaign.config().dialect);
@@ -215,23 +212,11 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
     progress.findings = delta->findings;
     write(progress);
   };
-  observer.slice_done = [&](engine::Dialect dialect, uint64_t slice) {
-    // The loop only exits BETWEEN iterations, so the last INFLIGHT
-    // iteration completed: without this frame the supervisor would
-    // persist it as a phantom in-flight crash case if the process dies
-    // later in another slice.
-    Frame slice_done;
-    slice_done.type = FrameType::kSliceDone;
-    slice_done.dialect = static_cast<uint64_t>(dialect);
-    slice_done.slice = slice;
-    write(slice_done);
-  };
-
   const fuzz::CampaignResult result =
       runtime::ShardedCampaign(campaign_config).Run(observer);
 
-  // A final COV and STATS so the supervisor's curve sees the tail and its
-  // merged fleet view is complete before DONE retires this incarnation.
+  // A final COV so the supervisor's curve sees the tail and its merged
+  // fleet view is complete before DONE retires this incarnation.
   {
     std::lock_guard<std::mutex> lock(cov_mu);
     heartbeat(Campaign::NowSeconds());
@@ -277,7 +262,7 @@ int RunFleetClient(const FleetClientConfig& config) {
     // supervisor must not make a worker drop its assignment.
     FrameChannel channel(connected.value(), /*write_timeout_ms=*/-1);
     // Fresh-process coverage and metrics for every connection, even when
-    // forked from a warm parent: COV deltas and the cumulative STATS
+    // forked from a warm parent: COV deltas and their cumulative metrics
     // snapshots describe this assignment only, as the supervisor expects.
     // Before the handshake, so its reads are counted too.
     CoverageRegistry::Instance().ResetHits();

@@ -37,7 +37,7 @@ struct FleetClientConfig {
   /// Retry budget for each (re)connect attempt (a refusal after an
   /// assignment ends it early; see the reconnect rule above).
   double connect_retry_seconds = 10.0;
-  /// Seconds between COV/STATS heartbeats.
+  /// Seconds between COV heartbeats.
   double cov_interval_seconds = 0.2;
   /// Test-only: the first assignment's worker SIGKILLs itself right after
   /// writing this many frames after NETHELLO — a real SIGKILL death at a

@@ -86,7 +86,8 @@ fuzz::DatabaseSpec RebuildTraced(const fuzz::CampaignConfig& config,
 
 /// One unit of work: a batch of global slices (contiguous on first
 /// assignment, arbitrary after requeues) with per-(dialect, slice)
-/// completed high-water marks the next worker resumes from.
+/// completed high-water marks, moved by each accepted SLICEPROGRESS, that
+/// the next worker resumes from.
 struct FleetServer::Assignment {
   std::vector<uint64_t> slices;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> completed;
@@ -102,15 +103,14 @@ struct FleetServer::Peer {
   bool closed = false;  ///< fully handled; reaped by the main loop
   size_t index = 0;     ///< worker index sent in ASSIGN
   std::unique_ptr<Assignment> assignment;
-  /// INFLIGHT frames of this assignment: the last announced iteration per
-  /// (dialect, slice), erased by SLICEDONE.
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> last_inflight;
-  /// Latest absolute SLICEPROGRESS mark per (dialect, slice).
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> progress;
+  /// (dialect, slice) pairs whose next iteration, at the assignment's
+  /// mark, an INFLIGHT announced and no SLICEPROGRESS completed yet.
+  std::set<std::pair<uint64_t, uint64_t>> inflight;
   /// What this peer's SLICEPROGRESS frames credited, for /fleet.
   uint64_t credited_iterations = 0;
   uint64_t credited_queries = 0;
-  obs::MetricsSnapshot latest_stats;
+  /// The metrics snapshot of this peer's latest COV.
+  obs::MetricsSnapshot latest_metrics;
   /// Wall clock of the accept, for the /fleet per-worker rates.
   double connected_at = 0.0;
   /// Wall clock of the last valid frame, for stale-worker detection; one
@@ -337,6 +337,19 @@ void FleetServer::AddCurveSample() {
              credited.unique_bugs.size(), credited.iterations_run);
 }
 
+uint64_t* FleetServer::NextIterationMark(Peer* peer, const Frame& frame) {
+  if (!peer->assignment) return nullptr;
+  auto& marks = peer->assignment->completed;
+  const auto it = marks.find({frame.dialect, frame.slice});
+  if (it == marks.end()) return nullptr;
+  // A batch slice at its budget has no next iteration.
+  if (config_.duration_seconds <= 0 &&
+      it->second >= IterationTarget(frame.slice)) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
 void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
   frames_handled_++;
   peer->last_frame_at = Campaign::NowSeconds();
@@ -362,22 +375,28 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       break;
     }
     case FrameType::kInflight:
-      peer->last_inflight[{frame.dialect, frame.slice}] = frame.iteration;
-      break;
-    case FrameType::kSliceDone:
-      // The slice's last announced iteration completed: it must not be
-      // persisted as an in-flight reproducer if the worker dies later.
-      peer->last_inflight.erase({frame.dialect, frame.slice});
+      // A peer may announce only the next iteration of a slice it holds.
+      if (NextIterationMark(peer, frame) == nullptr) {
+        protocol_errors_++;
+        break;
+      }
+      peer->inflight.insert({frame.dialect, frame.slice});
       break;
     case FrameType::kSliceProgress: {
       // The iteration's last frame, so its commit point: its work is
-      // credited here and nowhere else. Server-wide marks advance with
+      // credited here and nowhere else, and only for the next iteration of
+      // a slice the peer holds, so a peer cannot credit phantom work or
+      // move marks past iterations that never ran. The marks advance with
       // it, so a checkpoint gathered at ANY instant reflects everything
-      // already merged.
-      const auto key = std::make_pair(frame.dialect, frame.slice);
-      peer->progress[key] = frame.completed;
-      uint64_t& mark = completed_[key];
-      mark = std::max(mark, frame.completed);
+      // already merged, and a requeue resumes from them.
+      uint64_t* mark = NextIterationMark(peer, frame);
+      if (mark == nullptr || frame.completed != *mark + 1) {
+        protocol_errors_++;
+        break;
+      }
+      *mark = frame.completed;
+      completed_[{frame.dialect, frame.slice}] = frame.completed;
+      peer->inflight.erase({frame.dialect, frame.slice});
       CampaignResult iteration;
       iteration.iterations_run = 1;
       iteration.queries_run = frame.queries;
@@ -390,6 +409,8 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
     }
     case FrameType::kCov: {
       for (uint64_t key : frame.site_keys) covered_keys_.insert(key);
+      // Cumulative-since-start per incarnation: replace, don't merge.
+      peer->latest_metrics = frame.metrics;
       AddCurveSample();
       break;
     }
@@ -409,14 +430,16 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       break;
     }
     case FrameType::kBug: {
-      // Offered now, so a finding of an iteration that never completes
-      // keeps its bugs; its iteration's SLICEPROGRESS counts it.
+      // One of an iteration's unique bugs, merged now by the rule that
+      // merges an in-process iteration, so a bug of an iteration that never
+      // completes is kept; its iteration's SLICEPROGRESS counts findings.
       auto d = fleet::BugFrameToDiscrepancy(frame);
       if (!d.ok()) {
         protocol_errors_++;
         break;
       }
-      aggregator_.MergeDiscrepancy(d.value());
+      aggregator_.MergeUniqueBug(static_cast<faults::FaultId>(frame.fault),
+                                 d.Take());
       break;
     }
     case FrameType::kDone: {
@@ -430,10 +453,6 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       peer->assignment.reset();
       break;
     }
-    case FrameType::kStats:
-      // Cumulative-since-start per incarnation: replace, don't merge.
-      peer->latest_stats = frame.stats;
-      break;
     case FrameType::kAssign:
     case FrameType::kBye:
       break;  // supervisor-to-worker frames; a peer echoing them is harmless
@@ -448,7 +467,7 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
 }
 
 void FleetServer::PersistInflight(const Peer& peer) {
-  if (config_.crash_dir.empty() || peer.last_inflight.empty()) return;
+  if (config_.crash_dir.empty() || peer.inflight.empty()) return;
   if (config_.base.corpus.enabled) {
     // Mutants depend on the dead worker's corpus history; (seed,
     // iteration) cannot reconstruct them. Honest failure beats a wrong
@@ -462,7 +481,9 @@ void FleetServer::PersistInflight(const Peer& peer) {
   std::error_code ec;
   std::filesystem::create_directories(config_.crash_dir, ec);
   const std::filesystem::path dir(config_.crash_dir);
-  for (const auto& [key, iteration] : peer.last_inflight) {
+  for (const auto& key : peer.inflight) {
+    const uint64_t iteration =
+        key.second + peer.assignment->completed.at(key) * total_slices_;
     const auto dialect = static_cast<engine::Dialect>(key.first);
     fuzz::CampaignConfig cfg = config_.base;
     cfg.dialect = dialect;
@@ -504,39 +525,34 @@ void FleetServer::HandleDisconnect(Peer* peer) {
   peer->channel.Close();
   disconnects_++;
   protocol_errors_ += peer->channel.rejected();
-  // The incarnation is over: retire its cumulative STATS reading.
-  dead_metrics_.Merge(peer->latest_stats);
-  peer->latest_stats = obs::MetricsSnapshot{};
+  // The incarnation is over: retire its cumulative metrics reading.
+  dead_metrics_.Merge(peer->latest_metrics);
+  peer->latest_metrics = obs::MetricsSnapshot{};
   if (peer->got_done || !peer->assignment) return;
 
   // Died mid-assignment. Its SLICEPROGRESS frames already credited every
-  // iteration it completed, and its BUG frames were offered live, so no
-  // bug is lost. Persist the in-flight iterations, then requeue the
-  // unfinished slices at the marks: an iteration never credited is RE-RUN
-  // by whoever picks the work up and credited once, and its re-reported
-  // bugs dedup in the aggregator.
+  // iteration it completed and moved the assignment's marks, and its BUG
+  // frames were merged live, so no bug is lost. Persist the in-flight
+  // iterations, then requeue the unfinished slices at the marks: an
+  // iteration never credited is RE-RUN by whoever picks the work up and
+  // credited once, and its re-reported bugs dedup in the aggregator.
   Assignment* assignment = peer->assignment.get();
   PersistInflight(*peer);
 
-  for (auto& [key, mark] : assignment->completed) {
-    const auto it = peer->progress.find(key);
-    if (it != peer->progress.end()) mark = std::max(mark, it->second);
-  }
   assignment->deaths++;
   if (assignment->deaths >= kMaxDeathsPerAssignment) {
     // Every incarnation died at the same point: assume a deterministic
     // killer and skip past the in-flight iteration — liveness over that
     // one case (its reproducer is already on disk).
-    for (const auto& [key, iteration] : peer->last_inflight) {
-      auto it = assignment->completed.find(key);
-      if (it == assignment->completed.end()) continue;
-      const uint64_t skip_to = (iteration - key.second) / total_slices_ + 1;
-      it->second = std::max(it->second, skip_to);
-      crash_skips_++;
+    for (const auto& key : peer->inflight) {
+      uint64_t& mark = assignment->completed.at(key);
       std::fprintf(stderr,
                    "fleet: assignment died %zu times; skipping iteration "
                    "%" PRIu64 " of slice %" PRIu64 "\n",
-                   assignment->deaths, iteration, key.second);
+                   assignment->deaths, key.second + mark * total_slices_,
+                   key.second);
+      mark++;
+      crash_skips_++;
     }
     assignment->deaths = 0;
   }
@@ -571,7 +587,7 @@ obs::MetricsSnapshot FleetServer::FleetMetricsSnapshot() const {
   for (const auto& peer : peers_) {
     if (!peer || peer->closed) continue;
     if (peer->assignment) active++;
-    snap.Merge(peer->latest_stats);
+    snap.Merge(peer->latest_metrics);
   }
   // Supervisor-synthesized instruments. Counters ADD onto whatever a
   // resumed baseline carried (they are this process's deltas); gauges are
@@ -688,6 +704,7 @@ CheckpointState FleetServer::GatherCheckpoint() const {
   state.iterations_run = acc.iterations_run;
   state.queries_run = acc.queries_run;
   state.checks_run = acc.checks_run;
+  state.findings = acc.findings;
   state.busy_seconds = acc.busy_seconds;
   state.engine_seconds = acc.engine_seconds;
   for (const auto& [id, d] : acc.unique_bugs) {
@@ -822,11 +839,12 @@ CampaignResult FleetServer::Run() {
     restored.iterations_run = resume.iterations_run;
     restored.queries_run = resume.queries_run;
     restored.checks_run = resume.checks_run;
+    restored.findings = resume.findings;
     restored.busy_seconds = resume.busy_seconds;
     restored.engine_seconds = resume.engine_seconds;
     aggregator_.Merge(std::move(restored));
     for (const auto& [id, d] : resume.unique_bugs) {
-      aggregator_.RestoreUniqueBug(id, d);
+      aggregator_.MergeUniqueBug(id, d);
     }
     covered_keys_ = resume.covered_sites;
     curve_.Preload(resume.curve);

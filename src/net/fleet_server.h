@@ -1,8 +1,8 @@
 // FleetServer: the one fleet supervisor — the process tier of the runtime
 // (threads -> shards -> processes -> machines). It hands batches of global
 // SplitSeed slices to worker processes over TCP and merges their BUG /
-// ENTRY / COV / STATS / SLICEPROGRESS frame streams into one Aggregator,
-// one fleet corpus, one Figure-8 curve, and one CheckpointState.
+// ENTRY / COV / SLICEPROGRESS frame streams into one Aggregator, one fleet
+// corpus, one Figure-8 curve, and one CheckpointState.
 //
 // Two ways to run it, one code path:
 //   - `spatter --fleet=P --jobs=J` binds 127.0.0.1:0 and forks P local
@@ -22,15 +22,17 @@
 // its unfinished slices requeued at their SLICEPROGRESS high-water marks
 // and re-factored onto whichever peer asks next. Because marks count
 // COMPLETED iterations, the dead worker's in-flight iteration is re-run,
-// never skipped, and its re-reported bugs dedup in the aggregator's
+// never skipped, and its re-reported unique bugs dedup in the aggregator's
 // earliest-logical-position order: a campaign with a worker SIGKILLed
 // mid-run reports the identical `bug-set:` / `bug-set-by-oracle:` lines
-// as an uninterrupted one. Every such death persists the in-flight
-// iteration (pure-generate mode) as an `inflight-*.sptc` reproducer plus
-// a `flight-*.trace.jsonl` dump in the crash dir. After
+// and counts as an uninterrupted one. A slice is in flight from its
+// INFLIGHT to its SLICEPROGRESS, and its in-flight iteration is the one
+// at its mark (slice + mark * slices). Every death persists each
+// in-flight iteration (pure-generate mode) as an `inflight-*.sptc`
+// reproducer plus a `flight-*.trace.jsonl` dump in the crash dir. After
 // kMaxDeathsPerAssignment consecutive deaths the supervisor assumes a
-// deterministic killer and skips past the in-flight iteration, trading
-// that one case for campaign liveness.
+// deterministic killer and moves the mark past the in-flight iteration,
+// trading that one case for campaign liveness.
 //
 // Handshake: the client's first frame is NETHELLO <proto> <pid>; the
 // supervisor BYEs any peer with a different fleet::kNetProtocolVersion.
@@ -48,7 +50,16 @@
 // Neither a heartbeat, nor DONE, nor a worker's death credits anything,
 // so a dead worker's uncredited iteration is credited once, when it is
 // re-run; the status line, the curve, /fleet and checkpoints all read
-// what has been credited.
+// what has been credited. Peers are untrusted: an INFLIGHT or
+// SLICEPROGRESS for a (dialect, slice) the peer's assignment does not
+// hold, or for a batch slice at its budget, and a SLICEPROGRESS whose mark
+// is not the slice's next one are protocol errors and credit nothing.
+//
+// Unique bugs follow the in-process rule: a worker sends each iteration's
+// unique bugs (its first report of each fault) as BUG frames, and the
+// supervisor merges each by fuzz::DetectedEarlier
+// (runtime::Aggregator::MergeUniqueBug), as it does a checkpoint's bugs on
+// resume; it keeps no memory of who reported what.
 #ifndef SPATTER_NET_FLEET_SERVER_H_
 #define SPATTER_NET_FLEET_SERVER_H_
 
@@ -98,7 +109,7 @@ struct FleetConfig {
   std::string crash_dir;
   /// Replay merged corpus entries across dialects after the run.
   bool cross_dialect_transfer = true;
-  /// Seconds between COV/STATS heartbeats of local children.
+  /// Seconds between COV heartbeats of local children.
   double cov_interval_seconds = 0.2;
   /// > 0: print a live fleet status line to stderr every S seconds
   /// (iters/s, engine-us/query, per-oracle p99, bugs, corpus, worker
@@ -183,7 +194,7 @@ class FleetServer {
   const fleet::CurveRecorder& curve() const { return curve_; }
 
   /// Fleet-wide telemetry: restored baseline + retired incarnations +
-  /// live peers' latest STATS + fleet.* instruments.
+  /// live peers' latest COV metrics + fleet.* instruments.
   obs::MetricsSnapshot FleetMetricsSnapshot() const;
 
  private:
@@ -191,6 +202,9 @@ class FleetServer {
   struct Peer;
 
   void BuildInitialQueue();
+  /// The peer's assignment mark for the frame's (dialect, slice) when the
+  /// peer holds that slice and it has a next iteration; null otherwise.
+  uint64_t* NextIterationMark(Peer* peer, const fleet::Frame& frame);
   void HandleFrame(Peer* peer, const fleet::Frame& frame);
   void HandleDisconnect(Peer* peer);
   void PersistInflight(const Peer& peer);
@@ -234,7 +248,8 @@ class FleetServer {
   std::set<uint64_t> covered_keys_;
   fleet::CurveRecorder curve_;
   /// Server-wide completed high-water marks per (dialect value, global
-  /// slice) — the checkpoint's progress section.
+  /// slice) — the checkpoint's progress section; each accepted
+  /// SLICEPROGRESS moves one, with its assignment's mark.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> completed_;
 
   StatusEndpoint status_;

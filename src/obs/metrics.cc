@@ -278,7 +278,7 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot,
           static_cast<unsigned long long>(info.jobs));
   AppendF(&out, "  \"elapsed_seconds\": %.6f,\n", info.elapsed_seconds);
 
-  // Opens the next member of an object: names come from peers' STATS
+  // Opens the next member of an object: names come from peers' COV
   // frames and checkpoints too, so they are escaped, never printed raw.
   bool first = true;
   const auto member = [&out, &first](const std::string& name) {

@@ -18,7 +18,7 @@
 //      SPATTER_COV idiom.
 //   3. Mergeable snapshots. A MetricsSnapshot is a pure value: counters
 //      and gauges sum, histograms sum bucket-wise — merge is associative
-//      and commutative, so worker STATS frames, dead-incarnation
+//      and commutative, so worker COV frames, dead-incarnation
 //      accumulators, and checkpoint-restored baselines fold in any order.
 //      The versioned text codec (EncodeText/DecodeText) validates as
 //      strictly as the fleet wire grammar: a corrupt snapshot is rejected,
@@ -155,7 +155,7 @@ struct HistogramData {
 };
 
 /// A mergeable point-in-time copy of a registry (or of a remote worker's
-/// registry, decoded from a STATS frame or a checkpoint).
+/// registry, decoded from a COV frame or a checkpoint).
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
@@ -178,7 +178,7 @@ struct MetricsSnapshot {
     return it == histograms.end() ? nullptr : &it->second;
   }
 
-  /// Versioned strict text codec. The document is what STATS frames and
+  /// Versioned strict text codec. The document is what COV frames and
   /// checkpoints embed (hex-wrapped); DecodeText rejects version skew,
   /// truncation (the `end <n>` trailer must count the body), unknown line
   /// kinds, malformed numbers, duplicate names, out-of-range bucket

@@ -16,12 +16,7 @@ void Aggregator::Merge(fuzz::CampaignResult&& shard) {
       std::make_move_iterator(shard.discrepancies.begin()),
       std::make_move_iterator(shard.discrepancies.end()));
   for (auto& [id, candidate] : shard.unique_bugs) {
-    auto it = acc_.unique_bugs.find(id);
-    if (it == acc_.unique_bugs.end()) {
-      acc_.unique_bugs.emplace(id, std::move(candidate));
-    } else if (fuzz::DetectedEarlier(candidate, it->second)) {
-      it->second = std::move(candidate);
-    }
+    MergeUniqueBug(id, std::move(candidate));
   }
   acc_.findings += shard.findings;
   acc_.iterations_run += shard.iterations_run;
@@ -32,13 +27,13 @@ void Aggregator::Merge(fuzz::CampaignResult&& shard) {
   acc_.engine_stats += shard.engine_stats;
 }
 
-void Aggregator::MergeDiscrepancy(const fuzz::Discrepancy& d) {
-  for (faults::FaultId id : d.fault_hits) acc_.Offer(id, d);
-}
-
-void Aggregator::RestoreUniqueBug(faults::FaultId id,
-                                  const fuzz::Discrepancy& d) {
-  acc_.Offer(id, d);
+void Aggregator::MergeUniqueBug(faults::FaultId id, fuzz::Discrepancy d) {
+  auto it = acc_.unique_bugs.find(id);
+  if (it == acc_.unique_bugs.end()) {
+    acc_.unique_bugs.emplace(id, std::move(d));
+  } else if (fuzz::DetectedEarlier(d, it->second)) {
+    it->second = std::move(d);
+  }
 }
 
 void Aggregator::MergeCorpus(const corpus::Corpus& shard) {

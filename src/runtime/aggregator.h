@@ -6,14 +6,15 @@
 //   - findings counted, and the discrepancies a result still holds
 //     concatenated, then ordered by (iteration, query_index, dialect) so
 //     the merged report reads like a serial run whatever the merge order;
-//   - unique_bugs deduplicated by FaultId. A whole result (a shard's, or
-//     one iteration's delta) merges by fuzz::DetectedEarlier alone: its
-//     own unique bugs already hold each iteration's first report, and the
-//     order is total across (dialect, iteration) pairs, so the winner per
-//     bug is the serial run's, whatever the shard count and schedule. A
-//     single finding (the fleet's BUG frames) is offered through
-//     CampaignResult::Offer, which keeps an iteration's first report of a
-//     fault as a whole-result merge does;
+//   - unique_bugs deduplicated by FaultId, one (fault, finding) pair at a
+//     time (MergeUniqueBug): the finding fuzz::DetectedEarlier ranks first
+//     stands. Every tier feeds it the same pairs, each iteration's first
+//     report of each fault (fuzz::CampaignResult::Record): the in-process
+//     runtime inside each iteration's delta, a fleet worker as one BUG
+//     frame per pair, a checkpoint as its bug lines. The order is total
+//     across (dialect, iteration) pairs, so the winner per bug is the
+//     serial run's, whatever the shard count, schedule, process split or
+//     arrival order;
 //   - iteration/query/check counters and EngineStats summed;
 //   - the Figure-7 time split preserved: busy_seconds accumulates per-shard
 //     wall time and engine_seconds per-shard SDBMS time, while
@@ -38,20 +39,13 @@ class Aggregator {
   void Merge(const fuzz::CampaignResult& shard);
   void Merge(fuzz::CampaignResult&& shard);
 
-  /// Offers a single finding for every fault it fired (the fleet
-  /// supervisor's BUG-frame path) through CampaignResult::Offer. It is
-  /// neither counted, since its iteration's counts merge whole when that
-  /// iteration completes, nor kept: the log of a long run would grow
-  /// without bound.
-  void MergeDiscrepancy(const fuzz::Discrepancy& d);
-
-  /// Re-seats a checkpoint-restored unique bug under its recorded FaultId
-  /// only: CampaignResult::Offer, so an iteration re-run after resume that
-  /// re-reports the fault dedups against the restored winner. Unlike
-  /// MergeDiscrepancy this does NOT fan out across d.fault_hits — each
-  /// checkpointed fault carries its own winning reproducer, and re-keying
-  /// it under a co-fired fault could flip that fault's winner.
-  void RestoreUniqueBug(faults::FaultId id, const fuzz::Discrepancy& d);
+  /// Lets `d` compete to stand for fault `id`: it replaces the incumbent
+  /// when fuzz::DetectedEarlier ranks it first. It is neither counted (the
+  /// result or SLICEPROGRESS frame of its iteration counts its findings)
+  /// nor kept in the report, so a long run does not grow. Merge runs every
+  /// unique bug of a result through here; the fleet supervisor runs each
+  /// BUG frame and each restored checkpoint bug.
+  void MergeUniqueBug(faults::FaultId id, fuzz::Discrepancy d);
 
   /// Running aggregate, for live sampling mid-campaign. Discrepancies are
   /// in merge order, not yet sorted.

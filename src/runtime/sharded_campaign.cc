@@ -82,7 +82,6 @@ CampaignResult ShardedCampaign::Run(const Observer& observer) {
         observer.sample(Campaign::NowSeconds() - t0, aggregator.current());
       }
     }
-    if (observer.slice_done) observer.slice_done(dialect, slice);
     // Timing-only record: counters were merged per iteration above.
     CampaignResult timing;
     campaign.FinalizeResult(&timing, slice_t0, stats_t0);

@@ -76,21 +76,21 @@ struct ShardedCampaignConfig {
 
 class ShardedCampaign {
  public:
-  /// Per-iteration hooks; every one is optional. `before`, `after` and
-  /// `slice_done` run on the slice's own thread, concurrently across
-  /// slices; `sample` runs under the merge lock, so its calls are
-  /// serialized.
+  /// Per-iteration hooks; every one is optional. `before` and `after` run
+  /// on the slice's own thread, concurrently across slices; `sample` runs
+  /// under the merge lock, so its calls are serialized.
   struct Observer {
     /// Before `iteration` of slice `slice` runs on `campaign`. Returning
     /// false ends the slice without running it.
     std::function<bool(fuzz::Campaign& campaign, uint64_t slice,
                        size_t iteration)>
         before;
-    /// After it ran, before `delta` (its findings and counters) merges
-    /// into the run's result. `completed` counts the slice's completed
-    /// iterations, resume mark included. An observer that streams the
-    /// findings elsewhere, or needs only their count (`delta->findings`
-    /// keeps it), may take them out of `delta`.
+    /// After it ran, before `delta` (its findings, unique bugs and
+    /// counters) merges into the run's result. `completed` counts the
+    /// slice's completed iterations, resume mark included. An observer
+    /// that streams the findings or unique bugs elsewhere, or needs only
+    /// their count (`delta->findings` keeps it), may take them out of
+    /// `delta`.
     std::function<void(fuzz::Campaign& campaign, uint64_t slice,
                        uint64_t completed, fuzz::CampaignResult* delta)>
         after;
@@ -98,8 +98,6 @@ class ShardedCampaign {
     /// aggregate (discrepancies in merge order), e.g. for coverage curves.
     std::function<void(double elapsed, const fuzz::CampaignResult& live)>
         sample;
-    /// A slice's loop ended; its last announced iteration completed.
-    std::function<void(engine::Dialect dialect, uint64_t slice)> slice_done;
   };
 
   explicit ShardedCampaign(const ShardedCampaignConfig& config);

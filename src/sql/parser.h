@@ -18,7 +18,8 @@ Result<StatementPtr> ParseStatement(const std::string& text);
 Result<std::vector<StatementPtr>> ParseScript(const std::string& text);
 
 /// Renders a statement back to SQL; the output parses back to an
-/// equivalent statement. Only tests read it (decoder_fuzz_test's
+/// equivalent statement. fuzz::QuerySpec::ToSql prints queries through it
+/// for reproducers and reports; the tests read it too (decoder_fuzz_test's
 /// parse -> print -> parse fixed point, eet_test's variant checks).
 std::string PrintStatement(const Statement& stmt);
 

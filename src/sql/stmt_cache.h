@@ -1,10 +1,12 @@
-// LRU parse cache: SQL text -> parsed statement. The campaign's oracles
-// re-execute the same statement text many times per check (AEI runs every
-// query twice and reloads the base database up to four times; EET prints
-// up to six variants; the index oracle reloads with and without an index),
-// so parse time on repeated text is pure redundancy. The cache is strictly
-// passive: parsing is a pure function of the text, entries are immutable
-// once stored, and the cache never observes engine state or RNG.
+// LRU parse cache: SQL text -> parsed statement, behind
+// Engine::Execute(text). The oracles no longer send it queries: each
+// executes the statement fuzz::QuerySpec::ToStatement builds. What still
+// arrives as text is the DDL of snapshot builds and the generator's derive
+// statements, so engine.stmt_cache.{hit,miss} still register, as the
+// benchmark's traced profile requires; the cache goes once that profile
+// stops reading them. The cache is strictly passive: parsing is a pure
+// function of the text, entries are immutable once stored, and the cache
+// never observes engine state or RNG.
 #ifndef SPATTER_SQL_STMT_CACHE_H_
 #define SPATTER_SQL_STMT_CACHE_H_
 

@@ -1,10 +1,10 @@
-// Checkpoint/resume tests: the v1 codec (round-trip, corruption /
+// Checkpoint/resume tests: the v2 codec (round-trip, corruption /
 // truncation / version-skew rejection), the atomic-persist contract for
 // every state file (checkpoint, corpus entries, curve JSON) under
 // mid-write kills, and the crash-equivalence pin — a fleet supervisor
 // SIGKILLed at deterministic fault-injection points (die after N frames /
 // N checkpoints) and resumed must report the identical unique-bug set,
-// per-oracle attribution, and final coverage as an uninterrupted run,
+// per-oracle attribution, counts and final coverage as an uninterrupted run,
 // including across a different P x J factorization on resume.
 #include <gtest/gtest.h>
 
@@ -128,6 +128,7 @@ CheckpointState SampleState() {
   state.iterations_run = 10;
   state.queries_run = 300;
   state.checks_run = 300;
+  state.findings = 12;
   state.busy_seconds = 1.5;
   state.engine_seconds = 0.75;
   state.completed[{0, 0}] = 3;
@@ -150,7 +151,7 @@ CheckpointState SampleState() {
   return state;
 }
 
-/// Builds a minimal v1 document from body lines (valid trailer included).
+/// Builds a minimal v2 document from body lines (valid trailer included).
 std::string Doc(const std::vector<std::string>& body) {
   std::string out = std::string(kCheckpointMagic) + "\n";
   for (const std::string& line : body) out += line + "\n";
@@ -160,7 +161,7 @@ std::string Doc(const std::vector<std::string>& body) {
 
 constexpr const char kValidConfigLine[] =
     "config 42 10 25 8 4 1 1 postgis aei 0 50 0";
-constexpr const char kValidCountersLine[] = "counters 0 0 0 0 0 0";
+constexpr const char kValidCountersLine[] = "counters 0 0 0 0 0 0 0";
 
 // --- Codec ------------------------------------------------------------------
 
@@ -190,6 +191,7 @@ TEST(CheckpointCodec, RoundTripsEveryField) {
   EXPECT_EQ(out.iterations_run, state.iterations_run);
   EXPECT_EQ(out.queries_run, state.queries_run);
   EXPECT_EQ(out.checks_run, state.checks_run);
+  EXPECT_EQ(out.findings, state.findings);
   EXPECT_EQ(out.busy_seconds, state.busy_seconds);
   EXPECT_EQ(out.engine_seconds, state.engine_seconds);
   EXPECT_EQ(out.completed, state.completed);
@@ -234,12 +236,12 @@ TEST(CheckpointCodec, DocumentIsPinned) {
       fuzz::ParseOracleSuite("aei,diff:duckdb,tlp/3").Take();
   EXPECT_EQ(
       EncodeCheckpoint(state),
-      "spatter-checkpoint-v1\n"
+      "spatter-checkpoint-v2\n"
       "config 7 33 30 9 8 0 0 postgis,mysql aei,diff:duckdb,tlp/3 1 70 12.5\n"
-      "counters 3.25 10 300 300 1.5 0.75\n"
+      "counters 3.25 10 300 300 12 1.5 0.75\n"
       "progress 0 0 3\n"
       "progress 2 5 1\n"
-      "bug 30 SPTW1 BUG 4 0 3 1.500000 636f756e7420312076732030 "
+      "bug SPTW1 BUG 30 4 0 1.500000 636f756e7420312076732030 "
       "53505443020001024eb3454adf5403eb0b0000000000000000020000000200000074"
       "3001000000150000000101000000000000000000144000000000000018400200000074"
       "310100000015000000010100000000000000000018400000000000001440010200000074"
@@ -299,16 +301,36 @@ TEST(CheckpointCodec, VersionSkewRejected) {
   std::string doc = Doc({kValidConfigLine, kValidCountersLine});
   auto ok = DecodeCheckpoint(doc);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  // A future format bumps the magic; v1 readers must refuse, not guess.
-  doc.replace(0, std::string(kCheckpointMagic).size(),
-              "spatter-checkpoint-v2");
-  auto skew = DecodeCheckpoint(doc);
-  ASSERT_FALSE(skew.ok());
-  EXPECT_NE(skew.status().ToString().find("version skew"),
-            std::string::npos);
+  // v1 documents (no findings count, fault ids outside their BUG frames)
+  // and any future format are refused, not guessed at.
+  for (const char* magic : {"spatter-checkpoint-v1", "spatter-checkpoint-v3"}) {
+    std::string other = doc;
+    other.replace(0, std::string(kCheckpointMagic).size(), magic);
+    auto skew = DecodeCheckpoint(other);
+    ASSERT_FALSE(skew.ok()) << magic;
+    EXPECT_NE(skew.status().ToString().find("version skew"),
+              std::string::npos)
+        << magic;
+  }
 }
 
 TEST(CheckpointCodec, CorruptDocumentsRejected) {
+  auto bug = MakeBugFrame(faults::FaultId::kMysqlOverlapsSwappedAxes,
+                          SampleBug(), 7);
+  ASSERT_TRUE(bug.ok()) << bug.status().ToString();
+  std::string frame = EncodeFrame(bug.value());
+  frame.pop_back();  // the '\n'
+  ASSERT_TRUE(DecodeCheckpoint(Doc({kValidConfigLine, kValidCountersLine,
+                                    "bug " + frame}))
+                  .ok());
+  // v1 put the fault id before the frame.
+  const std::string v1_bug = "30 " + frame;
+  // A finding can stand only for a fault it fired.
+  Frame foreign_frame = bug.value();
+  foreign_frame.fault =
+      static_cast<uint64_t>(faults::FaultId::kMysqlTouchesEmptyCollection);
+  std::string foreign_bug = EncodeFrame(foreign_frame);
+  foreign_bug.pop_back();
   const std::vector<std::vector<std::string>> corrupt_bodies = {
       {},                                             // no config/counters
       {kValidCountersLine},                           // missing config
@@ -327,8 +349,13 @@ TEST(CheckpointCodec, CorruptDocumentsRejected) {
        kValidCountersLine},
       {kValidConfigLine, kValidCountersLine, "progress 9 0 1"},  // dialect
       {kValidConfigLine, kValidCountersLine, "progress 0 1"},    // fields
-      {kValidConfigLine, kValidCountersLine, "bug 999999 SPTW1 BUG"},
-      {kValidConfigLine, kValidCountersLine, "bug 0 not a frame"},
+      {kValidConfigLine, "counters 0 0 0 0 0 0"},  // v1 counters
+      {kValidConfigLine, kValidCountersLine, "bug"},
+      {kValidConfigLine, kValidCountersLine, "bug "},
+      {kValidConfigLine, kValidCountersLine, "bug not a frame"},
+      {kValidConfigLine, kValidCountersLine, "bug SPTW1 BUG"},
+      {kValidConfigLine, kValidCountersLine, "bug " + v1_bug},   // v1 line
+      {kValidConfigLine, kValidCountersLine, "bug " + foreign_bug},
       {kValidConfigLine, kValidCountersLine, "sites xyz"},
       {kValidConfigLine, kValidCountersLine, "sites 1234"},  // short key
       {kValidConfigLine, kValidCountersLine, "curve 1.0 2 3"},
@@ -355,28 +382,31 @@ TEST(CheckpointCodec, FloatFieldsAcceptOnlyFiniteDecimals) {
   // refuse what strtod alone would also take: a peer or a file that says
   // "inf" must not set an endless duration budget.
   const std::string snapshot = obs::MetricsSnapshot().EncodeText();
-  const std::string stats_hex =
+  const std::string metrics_hex =
       HexEncode(std::vector<uint8_t>(snapshot.begin(), snapshot.end()));
-  auto bug = MakeBugFrame(SampleBug(), 7);
+  auto bug = MakeBugFrame(faults::FaultId::kMysqlOverlapsSwappedAxes,
+                          SampleBug(), 7);
   ASSERT_TRUE(bug.ok()) << bug.status().ToString();
   std::string bug_line = EncodeFrame(bug.value());
   bug_line.pop_back();  // the '\n'
   std::vector<std::string> bug_fields = Split(bug_line, ' ');
   ASSERT_EQ(bug_fields.size(), 8u);
-  bug_fields[5] = "@";  // SPTW1 BUG <query> <crash> <oracle> <elapsed> ...
+  bug_fields[5] = "@";  // SPTW1 BUG <fault> <query> <crash> <elapsed> ...
   bug_line.clear();
   for (const std::string& f : bug_fields) {
     bug_line += (bug_line.empty() ? "" : " ") + f;
   }
   const std::vector<std::string> wire = {
-      "SPTW1 COV @ -",   "SPTW1 DONE @ 0.5", "SPTW1 DONE 0.5 @",
-      "SPTW1 STATS @ " + stats_hex, bug_line,
+      "SPTW1 COV @ - " + metrics_hex,
+      "SPTW1 DONE @ 0.5",
+      "SPTW1 DONE 0.5 @",
+      bug_line,
   };
   const std::vector<std::vector<std::string>> checkpoint = {
       {"config 42 10 25 8 4 1 1 postgis aei 0 50 @", kValidCountersLine},
-      {kValidConfigLine, "counters @ 0 0 0 0 0"},
-      {kValidConfigLine, "counters 0 0 0 0 @ 0"},
-      {kValidConfigLine, "counters 0 0 0 0 0 @"},
+      {kValidConfigLine, "counters @ 0 0 0 0 0 0"},
+      {kValidConfigLine, "counters 0 0 0 0 0 @ 0"},
+      {kValidConfigLine, "counters 0 0 0 0 0 0 @"},
       {kValidConfigLine, kValidCountersLine, "curve @ 2 3 4"},
   };
   const auto fill = [](std::string text, const std::string& value) {
@@ -581,6 +611,7 @@ TEST(CrashEquivalence, ResumeEqualsUninterruptedPureGenerate) {
   const CampaignResult ref = RunFleet(&reference);
   const auto want = BugOracleMap(ref);
   ASSERT_FALSE(want.empty());
+  ASSERT_GT(ref.findings, 0u);
 
   // Kill points: frame 3 (inside the first iterations) and frame 24
   // (mid-campaign: after NETHELLO, each of 14 iterations writes at least
@@ -602,7 +633,12 @@ TEST(CrashEquivalence, ResumeEqualsUninterruptedPureGenerate) {
     FleetServer resumed(resumed_config);
     const CampaignResult result = RunFleet(&resumed);
     EXPECT_EQ(BugOracleMap(result), want) << "kill_at " << kill_at;
+    // The checkpoint carries the credited counts, so the resumed summary
+    // line equals the uninterrupted one.
     EXPECT_EQ(result.iterations_run, 14u) << "kill_at " << kill_at;
+    EXPECT_EQ(result.queries_run, ref.queries_run) << "kill_at " << kill_at;
+    EXPECT_EQ(result.checks_run, ref.checks_run) << "kill_at " << kill_at;
+    EXPECT_EQ(result.findings, ref.findings) << "kill_at " << kill_at;
     fs::remove_all(dir);
   }
 }

@@ -276,57 +276,51 @@ std::vector<Bytes> GeneratedRecords() {
 }
 
 // One line of every frame type EncodeFrame prints, ENTRY and BUG carrying
-// an encoded record.
+// an encoded record and COV a metrics snapshot.
 std::vector<Bytes> WireFrames(const Bytes& record) {
   using fleet::Frame;
   using fleet::FrameType;
-  std::vector<Frame> frames(11);
+  std::vector<Frame> frames(9);
   frames[0].type = FrameType::kInflight;
   frames[0].dialect = 2;
   frames[0].slice = 5;
-  frames[0].iteration = 1234567;
-  frames[1].type = FrameType::kSliceDone;
-  frames[1].dialect = 1;
-  frames[1].slice = 6;
-  frames[2].type = FrameType::kSliceProgress;
-  frames[2].dialect = 3;
-  frames[2].slice = 3;
-  frames[2].completed = 98;
-  frames[2].queries = 40;
-  frames[2].checks = 80;
-  frames[2].findings = 3;
-  frames[3].type = FrameType::kCov;
-  frames[3].elapsed = 1.25;
-  frames[3].site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
-  frames[4].type = FrameType::kEntry;
-  frames[4].payload = record;
-  frames[5].type = FrameType::kBug;
-  frames[5].query_index = 17;
-  frames[5].is_crash = true;
-  frames[5].oracle = static_cast<uint64_t>(fuzz::OracleKind::kIndex);
-  frames[5].elapsed = 0.5;
-  frames[5].detail = "count 3 vs 4, with spaces\tand tabs";
-  frames[5].payload = record;
-  frames[6].type = FrameType::kDone;
-  frames[6].busy_seconds = 2.5;
-  frames[6].engine_seconds = 1e24;
-  frames[7].type = FrameType::kStats;
-  frames[7].elapsed = 2.75;
-  frames[7].stats.counters["campaign.iterations"] = 1234;
-  frames[7].stats.gauges["corpus.size"] = -3;
+  frames[1].type = FrameType::kSliceProgress;
+  frames[1].dialect = 3;
+  frames[1].slice = 3;
+  frames[1].completed = 98;
+  frames[1].queries = 40;
+  frames[1].checks = 80;
+  frames[1].findings = 3;
+  frames[2].type = FrameType::kCov;
+  frames[2].elapsed = 1.25;
+  frames[2].site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
+  frames[2].metrics.counters["campaign.iterations"] = 1234;
+  frames[2].metrics.gauges["corpus.size"] = -3;
   obs::HistogramData h;
   h.count = 2;
   h.sum_ns = 3000;
   h.buckets.assign(obs::LatencyHistogram::kNumBuckets, 0);
   h.buckets[10] = 2;
-  frames[7].stats.histograms["engine.statement"] = h;
-  frames[8].type = FrameType::kNetHello;
-  frames[8].proto = fleet::kNetProtocolVersion;
-  frames[8].pid = 4242;
-  frames[9].type = FrameType::kAssign;
-  frames[9].worker = 1;
-  frames[9].payload = ToBytes("spatter-checkpoint-v1\nend 0\n");
-  frames[10].type = FrameType::kBye;
+  frames[2].metrics.histograms["engine.statement"] = h;
+  frames[3].type = FrameType::kEntry;
+  frames[3].payload = record;
+  frames[4].type = FrameType::kBug;
+  frames[4].fault = 3;
+  frames[4].query_index = 17;
+  frames[4].is_crash = true;
+  frames[4].elapsed = 0.5;
+  frames[4].detail = "count 3 vs 4, with spaces\tand tabs";
+  frames[4].payload = record;
+  frames[5].type = FrameType::kDone;
+  frames[5].busy_seconds = 2.5;
+  frames[5].engine_seconds = 1e24;
+  frames[6].type = FrameType::kNetHello;
+  frames[6].proto = fleet::kNetProtocolVersion;
+  frames[6].pid = 4242;
+  frames[7].type = FrameType::kAssign;
+  frames[7].worker = 1;
+  frames[7].payload = ToBytes("spatter-checkpoint-v2\nend 0\n");
+  frames[8].type = FrameType::kBye;
   std::vector<Bytes> out;
   for (const Frame& frame : frames) {
     out.push_back(ToBytes(fleet::EncodeFrame(frame)));
@@ -372,7 +366,7 @@ TEST(DecoderFuzz, WireAcceptsOnlyFixedPoints) {
   const std::vector<Bytes> seeds = WireFrames(records.front());
   std::vector<Bytes> tokens;
   for (const char* token :
-       {"SPTW1", "BUG", "COV", "STATS", "ASSIGN", " ", "-", ",", "0", "1e5",
+       {"SPTW1", "BUG", "COV", "INFLIGHT", "ASSIGN", " ", "-", ",", "0", "1e5",
         "-0", "nan", "inf", "1e309", "0x10", "ff", "\n", "18446744073709551616"}) {
     tokens.push_back(ToBytes(token));
   }
@@ -543,10 +537,10 @@ TEST(DecoderFuzz, SqlAcceptsOnlyPrintFixedPoints) {
 
 // --- Checkpoints ---------------------------------------------------------
 
-// Checkpoints of a resumed run: the identity block, completed marks,
-// unique bugs a small all-oracle campaign found (their BUG frames carry
-// encoded reproducers), covered sites, a coverage curve, a corpus manifest
-// and the metrics baseline.
+// Checkpoints of a resumed run: the identity block, counts, completed
+// marks, unique bugs a small all-oracle campaign found (their BUG frames
+// name their fault and carry encoded reproducers), covered sites, a
+// coverage curve, a corpus manifest and the metrics baseline.
 std::vector<Bytes> Checkpoints() {
   fuzz::CampaignConfig config;
   config.dialect = engine::Dialect::kDuckdbSpatial;
@@ -568,6 +562,7 @@ std::vector<Bytes> Checkpoints() {
   state.iterations_run = 4;
   state.queries_run = 48;
   state.checks_run = 240;
+  state.findings = 17;
   state.busy_seconds = 3.0625;
   state.engine_seconds = 1.5e-3;
   const auto duckdb = static_cast<uint64_t>(engine::Dialect::kDuckdbSpatial);
@@ -604,7 +599,8 @@ TEST(DecoderFuzz, CheckpointAcceptsOnlyFixedPoints) {
   const std::vector<Bytes> seeds = Checkpoints();
   std::vector<Bytes> tokens = {ToBytes("\n")};
   for (const char* token :
-       {"progress 0 1 2", "sites ", "curve ", "corpus ", "end ", " ", "-",
+       {"progress 0 1 2", "bug SPTW1 BUG ", "sites ", "curve ", "corpus ",
+        "end ", " ", "-",
         "0", "1e5", "-0", "nan", "inf", "1e309", "0x10", "ff",
         "18446744073709551616"}) {
     tokens.push_back(ToBytes(token));

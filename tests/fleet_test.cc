@@ -126,17 +126,17 @@ TEST(Wire, ParseU64AcceptsOnlyPlainDecimal) {
   EXPECT_EQ(value, 42u);
 }
 
+/// The hex of a metrics snapshot document, as a COV frame carries it.
+std::string MetricsHex(const obs::MetricsSnapshot& snapshot) {
+  const std::string text = snapshot.EncodeText();
+  return HexEncode(std::vector<uint8_t>(text.begin(), text.end()));
+}
+
 TEST(Wire, EveryFrameTypeRoundTrips) {
   Frame inflight;
   inflight.type = FrameType::kInflight;
   inflight.dialect = 2;
   inflight.slice = 5;
-  inflight.iteration = 1234567;
-
-  Frame slice_done;
-  slice_done.type = FrameType::kSliceDone;
-  slice_done.dialect = 1;
-  slice_done.slice = 6;
 
   Frame slice_progress;
   slice_progress.type = FrameType::kSliceProgress;
@@ -151,6 +151,7 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
   cov.type = FrameType::kCov;
   cov.elapsed = 1.25;
   cov.site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
+  cov.metrics.counters["campaign.iterations"] = 1234;
 
   Frame entry;
   entry.type = FrameType::kEntry;
@@ -158,9 +159,9 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
 
   Frame bug;
   bug.type = FrameType::kBug;
+  bug.fault = static_cast<uint64_t>(faults::FaultId::kMysqlOverlapsSwappedAxes);
   bug.query_index = 17;
   bug.is_crash = true;
-  bug.oracle = static_cast<uint64_t>(fuzz::OracleKind::kIndex);
   bug.elapsed = 0.5;
   bug.detail = "count 3 vs 4, with spaces\tand tabs";
   bug.payload = {9, 9, 9};
@@ -173,8 +174,8 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
   Frame bye;
   bye.type = FrameType::kBye;
 
-  for (const Frame& frame : {inflight, slice_done, slice_progress, cov, entry,
-                             bug, done, bye}) {
+  for (const Frame& frame :
+       {inflight, slice_progress, cov, entry, bug, done, bye}) {
     const std::string line = EncodeFrame(frame);
     EXPECT_EQ(line.back(), '\n');
     EXPECT_EQ(line.find('\n'), line.size() - 1) << "one line per frame";
@@ -184,17 +185,17 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     EXPECT_EQ(out.type, frame.type);
     EXPECT_EQ(out.dialect, frame.dialect);
     EXPECT_EQ(out.slice, frame.slice);
-    EXPECT_EQ(out.iteration, frame.iteration);
     EXPECT_EQ(out.completed, frame.completed);
     EXPECT_EQ(out.queries, frame.queries);
     EXPECT_EQ(out.checks, frame.checks);
     EXPECT_EQ(out.findings, frame.findings);
     EXPECT_NEAR(out.elapsed, frame.elapsed, 1e-6);
     EXPECT_EQ(out.site_keys, frame.site_keys);
+    EXPECT_EQ(out.metrics.EncodeText(), frame.metrics.EncodeText());
     EXPECT_EQ(out.payload, frame.payload);
+    EXPECT_EQ(out.fault, frame.fault);
     EXPECT_EQ(out.query_index, frame.query_index);
     EXPECT_EQ(out.is_crash, frame.is_crash);
-    EXPECT_EQ(out.oracle, frame.oracle);
     EXPECT_EQ(out.detail, frame.detail);
     EXPECT_NEAR(out.busy_seconds, frame.busy_seconds, 1e-6);
     EXPECT_NEAR(out.engine_seconds, frame.engine_seconds, 1e-6);
@@ -227,30 +228,30 @@ TEST(Wire, LargeFloatsRoundTripExactly) {
 
 TEST(Wire, RejectsCorruptFrames) {
   // Every rejection is a Status, never a partial frame or a crash.
-  const char* corrupt[] = {
+  const std::string metrics = MetricsHex(obs::MetricsSnapshot());
+  const std::string corrupt[] = {
       "",                                   // empty line
       "SPTW1",                              // magic only
-      "BADMAGIC INFLIGHT 0 1 2",            // wrong magic
+      "BADMAGIC INFLIGHT 0 1",              // wrong magic
       "SPTW1 NOSUCH 1 2",                   // unknown type
-      "SPTW1 INFLIGHT 0 1",                 // missing field
-      "SPTW1 INFLIGHT 0 1 2 3",             // extra field
-      "SPTW1 INFLIGHT 0 x 2",               // non-numeric
-      "SPTW1 INFLIGHT 0  2",                // torn double space
-      "SPTW1 INFLIGHT 9 0 0",               // dialect out of range
-      "SPTW1 SLICEDONE 0",                  // missing slice
-      "SPTW1 SLICEDONE 9 0",                // dialect out of range
+      "SPTW1 INFLIGHT 0",                   // missing slice
+      "SPTW1 INFLIGHT 0 1 2",               // protocol-4 iteration field
+      "SPTW1 INFLIGHT 0 x",                 // non-numeric
+      "SPTW1 INFLIGHT  2",                  // torn double space
+      "SPTW1 INFLIGHT 9 0",                 // dialect out of range
       "SPTW1 SLICEPROGRESS 0 1 2 3 4",      // missing findings count
       "SPTW1 SLICEPROGRESS 9 0 1 2 3 4",    // dialect out of range
       "SPTW1 SLICEPROGRESS 0 1 2 3 x 4",    // non-numeric count
       "SPTW1 SLICEPROGRESS 0 1 2",          // protocol-3 layout
-      "SPTW1 COV 1.0 xyz",                  // malformed key list
-      "SPTW1 COV 1.0 12345",                // key not 16 hex digits
+      "SPTW1 COV 1.0 xyz " + metrics,       // malformed key list
+      "SPTW1 COV 1.0 12345 " + metrics,     // key not 16 hex digits
+      "SPTW1 COV 1.0 -",                    // protocol-4 layout, no metrics
       "SPTW1 COV 1.0 2 3 -",                // protocol-3 counters
       "SPTW1 ENTRY 0g",                     // bad hex payload
       "SPTW1 ENTRY abc",                    // odd hex payload
-      "SPTW1 BUG 1 2 0 0.5 aa bb",          // is_crash not 0/1
-      "SPTW1 BUG 1 0 9 0.5 aa bb",          // oracle kind out of range
-      "SPTW1 BUG 1 0 0 0.5 aa",             // missing payload
+      "SPTW1 BUG 1 2 2 0.5 aa bb",          // is_crash not 0/1
+      "SPTW1 BUG 99999 2 0 0.5 aa bb",      // fault id out of range
+      "SPTW1 BUG 1 2 0 0.5 aa",             // missing payload
       "SPTW1 DONE 4.0",                     // missing engine seconds
       "SPTW1 DONE 1 2 3 4.0 5.0",           // protocol-3 counters
       "SPTW1 DONE 1 2 3 4.0 5.0 6 7 8 9",   // protocol-1 engine counters
@@ -259,9 +260,11 @@ TEST(Wire, RejectsCorruptFrames) {
       "SPTW1 HELLO 3 4242 6 2 8",           // retired in protocol 3
       "SPTW1 TRACE 3.500000 7b7d",          // retired in protocol 3
       "SPTW1 TUNE 35",                      // retired in protocol 4
-      "SPTW1 INFLIGHT 0 1 99999999999999999999999999",  // overflow
+      "SPTW1 SLICEDONE 0 1",                // retired in protocol 5
+      "SPTW1 STATS 1.000000 " + metrics,    // retired in protocol 5
+      "SPTW1 INFLIGHT 0 99999999999999999999999999",  // overflow
   };
-  for (const char* line : corrupt) {
+  for (const std::string& line : corrupt) {
     EXPECT_FALSE(DecodeFrame(line).ok()) << "should reject: " << line;
   }
 }
@@ -282,38 +285,40 @@ TEST(Wire, TruncatedFramePrefixesRejected) {
   EXPECT_TRUE(DecodeFrame(line).ok());
 }
 
-TEST(Wire, StatsFrameRoundTrips) {
-  Frame stats;
-  stats.type = FrameType::kStats;
-  stats.elapsed = 2.75;
-  stats.stats.counters["campaign.iterations"] = 1234;
-  stats.stats.counters["oracle.aei.ok"] = 5678;
-  stats.stats.gauges["corpus.size"] = -3;
+TEST(Wire, CovFrameCarriesTheMetricsSnapshot) {
+  Frame cov;
+  cov.type = FrameType::kCov;
+  cov.elapsed = 2.75;
+  cov.site_keys = {0x1ULL};
+  cov.metrics.counters["campaign.iterations"] = 1234;
+  cov.metrics.counters["oracle.aei.ok"] = 5678;
+  cov.metrics.gauges["corpus.size"] = -3;
   obs::HistogramData h;
   h.count = 2;
   h.sum_ns = 3000;
   h.buckets.assign(obs::LatencyHistogram::kNumBuckets, 0);
   h.buckets[10] = 2;
-  stats.stats.histograms["engine.statement"] = h;
+  cov.metrics.histograms["engine.statement"] = h;
 
-  const std::string line = EncodeFrame(stats);
+  const std::string line = EncodeFrame(cov);
   EXPECT_EQ(line.find('\n'), line.size() - 1) << "one line per frame";
   auto decoded = DecodeFrame(line);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const Frame& out = decoded.value();
-  EXPECT_EQ(out.type, FrameType::kStats);
+  EXPECT_EQ(out.type, FrameType::kCov);
   EXPECT_NEAR(out.elapsed, 2.75, 1e-9);
+  EXPECT_EQ(out.site_keys, cov.site_keys);
   // The snapshot document is canonical (sorted maps, strict codec), so
   // byte equality of the re-encoded text is the round-trip check.
-  EXPECT_EQ(out.stats.EncodeText(), stats.stats.EncodeText());
+  EXPECT_EQ(out.metrics.EncodeText(), cov.metrics.EncodeText());
 }
 
-TEST(Wire, RejectsCorruptStatsFrames) {
-  Frame stats;
-  stats.type = FrameType::kStats;
-  stats.elapsed = 1.0;
-  stats.stats.counters["campaign.iterations"] = 7;
-  std::string line = EncodeFrame(stats);
+TEST(Wire, RejectsCorruptCovMetrics) {
+  Frame cov;
+  cov.type = FrameType::kCov;
+  cov.elapsed = 1.0;
+  cov.metrics.counters["campaign.iterations"] = 7;
+  std::string line = EncodeFrame(cov);
   line.pop_back();  // drop '\n'
   ASSERT_TRUE(DecodeFrame(line).ok());
 
@@ -326,15 +331,14 @@ TEST(Wire, RejectsCorruptStatsFrames) {
   }
 
   const std::string garbage = "not a snapshot\n";
-  const std::string valid_hex =
+  const std::string garbage_hex =
       HexEncode(std::vector<uint8_t>(garbage.begin(), garbage.end()));
   const std::string corrupt[] = {
-      "SPTW1 STATS 1.0",                  // missing payload
-      "SPTW1 STATS 1.0 zz",               // non-hex payload
-      "SPTW1 STATS 1.0 abc",              // odd-length hex
-      "SPTW1 STATS x " + valid_hex,       // non-numeric elapsed
-      "SPTW1 STATS 1.0 " + valid_hex,     // hex of a non-snapshot document
-      line + " deadbeef",                 // extra field
+      "SPTW1 COV 1.0 - zz",                       // non-hex payload
+      "SPTW1 COV 1.0 - abc",                      // odd-length hex
+      "SPTW1 COV x - " + MetricsHex(cov.metrics),  // non-numeric elapsed
+      "SPTW1 COV 1.0 - " + garbage_hex,           // not a snapshot document
+      line + " deadbeef",                         // extra field
   };
   for (const std::string& bad : corrupt) {
     EXPECT_FALSE(DecodeFrame(bad).ok()) << "should reject: " << bad;
@@ -391,10 +395,13 @@ TEST(Wire, BugFrameCarriesDiscrepancy) {
   d.fault_hits = {faults::FaultId::kMysqlOverlapsSwappedAxes};
   d.elapsed_seconds = 1.5;
 
-  auto frame = MakeBugFrame(d, /*master_seed=*/42);
+  auto frame = MakeBugFrame(faults::FaultId::kMysqlOverlapsSwappedAxes, d,
+                            /*master_seed=*/42);
   ASSERT_TRUE(frame.ok());
   auto line_trip = DecodeFrame(EncodeFrame(frame.value()));
   ASSERT_TRUE(line_trip.ok());
+  EXPECT_EQ(line_trip.value().fault,
+            static_cast<uint64_t>(faults::FaultId::kMysqlOverlapsSwappedAxes));
   auto out = BugFrameToDiscrepancy(line_trip.value());
   ASSERT_TRUE(out.ok());
   const fuzz::Discrepancy& got = out.value();
@@ -408,6 +415,15 @@ TEST(Wire, BugFrameCarriesDiscrepancy) {
   EXPECT_EQ(got.query.ToSql(), d.query.ToSql());
   EXPECT_EQ(got.sdb1.ToSql(), d.sdb1.ToSql());
   EXPECT_NEAR(got.elapsed_seconds, d.elapsed_seconds, 1e-6);
+
+  // A finding stands only for a fault it fired: a BUG frame naming a fault
+  // its record lacks is rejected.
+  Frame foreign = line_trip.value();
+  foreign.fault =
+      static_cast<uint64_t>(faults::FaultId::kMysqlTouchesEmptyCollection);
+  auto foreign_trip = DecodeFrame(EncodeFrame(foreign));
+  ASSERT_TRUE(foreign_trip.ok()) << "the frame itself is well formed";
+  EXPECT_FALSE(BugFrameToDiscrepancy(foreign_trip.value()).ok());
 }
 
 // --- Curve recorder ---------------------------------------------------------
@@ -524,13 +540,22 @@ void RealWorker(uint16_t port) {
   EXPECT_EQ(net::RunFleetClient(client), 0);
 }
 
-Frame InflightFrame(uint64_t slice, uint64_t iteration) {
+Frame InflightFrame(uint64_t slice) {
   Frame inflight;
   inflight.type = FrameType::kInflight;
   inflight.dialect = static_cast<uint64_t>(Dialect::kPostgis);
   inflight.slice = slice;
-  inflight.iteration = iteration;
   return inflight;
+}
+
+/// A PostGIS SLICEPROGRESS completing `slice`'s iteration with this mark.
+Frame ProgressFrame(uint64_t slice, uint64_t completed) {
+  Frame progress;
+  progress.type = FrameType::kSliceProgress;
+  progress.dialect = static_cast<uint64_t>(Dialect::kPostgis);
+  progress.slice = slice;
+  progress.completed = completed;
+  return progress;
 }
 
 std::vector<fs::path> FilesIn(const std::string& dir, const char* extension) {
@@ -559,7 +584,7 @@ TEST(FleetSupervisor, ScriptedCrashPersistsInflightAndRerunsIt) {
   std::thread workers([port = server.port(), seed = config.base.seed] {
     const int fd = ScriptedWorker(port);
     if (fd < 0) return;
-    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0, /*iteration=*/0)));
+    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0)));
     fuzz::Discrepancy d;
     d.iteration = 0;
     d.query_index = 2;
@@ -571,7 +596,7 @@ TEST(FleetSupervisor, ScriptedCrashPersistsInflightAndRerunsIt) {
     d.sdb1.tables.push_back({"t1", {"POINT(1 1)"}});
     d.detail = "pre-crash bug";
     d.fault_hits = {faults::FaultId::kPostgisCoversDisplacementPrecision};
-    auto bug = MakeBugFrame(d, seed);
+    auto bug = MakeBugFrame(*d.fault_hits.begin(), d, seed);
     if (bug.ok()) WriteLine(fd, EncodeFrame(bug.value()));
     ::close(fd);
     RealWorker(port);
@@ -626,7 +651,7 @@ TEST(FleetSupervisor, ScriptedCrashPersistsInflightAndRerunsIt) {
 
 TEST(FleetSupervisor, DeterministicKillerKeepsItsBugButIsNotCredited) {
   // Three incarnations in a row die inside iteration 0, so the supervisor
-  // skips it. The bug their BUG frames offered stays; the iteration never
+  // skips it. The bug their BUG frames sent stays; the iteration never
   // completed, so it is never credited, and the totals are those of
   // iterations 1 and 2 alone.
   net::FleetConfig config;
@@ -650,8 +675,9 @@ TEST(FleetSupervisor, DeterministicKillerKeepsItsBugButIsNotCredited) {
     for (int death = 0; death < 3; ++death) {
       const int fd = ScriptedWorker(port);
       if (fd < 0) return;
-      WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0, /*iteration=*/0)));
-      auto bug = MakeBugFrame(killer, config.base.seed);
+      WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0)));
+      auto bug = MakeBugFrame(*killer.fault_hits.begin(), killer,
+                              config.base.seed);
       if (bug.ok()) WriteLine(fd, EncodeFrame(bug.value()));
       ::close(fd);
     }
@@ -686,19 +712,15 @@ TEST(FleetSupervisor, FinishedSlicesAreNotPersistedAsInflight) {
   config.crash_dir = crash_dir;
   net::FleetServer server(config);
   ASSERT_TRUE(server.Start().ok());
-  // Slice 0 announces iteration 0 and finishes cleanly (SLICEDONE);
+  // Slice 0 announces iteration 0 and completes it (SLICEPROGRESS);
   // slice 1 announces iteration 1 and the worker dies inside it. Only
   // slice 1's case is genuinely in flight.
   std::thread workers([port = server.port()] {
     const int fd = ScriptedWorker(port);
     if (fd < 0) return;
-    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0, /*iteration=*/0)));
-    Frame done0;
-    done0.type = FrameType::kSliceDone;
-    done0.dialect = static_cast<uint64_t>(Dialect::kPostgis);
-    done0.slice = 0;
-    WriteLine(fd, EncodeFrame(done0));
-    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/1, /*iteration=*/1)));
+    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0)));
+    WriteLine(fd, EncodeFrame(ProgressFrame(/*slice=*/0, /*completed=*/1)));
+    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/1)));
     ::close(fd);
     RealWorker(port);
   });
@@ -742,16 +764,12 @@ TEST(FleetSupervisor, SkipsGarbageFramesWithoutDesync) {
     d.sdb1.tables.push_back({"t0", {"POINT(0 0)"}});
     d.detail = "bug between garbage";
     d.fault_hits = {faults::FaultId::kMysqlTouchesEmptyCollection};
-    auto bug = MakeBugFrame(d, seed);
+    auto bug = MakeBugFrame(*d.fault_hits.begin(), d, seed);
     if (bug.ok()) WriteLine(fd, EncodeFrame(bug.value()));
     WriteLine(fd, "SPTW1 HELLO half a frame\n");
     // Both iterations complete; SLICEPROGRESS credits them, DONE nothing.
     for (uint64_t completed = 1; completed <= 2; ++completed) {
-      Frame progress;
-      progress.type = FrameType::kSliceProgress;
-      progress.dialect = static_cast<uint64_t>(Dialect::kPostgis);
-      progress.completed = completed;
-      WriteLine(fd, EncodeFrame(progress));
+      WriteLine(fd, EncodeFrame(ProgressFrame(/*slice=*/0, completed)));
     }
     Frame done;
     done.type = FrameType::kDone;
@@ -832,7 +850,7 @@ TEST(FleetSupervisor, SigkilledWorkerIsCreditedOnce) {
     config.base = base;
     config.processes = 1;
     config.jobs = 2;
-    config.cov_interval_seconds = 0;  // COV and STATS in every iteration
+    config.cov_interval_seconds = 0;  // COV in every iteration
     config.worker0_die_after_frames = kill;
     net::FleetServer server(config);
     const CampaignResult result = RunFleet(&server);
@@ -844,6 +862,52 @@ TEST(FleetSupervisor, SigkilledWorkerIsCreditedOnce) {
     EXPECT_EQ(BugKeys(result), BugKeys(expected));
     EXPECT_EQ(result.UniqueBugsByOracle(), expected.UniqueBugsByOracle());
   }
+}
+
+TEST(FleetSupervisor, ForeignProgressIsRejectedAndCreditsNothing) {
+  // A peer may announce and complete only the next iteration of a slice
+  // its assignment holds. This one holds slice 0 of two; before it dies it
+  // sends a SLICEPROGRESS for slice 1 (phantom work), an INFLIGHT for
+  // slice 1 and a SLICEPROGRESS for slice 0 that skips a mark (iterations
+  // that never ran). Each is a protocol error that credits nothing, so the
+  // totals and the bug set are the in-process run's.
+  CampaignConfig base = SmallConfig(/*seed=*/77, /*iterations=*/8);
+  runtime::ShardedCampaignConfig sharded;
+  sharded.base = base;
+  sharded.jobs = 2;
+  const CampaignResult expected = runtime::ShardedCampaign(sharded).Run();
+  ASSERT_GT(expected.findings, 0u);
+
+  net::FleetConfig config;
+  config.base = base;
+  config.processes = 2;
+  config.jobs = 1;
+  config.serve = true;
+  net::FleetServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread workers([port = server.port()] {
+    const int fd = ScriptedWorker(port);  // assigned slice 0
+    if (fd < 0) return;
+    Frame foreign = ProgressFrame(/*slice=*/1, /*completed=*/1);
+    foreign.queries = 25;
+    foreign.checks = 25;
+    foreign.findings = 3;
+    WriteLine(fd, EncodeFrame(foreign));
+    WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/1)));
+    WriteLine(fd, EncodeFrame(ProgressFrame(/*slice=*/0, /*completed=*/2)));
+    ::close(fd);
+    RealWorker(port);
+  });
+  const CampaignResult result = server.Run();
+  workers.join();
+
+  EXPECT_EQ(server.protocol_errors(), 3u);
+  EXPECT_EQ(result.iterations_run, expected.iterations_run);
+  EXPECT_EQ(result.queries_run, expected.queries_run);
+  EXPECT_EQ(result.checks_run, expected.checks_run);
+  EXPECT_EQ(result.findings, expected.findings);
+  EXPECT_EQ(BugKeys(result), BugKeys(expected));
+  EXPECT_EQ(result.UniqueBugsByOracle(), expected.UniqueBugsByOracle());
 }
 
 // --- Cross-dialect transfer -------------------------------------------------

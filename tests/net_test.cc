@@ -72,14 +72,7 @@ std::vector<Frame> EveryFrameType() {
   inflight.type = FrameType::kInflight;
   inflight.dialect = 2;
   inflight.slice = 5;
-  inflight.iteration = 1234567;
   frames.push_back(inflight);
-
-  Frame slice_done;
-  slice_done.type = FrameType::kSliceDone;
-  slice_done.dialect = 1;
-  slice_done.slice = 6;
-  frames.push_back(slice_done);
 
   Frame slice_progress;
   slice_progress.type = FrameType::kSliceProgress;
@@ -95,6 +88,8 @@ std::vector<Frame> EveryFrameType() {
   cov.type = FrameType::kCov;
   cov.elapsed = 1.25;
   cov.site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
+  cov.metrics.counters["campaign.iterations"] = 1234;
+  cov.metrics.gauges["corpus.size"] = -3;
   frames.push_back(cov);
 
   Frame entry;
@@ -104,20 +99,13 @@ std::vector<Frame> EveryFrameType() {
 
   Frame bug;
   bug.type = FrameType::kBug;
+  bug.fault = static_cast<uint64_t>(faults::FaultId::kMysqlOverlapsSwappedAxes);
   bug.query_index = 17;
   bug.is_crash = true;
-  bug.oracle = static_cast<uint64_t>(fuzz::OracleKind::kIndex);
   bug.elapsed = 0.5;
   bug.detail = "count 3 vs 4, with spaces\tand tabs";
   bug.payload = {9, 9, 9};
   frames.push_back(bug);
-
-  Frame stats;
-  stats.type = FrameType::kStats;
-  stats.elapsed = 2.75;
-  stats.stats.counters["campaign.iterations"] = 1234;
-  stats.stats.gauges["corpus.size"] = -3;
-  frames.push_back(stats);
 
   Frame done;
   done.type = FrameType::kDone;
@@ -383,7 +371,7 @@ std::vector<Frame> RunScriptedAssignment(const fleet::CheckpointState& state,
   FleetClientConfig client;
   client.port = LocalPort(listen.value()).value();
   client.connect_retry_seconds = script->connect_retry_seconds;
-  client.cov_interval_seconds = 0.0;  // COV and STATS after every iteration
+  client.cov_interval_seconds = 0.0;  // COV after every iteration
   if (script->late_supervisor_seconds == 0) {
     return RunScript(state, after_assign, listen.value(), SpawnClient(client),
                      script);
@@ -409,18 +397,18 @@ char FrameLetter(FrameType type) {
     case FrameType::kBug: return 'B';
     case FrameType::kEntry: return 'E';
     case FrameType::kCov: return 'C';
-    case FrameType::kStats: return 'S';
     case FrameType::kSliceProgress: return 'P';
-    case FrameType::kSliceDone: return 'D';
     case FrameType::kDone: return 'X';
     default: return '?';
   }
 }
 
 /// Pins what a worker sends for a one-slice assignment: the frame order,
-/// the iterations it announces and completes, BUG payloads equal to a
-/// Campaign running the same iterations, and the counts each SLICEPROGRESS
-/// credits, which are its own iteration's.
+/// the iterations it announces (each at the mark the supervisor holds, as
+/// INFLIGHT carries none) and completes, BUG frames equal to each
+/// iteration's unique bugs from a Campaign running the same iterations,
+/// and the counts each SLICEPROGRESS credits, which are its own
+/// iteration's.
 void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
                         uint64_t slice, uint64_t completed,
                         const std::vector<uint64_t>& iterations) {
@@ -431,10 +419,11 @@ void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
 
   std::string shape;
   for (const Frame& f : frames) shape += FrameLetter(f.type);
-  EXPECT_TRUE(std::regex_match(shape, std::regex("(I[BE]*(CS)?P)+DCSX")))
+  EXPECT_TRUE(std::regex_match(shape, std::regex("(I[BE]*C?P)+CX")))
       << shape;
 
   const uint64_t dialect = static_cast<uint64_t>(config.dialect);
+  uint64_t mark = completed;
   std::vector<uint64_t> announced;
   // {mark, queries, checks, findings} per SLICEPROGRESS.
   std::vector<std::vector<uint64_t>> progress;
@@ -443,14 +432,13 @@ void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
     if (f.type == FrameType::kInflight) {
       EXPECT_EQ(f.dialect, dialect);
       EXPECT_EQ(f.slice, slice);
-      announced.push_back(f.iteration);
+      announced.push_back(slice + mark * total_slices);
     } else if (f.type == FrameType::kSliceProgress) {
       EXPECT_EQ(f.dialect, dialect);
       EXPECT_EQ(f.slice, slice);
+      EXPECT_EQ(f.completed, mark + 1) << "the mark moves by one";
+      mark = f.completed;
       progress.push_back({f.completed, f.queries, f.checks, f.findings});
-    } else if (f.type == FrameType::kSliceDone) {
-      EXPECT_EQ(f.dialect, dialect);
-      EXPECT_EQ(f.slice, slice);
     } else if (f.type == FrameType::kBug) {
       f.elapsed = 0.0;  // wall clock; everything else is deterministic
       bugs.push_back(EncodeFrame(f));
@@ -458,44 +446,51 @@ void ExpectWorkerStream(const CampaignConfig& config, uint64_t total_slices,
   }
   EXPECT_EQ(announced, iterations);
 
-  // The reference: one Campaign running the same iterations in order.
+  // The reference: one Campaign running the same iterations in order,
+  // each into its own result, as the worker's slice loop does.
   fuzz::Campaign reference(config);
   std::vector<std::vector<uint64_t>> want_progress;
   std::vector<std::string> want_bugs;
+  size_t findings = 0;
   for (uint64_t i : iterations) {
     CampaignResult one;
     reference.RunIterationAt(i, &one, fuzz::Campaign::NowSeconds());
     want_progress.push_back({completed + want_progress.size() + 1,
                              one.queries_run, one.checks_run, one.findings});
-    for (const fuzz::Discrepancy& d : one.discrepancies) {
-      auto bug = fleet::MakeBugFrame(d, config.seed);
+    findings += one.findings;
+    for (const auto& [id, d] : one.unique_bugs) {
+      auto bug = fleet::MakeBugFrame(id, d, config.seed);
       ASSERT_TRUE(bug.ok());
       bug.value().elapsed = 0.0;
       want_bugs.push_back(EncodeFrame(bug.value()));
     }
   }
   EXPECT_FALSE(want_bugs.empty()) << "the pinned iterations find something";
+  EXPECT_LT(want_bugs.size(), findings)
+      << "an iteration's repeated reports of a fault are not sent";
   EXPECT_EQ(bugs, want_bugs);
   EXPECT_EQ(progress, want_progress);
 }
 
 TEST(FleetClient, WorkerStreamIsPinnedFrameByFrame) {
+  // Every oracle, so iterations report some faults more than once.
+  CampaignConfig config = SmallConfig(/*seed=*/77, /*iterations=*/4);
+  config.oracles = fuzz::ParseOracleSuite("all").Take();
   // (a) one dialect, slice 0 of 1, four iterations.
-  ExpectWorkerStream(SmallConfig(/*seed=*/77, /*iterations=*/4),
-                     /*total_slices=*/1, /*slice=*/0, /*completed=*/0,
-                     {0, 1, 2, 3});
+  ExpectWorkerStream(config, /*total_slices=*/1, /*slice=*/0,
+                     /*completed=*/0, {0, 1, 2, 3});
   // (b) slice 1 of 3 resumed at one completed iteration: iteration 1 is
   // done, so the worker announces 4, 7 and 10 and reports marks 2, 3, 4.
-  ExpectWorkerStream(SmallConfig(/*seed=*/77, /*iterations=*/12),
-                     /*total_slices=*/3, /*slice=*/1, /*completed=*/1,
-                     {4, 7, 10});
+  config.iterations = 12;
+  ExpectWorkerStream(config, /*total_slices=*/3, /*slice=*/1,
+                     /*completed=*/1, {4, 7, 10});
 }
 
 TEST(FleetClient, HostileSupervisorCannotGrowTheLineBuffer) {
   // An endless unterminated line behind ASSIGN: the worker's reader must
   // drop it at kMaxFrameBytes and count it, and still finish its
   // assignment. The one-second wall budget leaves the reader time to
-  // drain the junk before the final STATS snapshot.
+  // drain the junk before the final COV's metrics snapshot.
   fleet::CheckpointState state =
       AssignmentFor(SmallConfig(/*seed=*/91, /*iterations=*/1),
                     /*total_slices=*/1, /*slice=*/0, /*completed=*/0);
@@ -504,13 +499,13 @@ TEST(FleetClient, HostileSupervisorCannotGrowTheLineBuffer) {
       state, std::string(fleet::kMaxFrameBytes + (1u << 20), 'x'));
   ASSERT_FALSE(frames.empty());
   EXPECT_EQ(frames.back().type, FrameType::kDone);
-  const Frame* last_stats = nullptr;
+  const Frame* last_cov = nullptr;
   for (const Frame& f : frames) {
-    if (f.type == FrameType::kStats) last_stats = &f;
+    if (f.type == FrameType::kCov) last_cov = &f;
   }
-  ASSERT_NE(last_stats, nullptr);
-  const auto rejected = last_stats->stats.counters.find("wire.rejected");
-  ASSERT_NE(rejected, last_stats->stats.counters.end())
+  ASSERT_NE(last_cov, nullptr);
+  const auto rejected = last_cov->metrics.counters.find("wire.rejected");
+  ASSERT_NE(rejected, last_cov->metrics.counters.end())
       << "the unterminated line was buffered, never rejected";
   EXPECT_GE(rejected->second, 1u);
 }

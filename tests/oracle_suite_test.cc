@@ -390,9 +390,11 @@ TEST(OracleSuite, BugFrameCarriesDetectingOracle) {
   d.query.table2 = "t1";
   d.query.predicate = "ST_Intersects";
   d.detail = "partitions {1+0+0} != cross join {2}";
-  auto frame = fleet::MakeBugFrame(d, /*master_seed=*/42);
+  d.fault_hits = {faults::FaultId::kMysqlTouchesEmptyCollection};
+  // The frame names the fault; the record carries the oracle.
+  auto frame = fleet::MakeBugFrame(*d.fault_hits.begin(), d,
+                                   /*master_seed=*/42);
   ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame.value().oracle, static_cast<uint64_t>(OracleKind::kTlp));
   auto line = fleet::EncodeFrame(frame.value());
   auto decoded = fleet::DecodeFrame(line);
   ASSERT_TRUE(decoded.ok());
@@ -433,9 +435,10 @@ TEST(OracleSuite, EetCodecRoundTripAndBugFrame) {
   d.sdb1 = rec.sdb;
   d.query = rec.query;
   d.detail = "self_compare_guard: base {2} vs variant {1}";
-  auto frame = fleet::MakeBugFrame(d, /*master_seed=*/42);
+  d.fault_hits = {faults::FaultId::kInjectedConjunctionSignFlip};
+  auto frame = fleet::MakeBugFrame(*d.fault_hits.begin(), d,
+                                   /*master_seed=*/42);
   ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame.value().oracle, static_cast<uint64_t>(OracleKind::kEet));
   auto back =
       fleet::BugFrameToDiscrepancy(fleet::DecodeFrame(
                                        fleet::EncodeFrame(frame.value()))

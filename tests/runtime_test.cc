@@ -277,16 +277,23 @@ TEST(ShardedCampaign, FleetModeMatchesPerDialectRuns) {
 }
 
 TEST(ShardedCampaign, StreamedFindingsAttributeBugsAsMergedResults) {
-  // A fleet supervisor folds findings in one BUG frame at a time
-  // (MergeDiscrepancy), the in-process runtime whole per-iteration
-  // results; both must pick the same finding for every fault. Seed 4242
-  // with 3 iterations is perfbench suite-j3's round 0, where an EET crash
-  // late in an iteration fires GEOS logic faults a diff finding reported
-  // earlier in it. At seed 7, iteration 6, DuckDB's first report of
-  // geos_within_gc_point_interior loses to MySQL's, and a later DuckDB
-  // EET crash that fired it must not win in its place.
+  // A fleet worker sends each iteration's unique bugs, its first report of
+  // each fault, as one BUG frame per (fault, finding) pair, and the
+  // supervisor merges the pairs of several workers one at a time, in
+  // arrival order (MergeUniqueBug); the in-process runtime merges whole
+  // per-iteration results. Fed every iteration's pairs of recorded
+  // all-oracle campaigns in random order, the merge must pick the
+  // in-process winner for every fault. Seed 4242 with 3 iterations is
+  // perfbench suite-j3's round 0, where an EET crash late in an iteration
+  // fires GEOS logic faults a diff finding reported earlier in it; at seed
+  // 7, iteration 6, DuckDB's first report of geos_within_gc_point_interior
+  // loses to MySQL's, and a later DuckDB EET crash that fired it must not
+  // win in its place.
+  size_t shared_iterations = 0;  // a fault two dialects report at once
+  size_t later_reports_ranked_first = 0;  // the crash-after-logic trap
   for (const auto& [seed, iterations] :
-       std::vector<std::pair<uint64_t, size_t>>{{4242, 3}, {7, 7}}) {
+       std::vector<std::pair<uint64_t, size_t>>{
+           {4242, 3}, {7, 7}, {977, 4}, {1, 4}, {99, 4}}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ShardedCampaignConfig config;
     config.base.seed = seed;
@@ -298,167 +305,91 @@ TEST(ShardedCampaign, StreamedFindingsAttributeBugsAsMergedResults) {
     config.dialects = ShardedCampaign::AllDialects();
 
     std::mutex mu;
-    Aggregator streamed;
-    std::vector<std::vector<Discrepancy>> reports;  // one per iteration
+    std::vector<std::pair<faults::FaultId, Discrepancy>> pairs;
+    std::map<std::pair<faults::FaultId, size_t>, std::set<Dialect>> reporters;
     ShardedCampaign::Observer observer;
     observer.after = [&](Campaign&, uint64_t, uint64_t,
                          CampaignResult* delta) {
       std::lock_guard<std::mutex> lock(mu);
-      for (const Discrepancy& d : delta->discrepancies) {
-        streamed.MergeDiscrepancy(Discrepancy(d));
+      for (const auto& [id, d] : delta->unique_bugs) {
+        pairs.emplace_back(id, d);
+        reporters[{id, d.iteration}].insert(d.dialect);
+        for (const Discrepancy& later : delta->discrepancies) {
+          if (later.fault_hits.count(id) != 0 &&
+              fuzz::DetectedEarlier(later, d)) {
+            later_reports_ranked_first++;
+          }
+        }
       }
-      reports.push_back(delta->discrepancies);
     };
     const CampaignResult merged = ShardedCampaign(config).Run(observer);
     ASSERT_FALSE(merged.unique_bugs.empty());
-
-    // Any interleaving of the iterations' streams attributes alike; each
-    // stream keeps its report order, as one worker's connection does.
-    Aggregator reversed;
-    for (auto it = reports.rbegin(); it != reports.rend(); ++it) {
-      for (const Discrepancy& d : *it) {
-        reversed.MergeDiscrepancy(Discrepancy(d));
-      }
-    }
-    for (const CampaignResult& got :
-         {streamed.Finish(0), reversed.Finish(0)}) {
-      EXPECT_EQ(got.UniqueBugsByOracle(), merged.UniqueBugsByOracle());
-      ASSERT_EQ(BugKeys(got), BugKeys(merged));
-      for (const auto& [id, want] : merged.unique_bugs) {
-        const Discrepancy& d = got.unique_bugs.at(id);
-        EXPECT_EQ(std::tie(d.iteration, d.query_index, d.oracle, d.dialect),
-                  std::tie(want.iteration, want.query_index, want.oracle,
-                           want.dialect))
-            << faults::GetFaultInfo(id).name;
-      }
-    }
-  }
-}
-
-/// The rule Offer replaced, kept as its reference: remember every (fault,
-/// dialect, iteration) offered, and let only the first report of each
-/// compete by DetectedEarlier.
-class ReportSetRule {
- public:
-  void Offer(faults::FaultId id, const Discrepancy& d) {
-    if (!offered_.emplace(id, d.dialect, d.iteration).second) return;
-    const auto [it, fresh] = winners_.try_emplace(id, &d);
-    if (!fresh && fuzz::DetectedEarlier(d, *it->second)) it->second = &d;
-  }
-  const std::map<faults::FaultId, const Discrepancy*>& winners() const {
-    return winners_;
-  }
-
- private:
-  std::set<std::tuple<faults::FaultId, Dialect, size_t>> offered_;
-  std::map<faults::FaultId, const Discrepancy*> winners_;
-};
-
-TEST(CampaignResult, OfferPicksTheReportSetRulesWinners) {
-  // Offer remembers, per fault, only the dialects that reported it at the
-  // incumbent's iteration. Fed the findings of recorded all-oracle
-  // campaigns as per-(dialect, iteration) streams, interleaved at random
-  // with each stream's order kept (as BUG frames arrive from several
-  // workers), it must pick the same winner as the rule that remembers
-  // every report. Each finding's wall time is its index, which the rule
-  // ignores and the comparison identifies the winner by.
-  size_t shared_iterations = 0;  // a fault two dialects report at once
-  size_t repeats = 0;            // a fault one stream reports twice
-  for (const uint64_t seed : {4242, 7, 977, 1, 99}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    ShardedCampaignConfig config;
-    config.base.seed = seed;
-    config.base.iterations = 4;
-    config.base.queries_per_iteration = 30;
-    config.base.generator.num_geometries = 10;
-    config.base.oracles = fuzz::ParseOracleSuite("all").value();
-    config.jobs = 2;
-    config.dialects = ShardedCampaign::AllDialects();
-    std::mutex mu;
-    std::vector<std::vector<Discrepancy>> streams;
-    ShardedCampaign::Observer observer;
-    observer.after = [&](Campaign&, uint64_t, uint64_t,
-                         CampaignResult* delta) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!delta->discrepancies.empty()) {
-        streams.push_back(delta->discrepancies);
-      }
-    };
-    const CampaignResult recorded = ShardedCampaign(config).Run(observer);
-    EXPECT_EQ(recorded.findings, recorded.discrepancies.size());
-    ASSERT_GT(streams.size(), 1u);
-
-    size_t tag = 0;
-    std::map<std::pair<faults::FaultId, size_t>, std::set<Dialect>> dialects;
-    for (auto& stream : streams) {
-      std::set<faults::FaultId> seen;
-      for (Discrepancy& d : stream) {
-        d.elapsed_seconds = static_cast<double>(tag++);
-        for (const faults::FaultId id : d.fault_hits) {
-          if (!seen.insert(id).second) repeats++;
-          dialects[{id, d.iteration}].insert(d.dialect);
-        }
-      }
-    }
-    for (const auto& [key, reporters] : dialects) {
-      if (reporters.size() > 1) shared_iterations++;
+    for (const auto& [key, dialects] : reporters) {
+      if (dialects.size() > 1) shared_iterations++;
     }
 
     Rng rng(seed);
     for (int round = 0; round < 200; ++round) {
-      CampaignResult offered;
-      ReportSetRule reference;
-      std::vector<size_t> next(streams.size(), 0);
-      std::vector<size_t> open(streams.size());
-      for (size_t s = 0; s < open.size(); ++s) open[s] = s;
-      while (!open.empty()) {
-        const size_t pick = rng.Below(open.size());
-        const size_t s = open[pick];
-        const Discrepancy& d = streams[s][next[s]++];
-        for (const faults::FaultId id : d.fault_hits) {
-          offered.Offer(id, d);
-          reference.Offer(id, d);
-        }
-        if (next[s] == streams[s].size()) {
-          open[pick] = open.back();
-          open.pop_back();
-        }
+      for (size_t i = pairs.size(); i > 1; --i) {
+        std::swap(pairs[i - 1], pairs[rng.Below(i)]);
       }
-      ASSERT_EQ(offered.unique_bugs.size(), reference.winners().size());
-      for (const auto& [id, want] : reference.winners()) {
-        ASSERT_EQ(offered.unique_bugs.at(id).elapsed_seconds,
-                  want->elapsed_seconds)
+      Aggregator streamed;
+      for (const auto& [id, d] : pairs) streamed.MergeUniqueBug(id, d);
+      const CampaignResult got = streamed.Finish(0);
+      ASSERT_EQ(BugKeys(got), BugKeys(merged)) << "round " << round;
+      for (const auto& [id, want] : merged.unique_bugs) {
+        const Discrepancy& d = got.unique_bugs.at(id);
+        ASSERT_EQ(std::tie(d.iteration, d.query_index, d.is_crash, d.oracle,
+                           d.dialect, d.detail),
+                  std::tie(want.iteration, want.query_index, want.is_crash,
+                           want.oracle, want.dialect, want.detail))
             << "round " << round << ": " << faults::GetFaultInfo(id).name;
       }
     }
   }
-  // The inputs reach both cases the dialect masks decide.
+  // The inputs reach both cases a per-finding merge would get wrong.
   EXPECT_GT(shared_iterations, 0u);
-  EXPECT_GT(repeats, 0u);
+  EXPECT_GT(later_reports_ranked_first, 0u);
 }
 
-TEST(Aggregator, MergeDiscrepancyOffersWithoutCountingOrKeeping) {
-  // The supervisor's BUG frames: each finding competes for its faults, is
-  // not counted (its iteration's SLICEPROGRESS counts it), and the log
-  // stays empty, so a long run does not grow.
-  Discrepancy d;
-  d.iteration = 3;
-  d.fault_hits = {faults::FaultId::kGeosOverlapsIgnoresHoles,
-                  faults::FaultId::kMysqlOverlapsSwappedAxes};
+TEST(Aggregator, MergeUniqueBugNeitherCountsNorKeeps) {
+  // The supervisor's BUG frames and a checkpoint's restored bugs: each
+  // (fault, finding) pair competes for its fault alone, is not counted
+  // (its iteration's SLICEPROGRESS counts it), and the log stays empty, so
+  // a long run does not grow.
+  Discrepancy late;
+  late.iteration = 3;
+  late.detail = "late";
+  late.fault_hits = {faults::FaultId::kGeosOverlapsIgnoresHoles,
+                     faults::FaultId::kMysqlOverlapsSwappedAxes};
+  Discrepancy early = late;
+  early.iteration = 2;
+  early.detail = "early";
   Aggregator agg;
-  agg.MergeDiscrepancy(d);
-  agg.MergeDiscrepancy(d);
+  agg.MergeUniqueBug(faults::FaultId::kGeosOverlapsIgnoresHoles, late);
+  agg.MergeUniqueBug(faults::FaultId::kGeosOverlapsIgnoresHoles, early);
+  agg.MergeUniqueBug(faults::FaultId::kGeosOverlapsIgnoresHoles, late);
   EXPECT_EQ(agg.current().findings, 0u);
   EXPECT_TRUE(agg.current().discrepancies.empty());
-  EXPECT_EQ(BugKeys(agg.current()), d.fault_hits);
+  EXPECT_EQ(BugKeys(agg.current()),
+            std::set<faults::FaultId>{
+                faults::FaultId::kGeosOverlapsIgnoresHoles});
+  EXPECT_EQ(agg.current()
+                .unique_bugs.at(faults::FaultId::kGeosOverlapsIgnoresHoles)
+                .detail,
+            "early");
 
   // A whole result adds its count and keeps the findings it holds.
   CampaignResult shard;
-  shard.Record(d);
+  shard.Record(late);
   agg.Merge(std::move(shard));
   const CampaignResult merged = agg.Finish(0);
   EXPECT_EQ(merged.findings, 1u);
   EXPECT_EQ(merged.discrepancies.size(), 1u);
+  EXPECT_EQ(BugKeys(merged), late.fault_hits);
+  EXPECT_EQ(
+      merged.unique_bugs.at(faults::FaultId::kGeosOverlapsIgnoresHoles).detail,
+      "early");
 }
 
 TEST(ShardedCampaign, DiscrepancyOrderIsScheduleIndependent) {
@@ -497,7 +428,6 @@ TEST(ShardedCampaign, OwnedSlicesResumeAtTheirMarks) {
   std::mutex mu;
   std::map<uint64_t, std::vector<size_t>> announced;
   std::map<uint64_t, std::vector<uint64_t>> marks;
-  std::set<uint64_t> finished;
   ShardedCampaign::Observer observer;
   observer.before = [&](Campaign&, uint64_t slice, size_t iteration) {
     std::lock_guard<std::mutex> lock(mu);
@@ -509,17 +439,12 @@ TEST(ShardedCampaign, OwnedSlicesResumeAtTheirMarks) {
     std::lock_guard<std::mutex> lock(mu);
     marks[slice].push_back(completed);
   };
-  observer.slice_done = [&](Dialect, uint64_t slice) {
-    std::lock_guard<std::mutex> lock(mu);
-    finished.insert(slice);
-  };
   const CampaignResult result = ShardedCampaign(config).Run(observer);
 
   EXPECT_EQ(announced[1], (std::vector<size_t>{4, 7, 10}));
   EXPECT_EQ(announced[2], (std::vector<size_t>{2, 5, 8, 11}));
   EXPECT_EQ(marks[1], (std::vector<uint64_t>{2, 3, 4}));
   EXPECT_EQ(marks[2], (std::vector<uint64_t>{1, 2, 3, 4}));
-  EXPECT_EQ(finished, (std::set<uint64_t>{1, 2}));
   EXPECT_EQ(result.iterations_run, 7u);
 
   Campaign serial(config.base);
