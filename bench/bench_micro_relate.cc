@@ -1,7 +1,7 @@
 // Micro ablations of the topology core (google-benchmark): relate kernel
 // cost by geometry complexity, the relate front's exits, the memo's replay
-// cost, prepared vs plain predicates, canonicalization, the AEI database
-// transform and the SDB2 load it feeds.
+// cost, the kernel on reused operands, prepared vs plain predicates,
+// canonicalization, the AEI database transform and the SDB2 load it feeds.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -125,6 +125,60 @@ void BM_RelateMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RelateMemoHit)->Arg(8)->Arg(32)->Arg(128);
+
+// The AEI image pattern: each pass translates K overlapping 16-vertex
+// polygons by a fresh integer offset and relates every ordered pair
+// through Relate. Every pair misses the memo, and the kernel finds each
+// operand in its operand cache on all but its first of 2K uses.
+void BM_RelateOperandReuse(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  std::vector<geom::GeomPtr> polygons;
+  for (int i = 0; i < k; ++i) {
+    polygons.push_back(MakeRingPolygon(16, 100, 6 * i, 3 * (i % 4)));
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  obs::Counter* memo_hits = registry.GetCounter("relate.memo.hit");
+  obs::Counter* operand_hits = registry.GetCounter("relate.operand.hit");
+  static int next_offset = 0;  // offsets stay fresh across runs of the case
+  std::vector<geom::GeomPtr> image;
+  const auto translate = [&] {
+    const auto shift =
+        algo::AffineTransform::Translation(1000.0 * ++next_offset, -7.0);
+    image.clear();
+    for (const auto& g : polygons) image.push_back(shift.Apply(*g));
+  };
+  const uint64_t memo_before = memo_hits->Value();
+  const uint64_t operand_before = operand_hits->Value();
+  for (auto _ : state) {
+    translate();
+    for (const auto& a : image) {
+      for (const auto& b : image) {
+        auto im = relate::Relate(*a, *b);
+        benchmark::DoNotOptimize(im);
+      }
+    }
+  }
+  state.SetLabel("polygons=" + std::to_string(k));
+  state.SetItemsProcessed(state.iterations() * k * k);
+  if (memo_hits->Value() != memo_before) {
+    state.SkipWithError("a pair hit the memo");
+  } else if (operand_hits->Value() == operand_before) {
+    state.SkipWithError("no operand was reused");
+  }
+  translate();
+  for (const auto& a : image) {
+    for (const auto& b : image) {
+      const auto got = relate::Relate(*a, *b);
+      const auto want = relate::RelateUnmemoized(*a, *b);
+      if (!got.ok() || !want.ok() ||
+          got.value().Code() != want.value().Code()) {
+        state.SkipWithError("a matrix differs from RelateUnmemoized's");
+        return;
+      }
+    }
+  }
+}
+BENCHMARK(BM_RelateOperandReuse)->Arg(8)->Arg(32);
 
 // Each candidate point meets the same target on every pass, so after the
 // first pass the full-path relates are memo hits.

@@ -103,16 +103,20 @@ Location PreparedOperand::Resolve(const Scan& scan,
   return Location::kExterior;
 }
 
-void PreparedOperand::Prepare(const Geometry& g, double eps, int src) {
+void PreparedOperand::Prepare(const Geometry& g, double eps,
+                              algo::NodingOperand* noding) {
   eps_ = eps;
-  src_ = src;
   elements_.clear();
   segments_.clear();
   rings_.clear();
   element_ends_.clear();
-  noder_segments_.clear();
-  points_.clear();
-  polygons_.clear();
+  areal_ = false;
+  witnesses_.clear();
+  noding_ = noding;
+  if (noding_) {
+    noding_->segments.clear();
+    noding_->points.clear();
+  }
   collection_ = g.type() == GeomType::kGeometryCollection;
   if (collection_) {
     const auto& coll = geom::AsCollection(g);
@@ -123,6 +127,7 @@ void PreparedOperand::Prepare(const Geometry& g, double eps, int src) {
   } else {
     Add(g);
   }
+  noding_ = nullptr;
 }
 
 // Visits the basic elements in ForEachBasic order.
@@ -139,7 +144,7 @@ void PreparedOperand::Add(const Geometry& g) {
         Element e(Element::Kind::kPoint);
         e.p = c;
         elements_.push_back(e);
-        points_.push_back(c);
+        if (noding_) noding_->points.push_back({c, c});
       }
       break;
     case GeomType::kLineString:
@@ -168,7 +173,7 @@ void PreparedOperand::AddLine(const geom::LineString& line) {
   for (size_t i = 0; i + 1 < pts.size(); ++i) {
     AddSegment(pts[i], pts[i + 1]);
     if (pts[i] != pts[i + 1]) {
-      noder_segments_.push_back({pts[i], pts[i + 1], src_});
+      AddNoderSegment(pts[i], pts[i + 1]);
       emitted = true;
     }
   }
@@ -176,7 +181,7 @@ void PreparedOperand::AddLine(const geom::LineString& line) {
   if (!emitted) {
     // Fully degenerate line: its point set is a single point, which must
     // still produce a classification node.
-    noder_segments_.push_back({pts[0], pts[0], src_});
+    AddNoderSegment(pts[0], pts[0]);
   }
   if (e.open || e.begin != e.end) elements_.push_back(e);
 }
@@ -192,31 +197,46 @@ void PreparedOperand::AddPolygon(const geom::Polygon& poly) {
     for (size_t i = 0; i + 1 < ring.size(); ++i) {
       if (located) AddSegment(ring[i], ring[i + 1]);
       if (ring[i] != ring[i + 1]) {
-        noder_segments_.push_back({ring[i], ring[i + 1], src_});
+        AddNoderSegment(ring[i], ring[i + 1]);
         emitted = true;
       }
     }
     if (ring.size() >= 2 && ring.front() != ring.back()) {
       if (located) AddSegment(ring.back(), ring.front());
-      noder_segments_.push_back({ring.back(), ring.front(), src_});
+      AddNoderSegment(ring.back(), ring.front());
       emitted = true;
     }
-    if (!emitted && !ring.empty()) {
-      noder_segments_.push_back({ring[0], ring[0], src_});
-    }
+    if (!emitted && !ring.empty()) AddNoderSegment(ring[0], ring[0]);
     if (located) AddRing(first);
   }
   if (located) {
     e.end = static_cast<uint32_t>(rings_.size());
     elements_.push_back(e);
-    polygons_.push_back(&poly);
+    areal_ = true;
+    if (noding_) {
+      if (auto ip = algo::InteriorPointOfPolygon(poly)) {
+        witnesses_.push_back(*ip);
+      }
+    }
   }
+}
+
+void PreparedOperand::AddNoderSegment(const Coord& a, const Coord& b) {
+  if (noding_) noding_->segments.push_back({a, b});
 }
 
 void PreparedOperand::AddSegment(const Coord& a, const Coord& b) {
   const double tol = geom::OnSegmentTolerance(a, b, eps_);
-  segments_.push_back(
-      {a, b, std::min(a.y, b.y) - tol, std::max(a.y, b.y) + tol});
+  segments_.push_back({a, b, std::min(a.y, b.y) - tol,
+                       std::max(a.y, b.y) + tol, std::min(a.x, b.x) - tol,
+                       std::max(a.x, b.x) + tol});
+}
+
+// geom::OnSegment(p, s.a, s.b, eps_), its box read from s: the bounds are
+// the ones it computes, and a NaN coordinate fails it as there.
+bool PreparedOperand::OnSegment(const Coord& p, const Segment& s) const {
+  return p.x >= s.x_lo && p.x <= s.x_hi && p.y >= s.y_lo && p.y <= s.y_hi &&
+         geom::Orientation(s.a, s.b, p, eps_) == 0;
 }
 
 // The ring of segments_[first, end): its box is the union of each
@@ -261,7 +281,7 @@ bool PreparedOperand::OnAnySegment(const Coord& p, Range segs) const {
   for (uint32_t i = segs.begin; i < segs.end; ++i) {
     const Segment& s = segments_[i];
     if (p.y < s.y_lo || p.y > s.y_hi) continue;
-    if (geom::OnSegment(p, s.a, s.b, eps_)) return true;
+    if (OnSegment(p, s)) return true;
   }
   return false;
 }
@@ -281,8 +301,12 @@ algo::RingLocation PreparedOperand::LocateInPolygon(const Coord& p,
     for (uint32_t i = ring.segs.begin; i < ring.segs.end; ++i) {
       const Segment& s = segments_[i];
       if (p.y < s.y_lo || p.y > s.y_hi) continue;
-      if (algo::RingEdgeStep(p, s.a, s.b, eps_, &inside)) {
-        return algo::RingLocation::kBoundary;
+      // algo::RingEdgeStep, with OnSegment's box read from s.
+      if (OnSegment(p, s)) return algo::RingLocation::kBoundary;
+      if ((s.a.y > p.y) != (s.b.y > p.y)) {
+        const double x_cross =
+            s.a.x + (p.y - s.a.y) / (s.b.y - s.a.y) * (s.b.x - s.a.x);
+        if (x_cross > p.x) inside = !inside;
       }
     }
     parity ^= inside;

@@ -6,10 +6,12 @@
 //
 // There is one locator, PreparedOperand. It flattens a geometry once into
 // its basic elements and stores each line's and ring's segments with the
-// y-range OnSegment accepts, widened by OnSegment's own tolerance. A query
-// point outside that range can neither lie on the segment nor cross it
-// with the +x ray, so the locator drops such a segment with two compares
-// and every answer equals a walk over the whole geometry tree. Each ring
+// box OnSegment accepts, its x- and y-range widened by OnSegment's own
+// tolerance, computed as OnSegment computes it, so a test against a
+// prepared segment does not compute the tolerance again. A query point
+// outside the y-range can neither lie on the segment nor cross it with
+// the +x ray, so the locator drops such a segment with two compares and
+// every answer equals a walk over the whole geometry tree. Each ring
 // also stores a box: the union of its segments' boxes, widened in y as
 // above and in x by OnSegment's tolerance plus the rounding slack of the
 // ray's computed crossing. A point outside the box lies on no edge; its
@@ -20,13 +22,17 @@
 // coordinate gets no box.) In an `aei` run at N=40 (all dialects, seed
 // 4242) a third of the 3.19M polygon scans skip a ring this way, sparing
 // 31% of the segment tests, and the run takes 7% less CPU than without.
-// Relate prepares each operand once per call and locates every node,
-// midpoint and interior-point witness against it. Locate can also return
-// LocateAreal's answer from the same polygon scan, so a midpoint of two
-// areal operands is scanned once per operand, not twice. LocatePoint and
-// LocateAreal are thin wrappers that prepare their geometry and call the
-// same locator; each prepares its own operand, so they share no buffers
-// with Relate's.
+// Relate's kernel keeps each prepared operand in a per-thread operand cache
+// (relate.h), so an operand is prepared once for all the kernel runs it takes
+// part in while cached, and locates every node, midpoint and interior-point
+// witness against it. For the kernel, Prepare also finds each polygon's
+// interior-point witness (algo::InteriorPointOfPolygon) and stores it as a
+// point: a prepared operand keeps no pointer into its geometry, so the cache
+// can outlive the geometry it was prepared from. Locate can also return
+// LocateAreal's answer from the same polygon scan, so a midpoint of two areal
+// operands is scanned once per operand, not twice. LocatePoint and LocateAreal
+// are thin wrappers that prepare their geometry and call the same locator; each
+// prepares its own operand, so they share no buffers with Relate's.
 //
 // Locate makes no coverage registry hit and fires no fault itself: it adds
 // the site it resolves at and the fault it fires to a Tally the caller
@@ -82,14 +88,18 @@ struct Tally {
 class PreparedOperand {
  public:
   PreparedOperand() = default;
-  PreparedOperand(const geom::Geometry& g, double eps, int src = 0) {
-    Prepare(g, eps, src);
-  }
+  PreparedOperand(const geom::Geometry& g, double eps) { Prepare(g, eps); }
 
   /// Flattens `g` for tolerance `eps` (>= 0, as every caller passes),
-  /// reusing the buffers' capacity. `src` tags the noder segments (relate
-  /// uses 0 for A and 1 for B). `g` must outlive the prepared state.
-  void Prepare(const geom::Geometry& g, double eps, int src = 0);
+  /// reusing the buffers' capacity. Relate's kernel passes `noding`: its
+  /// segments and points are replaced by g's noder input, and witnesses()
+  /// is filled. The noder input is the segments of g's lines and rings, in
+  /// ForEachBasic order (zero-length segments are dropped, and a line or
+  /// ring with no other segment contributes its first point as one
+  /// degenerate segment), then each non-empty point element as the
+  /// degenerate segment {p, p}. Nothing prepared refers to `g` afterwards.
+  void Prepare(const geom::Geometry& g, double eps,
+               algo::NodingOperand* noding = nullptr);
 
   /// LocatePoint(p, g, eps, faults) for the prepared g, with the coverage
   /// site it resolves at and the fault it fires added to `*tally` (not
@@ -103,30 +113,24 @@ class PreparedOperand {
   /// LocateAreal(p, g, eps) for the prepared g.
   Location LocateAreal(const geom::Coord& p) const;
 
-  /// The segments Relate's noder takes from g's lines and rings, in
-  /// ForEachBasic order: zero-length segments are dropped, and a line or
-  /// ring with no other segment contributes its first point as one
-  /// degenerate segment.
-  const std::vector<algo::TaggedSegment>& noder_segments() const {
-    return noder_segments_;
-  }
-  /// The non-empty point elements, in ForEachBasic order.
-  const std::vector<geom::Coord>& point_coords() const { return points_; }
-  /// The non-empty polygon elements, in ForEachBasic order.
-  const std::vector<const geom::Polygon*>& polygons() const {
-    return polygons_;
-  }
+  /// The interior point (algo::InteriorPointOfPolygon) of each non-empty
+  /// polygon element that has one, in ForEachBasic order: Relate's
+  /// dimension-2 witnesses. Empty unless Prepare was given `noding`.
+  const std::vector<geom::Coord>& witnesses() const { return witnesses_; }
   /// True when g has at least one non-empty polygon component.
-  bool areal() const { return !polygons_.empty(); }
+  bool areal() const { return areal_; }
 
  private:
-  // One line or ring segment with the y-range in which OnSegment or the
-  // ray-crossing test can hold for a query point.
+  // One line or ring segment with OnSegment's box: the y-range in which
+  // OnSegment or the ray-crossing test can hold for a query point, and the
+  // x-range in which OnSegment can.
   struct Segment {
     geom::Coord a;
     geom::Coord b;
     double y_lo;  // min(a.y, b.y) - OnSegmentTolerance(a, b, eps)
     double y_hi;  // max(a.y, b.y) + OnSegmentTolerance(a, b, eps)
+    double x_lo;  // min(a.x, b.x) - OnSegmentTolerance(a, b, eps)
+    double x_hi;  // max(a.x, b.x) + OnSegmentTolerance(a, b, eps)
   };
   // One basic element that can affect a location. Empty points and
   // polygons, and lines of one point, never do and are not stored.
@@ -162,15 +166,16 @@ class PreparedOperand {
   void AddLine(const geom::LineString& line);
   void AddPolygon(const geom::Polygon& poly);
   void AddSegment(const geom::Coord& a, const geom::Coord& b);
+  void AddNoderSegment(const geom::Coord& a, const geom::Coord& b);
   void AddRing(uint32_t first);
   void ScanElements(const geom::Coord& p, size_t first, size_t last,
                     Scan* scan) const;
+  bool OnSegment(const geom::Coord& p, const Segment& s) const;
   bool OnAnySegment(const geom::Coord& p, Range segs) const;
   algo::RingLocation LocateInPolygon(const geom::Coord& p,
                                      const Element& poly) const;
 
   double eps_ = 0.0;
-  int src_ = 0;
   std::vector<Element> elements_;
   std::vector<Segment> segments_;
   std::vector<Ring> rings_;  // one per ring of a located polygon
@@ -178,9 +183,9 @@ class PreparedOperand {
   // elements_: the kGeosGcBoundaryLastOneWins path resolves them apart.
   bool collection_ = false;
   std::vector<uint32_t> element_ends_;
-  std::vector<algo::TaggedSegment> noder_segments_;
-  std::vector<geom::Coord> points_;
-  std::vector<const geom::Polygon*> polygons_;
+  bool areal_ = false;
+  std::vector<geom::Coord> witnesses_;
+  algo::NodingOperand* noding_ = nullptr;  // during Prepare only
 };
 
 /// Locates `p` relative to `g` (Interior / Boundary / Exterior).

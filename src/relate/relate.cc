@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <type_traits>
@@ -9,7 +10,6 @@
 
 #include "algo/boundary.h"
 #include "algo/noding.h"
-#include "algo/ring_ops.h"
 #include "common/coverage.h"
 #include "geom/predicates.h"
 #include "obs/metrics.h"
@@ -179,51 +179,153 @@ Result<IntersectionMatrix> RelateVia(FullPath full, const Geometry& a,
   return full(a, b, faults);
 }
 
+// What the kernel derives from one operand alone (relate.h): its
+// prepared locator with the interior-point witnesses, its noder input and
+// self cuts, and, each filled on first use, where its own points lie in
+// it. Nothing in it refers to the geometry it was prepared from.
+class KernelOperand {
+ public:
+  /// Own-point slots per noder element: its start, its end, and the
+  /// midpoint of the element whole.
+  static constexpr size_t kStart = 0;
+  static constexpr size_t kEnd = 1;
+  static constexpr size_t kMid = 2;
+  static constexpr size_t kSlotsPerElement = 3;
+  /// Locate's `own` for a point that is no own point.
+  static constexpr size_t kNotOwn = SIZE_MAX;
+
+  /// Prepares the operand for g. A `cached` operand keeps the answers
+  /// its own-point slots get; any other locates every point.
+  void Prepare(const Geometry& g, bool cached) {
+    located_.Prepare(g, kEps, &noding_);
+    algo::FindSelfCuts(kEps, &noding_);
+    cached_ = cached;
+    own_.assign(cached ? kSlotsPerElement * (noding_.segments.size() +
+                                             noding_.points.size())
+                       : 0,
+                Own());
+  }
+
+  const PreparedOperand& located() const { return located_; }
+  const algo::NodingOperand& noding() const { return noding_; }
+
+  /// located().Locate(p, faults, tally, areal). When p is one of the
+  /// operand's own points, `own` is its slot, kSlotsPerElement * e plus
+  /// kStart, kEnd or kMid, and in a cached operand the slot's first use
+  /// keeps the answer and the tally delta for every later one; kNotOwn
+  /// otherwise. Callers pass the enabled set the operand is keyed by.
+  Location Locate(const Coord& p, size_t own,
+                  const faults::FaultState* faults, Tally* tally,
+                  Location* areal = nullptr) {
+    if (own == kNotOwn || !cached_) {
+      return located_.Locate(p, faults, tally, areal);
+    }
+    Own& slot = own_[own];
+    if (!slot.known) {
+      Tally located;
+      slot.location = located_.Locate(p, faults, &located, &slot.areal);
+      for (int site = 0; site < Own::kSites; ++site) {
+        slot.hits[site] = static_cast<uint16_t>(located.hits[site]);
+      }
+      slot.fired = located.fired;
+      slot.known = true;
+    }
+    for (int site = 0; site < Own::kSites; ++site) {
+      tally->hits[site] += slot.hits[site];
+    }
+    tally->fired |= slot.fired;
+    if (areal) *areal = slot.areal;
+    return slot.location;
+  }
+
+ private:
+  // An own point's answer and the tally its Locate made. Locate reaches
+  // only the six locate sites, each at most once per top-level element
+  // of a cached operand (fewer than kMaxWords), so 16 bits hold a count.
+  struct Own {
+    static constexpr int kSites = Tally::kLocateExterior + 1;
+    uint64_t fired = 0;
+    uint16_t hits[kSites] = {};
+    Location location = Location::kExterior;
+    Location areal = Location::kExterior;
+    bool known = false;
+  };
+
+  PreparedOperand located_;
+  algo::NodingOperand noding_;
+  bool cached_ = false;
+  std::vector<Own> own_;
+};
+
+bool SameBits(const Coord& p, const Coord& q) {
+  return std::memcmp(&p, &q, sizeof p) == 0;
+}
+
 // The full path: node both operands' linework, then classify every node,
-// edge midpoint and interior-point witness. It reads a and b and the
-// enabled fault set, and nothing else; it never calls Relate. It hits no
-// coverage site and fires no fault itself: it adds them to `*tally`, for
-// the caller to apply.
-IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
+// edge midpoint and interior-point witness. It reads the two operands and
+// the enabled fault set, and nothing else; it never calls Relate. It hits
+// no coverage site and fires no fault itself: it adds them to `*tally`,
+// for the caller to apply. A point that is one of an operand's own points
+// is located in that operand from its slot (KernelOperand::Locate): a node
+// the noder registered from the operand's endpoint or point, and the
+// midpoint of an edge that is a whole, unmoved segment of the operand.
+IntersectionMatrix FullRelate(KernelOperand& op_a, KernelOperand& op_b,
                               const faults::FaultState* faults, Tally* tally) {
   IntersectionMatrix im;
   im.Set(Location::kExterior, Location::kExterior, 2);
-
-  // Each operand is flattened once: its locator segments, its noder input
-  // and its polygons. The buffers, the noder's result included, are
-  // per-thread scratch reused across calls; nothing below calls Relate
-  // again.
-  thread_local PreparedOperand prepared_a;
-  thread_local PreparedOperand prepared_b;
-  thread_local std::vector<algo::TaggedSegment> segs;
-  thread_local algo::NodingResult noded;
-  prepared_a.Prepare(a, kEps, 0);
-  prepared_b.Prepare(b, kEps, 1);
+  const PreparedOperand& prepared_a = op_a.located();
+  const PreparedOperand& prepared_b = op_b.located();
 
   // 1. Node the combined linework. Isolated point elements join as
   // degenerate segments so edges split at them too — otherwise an edge
   // midpoint could coincide with a point element and misattribute the
-  // whole edge to that 0-dimensional intersection.
-  segs.clear();
-  for (const auto* op : {&prepared_a, &prepared_b}) {
-    segs.insert(segs.end(), op->noder_segments().begin(),
-                op->noder_segments().end());
-  }
-  for (const auto* op : {&prepared_a, &prepared_b}) {
-    for (const Coord& p : op->point_coords()) segs.push_back({p, p, 2});
-  }
+  // whole edge to that 0-dimensional intersection. The result is
+  // per-thread scratch reused across calls.
+  thread_local algo::NodingResult noded;
   SPATTER_METRIC_INC("relate.full");
-  algo::NodeSegments(segs, kEps, &noded);
+  algo::NodeOperands(op_a.noding(), op_b.noding(), kEps, &noded);
+
+  // The noder's input i is A's segments, B's segments, A's points, B's
+  // points in turn: whose element it is, and which.
+  const size_t na = op_a.noding().segments.size();
+  const size_t nb = op_b.noding().segments.size();
+  const size_t ma = op_a.noding().points.size();
+  const auto element_of = [&](size_t i, bool* of_a) {
+    *of_a = i < na || (i >= na + nb && i < na + nb + ma);
+    if (i < na) return i;
+    if (i < na + nb) return i - na;
+    return *of_a ? i - nb : i - na - ma;
+  };
+  constexpr size_t kNotOwn = KernelOperand::kNotOwn;
+  constexpr size_t kPerElement = KernelOperand::kSlotsPerElement;
 
   // 2. Classification points: all nodes plus isolated point elements.
-  const auto classify_node = [&](const Coord& node) {
-    const Location la = prepared_a.Locate(node, faults, tally);
-    const Location lb = prepared_b.Locate(node, faults, tally);
+  const auto classify = [&](const Coord& p, size_t own_a, size_t own_b) {
+    const Location la = op_a.Locate(p, own_a, faults, tally);
+    const Location lb = op_b.Locate(p, own_b, faults, tally);
     im.SetAtLeast(la, lb, 0);
   };
-  for (const Coord& node : noded.nodes) classify_node(node);
-  for (const Coord& p : prepared_a.point_coords()) classify_node(p);
-  for (const Coord& p : prepared_b.point_coords()) classify_node(p);
+  for (size_t k = 0; k < noded.nodes.size(); ++k) {
+    const uint32_t origin = noded.node_origins[k];
+    size_t own_a = kNotOwn;
+    size_t own_b = kNotOwn;
+    if (origin != algo::kCutOrigin) {
+      bool of_a = false;
+      const size_t e = element_of(origin / 2, &of_a);
+      (of_a ? own_a : own_b) =
+          kPerElement * e +
+          (origin % 2 == 0 ? KernelOperand::kStart : KernelOperand::kEnd);
+    }
+    classify(noded.nodes[k], own_a, own_b);
+  }
+  for (size_t k = 0; k < ma; ++k) {
+    classify(op_a.noding().points[k].a,
+             kPerElement * (na + k) + KernelOperand::kStart, kNotOwn);
+  }
+  for (size_t k = 0; k < op_b.noding().points.size(); ++k) {
+    classify(op_b.noding().points[k].a, kNotOwn,
+             kPerElement * (nb + k) + KernelOperand::kStart);
+  }
 
   // 3. Split-edge midpoints contribute dimension 1. Because edges are
   // noded against both geometries, an open edge lies in a single location
@@ -236,14 +338,22 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
   bool areal_ei2 = false;
   for (const auto& edge : noded.edges) {
     const Coord mid = geom::Midpoint(edge.a, edge.b);
+    bool of_a = false;
+    const size_t e = element_of(edge.input_index, &of_a);
+    const algo::TaggedSegment& raw = (of_a ? op_a : op_b).noding().element(e);
+    size_t own_a = kNotOwn;
+    size_t own_b = kNotOwn;
+    if (SameBits(edge.a, raw.a) && SameBits(edge.b, raw.b)) {
+      (of_a ? own_a : own_b) = kPerElement * e + KernelOperand::kMid;
+    }
     // When both are areal, the same polygon scan also gives the midpoint's
     // areal location (LocateAreal).
     Location aa = Location::kExterior;
     Location ab = Location::kExterior;
-    const Location la =
-        prepared_a.Locate(mid, faults, tally, both_areal ? &aa : nullptr);
-    const Location lb =
-        prepared_b.Locate(mid, faults, tally, both_areal ? &ab : nullptr);
+    const Location la = op_a.Locate(mid, own_a, faults, tally,
+                                    both_areal ? &aa : nullptr);
+    const Location lb = op_b.Locate(mid, own_b, faults, tally,
+                                    both_areal ? &ab : nullptr);
     im.SetAtLeast(la, lb, 1);
     if (both_areal) {
       // Dimension-2 witnesses from areal piece classification. An edge on
@@ -286,19 +396,15 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
     tally->Hit(Tally::kRelateArealVsAreal);
     // Interior-point witnesses handle containment/equality, where no edge
     // piece lies strictly inside the other geometry.
-    for (const auto* poly : prepared_a.polygons()) {
-      if (auto ip = algo::InteriorPointOfPolygon(*poly)) {
-        const Location lb = prepared_b.LocateAreal(*ip);
-        if (lb == Location::kInterior) areal_ii2 = true;
-        if (lb == Location::kExterior) areal_ie2 = true;
-      }
+    for (const Coord& ip : prepared_a.witnesses()) {
+      const Location lb = prepared_b.LocateAreal(ip);
+      if (lb == Location::kInterior) areal_ii2 = true;
+      if (lb == Location::kExterior) areal_ie2 = true;
     }
-    for (const auto* poly : prepared_b.polygons()) {
-      if (auto ip = algo::InteriorPointOfPolygon(*poly)) {
-        const Location la = prepared_a.LocateAreal(*ip);
-        if (la == Location::kInterior) areal_ii2 = true;
-        if (la == Location::kExterior) areal_ei2 = true;
-      }
+    for (const Coord& ip : prepared_b.witnesses()) {
+      const Location la = prepared_a.LocateAreal(ip);
+      if (la == Location::kInterior) areal_ii2 = true;
+      if (la == Location::kExterior) areal_ei2 = true;
     }
     if (areal_ii2) {
       im.SetAtLeast(Location::kInterior, Location::kInterior, 2);
@@ -312,6 +418,13 @@ IntersectionMatrix FullRelate(const Geometry& a, const Geometry& b,
   }
 
   return im;
+}
+
+// Per-thread operands prepared afresh, one per side: RelateUnmemoized's,
+// and the memoized path's for an operand too large to cache.
+KernelOperand* FreshOperands() {
+  thread_local KernelOperand fresh[2];
+  return fresh;
 }
 
 uint64_t Bits(double v) {
@@ -361,24 +474,100 @@ void AppendKey(const Geometry& g, std::vector<uint64_t>* key) {
   }
 }
 
-uint64_t HashKey(const std::vector<uint64_t>& key) {
-  uint64_t h = key.size();
-  for (const uint64_t w : key) {
-    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+uint64_t HashWords(const uint64_t* words, size_t n, uint64_t h) {
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ words[i]) * 0x9e3779b97f4a7c15ULL;
     h ^= h >> 29;
   }
+  return h;
+}
+
+uint64_t Finish(uint64_t h) {
   h ^= h >> 32;
   h *= 0xbf58476d1ce4e5b9ULL;
   return h ^ (h >> 31);
 }
 
-// FullRelate with its tally applied: the kernel run RelateUnmemoized makes.
+uint64_t HashKey(const std::vector<uint64_t>& key) {
+  return Finish(HashWords(key.data(), key.size(), key.size()));
+}
+
+// FullRelate on operands prepared afresh, with its tally applied: the
+// kernel run RelateUnmemoized makes.
 IntersectionMatrix KernelRelate(const Geometry& a, const Geometry& b,
                                 const faults::FaultState* faults) {
+  KernelOperand* fresh = FreshOperands();
+  fresh[0].Prepare(a, false);
+  fresh[1].Prepare(b, false);
   Tally tally;
-  const IntersectionMatrix im = FullRelate(a, b, faults, &tally);
+  const IntersectionMatrix im = FullRelate(fresh[0], fresh[1], faults, &tally);
   tally.Apply(faults);
   return im;
+}
+
+// A kernel operand's cache key: the enabled fault set's two memo key
+// words, then the operand's AppendKey words.
+struct OperandKey {
+  const uint64_t* faults;  // 2 words
+  const uint64_t* words;
+  size_t size;
+};
+
+// Per-thread cache of kernel operands in front of KernelOperand::Prepare
+// (relate.h states the key, the entry and the bounds).
+class OperandCache {
+ public:
+  /// The operand `key` names, g's: from the cache on a hit; else prepared,
+  /// into the oldest slot unless that holds `keep`, or into `fresh` when g
+  /// is too large to cache.
+  KernelOperand* Get(const Geometry& g, const OperandKey& key,
+                     const KernelOperand* keep, KernelOperand* fresh);
+
+ private:
+  static constexpr size_t kSlots = 64;
+  static constexpr size_t kIndexSlots = 256;
+  static constexpr size_t kMaxWords = 64;
+
+  struct Slot {
+    std::vector<uint64_t> key;  // the fault words, then AppendKey's
+    KernelOperand operand;
+  };
+
+  std::unique_ptr<Slot[]> slots_;
+  size_t next_ = 0;               // the next slot a miss takes, mod kSlots
+  std::vector<uint32_t> index_;  // by key hash: slot + 1; 0 = none
+};
+
+KernelOperand* OperandCache::Get(const Geometry& g, const OperandKey& key,
+                                 const KernelOperand* keep,
+                                 KernelOperand* fresh) {
+  if (key.size > kMaxWords) {
+    fresh->Prepare(g, false);
+    return fresh;
+  }
+  if (!slots_) {
+    slots_.reset(new Slot[kSlots]);
+    index_.assign(kIndexSlots, 0);
+  }
+  uint64_t h = HashWords(key.faults, 2, HashWords(key.words, key.size, 0));
+  uint32_t& ix = index_[Finish(h) % kIndexSlots];
+  if (ix != 0) {
+    const std::vector<uint64_t>& k = slots_[ix - 1].key;
+    if (k.size() == 2 + key.size && std::equal(key.faults, key.faults + 2,
+                                               k.begin()) &&
+        std::equal(key.words, key.words + key.size, k.begin() + 2)) {
+      SPATTER_METRIC_INC("relate.operand.hit");
+      return &slots_[ix - 1].operand;
+    }
+  }
+  size_t victim = next_++ % kSlots;
+  if (&slots_[victim].operand == keep) victim = next_++ % kSlots;
+  Slot& slot = slots_[victim];
+  slot.key.assign(key.faults, key.faults + 2);
+  slot.key.insert(slot.key.end(), key.words, key.words + key.size);
+  slot.operand.Prepare(g, true);
+  ix = static_cast<uint32_t>(victim + 1);
+  return &slot.operand;
 }
 
 // Per-thread memo in front of FullRelate (relate.h states the key, replay
@@ -411,6 +600,7 @@ class RelateMemo {
   uint64_t Append(const Outcome& outcome);
 
   std::vector<uint64_t> key_;  // the current call's key
+  OperandCache operands_;
   // Every kernel run's record; log_end_ counts the words ever appended (a
   // record's position is its first word's count).
   std::unique_ptr<uint64_t[]> log_;
@@ -428,6 +618,7 @@ IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
   key_.push_back(faults != nullptr);
   key_.push_back(faults ? faults->EnabledMask() : 0);
   AppendKey(a, &key_);
+  const size_t b_key = key_.size();  // where b's words start
   AppendKey(b, &key_);
   uint64_t& slot = index_[HashKey(key_) % kIndexSlots];
 
@@ -439,7 +630,13 @@ IntersectionMatrix RelateMemo::Relate(const Geometry& a, const Geometry& b,
     // outlives the affine images each AEI query relates once.
     if (log_end_ - (slot - 1) > kLogWords / 2) slot = Append(outcome);
   } else {
-    outcome.im = FullRelate(a, b, faults, &outcome.tally);
+    KernelOperand* fresh = FreshOperands();
+    KernelOperand* op_a = operands_.Get(
+        a, {key_.data(), key_.data() + 2, b_key - 2}, nullptr, &fresh[0]);
+    KernelOperand* op_b = operands_.Get(
+        b, {key_.data(), key_.data() + b_key, key_.size() - b_key}, op_a,
+        &fresh[1]);
+    outcome.im = FullRelate(*op_a, *op_b, faults, &outcome.tally);
     slot = Append(outcome);
   }
   outcome.tally.Apply(faults);

@@ -54,12 +54,51 @@
 //    share a slot evict each other's index entry, which costs a kernel
 //    run, never a wrong answer. The log and index are allocated on a
 //    thread's first full-path call, at their final sizes.
-// RelateUnmemoized is the same two stages with the kernel run every time:
-// the reference tests and benches hold Relate to.
+// The kernel takes its operands from a second per-thread cache, keyed by
+// one operand's content, since each AEI query relates a fresh affine image
+// whose pairs the memo cannot answer but whose operands recur: in an
+// image join each operand takes part in several kernel runs.
+//  - Key: the memo key's two fault words (the null flag and
+//    FaultState::EnabledMask) and the operand's AppendKey words, compared
+//    word for word on a hit, never its address. The hash only picks an
+//    index slot. `relate.operand.hit` counts the kernel operands found.
+//  - Entry: what the kernel derives from the operand alone. Its
+//    PreparedOperand (point_locator.h), with each polygon's interior-point
+//    witness stored as a point, so nothing refers to the geometry; its
+//    noder input and self cuts (algo::FindSelfCuts: its segments and
+//    points intersected with each other, per element in partner order);
+//    and, each filled on first use, the location, areal location and
+//    Tally delta of each of its own segment ends, isolated points and
+//    whole-segment midpoints, located in itself.
+//  - Why a hit changes nothing: the entry holds only functions of the
+//    key. The noder joins cached self cuts and the cross pairs it finds
+//    in the order its one-shot form finds them (algo::NodeOperands), so
+//    edges, nodes and node order are unchanged. The kernel reads an own
+//    location for a node the noder registered from that operand's
+//    endpoint or point (the node holds its bits) and for the midpoint of
+//    an edge that is a whole, unmoved segment of that operand (edge and
+//    segment agree bit for bit); the slot holds what Locate returned and
+//    added to its tally for that very point under the key's enabled set,
+//    so the sum of the tallies is the same. Every other point is located.
+//  - Memory: 64 slots, each miss taking the next in turn (the oldest
+//    first), and an index of 256 slots by key hash. The slot array is
+//    allocated on a thread's first kernel run; a slot's buffers grow to
+//    the largest operand it has held and are reused after that. An
+//    operand of more than 64 AppendKey words (at most 31 coordinates) is
+//    prepared afresh instead, uncached. A cached operand's arrays take
+//    under 45 KiB, 29 KiB of it the worst case of 1,860 self cuts, and a
+//    buffer grown for one holds less than twice that, so an entry stays
+//    under 90 KiB and the cache under 6 MiB per thread. At the end of the
+//    `aei` N=40 run (seeds 4242 and 977) it holds 560 and 553 KiB, and no
+//    operand was too large.
+// RelateUnmemoized is the same two stages with the kernel run every time,
+// on operands prepared afresh, each of whose points it locates: the
+// reference tests and benches hold Relate to.
 // Once its per-thread buffers are warm (operands, noder input and result,
-// interior-point scanlines, the memo's key), a call that fires no fault
-// allocates nothing, whichever stage answers it, a memo hit that moves its
-// record included (relate_alloc_test).
+// interior-point scanlines, the memo's key, each operand-cache slot), a
+// call that fires no fault allocates nothing, whichever stage answers it,
+// a memo hit that moves its record and an operand-cache miss into a slot
+// that held an operand at least as large included (relate_alloc_test).
 #ifndef SPATTER_RELATE_RELATE_H_
 #define SPATTER_RELATE_RELATE_H_
 
@@ -77,9 +116,10 @@ Result<IntersectionMatrix> Relate(const geom::Geometry& a,
                                   const geom::Geometry& b,
                                   const faults::FaultState* faults = nullptr);
 
-/// Relate without the memo: the kernel runs on every full-path call.
-/// Relate returns what this returns, fires the same fault ids and hits the
-/// same coverage sites the same number of times.
+/// Relate without the memo and the operand cache: the kernel runs on
+/// every full-path call, on operands prepared for the call. Relate returns
+/// what this returns, fires the same fault ids and hits the same coverage
+/// sites the same number of times.
 Result<IntersectionMatrix> RelateUnmemoized(
     const geom::Geometry& a, const geom::Geometry& b,
     const faults::FaultState* faults = nullptr);

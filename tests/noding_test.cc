@@ -1,5 +1,6 @@
 // Noder tests: crossings, T-junctions, collinear overlaps, node merging,
-// and bit-for-bit agreement with the all-pairs reference noder.
+// bit-for-bit agreement with the all-pairs reference noder, and noding two
+// operands from their self cuts against noding their concatenation.
 #include "algo/noding.h"
 
 #include <gtest/gtest.h>
@@ -411,6 +412,177 @@ TEST(NodingReference, ReusedResultHoldsOnlyTheLatestCall) {
   NodeSegments({}, geom::kDerivedEps, &reused);
   EXPECT_TRUE(reused.edges.empty());
   EXPECT_TRUE(reused.nodes.empty());
+}
+
+// --- Two operands from their self cuts --------------------------------------
+
+// The input NodeOperands nodes: A's segments, B's segments, A's points,
+// B's points.
+std::vector<TaggedSegment> Concatenation(const NodingOperand& a,
+                                         const NodingOperand& b) {
+  std::vector<TaggedSegment> out = a.segments;
+  out.insert(out.end(), b.segments.begin(), b.segments.end());
+  out.insert(out.end(), a.points.begin(), a.points.end());
+  out.insert(out.end(), b.points.begin(), b.points.end());
+  return out;
+}
+
+// Asserts that NodeOperands on (a, b), each with its self cuts found
+// apart, equals NodeSegments and the reference noder over their
+// concatenation, node origins included; and (a, a) likewise.
+void ExpectOperandsMatch(NodingOperand a, NodingOperand b, double eps,
+                         const std::string& label) {
+  FindSelfCuts(eps, &a);
+  FindSelfCuts(eps, &b);
+  for (const bool same : {false, true}) {
+    const NodingOperand& second = same ? a : b;
+    const std::string at = label + (same ? " (a, a)" : " (a, b)");
+    const auto whole = Concatenation(a, second);
+    NodingResult got;
+    NodeOperands(a, second, eps, &got);
+    const NodingResult want = NodeSegments(whole, eps);
+    ExpectSameResult(got, want, at);
+    ExpectSameResult(got, ReferenceNodeSegments(whole, eps),
+                     at + " vs reference");
+    ASSERT_EQ(got.node_origins, want.node_origins) << at;
+  }
+}
+
+// Deals `segs` into two operands at random: each segment to A or B, a
+// zero-length one as an isolated point half the time, plus a few
+// isolated points at other segments' endpoints or at fresh coordinates.
+void Deal(const std::vector<TaggedSegment>& segs, Rng* rng, NodingOperand* a,
+          NodingOperand* b) {
+  a->segments.clear();
+  a->points.clear();
+  b->segments.clear();
+  b->points.clear();
+  for (const TaggedSegment& s : segs) {
+    NodingOperand* op = rng->IntIn(0, 1) == 0 ? a : b;
+    if (SameBits(s.a, s.b) && rng->IntIn(0, 1) == 0) {
+      op->points.push_back({s.a, s.a, 2});
+    } else {
+      op->segments.push_back(s);
+    }
+    if (rng->IntIn(0, 7) == 0) {
+      const Coord p = rng->IntIn(0, 1) == 0
+                          ? s.b
+                          : Coord(rng->IntIn(-4, 4) + 0.5, rng->IntIn(-4, 4));
+      (rng->IntIn(0, 1) == 0 ? a : b)->points.push_back({p, p, 2});
+    }
+  }
+}
+
+TEST(NodeOperands, DealtSoupsMatchTheConcatenation) {
+  Rng rng(20261020);
+  NodingOperand a;
+  NodingOperand b;
+  size_t with_points = 0;
+  for (int round = 0; round < 1500; ++round) {
+    const size_t n = static_cast<size_t>(rng.IntIn(1, 48));
+    const auto segs = RandomSoup(&rng, n, /*with_nan=*/round % 4 == 3);
+    const double eps = round % 5 == 4 ? 0.0 : geom::kDerivedEps;
+    Deal(segs, &rng, &a, &b);
+    with_points += !a.points.empty() && !b.points.empty();
+    ExpectOperandsMatch(a, b, eps, "round " + std::to_string(round));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(with_points, 300u) << "both operands should often hold points";
+}
+
+// An operand of the given segments and points (src 0, as relate tags).
+NodingOperand Operand(std::vector<std::pair<Coord, Coord>> segments,
+                      std::vector<Coord> points = {}) {
+  NodingOperand op;
+  for (const auto& [p, q] : segments) op.segments.push_back({p, q, 0});
+  for (const Coord& p : points) op.points.push_back({p, p, 0});
+  return op;
+}
+
+TEST(NodeOperands, EdgeCasesMatchTheConcatenation) {
+  const double e = geom::kDerivedEps;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Collinear overlaps, within each operand and across them.
+  ExpectOperandsMatch(Operand({{{0, 0}, {4, 0}}, {{2, 0}, {6, 0}}}),
+                      Operand({{{1, 0}, {5, 0}}, {{3, 0}, {3, 0}}}, {{4, 0}}),
+                      e, "collinear overlaps");
+  // Shared endpoints: a ring in A, a line through its vertices in B.
+  ExpectOperandsMatch(
+      Operand({{{0, 0}, {4, 0}}, {{4, 0}, {4, 4}}, {{4, 4}, {0, 0}}}, {{0, 0}}),
+      Operand({{{4, 0}, {8, 0}}, {{8, 0}, {4, 4}}}, {{4, 4}, {2, 2}}), e,
+      "shared endpoints");
+  // An eps chain: the outer points are more than eps apart, the middle
+  // one within eps of both, split between the operands.
+  ExpectOperandsMatch(Operand({{{0, 0}, {0, 5}}, {{0.6 * e, 0}, {3, -5}}}),
+                      Operand({{{1.2 * e, 0}, {5, 0}}}, {{0.6 * e, 0}}), e,
+                      "eps chain");
+  // Signed zeros.
+  ExpectOperandsMatch(Operand({{{-0.0, 0}, {0, 5}}}, {{0.0, -0.0}}),
+                      Operand({{{0.0, 0}, {5, 0}}, {{0.0, -0.0}, {-5, 0}}},
+                              {{-0.0, 0.0}}),
+                      e, "signed zeros");
+  // NaN and infinite coordinates, as segment ends and as points.
+  ExpectOperandsMatch(Operand({{{nan, 0}, {nan, 4}}, {{inf, 0}, {0, 0}}},
+                              {{nan, 1}, {inf, 0}}),
+                      Operand({{{0, 1}, {5, 1}}, {{inf, 0}, {0, 1}}},
+                              {{inf, 0}, {0, 0}}),
+                      e, "nan and inf");
+  // Operands without segments, or without anything.
+  ExpectOperandsMatch(Operand({}, {{1, 1}, {1, 1}}), Operand({}), e,
+                      "points only");
+  ExpectOperandsMatch(Operand({}), Operand({{{0, 0}, {1, 1}}}), e,
+                      "empty operand");
+}
+
+TEST(NodeOperands, MergeShortcutsMatchTheReference) {
+  // A cut equal to its segment's raw endpoint returns the endpoint's node
+  // without a scan, and so does a segment start equal to the previous
+  // segment's end. Here the shared endpoint (0.6 eps, 0) of two
+  // consecutive segments merges into the earlier node (0, 0), and each of
+  // the two cuts the other at exactly that raw endpoint.
+  const double e = geom::kDerivedEps;
+  const std::vector<TaggedSegment> chain = {{{0, 0}, {0, 5}, 0},
+                                            {{3, -5}, {0.6 * e, 0}, 0},
+                                            {{0.6 * e, 0}, {5, 0}, 0}};
+  ExpectMatchesReference(chain, e, "merged shared endpoint");
+  const NodingResult r = NodeSegments(chain, e);
+  for (const auto& edge : r.edges) {
+    if (edge.input_index > 0) {
+      EXPECT_TRUE(SameBits(edge.a, {0, 0}) || SameBits(edge.b, {0, 0}))
+          << Show(edge.a) << "-" << Show(edge.b);
+    }
+  }
+  EXPECT_EQ(r.nodes.size(), 4u);
+  const NodingOperand chain_op =
+      Operand({{{3, -5}, {0.6 * e, 0}}, {{0.6 * e, 0}, {5, 0}}});
+  ExpectOperandsMatch(Operand({{{0, 0}, {0, 5}}}), chain_op, e,
+                      "merged shared endpoint");
+  ExpectOperandsMatch(chain_op, Operand({{{0, 0}, {0, 5}}}), e,
+                      "merged shared endpoint, chain first");
+  // An infinite vertex matches no node, so a cut at a segment's infinite
+  // raw endpoint must scan and register a node of its own: a zero-length
+  // line at (inf, 5) lies on the segment that starts there, which cuts
+  // both at exactly that point.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<TaggedSegment> at_inf = {{{inf, 5}, {inf, 5}, 0},
+                                             {{inf, 5}, {0, 0}, 0}};
+  ExpectMatchesReference(at_inf, e, "cut at an infinite endpoint");
+  size_t infinite = 0;
+  for (const auto& n : NodeSegments(at_inf, e).nodes) {
+    if (std::isinf(n.x)) ++infinite;
+  }
+  // Each lookup of (inf, 5): both ends and the cut of the zero-length
+  // line, the start and the cut of the other segment.
+  EXPECT_EQ(infinite, 5u);
+  ExpectOperandsMatch(Operand({{{inf, 5}, {inf, 5}}}),
+                      Operand({{{inf, 5}, {0, 0}}}, {{inf, 5}}), e,
+                      "cut at an infinite endpoint");
+  // A closed ring whose every vertex is shared by consecutive segments,
+  // its start cut by the last segment and by a point of the other operand.
+  ExpectOperandsMatch(
+      Operand({{{0, 0}, {2, 0}}, {{2, 0}, {2, 2}}, {{2, 2}, {0, 0}}}),
+      Operand({{{1, -1}, {1, 3}}}, {{0, 0}, {2, 2}}), e, "ring");
 }
 
 }  // namespace

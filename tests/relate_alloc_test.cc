@@ -6,7 +6,8 @@
 // global operator new to count allocations (it is a binary of its own so
 // the replacement touches no other suite) and holds Relate to zero on the
 // empty-operand exits, the envelope pre-filter, the kernel and the memo's
-// hits, a hit that moves its record to the log's head included, with
+// hits, a hit that moves its record to the log's head included, and the
+// kernel's operand cache, its hits and its misses into warm slots, with
 // faults null and with enabled faults that do not fire.
 #include <gtest/gtest.h>
 
@@ -169,6 +170,33 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
     }
   }
 
+  // Warms every slot of the kernel's operand cache (relate.h: 64 slots, a
+  // miss takes the oldest) for every timed operand: each is related to
+  // itself under 64 enabled sets in a row, sets of faults Relate never
+  // reads. Each call is one miss (B is A's key) with the same operand, so
+  // the 64 misses fill every slot with it, and a slot keeps its buffers'
+  // capacity. A timed first sighting is then a miss into a warm slot.
+  std::vector<faults::FaultId> unread;
+  for (uint32_t id = 0; unread.size() < 6; ++id) {
+    const auto fault = static_cast<faults::FaultId>(id);
+    if (fault != faults::FaultId::kGeosCrashRelateNestedGc &&
+        fault != faults::FaultId::kGeosGcBoundaryLastOneWins &&
+        fault != faults::FaultId::kGeosBoundaryEmptyElementDrop) {
+      unread.push_back(fault);
+    }
+  }
+  for (const auto& copy : fresh) {
+    for (const GeomPtr& g : copy) {
+      for (uint32_t set = 0; set < 64; ++set) {
+        faults::FaultState state;
+        for (size_t bit = 0; bit < unread.size(); ++bit) {
+          if (set >> bit & 1) state.Enable(unread[bit]);
+        }
+        ASSERT_TRUE(Relate(*g, *g, &state).ok());
+      }
+    }
+  }
+
   // Relates `n` pairs no call has related on `f`, untimed, each a kernel
   // run whose record takes about 2,000 words of the memo's log: a line of
   // 1,000 repeated vertices against a bar.
@@ -224,11 +252,19 @@ TEST(RelateAllocations, NoneAfterWarmUp) {
     uint64_t full = CounterValue("relate.full");
     const uint64_t prefiltered = CounterValue("relate.envelope_prefilter");
     uint64_t hits = CounterValue("relate.memo.hit");
+    const uint64_t operand_hits = CounterValue("relate.operand.hit");
     size_t calls = timed_pass(fresh[0], 1, f);
     EXPECT_EQ(allocations, 0u)
         << label << ", over " << calls << " calls; first: " << first;
     EXPECT_EQ(CounterValue("relate.memo.hit"), hits) << label;
     EXPECT_GT(CounterValue("relate.full") - full, calls / 10) << label;
+    // Each operand's first sighting misses the operand cache; most later
+    // ones hit.
+    const uint64_t lookups = 2 * (CounterValue("relate.full") - full);
+    EXPECT_GT(CounterValue("relate.operand.hit") - operand_hits, lookups / 2)
+        << label;
+    EXPECT_LT(CounterValue("relate.operand.hit") - operand_hits, lookups)
+        << label;
     if (f == nullptr) {
       EXPECT_GT(CounterValue("relate.envelope_prefilter") - prefiltered,
                 calls / 10);

@@ -11,6 +11,8 @@
 //  - the relate memo is invisible: every call returns, fires and covers
 //    exactly what the unmemoized kernel does, and the kernel's own
 //    effects over fixed inputs are pinned,
+//  - the kernel's operand cache is invisible too: a kernel run on cached
+//    operands returns, fires and covers what one on fresh operands does,
 //  - the relate front's closed forms (an EMPTY operand, separated
 //    envelopes) follow the boundary and point-set definitions, and the
 //    envelope pre-filter agrees with the kernel near its tolerance.
@@ -21,12 +23,14 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "algo/boundary.h"
 #include "algo/canonicalize.h"
 #include "common/coverage.h"
 #include "common/rng.h"
 #include "corpus/mutator.h"
+#include "engine/dialect.h"
 #include "fuzz/aei.h"
 #include "fuzz/generator.h"
 #include "geom/predicates.h"
@@ -896,6 +900,80 @@ TEST(RelateMemo, RecordOlderThanTheLogRunsTheKernel) {
   EXPECT_EQ(got.full, 1u);
   EXPECT_EQ(got.hits, 0u);
   EXPECT_EQ(got, want);
+}
+
+// --- The operand cache -------------------------------------------------------
+
+TEST(OperandReuseExactness, CachedOperandsEqualFreshOnes) {
+  // A pool of generator shapes and degenerate operands, related twice,
+  // then two integer-affine images of it. In each pass every ordered pair
+  // is related under faults off and under each dialect's enabled set, the
+  // pairs and settings shuffled together: a pool's operands under five
+  // settings are 275 keys, more than the cache's 64 slots (relate.h), so
+  // operands are evicted and prepared again between their uses, and each
+  // shows up as A and as B, under one setting and then another. The pairs
+  // of an image are new to the memo, and the memo's log holds few of a
+  // pass's 15,125 pairs, so most calls run the kernel on cached operands;
+  // each call must equal RelateUnmemoized, which prepares its operands
+  // afresh, in matrix or status, fired ids and per-site coverage counts.
+  std::vector<geom::GeomPtr> pool = LocatorInputs(3);
+  for (const char* wkt : {
+           "POLYGON((0 0,4 0,4 4,0 4,0 0),(2 2,6 2,6 6,2 6,2 2))",
+           "POLYGON((0 0,6 0,6 6,0 6,0 0),(1 1,2 1,2 2,1 2,1 1),"
+           "(3 3,5 3,5 5,3 5,3 3))",
+           "GEOMETRYCOLLECTION(POINT(1 1),LINESTRING(2 2,2 2),"
+           "LINESTRING(0 0,3 0,3 3,0 0),POLYGON EMPTY,POINT(0 0))",
+           "MULTIPOINT((1 1),(1 1),(3 0))",
+       }) {
+    pool.push_back(Wkt(wkt));
+  }
+  ASSERT_EQ(pool.size(), 55u);
+  std::vector<std::vector<faults::FaultId>> settings = {{}};
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    const engine::DialectTraits& traits =
+        engine::GetDialectTraits(static_cast<engine::Dialect>(d));
+    settings.push_back(
+        faults::FaultsForComponent(traits.component, traits.uses_geos));
+  }
+  spatter::Rng rng(20261021);
+  const uint64_t hits_before = CounterValue("relate.operand.hit");
+  uint64_t kernel_runs = 0;
+  std::map<faults::FaultId, size_t> fired;
+  for (int pass = 0; pass < 4; ++pass) {
+    std::vector<geom::GeomPtr> images;
+    const algo::AffineTransform t = fuzz::RandomIntegerAffine(&rng);
+    for (const auto& g : pool) {
+      images.push_back(pass < 2 ? g->Clone() : t.Apply(*g));
+    }
+    std::vector<std::tuple<size_t, size_t, size_t>> calls;
+    for (size_t i = 0; i < images.size(); ++i) {
+      for (size_t j = 0; j < images.size(); ++j) {
+        for (size_t k = 0; k < settings.size(); ++k) {
+          calls.emplace_back(i, j, k);
+        }
+      }
+    }
+    for (size_t i = calls.size(); i > 1; --i) {
+      std::swap(calls[i - 1], calls[rng.IntIn(0, static_cast<int>(i) - 1)]);
+    }
+    for (const auto& [i, j, k] : calls) {
+      const Geometry& a = *images[i];
+      const Geometry& b = *images[j];
+      const RelateRun got = RunWith(Relate, a, b, settings[k]);
+      const RelateRun want = RunWith(RelateUnmemoized, a, b, settings[k]);
+      ASSERT_EQ(got, want) << "pass " << pass << ", setting " << k << ": "
+                           << a.ToWkt() << " / " << b.ToWkt();
+      kernel_runs += got.full;
+      for (const faults::FaultId id : want.fired) ++fired[id];
+    }
+  }
+  const uint64_t hits = CounterValue("relate.operand.hit") - hits_before;
+  EXPECT_GT(kernel_runs, 30000u);
+  // Of the two operand lookups per kernel run, about one in four hits.
+  EXPECT_GT(hits, kernel_runs / 2) << "over " << kernel_runs << " kernel runs";
+  EXPECT_LT(hits, kernel_runs) << "evictions should cost misses";
+  EXPECT_GT(fired[faults::FaultId::kGeosGcBoundaryLastOneWins], 0u);
+  EXPECT_GT(fired[faults::FaultId::kGeosBoundaryEmptyElementDrop], 0u);
 }
 
 // --- The kernel's effects ----------------------------------------------------
