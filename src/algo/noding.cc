@@ -52,7 +52,7 @@ CutRange ListOf(const SegmentCuts& cuts, size_t k) {
 struct Scratch {
   std::vector<geom::Envelope> boxes;
   std::vector<FoundCut> found;
-  SegmentCuts cuts;  // NodeSegments' cuts, NodeOperands' cross cuts
+  SegmentCuts cuts;  // NodeOperands' cross cuts
   std::vector<Cut> ordered;
 };
 
@@ -77,8 +77,7 @@ class Splitter {
   }
 
   // Splits input segment i, `s`, at the cuts of `lists` in turn.
-  template <size_t N>
-  void Split(size_t i, const TaggedSegment& s, const CutRange (&lists)[N]) {
+  void Split(size_t i, const TaggedSegment& s, const CutRange (&lists)[4]) {
     const auto origin = static_cast<uint32_t>(2 * i);
     const bool a_finite = Finite(s.a);
     const bool b_finite = Finite(s.b);
@@ -110,7 +109,7 @@ class Splitter {
       const Coord& p = ordered_[k].p;
       const Coord& q = ordered_[k + 1].p;
       if (p == q) continue;  // degenerate split.
-      out_->edges.push_back(NodedEdge{p, q, s.src, i});
+      out_->edges.push_back(NodedEdge{p, q, i});
     }
     prev_finite_ = b_finite;
     prev_raw_ = s.b;
@@ -181,52 +180,7 @@ void SortByList(const std::vector<FoundCut>& found, size_t lists,
   start.pop_back();
 }
 
-// Lists each segment's cuts, one list per segment: what each segment it
-// meets cuts it at, in partner-index order.
-void FindCuts(const std::vector<TaggedSegment>& segments, double eps,
-              SegmentCuts* out) {
-  Scratch& scratch = ThreadScratch();
-  const size_t n = segments.size();
-  auto& boxes = scratch.boxes;
-  boxes.clear();
-  for (const auto& s : segments) boxes.push_back(Box(s, eps));
-  auto& found = scratch.found;
-  found.clear();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (!boxes[i].Intersects(boxes[j])) continue;
-      AddPairCuts(segments[i], segments[j], static_cast<uint32_t>(i),
-                  static_cast<uint32_t>(j), eps, &found);
-    }
-  }
-  SortByList(found, n, out);
-}
-
-// Splits each segment at its cuts (FindCuts' lists).
-void SplitAtCuts(const std::vector<TaggedSegment>& segments,
-                 const SegmentCuts& cuts, double eps, NodingResult* result) {
-  Splitter splitter(eps, segments.size() + cuts.cuts.size(), result);
-  for (size_t i = 0; i < segments.size(); ++i) {
-    const CutRange lists[] = {ListOf(cuts, i)};
-    splitter.Split(i, segments[i], lists);
-  }
-}
-
 }  // namespace
-
-NodingResult NodeSegments(const std::vector<TaggedSegment>& segments,
-                          double eps) {
-  NodingResult out;
-  NodeSegments(segments, eps, &out);
-  return out;
-}
-
-void NodeSegments(const std::vector<TaggedSegment>& segments, double eps,
-                  NodingResult* result) {
-  SegmentCuts& cuts = ThreadScratch().cuts;
-  FindCuts(segments, eps, &cuts);
-  SplitAtCuts(segments, cuts, eps, result);
-}
 
 void FindSelfCuts(double eps, NodingOperand* op) {
   const size_t ns = op->segments.size();

@@ -1,21 +1,20 @@
-// Segment noding: splits an arbitrary set of tagged segments at every
-// mutual intersection (including collinear overlaps) so the output edges
-// only meet at endpoints. This is the arrangement substrate shared by the
-// DE-9IM relate computer and the polygonizer.
+// Segment noding: splits the segments and isolated points of two operands
+// at every mutual intersection (including collinear overlaps) so the
+// output edges only meet at endpoints. This is the arrangement substrate
+// shared by the DE-9IM relate computer and the polygonizer.
 //
-// Noding is two steps: finding each segment's cut points, by testing
-// every candidate pair, in partner-index order (the order of the segments
-// it meets); then merging endpoints and cuts onto nodes and splitting each
-// segment at its cuts. NodeSegments is the two in a row.
-// Relate nodes two operands with NodeOperands instead: each operand's
-// cuts on itself (FindSelfCuts) depend on that operand alone, so relate
-// keeps them with the operand and finds only the cross pairs on each
-// call. An operand lists its segments, then its isolated points as
-// degenerate segments, and NodeOperands nodes the concatenation
-// [A segments, B segments, A points, B points]: every cut list is joined
-// in that partner order, A's segments, B's segments, A's points, B's
-// points, so edges, nodes and node order are NodeSegments' over the
-// concatenation, bit for bit.
+// Noding is two steps: finding each element's cut points, by testing
+// every candidate pair, in partner order (the order of the elements it
+// meets); then merging endpoints and cuts onto nodes and splitting each
+// element at its cuts. An operand lists its segments, then its isolated
+// points as degenerate segments. Its cuts on itself (FindSelfCuts) depend
+// on that operand alone, so relate keeps them with the operand, and
+// NodeOperands finds only the cross pairs on each call. NodeOperands nodes
+// the concatenation [A segments, B segments, A points, B points]: every
+// cut list is joined in that partner order, A's segments, B's segments,
+// A's points, B's points, so edges, nodes and node order are those of
+// noding the concatenation all pairs at once. The polygonizer nodes its
+// linework as one operand against an empty one.
 //
 // Input sizes are small. Over the first 9 rounds of perfbench's `aei-n40`
 // workload (seed 4242), relate nodes two operands 106,895 times: 89% of
@@ -29,9 +28,9 @@
 //  - cuts go into one flat list in discovery order and are then
 //    counting-sorted by list, which keeps each list's cut order;
 //  - boxes, cuts and the per-segment split list live in per-thread
-//    scratch, and the overloads that write into a caller's result reuse
-//    its capacity, so a warm caller allocates nothing (relate keeps one
-//    result per thread; the polygonizer takes the returning form);
+//    scratch, and NodeOperands writes into a caller's result, reusing its
+//    capacity, so a warm caller allocates nothing (relate keeps one
+//    result per thread);
 //  - the node merger scans the nodes for the first within eps, with no
 //    memo in front. Replayed on the 85,276 noding inputs of an `aei` run
 //    at N=40 (all dialects, seed 4242; 7.9 segments, 36 lookups and 11.2
@@ -51,8 +50,9 @@
 //    lookup scans and registers a node. Over the 9 rounds above, 66% of
 //    the 2.73M cut lookups take the shortcut.
 // The output is bit-identical to the straightforward all-pairs noder with
-// a linear merger; noding_test keeps that reference and compares against
-// it on seeded segment soups, and NodeOperands against NodeSegments.
+// a linear merger over the concatenation; noding_test keeps that
+// reference and compares NodeOperands against it on seeded segment soups
+// and edge cases.
 #ifndef SPATTER_ALGO_NODING_H_
 #define SPATTER_ALGO_NODING_H_
 
@@ -64,12 +64,10 @@
 
 namespace spatter::algo {
 
-/// Input segment with a source tag, carried to its edges (the
-/// polygonizer and relate use 0 for everything).
+/// Input segment; an isolated point is the degenerate segment {p, p}.
 struct TaggedSegment {
   geom::Coord a;
   geom::Coord b;
-  int src = 0;
 };
 
 /// Output edge: a sub-segment of exactly one input segment, crossing no
@@ -77,16 +75,18 @@ struct TaggedSegment {
 struct NodedEdge {
   geom::Coord a;
   geom::Coord b;
-  int src = 0;
-  size_t input_index = 0;  ///< index of the originating TaggedSegment
+  /// Index of the originating segment in the concatenation.
+  size_t input_index = 0;
 };
 
 /// NodingResult::node_origins of a node a cut registered.
 inline constexpr uint32_t kCutOrigin = UINT32_MAX;
 
 struct NodingResult {
+  /// Listed by input segment, each split in order along its segment.
   std::vector<NodedEdge> edges;
-  /// Unique node coordinates (all edge endpoints after eps-merging).
+  /// Unique node coordinates (all edge endpoints after eps-merging), in
+  /// registration order.
   std::vector<geom::Coord> nodes;
   /// For each node, what registered it: 2 * i for input segment i's start
   /// a, 2 * i + 1 for its end b (the node then holds that coordinate's
@@ -99,20 +99,6 @@ struct SegmentCuts {
   std::vector<geom::Coord> cuts;
   std::vector<uint32_t> start;
 };
-
-/// Nodes all segments pairwise (O(n^2) candidate pairs with an envelope
-/// pre-filter; campaign inputs are tiny). Nearby intersection points within
-/// `eps` are merged onto a single node, the first registered one, so
-/// concurrent crossings from different pairs agree. Nodes are listed in
-/// registration order; edges are listed by input segment, each split in
-/// order along its segment.
-NodingResult NodeSegments(const std::vector<TaggedSegment>& segments,
-                          double eps);
-
-/// The same, written into `*result` (its previous contents replaced),
-/// reusing the capacity of its vectors.
-void NodeSegments(const std::vector<TaggedSegment>& segments, double eps,
-                  NodingResult* result);
 
 /// One operand of NodeOperands: its segments, then its isolated points,
 /// each the degenerate segment {p, p}.
@@ -134,10 +120,14 @@ struct NodingOperand {
 /// Finds `op`'s boxes and self cuts for tolerance `eps`.
 void FindSelfCuts(double eps, NodingOperand* op);
 
-/// NodeSegments over [a.segments, b.segments, a.points, b.points], from
-/// each operand's self cuts (FindSelfCuts at the same `eps`) and the cross
-/// pairs it finds itself; bit-identical to it in edges, nodes and node
-/// order. `a` and `b` may be the same operand.
+/// Nodes [a.segments, b.segments, a.points, b.points] pairwise (O(n^2)
+/// candidate pairs with an envelope pre-filter; campaign inputs are tiny),
+/// from each operand's self cuts (FindSelfCuts at the same `eps`) and the
+/// cross pairs it finds itself. Points within `eps` of each other merge
+/// onto a single node, the first registered one, so concurrent crossings
+/// from different pairs agree. Writes into `*result` (its previous
+/// contents replaced), reusing the capacity of its vectors. `a` and `b`
+/// may be the same operand.
 void NodeOperands(const NodingOperand& a, const NodingOperand& b, double eps,
                   NodingResult* result);
 

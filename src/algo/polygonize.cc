@@ -30,25 +30,28 @@ struct HalfEdge {
 
 GeomPtr Polygonize(const Geometry& g) {
   // 1. Collect linework segments.
-  std::vector<TaggedSegment> segs;
+  NodingOperand linework;
+  std::vector<TaggedSegment>& segs = linework.segments;
   geom::ForEachBasic(g, [&segs](const Geometry& basic) {
     if (basic.type() == GeomType::kLineString) {
       const auto& pts = geom::AsLineString(basic).points();
       for (size_t i = 0; i + 1 < pts.size(); ++i) {
-        if (pts[i] != pts[i + 1]) segs.push_back({pts[i], pts[i + 1], 0});
+        if (pts[i] != pts[i + 1]) segs.push_back({pts[i], pts[i + 1]});
       }
     } else if (basic.type() == GeomType::kPolygon) {
       for (const auto& ring : geom::AsPolygon(basic).rings()) {
         for (size_t i = 0; i + 1 < ring.size(); ++i) {
-          if (ring[i] != ring[i + 1]) segs.push_back({ring[i], ring[i + 1], 0});
+          if (ring[i] != ring[i + 1]) segs.push_back({ring[i], ring[i + 1]});
         }
       }
     }
   });
   if (segs.empty()) return geom::MakeEmpty(GeomType::kGeometryCollection);
 
-  // 2. Node the arrangement.
-  const NodingResult noded = NodeSegments(segs, geom::kDerivedEps);
+  // 2. Node the arrangement: the linework as one operand, against nothing.
+  FindSelfCuts(geom::kDerivedEps, &linework);
+  NodingResult noded;
+  NodeOperands(linework, NodingOperand(), geom::kDerivedEps, &noded);
 
   // 3. Build the half-edge structure. Deduplicate undirected edges first
   //    (overlapping input lines produce repeated noded edges).

@@ -23,8 +23,10 @@ bool IsCcw(const std::vector<geom::Coord>& ring);
 /// One edge [a, b] of the even-odd ray cast toward +x. Returns true when
 /// `p` lies on the edge (within `eps`, as OnSegment); otherwise flips
 /// `*inside` when the ray crosses the edge. The half-open rule on y makes a
-/// ray through a vertex count once. LocateInRing and the relate kernel's
-/// prepared locator share this step.
+/// ray through a vertex count once. LocateInRing takes this step; the
+/// relate kernel's prepared locator writes it out inline against its
+/// stored segment boxes (relate/point_locator.cc), so the two must change
+/// together.
 inline bool RingEdgeStep(const geom::Coord& p, const geom::Coord& a,
                          const geom::Coord& b, double eps, bool* inside) {
   if (geom::OnSegment(p, a, b, eps)) return true;

@@ -17,9 +17,10 @@ namespace spatter::fleet {
 
 namespace {
 
-// Line keywords of the v2 body. `config` and `counters` appear exactly
-// once; the repeatable lines may appear any number of times (including
-// zero) in any order after `config`.
+// Line keywords of the v3 body. `config` and `counters` appear exactly
+// once, `corpus` and `metrics` at most once, `progress` at most once per
+// (dialect, slice); the repeatable lines may appear any number of times
+// (including zero) in any order after `config`.
 constexpr const char kConfig[] = "config";
 constexpr const char kCounters[] = "counters";
 constexpr const char kProgress[] = "progress";
@@ -153,10 +154,8 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
   if (base.corpus.enabled && !state.corpus_dir.empty()) {
     // dir goes last: it may contain spaces, so the parser takes the
     // remainder of the line.
-    std::snprintf(buf, sizeof(buf), "%s %" PRIu64 " ", kCorpus,
-                  state.corpus_entries);
-    put(std::string(buf) + FormatSiteKeys(state.corpus_signatures) + ' ' +
-        state.corpus_dir);
+    put(std::string(kCorpus) + ' ' + FormatSiteKeys(state.corpus_signatures) +
+        ' ' + state.corpus_dir);
   }
 
   if (!state.metrics.empty()) {
@@ -205,6 +204,7 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
   CheckpointState state;
   bool saw_config = false;
   bool saw_counters = false;
+  bool saw_corpus = false;
   bool saw_metrics = false;
   for (size_t i = 1; i + 1 < lines.size(); ++i) {
     const std::string& line = lines[i];
@@ -264,7 +264,10 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
           dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
         return Malformed("progress fields");
       }
-      state.completed[{dialect, slice}] = count;
+      // A second mark for one slice would silently re-run or skip work.
+      if (!state.completed.try_emplace({dialect, slice}, count).second) {
+        return Malformed("duplicate progress line");
+      }
     } else if (kw == kBug) {
       if (args < 1) return Malformed("bug field count");
       // The rest of the line is a wire BUG frame (spaces included).
@@ -292,17 +295,15 @@ Result<CheckpointState> DecodeCheckpoint(const std::string& text) {
       }
       state.curve.push_back(s);
     } else if (kw == kCorpus) {
-      if (args < 3) return Malformed("corpus field count");
-      if (!ParseU64(arg(0), &state.corpus_entries) ||
-          !ParseSiteKeys(arg(1), &state.corpus_signatures)) {
+      if (saw_corpus) return Malformed("duplicate corpus line");
+      if (args < 2) return Malformed("corpus field count");
+      saw_corpus = true;
+      if (!ParseSiteKeys(arg(0), &state.corpus_signatures)) {
         return Malformed("corpus manifest");
       }
-      // dir = everything after the third space (it may contain spaces).
-      size_t pos = 0;
-      for (int spaces = 0; spaces < 3; ++spaces) {
-        pos = line.find(' ', pos) + 1;
-      }
-      state.corpus_dir = line.substr(pos);
+      // dir = everything after the second space (it may contain spaces).
+      const size_t dir_at = line.find(' ', kw.size() + 1) + 1;
+      state.corpus_dir = line.substr(dir_at);
       if (state.corpus_dir.empty()) return Malformed("corpus dir");
     } else if (kw == kMetrics) {
       if (saw_metrics) return Malformed("duplicate metrics line");

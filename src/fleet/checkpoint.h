@@ -1,9 +1,9 @@
-// Campaign checkpoint/resume (format v2): the supervisor's periodically
+// Campaign checkpoint/resume (format v3): the supervisor's periodically
 // persisted snapshot of everything a long campaign cannot afford to lose
 // when the supervisor itself dies — per-slice completed-iteration
 // high-water marks in the global SplitSeed slice space, the consumed
 // duration budget, the credited counts (iterations, queries, checks,
-// findings), the merged unique-bug set with each fault's standing
+// findings) and seconds (busy, engine), the merged unique-bug set with each fault's standing
 // reproducer and detecting oracle, the fleet-wide covered-site key set,
 // the Figure-8 curve samples, and a manifest of the corpus directory the
 // campaign persists alongside.
@@ -14,9 +14,9 @@
 // as the same campaign run uninterrupted, for ANY processes x jobs
 // factorization of the checkpointed slice count. The pieces that buy it:
 //   - high-water marks are COMPLETED iteration counts (SLICEPROGRESS
-//     frames), and the counts are what those frames credited, so the
-//     in-flight iteration at checkpoint time is re-run on resume and
-//     credited once, never skipped;
+//     frames), and the counts and seconds are what those frames credited,
+//     so the in-flight iteration at checkpoint time is re-run on resume
+//     and credited once, never skipped;
 //   - each restored unique bug and each re-run iteration's unique bugs
 //     merge by the one rule of runtime::Aggregator::MergeUniqueBug
 //     (fuzz::DetectedEarlier, a total order), so a re-reported bug
@@ -34,7 +34,9 @@
 // names its fault), and site sets reuse the COV key-list encoding — the
 // checkpoint re-uses the fleet codecs instead of inventing parallel ones.
 // v2 added the findings count to the `counters` line and took the fault
-// id out of `bug` lines into their frames (protocol 5).
+// id out of `bug` lines into their frames (protocol 5). v3's `bug` lines
+// are protocol-6 BUG frames (no elapsed time), and its `corpus` line
+// dropped the entry count its signature list already gives.
 #ifndef SPATTER_FLEET_CHECKPOINT_H_
 #define SPATTER_FLEET_CHECKPOINT_H_
 
@@ -52,7 +54,7 @@
 
 namespace spatter::fleet {
 
-inline constexpr char kCheckpointMagic[] = "spatter-checkpoint-v2";
+inline constexpr char kCheckpointMagic[] = "spatter-checkpoint-v3";
 inline constexpr char kCheckpointFileName[] = "checkpoint.sptk";
 
 /// Everything a resumed supervisor reconstructs. The campaign identity
@@ -78,6 +80,7 @@ struct CheckpointState {
   uint64_t queries_run = 0;
   uint64_t checks_run = 0;
   uint64_t findings = 0;              ///< findings credited so far
+  /// Summed wall and engine seconds of the credited iterations.
   double busy_seconds = 0.0;
   double engine_seconds = 0.0;
   /// Completed-iteration high-water mark per (dialect value, global
@@ -93,23 +96,24 @@ struct CheckpointState {
 
   // --- corpus manifest ---
   std::string corpus_dir;             ///< empty unless base.corpus.enabled
-  uint64_t corpus_entries = 0;        ///< entries persisted at checkpoint
-  /// Site signatures of the persisted entries; resume warns when the
-  /// reloaded directory does not match (someone pruned it between runs).
+  /// Site signatures of the entries persisted at checkpoint, one per
+  /// entry; resume warns when the reloaded directory does not match
+  /// (someone pruned it between runs).
   std::vector<uint64_t> corpus_signatures;
 
   // --- telemetry ---
   /// Fleet-merged metrics at checkpoint time. On resume this becomes the
   /// supervisor's baseline so counters and histograms continue from
-  /// where the dead run left off instead of restarting at zero. Optional
-  /// in the file format: pre-telemetry checkpoints decode to empty.
+  /// where the dead run left off instead of restarting at zero. The
+  /// encoder omits an empty snapshot, and a document without a `metrics`
+  /// line decodes to one.
   obs::MetricsSnapshot metrics;
 };
 
 /// `dir`/checkpoint.sptk.
 std::string CheckpointPath(const std::string& dir);
 
-/// The v2 text document for `state`.
+/// The v3 text document for `state`.
 std::string EncodeCheckpoint(const CheckpointState& state);
 
 /// Inverse of EncodeCheckpoint. Rejects version skew, truncation (missing

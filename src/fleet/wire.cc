@@ -163,9 +163,10 @@ std::string EncodeFrame(const Frame& frame) {
       put_u(frame.queries);
       put_u(frame.checks);
       put_u(frame.findings);
+      put_f(frame.busy_seconds);
+      put_f(frame.engine_seconds);
       break;
     case FrameType::kCov: {
-      put_f(frame.elapsed);
       line += ' ' + FormatSiteKeys(frame.site_keys);
       const std::string text = frame.metrics.EncodeText();
       line += ' ' + HexEncode(std::vector<uint8_t>(text.begin(), text.end()));
@@ -178,23 +179,18 @@ std::string EncodeFrame(const Frame& frame) {
       put_u(frame.fault);
       put_u(frame.query_index);
       put_u(frame.is_crash ? 1 : 0);
-      put_f(frame.elapsed);
       line += ' ' + HexEncode(std::vector<uint8_t>(frame.detail.begin(),
                                                    frame.detail.end()));
       line += ' ' + HexEncode(frame.payload);
       break;
-    case FrameType::kDone:
-      put_f(frame.busy_seconds);
-      put_f(frame.engine_seconds);
-      break;
     case FrameType::kNetHello:
       put_u(frame.proto);
-      put_u(frame.pid);
       break;
     case FrameType::kAssign:
       put_u(frame.worker);
       line += ' ' + HexEncode(frame.payload);
       break;
+    case FrameType::kDone:
     case FrameType::kBye:
       break;
   }
@@ -217,7 +213,6 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
   if (fields.size() < 2 || fields[0] != kMagic) return Malformed("bad magic");
 
   Frame frame;
-  size_t want = 0;
   bool known = false;
   for (size_t t = 0; t < sizeof(kTypeNames) / sizeof(kTypeNames[0]); ++t) {
     if (fields[1] == kTypeNames[t]) {
@@ -234,8 +229,7 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
   };
   switch (frame.type) {
     case FrameType::kInflight:
-      want = 2;
-      if (args != want) return Malformed("INFLIGHT field count");
+      if (args != 2) return Malformed("INFLIGHT field count");
       if (!ParseU64(arg(0), &frame.dialect) ||
           !ParseU64(arg(1), &frame.slice)) {
         return Malformed("INFLIGHT fields");
@@ -245,14 +239,15 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       }
       break;
     case FrameType::kSliceProgress:
-      want = 6;
-      if (args != want) return Malformed("SLICEPROGRESS field count");
+      if (args != 8) return Malformed("SLICEPROGRESS field count");
       if (!ParseU64(arg(0), &frame.dialect) ||
           !ParseU64(arg(1), &frame.slice) ||
           !ParseU64(arg(2), &frame.completed) ||
           !ParseU64(arg(3), &frame.queries) ||
           !ParseU64(arg(4), &frame.checks) ||
-          !ParseU64(arg(5), &frame.findings)) {
+          !ParseU64(arg(5), &frame.findings) ||
+          !ParseFieldF64(arg(6), &frame.busy_seconds) ||
+          !ParseFieldF64(arg(7), &frame.engine_seconds)) {
         return Malformed("SLICEPROGRESS fields");
       }
       if (frame.dialect >= static_cast<uint64_t>(engine::kNumDialects)) {
@@ -260,13 +255,11 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       }
       break;
     case FrameType::kCov: {
-      want = 3;
-      if (args != want) return Malformed("COV field count");
-      if (!ParseFieldF64(arg(0), &frame.elapsed) ||
-          !ParseSiteKeys(arg(1), &frame.site_keys)) {
+      if (args != 2) return Malformed("COV field count");
+      if (!ParseSiteKeys(arg(0), &frame.site_keys)) {
         return Malformed("COV fields");
       }
-      auto payload = HexDecode(arg(2));
+      auto payload = HexDecode(arg(1));
       if (!payload.ok()) return payload.status();
       const std::vector<uint8_t> bytes = payload.Take();
       auto snapshot = obs::MetricsSnapshot::DecodeText(
@@ -276,53 +269,47 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       break;
     }
     case FrameType::kEntry: {
-      want = 1;
-      if (args != want) return Malformed("ENTRY field count");
+      if (args != 1) return Malformed("ENTRY field count");
       auto payload = HexDecode(arg(0));
       if (!payload.ok()) return payload.status();
       frame.payload = payload.Take();
       break;
     }
     case FrameType::kBug: {
-      want = 6;
-      if (args != want) return Malformed("BUG field count");
+      if (args != 5) return Malformed("BUG field count");
       if (!ParseU64(arg(0), &frame.fault) ||
           !ParseU64(arg(1), &frame.query_index) ||
-          !ParseFieldBool01(arg(2), &frame.is_crash) ||
-          !ParseFieldF64(arg(3), &frame.elapsed)) {
+          !ParseFieldBool01(arg(2), &frame.is_crash)) {
         return Malformed("BUG fields");
       }
       if (frame.fault >= static_cast<uint64_t>(faults::FaultId::kNumFaults)) {
         return Malformed("BUG fault out of range");
       }
-      auto detail = HexDecode(arg(4));
+      auto detail = HexDecode(arg(3));
       if (!detail.ok()) return detail.status();
       const std::vector<uint8_t> detail_bytes = detail.Take();
       frame.detail.assign(detail_bytes.begin(), detail_bytes.end());
-      auto payload = HexDecode(arg(5));
+      auto payload = HexDecode(arg(4));
       if (!payload.ok()) return payload.status();
       frame.payload = payload.Take();
       break;
     }
     case FrameType::kDone:
-      want = 2;
-      if (args != want) return Malformed("DONE field count");
-      if (!ParseFieldF64(arg(0), &frame.busy_seconds) ||
-          !ParseFieldF64(arg(1), &frame.engine_seconds)) {
-        return Malformed("DONE fields");
-      }
+      if (args != 0) return Malformed("DONE field count");
       break;
     case FrameType::kNetHello:
-      want = 2;
-      if (args != want) return Malformed("NETHELLO field count");
-      if (!ParseU64(arg(0), &frame.proto) ||
-          !ParseU64(arg(1), &frame.pid)) {
+      // Every version's NETHELLO starts with its version; what follows is
+      // that version's layout (5 sent a pid), so skew decodes and is
+      // answered with BYE instead of a silent protocol error.
+      if (args < 1 || !ParseU64(arg(0), &frame.proto)) {
         return Malformed("NETHELLO fields");
+      }
+      if (frame.proto == kNetProtocolVersion && args != 1) {
+        return Malformed("NETHELLO field count");
       }
       break;
     case FrameType::kAssign: {
-      want = 2;
-      if (args != want) return Malformed("ASSIGN field count");
+      if (args != 2) return Malformed("ASSIGN field count");
       if (!ParseU64(arg(0), &frame.worker)) {
         return Malformed("ASSIGN fields");
       }
@@ -332,8 +319,7 @@ Result<Frame> DecodeFrameImpl(const std::string& line) {
       break;
     }
     case FrameType::kBye:
-      want = 0;
-      if (args != want) return Malformed("BYE field count");
+      if (args != 0) return Malformed("BYE field count");
       break;
   }
   return frame;
@@ -361,7 +347,6 @@ Result<Frame> MakeBugFrame(faults::FaultId id, const fuzz::Discrepancy& d,
   frame.fault = static_cast<uint64_t>(id);
   frame.query_index = d.query_index;
   frame.is_crash = d.is_crash;
-  frame.elapsed = d.elapsed_seconds;
   frame.detail = d.detail;
   frame.payload = encoded.Take();
   return frame;
@@ -378,7 +363,6 @@ Result<fuzz::Discrepancy> BugFrameToDiscrepancy(const Frame& frame) {
   d.query_index = frame.query_index;
   d.is_crash = frame.is_crash;
   d.detail = frame.detail;
-  d.elapsed_seconds = frame.elapsed;
   return d;
 }
 

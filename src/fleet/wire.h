@@ -15,28 +15,30 @@
 //
 // Frames, by direction:
 //   worker -> supervisor
-//     NETHELLO <proto> <pid>   (first frame after connect; the supervisor
-//              BYEs on protocol-version skew)
+//     NETHELLO <proto>   (first frame after connect; the supervisor BYEs
+//              on protocol-version skew. <proto> is the first field of
+//              every version's NETHELLO, so a hello of another version
+//              decodes whatever else it carries)
 //     INFLIGHT <dialect> <slice>   (before every iteration: the slice's
 //              next iteration, slice + mark * slices at the supervisor's
 //              mark for it, is in flight; the supervisor's crash-recovery
 //              anchor)
 //     SLICEPROGRESS <dialect> <slice> <completed> <queries> <checks>
-//              <findings>   (the iteration's last frame and its commit
-//              point: <completed> is the slice's absolute completed-
-//              iteration count, resume offset included, so the
-//              supervisor's mark plus one; the counts are this iteration's
-//              own, and the supervisor credits the iteration with them
-//              when the frame arrives, so an iteration is credited once.
-//              Nothing of the slice is in flight after it)
-//     COV      <elapsed> <key,key,...|-> <hex(spatter-metrics-text-v1
-//              snapshot)>   (the coverage-site keys first hit since the
-//              last COV, and the worker process's cumulative
-//              MetricsSnapshot since its assignment started; the payload
-//              must decode as a valid snapshot document or the frame is
-//              rejected whole)
+//              <findings> <busy_s> <engine_s>   (the iteration's last
+//              frame and its commit point: <completed> is the slice's
+//              absolute completed-iteration count, resume offset included,
+//              so the supervisor's mark plus one; the counts and seconds
+//              are this iteration's own, and the supervisor credits the
+//              iteration with them when the frame arrives, so an iteration
+//              is credited once, its time included. Nothing of the slice
+//              is in flight after it)
+//     COV      <key,key,...|-> <hex(spatter-metrics-text-v1 snapshot)>
+//              (the coverage-site keys first hit since the last COV, and
+//              the worker process's cumulative MetricsSnapshot since its
+//              assignment started; the payload must decode as a valid
+//              snapshot document or the frame is rejected whole)
 //     ENTRY    <hex(TestCaseCodec record)>
-//     BUG      <fault> <query_index> <is_crash> <elapsed> <hex(detail)>
+//     BUG      <fault> <query_index> <is_crash> <hex(detail)>
 //              <hex(TestCaseCodec record)>
 //              (one of the iteration's unique bugs: its first report of
 //              faults::FaultId <fault>, which must be among the record's
@@ -44,8 +46,8 @@
 //              fuzz::DetectedEarlier on arrival, as the in-process runtime
 //              merges an iteration's result; SLICEPROGRESS counts the
 //              iteration's findings)
-//     DONE     <busy_s> <engine_s>   (timing only: work is credited by
-//              SLICEPROGRESS, engine counters travel in COV's snapshot)
+//     DONE     (no fields: the assignment is over. It credits nothing;
+//              engine counters travel in COV's snapshot)
 //   supervisor -> worker
 //     ASSIGN   <worker> <hex(checkpoint doc)>   (one work assignment: the
 //              payload is an EncodeCheckpoint document whose progress
@@ -100,14 +102,18 @@ enum class FrameType : uint8_t {
 /// fault it stands for instead of the oracle; INFLIGHT lost its iteration
 /// (the supervisor's mark gives it); SLICEPROGRESS ends a slice's
 /// in-flight state, so SLICEDONE was retired; COV carries the metrics
-/// snapshot, so STATS was retired.
-inline constexpr uint64_t kNetProtocolVersion = 5;
+/// snapshot, so STATS was retired. 6: SLICEPROGRESS carries its
+/// iteration's busy and engine seconds, so DONE lost its fields (a worker
+/// killed before DONE lost the time of every iteration it credited); COV
+/// and BUG lost their elapsed time and NETHELLO its pid, which nothing
+/// read.
+inline constexpr uint64_t kNetProtocolVersion = 6;
 
 /// Hardening caps for frames from untrusted remote peers. The byte cap
 /// bounds ASSIGN/ENTRY/BUG hex payloads (a checkpoint document of a large
 /// campaign stays well under it); the field cap bounds splitter memory
-/// (the widest legitimate frames, BUG and SLICEPROGRESS, have 8 fields
-/// with the magic and the type).
+/// (the widest legitimate frame, SLICEPROGRESS, has 10 fields with the
+/// magic and the type).
 inline constexpr size_t kMaxFrameBytes = 8u << 20;
 inline constexpr size_t kMaxFrameFields = 16;
 
@@ -127,14 +133,15 @@ struct Frame {
   uint64_t dialect = 0;
   uint64_t slice = 0;
   // SLICEPROGRESS only: the absolute completed count, then the
-  // iteration's own counts.
+  // iteration's own counts and seconds.
   uint64_t completed = 0;
   uint64_t queries = 0;
   uint64_t checks = 0;
   uint64_t findings = 0;
+  double busy_seconds = 0.0;
+  double engine_seconds = 0.0;
 
   // COV
-  double elapsed = 0.0;  // also BUG
   std::vector<uint64_t> site_keys;  // stable keys newly covered
   obs::MetricsSnapshot metrics;     // DecodeFrame fully validates it
 
@@ -149,11 +156,6 @@ struct Frame {
 
   // NETHELLO
   uint64_t proto = 0;
-  uint64_t pid = 0;
-
-  // DONE timing
-  double busy_seconds = 0.0;
-  double engine_seconds = 0.0;
 };
 
 /// Renders `frame` as one '\n'-terminated line.

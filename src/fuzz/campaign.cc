@@ -131,28 +131,24 @@ double Campaign::NowSeconds() {
       .count();
 }
 
-void Campaign::RunIterationAt(size_t iteration, CampaignResult* result,
-                              double started_at) {
+void Campaign::RunIterationAt(size_t iteration, CampaignResult* result) {
+  const double t0 = NowSeconds();
+  const engine::EngineStats stats_t0 = engine_->stats();
   // Iteration i draws from its own splitmix64-derived stream: the test
   // cases of iteration i are identical whether it runs serially, on shard
   // 0 of 1, or on shard 3 of 8.
   rng_.Seed(Rng::SplitSeed(config_.seed, iteration));
   obs::TraceRecorder& tracer = obs::TraceRecorder::Instance();
   tracer.BeginIteration(iteration);
-  RunIteration(iteration, result, started_at);
+  RunIteration(iteration, result);
   tracer.EndIteration();
+  const engine::EngineStats stats = engine_->stats() - stats_t0;
+  result->engine_stats += stats;
+  result->engine_seconds += stats.exec_seconds;
+  result->busy_seconds += NowSeconds() - t0;
 }
 
-void Campaign::FinalizeResult(CampaignResult* result, double started_at,
-                              const engine::EngineStats& stats_at_start) {
-  result->total_seconds = NowSeconds() - started_at;
-  result->busy_seconds = result->total_seconds;
-  result->engine_stats = engine_->stats() - stats_at_start;
-  result->engine_seconds = result->engine_stats.exec_seconds;
-}
-
-void Campaign::RunIteration(size_t iteration, CampaignResult* result,
-                            double started_at) {
+void Campaign::RunIteration(size_t iteration, CampaignResult* result) {
   // Step 1: input construction — geometry-aware generation, or (corpus
   // mode) mutation of a stored entry when the scheduler says so. The
   // thread-local coverage trace brackets the whole iteration so admission
@@ -225,7 +221,6 @@ void Campaign::RunIteration(size_t iteration, CampaignResult* result,
     obs::TraceRecorder::Instance().Emit("input.generation_crash", 0,
                                         crash.function.c_str());
     d.fault_hits = crash.fault_hits;
-    d.elapsed_seconds = NowSeconds() - started_at;
     result->Record(std::move(d));
   }
 
@@ -299,7 +294,6 @@ void Campaign::RunIteration(size_t iteration, CampaignResult* result,
                         : algo::AffineTransform::Identity();
       d.detail = outcome.detail;
       d.fault_hits = outcome.fault_hits;
-      d.elapsed_seconds = NowSeconds() - started_at;
       SPATTER_COV("campaign", d.is_crash ? "crash_found" : "logic_found");
       SPATTER_METRIC_INC("campaign.discrepancies");
       obs::TraceRecorder::Instance().Emit(
@@ -343,11 +337,8 @@ void Campaign::RunIteration(size_t iteration, CampaignResult* result,
 CampaignResult Campaign::Run() {
   CampaignResult result;
   const double t0 = NowSeconds();
-  const engine::EngineStats stats_t0 = engine_->stats();
-  for (size_t i = 0; i < config_.iterations; ++i) {
-    RunIterationAt(i, &result, t0);
-  }
-  FinalizeResult(&result, t0, stats_t0);
+  for (size_t i = 0; i < config_.iterations; ++i) RunIterationAt(i, &result);
+  result.total_seconds = NowSeconds() - t0;
   return result;
 }
 

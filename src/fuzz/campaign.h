@@ -87,7 +87,6 @@ struct Discrepancy {
   algo::AffineTransform transform;
   std::string detail;
   std::set<faults::FaultId> fault_hits;
-  double elapsed_seconds = 0.0;  ///< campaign time at detection
 
   /// Black-box signature (oracle, predicate, crash or logic, detail): a
   /// key the tests compare findings by across runs.
@@ -115,7 +114,7 @@ corpus::TestCaseRecord ReproducerOf(const Discrepancy& d,
                                     uint64_t master_seed);
 
 /// The finding a reproducer record holds: ReproducerOf's inverse up to
-/// what a record does not store (query index, crash flag, detail, time).
+/// what a record does not store (query index, crash flag, detail).
 Discrepancy FindingOf(const corpus::TestCaseRecord& rec);
 
 struct CampaignResult {
@@ -134,13 +133,14 @@ struct CampaignResult {
   size_t queries_run = 0;
   size_t checks_run = 0;
   double total_seconds = 0.0;   ///< wall time of the campaign ("Spatter")
-  /// Summed per-shard wall time. Equals total_seconds for a serial run;
-  /// for an aggregated sharded run it is the cumulative worker time, the
-  /// denominator of the Figure-7 Spatter/SDBMS split.
+  /// Summed wall time of the credited iterations. About total_seconds for
+  /// a serial run; for a sharded or fleet run it is the cumulative worker
+  /// time, the denominator of the Figure-7 Spatter/SDBMS split.
   double busy_seconds = 0.0;
-  double engine_seconds = 0.0;  ///< time spent inside the engine ("SDBMS")
-  /// Engine counters (statements, join pairs, index scans, ...); summed
-  /// across shards by the aggregator.
+  /// Summed engine time of the credited iterations ("SDBMS").
+  double engine_seconds = 0.0;
+  /// Engine counters (statements, join pairs, index scans, ...) of the
+  /// credited iterations; the fleet carries them in COV's metrics instead.
   engine::EngineStats engine_stats;
 
   /// Per-oracle attribution of the deduplicated unique bugs: which oracle
@@ -167,18 +167,12 @@ class Campaign {
   // --- Single-shard iteration API (used by runtime::ShardedCampaign) ----
 
   /// Runs global iteration `iteration`, reseeding the RNG from
-  /// (config.seed, iteration) first. Appends discrepancies and updates
-  /// counters in `result`; `started_at` anchors elapsed_seconds so shard
-  /// results stay comparable when several shards share one start time.
-  void RunIterationAt(size_t iteration, CampaignResult* result,
-                      double started_at);
-
-  /// Stamps total/busy/engine timing and engine counters accumulated since
-  /// `started_at` into `result`. `stats_at_start` is the engine's stats
-  /// reading when the run began; only the delta since then is recorded, so
-  /// reusing one Campaign for several runs never double-counts.
-  void FinalizeResult(CampaignResult* result, double started_at,
-                      const engine::EngineStats& stats_at_start);
+  /// (config.seed, iteration) first, and credits it to `result`: its
+  /// findings and counts, its wall time (busy_seconds), and its engine
+  /// time and EngineStats delta. Every tier sums these per-iteration
+  /// credits and nothing else, so an iteration counts once wherever it
+  /// ran.
+  void RunIterationAt(size_t iteration, CampaignResult* result);
 
   /// Monotonic wall clock, comparable across threads.
   static double NowSeconds();
@@ -215,8 +209,7 @@ class Campaign {
   void SeedCorpus(const std::vector<corpus::TestCaseRecord>& records);
 
  private:
-  void RunIteration(size_t iteration, CampaignResult* result,
-                    double started_at);
+  void RunIteration(size_t iteration, CampaignResult* result);
 
   CampaignConfig config_;
   Rng rng_;

@@ -237,9 +237,8 @@ geom::GeomPtr GeometryAwareGenerator::Derive(
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kCrash && crashes != nullptr) {
       SPATTER_COV("generator", "derive_crash");
-      crashes->push_back(GenerationCrash{
-          fn_name, stmt, result.status().message(),
-          engine_->fault_state().TakeHits()});
+      crashes->push_back(GenerationCrash{fn_name, result.status().message(),
+                                         engine_->fault_state().TakeHits()});
     }
     // Algorithm 1 lines 21-22: failed derivation yields an EMPTY shape.
     SPATTER_COV("generator", "derive_failed_empty");

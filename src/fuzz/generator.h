@@ -37,8 +37,7 @@ struct GeneratorConfig {
 /// A crash observed while deriving a geometry (crash bugs in editing
 /// functions surface during generation, before any query runs).
 struct GenerationCrash {
-  std::string function;   ///< engine function that crashed
-  std::string statement;  ///< the SELECT that triggered it
+  std::string function;  ///< engine function that crashed
   std::string message;
   std::set<faults::FaultId> fault_hits;
 };

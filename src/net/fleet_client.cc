@@ -124,15 +124,13 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
   // metrics registries are process-global), sent by whichever slice
   // crosses the interval first; its metrics are cumulative since the
   // assignment started.
-  const double t0 = Campaign::NowSeconds();
   std::mutex cov_mu;
   std::vector<uint64_t> cov_snapshot;  // empty = everything is new
-  double last_cov = t0;
+  double last_cov = Campaign::NowSeconds();
   auto heartbeat = [&](double now) {  // cov_mu held
     auto& registry = CoverageRegistry::Instance();
     Frame cov;
     cov.type = FrameType::kCov;
-    cov.elapsed = now - t0;
     // Snapshot BEFORE diffing: a site another slice first-hits between
     // the two calls then lands in this delta AND the next (a harmless
     // double report into a set union); the other order would bake it into
@@ -194,13 +192,13 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
       if (now - last_cov >= config.cov_interval_seconds) heartbeat(now);
     }
     // SLICEPROGRESS is the LAST frame of the iteration and its commit
-    // point: the supervisor credits the iteration with the counts it
-    // carries and takes the slice out of flight, and a checkpoint that
-    // includes this mark has necessarily merged everything the iteration
-    // produced (the stream preserves order), so skipping the iteration on
-    // resume loses neither bugs nor coverage. The converse tear only
-    // re-runs the iteration, which is then credited once, and the
-    // re-reports dedup away. The mark is absolute (resume offset
+    // point: the supervisor credits the iteration with the counts and
+    // seconds it carries and takes the slice out of flight, and a
+    // checkpoint that includes this mark has necessarily merged everything
+    // the iteration produced (the stream preserves order), so skipping the
+    // iteration on resume loses neither bugs nor coverage. The converse
+    // tear only re-runs the iteration, which is then credited once, and
+    // the re-reports dedup away. The mark is absolute (resume offset
     // included): the supervisor accepts it only as its own mark plus one.
     Frame progress;
     progress.type = FrameType::kSliceProgress;
@@ -210,10 +208,11 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
     progress.queries = delta->queries_run;
     progress.checks = delta->checks_run;
     progress.findings = delta->findings;
+    progress.busy_seconds = delta->busy_seconds;
+    progress.engine_seconds = delta->engine_seconds;
     write(progress);
   };
-  const fuzz::CampaignResult result =
-      runtime::ShardedCampaign(campaign_config).Run(observer);
+  runtime::ShardedCampaign(campaign_config).Run(observer);
 
   // A final COV so the supervisor's curve sees the tail and its merged
   // fleet view is complete before DONE retires this incarnation.
@@ -223,8 +222,6 @@ void RunAssignment(const runtime::ShardedCampaignConfig& campaign_config,
   }
   Frame done;
   done.type = FrameType::kDone;
-  done.busy_seconds = result.busy_seconds;
-  done.engine_seconds = result.engine_seconds;
   write(done);
 
   finished.store(true, std::memory_order_relaxed);
@@ -271,7 +268,6 @@ int RunFleetClient(const FleetClientConfig& config) {
     Frame hello;
     hello.type = FrameType::kNetHello;
     hello.proto = fleet::kNetProtocolVersion;
-    hello.pid = static_cast<uint64_t>(::getpid());
     if (!channel.WriteFrame(hello)) {
       channel.Close();
       return assignments_run > 0 ? 0 : 1;

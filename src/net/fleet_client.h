@@ -4,7 +4,7 @@
 //
 // Protocol: one assignment per TCP connection, carried by one
 // net::FrameChannel. The client connects (with a retry budget, so remote
-// workers may start before the supervisor), sends NETHELLO <proto> <pid>,
+// workers may start before the supervisor), sends NETHELLO <proto>,
 // and waits until the supervisor answers — ASSIGN (a hex-encoded
 // EncodeCheckpoint document carrying the campaign identity and the
 // assignment's (dialect, slice, completed) marks) or BYE (no work now or

@@ -402,6 +402,8 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
       iteration.queries_run = frame.queries;
       iteration.checks_run = frame.checks;
       iteration.findings = frame.findings;
+      iteration.busy_seconds = frame.busy_seconds;
+      iteration.engine_seconds = frame.engine_seconds;
       aggregator_.Merge(std::move(iteration));
       peer->credited_iterations++;
       peer->credited_queries += frame.queries;
@@ -442,17 +444,12 @@ void FleetServer::HandleFrame(Peer* peer, const Frame& frame) {
                                  d.Take());
       break;
     }
-    case FrameType::kDone: {
-      CampaignResult timing;
-      timing.busy_seconds = frame.busy_seconds;
-      timing.engine_seconds = frame.engine_seconds;
-      aggregator_.Merge(std::move(timing));
+    case FrameType::kDone:
       peer->got_done = true;
       // One assignment per connection: DONE completes it; the client
       // closes and reconnects for more work.
       peer->assignment.reset();
       break;
-    }
     case FrameType::kAssign:
     case FrameType::kBye:
       break;  // supervisor-to-worker frames; a peer echoing them is harmless
@@ -720,7 +717,6 @@ CheckpointState FleetServer::GatherCheckpoint() const {
       state.corpus_signatures.push_back(
           corpus::TestCaseCodec::SiteSignature(record.sites));
     }
-    state.corpus_entries = state.corpus_signatures.size();
   }
   return state;
 }
@@ -871,16 +867,17 @@ CampaignResult FleetServer::Run() {
       for (const corpus::TestCaseRecord& record : corpus_->Entries()) {
         on_disk.insert(corpus::TestCaseCodec::SiteSignature(record.sites));
       }
+      const std::vector<uint64_t>& manifest =
+          config_.resume->corpus_signatures;
       size_t missing = 0;
-      for (uint64_t sig : config_.resume->corpus_signatures) {
+      for (uint64_t sig : manifest) {
         if (on_disk.find(sig) == on_disk.end()) missing++;
       }
-      if (missing > 0 || on_disk.size() != config_.resume->corpus_entries) {
+      if (missing > 0 || on_disk.size() != manifest.size()) {
         std::fprintf(stderr,
                      "fleet: resume corpus mismatch: manifest lists %zu "
                      "entries, dir has %zu (%zu manifest entries missing)\n",
-                     static_cast<size_t>(config_.resume->corpus_entries),
-                     on_disk.size(), missing);
+                     manifest.size(), on_disk.size(), missing);
       }
     }
   }
@@ -1009,7 +1006,7 @@ CampaignResult FleetServer::Run() {
   // Transfer only when the fleet actually fuzzes several dialects — a
   // single-dialect campaign would pay the replays and the corpus-cap
   // pressure without ever scheduling the transferred copies.
-  if (corpus_ && config_.cross_dialect_transfer && dialects_.size() > 1) {
+  if (corpus_ && dialects_.size() > 1) {
     const fuzz::TransferStats transfer = fuzz::CrossDialectCorpusTransfer(
         corpus_.get(), config_.base.enable_faults);
     if (transfer.admitted > 0) {

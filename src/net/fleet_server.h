@@ -34,7 +34,7 @@
 // deterministic killer and moves the mark past the in-flight iteration,
 // trading that one case for campaign liveness.
 //
-// Handshake: the client's first frame is NETHELLO <proto> <pid>; the
+// Handshake: the client's first frame is NETHELLO <proto>; the
 // supervisor BYEs any peer with a different fleet::kNetProtocolVersion.
 // One assignment per connection: ASSIGN carries a hex-encoded
 // EncodeCheckpoint document (campaign identity + the assignment's
@@ -45,12 +45,13 @@
 // peer as they arrive.
 //
 // Work is credited in one place: each iteration's SLICEPROGRESS, its
-// last frame, carries its queries, checks and findings, and the
-// supervisor merges one iteration with them when the frame arrives.
-// Neither a heartbeat, nor DONE, nor a worker's death credits anything,
-// so a dead worker's uncredited iteration is credited once, when it is
-// re-run; the status line, the curve, /fleet and checkpoints all read
-// what has been credited. Peers are untrusted: an INFLIGHT or
+// last frame, carries its queries, checks, findings, busy seconds and
+// engine seconds, and the supervisor merges one iteration with them when
+// the frame arrives. Neither a heartbeat, nor DONE, nor a worker's death
+// credits anything, so a dead worker keeps the counts and time of every
+// iteration it completed, and its uncredited iteration is credited once,
+// when it is re-run; the status line, the curve, /fleet and checkpoints
+// all read what has been credited. Peers are untrusted: an INFLIGHT or
 // SLICEPROGRESS for a (dialect, slice) the peer's assignment does not
 // hold, or for a batch slice at its budget, and a SLICEPROGRESS whose mark
 // is not the slice's next one are protocol errors and credit nothing.
@@ -107,8 +108,6 @@ struct FleetConfig {
   /// Where a dead worker's in-flight reproducer and flight dump go
   /// (pure-generate mode only); empty = skip persisting.
   std::string crash_dir;
-  /// Replay merged corpus entries across dialects after the run.
-  bool cross_dialect_transfer = true;
   /// Seconds between COV heartbeats of local children.
   double cov_interval_seconds = 0.2;
   /// > 0: print a live fleet status line to stderr every S seconds

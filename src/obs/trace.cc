@@ -22,82 +22,6 @@ struct IterState {
 
 thread_local IterState tls_iter;
 
-Status Malformed(const std::string& why) {
-  return Status::InvalidArgument("trace document: " + why);
-}
-
-/// Consumes `lit` at *pos or fails.
-bool EatLit(const std::string& s, size_t* pos, const char* lit) {
-  const size_t n = std::strlen(lit);
-  if (s.compare(*pos, n, lit) != 0) return false;
-  *pos += n;
-  return true;
-}
-
-/// Consumes a decimal u64 at *pos (at least one digit, no sign, no
-/// leading '+', overflow rejected).
-bool EatU64(const std::string& s, size_t* pos, uint64_t* out) {
-  size_t p = *pos;
-  if (p >= s.size() || s[p] < '0' || s[p] > '9') return false;
-  uint64_t v = 0;
-  while (p < s.size() && s[p] >= '0' && s[p] <= '9') {
-    const uint64_t digit = static_cast<uint64_t>(s[p] - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;
-    v = v * 10 + digit;
-    ++p;
-  }
-  *pos = p;
-  *out = v;
-  return true;
-}
-
-/// Consumes a JSON string literal at *pos, undoing exactly the escapes
-/// AppendJsonString produces.
-bool EatJsonString(const std::string& s, size_t* pos, std::string* out) {
-  size_t p = *pos;
-  if (p >= s.size() || s[p] != '"') return false;
-  ++p;
-  out->clear();
-  while (p < s.size() && s[p] != '"') {
-    char c = s[p];
-    if (static_cast<unsigned char>(c) < 0x20) return false;
-    if (c == '\\') {
-      if (p + 1 >= s.size()) return false;
-      const char esc = s[p + 1];
-      if (esc == '"' || esc == '\\') {
-        out->push_back(esc);
-        p += 2;
-        continue;
-      }
-      if (esc == 'u') {
-        if (p + 5 >= s.size()) return false;
-        unsigned v = 0;
-        for (size_t i = p + 2; i < p + 6; ++i) {
-          const char h = s[i];
-          v <<= 4;
-          if (h >= '0' && h <= '9') {
-            v |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            v |= static_cast<unsigned>(h - 'a' + 10);
-          } else {
-            return false;
-          }
-        }
-        if (v >= 0x20) return false;  // only control chars are \u-escaped
-        out->push_back(static_cast<char>(v));
-        p += 6;
-        continue;
-      }
-      return false;
-    }
-    out->push_back(c);
-    ++p;
-  }
-  if (p >= s.size()) return false;
-  *pos = p + 1;
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -283,61 +207,6 @@ std::string TraceSnapshot::EncodeJsonl() const {
             static_cast<unsigned long long>(ev.value));
     AppendJsonString(&out, ev.detail);
     out.append("}\n");
-  }
-  return out;
-}
-
-Result<TraceSnapshot> TraceSnapshot::DecodeJsonl(const std::string& text) {
-  if (text.empty() || text.back() != '\n') {
-    return Malformed("missing trailing newline");
-  }
-  size_t pos = 0;
-  const auto next_line = [&text, &pos](std::string* line) {
-    if (pos >= text.size()) return false;
-    const size_t nl = text.find('\n', pos);
-    *line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    return true;
-  };
-
-  std::string line;
-  if (!next_line(&line)) return Malformed("empty document");
-  size_t p = 0;
-  uint64_t declared_events = 0;
-  TraceSnapshot out;
-  if (!EatLit(line, &p, "{\"schema\":\"") ||
-      !EatLit(line, &p, kTraceJsonSchema) ||
-      !EatLit(line, &p, "\",\"events\":") ||
-      !EatU64(line, &p, &declared_events) ||
-      !EatLit(line, &p, ",\"dropped\":") || !EatU64(line, &p, &out.dropped) ||
-      !EatLit(line, &p, "}") || p != line.size()) {
-    return Malformed("bad header line");
-  }
-
-  while (next_line(&line)) {
-    TraceEvent ev;
-    uint64_t thread = 0;
-    p = 0;
-    if (!EatLit(line, &p, "{\"t_us\":") || !EatU64(line, &p, &ev.t_us) ||
-        !EatLit(line, &p, ",\"thread\":") || !EatU64(line, &p, &thread) ||
-        thread > UINT32_MAX || !EatLit(line, &p, ",\"iter\":") ||
-        !EatU64(line, &p, &ev.iteration) ||
-        !EatLit(line, &p, ",\"name\":") ||
-        !EatJsonString(line, &p, &ev.name) ||
-        !EatLit(line, &p, ",\"value\":") || !EatU64(line, &p, &ev.value) ||
-        !EatLit(line, &p, ",\"detail\":") ||
-        !EatJsonString(line, &p, &ev.detail) || !EatLit(line, &p, "}") ||
-        p != line.size()) {
-      return Malformed("bad event line");
-    }
-    ev.thread = static_cast<uint32_t>(thread);
-    out.events.push_back(std::move(ev));
-    if (out.events.size() > declared_events) {
-      return Malformed("more events than header declares");
-    }
-  }
-  if (out.events.size() != declared_events) {
-    return Malformed("event count mismatch (truncated?)");
   }
   return out;
 }

@@ -55,13 +55,11 @@ struct TraceSnapshot {
 
   bool empty() const { return events.empty() && dropped == 0; }
 
-  /// Versioned strict JSONL codec: a header object naming the schema and
-  /// the exact event count, then one object per line. DecodeJsonl rejects
-  /// schema skew, truncation (count mismatch or missing trailing
-  /// newline), unknown keys, reordered keys, and malformed numbers or
-  /// string escapes — a corrupt trace is rejected, never half-applied.
+  /// The versioned JSONL document: a header object naming the schema, the
+  /// exact event count and the dropped count, then one object per event
+  /// line. Written for people and tools to read; the program itself never
+  /// reads a trace back.
   std::string EncodeJsonl() const;
-  static Result<TraceSnapshot> DecodeJsonl(const std::string& text);
 };
 
 /// Process-global recorder. Every thread that records gets its own ring

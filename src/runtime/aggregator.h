@@ -16,8 +16,8 @@
 //     serial run's, whatever the shard count, schedule, process split or
 //     arrival order;
 //   - iteration/query/check counters and EngineStats summed;
-//   - the Figure-7 time split preserved: busy_seconds accumulates per-shard
-//     wall time and engine_seconds per-shard SDBMS time, while
+//   - the Figure-7 time split preserved: busy_seconds accumulates the
+//     iterations' wall time and engine_seconds their SDBMS time, while
 //     total_seconds is stamped with the sharded run's wall clock.
 #ifndef SPATTER_RUNTIME_AGGREGATOR_H_
 #define SPATTER_RUNTIME_AGGREGATOR_H_
@@ -31,8 +31,8 @@ namespace spatter::runtime {
 
 class Aggregator {
  public:
-  /// Folds a shard result (or a per-iteration delta; zero-valued timing
-  /// fields merge as no-ops) into the running aggregate. The rvalue
+  /// Folds a result (an iteration's delta, a whole run's result, or a
+  /// restored checkpoint's totals) into the running aggregate. The rvalue
   /// overload moves discrepancy payloads instead of deep-copying them —
   /// use it on the slice loop's hot path, where merges run under the
   /// shared aggregate lock.

@@ -56,8 +56,6 @@ CampaignResult ShardedCampaign::Run(const Observer& observer) {
     cfg.dialect = dialect;
     Campaign campaign(cfg);
     campaign.SeedCorpus(config_.seed_corpus);
-    const double slice_t0 = Campaign::NowSeconds();
-    const engine::EngineStats stats_t0 = campaign.engine().stats();
     const auto mark =
         config_.completed.find({static_cast<uint64_t>(dialect), slice});
     uint64_t completed = mark == config_.completed.end() ? 0 : mark->second;
@@ -67,10 +65,10 @@ CampaignResult ShardedCampaign::Run(const Observer& observer) {
         break;
       }
       if (observer.before && !observer.before(campaign, slice, i)) break;
-      // Anchor elapsed_seconds at the run's start so the aggregator's
-      // earliest-detection dedup compares like with like across slices.
+      // The iteration's whole credit, its time included: the run's result
+      // is the sum of these deltas and nothing else.
       CampaignResult delta;
-      campaign.RunIterationAt(i, &delta, t0);
+      campaign.RunIterationAt(i, &delta);
       ++completed;
       if (observer.after) observer.after(campaign, slice, completed, &delta);
       // Move-merge keeps the critical section to pointer steals; the
@@ -82,12 +80,7 @@ CampaignResult ShardedCampaign::Run(const Observer& observer) {
         observer.sample(Campaign::NowSeconds() - t0, aggregator.current());
       }
     }
-    // Timing-only record: counters were merged per iteration above.
-    CampaignResult timing;
-    campaign.FinalizeResult(&timing, slice_t0, stats_t0);
     slice_corpora[slot] = campaign.TakeCorpus();
-    std::lock_guard<std::mutex> lock(merge_mu);
-    aggregator.Merge(std::move(timing));
   });
 
   // Merge in slot order: (dialect, slice) position, not finish time, so

@@ -85,8 +85,8 @@ class ShardedCampaign {
     std::function<bool(fuzz::Campaign& campaign, uint64_t slice,
                        size_t iteration)>
         before;
-    /// After it ran, before `delta` (its findings, unique bugs and
-    /// counters) merges into the run's result. `completed` counts the
+    /// After it ran, before `delta` (its findings, unique bugs, counters
+    /// and time) merges into the run's result. `completed` counts the
     /// slice's completed iterations, resume mark included. An observer
     /// that streams the findings or unique bugs elsewhere, or needs only
     /// their count (`delta->findings` keeps it), may take them out of

@@ -31,7 +31,7 @@
 // `dir` across runs, and every unique bug gets a binary reproducer file
 // there that --replay=file re-executes deterministically. On merge,
 // entries are replayed across the other dialects and admitted where they
-// buy new coverage (--no-transfer disables). --corpus-minify=dir
+// buy new coverage. --corpus-minify=dir
 // re-reduces a stored corpus offline against its coverage signatures.
 #include <algorithm>
 #include <atomic>
@@ -78,7 +78,6 @@ struct Options {
   size_t jobs = 1;
   bool reduce = true;
   std::string corpus_dir;   // empty = corpus mode off
-  bool transfer = true;     // cross-dialect corpus transfer on merge
   std::string replay_file;  // non-empty = replay mode, no campaign
   std::string minify_dir;   // non-empty = offline corpus minification
 
@@ -194,7 +193,6 @@ void Usage() {
       "                    the next run (deterministic for a fixed --jobs)\n"
       "  --mutate-pct=N    percent of iterations that mutate a corpus\n"
       "                    entry instead of generating (default 50)\n"
-      "  --no-transfer     skip cross-dialect corpus transfer on merge\n"
       "  --corpus-minify=DIR  offline: re-reduce DIR's corpus entries\n"
       "                    against their coverage signatures, drop\n"
       "                    signature duplicates, rewrite DIR; no campaign\n"
@@ -394,8 +392,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       opts->base.enable_faults = false;
     } else if (std::strcmp(argv[i], "--no-reduce") == 0) {
       opts->reduce = false;
-    } else if (std::strcmp(argv[i], "--no-transfer") == 0) {
-      opts->transfer = false;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       Usage();
       std::exit(0);
@@ -719,7 +715,6 @@ int main(int argc, char** argv) {
     // so give them a home of their own (created only if a worker dies).
     config.crash_dir =
         opts.corpus_dir.empty() ? "spatter-crashes" : opts.corpus_dir;
-    config.cross_dialect_transfer = opts.transfer;
     config.status_interval_seconds = opts.status_interval;
     config.metrics_out = opts.metrics_out;
     config.metrics_interval_seconds = opts.metrics_every;
@@ -776,7 +771,6 @@ int main(int argc, char** argv) {
     config.base = opts.base;
     config.jobs = opts.jobs;
     config.duration_seconds = opts.duration;
-    config.cross_dialect_transfer = opts.transfer;
     if (opts.all_dialects) {
       config.dialects = runtime::ShardedCampaign::AllDialects();
     }

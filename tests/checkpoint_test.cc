@@ -106,7 +106,6 @@ fuzz::Discrepancy SampleBug() {
   d.sdb1.tables.push_back({"t1", {"POINT(6 5)"}});
   d.detail = "count 1 vs 0";
   d.fault_hits = {faults::FaultId::kMysqlOverlapsSwappedAxes};
-  d.elapsed_seconds = 1.5;
   return d;
 }
 
@@ -138,7 +137,6 @@ CheckpointState SampleState() {
   state.covered_sites = {1, 2, 0xdeadbeefULL};
   state.curve = {{0.5, 10, 0, 2}, {1.25, 14, 1, 5}};
   state.corpus_dir = "corpus dir/with spaces";
-  state.corpus_entries = 2;
   state.corpus_signatures = {0xaULL, 0xbULL};
   state.metrics.counters["campaign.iterations"] = 10;
   state.metrics.gauges["corpus.size"] = 4;
@@ -151,7 +149,7 @@ CheckpointState SampleState() {
   return state;
 }
 
-/// Builds a minimal v2 document from body lines (valid trailer included).
+/// Builds a minimal v3 document from body lines (valid trailer included).
 std::string Doc(const std::vector<std::string>& body) {
   std::string out = std::string(kCheckpointMagic) + "\n";
   for (const std::string& line : body) out += line + "\n";
@@ -204,7 +202,6 @@ TEST(CheckpointCodec, RoundTripsEveryField) {
     EXPECT_EQ(out.curve[i].iterations, state.curve[i].iterations);
   }
   EXPECT_EQ(out.corpus_dir, state.corpus_dir);
-  EXPECT_EQ(out.corpus_entries, state.corpus_entries);
   EXPECT_EQ(out.corpus_signatures, state.corpus_signatures);
   ASSERT_EQ(out.unique_bugs.size(), 1u);
   EXPECT_EQ(out.unique_bugs[0].first,
@@ -236,12 +233,12 @@ TEST(CheckpointCodec, DocumentIsPinned) {
       fuzz::ParseOracleSuite("aei,diff:duckdb,tlp/3").Take();
   EXPECT_EQ(
       EncodeCheckpoint(state),
-      "spatter-checkpoint-v2\n"
+      "spatter-checkpoint-v3\n"
       "config 7 33 30 9 8 0 0 postgis,mysql aei,diff:duckdb,tlp/3 1 70 12.5\n"
       "counters 3.25 10 300 300 12 1.5 0.75\n"
       "progress 0 0 3\n"
       "progress 2 5 1\n"
-      "bug SPTW1 BUG 30 4 0 1.500000 636f756e7420312076732030 "
+      "bug SPTW1 BUG 30 4 0 636f756e7420312076732030 "
       "53505443020001024eb3454adf5403eb0b0000000000000000020000000200000074"
       "3001000000150000000101000000000000000000144000000000000018400200000074"
       "310100000015000000010100000000000000000018400000000000001440010200000074"
@@ -251,7 +248,7 @@ TEST(CheckpointCodec, DocumentIsPinned) {
       "sites 0000000000000001,0000000000000002,00000000deadbeef\n"
       "curve 0.5 10 0 2\n"
       "curve 1.25 14 1 5\n"
-      "corpus 2 000000000000000a,000000000000000b corpus dir/with spaces\n"
+      "corpus 000000000000000a,000000000000000b corpus dir/with spaces\n"
       "metrics 737061747465722d6d6574726963732d746578742d76310a632063616d7061"
       "69676e2e697465726174696f6e732031300a6720636f727075732e73697a6520340a68"
       "20656e67696e652e73746174656d656e742033203435303020393a330a656e6420330a"
@@ -260,12 +257,12 @@ TEST(CheckpointCodec, DocumentIsPinned) {
 }
 
 TEST(CheckpointCodec, MetricsLineIsOptionalAndValidated) {
-  // Pre-telemetry checkpoints (no metrics line) still decode — to an
-  // empty snapshot, not an error — so old campaign dirs stay resumable.
-  auto old_style = DecodeCheckpoint(Doc({kValidConfigLine,
-                                         kValidCountersLine}));
-  ASSERT_TRUE(old_style.ok()) << old_style.status().ToString();
-  EXPECT_TRUE(old_style.value().metrics.empty());
+  // The encoder omits an empty snapshot, so a document without a metrics
+  // line decodes to an empty one, not an error.
+  auto no_metrics = DecodeCheckpoint(Doc({kValidConfigLine,
+                                          kValidCountersLine}));
+  ASSERT_TRUE(no_metrics.ok()) << no_metrics.status().ToString();
+  EXPECT_TRUE(no_metrics.value().metrics.empty());
 
   obs::MetricsSnapshot snap;
   snap.counters["campaign.iterations"] = 42;
@@ -301,9 +298,11 @@ TEST(CheckpointCodec, VersionSkewRejected) {
   std::string doc = Doc({kValidConfigLine, kValidCountersLine});
   auto ok = DecodeCheckpoint(doc);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  // v1 documents (no findings count, fault ids outside their BUG frames)
-  // and any future format are refused, not guessed at.
-  for (const char* magic : {"spatter-checkpoint-v1", "spatter-checkpoint-v3"}) {
+  // v1 documents (no findings count, fault ids outside their BUG frames),
+  // v2 documents (BUG frames with an elapsed time, an entry count on the
+  // corpus line) and any future format are refused, not guessed at.
+  for (const char* magic : {"spatter-checkpoint-v1", "spatter-checkpoint-v2",
+                            "spatter-checkpoint-v4"}) {
     std::string other = doc;
     other.replace(0, std::string(kCheckpointMagic).size(), magic);
     auto skew = DecodeCheckpoint(other);
@@ -323,8 +322,14 @@ TEST(CheckpointCodec, CorruptDocumentsRejected) {
   ASSERT_TRUE(DecodeCheckpoint(Doc({kValidConfigLine, kValidCountersLine,
                                     "bug " + frame}))
                   .ok());
-  // v1 put the fault id before the frame.
+  // v1 put the fault id before the frame; v2 frames had an elapsed time.
   const std::string v1_bug = "30 " + frame;
+  std::vector<std::string> v2_fields = Split(frame, ' ');
+  v2_fields.insert(v2_fields.begin() + 5, "1.500000");
+  std::string v2_bug;
+  for (const std::string& f : v2_fields) {
+    v2_bug += (v2_bug.empty() ? "" : " ") + f;
+  }
   // A finding can stand only for a fault it fired.
   Frame foreign_frame = bug.value();
   foreign_frame.fault =
@@ -349,18 +354,26 @@ TEST(CheckpointCodec, CorruptDocumentsRejected) {
        kValidCountersLine},
       {kValidConfigLine, kValidCountersLine, "progress 9 0 1"},  // dialect
       {kValidConfigLine, kValidCountersLine, "progress 0 1"},    // fields
+      {kValidConfigLine, kValidCountersLine, "progress 0 1 5",
+       "progress 0 1 0"},                                        // dup mark
       {kValidConfigLine, "counters 0 0 0 0 0 0"},  // v1 counters
       {kValidConfigLine, kValidCountersLine, "bug"},
       {kValidConfigLine, kValidCountersLine, "bug "},
       {kValidConfigLine, kValidCountersLine, "bug not a frame"},
       {kValidConfigLine, kValidCountersLine, "bug SPTW1 BUG"},
       {kValidConfigLine, kValidCountersLine, "bug " + v1_bug},   // v1 line
+      {kValidConfigLine, kValidCountersLine, "bug " + v2_bug},   // v2 frame
       {kValidConfigLine, kValidCountersLine, "bug " + foreign_bug},
       {kValidConfigLine, kValidCountersLine, "sites xyz"},
       {kValidConfigLine, kValidCountersLine, "sites 1234"},  // short key
       {kValidConfigLine, kValidCountersLine, "curve 1.0 2 3"},
       {kValidConfigLine, kValidCountersLine, "frobnicate 1"},  // unknown
-      {kValidConfigLine, kValidCountersLine, "corpus 1 - "},  // empty dir
+      {kValidConfigLine, kValidCountersLine, "corpus - "},  // empty dir
+      {kValidConfigLine, kValidCountersLine, "corpus -"},   // no dir
+      {kValidConfigLine, kValidCountersLine,
+       "corpus 1 000000000000000a d"},                      // v2 entry count
+      {kValidConfigLine, kValidCountersLine, "corpus - d",
+       "corpus - e"},                                       // duplicate
   };
   for (const auto& body : corrupt_bodies) {
     const std::string doc = Doc(body);
@@ -381,26 +394,9 @@ TEST(CheckpointCodec, FloatFieldsAcceptOnlyFiniteDecimals) {
   // whose '@' is the field under test. Each must take a plain decimal and
   // refuse what strtod alone would also take: a peer or a file that says
   // "inf" must not set an endless duration budget.
-  const std::string snapshot = obs::MetricsSnapshot().EncodeText();
-  const std::string metrics_hex =
-      HexEncode(std::vector<uint8_t>(snapshot.begin(), snapshot.end()));
-  auto bug = MakeBugFrame(faults::FaultId::kMysqlOverlapsSwappedAxes,
-                          SampleBug(), 7);
-  ASSERT_TRUE(bug.ok()) << bug.status().ToString();
-  std::string bug_line = EncodeFrame(bug.value());
-  bug_line.pop_back();  // the '\n'
-  std::vector<std::string> bug_fields = Split(bug_line, ' ');
-  ASSERT_EQ(bug_fields.size(), 8u);
-  bug_fields[5] = "@";  // SPTW1 BUG <fault> <query> <crash> <elapsed> ...
-  bug_line.clear();
-  for (const std::string& f : bug_fields) {
-    bug_line += (bug_line.empty() ? "" : " ") + f;
-  }
   const std::vector<std::string> wire = {
-      "SPTW1 COV @ - " + metrics_hex,
-      "SPTW1 DONE @ 0.5",
-      "SPTW1 DONE 0.5 @",
-      bug_line,
+      "SPTW1 SLICEPROGRESS 0 1 2 3 4 5 @ 0.5",
+      "SPTW1 SLICEPROGRESS 0 1 2 3 4 5 0.5 @",
   };
   const std::vector<std::vector<std::string>> checkpoint = {
       {"config 42 10 25 8 4 1 1 postgis aei 0 50 @", kValidCountersLine},

@@ -3,8 +3,7 @@
 // (TestCaseCodec::Decode), the fleet wire (fleet::DecodeFrame), the SQL
 // parser (sql::ParseStatement), the checkpoint codec
 // (fleet::DecodeCheckpoint), the metrics text codec
-// (MetricsSnapshot::DecodeText), the trace codec
-// (TraceSnapshot::DecodeJsonl) and the status endpoint's request line
+// (MetricsSnapshot::DecodeText) and the status endpoint's request line
 // (net::ParseRequestPath). Fixed seeds, fixed input counts, AFL-style
 // operators (bit flips, byte sets, truncation, range deletion, chunk
 // duplication, splices and dictionary tokens;
@@ -18,7 +17,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -38,7 +36,6 @@
 #include "geom/wkt_writer.h"
 #include "net/status_endpoint.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sql/parser.h"
 
 namespace spatter::geom {
@@ -291,8 +288,9 @@ std::vector<Bytes> WireFrames(const Bytes& record) {
   frames[1].queries = 40;
   frames[1].checks = 80;
   frames[1].findings = 3;
+  frames[1].busy_seconds = 2.5;
+  frames[1].engine_seconds = 1e24;
   frames[2].type = FrameType::kCov;
-  frames[2].elapsed = 1.25;
   frames[2].site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
   frames[2].metrics.counters["campaign.iterations"] = 1234;
   frames[2].metrics.gauges["corpus.size"] = -3;
@@ -308,23 +306,22 @@ std::vector<Bytes> WireFrames(const Bytes& record) {
   frames[4].fault = 3;
   frames[4].query_index = 17;
   frames[4].is_crash = true;
-  frames[4].elapsed = 0.5;
   frames[4].detail = "count 3 vs 4, with spaces\tand tabs";
   frames[4].payload = record;
   frames[5].type = FrameType::kDone;
-  frames[5].busy_seconds = 2.5;
-  frames[5].engine_seconds = 1e24;
   frames[6].type = FrameType::kNetHello;
   frames[6].proto = fleet::kNetProtocolVersion;
-  frames[6].pid = 4242;
   frames[7].type = FrameType::kAssign;
   frames[7].worker = 1;
-  frames[7].payload = ToBytes("spatter-checkpoint-v2\nend 0\n");
+  frames[7].payload =
+      ToBytes(std::string(fleet::kCheckpointMagic) + "\nend 0\n");
   frames[8].type = FrameType::kBye;
   std::vector<Bytes> out;
   for (const Frame& frame : frames) {
     out.push_back(ToBytes(fleet::EncodeFrame(frame)));
   }
+  // A protocol-5 hello: it decodes to its version, whatever follows it.
+  out.push_back(ToBytes("SPTW1 NETHELLO 5 4242\n"));
   return out;
 }
 
@@ -589,7 +586,6 @@ std::vector<Bytes> Checkpoints() {
   state.base.corpus.enabled = true;
   state.base.corpus.mutate_pct = 35;
   state.corpus_dir = "corpus dir";
-  state.corpus_entries = 2;
   state.corpus_signatures = {0xaULL, 0xbULL};
   out.push_back(ToBytes(fleet::EncodeCheckpoint(state)));
   return out;
@@ -623,7 +619,7 @@ TEST(DecoderFuzz, CheckpointAcceptsOnlyFixedPoints) {
   EXPECT_GT(accepted, 1000u);
 }
 
-// --- Metrics text and trace JSONL ----------------------------------------
+// --- Metrics text -----------------------------------------------------------
 
 // Metrics documents: a short all-oracle campaign's registry snapshot, its
 // histograms' timings replaced by fixed values so the seeds are the same
@@ -683,68 +679,6 @@ TEST(DecoderFuzz, MetricsTextAcceptsOnlyFixedPoints) {
         EXPECT_TRUE(m2.ok()) << text << " printed as " << t1;
         if (!m2.ok()) return true;
         EXPECT_EQ(m2.value().EncodeText(), t1) << text;
-        return true;
-      });
-  EXPECT_GT(accepted, 1000u);
-}
-
-// A trace ring's events, names and details carrying every byte the codec
-// escapes (quote, backslash, control characters) and some it does not
-// (DEL, UTF-8), with their times and thread fixed so the seeds are the
-// same on every run; then the ring cut to its last three events.
-std::vector<Bytes> TraceDocuments() {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Instance();
-  recorder.Reset();
-  recorder.Enable();
-  const std::string details[] = {
-      "aei:mismatch",    "quote \" inside",  "back\\slash",
-      "tab\there\nnewline", "\x01\x1f\x7f",
-      "caf\xc3\xa9",     "",
-  };
-  uint64_t value = 0;
-  for (const std::string& detail : details) {
-    recorder.Emit("oracle.verdict", value++, detail.c_str());
-    recorder.Emit("engine.\"span\"", value++ * 1000, nullptr);
-  }
-  recorder.Emit("corpus.admit", ~uint64_t{0}, "max value");
-  obs::TraceSnapshot trace = recorder.Snapshot();
-  recorder.Disable();
-  recorder.Reset();
-  EXPECT_EQ(trace.events.size(), 2 * std::size(details) + 1);
-  for (size_t i = 0; i < trace.events.size(); ++i) {
-    trace.events[i].t_us = 17 * i;
-    trace.events[i].thread = static_cast<uint32_t>(i % 3);
-    trace.events[i].iteration = i / 4;
-  }
-  std::vector<Bytes> out = {ToBytes(trace.EncodeJsonl())};
-  trace.events.erase(trace.events.begin(), trace.events.end() - 3);
-  trace.dropped = 1000;
-  out.push_back(ToBytes(trace.EncodeJsonl()));
-  return out;
-}
-
-TEST(DecoderFuzz, TraceJsonlAcceptsOnlyFixedPoints) {
-  const std::vector<Bytes> seeds = TraceDocuments();
-  std::vector<Bytes> tokens;
-  for (const char* token :
-       {"\\u0000", "\\u001f", "\\u0020", "\\u00e9", "\\\"", "\\\\",
-        "\\n", "\"", "{", "}", ",", ":", "\n", "-1", "0", "0x10", "1e5",
-        "4294967296", "18446744073709551616", ",\"value\":",
-        "{\"t_us\":", obs::kTraceJsonSchema}) {
-    tokens.push_back(ToBytes(token));
-  }
-
-  const size_t accepted = FuzzInputs(
-      seeds, tokens, /*seed=*/0x5eed8, /*count=*/100000, [](const Bytes& in) {
-        const std::string text(in.begin(), in.end());
-        Result<obs::TraceSnapshot> s1 = obs::TraceSnapshot::DecodeJsonl(text);
-        if (!s1.ok()) return false;
-        const std::string t1 = s1.value().EncodeJsonl();
-        Result<obs::TraceSnapshot> s2 = obs::TraceSnapshot::DecodeJsonl(t1);
-        EXPECT_TRUE(s2.ok()) << text << " printed as " << t1;
-        if (!s2.ok()) return true;
-        EXPECT_EQ(s2.value().events.size(), s1.value().events.size());
-        EXPECT_EQ(s2.value().EncodeJsonl(), t1) << text;
         return true;
       });
   EXPECT_GT(accepted, 1000u);

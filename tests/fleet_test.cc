@@ -33,7 +33,6 @@
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
 #include "net/socket.h"
-#include "obs/trace.h"
 #include "runtime/sharded_campaign.h"
 
 namespace spatter::fleet {
@@ -146,10 +145,11 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
   slice_progress.queries = 40;
   slice_progress.checks = 80;
   slice_progress.findings = 3;
+  slice_progress.busy_seconds = 2.5;
+  slice_progress.engine_seconds = 1.25;
 
   Frame cov;
   cov.type = FrameType::kCov;
-  cov.elapsed = 1.25;
   cov.site_keys = {0xdeadbeefULL, 0x1ULL, 0xffffffffffffffffULL};
   cov.metrics.counters["campaign.iterations"] = 1234;
 
@@ -162,14 +162,11 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
   bug.fault = static_cast<uint64_t>(faults::FaultId::kMysqlOverlapsSwappedAxes);
   bug.query_index = 17;
   bug.is_crash = true;
-  bug.elapsed = 0.5;
   bug.detail = "count 3 vs 4, with spaces\tand tabs";
   bug.payload = {9, 9, 9};
 
   Frame done;
   done.type = FrameType::kDone;
-  done.busy_seconds = 2.5;
-  done.engine_seconds = 1.25;
 
   Frame bye;
   bye.type = FrameType::kBye;
@@ -189,7 +186,8 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     EXPECT_EQ(out.queries, frame.queries);
     EXPECT_EQ(out.checks, frame.checks);
     EXPECT_EQ(out.findings, frame.findings);
-    EXPECT_NEAR(out.elapsed, frame.elapsed, 1e-6);
+    EXPECT_NEAR(out.busy_seconds, frame.busy_seconds, 1e-6);
+    EXPECT_NEAR(out.engine_seconds, frame.engine_seconds, 1e-6);
     EXPECT_EQ(out.site_keys, frame.site_keys);
     EXPECT_EQ(out.metrics.EncodeText(), frame.metrics.EncodeText());
     EXPECT_EQ(out.payload, frame.payload);
@@ -197,8 +195,6 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     EXPECT_EQ(out.query_index, frame.query_index);
     EXPECT_EQ(out.is_crash, frame.is_crash);
     EXPECT_EQ(out.detail, frame.detail);
-    EXPECT_NEAR(out.busy_seconds, frame.busy_seconds, 1e-6);
-    EXPECT_NEAR(out.engine_seconds, frame.engine_seconds, 1e-6);
   }
 }
 
@@ -207,22 +203,16 @@ TEST(Wire, LargeFloatsRoundTripExactly) {
   // must print every digit, not a truncated prefix (4.4e49 once decoded as
   // 4.4e30).
   for (double v : {4.4e49, DBL_MAX, -DBL_MAX, 1e24, 12345.5}) {
-    Frame done;
-    done.type = FrameType::kDone;
-    done.busy_seconds = v;
-    done.engine_seconds = v;
-    Frame cov;
-    cov.type = FrameType::kCov;
-    cov.elapsed = v;
-    for (const Frame& frame : {done, cov}) {
-      const std::string line = EncodeFrame(frame);
-      auto decoded = DecodeFrame(line);
-      ASSERT_TRUE(decoded.ok()) << line;
-      EXPECT_EQ(decoded.value().busy_seconds, frame.busy_seconds) << line;
-      EXPECT_EQ(decoded.value().engine_seconds, frame.engine_seconds) << line;
-      EXPECT_EQ(decoded.value().elapsed, frame.elapsed) << line;
-      EXPECT_EQ(EncodeFrame(decoded.value()), line);
-    }
+    Frame progress;
+    progress.type = FrameType::kSliceProgress;
+    progress.busy_seconds = v;
+    progress.engine_seconds = v;
+    const std::string line = EncodeFrame(progress);
+    auto decoded = DecodeFrame(line);
+    ASSERT_TRUE(decoded.ok()) << line;
+    EXPECT_EQ(decoded.value().busy_seconds, v) << line;
+    EXPECT_EQ(decoded.value().engine_seconds, v) << line;
+    EXPECT_EQ(EncodeFrame(decoded.value()), line);
   }
 }
 
@@ -239,22 +229,28 @@ TEST(Wire, RejectsCorruptFrames) {
       "SPTW1 INFLIGHT 0 x",                 // non-numeric
       "SPTW1 INFLIGHT  2",                  // torn double space
       "SPTW1 INFLIGHT 9 0",                 // dialect out of range
-      "SPTW1 SLICEPROGRESS 0 1 2 3 4",      // missing findings count
-      "SPTW1 SLICEPROGRESS 9 0 1 2 3 4",    // dialect out of range
-      "SPTW1 SLICEPROGRESS 0 1 2 3 x 4",    // non-numeric count
+      "SPTW1 SLICEPROGRESS 0 1 2 3 4 5 0.5",    // missing engine seconds
+      "SPTW1 SLICEPROGRESS 9 0 1 2 3 4 0.5 0.5",  // dialect out of range
+      "SPTW1 SLICEPROGRESS 0 1 2 3 x 4 0.5 0.5",  // non-numeric count
+      "SPTW1 SLICEPROGRESS 0 1 2 3 4 5",    // protocol-5 layout, no seconds
       "SPTW1 SLICEPROGRESS 0 1 2",          // protocol-3 layout
-      "SPTW1 COV 1.0 xyz " + metrics,       // malformed key list
-      "SPTW1 COV 1.0 12345 " + metrics,     // key not 16 hex digits
+      "SPTW1 COV xyz " + metrics,           // malformed key list
+      "SPTW1 COV 12345 " + metrics,         // key not 16 hex digits
+      "SPTW1 COV 1.0 - " + metrics,         // protocol-5 elapsed time
       "SPTW1 COV 1.0 -",                    // protocol-4 layout, no metrics
       "SPTW1 COV 1.0 2 3 -",                // protocol-3 counters
       "SPTW1 ENTRY 0g",                     // bad hex payload
       "SPTW1 ENTRY abc",                    // odd hex payload
-      "SPTW1 BUG 1 2 2 0.5 aa bb",          // is_crash not 0/1
-      "SPTW1 BUG 99999 2 0 0.5 aa bb",      // fault id out of range
-      "SPTW1 BUG 1 2 0 0.5 aa",             // missing payload
-      "SPTW1 DONE 4.0",                     // missing engine seconds
+      "SPTW1 BUG 1 2 2 aa bb",              // is_crash not 0/1
+      "SPTW1 BUG 99999 2 0 aa bb",          // fault id out of range
+      "SPTW1 BUG 1 2 0 aa",                 // missing payload
+      "SPTW1 BUG 1 2 0 0.5 aa bb",          // protocol-5 elapsed time
+      "SPTW1 DONE 2.5 1.25",                // protocol-5 seconds
       "SPTW1 DONE 1 2 3 4.0 5.0",           // protocol-3 counters
       "SPTW1 DONE 1 2 3 4.0 5.0 6 7 8 9",   // protocol-1 engine counters
+      "SPTW1 NETHELLO",                     // no version
+      "SPTW1 NETHELLO x",                   // non-numeric version
+      "SPTW1 NETHELLO 6 4242",              // protocol 6 sends no pid
       "SPTW1 BYE 1",                        // BYE takes no fields
       "SPTW1 STOP",                         // retired in protocol 2
       "SPTW1 HELLO 3 4242 6 2 8",           // retired in protocol 3
@@ -274,7 +270,6 @@ TEST(Wire, TruncatedFramePrefixesRejected) {
   // valid frame: every prefix must be rejected, not misparsed.
   Frame cov;
   cov.type = FrameType::kCov;
-  cov.elapsed = 3.25;
   cov.site_keys = {0xabcdef0123456789ULL};
   std::string line = EncodeFrame(cov);
   line.pop_back();  // drop '\n'
@@ -288,7 +283,6 @@ TEST(Wire, TruncatedFramePrefixesRejected) {
 TEST(Wire, CovFrameCarriesTheMetricsSnapshot) {
   Frame cov;
   cov.type = FrameType::kCov;
-  cov.elapsed = 2.75;
   cov.site_keys = {0x1ULL};
   cov.metrics.counters["campaign.iterations"] = 1234;
   cov.metrics.counters["oracle.aei.ok"] = 5678;
@@ -306,7 +300,6 @@ TEST(Wire, CovFrameCarriesTheMetricsSnapshot) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const Frame& out = decoded.value();
   EXPECT_EQ(out.type, FrameType::kCov);
-  EXPECT_NEAR(out.elapsed, 2.75, 1e-9);
   EXPECT_EQ(out.site_keys, cov.site_keys);
   // The snapshot document is canonical (sorted maps, strict codec), so
   // byte equality of the re-encoded text is the round-trip check.
@@ -316,7 +309,6 @@ TEST(Wire, CovFrameCarriesTheMetricsSnapshot) {
 TEST(Wire, RejectsCorruptCovMetrics) {
   Frame cov;
   cov.type = FrameType::kCov;
-  cov.elapsed = 1.0;
   cov.metrics.counters["campaign.iterations"] = 7;
   std::string line = EncodeFrame(cov);
   line.pop_back();  // drop '\n'
@@ -334,11 +326,10 @@ TEST(Wire, RejectsCorruptCovMetrics) {
   const std::string garbage_hex =
       HexEncode(std::vector<uint8_t>(garbage.begin(), garbage.end()));
   const std::string corrupt[] = {
-      "SPTW1 COV 1.0 - zz",                       // non-hex payload
-      "SPTW1 COV 1.0 - abc",                      // odd-length hex
-      "SPTW1 COV x - " + MetricsHex(cov.metrics),  // non-numeric elapsed
-      "SPTW1 COV 1.0 - " + garbage_hex,           // not a snapshot document
-      line + " deadbeef",                         // extra field
+      "SPTW1 COV - zz",                 // non-hex payload
+      "SPTW1 COV - abc",                // odd-length hex
+      "SPTW1 COV - " + garbage_hex,     // not a snapshot document
+      line + " deadbeef",               // extra field
   };
   for (const std::string& bad : corrupt) {
     EXPECT_FALSE(DecodeFrame(bad).ok()) << "should reject: " << bad;
@@ -393,7 +384,6 @@ TEST(Wire, BugFrameCarriesDiscrepancy) {
   d.sdb1.tables.push_back({"t1", {"POINT(6 5)"}});
   d.detail = "count 1 vs 0";
   d.fault_hits = {faults::FaultId::kMysqlOverlapsSwappedAxes};
-  d.elapsed_seconds = 1.5;
 
   auto frame = MakeBugFrame(faults::FaultId::kMysqlOverlapsSwappedAxes, d,
                             /*master_seed=*/42);
@@ -414,7 +404,6 @@ TEST(Wire, BugFrameCarriesDiscrepancy) {
   EXPECT_EQ(got.fault_hits, d.fault_hits);
   EXPECT_EQ(got.query.ToSql(), d.query.ToSql());
   EXPECT_EQ(got.sdb1.ToSql(), d.sdb1.ToSql());
-  EXPECT_NEAR(got.elapsed_seconds, d.elapsed_seconds, 1e-6);
 
   // A finding stands only for a fault it fired: a BUG frame naming a fault
   // its record lacks is rejected.
@@ -628,23 +617,25 @@ TEST(FleetSupervisor, ScriptedCrashPersistsInflightAndRerunsIt) {
       decoded.value().sdb.ToSql(),
       Campaign::GenerateDatabaseFor(config.base, /*iteration=*/0).ToSql());
 
-  // The dump is synthesized from (seed, iteration) and must be a valid
-  // spatter-trace-v1 document whose events all belong to the crashed
-  // iteration.
+  // The dump is synthesized from (seed, iteration): a spatter-trace-v1
+  // header that counts its event lines, each of the crashed iteration.
   const std::vector<fs::path> flights = FilesIn(crash_dir, ".jsonl");
   ASSERT_EQ(flights.size(), 1u);
   const std::string flight_name = flights[0].filename().string();
   EXPECT_NE(flight_name.find("flight-w0-"), std::string::npos) << flight_name;
   EXPECT_NE(flight_name.find("-i0.trace.jsonl"), std::string::npos)
       << flight_name;
-  std::ifstream fin(flights[0], std::ios::binary);
-  const std::string text((std::istreambuf_iterator<char>(fin)),
-                         std::istreambuf_iterator<char>());
-  auto trace = obs::TraceSnapshot::DecodeJsonl(text);
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-  EXPECT_FALSE(trace.value().events.empty());
-  for (const obs::TraceEvent& ev : trace.value().events) {
-    EXPECT_EQ(ev.iteration, 0u);
+  std::ifstream fin(flights[0]);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(fin, line);) lines.push_back(line);
+  ASSERT_GE(lines.size(), 2u) << "a header and at least one event";
+  EXPECT_EQ(lines[0].rfind("{\"schema\":\"spatter-trace-v1\",\"events\":" +
+                               std::to_string(lines.size() - 1) + ",",
+                           0),
+            0u)
+      << lines[0];
+  for (size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find(",\"iter\":0,"), std::string::npos) << lines[i];
   }
   fs::remove_all(crash_dir);
 }
@@ -692,9 +683,7 @@ TEST(FleetSupervisor, DeterministicKillerKeepsItsBugButIsNotCredited) {
             killer.detail);
   Campaign reference(config.base);
   CampaignResult want;
-  for (size_t i : {1, 2}) {
-    reference.RunIterationAt(i, &want, Campaign::NowSeconds());
-  }
+  for (size_t i : {1, 2}) reference.RunIterationAt(i, &want);
   EXPECT_GT(want.findings, 0u) << "iterations 1 and 2 find something";
   EXPECT_EQ(result.iterations_run, 2u);
   EXPECT_EQ(result.queries_run, want.queries_run);
@@ -789,6 +778,42 @@ TEST(FleetSupervisor, SkipsGarbageFramesWithoutDesync) {
       faults::FaultId::kMysqlTouchesEmptyCollection))
       << "valid frames around garbage still land";
   EXPECT_EQ(result.iterations_run, 2u);
+}
+
+TEST(FleetSupervisor, DeadWorkerKeepsItsIterationsTime) {
+  // Time is credited where counts are, at each iteration's SLICEPROGRESS:
+  // a worker that completes both iterations of the campaign and dies
+  // before DONE still brings their busy and engine seconds, exactly.
+  net::FleetConfig config;
+  config.base = SmallConfig(/*seed=*/17, /*iterations=*/2);
+  config.processes = 1;
+  config.jobs = 1;
+  config.serve = true;
+  net::FleetServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread worker([port = server.port()] {
+    const int fd = ScriptedWorker(port);
+    if (fd < 0) return;
+    const double busy[] = {0.25, 1.5};
+    const double engine[] = {0.125, 0.5};
+    for (uint64_t i = 0; i < 2; ++i) {
+      WriteLine(fd, EncodeFrame(InflightFrame(/*slice=*/0)));
+      Frame progress = ProgressFrame(/*slice=*/0, /*completed=*/i + 1);
+      progress.queries = 25;
+      progress.busy_seconds = busy[i];
+      progress.engine_seconds = engine[i];
+      WriteLine(fd, EncodeFrame(progress));
+    }
+    ::close(fd);  // no DONE
+  });
+  const CampaignResult result = server.Run();
+  worker.join();
+  EXPECT_EQ(server.protocol_errors(), 0u);
+  EXPECT_EQ(server.reassigned_slices(), 0u) << "both iterations were credited";
+  EXPECT_EQ(result.iterations_run, 2u);
+  EXPECT_EQ(result.queries_run, 50u);
+  EXPECT_EQ(result.busy_seconds, 1.75);
+  EXPECT_EQ(result.engine_seconds, 0.625);
 }
 
 TEST(FleetSupervisor, SigkilledLocalWorkerIsRespawnedAndLosesNothing) {

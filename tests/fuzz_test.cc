@@ -978,7 +978,7 @@ TEST(LoadSnapshotExactness, OnlyTheAffineOraclesCanonicalize) {
       CampaignResult result;
       for (size_t i = 0; i < config.iterations; ++i) {
         CoverageRegistry::BeginTrace();
-        campaign.RunIterationAt(i, &result, 0.0);
+        campaign.RunIterationAt(i, &result);
         const std::vector<uint32_t> trace = CoverageRegistry::TakeTrace();
         canon_sites += registry.KeysOf(trace).size() -
                        registry.KeysOf(trace, {"canon"}).size();

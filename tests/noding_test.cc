@@ -1,6 +1,7 @@
 // Noder tests: crossings, T-junctions, collinear overlaps, node merging,
-// bit-for-bit agreement with the all-pairs reference noder, and noding two
-// operands from their self cuts against noding their concatenation.
+// and bit-for-bit agreement of NodeOperands with the all-pairs reference
+// noder over the concatenation, for one operand alone (as the polygonizer
+// nodes) and for two operands from their self cuts (as relate does).
 #include "algo/noding.h"
 
 #include <gtest/gtest.h>
@@ -20,8 +21,25 @@ namespace {
 
 using geom::Coord;
 
-NodingResult Node(std::vector<TaggedSegment> segs) {
-  return NodeSegments(segs, geom::kDerivedEps);
+// `segments` noded as one operand against an empty one, written into
+// `*result`: the polygonizer's call.
+void NodeAlone(const std::vector<TaggedSegment>& segments, double eps,
+               NodingResult* result) {
+  NodingOperand op;
+  op.segments = segments;
+  FindSelfCuts(eps, &op);
+  NodeOperands(op, NodingOperand(), eps, result);
+}
+
+NodingResult NodeAlone(const std::vector<TaggedSegment>& segments,
+                       double eps) {
+  NodingResult out;
+  NodeAlone(segments, eps, &out);
+  return out;
+}
+
+NodingResult Node(const std::vector<TaggedSegment>& segs) {
+  return NodeAlone(segs, geom::kDerivedEps);
 }
 
 bool HasEdge(const NodingResult& r, const Coord& a, const Coord& b) {
@@ -32,13 +50,13 @@ bool HasEdge(const NodingResult& r, const Coord& a, const Coord& b) {
 }
 
 TEST(Noding, DisjointSegmentsPassThrough) {
-  const auto r = Node({{{0, 0}, {1, 0}, 0}, {{0, 2}, {1, 2}, 1}});
+  const auto r = Node({{{0, 0}, {1, 0}}, {{0, 2}, {1, 2}}});
   EXPECT_EQ(r.edges.size(), 2u);
   EXPECT_EQ(r.nodes.size(), 4u);
 }
 
 TEST(Noding, ProperCrossingSplitsBoth) {
-  const auto r = Node({{{0, 0}, {2, 2}, 0}, {{0, 2}, {2, 0}, 1}});
+  const auto r = Node({{{0, 0}, {2, 2}}, {{0, 2}, {2, 0}}});
   EXPECT_EQ(r.edges.size(), 4u);
   EXPECT_TRUE(HasEdge(r, {0, 0}, {1, 1}));
   EXPECT_TRUE(HasEdge(r, {1, 1}, {2, 2}));
@@ -48,7 +66,7 @@ TEST(Noding, ProperCrossingSplitsBoth) {
 }
 
 TEST(Noding, TJunctionSplitsOnlyCrossedSegment) {
-  const auto r = Node({{{0, 0}, {4, 0}, 0}, {{2, 0}, {2, 3}, 1}});
+  const auto r = Node({{{0, 0}, {4, 0}}, {{2, 0}, {2, 3}}});
   EXPECT_EQ(r.edges.size(), 3u);
   EXPECT_TRUE(HasEdge(r, {0, 0}, {2, 0}));
   EXPECT_TRUE(HasEdge(r, {2, 0}, {4, 0}));
@@ -56,29 +74,29 @@ TEST(Noding, TJunctionSplitsOnlyCrossedSegment) {
 }
 
 TEST(Noding, CollinearOverlapSplitsAtOverlapEnds) {
-  const auto r = Node({{{0, 0}, {4, 0}, 0}, {{2, 0}, {6, 0}, 1}});
+  const auto r = Node({{{0, 0}, {4, 0}}, {{2, 0}, {6, 0}}});
   // Segment 1: 0-2, 2-4; segment 2: 2-4, 4-6.
   EXPECT_EQ(r.edges.size(), 4u);
   EXPECT_TRUE(HasEdge(r, {0, 0}, {2, 0}));
   EXPECT_TRUE(HasEdge(r, {4, 0}, {6, 0}));
 }
 
-TEST(Noding, SourceTagsPreserved) {
-  const auto r = Node({{{0, 0}, {2, 2}, 0}, {{0, 2}, {2, 0}, 1}});
-  int src0 = 0;
-  int src1 = 0;
+TEST(Noding, InputIndicesPreserved) {
+  const auto r = Node({{{0, 0}, {2, 2}}, {{0, 2}, {2, 0}}});
+  int from0 = 0;
+  int from1 = 0;
   for (const auto& e : r.edges) {
-    (e.src == 0 ? src0 : src1)++;
+    (e.input_index == 0 ? from0 : from1)++;
   }
-  EXPECT_EQ(src0, 2);
-  EXPECT_EQ(src1, 2);
+  EXPECT_EQ(from0, 2);
+  EXPECT_EQ(from1, 2);
 }
 
 TEST(Noding, ConcurrentCrossingsMergeNodes) {
   // Three segments through (1, 1).
-  const auto r = Node({{{0, 0}, {2, 2}, 0},
-                       {{0, 2}, {2, 0}, 0},
-                       {{1, 0}, {1, 2}, 1}});
+  const auto r = Node({{{0, 0}, {2, 2}},
+                       {{0, 2}, {2, 0}},
+                       {{1, 0}, {1, 2}}});
   size_t at_center = 0;
   for (const auto& n : r.nodes) {
     if (n == Coord(1, 1)) at_center++;
@@ -88,19 +106,19 @@ TEST(Noding, ConcurrentCrossingsMergeNodes) {
 }
 
 TEST(Noding, SharedEndpointNoSplit) {
-  const auto r = Node({{{0, 0}, {1, 1}, 0}, {{1, 1}, {2, 0}, 1}});
+  const auto r = Node({{{0, 0}, {1, 1}}, {{1, 1}, {2, 0}}});
   EXPECT_EQ(r.edges.size(), 2u);
   EXPECT_EQ(r.nodes.size(), 3u);
 }
 
 TEST(Noding, MidpointsOfSplitEdgesAvoidOtherGeometry) {
-  // After noding, no edge midpoint may lie on another source's edge
+  // After noding, no edge midpoint may lie on another segment's edge
   // (except collinear overlaps) — the invariant the relate computer needs.
-  const auto r = Node({{{0, 0}, {4, 4}, 0}, {{0, 4}, {4, 0}, 1}});
+  const auto r = Node({{{0, 0}, {4, 4}}, {{0, 4}, {4, 0}}});
   for (const auto& e : r.edges) {
     const Coord mid = geom::Midpoint(e.a, e.b);
     for (const auto& f : r.edges) {
-      if (f.src == e.src) continue;
+      if (f.input_index == e.input_index) continue;
       EXPECT_FALSE(geom::OnSegment(mid, f.a, f.b, geom::kDerivedEps))
           << "midpoint rests on a foreign edge";
     }
@@ -108,34 +126,38 @@ TEST(Noding, MidpointsOfSplitEdgesAvoidOtherGeometry) {
 }
 
 TEST(Noding, ZeroLengthInputIgnored) {
-  const auto r = Node({{{1, 1}, {1, 1}, 0}, {{0, 0}, {2, 0}, 1}});
+  const auto r = Node({{{1, 1}, {1, 1}}, {{0, 0}, {2, 0}}});
   EXPECT_EQ(r.edges.size(), 1u);
 }
 
 // --- Reference noder ---------------------------------------------------------
-// The straightforward noder NodeSegments replaced: one cut list per
-// segment, and a merger that rescans every node for each lookup.
-// NodeSegments must reproduce its output bit for bit.
+// The straightforward noder: one cut list per segment of the
+// concatenation, and a merger that rescans every node for each lookup.
+// NodeOperands must reproduce its output bit for bit, node origins
+// included.
 
 class ReferenceMerger {
  public:
   explicit ReferenceMerger(double eps) : eps_(eps) {}
 
-  Coord Canonical(const Coord& c) {
+  Coord Canonical(const Coord& c, uint32_t origin) {
     for (const auto& n : nodes_) {
       if (std::fabs(n.x - c.x) <= eps_ && std::fabs(n.y - c.y) <= eps_) {
         return n;
       }
     }
     nodes_.push_back(c);
+    origins_.push_back(origin);
     return c;
   }
 
   const std::vector<Coord>& nodes() const { return nodes_; }
+  const std::vector<uint32_t>& origins() const { return origins_; }
 
  private:
   double eps_;
   std::vector<Coord> nodes_;
+  std::vector<uint32_t> origins_;
 };
 
 double ReferenceParamOf(const Coord& p, const Coord& a, const Coord& b) {
@@ -182,8 +204,9 @@ NodingResult ReferenceNodeSegments(const std::vector<TaggedSegment>& segments,
   ReferenceMerger merger(eps);
   NodingResult out;
   for (size_t i = 0; i < n; ++i) {
-    const Coord a = merger.Canonical(segments[i].a);
-    const Coord b = merger.Canonical(segments[i].b);
+    const auto origin = static_cast<uint32_t>(2 * i);
+    const Coord a = merger.Canonical(segments[i].a, origin);
+    const Coord b = merger.Canonical(segments[i].b, origin + 1);
     struct Cut {
       double t;
       Coord p;
@@ -192,7 +215,7 @@ NodingResult ReferenceNodeSegments(const std::vector<TaggedSegment>& segments,
     ordered.push_back({0.0, a});
     ordered.push_back({1.0, b});
     for (const auto& c : cuts[i]) {
-      const Coord canon = merger.Canonical(c);
+      const Coord canon = merger.Canonical(c, kCutOrigin);
       ordered.push_back(
           {ReferenceParamOf(canon, segments[i].a, segments[i].b), canon});
     }
@@ -202,10 +225,11 @@ NodingResult ReferenceNodeSegments(const std::vector<TaggedSegment>& segments,
       const Coord& p = ordered[k].p;
       const Coord& q = ordered[k + 1].p;
       if (p == q) continue;
-      out.edges.push_back(NodedEdge{p, q, segments[i].src, i});
+      out.edges.push_back(NodedEdge{p, q, i});
     }
   }
   out.nodes = merger.nodes();
+  out.node_origins = merger.origins();
   return out;
 }
 
@@ -233,23 +257,23 @@ void ExpectSameResult(const NodingResult& got, const NodingResult& want,
         << label << " node " << i << ": " << Show(got.nodes[i]) << " vs "
         << Show(want.nodes[i]);
   }
+  ASSERT_EQ(got.node_origins, want.node_origins) << label;
   ASSERT_EQ(got.edges.size(), want.edges.size()) << label;
   for (size_t i = 0; i < want.edges.size(); ++i) {
     const NodedEdge& g = got.edges[i];
     const NodedEdge& w = want.edges[i];
-    ASSERT_TRUE(SameBits(g.a, w.a) && SameBits(g.b, w.b) && g.src == w.src &&
+    ASSERT_TRUE(SameBits(g.a, w.a) && SameBits(g.b, w.b) &&
                 g.input_index == w.input_index)
         << label << " edge " << i << ": " << Show(g.a) << "-" << Show(g.b)
-        << " src " << g.src << " from " << g.input_index << " vs "
-        << Show(w.a) << "-" << Show(w.b) << " src " << w.src << " from "
-        << w.input_index;
+        << " from " << g.input_index << " vs " << Show(w.a) << "-"
+        << Show(w.b) << " from " << w.input_index;
   }
 }
 
-// Asserts that NodeSegments and the reference agree on `segs`.
+// Asserts that `segs` noded alone and the reference agree.
 void ExpectMatchesReference(const std::vector<TaggedSegment>& segs,
                             double eps, const std::string& label) {
-  ExpectSameResult(NodeSegments(segs, eps), ReferenceNodeSegments(segs, eps),
+  ExpectSameResult(NodeAlone(segs, eps), ReferenceNodeSegments(segs, eps),
                    label);
 }
 
@@ -273,7 +297,6 @@ std::vector<TaggedSegment> RandomSoup(Rng* rng, size_t n, bool with_nan) {
   std::vector<TaggedSegment> segs;
   for (size_t i = 0; i < n; ++i) {
     TaggedSegment s;
-    s.src = rng->IntIn(0, 2);
     const int shape = rng->IntIn(0, 9);
     if (shape == 0 && !segs.empty()) {
       // Shares a vertex with an earlier segment.
@@ -309,7 +332,7 @@ TEST(NodingReference, RandomSoupsMatchBitForBit) {
     const double eps = round % 5 == 4 ? 0.0 : geom::kDerivedEps;
     ExpectMatchesReference(segs, eps, "round " + std::to_string(round));
     if (HasFatalFailure()) return;
-    max_edges = std::max(max_edges, NodeSegments(segs, eps).edges.size());
+    max_edges = std::max(max_edges, NodeAlone(segs, eps).edges.size());
   }
   EXPECT_GT(max_edges, 200u) << "the soups should be dense enough to split";
 }
@@ -317,12 +340,12 @@ TEST(NodingReference, RandomSoupsMatchBitForBit) {
 TEST(NodingReference, LongSegmentCutManyTimesSortsLikeReference) {
   // One segment crossed by 40 others: its cut list is far past the
   // 16-element insertion-sort threshold of std::sort.
-  std::vector<TaggedSegment> segs = {{{-1, 0}, {41, 0}, 0}};
+  std::vector<TaggedSegment> segs = {{{-1, 0}, {41, 0}}};
   for (int i = 39; i >= 0; --i) {
-    segs.push_back({{i + 0.25, -1}, {i + 0.25, 1}, 1});
+    segs.push_back({{i + 0.25, -1}, {i + 0.25, 1}});
   }
   ExpectMatchesReference(segs, geom::kDerivedEps, "comb");
-  EXPECT_EQ(NodeSegments(segs, geom::kDerivedEps).edges.size(), 41u + 80u);
+  EXPECT_EQ(NodeAlone(segs, geom::kDerivedEps).edges.size(), 41u + 80u);
 }
 
 TEST(NodingReference, FirstRegisteredNodeWinsInsideEpsChain) {
@@ -330,11 +353,11 @@ TEST(NodingReference, FirstRegisteredNodeWinsInsideEpsChain) {
   // so both register; the middle one lies within eps of both and maps to
   // the one registered first, not the one registered last.
   const double e = geom::kDerivedEps;
-  const std::vector<TaggedSegment> segs = {{{0, 0}, {0, 5}, 0},
-                                           {{1.2 * e, 0}, {5, 0}, 1},
-                                           {{0.6 * e, 0}, {3, -5}, 1}};
+  const std::vector<TaggedSegment> segs = {{{0, 0}, {0, 5}},
+                                           {{1.2 * e, 0}, {5, 0}},
+                                           {{0.6 * e, 0}, {3, -5}}};
   ExpectMatchesReference(segs, e, "eps chain");
-  const NodingResult r = NodeSegments(segs, e);
+  const NodingResult r = NodeAlone(segs, e);
   for (const auto& edge : r.edges) {
     if (edge.input_index == 2) {
       EXPECT_TRUE(SameBits(edge.a, {0, 0}) || SameBits(edge.b, {0, 0}))
@@ -349,11 +372,11 @@ TEST(NodingReference, FirstRegisteredNodeWinsInsideEpsChain) {
 }
 
 TEST(NodingReference, SignedZerosShareANode) {
-  const std::vector<TaggedSegment> segs = {{{-0.0, 0}, {0, 5}, 0},
-                                           {{0.0, 0}, {5, 0}, 1},
-                                           {{0.0, -0.0}, {-5, 0}, 1}};
+  const std::vector<TaggedSegment> segs = {{{-0.0, 0}, {0, 5}},
+                                           {{0.0, 0}, {5, 0}},
+                                           {{0.0, -0.0}, {-5, 0}}};
   ExpectMatchesReference(segs, geom::kDerivedEps, "signed zeros");
-  const NodingResult r = NodeSegments(segs, geom::kDerivedEps);
+  const NodingResult r = NodeAlone(segs, geom::kDerivedEps);
   size_t at_origin = 0;
   for (const auto& n : r.nodes) {
     if (n.x == 0.0 && n.y == 0.0) {
@@ -369,10 +392,10 @@ TEST(NodingReference, EachNanCutAddsItsOwnNode) {
   // 0, so the collinear branch cuts it and the crossing segment at a
   // point with x = NaN. NaN never matches a node, not even itself.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<TaggedSegment> segs = {{{nan, 0}, {nan, 4}, 0},
-                                           {{0, 1}, {5, 1}, 1}};
+  const std::vector<TaggedSegment> segs = {{{nan, 0}, {nan, 4}},
+                                           {{0, 1}, {5, 1}}};
   ExpectMatchesReference(segs, geom::kDerivedEps, "nan");
-  const NodingResult r = NodeSegments(segs, geom::kDerivedEps);
+  const NodingResult r = NodeAlone(segs, geom::kDerivedEps);
   size_t nan_cuts = 0;
   for (const auto& n : r.nodes) {
     if (std::isnan(n.x) && n.y == 1.0) ++nan_cuts;
@@ -384,11 +407,11 @@ TEST(NodingReference, InfiniteVertexRegistersOnEveryLookup) {
   // inf - inf is NaN, so an infinite vertex matches no node, not even its
   // own: each lookup registers it again.
   const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<TaggedSegment> segs = {{{inf, 0}, {0, 0}, 0},
-                                           {{inf, 0}, {0, 1}, 1}};
+  const std::vector<TaggedSegment> segs = {{{inf, 0}, {0, 0}},
+                                           {{inf, 0}, {0, 1}}};
   ExpectMatchesReference(segs, geom::kDerivedEps, "inf");
   size_t infinite = 0;
-  for (const auto& n : NodeSegments(segs, geom::kDerivedEps).nodes) {
+  for (const auto& n : NodeAlone(segs, geom::kDerivedEps).nodes) {
     if (std::isinf(n.x)) ++infinite;
   }
   EXPECT_GE(infinite, 2u);
@@ -404,12 +427,12 @@ TEST(NodingReference, ReusedResultHoldsOnlyTheLatestCall) {
         static_cast<size_t>(round % 2 == 0 ? rng.IntIn(40, 64)
                                            : rng.IntIn(1, 12));
     const auto segs = RandomSoup(&rng, n, /*with_nan=*/round % 8 == 7);
-    NodeSegments(segs, geom::kDerivedEps, &reused);
+    NodeAlone(segs, geom::kDerivedEps, &reused);
     ExpectSameResult(reused, ReferenceNodeSegments(segs, geom::kDerivedEps),
                      "round " + std::to_string(round));
     if (HasFatalFailure()) return;
   }
-  NodeSegments({}, geom::kDerivedEps, &reused);
+  NodeAlone({}, geom::kDerivedEps, &reused);
   EXPECT_TRUE(reused.edges.empty());
   EXPECT_TRUE(reused.nodes.empty());
 }
@@ -428,8 +451,8 @@ std::vector<TaggedSegment> Concatenation(const NodingOperand& a,
 }
 
 // Asserts that NodeOperands on (a, b), each with its self cuts found
-// apart, equals NodeSegments and the reference noder over their
-// concatenation, node origins included; and (a, a) likewise.
+// apart, equals the reference noder over their concatenation, node
+// origins included; and (a, a) likewise.
 void ExpectOperandsMatch(NodingOperand a, NodingOperand b, double eps,
                          const std::string& label) {
   FindSelfCuts(eps, &a);
@@ -437,14 +460,10 @@ void ExpectOperandsMatch(NodingOperand a, NodingOperand b, double eps,
   for (const bool same : {false, true}) {
     const NodingOperand& second = same ? a : b;
     const std::string at = label + (same ? " (a, a)" : " (a, b)");
-    const auto whole = Concatenation(a, second);
     NodingResult got;
     NodeOperands(a, second, eps, &got);
-    const NodingResult want = NodeSegments(whole, eps);
-    ExpectSameResult(got, want, at);
-    ExpectSameResult(got, ReferenceNodeSegments(whole, eps),
-                     at + " vs reference");
-    ASSERT_EQ(got.node_origins, want.node_origins) << at;
+    ExpectSameResult(got, ReferenceNodeSegments(Concatenation(a, second), eps),
+                     at);
   }
 }
 
@@ -460,7 +479,7 @@ void Deal(const std::vector<TaggedSegment>& segs, Rng* rng, NodingOperand* a,
   for (const TaggedSegment& s : segs) {
     NodingOperand* op = rng->IntIn(0, 1) == 0 ? a : b;
     if (SameBits(s.a, s.b) && rng->IntIn(0, 1) == 0) {
-      op->points.push_back({s.a, s.a, 2});
+      op->points.push_back({s.a, s.a});
     } else {
       op->segments.push_back(s);
     }
@@ -468,7 +487,7 @@ void Deal(const std::vector<TaggedSegment>& segs, Rng* rng, NodingOperand* a,
       const Coord p = rng->IntIn(0, 1) == 0
                           ? s.b
                           : Coord(rng->IntIn(-4, 4) + 0.5, rng->IntIn(-4, 4));
-      (rng->IntIn(0, 1) == 0 ? a : b)->points.push_back({p, p, 2});
+      (rng->IntIn(0, 1) == 0 ? a : b)->points.push_back({p, p});
     }
   }
 }
@@ -490,12 +509,12 @@ TEST(NodeOperands, DealtSoupsMatchTheConcatenation) {
   EXPECT_GT(with_points, 300u) << "both operands should often hold points";
 }
 
-// An operand of the given segments and points (src 0, as relate tags).
+// An operand of the given segments and points.
 NodingOperand Operand(std::vector<std::pair<Coord, Coord>> segments,
                       std::vector<Coord> points = {}) {
   NodingOperand op;
-  for (const auto& [p, q] : segments) op.segments.push_back({p, q, 0});
-  for (const Coord& p : points) op.points.push_back({p, p, 0});
+  for (const auto& [p, q] : segments) op.segments.push_back({p, q});
+  for (const Coord& p : points) op.points.push_back({p, p});
   return op;
 }
 
@@ -542,11 +561,11 @@ TEST(NodeOperands, MergeShortcutsMatchTheReference) {
   // consecutive segments merges into the earlier node (0, 0), and each of
   // the two cuts the other at exactly that raw endpoint.
   const double e = geom::kDerivedEps;
-  const std::vector<TaggedSegment> chain = {{{0, 0}, {0, 5}, 0},
-                                            {{3, -5}, {0.6 * e, 0}, 0},
-                                            {{0.6 * e, 0}, {5, 0}, 0}};
+  const std::vector<TaggedSegment> chain = {{{0, 0}, {0, 5}},
+                                            {{3, -5}, {0.6 * e, 0}},
+                                            {{0.6 * e, 0}, {5, 0}}};
   ExpectMatchesReference(chain, e, "merged shared endpoint");
-  const NodingResult r = NodeSegments(chain, e);
+  const NodingResult r = NodeAlone(chain, e);
   for (const auto& edge : r.edges) {
     if (edge.input_index > 0) {
       EXPECT_TRUE(SameBits(edge.a, {0, 0}) || SameBits(edge.b, {0, 0}))
@@ -565,11 +584,11 @@ TEST(NodeOperands, MergeShortcutsMatchTheReference) {
   // line at (inf, 5) lies on the segment that starts there, which cuts
   // both at exactly that point.
   const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<TaggedSegment> at_inf = {{{inf, 5}, {inf, 5}, 0},
-                                             {{inf, 5}, {0, 0}, 0}};
+  const std::vector<TaggedSegment> at_inf = {{{inf, 5}, {inf, 5}},
+                                             {{inf, 5}, {0, 0}}};
   ExpectMatchesReference(at_inf, e, "cut at an infinite endpoint");
   size_t infinite = 0;
-  for (const auto& n : NodeSegments(at_inf, e).nodes) {
+  for (const auto& n : NodeAlone(at_inf, e).nodes) {
     if (std::isinf(n.x)) ++infinite;
   }
   // Each lookup of (inf, 5): both ends and the cut of the zero-length

@@ -506,94 +506,32 @@ TraceSnapshot TwoEventSnapshot() {
   return s;
 }
 
-TEST(TraceCodecTest, RoundTripPreservesEventsAndEscapes) {
-  const TraceSnapshot s = TwoEventSnapshot();
-  const std::string text = s.EncodeJsonl();
-  Result<TraceSnapshot> back = TraceSnapshot::DecodeJsonl(text);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value().EncodeJsonl(), text);
-  ASSERT_EQ(back.value().events.size(), 2u);
-  EXPECT_EQ(back.value().dropped, 7u);
-  EXPECT_EQ(back.value().events[0].name, "iter.begin");
-  EXPECT_EQ(back.value().events[0].iteration, 3u);
-  EXPECT_EQ(back.value().events[1].thread, 2u);
-  EXPECT_EQ(back.value().events[1].detail,
-            "aei \"quoted\" back\\slash ctl\x01");
+TEST(TraceCodecTest, EncodingIsPinned) {
+  // A name and a detail that carry every byte the encoder escapes: the
+  // quote, the backslash and each control byte.
+  TraceSnapshot s = TwoEventSnapshot();
+  s.events[0].name = "q\"b\\";
+  std::string every_control;
+  for (int c = 0; c < 0x20; ++c) every_control.push_back(static_cast<char>(c));
+  s.events[0].detail = every_control + "\"\\~";
+  EXPECT_EQ(
+      s.EncodeJsonl(),
+      "{\"schema\":\"spatter-trace-v1\",\"events\":2,\"dropped\":7}\n"
+      "{\"t_us\":12,\"thread\":0,\"iter\":3,\"name\":\"q\\\"b\\\\\","
+      "\"value\":9,\"detail\":\""
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\u0008\\u0009\\u000a\\u000b\\u000c\\u000d\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      "\\\"\\\\~\"}\n"
+      "{\"t_us\":15,\"thread\":2,\"iter\":3,\"name\":\"oracle.verdict\","
+      "\"value\":0,\"detail\":\"aei \\\"quoted\\\" back\\\\slash "
+      "ctl\\u0001\"}\n");
 }
 
-TEST(TraceCodecTest, EmptySnapshotRoundTrips) {
-  const std::string text = TraceSnapshot{}.EncodeJsonl();
-  Result<TraceSnapshot> back = TraceSnapshot::DecodeJsonl(text);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(back.value().empty());
-}
-
-TEST(TraceCodecTest, RejectsTruncationAtEveryByte) {
-  const std::string good = TwoEventSnapshot().EncodeJsonl();
-  ASSERT_TRUE(TraceSnapshot::DecodeJsonl(good).ok());
-  // Dropping ANY suffix must fail: a cut mid-line loses the trailing
-  // newline, a cut on a line boundary loses declared events.
-  for (size_t cut = 0; cut < good.size(); ++cut) {
-    EXPECT_FALSE(TraceSnapshot::DecodeJsonl(good.substr(0, cut)).ok())
-        << "accepted truncation at " << cut;
-  }
-}
-
-TEST(TraceCodecTest, RejectsCorruption) {
-  const std::string header =
-      "{\"schema\":\"spatter-trace-v1\",\"events\":0,\"dropped\":0}\n";
-  ASSERT_TRUE(TraceSnapshot::DecodeJsonl(header).ok());
-  // Schema skew.
-  EXPECT_FALSE(
-      TraceSnapshot::DecodeJsonl(
-          "{\"schema\":\"spatter-trace-v2\",\"events\":0,\"dropped\":0}\n")
-          .ok());
-  // More event lines than the header declares.
-  EXPECT_FALSE(
-      TraceSnapshot::DecodeJsonl(
-          header +
-          "{\"t_us\":1,\"thread\":0,\"iter\":0,\"name\":\"x\","
-          "\"value\":0,\"detail\":\"\"}\n")
-          .ok());
-  const std::string header1 =
-      "{\"schema\":\"spatter-trace-v1\",\"events\":1,\"dropped\":0}\n";
-  // Reordered keys.
-  EXPECT_FALSE(
-      TraceSnapshot::DecodeJsonl(
-          header1 +
-          "{\"thread\":0,\"t_us\":1,\"iter\":0,\"name\":\"x\","
-          "\"value\":0,\"detail\":\"\"}\n")
-          .ok());
-  // Unknown escape sequence.
-  EXPECT_FALSE(
-      TraceSnapshot::DecodeJsonl(
-          header1 +
-          "{\"t_us\":1,\"thread\":0,\"iter\":0,\"name\":\"\\x\","
-          "\"value\":0,\"detail\":\"\"}\n")
-          .ok());
-  // \u escape of a non-control character (the encoder never emits one).
-  EXPECT_FALSE(
-      TraceSnapshot::DecodeJsonl(
-          header1 +
-          "{\"t_us\":1,\"thread\":0,\"iter\":0,\"name\":\"\\u0041\","
-          "\"value\":0,\"detail\":\"\"}\n")
-          .ok());
-  // Negative / non-numeric value.
-  EXPECT_FALSE(
-      TraceSnapshot::DecodeJsonl(
-          header1 +
-          "{\"t_us\":-1,\"thread\":0,\"iter\":0,\"name\":\"x\","
-          "\"value\":0,\"detail\":\"\"}\n")
-          .ok());
-  // Trailing garbage after the closing brace.
-  EXPECT_FALSE(
-      TraceSnapshot::DecodeJsonl(
-          header1 +
-          "{\"t_us\":1,\"thread\":0,\"iter\":0,\"name\":\"x\","
-          "\"value\":0,\"detail\":\"\"} \n")
-          .ok());
-  EXPECT_FALSE(TraceSnapshot::DecodeJsonl("").ok());
-  EXPECT_FALSE(TraceSnapshot::DecodeJsonl("bogus\n").ok());
+TEST(TraceCodecTest, EmptySnapshotIsTheHeaderAlone) {
+  EXPECT_EQ(TraceSnapshot{}.EncodeJsonl(),
+            "{\"schema\":\"spatter-trace-v1\",\"events\":0,\"dropped\":0}\n");
 }
 
 TEST(TraceRecorderTest, RingWraparoundKeepsLastKAndCountsDropped) {
@@ -719,18 +657,16 @@ TEST(TraceRecorderTest, ConcurrentEmittersGetTheirOwnRings) {
   EXPECT_EQ(snap.dropped, 0u);
 }
 
-TEST(TraceFileTest, WriteTraceFileRoundTrips) {
+TEST(TraceFileTest, WriteTraceFileWritesTheEncoding) {
   const TraceSnapshot s = TwoEventSnapshot();
   const std::string path =
-      ::testing::TempDir() + "/spatter_trace_roundtrip.jsonl";
+      ::testing::TempDir() + "/spatter_trace_file.jsonl";
   ASSERT_TRUE(WriteTraceFile(path, s).ok());
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  Result<TraceSnapshot> back = TraceSnapshot::DecodeJsonl(text);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value().EncodeJsonl(), s.EncodeJsonl());
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, s.EncodeJsonl());
 }
 
 }  // namespace

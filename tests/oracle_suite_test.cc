@@ -663,7 +663,7 @@ TEST(OracleGolden, CoverageHitsArePinned) {
       for (size_t i = 0; i < config.iterations; ++i) {
         const std::vector<uint64_t> before = registry.SnapshotHits();
         CoverageRegistry::BeginTrace();
-        campaign.RunIterationAt(i, &result, 0.0);
+        campaign.RunIterationAt(i, &result);
         const std::vector<uint32_t> trace = CoverageRegistry::TakeTrace();
         const std::vector<uint64_t> after = registry.SnapshotHits();
         std::vector<uint64_t> keys = registry.KeysOf(trace);
