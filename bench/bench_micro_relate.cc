@@ -1,9 +1,11 @@
 // Micro ablations of the topology core (google-benchmark): relate kernel
 // cost by geometry complexity, the relate front's exits, the memo's replay
 // cost, the kernel on reused operands, prepared vs plain predicates,
-// canonicalization, the AEI database transform and the SDB2 load it feeds.
+// canonicalization, the AEI database transform and the SDB2 load it feeds,
+// and a count query replayed from a restored database's result store.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <map>
 #include <string>
 #include <vector>
@@ -347,6 +349,49 @@ void BM_AffinePairLoadViaWkt(benchmark::State& state) {
   if (accepted == 0) state.SkipWithError("no row accepted");
 }
 BENCHMARK(BM_AffinePairLoadViaWkt)->Arg(10)->Arg(40);
+
+// A count query repeated on a restored SDB1, as TLP, EET and the index
+// oracle repeat diff's base query: the restore lends the snapshot's result
+// store, the first run records the query's result and effects there, and
+// each timed run replays them. `first_us` is the first run, which joins.
+// Faults are off, so no injected crash cuts the join short.
+void BM_CountQueryReplay(benchmark::State& state) {
+  const AffineLoadInput input = MakeAffineLoadInput(state.range(0));
+  engine::Engine engine(engine::Dialect::kPostgis, false);
+  fuzz::QuerySpec query;
+  query.table1 = input.sdb1.tables.front().name;
+  query.table2 = input.sdb1.tables.back().name;
+  query.predicate = "ST_Intersects";
+  const sql::StatementPtr stmt = query.ToStatement();
+  // The first load builds the snapshot; the second restores it.
+  if (!fuzz::LoadDatabase(&engine, input.sdb1, nullptr).ok() ||
+      !fuzz::LoadDatabase(&engine, input.sdb1, nullptr).ok()) {
+    state.SkipWithError("the database does not load");
+    return;
+  }
+  const engine::EngineStats t0 = engine.stats();
+  const auto start = std::chrono::steady_clock::now();
+  const Result<engine::ExecResult> first = engine.Execute(*stmt);
+  const std::chrono::duration<double, std::micro> first_us =
+      std::chrono::steady_clock::now() - start;
+  const engine::EngineStats t1 = engine.stats();
+  if (!first.ok() || (t1 - t0).pairs_evaluated == 0) {
+    state.SkipWithError("the first run joined no pair");
+    return;
+  }
+  bool same = true;
+  for (auto _ : state) {
+    const Result<engine::ExecResult> again = engine.Execute(*stmt);
+    same = same && again.ok() && again.value().count == first.value().count;
+  }
+  state.counters["first_us"] = first_us.count();
+  if ((engine.stats() - t1).pairs_evaluated != 0) {
+    state.SkipWithError("a timed run evaluated a pair");
+  } else if (!same) {
+    state.SkipWithError("a timed run's count differs from the first run's");
+  }
+}
+BENCHMARK(BM_CountQueryReplay)->Arg(10)->Arg(40);
 
 }  // namespace
 

@@ -190,10 +190,12 @@ Engine::Engine(Dialect dialect, bool enable_faults)
 void Engine::Reset() {
   tables_.clear();
   variables_.clear();
+  results_.reset();
 }
 
 void Engine::Restore(
-    const std::function<void(std::map<std::string, Table>*)>& install) {
+    const std::function<void(std::map<std::string, Table>*)>& install,
+    const std::shared_ptr<ResultStore>& results) {
   static obs::LatencyHistogram* restore_hist =
       obs::MetricsRegistry::Instance().GetHistogram("engine.restore");
   // Accounted like a statement (Execute), on the thread CPU clock.
@@ -202,6 +204,7 @@ void Engine::Restore(
   obs::ScopedTraceSpan restore_span("engine.restore");
   Reset();
   install(&tables_);
+  results_ = results;
   const double seconds =
       obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu) - start;
   stats_.exec_seconds += seconds;
@@ -215,6 +218,7 @@ void Engine::TypedLoad(const std::function<void()>& load) {
       obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu);
   obs::ScopedTraceSpan load_span("engine.typed_load");
   const double exec_before = stats_.exec_seconds;
+  results_.reset();
   load();
   const double seconds =
       obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu) - start;
@@ -228,7 +232,12 @@ void Engine::set_statement_cache_capacity(size_t capacity) {
   stmt_cache_.SetCapacity(capacity);
 }
 
-Table* Engine::FindTable(const std::string& name) {
+const Table* Engine::FindTable(const std::string& name) const {
+  auto it = tables_.find(name);
+  return it == tables_.end() ? nullptr : &it->second;
+}
+
+Table* Engine::MutableTable(const std::string& name) {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : &it->second;
 }
@@ -339,6 +348,27 @@ obs::LatencyHistogram* StatementKindHistogram(sql::Statement::Kind kind) {
 Result<ExecResult> Engine::Execute(const sql::Statement& stmt) {
   static obs::LatencyHistogram* stmt_hist =
       obs::MetricsRegistry::Instance().GetHistogram("engine.statement");
+  stats_.statements_executed++;
+  CoverageRegistry::Instance().Hit(StatementCoverageSite(stmt.kind));
+  std::shared_ptr<ResultStore> results;
+  std::string key;
+  if (stmt.kind == sql::Statement::Kind::kSelectCountJoin ||
+      stmt.kind == sql::Statement::Kind::kSelectCountWhere) {
+    results = results_.lock();
+  } else if (stmt.kind != sql::Statement::Kind::kSelectScalar) {
+    results_.reset();  // the statement may change the tables or variables
+  }
+  if (results) {
+    const uint64_t mask = faults_.EnabledMask();
+    key.assign(reinterpret_cast<const char*>(&mask), sizeof(mask));
+    sql::AppendKey(stmt, &key);
+    const auto it = results->entries_.find(key);
+    if (it != results->entries_.end()) {
+      SPATTER_METRIC_INC("engine.result_store.replay");
+      it->second.effects.Replay(&faults_);
+      return it->second.result;
+    }
+  }
   // Engine time is read on the per-thread CPU clock, once on entry and
   // once on exit, and feeds the Figure-7 exec_seconds account and the
   // engine.statement and engine.statement.<kind> histograms. CPU time, not
@@ -348,9 +378,15 @@ Result<ExecResult> Engine::Execute(const sql::Statement& stmt) {
       obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu);
   obs::ScopedTraceSpan stmt_span("engine.statement",
                                  StatementKindName(stmt.kind));
-  stats_.statements_executed++;
-  CoverageRegistry::Instance().Hit(StatementCoverageSite(stmt.kind));
-  Result<ExecResult> result = Dispatch(stmt);
+  faults::Effects effects;
+  Result<ExecResult> result =
+      results ? effects.Record(&faults_, [&] { return Dispatch(stmt); })
+              : Dispatch(stmt);
+  if (results) {
+    SPATTER_METRIC_INC("engine.result_store.record");
+    results->entries_.emplace(std::move(key),
+                              ResultStore::Entry{result, std::move(effects)});
+  }
   const double seconds =
       obs::ScopedTimer::Now(obs::ScopedTimer::Clock::kThreadCpu) - start;
   stats_.exec_seconds += seconds;
@@ -402,7 +438,7 @@ Result<ExecResult> Engine::ExecCreateTable(const sql::Statement& stmt) {
 }
 
 Result<ExecResult> Engine::ExecCreateIndex(const sql::Statement& stmt) {
-  Table* table = FindTable(stmt.table);
+  Table* table = MutableTable(stmt.table);
   if (table == nullptr) {
     return Status::NotFound("unknown table '" + stmt.table + "'");
   }
@@ -426,7 +462,7 @@ Result<ExecResult> Engine::ExecDropTable(const sql::Statement& stmt) {
 Result<Table*> Engine::InsertTarget(const std::string& table,
                                     const std::vector<std::string>& names,
                                     std::vector<int>* cols) {
-  Table* target = FindTable(table);
+  Table* target = MutableTable(table);
   if (target == nullptr) {
     return Status::NotFound("unknown table '" + table + "'");
   }
@@ -487,6 +523,7 @@ Result<ExecResult> Engine::InsertValue(const std::string& table,
   stats_.statements_executed++;
   CoverageRegistry::Instance().Hit(
       StatementCoverageSite(sql::Statement::Kind::kInsert));
+  results_.reset();
   std::vector<int> cols;
   SPATTER_ASSIGN_OR_RETURN(Table * target,
                            InsertTarget(table, {column}, &cols));
@@ -600,8 +637,8 @@ bool AdmitsIndexScan(const FunctionDef* fn) {
 }  // namespace
 
 Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
-  Table* t1 = FindTable(stmt.table);
-  Table* t2 = FindTable(stmt.table2);
+  const Table* t1 = FindTable(stmt.table);
+  const Table* t2 = FindTable(stmt.table2);
   if (t1 == nullptr || t2 == nullptr) {
     return Status::NotFound("unknown table in join");
   }
@@ -739,7 +776,7 @@ Result<ExecResult> Engine::ExecSelectCountJoin(const sql::Statement& stmt) {
 }
 
 Result<ExecResult> Engine::ExecSelectCountWhere(const sql::Statement& stmt) {
-  Table* t = FindTable(stmt.table);
+  const Table* t = FindTable(stmt.table);
   if (t == nullptr) {
     return Status::NotFound("unknown table '" + stmt.table + "'");
   }

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -51,6 +52,12 @@ struct ExecResult {
 /// Execution statistics, split the way Figure 7 reports time: the engine
 /// accounts its own statement execution time so the harness can separate
 /// "SDBMS time" from total Spatter time.
+///
+/// A count query replayed from a ResultStore counts as a statement, but
+/// its join ran no pair, scan or prepared evaluation, so it adds to none of
+/// those counters, and it reads no clock: it adds nothing to exec_seconds
+/// and is no sample of the engine.statement histograms, which time only
+/// statements that ran. engine.result_store.replay counts the replays.
 struct EngineStats {
   uint64_t statements_executed = 0;
   uint64_t pairs_evaluated = 0;      // join pairs examined
@@ -82,6 +89,51 @@ struct EngineStats {
   }
 };
 
+/// The count queries run on one restored database, each with its result
+/// (status text included) and what running it did besides (its
+/// faults::Effects: fault ids fired, coverage sites hit with their counts),
+/// so a repeat on the same database replays the record instead of running
+/// the join again. Engine::Restore lends one; Engine::Execute reads it.
+///
+///  - Key: the restored database is the store's own key, kept by whoever
+///    lends it (fuzz::LoadDatabase keeps one per snapshot and effective
+///    row set). Within a store an entry is keyed by the statement
+///    (sql::AppendKey: the tree, number literals by their bits) and the
+///    EnabledMask at execution; the hash only picks the bucket.
+///  - Why a replay is exact: a count query reads only the tables, the
+///    statement, the dialect, the enabled fault set and the session
+///    variables, and a restore leaves no variables. The prepared-geometry
+///    cache fault lives within one outer row of one statement, and the
+///    relate memo and operand cache change only metrics. So a replay
+///    leaves fault hits, coverage counts, traces and enclosing captures as
+///    running the query does.
+///  - Memory: an entry is its key (the enabled mask and the statement's
+///    key, about 90 bytes for a plain join, a few hundred for an EET
+///    variant) and its recorded (site, count) pairs, at most 27 in the
+///    measured runs. A store is allocated on the first restore of its row
+///    set, never at engine construction. The lender keeps stores only in
+///    the per-SDB1 state it keeps, one per engine, so an engine holds the
+///    distinct count queries of one SDB1: at most one per statement an
+///    oracle runs on it, about ten per query of the iteration. At the end
+///    of a round of perfbench's `suite-j3` workload (`--dialect=all
+///    --oracles=all --geometries=10 --iterations=3 --queries=50`, seed
+///    4242) a campaign engine's stores held 71 to 201 KiB in two stores,
+///    and a differential oracle's second engine 7 to 12 KiB in one.
+class ResultStore {
+ public:
+  ResultStore() = default;
+  ResultStore(const ResultStore&) = delete;
+  ResultStore& operator=(const ResultStore&) = delete;
+
+ private:
+  friend class Engine;
+  struct Entry {
+    Result<ExecResult> result;
+    faults::Effects effects;
+  };
+  std::unordered_map<std::string, Entry> entries_;
+};
+
 class Engine {
  public:
   /// `enable_faults` provisions the dialect's default fault set (its own
@@ -103,16 +155,24 @@ class Engine {
 
   /// Parses and executes one statement.
   Result<ExecResult> Execute(const std::string& sql);
+  /// Executes one statement. Every statement counts in statements_executed
+  /// and hits its engine_stmt/<kind> coverage site. While a ResultStore is
+  /// lent (Restore), a COUNT(*) query (join or WHERE) found in it under
+  /// the current EnabledMask is replayed: its recorded effects are
+  /// replayed and its recorded result returned, with no clock read (see
+  /// EngineStats). One not found runs inside faults::Effects::Record and
+  /// is stored. A scalar SELECT keeps the lent store; every other
+  /// statement drops it, whether or not it succeeds.
   Result<ExecResult> Execute(const sql::Statement& stmt);
   /// Executes a ';'-separated script, returning the last result. Stops at
   /// the first error.
   Result<ExecResult> ExecuteScript(const std::string& script);
 
-  /// Drops all tables and session variables. Fault configuration and
-  /// statistics are preserved, and so are the statement cache (parsing is
-  /// a pure function of the text) and the snapshot store, from which
-  /// fuzz::LoadDatabase restores a database it has loaded before instead
-  /// of re-running its DDL and row inserts.
+  /// Drops all tables and session variables, and the lent ResultStore.
+  /// Fault configuration and statistics are preserved, and so are the
+  /// statement cache (parsing is a pure function of the text) and the
+  /// snapshot store, from which fuzz::LoadDatabase restores a database it
+  /// has loaded before instead of re-running its DDL and row inserts.
   void Reset();
 
   /// Replaces the database without running a statement: Reset, then
@@ -121,8 +181,15 @@ class Engine {
   /// does not move, but the call's thread CPU time counts toward
   /// exec_seconds and is one sample of the engine.restore histogram and
   /// one engine.restore trace span.
+  ///
+  /// `results`, when given, is lent: the store of the count queries run on
+  /// exactly the database `install` builds, which Execute replays and
+  /// fills until Reset, InsertValue, TypedLoad, a statement other than a
+  /// SELECT or the next Restore drops it. The engine holds it weakly: a
+  /// store its lender has freed is never read, and the queries run.
   void Restore(
-      const std::function<void(std::map<std::string, Table>*)>& install);
+      const std::function<void(std::map<std::string, Table>*)>& install,
+      const std::shared_ptr<ResultStore>& results = nullptr);
 
   /// Inserts `value` into `column` of `table` as one row, as the statement
   /// `INSERT INTO <table> (<column>) VALUES (<literal>)` would. A string is
@@ -132,8 +199,8 @@ class Engine {
   /// ExecInsert's row code, so it hits the same engine_stmt/insert and
   /// engine/insert coverage sites, counts in statements_executed, runs the
   /// same CoerceGeometry validity check and returns the same ok, error or
-  /// crash. It reads no clock: call it inside TypedLoad, which accounts its
-  /// time.
+  /// crash, and drops the lent ResultStore as the statement does. It reads
+  /// no clock: call it inside TypedLoad, which accounts its time.
   Result<ExecResult> InsertValue(const std::string& table,
                                  const std::string& column, Value value);
 
@@ -142,7 +209,8 @@ class Engine {
   /// (each read is a system call, so not a pair per row) feeds
   /// exec_seconds, the engine.typed_load histogram and one engine.typed_load
   /// trace span. The statements it runs take their own reads as usual;
-  /// their time is counted once, in the load's.
+  /// their time is counted once, in the load's. It drops the lent
+  /// ResultStore.
   void TypedLoad(const std::function<void()>& load);
 
   /// State a caller keeps per engine: it lives as long as the engine and
@@ -164,10 +232,14 @@ class Engine {
   void set_statement_cache_capacity(size_t capacity);
   size_t statement_cache_size() const { return stmt_cache_.size(); }
 
+  /// Read-only, so a lent ResultStore always describes the tables: they
+  /// change only through statements, InsertValue and Restore.
   const std::map<std::string, Table>& tables() const { return tables_; }
-  Table* FindTable(const std::string& name);
+  const Table* FindTable(const std::string& name) const;
 
  private:
+  Table* MutableTable(const std::string& name);
+
   /// Runs one parsed statement; Execute wraps it with the accounting. Each
   /// Exec* compiles the statement's expressions once (compiled_expr.h) and
   /// evaluates them per row or row pair.
@@ -203,6 +275,7 @@ class Engine {
   std::map<std::string, Value> variables_;
   sql::StatementCache stmt_cache_;
   std::unique_ptr<SnapshotStore> snapshot_store_;
+  std::weak_ptr<ResultStore> results_;  // the lent store (Restore)
 };
 
 }  // namespace spatter::engine

@@ -11,7 +11,7 @@ namespace spatter::fuzz {
 Result<std::vector<size_t>> KnnRows(engine::Engine* engine,
                                     const std::string& table,
                                     const geom::Coord& query, size_t k) {
-  engine::Table* t = engine->FindTable(table);
+  const engine::Table* t = engine->FindTable(table);
   if (t == nullptr) {
     return Status::NotFound("unknown table '" + table + "'");
   }

@@ -18,10 +18,14 @@ namespace spatter::fuzz {
 // --- Database loads ----------------------------------------------------------
 
 // One loaded database: the tables a load left plus what each of its
-// statements and rows did.
+// statements and rows did. An SDB1's snapshot also keeps, per effective row
+// set (the rows a restore installs: accepted and kept), the
+// engine::ResultStore of the count queries run on that database, which
+// each restore of it lends the engine.
 class LoadSnapshot {
  public:
-  explicit LoadSnapshot(const DatabaseSpec& sdb) : loaded_(sdb.tables.size()) {
+  LoadSnapshot(const DatabaseSpec& sdb, bool keeps_results)
+      : loaded_(sdb.tables.size()), keeps_results_(keeps_results) {
     for (size_t t = 0; t < sdb.tables.size(); ++t) {
       loaded_[t].name = sdb.tables[t].name;
     }
@@ -61,12 +65,27 @@ class LoadSnapshot {
 
   // What a load of the recorded database would do: install the tables with
   // the rows `keep` marks (nullptr: all) and replay the effects of exactly
-  // the statements and rows it would run.
+  // the statements and rows it would run. Lends the engine the result store
+  // of the installed rows, if this snapshot keeps results.
   void Restore(engine::Engine* engine, RowMask* accepted,
-               const RowMask* keep) const {
+               const RowMask* keep) {
     const faults::FaultState& faults = engine->fault_state();
+    std::vector<bool> installed;  // all tables' rows, in order
+    for (size_t t = 0; t < loaded_.size(); ++t) {
+      for (size_t r = 0; r < loaded_[t].rows.size(); ++r) {
+        installed.push_back(loaded_[t].rows[r].accepted &&
+                            (keep == nullptr || (*keep)[t][r]));
+      }
+    }
+    std::shared_ptr<engine::ResultStore> results;
+    if (keeps_results_) {
+      std::shared_ptr<engine::ResultStore>& store = results_[installed];
+      if (!store) store = std::make_shared<engine::ResultStore>();
+      results = store;
+    }
     if (accepted) accepted->assign(loaded_.size(), {});
-    engine->Restore([&](std::map<std::string, engine::Table>* tables) {
+    const auto install = [&](std::map<std::string, engine::Table>* tables) {
+      size_t next = 0;
       for (size_t t = 0; t < loaded_.size(); ++t) {
         const Table& loaded = loaded_[t];
         for (const faults::Effects& ddl : loaded.ddl) ddl.Replay(&faults);
@@ -75,15 +94,14 @@ class LoadSnapshot {
         table.rows.reserve(loaded.rows.size());
         for (size_t r = 0; r < loaded.rows.size(); ++r) {
           const RowRecord& row = loaded.rows[r];
-          const bool kept = keep == nullptr || (*keep)[t][r];
-          if (kept) {
-            row.effects.Replay(&faults);
-            if (row.accepted) table.rows.push_back(row.row);
-          }
-          if (accepted) (*accepted)[t].push_back(kept && row.accepted);
+          if (keep == nullptr || (*keep)[t][r]) row.effects.Replay(&faults);
+          const bool installs = installed[next++];
+          if (installs) table.rows.push_back(row.row);
+          if (accepted) (*accepted)[t].push_back(installs);
         }
       }
-    });
+    };
+    engine->Restore(install, results);
   }
 
  private:
@@ -100,6 +118,11 @@ class LoadSnapshot {
   };
 
   std::vector<Table> loaded_;  // aligned with DatabaseSpec::tables
+  bool keeps_results_;
+  // By effective row set. An SDB1 state and its snapshots live until the
+  // engine's LoadCache replaces the state; the engine holds a lent store
+  // weakly, so it never reads one after that.
+  std::map<std::vector<bool>, std::shared_ptr<engine::ResultStore>> results_;
 };
 
 namespace {
@@ -144,7 +167,7 @@ class Sdb1State {
                   : engine::Value::String(tables_[t].rows[r]);
   }
 
-  const LoadSnapshot* Snapshot(bool with_index, uint64_t fault_mask) const {
+  LoadSnapshot* Snapshot(bool with_index, uint64_t fault_mask) {
     const auto it = snapshots_.find({with_index, fault_mask});
     return it == snapshots_.end() ? nullptr : &it->second;
   }
@@ -311,8 +334,7 @@ Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep) {
   Sdb1State& state = LoadCache::Of(engine).StateOf(sdb);
   const uint64_t fault_mask = engine->fault_state().EnabledMask();
-  if (const LoadSnapshot* snapshot = state.Snapshot(sdb.with_index,
-                                                    fault_mask)) {
+  if (LoadSnapshot* snapshot = state.Snapshot(sdb.with_index, fault_mask)) {
     snapshot->Restore(engine, accepted, keep);
     return Status::OK();
   }
@@ -322,7 +344,7 @@ Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
   // A filtered load follows an unfiltered one of the same database, so it
   // misses only when that one was not kept.
   if (keep) return ExecuteLoad(engine, sdb, value, accepted, keep, nullptr);
-  LoadSnapshot snapshot(sdb);
+  LoadSnapshot snapshot(sdb, /*keeps_results=*/true);
   const Status status =
       ExecuteLoad(engine, sdb, value, accepted, nullptr, &snapshot);
   if (status.ok() && snapshot.TakeRows(*engine)) {
@@ -377,7 +399,11 @@ Status AffinePair::LoadImage(RowMask* accepted, const RowMask* keep) {
     return Status::OK();
   }
   const RowValue value = [&](size_t t, size_t r) { return image_[t][r]; };
-  auto record = keep ? nullptr : std::make_unique<LoadSnapshot>(sdb1_);
+  // The image's query runs once per pair, so its snapshot keeps no
+  // results: recording it would be pure cost.
+  auto record = keep ? nullptr
+                     : std::make_unique<LoadSnapshot>(
+                           sdb1_, /*keeps_results=*/false);
   const Status status =
       ExecuteLoad(engine_, sdb1_, value, accepted, keep, record.get());
   if (status.ok() && record && record->TakeRows(*engine_)) {

@@ -9,7 +9,8 @@
 // takes the hits that fired into the outcome. Compare implementations
 // build on the shared pieces below: LoadDatabase (with an optional
 // keep-mask for filtered reloads, and per-engine snapshots that make a
-// repeated load a restore), AffinePair, which loads an affine check's two
+// repeated load a restore and a repeated count query on it a replay),
+// AffinePair, which loads an affine check's two
 // databases, ReadCount, which normalizes one statement's result, and
 // AllCounted, which turns failed runs into a crash or an inapplicable
 // outcome.
@@ -79,6 +80,13 @@ using RowMask = std::vector<std::vector<bool>>;
 /// only the kept rows' under a `keep` mask, so it leaves what the load
 /// would, without running it. An unfiltered miss runs the load and records
 /// a snapshot; a filtered miss only runs it. A failed load is never kept.
+///
+/// A snapshot also keeps one engine::ResultStore per effective row set
+/// (the rows a restore installs: accepted and kept), and a hit lends the
+/// engine the store of the rows it installs: a count query run on the
+/// restored database is recorded there, result and effects, and a repeat
+/// replays the record instead of running the join (Engine::Execute). The
+/// stores die with the state, when another SDB1 replaces it.
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep = nullptr);
 
@@ -117,7 +125,9 @@ class AffinePair {
   /// Loads SDB2 as LoadDatabase(engine, <printed SDB2>, accepted, keep)
   /// would. The first unfiltered load records a snapshot, which every
   /// later load of this pair restores; SDB2 never enters the engine's
-  /// per-database states.
+  /// per-database states. The snapshot keeps no result store and its
+  /// restores lend none: the image's query runs once per pair, so
+  /// recording it would be pure cost.
   Status LoadImage(RowMask* accepted, const RowMask* keep = nullptr);
 
  private:

@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include <cstring>
+
 namespace spatter::sql {
 
 ExprPtr Expr::Clone() const {
@@ -102,6 +104,69 @@ ExprPtr Expr::MakeOr(ExprPtr lhs, ExprPtr rhs) {
   e->args.push_back(std::move(lhs));
   e->args.push_back(std::move(rhs));
   return e;
+}
+
+namespace {
+
+// The key is a prefix code: every size and count comes before what it
+// sizes, so no two field sequences encode alike.
+void AppendSize(size_t n, std::string* key) {
+  do {
+    const char low = static_cast<char>(n & 0x7f);
+    n >>= 7;
+    key->push_back(n != 0 ? static_cast<char>(low | 0x80) : low);
+  } while (n != 0);
+}
+
+void AppendText(const std::string& text, std::string* key) {
+  AppendSize(text.size(), key);
+  key->append(text);
+}
+
+// A null expression is tag 0; an expression is its kind + 1, then its
+// fields.
+void AppendExpr(const Expr* e, std::string* key) {
+  if (e == nullptr) {
+    key->push_back(0);
+    return;
+  }
+  key->push_back(static_cast<char>(static_cast<int>(e->kind) + 1));
+  AppendText(e->text, key);
+  char bits[sizeof(double)];
+  std::memcpy(bits, &e->number, sizeof(bits));
+  key->append(bits, sizeof(bits));
+  key->push_back(e->bool_value ? 1 : 0);
+  AppendText(e->table, key);
+  AppendText(e->name, key);
+  AppendSize(e->args.size(), key);
+  for (const ExprPtr& arg : e->args) AppendExpr(arg.get(), key);
+}
+
+}  // namespace
+
+void AppendKey(const Statement& stmt, std::string* key) {
+  key->push_back(static_cast<char>(stmt.kind));
+  AppendText(stmt.table, key);
+  AppendText(stmt.table2, key);
+  AppendText(stmt.index_name, key);
+  AppendSize(stmt.columns.size(), key);
+  for (const Statement::ColumnDef& col : stmt.columns) {
+    AppendText(col.name, key);
+    AppendText(col.type, key);
+  }
+  AppendSize(stmt.insert_cols.size(), key);
+  for (const std::string& col : stmt.insert_cols) AppendText(col, key);
+  AppendSize(stmt.rows.size(), key);
+  for (const std::vector<ExprPtr>& row : stmt.rows) {
+    AppendSize(row.size(), key);
+    for (const ExprPtr& e : row) AppendExpr(e.get(), key);
+  }
+  AppendText(stmt.set_name, key);
+  AppendExpr(stmt.set_value.get(), key);
+  AppendExpr(stmt.condition.get(), key);
+  AppendExpr(stmt.filter1.get(), key);
+  AppendSize(stmt.select_list.size(), key);
+  for (const ExprPtr& e : stmt.select_list) AppendExpr(e.get(), key);
 }
 
 }  // namespace spatter::sql

@@ -94,6 +94,13 @@ struct Statement {
 
 using StatementPtr = std::unique_ptr<Statement>;
 
+/// Appends to `*key` a byte string that two statements share exactly when
+/// their trees are equal field for field, number literals compared by
+/// their bits: -0 and 0 differ, and so do NaNs of other payloads. Printed
+/// SQL is no such key, since FormatCoord prints both zeros as 0 and every
+/// NaN alike.
+void AppendKey(const Statement& stmt, std::string* key);
+
 }  // namespace spatter::sql
 
 #endif  // SPATTER_SQL_AST_H_

@@ -4,15 +4,18 @@
 // own semantics), while a campaign against a FAULTY engine finds bugs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/coverage.h"
 #include "corpus/mutator.h"
+#include "eet/transform.h"
 #include "fuzz/aei.h"
 #include "sql/parser.h"
 #include "fuzz/campaign.h"
@@ -673,6 +676,302 @@ TEST(LoadSnapshotExactness, StatementsAfterARestoreLeaveTheSnapshot) {
   const LoadOutcome restored = Cached(&cached, sdb);
   EXPECT_EQ(restored.statements, 0u);
   EXPECT_EQ(restored, expected);
+}
+
+// --- Count queries on a restored database -----------------------------------
+//
+// A restore lends the engine the snapshot's result store for the rows it
+// installs: a count query run there is recorded, and a repeat replays the
+// record. The reference is an engine loaded by statements, which restores
+// nothing and so replays nothing: every run must leave what running the
+// query there leaves.
+
+// The statements one query's oracles run on SDB1: the base query (diff's,
+// index's, EET's and AEI's r1), TLP's three partitions and EET's variants.
+std::vector<sql::StatementPtr> OracleStatements(const QuerySpec& query,
+                                                Dialect dialect,
+                                                double distance_bound) {
+  std::vector<sql::StatementPtr> out;
+  out.push_back(query.ToStatement());
+  for (int k = 0; k < 3; ++k) {
+    sql::StatementPtr partition = query.ToStatement();
+    sql::ExprPtr p = std::move(partition->condition);
+    partition->condition = k == 0   ? std::move(p)
+                           : k == 1 ? sql::Expr::MakeNot(std::move(p))
+                                    : sql::Expr::MakeIsUnknown(std::move(p));
+    out.push_back(std::move(partition));
+  }
+  const sql::StatementPtr base = query.ToStatement();
+  for (int j = 0; j < eet::kNumEetTransforms; ++j) {
+    const auto id = static_cast<eet::TransformId>(j);
+    if (!eet::TransformAppliesTo(id, dialect)) continue;
+    if (sql::StatementPtr variant = eet::ApplyTransform(id, *base,
+                                                        distance_bound)) {
+      out.push_back(std::move(variant));
+    }
+  }
+  return out;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name)->Value();
+}
+
+// Everything one statement leaves that an oracle or the campaign reads.
+struct QueryOutcome {
+  std::string result;  // the count, or the failed status
+  std::map<size_t, uint64_t> coverage;
+  std::vector<uint32_t> trace;
+  std::set<faults::FaultId> fault_hits;
+  uint64_t pairs = 0;
+  uint64_t replays = 0;  // engine.result_store.replay
+  uint64_t records = 0;  // engine.result_store.record
+
+  bool operator==(const QueryOutcome& o) const {
+    return result == o.result && coverage == o.coverage && trace == o.trace &&
+           fault_hits == o.fault_hits;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const QueryOutcome& o) {
+  return os << o.result << ", " << o.coverage.size() << " sites, "
+            << o.fault_hits.size() << " fault ids, " << o.pairs << " pairs";
+}
+
+QueryOutcome RunQuery(engine::Engine* engine, const sql::Statement& stmt) {
+  auto& registry = CoverageRegistry::Instance();
+  engine->fault_state().ClearHits();
+  const uint64_t pairs = engine->stats().pairs_evaluated;
+  const uint64_t replays = CounterValue("engine.result_store.replay");
+  const uint64_t records = CounterValue("engine.result_store.record");
+  const std::vector<uint64_t> before = registry.SnapshotHits();
+  CoverageRegistry::BeginTrace();
+  const Result<engine::ExecResult> result = engine->Execute(stmt);
+  QueryOutcome out;
+  out.trace = CoverageRegistry::TakeTrace();
+  const std::vector<uint64_t> after = registry.SnapshotHits();
+  for (size_t i = 0; i < after.size(); ++i) {
+    const uint64_t was = i < before.size() ? before[i] : 0;
+    if (after[i] != was) out.coverage[i] = after[i] - was;
+  }
+  out.result = result.ok() ? result.value().ToString()
+                           : result.status().ToString();
+  out.fault_hits = engine->fault_state().TakeHits();
+  out.pairs = engine->stats().pairs_evaluated - pairs;
+  out.replays = CounterValue("engine.result_store.replay") - replays;
+  out.records = CounterValue("engine.result_store.record") - records;
+  return out;
+}
+
+TEST(LoadSnapshotExactness, RepeatedCountQueriesLeaveWhatTheyRanLeaves) {
+  const std::vector<DatabaseSpec> specs = SnapshotSpecs();
+  Rng rng(35);
+  size_t records = 0;
+  for (int d = 0; d < engine::kNumDialects; ++d) {
+    const auto dialect = static_cast<Dialect>(d);
+    for (bool faults : {false, true}) {
+      engine::Engine reference(dialect, faults);
+      engine::Engine cached(dialect, faults);
+      GeneratorConfig config;
+      GeometryAwareGenerator gen(config, &rng, &reference);
+      for (DatabaseSpec sdb : specs) {
+        for (bool with_index : {false, true}) {
+          sdb.with_index = with_index;
+          const QuerySpec query = gen.RandomQuery(sdb);
+          const auto statements = OracleStatements(
+              query, dialect,
+              DistanceBound(&cached, sdb, query.table1, query.table2));
+          const RowMask keep = RandomKeep(sdb, &rng);
+          for (const RowMask* mask : {&keep, static_cast<const RowMask*>(
+                                                 nullptr)}) {
+            SCOPED_TRACE(std::string(engine::DialectName(dialect)) +
+                         (faults ? " faulty" : " fixed") +
+                         (with_index ? " indexed " : " plain ") +
+                         (mask ? "filtered " : "") + query.ToSql());
+            RowMask accepted;
+            ASSERT_TRUE(ReferenceLoad(&reference, sdb, &accepted, mask).ok());
+            // Build the snapshot, then restore it: the restore lends the
+            // store of the rows it installs.
+            ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr).ok());
+            ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr, mask).ok());
+            // TLP's P partition is the base query, so its first run
+            // replays already.
+            for (const sql::StatementPtr& stmt : statements) {
+              const QueryOutcome expected = RunQuery(&reference, *stmt);
+              const QueryOutcome first = RunQuery(&cached, *stmt);
+              const QueryOutcome second = RunQuery(&cached, *stmt);
+              EXPECT_EQ(first, expected) << sql::PrintStatement(*stmt);
+              EXPECT_EQ(second, expected) << sql::PrintStatement(*stmt);
+              EXPECT_EQ(first.records + first.replays, 1u);
+              if (first.records == 1) {
+                EXPECT_EQ(first.pairs, expected.pairs);
+              }
+              EXPECT_EQ(second.pairs, 0u);
+              EXPECT_EQ(second.replays, 1u);
+              EXPECT_EQ(second.records, 0u);
+              records += first.records;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(records, 0u);
+}
+
+TEST(LoadSnapshotExactness, CountQueriesRunAgainAfterTheDatabaseChanges) {
+  const DatabaseSpec sdb = SnapshotSpecs()[1];
+  QuerySpec query;
+  query.table1 = sdb.tables[0].name;
+  query.table2 = sdb.tables[1].name;
+  query.predicate = "ST_Intersects";
+  const sql::StatementPtr stmt = query.ToStatement();
+  const std::string t1 = sdb.tables[0].name;
+  const std::vector<std::pair<std::string, std::function<void(
+                                               engine::Engine*)>>>
+      changes = {
+          {"INSERT",
+           [&](engine::Engine* e) {
+             ASSERT_TRUE(e->Execute("INSERT INTO " + t1 +
+                                    " (g) VALUES ('POINT(1 2)');")
+                             .ok());
+           }},
+          {"DROP",
+           [&](engine::Engine* e) {
+             ASSERT_TRUE(e->Execute("DROP TABLE " + t1 + ";").ok());
+           }},
+          {"CREATE",
+           [](engine::Engine* e) {
+             ASSERT_TRUE(e->Execute("CREATE TABLE t9 (g geometry);").ok());
+           }},
+          {"SET",
+           [](engine::Engine* e) {
+             ASSERT_TRUE(e->Execute("SET @x = 1;").ok());
+           }},
+          {"InsertValue",
+           [&](engine::Engine* e) {
+             ASSERT_TRUE(e->InsertValue(t1, "g",
+                                        engine::Value::String("POINT(2 1)"))
+                             .ok());
+           }},
+          {"Reset", [](engine::Engine* e) { e->Reset(); }},
+      };
+  engine::Engine reference(Dialect::kPostgis, true);
+  engine::Engine cached(Dialect::kPostgis, true);
+  ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr).ok());
+  for (const auto& [name, change] : changes) {
+    SCOPED_TRACE(name);
+    RowMask accepted;
+    ASSERT_TRUE(ReferenceLoad(&reference, sdb, &accepted, nullptr).ok());
+    ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr).ok());
+    EXPECT_EQ(RunQuery(&cached, *stmt), RunQuery(&reference, *stmt));
+    // A scalar SELECT keeps the store.
+    ASSERT_TRUE(cached.Execute("SELECT ST_AsText('POINT(0 0)');").ok());
+    EXPECT_EQ(RunQuery(&cached, *stmt).replays, 1u);
+    change(&reference);
+    change(&cached);
+    const QueryOutcome after = RunQuery(&cached, *stmt);
+    EXPECT_EQ(after, RunQuery(&reference, *stmt));
+    EXPECT_EQ(after.replays, 0u);
+    EXPECT_EQ(after.records, 0u);
+    if (name != "DROP" && name != "Reset") {
+      EXPECT_GT(after.pairs, 0u);
+    }
+  }
+}
+
+TEST(LoadSnapshotExactness, ResultStoreKeysTellApartRowsIndexFaultsAndZeros) {
+  const DatabaseSpec plain = SnapshotSpecs()[1];
+  QuerySpec query;
+  query.table1 = plain.tables[0].name;
+  query.table2 = plain.tables[1].name;
+  query.predicate = "ST_DWithin";
+  query.extra = engine::PredicateExtra::kDistance;
+  query.distance = 0.0;
+  const sql::StatementPtr stmt = query.ToStatement();
+  engine::Engine cached(Dialect::kPostgis, true);
+  engine::Engine reference(Dialect::kPostgis, true);
+  // Each load restores (after the first builds its snapshot), and each
+  // query first records, then replays.
+  auto expect = [&](const DatabaseSpec& sdb, const RowMask* keep,
+                    uint64_t records) {
+    RowMask accepted;
+    ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr).ok());
+    ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr, keep).ok());
+    ASSERT_TRUE(ReferenceLoad(&reference, sdb, &accepted, keep).ok());
+    const QueryOutcome got = RunQuery(&cached, *stmt);
+    EXPECT_EQ(got, RunQuery(&reference, *stmt));
+    EXPECT_EQ(got.records, records);
+    EXPECT_EQ(got.replays, 1 - records);
+  };
+  RowMask first_row_only;
+  for (const TableSpec& table : plain.tables) {
+    std::vector<bool> mask(table.rows.size(), false);
+    mask.at(0) = true;
+    first_row_only.push_back(std::move(mask));
+  }
+  // Two effective row sets: all rows, and each table's first.
+  expect(plain, nullptr, 1);
+  expect(plain, &first_row_only, 1);
+  expect(plain, nullptr, 0);
+  expect(plain, &first_row_only, 0);
+  // The same rows with an index.
+  DatabaseSpec indexed = plain;
+  indexed.with_index = true;
+  expect(indexed, nullptr, 1);
+  expect(indexed, nullptr, 0);
+  expect(plain, nullptr, 0);
+
+  // Another enabled set between runs on the same restored database.
+  ASSERT_TRUE(LoadDatabase(&cached, plain, nullptr).ok());
+  RowMask accepted;
+  ASSERT_TRUE(ReferenceLoad(&reference, plain, &accepted, nullptr).ok());
+  EXPECT_EQ(RunQuery(&cached, *stmt).replays, 1u);
+  for (engine::Engine* e : {&cached, &reference}) {
+    e->fault_state().Disable(faults::FaultId::kPostgisDWithinNegativeCoords);
+  }
+  const QueryOutcome disabled = RunQuery(&cached, *stmt);
+  EXPECT_EQ(disabled, RunQuery(&reference, *stmt));
+  EXPECT_EQ(disabled.records, 1u);
+  for (engine::Engine* e : {&cached, &reference}) {
+    e->fault_state().Enable(faults::FaultId::kPostgisDWithinNegativeCoords);
+  }
+  EXPECT_EQ(RunQuery(&cached, *stmt).replays, 1u);
+
+  // -0 and 0 print alike, yet are two statements.
+  QuerySpec negative = query;
+  negative.distance = -0.0;
+  const sql::StatementPtr negative_stmt = negative.ToStatement();
+  ASSERT_EQ(negative.ToSql(), query.ToSql());
+  const QueryOutcome zero = RunQuery(&cached, *negative_stmt);
+  EXPECT_EQ(zero, RunQuery(&reference, *negative_stmt));
+  EXPECT_EQ(zero.records, 1u);
+  EXPECT_EQ(zero.replays, 0u);
+}
+
+// A store lives as long as its SDB1's state. Once another SDB1 replaces
+// the state, a count query on the tables still installed runs, reading no
+// freed store (the ASan+UBSan build catches a read).
+TEST(LoadSnapshotExactness, CountQueriesRunOnceTheirStoreIsGone) {
+  const std::vector<DatabaseSpec> specs = SnapshotSpecs();
+  const DatabaseSpec& sdb = specs[1];
+  QuerySpec query;
+  query.table1 = sdb.tables[0].name;
+  query.table2 = sdb.tables[1].name;
+  query.predicate = "ST_Intersects";
+  const sql::StatementPtr stmt = query.ToStatement();
+  engine::Engine cached(Dialect::kPostgis, true);
+  ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr).ok());
+  ASSERT_TRUE(LoadDatabase(&cached, sdb, nullptr).ok());
+  const QueryOutcome recorded = RunQuery(&cached, *stmt);
+  ASSERT_EQ(recorded.records, 1u);
+  DistanceBound(&cached, specs[2], specs[2].tables[0].name,
+                specs[2].tables[0].name);
+  const QueryOutcome after = RunQuery(&cached, *stmt);
+  EXPECT_EQ(after, recorded);
+  EXPECT_EQ(after.pairs, recorded.pairs);
+  EXPECT_EQ(after.replays, 0u);
+  EXPECT_EQ(after.records, 0u);
 }
 
 

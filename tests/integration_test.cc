@@ -226,6 +226,8 @@ std::map<std::string, uint64_t> RoundZeroWork(const char* oracles,
       {"engine.snapshot.build", counter("engine.snapshot.build")},
       {"engine.restore", samples("engine.restore")},
       {"engine.typed_load", samples("engine.typed_load")},
+      {"engine.result_store.replay", counter("engine.result_store.replay")},
+      {"engine.result_store.record", counter("engine.result_store.record")},
   };
 }
 
@@ -242,15 +244,17 @@ TEST(BenchmarkWork, RoundZeroIsPinned) {
       {"discrepancies", 22},
       {"unique_bugs", 10},
       {"statements", 9137},
-      {"pairs", 146955},
-      {"index_scans", 690},
-      {"prepared", 3604},
-      {"relate.envelope_prefilter", 25424},
-      {"relate.memo.hit", 21589},
-      {"relate.full", 15516},
+      {"pairs", 102033},
+      {"index_scans", 498},
+      {"prepared", 2735},
+      {"relate.envelope_prefilter", 17674},
+      {"relate.memo.hit", 9323},
+      {"relate.full", 15306},
       {"engine.snapshot.build", 204},
       {"engine.restore", 596},
       {"engine.typed_load", 204},
+      {"engine.result_store.replay", 121},
+      {"engine.result_store.record", 79},
   };
   const std::map<std::string, uint64_t> suite_j3 = {
       {"queries_run", 600},
@@ -258,15 +262,17 @@ TEST(BenchmarkWork, RoundZeroIsPinned) {
       {"discrepancies", 150},
       {"unique_bugs", 13},
       {"statements", 15825},
-      {"pairs", 179529},
-      {"index_scans", 3128},
-      {"prepared", 4963},
-      {"relate.envelope_prefilter", 9047},
-      {"relate.memo.hit", 92071},
-      {"relate.full", 3619},
+      {"pairs", 60749},
+      {"index_scans", 903},
+      {"prepared", 1468},
+      {"relate.envelope_prefilter", 2905},
+      {"relate.memo.hit", 26627},
+      {"relate.full", 3616},
       {"engine.snapshot.build", 636},
       {"engine.restore", 5156},
       {"engine.typed_load", 636},
+      {"engine.result_store.replay", 5602},
+      {"engine.result_store.record", 2318},
   };
   EXPECT_EQ(RoundZeroWork("aei", 40, 1), aei_n40) << "aei-n40";
   EXPECT_EQ(RoundZeroWork("all", 10, 3), suite_j3) << "suite-j3";
