@@ -254,8 +254,8 @@ void BM_AffineTransformDatabase(benchmark::State& state) {
 BENCHMARK(BM_AffineTransformDatabase);
 
 // A generated SDB1 of `rows` rows and 64 affine transforms to load its
-// image under: each timed iteration takes the next, so no load restores a
-// snapshot.
+// image under: each timed iteration takes the next, as each AEI check
+// draws its own matrix. Every image load runs: no image is snapshotted.
 struct AffineLoadInput {
   fuzz::DatabaseSpec sdb1;
   std::vector<algo::AffineTransform> transforms;

@@ -171,7 +171,7 @@ class Engine {
   /// Drops all tables and session variables, and the lent ResultStore.
   /// Fault configuration and statistics are preserved, and so are the
   /// statement cache (parsing is a pure function of the text) and the
-  /// snapshot store, from which fuzz::LoadDatabase restores a database it
+  /// snapshot store, from which fuzz::LoadDatabase restores an SDB1 it
   /// has loaded before instead of re-running its DDL and row inserts.
   void Reset();
 
@@ -182,14 +182,15 @@ class Engine {
   /// exec_seconds and is one sample of the engine.restore histogram and
   /// one engine.restore trace span.
   ///
-  /// `results`, when given, is lent: the store of the count queries run on
-  /// exactly the database `install` builds, which Execute replays and
-  /// fills until Reset, InsertValue, TypedLoad, a statement other than a
-  /// SELECT or the next Restore drops it. The engine holds it weakly: a
-  /// store its lender has freed is never read, and the queries run.
+  /// `results` is lent: the store of the count queries run on exactly the
+  /// database `install` builds (every restore has one), which Execute
+  /// replays and fills until Reset, InsertValue, TypedLoad, a statement
+  /// other than a SELECT or the next Restore drops it. The engine holds it
+  /// weakly: a store its lender has freed is never read, and the queries
+  /// run.
   void Restore(
       const std::function<void(std::map<std::string, Table>*)>& install,
-      const std::shared_ptr<ResultStore>& results = nullptr);
+      const std::shared_ptr<ResultStore>& results);
 
   /// Inserts `value` into `column` of `table` as one row, as the statement
   /// `INSERT INTO <table> (<column>) VALUES (<literal>)` would. A string is
@@ -214,10 +215,10 @@ class Engine {
   void TypedLoad(const std::function<void()>& load);
 
   /// State a caller keeps per engine: it lives as long as the engine and
-  /// survives Reset. fuzz::LoadDatabase keeps what it knows of the
-  /// databases it loaded here (parsed rows, snapshots, derived forms),
-  /// behind this base so the engine needs no fuzz types; the engine never
-  /// reads it.
+  /// survives Reset. fuzz::LoadDatabase keeps here what it knows of the
+  /// SDB1 it loaded last (parsed rows, snapshots, derived forms), a type
+  /// derived from this base so the engine needs no fuzz types; the engine
+  /// never reads it.
   class SnapshotStore {
    public:
     SnapshotStore() = default;

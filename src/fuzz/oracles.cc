@@ -17,15 +17,15 @@ namespace spatter::fuzz {
 
 // --- Database loads ----------------------------------------------------------
 
-// One loaded database: the tables a load left plus what each of its
-// statements and rows did. An SDB1's snapshot also keeps, per effective row
-// set (the rows a restore installs: accepted and kept), the
-// engine::ResultStore of the count queries run on that database, which
-// each restore of it lends the engine.
+namespace {
+
+// One loaded SDB1: the tables a load left plus what each of its statements
+// and rows did, and, per effective row set (the rows a restore installs:
+// accepted and kept), the engine::ResultStore of the count queries run on
+// that database, which each restore of it lends the engine.
 class LoadSnapshot {
  public:
-  LoadSnapshot(const DatabaseSpec& sdb, bool keeps_results)
-      : loaded_(sdb.tables.size()), keeps_results_(keeps_results) {
+  explicit LoadSnapshot(const DatabaseSpec& sdb) : loaded_(sdb.tables.size()) {
     for (size_t t = 0; t < sdb.tables.size(); ++t) {
       loaded_[t].name = sdb.tables[t].name;
     }
@@ -42,8 +42,7 @@ class LoadSnapshot {
 
   // Takes the rows of a recorded load that succeeded. False when the
   // engine does not hold exactly the spec's tables, each with its
-  // accepted rows in order (a table name that is no plain identifier, which
-  // the DDL creates under another name): such a load is not kept.
+  // accepted rows in order: such a load is not kept.
   bool TakeRows(const engine::Engine& engine) {
     if (engine.tables().size() != loaded_.size()) return false;
     for (Table& loaded : loaded_) {
@@ -66,7 +65,7 @@ class LoadSnapshot {
   // What a load of the recorded database would do: install the tables with
   // the rows `keep` marks (nullptr: all) and replay the effects of exactly
   // the statements and rows it would run. Lends the engine the result store
-  // of the installed rows, if this snapshot keeps results.
+  // of the installed rows.
   void Restore(engine::Engine* engine, RowMask* accepted,
                const RowMask* keep) {
     const faults::FaultState& faults = engine->fault_state();
@@ -77,12 +76,8 @@ class LoadSnapshot {
                             (keep == nullptr || (*keep)[t][r]));
       }
     }
-    std::shared_ptr<engine::ResultStore> results;
-    if (keeps_results_) {
-      std::shared_ptr<engine::ResultStore>& store = results_[installed];
-      if (!store) store = std::make_shared<engine::ResultStore>();
-      results = store;
-    }
+    std::shared_ptr<engine::ResultStore>& results = results_[installed];
+    if (!results) results = std::make_shared<engine::ResultStore>();
     if (accepted) accepted->assign(loaded_.size(), {});
     const auto install = [&](std::map<std::string, engine::Table>* tables) {
       size_t next = 0;
@@ -118,22 +113,20 @@ class LoadSnapshot {
   };
 
   std::vector<Table> loaded_;  // aligned with DatabaseSpec::tables
-  bool keeps_results_;
-  // By effective row set. An SDB1 state and its snapshots live until the
-  // engine's LoadCache replaces the state; the engine holds a lent store
-  // weakly, so it never reads one after that.
+  // By effective row set. An SDB1 state and its snapshots live until
+  // another SDB1's state replaces it (StateOf); the engine holds a lent
+  // store weakly, so it never reads one after that.
   std::map<std::vector<bool>, std::shared_ptr<engine::ResultStore>> results_;
 };
-
-namespace {
 
 // Everything an engine keeps about one SDB1, keyed by its table names and
 // WKT rows: each row parsed once, the load snapshots per (with_index,
 // enabled fault mask), and, for the affine checks and EET, each row's
-// canonical form with what building it did and EET's distance bound per
+// canonical form with what building them did and EET's distance bound per
 // ordered table pair. Any database LoadDatabase is handed is an SDB1 here:
-// a campaign's, a reducer candidate, a printed SDB2 in a test.
-class Sdb1State {
+// a campaign's, a reducer candidate, a printed SDB2 in a test. It is the
+// engine's snapshot store (StateOf).
+class Sdb1State : public engine::Engine::SnapshotStore {
  public:
   explicit Sdb1State(const DatabaseSpec& sdb1)
       : tables_(sdb1.tables), rows_(sdb1.tables.size()) {
@@ -178,24 +171,24 @@ class Sdb1State {
   }
 
   // Canonicalizes every row that parses, as TransformDatabase does. The
-  // first call builds the forms and records what building each did; later
+  // first call builds the forms and records what the whole pass did; later
   // calls replay that record, so each call leaves the coverage counts
   // TransformDatabase's pass would.
   void Canonicalize(const faults::FaultState* faults) {
-    for (auto& table : rows_) {
-      for (Row& row : table) {
-        if (!row.parsed) continue;
-        if (canonicalized_) {
-          row.canonicalize.Replay(faults);
-          continue;
-        }
-        row.canonical = row.canonicalize.Record(faults, [&] {
-          SPATTER_COV("aei", "canonicalize_pass");
-          return algo::Canonicalize(*row.parsed);
-        });
-      }
+    if (canonicalized_) {
+      canonicalize_.Replay(faults);
+      return;
     }
-    canonicalized_ = true;
+    canonicalized_ = canonicalize_.Record(faults, [&] {
+      for (auto& table : rows_) {
+        for (Row& row : table) {
+          if (!row.parsed) continue;
+          SPATTER_COV("aei", "canonicalize_pass");
+          row.canonical = algo::Canonicalize(*row.parsed);
+        }
+      }
+      return true;
+    });
   }
 
   // Row r of table t canonicalized; null when its WKT does not parse.
@@ -217,7 +210,6 @@ class Sdb1State {
   struct Row {
     std::shared_ptr<const geom::Geometry> parsed;  // null: WKT unparsable
     geom::GeomPtr canonical;  // built by the first Canonicalize
-    faults::Effects canonicalize;
   };
 
   // The parsed rows of the last table named `name`; none when there is no
@@ -238,32 +230,22 @@ class Sdb1State {
   std::vector<std::vector<Row>> rows_;  // aligned with tables_
   std::map<std::pair<bool, uint64_t>, LoadSnapshot> snapshots_;
   bool canonicalized_ = false;
+  faults::Effects canonicalize_;  // what the first Canonicalize did
   std::map<std::pair<std::string, std::string>, double> bounds_;
 };
 
-// An engine's load state: the state of the SDB1 it loaded last. A
-// campaign engine works on one SDB1 per iteration.
-class LoadCache : public engine::Engine::SnapshotStore {
- public:
-  static LoadCache& Of(engine::Engine* engine) {
-    std::unique_ptr<engine::Engine::SnapshotStore>& store =
-        engine->snapshot_store();
-    if (!store) store = std::make_unique<LoadCache>();
-    return static_cast<LoadCache&>(*store);
+// The engine's state of `sdb1`, the SDB1 it loaded last: a new one, its
+// rows parsed, in place of the last SDB1's when `sdb1` is another. A
+// campaign engine works on one SDB1 per iteration. Only this function
+// fills the engine's snapshot store, so the store is always an Sdb1State.
+Sdb1State& StateOf(engine::Engine* engine, const DatabaseSpec& sdb1) {
+  std::unique_ptr<engine::Engine::SnapshotStore>& store =
+      engine->snapshot_store();
+  if (!store || !static_cast<Sdb1State&>(*store).Matches(sdb1)) {
+    store = std::make_unique<Sdb1State>(sdb1);
   }
-
-  // The state of `sdb1`; a new one, its rows parsed, in place of the last
-  // SDB1's when `sdb1` is another.
-  Sdb1State& StateOf(const DatabaseSpec& sdb1) {
-    if (!state_ || !state_->Matches(sdb1)) {
-      state_ = std::make_unique<Sdb1State>(sdb1);
-    }
-    return *state_;
-  }
-
- private:
-  std::unique_ptr<Sdb1State> state_;
-};
+  return static_cast<Sdb1State&>(*store);
+}
 
 // What row r of table t loads as.
 using RowValue = std::function<engine::Value(size_t, size_t)>;
@@ -289,10 +271,10 @@ Status LoadTables(engine::Engine* engine, const DatabaseSpec& sdb,
   if (accepted) accepted->clear();
   for (size_t t = 0; t < sdb.tables.size(); ++t) {
     const std::string& name = sdb.tables[t].name;
-    for (const std::string& ddl : RenderDdl(name, sdb.with_index)) {
+    for (const sql::StatementPtr& ddl : DdlStatements(name, sdb.with_index)) {
       SPATTER_RETURN_NOT_OK(
           RunRecorded(engine, record ? record->AddDdl(t) : nullptr,
-                      [&] { return engine->Execute(ddl); })
+                      [&] { return engine->Execute(*ddl); })
               .status());
     }
     std::vector<bool> mask;
@@ -332,7 +314,7 @@ Status ExecuteLoad(engine::Engine* engine, const DatabaseSpec& sdb,
 
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep) {
-  Sdb1State& state = LoadCache::Of(engine).StateOf(sdb);
+  Sdb1State& state = StateOf(engine, sdb);
   const uint64_t fault_mask = engine->fault_state().EnabledMask();
   if (LoadSnapshot* snapshot = state.Snapshot(sdb.with_index, fault_mask)) {
     snapshot->Restore(engine, accepted, keep);
@@ -344,7 +326,7 @@ Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
   // A filtered load follows an unfiltered one of the same database, so it
   // misses only when that one was not kept.
   if (keep) return ExecuteLoad(engine, sdb, value, accepted, keep, nullptr);
-  LoadSnapshot snapshot(sdb, /*keeps_results=*/true);
+  LoadSnapshot snapshot(sdb);
   const Status status =
       ExecuteLoad(engine, sdb, value, accepted, nullptr, &snapshot);
   if (status.ok() && snapshot.TakeRows(*engine)) {
@@ -359,7 +341,7 @@ Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
 AffinePair::AffinePair(engine::Engine* engine, const DatabaseSpec& sdb1,
                        const algo::AffineTransform& transform)
     : engine_(engine), sdb1_(sdb1), image_(sdb1.tables.size()) {
-  Sdb1State& state = LoadCache::Of(engine).StateOf(sdb1);
+  Sdb1State& state = StateOf(engine, sdb1);
   state.Canonicalize(&engine->fault_state());
   for (size_t t = 0; t < sdb1.tables.size(); ++t) {
     for (size_t r = 0; r < sdb1.tables[t].rows.size(); ++r) {
@@ -378,8 +360,6 @@ AffinePair::AffinePair(engine::Engine* engine, const DatabaseSpec& sdb1,
   }
 }
 
-AffinePair::~AffinePair() = default;
-
 Result<RowMask> AffinePair::LoadBoth() {
   RowMask both;
   RowMask mask2;
@@ -394,28 +374,13 @@ Result<RowMask> AffinePair::LoadBoth() {
 }
 
 Status AffinePair::LoadImage(RowMask* accepted, const RowMask* keep) {
-  if (snapshot_) {
-    snapshot_->Restore(engine_, accepted, keep);
-    return Status::OK();
-  }
   const RowValue value = [&](size_t t, size_t r) { return image_[t][r]; };
-  // The image's query runs once per pair, so its snapshot keeps no
-  // results: recording it would be pure cost.
-  auto record = keep ? nullptr
-                     : std::make_unique<LoadSnapshot>(
-                           sdb1_, /*keeps_results=*/false);
-  const Status status =
-      ExecuteLoad(engine_, sdb1_, value, accepted, keep, record.get());
-  if (status.ok() && record && record->TakeRows(*engine_)) {
-    SPATTER_METRIC_INC("engine.snapshot.build");
-    snapshot_ = std::move(record);
-  }
-  return status;
+  return ExecuteLoad(engine_, sdb1_, value, accepted, keep, nullptr);
 }
 
 double DistanceBound(engine::Engine* engine, const DatabaseSpec& sdb1,
                      const std::string& table1, const std::string& table2) {
-  return LoadCache::Of(engine).StateOf(sdb1).DistanceBound(table1, table2);
+  return StateOf(engine, sdb1).DistanceBound(table1, table2);
 }
 
 // --- Shared check pieces -----------------------------------------------------

@@ -64,15 +64,16 @@ using RowMask = std::vector<std::vector<bool>>;
 /// reload has exactly the effects of loading the filtered database.
 ///
 /// A load leaves what running DatabaseSpec::ToSql's statements would. Only
-/// the DDL runs as SQL: each row goes in as a value (Engine::InsertValue),
-/// the geometry its WKT parses to, parsed once per (engine, database), or
-/// the WKT string when it does not parse. The whole load is one
-/// Engine::TypedLoad. Table names must be plain identifiers
-/// (IsPlainIdentifier), as the generator's are and TestCaseCodec::Decode
-/// requires: another name is read back otherwise by the DDL's lexer.
+/// the DDL runs as statements, the DdlStatements trees ToSql prints: each
+/// row goes in as a value (Engine::InsertValue), the geometry its WKT
+/// parses to, parsed once per (engine, database), or the WKT string when
+/// it does not parse. The whole load is one Engine::TypedLoad. Table names
+/// must be plain identifiers (IsPlainIdentifier), as the generator's are
+/// and TestCaseCodec::Decode requires: another name is read back otherwise
+/// by the printed DDL's lexer.
 ///
 /// Each engine keeps a state for the database it loaded last, keyed by
-/// its table names and WKT rows, compared in full.
+/// its table names and WKT rows, compared in full, as its snapshot store.
 /// It holds the parsed rows, the derived state of AffinePair and
 /// DistanceBound, and a snapshot per (`with_index`, enabled fault mask). A
 /// snapshot hit restores the tables (Engine::Restore) and replays the
@@ -80,6 +81,8 @@ using RowMask = std::vector<std::vector<bool>>;
 /// only the kept rows' under a `keep` mask, so it leaves what the load
 /// would, without running it. An unfiltered miss runs the load and records
 /// a snapshot; a filtered miss only runs it. A failed load is never kept.
+/// Only this state records a load: an affine image is loaded, never
+/// snapshotted (AffinePair::LoadImage).
 ///
 /// A snapshot also keeps one engine::ResultStore per effective row set
 /// (the rows a restore installs: accepted and kept), and a hit lends the
@@ -90,8 +93,6 @@ using RowMask = std::vector<std::vector<bool>>;
 Status LoadDatabase(engine::Engine* engine, const DatabaseSpec& sdb,
                     RowMask* accepted, const RowMask* keep = nullptr);
 
-class LoadSnapshot;
-
 /// The two databases of an affine check (paper Figure 5) on one engine:
 /// SDB1, and SDB2, the image of canonicalized SDB1 under `transform`. AEI,
 /// canonicalization-only and KNN all load them through this.
@@ -100,19 +101,18 @@ class LoadSnapshot;
 /// built without text. Everything that depends only on SDB1 lives in the
 /// engine's state for SDB1 (see LoadDatabase), surviving Engine::Reset: each
 /// row parsed, and its canonical form, built by the first affine check with
-/// what building it did (the aei/canonicalize_pass and canon/* hits)
-/// recorded, and that record replayed (faults::Effects) by every later
-/// check. SDB2 keeps one Engine::InsertValue value per row: the transformed
-/// clone of the canonical form; or its printed WKT, where the WKT round
-/// trip would change it (geom::NormalizeForWkt refuses it); or SDB1's raw
-/// row, where that does not parse. Either way a load of SDB2 leaves what
-/// LoadDatabase of the printed SDB2 would: the same tables, acceptance
-/// masks, coverage counts and fault ids.
+/// what the whole pass did (the aei/canonicalize_pass and canon/* hits)
+/// recorded as one faults::Effects, and that record replayed once by every
+/// later check. SDB2 keeps one Engine::InsertValue value per row: the
+/// transformed clone of the canonical form; or its printed WKT, where the
+/// WKT round trip would change it (geom::NormalizeForWkt refuses it); or
+/// SDB1's raw row, where that does not parse. Either way a load of SDB2
+/// leaves what LoadDatabase of the printed SDB2 would: the same tables,
+/// acceptance masks, coverage counts and fault ids.
 class AffinePair {
  public:
   AffinePair(engine::Engine* engine, const DatabaseSpec& sdb1,
              const algo::AffineTransform& transform);
-  ~AffinePair();
   AffinePair(const AffinePair&) = delete;
   AffinePair& operator=(const AffinePair&) = delete;
 
@@ -123,11 +123,11 @@ class AffinePair {
   Result<RowMask> LoadBoth();
 
   /// Loads SDB2 as LoadDatabase(engine, <printed SDB2>, accepted, keep)
-  /// would. The first unfiltered load records a snapshot, which every
-  /// later load of this pair restores; SDB2 never enters the engine's
-  /// per-database states. The snapshot keeps no result store and its
-  /// restores lend none: the image's query runs once per pair, so
-  /// recording it would be pure cost.
+  /// does on an engine that never saw it: every call runs the load (one
+  /// Engine::TypedLoad), filtered or not, and records nothing. AEI draws
+  /// its matrix per query (paper Figure 5), so an image never recurs
+  /// beyond its own check: SDB2 never enters the engine's state, and no
+  /// result store is lent for its query.
   Status LoadImage(RowMask* accepted, const RowMask* keep = nullptr);
 
  private:
@@ -135,7 +135,6 @@ class AffinePair {
   const DatabaseSpec& sdb1_;
   /// SDB2's rows as Engine::InsertValue takes them, aligned with sdb1_'s.
   std::vector<std::vector<engine::Value>> image_;
-  std::unique_ptr<LoadSnapshot> snapshot_;
 };
 
 /// EET's distance bound for the ordered table pair (table1, table2) of

@@ -24,18 +24,30 @@ const char* OracleKindName(OracleKind k) {
   return "Unknown";
 }
 
-std::vector<std::string> RenderDdl(const std::string& table, bool with_index) {
-  std::vector<std::string> ddl = {"CREATE TABLE " + table + " (g geometry);"};
+std::vector<sql::StatementPtr> DdlStatements(const std::string& table,
+                                             bool with_index) {
+  std::vector<sql::StatementPtr> ddl;
+  auto create = std::make_unique<sql::Statement>();
+  create->kind = sql::Statement::Kind::kCreateTable;
+  create->table = table;
+  create->columns.push_back({"g", "geometry"});
+  ddl.push_back(std::move(create));
   if (with_index) {
-    ddl.push_back("CREATE INDEX idx_" + table + " ON " + table +
-                  " USING GIST (g);");
+    auto index = std::make_unique<sql::Statement>();
+    index->kind = sql::Statement::Kind::kCreateIndex;
+    index->index_name = "idx_" + table;
+    index->table = table;
+    index->columns.push_back({"g", ""});
+    ddl.push_back(std::move(index));
   }
   return ddl;
 }
 
 TableSql RenderTable(const TableSpec& table, bool with_index) {
   TableSql sql;
-  sql.ddl = RenderDdl(table.name, with_index);
+  for (const sql::StatementPtr& stmt : DdlStatements(table.name, with_index)) {
+    sql.ddl.push_back(sql::PrintStatement(*stmt));
+  }
   sql.inserts.reserve(table.rows.size());
   for (const auto& wkt : table.rows) {
     std::string insert = "INSERT INTO " + table.name + " (g) VALUES ('";

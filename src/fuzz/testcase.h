@@ -46,17 +46,22 @@ struct TableSpec {
 /// The statements that build one table, in load order: `ddl` (CREATE
 /// TABLE, then CREATE INDEX when indexed) before `inserts`, one INSERT per
 /// row, quotes in its WKT doubled. DatabaseSpec::ToSql prints through
-/// RenderTable; LoadDatabase runs the same DDL and inserts each row as the
-/// value its INSERT's literal coerces to, so a printed reproducer replays
-/// what a check loaded.
+/// RenderTable; LoadDatabase runs the same DDL statements and inserts each
+/// row as the value its INSERT's literal coerces to, so a printed
+/// reproducer replays what a check loaded.
 struct TableSql {
-  std::vector<std::string> ddl;
+  std::vector<std::string> ddl;      ///< DdlStatements, printed
   std::vector<std::string> inserts;  ///< aligned with TableSpec::rows
 };
 
 TableSql RenderTable(const TableSpec& table, bool with_index);
-/// RenderTable's `ddl` for a table named `table`.
-std::vector<std::string> RenderDdl(const std::string& table, bool with_index);
+/// The DDL of a table named `table` as statements: `CREATE TABLE <table>
+/// (g geometry)`, then, when indexed, `CREATE INDEX idx_<table> ON <table>
+/// USING GIST (g)`. A load runs these trees, as every oracle runs
+/// QuerySpec::ToStatement's, and RenderTable prints them
+/// (sql::PrintStatement).
+std::vector<sql::StatementPtr> DdlStatements(const std::string& table,
+                                             bool with_index);
 
 /// One generated spatial database (SDB1 or SDB2).
 struct DatabaseSpec {

@@ -350,6 +350,33 @@ TEST(Discrepancy, SignatureDistinguishesPredicates) {
   EXPECT_EQ(a.Signature(), c.Signature());
 }
 
+// A reproducer prints the DDL statements a load runs (DdlStatements,
+// through sql::PrintStatement) and one INSERT per row, quotes doubled.
+// Reports and corpus files carry these bytes.
+TEST(Reproducer, DatabaseSqlIsPinned) {
+  DatabaseSpec sdb;
+  sdb.tables.push_back(TableSpec{"t1", {"POINT(1 1)", "POINT('1 1)"}});
+  sdb.tables.push_back(TableSpec{"t2", {}});
+  sdb.with_index = true;
+  EXPECT_EQ(sdb.ToSql(),
+            (std::vector<std::string>{
+                "CREATE TABLE t1 (g geometry);",
+                "CREATE INDEX idx_t1 ON t1 USING GIST (g);",
+                "INSERT INTO t1 (g) VALUES ('POINT(1 1)');",
+                "INSERT INTO t1 (g) VALUES ('POINT(''1 1)');",
+                "CREATE TABLE t2 (g geometry);",
+                "CREATE INDEX idx_t2 ON t2 USING GIST (g);",
+            }));
+  sdb.with_index = false;
+  EXPECT_EQ(sdb.ToSql(),
+            (std::vector<std::string>{
+                "CREATE TABLE t1 (g geometry);",
+                "INSERT INTO t1 (g) VALUES ('POINT(1 1)');",
+                "INSERT INTO t1 (g) VALUES ('POINT(''1 1)');",
+                "CREATE TABLE t2 (g geometry);",
+            }));
+}
+
 TEST(Oracles, LoadDatabaseMasksInvalidRows) {
   engine::Engine pg(Dialect::kPostgis, false);
   DatabaseSpec sdb;
@@ -1118,14 +1145,19 @@ TEST(LoadSnapshotExactness, TypedAffineLoadEqualsTheStatementPath) {
             ASSERT_EQ(built, expected);
             ASSERT_EQ(built.load.statements, expected.load.statements);
             checks++;
+            // The filtered reloads run the kept rows: an image is never
+            // snapshotted.
             for (int k = 0; k < 2; ++k) {
               const RowMask keep = RandomKeep(sdb, &rng);
-              const TypedOutcome restored = ObserveBits(
+              const TypedOutcome reloaded = ObserveBits(
                   &typed, [&](RowMask* a) { return pair->LoadImage(a, &keep); });
-              EXPECT_EQ(restored,
-                        TextImage(dialect, faults, sdb, t, &keep, false));
+              const TypedOutcome reload_expected =
+                  TextImage(dialect, faults, sdb, t, &keep, false);
+              EXPECT_EQ(reloaded, reload_expected);
+              EXPECT_EQ(reloaded.load.statements,
+                        reload_expected.load.statements);
             }
-            // A filtered load before any unfiltered one runs the rows.
+            // A filtered load on a pair that loaded nothing yet.
             const RowMask keep = RandomKeep(sdb, &rng);
             std::optional<AffinePair> cold;
             const TypedOutcome filtered =
@@ -1145,6 +1177,60 @@ TEST(LoadSnapshotExactness, TypedAffineLoadEqualsTheStatementPath) {
   }
   EXPECT_GT(checks, 0u);
   EXPECT_GT(typed_loads->count(), typed_before);
+}
+
+// Only SDB1 is recorded. An affine image recurs in no later check (AEI
+// draws its matrix per query), so AffinePair loads it and records nothing:
+// past SDB1's restore, an affine check builds no snapshot, restores nothing
+// more and lends its image's count query no result store, which runs.
+TEST(LoadSnapshotExactness, AnAffineImageIsLoadedNeverSnapshotted) {
+  const DatabaseSpec sdb = SnapshotSpecs()[1];
+  const algo::AffineTransform transform(3, 1, -2, 4, 5, -6);
+  QuerySpec query;
+  query.table1 = sdb.tables[0].name;
+  query.table2 = sdb.tables[1].name;
+  query.predicate = "ST_Intersects";
+  const sql::StatementPtr stmt = query.ToStatement();
+  auto& registry = obs::MetricsRegistry::Instance();
+  auto work = [&] {
+    return std::map<std::string, uint64_t>{
+        {"engine.snapshot.build", CounterValue("engine.snapshot.build")},
+        {"engine.restore", registry.GetHistogram("engine.restore")->count()},
+        {"engine.typed_load",
+         registry.GetHistogram("engine.typed_load")->count()},
+        {"engine.result_store.record",
+         CounterValue("engine.result_store.record")},
+        {"engine.result_store.replay",
+         CounterValue("engine.result_store.replay")},
+    };
+  };
+  engine::Engine engine(Dialect::kPostgis, true);
+  ASSERT_TRUE(LoadDatabase(&engine, sdb, nullptr).ok());
+  const std::map<std::string, uint64_t> before = work();
+  AffinePair pair(&engine, sdb, transform);
+  const Result<RowMask> keep = pair.LoadBoth();
+  ASSERT_TRUE(keep.ok());
+  ASSERT_TRUE(pair.LoadImage(nullptr, &keep.value()).ok());
+  const QueryOutcome image = RunQuery(&engine, *stmt);
+  std::map<std::string, uint64_t> moved = work();
+  for (auto& [name, value] : moved) value -= before.at(name);
+  // LoadBoth restores SDB1 once; both image loads run.
+  const std::map<std::string, uint64_t> expected = {
+      {"engine.snapshot.build", 0},      {"engine.restore", 1},
+      {"engine.typed_load", 2},          {"engine.result_store.record", 0},
+      {"engine.result_store.replay", 0},
+  };
+  EXPECT_EQ(moved, expected);
+
+  // The image's query ran, and left what it leaves on the printed image
+  // loaded by statements.
+  EXPECT_GT(image.pairs, 0u);
+  engine::Engine reference(Dialect::kPostgis, true);
+  RowMask accepted;
+  ASSERT_TRUE(ReferenceLoad(&reference, TransformDatabase(sdb, transform, true),
+                            &accepted, &keep.value())
+                  .ok());
+  EXPECT_EQ(image, RunQuery(&reference, *stmt));
 }
 
 // The AEI check as it ran on the text path: TransformDatabase, and both

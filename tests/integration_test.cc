@@ -243,16 +243,16 @@ TEST(BenchmarkWork, RoundZeroIsPinned) {
       {"checks_run", 200},
       {"discrepancies", 22},
       {"unique_bugs", 10},
-      {"statements", 9137},
+      {"statements", 17487},
       {"pairs", 102033},
       {"index_scans", 498},
       {"prepared", 2735},
-      {"relate.envelope_prefilter", 17674},
-      {"relate.memo.hit", 9323},
+      {"relate.envelope_prefilter", 17759},
+      {"relate.memo.hit", 9338},
       {"relate.full", 15306},
-      {"engine.snapshot.build", 204},
-      {"engine.restore", 596},
-      {"engine.typed_load", 204},
+      {"engine.snapshot.build", 4},
+      {"engine.restore", 396},
+      {"engine.typed_load", 404},
       {"engine.result_store.replay", 121},
       {"engine.result_store.record", 79},
   };
@@ -261,16 +261,16 @@ TEST(BenchmarkWork, RoundZeroIsPinned) {
       {"checks_run", 3000},
       {"discrepancies", 150},
       {"unique_bugs", 13},
-      {"statements", 15825},
+      {"statements", 23175},
       {"pairs", 60749},
       {"index_scans", 903},
       {"prepared", 1468},
       {"relate.envelope_prefilter", 2905},
       {"relate.memo.hit", 26627},
       {"relate.full", 3616},
-      {"engine.snapshot.build", 636},
-      {"engine.restore", 5156},
-      {"engine.typed_load", 636},
+      {"engine.snapshot.build", 36},
+      {"engine.restore", 4556},
+      {"engine.typed_load", 1236},
       {"engine.result_store.replay", 5602},
       {"engine.result_store.record", 2318},
   };
